@@ -6,8 +6,8 @@
 //! hundreds of megabytes — far past any cache). Sharding splits the
 //! rows across `S` engines, each with a private arena, plan cache, and
 //! worker pool — the software shape of `S` memory domains. This harness
-//! quantifies that scale-out with the same method `bench_steal` uses on
-//! this 1-core container: **model walls in measured units** plus **real
+//! quantifies that scale-out on a host with few cores the way
+//! `bench_spgemm` does: **model walls in measured units** plus **real
 //! executions for every correctness claim**.
 //!
 //! Roofline model, per shard (and for the unsharded baseline as the

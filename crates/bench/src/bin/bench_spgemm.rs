@@ -3,10 +3,9 @@
 //!
 //! The container this harness usually runs in has a single hardware
 //! core, so multi-worker *wall* times cannot demonstrate the numeric
-//! phase's parallel win directly. The harness therefore follows the
-//! `bench_steal` approach: real single-worker executions are measured,
-//! and multi-worker totals are **modeled** from the engine's own chunk
-//! decomposition,
+//! phase's parallel win directly. The harness therefore measures real
+//! single-worker executions and **models** multi-worker totals from the
+//! engine's own chunk decomposition,
 //!
 //! * calibrating nanoseconds per merge item (`rows + flop upper bound`,
 //!   the cost [`mpspmm_core::chunk_threads`] balances on) from the
@@ -27,7 +26,7 @@
 use mpspmm_bench::{banner, geomean, time_ns, SEED};
 use mpspmm_core::{
     chunk_threads, spgemm_flops_upper_bound, spgemm_sequential, ExecEngine, SpgemmStrategy,
-    STEAL_CHUNKS_PER_WORKER,
+    SPGEMM_CHUNKS_PER_WORKER,
 };
 use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
 use mpspmm_sparse::CsrMatrix;
@@ -61,7 +60,7 @@ fn upper_bound_ends(a: &CsrMatrix<f32>, b: &CsrMatrix<f32>) -> Vec<usize> {
 fn numeric_makespan_items(ub_ends: &[usize], workers: usize) -> u64 {
     let rows = ub_ends.len();
     let eff = workers.min(rows).max(1);
-    let target = (eff * STEAL_CHUNKS_PER_WORKER).min(rows.max(1));
+    let target = (eff * SPGEMM_CHUNKS_PER_WORKER).min(rows.max(1));
     let chunks = chunk_threads(ub_ends, target);
     let mut clock = vec![0u64; eff];
     for c in &chunks {

@@ -61,14 +61,15 @@
 //!
 //! # Tuning knobs
 //!
-//! Three environment variables, read **once per process** at the first
-//! path resolution (never in the segment loop or per engine run):
-//! `MPSPMM_GATHER_MAX` overrides the gather threshold
-//! ([`GATHER_MAX_NNZ`]; `0` disables the gather kernel entirely),
-//! `MPSPMM_NO_PREFETCH` disables the software prefetch, and
+//! One environment variable, read **once per process** at the first
+//! engine construction (never in the segment loop or per engine run):
 //! `MPSPMM_FASTMATH` (any value but `0`) opts the process into FastMath.
-//! Like `MPSPMM_WORKERS`, changing them after the first engine run has no
-//! effect — a serving process resolves its configuration at startup.
+//! Like `MPSPMM_WORKERS`, changing it after the first engine run has no
+//! effect — a serving process resolves its configuration at startup. The
+//! gather threshold is the constant [`GATHER_MAX_NNZ`] — the same one
+//! [`crate::PreparedPlan::dispatch_profile`] counts against, so the
+//! gather/stream counters always describe what ran — and the software
+//! prefetch is always on.
 
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 
@@ -169,16 +170,14 @@ pub(crate) enum PathKind {
 }
 
 /// A [`DataPath`] resolved against a dense dimension: the kernel family,
-/// the lane width, the column panel, the gather threshold, and whether
-/// FMA contraction is permitted, fixed once per engine run.
+/// the lane width, the column panel, and whether FMA contraction is
+/// permitted, fixed once per engine run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedPath {
     pub kind: PathKind,
     pub lanes: LaneWidth,
     pub wide_isa: WideIsa,
     pub panel: usize,
-    pub gather_max: usize,
-    pub prefetch: bool,
     /// FMA contraction permitted (FastMath): only ever `true` when the
     /// engine opted in **and** [`fastmath_supported`] proved the CPU can
     /// run the fma clones **and** the kernel family is `Vector` (the
@@ -220,8 +219,6 @@ impl DataPath {
             lanes,
             wide_isa: WideIsa::detect(),
             panel: panel_cols(dim, lanes.lanes(), &CacheModel::default()),
-            gather_max: env_gather_max(),
-            prefetch: env_prefetch(),
             fastmath: want_fastmath && kind == PathKind::Vector && fastmath_supported(),
         }
     }
@@ -245,29 +242,10 @@ pub fn fastmath_supported() -> bool {
 }
 
 /// `MPSPMM_FASTMATH` opt-in (any value but `0`), resolved once per
-/// process like the other data-path knobs.
+/// process.
 pub(crate) fn env_fastmath() -> bool {
     static FASTMATH: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FASTMATH.get_or_init(|| std::env::var_os("MPSPMM_FASTMATH").is_some_and(|v| v != "0"))
-}
-
-/// `MPSPMM_GATHER_MAX` override, resolved once per process (a request
-/// server resolves hundreds of thousands of paths; the environment cannot
-/// change under a running process anyway).
-fn env_gather_max() -> usize {
-    static GATHER_MAX: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *GATHER_MAX.get_or_init(|| {
-        std::env::var("MPSPMM_GATHER_MAX")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(GATHER_MAX_NNZ)
-    })
-}
-
-/// `MPSPMM_NO_PREFETCH` kill switch, resolved once per process.
-fn env_prefetch() -> bool {
-    static PREFETCH: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PREFETCH.get_or_init(|| std::env::var_os("MPSPMM_NO_PREFETCH").is_none())
 }
 
 /// Column-index view the kernels are generic over: plain CSR `usize`
@@ -401,8 +379,9 @@ fn tail_columns<const FAST: bool, I: ColIdx>(
     }
 }
 
-/// Gather microkernel for short segments: fuse all (at most four) gathered
-/// rows into a single register-accumulating pass over the destination —
+/// Gather microkernel for short segments: fuse all (at most
+/// [`GATHER_MAX_NNZ`], i.e. four) gathered rows into a single
+/// register-accumulating pass over the destination —
 /// one `dst` write per column, no per-block loop restarts, no staging
 /// array. The column-blocked machinery would cost more than the segment
 /// itself.
@@ -455,20 +434,7 @@ pub(crate) fn gather_segment<I: ColIdx>(
                 *slot = v0 * x0 + v1 * x1 + v2 * x2 + v3 * x3;
             }
         }
-        // Above four rows (a raised `MPSPMM_GATHER_MAX`): initialize from
-        // the first row's product, then axpy the rest.
-        _ => {
-            let v0 = vals[k];
-            for (slot, &x0) in dst.iter_mut().zip(row(0)) {
-                *slot = v0 * x0;
-            }
-            for j in 1..seg.len() {
-                let v = vals[k + j];
-                for (slot, &x) in dst.iter_mut().zip(row(j)) {
-                    *slot += v * x;
-                }
-            }
-        }
+        n => unreachable!("gather segment of {n} > GATHER_MAX_NNZ non-zeros"),
     }
 }
 
@@ -560,7 +526,7 @@ pub(crate) fn vector_segment<I: ColIdx>(
     dst: &mut [f32],
     rp: &ResolvedPath,
 ) {
-    if seg.len() <= rp.gather_max {
+    if seg.len() <= GATHER_MAX_NNZ {
         gather_segment(seg, cols, vals, b, off, dst);
     } else if rp.fastmath {
         stream_segment_fast(seg, cols, vals, b, off, dst, rp);
@@ -740,9 +706,9 @@ fn gemm_rows<const MR: usize>(
 }
 
 /// The `#[target_feature]` clones of [`gemm_rows_body`] and
-/// [`stream_segment_body`]. This is one of the four modules allowed out
-/// of the crate's `deny(unsafe_code)` (with [`crate::pool`],
-/// [`crate::steal`], and [`crate::stripe`]): calling a
+/// [`stream_segment_body`]. This is one of the three modules allowed out
+/// of the crate's `deny(unsafe_code)` (with [`crate::pool`] and
+/// [`crate::stripe`]): calling a
 /// `#[target_feature]` function is `unsafe` because executing it on a
 /// CPU without the feature is undefined behavior — here each call is
 /// gated on the matching `is_x86_feature_detected!` proof captured in
@@ -1122,13 +1088,13 @@ pub(crate) fn prefetch_segment_rows(
     b: &DenseMatrix<f32>,
     off: usize,
 ) {
-    if rp.kind != PathKind::Vector || !rp.prefetch {
+    if rp.kind != PathKind::Vector {
         return;
     }
     // Only prefetch ahead of *streaming* segments: a gather segment
     // finishes in fewer cycles than the prefetch distance, so the head
     // loads would cost more than the misses they hide.
-    let Some(seg) = next.filter(|s| s.len() > rp.gather_max) else {
+    let Some(seg) = next.filter(|s| s.len() > GATHER_MAX_NNZ) else {
         return;
     };
     let end = (seg.nz_start + PREFETCH_ROWS).min(seg.nz_end);
@@ -1178,8 +1144,6 @@ mod tests {
             lanes,
             wide_isa: WideIsa::detect(),
             panel,
-            gather_max: GATHER_MAX_NNZ,
-            prefetch: true,
             fastmath: false,
         }
     }
@@ -1197,6 +1161,9 @@ mod tests {
             seg(0, 0),       // empty
             seg(2, 3),       // single non-zero
             seg(1, row_end - 1),
+            seg(3, 5),                  // two non-zeros (gather)
+            seg(4, 7),                  // three non-zeros (gather)
+            seg(5, 5 + GATHER_MAX_NNZ), // the widest gather segment
         ];
         for dim in 1..=67usize {
             let b = random_dense(64, dim, 22);
@@ -1222,9 +1189,11 @@ mod tests {
                         );
                     }
                 }
-                got.fill(f32::NAN);
-                gather_segment(s, a.col_indices(), a.values(), &b, 0, &mut got);
-                assert_eq!(got, want, "gather dim={dim} seg={s:?}");
+                if s.len() <= GATHER_MAX_NNZ {
+                    got.fill(f32::NAN);
+                    gather_segment(s, a.col_indices(), a.values(), &b, 0, &mut got);
+                    assert_eq!(got, want, "gather dim={dim} seg={s:?}");
+                }
                 got.fill(f32::NAN);
                 let rp = resolved(PathKind::Vector, LaneWidth::W16, 16);
                 stream_segment(s, a.col_indices(), a.values(), &b, 0, &mut got, &rp);
@@ -1240,7 +1209,6 @@ mod tests {
         let a = random_matrix(32, 32, 150, 5);
         let b = random_dense(32, 24, 6);
         let rp = DataPath::Vector.resolve(24);
-        assert_eq!(rp.gather_max, GATHER_MAX_NNZ);
         let short = seg(0, GATHER_MAX_NNZ);
         let long = seg(0, GATHER_MAX_NNZ + 1);
         for s in [&short, &long] {
@@ -1259,7 +1227,13 @@ mod tests {
         let a = random_matrix(48, 48, 220, 31);
         let cols32: Vec<u32> = a.col_indices().iter().map(|&c| c as u32).collect();
         let row_end = a.row_ptr()[1];
-        let segments = [seg(0, row_end), seg(0, 0), seg(2, 3), seg(1, row_end - 1)];
+        let segments = [
+            seg(0, row_end),
+            seg(0, 0),
+            seg(2, 3),
+            seg(1, row_end - 1),
+            seg(3, 3 + GATHER_MAX_NNZ),
+        ];
         for dim in [33usize, 67, 128] {
             let b = random_dense(48, dim, 32);
             // Window partitions including empty, single-column, and
@@ -1276,9 +1250,11 @@ mod tests {
                     got.fill(0.0);
                     accumulate_segment_tiled(s, &a, &b, lo, &mut got);
                     assert_eq!(got, want[lo..hi], "tiled window {lo}..{hi} dim={dim}");
-                    got.fill(0.0);
-                    gather_segment(s, a.col_indices(), a.values(), &b, lo, &mut got);
-                    assert_eq!(got, want[lo..hi], "gather window {lo}..{hi} dim={dim}");
+                    if s.len() <= GATHER_MAX_NNZ {
+                        got.fill(0.0);
+                        gather_segment(s, a.col_indices(), a.values(), &b, lo, &mut got);
+                        assert_eq!(got, want[lo..hi], "gather window {lo}..{hi} dim={dim}");
+                    }
                     for lanes in [LaneWidth::W8, LaneWidth::W16] {
                         let rp = resolved(PathKind::Vector, lanes, 16);
                         got.fill(0.0);

@@ -39,15 +39,14 @@
 //!   (kernel name, kernel configuration fingerprint, graph epoch, shape,
 //!   dense dimension) and reused across calls until the graph mutates.
 //!   Hit/miss counters are exposed via [`EngineStats`].
-//! * **Work stealing over chunk descriptors** ([`crate::steal`]): under
-//!   [`SchedPolicy::Stealing`] the plan is pre-split into several
-//!   nnz-balanced chunks per worker and idle workers steal from the top
-//!   of loaded workers' deques, so a statically imbalanced plan (the
-//!   power-law hub rows of a row-split plan, say) no longer serializes
-//!   on one span. [`SchedPolicy::Auto`] (the default) inspects the
-//!   static partition's nnz skew and only pays for stealing when the
-//!   skew warrants it — balanced merge-path plans keep the static path,
-//!   and its results, bit for bit.
+//! * **Two schedules** ([`SchedPolicy`]): merge-path plans are
+//!   equal-work per logical thread by construction, so one contiguous
+//!   span of logical threads per worker is already balanced and needs no
+//!   runtime load balancing. Wide dense dimensions instead take the
+//!   column-striped executor ([`crate::stripe`]), which drops shared-row
+//!   folding altogether. [`SchedPolicy::Auto`] (the default) picks
+//!   between the two from the run's worker count, dense dimension, and
+//!   static span skew.
 //! * **Buffer arena** ([`crate::arena`]): output, batch-interleave, and
 //!   shared-row scratch buffers are pooled per engine and checked out per
 //!   execution, so steady-state inference allocates nothing. Outputs
@@ -95,18 +94,14 @@ use crate::datapath::{
 };
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
-use crate::plan::{chunk_threads, static_span_skew, ChunkDesc, Flush, KernelPlan};
+use crate::plan::{static_span_skew, Flush, KernelPlan};
 use crate::pool::{EnginePool, ScopedJob, WorkerPool};
 use crate::spgemm::{SpgemmSlots, SpgemmStrategy};
 use crate::spmm::{default_workers, SpmmKernel};
 use crate::stats::{SpgemmStats, TunerStats, WriteStats};
-use crate::steal::run_stealing;
 use crate::stripe::run_striped;
 use crate::tuner::{arm_space, env_autotuner, ArmConfig, AutoTuner, GraphFingerprint, PlanTuner};
-use crate::tuning::{
-    GATHER_MAX_NNZ, STEAL_CHUNKS_PER_WORKER, STEAL_SKEW_THRESHOLD, STRIPE_MIN_DIM,
-    STRIPE_SKEW_MIN_DIM,
-};
+use crate::tuning::{GATHER_MAX_NNZ, STRIPE_MIN_DIM, STRIPE_SKEW_MIN_DIM, STRIPE_SKEW_THRESHOLD};
 
 /// Default bound on plans cached per engine. A single GNN inference
 /// workload touches a handful of (kernel, dim) combinations per graph
@@ -206,8 +201,8 @@ pub struct PreparedPlan {
     /// Row index of each side-buffer slot, in slot order.
     shared_rows: Vec<u32>,
     /// Cumulative nnz end offset per logical thread (`ends[t]` = total
-    /// non-zeros owned by threads `0..=t`) — the input to the chunk
-    /// splitter and the static-span skew metric.
+    /// non-zeros owned by threads `0..=t`) — the input to the static-span
+    /// skew metric.
     thread_nnz_ends: Vec<usize>,
     stats: WriteStats,
     /// Non-empty segments at/below and above [`GATHER_MAX_NNZ`] — the
@@ -421,13 +416,6 @@ impl PreparedPlan {
         self.fused_ok.iter().filter(|&&f| f).count()
     }
 
-    /// Splits this plan's logical threads into at most `target`
-    /// contiguous, nnz-balanced stealable chunks (see
-    /// [`chunk_threads`]).
-    pub fn chunk_descriptors(&self, target: usize) -> Vec<ChunkDesc> {
-        chunk_threads(&self.thread_nnz_ends, target)
-    }
-
     /// Rows whose fused epilogue waits for the serial/stripe-local replay
     /// phase — the column-striped executor applies these per stripe.
     pub(crate) fn deferred_rows(&self) -> &[u32] {
@@ -436,8 +424,7 @@ impl PreparedPlan {
 
     /// Non-zero skew (max/mean) of the static per-worker span partition
     /// the engine would use for this plan at `workers` workers — the
-    /// imbalance work stealing can recover, and the signal
-    /// [`SchedPolicy::Auto`] thresholds on.
+    /// signal [`SchedPolicy::Auto`] thresholds on.
     pub fn static_span_skew(&self, workers: usize) -> f64 {
         static_span_skew(&self.thread_nnz_ends, workers)
     }
@@ -459,14 +446,10 @@ impl PreparedPlan {
 /// How the engine maps a prepared plan onto its pool workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
-    /// One contiguous, equal-thread-count span per worker (the original
-    /// engine scheduler). Near-optimal for merge-path plans, which are
-    /// nnz-balanced per logical thread by construction.
+    /// One contiguous, equal-thread-count span per worker. Balanced for
+    /// merge-path plans, which are nnz-balanced per logical thread by
+    /// construction.
     Static,
-    /// Work stealing over fine-grained chunk descriptors
-    /// ([`crate::steal`]): pay a little scheduling traffic to bound the
-    /// critical path on statically imbalanced plans.
-    Stealing,
     /// Column-striped execution ([`crate::stripe`]): each worker owns a
     /// contiguous feature-column stripe of *all* rows and replays the
     /// full plan walk over it — no shared rows, no strip folding, no
@@ -474,15 +457,30 @@ pub enum SchedPolicy {
     /// oracle at any worker count. Pays an index re-stream per stripe,
     /// so it only wins at wide dense dimensions.
     ColumnStriped,
-    /// Per-run choice by input shape: column striping when the dense
-    /// dimension is wide enough to amortize its index re-stream
-    /// ([`STRIPE_MIN_DIM`], or [`STRIPE_SKEW_MIN_DIM`] when the static
-    /// partition is also skewed); else stealing when the static
-    /// partition's nnz skew ([`PreparedPlan::static_span_skew`]) exceeds
-    /// [`STEAL_SKEW_THRESHOLD`]; else the static path — so balanced
-    /// narrow-dim graphs keep the static scheduler's output bit for bit.
+    /// Per-run choice by input shape: column striping when the dense dimension is wide enough to
+    /// amortize its index re-stream ([`STRIPE_MIN_DIM`], or
+    /// [`STRIPE_SKEW_MIN_DIM`] when the static partition's nnz skew
+    /// ([`PreparedPlan::static_span_skew`]) also exceeds
+    /// [`STRIPE_SKEW_THRESHOLD`]); else the static path.
     #[default]
     Auto,
+}
+
+impl SchedPolicy {
+    /// The schedule [`SchedPolicy::Auto`] resolves to for a run at
+    /// `workers` effective workers, dense dimension `dim`, and static
+    /// span skew `skew`. The engine's untuned dispatch and the tuner's
+    /// heuristic incumbent both call this, so the rule lives in one
+    /// place.
+    pub(crate) fn auto_choice(workers: usize, dim: usize, skew: f64) -> SchedPolicy {
+        let wide =
+            dim >= STRIPE_MIN_DIM || (dim >= STRIPE_SKEW_MIN_DIM && skew > STRIPE_SKEW_THRESHOLD);
+        if workers >= 2 && wide {
+            SchedPolicy::ColumnStriped
+        } else {
+            SchedPolicy::Static
+        }
+    }
 }
 
 /// Snapshot of an engine's plan-cache and data-path counters.
@@ -506,15 +504,6 @@ pub struct EngineStats {
     /// Segments routed to the streaming panel kernel (vectorized data
     /// path only), cumulative over runs.
     pub stream_segments: u64,
-    /// Chunks executed by a worker other than the one they were dealt
-    /// to (stealing scheduler only), cumulative over runs.
-    pub steals: u64,
-    /// Steal probes that found the victim's deque empty (stealing
-    /// scheduler only), cumulative over runs.
-    pub steal_fails: u64,
-    /// Chunk descriptors executed by the stealing scheduler, cumulative
-    /// over runs. Zero means every run so far took the static path.
-    pub chunks_executed: u64,
     /// Buffer checkouts served from the arena pool without allocating.
     pub arena_reuses: u64,
     /// Buffer checkouts that had to allocate a fresh buffer.
@@ -621,18 +610,12 @@ pub struct ExecEngine {
     evictions: AtomicU64,
     gather: AtomicU64,
     stream: AtomicU64,
-    steals: AtomicU64,
-    steal_fails: AtomicU64,
-    chunks_executed: AtomicU64,
     pub(crate) gemm_panels: AtomicU64,
     stripes_executed: AtomicU64,
     pub(crate) kblocks: AtomicU64,
     pub(crate) fastmath_runs: AtomicU64,
     fused_epilogues: AtomicU64,
     pub(crate) gemm_ns: AtomicU64,
-    /// Cumulative non-zeros executed per worker slot, for the busy-
-    /// fraction report of the stealing benchmark.
-    worker_nnz: Mutex<Vec<u64>>,
     /// Online auto-tuner this engine files verdicts with (`None` = the
     /// static heuristics run untouched).
     tuner: Option<Arc<AutoTuner>>,
@@ -713,16 +696,12 @@ impl ExecEngine {
             evictions: AtomicU64::new(0),
             gather: AtomicU64::new(0),
             stream: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            steal_fails: AtomicU64::new(0),
-            chunks_executed: AtomicU64::new(0),
             gemm_panels: AtomicU64::new(0),
             stripes_executed: AtomicU64::new(0),
             kblocks: AtomicU64::new(0),
             fastmath_runs: AtomicU64::new(0),
             fused_epilogues: AtomicU64::new(0),
             gemm_ns: AtomicU64::new(0),
-            worker_nnz: Mutex::new(vec![0; workers]),
             tuner: env_autotuner(),
             tuner_explorations: AtomicU64::new(0),
             tuner_exploration_ns: AtomicU64::new(0),
@@ -791,8 +770,9 @@ impl ExecEngine {
     }
 
     /// An engine pinned to a specific [`SchedPolicy`] — benchmarks and
-    /// tests compare the static and stealing schedulers on one binary;
-    /// everything else should keep the [`SchedPolicy::Auto`] default.
+    /// tests compare the static and column-striped schedulers on one
+    /// binary; everything else should keep the [`SchedPolicy::Auto`]
+    /// default.
     ///
     /// # Panics
     ///
@@ -935,44 +915,24 @@ impl ExecEngine {
         self.sched_policy
     }
 
-    /// Whether a run of `prep` on this engine would take the stealing
-    /// scheduler — the [`SchedPolicy::Auto`] decision, exposed so
-    /// benchmarks and tests can assert on the policy choice. Striping is
-    /// consulted first: a run that stripes never steals.
-    pub fn selects_stealing(&self, prep: &PreparedPlan) -> bool {
-        let eff_workers = self.workers.min(prep.plan.threads.len());
-        if eff_workers <= 1 {
-            return false;
-        }
-        match self.sched_policy {
-            SchedPolicy::Static => false,
-            SchedPolicy::Stealing => true,
-            SchedPolicy::ColumnStriped => false,
-            SchedPolicy::Auto => prep.static_span_skew(eff_workers) > STEAL_SKEW_THRESHOLD,
-        }
-    }
-
     /// Whether a run of `prep` at dense dimension `dim` would take the
-    /// column-striped scheduler — the wide-dimension half of the
-    /// [`SchedPolicy::Auto`] decision, exposed so benchmarks and tests
-    /// can assert on the policy choice. `Auto` stripes unconditionally
-    /// at [`STRIPE_MIN_DIM`] columns, and already at
-    /// [`STRIPE_SKEW_MIN_DIM`] when the static partition is skewed
-    /// (striping fixes skew *and* the serial tail, so it beats stealing
-    /// there). Striping needs at least two workers and the vectorized
-    /// data path's lane machinery, but any plan shape qualifies.
+    /// column-striped scheduler — the [`SchedPolicy::Auto`] decision,
+    /// exposed so benchmarks and tests can assert on the policy choice.
+    /// `Auto` stripes unconditionally at [`STRIPE_MIN_DIM`] columns, and
+    /// already at [`STRIPE_SKEW_MIN_DIM`] when the static partition is
+    /// skewed (striping fixes the skew *and* the serial tail). Striping
+    /// needs at least two workers, but any plan shape qualifies.
     pub fn selects_striping(&self, prep: &PreparedPlan, dim: usize) -> bool {
         let eff_workers = self.workers.min(prep.plan.threads.len());
         if eff_workers <= 1 || dim == 0 {
             return false;
         }
         match self.sched_policy {
-            SchedPolicy::Static | SchedPolicy::Stealing => false,
+            SchedPolicy::Static => false,
             SchedPolicy::ColumnStriped => true,
             SchedPolicy::Auto => {
-                dim >= STRIPE_MIN_DIM
-                    || (dim >= STRIPE_SKEW_MIN_DIM
-                        && prep.static_span_skew(eff_workers) > STEAL_SKEW_THRESHOLD)
+                let skew = prep.static_span_skew(eff_workers);
+                SchedPolicy::auto_choice(eff_workers, dim, skew) == SchedPolicy::ColumnStriped
             }
         }
     }
@@ -1373,7 +1333,7 @@ impl ExecEngine {
         }
     }
 
-    /// Current cache, dispatch, stealing, and arena counters.
+    /// Current cache, dispatch, scheduling, and arena counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             plan_cache_hits: self.hits.load(Ordering::Relaxed),
@@ -1383,9 +1343,6 @@ impl ExecEngine {
             workers: self.workers,
             gather_segments: self.gather.load(Ordering::Relaxed),
             stream_segments: self.stream.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            steal_fails: self.steal_fails.load(Ordering::Relaxed),
-            chunks_executed: self.chunks_executed.load(Ordering::Relaxed),
             arena_reuses: self.arena.reuses(),
             arena_misses: self.arena.misses(),
             gemm_panels: self.gemm_panels.load(Ordering::Relaxed),
@@ -1416,14 +1373,6 @@ impl ExecEngine {
         }
     }
 
-    /// Cumulative non-zeros executed per worker slot (length =
-    /// [`workers`](Self::workers)) — the load distribution realized by
-    /// the scheduler, whichever policy ran. The stealing benchmark
-    /// derives per-worker busy fractions from this.
-    pub fn worker_loads(&self) -> Vec<u64> {
-        self.worker_nnz.lock().unwrap().clone()
-    }
-
     /// Returns a result matrix's buffer to the engine's arena so a
     /// later execution of the same shape allocates nothing. Purely an
     /// optimization — dropping the matrix instead is always correct.
@@ -1443,7 +1392,7 @@ impl ExecEngine {
     }
 
     /// Drops every cached plan and pooled buffer and zeroes the
-    /// hit/miss, dispatch, stealing, arena, and worker-load counters.
+    /// hit/miss, dispatch, scheduling, and arena counters.
     pub fn clear_cache(&self) {
         let mut cache = self.cache.lock().unwrap();
         cache.map.clear();
@@ -1462,9 +1411,6 @@ impl ExecEngine {
         self.evictions.store(0, Ordering::Relaxed);
         self.gather.store(0, Ordering::Relaxed);
         self.stream.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.steal_fails.store(0, Ordering::Relaxed);
-        self.chunks_executed.store(0, Ordering::Relaxed);
         self.gemm_panels.store(0, Ordering::Relaxed);
         self.stripes_executed.store(0, Ordering::Relaxed);
         self.kblocks.store(0, Ordering::Relaxed);
@@ -1484,11 +1430,6 @@ impl ExecEngine {
         self.spgemm_symbolic_ns.store(0, Ordering::Relaxed);
         self.spgemm_numeric_ns.store(0, Ordering::Relaxed);
         self.spgemm_slots.lock().unwrap().clear();
-        self.worker_nnz
-            .lock()
-            .unwrap()
-            .iter_mut()
-            .for_each(|w| *w = 0);
     }
 
     /// Dispatches to the inline or pooled path. Shapes are already
@@ -1553,17 +1494,12 @@ impl ExecEngine {
             Some(t) => t.arm.sched == SchedPolicy::ColumnStriped,
             None => self.selects_striping(prep, dim),
         };
-        let use_stealing = match &ticket {
-            Some(t) => t.arm.sched == SchedPolicy::Stealing,
-            None => self.selects_stealing(prep),
-        };
         let mut out = self.arena.take_zeroed(rows * dim);
         // The striped path applies the deferred epilogue share per
         // stripe; every other path leaves it to the pass below.
         let mut epilogue_done = false;
         if eff_workers <= 1 {
             run_inline(prep, a, b, dim, &rp, cols32, epi, &mut out);
-            self.add_worker_load(0, *prep.thread_nnz_ends.last().unwrap_or(&0) as u64);
         } else if use_striping {
             // Hardware clamp: every stripe re-walks the full index/value
             // stream, so stripes beyond the machine's actual parallelism
@@ -1597,38 +1533,6 @@ impl ExecEngine {
             );
             self.stripes_executed.fetch_add(stripes, Ordering::Relaxed);
             epilogue_done = true;
-            // Every stripe walks the full plan: charge each active
-            // worker slot one full nnz sweep per stripe it ran.
-            let total_nnz = *prep.thread_nnz_ends.last().unwrap_or(&0) as u64;
-            let mut loads = self.worker_nnz.lock().unwrap();
-            for s in 0..stripes as usize {
-                loads[s % stripe_workers] += total_nnz;
-            }
-        } else if use_stealing {
-            let target = (eff_workers * STEAL_CHUNKS_PER_WORKER).min(logical);
-            let chunks = prep.chunk_descriptors(target);
-            let outcome = run_stealing(
-                prep,
-                a,
-                b,
-                dim,
-                eff_workers,
-                &rp,
-                cols32,
-                epi,
-                &chunks,
-                self.pool.get(),
-                &mut out,
-            );
-            self.steals.fetch_add(outcome.steals, Ordering::Relaxed);
-            self.steal_fails
-                .fetch_add(outcome.steal_fails, Ordering::Relaxed);
-            self.chunks_executed
-                .fetch_add(outcome.chunks, Ordering::Relaxed);
-            let mut loads = self.worker_nnz.lock().unwrap();
-            for (slot, nnz) in outcome.worker_nnz.iter().enumerate() {
-                loads[slot] += nnz;
-            }
         } else {
             run_pooled(
                 prep,
@@ -1643,16 +1547,6 @@ impl ExecEngine {
                 self.pool.get(),
                 &mut out,
             );
-            // The static span nnz per worker is a plan property.
-            let per_worker = logical.div_ceil(eff_workers);
-            let mut lo = 0usize;
-            let mut loads = self.worker_nnz.lock().unwrap();
-            for (w, load) in loads.iter_mut().enumerate().take(eff_workers) {
-                let hi_t = ((w + 1) * per_worker).min(logical);
-                let hi = prep.thread_nnz_ends[hi_t - 1];
-                *load += (hi - lo) as u64;
-                lo = hi;
-            }
         }
         // Serial-replay epilogue: rows not finalized at store time
         // (shared, carry-receiving, untouched) hold their final SpMM
@@ -1684,10 +1578,6 @@ impl ExecEngine {
         let out = DenseMatrix::from_vec(rows, dim, out)
             .expect("output buffer has exactly rows*dim elements");
         (out, prep.stats)
-    }
-
-    fn add_worker_load(&self, slot: usize, nnz: u64) {
-        self.worker_nnz.lock().unwrap()[slot] += nnz;
     }
 }
 
@@ -2602,62 +2492,6 @@ mod tests {
     }
 
     #[test]
-    fn stealing_policy_is_bit_identical_to_sequential() {
-        let a = crate::spmm::test_support::random_matrix(64, 64, 400, 11);
-        let b = crate::spmm::test_support::random_dense(64, 19, 12);
-        let p = crate::MergePathSpmm::with_threads(13).plan(&a, 19);
-        let (seq, _) = execute_sequential(&p, &a, &b).unwrap();
-        let prep = PreparedPlan::for_matrix(p, &a);
-        for workers in [2usize, 4, 16] {
-            let engine =
-                ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Stealing);
-            assert_eq!(engine.sched_policy(), SchedPolicy::Stealing);
-            let (out, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
-            // Unlike the static path's atomic adds, the stealing path
-            // defers every shared flush to a serial, (thread, segment)-
-            // ordered phase — exact equality holds at any worker count.
-            assert_eq!(out.max_abs_diff(&seq).unwrap(), 0.0, "workers={workers}");
-            let stats = engine.stats();
-            assert!(stats.chunks_executed > 0, "stealing path must run");
-            let loads = engine.worker_loads();
-            assert_eq!(loads.len(), workers);
-            assert_eq!(loads.iter().sum::<u64>(), a.nnz() as u64);
-        }
-    }
-
-    #[test]
-    fn auto_policy_routes_by_static_span_skew() {
-        // Wide matrix so the evil row 0 really holds a third of the
-        // non-zeros (test_support caps it at `cols`).
-        let a = crate::spmm::test_support::random_matrix(64, 256, 600, 5);
-        let b = crate::spmm::test_support::random_dense(256, 8, 6);
-        // Merge-path plans are nnz-balanced: Auto must keep them static.
-        let mp = PreparedPlan::for_matrix(crate::MergePathSpmm::with_threads(16).plan(&a, 8), &a);
-        let engine = ExecEngine::new(4);
-        assert!(mp.static_span_skew(4) <= STEAL_SKEW_THRESHOLD);
-        assert!(!engine.selects_stealing(&mp));
-        engine.execute_prepared(&mp, &a, &b).unwrap();
-        assert_eq!(
-            engine.stats().chunks_executed,
-            0,
-            "balanced plan stays static"
-        );
-        // A row-split plan on an evil-row matrix statically piles the
-        // heavy rows into worker 0's span: Auto must switch to stealing.
-        let rs = PreparedPlan::for_matrix(crate::RowSplitSpmm::with_threads(64).plan(&a, 8), &a);
-        assert!(rs.static_span_skew(4) > STEAL_SKEW_THRESHOLD);
-        assert!(engine.selects_stealing(&rs));
-        let (out, _) = engine.execute_prepared(&rs, &a, &b).unwrap();
-        assert!(engine.stats().chunks_executed > 0, "skewed plan steals");
-        let (seq, _) =
-            execute_sequential(&crate::RowSplitSpmm::with_threads(64).plan(&a, 8), &a, &b).unwrap();
-        assert_eq!(out.max_abs_diff(&seq).unwrap(), 0.0);
-        // Static pinning overrides Auto's choice.
-        let pinned = ExecEngine::with_sched_policy(4, DataPath::Auto, SchedPolicy::Static);
-        assert!(!pinned.selects_stealing(&rs));
-    }
-
-    #[test]
     fn arena_recycling_eliminates_output_allocations() {
         let (a, b) = small();
         let engine = ExecEngine::new(2);
@@ -2733,13 +2567,13 @@ mod tests {
             Epilogue::Bias(bias.clone()),
             Epilogue::BiasRelu(bias),
         ];
-        // Inline (1 worker) and stealing (any worker count) paths are
-        // bit-identical to the sequential engine, so fused output must be
-        // bit-identical to unfused + apply.
+        // The static path folds shared rows in a fixed worker order, so
+        // a run is reproducible at a given worker count and the fused
+        // epilogue lands on exactly the values the unfused run returns.
+        let prep = PreparedPlan::for_matrix(p, &a);
         for workers in [1usize, 4] {
             let engine =
-                ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Stealing);
-            let prep = PreparedPlan::for_matrix(p.clone(), &a);
+                ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Static);
             for epi in &epis {
                 let want = unfused_then_apply(&engine, &prep, &a, &b, epi);
                 let (got, _) = engine.execute_prepared_fused(&prep, &a, &b, epi).unwrap();
@@ -2749,16 +2583,6 @@ mod tests {
                     "workers={workers} epi={epi:?}"
                 );
             }
-        }
-        // Static multi-worker: CAS-ordering may reassociate shared-row
-        // sums, but fused-vs-unfused must still agree to tolerance (the
-        // epilogue itself never reorders anything).
-        let engine = ExecEngine::with_sched_policy(4, DataPath::Auto, SchedPolicy::Static);
-        let prep = PreparedPlan::for_matrix(p, &a);
-        for epi in &epis {
-            let want = unfused_then_apply(&engine, &prep, &a, &b, epi);
-            let (got, _) = engine.execute_prepared_fused(&prep, &a, &b, epi).unwrap();
-            assert!(got.approx_eq(&want, 1e-5).unwrap(), "static epi={epi:?}");
         }
     }
 
@@ -2875,7 +2699,7 @@ mod tests {
                 // Each stripe replays the full (thread, segment) walk over
                 // its own column window, so per-column addition order is
                 // exactly the sequential executor's — equality is exact at
-                // any worker count, like the stealing path.
+                // any worker count.
                 assert_eq!(
                     out.max_abs_diff(&seq).unwrap(),
                     0.0,
@@ -2894,7 +2718,6 @@ mod tests {
                     stats.stripes_executed >= 1,
                     "dim={dim} workers={workers}: run was striped"
                 );
-                assert_eq!(stats.chunks_executed, 0, "striped runs never steal");
                 engine.clear_cache();
                 assert_eq!(engine.stats().stripes_executed, 0, "reset clears counter");
             }
@@ -2912,21 +2735,15 @@ mod tests {
         assert!(engine.selects_striping(&mp, STRIPE_MIN_DIM));
         assert!(!engine.selects_striping(&mp, 0));
         // Skewed row-split plan: the skew lowers the threshold to
-        // STRIPE_SKEW_MIN_DIM (striping beats stealing there — it fixes
-        // the imbalance *and* removes the serial carry tail).
+        // STRIPE_SKEW_MIN_DIM (striping fixes the imbalance *and* removes
+        // the serial carry tail).
         let rs = PreparedPlan::for_matrix(crate::RowSplitSpmm::with_threads(64).plan(&a, 8), &a);
-        assert!(rs.static_span_skew(4) > STEAL_SKEW_THRESHOLD);
+        assert!(rs.static_span_skew(4) > STRIPE_SKEW_THRESHOLD);
         assert!(engine.selects_striping(&rs, STRIPE_SKEW_MIN_DIM));
         assert!(!engine.selects_striping(&rs, STRIPE_SKEW_MIN_DIM - 1));
-        // A wide dim that stripes no longer steals.
-        assert!(engine.selects_stealing(&rs));
-        let striped = ExecEngine::with_sched_policy(4, DataPath::Auto, SchedPolicy::ColumnStriped);
-        assert!(!striped.selects_stealing(&rs));
         // Pinned policies override Auto's dim inspection.
         let pinned = ExecEngine::with_sched_policy(4, DataPath::Auto, SchedPolicy::Static);
         assert!(!pinned.selects_striping(&mp, 512));
-        let stealing = ExecEngine::with_sched_policy(4, DataPath::Auto, SchedPolicy::Stealing);
-        assert!(!stealing.selects_striping(&mp, 512));
         // One worker never stripes.
         assert!(!ExecEngine::new(1).selects_striping(&mp, 512));
         // And an Auto engine actually routes a wide run through stripes.

@@ -6,21 +6,16 @@
 //! machinery: the output comes from the engine's [`crate::arena`], the
 //! kernel is the register-tiled, cache-panelled band kernel in
 //! [`crate::datapath`] (same runtime wide-lane dispatch as the SpMM
-//! path), and rows are distributed across the same worker pool under the
-//! engine's [`SchedPolicy`]:
-//!
-//! * `Static` — one contiguous band span per worker, carved with
-//!   `split_at_mut`;
-//! * `Stealing` / `Auto` — bands self-schedule off a shared atomic
-//!   counter, so a worker that drew cheap bands simply takes more. (GEMM
-//!   bands are uniform-cost, so `Auto` needs no skew inspection here —
-//!   self-scheduling is the strictly-safer default.)
+//! path), and rows are distributed across the same worker pool: bands
+//! self-schedule off a shared atomic counter, so a worker that drew cheap
+//! bands (or started late) simply takes more. Every band is computed the
+//! same way whichever worker claims it, so the distribution never changes
+//! output bits and the engine's scheduling policy does not apply here.
 //!
 //! Distribution is safe code throughout (the only `unsafe` on this path
 //! is the runtime-gated `#[target_feature]` dispatch in
 //! `datapath::wide`): disjoint `&mut` band slices are moved into worker
-//! closures, either directly (static spans) or through take-once
-//! `Mutex<Option<..>>` slots (self-scheduled).
+//! closures through take-once `Mutex<Option<..>>` slots.
 //!
 //! `k` *is* blocked ([`crate::tuning::gemm_kc`]): each band sweeps its
 //! `k` range in ascending L2-sized panels so the `B` panel a microkernel
@@ -41,7 +36,7 @@ use std::time::Instant;
 use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 
 use crate::datapath::{gemm_band, gemm_pack_width, pack_b, PathKind};
-use crate::engine::{ExecEngine, SchedPolicy};
+use crate::engine::ExecEngine;
 use crate::pool::ScopedJob;
 use crate::tuning::{gemm_kc, CacheModel, GEMM_BAND_ROWS};
 
@@ -51,8 +46,8 @@ type BandSlot<'a> = Mutex<Option<(usize, &'a mut [f32])>>;
 
 impl ExecEngine {
     /// Dense row-major GEMM `A · B` on the engine: arena-backed output,
-    /// register-tiled band kernel, rows parallelized across the worker
-    /// pool under the engine's scheduling policy. Updates the
+    /// register-tiled band kernel, row bands self-scheduled across the
+    /// worker pool. Updates the
     /// [`crate::EngineStats::gemm_panels`] and
     /// [`crate::EngineStats::gemm_ns`] counters.
     ///
@@ -117,36 +112,6 @@ impl ExecEngine {
             for (bi, band) in out.chunks_mut(GEMM_BAND_ROWS * n.max(1)).enumerate() {
                 panels += gemm_band(a, b, pslab, bi * GEMM_BAND_ROWS, &rp, kc, band);
             }
-        } else if self.sched_policy == SchedPolicy::Static {
-            // One contiguous run of bands per worker: band ownership is
-            // expressed directly in the borrow checker by splitting the
-            // output into disjoint `&mut` spans.
-            let per_worker = band_count.div_ceil(eff);
-            let total_panels = AtomicU64::new(0);
-            let mut rest: &mut [f32] = &mut out;
-            let mut row0 = 0usize;
-            let mut jobs: Vec<ScopedJob<'_>> = Vec::with_capacity(eff);
-            for _ in 0..eff {
-                let span_rows = (per_worker * GEMM_BAND_ROWS).min(rest.len() / n.max(1));
-                if span_rows == 0 {
-                    break;
-                }
-                let (span, tail) = std::mem::take(&mut rest).split_at_mut(span_rows * n);
-                rest = tail;
-                let start_row = row0;
-                row0 += span_rows;
-                let total_panels = &total_panels;
-                jobs.push(Box::new(move || {
-                    let mut local = 0u64;
-                    for (bi, band) in span.chunks_mut(GEMM_BAND_ROWS * n.max(1)).enumerate() {
-                        local +=
-                            gemm_band(a, b, pslab, start_row + bi * GEMM_BAND_ROWS, &rp, kc, band);
-                    }
-                    total_panels.fetch_add(local, Ordering::Relaxed);
-                }));
-            }
-            self.pool.get().scope_run(jobs);
-            panels = total_panels.into_inner();
         } else {
             // Self-scheduled bands: each band's `&mut` slice sits in a
             // take-once slot; workers claim slot indices off a shared
@@ -227,7 +192,7 @@ fn gemm_narrow_fixed<const N: usize>(a: &DenseMatrix<f32>, b: &DenseMatrix<f32>,
 #[cfg(test)]
 mod tests {
     use crate::datapath::DataPath;
-    use crate::engine::{ExecEngine, SchedPolicy};
+    use crate::engine::ExecEngine;
     use mpspmm_sparse::DenseMatrix;
 
     /// The PR-1 naive loop (minus its zero-skip): the bit-level oracle.
@@ -254,26 +219,20 @@ mod tests {
     }
 
     #[test]
-    fn engine_gemm_matches_naive_bitwise_across_paths_and_policies() {
+    fn engine_gemm_matches_naive_bitwise_across_paths_and_workers() {
         for &path in &[DataPath::Scalar, DataPath::Vector, DataPath::Auto] {
-            for &policy in &[
-                SchedPolicy::Static,
-                SchedPolicy::Stealing,
-                SchedPolicy::Auto,
-            ] {
-                for &workers in &[1usize, 4] {
-                    let engine = ExecEngine::with_sched_policy(workers, path, policy);
-                    for &(m, k, n) in &[(1, 1, 1), (5, 3, 7), (37, 19, 23), (70, 16, 33)] {
-                        let a = filled(m, k, 1);
-                        let b = filled(k, n, 2);
-                        let got = engine.gemm(&a, &b).expect("shapes agree");
-                        let want = naive_gemm(&a, &b);
-                        assert_eq!(
-                            got.as_slice(),
-                            want.as_slice(),
-                            "m={m} k={k} n={n} path={path:?} policy={policy:?} workers={workers}"
-                        );
-                    }
+            for &workers in &[1usize, 4] {
+                let engine = ExecEngine::with_data_path(workers, path);
+                for &(m, k, n) in &[(1, 1, 1), (5, 3, 7), (37, 19, 23), (70, 16, 33)] {
+                    let a = filled(m, k, 1);
+                    let b = filled(k, n, 2);
+                    let got = engine.gemm(&a, &b).expect("shapes agree");
+                    let want = naive_gemm(&a, &b);
+                    assert_eq!(
+                        got.as_slice(),
+                        want.as_slice(),
+                        "m={m} k={k} n={n} path={path:?} workers={workers}"
+                    );
                 }
             }
         }

@@ -263,19 +263,18 @@ impl KernelPlan {
     }
 }
 
-/// A unit of stealable work: a contiguous block of *logical threads* of a
-/// [`KernelPlan`], plus the non-zeros it covers.
+/// A unit of self-scheduled work: a contiguous block of *logical
+/// threads*, plus the non-zeros (or other cost units) it covers.
 ///
-/// The work-stealing engine ([`crate::ExecEngine`] with
-/// [`crate::SchedPolicy::Stealing`]) does not schedule logical threads
-/// individually — a plan routinely has thousands — nor whole static worker
-/// spans, which is exactly the coarse assignment stealing is meant to fix.
-/// Instead the plan is pre-split into ~4–8× more chunks than workers, each
-/// nnz-balanced by running the *same* merge-path search that balances the
-/// plan itself, one level up: list A becomes the per-thread cumulative nnz
-/// end offsets ("finish a logical thread"), list B the non-zeros. Chunk
-/// boundaries therefore always land on logical-thread boundaries, so every
-/// chunk inherits the plan's flush annotations unchanged.
+/// The SpGEMM numeric phase ([`crate::ExecEngine::spgemm`], one logical
+/// thread per output row) does not hand out rows individually — a matrix
+/// routinely has millions — nor one fixed span per worker, which a
+/// power-law hub row would serialize. Instead the rows are pre-split into
+/// a few chunks per worker, each balanced by running the *same*
+/// merge-path search that balances SpMM plans, one level up: list A
+/// becomes the per-thread cumulative cost end offsets ("finish a logical
+/// thread"), list B the cost units. Chunk boundaries therefore always
+/// land on logical-thread boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkDesc {
     /// First logical thread of the chunk (inclusive).
@@ -351,13 +350,12 @@ pub fn chunk_threads(thread_nnz_ends: &[usize], target: usize) -> Vec<ChunkDesc>
 /// spans are the `ceil(threads / workers)`-sized contiguous logical-thread
 /// blocks of the static scheduler.
 ///
-/// This is the imbalance the work-stealing scheduler can recover, and the
-/// signal [`crate::SchedPolicy::Auto`] thresholds on: merge-path plans are
-/// nnz-balanced per *logical thread*, so their static spans stay near 1.0
-/// and keep the bit-identical static fast path, while row-split plans on
-/// power-law graphs can concentrate hub rows into one span and push the
-/// skew far above it. Returns 1.0 (no skew) for degenerate inputs (≤ 1
-/// worker, no threads, no non-zeros).
+/// This is the signal [`crate::SchedPolicy::Auto`] thresholds on when it
+/// decides whether a mid-width run stripes: merge-path plans are
+/// nnz-balanced per *logical thread*, so their static spans stay near
+/// 1.0, while row-split plans on power-law graphs can concentrate hub
+/// rows into one span and push the skew far above it. Returns 1.0 (no
+/// skew) for degenerate inputs (≤ 1 worker, no threads, no non-zeros).
 pub fn static_span_skew(thread_nnz_ends: &[usize], workers: usize) -> f64 {
     let threads = thread_nnz_ends.len();
     let total = thread_nnz_ends.last().copied().unwrap_or(0);

@@ -23,10 +23,10 @@
 //!    after `scope_run` returns, so the `'scope` borrows never dangle.
 //!
 //! Jobs must not block on other jobs of the same pool (they don't: the
-//! engine's static workers only touch disjoint output slices and
-//! atomics, and the stealing workers ([`crate::steal`]) only contend on
-//! short mutex-guarded deque pops — a steal takes work, it never waits
-//! for another job to finish), and [`WorkerPool::scope_run`] must not be
+//! engine's workers only touch disjoint output slices and atomics, and
+//! self-scheduled workers only contend on short mutex-guarded slot
+//! claims — a claim takes work, it never waits for another job to
+//! finish), and [`WorkerPool::scope_run`] must not be
 //! called from inside a pool worker (the engine never does; it is only
 //! entered from caller threads).
 //!

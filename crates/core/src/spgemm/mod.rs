@@ -16,8 +16,8 @@
 //!    SpMM planner balances `threads + nnz` — a power-law hub row
 //!    cannot serialize a whole worker span.
 //! 2. **Numeric** — workers self-schedule chunks off an atomic cursor
-//!    (the same eager-dealing shape as the stealing scheduler, without
-//!    the deques: chunks are already nnz-balanced). Each row picks an
+//!    (no per-worker deques: chunks are already flop-balanced). Each
+//!    row picks an
 //!    accumulator by [`classify_row`], mirroring the row classification
 //!    of the binary-row-merging CPU SpGEMM work (arXiv 2206.06611):
 //!    *merge* for rows combining few `B` rows, *dense scratch* for
@@ -55,7 +55,7 @@ use crate::plan::{chunk_threads, static_span_skew, ChunkDesc};
 use crate::pool::ScopedJob;
 use crate::tuner::{spgemm_arm_space, GraphFingerprint};
 use crate::tuning::{
-    SPGEMM_DENSE_FILL_DIV, SPGEMM_MERGE_MAX_WAYS, STEAL_CHUNKS_PER_WORKER, TUNE_MEASURES_PER_ARM,
+    SPGEMM_CHUNKS_PER_WORKER, SPGEMM_DENSE_FILL_DIV, SPGEMM_MERGE_MAX_WAYS, TUNE_MEASURES_PER_ARM,
 };
 
 use accum::{merge_row, DenseAccumulator, HashAccumulator};
@@ -465,7 +465,7 @@ impl ExecEngine {
         let sym_t = Instant::now();
         let ub_ends = upper_bound_ends(a, b);
         let eff = self.workers.min(rows).max(1);
-        let target = (eff * STEAL_CHUNKS_PER_WORKER).min(rows.max(1));
+        let target = (eff * SPGEMM_CHUNKS_PER_WORKER).min(rows.max(1));
         let chunks = chunk_threads(&ub_ends, target);
         self.spgemm_symbolic_ns
             .fetch_add(sym_t.elapsed().as_nanos() as u64, Ordering::Relaxed);

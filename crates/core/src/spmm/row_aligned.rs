@@ -51,7 +51,7 @@ pub struct BatchMergeSpmm {
 }
 
 /// Logical-thread floor for batch plans. Batches feed the engine's
-/// worker pool / stealing scheduler, which subdivide logical threads, so
+/// worker pool, which splits logical threads into worker spans, so
 /// a modest floor (not the paper's 1024 GPU-oriented one) keeps plan
 /// metadata proportional to the batch instead of dominated by empty
 /// threads on small packs.

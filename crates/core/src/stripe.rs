@@ -29,13 +29,13 @@
 //! stripe's working set (the gathered `B` rows' column windows) stays
 //! L2-resident. [`crate::SchedPolicy::Auto`] routes wide-dimension runs
 //! here (see [`crate::tuning::STRIPE_MIN_DIM`]); narrow runs keep the
-//! static/stealing schedulers, whose single sweep of the indices wins
-//! when `dim` is small.
+//! static scheduler, whose single sweep of the indices wins when `dim`
+//! is small.
 //!
 //! # Why the raw-pointer output view is sound
 //!
-//! This is, with [`crate::pool`], [`crate::steal`], and the
-//! `#[target_feature]` clones in `datapath`, one of the four modules
+//! This is, with [`crate::pool`] and the `#[target_feature]` clones in
+//! `datapath`, one of the three modules
 //! allowed out of the crate's `deny(unsafe_code)`. The argument is
 //! column disjointness:
 //!

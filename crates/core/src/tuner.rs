@@ -1,7 +1,7 @@
 //! Online adaptive auto-tuner: measured kernel selection for
 //! [`SchedPolicy::Auto`]/[`DataPath::Auto`] dispatch.
 //!
-//! The static `Auto` heuristics ([`STEAL_SKEW_THRESHOLD`],
+//! The static `Auto` heuristics ([`STRIPE_SKEW_THRESHOLD`],
 //! [`STRIPE_MIN_DIM`](crate::tuning::STRIPE_MIN_DIM), the panel model)
 //! encode measurements taken on *one* machine over *one* graph suite.
 //! The paper's own argument — the right SpMM strategy is a function of
@@ -50,7 +50,7 @@
 //!
 //! [`SchedPolicy::Auto`]: crate::SchedPolicy
 //! [`DataPath::Auto`]: crate::DataPath
-//! [`STEAL_SKEW_THRESHOLD`]: crate::tuning::STEAL_SKEW_THRESHOLD
+//! [`STRIPE_SKEW_THRESHOLD`]: crate::tuning::STRIPE_SKEW_THRESHOLD
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -60,8 +60,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::datapath::DataPath;
 use crate::engine::SchedPolicy;
 use crate::tuning::{
-    STEAL_SKEW_THRESHOLD, STRIPE_MIN_DIM, STRIPE_SKEW_MIN_DIM, TUNE_HALF_PANEL_MIN_DIM,
-    TUNE_MEASURES_PER_ARM, TUNE_STEAL_MIN_SKEW_Q, TUNE_STRIPE_MIN_DIM, TUNE_TILED_MAX_DIM,
+    TUNE_HALF_PANEL_MIN_DIM, TUNE_MEASURES_PER_ARM, TUNE_STRIPE_MIN_DIM, TUNE_TILED_MAX_DIM,
 };
 
 /// Header line of the on-disk calibration table. The version is part of
@@ -178,7 +177,6 @@ impl ArmConfig {
 fn sched_token(p: SchedPolicy) -> &'static str {
     match p {
         SchedPolicy::Static => "static",
-        SchedPolicy::Stealing => "steal",
         SchedPolicy::ColumnStriped => "stripe",
         SchedPolicy::Auto => "auto",
     }
@@ -187,7 +185,6 @@ fn sched_token(p: SchedPolicy) -> &'static str {
 fn parse_sched(tok: &str) -> Option<SchedPolicy> {
     match tok {
         "static" => Some(SchedPolicy::Static),
-        "steal" => Some(SchedPolicy::Stealing),
         "stripe" => Some(SchedPolicy::ColumnStriped),
         _ => None,
     }
@@ -217,19 +214,12 @@ fn parse_path(tok: &str) -> Option<DataPath> {
 /// incumbent and exploration excess stays small on shapes the
 /// heuristics already get right.
 fn heuristic_arm(fp: &GraphFingerprint, path: DataPath) -> ArmConfig {
-    let skew = fp.skew_lower_bound();
-    let dim = fp.dim as usize;
-    let sched = if fp.workers >= 2
-        && (dim >= STRIPE_MIN_DIM || (dim >= STRIPE_SKEW_MIN_DIM && skew > STEAL_SKEW_THRESHOLD))
-    {
-        SchedPolicy::ColumnStriped
-    } else if fp.workers >= 2 && skew > STEAL_SKEW_THRESHOLD {
-        SchedPolicy::Stealing
-    } else {
-        SchedPolicy::Static
-    };
     ArmConfig {
-        sched,
+        sched: SchedPolicy::auto_choice(
+            fp.workers as usize,
+            fp.dim as usize,
+            fp.skew_lower_bound(),
+        ),
         path,
         half_panel: false,
         fast_math: false,
@@ -244,9 +234,7 @@ fn heuristic_arm(fp: &GraphFingerprint, path: DataPath) -> ArmConfig {
 /// * A pinned (non-`Auto`) `policy` or `path` restricts its axis to the
 ///   pin — pinning both degenerates to a single arm, which converges
 ///   instantly and costs zero exploration.
-/// * Stealing arms need ≥ 2 workers and quantized skew ≥
-///   [`TUNE_STEAL_MIN_SKEW_Q`]; striped arms need ≥ 2 workers and
-///   `dim ≥` [`TUNE_STRIPE_MIN_DIM`].
+/// * Striped arms need ≥ 2 workers and `dim ≥` [`TUNE_STRIPE_MIN_DIM`].
 /// * Tiled-path arms appear only at `dim ≤` [`TUNE_TILED_MAX_DIM`];
 ///   half-panel variants only at `dim ≥` [`TUNE_HALF_PANEL_MIN_DIM`]
 ///   (and only on vector-family paths, where the panel exists).
@@ -271,9 +259,6 @@ pub fn arm_space(
     let scheds: Vec<SchedPolicy> = match policy {
         SchedPolicy::Auto => {
             let mut s = vec![SchedPolicy::Static];
-            if multi && fp.skew_q >= TUNE_STEAL_MIN_SKEW_Q {
-                s.push(SchedPolicy::Stealing);
-            }
             if multi && dim >= TUNE_STRIPE_MIN_DIM {
                 s.push(SchedPolicy::ColumnStriped);
             }
@@ -884,7 +869,6 @@ mod tests {
                     for policy in [
                         SchedPolicy::Auto,
                         SchedPolicy::Static,
-                        SchedPolicy::Stealing,
                         SchedPolicy::ColumnStriped,
                     ] {
                         for path in [DataPath::Auto, DataPath::Vector, DataPath::Tiled] {
@@ -918,20 +902,19 @@ mod tests {
 
     #[test]
     fn arm_space_prunes_by_fingerprint() {
-        // One worker: no stealing, no striping.
+        // One worker: no striping.
         let arms = arm_space(&fp(128, 8, 1), SchedPolicy::Auto, DataPath::Auto, false);
         assert!(arms.iter().all(|a| a.sched == SchedPolicy::Static));
-        // Balanced narrow plan: static only, no tiled above the cutoff.
+        // No tiled arm above the cutoff.
         let arms = arm_space(&fp(64, 0, 4), SchedPolicy::Auto, DataPath::Auto, false);
-        assert!(arms.iter().all(|a| a.sched != SchedPolicy::Stealing));
         if !cfg!(feature = "force-scalar") {
             assert!(arms.iter().all(|a| a.path != DataPath::Tiled));
         }
-        // Skewed multi-worker plan explores stealing.
-        let arms = arm_space(&fp(16, 2, 4), SchedPolicy::Auto, DataPath::Auto, false);
-        assert!(arms.iter().any(|a| a.sched == SchedPolicy::Stealing));
-        // Narrow dim excludes striping; wide includes it.
-        assert!(arms.iter().all(|a| a.sched != SchedPolicy::ColumnStriped));
+        // A skewed narrow multi-worker plan stays static: merge-path
+        // spans need no runtime balancing, and the dim is too narrow to
+        // stripe. Wide dims add the striped arm.
+        let arms = arm_space(&fp(16, 8, 4), SchedPolicy::Auto, DataPath::Auto, false);
+        assert!(arms.iter().all(|a| a.sched == SchedPolicy::Static));
         let arms = arm_space(&fp(256, 0, 4), SchedPolicy::Auto, DataPath::Auto, false);
         assert!(arms.iter().any(|a| a.sched == SchedPolicy::ColumnStriped));
         // The heuristic incumbent leads the space.
@@ -1019,7 +1002,7 @@ mod tests {
         let f1 = fp(64, 2, 4);
         let f2 = fp(256, 0, 8);
         let a1 = ArmConfig {
-            sched: SchedPolicy::Stealing,
+            sched: SchedPolicy::Static,
             path: DataPath::Vector,
             half_panel: true,
             fast_math: false,
@@ -1055,7 +1038,7 @@ mod tests {
             ),
             (
                 "truncated.calib",
-                b"mpspmm-calib v1\n10 13 64 2 5 4 steal vector 0 0\n10 13 256 0",
+                b"mpspmm-calib v1\n10 13 64 2 5 4 static vector 0 0\n10 13 256 0",
             ),
             (
                 "badarm.calib",
@@ -1085,9 +1068,9 @@ mod tests {
     fn parse_rejects_whole_file_on_any_bad_line() {
         assert!(parse_calibration("").is_err());
         assert!(parse_calibration("mpspmm-calib v2\n").is_err());
-        let good = format!("{CALIB_HEADER}\n10 13 64 2 5 4 steal vector 0 0\n");
+        let good = format!("{CALIB_HEADER}\n10 13 64 2 5 4 stripe vector 0 0\n");
         assert_eq!(parse_calibration(&good).unwrap().len(), 1);
-        let mixed = format!("{CALIB_HEADER}\n10 13 64 2 5 4 steal vector 0 0\nnonsense\n");
+        let mixed = format!("{CALIB_HEADER}\n10 13 64 2 5 4 stripe vector 0 0\nnonsense\n");
         assert!(parse_calibration(&mixed).is_err());
     }
 

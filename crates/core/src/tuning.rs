@@ -19,23 +19,22 @@ pub const MIN_THREADS: usize = 1024;
 /// where per-panel loop restarts cost more than the segment's arithmetic.
 pub const GATHER_MAX_NNZ: usize = 4;
 
-/// Stealable chunks carved per worker by the work-stealing scheduler.
+/// Self-scheduled chunks carved per worker by the SpGEMM numeric phase.
 ///
-/// The plan is pre-split into `workers × this` nnz-balanced
-/// [`ChunkDesc`](crate::ChunkDesc)s (capped at one logical thread per
-/// chunk): enough granularity that an idle worker can always relieve the
-/// critical path, few enough that deque traffic stays negligible next to
-/// a chunk's arithmetic. 4–8 is the classic work-stealing sweet spot; 6
-/// measured best on the power-law suite.
-pub const STEAL_CHUNKS_PER_WORKER: usize = 6;
+/// The output rows are pre-split into `workers × this` flop-balanced
+/// [`ChunkDesc`](crate::ChunkDesc)s (capped at one row per chunk) that
+/// workers claim off a shared cursor: enough granularity that a worker
+/// which drew cheap rows keeps claiming, few enough that the cursor
+/// traffic stays negligible next to a chunk's arithmetic.
+pub const SPGEMM_CHUNKS_PER_WORKER: usize = 6;
 
 /// Static-span nnz skew (max/mean, see
 /// [`static_span_skew`](crate::static_span_skew)) above which
-/// [`SchedPolicy::Auto`](crate::SchedPolicy) switches from the static
-/// scheduler to work stealing. Merge-path plans sit at ~1.0–1.13 and stay
-/// on the bit-identical static fast path; clustered row-split plans on
-/// power-law graphs exceed this by multiples.
-pub const STEAL_SKEW_THRESHOLD: f64 = 1.25;
+/// [`SchedPolicy::Auto`](crate::SchedPolicy) already stripes at
+/// [`STRIPE_SKEW_MIN_DIM`] columns instead of waiting for
+/// [`STRIPE_MIN_DIM`]. Merge-path plans sit at ~1.0–1.13; clustered
+/// row-split plans on power-law graphs exceed this by multiples.
+pub const STRIPE_SKEW_THRESHOLD: f64 = 1.25;
 
 /// Dense dimension at or above which [`SchedPolicy::Auto`](crate::SchedPolicy)
 /// unconditionally selects the column-striped executor: each worker owns a
@@ -48,10 +47,10 @@ pub const STRIPE_MIN_DIM: usize = 128;
 
 /// Dense dimension from which [`SchedPolicy::Auto`](crate::SchedPolicy)
 /// selects column striping when the static partition is *also* skewed
-/// (`static_span_skew` above [`STEAL_SKEW_THRESHOLD`]): striping fixes the
-/// imbalance bit-exactly — every worker walks the same non-zeros — without
-/// the stealing scheduler's serial fix-up replay, whose cost scales with
-/// the dense dimension.
+/// (`static_span_skew` above [`STRIPE_SKEW_THRESHOLD`]): striping fixes the
+/// imbalance bit-exactly — every worker walks the same non-zeros — and
+/// drops the static scheduler's strip fold and carry replay, whose cost
+/// scales with the dense dimension.
 pub const STRIPE_SKEW_MIN_DIM: usize = 96;
 
 /// Measurements the online auto-tuner takes of every surviving arm per
@@ -60,20 +59,11 @@ pub const STRIPE_SKEW_MIN_DIM: usize = 96;
 /// total exploration at roughly `4 × arms` executions.
 pub const TUNE_MEASURES_PER_ARM: u32 = 2;
 
-/// Quantized static-span skew (eighth-steps above 1.0, the
-/// [`GraphFingerprint`](crate::GraphFingerprint) encoding) at or above
-/// which the auto-tuner includes a work-stealing arm in the
-/// configuration space. One eighth (~1.06 raw skew) sits well below the
-/// static [`STEAL_SKEW_THRESHOLD`]: the tuner *measures* instead of
-/// trusting the constant, so it explores stealing on mildly skewed
-/// plans the heuristic would never try.
-pub const TUNE_STEAL_MIN_SKEW_Q: u8 = 1;
-
 /// Dense dimension at or above which the auto-tuner includes a
-/// column-striped arm. Far below the heuristic [`STRIPE_MIN_DIM`] for
-/// the same reason as [`TUNE_STEAL_MIN_SKEW_Q`]: measurement replaces
-/// the threshold, the bound only prunes shapes where the per-stripe
-/// index re-walk cannot possibly amortize.
+/// column-striped arm. Far below the heuristic [`STRIPE_MIN_DIM`]: the
+/// tuner *measures* instead of trusting the constant, and the bound only
+/// prunes shapes where the per-stripe index re-walk cannot possibly
+/// amortize.
 pub const TUNE_STRIPE_MIN_DIM: usize = 32;
 
 /// Dense dimension at or below which the auto-tuner includes a
@@ -95,9 +85,8 @@ pub const TUNE_HALF_PANEL_MIN_DIM: usize = 64;
 /// AVX-512) architectural vector registers with spill-free headroom.
 pub const GEMM_MR: usize = 4;
 
-/// Rows per work unit of the engine's parallel GEMM. Bands are dealt to
-/// pool workers (self-scheduled under `Auto`/`Stealing`, contiguous
-/// spans under `Static`); 32 rows amortize the per-band dispatch while
+/// Rows per work unit of the engine's parallel GEMM. Bands self-schedule
+/// across pool workers; 32 rows amortize the per-band dispatch while
 /// keeping `workers × several` bands available for balancing on
 /// GNN-sized matrices.
 pub const GEMM_BAND_ROWS: usize = 32;

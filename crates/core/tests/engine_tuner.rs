@@ -62,8 +62,8 @@ fn converge(
 /// Every execution during *and after* exploration stays within the
 /// engine's oracle tolerance: arms only select among strategies the
 /// oracle suites already pin, so tuning can never change what is
-/// computed. Covers the skewed (stealing-arm) and wide-dim
-/// (striped-arm) corners of the space across three kernel families.
+/// computed. Covers skewed and wide-dim (striped-arm) corners of the
+/// space across three kernel families.
 #[test]
 fn tuned_executions_match_oracle_through_exploration_and_convergence() {
     let kernels: Vec<Box<dyn SpmmKernel>> = vec![
@@ -269,6 +269,48 @@ fn poisoned_warm_verdict_falls_back_to_exploring() {
         s => panic!("poisoned verdict must not warm-start: {s:?}"),
     }
     assert_eq!(exact.stats().tuner.warm_plans, 0);
+}
+
+/// A calibration table written before the work-stealing scheduler was
+/// removed can hold `steal` verdicts. Loading one follows the rule for
+/// every corrupt table: the whole file is ignored (with a one-time
+/// warning on stderr), nothing panics, no removed arm is ever applied,
+/// and the engine's plans explore from a cold start.
+#[test]
+fn calibration_table_with_steal_verdict_is_ignored_and_plans_explore() {
+    let dir = std::env::temp_dir().join(format!("mpspmm-steal-calib-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("calib.v1");
+    let (a, b) = random_inputs(40, 260, 64, 17);
+    let kernel = MergePathSpmm::with_threads(12);
+    // The table keys the verdict by this very plan's fingerprint, next
+    // to a well-formed `static` verdict for another shape.
+    let probe = ExecEngine::new(2);
+    let prep = PreparedPlan::for_matrix(SpmmKernel::plan(&kernel, &a, 64), &a);
+    let fp = probe.tuner_fingerprint(&prep, 64);
+    let text = format!(
+        "mpspmm-calib v1\n{} {} {} {} {} {} steal vector 0 0\n10 13 16 0 5 2 static vector 0 0\n",
+        fp.rows_log2, fp.nnz_log2, fp.dim, fp.skew_q, fp.gather_q, fp.workers
+    );
+    std::fs::write(&path, text).unwrap();
+
+    let tuner = Arc::new(AutoTuner::with_path(&path));
+    assert!(tuner.is_empty(), "a table with a steal line loads as empty");
+    let engine = ExecEngine::new(2).with_autotuner(Arc::clone(&tuner));
+    let prep = engine.plan_cached(&kernel, &a, 64, 0);
+    match prep.tune_state().unwrap() {
+        TuneState::Exploring { .. } => {}
+        s => panic!("plan must explore from a cold start: {s:?}"),
+    }
+    assert_eq!(engine.stats().tuner.warm_plans, 0);
+    let (want, _) = execute_sequential(prep.plan(), &a, &b).unwrap();
+    converge(&engine, &prep, &a, &b);
+    let (got, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+    assert!(got.max_abs_diff(&want).unwrap() <= 1e-4 * want.frobenius_norm().max(1.0));
+    // The converged verdict rewrote the file as a valid table.
+    assert!(!AutoTuner::with_path(&path).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Engines without a tuner attached (the default) are byte-for-byte the

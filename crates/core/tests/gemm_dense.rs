@@ -6,7 +6,7 @@
 //! `-0.0 == 0.0`, so bit-level agreement is asserted with `==` across
 //! dims 1..=67, k = 0, and fully empty operands.
 
-use mpspmm_core::{DataPath, ExecEngine, SchedPolicy};
+use mpspmm_core::{DataPath, ExecEngine};
 use mpspmm_sparse::DenseMatrix;
 use proptest::prelude::*;
 
@@ -63,18 +63,16 @@ proptest! {
         let b = filled(k, n, seed ^ 0xBEEF);
         let want = naive_gemm_with_skip(&a, &b);
         for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector, DataPath::Auto] {
-            for policy in [SchedPolicy::Static, SchedPolicy::Stealing, SchedPolicy::Auto] {
-                let engine = ExecEngine::with_sched_policy(workers, path, policy);
-                let got = engine.gemm(&a, &b).unwrap();
-                prop_assert_eq!(got.rows(), m);
-                prop_assert_eq!(got.cols(), n);
-                prop_assert_eq!(
-                    got.as_slice(),
-                    want.as_slice(),
-                    "m={} k={} n={} path={:?} policy={:?} workers={}",
-                    m, k, n, path, policy, workers
-                );
-            }
+            let engine = ExecEngine::with_data_path(workers, path);
+            let got = engine.gemm(&a, &b).unwrap();
+            prop_assert_eq!(got.rows(), m);
+            prop_assert_eq!(got.cols(), n);
+            prop_assert_eq!(
+                got.as_slice(),
+                want.as_slice(),
+                "m={} k={} n={} path={:?} workers={}",
+                m, k, n, path, workers
+            );
         }
     }
 }

@@ -346,8 +346,8 @@ pub struct ServeStats {
     /// `register_sharded`).
     pub sharded_graphs: Vec<GraphShardStats>,
     /// The engine's counters (plan-cache hits/misses/evictions,
-    /// gather/stream dispatch, work-stealing chunks/steals, column
-    /// stripes executed, GEMM k-blocks, FastMath runs, buffer-arena
+    /// gather/stream dispatch, column stripes executed, GEMM k-blocks,
+    /// FastMath runs, buffer-arena
     /// reuse, SpGEMM rows per accumulator class and phase times),
     /// threaded through for one-stop telemetry.
     pub engine: EngineStats,

@@ -131,6 +131,11 @@ impl<T: Copy> DenseMatrix<T> {
 impl DenseMatrix<f32> {
     /// Maximum absolute element-wise difference to another matrix.
     ///
+    /// Non-finite values count: a position where exactly one side is NaN,
+    /// or the sides are opposite infinities, differs by `+∞`. Equal
+    /// elements (including equal infinities) and NaN on both sides differ
+    /// by 0.
+    ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`] if shapes differ.
@@ -141,11 +146,24 @@ impl DenseMatrix<f32> {
                 right: (other.rows, other.cols),
             });
         }
+        let diff = |a: f32, b: f32| {
+            if a == b || (a.is_nan() && b.is_nan()) {
+                0.0
+            } else {
+                // NaN here means exactly one side is NaN.
+                let d = (a - b).abs();
+                if d.is_nan() {
+                    f32::INFINITY
+                } else {
+                    d
+                }
+            }
+        };
         Ok(self
             .data
             .iter()
             .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
+            .map(|(&a, &b)| diff(a, b))
             .fold(0.0, f32::max))
     }
 
@@ -210,6 +228,24 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b).unwrap(), 0.5);
         assert!(a.approx_eq(&b, 0.5).unwrap());
         assert!(!a.approx_eq(&b, 0.4).unwrap());
+    }
+
+    #[test]
+    fn max_abs_diff_counts_non_finite_mismatches() {
+        let m = |v: f32| DenseMatrix::from_vec(1, 2, vec![0.5f32, v]).unwrap();
+        // NaN on one side only: infinitely different, so approx_eq fails.
+        assert_eq!(m(f32::NAN).max_abs_diff(&m(1.0)).unwrap(), f32::INFINITY);
+        assert_eq!(m(1.0).max_abs_diff(&m(f32::NAN)).unwrap(), f32::INFINITY);
+        assert!(!m(f32::NAN).approx_eq(&m(1.0), 1e3).unwrap());
+        // NaN on both sides agrees.
+        assert_eq!(m(f32::NAN).max_abs_diff(&m(f32::NAN)).unwrap(), 0.0);
+        // Opposite infinities differ infinitely; equal ones agree.
+        let inf = f32::INFINITY;
+        assert_eq!(m(inf).max_abs_diff(&m(-inf)).unwrap(), inf);
+        assert_eq!(m(inf).max_abs_diff(&m(inf)).unwrap(), 0.0);
+        assert_eq!(m(-inf).max_abs_diff(&m(-inf)).unwrap(), 0.0);
+        // Signed zeros are equal values.
+        assert_eq!(m(-0.0).max_abs_diff(&m(0.0)).unwrap(), 0.0);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 # Usage: scripts/tier1.sh
 # Emits BENCH_engine.json (register-tiled baseline), BENCH_simd.json
 # (vectorized data path vs that baseline), BENCH_serve.json (serving
-# layer, smoke shape), BENCH_steal.json (scheduler comparison, smoke
-# shape), BENCH_fused.json (fused GCN pipeline vs unfused, smoke
-# shape), BENCH_widedim.json (wide-feature-dim layer pipeline vs
+# layer, smoke shape), BENCH_fused.json (fused GCN pipeline vs unfused,
+# smoke shape), BENCH_widedim.json (wide-feature-dim layer pipeline vs
 # the pre-revision data path, smoke shape), BENCH_autotune.json
 # (measured arm selection vs hand-pinned configs, smoke shape),
 # BENCH_spgemm.json (CSR x CSR engine vs the sequential oracle, smoke
@@ -40,14 +39,15 @@ MPSPMM_TUNE=1 cargo test -q -p mpspmm-core --test engine_oracle
 # bit-equal to the sequential oracle.
 MPSPMM_TUNE=1 cargo test -q -p mpspmm-core --test spgemm_oracle
 cargo test -q -p mpspmm-core --features force-scalar
-# The work-stealing scheduler, the SpGEMM engine, and the block-diagonal
-# mega-batch path promise bit-identical output at any worker count: pin
-# the resolved count to a matrix of values and re-run their property
-# tests (debug build, invariant asserts live). batch_oracle sweeps
-# packed-vs-sequential across DataPath x SchedPolicy, including empty
-# graphs and single-graph windows.
+# The scheduler suite (Auto's static path reproducible and within the
+# oracle tolerance, its striped path bit-identical), the SpGEMM engine,
+# and the block-diagonal mega-batch path (both bit-identical at any
+# worker count): pin the resolved count to a matrix of values and re-run
+# their property tests (debug build, invariant asserts live).
+# batch_oracle sweeps packed-vs-sequential across DataPath x SchedPolicy,
+# including empty graphs and single-graph windows.
 for w in 1 2 8; do
-  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_stealing
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_sched
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test spgemm_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test batch_oracle
 done
@@ -69,7 +69,6 @@ done
 cargo run --release -p mpspmm-bench --bin bench_engine
 cargo run --release -p mpspmm-bench --bin bench_simd
 cargo run --release -p mpspmm-bench --bin bench_serve -- --smoke
-cargo run --release -p mpspmm-bench --bin bench_steal -- --smoke
 cargo run --release -p mpspmm-bench --bin bench_fused -- --smoke
 cargo run --release -p mpspmm-bench --bin bench_widedim -- --smoke
 cargo run --release -p mpspmm-bench --bin bench_spgemm -- --smoke
