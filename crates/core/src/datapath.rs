@@ -25,6 +25,17 @@
 //!   ([`mpspmm_sparse::PackedCsr`]-style, built by
 //!   [`crate::PreparedPlan::pack_indices`]) when available and on the
 //!   plain `usize` CSR arrays otherwise.
+//! * **Gather prefetch** — a merge-path worker walks one contiguous run
+//!   of non-zeros, so the kernel knows which `B` rows it reads next, across
+//!   segment and row boundaries. While it accumulates non-zero `k` it
+//!   hints `B` row `cols[k + PREFETCH_DISTANCE]` over its column window,
+//!   one 64-byte line at a time (`prefetcht0` on x86-64; no hint
+//!   elsewhere). The hints only pay when `B` misses cache, so
+//!   [`ResolvedPath::prefetch`] turns them on once per run, only when
+//!   `B`'s touched footprint — its rows times the column window times
+//!   4 bytes — is several times
+//!   [`CacheModel::l2_bytes`] ([`prefetch_pays`]). Hints never change a
+//!   value, so every path stays bit-identical with them on or off.
 //!
 //! # Why the scalar kernel stays the oracle
 //!
@@ -68,8 +79,9 @@
 //! effect — a serving process resolves its configuration at startup. The
 //! gather threshold is the constant [`GATHER_MAX_NNZ`] — the same one
 //! [`crate::PreparedPlan::dispatch_profile`] counts against, so the
-//! gather/stream counters always describe what ran — and the software
-//! prefetch is always on.
+//! gather/stream counters always describe what ran. The prefetch distance
+//! is a constant too, and the prefetch gate follows from the
+//! [`CacheModel`]; neither has a switch.
 
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 
@@ -183,24 +195,34 @@ pub(crate) struct ResolvedPath {
     /// run the fma clones **and** the kernel family is `Vector` (the
     /// scalar/tiled baselines stay exact unconditionally).
     pub fastmath: bool,
+    /// Gather prefetch on (see the module docs): only for the `Vector`
+    /// family, and only when the run's `B` footprint overflows L2
+    /// ([`prefetch_pays`]). Hints never change a value.
+    pub prefetch: bool,
 }
 
 impl DataPath {
-    /// Resolves the path for one execution over a `dim`-column dense
+    /// Resolves the path for one execution over a `b_rows × dim` dense
     /// operand, with FastMath off (the exact default). Production call
     /// sites all thread the engine's FastMath flag through
     /// [`DataPath::resolve_fast`]; this shorthand remains for tests and
     /// any caller that wants the exact path unconditionally.
     #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn resolve(self, dim: usize) -> ResolvedPath {
-        self.resolve_fast(dim, false)
+    pub(crate) fn resolve(self, b_rows: usize, dim: usize) -> ResolvedPath {
+        self.resolve_fast(b_rows, dim, false)
     }
 
-    /// Resolves the path for one execution over a `dim`-column dense
+    /// Resolves the path for one execution over a `b_rows × dim` dense
     /// operand; `want_fastmath` requests FMA contraction, granted only
     /// when the resolved kernel family is `Vector` and the CPU supports
-    /// the fma kernel clones.
-    pub(crate) fn resolve_fast(self, dim: usize, want_fastmath: bool) -> ResolvedPath {
+    /// the fma kernel clones. Gather prefetch is decided here too, once
+    /// per run, by [`prefetch_pays`].
+    pub(crate) fn resolve_fast(
+        self,
+        b_rows: usize,
+        dim: usize,
+        want_fastmath: bool,
+    ) -> ResolvedPath {
         let kind = match self {
             DataPath::Auto => {
                 if cfg!(feature = "force-scalar") {
@@ -214,14 +236,35 @@ impl DataPath {
             DataPath::Vector => PathKind::Vector,
         };
         let lanes = LaneWidth::detect();
+        let model = CacheModel::default();
         ResolvedPath {
             kind,
             lanes,
             wide_isa: WideIsa::detect(),
-            panel: panel_cols(dim, lanes.lanes(), &CacheModel::default()),
+            panel: panel_cols(dim, lanes.lanes(), &model),
             fastmath: want_fastmath && kind == PathKind::Vector && fastmath_supported(),
+            prefetch: kind == PathKind::Vector && prefetch_pays(b_rows, dim, &model),
         }
     }
+}
+
+/// How many times the cache model's L2 `B`'s touched footprint must
+/// exceed before the gathers miss often enough for hints to pay. The
+/// model's 1 MiB L2 is a floor; on a core with a larger L2, gathers over
+/// 1–1.3 MiB of `B` still mostly hit, and the hints cost 17–59% there.
+/// DESIGN.md §2.3.1 records the sweep.
+const PREFETCH_L2_MULTIPLE: usize = 4;
+
+/// The gather-prefetch gate: hints pay only when the gathered rows miss
+/// cache, i.e. when `B`'s touched footprint — `b_rows` rows of a
+/// `window`-column window of f32 — is more than [`PREFETCH_L2_MULTIPLE`]
+/// times L2. Below that most gathers already hit, and the hints are
+/// mostly instruction overhead.
+pub(crate) fn prefetch_pays(b_rows: usize, window: usize, model: &CacheModel) -> bool {
+    b_rows
+        .saturating_mul(window)
+        .saturating_mul(std::mem::size_of::<f32>())
+        > model.l2_bytes.saturating_mul(PREFETCH_L2_MULTIPLE)
 }
 
 /// Whether this CPU can run the FastMath kernel clones: on x86-64, a
@@ -308,14 +351,14 @@ pub(crate) fn accumulate_segment_tiled(
     let dim = dst.len();
     let mut d = 0;
     while d + 8 <= dim {
-        stream_block::<8, false, _>(seg, cols, vals, b, off, d, dst);
+        stream_block::<8, false, _>(seg, cols, vals, b, off, d, dst, None);
         d += 8;
     }
     if d + 4 <= dim {
-        stream_block::<4, false, _>(seg, cols, vals, b, off, d, dst);
+        stream_block::<4, false, _>(seg, cols, vals, b, off, d, dst, None);
         d += 4;
     }
-    tail_columns::<false, _>(seg, cols, vals, b, off, d..dim, dst);
+    tail_columns::<false, _>(seg, cols, vals, b, off, d..dim, dst, None);
 }
 
 /// One `W`-column register-accumulator block: `W` f32 accumulators live
@@ -324,7 +367,9 @@ pub(crate) fn accumulate_segment_tiled(
 /// code LLVM vectorizes. Source columns start at `off + d` in `B`;
 /// destination columns at `d` in `dst`. `FAST` switches the accumulate
 /// to `mul_add` — only the FastMath `#[target_feature(…,fma)]` clones
-/// instantiate it with `true`.
+/// instantiate it with `true`. `pf` is the source-column window to hint
+/// ahead ([`hint_ahead`]) while sweeping, or `None`.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn stream_block<const W: usize, const FAST: bool, I: ColIdx>(
     seg: &Segment,
@@ -334,9 +379,13 @@ fn stream_block<const W: usize, const FAST: bool, I: ColIdx>(
     off: usize,
     d: usize,
     dst: &mut [f32],
+    pf: Option<(usize, usize)>,
 ) {
     let mut acc = [0.0f32; W];
     for k in seg.nz_start..seg.nz_end {
+        if let Some(window) = pf {
+            hint_ahead(cols, k, b, window);
+        }
         let v = vals[k];
         let row = b.row(cols[k].to_usize());
         let blk: &[f32; W] = row[off + d..off + d + W]
@@ -354,7 +403,9 @@ fn stream_block<const W: usize, const FAST: bool, I: ColIdx>(
 }
 
 /// Scalar remainder columns of a panel (`range` indexes `dst`; the
-/// source column is `off` further right).
+/// source column is `off` further right). `pf` hints as in
+/// [`stream_block`], during the first column's sweep only.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tail_columns<const FAST: bool, I: ColIdx>(
     seg: &Segment,
@@ -364,10 +415,15 @@ fn tail_columns<const FAST: bool, I: ColIdx>(
     off: usize,
     range: std::ops::Range<usize>,
     dst: &mut [f32],
+    mut pf: Option<(usize, usize)>,
 ) {
     for d in range {
         let mut s = 0.0f32;
+        let hint = pf.take();
         for k in seg.nz_start..seg.nz_end {
+            if let Some(window) = hint {
+                hint_ahead(cols, k, b, window);
+            }
             let x = b.row(cols[k].to_usize())[off + d];
             if FAST {
                 s = vals[k].mul_add(x, s);
@@ -459,22 +515,25 @@ fn stream_segment_body<const FAST: bool, I: ColIdx>(
     let mut p0 = 0;
     while p0 < dim {
         let p1 = (p0 + panel).min(dim);
+        // The panel's first block, whichever width it is, hints the whole
+        // panel window ahead; the later blocks find those lines in cache.
+        let mut pf = rp.prefetch.then_some((off + p0, off + p1));
         let mut d = p0;
         if rp.lanes == LaneWidth::W16 {
             while d + 16 <= p1 {
-                stream_block::<16, FAST, _>(seg, cols, vals, b, off, d, dst);
+                stream_block::<16, FAST, _>(seg, cols, vals, b, off, d, dst, pf.take());
                 d += 16;
             }
         }
         while d + 8 <= p1 {
-            stream_block::<8, FAST, _>(seg, cols, vals, b, off, d, dst);
+            stream_block::<8, FAST, _>(seg, cols, vals, b, off, d, dst, pf.take());
             d += 8;
         }
         if d + 4 <= p1 {
-            stream_block::<4, FAST, _>(seg, cols, vals, b, off, d, dst);
+            stream_block::<4, FAST, _>(seg, cols, vals, b, off, d, dst, pf.take());
             d += 4;
         }
-        tail_columns::<FAST, _>(seg, cols, vals, b, off, d..p1, dst);
+        tail_columns::<FAST, _>(seg, cols, vals, b, off, d..p1, dst, pf);
         p0 = p1;
     }
 }
@@ -512,10 +571,39 @@ fn stream_segment_fast<I: ColIdx>(
     stream_segment_body::<true, I>(seg, cols, vals, b, off, dst, rp);
 }
 
+/// How many non-zeros ahead of the one being accumulated the vectorized
+/// kernels hint the gathered `B` row. Far enough that the line arrives
+/// before its use, near enough that it is still in L1 then; DESIGN.md
+/// §2.3.1 records the sweep that chose it.
+const PREFETCH_DISTANCE: usize = 8;
+
+/// Hints `B` row `cols[k + PREFETCH_DISTANCE]` over the source columns
+/// `[lo, hi)`. The index is clipped at the end of the index array, not
+/// at the segment's end, so the hints run ahead into the next segments a
+/// merge-path worker will walk. A hint never faults and never changes a
+/// value; a row outside `b` (impossible for a checked operand) is not
+/// hinted.
+#[inline(always)]
+fn hint_ahead<I: ColIdx>(cols: &[I], k: usize, b: &DenseMatrix<f32>, (lo, hi): (usize, usize)) {
+    let Some(&c) = cols.get((k + PREFETCH_DISTANCE).min(cols.len().saturating_sub(1))) else {
+        return;
+    };
+    let start = c.to_usize() * b.cols() + lo;
+    if let Some(window) = b.as_slice().get(start..start + (hi - lo)) {
+        #[cfg(target_arch = "x86_64")]
+        wide::prefetch_lines(window);
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = window;
+    }
+}
+
 /// The vectorized path's degree-adaptive dispatch: gather microkernel at
 /// or below the threshold (always exact — a ≤ 4-nnz segment has no FMA
 /// win), streaming panel kernel above it (FastMath clone when the
-/// resolved path permits contraction).
+/// resolved path permits contraction). With [`ResolvedPath::prefetch`]
+/// set, both kernels hint the `B` row [`PREFETCH_DISTANCE`] non-zeros
+/// ahead of each non-zero they use: the gather kernel sends its few
+/// hints up front, the streaming kernel during its first block's sweep.
 #[inline]
 pub(crate) fn vector_segment<I: ColIdx>(
     seg: &Segment,
@@ -527,6 +615,11 @@ pub(crate) fn vector_segment<I: ColIdx>(
     rp: &ResolvedPath,
 ) {
     if seg.len() <= GATHER_MAX_NNZ {
+        if rp.prefetch {
+            for k in seg.nz_start..seg.nz_end {
+                hint_ahead(cols, k, b, (off, off + dst.len()));
+            }
+        }
         gather_segment(seg, cols, vals, b, off, dst);
     } else if rp.fastmath {
         stream_segment_fast(seg, cols, vals, b, off, dst, rp);
@@ -706,9 +799,9 @@ fn gemm_rows<const MR: usize>(
 }
 
 /// The `#[target_feature]` clones of [`gemm_rows_body`] and
-/// [`stream_segment_body`]. This is one of the three modules allowed out
-/// of the crate's `deny(unsafe_code)` (with [`crate::pool`] and
-/// [`crate::stripe`]): calling a
+/// [`stream_segment_body`], and the gather-prefetch hint. This is one of
+/// the three modules allowed out of the crate's `deny(unsafe_code)` (with
+/// [`crate::pool`] and [`crate::stripe`]): calling a
 /// `#[target_feature]` function is `unsafe` because executing it on a
 /// CPU without the feature is undefined behavior — here each call is
 /// gated on the matching `is_x86_feature_detected!` proof captured in
@@ -728,6 +821,30 @@ mod wide {
 
     use super::{gemm_rows_body, stream_segment_body, ColIdx, DenseMatrix, ResolvedPath, WideIsa};
     use crate::plan::Segment;
+
+    /// Emits one `prefetcht0` for every 64-byte cache line that
+    /// `window` touches.
+    #[inline(always)]
+    pub(super) fn prefetch_lines(window: &[f32]) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let base = window.as_ptr().cast::<i8>();
+        let start = base as usize;
+        let end = start + std::mem::size_of_val(window);
+        let mut line = start & !(LINE - 1);
+        while line < end {
+            // The first line may begin before the window: hint it at the
+            // window's first byte instead.
+            let at = line.max(start) - start;
+            // SAFETY: `at < size_of_val(window)`, so the pointer stays
+            // inside the live slice `window`. `prefetcht0` is a hint: it
+            // cannot fault, writes nothing, and returns no value to the
+            // program. SSE, which provides it, is part of the x86-64
+            // baseline.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(at)) };
+            line += LINE;
+        }
+    }
 
     /// Dispatches one register tile to the AVX-512F or AVX2 clone
     /// (FastMath variant when the resolved path permits contraction).
@@ -1069,49 +1186,6 @@ fn gemm_tail<const MR: usize, const FAST: bool>(
     }
 }
 
-/// How many of the next segment's gathered rows to touch ahead of time.
-const PREFETCH_ROWS: usize = 4;
-
-/// Software prefetch of the next segment's first gathered `B` rows: a
-/// handful of `black_box`-forced head loads pull the lines toward L1
-/// while the current segment still has arithmetic in flight. `black_box`
-/// keeps the loads from being optimized away without any `unsafe`
-/// prefetch intrinsic (this crate denies `unsafe_code`). `off` is the
-/// first output column the caller will touch — a column-stripe worker
-/// prefetches its own window of the row, not column 0, so the pulled
-/// line is the one its kernels actually read.
-pub(crate) fn prefetch_segment_rows(
-    rp: &ResolvedPath,
-    next: Option<&Segment>,
-    a: &CsrMatrix<f32>,
-    cols32: Option<&[u32]>,
-    b: &DenseMatrix<f32>,
-    off: usize,
-) {
-    if rp.kind != PathKind::Vector {
-        return;
-    }
-    // Only prefetch ahead of *streaming* segments: a gather segment
-    // finishes in fewer cycles than the prefetch distance, so the head
-    // loads would cost more than the misses they hide.
-    let Some(seg) = next.filter(|s| s.len() > GATHER_MAX_NNZ) else {
-        return;
-    };
-    let end = (seg.nz_start + PREFETCH_ROWS).min(seg.nz_end);
-    match cols32 {
-        Some(cols) => {
-            for &c in &cols[seg.nz_start..end] {
-                std::hint::black_box(b.row(c.to_usize()).get(off).copied());
-            }
-        }
-        None => {
-            for &c in &a.col_indices()[seg.nz_start..end] {
-                std::hint::black_box(b.row(c).get(off).copied());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1145,6 +1219,7 @@ mod tests {
             wide_isa: WideIsa::detect(),
             panel,
             fastmath: false,
+            prefetch: false,
         }
     }
 
@@ -1202,13 +1277,113 @@ mod tests {
         }
     }
 
+    /// Gather prefetch must never change a value: `vector_segment` with
+    /// the hints on and off, on both index types, full rows and `off > 0`
+    /// column windows, equals the scalar oracle exactly. The segments
+    /// include empty ones and ones that end at the matrix's last
+    /// non-zero, where `k + PREFETCH_DISTANCE` runs past the index array
+    /// and the hint index is clipped. This drives the prefetch `unsafe`
+    /// block at every window edge (lane-misaligned starts, single
+    /// columns, windows ending at the row's last column).
+    #[test]
+    fn prefetch_on_and_off_bit_match_scalar_oracle() {
+        let a = random_matrix(64, 64, 300, 23);
+        let cols32: Vec<u32> = a.col_indices().iter().map(|&c| c as u32).collect();
+        let nnz = a.nnz();
+        let row_end = a.row_ptr()[1];
+        let segments = [
+            seg(0, row_end),                            // the evil long row
+            seg(0, 0),                                  // empty at the start
+            seg(nnz, nnz),                              // empty at the end
+            seg(nnz - 1, nnz),                          // last non-zero alone
+            seg(nnz - GATHER_MAX_NNZ, nnz),             // widest gather, clipped
+            seg(nnz - PREFETCH_DISTANCE - 3, nnz),      // streaming, clipped
+            seg(nnz - 40, nnz - PREFETCH_DISTANCE / 2), // clip in the last hints
+            seg(5, 5 + GATHER_MAX_NNZ + 1),             // shortest streaming
+        ];
+        for dim in [1usize, 5, 16, 17, 33, 67, 128] {
+            let b = random_dense(64, dim, 24);
+            let windows = [
+                (0, dim),
+                (dim / 2, dim),
+                (dim / 3, dim / 3 + 1),
+                (1.min(dim), dim),
+            ];
+            for s in &segments {
+                for &(lo, hi) in &windows {
+                    let mut want = vec![0.0f32; hi - lo];
+                    accumulate_segment_scalar(s, a.col_indices(), a.values(), &b, lo, &mut want);
+                    for lanes in [LaneWidth::W8, LaneWidth::W16] {
+                        for panel in [8usize, 1024] {
+                            for prefetch in [false, true] {
+                                let rp = ResolvedPath {
+                                    prefetch,
+                                    ..resolved(PathKind::Vector, lanes, panel)
+                                };
+                                let ctx = format!(
+                                    "dim={dim} window={lo}..{hi} lanes={lanes:?} \
+                                     panel={panel} prefetch={prefetch} seg={s:?}"
+                                );
+                                let mut got = vec![f32::NAN; hi - lo];
+                                vector_segment(
+                                    s,
+                                    a.col_indices(),
+                                    a.values(),
+                                    &b,
+                                    lo,
+                                    &mut got,
+                                    &rp,
+                                );
+                                assert_eq!(got, want, "usize {ctx}");
+                                got.fill(f32::NAN);
+                                vector_segment(s, &cols32, a.values(), &b, lo, &mut got, &rp);
+                                assert_eq!(got, want, "u32 {ctx}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The prefetch gate: on only for the vectorized family, and only
+    /// when `B`'s footprint (`b_rows × dim × 4` bytes) is more than
+    /// [`PREFETCH_L2_MULTIPLE`] times the cache model's L2.
+    #[test]
+    fn resolve_gates_prefetch_on_the_l2_footprint() {
+        let bound = CacheModel::default().l2_bytes * PREFETCH_L2_MULTIPLE;
+        let dim = 64;
+        let fits = bound / (dim * std::mem::size_of::<f32>());
+        assert!(
+            !DataPath::Vector.resolve(fits, dim).prefetch,
+            "exactly at the bound"
+        );
+        assert!(DataPath::Vector.resolve(fits + 1, dim).prefetch);
+        assert!(DataPath::Vector.resolve_fast(fits + 1, dim, true).prefetch);
+        assert!(!DataPath::Vector.resolve(1, dim).prefetch);
+        assert!(!DataPath::Vector.resolve(0, dim).prefetch);
+        for path in [DataPath::Scalar, DataPath::Tiled] {
+            assert!(!path.resolve(fits + 1, dim).prefetch, "{path:?}");
+            assert!(!path.resolve(1 << 30, 1 << 10).prefetch, "{path:?}");
+        }
+        let auto = DataPath::Auto.resolve(fits + 1, dim);
+        assert_eq!(auto.prefetch, auto.kind == PathKind::Vector);
+        // Saturating arithmetic: an absurd footprint is "above L2", never
+        // a wrapped-around small one.
+        assert!(prefetch_pays(
+            usize::MAX,
+            usize::MAX,
+            &CacheModel::default()
+        ));
+    }
+
     #[test]
     fn dispatch_routes_short_segments_to_gather() {
         // The dispatch itself is value-transparent; this pins the routing
         // threshold semantics: len <= GATHER_MAX_NNZ gathers.
         let a = random_matrix(32, 32, 150, 5);
         let b = random_dense(32, 24, 6);
-        let rp = DataPath::Vector.resolve(24);
+        let rp = DataPath::Vector.resolve(32, 24);
         let short = seg(0, GATHER_MAX_NNZ);
         let long = seg(0, GATHER_MAX_NNZ + 1);
         for s in [&short, &long] {
@@ -1280,14 +1455,14 @@ mod tests {
     #[test]
     fn resolve_fast_gates_on_kind_and_support() {
         // Default resolve never enables FastMath.
-        assert!(!DataPath::Vector.resolve(256).fastmath);
+        assert!(!DataPath::Vector.resolve(64, 256).fastmath);
         // Non-vector kinds never enable it even when asked.
-        assert!(!DataPath::Scalar.resolve_fast(256, true).fastmath);
-        assert!(!DataPath::Tiled.resolve_fast(256, true).fastmath);
+        assert!(!DataPath::Scalar.resolve_fast(64, 256, true).fastmath);
+        assert!(!DataPath::Tiled.resolve_fast(64, 256, true).fastmath);
         // The vector kind enables it iff the CPU proof holds.
-        let rp = DataPath::Vector.resolve_fast(256, true);
+        let rp = DataPath::Vector.resolve_fast(64, 256, true);
         assert_eq!(rp.fastmath, fastmath_supported());
-        assert!(!DataPath::Vector.resolve_fast(256, false).fastmath);
+        assert!(!DataPath::Vector.resolve_fast(64, 256, false).fastmath);
     }
 
     /// FastMath changes rounding (FMA keeps the infinitely precise
@@ -1304,7 +1479,7 @@ mod tests {
         for dim in [48usize, 128, 256] {
             let b = random_dense(64, dim, 42);
             let want = scalar_reference(&s, &a, &b, dim);
-            let rp = DataPath::Vector.resolve_fast(dim, true);
+            let rp = DataPath::Vector.resolve_fast(64, dim, true);
             assert!(rp.fastmath);
             let mut got = vec![0.0f32; dim];
             vector_segment(&s, a.col_indices(), a.values(), &b, 0, &mut got, &rp);
@@ -1318,16 +1493,16 @@ mod tests {
 
     #[test]
     fn resolve_honors_explicit_paths_and_panel_model() {
-        assert_eq!(DataPath::Scalar.resolve(32).kind, PathKind::Scalar);
-        assert_eq!(DataPath::Tiled.resolve(32).kind, PathKind::Tiled);
-        assert_eq!(DataPath::Vector.resolve(32).kind, PathKind::Vector);
-        let auto = DataPath::Auto.resolve(32).kind;
+        assert_eq!(DataPath::Scalar.resolve(32, 32).kind, PathKind::Scalar);
+        assert_eq!(DataPath::Tiled.resolve(32, 32).kind, PathKind::Tiled);
+        assert_eq!(DataPath::Vector.resolve(32, 32).kind, PathKind::Vector);
+        let auto = DataPath::Auto.resolve(32, 32).kind;
         if cfg!(feature = "force-scalar") {
             assert_eq!(auto, PathKind::Scalar);
         } else {
             assert_eq!(auto, PathKind::Vector);
         }
-        let rp = DataPath::Vector.resolve(4096);
+        let rp = DataPath::Vector.resolve(32, 4096);
         assert_eq!(rp.panel % rp.lanes.lanes(), 0);
         assert!(rp.panel <= 4096 + rp.lanes.lanes());
     }
@@ -1337,21 +1512,5 @@ mod tests {
         let w = LaneWidth::detect();
         assert_eq!(w, LaneWidth::detect());
         assert!(w.lanes() >= 8);
-    }
-
-    #[test]
-    fn prefetch_is_a_no_op_for_values() {
-        // Prefetching must not write anything; just exercise both index
-        // paths for coverage.
-        let a = random_matrix(16, 16, 40, 9);
-        let cols32: Vec<u32> = a.col_indices().iter().map(|&c| c as u32).collect();
-        let b = random_dense(16, 8, 10);
-        let rp = DataPath::Vector.resolve(8);
-        let s = seg(0, a.nnz().min(6));
-        prefetch_segment_rows(&rp, Some(&s), &a, None, &b, 0);
-        prefetch_segment_rows(&rp, Some(&s), &a, Some(&cols32), &b, 0);
-        prefetch_segment_rows(&rp, None, &a, None, &b, 4);
-        let tiled = DataPath::Tiled.resolve(8);
-        prefetch_segment_rows(&tiled, Some(&s), &a, None, &b, 0);
     }
 }

@@ -89,8 +89,7 @@ use mpspmm_sparse::{AlignedVec, CsrMatrix, DenseMatrix, SparseFormatError};
 use crate::arena::BufferArena;
 use crate::batch::BatchShapeClass;
 use crate::datapath::{
-    accumulate_segment_dispatch, env_fastmath, prefetch_segment_rows, ColIdx, DataPath, PathKind,
-    ResolvedPath,
+    accumulate_segment_dispatch, env_fastmath, ColIdx, DataPath, PathKind, ResolvedPath,
 };
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
@@ -870,12 +869,15 @@ impl ExecEngine {
         Some(Arc::new(PlanTuner::exploring(fp, arms)))
     }
 
-    /// Resolves an arm's data path against `dim`, applying the arm's
-    /// panel halving and honoring the engine's FastMath opt-in (an arm
-    /// can only *request* contraction; the engine gate is ANDed in so a
-    /// poisoned arm can never enable it on an exact engine).
-    fn resolve_arm(&self, arm: ArmConfig, dim: usize) -> ResolvedPath {
-        let mut rp = arm.path.resolve_fast(dim, arm.fast_math && self.fast_math);
+    /// Resolves an arm's data path against a `b_rows × dim` operand,
+    /// applying the arm's panel halving and honoring the engine's
+    /// FastMath opt-in (an arm can only *request* contraction; the engine
+    /// gate is ANDed in so a poisoned arm can never enable it on an exact
+    /// engine).
+    fn resolve_arm(&self, arm: ArmConfig, b_rows: usize, dim: usize) -> ResolvedPath {
+        let mut rp = arm
+            .path
+            .resolve_fast(b_rows, dim, arm.fast_math && self.fast_math);
         if arm.half_panel {
             let lanes = rp.lanes.lanes();
             rp.panel = ((rp.panel / 2).max(lanes) / lanes) * lanes;
@@ -1477,8 +1479,8 @@ impl ExecEngine {
             .filter(|t| t.explore)
             .map(|_| std::time::Instant::now());
         let rp = match &ticket {
-            Some(t) => self.resolve_arm(t.arm, dim),
-            None => self.data_path.resolve_fast(dim, self.fast_math),
+            Some(t) => self.resolve_arm(t.arm, b.rows(), dim),
+            None => self.data_path.resolve_fast(b.rows(), dim, self.fast_math),
         };
         if rp.fastmath {
             self.fastmath_runs.fetch_add(1, Ordering::Relaxed);
@@ -1771,11 +1773,10 @@ fn run_inline(
     let mut carry_rows: Vec<usize> = Vec::new();
     let mut carry_data: Vec<f32> = Vec::new();
     for tp in &prep.plan.threads {
-        for (s, seg) in tp.segments.iter().enumerate() {
+        for seg in &tp.segments {
             if seg.is_empty() {
                 continue;
             }
-            prefetch_segment_rows(rp, tp.segments.get(s + 1), a, cols32, b, 0);
             match seg.flush {
                 Flush::Regular => {
                     let dst = &mut out[seg.row * dim..][..dim];
@@ -2015,14 +2016,6 @@ fn run_pooled(
                         if seg.is_empty() {
                             continue;
                         }
-                        prefetch_segment_rows(
-                            rp,
-                            prep.plan.threads[t].segments.get(s + 1),
-                            a,
-                            cols32,
-                            b,
-                            0,
-                        );
                         match seg.flush {
                             Flush::Regular => match prep.row_kind[seg.row] {
                                 RowKind::Direct { .. } => {
@@ -2753,6 +2746,49 @@ mod tests {
         let (out, _) = engine.execute_prepared(&mp, &a, &b).unwrap();
         assert!(engine.stats().stripes_executed > 0, "auto run striped");
         assert_eq!(out.max_abs_diff(&seq).unwrap(), 0.0);
+    }
+
+    /// Engine-level check of the gather prefetch: with `B` past the
+    /// prefetch gate the vectorized path hints ahead on the inline,
+    /// pooled and striped walks, and every one of them still equals its
+    /// unhinted reference exactly — the scalar path at the same worker
+    /// count (same plan, same shared-row fold) and, for the inline and
+    /// striped walks, the sequential executor.
+    #[test]
+    fn prefetching_paths_equal_their_unhinted_references() {
+        let rows = 9000;
+        let a = crate::spmm::test_support::random_matrix(rows, rows, 20_000, 41);
+        for dim in [128usize, 256] {
+            let b = crate::spmm::test_support::random_dense(rows, dim, 42);
+            let p = crate::MergePathSpmm::with_threads(64).plan(&a, dim);
+            let (seq, _) = execute_sequential(&p, &a, &b).unwrap();
+            let prep = PreparedPlan::for_matrix(p, &a);
+            assert!(DataPath::Vector.resolve(rows, dim).prefetch, "dim={dim}");
+            for workers in [1usize, 2, 3] {
+                let run = |path, policy| {
+                    ExecEngine::with_sched_policy(workers, path, policy)
+                        .execute_prepared(&prep, &a, &b)
+                        .unwrap()
+                        .0
+                };
+                let hinted = run(DataPath::Vector, SchedPolicy::Static);
+                let oracle = run(DataPath::Scalar, SchedPolicy::Static);
+                assert_eq!(
+                    hinted.as_slice(),
+                    oracle.as_slice(),
+                    "dim={dim} w={workers}"
+                );
+                if workers == 1 {
+                    assert_eq!(hinted.as_slice(), seq.as_slice(), "dim={dim} inline");
+                }
+                let striped = run(DataPath::Vector, SchedPolicy::ColumnStriped);
+                assert_eq!(
+                    striped.as_slice(),
+                    seq.as_slice(),
+                    "dim={dim} w={workers} striped"
+                );
+            }
+        }
     }
 
     #[test]

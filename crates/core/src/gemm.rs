@@ -69,7 +69,7 @@ impl ExecEngine {
         let start = Instant::now();
         let (m, n) = (a.rows(), b.cols());
         let mut out = self.arena.take_zeroed(m * n);
-        let rp = self.data_path.resolve_fast(n, self.fast_math);
+        let rp = self.data_path.resolve_fast(b.rows(), n, self.fast_math);
         if rp.fastmath {
             self.fastmath_runs.fetch_add(1, Ordering::Relaxed);
         }

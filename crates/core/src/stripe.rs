@@ -53,7 +53,7 @@
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 
 use crate::arena::BufferArena;
-use crate::datapath::{accumulate_segment_dispatch, prefetch_segment_rows, ResolvedPath};
+use crate::datapath::{accumulate_segment_dispatch, ResolvedPath};
 use crate::engine::PreparedPlan;
 use crate::epilogue::Epilogue;
 use crate::plan::Flush;
@@ -216,11 +216,10 @@ fn run_stripe(
     let (acc, carry_buf) = scratch.split_at_mut(sw);
     let mut carry_rows: Vec<usize> = Vec::new();
     for tp in &prep.plan().threads {
-        for (s, seg) in tp.segments.iter().enumerate() {
+        for seg in &tp.segments {
             if seg.is_empty() {
                 continue;
             }
-            prefetch_segment_rows(rp, tp.segments.get(s + 1), a, cols32, b, lo);
             match seg.flush {
                 Flush::Regular => {
                     // SAFETY: `[lo, hi)` is this worker's own stripe.
@@ -314,10 +313,20 @@ mod tests {
             let plan = crate::MergePathSpmm::with_threads(24).plan(&a, dim);
             let (want, _) = crate::executor::execute_sequential(&plan, &a, &b).unwrap();
             let prep = PreparedPlan::for_matrix(plan, &a);
-            let rp = crate::DataPath::Auto.resolve_fast(dim, false);
+            let rp = crate::DataPath::Auto.resolve_fast(b.rows(), dim, false);
             let cols32 = prep.cols32.as_ref().map(AlignedVec::as_slice);
             let arena = BufferArena::default();
-            for workers in [2usize, 3, 5, 8] {
+            // `B` here is below the prefetch gate, so hints are off;
+            // force them on as well so the striped walk's hints (stripe
+            // windows at `lo > 0`) are covered too.
+            let hinted = ResolvedPath {
+                prefetch: rp.kind == crate::datapath::PathKind::Vector,
+                ..rp
+            };
+            for (workers, rp) in [2usize, 3, 5, 8]
+                .into_iter()
+                .flat_map(|w| [(w, rp), (w, hinted)])
+            {
                 let mut out = vec![0.0f32; a.rows() * dim];
                 let stripes = run_striped(
                     &prep,
@@ -337,7 +346,8 @@ mod tests {
                 assert_eq!(
                     got.max_abs_diff(&want).unwrap(),
                     0.0,
-                    "dim={dim} workers={workers}"
+                    "dim={dim} workers={workers} prefetch={}",
+                    rp.prefetch
                 );
             }
         }

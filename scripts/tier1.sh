@@ -4,6 +4,8 @@
 # benchmark artifacts.
 #
 # Usage: scripts/tier1.sh
+# Also runs the servebench unit tests and a one-second smoke run of each
+# servebench workload, which must report every reply correct.
 # Emits BENCH_engine.json (register-tiled baseline), BENCH_simd.json
 # (vectorized data path vs that baseline), BENCH_serve.json (serving
 # layer, smoke shape), BENCH_fused.json (fused GCN pipeline vs unfused,
@@ -65,6 +67,22 @@ for w in 1 2 8; do
     MPSPMM_WORKERS=$w MPSPMM_SHARDS=$s \
       cargo test -q -p mpspmm-core --test shard_oracle
   done
+done
+# The end-to-end serving benchmark (its own workspace): its unit tests,
+# then a one-second smoke run of every workload. Each run checks every
+# reply against a reference computed before timing, so a kernel change
+# that corrupts served results fails here.
+cargo test --release --offline --manifest-path servebench/Cargo.toml
+for wl in ppi-gcn nell-spmm molecule-pack; do
+  last="$(cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- \
+    --workload "$wl" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  case "$last" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+      echo "servebench $wl: replies not verified: $last" >&2
+      exit 1
+      ;;
+  esac
 done
 cargo run --release -p mpspmm-bench --bin bench_engine
 cargo run --release -p mpspmm-bench --bin bench_simd
