@@ -20,8 +20,14 @@
 //!   one block. The exploration *overhead* is the tuner's measured
 //!   excess (time spent above the incumbent-best arm) as a fraction of
 //!   that block — asserted `< 5%`.
-//! * **tuned (steady)** — best-of-N once converged; asserted within
-//!   noise (25%) of the best pinned arm on every row.
+//! * **tuned (steady)** — once converged, timed in interleaved rounds
+//!   with the pinned arms (each round runs every candidate once, in a
+//!   rotating order, so drift and interference hit all of them alike);
+//!   its median is asserted within noise (25%) of the best pinned
+//!   median on every row.
+//!
+//! Engines run `min(4, available_parallelism)` workers, so no candidate
+//! is timed on more workers than the machine has cores.
 //!
 //! After the sweep, a second engine + [`AutoTuner`] pair is built from
 //! the same calibration file — a simulated process restart — and the
@@ -40,12 +46,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpspmm_bench::{geomean, time_ns, SEED};
-use mpspmm_core::{ArmConfig, AutoTuner, DataPath, ExecEngine, MergePathSpmm, SchedPolicy};
+use mpspmm_bench::{geomean, SEED};
+use mpspmm_core::{AutoTuner, DataPath, ExecEngine, MergePathSpmm, PreparedPlan, SchedPolicy};
 use mpspmm_gcn::ops::random_features;
 use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
-use mpspmm_sparse::CsrMatrix;
+use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 
+/// Worker count the harness asks for; clamped to the machine's cores.
 const WORKERS: usize = 4;
 /// Executions in the cold-start block the exploration overhead is
 /// amortized over — the "first N" of the acceptance criterion. The
@@ -59,21 +66,44 @@ fn pinned_label(sched: SchedPolicy, path: DataPath) -> String {
     format!("{sched:?}/{path:?}").to_lowercase()
 }
 
-fn measure_pinned(
-    kernel: &MergePathSpmm,
+/// Median nanoseconds per call of every `(engine, plan)` candidate, timed
+/// in `rounds` interleaved rounds after `warm` untimed calls each. Round
+/// `r` starts at candidate `r mod n`, so no candidate always runs first
+/// or last.
+fn interleaved_medians(
+    candidates: &[(&ExecEngine, &PreparedPlan)],
     a: &CsrMatrix<f32>,
-    x: &mpspmm_sparse::DenseMatrix<f32>,
-    dim: usize,
-    arm: &ArmConfig,
+    x: &DenseMatrix<f32>,
     warm: usize,
-    iters: usize,
-) -> f64 {
-    let eng = ExecEngine::with_sched_policy(WORKERS, arm.path, arm.sched);
-    let prep = eng.plan_cached(kernel, a, dim, 1);
-    time_ns(warm, iters, || {
-        let (out, _) = eng.execute_prepared(&prep, a, x).unwrap();
+    rounds: usize,
+) -> Vec<f64> {
+    let run = |(eng, prep): (&ExecEngine, &PreparedPlan)| {
+        let t0 = Instant::now();
+        let (out, _) = eng.execute_prepared(prep, a, x).unwrap();
+        let ns = t0.elapsed().as_nanos() as f64;
         eng.recycle(out);
-    })
+        ns
+    };
+    for &c in candidates {
+        for _ in 0..warm {
+            run(c);
+        }
+    }
+    let n = candidates.len();
+    let mut samples = vec![Vec::with_capacity(rounds); n];
+    for round in 0..rounds {
+        for k in 0..n {
+            let i = (round + k) % n;
+            samples[i].push(run(candidates[i]));
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut v| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        })
+        .collect()
 }
 
 fn main() {
@@ -83,15 +113,17 @@ fn main() {
     } else {
         &[16, 64, 256, 512]
     };
-    let (nodes, nnz, max_deg, warm, iters) = if smoke {
-        (1_600usize, 4_800usize, 80usize, 1usize, 3usize)
+    let (nodes, nnz, max_deg, warm, rounds) = if smoke {
+        (1_600usize, 4_800usize, 80usize, 2usize, 31usize)
     } else {
-        (20_000, 60_000, 600, 2, 5)
+        (20_000, 60_000, 600, 2, 15)
     };
+    let workers = WORKERS.min(std::thread::available_parallelism().map_or(1, usize::from));
     println!("==================================================================");
     println!("BENCH autotune: measured arm selection vs hand-pinned configs");
     println!(
-        "SpMM through the tuned engine, dims {dims:?}, {WORKERS} workers, seed {SEED}{}",
+        "SpMM through the tuned engine, dims {dims:?}, {workers} workers, \
+         medians of {rounds} interleaved rounds, seed {SEED}{}",
         if smoke { " (--smoke)" } else { "" }
     );
     println!("==================================================================");
@@ -143,7 +175,7 @@ fn main() {
 
             // The arm space, read off an untuned reference engine (it is
             // a pure function of the plan's fingerprint).
-            let auto = ExecEngine::with_sched_policy(WORKERS, DataPath::Auto, SchedPolicy::Auto);
+            let auto = ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Auto);
             let reference = auto.plan_cached(&kernel, a, dim, 1);
             let arms = auto.tuner_arm_space(&reference, dim);
 
@@ -151,25 +183,21 @@ fn main() {
             // chosen by hand. Half-panel arms have no engine-level pin —
             // they exist only inside the tuner — so the tuner is allowed
             // to beat this set, never to lose to it.
-            let mut pinned: Vec<(String, f64)> = Vec::new();
+            let mut pinned: Vec<(String, ExecEngine, Arc<PreparedPlan>)> = Vec::new();
             for arm in arms.iter().filter(|m| !m.fast_math && !m.half_panel) {
                 let label = pinned_label(arm.sched, arm.path);
-                if pinned.iter().any(|(l, _)| *l == label) {
+                if pinned.iter().any(|(l, _, _)| *l == label) {
                     continue;
                 }
-                let ns = measure_pinned(&kernel, a, &x, dim, arm, warm, iters);
-                pinned.push((label, ns));
+                let eng = ExecEngine::with_sched_policy(workers, arm.path, arm.sched);
+                let prep = eng.plan_cached(&kernel, a, dim, 1);
+                pinned.push((label, eng, prep));
             }
-            let (best_label, best_ns) = pinned
-                .iter()
-                .min_by(|l, r| l.1.total_cmp(&r.1))
-                .cloned()
-                .expect("arm space is never empty");
 
             // Cold tuned engine: FIRST_N live executions, exploration
             // included, as one timed block.
             let tuner = Arc::new(AutoTuner::with_path(&calib));
-            let tuned = ExecEngine::with_sched_policy(WORKERS, DataPath::Auto, SchedPolicy::Auto)
+            let tuned = ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Auto)
                 .with_autotuner(Arc::clone(&tuner));
             let prep = tuned.plan_cached(&kernel, a, dim, 1);
             let block = Instant::now();
@@ -195,16 +223,28 @@ fn main() {
             );
             max_overhead = max_overhead.max(overhead);
 
-            // Steady state: the converged arm, untimed by the tuner.
-            let tuned_ns = time_ns(warm, iters, || {
-                let (out, _) = tuned.execute_prepared(&prep, a, &x).unwrap();
-                tuned.recycle(out);
-            });
+            // Steady state: the converged arm, untimed by the tuner, in
+            // interleaved rounds with every pinned arm.
+            let mut candidates: Vec<(&ExecEngine, &PreparedPlan)> =
+                pinned.iter().map(|(_, eng, prep)| (eng, &**prep)).collect();
+            candidates.push((&tuned, &prep));
+            let mut medians = interleaved_medians(&candidates, a, &x, warm, rounds);
+            let tuned_ns = medians.pop().expect("tuned candidate");
+            let pinned: Vec<(String, f64)> = pinned
+                .into_iter()
+                .zip(medians)
+                .map(|((label, _, _), ns)| (label, ns))
+                .collect();
+            let (best_label, best_ns) = pinned
+                .iter()
+                .min_by(|l, r| l.1.total_cmp(&r.1))
+                .cloned()
+                .expect("arm space is never empty");
             let ratio = best_ns / tuned_ns;
             assert!(
                 tuned_ns <= best_ns * NOISE,
-                "{gname} dim {dim}: tuned steady state ({tuned_ns:.0} ns) lost to the best \
-                 hand-pinned config {best_label} ({best_ns:.0} ns) beyond noise"
+                "{gname} dim {dim}: tuned steady state (median {tuned_ns:.0} ns) lost to the \
+                 best hand-pinned config {best_label} (median {best_ns:.0} ns) beyond noise"
             );
             ratios.push(ratio);
 
@@ -220,8 +260,8 @@ fn main() {
                 .map(|(l, ns)| format!("{{\"pin\": \"{l}\", \"ns\": {ns:.0}}}"))
                 .collect();
             records.push(format!(
-                "    {{\"graph\": \"{gname}\", \"dim\": {dim}, \"workers\": {WORKERS}, \
-                 \"arms\": {}, \"explorations\": {}, \"first_n\": {executed}, \
+                "    {{\"graph\": \"{gname}\", \"dim\": {dim}, \"workers\": {workers}, \
+                 \"rounds\": {rounds}, \"arms\": {}, \"explorations\": {}, \"first_n\": {executed}, \
                  \"overhead_fraction\": {overhead:.5}, \"best_pinned\": \"{best_label}\", \
                  \"best_pinned_ns\": {best_ns:.0}, \"tuned_ns\": {tuned_ns:.0}, \
                  \"tuned_vs_best_pinned\": {ratio:.3}, \"pins\": [{}]}}",
@@ -235,7 +275,7 @@ fn main() {
     // Simulated restart: same calibration file, fresh everything else.
     // Every plan must come back converged without a single measured run.
     let restarted_tuner = Arc::new(AutoTuner::with_path(&calib));
-    let restarted = ExecEngine::with_sched_policy(WORKERS, DataPath::Auto, SchedPolicy::Auto)
+    let restarted = ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Auto)
         .with_autotuner(restarted_tuner);
     for (epoch, (gname, a)) in graphs.iter().enumerate() {
         for &dim in dims {
@@ -271,8 +311,9 @@ fn main() {
         concat!(
             "{{\n",
             "  \"baseline\": \"best hand-pinned (scheduler, data path) configuration per row, \
-             picked with hindsight from timed runs of every non-FastMath arm of the plan's \
-             space — what an expert could have configured statically\",\n",
+             picked with hindsight by median over interleaved timed rounds of every \
+             non-FastMath arm of the plan's space — what an expert could have configured \
+             statically\",\n",
             "  \"speedup\": {:.3},\n",
             "  \"smoke\": {},\n",
             "  \"results\": [\n{}\n  ],\n",

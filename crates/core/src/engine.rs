@@ -94,7 +94,7 @@ use crate::datapath::{
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
 use crate::plan::{static_span_skew, Flush, KernelPlan};
-use crate::pool::{EnginePool, ScopedJob, WorkerPool};
+use crate::pool::{ScopedJob, WorkerPool};
 use crate::spgemm::{SpgemmSlots, SpgemmStrategy};
 use crate::spmm::{default_workers, SpmmKernel};
 use crate::stats::{SpgemmStats, TunerStats, WriteStats};
@@ -581,11 +581,6 @@ struct PlanKey {
 /// optimizations it layers over [`crate::executor::execute_parallel`].
 pub struct ExecEngine {
     pub(crate) workers: usize,
-    /// Which worker pool parallel phases submit to — the process-global
-    /// pool by default, or an engine-private one
-    /// ([`ExecEngine::with_worker_count`]) so co-resident engines
-    /// (sharded execution) never contend on one queue.
-    pub(crate) pool: EnginePool,
     pub(crate) data_path: DataPath,
     pub(crate) sched_policy: SchedPolicy,
     /// FastMath opt-in (FMA contraction in the SpMM/GEMM kernels) —
@@ -678,7 +673,6 @@ impl ExecEngine {
         );
         Self {
             workers,
-            pool: EnginePool::Global,
             data_path,
             sched_policy: SchedPolicy::default(),
             fast_math: env_fastmath(),
@@ -717,55 +711,6 @@ impl ExecEngine {
             spgemm_numeric_ns: AtomicU64::new(0),
             spgemm_slots: Mutex::new(SpgemmSlots::default()),
         }
-    }
-
-    /// An engine with an **engine-private worker pool** of exactly
-    /// `workers`-way parallelism: `workers - 1` dedicated pool threads
-    /// plus the calling thread, spawned lazily on the first parallel
-    /// run. This replaces the process-global `MPSPMM_WORKERS` sizing
-    /// for this engine — co-resident engines (one per shard of a
-    /// partitioned graph, see [`crate::ShardedEngine`]) each take their
-    /// own count and their jobs never queue behind another engine's.
-    ///
-    /// Under the `MPSPMM_PIN=1` opt-in the private pool's workers pin
-    /// to consecutive CPU cores starting at
-    /// [`with_pin_base`](Self::with_pin_base) (default 0); see the
-    /// [`crate::pool`] docs for the best-effort semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn with_worker_count(workers: usize) -> Self {
-        let mut engine = Self::new(workers);
-        engine.pool = EnginePool::private(workers, 0);
-        engine
-    }
-
-    /// Sets the first CPU core this engine's private pool pins from
-    /// (only meaningful after [`with_worker_count`](Self::with_worker_count)
-    /// and under `MPSPMM_PIN=1`; a global-pool engine ignores it).
-    /// Shard `s` of a sharded deployment passes `s × workers` so
-    /// sibling engines claim disjoint core windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the private pool already spawned its threads.
-    #[must_use]
-    pub fn with_pin_base(mut self, base: usize) -> Self {
-        self.pool.set_pin_base(base);
-        self
-    }
-
-    /// Whether this engine runs on its own private worker pool rather
-    /// than the process-global one.
-    pub fn has_private_pool(&self) -> bool {
-        self.pool.is_private()
-    }
-
-    /// The core this engine's private pool pins from (0 when unset or
-    /// on the global pool).
-    pub fn pin_base(&self) -> usize {
-        self.pool.pin_base()
     }
 
     /// An engine pinned to a specific [`SchedPolicy`] — benchmarks and
@@ -1511,15 +1456,8 @@ impl ExecEngine {
             // them anyway) stripes only as wide as the hardware; at one
             // hardware thread that is a single full-width stripe — still
             // the right wide-dim path, because it skips the pooled
-            // executor's strip folding and serial carry replay. An
-            // engine with a private pool was sized explicitly by its
-            // owner, so its own width *is* the clamp.
-            let hw = if self.pool.is_private() {
-                self.workers
-            } else {
-                crate::spmm::default_workers()
-            };
-            let stripe_workers = eff_workers.min(hw).max(1);
+            // executor's strip folding and serial carry replay.
+            let stripe_workers = eff_workers.min(crate::spmm::default_workers()).max(1);
             let stripes = run_striped(
                 prep,
                 a,
@@ -1530,7 +1468,6 @@ impl ExecEngine {
                 cols32,
                 epi,
                 &self.arena,
-                self.pool.get(),
                 &mut out,
             );
             self.stripes_executed.fetch_add(stripes, Ordering::Relaxed);
@@ -1546,7 +1483,6 @@ impl ExecEngine {
                 cols32,
                 epi,
                 &self.arena,
-                self.pool.get(),
                 &mut out,
             );
         }
@@ -1883,7 +1819,6 @@ fn run_pooled(
     cols32: Option<&[u32]>,
     epi: &Epilogue,
     arena: &BufferArena,
-    pool: &WorkerPool,
     out: &mut [f32],
 ) {
     let fuse = !epi.is_noop();
@@ -2060,7 +1995,7 @@ fn run_pooled(
             }) as ScopedJob<'_>
         })
         .collect();
-    pool.scope_run(jobs);
+    WorkerPool::global().scope_run(jobs);
 
     // Fold the per-worker shared-row strips into the plain output, in
     // ascending worker order — a fixed association, so repeated static

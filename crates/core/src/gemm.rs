@@ -37,7 +37,7 @@ use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 
 use crate::datapath::{gemm_band, gemm_pack_width, pack_b, PathKind};
 use crate::engine::ExecEngine;
-use crate::pool::ScopedJob;
+use crate::pool::{ScopedJob, WorkerPool};
 use crate::tuning::{gemm_kc, CacheModel, GEMM_BAND_ROWS};
 
 /// A take-once slot holding one output band's starting row and `&mut`
@@ -147,7 +147,7 @@ impl ExecEngine {
                     }) as ScopedJob<'_>
                 })
                 .collect();
-            self.pool.get().scope_run(jobs);
+            WorkerPool::global().scope_run(jobs);
             panels = total_panels.into_inner();
         }
         self.arena.put(packed);

@@ -61,7 +61,6 @@ mod gemm;
 mod merge_path;
 mod plan;
 mod pool;
-pub mod shard;
 pub mod spgemm;
 pub mod spmm;
 pub mod spmv;
@@ -82,7 +81,6 @@ pub use plan::{
     chunk_threads, static_span_skew, ChunkDesc, Flush, KernelPlan, PlanError, Segment, ThreadPlan,
 };
 pub use pool::parallel_apply_chunks;
-pub use shard::{ShardQueueStats, ShardedEngine};
 pub use spgemm::{
     classify_row, spgemm_flops_upper_bound, spgemm_sequential, AccumKind, SpgemmStrategy,
 };

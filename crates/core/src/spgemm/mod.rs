@@ -52,7 +52,7 @@ use mpspmm_sparse::{CsrMatrix, SparseFormatError};
 use crate::arena::BufferArena;
 use crate::engine::ExecEngine;
 use crate::plan::{chunk_threads, static_span_skew, ChunkDesc};
-use crate::pool::ScopedJob;
+use crate::pool::{ScopedJob, WorkerPool};
 use crate::tuner::{spgemm_arm_space, GraphFingerprint};
 use crate::tuning::{
     SPGEMM_CHUNKS_PER_WORKER, SPGEMM_DENSE_FILL_DIV, SPGEMM_MERGE_MAX_WAYS, TUNE_MEASURES_PER_ARM,
@@ -512,7 +512,7 @@ impl ExecEngine {
                     }) as ScopedJob<'_>
                 })
                 .collect();
-            self.pool.get().scope_run(jobs);
+            WorkerPool::global().scope_run(jobs);
         }
         let numeric_ns = num_t.elapsed().as_nanos() as u64;
         self.spgemm_numeric_ns

@@ -143,7 +143,6 @@ pub(crate) fn run_striped(
     cols32: Option<&[u32]>,
     epi: &Epilogue,
     arena: &BufferArena,
-    pool: &WorkerPool,
     out: &mut [f32],
 ) -> u64 {
     let lanes = rp.lanes.lanes();
@@ -187,7 +186,7 @@ pub(crate) fn run_striped(
             }) as ScopedJob<'_>
         })
         .collect();
-    pool.scope_run(jobs);
+    WorkerPool::global().scope_run(jobs);
 
     arena.put(scratch);
     stripes as u64
@@ -338,7 +337,6 @@ mod tests {
                     cols32,
                     &Epilogue::None,
                     &arena,
-                    crate::pool::WorkerPool::global(),
                     &mut out,
                 );
                 assert!(stripes >= 2, "dim={dim} workers={workers}: split happened");

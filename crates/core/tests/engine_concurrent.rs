@@ -1,6 +1,7 @@
 //! Property test for *concurrent* engine use: one shared [`ExecEngine`]
 //! and shared [`PreparedPlan`]s driven from many threads at once — the
-//! exact shape the serving layer (`mpspmm-serve`) puts the engine in.
+//! exact shape the serving layer (`mpspmm-serve`) puts the engine in —
+//! and, separately, one engine per thread, all on the process-wide pool.
 //!
 //! Each thread runs its own request stream against one of several shared
 //! graphs and compares every result to the sequential oracle computed up
@@ -50,12 +51,82 @@ fn random_graph(
     (a, blocks)
 }
 
+/// N threads × M graphs × K requests each, every thread on
+/// `engines[t]` and all of them sharing ONE prepared plan per graph;
+/// every answer is checked against the oracle computed before any thread
+/// started. Returns one message per failing thread.
+fn run_concurrent_requests(
+    rows: usize,
+    fill: usize,
+    seed: u64,
+    engines: &[Arc<ExecEngine>],
+) -> Vec<String> {
+    const GRAPHS: usize = 3;
+    const REQUESTS_PER_THREAD: usize = 4;
+    let threads = engines.len();
+
+    let kernel = MergePathSpmm::with_threads(7);
+    let nnz = (rows * fill).min(rows * rows);
+
+    // Build the shared graphs, plans, and per-stream oracles.
+    let mut shared = Vec::with_capacity(GRAPHS);
+    for g in 0..GRAPHS {
+        let dim = [3usize, 8, 17][g % 3];
+        let (a, blocks) = random_graph(rows, nnz, dim, threads, seed ^ g as u64);
+        let plan = kernel.plan(&a, dim);
+        let oracles: Vec<DenseMatrix<f32>> = blocks
+            .iter()
+            .map(|b| execute_sequential(&plan, &a, b).unwrap().0)
+            .collect();
+        let prep = Arc::new(PreparedPlan::for_matrix(plan, &a));
+        shared.push(Arc::new((a, prep, blocks, oracles)));
+    }
+    let shared = Arc::new(shared);
+
+    thread::scope(|scope| {
+        let handles: Vec<_> = engines
+            .iter()
+            .enumerate()
+            .map(|(t, engine)| {
+                let engine = Arc::clone(engine);
+                let shared = Arc::clone(&shared);
+                scope.spawn(move || -> Result<(), String> {
+                    for r in 0..REQUESTS_PER_THREAD {
+                        // Every thread walks the graphs in a different
+                        // order so distinct plans interleave in the pool.
+                        let g = (t + r) % GRAPHS;
+                        let (a, prep, blocks, oracles) = &*shared[g];
+                        let b = &blocks[t];
+                        let want = &oracles[t];
+                        let (got, _) = engine
+                            .execute_prepared(prep, a, b)
+                            .map_err(|e| format!("thread {t} graph {g}: {e}"))?;
+                        let scale = 1.0f32.max(want.frobenius_norm());
+                        let diff = got.max_abs_diff(want).unwrap();
+                        if diff > 1e-4 * scale {
+                            return Err(format!(
+                                "thread {t} req {r} graph {g}: diff {diff} \
+                                 exceeds tolerance (scale {scale})"
+                            ));
+                        }
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("worker thread panicked").err())
+            .collect()
+    })
+}
+
+const CLIENT_THREADS: usize = 6;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// N threads × M graphs × K requests each, all through ONE engine and
-    /// ONE prepared plan per graph, every answer checked against the
-    /// oracle computed before any thread started.
+    /// All threads drive ONE shared engine.
     #[test]
     fn shared_engine_is_correct_under_concurrent_use(
         rows in 4usize..40,
@@ -63,63 +134,25 @@ proptest! {
         workers in 1usize..5,
         seed in any::<u64>(),
     ) {
-        const THREADS: usize = 6;
-        const GRAPHS: usize = 3;
-        const REQUESTS_PER_THREAD: usize = 4;
-
-        let kernel = MergePathSpmm::with_threads(7);
         let engine = Arc::new(ExecEngine::new(workers));
-        let nnz = (rows * fill).min(rows * rows);
+        let engines = vec![engine; CLIENT_THREADS];
+        let failures = run_concurrent_requests(rows, fill, seed, &engines);
+        prop_assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
 
-        // Build the shared graphs, plans, and per-stream oracles.
-        let mut shared = Vec::with_capacity(GRAPHS);
-        for g in 0..GRAPHS {
-            let dim = [3usize, 8, 17][g % 3];
-            let (a, blocks) = random_graph(rows, nnz, dim, THREADS, seed ^ g as u64);
-            let plan = kernel.plan(&a, dim);
-            let oracles: Vec<DenseMatrix<f32>> = blocks
-                .iter()
-                .map(|b| execute_sequential(&plan, &a, b).unwrap().0)
-                .collect();
-            let prep = Arc::new(PreparedPlan::for_matrix(plan, &a));
-            shared.push(Arc::new((a, prep, blocks, oracles)));
-        }
-        let shared = Arc::new(shared);
-
-        let failures: Vec<String> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let engine = Arc::clone(&engine);
-                    let shared = Arc::clone(&shared);
-                    scope.spawn(move || -> Result<(), String> {
-                        for r in 0..REQUESTS_PER_THREAD {
-                            // Every thread walks the graphs in a different
-                            // order so distinct plans interleave in the pool.
-                            let g = (t + r) % GRAPHS;
-                            let (a, prep, blocks, oracles) = &*shared[g];
-                            let b = &blocks[t];
-                            let want = &oracles[t];
-                            let (got, _) = engine
-                                .execute_prepared(prep, a, b)
-                                .map_err(|e| format!("thread {t} graph {g}: {e}"))?;
-                            let scale = 1.0f32.max(want.frobenius_norm());
-                            let diff = got.max_abs_diff(want).unwrap();
-                            if diff > 1e-4 * scale {
-                                return Err(format!(
-                                    "thread {t} req {r} graph {g}: diff {diff} \
-                                     exceeds tolerance (scale {scale})"
-                                ));
-                            }
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("worker thread panicked").err())
-                .collect()
-        });
+    /// Every thread owns its own engine, and all of them submit to the one
+    /// process-wide worker pool at once (the shape of a server's engine
+    /// beside a reference engine): no engine may observe another's jobs.
+    #[test]
+    fn engine_per_thread_is_correct_on_the_shared_pool(
+        rows in 4usize..40,
+        fill in 1usize..5,
+        workers in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let engines: Vec<Arc<ExecEngine>> =
+            (0..CLIENT_THREADS).map(|_| Arc::new(ExecEngine::new(workers))).collect();
+        let failures = run_concurrent_requests(rows, fill, seed, &engines);
         prop_assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 

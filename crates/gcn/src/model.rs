@@ -1,8 +1,7 @@
 //! GCN layers and models over pluggable SpMM kernels.
 
 use mpspmm_core::{
-    parallel_apply_chunks, spgemm_flops_upper_bound, Epilogue, ExecEngine, Schedule, ShardedEngine,
-    SpmmKernel,
+    parallel_apply_chunks, spgemm_flops_upper_bound, Epilogue, ExecEngine, Schedule, SpmmKernel,
 };
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
@@ -456,49 +455,6 @@ impl GcnModel {
             engine.recycle(std::mem::replace(&mut h, next));
         }
         Ok(h)
-    }
-
-    /// Full forward pass on a [`ShardedEngine`]: every layer's dense
-    /// combination `H × W` *and* its aggregation `Â × (HW)` run as row
-    /// bands across the shard engines, with each layer's bias/activation
-    /// fused into the shard SpMM's store stage when it has a store-stage
-    /// form (sigmoid falls back to a separate element-wise pass, exactly
-    /// as [`forward_cached`](Self::forward_cached) does).
-    ///
-    /// Unlike `forward_cached`, layer 0's combination uses the engines'
-    /// blocked dense GEMM rather than the zero-skipping sparse-features
-    /// GEMM — sharded forwards at *every* shard count therefore agree
-    /// bit-for-bit with each other (S=1 is the oracle for S>1), which is
-    /// the invariant `shard_oracle` sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when `x`'s shape is
-    /// inconsistent with the sharded graph or the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows()` differs from the sharded graph's node count
-    /// (the sharded GEMM's operand contract).
-    pub fn forward_sharded(
-        &self,
-        sharded: &ShardedEngine,
-        x: &DenseMatrix<f32>,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let mut h = None;
-        for layer in &self.layers {
-            let g = sharded.gemm(h.as_ref().unwrap_or(x), &layer.weight)?;
-            let next = match layer.epilogue() {
-                Some(epi) => sharded.spmm_fused(&g, epi)?,
-                None => {
-                    let mut out = sharded.spmm(&g)?;
-                    layer.apply_unfused(&mut out);
-                    out
-                }
-            };
-            h = Some(next);
-        }
-        Ok(h.unwrap_or_else(|| x.clone()))
     }
 
     /// Batched forward pass over several independent feature matrices on

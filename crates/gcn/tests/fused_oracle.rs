@@ -310,28 +310,3 @@ fn fused_batched_forward_matches_per_request() {
         }
     }
 }
-
-#[test]
-fn forward_sharded_agrees_bitwise_across_shard_counts() {
-    // The sharded forward's invariant (DESIGN.md §2.15): every shard
-    // count produces the same bits, because both halves of each layer —
-    // the banded GEMM and the row-aligned shard SpMM — are
-    // plan-independent per row. S=1 is the oracle for S>1.
-    let a = gcn_normalize(&graph());
-    let model = mpspmm_gcn::GcnModel::two_layer(IN_DIM, 16, 4, 23);
-    let x = random_features(NODES, IN_DIM, 0.4, 31);
-    let baseline = model
-        .forward_sharded(&mpspmm_core::ShardedEngine::new(&a, 1, 1), &x)
-        .unwrap();
-    for shards in [2usize, 3, 5] {
-        for total_workers in [1usize, 4, 8] {
-            let se = mpspmm_core::ShardedEngine::new(&a, shards, total_workers);
-            let got = model.forward_sharded(&se, &x).unwrap();
-            assert_eq!(
-                got.as_slice(),
-                baseline.as_slice(),
-                "shards={shards} workers={total_workers}"
-            );
-        }
-    }
-}

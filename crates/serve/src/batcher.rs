@@ -401,48 +401,17 @@ fn run_column_batch(shared: &Shared, live: Vec<Pending>, degraded: bool) {
     let workload = head.workload;
     let blocks: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
     let cols: usize = blocks.iter().map(|b| b.cols()).sum();
-    // Sharded graphs bypass the shared serving engine entirely: each
-    // request fans out across the graph's private shard engines
-    // (gather-halo → per-shard SpMM → scatter row bands) and the shared
-    // engine's pool never sees the work. Requests run one at a time —
-    // the scatter/gather fan-out *is* the batch-level parallelism here,
-    // and per-shard queue depths (ServeStats::sharded_graphs) show it.
-    let result = if let Some(sharded) = graph.sharding() {
-        let run = || -> Result<Vec<DenseMatrix<f32>>, mpspmm_sparse::SparseFormatError> {
-            blocks
-                .iter()
-                .map(|b| match workload {
-                    Workload::Spmm => sharded.spmm(b),
-                    Workload::Gcn => {
-                        let model = graph
-                            .model()
-                            .expect("Gcn workload admitted only for graphs with a model");
-                        model.forward_sharded(sharded, b)
-                    }
-                })
-                .collect()
-        };
-        let result = run();
-        shared.stats.record_sharded(live.len());
-        result
-    } else {
-        match workload {
-            Workload::Spmm => {
-                shared
-                    .engine
-                    .execute_prepared_batch(graph.prep(), graph.adjacency(), &blocks)
-            }
-            Workload::Gcn => {
-                let model = graph
-                    .model()
-                    .expect("Gcn workload admitted only for graphs with a model");
-                model.forward_batched_prepared(
-                    graph.adjacency(),
-                    graph.prep(),
-                    &blocks,
-                    &shared.engine,
-                )
-            }
+    let result = match workload {
+        Workload::Spmm => {
+            shared
+                .engine
+                .execute_prepared_batch(graph.prep(), graph.adjacency(), &blocks)
+        }
+        Workload::Gcn => {
+            let model = graph
+                .model()
+                .expect("Gcn workload admitted only for graphs with a model");
+            model.forward_batched_prepared(graph.adjacency(), graph.prep(), &blocks, &shared.engine)
         }
     };
     drop(blocks);

@@ -67,9 +67,7 @@ mod stats;
 
 pub use error::ServeError;
 pub use registry::{GraphRegistry, ServedGraph, DEFAULT_PLAN_DIM};
-pub use stats::{
-    GraphShardStats, GraphTuneStatus, LatencySummary, ServeStats, TenantStats, BATCH_HIST_BUCKETS,
-};
+pub use stats::{GraphTuneStatus, LatencySummary, ServeStats, TenantStats, BATCH_HIST_BUCKETS};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -536,23 +534,6 @@ impl Server {
         self.registry.register(name, adjacency, model)
     }
 
-    /// Convenience: register a graph for **sharded** scale-out serving —
-    /// `shards` row bands, each with a private engine running
-    /// `total_workers / shards` workers. Equivalent to
-    /// `self.registry().register_sharded(...)`; see
-    /// [`GraphRegistry::register_sharded`].
-    pub fn register_sharded(
-        &self,
-        name: &str,
-        adjacency: mpspmm_sparse::CsrMatrix<f32>,
-        model: Option<GcnModel>,
-        shards: usize,
-        total_workers: usize,
-    ) -> Arc<ServedGraph> {
-        self.registry
-            .register_sharded(name, adjacency, model.map(Arc::new), shards, total_workers)
-    }
-
     /// Snapshot of the serving counters, including the engine's and —
     /// when the engine carries an auto-tuner — the per-graph tuning
     /// progress.
@@ -562,7 +543,6 @@ impl Server {
             depth,
             self.shared.engine.stats(),
             self.registry.tune_statuses(),
-            self.registry.shard_statuses(),
         )
     }
 

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mpspmm_core::{ExecEngine, PreparedPlan, ShardedEngine, SpmmKernel};
+use mpspmm_core::{ExecEngine, PreparedPlan, SpmmKernel};
 use mpspmm_gcn::GcnModel;
 use mpspmm_sparse::CsrMatrix;
 
@@ -50,11 +50,6 @@ pub struct ServedGraph {
     structure_hash: u64,
     prep: Arc<PreparedPlan>,
     model: Option<Arc<GcnModel>>,
-    /// Scale-out execution state for graphs registered through
-    /// [`GraphRegistry::register_sharded`]: the row partition plus one
-    /// private engine per shard. `None` for ordinary registrations —
-    /// the dispatcher routes through the shared serving engine.
-    sharding: Option<Arc<ShardedEngine>>,
 }
 
 impl ServedGraph {
@@ -99,14 +94,6 @@ impl ServedGraph {
     /// requests, if one was registered.
     pub fn model(&self) -> Option<&Arc<GcnModel>> {
         self.model.as_ref()
-    }
-
-    /// The sharded execution state, when this graph was registered for
-    /// scale-out ([`GraphRegistry::register_sharded`]). The dispatcher
-    /// routes such graphs through the shard engines instead of the
-    /// shared serving engine.
-    pub fn sharding(&self) -> Option<&Arc<ShardedEngine>> {
-        self.sharding.as_ref()
     }
 
     /// Auto-tuner state of the warmed plan: `None` when the engine runs
@@ -192,92 +179,12 @@ impl GraphRegistry {
             adjacency: Arc::new(adjacency),
             prep,
             model,
-            sharding: None,
         });
         self.graphs
             .lock()
             .unwrap()
             .insert(name.to_string(), Arc::clone(&graph));
         graph
-    }
-
-    /// Registers (or hot-swaps) `name` as a **sharded** graph: the
-    /// adjacency is partitioned into `shards` contiguous,
-    /// merge-item-balanced row bands, each owning a private engine with
-    /// `total_workers / shards` workers
-    /// ([`ShardedEngine`]; see DESIGN.md §2.15), and every shard's plan
-    /// cache is warmed at the model's layer widths (or
-    /// [`DEFAULT_PLAN_DIM`]). The dispatcher routes this graph's
-    /// requests through the shard engines as a scatter/gather fan-out;
-    /// the registry-level prepared plan is still warmed so non-sharded
-    /// paths (e.g. a packed window containing this graph) keep working.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn register_sharded(
-        &self,
-        name: &str,
-        adjacency: CsrMatrix<f32>,
-        model: Option<Arc<GcnModel>>,
-        shards: usize,
-        total_workers: usize,
-    ) -> Arc<ServedGraph> {
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
-        let plan_dim = model
-            .as_deref()
-            .map(GcnModel::max_features)
-            .unwrap_or(DEFAULT_PLAN_DIM)
-            .max(1);
-        let prep = self
-            .engine
-            .plan_cached(self.kernel.as_ref(), &adjacency, plan_dim, version);
-        let sharded = ShardedEngine::new(&adjacency, shards, total_workers);
-        let mut dims: Vec<usize> = model
-            .as_deref()
-            .map(|m| m.layers().iter().map(|l| l.out_features()).collect())
-            .unwrap_or_default();
-        dims.push(plan_dim);
-        dims.sort_unstable();
-        dims.dedup();
-        sharded.warm_plans(&dims);
-        let graph = Arc::new(ServedGraph {
-            name: name.to_string(),
-            version,
-            epoch: version,
-            structure_hash: adjacency.structure_hash(),
-            adjacency: Arc::new(adjacency),
-            prep,
-            model,
-            sharding: Some(Arc::new(sharded)),
-        });
-        self.graphs
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), Arc::clone(&graph));
-        graph
-    }
-
-    /// Per-shard queue/served counters of every routed sharded graph,
-    /// sorted by name — the scale-out slice of
-    /// [`ServeStats`](crate::ServeStats).
-    pub fn shard_statuses(&self) -> Vec<crate::stats::GraphShardStats> {
-        let mut statuses: Vec<_> = self
-            .graphs
-            .lock()
-            .unwrap()
-            .values()
-            .filter_map(|g| {
-                g.sharding().map(|s| crate::stats::GraphShardStats {
-                    graph: g.name().to_string(),
-                    version: g.version(),
-                    workers_per_shard: s.workers_per_shard(),
-                    shards: s.shard_stats(),
-                })
-            })
-            .collect();
-        statuses.sort_by(|a, b| a.graph.cmp(&b.graph));
-        statuses
     }
 
     /// Builds an **anonymous** served graph for a single ad-hoc request:
@@ -299,7 +206,6 @@ impl GraphRegistry {
             adjacency: Arc::new(adjacency),
             prep,
             model: None,
-            sharding: None,
         })
     }
 

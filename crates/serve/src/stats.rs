@@ -55,8 +55,6 @@ pub(crate) struct StatsCollector {
     pub packed_graphs: AtomicU64,
     pub packed_nnz: AtomicU64,
     pub packed_capacity_nnz: AtomicU64,
-    pub sharded_batches: AtomicU64,
-    pub sharded_requests: AtomicU64,
     batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
     graphs_hist: [AtomicU64; BATCH_HIST_BUCKETS],
     latencies: Mutex<LatencyRing>,
@@ -110,15 +108,6 @@ impl StatsCollector {
         self.graphs_hist[batch_bucket(graphs)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one batch routed through a graph's [`ShardedEngine`]
-    /// (`mpspmm_core::ShardedEngine`) scatter/gather fan-out instead of
-    /// the shared serving engine.
-    pub fn record_sharded(&self, requests: usize) {
-        self.sharded_batches.fetch_add(1, Ordering::Relaxed);
-        self.sharded_requests
-            .fetch_add(requests as u64, Ordering::Relaxed);
-    }
-
     /// Records a window's worth of submit→reply latencies under one
     /// ring lock instead of one lock per reply.
     pub fn record_latencies<I: IntoIterator<Item = std::time::Duration>>(&self, latencies: I) {
@@ -143,7 +132,6 @@ impl StatsCollector {
         queue_depth: usize,
         engine: EngineStats,
         tuned_graphs: Vec<GraphTuneStatus>,
-        sharded_graphs: Vec<GraphShardStats>,
     ) -> ServeStats {
         let latency = {
             let ring = self.latencies.lock().unwrap();
@@ -206,31 +194,13 @@ impl StatsCollector {
             } else {
                 packed_nnz as f64 / packed_capacity_nnz as f64
             },
-            sharded_batches: self.sharded_batches.load(Ordering::Relaxed),
-            sharded_requests: self.sharded_requests.load(Ordering::Relaxed),
             queue_depth,
             latency,
             engine,
             tuned_graphs,
-            sharded_graphs,
             tenants,
         }
     }
-}
-
-/// Scale-out slice of the snapshot: one routed sharded graph's
-/// per-shard routing counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphShardStats {
-    /// Registered graph name.
-    pub graph: String,
-    /// Routed version the counters describe.
-    pub version: u64,
-    /// Workers each shard's private engine runs with.
-    pub workers_per_shard: usize,
-    /// Per-shard shape facts and queue-depth/served counters, in
-    /// row-band order.
-    pub shards: Vec<mpspmm_core::ShardQueueStats>,
 }
 
 /// Auto-tuner progress of one routed graph, reported only when the
@@ -327,11 +297,6 @@ pub struct ServeStats {
     /// per window), in `[0, 1]`. Low values mean windows close on the
     /// graph-count bound or the linger timer, not the nnz budget.
     pub pack_efficiency: f64,
-    /// Batches routed through a sharded graph's scatter/gather fan-out
-    /// (a subset of `batches`).
-    pub sharded_batches: u64,
-    /// Requests served through sharded routing.
-    pub sharded_requests: u64,
     /// Requests queued but not yet executing at snapshot time.
     pub queue_depth: usize,
     /// Submit→reply latency percentiles over the recent window.
@@ -341,10 +306,6 @@ pub struct ServeStats {
     /// wall time, excess over the incumbent — are in
     /// [`engine.tuner`](mpspmm_core::TunerStats).
     pub tuned_graphs: Vec<GraphTuneStatus>,
-    /// Per-shard routing counters of every routed sharded graph, sorted
-    /// by name (empty when nothing is registered via
-    /// `register_sharded`).
-    pub sharded_graphs: Vec<GraphShardStats>,
     /// The engine's counters (plan-cache hits/misses/evictions,
     /// gather/stream dispatch, column stripes executed, GEMM k-blocks,
     /// FastMath runs, buffer-arena
@@ -407,7 +368,7 @@ mod tests {
         for i in 0..(LATENCY_WINDOW + 10) {
             c.record_latencies(std::iter::once(std::time::Duration::from_nanos(i as u64)));
         }
-        let snap = c.snapshot(0, EngineStats::default(), Vec::new(), Vec::new());
+        let snap = c.snapshot(0, EngineStats::default(), Vec::new());
         assert_eq!(snap.latency.samples, LATENCY_WINDOW);
     }
 
@@ -419,7 +380,7 @@ mod tests {
         assert!(Arc::ptr_eq(&t, &c.tenant("a")), "tenant state is shared");
         c.record_batch(4, 16, false);
         c.record_batch(2, 8, true);
-        let snap = c.snapshot(5, EngineStats::default(), Vec::new(), Vec::new());
+        let snap = c.snapshot(5, EngineStats::default(), Vec::new());
         assert_eq!(snap.batches, 2);
         assert_eq!(snap.degraded_batches, 1);
         assert_eq!(snap.batched_cols, 24);

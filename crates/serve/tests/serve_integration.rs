@@ -769,52 +769,3 @@ fn burst_submission_aligns_outcomes_and_groups_replies() {
     );
     srv.shutdown();
 }
-
-#[test]
-fn sharded_graph_routes_through_shard_engines_bit_exactly() {
-    let srv = server(ServeConfig::default());
-    let model = GcnModel::two_layer(6, 10, 3, 42);
-    srv.register_sharded("g", graph(1.0), Some(model), 3, 4);
-    // Oracle: the same model forwarded on a 1-shard engine — sharded
-    // forwards agree bitwise at every shard count.
-    let reference = GcnModel::two_layer(6, 10, 3, 42);
-    let single = mpspmm_core::ShardedEngine::new(&graph(1.0), 1, 1);
-    for salt in 0..3 {
-        let x = feats(6, salt);
-        let expect = reference.forward_sharded(&single, &x).unwrap();
-        let got = srv
-            .submit(req("g", "t", x, Workload::Gcn))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(
-            got.max_abs_diff(&expect).unwrap(),
-            0.0,
-            "salt {salt}: sharded serving deviates from 1-shard forward"
-        );
-    }
-    // Spmm workload routes through the shard engines too.
-    let b = feats(5, 9);
-    let kernel = MergePathSpmm::with_threads(6);
-    let expect = kernel.spmm(&graph(1.0), &b).unwrap();
-    let got = srv
-        .submit(req("g", "t", b, Workload::Spmm))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(got.max_abs_diff(&expect).unwrap(), 0.0);
-    let stats = srv.stats();
-    assert_eq!(stats.sharded_requests, 4);
-    assert!(stats.sharded_batches >= 1);
-    assert_eq!(stats.sharded_graphs.len(), 1);
-    let gs = &stats.sharded_graphs[0];
-    assert_eq!(gs.graph, "g");
-    assert_eq!(gs.shards.len(), 3);
-    assert_eq!(gs.shards.iter().map(|s| s.rows).sum::<usize>(), NODES);
-    assert!(
-        gs.shards.iter().all(|s| s.depth == 0),
-        "nothing in flight after replies"
-    );
-    assert!(gs.shards.iter().any(|s| s.executed > 0));
-    srv.shutdown();
-}

@@ -15,6 +15,12 @@ use crate::{CsrMatrix, SparseFormatError};
 const MAGIC: [u8; 4] = *b"MPSM";
 const VERSION: u32 = 1;
 
+/// Most elements [`read_csr`] reserves up front from a header count.
+/// Larger arrays grow as the stream delivers them, so a forged header
+/// claiming billions of rows ends in `UnexpectedEof` instead of a huge
+/// (or overflowing) allocation.
+const MAX_PREALLOC: usize = 1 << 16;
+
 /// Errors from reading a serialized matrix.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -114,15 +120,18 @@ pub fn read_csr<R: Read>(mut r: R) -> Result<CsrMatrix<f32>, IoError> {
     let rows = read_u64(&mut r)? as usize;
     let cols = read_u64(&mut r)? as usize;
     let nnz = read_u64(&mut r)? as usize;
-    let mut row_ptr = Vec::with_capacity(rows + 1);
-    for _ in 0..=rows {
+    let row_ptr_len = rows.checked_add(1).ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "row count overflows")
+    })?;
+    let mut row_ptr = Vec::with_capacity(row_ptr_len.min(MAX_PREALLOC));
+    for _ in 0..row_ptr_len {
         row_ptr.push(read_u64(&mut r)? as usize);
     }
-    let mut col_indices = Vec::with_capacity(nnz);
+    let mut col_indices = Vec::with_capacity(nnz.min(MAX_PREALLOC));
     for _ in 0..nnz {
         col_indices.push(read_u64(&mut r)? as usize);
     }
-    let mut values = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz.min(MAX_PREALLOC));
     let mut fbuf = [0u8; 4];
     for _ in 0..nnz {
         r.read_exact(&mut fbuf)?;
@@ -188,6 +197,24 @@ mod tests {
             read_csr(buf.as_slice()).unwrap_err(),
             IoError::Io(_)
         ));
+    }
+
+    #[test]
+    fn rejects_forged_header_counts_without_panicking() {
+        // A bare header (no payload) claiming absurd row counts must end
+        // in an error, never a capacity-overflow or arithmetic panic.
+        for rows in [1u64 << 60, u64::MAX] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&MAGIC);
+            buf.extend_from_slice(&VERSION.to_le_bytes());
+            for field in [rows, 4, 1u64 << 60] {
+                buf.extend_from_slice(&field.to_le_bytes());
+            }
+            assert!(
+                matches!(read_csr(buf.as_slice()), Err(IoError::Io(_))),
+                "rows = {rows:#x}"
+            );
+        }
     }
 
     #[test]

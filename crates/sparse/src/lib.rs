@@ -40,7 +40,6 @@ mod error;
 pub mod io;
 mod packed;
 pub mod reorder;
-mod shard;
 pub mod stats;
 pub mod testing;
 
@@ -50,7 +49,6 @@ pub use csr::{CsrMatrix, CsrRow, CsrRowIter};
 pub use dense::DenseMatrix;
 pub use error::SparseFormatError;
 pub use packed::{AlignedVec, PackedCsr, CACHE_LINE_BYTES};
-pub use shard::{CsrShard, ShardedCsr};
 
 /// Index type used for row/column indices throughout the workspace.
 ///

@@ -13,9 +13,8 @@
 # the pre-revision data path, smoke shape), BENCH_autotune.json
 # (measured arm selection vs hand-pinned configs, smoke shape),
 # BENCH_spgemm.json (CSR x CSR engine vs the sequential oracle, smoke
-# shape), BENCH_batch.json (block-diagonal mega-batching vs
-# per-request serving, smoke shape), and BENCH_shard.json (multi-shard
-# scale-out vs one engine, smoke shape) in the repository root, then
+# shape), and BENCH_batch.json (block-diagonal mega-batching vs
+# per-request serving, smoke shape) in the repository root, then
 # validates their common schema.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -58,16 +57,6 @@ done
 for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-gcn --test fused_oracle
 done
-# The sharded scatter/gather path promises bit-identity to the
-# sequential reference at every shard x worker combination; sweep the
-# full matrix with each cell in its own process (MPSPMM_SHARDS pins the
-# shard count, MPSPMM_WORKERS the total worker count the engine splits).
-for w in 1 2 8; do
-  for s in 1 2 4; do
-    MPSPMM_WORKERS=$w MPSPMM_SHARDS=$s \
-      cargo test -q -p mpspmm-core --test shard_oracle
-  done
-done
 # The end-to-end serving benchmark (its own workspace): its unit tests,
 # then a one-second smoke run of every workload. Each run checks every
 # reply against a reference computed before timing, so a kernel change
@@ -94,10 +83,6 @@ cargo run --release -p mpspmm-bench --bin bench_spgemm -- --smoke
 # end to end (bulk admission, block-diagonal assembly, scatter) and its
 # untimed bit-identity spot check against the sequential oracle.
 cargo run --release -p mpspmm-bench --bin bench_batch -- --smoke
-# Sharded scale-out bench, smoke shape: real bit-identity of every
-# shard x worker cell against the sequential oracle plus the modeled
-# bandwidth-domain scaling curve (the 2.5x floor is full-mode only).
-cargo run --release -p mpspmm-bench --bin bench_shard -- --smoke
 # Auto-tuner bench under a throwaway calibration directory: one run
 # proves both the cold start (exploration under the overhead bound) and
 # the warm restart (a rebuilt engine + tuner pair re-admits every plan
