@@ -284,8 +284,7 @@ fn main() {
 
             // Engines. The baseline SpMM runs the static pooled
             // schedule (what wide dims got before column striping); its
-            // GEMM is the in-bench old kernel, so the unblocked knob on
-            // the engine is exercised by the guard below, not timed.
+            // GEMM is the in-bench old kernel.
             let base_spmm =
                 ExecEngine::with_sched_policy(WORKERS, DataPath::Auto, SchedPolicy::Static);
             let wide = ExecEngine::with_sched_policy(WORKERS, DataPath::Auto, SchedPolicy::Auto);
@@ -293,26 +292,16 @@ fn main() {
                 .with_fast_math(true);
 
             // --- Correctness guards, before any timing. ---
-            // 1. The reproduced pre-revision kernel, the engine's
-            //    unblocked ablation mode, and the k-blocked default all
-            //    agree bit-for-bit (ascending-k summation per element).
+            // 1. The reproduced pre-revision kernel and the k-blocked
+            //    default agree bit-for-bit (ascending-k summation per
+            //    element).
             let xw_old = old_kernel::old_gemm(&x, &w);
-            let unblocked =
-                ExecEngine::with_sched_policy(WORKERS, DataPath::Auto, SchedPolicy::Static)
-                    .with_k_blocking(false);
-            let xw_unblocked = unblocked.gemm(&x, &w).unwrap();
             let xw = wide.gemm(&x, &w).unwrap();
             assert_eq!(
                 xw_old.max_abs_diff(&xw).unwrap(),
                 0.0,
                 "baseline kernel reproduction must be bitwise equal ({gname}, dim {dim})"
             );
-            assert_eq!(
-                xw_unblocked.max_abs_diff(&xw).unwrap(),
-                0.0,
-                "k-blocking must not change one bit ({gname}, dim {dim})"
-            );
-            unblocked.recycle(xw_unblocked);
             // 2. The wide SpMM path (striped at dim >= 128) is bitwise
             //    equal to the sequential oracle on the same GEMM output.
             let striped = wide.selects_striping(&prep, dim);

@@ -74,7 +74,9 @@
 //!
 //! One environment variable, read **once per process** at the first
 //! engine construction (never in the segment loop or per engine run):
-//! `MPSPMM_FASTMATH` (any value but `0`) opts the process into FastMath.
+//! `MPSPMM_FASTMATH=1` opts the process into FastMath; unset or `0`
+//! keeps it off, and any other value also keeps it off with a one-line
+//! warning (`resolve_fastmath`).
 //! Like `MPSPMM_WORKERS`, changing it after the first engine run has no
 //! effect — a serving process resolves its configuration at startup. The
 //! gather threshold is the constant [`GATHER_MAX_NNZ`] — the same one
@@ -284,11 +286,38 @@ pub fn fastmath_supported() -> bool {
     }
 }
 
-/// `MPSPMM_FASTMATH` opt-in (any value but `0`), resolved once per
-/// process.
+/// `MPSPMM_FASTMATH` opt-in (`1` only), resolved once per process; an
+/// unrecognized value warns once on stderr.
 pub(crate) fn env_fastmath() -> bool {
     static FASTMATH: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FASTMATH.get_or_init(|| std::env::var_os("MPSPMM_FASTMATH").is_some_and(|v| v != "0"))
+    *FASTMATH.get_or_init(|| {
+        let raw = std::env::var("MPSPMM_FASTMATH").ok();
+        let (on, warning) = resolve_fastmath(raw.as_deref());
+        if let Some(msg) = warning {
+            eprintln!("{msg}");
+        }
+        on
+    })
+}
+
+/// Pure resolution of the `MPSPMM_FASTMATH` opt-in: `(on, warning)`.
+///
+/// `None` (variable unset) and `"0"` resolve to off, `"1"` to on.
+/// Anything else — `"false"`, `"off"`, an empty value — also resolves to
+/// off, with a one-line warning, so a misspelled opt-out can never
+/// silently leave the exact arithmetic contract.
+pub(crate) fn resolve_fastmath(raw: Option<&str>) -> (bool, Option<String>) {
+    match raw.map(str::trim) {
+        None | Some("0") => (false, None),
+        Some("1") => (true, None),
+        Some(_) => (
+            false,
+            Some(format!(
+                "mpspmm: ignoring invalid MPSPMM_FASTMATH={:?} (want 0 or 1); FastMath stays off",
+                raw.unwrap_or_default()
+            )),
+        ),
+    }
 }
 
 /// Column-index view the kernels are generic over: plain CSR `usize`
@@ -1191,6 +1220,22 @@ mod tests {
     use super::*;
     use crate::plan::Flush;
     use crate::spmm::test_support::{random_dense, random_matrix};
+
+    #[test]
+    fn fastmath_opt_in_accepts_only_one() {
+        assert_eq!(resolve_fastmath(None), (false, None));
+        assert_eq!(resolve_fastmath(Some("0")), (false, None));
+        assert_eq!(resolve_fastmath(Some("1")), (true, None));
+        for bad in ["", "false", "off"] {
+            let (on, warning) = resolve_fastmath(Some(bad));
+            assert!(!on, "input {bad:?} must keep FastMath off");
+            let msg = warning.unwrap_or_else(|| panic!("no warning for {bad:?}"));
+            assert!(
+                msg.contains("MPSPMM_FASTMATH"),
+                "warning names the variable: {msg}"
+            );
+        }
+    }
 
     fn seg(nz_start: usize, nz_end: usize) -> Segment {
         Segment {

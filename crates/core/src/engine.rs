@@ -95,11 +95,10 @@ use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
 use crate::plan::{static_span_skew, Flush, KernelPlan};
 use crate::pool::{ScopedJob, WorkerPool};
-use crate::spgemm::{SpgemmSlots, SpgemmStrategy};
+use crate::spgemm::SpgemmStrategy;
 use crate::spmm::{default_workers, SpmmKernel};
-use crate::stats::{SpgemmStats, TunerStats, WriteStats};
+use crate::stats::{SpgemmStats, WriteStats};
 use crate::stripe::run_striped;
-use crate::tuner::{arm_space, env_autotuner, ArmConfig, AutoTuner, GraphFingerprint, PlanTuner};
 use crate::tuning::{GATHER_MAX_NNZ, STRIPE_MIN_DIM, STRIPE_SKEW_MIN_DIM, STRIPE_SKEW_THRESHOLD};
 
 /// Default bound on plans cached per engine. A single GNN inference
@@ -231,11 +230,6 @@ pub struct PreparedPlan {
     /// (`u32::MAX` for threads with no `Regular`/`Atomic` segment) — the
     /// span boundaries for monotonic static routing.
     thread_first_write_row: Vec<u32>,
-    /// Online auto-tuner slot: present only on plans built through
-    /// [`ExecEngine::plan_cached`] on a tuning-enabled engine. Shared
-    /// (`Arc`) so every clone of the plan — and the cache entry — feeds
-    /// one explorer.
-    pub(crate) tuner: Option<Arc<PlanTuner>>,
     /// Every write segment is a `Regular` store into a row it owns alone
     /// — no atomics, no carries, no shared side buffer. Row-aligned
     /// batch plans ([`crate::BatchMergeSpmm`]) are always in this class;
@@ -343,7 +337,6 @@ impl PreparedPlan {
             deferred_rows,
             write_rows_monotonic,
             thread_first_write_row,
-            tuner: None,
             all_direct,
         }
     }
@@ -427,19 +420,6 @@ impl PreparedPlan {
     pub fn static_span_skew(&self, workers: usize) -> f64 {
         static_span_skew(&self.thread_nnz_ends, workers)
     }
-
-    /// Convergence status of this plan's online auto-tuner slot, or
-    /// `None` when the plan was prepared without one (tuning disabled,
-    /// or the plan was built directly rather than through
-    /// [`ExecEngine::plan_cached`]).
-    pub fn tune_state(&self) -> Option<crate::tuner::TuneState> {
-        self.tuner.as_ref().map(|t| t.status())
-    }
-
-    /// Total non-zeros the plan's logical threads own.
-    pub(crate) fn total_nnz(&self) -> usize {
-        *self.thread_nnz_ends.last().unwrap_or(&0)
-    }
 }
 
 /// How the engine maps a prepared plan onto its pool workers.
@@ -463,23 +443,6 @@ pub enum SchedPolicy {
     /// [`STRIPE_SKEW_THRESHOLD`]); else the static path.
     #[default]
     Auto,
-}
-
-impl SchedPolicy {
-    /// The schedule [`SchedPolicy::Auto`] resolves to for a run at
-    /// `workers` effective workers, dense dimension `dim`, and static
-    /// span skew `skew`. The engine's untuned dispatch and the tuner's
-    /// heuristic incumbent both call this, so the rule lives in one
-    /// place.
-    pub(crate) fn auto_choice(workers: usize, dim: usize, skew: f64) -> SchedPolicy {
-        let wide =
-            dim >= STRIPE_MIN_DIM || (dim >= STRIPE_SKEW_MIN_DIM && skew > STRIPE_SKEW_THRESHOLD);
-        if workers >= 2 && wide {
-            SchedPolicy::ColumnStriped
-        } else {
-            SchedPolicy::Static
-        }
-    }
 }
 
 /// Snapshot of an engine's plan-cache and data-path counters.
@@ -529,11 +492,6 @@ pub struct EngineStats {
     /// — together with the SpMM wall time this is the "where the time
     /// goes" split of a fused GCN layer.
     pub gemm_ns: u64,
-    /// Online auto-tuner counters (see [`TunerStats`]): explorations,
-    /// their wall/excess time, and how many plans converged or
-    /// warm-started. All zero unless the engine carries an
-    /// [`AutoTuner`] ([`ExecEngine::with_autotuner`] or `MPSPMM_TUNE`).
-    pub tuner: TunerStats,
     /// Sparse×sparse counters (see [`SpgemmStats`]): rows executed
     /// through [`ExecEngine::spgemm`], the per-accumulator row
     /// distribution, and the symbolic/numeric phase wall split. All
@@ -586,12 +544,6 @@ pub struct ExecEngine {
     /// FastMath opt-in (FMA contraction in the SpMM/GEMM kernels) —
     /// defaults to the `MPSPMM_FASTMATH` environment opt-in, i.e. off.
     pub(crate) fast_math: bool,
-    /// `k`-blocking of the dense GEMM (on by default). Exists as an A/B
-    /// ablation switch for benchmarks: `false` restores the unblocked
-    /// full-`k` sweep of the pre-blocking data path. Results are bitwise
-    /// identical either way (blocks are visited in ascending `k` order
-    /// with destination-seeded accumulators).
-    pub(crate) k_blocking: bool,
     plan_capacity: usize,
     cache: Mutex<PlanCache>,
     batch_plans: Mutex<BatchPlanCache>,
@@ -610,16 +562,7 @@ pub struct ExecEngine {
     pub(crate) fastmath_runs: AtomicU64,
     fused_epilogues: AtomicU64,
     pub(crate) gemm_ns: AtomicU64,
-    /// Online auto-tuner this engine files verdicts with (`None` = the
-    /// static heuristics run untouched).
-    tuner: Option<Arc<AutoTuner>>,
-    pub(crate) tuner_explorations: AtomicU64,
-    pub(crate) tuner_exploration_ns: AtomicU64,
-    pub(crate) tuner_excess_ns: AtomicU64,
-    pub(crate) tuner_converged: AtomicU64,
-    tuner_plans: AtomicU64,
-    tuner_warm: AtomicU64,
-    /// Accumulator strategy untuned SpGEMM runs pin
+    /// Accumulator strategy SpGEMM runs pin
     /// ([`SpgemmStrategy::Adaptive`] = the per-row classifier).
     pub(crate) spgemm_strategy: SpgemmStrategy,
     pub(crate) spgemm_rows: AtomicU64,
@@ -628,9 +571,6 @@ pub struct ExecEngine {
     pub(crate) spgemm_merge: AtomicU64,
     pub(crate) spgemm_symbolic_ns: AtomicU64,
     pub(crate) spgemm_numeric_ns: AtomicU64,
-    /// Per-shape-class SpGEMM tuner slots (see `crate::spgemm`); only
-    /// populated when a tuner is attached.
-    pub(crate) spgemm_slots: Mutex<SpgemmSlots>,
 }
 
 impl ExecEngine {
@@ -676,7 +616,6 @@ impl ExecEngine {
             data_path,
             sched_policy: SchedPolicy::default(),
             fast_math: env_fastmath(),
-            k_blocking: true,
             plan_capacity,
             cache: Mutex::new(PlanCache::default()),
             batch_plans: Mutex::new(BatchPlanCache::default()),
@@ -695,13 +634,6 @@ impl ExecEngine {
             fastmath_runs: AtomicU64::new(0),
             fused_epilogues: AtomicU64::new(0),
             gemm_ns: AtomicU64::new(0),
-            tuner: env_autotuner(),
-            tuner_explorations: AtomicU64::new(0),
-            tuner_exploration_ns: AtomicU64::new(0),
-            tuner_excess_ns: AtomicU64::new(0),
-            tuner_converged: AtomicU64::new(0),
-            tuner_plans: AtomicU64::new(0),
-            tuner_warm: AtomicU64::new(0),
             spgemm_strategy: SpgemmStrategy::default(),
             spgemm_rows: AtomicU64::new(0),
             spgemm_dense: AtomicU64::new(0),
@@ -709,7 +641,6 @@ impl ExecEngine {
             spgemm_merge: AtomicU64::new(0),
             spgemm_symbolic_ns: AtomicU64::new(0),
             spgemm_numeric_ns: AtomicU64::new(0),
-            spgemm_slots: Mutex::new(SpgemmSlots::default()),
         }
     }
 
@@ -747,106 +678,6 @@ impl ExecEngine {
         self.fast_math
     }
 
-    /// Attaches an online [`AutoTuner`]: every plan built through
-    /// [`plan_cached`](Self::plan_cached) from now on carries an
-    /// explorer over its pruned configuration arm space, measured on
-    /// live executions until it converges; verdicts are filed in (and
-    /// warm-started from) `tuner`'s fingerprint-keyed table. Without
-    /// this call the engine follows the `MPSPMM_TUNE` /
-    /// `MPSPMM_CALIB_PATH` process opt-in, i.e. tuning is off by
-    /// default and `Auto` dispatch uses the static heuristics.
-    #[must_use]
-    pub fn with_autotuner(mut self, tuner: Arc<AutoTuner>) -> Self {
-        self.tuner = Some(tuner);
-        self
-    }
-
-    /// The calibration table this engine tunes against, if any.
-    pub fn autotuner(&self) -> Option<&Arc<AutoTuner>> {
-        self.tuner.as_ref()
-    }
-
-    /// The quantized shape class `prep` at dense dimension `dim` files
-    /// under in the calibration table.
-    pub fn tuner_fingerprint(&self, prep: &PreparedPlan, dim: usize) -> GraphFingerprint {
-        let logical = prep.plan.threads.len();
-        let eff = self.workers.min(logical).max(1);
-        let (gather, stream) = prep.dispatch;
-        GraphFingerprint::from_features(
-            prep.row_kind.len(),
-            prep.total_nnz(),
-            dim,
-            prep.static_span_skew(eff),
-            gather,
-            stream,
-            eff,
-        )
-    }
-
-    /// The configuration arm space this engine's tuner would explore
-    /// for `prep` at dense dimension `dim` — exposed so tests and the
-    /// autotune benchmark can enumerate the hand-pinnable candidates.
-    /// Pure: independent of whether a tuner is attached.
-    pub fn tuner_arm_space(&self, prep: &PreparedPlan, dim: usize) -> Vec<ArmConfig> {
-        let fp = self.tuner_fingerprint(prep, dim);
-        arm_space(&fp, self.sched_policy, self.data_path, self.fast_math)
-    }
-
-    /// Builds the tuner slot for a freshly prepared plan, warm-starting
-    /// from the calibration table when it already holds a verdict for
-    /// the fingerprint *that is still a member of the current arm
-    /// space* — a verdict recorded by, say, a FastMath process is not
-    /// replayable on this engine and falls back to exploring.
-    fn tuner_slot(&self, prep: &PreparedPlan, dim: usize) -> Option<Arc<PlanTuner>> {
-        let tuner = self.tuner.as_ref()?;
-        if dim == 0 || prep.plan.threads.is_empty() {
-            return None;
-        }
-        let fp = self.tuner_fingerprint(prep, dim);
-        let arms = arm_space(&fp, self.sched_policy, self.data_path, self.fast_math);
-        self.tuner_plans.fetch_add(1, Ordering::Relaxed);
-        if let Some(best) = tuner.lookup(&fp) {
-            if arms.contains(&best) {
-                self.tuner_warm.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::new(PlanTuner::warm(fp, best, arms)));
-            }
-        }
-        Some(Arc::new(PlanTuner::exploring(fp, arms)))
-    }
-
-    /// Resolves an arm's data path against a `b_rows × dim` operand,
-    /// applying the arm's panel halving and honoring the engine's
-    /// FastMath opt-in (an arm can only *request* contraction; the engine
-    /// gate is ANDed in so a poisoned arm can never enable it on an exact
-    /// engine).
-    fn resolve_arm(&self, arm: ArmConfig, b_rows: usize, dim: usize) -> ResolvedPath {
-        let mut rp = arm
-            .path
-            .resolve_fast(b_rows, dim, arm.fast_math && self.fast_math);
-        if arm.half_panel {
-            let lanes = rp.lanes.lanes();
-            rp.panel = ((rp.panel / 2).max(lanes) / lanes) * lanes;
-        }
-        rp
-    }
-
-    /// Disables (or re-enables) `k`-blocking in [`ExecEngine::gemm`].
-    /// This is an A/B measurement switch — `false` reproduces the
-    /// unblocked full-`k` sweep of the pre-blocking data path so
-    /// benchmarks can isolate what the L2-resident `B` slab buys.
-    /// Output bits are identical either way; only the cache behavior
-    /// (and the [`crate::EngineStats::kblocks`] counter) changes.
-    #[must_use]
-    pub fn with_k_blocking(mut self, k_blocking: bool) -> Self {
-        self.k_blocking = k_blocking;
-        self
-    }
-
-    /// Whether [`ExecEngine::gemm`] blocks the reduction dimension.
-    pub fn k_blocking(&self) -> bool {
-        self.k_blocking
-    }
-
     /// The plan-cache capacity bound this engine evicts at.
     pub fn plan_capacity(&self) -> usize {
         self.plan_capacity
@@ -878,8 +709,9 @@ impl ExecEngine {
             SchedPolicy::Static => false,
             SchedPolicy::ColumnStriped => true,
             SchedPolicy::Auto => {
-                let skew = prep.static_span_skew(eff_workers);
-                SchedPolicy::auto_choice(eff_workers, dim, skew) == SchedPolicy::ColumnStriped
+                dim >= STRIPE_MIN_DIM
+                    || (dim >= STRIPE_SKEW_MIN_DIM
+                        && prep.static_span_skew(eff_workers) > STRIPE_SKEW_THRESHOLD)
             }
         }
     }
@@ -1050,9 +882,7 @@ impl ExecEngine {
         // second insert wins), which is the same behavior spmm_cached has
         // always had.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut prep = PreparedPlan::for_matrix(kernel.plan(a, dim), a);
-        prep.tuner = self.tuner_slot(&prep, dim);
-        let prep = Arc::new(prep);
+        let prep = Arc::new(PreparedPlan::for_matrix(kernel.plan(a, dim), a));
         let mut cache = self.cache.lock().unwrap();
         while cache.map.len() >= self.plan_capacity {
             let victim = cache
@@ -1062,19 +892,7 @@ impl ExecEngine {
                 .map(|(k, _)| k.clone());
             match victim {
                 Some(k) => {
-                    // Recycle measured state instead of dropping it
-                    // with the entry: a converged verdict goes through
-                    // the calibration table, so re-admitting the plan
-                    // later warm-starts instead of re-exploring.
-                    if let Some(entry) = cache.map.remove(&k) {
-                        if let (Some(table), Some(slot)) =
-                            (self.tuner.as_deref(), entry.prep.tuner.as_ref())
-                        {
-                            if let Some(arm) = slot.converged_arm() {
-                                table.record(slot.fingerprint(), arm);
-                            }
-                        }
-                    }
+                    cache.map.remove(&k);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 None => break,
@@ -1109,9 +927,6 @@ impl ExecEngine {
     /// identical packed sparsity structure (modulo hash collision), and
     /// a [`PreparedPlan`] depends on structure only — values are read
     /// live at execution time.
-    ///
-    /// Batch plans skip the online auto-tuner: windows are transient and
-    /// per-class, so exploration would never amortize.
     pub fn plan_batch_cached(
         &self,
         kernel: &dyn SpmmKernel,
@@ -1298,14 +1113,6 @@ impl ExecEngine {
             fastmath_runs: self.fastmath_runs.load(Ordering::Relaxed),
             fused_epilogues: self.fused_epilogues.load(Ordering::Relaxed),
             gemm_ns: self.gemm_ns.load(Ordering::Relaxed),
-            tuner: TunerStats {
-                explorations: self.tuner_explorations.load(Ordering::Relaxed),
-                exploration_ns: self.tuner_exploration_ns.load(Ordering::Relaxed),
-                excess_ns: self.tuner_excess_ns.load(Ordering::Relaxed),
-                converged_plans: self.tuner_converged.load(Ordering::Relaxed),
-                tuned_plans: self.tuner_plans.load(Ordering::Relaxed),
-                warm_plans: self.tuner_warm.load(Ordering::Relaxed),
-            },
             spgemm: SpgemmStats {
                 rows: self.spgemm_rows.load(Ordering::Relaxed),
                 accum_dense: self.spgemm_dense.load(Ordering::Relaxed),
@@ -1364,19 +1171,12 @@ impl ExecEngine {
         self.fastmath_runs.store(0, Ordering::Relaxed);
         self.fused_epilogues.store(0, Ordering::Relaxed);
         self.gemm_ns.store(0, Ordering::Relaxed);
-        self.tuner_explorations.store(0, Ordering::Relaxed);
-        self.tuner_exploration_ns.store(0, Ordering::Relaxed);
-        self.tuner_excess_ns.store(0, Ordering::Relaxed);
-        self.tuner_converged.store(0, Ordering::Relaxed);
-        self.tuner_plans.store(0, Ordering::Relaxed);
-        self.tuner_warm.store(0, Ordering::Relaxed);
         self.spgemm_rows.store(0, Ordering::Relaxed);
         self.spgemm_dense.store(0, Ordering::Relaxed);
         self.spgemm_hash.store(0, Ordering::Relaxed);
         self.spgemm_merge.store(0, Ordering::Relaxed);
         self.spgemm_symbolic_ns.store(0, Ordering::Relaxed);
         self.spgemm_numeric_ns.store(0, Ordering::Relaxed);
-        self.spgemm_slots.lock().unwrap().clear();
     }
 
     /// Dispatches to the inline or pooled path. Shapes are already
@@ -1411,22 +1211,7 @@ impl ExecEngine {
             }
             return (out, prep.stats);
         }
-        // Online auto-tuning: a plan with a tuner slot executes the
-        // slot's arm instead of the static heuristics. Only *exploring*
-        // runs are timed — once the slot converges the ticket is free
-        // and steady-state runs pay zero measurement overhead.
-        let ticket = match (&self.tuner, &prep.tuner) {
-            (Some(_), Some(slot)) => Some(slot.begin()),
-            _ => None,
-        };
-        let timer = ticket
-            .as_ref()
-            .filter(|t| t.explore)
-            .map(|_| std::time::Instant::now());
-        let rp = match &ticket {
-            Some(t) => self.resolve_arm(t.arm, b.rows(), dim),
-            None => self.data_path.resolve_fast(b.rows(), dim, self.fast_math),
-        };
+        let rp = self.data_path.resolve_fast(b.rows(), dim, self.fast_math);
         if rp.fastmath {
             self.fastmath_runs.fetch_add(1, Ordering::Relaxed);
         }
@@ -1437,10 +1222,7 @@ impl ExecEngine {
         }
         let cols32 = prep.cols32.as_ref().map(AlignedVec::as_slice);
         let eff_workers = self.workers.min(logical);
-        let use_striping = match &ticket {
-            Some(t) => t.arm.sched == SchedPolicy::ColumnStriped,
-            None => self.selects_striping(prep, dim),
-        };
+        let use_striping = self.selects_striping(prep, dim);
         let mut out = self.arena.take_zeroed(rows * dim);
         // The striped path applies the deferred epilogue share per
         // stripe; every other path leaves it to the pass below.
@@ -1493,24 +1275,6 @@ impl ExecEngine {
         if fuse && !epilogue_done {
             for &row in &prep.deferred_rows {
                 epi.apply_row(&mut out[row as usize * dim..][..dim]);
-            }
-        }
-        // Feed the explorer its measurement, file the verdict when this
-        // observation was the converging one.
-        if let (Some(ticket), Some(started)) = (&ticket, timer) {
-            let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.tuner_explorations.fetch_add(1, Ordering::Relaxed);
-            self.tuner_exploration_ns.fetch_add(ns, Ordering::Relaxed);
-            if let Some(slot) = &prep.tuner {
-                let obs = slot.observe(ticket.idx, ns);
-                self.tuner_excess_ns
-                    .fetch_add(obs.excess_ns, Ordering::Relaxed);
-                if let Some(arm) = obs.newly_converged {
-                    self.tuner_converged.fetch_add(1, Ordering::Relaxed);
-                    if let Some(table) = &self.tuner {
-                        table.record(slot.fingerprint(), arm);
-                    }
-                }
             }
         }
         let out = DenseMatrix::from_vec(rows, dim, out)

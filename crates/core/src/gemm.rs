@@ -73,13 +73,7 @@ impl ExecEngine {
         if rp.fastmath {
             self.fastmath_runs.fetch_add(1, Ordering::Relaxed);
         }
-        let kc = if self.k_blocking {
-            gemm_kc(a.cols(), rp.panel, &CacheModel::default())
-        } else {
-            // Ablation mode: one full-`k` "block" — the pre-blocking
-            // sweep. Bitwise identical, only locality differs.
-            a.cols().max(1)
-        };
+        let kc = gemm_kc(a.cols(), rp.panel, &CacheModel::default());
         if a.cols() > 0 {
             self.kblocks
                 .fetch_add(a.cols().div_ceil(kc.max(1)) as u64, Ordering::Relaxed);

@@ -66,7 +66,6 @@ pub mod spmm;
 pub mod spmv;
 mod stats;
 mod stripe;
-pub mod tuner;
 pub mod tuning;
 
 pub use batch::BatchShapeClass;
@@ -89,15 +88,11 @@ pub use spmm::{
     MergePathSpmm, NeighborPartitionIndex, NnzSplitSpmm, RowSplitSpmm, SerialSpmm, SpmmKernel,
     BATCH_MIN_THREADS,
 };
-pub use stats::{SpgemmStats, TunerStats, WriteStats};
-pub use tuner::{
-    arm_space, spgemm_arm_space, ArmConfig, AutoTuner, GraphFingerprint, TuneState, CALIB_HEADER,
-};
+pub use stats::{SpgemmStats, WriteStats};
 pub use tuning::{
     default_cost_for_dim, gemm_kc, panel_cols, stripe_panel_cols, thread_count, CacheModel,
     SimdMapping, GATHER_MAX_NNZ, GEMM_BAND_ROWS, GEMM_MR, GPU_SIMD_LANES, MIN_THREADS,
     PAR_APPLY_MIN_LEN, SPGEMM_CHUNKS_PER_WORKER, SPGEMM_DENSE_FILL_DIV, SPGEMM_HASH_MIN_SLOTS,
     SPGEMM_MERGE_MAX_WAYS, SPGEMM_MERGE_SCAN_MAX_WAYS, STRIPE_MIN_DIM, STRIPE_SKEW_MIN_DIM,
-    STRIPE_SKEW_THRESHOLD, TUNE_HALF_PANEL_MIN_DIM, TUNE_MEASURES_PER_ARM, TUNE_STRIPE_MIN_DIM,
-    TUNE_TILED_MAX_DIM,
+    STRIPE_SKEW_THRESHOLD,
 };

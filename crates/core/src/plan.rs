@@ -159,9 +159,7 @@ impl KernelPlan {
         self.threads.len()
     }
 
-    /// Total non-zeros the plan's threads cover — one of the raw
-    /// features the auto-tuner's [`GraphFingerprint`](crate::tuner::GraphFingerprint)
-    /// quantizes.
+    /// Total non-zeros the plan's threads cover.
     pub fn nnz_total(&self) -> usize {
         self.threads.iter().map(ThreadPlan::nnz).sum()
     }

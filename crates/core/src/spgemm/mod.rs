@@ -42,7 +42,6 @@
 
 mod accum;
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -51,12 +50,9 @@ use mpspmm_sparse::{CsrMatrix, SparseFormatError};
 
 use crate::arena::BufferArena;
 use crate::engine::ExecEngine;
-use crate::plan::{chunk_threads, static_span_skew, ChunkDesc};
+use crate::plan::{chunk_threads, ChunkDesc};
 use crate::pool::{ScopedJob, WorkerPool};
-use crate::tuner::{spgemm_arm_space, GraphFingerprint};
-use crate::tuning::{
-    SPGEMM_CHUNKS_PER_WORKER, SPGEMM_DENSE_FILL_DIV, SPGEMM_MERGE_MAX_WAYS, TUNE_MEASURES_PER_ARM,
-};
+use crate::tuning::{SPGEMM_CHUNKS_PER_WORKER, SPGEMM_DENSE_FILL_DIV, SPGEMM_MERGE_MAX_WAYS};
 
 use accum::{merge_row, DenseAccumulator, HashAccumulator};
 
@@ -64,10 +60,10 @@ use accum::{merge_row, DenseAccumulator, HashAccumulator};
 ///
 /// [`Adaptive`](Self::Adaptive) (the default) classifies per row via
 /// [`classify_row`]; the forced variants pin every row to one family —
-/// an A/B switch for benchmarks and the bit-equality test matrix, and
-/// the arm family the online tuner explores
-/// ([`crate::tuner::spgemm_arm_space`]). All variants produce identical
-/// bits; only speed differs.
+/// an A/B switch for benchmarks, which report each family separately,
+/// and for the bit-equality test matrix, which checks each family
+/// against the oracle. All variants produce identical bits; only speed
+/// differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpgemmStrategy {
     /// Per-row choice by [`classify_row`] — the static heuristic.
@@ -282,151 +278,20 @@ fn run_chunk(
     }
 }
 
-/// Online tuner state for one SpGEMM shape class: measure every
-/// strategy arm [`TUNE_MEASURES_PER_ARM`] times on the numeric phase,
-/// then pin the fastest (ties break to the lowest index, i.e. the
-/// heuristic incumbent). Kept per engine, keyed by
-/// [`GraphFingerprint`], only when an [`crate::AutoTuner`] is attached.
-#[derive(Debug)]
-pub(crate) struct SpgemmSlot {
-    arms: Vec<SpgemmStrategy>,
-    observed: Vec<u32>,
-    best_ns: Vec<u64>,
-    cursor: usize,
-    converged: Option<usize>,
-}
-
-impl SpgemmSlot {
-    fn new(arms: Vec<SpgemmStrategy>) -> Self {
-        let n = arms.len();
-        Self {
-            arms,
-            observed: vec![0; n],
-            best_ns: vec![u64::MAX; n],
-            cursor: 0,
-            converged: None,
-        }
-    }
-
-    /// Picks the arm for the next run: the winner once converged, else
-    /// the next arm still short of its measure quota (round-robin).
-    /// Returns `(arm index, strategy, whether this run is a measured
-    /// exploration)`.
-    fn begin(&mut self) -> (usize, SpgemmStrategy, bool) {
-        if let Some(i) = self.converged {
-            return (i, self.arms[i], false);
-        }
-        let n = self.arms.len();
-        for _ in 0..n {
-            let i = self.cursor % n;
-            self.cursor += 1;
-            if self.observed[i] < TUNE_MEASURES_PER_ARM {
-                return (i, self.arms[i], true);
-            }
-        }
-        // Every arm has its quota but a concurrent observe has not yet
-        // declared the winner; run the current best meanwhile.
-        let i = self.best_index();
-        (i, self.arms[i], false)
-    }
-
-    /// Records a measured numeric-phase time for arm `idx`. Returns
-    /// `(excess over the incumbent best, whether this observation
-    /// completed convergence)`.
-    fn observe(&mut self, idx: usize, ns: u64) -> (u64, bool) {
-        let incumbent = self.best_ns.iter().copied().min().unwrap_or(u64::MAX);
-        let excess = if incumbent == u64::MAX {
-            0
-        } else {
-            ns.saturating_sub(incumbent)
-        };
-        self.best_ns[idx] = self.best_ns[idx].min(ns);
-        self.observed[idx] += 1;
-        let done =
-            self.converged.is_none() && self.observed.iter().all(|&o| o >= TUNE_MEASURES_PER_ARM);
-        if done {
-            self.converged = Some(self.best_index());
-        }
-        (excess, done)
-    }
-
-    fn best_index(&self) -> usize {
-        let mut best = 0;
-        for i in 1..self.arms.len() {
-            if self.best_ns[i] < self.best_ns[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// The converged winner, if any — exposed through
-    /// [`ExecEngine::spgemm_tuned_strategy`].
-    fn winner(&self) -> Option<SpgemmStrategy> {
-        self.converged.map(|i| self.arms[i])
-    }
-}
-
-/// Per-engine SpGEMM tuner slots, keyed by shape class.
-pub(crate) type SpgemmSlots = HashMap<GraphFingerprint, SpgemmSlot>;
-
 impl ExecEngine {
     /// Pins every SpGEMM row to one accumulator family instead of the
     /// per-row [`classify_row`] heuristic. An A/B switch for the
     /// benchmark and the bit-equality test matrix — results are
-    /// identical bits under every strategy; only speed changes. When a
-    /// tuner is attached ([`with_autotuner`](Self::with_autotuner) or
-    /// `MPSPMM_TUNE`), converged shape classes override this pin.
+    /// identical bits under every strategy; only speed changes.
     #[must_use]
     pub fn with_spgemm_strategy(mut self, strategy: SpgemmStrategy) -> Self {
         self.spgemm_strategy = strategy;
         self
     }
 
-    /// The accumulator strategy untuned SpGEMM runs execute with.
+    /// The accumulator strategy SpGEMM runs execute with.
     pub fn spgemm_strategy(&self) -> SpgemmStrategy {
         self.spgemm_strategy
-    }
-
-    /// The converged tuner verdict for the SpGEMM shape class of
-    /// `(a, b)`, or `None` while exploring or when no tuner is
-    /// attached — exposed so tests and the benchmark can assert on
-    /// convergence.
-    pub fn spgemm_tuned_strategy(
-        &self,
-        a: &CsrMatrix<f32>,
-        b: &CsrMatrix<f32>,
-    ) -> Option<SpgemmStrategy> {
-        self.autotuner()?;
-        let ub_ends = upper_bound_ends(a, b);
-        let fp = self.spgemm_fingerprint(a, b, &ub_ends);
-        self.spgemm_slots
-            .lock()
-            .unwrap()
-            .get(&fp)
-            .and_then(SpgemmSlot::winner)
-    }
-
-    /// The quantized shape class an SpGEMM of `(a, b)` files under:
-    /// output rows, flop upper bound as the nnz feature, `B`'s column
-    /// count as the dense dimension, and the chunk-free static skew of
-    /// the upper-bound partition.
-    fn spgemm_fingerprint(
-        &self,
-        a: &CsrMatrix<f32>,
-        b: &CsrMatrix<f32>,
-        ub_ends: &[usize],
-    ) -> GraphFingerprint {
-        let eff = self.workers.min(a.rows()).max(1);
-        GraphFingerprint::from_features(
-            a.rows(),
-            ub_ends.last().copied().unwrap_or(0),
-            b.cols(),
-            static_span_skew(ub_ends, eff),
-            0,
-            0,
-            eff,
-        )
     }
 
     /// Multiplies two CSR matrices into a CSR result, `C = A × B`.
@@ -470,20 +335,7 @@ impl ExecEngine {
         self.spgemm_symbolic_ns
             .fetch_add(sym_t.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
-        // Strategy: the tuner slot when one is attached (explore until
-        // the shape class converges), else the engine's pinned choice.
-        let ticket = if self.autotuner().is_some() && rows > 0 {
-            let fp = self.spgemm_fingerprint(a, b, &ub_ends);
-            let mut slots = self.spgemm_slots.lock().unwrap();
-            let slot = slots
-                .entry(fp)
-                .or_insert_with(|| SpgemmSlot::new(spgemm_arm_space(&fp)));
-            let (idx, strategy, explore) = slot.begin();
-            Some((fp, idx, strategy, explore))
-        } else {
-            None
-        };
-        let strategy = ticket.map_or(self.spgemm_strategy, |(_, _, s, _)| s);
+        let strategy = self.spgemm_strategy;
 
         // Numeric phase: timed around the parallel chunk drain only —
         // the serial stitch is excluded so the figure is the one the
@@ -514,23 +366,8 @@ impl ExecEngine {
                 .collect();
             WorkerPool::global().scope_run(jobs);
         }
-        let numeric_ns = num_t.elapsed().as_nanos() as u64;
         self.spgemm_numeric_ns
-            .fetch_add(numeric_ns, Ordering::Relaxed);
-
-        if let Some((fp, idx, _, true)) = ticket {
-            let mut slots = self.spgemm_slots.lock().unwrap();
-            if let Some(slot) = slots.get_mut(&fp) {
-                let (excess, converged) = slot.observe(idx, numeric_ns);
-                self.tuner_explorations.fetch_add(1, Ordering::Relaxed);
-                self.tuner_exploration_ns
-                    .fetch_add(numeric_ns, Ordering::Relaxed);
-                self.tuner_excess_ns.fetch_add(excess, Ordering::Relaxed);
-                if converged {
-                    self.tuner_converged.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+            .fetch_add(num_t.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
         // Serial stitch, in chunk (= row) order: whichever worker
         // finished a chunk, its segment lands at the same offset.
@@ -698,28 +535,5 @@ mod tests {
             .spgemm(&CsrMatrix::zeros(0, 4), &b)
             .unwrap();
         assert_eq!((empty_rows.rows(), empty_rows.cols()), (0, 5));
-    }
-
-    #[test]
-    fn slot_converges_to_argmin_with_heuristic_tiebreak() {
-        let mut slot = SpgemmSlot::new(vec![
-            SpgemmStrategy::Adaptive,
-            SpgemmStrategy::Hash,
-            SpgemmStrategy::Merge,
-        ]);
-        let mut converged = false;
-        let mut runs = 0;
-        while !converged {
-            let (idx, _, explore) = slot.begin();
-            assert!(explore, "must explore until every arm is measured");
-            // Arm 1 (Hash) is fastest; ties elsewhere.
-            let ns = if idx == 1 { 100 } else { 300 };
-            converged = slot.observe(idx, ns).1;
-            runs += 1;
-            assert!(runs <= 3 * TUNE_MEASURES_PER_ARM, "must converge");
-        }
-        assert_eq!(slot.winner(), Some(SpgemmStrategy::Hash));
-        let (_, strategy, explore) = slot.begin();
-        assert_eq!((strategy, explore), (SpgemmStrategy::Hash, false));
     }
 }

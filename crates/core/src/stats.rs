@@ -69,57 +69,6 @@ impl WriteStats {
     }
 }
 
-/// Auto-tuner counters of one engine (embedded in
-/// [`EngineStats`](crate::EngineStats)): how much live exploration the
-/// online tuner (`crate::tuner`) has performed and what it has
-/// converged. All counters are cumulative since engine construction or
-/// the last [`clear_cache`](crate::ExecEngine::clear_cache).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TunerStats {
-    /// Executions that ran under a measured (exploring) arm ticket.
-    /// Zero on a warm-started or tuning-disabled engine — the
-    /// warm-restart acceptance check asserts exactly this.
-    pub explorations: u64,
-    /// Total wall nanoseconds of those measured executions.
-    pub exploration_ns: u64,
-    /// Nanoseconds the measured executions spent *over* the incumbent
-    /// best arm — the true exploration overhead (a run on the best arm
-    /// charges nothing).
-    pub excess_ns: u64,
-    /// Plans whose explorer converged on this engine (verdicts recorded
-    /// to the calibration table).
-    pub converged_plans: u64,
-    /// Plans that entered the cache with a tuner slot attached.
-    pub tuned_plans: u64,
-    /// Plans that skipped exploration because the calibration table
-    /// already held a verdict for their fingerprint.
-    pub warm_plans: u64,
-}
-
-impl TunerStats {
-    /// Fraction of the measured executions' wall time that was
-    /// exploration overhead, in `[0, 1]` (0 before any exploration).
-    /// This is the quantity the <5% overhead bound is stated over.
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.exploration_ns == 0 {
-            0.0
-        } else {
-            self.excess_ns as f64 / self.exploration_ns as f64
-        }
-    }
-}
-
-impl AddAssign for TunerStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.explorations += rhs.explorations;
-        self.exploration_ns += rhs.exploration_ns;
-        self.excess_ns += rhs.excess_ns;
-        self.converged_plans += rhs.converged_plans;
-        self.tuned_plans += rhs.tuned_plans;
-        self.warm_plans += rhs.warm_plans;
-    }
-}
-
 /// SpGEMM counters of one engine (embedded in
 /// [`EngineStats`](crate::EngineStats)): rows executed through
 /// [`spgemm`](crate::ExecEngine::spgemm), the per-row accumulator

@@ -53,31 +53,6 @@ pub const STRIPE_MIN_DIM: usize = 128;
 /// scales with the dense dimension.
 pub const STRIPE_SKEW_MIN_DIM: usize = 96;
 
-/// Measurements the online auto-tuner takes of every surviving arm per
-/// successive-halving round (see `crate::tuner`). Two samples per round
-/// keep one cold-cache outlier from killing a good arm while bounding
-/// total exploration at roughly `4 × arms` executions.
-pub const TUNE_MEASURES_PER_ARM: u32 = 2;
-
-/// Dense dimension at or above which the auto-tuner includes a
-/// column-striped arm. Far below the heuristic [`STRIPE_MIN_DIM`]: the
-/// tuner *measures* instead of trusting the constant, and the bound only
-/// prunes shapes where the per-stripe index re-walk cannot possibly
-/// amortize.
-pub const TUNE_STRIPE_MIN_DIM: usize = 32;
-
-/// Dense dimension at or below which the auto-tuner includes a
-/// register-tiled ([`DataPath::Tiled`](crate::DataPath)) arm: at tiny
-/// dims the tiled kernel's lack of panel machinery occasionally wins,
-/// while at panel-sized dims it never does.
-pub const TUNE_TILED_MAX_DIM: usize = 32;
-
-/// Dense dimension at or above which the auto-tuner adds a half-panel
-/// variant of the vectorized arm (panel width halved, lane-aligned).
-/// Below this the default panel already covers the dim in one sweep and
-/// halving it is pure loop overhead.
-pub const TUNE_HALF_PANEL_MIN_DIM: usize = 64;
-
 /// Register-tile height of the engine's dense GEMM microkernel: this
 /// many `A` rows share every loaded `B` row panel, so each `B` element
 /// feeds `GEMM_MR` fused multiply-adds instead of one. Four rows ×

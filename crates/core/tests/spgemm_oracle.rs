@@ -4,14 +4,10 @@
 //! power-law (evil rows → dense scratch), uniform short rows (merge),
 //! empty rows, duplicate-column collision storms (hash probe chains),
 //! and `A = B` squaring. The tier-1 script sweeps `MPSPMM_WORKERS` over
-//! {1, 2, 8} and re-runs the suite under `MPSPMM_TUNE=1`, so the same
-//! assertions cover tuned exploration runs.
-
-use std::sync::Arc;
+//! {1, 2, 8}.
 
 use mpspmm_core::{
-    classify_row, default_workers, spgemm_sequential, AccumKind, AutoTuner, ExecEngine,
-    SpgemmStrategy,
+    classify_row, default_workers, spgemm_sequential, AccumKind, ExecEngine, SpgemmStrategy,
 };
 use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
 use mpspmm_sparse::testing::assert_csr_eq;
@@ -146,34 +142,25 @@ fn resolved_worker_count_matches_oracle_and_is_deterministic() {
     }
 }
 
-/// Untuned engines (no `MPSPMM_TUNE`, no [`ExecEngine::with_autotuner`])
-/// take the static [`classify_row`] heuristic with **zero** tuner
-/// activity, and their output is byte-identical to a tuned engine's —
-/// attaching a tuner may change speed, never bits.
+/// A default engine takes the static [`classify_row`] heuristic
+/// ([`SpgemmStrategy::Adaptive`]), and its output is byte-identical to
+/// the sequential oracle.
 #[test]
-fn untuned_engine_takes_static_heuristic_with_zero_exploration() {
-    if std::env::var_os("MPSPMM_TUNE").is_some_and(|v| v != "0") {
-        // MPSPMM_TUNE attaches a tuner to every engine — there is no
-        // untuned engine to observe in that configuration.
-        return;
-    }
+fn default_engine_takes_static_heuristic() {
     let (_, a, b) = cases().swap_remove(0);
     let want = spgemm_sequential(&a, &b).unwrap();
 
-    let untuned = ExecEngine::new(2);
-    assert!(untuned.autotuner().is_none());
-    assert_eq!(untuned.spgemm_strategy(), SpgemmStrategy::Adaptive);
-    let got = untuned.spgemm(&a, &b).unwrap();
+    let engine = ExecEngine::new(2);
+    assert_eq!(engine.spgemm_strategy(), SpgemmStrategy::Adaptive);
+    let got = engine.spgemm(&a, &b).unwrap();
     assert_csr_eq(&got, &want);
-    assert_eq!(untuned.stats().tuner, Default::default());
-    assert!(untuned.spgemm_tuned_strategy(&a, &b).is_none());
 
     // The per-class row counts are exactly the static heuristic's tally.
     let mut expect = [0u64; 3];
     for (arow, ub) in a.iter_rows().zip(per_row_upper_bounds(&a, &b)) {
         expect[classify_row(arow.cols.len(), ub, b.cols()) as usize] += 1;
     }
-    let stats = untuned.stats().spgemm;
+    let stats = engine.stats().spgemm;
     assert_eq!(
         [stats.accum_merge, stats.accum_dense, stats.accum_hash],
         [
@@ -182,43 +169,6 @@ fn untuned_engine_takes_static_heuristic_with_zero_exploration() {
             expect[AccumKind::Hash as usize]
         ]
     );
-
-    // A tuned engine explores — different schedule, identical bits.
-    let tuned = ExecEngine::new(2).with_autotuner(Arc::new(AutoTuner::in_memory()));
-    let tuned_out = tuned.spgemm(&a, &b).unwrap();
-    assert_csr_eq(&tuned_out, &got);
-    assert!(tuned.stats().tuner.explorations > 0);
-}
-
-/// A tuned engine converges for a repeated shape class: after enough
-/// runs [`ExecEngine::spgemm_tuned_strategy`] returns a winner from the
-/// arm space, tuner counters advance, and every exploration run along
-/// the way stays bit-equal to the oracle.
-#[test]
-fn tuned_engine_converges_and_stays_bit_identical_throughout() {
-    let (_, a, b) = cases().swap_remove(0);
-    let want = spgemm_sequential(&a, &b).unwrap();
-    let engine = ExecEngine::new(2).with_autotuner(Arc::new(AutoTuner::in_memory()));
-    let mut winner = None;
-    for _ in 0..64 {
-        let got = engine.spgemm(&a, &b).unwrap();
-        assert_csr_eq(&got, &want);
-        winner = engine.spgemm_tuned_strategy(&a, &b);
-        if winner.is_some() {
-            break;
-        }
-    }
-    let winner = winner.expect("slot must converge within the measure quota");
-    let stats = engine.stats().tuner;
-    assert!(stats.explorations > 0, "exploration runs were counted");
-    assert!(stats.converged_plans > 0, "convergence was counted");
-    // Post-convergence runs take the winner and stay bit-identical.
-    let after = engine.spgemm(&a, &b).unwrap();
-    assert_csr_eq(&after, &want);
-    assert_eq!(engine.spgemm_tuned_strategy(&a, &b), Some(winner));
-    // clear_cache drops the slots: the verdict is engine-local state.
-    engine.clear_cache();
-    assert!(engine.spgemm_tuned_strategy(&a, &b).is_none());
 }
 
 /// Per-row flop upper bounds (Σ nnz of the combined B rows) — the same

@@ -67,7 +67,7 @@ mod stats;
 
 pub use error::ServeError;
 pub use registry::{GraphRegistry, ServedGraph, DEFAULT_PLAN_DIM};
-pub use stats::{GraphTuneStatus, LatencySummary, ServeStats, TenantStats, BATCH_HIST_BUCKETS};
+pub use stats::{LatencySummary, ServeStats, TenantStats, BATCH_HIST_BUCKETS};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -534,16 +534,12 @@ impl Server {
         self.registry.register(name, adjacency, model)
     }
 
-    /// Snapshot of the serving counters, including the engine's and —
-    /// when the engine carries an auto-tuner — the per-graph tuning
-    /// progress.
+    /// Snapshot of the serving counters, including the engine's.
     pub fn stats(&self) -> ServeStats {
         let depth = self.shared.queue.lock().unwrap().len();
-        self.shared.stats.snapshot(
-            depth,
-            self.shared.engine.stats(),
-            self.registry.tune_statuses(),
-        )
+        self.shared
+            .stats
+            .snapshot(depth, self.shared.engine.stats())
     }
 
     /// Stops admitting requests, answers everything already queued, and

@@ -95,13 +95,6 @@ impl ServedGraph {
     pub fn model(&self) -> Option<&Arc<GcnModel>> {
         self.model.as_ref()
     }
-
-    /// Auto-tuner state of the warmed plan: `None` when the engine runs
-    /// without a tuner, otherwise whether this graph's plan is still
-    /// exploring arms or has converged on a measured winner.
-    pub fn tune_state(&self) -> Option<mpspmm_core::TuneState> {
-        self.prep.tune_state()
-    }
 }
 
 /// Owner of all named graphs a server can route requests to.
@@ -249,38 +242,6 @@ impl GraphRegistry {
     /// Registered names, unordered.
     pub fn names(&self) -> Vec<String> {
         self.graphs.lock().unwrap().keys().cloned().collect()
-    }
-
-    /// Auto-tuner status of every routed graph, sorted by name. Empty
-    /// entries are skipped when the engine runs without a tuner, so on
-    /// an untuned engine this is always empty.
-    pub fn tune_statuses(&self) -> Vec<crate::stats::GraphTuneStatus> {
-        let mut statuses: Vec<_> = self
-            .graphs
-            .lock()
-            .unwrap()
-            .values()
-            .filter_map(|g| {
-                g.tune_state().map(|state| {
-                    let (converged, explorations) = match state {
-                        mpspmm_core::TuneState::Exploring { explorations, .. } => {
-                            (false, explorations)
-                        }
-                        mpspmm_core::TuneState::Converged { explorations, .. } => {
-                            (true, explorations)
-                        }
-                    };
-                    crate::stats::GraphTuneStatus {
-                        graph: g.name().to_string(),
-                        version: g.version(),
-                        converged,
-                        explorations,
-                    }
-                })
-            })
-            .collect();
-        statuses.sort_by(|a, b| a.graph.cmp(&b.graph));
-        statuses
     }
 }
 

@@ -124,15 +124,10 @@ impl StatsCollector {
         }
     }
 
-    /// Snapshot of everything, with `queue_depth`, the engine counters,
-    /// and the per-graph auto-tuner statuses supplied by the server
-    /// (they live outside this collector).
-    pub fn snapshot(
-        &self,
-        queue_depth: usize,
-        engine: EngineStats,
-        tuned_graphs: Vec<GraphTuneStatus>,
-    ) -> ServeStats {
+    /// Snapshot of everything, with `queue_depth` and the engine
+    /// counters supplied by the server (they live outside this
+    /// collector).
+    pub fn snapshot(&self, queue_depth: usize, engine: EngineStats) -> ServeStats {
         let latency = {
             let ring = self.latencies.lock().unwrap();
             LatencySummary::from_samples(&ring.samples_ns)
@@ -197,26 +192,9 @@ impl StatsCollector {
             queue_depth,
             latency,
             engine,
-            tuned_graphs,
             tenants,
         }
     }
-}
-
-/// Auto-tuner progress of one routed graph, reported only when the
-/// serving engine carries an [`AutoTuner`](mpspmm_core::AutoTuner).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphTuneStatus {
-    /// Registered graph name.
-    pub graph: String,
-    /// Routed version the status describes.
-    pub version: u64,
-    /// Whether the plan's explorer has settled on a measured winner
-    /// (warm-started plans are converged from the first request).
-    pub converged: bool,
-    /// Measured executions spent exploring this plan's arm space
-    /// (0 for a warm start).
-    pub explorations: u64,
 }
 
 /// Latency percentiles over the recent sample window, in microseconds.
@@ -301,11 +279,6 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,
-    /// Per-graph auto-tuner progress (empty on an untuned engine). The
-    /// engine-wide exploration counters — arms measured, exploration
-    /// wall time, excess over the incumbent — are in
-    /// [`engine.tuner`](mpspmm_core::TunerStats).
-    pub tuned_graphs: Vec<GraphTuneStatus>,
     /// The engine's counters (plan-cache hits/misses/evictions,
     /// gather/stream dispatch, column stripes executed, GEMM k-blocks,
     /// FastMath runs, buffer-arena
@@ -368,7 +341,7 @@ mod tests {
         for i in 0..(LATENCY_WINDOW + 10) {
             c.record_latencies(std::iter::once(std::time::Duration::from_nanos(i as u64)));
         }
-        let snap = c.snapshot(0, EngineStats::default(), Vec::new());
+        let snap = c.snapshot(0, EngineStats::default());
         assert_eq!(snap.latency.samples, LATENCY_WINDOW);
     }
 
@@ -380,7 +353,7 @@ mod tests {
         assert!(Arc::ptr_eq(&t, &c.tenant("a")), "tenant state is shared");
         c.record_batch(4, 16, false);
         c.record_batch(2, 8, true);
-        let snap = c.snapshot(5, EngineStats::default(), Vec::new());
+        let snap = c.snapshot(5, EngineStats::default());
         assert_eq!(snap.batches, 2);
         assert_eq!(snap.degraded_batches, 1);
         assert_eq!(snap.batched_cols, 24);

@@ -365,61 +365,6 @@ fn wide_hidden_dim_gcn_serves_through_column_stripes() {
 }
 
 #[test]
-fn tuned_engine_converges_while_serving_and_reports_through_stats() {
-    let tuner = Arc::new(mpspmm_core::AutoTuner::in_memory());
-    let engine = Arc::new(ExecEngine::new(2).with_autotuner(Arc::clone(&tuner)));
-    let srv = Server::start(
-        engine,
-        Box::new(MergePathSpmm::with_threads(6)),
-        ServeConfig::default(),
-    );
-    let g = srv.register("g", graph(1.0), None);
-    assert!(
-        g.tune_state().is_some(),
-        "registration attaches a tuner slot to the warmed plan"
-    );
-    let kernel = MergePathSpmm::with_threads(6);
-    let a = graph(1.0);
-    // Serve requests until the explorer converges; every answer along
-    // the way — whatever arm it was measured on — must stay correct.
-    let mut runs = 0usize;
-    while !g.tune_state().unwrap().is_converged() {
-        runs += 1;
-        assert!(runs <= 200, "tuner failed to converge while serving");
-        let b = feats(4, runs);
-        let expect = kernel.spmm(&a, &b).unwrap();
-        let got = srv
-            .submit(req("g", "t", b, Workload::Spmm))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(got.approx_eq(&expect, 1e-4).unwrap(), "run {runs}");
-    }
-    let stats = srv.stats();
-    assert_eq!(stats.tuned_graphs.len(), 1);
-    let status = &stats.tuned_graphs[0];
-    assert_eq!(status.graph, "g");
-    assert_eq!(status.version, g.version());
-    assert!(status.converged, "snapshot must reflect convergence");
-    assert!(
-        status.explorations > 0,
-        "convergence took live measurements"
-    );
-    assert!(stats.engine.tuner.explorations >= status.explorations);
-    assert_eq!(stats.engine.tuner.converged_plans, 1);
-    assert_eq!(tuner.len(), 1, "verdict filed in the calibration table");
-    srv.shutdown();
-
-    // An untuned server reports no tuning status at all.
-    let plain = server(ServeConfig::default());
-    plain.register("g", graph(1.0), None);
-    if std::env::var_os("MPSPMM_TUNE").is_none_or(|v| v == "0") {
-        assert!(plain.stats().tuned_graphs.is_empty());
-    }
-    plain.shutdown();
-}
-
-#[test]
 fn fused_pipeline_stats_are_threaded_through_serve_stats() {
     let srv = server(ServeConfig::default());
     srv.register("g", graph(1.0), Some(GcnModel::two_layer(6, 10, 3, 42)));

@@ -26,7 +26,7 @@ fi
 status=0
 # Artifacts the tier-1 gate must always produce: their absence is a
 # failure, not a silent pass of the glob above.
-for required in BENCH_widedim.json BENCH_autotune.json BENCH_spgemm.json BENCH_batch.json; do
+for required in BENCH_widedim.json BENCH_spgemm.json BENCH_batch.json; do
     if [ ! -f "$required" ]; then
         echo "FAIL $required: required artifact missing" >&2
         status=1

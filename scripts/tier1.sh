@@ -10,12 +10,11 @@
 # (vectorized data path vs that baseline), BENCH_serve.json (serving
 # layer, smoke shape), BENCH_fused.json (fused GCN pipeline vs unfused,
 # smoke shape), BENCH_widedim.json (wide-feature-dim layer pipeline vs
-# the pre-revision data path, smoke shape), BENCH_autotune.json
-# (measured arm selection vs hand-pinned configs, smoke shape),
-# BENCH_spgemm.json (CSR x CSR engine vs the sequential oracle, smoke
-# shape), and BENCH_batch.json (block-diagonal mega-batching vs
-# per-request serving, smoke shape) in the repository root, then
-# validates their common schema.
+# the pre-revision data path, smoke shape), BENCH_spgemm.json (CSR x
+# CSR engine vs the sequential oracle, smoke shape), and
+# BENCH_batch.json (block-diagonal mega-batching vs per-request
+# serving, smoke shape) in the repository root, then validates their
+# common schema.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,16 +28,6 @@ cargo test --workspace -q
 # once on the default (vectorized) path and once with the data path pinned
 # to the scalar oracle via the force-scalar feature.
 cargo test -q -p mpspmm-core --test engine_oracle
-# The same oracle suite with the auto-tuner live on every engine
-# (MPSPMM_TUNE): arms only select among already-pinned strategies, so
-# exploration must never leave the oracle tolerance. (The fused_oracle
-# suite asserts run-to-run *bit* equality and would be perturbed by arm
-# switching mid-exploration; it stays untuned by design.)
-MPSPMM_TUNE=1 cargo test -q -p mpspmm-core --test engine_oracle
-# The SpGEMM oracle suite under live tuning: accumulator arms only move
-# rows between bit-identical strategies, so exploration runs must stay
-# bit-equal to the sequential oracle.
-MPSPMM_TUNE=1 cargo test -q -p mpspmm-core --test spgemm_oracle
 cargo test -q -p mpspmm-core --features force-scalar
 # The scheduler suite (Auto's static path reproducible and within the
 # oracle tolerance, its striped path bit-identical), the SpGEMM engine,
@@ -83,12 +72,4 @@ cargo run --release -p mpspmm-bench --bin bench_spgemm -- --smoke
 # end to end (bulk admission, block-diagonal assembly, scatter) and its
 # untimed bit-identity spot check against the sequential oracle.
 cargo run --release -p mpspmm-bench --bin bench_batch -- --smoke
-# Auto-tuner bench under a throwaway calibration directory: one run
-# proves both the cold start (exploration under the overhead bound) and
-# the warm restart (a rebuilt engine + tuner pair re-admits every plan
-# from the persisted table with zero explorations).
-calib_dir="$(mktemp -d)"
-trap 'rm -rf "$calib_dir"' EXIT
-MPSPMM_CALIB_PATH="$calib_dir/calib.v1" \
-  cargo run --release -p mpspmm-bench --bin bench_autotune -- --smoke
 scripts/check_bench_schema.sh
