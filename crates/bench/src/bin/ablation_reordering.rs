@@ -4,7 +4,7 @@
 //! by degree) so contiguous chunks carry comparable work. MergePath-SpMM
 //! claims the same balance with no reordering at all. This ablation
 //! compares, measured on the real execution engine (current SIMD data
-//! path, prepared plans, `Auto` scheduling):
+//! path, prepared plans, the static schedule):
 //!
 //! * row-splitting on the original matrix,
 //! * row-splitting on the degree-sorted matrix with contiguous chunks —
@@ -96,7 +96,7 @@ fn main() {
         let mp_plan = MergePathSpmm::new().plan(&a, dim);
 
         // Measure every scheme on the real engine: prepared (packed)
-        // plans, current SIMD data path, Auto scheduling.
+        // plans, current SIMD data path, the static schedule.
         let micros = |plan: &KernelPlan, m: &CsrMatrix<f32>| {
             let prep = PreparedPlan::for_matrix(plan.clone(), m);
             time_ns(2, 7, || {

@@ -3,10 +3,8 @@
 //!
 //! Every [`crate::ExecEngine`] execution needs a dense output buffer
 //! (`rows × dim` f32s), the pooled path additionally per-worker
-//! shared-row scratch strips, the column-striped path one
-//! `(carries + 1) × dim` accumulator block carved into per-stripe
-//! windows, and the batch path an interleaved combined buffer plus
-//! per-block outputs. Before this arena each run
+//! shared-row scratch strips, and the batch path an interleaved
+//! combined buffer plus per-block outputs. Before this arena each run
 //! allocated (and dropped) all of them; under serving traffic that is
 //! pure allocator churn on buffers whose sizes repeat forever, because
 //! the graph and feature dimensions of a tenant are stationary. The

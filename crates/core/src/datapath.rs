@@ -28,11 +28,11 @@
 //! * **Gather prefetch** — a merge-path worker walks one contiguous run
 //!   of non-zeros, so the kernel knows which `B` rows it reads next, across
 //!   segment and row boundaries. While it accumulates non-zero `k` it
-//!   hints `B` row `cols[k + PREFETCH_DISTANCE]` over its column window,
+//!   hints `B` row `cols[k + PREFETCH_DISTANCE]` over the current panel,
 //!   one 64-byte line at a time (`prefetcht0` on x86-64; no hint
 //!   elsewhere). The hints only pay when `B` misses cache, so
 //!   [`ResolvedPath::prefetch`] turns them on once per run, only when
-//!   `B`'s touched footprint — its rows times the column window times
+//!   `B`'s touched footprint — its rows times the dense width times
 //!   4 bytes — is several times
 //!   [`CacheModel::l2_bytes`] ([`prefetch_pays`]). Hints never change a
 //!   value, so every path stays bit-identical with them on or off.
@@ -258,13 +258,13 @@ impl DataPath {
 const PREFETCH_L2_MULTIPLE: usize = 4;
 
 /// The gather-prefetch gate: hints pay only when the gathered rows miss
-/// cache, i.e. when `B`'s touched footprint — `b_rows` rows of a
-/// `window`-column window of f32 — is more than [`PREFETCH_L2_MULTIPLE`]
+/// cache, i.e. when `B`'s touched footprint — `b_rows` rows of `dim`
+/// f32 columns — is more than [`PREFETCH_L2_MULTIPLE`]
 /// times L2. Below that most gathers already hit, and the hints are
 /// mostly instruction overhead.
-pub(crate) fn prefetch_pays(b_rows: usize, window: usize, model: &CacheModel) -> bool {
+pub(crate) fn prefetch_pays(b_rows: usize, dim: usize, model: &CacheModel) -> bool {
     b_rows
-        .saturating_mul(window)
+        .saturating_mul(dim)
         .saturating_mul(std::mem::size_of::<f32>())
         > model.l2_bytes.saturating_mul(PREFETCH_L2_MULTIPLE)
 }
@@ -341,22 +341,17 @@ impl ColIdx for u32 {
 }
 
 /// Scalar oracle: one column at a time, additions in non-zero order.
-/// `off` shifts the window into `B`'s rows: the kernel computes output
-/// columns `[off, off + dst.len())` into `dst[0..]` (the column-striped
-/// executor hands each worker such a window; every full-row caller
-/// passes `0`).
 pub(crate) fn accumulate_segment_scalar<I: ColIdx>(
     seg: &Segment,
     cols: &[I],
     vals: &[f32],
     b: &DenseMatrix<f32>,
-    off: usize,
     dst: &mut [f32],
 ) {
     for (d, slot) in dst.iter_mut().enumerate() {
         let mut s = 0.0f32;
         for k in seg.nz_start..seg.nz_end {
-            s += vals[k] * b.row(cols[k].to_usize())[off + d];
+            s += vals[k] * b.row(cols[k].to_usize())[d];
         }
         *slot = s;
     }
@@ -365,14 +360,12 @@ pub(crate) fn accumulate_segment_scalar<I: ColIdx>(
 /// The PR-1 register-tiled kernel, re-expressed over the shared wide-lane
 /// blocks: unrolled blocks of 8 and 4 plus a scalar tail, full-width (no
 /// panel loop), `usize` indices. Arithmetic per column is unchanged from
-/// PR 1 — same block cascade, same accumulation order. `off` windows the
-/// source columns as in [`accumulate_segment_scalar`].
+/// the original kernel — same block cascade, same accumulation order.
 #[inline]
 pub(crate) fn accumulate_segment_tiled(
     seg: &Segment,
     a: &CsrMatrix<f32>,
     b: &DenseMatrix<f32>,
-    off: usize,
     dst: &mut [f32],
 ) {
     let cols = a.col_indices();
@@ -380,32 +373,30 @@ pub(crate) fn accumulate_segment_tiled(
     let dim = dst.len();
     let mut d = 0;
     while d + 8 <= dim {
-        stream_block::<8, false, _>(seg, cols, vals, b, off, d, dst, None);
+        stream_block::<8, false, _>(seg, cols, vals, b, d, dst, None);
         d += 8;
     }
     if d + 4 <= dim {
-        stream_block::<4, false, _>(seg, cols, vals, b, off, d, dst, None);
+        stream_block::<4, false, _>(seg, cols, vals, b, d, dst, None);
         d += 4;
     }
-    tail_columns::<false, _>(seg, cols, vals, b, off, d..dim, dst, None);
+    tail_columns::<false, _>(seg, cols, vals, b, d..dim, dst, None);
 }
 
 /// One `W`-column register-accumulator block: `W` f32 accumulators live
 /// across the whole segment sweep, loads of `B` go through a fixed-size
 /// `[f32; W]` view so the inner loop is bounds-check-free straight-line
-/// code LLVM vectorizes. Source columns start at `off + d` in `B`;
-/// destination columns at `d` in `dst`. `FAST` switches the accumulate
-/// to `mul_add` — only the FastMath `#[target_feature(…,fma)]` clones
-/// instantiate it with `true`. `pf` is the source-column window to hint
-/// ahead ([`hint_ahead`]) while sweeping, or `None`.
-#[allow(clippy::too_many_arguments)]
+/// code LLVM vectorizes. Columns start at `d` in both `B` and `dst`.
+/// `FAST` switches the accumulate to `mul_add` — only the FastMath
+/// `#[target_feature(…,fma)]` clones instantiate it with `true`. `pf` is
+/// the column window to hint ahead ([`hint_ahead`]) while sweeping, or
+/// `None`.
 #[inline(always)]
 fn stream_block<const W: usize, const FAST: bool, I: ColIdx>(
     seg: &Segment,
     cols: &[I],
     vals: &[f32],
     b: &DenseMatrix<f32>,
-    off: usize,
     d: usize,
     dst: &mut [f32],
     pf: Option<(usize, usize)>,
@@ -417,9 +408,7 @@ fn stream_block<const W: usize, const FAST: bool, I: ColIdx>(
         }
         let v = vals[k];
         let row = b.row(cols[k].to_usize());
-        let blk: &[f32; W] = row[off + d..off + d + W]
-            .try_into()
-            .expect("block inside dense row");
+        let blk: &[f32; W] = row[d..d + W].try_into().expect("block inside dense row");
         for (a, &x) in acc.iter_mut().zip(blk) {
             if FAST {
                 *a = v.mul_add(x, *a);
@@ -431,17 +420,15 @@ fn stream_block<const W: usize, const FAST: bool, I: ColIdx>(
     dst[d..d + W].copy_from_slice(&acc);
 }
 
-/// Scalar remainder columns of a panel (`range` indexes `dst`; the
-/// source column is `off` further right). `pf` hints as in
-/// [`stream_block`], during the first column's sweep only.
-#[allow(clippy::too_many_arguments)]
+/// Scalar remainder columns of a panel (`range` indexes both `dst` and
+/// `B`'s rows). `pf` hints as in [`stream_block`], during the first
+/// column's sweep only.
 #[inline(always)]
 fn tail_columns<const FAST: bool, I: ColIdx>(
     seg: &Segment,
     cols: &[I],
     vals: &[f32],
     b: &DenseMatrix<f32>,
-    off: usize,
     range: std::ops::Range<usize>,
     dst: &mut [f32],
     mut pf: Option<(usize, usize)>,
@@ -453,7 +440,7 @@ fn tail_columns<const FAST: bool, I: ColIdx>(
             if let Some(window) = hint {
                 hint_ahead(cols, k, b, window);
             }
-            let x = b.row(cols[k].to_usize())[off + d];
+            let x = b.row(cols[k].to_usize())[d];
             if FAST {
                 s = vals[k].mul_add(x, s);
             } else {
@@ -481,12 +468,10 @@ pub(crate) fn gather_segment<I: ColIdx>(
     cols: &[I],
     vals: &[f32],
     b: &DenseMatrix<f32>,
-    off: usize,
     dst: &mut [f32],
 ) {
-    let dim = dst.len();
     let k = seg.nz_start;
-    let row = |i: usize| &b.row(cols[k + i].to_usize())[off..off + dim];
+    let row = |i: usize| b.row(cols[k + i].to_usize());
     match seg.len() {
         0 => dst.fill(0.0),
         1 => {
@@ -524,7 +509,7 @@ pub(crate) fn gather_segment<I: ColIdx>(
 }
 
 /// The streaming panel sweep shared by the exact kernel and its FastMath
-/// clones: sweeps the destination window in `rp.panel`-column panels;
+/// clones: sweeps the destination row in `rp.panel`-column panels;
 /// within a panel, wide-lane blocks at `rp.lanes`, then an 8/4/scalar
 /// cascade for the remainder. `inline(always)` so each
 /// `#[target_feature]` clone absorbs the whole cascade under its own
@@ -535,7 +520,6 @@ fn stream_segment_body<const FAST: bool, I: ColIdx>(
     cols: &[I],
     vals: &[f32],
     b: &DenseMatrix<f32>,
-    off: usize,
     dst: &mut [f32],
     rp: &ResolvedPath,
 ) {
@@ -546,23 +530,23 @@ fn stream_segment_body<const FAST: bool, I: ColIdx>(
         let p1 = (p0 + panel).min(dim);
         // The panel's first block, whichever width it is, hints the whole
         // panel window ahead; the later blocks find those lines in cache.
-        let mut pf = rp.prefetch.then_some((off + p0, off + p1));
+        let mut pf = rp.prefetch.then_some((p0, p1));
         let mut d = p0;
         if rp.lanes == LaneWidth::W16 {
             while d + 16 <= p1 {
-                stream_block::<16, FAST, _>(seg, cols, vals, b, off, d, dst, pf.take());
+                stream_block::<16, FAST, _>(seg, cols, vals, b, d, dst, pf.take());
                 d += 16;
             }
         }
         while d + 8 <= p1 {
-            stream_block::<8, FAST, _>(seg, cols, vals, b, off, d, dst, pf.take());
+            stream_block::<8, FAST, _>(seg, cols, vals, b, d, dst, pf.take());
             d += 8;
         }
         if d + 4 <= p1 {
-            stream_block::<4, FAST, _>(seg, cols, vals, b, off, d, dst, pf.take());
+            stream_block::<4, FAST, _>(seg, cols, vals, b, d, dst, pf.take());
             d += 4;
         }
-        tail_columns::<FAST, _>(seg, cols, vals, b, off, d..p1, dst, pf);
+        tail_columns::<FAST, _>(seg, cols, vals, b, d..p1, dst, pf);
         p0 = p1;
     }
 }
@@ -574,11 +558,10 @@ pub(crate) fn stream_segment<I: ColIdx>(
     cols: &[I],
     vals: &[f32],
     b: &DenseMatrix<f32>,
-    off: usize,
     dst: &mut [f32],
     rp: &ResolvedPath,
 ) {
-    stream_segment_body::<false, I>(seg, cols, vals, b, off, dst, rp);
+    stream_segment_body::<false, I>(seg, cols, vals, b, dst, rp);
 }
 
 /// FastMath streaming kernel: [`stream_segment_body`] with `mul_add`,
@@ -590,14 +573,13 @@ fn stream_segment_fast<I: ColIdx>(
     cols: &[I],
     vals: &[f32],
     b: &DenseMatrix<f32>,
-    off: usize,
     dst: &mut [f32],
     rp: &ResolvedPath,
 ) {
     #[cfg(target_arch = "x86_64")]
-    wide::stream_fast(seg, cols, vals, b, off, dst, rp);
+    wide::stream_fast(seg, cols, vals, b, dst, rp);
     #[cfg(not(target_arch = "x86_64"))]
-    stream_segment_body::<true, I>(seg, cols, vals, b, off, dst, rp);
+    stream_segment_body::<true, I>(seg, cols, vals, b, dst, rp);
 }
 
 /// How many non-zeros ahead of the one being accumulated the vectorized
@@ -639,46 +621,42 @@ pub(crate) fn vector_segment<I: ColIdx>(
     cols: &[I],
     vals: &[f32],
     b: &DenseMatrix<f32>,
-    off: usize,
     dst: &mut [f32],
     rp: &ResolvedPath,
 ) {
     if seg.len() <= GATHER_MAX_NNZ {
         if rp.prefetch {
             for k in seg.nz_start..seg.nz_end {
-                hint_ahead(cols, k, b, (off, off + dst.len()));
+                hint_ahead(cols, k, b, (0, dst.len()));
             }
         }
-        gather_segment(seg, cols, vals, b, off, dst);
+        gather_segment(seg, cols, vals, b, dst);
     } else if rp.fastmath {
-        stream_segment_fast(seg, cols, vals, b, off, dst, rp);
+        stream_segment_fast(seg, cols, vals, b, dst, rp);
     } else {
-        stream_segment(seg, cols, vals, b, off, dst, rp);
+        stream_segment(seg, cols, vals, b, dst, rp);
     }
 }
 
-/// Accumulates one segment into `dst`, overwriting it, through the
-/// resolved data path. `dst` covers output columns
-/// `[off, off + dst.len())` — full rows pass `off = 0`, the
-/// column-striped executor passes its stripe window. `cols32` is the
-/// packed `u32` index array when the prepared plan carries one.
+/// Accumulates one segment into the full output row `dst`, overwriting
+/// it, through the resolved data path. `cols32` is the packed `u32`
+/// index array when the prepared plan carries one.
 pub(crate) fn accumulate_segment_dispatch(
     rp: &ResolvedPath,
     seg: &Segment,
     a: &CsrMatrix<f32>,
     cols32: Option<&[u32]>,
     b: &DenseMatrix<f32>,
-    off: usize,
     dst: &mut [f32],
 ) {
     match rp.kind {
         PathKind::Scalar => {
-            accumulate_segment_scalar(seg, a.col_indices(), a.values(), b, off, dst);
+            accumulate_segment_scalar(seg, a.col_indices(), a.values(), b, dst);
         }
-        PathKind::Tiled => accumulate_segment_tiled(seg, a, b, off, dst),
+        PathKind::Tiled => accumulate_segment_tiled(seg, a, b, dst),
         PathKind::Vector => match cols32 {
-            Some(cols) => vector_segment(seg, cols, a.values(), b, off, dst, rp),
-            None => vector_segment(seg, a.col_indices(), a.values(), b, off, dst, rp),
+            Some(cols) => vector_segment(seg, cols, a.values(), b, dst, rp),
+            None => vector_segment(seg, a.col_indices(), a.values(), b, dst, rp),
         },
     }
 }
@@ -829,8 +807,8 @@ fn gemm_rows<const MR: usize>(
 
 /// The `#[target_feature]` clones of [`gemm_rows_body`] and
 /// [`stream_segment_body`], and the gather-prefetch hint. This is one of
-/// the three modules allowed out of the crate's `deny(unsafe_code)` (with
-/// [`crate::pool`] and [`crate::stripe`]): calling a
+/// the two modules allowed out of the crate's `deny(unsafe_code)` (with
+/// [`crate::pool`]): calling a
 /// `#[target_feature]` function is `unsafe` because executing it on a
 /// CPU without the feature is undefined behavior — here each call is
 /// gated on the matching `is_x86_feature_detected!` proof captured in
@@ -978,7 +956,6 @@ mod wide {
         cols: &[I],
         vals: &[f32],
         b: &DenseMatrix<f32>,
-        off: usize,
         dst: &mut [f32],
         rp: &ResolvedPath,
     ) {
@@ -986,12 +963,12 @@ mod wide {
             // SAFETY: `fastmath` is only set by `resolve_fast` after
             // `fastmath_supported` proved `fma` plus a non-Portable wide
             // ISA via `is_x86_feature_detected!` on this CPU.
-            WideIsa::Avx512f => unsafe { stream_avx512fma(seg, cols, vals, b, off, dst, rp) },
-            WideIsa::Avx2 => unsafe { stream_avx2fma(seg, cols, vals, b, off, dst, rp) },
+            WideIsa::Avx512f => unsafe { stream_avx512fma(seg, cols, vals, b, dst, rp) },
+            WideIsa::Avx2 => unsafe { stream_avx2fma(seg, cols, vals, b, dst, rp) },
             // Unreachable under `resolve_fast`'s gating; keep the exact
             // kernel as the safe fallback (a bare `mul_add` would be a
             // libm call here).
-            WideIsa::Portable => stream_segment_body::<false, I>(seg, cols, vals, b, off, dst, rp),
+            WideIsa::Portable => stream_segment_body::<false, I>(seg, cols, vals, b, dst, rp),
         }
     }
 
@@ -1002,11 +979,10 @@ mod wide {
         cols: &[I],
         vals: &[f32],
         b: &DenseMatrix<f32>,
-        off: usize,
         dst: &mut [f32],
         rp: &ResolvedPath,
     ) {
-        stream_segment_body::<true, I>(seg, cols, vals, b, off, dst, rp)
+        stream_segment_body::<true, I>(seg, cols, vals, b, dst, rp)
     }
 
     /// FastMath [`stream_segment_body`]: 512-bit codegen with FMA.
@@ -1016,11 +992,10 @@ mod wide {
         cols: &[I],
         vals: &[f32],
         b: &DenseMatrix<f32>,
-        off: usize,
         dst: &mut [f32],
         rp: &ResolvedPath,
     ) {
-        stream_segment_body::<true, I>(seg, cols, vals, b, off, dst, rp)
+        stream_segment_body::<true, I>(seg, cols, vals, b, dst, rp)
     }
 }
 
@@ -1253,7 +1228,7 @@ mod tests {
         dim: usize,
     ) -> Vec<f32> {
         let mut out = vec![0.0f32; dim];
-        accumulate_segment_scalar(s, a.col_indices(), a.values(), b, 0, &mut out);
+        accumulate_segment_scalar(s, a.col_indices(), a.values(), b, &mut out);
         out
     }
 
@@ -1290,19 +1265,19 @@ mod tests {
             for s in &segments {
                 let want = scalar_reference(s, &a, &b, dim);
                 let mut got = vec![f32::NAN; dim];
-                accumulate_segment_tiled(s, &a, &b, 0, &mut got);
+                accumulate_segment_tiled(s, &a, &b, &mut got);
                 assert_eq!(got, want, "tiled dim={dim} seg={s:?}");
                 for lanes in [LaneWidth::W8, LaneWidth::W16] {
                     for panel in [8usize, 16, 32, 1024] {
                         let rp = resolved(PathKind::Vector, lanes, panel);
                         got.fill(f32::NAN);
-                        vector_segment(s, a.col_indices(), a.values(), &b, 0, &mut got, &rp);
+                        vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
                         assert_eq!(
                             got, want,
                             "vector/usize dim={dim} lanes={lanes:?} panel={panel} seg={s:?}"
                         );
                         got.fill(f32::NAN);
-                        vector_segment(s, &cols32, a.values(), &b, 0, &mut got, &rp);
+                        vector_segment(s, &cols32, a.values(), &b, &mut got, &rp);
                         assert_eq!(
                             got, want,
                             "vector/u32 dim={dim} lanes={lanes:?} panel={panel} seg={s:?}"
@@ -1311,25 +1286,26 @@ mod tests {
                 }
                 if s.len() <= GATHER_MAX_NNZ {
                     got.fill(f32::NAN);
-                    gather_segment(s, a.col_indices(), a.values(), &b, 0, &mut got);
+                    gather_segment(s, a.col_indices(), a.values(), &b, &mut got);
                     assert_eq!(got, want, "gather dim={dim} seg={s:?}");
                 }
                 got.fill(f32::NAN);
                 let rp = resolved(PathKind::Vector, LaneWidth::W16, 16);
-                stream_segment(s, a.col_indices(), a.values(), &b, 0, &mut got, &rp);
+                stream_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
                 assert_eq!(got, want, "stream dim={dim} seg={s:?}");
             }
         }
     }
 
     /// Gather prefetch must never change a value: `vector_segment` with
-    /// the hints on and off, on both index types, full rows and `off > 0`
-    /// column windows, equals the scalar oracle exactly. The segments
-    /// include empty ones and ones that end at the matrix's last
-    /// non-zero, where `k + PREFETCH_DISTANCE` runs past the index array
-    /// and the hint index is clipped. This drives the prefetch `unsafe`
-    /// block at every window edge (lane-misaligned starts, single
-    /// columns, windows ending at the row's last column).
+    /// the hints on and off, on both index types and both lane widths,
+    /// equals the scalar oracle exactly. The segments include empty ones
+    /// and ones that end at the matrix's last non-zero, where
+    /// `k + PREFETCH_DISTANCE` runs past the index array and the hint
+    /// index is clipped. The narrow panel width hands the hint interior
+    /// panel windows, so this drives the prefetch `unsafe` block at
+    /// every window edge (lane-misaligned starts, single columns,
+    /// windows ending at the row's last column).
     #[test]
     fn prefetch_on_and_off_bit_match_scalar_oracle() {
         let a = random_matrix(64, 64, 300, 23);
@@ -1348,42 +1324,26 @@ mod tests {
         ];
         for dim in [1usize, 5, 16, 17, 33, 67, 128] {
             let b = random_dense(64, dim, 24);
-            let windows = [
-                (0, dim),
-                (dim / 2, dim),
-                (dim / 3, dim / 3 + 1),
-                (1.min(dim), dim),
-            ];
             for s in &segments {
-                for &(lo, hi) in &windows {
-                    let mut want = vec![0.0f32; hi - lo];
-                    accumulate_segment_scalar(s, a.col_indices(), a.values(), &b, lo, &mut want);
-                    for lanes in [LaneWidth::W8, LaneWidth::W16] {
-                        for panel in [8usize, 1024] {
-                            for prefetch in [false, true] {
-                                let rp = ResolvedPath {
-                                    prefetch,
-                                    ..resolved(PathKind::Vector, lanes, panel)
-                                };
-                                let ctx = format!(
-                                    "dim={dim} window={lo}..{hi} lanes={lanes:?} \
-                                     panel={panel} prefetch={prefetch} seg={s:?}"
-                                );
-                                let mut got = vec![f32::NAN; hi - lo];
-                                vector_segment(
-                                    s,
-                                    a.col_indices(),
-                                    a.values(),
-                                    &b,
-                                    lo,
-                                    &mut got,
-                                    &rp,
-                                );
-                                assert_eq!(got, want, "usize {ctx}");
-                                got.fill(f32::NAN);
-                                vector_segment(s, &cols32, a.values(), &b, lo, &mut got, &rp);
-                                assert_eq!(got, want, "u32 {ctx}");
-                            }
+                let mut want = vec![0.0f32; dim];
+                accumulate_segment_scalar(s, a.col_indices(), a.values(), &b, &mut want);
+                for lanes in [LaneWidth::W8, LaneWidth::W16] {
+                    for panel in [8usize, 1024] {
+                        for prefetch in [false, true] {
+                            let rp = ResolvedPath {
+                                prefetch,
+                                ..resolved(PathKind::Vector, lanes, panel)
+                            };
+                            let ctx = format!(
+                                "dim={dim} lanes={lanes:?} panel={panel} \
+                                 prefetch={prefetch} seg={s:?}"
+                            );
+                            let mut got = vec![f32::NAN; dim];
+                            vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
+                            assert_eq!(got, want, "usize {ctx}");
+                            got.fill(f32::NAN);
+                            vector_segment(s, &cols32, a.values(), &b, &mut got, &rp);
+                            assert_eq!(got, want, "u32 {ctx}");
                         }
                     }
                 }
@@ -1434,66 +1394,8 @@ mod tests {
         for s in [&short, &long] {
             let want = scalar_reference(s, &a, &b, 24);
             let mut got = vec![f32::NAN; 24];
-            vector_segment(s, a.col_indices(), a.values(), &b, 0, &mut got, &rp);
+            vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
             assert_eq!(got, want);
-        }
-    }
-
-    /// Running every kernel on a column window `[off, off + w)` must
-    /// reproduce exactly that slice of the full-row result — the
-    /// column-striped executor's kernel-level correctness condition.
-    #[test]
-    fn windowed_kernels_match_full_row_slices() {
-        let a = random_matrix(48, 48, 220, 31);
-        let cols32: Vec<u32> = a.col_indices().iter().map(|&c| c as u32).collect();
-        let row_end = a.row_ptr()[1];
-        let segments = [
-            seg(0, row_end),
-            seg(0, 0),
-            seg(2, 3),
-            seg(1, row_end - 1),
-            seg(3, 3 + GATHER_MAX_NNZ),
-        ];
-        for dim in [33usize, 67, 128] {
-            let b = random_dense(48, dim, 32);
-            // Window partitions including empty, single-column, and
-            // lane-misaligned interior windows.
-            let windows = [(0usize, dim), (0, dim / 2), (dim / 2, dim), (5, 6), (7, 7)];
-            for s in &segments {
-                let want = scalar_reference(s, &a, &b, dim);
-                for &(lo, hi) in &windows {
-                    let w = hi - lo;
-                    let mut got = vec![f32::NAN; w];
-                    got.fill(0.0);
-                    accumulate_segment_scalar(s, a.col_indices(), a.values(), &b, lo, &mut got);
-                    assert_eq!(got, want[lo..hi], "scalar window {lo}..{hi} dim={dim}");
-                    got.fill(0.0);
-                    accumulate_segment_tiled(s, &a, &b, lo, &mut got);
-                    assert_eq!(got, want[lo..hi], "tiled window {lo}..{hi} dim={dim}");
-                    if s.len() <= GATHER_MAX_NNZ {
-                        got.fill(0.0);
-                        gather_segment(s, a.col_indices(), a.values(), &b, lo, &mut got);
-                        assert_eq!(got, want[lo..hi], "gather window {lo}..{hi} dim={dim}");
-                    }
-                    for lanes in [LaneWidth::W8, LaneWidth::W16] {
-                        let rp = resolved(PathKind::Vector, lanes, 16);
-                        got.fill(0.0);
-                        vector_segment(s, a.col_indices(), a.values(), &b, lo, &mut got, &rp);
-                        assert_eq!(
-                            got,
-                            want[lo..hi],
-                            "vector/usize window {lo}..{hi} dim={dim} lanes={lanes:?}"
-                        );
-                        got.fill(0.0);
-                        vector_segment(s, &cols32, a.values(), &b, lo, &mut got, &rp);
-                        assert_eq!(
-                            got,
-                            want[lo..hi],
-                            "vector/u32 window {lo}..{hi} dim={dim} lanes={lanes:?}"
-                        );
-                    }
-                }
-            }
         }
     }
 
@@ -1527,7 +1429,7 @@ mod tests {
             let rp = DataPath::Vector.resolve_fast(64, dim, true);
             assert!(rp.fastmath);
             let mut got = vec![0.0f32; dim];
-            vector_segment(&s, a.col_indices(), a.values(), &b, 0, &mut got, &rp);
+            vector_segment(&s, a.col_indices(), a.values(), &b, &mut got, &rp);
             for (d, (&g, &w)) in got.iter().zip(&want).enumerate() {
                 let err = (g - w).abs();
                 let tol = 1e-5 * w.abs().max(1.0);

@@ -39,14 +39,11 @@
 //!   (kernel name, kernel configuration fingerprint, graph epoch, shape,
 //!   dense dimension) and reused across calls until the graph mutates.
 //!   Hit/miss counters are exposed via [`EngineStats`].
-//! * **Two schedules** ([`SchedPolicy`]): merge-path plans are
-//!   equal-work per logical thread by construction, so one contiguous
-//!   span of logical threads per worker is already balanced and needs no
-//!   runtime load balancing. Wide dense dimensions instead take the
-//!   column-striped executor ([`crate::stripe`]), which drops shared-row
-//!   folding altogether. [`SchedPolicy::Auto`] (the default) picks
-//!   between the two from the run's worker count, dense dimension, and
-//!   static span skew.
+//! * **One static schedule**: merge-path plans are equal-work per
+//!   logical thread by construction, so one contiguous span of logical
+//!   threads per worker is already balanced and needs no runtime load
+//!   balancing or second schedule, at any dense dimension. A run with
+//!   one effective worker executes inline on the caller.
 //! * **Buffer arena** ([`crate::arena`]): output, batch-interleave, and
 //!   shared-row scratch buffers are pooled per engine and checked out per
 //!   execution, so steady-state inference allocates nothing. Outputs
@@ -98,8 +95,7 @@ use crate::pool::{ScopedJob, WorkerPool};
 use crate::spgemm::SpgemmStrategy;
 use crate::spmm::{default_workers, SpmmKernel};
 use crate::stats::{SpgemmStats, WriteStats};
-use crate::stripe::run_striped;
-use crate::tuning::{GATHER_MAX_NNZ, STRIPE_MIN_DIM, STRIPE_SKEW_MIN_DIM, STRIPE_SKEW_THRESHOLD};
+use crate::tuning::GATHER_MAX_NNZ;
 
 /// Default bound on plans cached per engine. A single GNN inference
 /// workload touches a handful of (kernel, dim) combinations per graph
@@ -408,41 +404,12 @@ impl PreparedPlan {
         self.fused_ok.iter().filter(|&&f| f).count()
     }
 
-    /// Rows whose fused epilogue waits for the serial/stripe-local replay
-    /// phase — the column-striped executor applies these per stripe.
-    pub(crate) fn deferred_rows(&self) -> &[u32] {
-        &self.deferred_rows
-    }
-
     /// Non-zero skew (max/mean) of the static per-worker span partition
-    /// the engine would use for this plan at `workers` workers — the
-    /// signal [`SchedPolicy::Auto`] thresholds on.
+    /// the engine uses for this plan at `workers` workers — the
+    /// schedule's residual imbalance, reported by the reordering ablation.
     pub fn static_span_skew(&self, workers: usize) -> f64 {
         static_span_skew(&self.thread_nnz_ends, workers)
     }
-}
-
-/// How the engine maps a prepared plan onto its pool workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// One contiguous, equal-thread-count span per worker. Balanced for
-    /// merge-path plans, which are nnz-balanced per logical thread by
-    /// construction.
-    Static,
-    /// Column-striped execution ([`crate::stripe`]): each worker owns a
-    /// contiguous feature-column stripe of *all* rows and replays the
-    /// full plan walk over it — no shared rows, no strip folding, no
-    /// cross-worker carries, and output bit-identical to the sequential
-    /// oracle at any worker count. Pays an index re-stream per stripe,
-    /// so it only wins at wide dense dimensions.
-    ColumnStriped,
-    /// Per-run choice by input shape: column striping when the dense dimension is wide enough to
-    /// amortize its index re-stream ([`STRIPE_MIN_DIM`], or
-    /// [`STRIPE_SKEW_MIN_DIM`] when the static partition's nnz skew
-    /// ([`PreparedPlan::static_span_skew`]) also exceeds
-    /// [`STRIPE_SKEW_THRESHOLD`]); else the static path.
-    #[default]
-    Auto,
 }
 
 /// Snapshot of an engine's plan-cache and data-path counters.
@@ -473,10 +440,6 @@ pub struct EngineStats {
     /// Column panels executed by the engine's parallel dense GEMM
     /// ([`ExecEngine::gemm`]), cumulative over runs.
     pub gemm_panels: u64,
-    /// Column stripes executed by the column-striped scheduler
-    /// ([`SchedPolicy::ColumnStriped`] or a wide-dim `Auto` run),
-    /// cumulative over runs. Zero means no run so far striped.
-    pub stripes_executed: u64,
     /// Reduction-depth blocks executed by the engine's dense GEMM (the
     /// `k`-blocking that keeps the `B` panel L2-resident), cumulative
     /// over runs.
@@ -540,7 +503,6 @@ struct PlanKey {
 pub struct ExecEngine {
     pub(crate) workers: usize,
     pub(crate) data_path: DataPath,
-    pub(crate) sched_policy: SchedPolicy,
     /// FastMath opt-in (FMA contraction in the SpMM/GEMM kernels) —
     /// defaults to the `MPSPMM_FASTMATH` environment opt-in, i.e. off.
     pub(crate) fast_math: bool,
@@ -557,7 +519,6 @@ pub struct ExecEngine {
     gather: AtomicU64,
     stream: AtomicU64,
     pub(crate) gemm_panels: AtomicU64,
-    stripes_executed: AtomicU64,
     pub(crate) kblocks: AtomicU64,
     pub(crate) fastmath_runs: AtomicU64,
     fused_epilogues: AtomicU64,
@@ -614,7 +575,6 @@ impl ExecEngine {
         Self {
             workers,
             data_path,
-            sched_policy: SchedPolicy::default(),
             fast_math: env_fastmath(),
             plan_capacity,
             cache: Mutex::new(PlanCache::default()),
@@ -629,7 +589,6 @@ impl ExecEngine {
             gather: AtomicU64::new(0),
             stream: AtomicU64::new(0),
             gemm_panels: AtomicU64::new(0),
-            stripes_executed: AtomicU64::new(0),
             kblocks: AtomicU64::new(0),
             fastmath_runs: AtomicU64::new(0),
             fused_epilogues: AtomicU64::new(0),
@@ -642,20 +601,6 @@ impl ExecEngine {
             spgemm_symbolic_ns: AtomicU64::new(0),
             spgemm_numeric_ns: AtomicU64::new(0),
         }
-    }
-
-    /// An engine pinned to a specific [`SchedPolicy`] — benchmarks and
-    /// tests compare the static and column-striped schedulers on one
-    /// binary; everything else should keep the [`SchedPolicy::Auto`]
-    /// default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn with_sched_policy(workers: usize, data_path: DataPath, policy: SchedPolicy) -> Self {
-        let mut engine = Self::with_data_path(workers, data_path);
-        engine.sched_policy = policy;
-        engine
     }
 
     /// Opts this engine into (or out of) **FastMath**: FMA contraction
@@ -686,34 +631,6 @@ impl ExecEngine {
     /// The inner data path this engine executes segments through.
     pub fn data_path(&self) -> DataPath {
         self.data_path
-    }
-
-    /// The scheduling policy this engine maps plans to workers with.
-    pub fn sched_policy(&self) -> SchedPolicy {
-        self.sched_policy
-    }
-
-    /// Whether a run of `prep` at dense dimension `dim` would take the
-    /// column-striped scheduler — the [`SchedPolicy::Auto`] decision,
-    /// exposed so benchmarks and tests can assert on the policy choice.
-    /// `Auto` stripes unconditionally at [`STRIPE_MIN_DIM`] columns, and
-    /// already at [`STRIPE_SKEW_MIN_DIM`] when the static partition is
-    /// skewed (striping fixes the skew *and* the serial tail). Striping
-    /// needs at least two workers, but any plan shape qualifies.
-    pub fn selects_striping(&self, prep: &PreparedPlan, dim: usize) -> bool {
-        let eff_workers = self.workers.min(prep.plan.threads.len());
-        if eff_workers <= 1 || dim == 0 {
-            return false;
-        }
-        match self.sched_policy {
-            SchedPolicy::Static => false,
-            SchedPolicy::ColumnStriped => true,
-            SchedPolicy::Auto => {
-                dim >= STRIPE_MIN_DIM
-                    || (dim >= STRIPE_SKEW_MIN_DIM
-                        && prep.static_span_skew(eff_workers) > STRIPE_SKEW_THRESHOLD)
-            }
-        }
     }
 
     /// The process-wide engine, sized by [`default_workers`] (which honors
@@ -1108,7 +1025,6 @@ impl ExecEngine {
             arena_reuses: self.arena.reuses(),
             arena_misses: self.arena.misses(),
             gemm_panels: self.gemm_panels.load(Ordering::Relaxed),
-            stripes_executed: self.stripes_executed.load(Ordering::Relaxed),
             kblocks: self.kblocks.load(Ordering::Relaxed),
             fastmath_runs: self.fastmath_runs.load(Ordering::Relaxed),
             fused_epilogues: self.fused_epilogues.load(Ordering::Relaxed),
@@ -1166,7 +1082,6 @@ impl ExecEngine {
         self.gather.store(0, Ordering::Relaxed);
         self.stream.store(0, Ordering::Relaxed);
         self.gemm_panels.store(0, Ordering::Relaxed);
-        self.stripes_executed.store(0, Ordering::Relaxed);
         self.kblocks.store(0, Ordering::Relaxed);
         self.fastmath_runs.store(0, Ordering::Relaxed);
         self.fused_epilogues.store(0, Ordering::Relaxed);
@@ -1222,38 +1137,9 @@ impl ExecEngine {
         }
         let cols32 = prep.cols32.as_ref().map(AlignedVec::as_slice);
         let eff_workers = self.workers.min(logical);
-        let use_striping = self.selects_striping(prep, dim);
         let mut out = self.arena.take_zeroed(rows * dim);
-        // The striped path applies the deferred epilogue share per
-        // stripe; every other path leaves it to the pass below.
-        let mut epilogue_done = false;
         if eff_workers <= 1 {
             run_inline(prep, a, b, dim, &rp, cols32, epi, &mut out);
-        } else if use_striping {
-            // Hardware clamp: every stripe re-walks the full index/value
-            // stream, so stripes beyond the machine's actual parallelism
-            // are pure re-walk overhead with nobody to run them. An
-            // engine configured with more workers than
-            // [`crate::default_workers`] reports (the pool serializes
-            // them anyway) stripes only as wide as the hardware; at one
-            // hardware thread that is a single full-width stripe — still
-            // the right wide-dim path, because it skips the pooled
-            // executor's strip folding and serial carry replay.
-            let stripe_workers = eff_workers.min(crate::spmm::default_workers()).max(1);
-            let stripes = run_striped(
-                prep,
-                a,
-                b,
-                dim,
-                stripe_workers,
-                &rp,
-                cols32,
-                epi,
-                &self.arena,
-                &mut out,
-            );
-            self.stripes_executed.fetch_add(stripes, Ordering::Relaxed);
-            epilogue_done = true;
         } else {
             run_pooled(
                 prep,
@@ -1270,9 +1156,8 @@ impl ExecEngine {
         }
         // Serial-replay epilogue: rows not finalized at store time
         // (shared, carry-receiving, untouched) hold their final SpMM
-        // value only now — apply the epilogue exactly once per row here
-        // (the striped path already did, stripe by stripe).
-        if fuse && !epilogue_done {
+        // value only now — apply the epilogue exactly once per row here.
+        if fuse {
             for &row in &prep.deferred_rows {
                 epi.apply_row(&mut out[row as usize * dim..][..dim]);
             }
@@ -1480,19 +1365,19 @@ fn run_inline(
             match seg.flush {
                 Flush::Regular => {
                     let dst = &mut out[seg.row * dim..][..dim];
-                    accumulate_segment_dispatch(rp, seg, a, cols32, b, 0, dst);
+                    accumulate_segment_dispatch(rp, seg, a, cols32, b, dst);
                     if fuse && prep.fused_ok[seg.row] {
                         epi.apply_row(dst);
                     }
                 }
                 Flush::Atomic => {
-                    accumulate_segment_dispatch(rp, seg, a, cols32, b, 0, &mut acc);
+                    accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
                     for (dst, &v) in out[seg.row * dim..][..dim].iter_mut().zip(&acc) {
                         *dst += v;
                     }
                 }
                 Flush::Carry => {
-                    accumulate_segment_dispatch(rp, seg, a, cols32, b, 0, &mut acc);
+                    accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
                     carry_rows.push(seg.row);
                     carry_data.extend_from_slice(&acc);
                 }
@@ -1719,13 +1604,13 @@ fn run_pooled(
                             Flush::Regular => match prep.row_kind[seg.row] {
                                 RowKind::Direct { .. } => {
                                     let dst = router.row_mut(seg.row, dim);
-                                    accumulate_segment_dispatch(rp, seg, a, cols32, b, 0, dst);
+                                    accumulate_segment_dispatch(rp, seg, a, cols32, b, dst);
                                     if fuse && prep.fused_ok[seg.row] {
                                         epi.apply_row(dst);
                                     }
                                 }
                                 RowKind::Shared { side: slot } => {
-                                    accumulate_segment_dispatch(rp, seg, a, cols32, b, 0, &mut acc);
+                                    accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
                                     let base = (slot as usize - slot_base) * dim;
                                     for (dst, &v) in strip[base..base + dim].iter_mut().zip(&acc) {
                                         *dst += v;
@@ -1739,14 +1624,14 @@ fn run_pooled(
                                 let RowKind::Shared { side: slot } = prep.row_kind[seg.row] else {
                                     unreachable!("atomic update classifies its row as shared")
                                 };
-                                accumulate_segment_dispatch(rp, seg, a, cols32, b, 0, &mut acc);
+                                accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
                                 let base = (slot as usize - slot_base) * dim;
                                 for (dst, &v) in strip[base..base + dim].iter_mut().zip(&acc) {
                                     *dst += v;
                                 }
                             }
                             Flush::Carry => {
-                                accumulate_segment_dispatch(rp, seg, a, cols32, b, 0, &mut acc);
+                                accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
                                 carry_keys.push((t, s, seg.row));
                                 carry_data.extend_from_slice(&acc);
                             }
@@ -2264,8 +2149,7 @@ mod tests {
         // epilogue lands on exactly the values the unfused run returns.
         let prep = PreparedPlan::for_matrix(p, &a);
         for workers in [1usize, 4] {
-            let engine =
-                ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Static);
+            let engine = ExecEngine::new(workers);
             for epi in &epis {
                 let want = unfused_then_apply(&engine, &prep, &a, &b, epi);
                 let (got, _) = engine.execute_prepared_fused(&prep, &a, &b, epi).unwrap();
@@ -2372,87 +2256,12 @@ mod tests {
         assert_eq!(engine.stats().hit_rate(), 0.0);
     }
 
-    #[test]
-    fn column_striped_policy_is_bit_identical_to_sequential() {
-        let a = crate::spmm::test_support::random_matrix(64, 64, 400, 11);
-        for dim in [128usize, 256] {
-            let b = crate::spmm::test_support::random_dense(64, dim, 12);
-            let p = crate::MergePathSpmm::with_threads(13).plan(&a, dim);
-            let (seq, _) = execute_sequential(&p, &a, &b).unwrap();
-            let prep = PreparedPlan::for_matrix(p, &a);
-            for workers in [2usize, 4, 16] {
-                let engine = ExecEngine::with_sched_policy(
-                    workers,
-                    DataPath::Auto,
-                    SchedPolicy::ColumnStriped,
-                );
-                assert!(engine.selects_striping(&prep, dim));
-                let (out, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
-                // Each stripe replays the full (thread, segment) walk over
-                // its own column window, so per-column addition order is
-                // exactly the sequential executor's — equality is exact at
-                // any worker count.
-                assert_eq!(
-                    out.max_abs_diff(&seq).unwrap(),
-                    0.0,
-                    "dim={dim} workers={workers}"
-                );
-                let stats = engine.stats();
-                // Lane-aligned bounds can cap the stripe count below the
-                // worker count (128 columns at 16 lanes is at most 8
-                // stripes) and the hardware clamp caps it at the
-                // machine's real parallelism (a 1-core CI box runs one
-                // full-width stripe) — but a striped run always reports
-                // at least one stripe. Fixed multi-stripe splits are
-                // exercised bit-exactly by the `stripe` module's own
-                // tests, which bypass the clamp.
-                assert!(
-                    stats.stripes_executed >= 1,
-                    "dim={dim} workers={workers}: run was striped"
-                );
-                engine.clear_cache();
-                assert_eq!(engine.stats().stripes_executed, 0, "reset clears counter");
-            }
-        }
-    }
-
-    #[test]
-    fn auto_policy_stripes_wide_dims_and_skewed_mid_dims() {
-        let a = crate::spmm::test_support::random_matrix(64, 256, 600, 5);
-        let engine = ExecEngine::new(4);
-        // Balanced merge-path plan: striping turns on at STRIPE_MIN_DIM
-        // and not a column earlier.
-        let mp = PreparedPlan::for_matrix(crate::MergePathSpmm::with_threads(16).plan(&a, 8), &a);
-        assert!(!engine.selects_striping(&mp, STRIPE_MIN_DIM - 1));
-        assert!(engine.selects_striping(&mp, STRIPE_MIN_DIM));
-        assert!(!engine.selects_striping(&mp, 0));
-        // Skewed row-split plan: the skew lowers the threshold to
-        // STRIPE_SKEW_MIN_DIM (striping fixes the imbalance *and* removes
-        // the serial carry tail).
-        let rs = PreparedPlan::for_matrix(crate::RowSplitSpmm::with_threads(64).plan(&a, 8), &a);
-        assert!(rs.static_span_skew(4) > STRIPE_SKEW_THRESHOLD);
-        assert!(engine.selects_striping(&rs, STRIPE_SKEW_MIN_DIM));
-        assert!(!engine.selects_striping(&rs, STRIPE_SKEW_MIN_DIM - 1));
-        // Pinned policies override Auto's dim inspection.
-        let pinned = ExecEngine::with_sched_policy(4, DataPath::Auto, SchedPolicy::Static);
-        assert!(!pinned.selects_striping(&mp, 512));
-        // One worker never stripes.
-        assert!(!ExecEngine::new(1).selects_striping(&mp, 512));
-        // And an Auto engine actually routes a wide run through stripes.
-        let b = crate::spmm::test_support::random_dense(256, STRIPE_MIN_DIM, 6);
-        let p = crate::MergePathSpmm::with_threads(16).plan(&a, STRIPE_MIN_DIM);
-        let (seq, _) = execute_sequential(&p, &a, &b).unwrap();
-        let (out, _) = engine.execute_prepared(&mp, &a, &b).unwrap();
-        assert!(engine.stats().stripes_executed > 0, "auto run striped");
-        assert_eq!(out.max_abs_diff(&seq).unwrap(), 0.0);
-    }
-
     /// Engine-level check of the gather prefetch: with `B` past the
-    /// prefetch gate the vectorized path hints ahead on the inline,
-    /// pooled and striped walks, and every one of them still equals its
-    /// unhinted reference exactly — the scalar path at the same worker
-    /// count (same plan, same shared-row fold) and, for the inline and
-    /// striped walks, the sequential executor.
+    /// prefetch gate the vectorized path hints ahead on the inline and
+    /// pooled walks, and each still equals its unhinted reference
+    /// exactly — the scalar path at the same worker count (same plan,
+    /// same shared-row fold) and, for the inline walk, the sequential
+    /// executor.
     #[test]
     fn prefetching_paths_equal_their_unhinted_references() {
         let rows = 9000;
@@ -2464,14 +2273,14 @@ mod tests {
             let prep = PreparedPlan::for_matrix(p, &a);
             assert!(DataPath::Vector.resolve(rows, dim).prefetch, "dim={dim}");
             for workers in [1usize, 2, 3] {
-                let run = |path, policy| {
-                    ExecEngine::with_sched_policy(workers, path, policy)
+                let run = |path| {
+                    ExecEngine::with_data_path(workers, path)
                         .execute_prepared(&prep, &a, &b)
                         .unwrap()
                         .0
                 };
-                let hinted = run(DataPath::Vector, SchedPolicy::Static);
-                let oracle = run(DataPath::Scalar, SchedPolicy::Static);
+                let hinted = run(DataPath::Vector);
+                let oracle = run(DataPath::Scalar);
                 assert_eq!(
                     hinted.as_slice(),
                     oracle.as_slice(),
@@ -2480,35 +2289,7 @@ mod tests {
                 if workers == 1 {
                     assert_eq!(hinted.as_slice(), seq.as_slice(), "dim={dim} inline");
                 }
-                let striped = run(DataPath::Vector, SchedPolicy::ColumnStriped);
-                assert_eq!(
-                    striped.as_slice(),
-                    seq.as_slice(),
-                    "dim={dim} w={workers} striped"
-                );
             }
-        }
-    }
-
-    #[test]
-    fn striped_fused_epilogue_is_bit_identical_to_unfused_composition() {
-        let a = crate::spmm::test_support::random_matrix(48, 48, 300, 31);
-        let dim = 128usize;
-        let b = crate::spmm::test_support::random_dense(48, dim, 32);
-        let p = crate::MergePathSpmm::with_threads(11).plan(&a, dim);
-        let bias: Vec<f32> = (0..dim).map(|j| (j as f32) * 0.25 - 2.0).collect();
-        let engine = ExecEngine::with_sched_policy(4, DataPath::Auto, SchedPolicy::ColumnStriped);
-        let prep = PreparedPlan::for_matrix(p, &a);
-        for epi in [
-            Epilogue::Relu,
-            Epilogue::Bias(bias.clone()),
-            Epilogue::BiasRelu(bias),
-        ] {
-            let want = unfused_then_apply(&engine, &prep, &a, &b, &epi);
-            let (got, _) = engine.execute_prepared_fused(&prep, &a, &b, &epi).unwrap();
-            // Stripe-local stores, carries, deferred rows and epilogue all
-            // preserve the sequential order per column window.
-            assert_eq!(got.max_abs_diff(&want).unwrap(), 0.0, "epi={epi:?}");
         }
     }
 

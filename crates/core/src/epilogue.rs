@@ -78,17 +78,6 @@ impl Epilogue {
     /// `dst.len()` must equal the validated `dim`.
     #[inline]
     pub fn apply_row(&self, dst: &mut [f32]) {
-        self.apply_cols(dst, 0);
-    }
-
-    /// Applies the epilogue to the column window `[col0, col0 + dst.len())`
-    /// of one finalized output row: `dst` is the window's slice and the
-    /// bias (when present) is read starting at `col0`. This is the
-    /// column-striped executor's store-stage form — each stripe finalizes
-    /// only its own columns, so it must also epilogue only those columns.
-    /// `col0 + dst.len()` must not exceed the validated `dim`.
-    #[inline]
-    pub fn apply_cols(&self, dst: &mut [f32], col0: usize) {
         match self {
             Epilogue::None => {}
             Epilogue::Relu => {
@@ -100,12 +89,12 @@ impl Epilogue {
                 }
             }
             Epilogue::Bias(bias) => {
-                for (v, &b) in dst.iter_mut().zip(&bias[col0..]) {
+                for (v, &b) in dst.iter_mut().zip(bias) {
                     *v += b;
                 }
             }
             Epilogue::BiasRelu(bias) => {
-                for (v, &b) in dst.iter_mut().zip(&bias[col0..]) {
+                for (v, &b) in dst.iter_mut().zip(bias) {
                     let x = *v + b;
                     *v = if x < 0.0 { 0.0 } else { x };
                 }
@@ -144,30 +133,6 @@ mod tests {
         let mut b = [0.0f32, 1.0, -1.0];
         Epilogue::BiasRelu(bias).apply_row(&mut b);
         assert_eq!(b, [1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn windowed_apply_matches_full_row() {
-        // Applying per column window (any partition) must equal one
-        // full-row apply — the striped executor's correctness condition.
-        let bias = vec![1.0f32, -2.0, 0.5, 3.0, -0.25];
-        for epi in [
-            Epilogue::None,
-            Epilogue::Relu,
-            Epilogue::Bias(bias.clone()),
-            Epilogue::BiasRelu(bias.clone()),
-        ] {
-            let row = [-1.5f32, 1.0, -0.75, -3.0, 0.5];
-            let mut full = row;
-            epi.apply_row(&mut full);
-            for split in 0..=row.len() {
-                let mut windows = row;
-                let (lo, hi) = windows.split_at_mut(split);
-                epi.apply_cols(lo, 0);
-                epi.apply_cols(hi, split);
-                assert_eq!(windows, full, "split at {split}");
-            }
-        }
     }
 
     #[test]

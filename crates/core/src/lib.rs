@@ -40,11 +40,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid`: exactly three modules opt back in — the
+// `deny` rather than `forbid`: exactly two modules opt back in — the
 // worker pool (`pool.rs`), for one lifetime-erasure transmute with a
-// documented completion-barrier argument; the column-striped executor
-// (`stripe.rs`), for the raw-pointer output view whose column-window
-// disjointness argument is documented there; and the wide-ISA kernel
+// documented completion-barrier argument; and the wide-ISA kernel
 // clones (`datapath::wide`), whose `#[target_feature]` calls are gated
 // on the matching runtime CPU-feature proof. Everything else stays safe.
 #![deny(unsafe_code)]
@@ -65,14 +63,12 @@ pub mod spgemm;
 pub mod spmm;
 pub mod spmv;
 mod stats;
-mod stripe;
 pub mod tuning;
 
 pub use batch::BatchShapeClass;
 pub use datapath::{fastmath_supported, DataPath, LaneWidth, WideIsa};
 pub use engine::{
-    EngineStats, ExecEngine, PreparedPlan, SchedPolicy, BATCH_PLAN_SLOTS,
-    DEFAULT_PLAN_CACHE_CAPACITY,
+    EngineStats, ExecEngine, PreparedPlan, BATCH_PLAN_SLOTS, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use epilogue::Epilogue;
 pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};
@@ -90,9 +86,8 @@ pub use spmm::{
 };
 pub use stats::{SpgemmStats, WriteStats};
 pub use tuning::{
-    default_cost_for_dim, gemm_kc, panel_cols, stripe_panel_cols, thread_count, CacheModel,
-    SimdMapping, GATHER_MAX_NNZ, GEMM_BAND_ROWS, GEMM_MR, GPU_SIMD_LANES, MIN_THREADS,
-    PAR_APPLY_MIN_LEN, SPGEMM_CHUNKS_PER_WORKER, SPGEMM_DENSE_FILL_DIV, SPGEMM_HASH_MIN_SLOTS,
-    SPGEMM_MERGE_MAX_WAYS, SPGEMM_MERGE_SCAN_MAX_WAYS, STRIPE_MIN_DIM, STRIPE_SKEW_MIN_DIM,
-    STRIPE_SKEW_THRESHOLD,
+    default_cost_for_dim, gemm_kc, panel_cols, thread_count, CacheModel, SimdMapping,
+    GATHER_MAX_NNZ, GEMM_BAND_ROWS, GEMM_MR, GPU_SIMD_LANES, MIN_THREADS, PAR_APPLY_MIN_LEN,
+    SPGEMM_CHUNKS_PER_WORKER, SPGEMM_DENSE_FILL_DIV, SPGEMM_HASH_MIN_SLOTS, SPGEMM_MERGE_MAX_WAYS,
+    SPGEMM_MERGE_SCAN_MAX_WAYS,
 };

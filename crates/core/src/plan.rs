@@ -28,10 +28,7 @@ pub enum Flush {
     /// The thread only computes a local running total ("carry"); the
     /// dimension-wide addition into the output row happens in a **serial
     /// phase** after all threads finish — the merge-path SpMV fix-up
-    /// generalized to SpMM (the Figure 2 "merge-path" baseline). The
-    /// column-striped executor instead replays carries *per stripe*,
-    /// inside the parallel phase: each stripe owns its column window, so
-    /// the replay needs no cross-worker ordering at all.
+    /// generalized to SpMM (the Figure 2 "merge-path" baseline).
     Carry,
 }
 
@@ -348,11 +345,11 @@ pub fn chunk_threads(thread_nnz_ends: &[usize], target: usize) -> Vec<ChunkDesc>
 /// spans are the `ceil(threads / workers)`-sized contiguous logical-thread
 /// blocks of the static scheduler.
 ///
-/// This is the signal [`crate::SchedPolicy::Auto`] thresholds on when it
-/// decides whether a mid-width run stripes: merge-path plans are
-/// nnz-balanced per *logical thread*, so their static spans stay near
-/// 1.0, while row-split plans on power-law graphs can concentrate hub
-/// rows into one span and push the skew far above it. Returns 1.0 (no
+/// This is the static schedule's residual imbalance, which the
+/// reordering ablation reports: merge-path plans are nnz-balanced per
+/// *logical thread*, so their static spans stay near 1.0, while
+/// row-split plans on power-law graphs can concentrate hub rows into
+/// one span and push the skew far above it. Returns 1.0 (no
 /// skew) for degenerate inputs (≤ 1 worker, no threads, no non-zeros).
 pub fn static_span_skew(thread_nnz_ends: &[usize], workers: usize) -> f64 {
     let threads = thread_nnz_ends.len();

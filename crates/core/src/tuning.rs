@@ -28,31 +28,6 @@ pub const GATHER_MAX_NNZ: usize = 4;
 /// traffic stays negligible next to a chunk's arithmetic.
 pub const SPGEMM_CHUNKS_PER_WORKER: usize = 6;
 
-/// Static-span nnz skew (max/mean, see
-/// [`static_span_skew`](crate::static_span_skew)) above which
-/// [`SchedPolicy::Auto`](crate::SchedPolicy) already stripes at
-/// [`STRIPE_SKEW_MIN_DIM`] columns instead of waiting for
-/// [`STRIPE_MIN_DIM`]. Merge-path plans sit at ~1.0–1.13; clustered
-/// row-split plans on power-law graphs exceed this by multiples.
-pub const STRIPE_SKEW_THRESHOLD: f64 = 1.25;
-
-/// Dense dimension at or above which [`SchedPolicy::Auto`](crate::SchedPolicy)
-/// unconditionally selects the column-striped executor: each worker owns a
-/// contiguous feature-column stripe of *all* rows, so shared-row handling
-/// (atomics, carries, strip folding) disappears entirely. Below this the
-/// redundant per-stripe index walk is not paid for by the dense-axis work;
-/// at 128+ columns each non-zero funds ≥ 256 flops per stripe and the
-/// stripe path wins on every measured shape.
-pub const STRIPE_MIN_DIM: usize = 128;
-
-/// Dense dimension from which [`SchedPolicy::Auto`](crate::SchedPolicy)
-/// selects column striping when the static partition is *also* skewed
-/// (`static_span_skew` above [`STRIPE_SKEW_THRESHOLD`]): striping fixes the
-/// imbalance bit-exactly — every worker walks the same non-zeros — and
-/// drops the static scheduler's strip fold and carry replay, whose cost
-/// scales with the dense dimension.
-pub const STRIPE_SKEW_MIN_DIM: usize = 96;
-
 /// Register-tile height of the engine's dense GEMM microkernel: this
 /// many `A` rows share every loaded `B` row panel, so each `B` element
 /// feeds `GEMM_MR` fused multiply-adds instead of one. Four rows ×
@@ -146,25 +121,6 @@ const PANEL_RESIDENT_ROWS: usize = 8;
 pub fn panel_cols(dim: usize, lanes: usize, model: &CacheModel) -> usize {
     assert!(lanes > 0, "lane width must be positive");
     let budget = model.l1_bytes / 2;
-    let raw = budget / (PANEL_RESIDENT_ROWS * std::mem::size_of::<f32>());
-    let aligned = (raw / lanes).max(1) * lanes;
-    aligned.min(dim.next_multiple_of(lanes).max(lanes))
-}
-
-/// Column-stripe width bound (in f32 columns) for the column-striped
-/// executor: the widest stripe whose working set — [`PANEL_RESIDENT_ROWS`]
-/// gathered `B` row windows plus the stripe accumulator — stays resident
-/// in half of L2 (the other half absorbs the streamed index/value arrays
-/// shared by every stripe). Same shape as [`panel_cols`] one cache level
-/// up; like it, the result is lane-aligned and clamped to cover `dim` in
-/// one stripe when `dim` already fits.
-///
-/// # Panics
-///
-/// Panics if `lanes == 0`.
-pub fn stripe_panel_cols(dim: usize, lanes: usize, model: &CacheModel) -> usize {
-    assert!(lanes > 0, "lane width must be positive");
-    let budget = model.l2_bytes / 2;
     let raw = budget / (PANEL_RESIDENT_ROWS * std::mem::size_of::<f32>());
     let aligned = (raw / lanes).max(1) * lanes;
     aligned.min(dim.next_multiple_of(lanes).max(lanes))
@@ -459,13 +415,6 @@ mod tests {
         assert!(past_l1 > 8192);
         assert_eq!(panel_cols(past_l1, 16, &m), 512);
         assert_eq!(panel_cols(2 * past_l1, 8, &m), 512);
-        // The L2 stripe bound follows the same model one level up:
-        // 512 KiB budget / (8 rows × 4 B) = 16384 columns.
-        assert_eq!(stripe_panel_cols(1 << 20, 16, &m), 16384);
-        // GNN-sized dims fit in a single stripe, lane-rounded.
-        assert_eq!(stripe_panel_cols(512, 16, &m), 512);
-        assert_eq!(stripe_panel_cols(96, 32, &m), 96);
-        assert_eq!(stripe_panel_cols(20, 16, &m), 32);
     }
 
     #[test]

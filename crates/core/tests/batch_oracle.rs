@@ -6,12 +6,11 @@
 //! back out — to running every constituent through
 //! [`execute_sequential`] separately. Row-aligned plans never split a
 //! row across threads, so every output row is one flat fold whatever
-//! the data path, scheduling policy, or worker count.
+//! the data path or worker count.
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    default_workers, BatchMergeSpmm, DataPath, ExecEngine, PreparedPlan, SchedPolicy, SerialSpmm,
-    SpmmKernel,
+    default_workers, BatchMergeSpmm, DataPath, ExecEngine, PreparedPlan, SerialSpmm, SpmmKernel,
 };
 use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
@@ -80,26 +79,19 @@ proptest! {
             .map(|(g, x)| sequential_reference(g, x, dim))
             .collect();
         for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
-            for policy in [
-                SchedPolicy::Static,
-                SchedPolicy::ColumnStriped,
-                SchedPolicy::Auto,
-            ] {
-                for &workers in &[1usize, 2, 8] {
-                    let engine = ExecEngine::with_sched_policy(workers, path, policy)
-                        .with_fast_math(false);
-                    let (out, _) = engine
-                        .execute_prepared(&prep, pack.matrix(), &stacked)
-                        .unwrap();
-                    for (i, want) in wants.iter().enumerate() {
-                        let band = pack.scatter_block(&out, i);
-                        prop_assert_eq!(
-                            band.max_abs_diff(want).unwrap(),
-                            0.0,
-                            "graph {} path={:?} policy={:?} workers={}",
-                            i, path, policy, workers
-                        );
-                    }
+            for &workers in &[1usize, 2, 8] {
+                let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+                let (out, _) = engine
+                    .execute_prepared(&prep, pack.matrix(), &stacked)
+                    .unwrap();
+                for (i, want) in wants.iter().enumerate() {
+                    let band = pack.scatter_block(&out, i);
+                    prop_assert_eq!(
+                        band.max_abs_diff(want).unwrap(),
+                        0.0,
+                        "graph {} path={:?} workers={}",
+                        i, path, workers
+                    );
                 }
             }
         }
@@ -155,8 +147,7 @@ fn single_graph_and_all_empty_batches_round_trip() {
 /// The tier-1 matrix leg: at the resolved worker count (honouring
 /// `MPSPMM_WORKERS`, swept over 1/2/8 by `scripts/tier1.sh`) a packed
 /// batch with an adversarial mix — an evil heavy graph next to empty and
-/// single-edge graphs — stays bit-identical to the per-graph oracle
-/// under every scheduling policy.
+/// single-edge graphs — stays bit-identical to the per-graph oracle.
 #[test]
 fn resolved_worker_count_packed_batch_bit_matches_oracle() {
     let workers = default_workers();
@@ -180,23 +171,16 @@ fn resolved_worker_count_packed_batch_bit_matches_oracle() {
         BatchMergeSpmm::new().plan(pack.matrix(), dim),
         pack.matrix(),
     );
-    for policy in [
-        SchedPolicy::Static,
-        SchedPolicy::ColumnStriped,
-        SchedPolicy::Auto,
-    ] {
-        let engine =
-            ExecEngine::with_sched_policy(workers, DataPath::Auto, policy).with_fast_math(false);
-        let (out, _) = engine
-            .execute_prepared(&prep, pack.matrix(), &stacked)
-            .unwrap();
-        for (i, (g, x)) in graphs.iter().zip(&feats).enumerate() {
-            let want = sequential_reference(g, x, dim);
-            assert_eq!(
-                pack.scatter_block(&out, i).max_abs_diff(&want).unwrap(),
-                0.0,
-                "graph {i} policy={policy:?} workers={workers}"
-            );
-        }
+    let engine = ExecEngine::new(workers).with_fast_math(false);
+    let (out, _) = engine
+        .execute_prepared(&prep, pack.matrix(), &stacked)
+        .unwrap();
+    for (i, (g, x)) in graphs.iter().zip(&feats).enumerate() {
+        let want = sequential_reference(g, x, dim);
+        assert_eq!(
+            pack.scatter_block(&out, i).max_abs_diff(&want).unwrap(),
+            0.0,
+            "graph {i} workers={workers}"
+        );
     }
 }

@@ -7,8 +7,8 @@
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    DataPath, Epilogue, ExecEngine, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm,
-    PreparedPlan, RowSplitSpmm, SchedPolicy, SpmmKernel,
+    DataPath, ExecEngine, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm, PreparedPlan,
+    RowSplitSpmm, SpmmKernel,
 };
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
@@ -150,58 +150,6 @@ proptest! {
                     path,
                     dim
                 );
-            }
-        }
-    }
-
-    /// The wide-dimension data path: at dims 128–512 both the pinned
-    /// `ColumnStriped` policy and `Auto` (which stripes at these dims)
-    /// must stay **bit-identical** to the sequential oracle at every
-    /// worker count — each stripe replays the full (thread, segment)
-    /// walk over its own column window, so per-column addition order is
-    /// the oracle's. FastMath stays off (the exact default), and the
-    /// fused epilogue forms must equal oracle-then-apply exactly too.
-    #[test]
-    fn column_striped_wide_dims_bit_match_oracle(
-        rows in 2usize..32,
-        fill in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let nnz = (rows * fill).min(rows * rows);
-        for &dim in &[128usize, 256, 512] {
-            let (a, b) = random_inputs(rows, nnz, dim, seed);
-            let plan = MergePathSpmm::with_threads(7).plan(&a, dim);
-            let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
-            let prep = PreparedPlan::for_matrix(plan, &a);
-            let bias: Vec<f32> = (0..dim).map(|j| (j % 13) as f32 * 0.25 - 1.0).collect();
-            let mut biased = want.clone();
-            for row in biased.as_mut_slice().chunks_mut(dim) {
-                Epilogue::BiasRelu(bias.clone()).apply_row(row);
-            }
-            for &workers in &[2usize, 4, 8] {
-                for policy in [SchedPolicy::ColumnStriped, SchedPolicy::Auto] {
-                    let engine =
-                        ExecEngine::with_sched_policy(workers, DataPath::Auto, policy)
-                            .with_fast_math(false);
-                    prop_assert!(
-                        engine.selects_striping(&prep, dim),
-                        "policy={:?} dim={} stripes", policy, dim
-                    );
-                    let (got, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
-                    prop_assert_eq!(
-                        got.max_abs_diff(&want).unwrap(),
-                        0.0,
-                        "policy={:?} workers={} dim={}", policy, workers, dim
-                    );
-                    let (fused, _) = engine
-                        .execute_prepared_fused(&prep, &a, &b, &Epilogue::BiasRelu(bias.clone()))
-                        .unwrap();
-                    prop_assert_eq!(
-                        fused.max_abs_diff(&biased).unwrap(),
-                        0.0,
-                        "fused policy={:?} workers={} dim={}", policy, workers, dim
-                    );
-                }
             }
         }
     }

@@ -1,16 +1,13 @@
-//! Scheduler tests: the `Auto` routing rule at its exact threshold
-//! boundaries, and `Auto` on adversarially skewed graphs. Narrow runs
-//! take the static scheduler, which folds shared rows in a fixed worker
-//! order — bit-reproducible run to run at a given worker count and
-//! within the `engine_oracle` tolerance of
-//! [`mpspmm_core::executor::execute_sequential`]; wide runs take the
-//! column-striped scheduler, which is bit-identical to the oracle.
+//! Scheduler tests: the static schedule on adversarially skewed graphs,
+//! at narrow and wide dense dimensions. The static scheduler folds
+//! shared rows in a fixed worker order — bit-reproducible run to run at
+//! a given worker count and within the `engine_oracle` tolerance of
+//! [`mpspmm_core::executor::execute_sequential`].
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    default_workers, DataPath, ExecEngine, Flush, KernelPlan, MergePathSerialFixup, MergePathSpmm,
-    NnzSplitSpmm, PreparedPlan, RowSplitSpmm, SchedPolicy, Segment, SpmmKernel, ThreadPlan,
-    STRIPE_MIN_DIM, STRIPE_SKEW_MIN_DIM, STRIPE_SKEW_THRESHOLD,
+    default_workers, DataPath, ExecEngine, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm,
+    PreparedPlan, RowSplitSpmm, SpmmKernel,
 };
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
@@ -84,36 +81,39 @@ fn assert_reproducible_within_oracle_tolerance(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `Auto` on skewed graphs, for every kernel family, data path, and
-    /// worker count: reproducible and within the oracle tolerance,
-    /// whichever side of the stripe thresholds the run lands on.
+    /// The static schedule on skewed graphs, for every kernel family,
+    /// data path, and worker count, at a random narrow dim and at the
+    /// wide hidden widths 128, 256 and 512: reproducible and within the
+    /// oracle tolerance.
     #[test]
-    fn auto_policy_is_reproducible_on_skewed_graphs(
+    fn static_schedule_is_reproducible_on_skewed_graphs(
         rows in 4usize..40,
-        dim in 1usize..=67,
+        narrow_dim in 1usize..=67,
         seed in any::<u64>(),
     ) {
-        let (a, b) = skewed_inputs(rows, rows * 4, dim, seed);
-        for kernel in kernels() {
-            let plan = kernel.plan(&a, dim);
-            let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
-            let prep = PreparedPlan::for_matrix(plan, &a);
-            for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
-                for &workers in &[2usize, 3, 8] {
-                    let engine = ExecEngine::with_sched_policy(workers, path, SchedPolicy::Auto);
-                    let label = format!(
-                        "kernel={} path={path:?} workers={workers} dim={dim}",
-                        kernel.name()
-                    );
-                    assert_reproducible_within_oracle_tolerance(&engine, &prep, &a, &b, &want, &label);
+        for dim in [narrow_dim, 128, 256, 512] {
+            let (a, b) = skewed_inputs(rows, rows * 4, dim, seed);
+            for kernel in kernels() {
+                let plan = kernel.plan(&a, dim);
+                let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
+                let prep = PreparedPlan::for_matrix(plan, &a);
+                for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
+                    for &workers in &[2usize, 3, 4, 8] {
+                        let engine = ExecEngine::with_data_path(workers, path);
+                        let label = format!(
+                            "kernel={} path={path:?} workers={workers} dim={dim}",
+                            kernel.name()
+                        );
+                        assert_reproducible_within_oracle_tolerance(&engine, &prep, &a, &b, &want, &label);
+                    }
                 }
             }
         }
     }
 }
 
-/// A skewed row-split plan at a narrow dim stays on the static
-/// scheduler, whose repeated runs are bit-equal to each other.
+/// A skewed row-split plan at a narrow dim: repeated static runs are
+/// bit-equal to each other.
 #[test]
 fn skewed_row_split_plan_is_bit_reproducible_run_to_run() {
     let (a, b) = skewed_inputs(48, 400, 19, 99);
@@ -121,9 +121,8 @@ fn skewed_row_split_plan_is_bit_reproducible_run_to_run() {
     let plan = SpmmKernel::plan(&kernel, &a, 19);
     let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
     let prep = PreparedPlan::for_matrix(plan, &a);
-    assert!(prep.static_span_skew(8) > STRIPE_SKEW_THRESHOLD);
-    let engine = ExecEngine::with_sched_policy(8, DataPath::Vector, SchedPolicy::Auto);
-    assert!(!engine.selects_striping(&prep, 19));
+    assert!(prep.static_span_skew(8) > 1.25, "static spans are skewed");
+    let engine = ExecEngine::with_data_path(8, DataPath::Vector);
     let (first, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
     for run in 0..5 {
         let (again, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
@@ -131,126 +130,23 @@ fn skewed_row_split_plan_is_bit_reproducible_run_to_run() {
     }
     let scale = want.frobenius_norm().max(1.0);
     assert!(first.max_abs_diff(&want).unwrap() <= 1e-4 * scale);
-    assert_eq!(engine.stats().stripes_executed, 0, "narrow run is static");
-}
-
-/// The stripe rule reads span skew: on the same skewed graph at
-/// [`STRIPE_SKEW_MIN_DIM`], a merge-path plan (nnz-balanced per logical
-/// thread) stays static while a row-split plan exceeds the threshold
-/// and stripes.
-#[test]
-fn auto_selection_follows_span_skew() {
-    let (a, _) = skewed_inputs(64, 600, 8, 5);
-    let engine = ExecEngine::with_sched_policy(4, DataPath::Vector, SchedPolicy::Auto);
-
-    let mp = MergePathSpmm::with_threads(64);
-    let mp_prep = PreparedPlan::for_matrix(SpmmKernel::plan(&mp, &a, 8), &a);
-    assert!(mp_prep.static_span_skew(4) <= STRIPE_SKEW_THRESHOLD);
-    assert!(!engine.selects_striping(&mp_prep, STRIPE_SKEW_MIN_DIM));
-
-    let rs = RowSplitSpmm::with_threads(64);
-    let rs_prep = PreparedPlan::for_matrix(SpmmKernel::plan(&rs, &a, 8), &a);
-    assert!(rs_prep.static_span_skew(4) > STRIPE_SKEW_THRESHOLD);
-    assert!(engine.selects_striping(&rs_prep, STRIPE_SKEW_MIN_DIM));
 }
 
 /// The engine at the resolved worker count (honouring `MPSPMM_WORKERS`,
-/// which the tier-1 script sweeps over 1/2/8) under `Auto`: reproducible
-/// and within the oracle tolerance at a narrow dim, bit-identical to the
-/// oracle at a striped one.
+/// which the tier-1 script sweeps over 1/2/8): reproducible and within
+/// the oracle tolerance at a narrow and a wide dim.
 #[test]
 fn resolved_worker_count_matches_oracle() {
     let workers = default_workers();
-    for dim in [23usize, STRIPE_MIN_DIM] {
+    for dim in [23usize, 128] {
         let (a, b) = skewed_inputs(40, 320, dim, 7);
         for kernel in kernels() {
             let plan = kernel.plan(&a, dim);
             let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
             let prep = PreparedPlan::for_matrix(plan, &a);
-            let engine =
-                ExecEngine::with_sched_policy(workers, DataPath::Vector, SchedPolicy::Auto);
+            let engine = ExecEngine::with_data_path(workers, DataPath::Vector);
             let label = format!("kernel={} workers={workers} dim={dim}", kernel.name());
             assert_reproducible_within_oracle_tolerance(&engine, &prep, &a, &b, &want, &label);
-            if engine.selects_striping(&prep, dim) {
-                let (got, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
-                assert_eq!(got.max_abs_diff(&want).unwrap(), 0.0, "{label}");
-            }
         }
     }
-}
-
-/// A two-row matrix and a two-thread plan whose static worker spans
-/// carry exactly (`nnz0`, `nnz1`) non-zeros — full control of the span
-/// skew, down to the exact threshold value.
-fn two_span_plan(nnz0: usize, nnz1: usize) -> (CsrMatrix<f32>, PreparedPlan) {
-    let cols = nnz0.max(nnz1);
-    let mut triplets = Vec::with_capacity(nnz0 + nnz1);
-    for c in 0..nnz0 {
-        triplets.push((0usize, c, 1.0f32));
-    }
-    for c in 0..nnz1 {
-        triplets.push((1usize, c, 1.0f32));
-    }
-    let a = CsrMatrix::from_triplets(2, cols, &triplets).unwrap();
-    let plan = KernelPlan {
-        threads: vec![
-            ThreadPlan {
-                segments: vec![Segment {
-                    row: 0,
-                    nz_start: 0,
-                    nz_end: nnz0,
-                    flush: Flush::Regular,
-                }],
-            },
-            ThreadPlan {
-                segments: vec![Segment {
-                    row: 1,
-                    nz_start: nnz0,
-                    nz_end: nnz0 + nnz1,
-                    flush: Flush::Regular,
-                }],
-            },
-        ],
-    };
-    plan.validate(&a).unwrap();
-    let prep = PreparedPlan::for_matrix(plan, &a);
-    (a, prep)
-}
-
-/// The `Auto` stripe rule at its exact threshold boundaries. The skew
-/// comparison is strict — skew **equal** to [`STRIPE_SKEW_THRESHOLD`]
-/// does not unlock the lower stripe dimension — and the stripe
-/// dimension comparisons are inclusive at their minima.
-#[test]
-fn auto_routing_at_exact_threshold_boundaries() {
-    let engine = ExecEngine::with_sched_policy(2, DataPath::Vector, SchedPolicy::Auto);
-
-    // Spans (5, 3): skew = 5 / 4 = 1.25, *exactly* the threshold.
-    let (_, at) = two_span_plan(5, 3);
-    assert_eq!(at.static_span_skew(2), STRIPE_SKEW_THRESHOLD);
-
-    // Spans (51, 29): skew = 51 / 40 = 1.275, one step past.
-    let (_, past) = two_span_plan(51, 29);
-    assert!(past.static_span_skew(2) > STRIPE_SKEW_THRESHOLD);
-
-    // Balanced spans: striping flips exactly at STRIPE_MIN_DIM.
-    let (_, balanced) = two_span_plan(4, 4);
-    assert_eq!(balanced.static_span_skew(2), 1.0);
-    assert!(!engine.selects_striping(&balanced, STRIPE_MIN_DIM - 1));
-    assert!(engine.selects_striping(&balanced, STRIPE_MIN_DIM));
-    assert!(engine.selects_striping(&balanced, STRIPE_MIN_DIM + 1));
-
-    // Skewed spans: the lower STRIPE_SKEW_MIN_DIM bound applies.
-    assert!(!engine.selects_striping(&past, STRIPE_SKEW_MIN_DIM - 1));
-    assert!(engine.selects_striping(&past, STRIPE_SKEW_MIN_DIM));
-
-    // Skew exactly at the threshold does *not* unlock the skew-assisted
-    // stripe dimension — only the unconditional one.
-    assert!(!engine.selects_striping(&at, STRIPE_SKEW_MIN_DIM));
-    assert!(!engine.selects_striping(&at, STRIPE_MIN_DIM - 1));
-    assert!(engine.selects_striping(&at, STRIPE_MIN_DIM));
-
-    // One worker never stripes, whatever the skew or dim.
-    let single = ExecEngine::with_sched_policy(1, DataPath::Vector, SchedPolicy::Auto);
-    assert!(!single.selects_striping(&past, STRIPE_MIN_DIM));
 }

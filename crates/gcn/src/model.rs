@@ -146,10 +146,7 @@ impl GcnLayer {
     /// instead of re-streaming the output afterwards. The merge-path
     /// scheduling for `Â` at this layer's output width is computed at
     /// most once per graph `epoch` and reused on every subsequent call —
-    /// the offline setting of the paper's Figure 8, made automatic. Wide
-    /// output widths (128+) route the aggregation through the engine's
-    /// column-striped scheduler automatically — no per-layer
-    /// configuration, the fused epilogue is applied per stripe.
+    /// the offline setting of the paper's Figure 8, made automatic.
     ///
     /// The dense product `H × W` is recycled into the engine's buffer
     /// arena once the aggregation has consumed it, so after warm-up the

@@ -1,9 +1,8 @@
-//! Fused-pipeline oracle: for every layer type, data path, scheduling
-//! policy, and worker count, the fused cached forward pass must agree
-//! with an unfused composition of the same engine primitives — **bit-**
-//! identically wherever the engine run matches the sequential order (one
-//! worker, or the column-striped scheduler at any count), and to
-//! tolerance on static multi-worker runs, whose worker-ordered shared-row
+//! Fused-pipeline oracle: for every layer type, data path, and worker
+//! count, the fused cached forward pass must agree with an unfused
+//! composition of the same engine primitives — **bit-**identically
+//! wherever the engine run matches the sequential order (one worker),
+//! and to tolerance on multi-worker runs, whose worker-ordered shared-row
 //! fold may reassociate sums.
 //!
 //! Every fused output is additionally checked against the seed
@@ -11,7 +10,7 @@
 //! passes) to numerical tolerance, pinning the whole pipeline — not just
 //! the fusion delta — to the original semantics.
 
-use mpspmm_core::{default_workers, DataPath, ExecEngine, MergePathSpmm, SchedPolicy};
+use mpspmm_core::{default_workers, DataPath, ExecEngine, MergePathSpmm};
 use mpspmm_gcn::ops::{gemm, random_features, xavier_init, Activation};
 use mpspmm_gcn::{GcnLayer, GinLayer, SageMeanLayer};
 use mpspmm_graphs::{gcn_normalize, mean_normalize, sum_with_self_loops, DatasetSpec, GraphClass};
@@ -24,12 +23,10 @@ fn graph() -> CsrMatrix<f32> {
     DatasetSpec::custom("fused", GraphClass::PowerLaw, NODES, 600, 40).synthesize(9)
 }
 
-/// A run follows the sequential order bit for bit when it either has no
-/// cross-worker write ordering at all (one worker) or partitions output
-/// *columns* so every worker replays the full plan walk over a disjoint
-/// window (the column-striped scheduler, at any worker count).
-fn deterministic(policy: SchedPolicy, workers: usize) -> bool {
-    workers == 1 || policy == SchedPolicy::ColumnStriped
+/// A run follows the sequential order bit for bit when it has no
+/// cross-worker write ordering at all (one worker).
+fn deterministic(workers: usize) -> bool {
+    workers == 1
 }
 
 fn worker_counts() -> Vec<usize> {
@@ -39,7 +36,7 @@ fn worker_counts() -> Vec<usize> {
     ws
 }
 
-fn engine_matrix() -> Vec<(DataPath, SchedPolicy, usize)> {
+fn engine_matrix() -> Vec<(DataPath, usize)> {
     let mut m = Vec::new();
     for path in [
         DataPath::Scalar,
@@ -47,10 +44,8 @@ fn engine_matrix() -> Vec<(DataPath, SchedPolicy, usize)> {
         DataPath::Vector,
         DataPath::Auto,
     ] {
-        for policy in [SchedPolicy::Static, SchedPolicy::ColumnStriped] {
-            for &w in &worker_counts() {
-                m.push((path, policy, w));
-            }
+        for &w in &worker_counts() {
+            m.push((path, w));
         }
     }
     m
@@ -62,19 +57,18 @@ fn assert_matches(
     exact: bool,
     label: &str,
     path: DataPath,
-    policy: SchedPolicy,
     workers: usize,
 ) {
     if exact {
         assert_eq!(
             got.max_abs_diff(want).unwrap(),
             0.0,
-            "{label} fused != unfused oracle (path={path:?} policy={policy:?} workers={workers})"
+            "{label} fused != unfused oracle (path={path:?} workers={workers})"
         );
     } else {
         assert!(
             got.approx_eq(want, 1e-5).unwrap(),
-            "{label} fused out of tolerance (path={path:?} policy={policy:?} workers={workers})"
+            "{label} fused out of tolerance (path={path:?} workers={workers})"
         );
     }
 }
@@ -126,8 +120,8 @@ fn fused_layer_matches_unfused_oracle() {
 
     // --- GCN: the fused epilogue path proper. ---
     for case in gcn_cases() {
-        for &(path, policy, workers) in &engine_matrix() {
-            let engine = ExecEngine::with_sched_policy(workers, path, policy);
+        for &(path, workers) in &engine_matrix() {
+            let engine = ExecEngine::with_data_path(workers, path);
             let fused = case
                 .layer
                 .forward_cached(&a, &x, &kernel, &engine, 0)
@@ -147,10 +141,9 @@ fn fused_layer_matches_unfused_oracle() {
             assert_matches(
                 &fused,
                 &want,
-                deterministic(policy, workers),
+                deterministic(workers),
                 case.label,
                 path,
-                policy,
                 workers,
             );
             // Seed-path sanity: the whole fused layer stays within
@@ -158,7 +151,7 @@ fn fused_layer_matches_unfused_oracle() {
             let seed = case.layer.forward(&a, &x, &kernel).unwrap();
             assert!(
                 fused.approx_eq(&seed, 1e-4).unwrap(),
-                "{} diverged from seed forward (path={path:?} policy={policy:?} workers={workers})",
+                "{} diverged from seed forward (path={path:?} workers={workers})",
                 case.label,
             );
         }
@@ -172,8 +165,8 @@ fn fused_layer_matches_unfused_oracle() {
         xavier_init(20, 6, 41),
         Activation::Relu,
     );
-    for &(path, policy, workers) in &engine_matrix() {
-        let engine = ExecEngine::with_sched_policy(workers, path, policy);
+    for &(path, workers) in &engine_matrix() {
+        let engine = ExecEngine::with_data_path(workers, path);
         let fused = gin
             .forward_cached(&sum_op, &x, &kernel, &engine, 0)
             .unwrap();
@@ -182,15 +175,7 @@ fn fused_layer_matches_unfused_oracle() {
         Activation::Relu.apply(&mut hidden);
         let mut want = gemm(&hidden, &xavier_init(20, 6, 41)).unwrap();
         Activation::Relu.apply(&mut want);
-        assert_matches(
-            &fused,
-            &want,
-            deterministic(policy, workers),
-            "gin",
-            path,
-            policy,
-            workers,
-        );
+        assert_matches(&fused, &want, deterministic(workers), "gin", path, workers);
         let seed = gin.forward(&sum_op, &x, &kernel).unwrap();
         assert!(fused.approx_eq(&seed, 1e-4).unwrap(), "gin seed sanity");
     }
@@ -200,8 +185,8 @@ fn fused_layer_matches_unfused_oracle() {
     let w_self = xavier_init(IN_DIM, 7, 50);
     let w_neigh = xavier_init(IN_DIM, 7, 51);
     let sage = SageMeanLayer::new(w_self.clone(), w_neigh.clone(), Activation::Relu);
-    for &(path, policy, workers) in &engine_matrix() {
-        let engine = ExecEngine::with_sched_policy(workers, path, policy);
+    for &(path, workers) in &engine_matrix() {
+        let engine = ExecEngine::with_data_path(workers, path);
         let fused = sage
             .forward_cached(&mean_op, &x, &kernel, &engine, 0)
             .unwrap();
@@ -212,27 +197,20 @@ fn fused_layer_matches_unfused_oracle() {
             *dst += src;
         }
         Activation::Relu.apply(&mut want);
-        assert_matches(
-            &fused,
-            &want,
-            deterministic(policy, workers),
-            "sage",
-            path,
-            policy,
-            workers,
-        );
+        assert_matches(&fused, &want, deterministic(workers), "sage", path, workers);
         let seed = sage.forward(&mean_op, &x, &kernel).unwrap();
         assert!(fused.approx_eq(&seed, 1e-4).unwrap(), "sage seed sanity");
     }
 }
 
 /// The wide-feature-dim data path end to end: a GCN layer with a
-/// 256-wide hidden dimension must route its aggregation SpMM through
-/// column stripes (pinned or via `Auto`'s dim threshold) and remain
-/// **bit-identical** to the unfused engine composition — FastMath stays
-/// off, so striping may not perturb a single bit.
+/// 256-wide hidden dimension, at several worker counts, must stay
+/// **bit-identical** to the unfused composition on the same engine —
+/// the static schedule folds shared rows in a fixed worker order, so
+/// the fused epilogue lands on exactly the values the unfused run
+/// returns. FastMath stays off.
 #[test]
-fn wide_hidden_dim_gcn_stripes_and_stays_exact() {
+fn wide_hidden_dim_fused_equals_unfused() {
     const OUT_DIM: usize = 256;
     let a = gcn_normalize(&graph());
     let x = random_features(NODES, IN_DIM, 0.4, 34);
@@ -242,28 +220,22 @@ fn wide_hidden_dim_gcn_stripes_and_stays_exact() {
         .map(|j| (j % 11) as f32 * 0.125 - 0.5)
         .collect();
     let layer = GcnLayer::with_bias(w.clone(), bias.clone(), Activation::Relu);
-    for policy in [SchedPolicy::ColumnStriped, SchedPolicy::Auto] {
-        for &workers in &[2usize, 4, 8] {
-            let engine = ExecEngine::with_sched_policy(workers, DataPath::Auto, policy);
-            let fused = layer.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
-            assert!(
-                engine.stats().stripes_executed > 0,
-                "dim {OUT_DIM} routes through stripes (policy={policy:?} workers={workers})"
-            );
-            let hw = engine.gemm(&x, &w).unwrap();
-            let (mut want, _) = engine.spmm_cached(&kernel, &a, &hw, 0).unwrap();
-            for r in 0..want.rows() {
-                for (v, &b) in want.row_mut(r).iter_mut().zip(&bias) {
-                    *v += b;
-                }
+    for &workers in &[2usize, 4, 8] {
+        let engine = ExecEngine::new(workers).with_fast_math(false);
+        let fused = layer.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
+        let hw = engine.gemm(&x, &w).unwrap();
+        let (mut want, _) = engine.spmm_cached(&kernel, &a, &hw, 0).unwrap();
+        for r in 0..want.rows() {
+            for (v, &b) in want.row_mut(r).iter_mut().zip(&bias) {
+                *v += b;
             }
-            Activation::Relu.apply(&mut want);
-            assert_eq!(
-                fused.max_abs_diff(&want).unwrap(),
-                0.0,
-                "wide-dim fused != unfused oracle (policy={policy:?} workers={workers})"
-            );
         }
+        Activation::Relu.apply(&mut want);
+        assert_eq!(
+            fused.max_abs_diff(&want).unwrap(),
+            0.0,
+            "wide-dim fused != unfused oracle (workers={workers})"
+        );
     }
 }
 
@@ -287,7 +259,7 @@ fn fused_batched_forward_matches_per_request() {
     ]);
     let kernel = MergePathSpmm::new();
     for workers in [1usize, 4] {
-        let engine = ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Static);
+        let engine = ExecEngine::new(workers);
         let prep = engine.plan_cached(&kernel, &a, model.max_features(), 0);
         let blocks: Vec<DenseMatrix<f32>> = (0..3)
             .map(|i| random_features(NODES, IN_DIM, 0.4, 70 + i))
@@ -303,7 +275,7 @@ fn fused_batched_forward_matches_per_request() {
             assert_eq!(
                 out.max_abs_diff(&solo[0]).unwrap(),
                 0.0,
-                "batched fused (static, workers={workers}) must be exact vs solo"
+                "batched fused (workers={workers}) must be exact vs solo"
             );
             let plain = model.forward(&a, x, &kernel).unwrap();
             assert!(out.approx_eq(&plain, 1e-4).unwrap(), "seed sanity");

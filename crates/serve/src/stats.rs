@@ -280,9 +280,9 @@ pub struct ServeStats {
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,
     /// The engine's counters (plan-cache hits/misses/evictions,
-    /// gather/stream dispatch, column stripes executed, GEMM k-blocks,
-    /// FastMath runs, buffer-arena
-    /// reuse, SpGEMM rows per accumulator class and phase times),
+    /// gather/stream dispatch, GEMM k-blocks, FastMath runs,
+    /// buffer-arena reuse, SpGEMM rows per accumulator class and phase
+    /// times),
     /// threaded through for one-stop telemetry.
     pub engine: EngineStats,
     /// Per-tenant breakdown, sorted by tenant name.

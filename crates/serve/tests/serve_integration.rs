@@ -332,11 +332,10 @@ fn engine_stats_are_threaded_through_serve_stats() {
 }
 
 #[test]
-fn wide_hidden_dim_gcn_serves_through_column_stripes() {
-    // A 256-wide hidden layer on a multi-worker engine: the aggregation
-    // SpMM must route through the column-striped scheduler (Auto's
-    // wide-dim choice) and the GEMM through k-blocks, both visible in
-    // the snapshot — and the answer must match the plain forward.
+fn wide_hidden_dim_gcn_serves_and_matches_forward() {
+    // A 256-wide hidden layer on a multi-worker engine: the answer must
+    // match the plain forward, and the GEMM's k-blocks must be visible
+    // in the snapshot.
     let srv = Server::start(
         Arc::new(ExecEngine::new(4)),
         Box::new(MergePathSpmm::with_threads(6)),
@@ -356,10 +355,6 @@ fn wide_hidden_dim_gcn_serves_through_column_stripes() {
         .unwrap();
     assert!(got.approx_eq(&expect, 1e-4).unwrap());
     let stats = srv.stats();
-    assert!(
-        stats.engine.stripes_executed > 0,
-        "wide hidden dim routed through column stripes"
-    );
     assert!(stats.engine.kblocks > 0, "GEMM k-block counter surfaced");
     srv.shutdown();
 }

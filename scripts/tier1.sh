@@ -29,12 +29,12 @@ cargo test --workspace -q
 # to the scalar oracle via the force-scalar feature.
 cargo test -q -p mpspmm-core --test engine_oracle
 cargo test -q -p mpspmm-core --features force-scalar
-# The scheduler suite (Auto's static path reproducible and within the
-# oracle tolerance, its striped path bit-identical), the SpGEMM engine,
-# and the block-diagonal mega-batch path (both bit-identical at any
-# worker count): pin the resolved count to a matrix of values and re-run
-# their property tests (debug build, invariant asserts live).
-# batch_oracle sweeps packed-vs-sequential across DataPath x SchedPolicy,
+# The scheduler suite (the static schedule reproducible run to run and
+# within the oracle tolerance, at narrow and wide dims), the SpGEMM
+# engine, and the block-diagonal mega-batch path (both bit-identical at
+# any worker count): pin the resolved count to a matrix of values and
+# re-run their property tests (debug build, invariant asserts live).
+# batch_oracle sweeps packed-vs-sequential across DataPath x workers,
 # including empty graphs and single-graph windows.
 for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_sched
