@@ -9,9 +9,10 @@
 //!   naive zero-skip GEMM for every layer's combination, plain cached
 //!   SpMM for the aggregation, then bias and activation as separate
 //!   serial passes over the output;
-//! * **fused** — [`GcnModel::forward_cached`]: hidden-layer combinations
-//!   on [`ExecEngine::gemm`] (register-tiled bands, no per-element
-//!   branch), bias + activation fused into the SpMM store stage.
+//! * **fused** — [`GcnModel::forward_cached`]: every layer's combination,
+//!   layer 0 included, on [`ExecEngine::gemm`] (register-tiled bands, no
+//!   per-element branch), bias + activation fused into the SpMM store
+//!   stage.
 //!
 //! Both sides share one engine per configuration, so the plan cache and
 //! buffer arena are equally warm. Every timed pair is also checked for
@@ -28,7 +29,7 @@
 
 use mpspmm_bench::{geomean, time_ns, SEED};
 use mpspmm_core::{Epilogue, ExecEngine, MergePathSpmm, SpmmKernel};
-use mpspmm_gcn::ops::{gemm, random_features, xavier_init, Activation};
+use mpspmm_gcn::ops::{random_features, xavier_init, Activation};
 use mpspmm_gcn::{GcnLayer, GcnModel};
 use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
@@ -78,6 +79,26 @@ fn build_model(layers: &[LayerSpec]) -> GcnModel {
     )
 }
 
+/// The pre-fusion combination kernel, kept inline as the baseline: naive
+/// `ikj` GEMM with a per-element `a == 0.0` skip, single-threaded. Each
+/// output element sums in ascending `k`, like [`ExecEngine::gemm`], so
+/// the two agree bit for bit on finite weights.
+fn old_gemm(a: &DenseMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
+    let mut out = DenseMatrix::<f32>::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        let orow = out.row_mut(i);
+        for (p, &av) in a.row(i).iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for (dst, &bv) in orow.iter_mut().zip(b.row(p)) {
+                *dst += av * bv;
+            }
+        }
+    }
+    out
+}
+
 /// The pre-fusion (PR-4) pipeline, replicated exactly: naive zero-skip
 /// GEMM, plain cached SpMM, then bias and activation as separate serial
 /// passes. Scratch still recycles through the engine's arena, as it did
@@ -92,7 +113,7 @@ fn unfused_forward(
     let mut h: Option<DenseMatrix<f32>> = None;
     for layer in layers {
         let input = h.as_ref().unwrap_or(x);
-        let hw = gemm(input, &layer.weight).expect("layer widths chain");
+        let hw = old_gemm(input, &layer.weight);
         let (mut out, _) = engine.spmm_cached(kernel, a, &hw, 0).expect("shapes agree");
         engine.recycle(hw);
         for r in 0..out.rows() {
@@ -169,8 +190,9 @@ fn main() {
         for dim in DIMS {
             let layers = model_layers(dim);
             let model = build_model(&layers);
-            // Raw input features in the bag-of-words density regime both
-            // pipelines handle with the same zero-skipping layer-0 GEMM.
+            // Raw input features in the bag-of-words density regime: the
+            // unfused side's layer-0 GEMM skips their zeros, the fused
+            // side runs them through the engine GEMM like every layer.
             let x = random_features(a.rows(), dim, 0.05, 33);
             for workers in WORKER_COUNTS {
                 let engine = ExecEngine::new(workers);
@@ -232,7 +254,7 @@ fn main() {
         };
         let w = xavier_init(dim, dim, 78);
         let naive_ns = time_ns(warm, iters, || {
-            let _ = gemm(&h, &w).unwrap();
+            let _ = old_gemm(&h, &w);
         });
         let engine_ns = time_ns(warm, iters, || {
             let out = engine.gemm(&h, &w).unwrap();

@@ -27,11 +27,15 @@
 //! self-scheduled workers only contend on short mutex-guarded slot
 //! claims — a claim takes work, it never waits for another job to
 //! finish), and [`WorkerPool::scope_run`] must not be
-//! called from inside a pool worker (the engine never does; it is only
-//! entered from caller threads).
+//! called from inside a pool worker: the nested call would wait on jobs
+//! queued behind the very worker that is waiting, which deadlocks a
+//! one-thread pool (the default on a 2-vCPU host). The engine only
+//! enters it from caller threads, and debug builds assert this with a
+//! thread-local flag that [`worker_loop`] sets.
 //!
 #![allow(unsafe_code)]
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,6 +43,12 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A job after lifetime erasure, parked in the shared queue.
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+thread_local! {
+    /// Set on pool worker threads, so debug builds can reject a nested
+    /// [`WorkerPool::scope_run`].
+    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// A borrowed job as submitted by the engine.
 pub(crate) type ScopedJob<'scope> = Box<dyn FnOnce() + Send + 'scope>;
@@ -88,10 +98,17 @@ impl WorkerPool {
     /// the calling thread (so a batch of `n` jobs occupies `n - 1` pool
     /// workers plus the caller).
     ///
+    /// Must not be called from a pool worker (see the module-level
+    /// safety argument); debug builds assert this.
+    ///
     /// # Panics
     ///
     /// Panics (after all jobs finished) if any job panicked.
     pub(crate) fn scope_run(&self, mut jobs: Vec<ScopedJob<'_>>) {
+        debug_assert!(
+            !IN_POOL_WORKER.with(Cell::get),
+            "WorkerPool::scope_run entered from a pool worker"
+        );
         let Some(local) = jobs.pop() else { return };
         let completion = Arc::new(Completion {
             remaining: Mutex::new(jobs.len()),
@@ -104,7 +121,9 @@ impl WorkerPool {
                 // SAFETY: see the module-level safety argument — the
                 // completion barrier below keeps this function from
                 // returning until the erased closure has run, so its
-                // borrows outlive every use.
+                // borrows outlive every use. The barrier completes only
+                // if this call is not made from a pool worker, which
+                // the assertion at the top checks in debug builds.
                 let job: Job = unsafe { std::mem::transmute::<ScopedJob<'_>, Job>(job) };
                 let completion = Arc::clone(&completion);
                 queue.push_back(Box::new(move || {
@@ -174,6 +193,7 @@ where
 }
 
 fn worker_loop(shared: &PoolShared) {
+    IN_POOL_WORKER.with(|w| w.set(true));
     loop {
         let job = {
             let mut queue = shared.queue.lock().unwrap();
@@ -261,6 +281,38 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(ran.load(Ordering::SeqCst), 1, "other jobs still complete");
+    }
+
+    /// A job that re-enters `scope_run` on its pool worker trips the
+    /// debug assertion. The job captures the assertion's message and the
+    /// test thread re-raises it, so the expected text proves which panic
+    /// fired. The nested batch is one job, which runs inline, so a
+    /// missing assertion fails the test instead of hanging it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "scope_run entered from a pool worker")]
+    fn nested_scope_run_from_a_worker_panics_in_debug() {
+        let pool = WorkerPool::new(1);
+        let message = Mutex::new(String::new());
+        let jobs: Vec<ScopedJob<'_>> = vec![
+            Box::new(|| {
+                let nested = catch_unwind(AssertUnwindSafe(|| {
+                    pool.scope_run(vec![Box::new(|| {})]);
+                }));
+                if let Err(payload) = nested {
+                    let text = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_default();
+                    *message.lock().unwrap() = text;
+                }
+            }),
+            // Runs on the caller thread, which is not a pool worker.
+            Box::new(|| {}),
+        ];
+        pool.scope_run(jobs);
+        panic!("{}", message.into_inner().unwrap());
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! Property test pinning the engine's blocked, register-tiled dense GEMM
-//! to the seed naive `ikj` loop **with its `a == 0.0` skip** — the exact
-//! loop `mpspmm-gcn`'s layer-0 combination still runs. The blocked
-//! kernel drops the per-element branch, so the two may differ only in
-//! the sign of zero terms the skip never adds; `f32` equality treats
-//! `-0.0 == 0.0`, so bit-level agreement is asserted with `==` across
-//! dims 1..=67, k = 0, and fully empty operands.
+//! Pins the engine's blocked, register-tiled dense GEMM to the seed
+//! naive `ikj` loop **with its `a == 0.0` skip**. The engine GEMM runs
+//! every GCN feature transform, layer 0's moderately sparse raw features
+//! included, where the seed code ran this skip loop; these tests prove
+//! the swap moved no output bit. The blocked kernel drops the
+//! per-element branch, so the two may differ only in the sign of zero
+//! terms the skip never adds; `f32` equality treats `-0.0 == 0.0`, so
+//! bit-level agreement is asserted with `==`: by property test across
+//! dims 1..=67, k = 0 and fully empty operands, and by fixed cases at
+//! the layer-0 shapes actually served, at workers {1, 2, 8}.
 
-use mpspmm_core::{DataPath, ExecEngine};
+use mpspmm_core::{default_workers, DataPath, ExecEngine};
 use mpspmm_sparse::DenseMatrix;
 use proptest::prelude::*;
 
-/// The pre-fusion `mpspmm_gcn::ops::gemm` loop, inlined as the oracle
-/// (ikj order, `av == 0.0` skip).
+/// The seed `mpspmm_gcn::ops::gemm` loop, inlined as the oracle (ikj
+/// order, `av == 0.0` skip).
 fn naive_gemm_with_skip(a: &DenseMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
     let (m, n) = (a.rows(), b.cols());
     let mut out = DenseMatrix::<f32>::zeros(m, n);
@@ -73,6 +76,66 @@ proptest! {
                 "m={} k={} n={} path={:?} workers={}",
                 m, k, n, path, workers
             );
+        }
+    }
+}
+
+/// Raw-feature fill at `density`: about `1 - density` of entries are
+/// stored zeros (a few of them `-0.0`), the rest lie in `[-1, 1)`.
+fn features(rows: usize, cols: usize, density: f64, seed: u64) -> DenseMatrix<f32> {
+    let mut v = seed | 1;
+    DenseMatrix::from_fn(rows, cols, |_, _| {
+        v = v
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let u = (v >> 11) as f64 / (1u64 << 53) as f64;
+        if u >= density {
+            if (v >> 40) & 0xF == 0 {
+                -0.0
+            } else {
+                0.0
+            }
+        } else {
+            (u / density * 2.0 - 1.0) as f32
+        }
+    })
+}
+
+fn worker_counts() -> Vec<usize> {
+    let mut ws = vec![1, 2, 8, default_workers()];
+    ws.sort_unstable();
+    ws.dedup();
+    ws
+}
+
+/// Fixed cases at the served layer-0 shapes: `k = 50 → n = 128` (PPI's
+/// input width into its hidden width: many packed lane blocks of `B`,
+/// past the 67-capped property test) and `16 → 32`, both at feature
+/// density 0.5 over ten row bands (the last one partial), on every data
+/// path.
+#[test]
+fn served_layer0_shapes_match_skip_loop_exactly() {
+    for (m, k, n, seed) in [(300, 50, 128, 1u64), (289, 16, 32, 2)] {
+        let x = features(m, k, 0.5, seed);
+        let w = filled(k, n, seed ^ 0xBEEF);
+        let zeros = x.as_slice().iter().filter(|v| **v == 0.0).count();
+        assert!(zeros * 3 > m * k, "the fill stores zeros");
+        let want = naive_gemm_with_skip(&x, &w);
+        for workers in worker_counts() {
+            for path in [
+                DataPath::Scalar,
+                DataPath::Tiled,
+                DataPath::Vector,
+                DataPath::Auto,
+            ] {
+                let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+                let got = engine.gemm(&x, &w).unwrap();
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "m={m} k={k} n={n} path={path:?} workers={workers}"
+                );
+            }
         }
     }
 }

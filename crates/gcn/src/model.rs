@@ -156,11 +156,11 @@ impl GcnLayer {
     /// (`GraphStream::generation` in `mpspmm-graphs` is the intended
     /// source).
     ///
-    /// Use this entry point when `h` is dense (hidden-layer activations);
-    /// for the moderately sparse raw feature matrix of a model's first
-    /// layer, [`forward_cached_sparse_features`]
-    /// (Self::forward_cached_sparse_features) keeps the zero-skipping
-    /// combination instead.
+    /// This serves every layer, the first included: a model's moderately
+    /// sparse raw features go through the same engine GEMM as dense
+    /// hidden activations. Its result equals a zero-skipping GEMM's bit
+    /// for bit whenever the weights are finite (see [`crate::ops::gemm`]);
+    /// DESIGN.md §2.10 has the measurements that retired the skip.
     ///
     /// # Errors
     ///
@@ -175,28 +175,6 @@ impl GcnLayer {
         epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
         let hw = engine.gemm(h, &self.weight)?;
-        self.aggregate_fused(a_hat, hw, kernel, engine, epoch)
-    }
-
-    /// [`forward_cached`](Self::forward_cached) for a *moderately sparse*
-    /// dense-stored `h` (a model's raw input features): the combination
-    /// uses the naive zero-skipping GEMM — most products are against
-    /// stored zeros there, so the per-element branch pays for itself —
-    /// while the aggregation still runs fused on the engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when the feature or
-    /// adjacency shapes are inconsistent.
-    pub fn forward_cached_sparse_features(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        h: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
-        engine: &ExecEngine,
-        epoch: u64,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let hw = gemm(h, &self.weight)?;
         self.aggregate_fused(a_hat, hw, kernel, engine, epoch)
     }
 
@@ -423,10 +401,8 @@ impl GcnModel {
     /// entirely; each layer is one engine GEMM plus one SpMM with the
     /// bias/activation epilogue fused into the store stage.
     ///
-    /// Layer 0 consumes the raw feature matrix — moderately sparse, so
-    /// its combination keeps the zero-skipping GEMM
-    /// ([`GcnLayer::forward_cached_sparse_features`]); hidden layers'
-    /// dense activations go through the engine's blocked GEMM.
+    /// Layer 0's raw feature matrix and the hidden layers' dense
+    /// activations all go through the engine's blocked GEMM.
     ///
     /// Inter-layer activations ping-pong through the engine's buffer
     /// arena: each layer's input is recycled as soon as the next
@@ -445,8 +421,7 @@ impl GcnModel {
         engine: &ExecEngine,
         epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let mut h =
-            self.layers[0].forward_cached_sparse_features(a_hat, x, kernel, engine, epoch)?;
+        let mut h = self.layers[0].forward_cached(a_hat, x, kernel, engine, epoch)?;
         for layer in &self.layers[1..] {
             let next = layer.forward_cached(a_hat, &h, kernel, engine, epoch)?;
             engine.recycle(std::mem::replace(&mut h, next));
@@ -487,14 +462,7 @@ impl GcnModel {
             let mut products = Vec::with_capacity(blocks.len());
             for j in 0..blocks.len() {
                 let h = if i == 0 { blocks[j] } else { &hs[j] };
-                // Layer 0 sees the requests' moderately sparse raw
-                // features (zero-skipping GEMM); hidden layers see dense
-                // activations (engine blocked GEMM).
-                products.push(if i == 0 {
-                    gemm(h, &layer.weight)?
-                } else {
-                    engine.gemm(h, &layer.weight)?
-                });
+                products.push(engine.gemm(h, &layer.weight)?);
             }
             let refs: Vec<&DenseMatrix<f32>> = products.iter().collect();
             // Every block in a model batch has this layer's output width,
@@ -587,11 +555,6 @@ impl GcnModel {
                 right: (stacked.rows(), stacked.cols()),
             });
         }
-        // Every combination — layer 0 included — runs on the engine's
-        // k-blocked GEMM: stacked request features behave like dense
-        // activations (thousands of unrelated rows), so the zero-skip
-        // branch of the sparse-features path would only cost.
-        //
         // Aggregation deliberately skips the fused epilogue: at
         // mega-batch row counts the per-row fused bookkeeping costs more
         // than one flat bias/activation sweep over the finished output,
@@ -655,12 +618,7 @@ impl GcnModel {
             _ => {
                 let mut h: Option<DenseMatrix<f32>> = None;
                 for layer in &self.layers {
-                    // Layer 0 keeps the zero-skipping combination for the
-                    // moderately sparse raw features, like forward_cached.
-                    let hw = match &h {
-                        None => gemm(x, &layer.weight)?,
-                        Some(prev) => engine.gemm(prev, &layer.weight)?,
-                    };
+                    let hw = engine.gemm(h.as_ref().unwrap_or(x), &layer.weight)?;
                     let (inner, _) = engine.spmm_cached(kernel, a_hat, &hw, epoch)?;
                     engine.recycle(hw);
                     let out = layer.aggregate_fused(a_hat, inner, kernel, engine, epoch)?;

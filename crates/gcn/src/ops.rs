@@ -1,21 +1,30 @@
 //! Dense linear-algebra operations for the GCN combination phase.
 
-use mpspmm_core::parallel_apply_chunks;
+use mpspmm_core::{parallel_apply_chunks, ExecEngine};
 use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Dense matrix multiplication `A × B` (row-major, ikj loop order) with a
-/// per-element `a == 0.0` skip.
+/// Dense matrix multiplication `A × B` on the process-wide engine's
+/// register-tiled band GEMM ([`mpspmm_core::ExecEngine::gemm`] on
+/// [`ExecEngine::global`]).
 ///
-/// This is the `X × W` step of **layer 0** of a GNN, where `X` is the
-/// moderately sparse raw feature matrix and the skip pays for itself
-/// (most products are against zero). Hidden layers — whose activations
-/// are dense — go through the engine's blocked, register-tiled GEMM
-/// ([`mpspmm_core::ExecEngine::gemm`]) instead, which drops the branch
-/// entirely; the two agree bit-for-bit on every product the skip doesn't
-/// turn into a skipped `+ 0.0` (i.e. everywhere, up to the sign of
-/// zeros — see the `gemm_dense_vs_naive` property test).
+/// This is the `X × W` combination of a GNN layer outside a caller-held
+/// engine (the seed-oracle `forward` paths, benches and examples); the
+/// cached and served paths call their own engine's `gemm`, so the
+/// codebase has one dense GEMM kernel. Each output element accumulates
+/// in ascending-`k` order, as the naive `ikj` loop does. Whenever `B`
+/// is finite the result is also bit-identical to that loop with an
+/// `a == 0.0` skip, because a skipped term only adds `±0` to an
+/// accumulator that is never `-0` (the `gemm_dense` tests pin this). A
+/// stored zero in `A` times a non-finite `B` entry gives `NaN`.
+///
+/// The product follows the global engine's configuration: its worker
+/// count (`MPSPMM_WORKERS`) and its `MPSPMM_FASTMATH` setting, which
+/// opts into FMA contraction and leaves the exact contract above.
+///
+/// Must not be called from inside a job of the engine's worker pool
+/// (debug builds assert this).
 ///
 /// # Errors
 ///
@@ -24,28 +33,7 @@ pub fn gemm(
     a: &DenseMatrix<f32>,
     b: &DenseMatrix<f32>,
 ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-    if a.cols() != b.rows() {
-        return Err(SparseFormatError::ShapeMismatch {
-            left: (a.rows(), a.cols()),
-            right: (b.rows(), b.cols()),
-        });
-    }
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = DenseMatrix::<f32>::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = out.row_mut(i);
-        for (p, &av) in arow.iter().enumerate().take(k) {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = b.row(p);
-            for (dst, &bv) in orow.iter_mut().zip(brow) {
-                *dst += av * bv;
-            }
-        }
-    }
-    Ok(out)
+    ExecEngine::global().gemm(a, b)
 }
 
 /// Nonlinear activation functions used between GCN layers.

@@ -6,11 +6,13 @@
 //! fold may reassociate sums.
 //!
 //! Every fused output is additionally checked against the seed
-//! `forward` path (naive GEMM + plain kernel SpMM + separate epilogue
+//! `forward` path (`ops::gemm` + plain kernel SpMM + separate epilogue
 //! passes) to numerical tolerance, pinning the whole pipeline — not just
-//! the fusion delta — to the original semantics.
+//! the fusion delta — to the original semantics. The GCN model paths
+//! are also pinned exactly to the seed zero-skip GEMM loop, inlined here
+//! as an oracle.
 
-use mpspmm_core::{default_workers, DataPath, ExecEngine, MergePathSpmm};
+use mpspmm_core::{default_workers, DataPath, Epilogue, ExecEngine, MergePathSpmm};
 use mpspmm_gcn::ops::{gemm, random_features, xavier_init, Activation};
 use mpspmm_gcn::{GcnLayer, GinLayer, SageMeanLayer};
 use mpspmm_graphs::{gcn_normalize, mean_normalize, sum_with_self_loops, DatasetSpec, GraphClass};
@@ -147,7 +149,7 @@ fn fused_layer_matches_unfused_oracle() {
                 workers,
             );
             // Seed-path sanity: the whole fused layer stays within
-            // numerical tolerance of the original naive pipeline.
+            // numerical tolerance of the seed pipeline.
             let seed = case.layer.forward(&a, &x, &kernel).unwrap();
             assert!(
                 fused.approx_eq(&seed, 1e-4).unwrap(),
@@ -157,8 +159,8 @@ fn fused_layer_matches_unfused_oracle() {
         }
     }
 
-    // --- GIN: engine-GEMM MLP vs naive-GEMM MLP over the same cached
-    // aggregation. ---
+    // --- GIN: the engine under test's MLP vs the `ops::gemm` MLP over
+    // the same cached aggregation. ---
     let sum_op = sum_with_self_loops(&graph(), 0.3);
     let gin = GinLayer::new(
         xavier_init(IN_DIM, 20, 40),
@@ -279,6 +281,126 @@ fn fused_batched_forward_matches_per_request() {
             );
             let plain = model.forward(&a, x, &kernel).unwrap();
             assert!(out.approx_eq(&plain, 1e-4).unwrap(), "seed sanity");
+        }
+    }
+}
+
+/// The seed layer-0 combination: naive `ikj` GEMM with its `a == 0.0`
+/// skip, kept here as the oracle the served paths are pinned to.
+fn zero_skip_gemm(a: &DenseMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
+    let mut out = DenseMatrix::<f32>::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        let orow = out.row_mut(i);
+        for (p, &av) in a.row(i).iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for (dst, &bv) in orow.iter_mut().zip(b.row(p)) {
+                *dst += av * bv;
+            }
+        }
+    }
+    out
+}
+
+/// Raw features at density 0.5: half the entries are stored zeros, and
+/// every third entry is negated, so the matrix holds negative values
+/// and `-0.0` zeros too.
+fn raw_features(cols: usize, seed: u64) -> DenseMatrix<f32> {
+    let mut x = random_features(NODES, cols, 0.5, seed);
+    for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+        if i % 3 == 0 {
+            *v = -*v;
+        }
+    }
+    x
+}
+
+/// Every layer's combination, layer 0 included, runs on the engine
+/// GEMM. The served batch path and the cached path must still return
+/// the exact bits of the seed composition: the zero-skip loop for each
+/// combination, then the same engine's fused aggregation. Exact at
+/// every worker count, because both sides run the same aggregation
+/// plan on the same engine.
+#[test]
+fn model_paths_match_zero_skip_composition_exactly() {
+    const RAW: usize = 50;
+    const HIDDEN: usize = 128;
+    const CLASSES: usize = 16;
+    let a = gcn_normalize(&graph());
+    let weights = [
+        xavier_init(RAW, HIDDEN, 90),
+        xavier_init(HIDDEN, CLASSES, 91),
+    ];
+    let model = mpspmm_gcn::GcnModel::new(vec![
+        GcnLayer::with_bias(
+            weights[0].clone(),
+            (0..HIDDEN)
+                .map(|j| (j % 7) as f32 * 0.125 - 0.375)
+                .collect(),
+            Activation::Relu,
+        ),
+        GcnLayer::with_bias(
+            weights[1].clone(),
+            (0..CLASSES).map(|j| j as f32 * 0.0625 - 0.5).collect(),
+            Activation::Identity,
+        ),
+    ]);
+    let blocks: Vec<DenseMatrix<f32>> = (0..3).map(|i| raw_features(RAW, 95 + i)).collect();
+    let kernel = MergePathSpmm::new();
+    for &(path, workers) in &engine_matrix() {
+        let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+
+        // forward_cached vs zero-skip GEMM + spmm_cached_fused per layer.
+        let got = model
+            .forward_cached(&a, &blocks[0], &kernel, &engine, 0)
+            .unwrap();
+        let mut want = blocks[0].clone();
+        for (layer, w) in model.layers().iter().zip(&weights) {
+            let hw = zero_skip_gemm(&want, w);
+            let epi = layer.epilogue().expect("relu and identity fuse");
+            want = engine
+                .spmm_cached_fused(&kernel, &a, &hw, 0, epi)
+                .unwrap()
+                .0;
+        }
+        assert_eq!(
+            got.as_slice(),
+            want.as_slice(),
+            "forward_cached (path={path:?} workers={workers})"
+        );
+
+        // forward_batched_prepared vs zero-skip GEMM per block + one
+        // execute_prepared_batch_fused per layer with the tiled bias.
+        let prep = engine.plan_cached(&kernel, &a, model.max_features(), 0);
+        let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
+        let got = model
+            .forward_batched_prepared(&a, &prep, &refs, &engine)
+            .unwrap();
+        let mut want: Vec<DenseMatrix<f32>> = blocks.clone();
+        for (layer, w) in model.layers().iter().zip(&weights) {
+            let products: Vec<DenseMatrix<f32>> =
+                want.iter().map(|h| zero_skip_gemm(h, w)).collect();
+            let tiled: Vec<f32> = (0..blocks.len())
+                .flat_map(|_| layer.bias().expect("biased layer").iter().copied())
+                .collect();
+            let epi = match layer.epilogue().expect("relu and identity fuse") {
+                Epilogue::BiasRelu(_) => Epilogue::BiasRelu(tiled),
+                Epilogue::Bias(_) => Epilogue::Bias(tiled),
+                other => panic!("unexpected epilogue {other:?}"),
+            };
+            let prefs: Vec<&DenseMatrix<f32>> = products.iter().collect();
+            want = engine
+                .execute_prepared_batch_fused(&prep, &a, &prefs, &epi)
+                .unwrap();
+        }
+        assert_eq!(got.len(), want.len());
+        for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.as_slice(),
+                w.as_slice(),
+                "forward_batched_prepared block {j} (path={path:?} workers={workers})"
+            );
         }
     }
 }

@@ -35,9 +35,12 @@ cargo test -q -p mpspmm-core --features force-scalar
 # any worker count): pin the resolved count to a matrix of values and
 # re-run their property tests (debug build, invariant asserts live).
 # batch_oracle sweeps packed-vs-sequential across DataPath x workers,
-# including empty graphs and single-graph windows.
+# including empty graphs and single-graph windows. gemm_dense pins the
+# engine GEMM, which runs every GCN feature transform, bit-exactly to
+# the zero-skip loop at the served layer-0 shapes.
 for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_sched
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test gemm_dense
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test spgemm_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test batch_oracle
 done
