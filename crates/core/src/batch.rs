@@ -1,27 +1,12 @@
-//! Batch-shape classes: plan-cache keys for block-diagonal mega-batches.
+//! Batch-shape classes of block-diagonal mega-batches.
 //!
-//! A serving window packs whatever small graphs arrived, so consecutive
-//! packed matrices almost never have *exactly* the same shape — keying
-//! the ordinary plan cache on exact `(rows, cols, nnz)` would mint a new
-//! entry per window and thrash the LRU with thousands of near-duplicate
-//! plans. A [`BatchShapeClass`] splits the key in two:
-//!
-//! * the **class hash** quantizes the batch's per-graph size histogram
-//!   (log₂ nnz buckets with log₂-quantized counts, plus log₂ totals).
-//!   Windows with similar composition collapse onto one cache *slot*,
-//!   bounding resident batch plans by the number of distinct workload
-//!   shapes rather than the number of windows ever seen;
-//! * the **fingerprint** hashes the exact constituent sequence —
-//!   `(rows, nnz, structure_hash)` per graph — and gates actual reuse.
-//!   A slot hit with a fingerprint mismatch re-plans and replaces the
-//!   slot *in place*: one rebuild, no new key, no eviction pressure.
-//!
-//! The structure hash ([`CsrMatrix::structure_hash`]) covers sparsity
-//! only, so hot-swapping one constituent's *values* keeps both hashes —
-//! and the prepared plan — intact; swapping its structure changes the
-//! fingerprint (a rebuild) but normally not the class (same slot).
-//!
-//! [`CsrMatrix::structure_hash`]: mpspmm_sparse::CsrMatrix::structure_hash
+//! A [`BatchShapeClass`] summarizes a packed window's composition: a
+//! quantized histogram of per-graph sizes (the class hash) and an exact
+//! hash of the `(rows, nnz, structure_hash)` sequence (the fingerprint).
+//! Nothing in the engine keys on it:
+//! [`ExecEngine::plan_batch_cached`](crate::ExecEngine::plan_batch_cached)
+//! builds each window's row-span plan from its row pointers and takes a
+//! class only for its signature's sake.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

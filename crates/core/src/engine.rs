@@ -21,7 +21,9 @@
 //!   per-worker private strips folded serially after the join — the
 //!   static path performs no atomic operations at all; `Flush::Carry`
 //!   segments stay thread-local and are added serially after the join,
-//!   exactly like the baseline.
+//!   exactly like the baseline. Plans in which every row has a single
+//!   writer skip all of this as *row spans*: each worker folds the rows
+//!   of one contiguous output span, whole, in one ascending pass.
 //! * **Vectorized, cache-blocked data path** ([`crate::datapath`]): each
 //!   segment runs through a [`DataPath`]-selected inner kernel — by
 //!   default the wide-lane streaming kernels (16/8 f32 register
@@ -60,12 +62,12 @@
 //! are exactly equal (f32 `==`, zero tolerance) to the oracle on every
 //! path; the single representational deviation is the sign of a zero out
 //! of the vectorized gather microkernel (a 0-ulp difference; see the
-//! `datapath` module docs). With several
-//! workers under the static scheduler, rows shared between workers fold
-//! their per-worker partials in worker order — a fixed association that
-//! is reproducible run to run for a given worker count but may differ
-//! from the serial order by rounding — the same tolerance contract
-//! `execute_parallel` has always had.
+//! `datapath` module docs). Row-span plans keep that exactness at any
+//! worker count. With several workers on a segment plan, rows shared
+//! between workers fold their per-worker partials in worker order — a
+//! fixed association that is reproducible run to run for a given worker
+//! count but may differ from the serial order by rounding — the same
+//! tolerance contract `execute_parallel` has always had.
 //!
 //! # Staleness
 //!
@@ -90,10 +92,10 @@ use crate::datapath::{
 };
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
-use crate::plan::{static_span_skew, Flush, KernelPlan};
+use crate::plan::{static_span_skew, Flush, KernelPlan, Segment};
 use crate::pool::{ScopedJob, WorkerPool};
 use crate::spgemm::SpgemmStrategy;
-use crate::spmm::{default_workers, SpmmKernel};
+use crate::spmm::{default_workers, row_aligned_starts, SpmmKernel};
 use crate::stats::{SpgemmStats, WriteStats};
 use crate::tuning::GATHER_MAX_NNZ;
 
@@ -112,47 +114,6 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// Slots resident in the batch-plan cache. Each slot is one batch-shape
-/// *class* (a quantized composition histogram), so the bound is on
-/// distinct workload shapes, not on windows served — 32 is generous for
-/// any realistic mix of small-graph traffic.
-pub const BATCH_PLAN_SLOTS: usize = 32;
-
-/// Fingerprints resident per batch-shape-class slot. A class slot keeps
-/// a small working set of exact compositions rather than a single one:
-/// steady-state traffic often cycles through a handful of window
-/// compositions that all quantize to the same class (e.g. bursts drawn
-/// round-robin from one graph population), and a one-fingerprint slot
-/// would rebuild on every window of such a cycle.
-pub const BATCH_PLANS_PER_CLASS: usize = 8;
-
-/// One resident plan within a class slot: the exact structural
-/// fingerprint it was built for, and the LRU stamp.
-#[derive(Debug)]
-struct BatchPlanEntry {
-    fingerprint: u64,
-    prep: Arc<PreparedPlan>,
-    last_used: u64,
-}
-
-/// One batch-shape-class slot: a bounded set of exact-composition plans
-/// (intra-slot LRU past [`BATCH_PLANS_PER_CLASS`]) plus the slot-level
-/// LRU stamp.
-#[derive(Debug)]
-struct BatchPlanSlot {
-    entries: Vec<BatchPlanEntry>,
-    last_used: u64,
-}
-
-/// The engine's bounded batch-plan cache, keyed by
-/// [`BatchShapeClass::class_hash`] with fingerprint-gated reuse (see
-/// [`crate::batch`]).
-#[derive(Debug, Default)]
-struct BatchPlanCache {
-    map: HashMap<u64, BatchPlanSlot>,
-    tick: u64,
-}
-
 /// The engine's bounded plan cache: a map plus a monotonic use counter.
 /// Lookups stamp the entry; inserts past capacity evict the entry with
 /// the oldest stamp (an O(n) scan — capacities are small enough that a
@@ -163,7 +124,7 @@ struct PlanCache {
     tick: u64,
 }
 
-/// How the engine writes a given output row.
+/// How the engine writes a given output row of a segment plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RowKind {
     /// No regular or atomic segment targets the row (it may still receive
@@ -177,39 +138,30 @@ pub(crate) enum RowKind {
     Shared { side: u32 },
 }
 
-/// A plan plus the row classification and precomputed write statistics
-/// the engine needs to execute it. Classification is independent of the
-/// dense dimension, so one `PreparedPlan` serves any `B` width.
-///
-/// A prepared plan may additionally carry a 64-byte-aligned `u32` packing
-/// of the matrix's column indices ([`pack_indices`](Self::pack_indices))
-/// for the vectorized data path. Only the *structure* is packed — values
-/// are always read live from the matrix at execution time, so value
-/// re-weighting through [`CsrMatrix::values_mut`] never stales a cached
-/// plan (structural mutations are caught by the plan-cache epoch and
-/// shape tripwire as before).
+/// How a prepared plan's rows are written.
 #[derive(Debug, Clone)]
-pub struct PreparedPlan {
-    pub(crate) plan: KernelPlan,
-    pub(crate) row_kind: Vec<RowKind>,
+enum Layout {
+    /// Row spans: logical thread `t` owns rows `starts[t]..starts[t + 1]`
+    /// (the last thread runs to the final row), each row's extent is
+    /// `row_ptr`'s, and its single writer folds it in one ascending pass.
+    RowSpans(Vec<usize>),
+    /// Any other plan: its segments plus the row classification the
+    /// shared-row strips, carries and deferred epilogue need.
+    Segments(SegmentLayout),
+}
+
+/// A segment plan classified for execution (see [`Layout::Segments`]).
+#[derive(Debug, Clone)]
+struct SegmentLayout {
+    plan: KernelPlan,
+    row_kind: Vec<RowKind>,
     /// Row index of each side-buffer slot, in slot order.
     shared_rows: Vec<u32>,
-    /// Cumulative nnz end offset per logical thread (`ends[t]` = total
-    /// non-zeros owned by threads `0..=t`) — the input to the static-span
-    /// skew metric.
-    thread_nnz_ends: Vec<usize>,
-    stats: WriteStats,
-    /// Non-empty segments at/below and above [`GATHER_MAX_NNZ`] — the
-    /// degree-adaptive dispatch split, precomputed so the engine bumps
-    /// its counters once per run instead of once per segment.
-    dispatch: (usize, usize),
-    /// Cache-aligned `u32` column indices for the vectorized path.
-    pub(crate) cols32: Option<AlignedVec<u32>>,
     /// Per row: the row is finalized entirely by its single parallel-phase
     /// `Regular` store (`Direct` *and* no `Carry` segment targets it), so
     /// a fused [`Epilogue`] may be applied at store time while the row is
     /// register-hot.
-    pub(crate) fused_ok: Vec<bool>,
+    fused_ok: Vec<bool>,
     /// Rows whose epilogue must wait for the serial replay phase —
     /// shared/atomic rows, carry-receiving rows, and untouched rows (a
     /// bias changes even all-zero rows) — ascending.
@@ -226,21 +178,13 @@ pub struct PreparedPlan {
     /// (`u32::MAX` for threads with no `Regular`/`Atomic` segment) — the
     /// span boundaries for monotonic static routing.
     thread_first_write_row: Vec<u32>,
-    /// Every write segment is a `Regular` store into a row it owns alone
-    /// — no atomics, no carries, no shared side buffer. Row-aligned
-    /// batch plans ([`crate::BatchMergeSpmm`]) are always in this class;
-    /// the single-worker executor then folds each row in one tight pass
-    /// with no per-segment flush dispatch (see [`run_inline_direct`]).
-    pub(crate) all_direct: bool,
 }
 
-impl PreparedPlan {
-    /// Classifies every output row of `plan` for a matrix with `rows` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a segment targets a row `>= rows`.
-    pub fn new(plan: KernelPlan, rows: usize) -> Self {
+impl SegmentLayout {
+    /// Classifies every output row of `plan` for a matrix with `rows`
+    /// rows, tallying the plan's write statistics on the way. Panics if a
+    /// segment targets a row `>= rows`.
+    fn classify(plan: KernelPlan, rows: usize) -> (Self, WriteStats) {
         #[derive(Clone, Copy, Default)]
         struct RowInfo {
             regular: u32,
@@ -311,33 +255,153 @@ impl PreparedPlan {
                 deferred_rows.push(row as u32);
             }
         }
-        let dispatch = plan.dispatch_profile(GATHER_MAX_NNZ);
-        let mut thread_nnz_ends = Vec::with_capacity(plan.threads.len());
-        let mut cum = 0usize;
-        for tp in &plan.threads {
-            cum += tp.nnz();
-            thread_nnz_ends.push(cum);
-        }
-        let all_direct = shared_rows.is_empty()
-            && stats.atomic_row_updates == 0
-            && stats.serial_row_updates == 0;
-        Self {
+        let layout = Self {
             plan,
             row_kind,
             shared_rows,
-            thread_nnz_ends,
-            stats,
-            dispatch,
-            cols32: None,
             fused_ok,
             deferred_rows,
             write_rows_monotonic,
             thread_first_write_row,
-            all_direct,
+        };
+        (layout, stats)
+    }
+}
+
+/// The row starts of `plan` as a [`Layout::RowSpans`], or `None` unless
+/// its non-empty segments are all `Regular`, target strictly ascending
+/// rows in `(thread, segment)` order, and tile the non-zeros contiguously
+/// from 0 — so that, on the matrix it was planned for, each segment is
+/// its row's whole range. Panics if a segment targets a row `>= rows`.
+fn row_span_starts(plan: &KernelPlan, rows: usize) -> Option<Vec<usize>> {
+    let (mut next_row, mut next_nz) = (0, 0);
+    for (_, seg) in plan.iter_segments() {
+        assert!(seg.row < rows, "segment targets row {} >= {rows}", seg.row);
+        if seg.flush != Flush::Regular || seg.row < next_row || seg.nz_start != next_nz {
+            return None;
+        }
+        next_row = seg.row + 1;
+        next_nz = seg.nz_end;
+    }
+    // A thread with no writes starts where the next thread does.
+    let mut starts = vec![rows; plan.threads.len()];
+    for (t, tp) in plan.threads.iter().enumerate().rev() {
+        let next = starts.get(t + 1).copied().unwrap_or(rows);
+        starts[t] = tp
+            .segments
+            .iter()
+            .find(|s| !s.is_empty())
+            .map_or(next, |s| s.row);
+    }
+    if let Some(first) = starts.first_mut() {
+        *first = 0;
+    }
+    Some(starts)
+}
+
+/// A plan plus its row layout and precomputed write statistics. Plans in
+/// which every row has a single writer (row-aligned batch plans,
+/// row-split plans, the serial plan) are stored as *row spans*, one start
+/// row per logical thread; every other plan keeps its segments and a
+/// per-row classification. Neither depends on the dense dimension, so
+/// one `PreparedPlan` serves any `B` width.
+///
+/// A prepared plan may additionally carry a 64-byte-aligned `u32` packing
+/// of the matrix's column indices ([`pack_indices`](Self::pack_indices))
+/// for the vectorized data path. Only the *structure* is packed — values
+/// are always read live from the matrix at execution time, so value
+/// re-weighting through [`CsrMatrix::values_mut`] never stales a cached
+/// plan (structural mutations are caught by the plan-cache epoch and
+/// shape tripwire as before).
+#[derive(Debug, Clone)]
+pub struct PreparedPlan {
+    /// Output rows the plan was built for; every run checks it.
+    rows: usize,
+    layout: Layout,
+    /// Cumulative nnz end offset per logical thread (`ends[t]` = total
+    /// non-zeros owned by threads `0..=t`) — the input to the static-span
+    /// skew metric; its length is the logical thread count.
+    thread_nnz_ends: Vec<usize>,
+    stats: WriteStats,
+    /// Non-empty segments at/below and above [`GATHER_MAX_NNZ`] — the
+    /// degree-adaptive dispatch split, precomputed so the engine bumps
+    /// its counters once per run instead of once per segment.
+    dispatch: (usize, usize),
+    /// Cache-aligned `u32` column indices for the vectorized path.
+    cols32: Option<AlignedVec<u32>>,
+}
+
+impl PreparedPlan {
+    /// Prepares `plan` for a matrix with `rows` rows: as row spans when
+    /// every row has a single writer, otherwise by classifying every
+    /// output row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment targets a row `>= rows`.
+    pub fn new(plan: KernelPlan, rows: usize) -> Self {
+        let dispatch = plan.dispatch_profile(GATHER_MAX_NNZ);
+        let thread_nnz_ends = plan
+            .threads
+            .iter()
+            .scan(0, |cum, tp| {
+                *cum += tp.nnz();
+                Some(*cum)
+            })
+            .collect();
+        let (layout, stats) = match row_span_starts(&plan, rows) {
+            Some(starts) => (Layout::RowSpans(starts), plan.write_stats()),
+            None => {
+                let (seg, stats) = SegmentLayout::classify(plan, rows);
+                (Layout::Segments(seg), stats)
+            }
+        };
+        Self {
+            rows,
+            layout,
+            thread_nnz_ends,
+            stats,
+            dispatch,
+            cols32: None,
         }
     }
 
-    /// Classifies `plan` for `a` and packs `a`'s column indices for the
+    /// The row-span plan of `a` at `threads` logical threads, cut from
+    /// `a.row_ptr()` by the row-aligned merge-path boundaries
+    /// [`BatchMergeSpmm`](crate::BatchMergeSpmm) plans use. Statistics
+    /// and the dispatch split come from one scan of `row_ptr` and equal
+    /// those of the corresponding `BatchMergeSpmm` plan.
+    fn row_spans(a: &CsrMatrix<f32>, threads: usize) -> Self {
+        let rp = a.row_ptr();
+        let rows = a.rows();
+        let starts = row_aligned_starts(rp, threads);
+        let mut stats = WriteStats {
+            regular_nnz: a.nnz(),
+            ..WriteStats::default()
+        };
+        let mut dispatch = (0, 0);
+        for w in rp.windows(2) {
+            match w[1] - w[0] {
+                0 => continue,
+                len if len <= GATHER_MAX_NNZ => dispatch.0 += 1,
+                _ => dispatch.1 += 1,
+            }
+            stats.regular_row_writes += 1;
+        }
+        let thread_nnz_ends = (1..=starts.len())
+            .map(|t| rp[starts.get(t).copied().unwrap_or(rows)])
+            .collect();
+        Self {
+            rows,
+            layout: Layout::RowSpans(starts),
+            thread_nnz_ends,
+            stats,
+            dispatch,
+            cols32: None,
+        }
+    }
+
+    /// Prepares `plan` for `a` and packs `a`'s column indices for the
     /// vectorized data path in one step — the constructor the plan cache
     /// uses, so every cached plan executes on packed indices.
     pub fn for_matrix(plan: KernelPlan, a: &CsrMatrix<f32>) -> Self {
@@ -373,35 +437,19 @@ impl PreparedPlan {
         self.dispatch
     }
 
-    /// The underlying plan.
-    pub fn plan(&self) -> &KernelPlan {
-        &self.plan
-    }
-
     /// The write statistics any execution of this plan realizes (they are
     /// a property of the plan, not of the operand values).
     pub fn expected_stats(&self) -> WriteStats {
         self.stats
     }
 
-    /// Number of rows routed through the atomic side buffer.
+    /// Number of rows routed through the shared-row strips (always 0
+    /// for a row-span plan).
     pub fn shared_row_count(&self) -> usize {
-        self.shared_rows.len()
-    }
-
-    /// Number of rows written directly with non-atomic stores.
-    pub fn direct_row_count(&self) -> usize {
-        self.row_kind
-            .iter()
-            .filter(|k| matches!(k, RowKind::Direct { .. }))
-            .count()
-    }
-
-    /// Number of rows a fused [`Epilogue`] is applied to at store time —
-    /// `Direct` rows that receive no post-join carry. All remaining rows
-    /// get their epilogue in the serial replay phase.
-    pub fn fusable_row_count(&self) -> usize {
-        self.fused_ok.iter().filter(|&&f| f).count()
+        match &self.layout {
+            Layout::RowSpans(_) => 0,
+            Layout::Segments(seg) => seg.shared_rows.len(),
+        }
     }
 
     /// Non-zero skew (max/mean) of the static per-worker span partition
@@ -460,15 +508,13 @@ pub struct EngineStats {
     /// distribution, and the symbolic/numeric phase wall split. All
     /// zero until the first `spgemm` call.
     pub spgemm: SpgemmStats,
-    /// [`ExecEngine::plan_batch_cached`] calls whose batch-shape-class
-    /// slot held a plan with a matching structural fingerprint.
+    /// Always 0: [`ExecEngine::plan_batch_cached`] caches nothing, so
+    /// no batch plan is ever reused.
     pub batch_plan_hits: u64,
-    /// Calls whose class had no resident slot yet (first window of a
-    /// composition).
+    /// Batch plans built by [`ExecEngine::plan_batch_cached`] — one per
+    /// call.
     pub batch_plan_misses: u64,
-    /// Calls that found the slot but with a stale fingerprint — the
-    /// batch composition changed, so the plan was rebuilt and replaced
-    /// *in place* (no new key, no LRU pressure).
+    /// Always 0, like [`batch_plan_hits`](Self::batch_plan_hits).
     pub batch_plan_rebuilds: u64,
 }
 
@@ -508,10 +554,7 @@ pub struct ExecEngine {
     pub(crate) fast_math: bool,
     plan_capacity: usize,
     cache: Mutex<PlanCache>,
-    batch_plans: Mutex<BatchPlanCache>,
-    batch_hits: AtomicU64,
-    batch_misses: AtomicU64,
-    batch_rebuilds: AtomicU64,
+    batch_builds: AtomicU64,
     pub(crate) arena: BufferArena,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -578,10 +621,7 @@ impl ExecEngine {
             fast_math: env_fastmath(),
             plan_capacity,
             cache: Mutex::new(PlanCache::default()),
-            batch_plans: Mutex::new(BatchPlanCache::default()),
-            batch_hits: AtomicU64::new(0),
-            batch_misses: AtomicU64::new(0),
-            batch_rebuilds: AtomicU64::new(0),
+            batch_builds: AtomicU64::new(0),
             arena: BufferArena::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -827,110 +867,27 @@ impl ExecEngine {
         prep
     }
 
-    /// Fetches (or builds) the prepared plan for a block-diagonal
-    /// mega-batch, cached by **batch-shape class** instead of exact
-    /// shape: `class` picks one of at most [`BATCH_PLAN_SLOTS`] slots by
-    /// its quantized composition hash, and its exact structural
-    /// fingerprint gates reuse within the slot — a resident fingerprint
-    /// returns its plan, a known class with a new composition re-plans
-    /// and joins the slot's working set of up to
-    /// [`BATCH_PLANS_PER_CLASS`] plans (counted as a rebuild, evicting
-    /// intra-slot LRU), and an absent class plans fresh (miss, LRU past
-    /// the slot bound). See [`crate::batch`] for why the ordinary
-    /// exact-shape cache would thrash under packed serving.
+    /// Builds the prepared plan for a block-diagonal mega-batch `a`: row
+    /// spans, one per engine worker, cut from `a.row_ptr()` by the
+    /// row-aligned merge-path boundaries
+    /// [`BatchMergeSpmm`](crate::BatchMergeSpmm) uses, in
+    /// O(workers · log rows + rows). Nothing is copied or stored (window
+    /// compositions rarely repeat); each call counts one build in
+    /// [`EngineStats::batch_plan_misses`]. Each output row has a single
+    /// writer summing in ascending order, so the result is each
+    /// constituent's sequential oracle at any worker count.
     ///
-    /// Reuse is sound because the fingerprint covers every constituent's
-    /// `(rows, nnz, structure_hash)`: identical fingerprints mean an
-    /// identical packed sparsity structure (modulo hash collision), and
-    /// a [`PreparedPlan`] depends on structure only — values are read
-    /// live at execution time.
+    /// `kernel`, `dim` and `class` are unused; they remain in the
+    /// signature for existing callers.
     pub fn plan_batch_cached(
         &self,
-        kernel: &dyn SpmmKernel,
+        _kernel: &dyn SpmmKernel,
         a: &CsrMatrix<f32>,
-        dim: usize,
-        class: &BatchShapeClass,
+        _dim: usize,
+        _class: &BatchShapeClass,
     ) -> Arc<PreparedPlan> {
-        {
-            let mut cache = self.batch_plans.lock().unwrap();
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some(slot) = cache.map.get_mut(&class.class_hash()) {
-                if let Some(entry) = slot
-                    .entries
-                    .iter_mut()
-                    .find(|e| e.fingerprint == class.fingerprint())
-                {
-                    entry.last_used = tick;
-                    slot.last_used = tick;
-                    self.batch_hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(&entry.prep);
-                }
-            }
-        }
-        // Plan outside the lock (same racing-miss argument as
-        // `plan_cached`: the second insert wins).
-        let prep = Arc::new(PreparedPlan::for_matrix(kernel.plan(a, dim), a));
-        let mut cache = self.batch_plans.lock().unwrap();
-        cache.tick += 1;
-        let last_used = cache.tick;
-        let entry = BatchPlanEntry {
-            fingerprint: class.fingerprint(),
-            prep: Arc::clone(&prep),
-            last_used,
-        };
-        match cache.map.get_mut(&class.class_hash()) {
-            Some(slot) => {
-                // Known class, new exact composition: admit it to the
-                // slot's working set, evicting intra-slot LRU so the
-                // per-class footprint stays bounded.
-                self.batch_rebuilds.fetch_add(1, Ordering::Relaxed);
-                slot.last_used = last_used;
-                // A racing miss may have inserted the same fingerprint
-                // while we planned; replace rather than duplicate.
-                slot.entries
-                    .retain(|e| e.fingerprint != class.fingerprint());
-                while slot.entries.len() >= BATCH_PLANS_PER_CLASS {
-                    let victim = slot
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(i, _)| i);
-                    match victim {
-                        Some(i) => {
-                            slot.entries.swap_remove(i);
-                        }
-                        None => break,
-                    }
-                }
-                slot.entries.push(entry);
-            }
-            None => {
-                self.batch_misses.fetch_add(1, Ordering::Relaxed);
-                while cache.map.len() >= BATCH_PLAN_SLOTS {
-                    let victim = cache
-                        .map
-                        .iter()
-                        .min_by_key(|(_, s)| s.last_used)
-                        .map(|(k, _)| *k);
-                    match victim {
-                        Some(k) => {
-                            cache.map.remove(&k);
-                        }
-                        None => break,
-                    }
-                }
-                cache.map.insert(
-                    class.class_hash(),
-                    BatchPlanSlot {
-                        entries: vec![entry],
-                        last_used,
-                    },
-                );
-            }
-        }
-        prep
+        self.batch_builds.fetch_add(1, Ordering::Relaxed);
+        Arc::new(PreparedPlan::row_spans(a, self.workers))
     }
 
     /// Executes one prepared plan over several dense column blocks in a
@@ -1037,9 +994,9 @@ impl ExecEngine {
                 symbolic_ns: self.spgemm_symbolic_ns.load(Ordering::Relaxed),
                 numeric_ns: self.spgemm_numeric_ns.load(Ordering::Relaxed),
             },
-            batch_plan_hits: self.batch_hits.load(Ordering::Relaxed),
-            batch_plan_misses: self.batch_misses.load(Ordering::Relaxed),
-            batch_plan_rebuilds: self.batch_rebuilds.load(Ordering::Relaxed),
+            batch_plan_hits: 0,
+            batch_plan_misses: self.batch_builds.load(Ordering::Relaxed),
+            batch_plan_rebuilds: 0,
         }
     }
 
@@ -1068,13 +1025,7 @@ impl ExecEngine {
         cache.map.clear();
         cache.tick = 0;
         drop(cache);
-        let mut batch = self.batch_plans.lock().unwrap();
-        batch.map.clear();
-        batch.tick = 0;
-        drop(batch);
-        self.batch_hits.store(0, Ordering::Relaxed);
-        self.batch_misses.store(0, Ordering::Relaxed);
-        self.batch_rebuilds.store(0, Ordering::Relaxed);
+        self.batch_builds.store(0, Ordering::Relaxed);
         self.arena.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -1094,8 +1045,9 @@ impl ExecEngine {
         self.spgemm_numeric_ns.store(0, Ordering::Relaxed);
     }
 
-    /// Dispatches to the inline or pooled path. Shapes are already
-    /// checked; a non-noop `epi` is already validated against `b.cols()`.
+    /// Dispatches to the row-span, inline or pooled path. Shapes are
+    /// already checked; a non-noop `epi` is already validated against
+    /// `b.cols()`.
     fn run(
         &self,
         prep: &PreparedPlan,
@@ -1104,7 +1056,7 @@ impl ExecEngine {
         epi: &Epilogue,
     ) -> (DenseMatrix<f32>, WriteStats) {
         assert_eq!(
-            prep.row_kind.len(),
+            prep.rows,
             a.rows(),
             "prepared plan classified for a different row count"
         );
@@ -1114,7 +1066,7 @@ impl ExecEngine {
         if fuse {
             self.fused_epilogues.fetch_add(1, Ordering::Relaxed);
         }
-        let logical = prep.plan.threads.len();
+        let logical = prep.thread_nnz_ends.len();
         if dim == 0 || logical == 0 {
             // Even an empty plan owes the epilogue its zero rows — a
             // bias changes them.
@@ -1138,28 +1090,36 @@ impl ExecEngine {
         let cols32 = prep.cols32.as_ref().map(AlignedVec::as_slice);
         let eff_workers = self.workers.min(logical);
         let mut out = self.arena.take_zeroed(rows * dim);
-        if eff_workers <= 1 {
-            run_inline(prep, a, b, dim, &rp, cols32, epi, &mut out);
-        } else {
-            run_pooled(
-                prep,
-                a,
-                b,
-                dim,
-                eff_workers,
-                &rp,
-                cols32,
-                epi,
-                &self.arena,
-                &mut out,
-            );
-        }
-        // Serial-replay epilogue: rows not finalized at store time
-        // (shared, carry-receiving, untouched) hold their final SpMM
-        // value only now — apply the epilogue exactly once per row here.
-        if fuse {
-            for &row in &prep.deferred_rows {
-                epi.apply_row(&mut out[row as usize * dim..][..dim]);
+        match &prep.layout {
+            Layout::RowSpans(starts) => {
+                run_row_spans(starts, a, b, eff_workers, &rp, cols32, epi, &mut out);
+            }
+            Layout::Segments(seg) => {
+                if eff_workers <= 1 {
+                    run_inline(seg, a, b, dim, &rp, cols32, epi, &mut out);
+                } else {
+                    run_pooled(
+                        seg,
+                        a,
+                        b,
+                        dim,
+                        eff_workers,
+                        &rp,
+                        cols32,
+                        epi,
+                        &self.arena,
+                        &mut out,
+                    );
+                }
+                // Serial-replay epilogue: rows not finalized at store
+                // time (shared, carry-receiving, untouched) hold their
+                // final SpMM value only now — apply the epilogue exactly
+                // once per row here.
+                if fuse {
+                    for &row in &seg.deferred_rows {
+                        epi.apply_row(&mut out[row as usize * dim..][..dim]);
+                    }
+                }
             }
         }
         let out = DenseMatrix::from_vec(rows, dim, out)
@@ -1322,14 +1282,139 @@ fn split_col_blocks(
         .collect()
 }
 
-/// Single-worker path: no pool, no atomics anywhere. Accumulation order
-/// equals [`crate::executor::execute_sequential`]'s, so the result is
-/// bit-identical to the oracle. Writes into the caller's zeroed `out`.
-/// Fusable rows (`Direct`, carry-free) get `epi` at store time; the
-/// engine applies it to all remaining rows after this returns.
+/// Row-span path: each worker takes the rows of its contiguous range of
+/// logical threads and folds them in one ascending pass (one effective
+/// worker runs inline on the caller). Every row has a single writer that
+/// sums its products in ascending `k`, so the output is the sequential
+/// oracle's at any worker count.
+#[allow(clippy::too_many_arguments)]
+fn run_row_spans(
+    starts: &[usize],
+    a: &CsrMatrix<f32>,
+    b: &DenseMatrix<f32>,
+    eff_workers: usize,
+    rp: &ResolvedPath,
+    cols32: Option<&[u32]>,
+    epi: &Epilogue,
+    out: &mut [f32],
+) {
+    if eff_workers <= 1 {
+        return fold_rows(0, a, b, rp, cols32, epi, out);
+    }
+    let dim = b.cols();
+    let per_worker = starts.len().div_ceil(eff_workers);
+    let bound = |w: usize| starts.get(w * per_worker).copied().unwrap_or(a.rows());
+    let mut jobs: Vec<ScopedJob<'_>> = Vec::with_capacity(eff_workers);
+    let mut rest: &mut [f32] = out;
+    for w in 0..eff_workers {
+        let (lo, hi) = (bound(w), bound(w + 1));
+        let (span, tail) = rest.split_at_mut((hi - lo) * dim);
+        rest = tail;
+        jobs.push(Box::new(move || fold_rows(lo, a, b, rp, cols32, epi, span)));
+    }
+    WorkerPool::global().scope_run(jobs);
+}
+
+/// Computes rows `first..first + out.len() / b.cols()` of `a · b` into
+/// `out`, each row in one ascending pass, and applies `epi` to every row
+/// right after its store — empty rows included, since a bias changes
+/// them. Widths with a fixed-width microkernel keep the accumulators in
+/// registers with no per-row dispatch; the scalar path keeps the generic
+/// per-row dispatch, as it is the correctness oracle.
+fn fold_rows(
+    first: usize,
+    a: &CsrMatrix<f32>,
+    b: &DenseMatrix<f32>,
+    rp: &ResolvedPath,
+    cols32: Option<&[u32]>,
+    epi: &Epilogue,
+    out: &mut [f32],
+) {
+    let epi = (!epi.is_noop()).then_some(epi);
+    let (row_ptr, vals) = (a.row_ptr(), a.values());
+    let dim = b.cols();
+    if rp.kind != PathKind::Scalar && matches!(dim, 1 | 2 | 4 | 8) {
+        match cols32 {
+            Some(cols) => fold_rows_fixed(first, row_ptr, cols, vals, b, epi, out),
+            None => fold_rows_fixed(first, row_ptr, a.col_indices(), vals, b, epi, out),
+        }
+        return;
+    }
+    for (row, dst) in (first..).zip(out.chunks_exact_mut(dim)) {
+        let seg = Segment {
+            row,
+            nz_start: row_ptr[row],
+            nz_end: row_ptr[row + 1],
+            flush: Flush::Regular,
+        };
+        if !seg.is_empty() {
+            accumulate_segment_dispatch(rp, &seg, a, cols32, b, dst);
+        }
+        if let Some(epi) = epi {
+            epi.apply_row(dst);
+        }
+    }
+}
+
+/// Dispatches [`fold_rows`]' runtime width to its fixed-width kernel.
+fn fold_rows_fixed<I: ColIdx>(
+    first: usize,
+    row_ptr: &[usize],
+    cols: &[I],
+    vals: &[f32],
+    b: &DenseMatrix<f32>,
+    epi: Option<&Epilogue>,
+    out: &mut [f32],
+) {
+    let (dim, b) = (b.cols(), b.as_slice());
+    match dim {
+        1 => fold_rows_width::<1, I>(first, row_ptr, cols, vals, b, epi, out),
+        2 => fold_rows_width::<2, I>(first, row_ptr, cols, vals, b, epi, out),
+        4 => fold_rows_width::<4, I>(first, row_ptr, cols, vals, b, epi, out),
+        8 => fold_rows_width::<8, I>(first, row_ptr, cols, vals, b, epi, out),
+        _ => unreachable!("fold_rows_fixed called for unspecialized dim {dim}"),
+    }
+}
+
+/// The fixed-width row fold behind [`fold_rows_fixed`]. `D` equals the
+/// dense operand's column count, so row `c` of `b` is the flat slice
+/// `[c * D, c * D + D)`; indexing the backing storage directly (and
+/// zipping values with columns) keeps the hot loop to one bounds check
+/// per non-zero. Per output element the fold is the same ascending-`k`
+/// sum every other data path computes.
+fn fold_rows_width<const D: usize, I: ColIdx>(
+    first: usize,
+    row_ptr: &[usize],
+    cols: &[I],
+    vals: &[f32],
+    b: &[f32],
+    epi: Option<&Epilogue>,
+    out: &mut [f32],
+) {
+    for (row, dst) in (first..).zip(out.chunks_exact_mut(D)) {
+        let (lo, hi) = (row_ptr[row], row_ptr[row + 1]);
+        let mut acc = [0.0f32; D];
+        for (&v, c) in vals[lo..hi].iter().zip(&cols[lo..hi]) {
+            let brow = &b[c.to_usize() * D..][..D];
+            for d in 0..D {
+                acc[d] += v * brow[d];
+            }
+        }
+        dst.copy_from_slice(&acc);
+        if let Some(epi) = epi {
+            epi.apply_row(dst);
+        }
+    }
+}
+
+/// Single-worker segment path: no pool, no atomics anywhere.
+/// Accumulation order equals [`crate::executor::execute_sequential`]'s,
+/// so the result is bit-identical to the oracle. Writes into the caller's
+/// zeroed `out`. Fusable rows (`Direct`, carry-free) get `epi` at store
+/// time; the engine applies it to all remaining rows after this returns.
 #[allow(clippy::too_many_arguments)]
 fn run_inline(
-    prep: &PreparedPlan,
+    prep: &SegmentLayout,
     a: &CsrMatrix<f32>,
     b: &DenseMatrix<f32>,
     dim: usize,
@@ -1339,18 +1424,6 @@ fn run_inline(
     out: &mut [f32],
 ) {
     let fuse = !epi.is_noop();
-    // All-direct plans (row-aligned batch plans above all) skip the
-    // per-segment flush dispatch entirely when the output width has a
-    // fixed-width microkernel: at mega-batch row counts the dispatch
-    // overhead itself is the dominant cost. The scalar path keeps the
-    // generic loop — it is the correctness oracle.
-    if prep.all_direct && !fuse && rp.kind != PathKind::Scalar && matches!(dim, 1 | 2 | 4 | 8) {
-        match cols32 {
-            Some(cols) => run_inline_direct(prep, cols, a.values(), b, dim, out),
-            None => run_inline_direct(prep, a.col_indices(), a.values(), b, dim, out),
-        }
-        return;
-    }
     let mut acc = vec![0.0f32; dim];
     // Carries stay in one flat buffer — a merge-path plan at the paper's
     // 1024-thread floor produces thousands of carry segments per run,
@@ -1392,63 +1465,6 @@ fn run_inline(
     }
 }
 
-/// Tight single-worker loop for all-direct plans: every non-empty
-/// segment is one whole row's flat fold, stored once. Dispatches the
-/// runtime width to a fixed-width microkernel so the accumulators live
-/// in registers and the inner loop carries no per-segment branch at
-/// all. Per output element the fold is the same ascending-`k` sum every
-/// other data path computes, so the result stays bit-identical to the
-/// sequential oracle.
-fn run_inline_direct<I: ColIdx>(
-    prep: &PreparedPlan,
-    cols: &[I],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    dim: usize,
-    out: &mut [f32],
-) {
-    match dim {
-        1 => direct_rows_fixed::<1, I>(prep, cols, vals, b, out),
-        2 => direct_rows_fixed::<2, I>(prep, cols, vals, b, out),
-        4 => direct_rows_fixed::<4, I>(prep, cols, vals, b, out),
-        8 => direct_rows_fixed::<8, I>(prep, cols, vals, b, out),
-        _ => unreachable!("run_inline_direct called for unspecialized dim {dim}"),
-    }
-}
-
-/// The fixed-width row fold behind [`run_inline_direct`]. `D` equals
-/// the dense operand's column count; the caller guarantees it.
-fn direct_rows_fixed<const D: usize, I: ColIdx>(
-    prep: &PreparedPlan,
-    cols: &[I],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    out: &mut [f32],
-) {
-    // `run_inline_direct` is only reached when `b.cols() == D`, so row
-    // `c` of `b` is the flat slice `[c * D, c * D + D)` — indexing the
-    // backing storage directly (and zipping vals with cols) keeps the
-    // hot loop to one bounds check per non-zero.
-    let bflat = b.as_slice();
-    for tp in &prep.plan.threads {
-        for seg in &tp.segments {
-            if seg.is_empty() {
-                continue;
-            }
-            let mut acc = [0.0f32; D];
-            let vs = &vals[seg.nz_start..seg.nz_end];
-            let cs = &cols[seg.nz_start..seg.nz_end];
-            for (&v, c) in vs.iter().zip(cs) {
-                let row = &bflat[c.to_usize() * D..][..D];
-                for d in 0..D {
-                    acc[d] += v * row[d];
-                }
-            }
-            out[seg.row * D..][..D].copy_from_slice(&acc);
-        }
-    }
-}
-
 /// Multi-worker static path: logical threads are partitioned into
 /// `eff_workers` contiguous, equal-size ranges (merge-path plans are
 /// equal-work by construction, so a static partition balances). Direct
@@ -1459,7 +1475,7 @@ fn direct_rows_fixed<const D: usize, I: ColIdx>(
 /// anywhere. Writes into the caller's zeroed `out`.
 #[allow(clippy::too_many_arguments)]
 fn run_pooled(
-    prep: &PreparedPlan,
+    prep: &SegmentLayout,
     a: &CsrMatrix<f32>,
     b: &DenseMatrix<f32>,
     dim: usize,
@@ -1734,49 +1750,12 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn batch_plan_cache_hits_rebuilds_and_misses() {
-        use crate::spmm::BatchMergeSpmm;
-        let engine = ExecEngine::new(1);
-        let kernel = BatchMergeSpmm::with_threads(4);
-        let (a, _) = small();
-        let class = |hashes: [u64; 2]| {
-            BatchShapeClass::from_graphs(hashes.iter().map(|&h| (3usize, 5usize, h)))
-        };
-        // First window of a composition: miss.
-        let c1 = class([1, 2]);
-        let p1 = engine.plan_batch_cached(&kernel, &a, 8, &c1);
-        assert_eq!(engine.stats().batch_plan_misses, 1);
-        // Same composition again: hit, same Arc.
-        let p2 = engine.plan_batch_cached(&kernel, &a, 8, &c1);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(engine.stats().batch_plan_hits, 1);
-        // Same class, different structure: rebuild in place, no new slot.
-        let c2 = class([1, 3]);
-        assert_eq!(c1.class_hash(), c2.class_hash());
-        let p3 = engine.plan_batch_cached(&kernel, &a, 8, &c2);
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        let stats = engine.stats();
-        assert_eq!(stats.batch_plan_rebuilds, 1);
-        assert_eq!(stats.batch_plan_misses, 1, "rebuild is not a miss");
-        // The slot now serves the new fingerprint...
-        let p4 = engine.plan_batch_cached(&kernel, &a, 8, &c2);
-        assert!(Arc::ptr_eq(&p3, &p4));
-        // ...and still serves the previous one: the class keeps a
-        // working set, so cyclic window compositions hit, not rebuild.
-        let p5 = engine.plan_batch_cached(&kernel, &a, 8, &c1);
-        assert!(Arc::ptr_eq(&p1, &p5));
-        let stats = engine.stats();
-        assert_eq!(stats.batch_plan_hits, 3);
-        assert_eq!(stats.batch_plan_rebuilds, 1);
-        // Cycling through more compositions than the per-class bound
-        // evicts intra-slot LRU without ever growing the slot count.
-        for extra in 0..(BATCH_PLANS_PER_CLASS as u64 + 2) {
-            engine.plan_batch_cached(&kernel, &a, 8, &class([1, 100 + extra]));
+    /// The classified segment layout of `prep` (panics on row spans).
+    fn segments(prep: &PreparedPlan) -> &SegmentLayout {
+        match &prep.layout {
+            Layout::Segments(seg) => seg,
+            Layout::RowSpans(_) => panic!("expected a segment layout"),
         }
-        assert_eq!(engine.stats().batch_plan_misses, 1, "one class, one slot");
-        engine.clear_cache();
-        assert_eq!(engine.stats().batch_plan_hits, 0);
     }
 
     #[test]
@@ -1785,12 +1764,12 @@ mod tests {
         let p = mixed_plan();
         p.validate(&a).unwrap();
         let prep = PreparedPlan::new(p, a.rows());
-        assert_eq!(prep.row_kind[0], RowKind::Shared { side: 0 });
-        assert_eq!(prep.row_kind[1], RowKind::Direct { owner: 1 });
+        let seg = segments(&prep);
+        assert_eq!(seg.row_kind[0], RowKind::Shared { side: 0 });
+        assert_eq!(seg.row_kind[1], RowKind::Direct { owner: 1 });
         // Row 2 only receives a carry — no parallel-phase writes at all.
-        assert_eq!(prep.row_kind[2], RowKind::Untouched);
-        assert_eq!(prep.shared_rows, vec![0]);
-        assert_eq!(prep.direct_row_count(), 1);
+        assert_eq!(seg.row_kind[2], RowKind::Untouched);
+        assert_eq!(seg.shared_rows, vec![0]);
         assert_eq!(prep.shared_row_count(), 1);
     }
 
@@ -2172,7 +2151,11 @@ mod tests {
         let bias = vec![10.0f32, 20.0];
         let engine = ExecEngine::new(2);
         let prep = PreparedPlan::new(p, a.rows());
-        assert_eq!(prep.fusable_row_count(), 1, "only row 1 fuses at store");
+        assert_eq!(
+            segments(&prep).fused_ok,
+            [false, true, false],
+            "only row 1 fuses at store"
+        );
         let want = unfused_then_apply(&engine, &prep, &a, &b, &Epilogue::Bias(bias.clone()));
         let (got, _) = engine
             .execute_prepared_fused(&prep, &a, &b, &Epilogue::Bias(bias))

@@ -67,9 +67,7 @@ pub mod tuning;
 
 pub use batch::BatchShapeClass;
 pub use datapath::{fastmath_supported, DataPath, LaneWidth, WideIsa};
-pub use engine::{
-    EngineStats, ExecEngine, PreparedPlan, BATCH_PLAN_SLOTS, DEFAULT_PLAN_CACHE_CAPACITY,
-};
+pub use engine::{EngineStats, ExecEngine, PreparedPlan, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use epilogue::Epilogue;
 pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};
 pub use plan::{

@@ -22,6 +22,7 @@ mod serial_fixup;
 
 pub use mergepath::{plan_from_schedule, CostPolicy, MergePathSpmm};
 pub use nnz_split::{NeighborPartitionIndex, NnzSplitSpmm};
+pub(crate) use row_aligned::row_aligned_starts;
 pub use row_aligned::{BatchMergeSpmm, BATCH_MIN_THREADS};
 pub use row_split::RowSplitSpmm;
 pub use serial::SerialSpmm;

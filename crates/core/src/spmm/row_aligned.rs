@@ -90,6 +90,33 @@ impl Default for BatchMergeSpmm {
     }
 }
 
+/// First row of each of `threads` logical threads in a row-aligned
+/// merge-path partition of the CSR matrix with row pointers `row_ptr`:
+/// the `rows + nnz` merge items are cut into equal diagonals, and each
+/// cut snaps to the number of rows fully consumed there. Thread `t` owns
+/// rows `starts[t]..starts[t + 1]` (the last thread runs to the final
+/// row); starts never decrease and `starts[0] == 0`. This is the whole
+/// partition behind both [`BatchMergeSpmm`] plans and the engine's
+/// row-span plans.
+pub(crate) fn row_aligned_starts(row_ptr: &[usize], threads: usize) -> Vec<usize> {
+    let rows = row_ptr.len() - 1;
+    let nnz = row_ptr[rows];
+    let threads = threads.max(1);
+    let per_thread = (rows + nnz).div_ceil(threads).max(1);
+    let mut starts = Vec::with_capacity(threads);
+    starts.push(0);
+    for k in 1..threads {
+        let diag = (k * per_thread).min(rows + nnz);
+        let prev = starts[k - 1];
+        starts.push(
+            merge_path_search(diag, &row_ptr[1..], nnz)
+                .row
+                .clamp(prev, rows),
+        );
+    }
+    starts
+}
+
 impl SpmmKernel for BatchMergeSpmm {
     fn name(&self) -> &'static str {
         "BatchMerge-SpMM"
@@ -100,36 +127,24 @@ impl SpmmKernel for BatchMergeSpmm {
             thread_count(a.merge_items(), default_cost_for_dim(dim), self.min_threads)
         });
         let rp = a.row_ptr();
-        let (rows, nnz) = (a.rows(), a.nnz());
-        let row_ends = &rp[1..];
-        let items = rows + nnz;
-        let per_thread = items.div_ceil(threads.max(1)).max(1);
-        let mut plans = Vec::with_capacity(threads);
-        let mut start_row = 0usize;
-        for k in 1..=threads {
-            let diag = (k * per_thread).min(items);
-            // Number of rows fully consumed at `diag` — the row-aligned
-            // boundary nearest the ideal merge-path split.
-            let end_row = if k == threads {
-                rows
-            } else {
-                merge_path_search(diag, row_ends, nnz)
-                    .row
-                    .clamp(start_row, rows)
-            };
-            let segments = (start_row..end_row)
-                .filter(|&row| rp[row + 1] > rp[row])
-                .map(|row| Segment {
-                    row,
-                    nz_start: rp[row],
-                    nz_end: rp[row + 1],
-                    flush: Flush::Regular,
-                })
-                .collect();
-            plans.push(ThreadPlan { segments });
-            start_row = end_row;
-        }
-        debug_assert_eq!(start_row, rows);
+        let starts = row_aligned_starts(rp, threads);
+        let plans = starts
+            .iter()
+            .enumerate()
+            .map(|(t, &start)| {
+                let end = starts.get(t + 1).copied().unwrap_or(a.rows());
+                let segments = (start..end)
+                    .filter(|&row| rp[row + 1] > rp[row])
+                    .map(|row| Segment {
+                        row,
+                        nz_start: rp[row],
+                        nz_end: rp[row + 1],
+                        flush: Flush::Regular,
+                    })
+                    .collect();
+                ThreadPlan { segments }
+            })
+            .collect();
         KernelPlan { threads: plans }
     }
 

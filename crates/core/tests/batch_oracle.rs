@@ -6,11 +6,14 @@
 //! back out — to running every constituent through
 //! [`execute_sequential`] separately. Row-aligned plans never split a
 //! row across threads, so every output row is one flat fold whatever
-//! the data path or worker count.
+//! the data path or worker count. The row-span plans the engine builds
+//! per window ([`ExecEngine::plan_batch_cached`]) are held to the same
+//! oracle, and to the bytes of a prepared `BatchMergeSpmm` plan.
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    default_workers, BatchMergeSpmm, DataPath, ExecEngine, PreparedPlan, SerialSpmm, SpmmKernel,
+    default_workers, BatchMergeSpmm, BatchShapeClass, DataPath, Epilogue, ExecEngine,
+    MergePathSpmm, PreparedPlan, RowSplitSpmm, SerialSpmm, SpmmKernel, GATHER_MAX_NNZ,
 };
 use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
@@ -183,4 +186,189 @@ fn resolved_worker_count_packed_batch_bit_matches_oracle() {
             "graph {i} workers={workers}"
         );
     }
+}
+
+/// A pack of `sizes` graphs (rows, nnz), feature blocks of width `dim`,
+/// and each graph's sequential reference.
+type Packed = (BlockDiagCsr, DenseMatrix<f32>, Vec<DenseMatrix<f32>>);
+
+fn packed(sizes: &[(usize, usize)], dim: usize, seed: u64) -> Packed {
+    let graphs: Vec<Arc<CsrMatrix<f32>>> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &(rows, nnz))| Arc::new(random_graph(rows, nnz, seed + i as u64)))
+        .collect();
+    let feats: Vec<DenseMatrix<f32>> = graphs
+        .iter()
+        .enumerate()
+        .map(|(i, g)| features(g.rows(), dim, seed ^ (i as u64 + 1)))
+        .collect();
+    let pack = BlockDiagCsr::build(&graphs).unwrap();
+    let stacked = pack
+        .stack_features(&feats.iter().collect::<Vec<_>>())
+        .unwrap();
+    let wants = graphs
+        .iter()
+        .zip(&feats)
+        .map(|(g, x)| sequential_reference(g, x, dim))
+        .collect();
+    (pack, stacked, wants)
+}
+
+/// Packs with empty graphs among full ones, and a pack with no
+/// non-zeros at all.
+const PACKS: [&[(usize, usize)]; 2] = [
+    &[(7, 0), (30, 140), (1, 1), (12, 0), (19, 60), (9, 30)],
+    &[(5, 0), (3, 0), (8, 0)],
+];
+
+/// Row-span plans from `plan_batch_cached` equal per-graph sequential
+/// execution exactly, on every data path at widths with and without a
+/// fixed-width microkernel, at workers {1, 2, 8} and the resolved count;
+/// a fused bias lands on every row, empty rows included.
+#[test]
+fn row_span_plans_bit_match_per_graph_sequential() {
+    let class = BatchShapeClass::from_graphs(std::iter::empty());
+    for (p, sizes) in PACKS.iter().enumerate() {
+        for dim in [1usize, 2, 3, 4, 8, 16, 32] {
+            let (pack, stacked, wants) = packed(sizes, dim, 40 + p as u64);
+            let bias: Vec<f32> = (0..dim).map(|j| j as f32 * 0.5 - 1.25).collect();
+            let epi = Epilogue::Bias(bias);
+            for path in [
+                DataPath::Auto,
+                DataPath::Scalar,
+                DataPath::Tiled,
+                DataPath::Vector,
+            ] {
+                for workers in [1usize, 2, 8, default_workers()] {
+                    let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+                    let prep = engine.plan_batch_cached(
+                        &BatchMergeSpmm::new(),
+                        pack.matrix(),
+                        dim,
+                        &class,
+                    );
+                    let (out, _) = engine
+                        .execute_prepared(&prep, pack.matrix(), &stacked)
+                        .unwrap();
+                    let (biased, _) = engine
+                        .execute_prepared_fused(&prep, pack.matrix(), &stacked, &epi)
+                        .unwrap();
+                    for (i, want) in wants.iter().enumerate() {
+                        let ctx = format!("pack {p} graph {i} dim {dim} {path:?} w={workers}");
+                        assert_eq!(
+                            pack.scatter_block(&out, i).as_slice(),
+                            want.as_slice(),
+                            "{ctx}"
+                        );
+                        let mut want = want.clone();
+                        for row in want.as_mut_slice().chunks_mut(dim) {
+                            epi.apply_row(row);
+                        }
+                        let got = pack.scatter_block(&biased, i);
+                        assert_eq!(got.as_slice(), want.as_slice(), "bias {ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A row-span plan and the prepared `BatchMergeSpmm` plan of the same
+/// pack give identical bytes, write statistics and dispatch split.
+#[test]
+fn row_span_plan_matches_prepared_batch_merge_plan() {
+    let class = BatchShapeClass::from_graphs(std::iter::empty());
+    for (p, sizes) in PACKS.iter().enumerate() {
+        for dim in [1usize, 3, 8, 16] {
+            let (pack, stacked, _) = packed(sizes, dim, 70 + p as u64);
+            let merge = PreparedPlan::for_matrix(
+                BatchMergeSpmm::new().plan(pack.matrix(), dim),
+                pack.matrix(),
+            );
+            for workers in [1usize, 2, 8] {
+                let engine = ExecEngine::new(workers);
+                let spans =
+                    engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), dim, &class);
+                assert_eq!(spans.expected_stats(), merge.expected_stats());
+                assert_eq!(spans.dispatch_profile(), merge.dispatch_profile());
+                assert_eq!(spans.shared_row_count(), 0);
+                let run = |prep: &PreparedPlan| {
+                    engine
+                        .execute_prepared(prep, pack.matrix(), &stacked)
+                        .unwrap()
+                };
+                let (got, got_stats) = run(&spans);
+                let (want, want_stats) = run(&merge);
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "pack {p} dim {dim} w={workers}"
+                );
+                assert_eq!(got_stats, want_stats);
+            }
+        }
+    }
+}
+
+/// The run-time row-count check covers row-span plans: executing one
+/// against a matrix with another row count panics.
+#[test]
+#[should_panic(expected = "different row count")]
+fn row_span_plan_rejects_a_matrix_with_another_row_count() {
+    let (pack, stacked, _) = packed(PACKS[0], 4, 90);
+    let engine = ExecEngine::new(2);
+    let class = BatchShapeClass::from_graphs(std::iter::empty());
+    let prep = engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), 4, &class);
+    let taller = CsrMatrix::<f32>::zeros(pack.rows() + 1, pack.cols());
+    let _ = engine.execute_prepared(&prep, &taller, &stacked);
+}
+
+/// `plan_batch_cached` builds a fresh row-span plan per call, with no
+/// index copy, and stores nothing.
+#[test]
+fn batch_plans_are_built_per_call_and_never_stored() {
+    let (pack, _, _) = packed(PACKS[0], 8, 95);
+    let engine = ExecEngine::new(3);
+    let class = BatchShapeClass::from_graphs(std::iter::empty());
+    let p1 = engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), 8, &class);
+    let p2 = engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), 8, &class);
+    assert!(!Arc::ptr_eq(&p1, &p2), "nothing is cached");
+    assert!(!p1.has_packed_indices());
+    let stats = engine.stats();
+    assert_eq!(stats.batch_plan_misses, 2, "one build per call");
+    assert_eq!((stats.batch_plan_hits, stats.batch_plan_rebuilds), (0, 0));
+    assert_eq!(stats.cached_plans, 0);
+    engine.clear_cache();
+    assert_eq!(engine.stats().batch_plan_misses, 0);
+}
+
+/// Any plan whose rows each have a single writer runs as row spans:
+/// exact against the sequential executor at every worker count, with
+/// the plan's own write statistics and dispatch split. A plan with split
+/// rows keeps its shared-row classification.
+#[test]
+fn single_writer_plans_run_exactly_at_any_worker_count() {
+    let a = random_graph(60, 260, 9);
+    let b = features(60, 4, 10);
+    for plan in [
+        SerialSpmm.plan(&a, 4),
+        RowSplitSpmm::with_threads(7).plan(&a, 4),
+        BatchMergeSpmm::with_threads(5).plan(&a, 4),
+    ] {
+        let (want, want_stats) = execute_sequential(&plan, &a, &b).unwrap();
+        let prep = PreparedPlan::new(plan.clone(), a.rows());
+        assert_eq!(prep.expected_stats(), want_stats);
+        assert_eq!(
+            prep.dispatch_profile(),
+            plan.dispatch_profile(GATHER_MAX_NNZ)
+        );
+        for workers in [1usize, 2, 8] {
+            let engine = ExecEngine::new(workers).with_fast_math(false);
+            let (got, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+            assert_eq!(got.as_slice(), want.as_slice(), "workers={workers}");
+        }
+    }
+    let split = PreparedPlan::new(MergePathSpmm::with_threads(13).plan(&a, 4), a.rows());
+    assert!(split.shared_row_count() > 0);
 }

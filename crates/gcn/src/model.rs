@@ -534,9 +534,9 @@ impl GcnModel {
     /// across bands. Callers scatter per-graph outputs back out of the
     /// returned matrix's row bands.
     ///
-    /// `prep` is the packed adjacency's prepared plan, normally from
-    /// [`ExecEngine::plan_batch_cached`] so successive windows of
-    /// similar composition skip planning entirely.
+    /// `prep` is the packed adjacency's prepared plan, normally the
+    /// row-span plan [`ExecEngine::plan_batch_cached`] builds per window
+    /// straight from the packed row pointers.
     ///
     /// # Errors
     ///

@@ -124,75 +124,6 @@ pub(crate) struct Shared {
     pub ready: Condvar,
     pub shutdown: std::sync::atomic::AtomicBool,
     pub stats: StatsCollector,
-    pub packs: Mutex<PackCache>,
-}
-
-/// Memoized pack windows the dispatcher may see again. Steady serving
-/// of a registered population repeats window compositions exactly
-/// (aligned client bursts, cyclic scans), and rebuilding the
-/// block-diagonal matrix is a per-window `O(nnz)` copy — the single
-/// largest non-compute cost of a packed window.
-pub(crate) const PACK_CACHE_SLOTS: usize = 16;
-
-/// One memoized pack. The constituent `Arc`s are held by the entry, so
-/// their allocations cannot be freed and reused while cached — which
-/// makes the `Arc::ptr_eq` composition comparison sound (no ABA). A
-/// hot-swapped graph allocates a new `Arc`, misses here, and rebuilds
-/// the pack with the new values while the structure-keyed *plan* cache
-/// still hits.
-struct PackEntry {
-    constituents: Vec<Arc<CsrMatrix<f32>>>,
-    pack: Arc<BlockDiagCsr>,
-    last_used: u64,
-}
-
-/// LRU over [`PackEntry`] — see [`PACK_CACHE_SLOTS`].
-#[derive(Default)]
-pub(crate) struct PackCache {
-    entries: Vec<PackEntry>,
-    clock: u64,
-}
-
-/// Fetches (or builds and caches) the pack for exactly this sequence of
-/// constituent graphs, compared by `Arc` identity.
-fn cached_pack(
-    shared: &Shared,
-    constituents: &[Arc<CsrMatrix<f32>>],
-) -> Result<Arc<BlockDiagCsr>, mpspmm_sparse::SparseFormatError> {
-    let mut cache = shared.packs.lock().unwrap();
-    cache.clock += 1;
-    let now = cache.clock;
-    if let Some(e) = cache.entries.iter_mut().find(|e| {
-        e.constituents.len() == constituents.len()
-            && e.constituents
-                .iter()
-                .zip(constituents)
-                .all(|(a, b)| Arc::ptr_eq(a, b))
-    }) {
-        e.last_used = now;
-        return Ok(Arc::clone(&e.pack));
-    }
-    drop(cache);
-    // Build outside the lock — submit threads never touch this cache,
-    // but the lock also guards nothing worth holding for an O(nnz) copy.
-    let pack = Arc::new(BlockDiagCsr::build(constituents)?);
-    let mut cache = shared.packs.lock().unwrap();
-    while cache.entries.len() >= PACK_CACHE_SLOTS {
-        let oldest = cache
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(i, _)| i)
-            .expect("non-empty by loop condition");
-        cache.entries.swap_remove(oldest);
-    }
-    cache.entries.push(PackEntry {
-        constituents: constituents.to_vec(),
-        pack: Arc::clone(&pack),
-        last_used: now,
-    });
-    Ok(pack)
 }
 
 /// Dispatcher body: drains the queue into batches until shutdown is
@@ -440,26 +371,17 @@ fn execute_packed(shared: &Shared, batch: Vec<Pending>, degraded: bool) {
             .iter()
             .map(|p| Arc::clone(p.graph.adjacency()))
             .collect();
-        let pack = cached_pack(shared, &constituents)?;
-        let class = BatchShapeClass::from_graphs(live.iter().map(|p| {
-            let a = p.graph.adjacency();
-            (a.rows(), a.nnz(), p.graph.structure_hash())
-        }));
+        let pack = BlockDiagCsr::build(&constituents)?;
         let feats: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
         let mut stacked = shared.engine.lease_zeroed(pack.cols(), cols);
         pack.stack_features_into(&feats, &mut stacked)?;
-        let plan_dim = match workload {
-            Workload::Spmm => cols.max(1),
-            Workload::Gcn => live[0]
-                .graph
-                .model()
-                .map_or(cols.max(1), |m| m.max_features()),
-        };
+        // The batch plan is row spans cut from the packed row pointers
+        // alone; its width and shape-class arguments are unused.
         let prep = shared.engine.plan_batch_cached(
             &BatchMergeSpmm::new(),
             pack.matrix(),
-            plan_dim,
-            &class,
+            cols,
+            &BatchShapeClass::from_graphs(std::iter::empty()),
         );
         let out = match workload {
             Workload::Spmm => {

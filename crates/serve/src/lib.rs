@@ -251,7 +251,6 @@ impl Server {
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             stats: stats::StatsCollector::default(),
-            packs: Mutex::new(batcher::PackCache::default()),
         });
         let dispatcher = {
             let shared = Arc::clone(&shared);

@@ -43,10 +43,8 @@ pub struct ServedGraph {
     epoch: u64,
     adjacency: Arc<CsrMatrix<f32>>,
     /// [`CsrMatrix::structure_hash`] of `adjacency`, computed once at
-    /// registration: the graph-packing scheduler folds it into every
-    /// window's [`BatchShapeClass`](mpspmm_core::BatchShapeClass), so a
-    /// value-only hot swap (same structure, new weights) keeps the
-    /// batch fingerprint — and the cached batch plan — intact.
+    /// registration: a value-only hot swap (same structure, new weights)
+    /// keeps it, a structural swap changes it.
     structure_hash: u64,
     prep: Arc<PreparedPlan>,
     model: Option<Arc<GcnModel>>,
@@ -79,8 +77,8 @@ impl ServedGraph {
         &self.adjacency
     }
 
-    /// Cached sparsity-structure hash of the adjacency (values excluded)
-    /// — the constituent identity batch-shape classes are built from.
+    /// Cached sparsity-structure hash of the adjacency (values
+    /// excluded), for callers that key on a graph's structure.
     pub fn structure_hash(&self) -> u64 {
         self.structure_hash
     }

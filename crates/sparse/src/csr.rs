@@ -199,7 +199,7 @@ impl<T> CsrMatrix<T> {
     /// collisions, only those) admit the same merge-path plan: planning
     /// reads only `row_ptr`/`col_indices`, so a value-only update (edge
     /// re-weighting, GCN renormalization) keeps every prepared plan
-    /// valid. Batch-shape-class plan caching keys on this.
+    /// valid.
     pub fn structure_hash(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -37,12 +37,15 @@ cargo test -q -p mpspmm-core --features force-scalar
 # batch_oracle sweeps packed-vs-sequential across DataPath x workers,
 # including empty graphs and single-graph windows. gemm_dense pins the
 # engine GEMM, which runs every GCN feature transform, bit-exactly to
-# the zero-skip loop at the served layer-0 shapes.
+# the zero-skip loop at the served layer-0 shapes. serve_integration's
+# packing server runs at the resolved count, so packed serving is
+# checked against the oracle at every count too.
 for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_sched
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test gemm_dense
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test spgemm_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test batch_oracle
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-serve --test serve_integration
 done
 # The fused layer pipeline promises fused == unfused at every worker
 # count; re-run its oracle property suite across the same matrix.
