@@ -10,16 +10,19 @@
 //! * MergePath-SpMM's schedule — build time (sequential and parallel) +
 //!   resident bytes,
 //!
-//! and relates both to one *measured* engine invocation (prepared plan,
-//! current SIMD data path) so the "online" cost of each approach is
+//! and relates both to one *measured* invocation of the plan the
+//! schedule builds, on the seed executor (`executor::execute_parallel`,
+//! which runs the plan's own segments; the engine would run row spans
+//! whatever the schedule), so the "online" cost of each approach is
 //! visible against the kernel time it fronts.
 
 use std::time::Instant;
 
 use mpspmm_bench::{banner, full_size_requested, load, time_ns, SEED};
+use mpspmm_core::executor::execute_parallel;
 use mpspmm_core::{
-    default_cost_for_dim, default_workers, plan_from_schedule, thread_count, ExecEngine,
-    NeighborPartitionIndex, NnzSplitSpmm, PreparedPlan, Schedule, MIN_THREADS,
+    default_cost_for_dim, default_workers, plan_from_schedule, thread_count,
+    NeighborPartitionIndex, NnzSplitSpmm, Schedule, MIN_THREADS,
 };
 use mpspmm_graphs::find_dataset;
 use mpspmm_sparse::DenseMatrix;
@@ -37,7 +40,7 @@ fn main() {
 
     let dim = 16;
     let cost = default_cost_for_dim(dim);
-    let engine = ExecEngine::new(default_workers());
+    let workers = default_workers();
     println!(
         "{:<12} {:>11} {:>11} | {:>11} {:>11} {:>12} | {:>11}",
         "Graph", "NG build", "NG bytes", "MP build", "MP par(4)", "MP bytes", "kernel µs"
@@ -61,15 +64,13 @@ fn main() {
         // Schedule footprint: two merge coordinates per thread.
         let mp_bytes = schedule.num_threads() * 4 * std::mem::size_of::<usize>();
 
-        // One measured kernel invocation on the engine the schedule
-        // fronts: prepared plan, packed indices, current SIMD path.
+        // One measured invocation of the plan the schedule fronts.
         let plan = plan_from_schedule(&schedule, &a);
-        let prep = PreparedPlan::for_matrix(plan, &a);
         let b = DenseMatrix::from_fn(a.cols(), dim, |r, c| {
             ((r * 31 + c * 7) % 17) as f32 * 0.125 - 1.0
         });
         let kernel_us = time_ns(2, 7, || {
-            let _ = engine.execute_prepared(&prep, &a, &b).unwrap();
+            let _ = execute_parallel(&plan, &a, &b, workers).unwrap();
         }) / 1e3;
         println!(
             "{name:<12} {:>9.2}ms {:>10}B | {:>9.2}ms {:>9.2}ms {:>11}B | {:>11.2}",
@@ -89,7 +90,7 @@ fn main() {
          count and reuses the unmodified CSR arrays. The paper's \
          preprocessing-free claim is about *kernel-input* format: \
          MergePath-SpMM consumes RP/CP as-is. The kernel column is a real \
-         engine run, so build cost can be read directly against the \
+         run of the schedule's plan, so build cost can be read directly against the \
          invocation it amortizes over."
     );
 }

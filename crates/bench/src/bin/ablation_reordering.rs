@@ -3,8 +3,10 @@
 //! The classic remedy for evil rows is to *reorder* the matrix (sort rows
 //! by degree) so contiguous chunks carry comparable work. MergePath-SpMM
 //! claims the same balance with no reordering at all. This ablation
-//! compares, measured on the real execution engine (current SIMD data
-//! path, prepared plans, the static schedule):
+//! compares, each plan measured on the seed executor
+//! (`executor::execute_parallel`, which runs a plan's own segments at
+//! the resolved worker count; the engine would run every plan as the
+//! same row spans):
 //!
 //! * row-splitting on the original matrix,
 //! * row-splitting on the degree-sorted matrix with contiguous chunks —
@@ -16,17 +18,19 @@
 //! Load-balance statistics ([`LoadBalance`]) show *why*: even the LPT
 //! dealing cannot bound the per-thread maximum below the longest row; the
 //! merge path bounds every thread's work by construction. The `skew4`
-//! column shows what the engine's static scheduler sees at 4 workers:
-//! the clustered sorted-contiguous plan piles most non-zeros into one
-//! worker span, while the merge-path plan's spans stay near 1.0.
+//! column ([`static_span_skew`]) shows the plans' logical threads dealt
+//! into 4 contiguous worker spans: the clustered sorted-contiguous plan
+//! piles most non-zeros into one span, while the merge-path plan's spans
+//! stay near 1.0.
 
 use std::time::Instant;
 
 use mpspmm_bench::{banner, full_size_requested, load, time_ns, SEED};
 use mpspmm_core::analysis::LoadBalance;
+use mpspmm_core::executor::execute_parallel;
 use mpspmm_core::{
-    default_workers, ExecEngine, Flush, KernelPlan, MergePathSpmm, PreparedPlan, RowSplitSpmm,
-    Segment, SpmmKernel, ThreadPlan,
+    default_workers, static_span_skew, Flush, KernelPlan, MergePathSpmm, RowSplitSpmm, Segment,
+    SpmmKernel, ThreadPlan,
 };
 use mpspmm_graphs::find_dataset;
 use mpspmm_sparse::reorder::{degree_sort_permutation, permute_rows};
@@ -56,13 +60,13 @@ fn main() {
     let full = full_size_requested();
     banner(
         "Ablation: reordering",
-        "row-splitting ± degree sort vs MergePath-SpMM on the engine (dim 16)",
+        "row-splitting ± degree sort vs MergePath-SpMM on the seed executor (dim 16)",
         full,
     );
     println!("sample: {SAMPLE:?}, seed {SEED}\n");
 
     let dim = 16;
-    let engine = ExecEngine::new(default_workers());
+    let workers = default_workers();
     println!(
         "{:<16} {:>9} {:>10} {:>10} {:>8} {:>9} | {:>7} {:>7} {:>7} {:>7} | {:>11}",
         "Graph",
@@ -95,12 +99,10 @@ fn main() {
         lpt_plan.validate(&sorted).expect("dealt plan is valid");
         let mp_plan = MergePathSpmm::new().plan(&a, dim);
 
-        // Measure every scheme on the real engine: prepared (packed)
-        // plans, current SIMD data path, the static schedule.
+        // Measure every scheme's own plan on the seed executor.
         let micros = |plan: &KernelPlan, m: &CsrMatrix<f32>| {
-            let prep = PreparedPlan::for_matrix(plan.clone(), m);
             time_ns(2, 7, || {
-                let _ = engine.execute_prepared(&prep, m, &b).unwrap();
+                let _ = execute_parallel(plan, m, &b, workers).unwrap();
             }) / 1e3
         };
         let rs = micros(&rs_plan, &a);
@@ -111,13 +113,18 @@ fn main() {
         // Static span skew of the pathological plan vs the merge-path
         // one, at 4 workers so the column stays meaningful on hosts with
         // fewer cores.
-        let srs_prep = PreparedPlan::for_matrix(srs_plan.clone(), &sorted);
-        let mp_prep = PreparedPlan::for_matrix(mp_plan.clone(), &a);
-        let skew = format!(
-            "{:.2}/{:.2}",
-            srs_prep.static_span_skew(4),
-            mp_prep.static_span_skew(4)
-        );
+        let skew4 = |plan: &KernelPlan| {
+            let ends: Vec<usize> = plan
+                .threads
+                .iter()
+                .scan(0, |cum, tp| {
+                    *cum += tp.nnz();
+                    Some(*cum)
+                })
+                .collect();
+            static_span_skew(&ends, 4)
+        };
+        let skew = format!("{:.2}/{:.2}", skew4(&srs_plan), skew4(&mp_plan));
 
         let imb = |plan: &KernelPlan| LoadBalance::of(plan).imbalance;
         println!(
@@ -134,11 +141,11 @@ fn main() {
          balances the sums but still cannot split the longest row, so its \
          per-thread maximum stays unbounded. MergePath-SpMM reaches a \
          strictly tighter bound on the ORIGINAL matrix, with no sort cost \
-         and no permuted output to undo. `skew4` = max/mean nnz of the \
-         static scheduler's 4 worker spans for the sorted-contiguous / \
-         merge-path plans: the sort pathologizes exactly the first. Timings \
-         are real engine runs; on a host with few cores the µs columns track \
-         total work, the imbalance and `skew4` columns show what changes at \
-         higher worker counts."
+         and no permuted output to undo. `skew4` = max/mean nnz of 4 \
+         contiguous worker spans of the sorted-contiguous / merge-path \
+         plans' threads: the sort pathologizes exactly the first. Timings \
+         are seed-executor runs of each plan; on a host with few cores the \
+         µs columns track total work, the imbalance and `skew4` columns \
+         show what changes at higher worker counts."
     );
 }

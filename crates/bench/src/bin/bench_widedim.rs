@@ -8,7 +8,7 @@
 //! microkernel whose per-`k` slices are hoisted out of the hot loop, a
 //! `k`-blocked sweep that keeps the `B` slab quarter-L2-resident, and
 //! the opt-in FastMath mode that contracts each multiply-add to an FMA.
-//! The SpMM runs the engine's merge-path static schedule at every dim.
+//! The SpMM runs the engine's row spans at every dim.
 //!
 //! Three configurations are timed per (graph, dim), stage by stage, at
 //! the resolved worker count (`default_workers()`, which honours
@@ -21,8 +21,8 @@
 //!   engine) plus the engine's exact SpMM.
 //! * **wide exact** — `ExecEngine::gemm` (`k`-blocked, reworked
 //!   microkernel) plus the same exact SpMM, FastMath off. The GEMM is
-//!   held **bit-identical** to the baseline GEMM, and the SpMM within
-//!   the engine-oracle tolerance of the sequential executor, at every
+//!   held **bit-identical** to the baseline GEMM, and the SpMM to the
+//!   ascending row sum (the serial plan's sequential replay), at every
 //!   dim in the matrix. Both configurations share one SpMM stage
 //!   timing: their SpMM is the same code.
 //! * **wide fastmath** — the same with the documented FastMath opt-in
@@ -42,7 +42,7 @@
 use mpspmm_bench::{geomean, SEED};
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    default_workers, panel_cols, CacheModel, ExecEngine, MergePathSpmm, PreparedPlan, SpmmKernel,
+    default_workers, panel_cols, CacheModel, ExecEngine, PreparedPlan, SerialSpmm, SpmmKernel,
     GEMM_BAND_ROWS,
 };
 use mpspmm_gcn::ops::random_features;
@@ -240,7 +240,6 @@ fn main() {
     );
     println!("==================================================================");
 
-    let kernel = MergePathSpmm::new();
     let graphs = [
         (
             "powerlaw",
@@ -276,8 +275,8 @@ fn main() {
     let fm_available = mpspmm_core::fastmath_supported();
     for (gname, a) in &graphs {
         let nnzf = a.nnz() as f64;
-        let plan = kernel.plan(a, DIMS[DIMS.len() - 1]);
-        let prep = PreparedPlan::for_matrix(plan.clone(), a);
+        let plan = SerialSpmm.plan(a, DIMS[DIMS.len() - 1]);
+        let prep = PreparedPlan::new(a);
         for dim in DIMS {
             let x = random_features(a.rows(), dim, 0.9, 33 + dim as u64);
             let w = random_features(dim, dim, 1.0, 99 + dim as u64);
@@ -298,17 +297,11 @@ fn main() {
                 0.0,
                 "baseline kernel reproduction must be bitwise equal ({gname}, dim {dim})"
             );
-            // 2. The exact SpMM stays within rounding of the sequential
-            //    executor on the same GEMM output: 1e-4 absolute, or
-            //    2 × EPSILON × the output's peak magnitude (2–4 ulps of
-            //    the peak) where that is wider. Wide dims reach
-            //    magnitudes near 1e3, where one ulp is already 6e-5 and
-            //    a reassociated shared-row fold lands two ulps off.
+            // 2. The exact SpMM equals the ascending row sum on the same
+            //    GEMM output.
             let (want, _) = execute_sequential(&plan, a, &xw).unwrap();
             let (got, _) = wide.execute_prepared(&prep, a, &xw).unwrap();
-            let peak = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let tol = 1e-4f32.max(2.0 * f32::EPSILON * peak);
-            assert!(got.approx_eq(&want, tol).unwrap(), "{gname} dim {dim}");
+            assert_eq!(got.as_slice(), want.as_slice(), "{gname} dim {dim}");
             // 3. FastMath differs by rounding only.
             if fm_available {
                 let xw_fm = wide_fm.gemm(&x, &w).unwrap();

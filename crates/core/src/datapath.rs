@@ -20,14 +20,9 @@
 //!   and axpy-accumulates row by row; long segments take the streaming
 //!   panel kernel. The engine records the split in
 //!   [`crate::EngineStats`].
-//! * **Packed indices** — every kernel is generic over the column-index
-//!   type, so it runs on the `u32` SoA packing
-//!   ([`mpspmm_sparse::PackedCsr`]-style, built by
-//!   [`crate::PreparedPlan::pack_indices`]) when available and on the
-//!   plain `usize` CSR arrays otherwise.
-//! * **Gather prefetch** — a merge-path worker walks one contiguous run
+//! * **Gather prefetch** — an engine worker walks one contiguous run
 //!   of non-zeros, so the kernel knows which `B` rows it reads next, across
-//!   segment and row boundaries. While it accumulates non-zero `k` it
+//!   row boundaries. While it accumulates non-zero `k` it
 //!   hints `B` row `cols[k + PREFETCH_DISTANCE]` over the current panel,
 //!   one 64-byte line at a time (`prefetcht0` on x86-64; no hint
 //!   elsewhere). The hints only pay when `B` misses cache, so
@@ -104,8 +99,8 @@ pub enum DataPath {
     /// panel blocking). Kept selectable so benchmarks can regenerate the
     /// PR-1 baseline on the same binary.
     Tiled,
-    /// Wide-lane streaming kernels with panel blocking, packed-index
-    /// support, and degree-adaptive gather dispatch.
+    /// Wide-lane streaming kernels with panel blocking and
+    /// degree-adaptive gather dispatch.
     Vector,
 }
 
@@ -320,30 +315,10 @@ pub(crate) fn resolve_fastmath(raw: Option<&str>) -> (bool, Option<String>) {
     }
 }
 
-/// Column-index view the kernels are generic over: plain CSR `usize`
-/// indices or the packed `u32` form.
-pub(crate) trait ColIdx: Copy {
-    fn to_usize(self) -> usize;
-}
-
-impl ColIdx for usize {
-    #[inline(always)]
-    fn to_usize(self) -> usize {
-        self
-    }
-}
-
-impl ColIdx for u32 {
-    #[inline(always)]
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
-
 /// Scalar oracle: one column at a time, additions in non-zero order.
-pub(crate) fn accumulate_segment_scalar<I: ColIdx>(
+pub(crate) fn accumulate_segment_scalar(
     seg: &Segment,
-    cols: &[I],
+    cols: &[usize],
     vals: &[f32],
     b: &DenseMatrix<f32>,
     dst: &mut [f32],
@@ -351,7 +326,7 @@ pub(crate) fn accumulate_segment_scalar<I: ColIdx>(
     for (d, slot) in dst.iter_mut().enumerate() {
         let mut s = 0.0f32;
         for k in seg.nz_start..seg.nz_end {
-            s += vals[k] * b.row(cols[k].to_usize())[d];
+            s += vals[k] * b.row(cols[k])[d];
         }
         *slot = s;
     }
@@ -373,14 +348,14 @@ pub(crate) fn accumulate_segment_tiled(
     let dim = dst.len();
     let mut d = 0;
     while d + 8 <= dim {
-        stream_block::<8, false, _>(seg, cols, vals, b, d, dst, None);
+        stream_block::<8, false>(seg, cols, vals, b, d, dst, None);
         d += 8;
     }
     if d + 4 <= dim {
-        stream_block::<4, false, _>(seg, cols, vals, b, d, dst, None);
+        stream_block::<4, false>(seg, cols, vals, b, d, dst, None);
         d += 4;
     }
-    tail_columns::<false, _>(seg, cols, vals, b, d..dim, dst, None);
+    tail_columns::<false>(seg, cols, vals, b, d..dim, dst, None);
 }
 
 /// One `W`-column register-accumulator block: `W` f32 accumulators live
@@ -392,9 +367,9 @@ pub(crate) fn accumulate_segment_tiled(
 /// the column window to hint ahead ([`hint_ahead`]) while sweeping, or
 /// `None`.
 #[inline(always)]
-fn stream_block<const W: usize, const FAST: bool, I: ColIdx>(
+fn stream_block<const W: usize, const FAST: bool>(
     seg: &Segment,
-    cols: &[I],
+    cols: &[usize],
     vals: &[f32],
     b: &DenseMatrix<f32>,
     d: usize,
@@ -407,7 +382,7 @@ fn stream_block<const W: usize, const FAST: bool, I: ColIdx>(
             hint_ahead(cols, k, b, window);
         }
         let v = vals[k];
-        let row = b.row(cols[k].to_usize());
+        let row = b.row(cols[k]);
         let blk: &[f32; W] = row[d..d + W].try_into().expect("block inside dense row");
         for (a, &x) in acc.iter_mut().zip(blk) {
             if FAST {
@@ -424,9 +399,9 @@ fn stream_block<const W: usize, const FAST: bool, I: ColIdx>(
 /// `B`'s rows). `pf` hints as in [`stream_block`], during the first
 /// column's sweep only.
 #[inline(always)]
-fn tail_columns<const FAST: bool, I: ColIdx>(
+fn tail_columns<const FAST: bool>(
     seg: &Segment,
-    cols: &[I],
+    cols: &[usize],
     vals: &[f32],
     b: &DenseMatrix<f32>,
     range: std::ops::Range<usize>,
@@ -440,7 +415,7 @@ fn tail_columns<const FAST: bool, I: ColIdx>(
             if let Some(window) = hint {
                 hint_ahead(cols, k, b, window);
             }
-            let x = b.row(cols[k].to_usize())[d];
+            let x = b.row(cols[k])[d];
             if FAST {
                 s = vals[k].mul_add(x, s);
             } else {
@@ -463,15 +438,15 @@ fn tail_columns<const FAST: bool, I: ColIdx>(
 /// oracle folds in a leading `0.0` (which can flip a `-0.0` product to
 /// `+0.0`), so results are equal under f32 `==` and may differ only in
 /// the sign of zero.
-pub(crate) fn gather_segment<I: ColIdx>(
+pub(crate) fn gather_segment(
     seg: &Segment,
-    cols: &[I],
+    cols: &[usize],
     vals: &[f32],
     b: &DenseMatrix<f32>,
     dst: &mut [f32],
 ) {
     let k = seg.nz_start;
-    let row = |i: usize| b.row(cols[k + i].to_usize());
+    let row = |i: usize| b.row(cols[k + i]);
     match seg.len() {
         0 => dst.fill(0.0),
         1 => {
@@ -515,9 +490,9 @@ pub(crate) fn gather_segment<I: ColIdx>(
 /// `#[target_feature]` clone absorbs the whole cascade under its own
 /// codegen features.
 #[inline(always)]
-fn stream_segment_body<const FAST: bool, I: ColIdx>(
+fn stream_segment_body<const FAST: bool>(
     seg: &Segment,
-    cols: &[I],
+    cols: &[usize],
     vals: &[f32],
     b: &DenseMatrix<f32>,
     dst: &mut [f32],
@@ -534,43 +509,43 @@ fn stream_segment_body<const FAST: bool, I: ColIdx>(
         let mut d = p0;
         if rp.lanes == LaneWidth::W16 {
             while d + 16 <= p1 {
-                stream_block::<16, FAST, _>(seg, cols, vals, b, d, dst, pf.take());
+                stream_block::<16, FAST>(seg, cols, vals, b, d, dst, pf.take());
                 d += 16;
             }
         }
         while d + 8 <= p1 {
-            stream_block::<8, FAST, _>(seg, cols, vals, b, d, dst, pf.take());
+            stream_block::<8, FAST>(seg, cols, vals, b, d, dst, pf.take());
             d += 8;
         }
         if d + 4 <= p1 {
-            stream_block::<4, FAST, _>(seg, cols, vals, b, d, dst, pf.take());
+            stream_block::<4, FAST>(seg, cols, vals, b, d, dst, pf.take());
             d += 4;
         }
-        tail_columns::<FAST, _>(seg, cols, vals, b, d..p1, dst, pf);
+        tail_columns::<FAST>(seg, cols, vals, b, d..p1, dst, pf);
         p0 = p1;
     }
 }
 
 /// Streaming panel kernel for long segments — the exact (bit-equal to
 /// the oracle) instantiation of [`stream_segment_body`].
-pub(crate) fn stream_segment<I: ColIdx>(
+pub(crate) fn stream_segment(
     seg: &Segment,
-    cols: &[I],
+    cols: &[usize],
     vals: &[f32],
     b: &DenseMatrix<f32>,
     dst: &mut [f32],
     rp: &ResolvedPath,
 ) {
-    stream_segment_body::<false, I>(seg, cols, vals, b, dst, rp);
+    stream_segment_body::<false>(seg, cols, vals, b, dst, rp);
 }
 
 /// FastMath streaming kernel: [`stream_segment_body`] with `mul_add`,
 /// dispatched to the `#[target_feature(…, "fma")]` clone matching the
 /// proven [`WideIsa`]. Only reachable when [`ResolvedPath::fastmath`] is
 /// set, which implies the fma proof on x86-64.
-fn stream_segment_fast<I: ColIdx>(
+fn stream_segment_fast(
     seg: &Segment,
-    cols: &[I],
+    cols: &[usize],
     vals: &[f32],
     b: &DenseMatrix<f32>,
     dst: &mut [f32],
@@ -579,7 +554,7 @@ fn stream_segment_fast<I: ColIdx>(
     #[cfg(target_arch = "x86_64")]
     wide::stream_fast(seg, cols, vals, b, dst, rp);
     #[cfg(not(target_arch = "x86_64"))]
-    stream_segment_body::<true, I>(seg, cols, vals, b, dst, rp);
+    stream_segment_body::<true>(seg, cols, vals, b, dst, rp);
 }
 
 /// How many non-zeros ahead of the one being accumulated the vectorized
@@ -590,16 +565,16 @@ const PREFETCH_DISTANCE: usize = 8;
 
 /// Hints `B` row `cols[k + PREFETCH_DISTANCE]` over the source columns
 /// `[lo, hi)`. The index is clipped at the end of the index array, not
-/// at the segment's end, so the hints run ahead into the next segments a
-/// merge-path worker will walk. A hint never faults and never changes a
+/// at the segment's end, so the hints run ahead into the next rows an
+/// engine worker will walk. A hint never faults and never changes a
 /// value; a row outside `b` (impossible for a checked operand) is not
 /// hinted.
 #[inline(always)]
-fn hint_ahead<I: ColIdx>(cols: &[I], k: usize, b: &DenseMatrix<f32>, (lo, hi): (usize, usize)) {
+fn hint_ahead(cols: &[usize], k: usize, b: &DenseMatrix<f32>, (lo, hi): (usize, usize)) {
     let Some(&c) = cols.get((k + PREFETCH_DISTANCE).min(cols.len().saturating_sub(1))) else {
         return;
     };
-    let start = c.to_usize() * b.cols() + lo;
+    let start = c * b.cols() + lo;
     if let Some(window) = b.as_slice().get(start..start + (hi - lo)) {
         #[cfg(target_arch = "x86_64")]
         wide::prefetch_lines(window);
@@ -616,9 +591,9 @@ fn hint_ahead<I: ColIdx>(cols: &[I], k: usize, b: &DenseMatrix<f32>, (lo, hi): (
 /// ahead of each non-zero they use: the gather kernel sends its few
 /// hints up front, the streaming kernel during its first block's sweep.
 #[inline]
-pub(crate) fn vector_segment<I: ColIdx>(
+pub(crate) fn vector_segment(
     seg: &Segment,
-    cols: &[I],
+    cols: &[usize],
     vals: &[f32],
     b: &DenseMatrix<f32>,
     dst: &mut [f32],
@@ -639,25 +614,19 @@ pub(crate) fn vector_segment<I: ColIdx>(
 }
 
 /// Accumulates one segment into the full output row `dst`, overwriting
-/// it, through the resolved data path. `cols32` is the packed `u32`
-/// index array when the prepared plan carries one.
+/// it, through the resolved data path.
 pub(crate) fn accumulate_segment_dispatch(
     rp: &ResolvedPath,
     seg: &Segment,
     a: &CsrMatrix<f32>,
-    cols32: Option<&[u32]>,
     b: &DenseMatrix<f32>,
     dst: &mut [f32],
 ) {
+    let (cols, vals) = (a.col_indices(), a.values());
     match rp.kind {
-        PathKind::Scalar => {
-            accumulate_segment_scalar(seg, a.col_indices(), a.values(), b, dst);
-        }
+        PathKind::Scalar => accumulate_segment_scalar(seg, cols, vals, b, dst),
         PathKind::Tiled => accumulate_segment_tiled(seg, a, b, dst),
-        PathKind::Vector => match cols32 {
-            Some(cols) => vector_segment(seg, cols, a.values(), b, dst, rp),
-            None => vector_segment(seg, a.col_indices(), a.values(), b, dst, rp),
-        },
+        PathKind::Vector => vector_segment(seg, cols, vals, b, dst, rp),
     }
 }
 
@@ -826,7 +795,7 @@ fn gemm_rows<const MR: usize>(
 mod wide {
     #![allow(unsafe_code)]
 
-    use super::{gemm_rows_body, stream_segment_body, ColIdx, DenseMatrix, ResolvedPath, WideIsa};
+    use super::{gemm_rows_body, stream_segment_body, DenseMatrix, ResolvedPath, WideIsa};
     use crate::plan::Segment;
 
     /// Emits one `prefetcht0` for every 64-byte cache line that
@@ -951,9 +920,9 @@ mod wide {
     /// Dispatches one segment to the AVX-512F or AVX2 FastMath stream
     /// clone matching the proven [`WideIsa`].
     #[inline]
-    pub(super) fn stream_fast<I: ColIdx>(
+    pub(super) fn stream_fast(
         seg: &Segment,
-        cols: &[I],
+        cols: &[usize],
         vals: &[f32],
         b: &DenseMatrix<f32>,
         dst: &mut [f32],
@@ -968,34 +937,34 @@ mod wide {
             // Unreachable under `resolve_fast`'s gating; keep the exact
             // kernel as the safe fallback (a bare `mul_add` would be a
             // libm call here).
-            WideIsa::Portable => stream_segment_body::<false, I>(seg, cols, vals, b, dst, rp),
+            WideIsa::Portable => stream_segment_body::<false>(seg, cols, vals, b, dst, rp),
         }
     }
 
     /// FastMath [`stream_segment_body`]: 256-bit codegen with FMA.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn stream_avx2fma<I: ColIdx>(
+    unsafe fn stream_avx2fma(
         seg: &Segment,
-        cols: &[I],
+        cols: &[usize],
         vals: &[f32],
         b: &DenseMatrix<f32>,
         dst: &mut [f32],
         rp: &ResolvedPath,
     ) {
-        stream_segment_body::<true, I>(seg, cols, vals, b, dst, rp)
+        stream_segment_body::<true>(seg, cols, vals, b, dst, rp)
     }
 
     /// FastMath [`stream_segment_body`]: 512-bit codegen with FMA.
     #[target_feature(enable = "avx512f,fma")]
-    unsafe fn stream_avx512fma<I: ColIdx>(
+    unsafe fn stream_avx512fma(
         seg: &Segment,
-        cols: &[I],
+        cols: &[usize],
         vals: &[f32],
         b: &DenseMatrix<f32>,
         dst: &mut [f32],
         rp: &ResolvedPath,
     ) {
-        stream_segment_body::<true, I>(seg, cols, vals, b, dst, rp)
+        stream_segment_body::<true>(seg, cols, vals, b, dst, rp)
     }
 }
 
@@ -1243,13 +1212,12 @@ mod tests {
         }
     }
 
-    /// Every kernel variant, lane width, panel size, and index type must be
+    /// Every kernel variant, lane width and panel size must be
     /// bit-identical to the scalar oracle on all dims 1..=67 — including
     /// empty segments and single-nnz rows.
     #[test]
     fn all_kernels_bit_match_scalar_oracle_dims_1_to_67() {
         let a = random_matrix(64, 64, 300, 21);
-        let cols32: Vec<u32> = a.col_indices().iter().map(|&c| c as u32).collect();
         let row_end = a.row_ptr()[1];
         let segments = [
             seg(0, row_end), // the evil long row
@@ -1274,13 +1242,7 @@ mod tests {
                         vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
                         assert_eq!(
                             got, want,
-                            "vector/usize dim={dim} lanes={lanes:?} panel={panel} seg={s:?}"
-                        );
-                        got.fill(f32::NAN);
-                        vector_segment(s, &cols32, a.values(), &b, &mut got, &rp);
-                        assert_eq!(
-                            got, want,
-                            "vector/u32 dim={dim} lanes={lanes:?} panel={panel} seg={s:?}"
+                            "vector dim={dim} lanes={lanes:?} panel={panel} seg={s:?}"
                         );
                     }
                 }
@@ -1298,7 +1260,7 @@ mod tests {
     }
 
     /// Gather prefetch must never change a value: `vector_segment` with
-    /// the hints on and off, on both index types and both lane widths,
+    /// the hints on and off, on both lane widths,
     /// equals the scalar oracle exactly. The segments include empty ones
     /// and ones that end at the matrix's last non-zero, where
     /// `k + PREFETCH_DISTANCE` runs past the index array and the hint
@@ -1309,7 +1271,6 @@ mod tests {
     #[test]
     fn prefetch_on_and_off_bit_match_scalar_oracle() {
         let a = random_matrix(64, 64, 300, 23);
-        let cols32: Vec<u32> = a.col_indices().iter().map(|&c| c as u32).collect();
         let nnz = a.nnz();
         let row_end = a.row_ptr()[1];
         let segments = [
@@ -1340,10 +1301,7 @@ mod tests {
                             );
                             let mut got = vec![f32::NAN; dim];
                             vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
-                            assert_eq!(got, want, "usize {ctx}");
-                            got.fill(f32::NAN);
-                            vector_segment(s, &cols32, a.values(), &b, &mut got, &rp);
-                            assert_eq!(got, want, "u32 {ctx}");
+                            assert_eq!(got, want, "{ctx}");
                         }
                     }
                 }

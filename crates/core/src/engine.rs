@@ -1,81 +1,61 @@
-//! Fast-path CPU execution engine for [`KernelPlan`]s.
+//! Fast-path CPU execution engine for SpMM.
 //!
 //! [`crate::executor::execute_parallel`] is kept as the straightforward
 //! baseline: it spawns scoped threads per call and routes *every* output
-//! element through an `AtomicU32` cell — including rows the plan proves
-//! are exclusively owned — then pays two extra O(rows·dim) passes to
-//! initialize and convert that atomic buffer. [`ExecEngine`] removes all
-//! of that overhead while preserving the executors' semantics:
+//! element through an `AtomicU32` cell, then pays two extra O(rows·dim)
+//! passes to initialize and convert that atomic buffer. [`ExecEngine`]
+//! removes all of that overhead:
 //!
-//! * **Persistent workers** ([`crate::pool`]): logical threads are
-//!   partitioned statically over long-lived pool workers, so repeated
-//!   SpMM calls (a GNN forward pass is many of them) stop paying thread
-//!   spawn/join.
-//! * **Non-atomic regular stores**: rows written by exactly one
-//!   `Flush::Regular` segment and touched by no `Flush::Atomic` segment
-//!   are classified `Direct` and handed to their owning worker as plain
-//!   disjoint `&mut [f32]` slices of the output buffer. Safety is a
-//!   borrow-checker fact, not an `unsafe` claim: each row slice is moved
-//!   into exactly one worker's closure. The (few, per the paper's
-//!   central argument) rows with shared updates accumulate into compact
-//!   per-worker private strips folded serially after the join — the
-//!   static path performs no atomic operations at all; `Flush::Carry`
-//!   segments stay thread-local and are added serially after the join,
-//!   exactly like the baseline. Plans in which every row has a single
-//!   writer skip all of this as *row spans*: each worker folds the rows
-//!   of one contiguous output span, whole, in one ascending pass.
+//! * **Row spans**: every run cuts the output rows into one contiguous
+//!   span per worker by the merge-path search on the `rows + nnz`
+//!   diagonal, each cut snapped to a row edge. Every row has
+//!   one writer, which folds its non-zeros in one ascending pass and
+//!   stores the row into a plain `&mut [f32]` slice of the output; the
+//!   slices are disjoint by `split_at_mut`, so no row is shared, no store
+//!   is atomic, and nothing is folded or replayed after the join.
+//!   Snapping costs at most one row per boundary (DESIGN.md §2.3.1).
+//! * **Persistent workers** ([`crate::pool`]): spans run on long-lived
+//!   pool workers, so repeated SpMM calls (a GNN forward pass is many of
+//!   them) stop paying thread spawn/join. A run with one effective worker
+//!   executes inline on the caller.
 //! * **Vectorized, cache-blocked data path** ([`crate::datapath`]): each
-//!   segment runs through a [`DataPath`]-selected inner kernel — by
-//!   default the wide-lane streaming kernels (16/8 f32 register
-//!   accumulators, runtime lane detection, L1-sized column panels) with
-//!   degree-adaptive dispatch: short segments take a gather microkernel,
-//!   long segments the streaming panel kernel, and the split is recorded
-//!   in [`EngineStats`]. Prepared plans carry a 64-byte-aligned `u32`
-//!   packing of the column indices ([`PreparedPlan::pack_indices`]) that
-//!   halves index bandwidth in the hot loop; values are always read live
-//!   from the matrix so value-only re-weighting never goes stale. The
-//!   PR-1 register-tiled kernel and a scalar oracle stay selectable
-//!   ([`DataPath::Tiled`] / [`DataPath::Scalar`]).
-//! * **Plan caching** ([`ExecEngine::spmm_cached`]): planning — the
-//!   merge-path binary searches plus row classification — is keyed by
-//!   (kernel name, kernel configuration fingerprint, graph epoch, shape,
-//!   dense dimension) and reused across calls until the graph mutates.
-//!   Hit/miss counters are exposed via [`EngineStats`].
-//! * **One static schedule**: merge-path plans are equal-work per
-//!   logical thread by construction, so one contiguous span of logical
-//!   threads per worker is already balanced and needs no runtime load
-//!   balancing or second schedule, at any dense dimension. A run with
-//!   one effective worker executes inline on the caller.
-//! * **Buffer arena** ([`crate::arena`]): output, batch-interleave, and
-//!   shared-row scratch buffers are pooled per engine and checked out per
-//!   execution, so steady-state inference allocates nothing. Outputs
-//!   leave the engine as [`DenseMatrix`] values; callers hand them back
-//!   with [`ExecEngine::recycle`] to close the loop (the GCN forward
-//!   pass ping-pongs its activations this way).
+//!   row runs through a [`DataPath`]-selected inner kernel — by default
+//!   the wide-lane streaming kernels (16/8 f32 register accumulators,
+//!   runtime lane detection, L1-sized column panels) with degree-adaptive
+//!   dispatch: short rows take a gather microkernel, long rows the
+//!   streaming panel kernel, and the split is recorded in
+//!   [`EngineStats`]. Widths 1, 2, 4 and 8 fold in a fixed-width register
+//!   kernel instead. The PR-1 register-tiled kernel and a scalar oracle
+//!   stay selectable ([`DataPath::Tiled`] / [`DataPath::Scalar`]).
+//! * **Plan caching** ([`ExecEngine::spmm_cached`]): prepared plans are
+//!   keyed by (kernel name, kernel configuration fingerprint, graph
+//!   epoch, shape, dense dimension) and reused across calls until the
+//!   graph mutates. Hit/miss counters are exposed via [`EngineStats`].
+//! * **Buffer arena** ([`crate::arena`]): output and batch-interleave
+//!   buffers are pooled per engine and checked out per execution, so
+//!   steady-state inference allocates nothing. Outputs leave the engine
+//!   as [`DenseMatrix`] values; callers hand them back with
+//!   [`ExecEngine::recycle`] to close the loop (the GCN forward pass
+//!   ping-pongs its activations this way).
 //!
-//! # Correctness envelope
-//!
-//! With one worker the engine accumulates in exactly the order of
-//! [`crate::executor::execute_sequential`] (same per-element addition
-//! order; every data path — scalar, tiled, vectorized — only regroups
-//! output columns, never reorders additions within a column), so results
-//! are exactly equal (f32 `==`, zero tolerance) to the oracle on every
-//! path; the single representational deviation is the sign of a zero out
-//! of the vectorized gather microkernel (a 0-ulp difference; see the
-//! `datapath` module docs). Row-span plans keep that exactness at any
-//! worker count. With several workers on a segment plan, rows shared
-//! between workers fold their per-worker partials in worker order — a
-//! fixed association that is reproducible run to run for a given worker
-//! count but may differ from the serial order by rounding — the same
-//! tolerance contract `execute_parallel` has always had.
+//! Every output row is the ascending sum of its products, at any worker
+//! count and on every data path: exactly (f32 `==`) what
+//! [`crate::executor::execute_sequential`] computes for a row-split or
+//! serial plan. The one representational deviation is the sign of a zero
+//! out of the vectorized gather microkernel (see the `datapath` module
+//! docs).
 //!
 //! # Staleness
 //!
-//! The cache trusts the caller's `epoch`: reusing an epoch after mutating
-//! the matrix hands back a plan for the old sparsity pattern. The key also
-//! includes `(rows, cols, nnz)` as a cheap tripwire, but callers must bump
-//! the epoch on every mutation ([`GraphStream::generation`] in
-//! `mpspmm-graphs` is the intended source).
+//! A [`PreparedPlan`] holds the row count it was built for and that
+//! structure's statistics; spans, values and column indices are always
+//! read from the live matrix. Running a plan on another matrix with the
+//! same row count therefore computes that matrix's exact product, split
+//! by that matrix's own spans; only the statistics the run reports follow
+//! the structure the plan was built for. The cache trusts
+//! the caller's `epoch` for that: bump it on every mutation
+//! ([`GraphStream::generation`] in `mpspmm-graphs` is the intended
+//! source); the key's `(rows, cols, nnz)` is a cheap tripwire.
 //!
 //! [`GraphStream::generation`]: https://docs.rs/mpspmm-graphs
 
@@ -83,16 +63,16 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use mpspmm_sparse::{AlignedVec, CsrMatrix, DenseMatrix, SparseFormatError};
+use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::arena::BufferArena;
 use crate::batch::BatchShapeClass;
 use crate::datapath::{
-    accumulate_segment_dispatch, env_fastmath, ColIdx, DataPath, PathKind, ResolvedPath,
+    accumulate_segment_dispatch, env_fastmath, DataPath, PathKind, ResolvedPath,
 };
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
-use crate::plan::{static_span_skew, Flush, KernelPlan, Segment};
+use crate::plan::{Flush, Segment};
 use crate::pool::{ScopedJob, WorkerPool};
 use crate::spgemm::SpgemmStrategy;
 use crate::spmm::{default_workers, row_aligned_starts, SpmmKernel};
@@ -124,257 +104,26 @@ struct PlanCache {
     tick: u64,
 }
 
-/// How the engine writes a given output row of a segment plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RowKind {
-    /// No regular or atomic segment targets the row (it may still receive
-    /// post-join carry adds, which need no synchronization).
-    Untouched,
-    /// Exactly one `Regular` segment and no `Atomic` segment: the logical
-    /// thread `owner` holds the row's `&mut` slice and stores directly.
-    Direct { owner: u32 },
-    /// Shared or atomic updates: the row lives in slot `side` of the
-    /// compact atomic side buffer for the parallel phase.
-    Shared { side: u32 },
-}
-
-/// How a prepared plan's rows are written.
-#[derive(Debug, Clone)]
-enum Layout {
-    /// Row spans: logical thread `t` owns rows `starts[t]..starts[t + 1]`
-    /// (the last thread runs to the final row), each row's extent is
-    /// `row_ptr`'s, and its single writer folds it in one ascending pass.
-    RowSpans(Vec<usize>),
-    /// Any other plan: its segments plus the row classification the
-    /// shared-row strips, carries and deferred epilogue need.
-    Segments(SegmentLayout),
-}
-
-/// A segment plan classified for execution (see [`Layout::Segments`]).
-#[derive(Debug, Clone)]
-struct SegmentLayout {
-    plan: KernelPlan,
-    row_kind: Vec<RowKind>,
-    /// Row index of each side-buffer slot, in slot order.
-    shared_rows: Vec<u32>,
-    /// Per row: the row is finalized entirely by its single parallel-phase
-    /// `Regular` store (`Direct` *and* no `Carry` segment targets it), so
-    /// a fused [`Epilogue`] may be applied at store time while the row is
-    /// register-hot.
-    fused_ok: Vec<bool>,
-    /// Rows whose epilogue must wait for the serial replay phase —
-    /// shared/atomic rows, carry-receiving rows, and untouched rows (a
-    /// bias changes even all-zero rows) — ascending.
-    deferred_rows: Vec<u32>,
-    /// Target rows of the plan's parallel-phase writes (`Regular` and
-    /// `Atomic` segments; carries merge serially and don't count) are
-    /// non-decreasing in `(thread, segment)` order. True for every
-    /// kernel planner in the tree — merge-path, row-split, and nnz-split
-    /// all walk rows forward — and it lets the static scheduler route
-    /// each worker's `Direct` rows through one contiguous output span
-    /// instead of a per-row hash map.
-    write_rows_monotonic: bool,
-    /// First row each logical thread writes in the parallel phase
-    /// (`u32::MAX` for threads with no `Regular`/`Atomic` segment) — the
-    /// span boundaries for monotonic static routing.
-    thread_first_write_row: Vec<u32>,
-}
-
-impl SegmentLayout {
-    /// Classifies every output row of `plan` for a matrix with `rows`
-    /// rows, tallying the plan's write statistics on the way. Panics if a
-    /// segment targets a row `>= rows`.
-    fn classify(plan: KernelPlan, rows: usize) -> (Self, WriteStats) {
-        #[derive(Clone, Copy, Default)]
-        struct RowInfo {
-            regular: u32,
-            atomic: u32,
-            owner: u32,
-        }
-        let mut info = vec![RowInfo::default(); rows];
-        let mut carry_row = vec![false; rows];
-        let mut stats = WriteStats::default();
-        let mut thread_first_write_row = vec![u32::MAX; plan.threads.len()];
-        let mut write_rows_monotonic = true;
-        let mut last_write_row = 0u32;
-        for (t, seg) in plan.iter_segments() {
-            if !matches!(seg.flush, Flush::Carry) {
-                let r = seg.row as u32;
-                if r < last_write_row {
-                    write_rows_monotonic = false;
-                }
-                last_write_row = r;
-                if thread_first_write_row[t] == u32::MAX {
-                    thread_first_write_row[t] = r;
-                }
-            }
-            match seg.flush {
-                Flush::Regular => {
-                    info[seg.row].regular += 1;
-                    info[seg.row].owner = t as u32;
-                    stats.regular_row_writes += 1;
-                    stats.regular_nnz += seg.len();
-                }
-                Flush::Atomic => {
-                    info[seg.row].atomic += 1;
-                    stats.atomic_row_updates += 1;
-                    stats.atomic_nnz += seg.len();
-                }
-                Flush::Carry => {
-                    carry_row[seg.row] = true;
-                    stats.serial_row_updates += 1;
-                    stats.serial_nnz += seg.len();
-                }
-            }
-        }
-        let mut shared_rows = Vec::new();
-        let row_kind: Vec<RowKind> = info
-            .iter()
-            .enumerate()
-            .map(|(row, ri)| {
-                if ri.regular == 1 && ri.atomic == 0 {
-                    RowKind::Direct { owner: ri.owner }
-                } else if ri.regular + ri.atomic > 0 {
-                    let side = shared_rows.len() as u32;
-                    shared_rows.push(row as u32);
-                    RowKind::Shared { side }
-                } else {
-                    RowKind::Untouched
-                }
-            })
-            .collect();
-        // A fused epilogue may run at store time only where the store is
-        // the row's final value; every other row waits for the serial
-        // replay phase (see the `epilogue` module docs).
-        let mut fused_ok = vec![false; rows];
-        let mut deferred_rows = Vec::new();
-        for (row, kind) in row_kind.iter().enumerate() {
-            if matches!(kind, RowKind::Direct { .. }) && !carry_row[row] {
-                fused_ok[row] = true;
-            } else {
-                deferred_rows.push(row as u32);
-            }
-        }
-        let layout = Self {
-            plan,
-            row_kind,
-            shared_rows,
-            fused_ok,
-            deferred_rows,
-            write_rows_monotonic,
-            thread_first_write_row,
-        };
-        (layout, stats)
-    }
-}
-
-/// The row starts of `plan` as a [`Layout::RowSpans`], or `None` unless
-/// its non-empty segments are all `Regular`, target strictly ascending
-/// rows in `(thread, segment)` order, and tile the non-zeros contiguously
-/// from 0 — so that, on the matrix it was planned for, each segment is
-/// its row's whole range. Panics if a segment targets a row `>= rows`.
-fn row_span_starts(plan: &KernelPlan, rows: usize) -> Option<Vec<usize>> {
-    let (mut next_row, mut next_nz) = (0, 0);
-    for (_, seg) in plan.iter_segments() {
-        assert!(seg.row < rows, "segment targets row {} >= {rows}", seg.row);
-        if seg.flush != Flush::Regular || seg.row < next_row || seg.nz_start != next_nz {
-            return None;
-        }
-        next_row = seg.row + 1;
-        next_nz = seg.nz_end;
-    }
-    // A thread with no writes starts where the next thread does.
-    let mut starts = vec![rows; plan.threads.len()];
-    for (t, tp) in plan.threads.iter().enumerate().rev() {
-        let next = starts.get(t + 1).copied().unwrap_or(rows);
-        starts[t] = tp
-            .segments
-            .iter()
-            .find(|s| !s.is_empty())
-            .map_or(next, |s| s.row);
-    }
-    if let Some(first) = starts.first_mut() {
-        *first = 0;
-    }
-    Some(starts)
-}
-
-/// A plan plus its row layout and precomputed write statistics. Plans in
-/// which every row has a single writer (row-aligned batch plans,
-/// row-split plans, the serial plan) are stored as *row spans*, one start
-/// row per logical thread; every other plan keeps its segments and a
-/// per-row classification. Neither depends on the dense dimension, so
-/// one `PreparedPlan` serves any `B` width.
-///
-/// A prepared plan may additionally carry a 64-byte-aligned `u32` packing
-/// of the matrix's column indices ([`pack_indices`](Self::pack_indices))
-/// for the vectorized data path. Only the *structure* is packed — values
-/// are always read live from the matrix at execution time, so value
-/// re-weighting through [`CsrMatrix::values_mut`] never stales a cached
-/// plan (structural mutations are caught by the plan-cache epoch and
-/// shape tripwire as before).
+/// A prepared SpMM plan: the row count and write statistics of one
+/// sparsity structure. The engine cuts its row spans from the live
+/// `row_ptr` at run time, one per worker, so a plan depends on neither
+/// the dense width, the worker count nor any kernel's segment plan.
 #[derive(Debug, Clone)]
 pub struct PreparedPlan {
     /// Output rows the plan was built for; every run checks it.
     rows: usize,
-    layout: Layout,
-    /// Cumulative nnz end offset per logical thread (`ends[t]` = total
-    /// non-zeros owned by threads `0..=t`) — the input to the static-span
-    /// skew metric; its length is the logical thread count.
-    thread_nnz_ends: Vec<usize>,
+    /// The write statistics and gather/stream dispatch split of the
+    /// structure the plan was built for, from one `row_ptr` scan.
     stats: WriteStats,
-    /// Non-empty segments at/below and above [`GATHER_MAX_NNZ`] — the
-    /// degree-adaptive dispatch split, precomputed so the engine bumps
-    /// its counters once per run instead of once per segment.
     dispatch: (usize, usize),
-    /// Cache-aligned `u32` column indices for the vectorized path.
-    cols32: Option<AlignedVec<u32>>,
 }
 
 impl PreparedPlan {
-    /// Prepares `plan` for a matrix with `rows` rows: as row spans when
-    /// every row has a single writer, otherwise by classifying every
-    /// output row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a segment targets a row `>= rows`.
-    pub fn new(plan: KernelPlan, rows: usize) -> Self {
-        let dispatch = plan.dispatch_profile(GATHER_MAX_NNZ);
-        let thread_nnz_ends = plan
-            .threads
-            .iter()
-            .scan(0, |cum, tp| {
-                *cum += tp.nnz();
-                Some(*cum)
-            })
-            .collect();
-        let (layout, stats) = match row_span_starts(&plan, rows) {
-            Some(starts) => (Layout::RowSpans(starts), plan.write_stats()),
-            None => {
-                let (seg, stats) = SegmentLayout::classify(plan, rows);
-                (Layout::Segments(seg), stats)
-            }
-        };
-        Self {
-            rows,
-            layout,
-            thread_nnz_ends,
-            stats,
-            dispatch,
-            cols32: None,
-        }
-    }
-
-    /// The row-span plan of `a` at `threads` logical threads, cut from
-    /// `a.row_ptr()` by the row-aligned merge-path boundaries
-    /// [`BatchMergeSpmm`](crate::BatchMergeSpmm) plans use. Statistics
-    /// and the dispatch split come from one scan of `row_ptr` and equal
-    /// those of the corresponding `BatchMergeSpmm` plan.
-    fn row_spans(a: &CsrMatrix<f32>, threads: usize) -> Self {
+    /// The plan of `a`, from one O(rows) scan of `a.row_ptr()`. Its
+    /// statistics equal those of any [`BatchMergeSpmm`](crate::BatchMergeSpmm)
+    /// plan of `a`: one regular write per non-empty row.
+    pub fn new(a: &CsrMatrix<f32>) -> Self {
         let rp = a.row_ptr();
-        let rows = a.rows();
-        let starts = row_aligned_starts(rp, threads);
         let mut stats = WriteStats {
             regular_nnz: a.nnz(),
             ..WriteStats::default()
@@ -388,75 +137,31 @@ impl PreparedPlan {
             }
             stats.regular_row_writes += 1;
         }
-        let thread_nnz_ends = (1..=starts.len())
-            .map(|t| rp[starts.get(t).copied().unwrap_or(rows)])
-            .collect();
         Self {
-            rows,
-            layout: Layout::RowSpans(starts),
-            thread_nnz_ends,
+            rows: a.rows(),
             stats,
             dispatch,
-            cols32: None,
         }
     }
 
-    /// Prepares `plan` for `a` and packs `a`'s column indices for the
-    /// vectorized data path in one step — the constructor the plan cache
-    /// uses, so every cached plan executes on packed indices.
-    pub fn for_matrix(plan: KernelPlan, a: &CsrMatrix<f32>) -> Self {
-        let mut prep = Self::new(plan, a.rows());
-        prep.pack_indices(a);
-        prep
-    }
-
-    /// Packs `a`'s column indices into a 64-byte-aligned `u32` array for
-    /// the vectorized data path (halves index bandwidth versus the CSR
-    /// `usize` array). A no-op if `a` has more columns than `u32` can
-    /// index — the engine then falls back to the plain indices.
-    ///
-    /// `a` must be the matrix this plan was built for (same staleness
-    /// contract as the plan itself).
-    pub fn pack_indices(&mut self, a: &CsrMatrix<f32>) {
-        if a.cols() > u32::MAX as usize {
-            return;
-        }
-        let src = a.col_indices();
-        self.cols32 = Some(AlignedVec::from_fn(src.len(), |i| src[i] as u32));
-    }
-
-    /// Whether this plan carries the packed `u32` index array.
-    pub fn has_packed_indices(&self) -> bool {
-        self.cols32.is_some()
-    }
-
-    /// The degree-adaptive dispatch split of this plan's non-empty
-    /// segments: `(gather_bound, stream_bound)` at the
-    /// [`GATHER_MAX_NNZ`] threshold.
+    /// The degree-adaptive dispatch split of this plan's non-empty rows:
+    /// `(gather_bound, stream_bound)` at the [`GATHER_MAX_NNZ`]
+    /// threshold.
     pub fn dispatch_profile(&self) -> (usize, usize) {
         self.dispatch
     }
 
-    /// The write statistics any execution of this plan realizes (they are
-    /// a property of the plan, not of the operand values).
+    /// The write statistics every execution of this plan reports (a
+    /// property of the structure, not of the operand values).
     pub fn expected_stats(&self) -> WriteStats {
         self.stats
     }
 
-    /// Number of rows routed through the shared-row strips (always 0
-    /// for a row-span plan).
+    /// Rows written by more than one worker: always 0, as every row has
+    /// one writer. Kept for callers that report Fig. 5's shared-row
+    /// share.
     pub fn shared_row_count(&self) -> usize {
-        match &self.layout {
-            Layout::RowSpans(_) => 0,
-            Layout::Segments(seg) => seg.shared_rows.len(),
-        }
-    }
-
-    /// Non-zero skew (max/mean) of the static per-worker span partition
-    /// the engine uses for this plan at `workers` workers — the
-    /// schedule's residual imbalance, reported by the reordering ablation.
-    pub fn static_span_skew(&self, workers: usize) -> f64 {
-        static_span_skew(&self.thread_nnz_ends, workers)
+        0
     }
 }
 
@@ -475,11 +180,13 @@ pub struct EngineStats {
     pub plan_cache_evictions: u64,
     /// Worker parallelism the engine executes with.
     pub workers: usize,
-    /// Segments the degree-adaptive dispatcher routed to the gather
-    /// microkernel (vectorized data path only), cumulative over runs.
+    /// Non-empty rows in the gather regime (at most [`GATHER_MAX_NNZ`]
+    /// non-zeros), cumulative over vectorized-path runs. At widths 1,
+    /// 2, 4 and 8 the fixed-width fold runs them instead of the gather
+    /// microkernel; they count all the same.
     pub gather_segments: u64,
-    /// Segments routed to the streaming panel kernel (vectorized data
-    /// path only), cumulative over runs.
+    /// Non-empty rows in the streaming regime, counted like
+    /// [`gather_segments`](Self::gather_segments).
     pub stream_segments: u64,
     /// Buffer checkouts served from the arena pool without allocating.
     pub arena_reuses: u64,
@@ -544,8 +251,8 @@ struct PlanKey {
     dim: usize,
 }
 
-/// The fast-path SpMM execution engine. See the module docs for the four
-/// optimizations it layers over [`crate::executor::execute_parallel`].
+/// The fast-path SpMM execution engine. See the module docs for what it
+/// changes over [`crate::executor::execute_parallel`].
 pub struct ExecEngine {
     pub(crate) workers: usize,
     pub(crate) data_path: DataPath,
@@ -668,7 +375,7 @@ impl ExecEngine {
         self.plan_capacity
     }
 
-    /// The inner data path this engine executes segments through.
+    /// The inner data path this engine executes rows through.
     pub fn data_path(&self) -> DataPath {
         self.data_path
     }
@@ -685,26 +392,8 @@ impl ExecEngine {
         self.workers
     }
 
-    /// Executes a plan without touching the plan cache (classification is
-    /// redone per call). This is what [`SpmmKernel::spmm_with_stats`]
-    /// routes through.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] if
-    /// `a.cols() != b.rows()`.
-    pub fn execute(
-        &self,
-        plan: &KernelPlan,
-        a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
-    ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        check_shapes(a, b)?;
-        let prep = PreparedPlan::new(plan.clone(), a.rows());
-        Ok(self.run(&prep, a, b, &Epilogue::None))
-    }
-
-    /// Executes a previously classified plan.
+    /// Executes a prepared plan. This is what
+    /// [`SpmmKernel::spmm_with_stats`] routes through.
     ///
     /// # Errors
     ///
@@ -713,7 +402,7 @@ impl ExecEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `prep` was classified for a different row count than
+    /// Panics if `prep` was built for a different row count than
     /// `a.rows()`.
     pub fn execute_prepared(
         &self,
@@ -725,13 +414,12 @@ impl ExecEngine {
         Ok(self.run(prep, a, b, &Epilogue::None))
     }
 
-    /// Executes a previously classified plan with a fused [`Epilogue`]
-    /// applied at the store stage: rows finalized in the parallel phase
-    /// (`Direct`, no carry) get the epilogue while register-hot; every
-    /// other row gets it in the serial replay phase, after its final SpMM
-    /// value exists. The result is element-for-element identical to
-    /// `execute_prepared` followed by a separate epilogue pass, without
-    /// re-streaming the output (see DESIGN.md §2.10).
+    /// Executes a prepared plan with a fused [`Epilogue`] applied at the
+    /// store stage: each row gets it right after its one store, while
+    /// register-hot, empty rows included. The result is
+    /// element-for-element identical to `execute_prepared` followed by a
+    /// separate epilogue pass, without re-streaming the output (see
+    /// DESIGN.md §2.10).
     ///
     /// # Errors
     ///
@@ -741,7 +429,7 @@ impl ExecEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `prep` was classified for a different row count than
+    /// Panics if `prep` was built for a different row count than
     /// `a.rows()`.
     pub fn execute_prepared_fused(
         &self,
@@ -755,8 +443,8 @@ impl ExecEngine {
         Ok(self.run(prep, a, b, epi))
     }
 
-    /// Computes `kernel`'s SpMM through the plan cache: on a hit the
-    /// merge-path planning and row classification are skipped entirely.
+    /// Computes `a · b` through the plan cache, keyed by `kernel`: on a
+    /// hit the span search is skipped entirely.
     ///
     /// `epoch` identifies the sparsity snapshot of `a` — bump it on every
     /// mutation (see the module docs on staleness).
@@ -800,13 +488,14 @@ impl ExecEngine {
         Ok(self.run(&prep, a, b, epi))
     }
 
-    /// Fetches (or builds, classifies, index-packs, and caches) the
-    /// prepared plan for `kernel` on `a` at dense dimension `dim` —
-    /// the planning half of [`spmm_cached`](Self::spmm_cached), exposed
-    /// so callers that know their layer shapes up front (a GCN forward
-    /// pass, a benchmark loop) can warm the cache and then execute
-    /// through [`execute_prepared`](Self::execute_prepared) with zero
-    /// planning on the timed path.
+    /// Fetches (or builds and caches) the prepared plan of `a`, keyed by `kernel`, `epoch`, `a`'s
+    /// shape and dense dimension `dim`: the planning half of
+    /// [`spmm_cached`](Self::spmm_cached), exposed so callers that know
+    /// their layer shapes up front (a GCN forward pass, a benchmark loop)
+    /// can warm the cache and then execute through
+    /// [`execute_prepared`](Self::execute_prepared) with zero planning on
+    /// the timed path. The kernel is never asked for a plan: it only keys
+    /// the cache, and the plan is the same for every kernel and width.
     pub fn plan_cached(
         &self,
         kernel: &dyn SpmmKernel,
@@ -834,12 +523,11 @@ impl ExecEngine {
                 return prep;
             }
         }
-        // Plan outside the lock: planning is the expensive part, and a
-        // racing miss on the same key merely builds the plan twice (the
-        // second insert wins), which is the same behavior spmm_cached has
-        // always had.
+        // Plan outside the lock: a racing miss on the same key merely
+        // builds the plan twice (the second insert wins), which is the
+        // same behavior spmm_cached has always had.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let prep = Arc::new(PreparedPlan::for_matrix(kernel.plan(a, dim), a));
+        let prep = Arc::new(PreparedPlan::new(a));
         let mut cache = self.cache.lock().unwrap();
         while cache.map.len() >= self.plan_capacity {
             let victim = cache
@@ -867,15 +555,12 @@ impl ExecEngine {
         prep
     }
 
-    /// Builds the prepared plan for a block-diagonal mega-batch `a`: row
-    /// spans, one per engine worker, cut from `a.row_ptr()` by the
-    /// row-aligned merge-path boundaries
-    /// [`BatchMergeSpmm`](crate::BatchMergeSpmm) uses, in
-    /// O(workers · log rows + rows). Nothing is copied or stored (window
-    /// compositions rarely repeat); each call counts one build in
-    /// [`EngineStats::batch_plan_misses`]. Each output row has a single
-    /// writer summing in ascending order, so the result is each
-    /// constituent's sequential oracle at any worker count.
+    /// Builds the prepared plan for a block-diagonal mega-batch `a`, the
+    /// same plan [`plan_cached`](Self::plan_cached) builds, without
+    /// storing it (window compositions rarely repeat); each call counts
+    /// one build in [`EngineStats::batch_plan_misses`]. Each output row
+    /// has a single writer summing in ascending order, so the result is
+    /// each constituent's sequential oracle at any worker count.
     ///
     /// `kernel`, `dim` and `class` are unused; they remain in the
     /// signature for existing callers.
@@ -887,7 +572,7 @@ impl ExecEngine {
         _class: &BatchShapeClass,
     ) -> Arc<PreparedPlan> {
         self.batch_builds.fetch_add(1, Ordering::Relaxed);
-        Arc::new(PreparedPlan::row_spans(a, self.workers))
+        Arc::new(PreparedPlan::new(a))
     }
 
     /// Executes one prepared plan over several dense column blocks in a
@@ -907,7 +592,7 @@ impl ExecEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `prep` was classified for a different row count than
+    /// Panics if `prep` was built for a different row count than
     /// `a.rows()`.
     pub fn execute_prepared_batch(
         &self,
@@ -933,7 +618,7 @@ impl ExecEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `prep` was classified for a different row count than
+    /// Panics if `prep` was built for a different row count than
     /// `a.rows()`.
     pub fn execute_prepared_batch_fused(
         &self,
@@ -1045,7 +730,8 @@ impl ExecEngine {
         self.spgemm_numeric_ns.store(0, Ordering::Relaxed);
     }
 
-    /// Dispatches to the row-span, inline or pooled path. Shapes are
+    /// Runs `prep` on `a · b`: inline at one worker, otherwise one row
+    /// span per worker on the pool. Shapes are
     /// already checked; a non-noop `epi` is already validated against
     /// `b.cols()`.
     fn run(
@@ -1058,69 +744,25 @@ impl ExecEngine {
         assert_eq!(
             prep.rows,
             a.rows(),
-            "prepared plan classified for a different row count"
+            "prepared plan built for a different row count"
         );
         let rows = a.rows();
         let dim = b.cols();
-        let fuse = !epi.is_noop();
-        if fuse {
+        if !epi.is_noop() {
             self.fused_epilogues.fetch_add(1, Ordering::Relaxed);
         }
-        let logical = prep.thread_nnz_ends.len();
-        if dim == 0 || logical == 0 {
-            // Even an empty plan owes the epilogue its zero rows — a
-            // bias changes them.
-            let mut out = DenseMatrix::zeros(rows, dim);
-            if fuse && dim > 0 {
-                for row in out.as_mut_slice().chunks_mut(dim) {
-                    epi.apply_row(row);
-                }
-            }
-            return (out, prep.stats);
-        }
-        let rp = self.data_path.resolve_fast(b.rows(), dim, self.fast_math);
-        if rp.fastmath {
-            self.fastmath_runs.fetch_add(1, Ordering::Relaxed);
-        }
-        if rp.kind == PathKind::Vector {
-            let (gather, stream) = prep.dispatch;
-            self.gather.fetch_add(gather as u64, Ordering::Relaxed);
-            self.stream.fetch_add(stream as u64, Ordering::Relaxed);
-        }
-        let cols32 = prep.cols32.as_ref().map(AlignedVec::as_slice);
-        let eff_workers = self.workers.min(logical);
         let mut out = self.arena.take_zeroed(rows * dim);
-        match &prep.layout {
-            Layout::RowSpans(starts) => {
-                run_row_spans(starts, a, b, eff_workers, &rp, cols32, epi, &mut out);
+        if dim > 0 {
+            let rp = self.data_path.resolve_fast(b.rows(), dim, self.fast_math);
+            if rp.fastmath {
+                self.fastmath_runs.fetch_add(1, Ordering::Relaxed);
             }
-            Layout::Segments(seg) => {
-                if eff_workers <= 1 {
-                    run_inline(seg, a, b, dim, &rp, cols32, epi, &mut out);
-                } else {
-                    run_pooled(
-                        seg,
-                        a,
-                        b,
-                        dim,
-                        eff_workers,
-                        &rp,
-                        cols32,
-                        epi,
-                        &self.arena,
-                        &mut out,
-                    );
-                }
-                // Serial-replay epilogue: rows not finalized at store
-                // time (shared, carry-receiving, untouched) hold their
-                // final SpMM value only now — apply the epilogue exactly
-                // once per row here.
-                if fuse {
-                    for &row in &seg.deferred_rows {
-                        epi.apply_row(&mut out[row as usize * dim..][..dim]);
-                    }
-                }
+            if rp.kind == PathKind::Vector {
+                let (gather, stream) = prep.dispatch;
+                self.gather.fetch_add(gather as u64, Ordering::Relaxed);
+                self.stream.fetch_add(stream as u64, Ordering::Relaxed);
             }
+            run_row_spans(a, b, self.workers, &rp, epi, &mut out);
         }
         let out = DenseMatrix::from_vec(rows, dim, out)
             .expect("output buffer has exactly rows*dim elements");
@@ -1282,61 +924,61 @@ fn split_col_blocks(
         .collect()
 }
 
-/// Row-span path: each worker takes the rows of its contiguous range of
-/// logical threads and folds them in one ascending pass (one effective
-/// worker runs inline on the caller). Every row has a single writer that
-/// sums its products in ascending `k`, so the output is the sequential
-/// oracle's at any worker count.
-#[allow(clippy::too_many_arguments)]
+/// Cuts the output into one row span per worker with
+/// [`row_aligned_starts`] and folds each span's rows in one ascending
+/// pass (one worker runs inline on the caller). Every row has a single
+/// writer that sums its products in ascending `k`, so the output is the
+/// same at any worker count. Empty spans get no job.
 fn run_row_spans(
-    starts: &[usize],
     a: &CsrMatrix<f32>,
     b: &DenseMatrix<f32>,
-    eff_workers: usize,
+    workers: usize,
     rp: &ResolvedPath,
-    cols32: Option<&[u32]>,
     epi: &Epilogue,
     out: &mut [f32],
 ) {
-    if eff_workers <= 1 {
-        return fold_rows(0, a, b, rp, cols32, epi, out);
+    if workers <= 1 {
+        return fold_rows(0, a, b, rp, epi, out);
     }
     let dim = b.cols();
-    let per_worker = starts.len().div_ceil(eff_workers);
-    let bound = |w: usize| starts.get(w * per_worker).copied().unwrap_or(a.rows());
-    let mut jobs: Vec<ScopedJob<'_>> = Vec::with_capacity(eff_workers);
+    let starts = row_aligned_starts(a.row_ptr(), workers);
+    let mut jobs: Vec<ScopedJob<'_>> = Vec::with_capacity(workers);
     let mut rest: &mut [f32] = out;
-    for w in 0..eff_workers {
-        let (lo, hi) = (bound(w), bound(w + 1));
+    for (w, &lo) in starts.iter().enumerate() {
+        let hi = starts.get(w + 1).copied().unwrap_or(a.rows());
         let (span, tail) = rest.split_at_mut((hi - lo) * dim);
         rest = tail;
-        jobs.push(Box::new(move || fold_rows(lo, a, b, rp, cols32, epi, span)));
+        if hi > lo {
+            jobs.push(Box::new(move || fold_rows(lo, a, b, rp, epi, span)));
+        }
     }
     WorkerPool::global().scope_run(jobs);
 }
 
 /// Computes rows `first..first + out.len() / b.cols()` of `a · b` into
-/// `out`, each row in one ascending pass, and applies `epi` to every row
-/// right after its store — empty rows included, since a bias changes
-/// them. Widths with a fixed-width microkernel keep the accumulators in
-/// registers with no per-row dispatch; the scalar path keeps the generic
-/// per-row dispatch, as it is the correctness oracle.
+/// the zeroed `out`, each row in one ascending pass, and applies `epi`
+/// to every row right after its store — empty rows included, since a
+/// bias changes them. Widths with a fixed-width microkernel keep the
+/// accumulators in registers with no per-row dispatch; the scalar path
+/// keeps the generic per-row dispatch, as it is the correctness oracle.
 fn fold_rows(
     first: usize,
     a: &CsrMatrix<f32>,
     b: &DenseMatrix<f32>,
     rp: &ResolvedPath,
-    cols32: Option<&[u32]>,
     epi: &Epilogue,
     out: &mut [f32],
 ) {
     let epi = (!epi.is_noop()).then_some(epi);
-    let (row_ptr, vals) = (a.row_ptr(), a.values());
+    let row_ptr = a.row_ptr();
     let dim = b.cols();
     if rp.kind != PathKind::Scalar && matches!(dim, 1 | 2 | 4 | 8) {
-        match cols32 {
-            Some(cols) => fold_rows_fixed(first, row_ptr, cols, vals, b, epi, out),
-            None => fold_rows_fixed(first, row_ptr, a.col_indices(), vals, b, epi, out),
+        let (cols, vals, b) = (a.col_indices(), a.values(), b.as_slice());
+        match dim {
+            1 => fold_rows_width::<1>(first, row_ptr, cols, vals, b, epi, out),
+            2 => fold_rows_width::<2>(first, row_ptr, cols, vals, b, epi, out),
+            4 => fold_rows_width::<4>(first, row_ptr, cols, vals, b, epi, out),
+            _ => fold_rows_width::<8>(first, row_ptr, cols, vals, b, epi, out),
         }
         return;
     }
@@ -1348,7 +990,7 @@ fn fold_rows(
             flush: Flush::Regular,
         };
         if !seg.is_empty() {
-            accumulate_segment_dispatch(rp, &seg, a, cols32, b, dst);
+            accumulate_segment_dispatch(rp, &seg, a, b, dst);
         }
         if let Some(epi) = epi {
             epi.apply_row(dst);
@@ -1356,36 +998,16 @@ fn fold_rows(
     }
 }
 
-/// Dispatches [`fold_rows`]' runtime width to its fixed-width kernel.
-fn fold_rows_fixed<I: ColIdx>(
-    first: usize,
-    row_ptr: &[usize],
-    cols: &[I],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    epi: Option<&Epilogue>,
-    out: &mut [f32],
-) {
-    let (dim, b) = (b.cols(), b.as_slice());
-    match dim {
-        1 => fold_rows_width::<1, I>(first, row_ptr, cols, vals, b, epi, out),
-        2 => fold_rows_width::<2, I>(first, row_ptr, cols, vals, b, epi, out),
-        4 => fold_rows_width::<4, I>(first, row_ptr, cols, vals, b, epi, out),
-        8 => fold_rows_width::<8, I>(first, row_ptr, cols, vals, b, epi, out),
-        _ => unreachable!("fold_rows_fixed called for unspecialized dim {dim}"),
-    }
-}
-
-/// The fixed-width row fold behind [`fold_rows_fixed`]. `D` equals the
-/// dense operand's column count, so row `c` of `b` is the flat slice
+/// The fixed-width row fold behind [`fold_rows`]. `D` equals the dense
+/// operand's column count, so row `c` of `b` is the flat slice
 /// `[c * D, c * D + D)`; indexing the backing storage directly (and
 /// zipping values with columns) keeps the hot loop to one bounds check
 /// per non-zero. Per output element the fold is the same ascending-`k`
 /// sum every other data path computes.
-fn fold_rows_width<const D: usize, I: ColIdx>(
+fn fold_rows_width<const D: usize>(
     first: usize,
     row_ptr: &[usize],
-    cols: &[I],
+    cols: &[usize],
     vals: &[f32],
     b: &[f32],
     epi: Option<&Epilogue>,
@@ -1394,8 +1016,8 @@ fn fold_rows_width<const D: usize, I: ColIdx>(
     for (row, dst) in (first..).zip(out.chunks_exact_mut(D)) {
         let (lo, hi) = (row_ptr[row], row_ptr[row + 1]);
         let mut acc = [0.0f32; D];
-        for (&v, c) in vals[lo..hi].iter().zip(&cols[lo..hi]) {
-            let brow = &b[c.to_usize() * D..][..D];
+        for (&v, &c) in vals[lo..hi].iter().zip(&cols[lo..hi]) {
+            let brow = &b[c * D..][..D];
             for d in 0..D {
                 acc[d] += v * brow[d];
             }
@@ -1407,323 +1029,16 @@ fn fold_rows_width<const D: usize, I: ColIdx>(
     }
 }
 
-/// Single-worker segment path: no pool, no atomics anywhere.
-/// Accumulation order equals [`crate::executor::execute_sequential`]'s,
-/// so the result is bit-identical to the oracle. Writes into the caller's
-/// zeroed `out`. Fusable rows (`Direct`, carry-free) get `epi` at store
-/// time; the engine applies it to all remaining rows after this returns.
-#[allow(clippy::too_many_arguments)]
-fn run_inline(
-    prep: &SegmentLayout,
-    a: &CsrMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    dim: usize,
-    rp: &ResolvedPath,
-    cols32: Option<&[u32]>,
-    epi: &Epilogue,
-    out: &mut [f32],
-) {
-    let fuse = !epi.is_noop();
-    let mut acc = vec![0.0f32; dim];
-    // Carries stay in one flat buffer — a merge-path plan at the paper's
-    // 1024-thread floor produces thousands of carry segments per run,
-    // and a `Vec` allocation for each was measurable.
-    let mut carry_rows: Vec<usize> = Vec::new();
-    let mut carry_data: Vec<f32> = Vec::new();
-    for tp in &prep.plan.threads {
-        for seg in &tp.segments {
-            if seg.is_empty() {
-                continue;
-            }
-            match seg.flush {
-                Flush::Regular => {
-                    let dst = &mut out[seg.row * dim..][..dim];
-                    accumulate_segment_dispatch(rp, seg, a, cols32, b, dst);
-                    if fuse && prep.fused_ok[seg.row] {
-                        epi.apply_row(dst);
-                    }
-                }
-                Flush::Atomic => {
-                    accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
-                    for (dst, &v) in out[seg.row * dim..][..dim].iter_mut().zip(&acc) {
-                        *dst += v;
-                    }
-                }
-                Flush::Carry => {
-                    accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
-                    carry_rows.push(seg.row);
-                    carry_data.extend_from_slice(&acc);
-                }
-            }
-        }
-    }
-    for (i, &row) in carry_rows.iter().enumerate() {
-        let src = &carry_data[i * dim..][..dim];
-        for (dst, &v) in out[row * dim..][..dim].iter_mut().zip(src) {
-            *dst += v;
-        }
-    }
-}
-
-/// Multi-worker static path: logical threads are partitioned into
-/// `eff_workers` contiguous, equal-size ranges (merge-path plans are
-/// equal-work by construction, so a static partition balances). Direct
-/// rows are written through per-worker contiguous `&mut` spans of `out`;
-/// shared rows accumulate into per-worker private strips folded after
-/// the join; carries are added serially after the join in logical
-/// (thread, segment) order, matching the baseline executor. No atomics
-/// anywhere. Writes into the caller's zeroed `out`.
-#[allow(clippy::too_many_arguments)]
-fn run_pooled(
-    prep: &SegmentLayout,
-    a: &CsrMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    dim: usize,
-    eff_workers: usize,
-    rp: &ResolvedPath,
-    cols32: Option<&[u32]>,
-    epi: &Epilogue,
-    arena: &BufferArena,
-    out: &mut [f32],
-) {
-    let fuse = !epi.is_noop();
-    let logical = prep.plan.threads.len();
-    let per_worker = logical.div_ceil(eff_workers);
-    let shared = prep.shared_rows.len();
-    let rows = prep.row_kind.len();
-
-    // Worker row boundaries of monotonic plans: `bounds[w]` = first row
-    // any thread of worker `w` or later writes in the parallel phase
-    // (computed back-to-front so workers with no writes inherit the next
-    // boundary), with `bounds[0]` widened to 0 so leading never-written
-    // rows land somewhere. All of worker `w`'s writes target rows in
-    // `bounds[w]..=bounds[w + 1]` — the closed upper end is the boundary
-    // row a partial last segment may share with the next worker.
-    let bounds: Option<Vec<usize>> = prep.write_rows_monotonic.then(|| {
-        let mut bounds = vec![rows; eff_workers + 1];
-        for w in (0..eff_workers).rev() {
-            let hi = ((w + 1) * per_worker).min(logical);
-            bounds[w] = (w * per_worker..hi)
-                .map(|t| prep.thread_first_write_row[t])
-                .find(|&r| r != u32::MAX)
-                .map_or(bounds[w + 1], |r| r as usize);
-        }
-        bounds[0] = 0;
-        bounds
-    });
-
-    // Shared rows accumulate into per-worker *private* f32 strips carved
-    // out of one arena buffer, folded into `out` serially after the
-    // join. This replaces the old atomic side buffer: the paper's
-    // 1024-logical-thread floor yields thousands of boundary segments
-    // per plan, and a per-element CAS loop for each dominated the static
-    // path's multi-worker overhead. Plain stores plus one deterministic
-    // fold also make static runs reproducible for a fixed worker count.
-    // Monotonic plans give each worker a contiguous shared-slot range
-    // (`shared_rows` ascends with the row order), with consecutive
-    // workers overlapping by at most the boundary slot — so the strips
-    // total about `shared × dim`, not `eff_workers × shared × dim`.
-    let slot_ranges: Vec<(usize, usize)> = match &bounds {
-        Some(bounds) => (0..eff_workers)
-            .map(|w| {
-                let lo = prep
-                    .shared_rows
-                    .partition_point(|&r| (r as usize) < bounds[w]);
-                let hi = prep
-                    .shared_rows
-                    .partition_point(|&r| (r as usize) <= bounds[w + 1]);
-                (lo, hi.max(lo))
-            })
-            .collect(),
-        None => vec![(0, shared); eff_workers],
-    };
-    let total_strip: usize = slot_ranges.iter().map(|&(lo, hi)| (hi - lo) * dim).sum();
-    let mut shared_strips = arena.take_zeroed(total_strip);
-    let mut strips: Vec<(usize, &mut [f32])> = Vec::with_capacity(eff_workers);
-    {
-        let mut rest: &mut [f32] = &mut shared_strips;
-        for &(lo, hi) in &slot_ranges {
-            let (head, tail) = rest.split_at_mut((hi - lo) * dim);
-            strips.push((lo, head));
-            rest = tail;
-        }
-    }
-    // Each worker's carries live in one flat buffer (no per-carry
-    // allocation); the keys record the `(thread, segment)` replay order.
-    type CarryGroup = (Vec<(usize, usize, usize)>, Vec<f32>);
-    let all_carries = Mutex::new(Vec::<CarryGroup>::new());
-
-    // Route each worker's direct rows to a view of `out` it owns
-    // exclusively. Monotonic plans (every real kernel) get one contiguous
-    // `split_at_mut` span per worker: a row written by two workers has at
-    // least two parallel-phase write segments and is therefore classified
-    // `Shared`, never `Direct`, so every worker's `Direct` rows lie
-    // strictly inside its span boundaries. Untouched rows inside a span
-    // are simply never stored to. Non-monotonic (hand-built) plans fall
-    // back to a per-row slice map; disjointness there comes from
-    // `chunks_mut`.
-    enum RowRouter<'r> {
-        Span { base: usize, span: &'r mut [f32] },
-        Map(HashMap<u32, &'r mut [f32]>),
-    }
-    impl RowRouter<'_> {
-        #[inline]
-        fn row_mut(&mut self, row: usize, dim: usize) -> &mut [f32] {
-            match self {
-                RowRouter::Span { base, span } => &mut span[(row - *base) * dim..][..dim],
-                RowRouter::Map(m) => m
-                    .get_mut(&(row as u32))
-                    .expect("direct row slice routed to owner worker"),
-            }
-        }
-    }
-    let mut routers: Vec<RowRouter<'_>> = Vec::with_capacity(eff_workers);
-    if let Some(bounds) = &bounds {
-        let mut rest: &mut [f32] = out;
-        let mut start = 0usize;
-        for w in 0..eff_workers {
-            let end = bounds[w + 1].max(start);
-            let (span, tail) = rest.split_at_mut((end - start) * dim);
-            routers.push(RowRouter::Span { base: start, span });
-            rest = tail;
-            start = end;
-        }
-    } else {
-        let mut maps: Vec<HashMap<u32, &mut [f32]>> =
-            (0..eff_workers).map(|_| HashMap::new()).collect();
-        for (row, chunk) in out.chunks_mut(dim).enumerate() {
-            if let RowKind::Direct { owner } = prep.row_kind[row] {
-                maps[owner as usize / per_worker].insert(row as u32, chunk);
-            }
-        }
-        routers.extend(maps.into_iter().map(RowRouter::Map));
-    }
-
-    let jobs: Vec<ScopedJob<'_>> = routers
-        .into_iter()
-        .zip(strips)
-        .enumerate()
-        .map(|(w, (mut router, (slot_base, strip)))| {
-            let all_carries = &all_carries;
-            let epi = &*epi;
-            Box::new(move || {
-                let mut acc = vec![0.0f32; dim];
-                let mut carry_keys: Vec<(usize, usize, usize)> = Vec::new();
-                let mut carry_data: Vec<f32> = Vec::new();
-                let hi = ((w + 1) * per_worker).min(logical);
-                for t in w * per_worker..hi {
-                    for (s, seg) in prep.plan.threads[t].segments.iter().enumerate() {
-                        if seg.is_empty() {
-                            continue;
-                        }
-                        match seg.flush {
-                            Flush::Regular => match prep.row_kind[seg.row] {
-                                RowKind::Direct { .. } => {
-                                    let dst = router.row_mut(seg.row, dim);
-                                    accumulate_segment_dispatch(rp, seg, a, cols32, b, dst);
-                                    if fuse && prep.fused_ok[seg.row] {
-                                        epi.apply_row(dst);
-                                    }
-                                }
-                                RowKind::Shared { side: slot } => {
-                                    accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
-                                    let base = (slot as usize - slot_base) * dim;
-                                    for (dst, &v) in strip[base..base + dim].iter_mut().zip(&acc) {
-                                        *dst += v;
-                                    }
-                                }
-                                RowKind::Untouched => {
-                                    unreachable!("regular write classifies its row as touched")
-                                }
-                            },
-                            Flush::Atomic => {
-                                let RowKind::Shared { side: slot } = prep.row_kind[seg.row] else {
-                                    unreachable!("atomic update classifies its row as shared")
-                                };
-                                accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
-                                let base = (slot as usize - slot_base) * dim;
-                                for (dst, &v) in strip[base..base + dim].iter_mut().zip(&acc) {
-                                    *dst += v;
-                                }
-                            }
-                            Flush::Carry => {
-                                accumulate_segment_dispatch(rp, seg, a, cols32, b, &mut acc);
-                                carry_keys.push((t, s, seg.row));
-                                carry_data.extend_from_slice(&acc);
-                            }
-                        }
-                    }
-                }
-                if !carry_keys.is_empty() {
-                    all_carries.lock().unwrap().push((carry_keys, carry_data));
-                }
-            }) as ScopedJob<'_>
-        })
-        .collect();
-    WorkerPool::global().scope_run(jobs);
-
-    // Fold the per-worker shared-row strips into the plain output, in
-    // ascending worker order — a fixed association, so repeated static
-    // runs at the same worker count are bit-identical. Each worker's
-    // strip covers only its slot range; a boundary slot shared by two
-    // consecutive workers is simply folded twice.
-    {
-        let mut strip_off = 0usize;
-        for &(lo, hi) in &slot_ranges {
-            for slot in lo..hi {
-                let row = prep.shared_rows[slot] as usize;
-                let dst = &mut out[row * dim..][..dim];
-                let src = &shared_strips[strip_off + (slot - lo) * dim..][..dim];
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d += v;
-                }
-            }
-            strip_off += (hi - lo) * dim;
-        }
-    }
-
-    // Serial fix-up phase in deterministic (thread, segment) order.
-    let groups = all_carries.into_inner().unwrap();
-    let mut replay: Vec<(usize, usize, usize, &[f32])> = groups
-        .iter()
-        .flat_map(|(keys, data)| {
-            keys.iter()
-                .enumerate()
-                .map(move |(i, &(t, s, row))| (t, s, row, &data[i * dim..][..dim]))
-        })
-        .collect();
-    replay.sort_unstable_by_key(|&(t, s, _, _)| (t, s));
-    for (_, _, row, carry) in replay {
-        for (dst, &v) in out[row * dim..][..dim].iter_mut().zip(carry) {
-            *dst += v;
-        }
-    }
-    arena.put(shared_strips);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::execute_sequential;
-    use crate::plan::{Segment, ThreadPlan};
+    use crate::spmm::test_support::{random_dense, random_matrix};
+    use crate::SerialSpmm;
 
-    fn seg(row: usize, nz_start: usize, nz_end: usize, flush: Flush) -> Segment {
-        Segment {
-            row,
-            nz_start,
-            nz_end,
-            flush,
-        }
-    }
-
-    fn plan(threads: Vec<Vec<Segment>>) -> KernelPlan {
-        KernelPlan {
-            threads: threads
-                .into_iter()
-                .map(|segments| ThreadPlan { segments })
-                .collect(),
-        }
-    }
+    /// Worker counts every exactness test sweeps: inline, pooled, more
+    /// workers than a small matrix has spans' worth of rows.
+    const WORKERS: [usize; 4] = [1, 2, 7, 64];
 
     fn small() -> (CsrMatrix<f32>, DenseMatrix<f32>) {
         let a = CsrMatrix::from_triplets(
@@ -1742,114 +1057,124 @@ mod tests {
         (a, b)
     }
 
-    fn mixed_plan() -> KernelPlan {
-        plan(vec![
-            vec![seg(0, 0, 1, Flush::Atomic)],
-            vec![seg(0, 1, 2, Flush::Atomic), seg(1, 2, 3, Flush::Regular)],
-            vec![seg(2, 3, 5, Flush::Carry)],
-        ])
+    /// The ascending row sum: the serial plan replayed by the sequential
+    /// executor, with its write statistics.
+    fn row_sum(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> (DenseMatrix<f32>, WriteStats) {
+        execute_sequential(&SerialSpmm.plan(a, b.cols()), a, b).unwrap()
     }
 
-    /// The classified segment layout of `prep` (panics on row spans).
-    fn segments(prep: &PreparedPlan) -> &SegmentLayout {
-        match &prep.layout {
-            Layout::Segments(seg) => seg,
-            Layout::RowSpans(_) => panic!("expected a segment layout"),
+    /// A matrix with an evil row holding most non-zeros, empty rows, and
+    /// single-entry rows.
+    fn lopsided() -> CsrMatrix<f32> {
+        let mut triplets: Vec<(usize, usize, f32)> =
+            (0..100).map(|c| (0, c, 0.0625 * c as f32 - 3.0)).collect();
+        for r in (1..40).filter(|r| r % 4 != 0) {
+            triplets.push((r, (r * 7) % 100, 1.0 - 0.05 * r as f32));
         }
+        CsrMatrix::from_triplets(40, 100, &triplets).unwrap()
     }
 
     #[test]
-    fn classification_finds_direct_shared_untouched() {
-        let (a, _) = small();
-        let p = mixed_plan();
-        p.validate(&a).unwrap();
-        let prep = PreparedPlan::new(p, a.rows());
-        let seg = segments(&prep);
-        assert_eq!(seg.row_kind[0], RowKind::Shared { side: 0 });
-        assert_eq!(seg.row_kind[1], RowKind::Direct { owner: 1 });
-        // Row 2 only receives a carry — no parallel-phase writes at all.
-        assert_eq!(seg.row_kind[2], RowKind::Untouched);
-        assert_eq!(seg.shared_rows, vec![0]);
-        assert_eq!(prep.shared_row_count(), 1);
-    }
-
-    #[test]
-    fn expected_stats_match_sequential_executor() {
-        let (a, b) = small();
-        let p = mixed_plan();
-        let (_, seq_stats) = execute_sequential(&p, &a, &b).unwrap();
-        let prep = PreparedPlan::new(p, a.rows());
-        assert_eq!(prep.expected_stats(), seq_stats);
-    }
-
-    #[test]
-    fn engine_matches_sequential_on_mixed_plan() {
-        let (a, b) = small();
-        let p = mixed_plan();
-        let (seq, seq_stats) = execute_sequential(&p, &a, &b).unwrap();
-        for workers in [1, 2, 4, 16] {
-            let engine = ExecEngine::new(workers);
-            let (out, stats) = engine.execute(&p, &a, &b).unwrap();
-            assert!(out.approx_eq(&seq, 1e-5).unwrap(), "workers={workers}");
-            assert_eq!(stats, seq_stats, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn single_worker_is_bit_identical_to_sequential() {
-        let a = crate::spmm::test_support::random_matrix(64, 64, 400, 11);
-        let b = crate::spmm::test_support::random_dense(64, 19, 12);
-        let p = crate::MergePathSpmm::with_threads(13).plan(&a, 19);
-        let (seq, _) = execute_sequential(&p, &a, &b).unwrap();
-        let (out, _) = ExecEngine::new(1).execute(&p, &a, &b).unwrap();
-        assert_eq!(out.max_abs_diff(&seq).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn every_data_path_is_bit_identical_through_the_engine() {
-        let a = crate::spmm::test_support::random_matrix(48, 48, 300, 3);
-        let kernel = crate::MergePathSpmm::with_threads(9);
-        for dim in [1, 3, 8, 16, 17, 32, 33] {
-            let b = crate::spmm::test_support::random_dense(48, dim, 4);
-            let p = kernel.plan(&a, dim);
-            let (seq, _) = execute_sequential(&p, &a, &b).unwrap();
-            for path in [
-                DataPath::Auto,
-                DataPath::Scalar,
-                DataPath::Tiled,
-                DataPath::Vector,
-            ] {
-                let engine = ExecEngine::with_data_path(1, path);
-                let (out, _) = engine.execute(&p, &a, &b).unwrap();
-                assert_eq!(
-                    out.max_abs_diff(&seq).unwrap(),
-                    0.0,
-                    "path={path:?} dim={dim}"
-                );
-                // Packed-index route (the cached path) must agree too.
-                let (packed, _) = engine
-                    .execute_prepared(&PreparedPlan::for_matrix(p.clone(), &a), &a, &b)
-                    .unwrap();
-                assert_eq!(
-                    packed.max_abs_diff(&seq).unwrap(),
-                    0.0,
-                    "packed path={path:?} dim={dim}"
+    fn spans_cut_at_row_edges_and_keep_long_rows_whole() {
+        let a = lopsided();
+        let rp = a.row_ptr();
+        for spans in [1usize, 2, 3, 8, 64] {
+            let starts = row_aligned_starts(rp, spans);
+            assert_eq!(starts.len(), spans);
+            assert_eq!(starts[0], 0);
+            assert!(starts.windows(2).all(|w| w[0] <= w[1]));
+            assert!(starts.iter().all(|&s| s <= a.rows()));
+            let span = |s: usize| {
+                let hi = starts.get(s + 1).copied().unwrap_or(a.rows());
+                (starts[s], hi)
+            };
+            // Row 0 (101 of the 170 merge items) is longer than a share
+            // at two spans or more, yet exactly one span holds all of it.
+            let share = (a.rows() + a.nnz()).div_ceil(spans);
+            if spans > 1 {
+                assert!(rp[1] + 1 > share, "row 0 is longer than a share");
+            }
+            let owners = (0..spans)
+                .filter(|&s| (span(s).0..span(s).1).contains(&0))
+                .count();
+            assert_eq!(owners, 1, "spans={spans}: row 0 lands in one span");
+            // A span exceeds its share by at most the row it snapped
+            // around: the longest row's merge items.
+            for s in 0..spans {
+                let (lo, hi) = span(s);
+                let items = (hi - lo) + (rp[hi] - rp[lo]);
+                assert!(
+                    items <= share + 101,
+                    "spans={spans} span {s}: {items} items"
                 );
             }
         }
     }
 
     #[test]
+    fn expected_stats_and_dispatch_match_the_serial_plan() {
+        let a = random_matrix(48, 48, 300, 7);
+        let b = random_dense(48, 16, 8);
+        let plan = SerialSpmm.plan(&a, 16);
+        let (_, stats) = row_sum(&a, &b);
+        let prep = PreparedPlan::new(&a);
+        assert_eq!(prep.expected_stats(), stats);
+        assert_eq!(
+            prep.dispatch_profile(),
+            plan.dispatch_profile(GATHER_MAX_NNZ)
+        );
+        assert_eq!(prep.shared_row_count(), 0);
+    }
+
+    #[test]
+    fn engine_equals_the_row_sum_at_any_worker_count() {
+        let a = random_matrix(64, 64, 400, 11);
+        for dim in [1usize, 2, 3, 8, 19] {
+            let b = random_dense(64, dim, 12);
+            let (want, want_stats) = row_sum(&a, &b);
+            for workers in WORKERS {
+                let engine = ExecEngine::new(workers);
+                let prep = PreparedPlan::new(&a);
+                let (out, stats) = engine.execute_prepared(&prep, &a, &b).unwrap();
+                assert_eq!(out.as_slice(), want.as_slice(), "w={workers} dim={dim}");
+                assert_eq!(stats, want_stats, "w={workers} dim={dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_data_path_is_bit_identical_through_the_engine() {
+        let a = random_matrix(48, 48, 300, 3);
+        for dim in [1, 3, 8, 16, 17, 32, 33] {
+            let b = random_dense(48, dim, 4);
+            let (want, _) = row_sum(&a, &b);
+            for path in [
+                DataPath::Auto,
+                DataPath::Scalar,
+                DataPath::Tiled,
+                DataPath::Vector,
+            ] {
+                for workers in WORKERS {
+                    let engine = ExecEngine::with_data_path(workers, path);
+                    let prep = PreparedPlan::new(&a);
+                    let (out, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+                    assert_eq!(
+                        out.as_slice(),
+                        want.as_slice(),
+                        "path={path:?} dim={dim} w={workers}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn dispatch_counters_record_gather_stream_split() {
-        let a = crate::spmm::test_support::random_matrix(48, 48, 300, 7);
-        let b = crate::spmm::test_support::random_dense(48, 16, 8);
-        let kernel = crate::MergePathSpmm::with_threads(9);
-        let p = kernel.plan(&a, 16);
-        let prep = PreparedPlan::for_matrix(p.clone(), &a);
+        let a = random_matrix(48, 48, 300, 7);
+        let b = random_dense(48, 16, 8);
+        let prep = PreparedPlan::new(&a);
         let (gather, stream) = prep.dispatch_profile();
-        assert_eq!(prep.dispatch_profile(), p.dispatch_profile(GATHER_MAX_NNZ));
         assert!(gather + stream > 0);
-        assert!(prep.has_packed_indices());
 
         let engine = ExecEngine::with_data_path(1, DataPath::Vector);
         engine.execute_prepared(&prep, &a, &b).unwrap();
@@ -1873,7 +1198,6 @@ mod tests {
         let engine = ExecEngine::new(2);
         let kernel = crate::MergePathSpmm::with_threads(3);
         let prep = engine.plan_cached(&kernel, &a, b.cols(), 0);
-        assert!(prep.has_packed_indices());
         assert_eq!(engine.stats().plan_cache_misses, 1);
         // Same key: served from cache.
         let again = engine.plan_cached(&kernel, &a, b.cols(), 0);
@@ -1885,27 +1209,36 @@ mod tests {
     }
 
     #[test]
-    fn zero_dimension_and_empty_plan() {
+    fn zero_dimension_and_empty_matrix() {
         let (a, _) = small();
-        let b = DenseMatrix::<f32>::zeros(3, 0);
         let engine = ExecEngine::new(4);
-        let (out, _) = engine.execute(&mixed_plan(), &a, &b).unwrap();
-        assert_eq!(out.cols(), 0);
-        let empty = plan(vec![]);
-        let b = DenseMatrix::<f32>::zeros(3, 2);
-        let (out, stats) = engine.execute(&empty, &a, &b).unwrap();
-        assert_eq!(out.rows(), 3);
+        let prep = PreparedPlan::new(&a);
+        let b = DenseMatrix::<f32>::zeros(3, 0);
+        let (out, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+        assert_eq!((out.rows(), out.cols()), (3, 0));
+        let empty = CsrMatrix::<f32>::zeros(3, 3);
+        let b = DenseMatrix::from_fn(3, 2, |_, _| 1.0);
+        let (out, stats) = engine
+            .execute_prepared(&PreparedPlan::new(&empty), &empty, &b)
+            .unwrap();
+        assert!(out.as_slice().iter().all(|&v| v == 0.0));
         assert_eq!(stats, WriteStats::default());
+        let none = CsrMatrix::<f32>::zeros(0, 3);
+        let (out, _) = engine
+            .execute_prepared(&PreparedPlan::new(&none), &none, &b)
+            .unwrap();
+        assert_eq!(out.rows(), 0);
     }
 
     #[test]
     fn shape_mismatch_is_rejected() {
         let (a, _) = small();
         let bad_b = DenseMatrix::<f32>::zeros(5, 2);
-        assert!(ExecEngine::new(2)
-            .execute(&mixed_plan(), &a, &bad_b)
+        let engine = ExecEngine::new(2);
+        assert!(engine
+            .execute_prepared(&PreparedPlan::new(&a), &a, &bad_b)
             .is_err());
-        assert!(ExecEngine::new(2)
+        assert!(engine
             .spmm_cached(&crate::MergePathSpmm::new(), &a, &bad_b, 0)
             .is_err());
     }
@@ -1992,33 +1325,25 @@ mod tests {
 
     #[test]
     fn batched_execution_matches_per_block_execution() {
-        let a = crate::spmm::test_support::random_matrix(40, 40, 220, 21);
-        let kernel = crate::MergePathSpmm::with_threads(7);
-        let p = kernel.plan(&a, 8);
-        let prep = PreparedPlan::for_matrix(p, &a);
+        let a = random_matrix(40, 40, 220, 21);
+        let prep = PreparedPlan::new(&a);
         let blocks: Vec<DenseMatrix<f32>> = [1usize, 4, 3, 16]
             .iter()
             .enumerate()
-            .map(|(i, &k)| crate::spmm::test_support::random_dense(40, k, 30 + i as u64))
+            .map(|(i, &k)| random_dense(40, k, 30 + i as u64))
             .collect();
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
-        for workers in [1usize, 4] {
+        for workers in WORKERS {
             let engine = ExecEngine::new(workers);
             let outs = engine.execute_prepared_batch(&prep, &a, &refs).unwrap();
             assert_eq!(outs.len(), blocks.len());
             for (block, out) in blocks.iter().zip(&outs) {
-                let (solo, _) = engine.execute_prepared(&prep, &a, block).unwrap();
-                assert_eq!(out.cols(), block.cols());
                 // Column content is independent of its neighbours in the
                 // batch: additions within a column happen in non-zero
-                // order on every data path, so the batched slice is
-                // bit-identical to the solo run at one worker and within
-                // the usual atomic-reassociation tolerance otherwise.
-                if workers == 1 {
-                    assert_eq!(out.max_abs_diff(&solo).unwrap(), 0.0);
-                } else {
-                    assert!(out.approx_eq(&solo, 1e-4).unwrap());
-                }
+                // order on every data path, so the batched slice is the
+                // block's own row sum.
+                assert_eq!(out.cols(), block.cols());
+                assert_eq!(out.as_slice(), row_sum(&a, block).0.as_slice());
             }
         }
     }
@@ -2027,7 +1352,7 @@ mod tests {
     fn batched_execution_edge_cases() {
         let (a, b) = small();
         let engine = ExecEngine::new(2);
-        let prep = PreparedPlan::for_matrix(mixed_plan(), &a);
+        let prep = PreparedPlan::new(&a);
         assert!(engine
             .execute_prepared_batch(&prep, &a, &[])
             .unwrap()
@@ -2051,7 +1376,7 @@ mod tests {
     fn arena_recycling_eliminates_output_allocations() {
         let (a, b) = small();
         let engine = ExecEngine::new(2);
-        let prep = PreparedPlan::for_matrix(mixed_plan(), &a);
+        let prep = PreparedPlan::new(&a);
         let (out, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
         let misses_after_first = engine.stats().arena_misses;
         assert!(misses_after_first > 0, "first run allocates");
@@ -2071,12 +1396,10 @@ mod tests {
 
     #[test]
     fn batch_path_reuses_arena_buffers_when_recycled() {
-        let a = crate::spmm::test_support::random_matrix(40, 40, 220, 21);
-        let p = crate::MergePathSpmm::with_threads(7).plan(&a, 8);
-        let prep = PreparedPlan::for_matrix(p, &a);
-        let blocks: Vec<DenseMatrix<f32>> = (0..3)
-            .map(|i| crate::spmm::test_support::random_dense(40, 1, 30 + i as u64))
-            .collect();
+        let a = random_matrix(40, 40, 220, 21);
+        let prep = PreparedPlan::new(&a);
+        let blocks: Vec<DenseMatrix<f32>> =
+            (0..3).map(|i| random_dense(40, 1, 30 + i as u64)).collect();
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         let engine = ExecEngine::new(1);
         let outs = engine.execute_prepared_batch(&prep, &a, &refs).unwrap();
@@ -2093,88 +1416,61 @@ mod tests {
         );
     }
 
-    /// The unfused oracle: run the plain engine, then apply the epilogue
-    /// to every row of the result.
-    fn unfused_then_apply(
-        engine: &ExecEngine,
-        prep: &PreparedPlan,
-        a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
-        epi: &Epilogue,
-    ) -> DenseMatrix<f32> {
-        let (mut out, _) = engine.execute_prepared(prep, a, b).unwrap();
-        let dim = out.cols();
+    /// `want` with the epilogue applied to every row.
+    fn applied(mut want: DenseMatrix<f32>, epi: &Epilogue) -> DenseMatrix<f32> {
+        let dim = want.cols();
         if dim > 0 {
-            for row in out.as_mut_slice().chunks_mut(dim) {
+            for row in want.as_mut_slice().chunks_mut(dim) {
                 epi.apply_row(row);
             }
         }
-        out
+        want
     }
 
+    /// Fused epilogues land exactly once on every row, at every worker
+    /// count: the evil row a worker's share cannot hold, the empty rows
+    /// (a bias changes them), and the single-entry rows.
     #[test]
-    fn fused_epilogue_is_bit_identical_to_unfused_composition() {
-        let a = crate::spmm::test_support::random_matrix(48, 48, 300, 31);
-        let b = crate::spmm::test_support::random_dense(48, 16, 32);
-        let p = crate::MergePathSpmm::with_threads(11).plan(&a, 16);
-        let bias: Vec<f32> = (0..16).map(|j| (j as f32) * 0.25 - 2.0).collect();
-        let epis = [
-            Epilogue::Relu,
-            Epilogue::Bias(bias.clone()),
-            Epilogue::BiasRelu(bias),
-        ];
-        // The static path folds shared rows in a fixed worker order, so
-        // a run is reproducible at a given worker count and the fused
-        // epilogue lands on exactly the values the unfused run returns.
-        let prep = PreparedPlan::for_matrix(p, &a);
-        for workers in [1usize, 4] {
-            let engine = ExecEngine::new(workers);
-            for epi in &epis {
-                let want = unfused_then_apply(&engine, &prep, &a, &b, epi);
-                let (got, _) = engine.execute_prepared_fused(&prep, &a, &b, epi).unwrap();
-                assert_eq!(
-                    got.max_abs_diff(&want).unwrap(),
-                    0.0,
-                    "workers={workers} epi={epi:?}"
-                );
+    fn fused_epilogue_equals_the_row_sum_then_epilogue() {
+        let a = lopsided();
+        for dim in [4usize, 16] {
+            let b = random_dense(100, dim, 32);
+            let bias: Vec<f32> = (0..dim).map(|j| (j as f32) * 0.25 - 2.0).collect();
+            let epis = [
+                Epilogue::Relu,
+                Epilogue::Bias(bias.clone()),
+                Epilogue::BiasRelu(bias),
+            ];
+            let (plain, _) = row_sum(&a, &b);
+            for workers in WORKERS {
+                let engine = ExecEngine::new(workers);
+                let prep = PreparedPlan::new(&a);
+                for epi in &epis {
+                    let want = applied(plain.clone(), epi);
+                    let (got, _) = engine.execute_prepared_fused(&prep, &a, &b, epi).unwrap();
+                    assert_eq!(
+                        got.as_slice(),
+                        want.as_slice(),
+                        "workers={workers} dim={dim} epi={epi:?}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn fused_bias_reaches_untouched_and_carry_rows() {
-        // mixed_plan: row 0 Shared, row 1 Direct (fusable), row 2
-        // Untouched in the parallel phase (carry-only). The bias must
-        // still land on rows 0 and 2 via the deferred pass.
-        let (a, b) = small();
-        let p = mixed_plan();
-        let bias = vec![10.0f32, 20.0];
-        let engine = ExecEngine::new(2);
-        let prep = PreparedPlan::new(p, a.rows());
-        assert_eq!(
-            segments(&prep).fused_ok,
-            [false, true, false],
-            "only row 1 fuses at store"
-        );
-        let want = unfused_then_apply(&engine, &prep, &a, &b, &Epilogue::Bias(bias.clone()));
-        let (got, _) = engine
-            .execute_prepared_fused(&prep, &a, &b, &Epilogue::Bias(bias))
-            .unwrap();
-        assert_eq!(got.max_abs_diff(&want).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn empty_plan_still_applies_bias_to_zero_rows() {
+    fn empty_matrix_still_applies_bias_to_zero_rows() {
         let a = CsrMatrix::from_triplets(3, 3, &[]).unwrap();
         let b = DenseMatrix::from_fn(3, 2, |_, _| 1.0);
-        let p = plan(vec![]);
-        let engine = ExecEngine::new(1);
-        let prep = PreparedPlan::new(p, a.rows());
-        let (out, _) = engine
-            .execute_prepared_fused(&prep, &a, &b, &Epilogue::Bias(vec![1.5, -2.5]))
-            .unwrap();
-        for r in 0..3 {
-            assert_eq!(out.row(r), &[1.5, -2.5], "bias lands on zero row {r}");
+        for workers in WORKERS {
+            let engine = ExecEngine::new(workers);
+            let prep = PreparedPlan::new(&a);
+            let (out, _) = engine
+                .execute_prepared_fused(&prep, &a, &b, &Epilogue::Bias(vec![1.5, -2.5]))
+                .unwrap();
+            for r in 0..3 {
+                assert_eq!(out.row(r), &[1.5, -2.5], "bias lands on zero row {r}");
+            }
         }
     }
 
@@ -2198,26 +1494,21 @@ mod tests {
 
     #[test]
     fn batch_fused_column_uniform_epilogue_matches_per_block_apply() {
-        let a = crate::spmm::test_support::random_matrix(40, 40, 220, 41);
-        let p = crate::MergePathSpmm::with_threads(7).plan(&a, 8);
-        let prep = PreparedPlan::for_matrix(p, &a);
+        let a = random_matrix(40, 40, 220, 41);
+        let prep = PreparedPlan::new(&a);
         let blocks: Vec<DenseMatrix<f32>> = [3usize, 1, 4]
             .iter()
             .enumerate()
-            .map(|(i, &k)| crate::spmm::test_support::random_dense(40, k, 50 + i as u64))
+            .map(|(i, &k)| random_dense(40, k, 50 + i as u64))
             .collect();
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         let engine = ExecEngine::new(2);
-        let plain = engine.execute_prepared_batch(&prep, &a, &refs).unwrap();
         let fused = engine
             .execute_prepared_batch_fused(&prep, &a, &refs, &Epilogue::Relu)
             .unwrap();
-        for (mut want, got) in plain.into_iter().zip(fused) {
-            let dim = want.cols();
-            for row in want.as_mut_slice().chunks_mut(dim) {
-                Epilogue::Relu.apply_row(row);
-            }
-            assert!(got.approx_eq(&want, 1e-5).unwrap());
+        for (block, got) in blocks.iter().zip(fused) {
+            let want = applied(row_sum(&a, block).0, &Epilogue::Relu);
+            assert_eq!(got.as_slice(), want.as_slice());
         }
     }
 
@@ -2228,7 +1519,7 @@ mod tests {
         let kernel = crate::MergePathSpmm::with_threads(3);
         let (first, _) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
         let (second, _) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
-        assert_eq!(first.max_abs_diff(&second).unwrap(), 0.0);
+        assert_eq!(first.as_slice(), second.as_slice());
         let stats = engine.stats();
         assert_eq!(stats.plan_cache_misses, 1);
         assert_eq!(stats.plan_cache_hits, 1);
@@ -2241,21 +1532,18 @@ mod tests {
 
     /// Engine-level check of the gather prefetch: with `B` past the
     /// prefetch gate the vectorized path hints ahead on the inline and
-    /// pooled walks, and each still equals its unhinted reference
-    /// exactly — the scalar path at the same worker count (same plan,
-    /// same shared-row fold) and, for the inline walk, the sequential
-    /// executor.
+    /// pooled walks, and each still equals the scalar path and the row
+    /// sum exactly.
     #[test]
     fn prefetching_paths_equal_their_unhinted_references() {
         let rows = 9000;
-        let a = crate::spmm::test_support::random_matrix(rows, rows, 20_000, 41);
+        let a = random_matrix(rows, rows, 20_000, 41);
         for dim in [128usize, 256] {
-            let b = crate::spmm::test_support::random_dense(rows, dim, 42);
-            let p = crate::MergePathSpmm::with_threads(64).plan(&a, dim);
-            let (seq, _) = execute_sequential(&p, &a, &b).unwrap();
-            let prep = PreparedPlan::for_matrix(p, &a);
+            let b = random_dense(rows, dim, 42);
+            let (want, _) = row_sum(&a, &b);
             assert!(DataPath::Vector.resolve(rows, dim).prefetch, "dim={dim}");
             for workers in [1usize, 2, 3] {
+                let prep = PreparedPlan::new(&a);
                 let run = |path| {
                     ExecEngine::with_data_path(workers, path)
                         .execute_prepared(&prep, &a, &b)
@@ -2263,15 +1551,8 @@ mod tests {
                         .0
                 };
                 let hinted = run(DataPath::Vector);
-                let oracle = run(DataPath::Scalar);
-                assert_eq!(
-                    hinted.as_slice(),
-                    oracle.as_slice(),
-                    "dim={dim} w={workers}"
-                );
-                if workers == 1 {
-                    assert_eq!(hinted.as_slice(), seq.as_slice(), "dim={dim} inline");
-                }
+                assert_eq!(hinted.as_slice(), run(DataPath::Scalar).as_slice());
+                assert_eq!(hinted.as_slice(), want.as_slice(), "dim={dim} w={workers}");
             }
         }
     }
@@ -2279,8 +1560,7 @@ mod tests {
     #[test]
     fn fast_math_opt_in_is_gated_and_counted() {
         let (a, b) = small();
-        let p = mixed_plan();
-        let prep = PreparedPlan::for_matrix(p, &a);
+        let prep = PreparedPlan::new(&a);
         // Exact default: no FastMath runs counted.
         let exact = ExecEngine::with_data_path(2, DataPath::Vector).with_fast_math(false);
         assert!(!exact.fast_math());

@@ -340,12 +340,12 @@ pub fn chunk_threads(thread_nnz_ends: &[usize], target: usize) -> Vec<ChunkDesc>
     chunks
 }
 
-/// Non-zero skew of the **static** per-worker partition the engine would
-/// use for this plan: max span nnz over ideal (mean) span nnz, where the
-/// spans are the `ceil(threads / workers)`-sized contiguous logical-thread
-/// blocks of the static scheduler.
+/// Non-zero skew of a **static** per-worker partition of a plan's logical
+/// threads: max span nnz over ideal (mean) span nnz, where the spans are
+/// the `ceil(threads / workers)`-sized contiguous logical-thread blocks
+/// and `thread_nnz_ends[t]` is the non-zeros of threads `0..=t`.
 ///
-/// This is the static schedule's residual imbalance, which the
+/// This is a static schedule's residual imbalance, which the
 /// reordering ablation reports: merge-path plans are nnz-balanced per
 /// *logical thread*, so their static spans stay near 1.0, while
 /// row-split plans on power-law graphs can concentrate hub rows into

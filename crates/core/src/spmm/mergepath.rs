@@ -236,18 +236,16 @@ pub fn plan_from_schedule(schedule: &Schedule, a: &CsrMatrix<f32>) -> KernelPlan
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{
-        check_kernel, check_vector_path_bit_identical, random_matrix,
-    };
+    use super::super::test_support::{check_kernel, check_spmm_is_row_sum, random_matrix};
     use super::*;
     use crate::plan::Flush;
 
     #[test]
-    fn vector_path_is_bit_identical() {
+    fn spmm_equals_the_row_sum() {
         let a = random_matrix(60, 60, 400, 33);
         for dim in [1, 5, 16, 33] {
-            check_vector_path_bit_identical(&MergePathSpmm::with_threads(7), &a, dim);
-            check_vector_path_bit_identical(&MergePathSpmm::with_cost(5), &a, dim);
+            check_spmm_is_row_sum(&MergePathSpmm::with_threads(7), &a, dim);
+            check_spmm_is_row_sum(&MergePathSpmm::with_cost(5), &a, dim);
         }
     }
 

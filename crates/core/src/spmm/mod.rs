@@ -123,7 +123,9 @@ pub trait SpmmKernel: Send + Sync {
         0
     }
 
-    /// Computes `A × B` on the default worker pool.
+    /// Computes `A × B` on the default worker pool: the engine's
+    /// row-span product, the ascending row sum. The kernel's own plan is
+    /// not built.
     ///
     /// # Errors
     ///
@@ -134,11 +136,14 @@ pub trait SpmmKernel: Send + Sync {
         a: &CsrMatrix<f32>,
         b: &DenseMatrix<f32>,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        self.spmm_with_stats(a, b).map(|(out, _)| out)
+        let prep = crate::engine::PreparedPlan::new(a);
+        crate::engine::ExecEngine::global()
+            .execute_prepared(&prep, a, b)
+            .map(|(out, _)| out)
     }
 
-    /// Computes `A × B` and reports the realized write statistics
-    /// (Figure 5 accounting).
+    /// [`spmm`](Self::spmm) plus this kernel's write statistics
+    /// (Figure 5 accounting), which are a property of its plan.
     ///
     /// # Errors
     ///
@@ -149,9 +154,8 @@ pub trait SpmmKernel: Send + Sync {
         a: &CsrMatrix<f32>,
         b: &DenseMatrix<f32>,
     ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        executor::check_shapes(a, b)?;
-        let plan = self.plan(a, b.cols());
-        crate::engine::ExecEngine::global().execute(&plan, a, b)
+        let out = self.spmm(a, b)?;
+        Ok((out, self.plan(a, b.cols()).write_stats()))
     }
 
     /// Computes `A × B` deterministically on the calling thread, replaying
@@ -250,38 +254,24 @@ pub(crate) mod test_support {
         DenseMatrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
     }
 
-    /// Asserts the vectorized data path is bit-identical to the scalar
-    /// oracle for one kernel's plan, both with plain CSR indices and with
-    /// the packed `u32` indices the plan cache uses.
-    pub fn check_vector_path_bit_identical(
-        kernel: &dyn SpmmKernel,
-        a: &CsrMatrix<f32>,
-        dim: usize,
-    ) {
-        use crate::datapath::DataPath;
-        use crate::engine::{ExecEngine, PreparedPlan};
-
+    /// Asserts that `kernel.spmm` and `kernel.spmm_with_stats` give
+    /// exactly the ascending row sum (the serial plan's sequential
+    /// replay), whatever the kernel's own plan splits, and that the
+    /// latter reports the kernel plan's statistics.
+    pub fn check_spmm_is_row_sum(kernel: &dyn SpmmKernel, a: &CsrMatrix<f32>, dim: usize) {
         let b = random_dense(a.cols(), dim, 123);
-        let plan = kernel.plan(a, dim);
+        let plan = SerialSpmm.plan(a, dim);
         let (oracle, _) = executor::execute_sequential(&plan, a, &b).unwrap();
-        for path in [DataPath::Scalar, DataPath::Vector] {
-            let engine = ExecEngine::with_data_path(1, path);
-            let (plain, _) = engine.execute(&plan, a, &b).unwrap();
-            assert_eq!(
-                plain.max_abs_diff(&oracle).unwrap(),
-                0.0,
-                "{}: {path:?} path diverges from oracle at dim {dim}",
-                kernel.name()
-            );
-            let prep = PreparedPlan::for_matrix(plan.clone(), a);
-            let (packed, _) = engine.execute_prepared(&prep, a, &b).unwrap();
-            assert_eq!(
-                packed.max_abs_diff(&oracle).unwrap(),
-                0.0,
-                "{}: packed {path:?} path diverges from oracle at dim {dim}",
-                kernel.name()
-            );
-        }
+        let served = kernel.spmm(a, &b).unwrap();
+        assert_eq!(served.as_slice(), oracle.as_slice(), "{}", kernel.name());
+        let (out, stats) = kernel.spmm_with_stats(a, &b).unwrap();
+        assert_eq!(out.as_slice(), oracle.as_slice(), "{}", kernel.name());
+        assert_eq!(
+            stats,
+            kernel.plan(a, dim).write_stats(),
+            "{}",
+            kernel.name()
+        );
     }
 
     /// Exercises one kernel against the dense oracle: plan validity,

@@ -184,9 +184,7 @@ impl NeighborPartitionIndex {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{
-        check_kernel, check_vector_path_bit_identical, random_matrix,
-    };
+    use super::super::test_support::{check_kernel, check_spmm_is_row_sum, random_matrix};
     use super::*;
 
     #[test]
@@ -201,13 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn vector_path_is_bit_identical() {
+    fn spmm_equals_the_row_sum() {
         let a = random_matrix(50, 50, 300, 32);
         for dim in [1, 5, 16, 33] {
             // ng 2 keeps every segment in the gather regime; ng 100 forces
             // the streaming kernel on the evil row.
-            check_vector_path_bit_identical(&NnzSplitSpmm::with_ng_size(2), &a, dim);
-            check_vector_path_bit_identical(&NnzSplitSpmm::with_ng_size(100), &a, dim);
+            check_spmm_is_row_sum(&NnzSplitSpmm::with_ng_size(2), &a, dim);
+            check_spmm_is_row_sum(&NnzSplitSpmm::with_ng_size(100), &a, dim);
         }
     }
 

@@ -160,7 +160,7 @@ impl SpmmKernel for BatchMergeSpmm {
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{
-        check_kernel, check_vector_path_bit_identical, random_dense, random_matrix,
+        check_kernel, check_spmm_is_row_sum, random_dense, random_matrix,
     };
     use super::super::SerialSpmm;
     use super::*;
@@ -200,10 +200,10 @@ mod tests {
     }
 
     #[test]
-    fn vector_path_is_bit_identical() {
+    fn spmm_equals_the_row_sum() {
         let a = random_matrix(60, 60, 400, 5);
         for dim in [1, 5, 16, 33] {
-            check_vector_path_bit_identical(&BatchMergeSpmm::with_threads(7), &a, dim);
+            check_spmm_is_row_sum(&BatchMergeSpmm::with_threads(7), &a, dim);
         }
     }
 

@@ -90,9 +90,7 @@ impl SpmmKernel for RowSplitSpmm {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{
-        check_kernel, check_vector_path_bit_identical, random_matrix,
-    };
+    use super::super::test_support::{check_kernel, check_spmm_is_row_sum, random_matrix};
     use super::*;
 
     #[test]
@@ -106,10 +104,10 @@ mod tests {
     }
 
     #[test]
-    fn vector_path_is_bit_identical() {
+    fn spmm_equals_the_row_sum() {
         let a = random_matrix(50, 50, 300, 31);
         for dim in [1, 5, 16, 33] {
-            check_vector_path_bit_identical(&RowSplitSpmm::with_threads(7), &a, dim);
+            check_spmm_is_row_sum(&RowSplitSpmm::with_threads(7), &a, dim);
         }
     }
 

@@ -185,18 +185,16 @@ pub fn plan_with_serial_fixup(schedule: &Schedule, a: &CsrMatrix<f32>) -> Kernel
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{
-        check_kernel, check_vector_path_bit_identical, random_matrix,
-    };
+    use super::super::test_support::{check_kernel, check_spmm_is_row_sum, random_matrix};
     use super::*;
 
     #[test]
-    fn vector_path_is_bit_identical() {
+    fn spmm_equals_the_row_sum() {
         let a = random_matrix(60, 60, 400, 34);
         for dim in [1, 5, 16, 33] {
             // Serial fix-up plans mix Regular and Carry flushes — the
             // vectorized path must preserve the post-barrier carry order.
-            check_vector_path_bit_identical(&MergePathSerialFixup::with_threads(7), &a, dim);
+            check_spmm_is_row_sum(&MergePathSerialFixup::with_threads(7), &a, dim);
         }
     }
 

@@ -1,19 +1,19 @@
 //! Property tests pinning **block-diagonal packed execution** to the
 //! per-constituent sequential oracle: a batch of small graphs packed
-//! onto one diagonal by [`BlockDiagCsr`], planned with the row-aligned
-//! [`BatchMergeSpmm`] kernel, and executed as one prepared run must be
-//! **bit-identical** — per constituent, after scattering each row band
-//! back out — to running every constituent through
-//! [`execute_sequential`] separately. Row-aligned plans never split a
-//! row across threads, so every output row is one flat fold whatever
-//! the data path or worker count. The row-span plans the engine builds
-//! per window ([`ExecEngine::plan_batch_cached`]) are held to the same
-//! oracle, and to the bytes of a prepared `BatchMergeSpmm` plan.
+//! onto one diagonal by [`BlockDiagCsr`] and executed as one prepared
+//! run must be **bit-identical** — per constituent, after scattering
+//! each row band back out — to running every constituent through
+//! [`execute_sequential`] separately. Row spans never split a row across
+//! workers, so every output row is one flat fold whatever the data path
+//! or worker count. The row-aligned [`BatchMergeSpmm`] plan of a pack,
+//! replayed sequentially, is held to the same oracle, and the row-span
+//! plans the engine builds per window
+//! ([`ExecEngine::plan_batch_cached`]) to its bytes and statistics.
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    default_workers, BatchMergeSpmm, BatchShapeClass, DataPath, Epilogue, ExecEngine,
-    MergePathSpmm, PreparedPlan, RowSplitSpmm, SerialSpmm, SpmmKernel, GATHER_MAX_NNZ,
+    default_workers, BatchMergeSpmm, BatchShapeClass, DataPath, Epilogue, ExecEngine, PreparedPlan,
+    SerialSpmm, SpmmKernel, GATHER_MAX_NNZ,
 };
 use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
@@ -75,15 +75,24 @@ proptest! {
         let stacked = pack.stack_features(&feats.iter().collect::<Vec<_>>()).unwrap();
         let plan = BatchMergeSpmm::new().plan(pack.matrix(), dim);
         plan.validate(pack.matrix()).unwrap();
-        let prep = PreparedPlan::for_matrix(plan, pack.matrix());
         let wants: Vec<DenseMatrix<f32>> = graphs
             .iter()
             .zip(&feats)
             .map(|(g, x)| sequential_reference(g, x, dim))
             .collect();
+        let (replay, _) = execute_sequential(&plan, pack.matrix(), &stacked).unwrap();
+        for (i, want) in wants.iter().enumerate() {
+            prop_assert_eq!(
+                pack.scatter_block(&replay, i).as_slice(),
+                want.as_slice(),
+                "graph {} BatchMergeSpmm replay",
+                i
+            );
+        }
         for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
             for &workers in &[1usize, 2, 8] {
                 let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+                let prep = PreparedPlan::new(pack.matrix());
                 let (out, _) = engine
                     .execute_prepared(&prep, pack.matrix(), &stacked)
                     .unwrap();
@@ -114,11 +123,10 @@ fn single_graph_and_all_empty_batches_round_trip() {
     );
     let x = features(12, 5, 3);
     let stacked = pack.stack_features(&[&x]).unwrap();
-    let prep =
-        PreparedPlan::for_matrix(BatchMergeSpmm::new().plan(pack.matrix(), 5), pack.matrix());
     let want = sequential_reference(&g, &x, 5);
     for &workers in &[1usize, 2, 8] {
         let engine = ExecEngine::new(workers);
+        let prep = PreparedPlan::new(pack.matrix());
         let (out, _) = engine
             .execute_prepared(&prep, pack.matrix(), &stacked)
             .unwrap();
@@ -138,8 +146,7 @@ fn single_graph_and_all_empty_batches_round_trip() {
     let stacked = pack
         .stack_features(&feats.iter().collect::<Vec<_>>())
         .unwrap();
-    let prep =
-        PreparedPlan::for_matrix(BatchMergeSpmm::new().plan(pack.matrix(), 3), pack.matrix());
+    let prep = PreparedPlan::new(pack.matrix());
     let engine = ExecEngine::new(2);
     let (out, _) = engine
         .execute_prepared(&prep, pack.matrix(), &stacked)
@@ -170,10 +177,7 @@ fn resolved_worker_count_packed_batch_bit_matches_oracle() {
     let stacked = pack
         .stack_features(&feats.iter().collect::<Vec<_>>())
         .unwrap();
-    let prep = PreparedPlan::for_matrix(
-        BatchMergeSpmm::new().plan(pack.matrix(), dim),
-        pack.matrix(),
-    );
+    let prep = PreparedPlan::new(pack.matrix());
     let engine = ExecEngine::new(workers).with_fast_math(false);
     let (out, _) = engine
         .execute_prepared(&prep, pack.matrix(), &stacked)
@@ -274,32 +278,31 @@ fn row_span_plans_bit_match_per_graph_sequential() {
     }
 }
 
-/// A row-span plan and the prepared `BatchMergeSpmm` plan of the same
-/// pack give identical bytes, write statistics and dispatch split.
+/// A row-span plan gives the bytes of the sequential replay of the
+/// `BatchMergeSpmm` plan of the same pack, whose boundaries come from the
+/// same search, and reports that plan's write statistics and dispatch
+/// split.
 #[test]
-fn row_span_plan_matches_prepared_batch_merge_plan() {
+fn row_span_plan_matches_the_batch_merge_plan() {
     let class = BatchShapeClass::from_graphs(std::iter::empty());
     for (p, sizes) in PACKS.iter().enumerate() {
         for dim in [1usize, 3, 8, 16] {
             let (pack, stacked, _) = packed(sizes, dim, 70 + p as u64);
-            let merge = PreparedPlan::for_matrix(
-                BatchMergeSpmm::new().plan(pack.matrix(), dim),
-                pack.matrix(),
-            );
+            let merge = BatchMergeSpmm::new().plan(pack.matrix(), dim);
+            let (want, want_stats) = execute_sequential(&merge, pack.matrix(), &stacked).unwrap();
             for workers in [1usize, 2, 8] {
                 let engine = ExecEngine::new(workers);
                 let spans =
                     engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), dim, &class);
-                assert_eq!(spans.expected_stats(), merge.expected_stats());
-                assert_eq!(spans.dispatch_profile(), merge.dispatch_profile());
+                assert_eq!(spans.expected_stats(), want_stats);
+                assert_eq!(
+                    spans.dispatch_profile(),
+                    merge.dispatch_profile(GATHER_MAX_NNZ)
+                );
                 assert_eq!(spans.shared_row_count(), 0);
-                let run = |prep: &PreparedPlan| {
-                    engine
-                        .execute_prepared(prep, pack.matrix(), &stacked)
-                        .unwrap()
-                };
-                let (got, got_stats) = run(&spans);
-                let (want, want_stats) = run(&merge);
+                let (got, got_stats) = engine
+                    .execute_prepared(&spans, pack.matrix(), &stacked)
+                    .unwrap();
                 assert_eq!(
                     got.as_slice(),
                     want.as_slice(),
@@ -324,8 +327,8 @@ fn row_span_plan_rejects_a_matrix_with_another_row_count() {
     let _ = engine.execute_prepared(&prep, &taller, &stacked);
 }
 
-/// `plan_batch_cached` builds a fresh row-span plan per call, with no
-/// index copy, and stores nothing.
+/// `plan_batch_cached` builds a fresh row-span plan per call and stores
+/// nothing.
 #[test]
 fn batch_plans_are_built_per_call_and_never_stored() {
     let (pack, _, _) = packed(PACKS[0], 8, 95);
@@ -334,41 +337,10 @@ fn batch_plans_are_built_per_call_and_never_stored() {
     let p1 = engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), 8, &class);
     let p2 = engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), 8, &class);
     assert!(!Arc::ptr_eq(&p1, &p2), "nothing is cached");
-    assert!(!p1.has_packed_indices());
     let stats = engine.stats();
     assert_eq!(stats.batch_plan_misses, 2, "one build per call");
     assert_eq!((stats.batch_plan_hits, stats.batch_plan_rebuilds), (0, 0));
     assert_eq!(stats.cached_plans, 0);
     engine.clear_cache();
     assert_eq!(engine.stats().batch_plan_misses, 0);
-}
-
-/// Any plan whose rows each have a single writer runs as row spans:
-/// exact against the sequential executor at every worker count, with
-/// the plan's own write statistics and dispatch split. A plan with split
-/// rows keeps its shared-row classification.
-#[test]
-fn single_writer_plans_run_exactly_at_any_worker_count() {
-    let a = random_graph(60, 260, 9);
-    let b = features(60, 4, 10);
-    for plan in [
-        SerialSpmm.plan(&a, 4),
-        RowSplitSpmm::with_threads(7).plan(&a, 4),
-        BatchMergeSpmm::with_threads(5).plan(&a, 4),
-    ] {
-        let (want, want_stats) = execute_sequential(&plan, &a, &b).unwrap();
-        let prep = PreparedPlan::new(plan.clone(), a.rows());
-        assert_eq!(prep.expected_stats(), want_stats);
-        assert_eq!(
-            prep.dispatch_profile(),
-            plan.dispatch_profile(GATHER_MAX_NNZ)
-        );
-        for workers in [1usize, 2, 8] {
-            let engine = ExecEngine::new(workers).with_fast_math(false);
-            let (got, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
-            assert_eq!(got.as_slice(), want.as_slice(), "workers={workers}");
-        }
-    }
-    let split = PreparedPlan::new(MergePathSpmm::with_threads(13).plan(&a, 4), a.rows());
-    assert!(split.shared_row_count() > 0);
 }

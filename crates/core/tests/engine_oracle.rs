@@ -1,22 +1,28 @@
-//! Property tests pinning the fast-path engine to the sequential oracle:
-//! for every parallel kernel, worker count, and dense dimension, the
-//! engine's output must stay within tolerance of
-//! [`mpspmm_core::executor::execute_sequential`] and its realized
-//! [`WriteStats`] must match both the oracle's and the plan's static
-//! accounting exactly.
+//! Property tests pinning the fast-path engine to the ascending row sum:
+//! for every data path, worker count and dense dimension, the engine's
+//! output must equal (f32 `==`) what
+//! [`mpspmm_core::executor::execute_sequential`] computes for the serial
+//! plan, and every kernel's `spmm_with_stats` must return that product
+//! together with its own plan's write statistics.
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    DataPath, ExecEngine, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm, PreparedPlan,
-    RowSplitSpmm, SpmmKernel,
+    default_workers, DataPath, ExecEngine, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm,
+    PreparedPlan, RowSplitSpmm, SerialSpmm, SpmmKernel, WriteStats,
 };
+use mpspmm_graphs::{find_dataset, gcn_normalize};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A random square CSR matrix with a deliberately heavy first row (to
-/// force partial/atomic segments) plus a random dense operand.
+/// Engine worker counts every exactness check sweeps: inline, pooled,
+/// an odd count, and more workers than a small matrix has rows.
+const WORKERS: [usize; 4] = [1, 2, 7, 64];
+
+/// A random square CSR matrix with a deliberately heavy first row (longer
+/// than a worker's share at two workers or more) plus a random dense
+/// operand.
 fn random_inputs(
     rows: usize,
     nnz: usize,
@@ -41,7 +47,25 @@ fn random_inputs(
     (a, b)
 }
 
-/// The four parallel kernels, with small fixed decompositions so plans
+/// The ascending row sum and its write statistics: the serial plan
+/// replayed by the sequential executor.
+fn row_sum(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> (DenseMatrix<f32>, WriteStats) {
+    execute_sequential(&SerialSpmm.plan(a, b.cols()), a, b).unwrap()
+}
+
+/// The engine's product of `a · b` at `workers` workers on `path`.
+fn engine_product(
+    workers: usize,
+    path: DataPath,
+    a: &CsrMatrix<f32>,
+    b: &DenseMatrix<f32>,
+) -> (DenseMatrix<f32>, WriteStats) {
+    let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+    let prep = PreparedPlan::new(a);
+    engine.execute_prepared(&prep, a, b).unwrap()
+}
+
+/// The parallel kernels, with small fixed decompositions so their plans
 /// contain a mix of regular, atomic, and carry segments.
 fn kernels() -> Vec<Box<dyn SpmmKernel>> {
     vec![
@@ -56,69 +80,75 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn engine_matches_sequential_oracle(
+    fn engine_equals_the_row_sum(
         rows in 2usize..48,
         fill in 1usize..6,
         seed in any::<u64>(),
     ) {
         let nnz = (rows * fill).min(rows * rows);
-        for kernel in kernels() {
-            for &dim in &[1usize, 3, 8, 33] {
-                let (a, b) = random_inputs(rows, nnz, dim, seed);
-                let plan = kernel.plan(&a, dim);
-                plan.validate(&a).unwrap();
-                let (want, want_stats) = execute_sequential(&plan, &a, &b).unwrap();
-                // Realized stats are a property of the plan alone.
-                prop_assert_eq!(want_stats, plan.write_stats());
-                let scale = want.frobenius_norm().max(1.0);
-                for &workers in &[1usize, 2, 7, 64] {
-                    let engine = ExecEngine::new(workers);
-                    let (got, got_stats) = engine.execute(&plan, &a, &b).unwrap();
-                    prop_assert!(
-                        got.max_abs_diff(&want).unwrap() <= 1e-4 * scale,
-                        "kernel={} workers={} dim={}",
-                        kernel.name(),
-                        workers,
-                        dim
-                    );
-                    prop_assert_eq!(got_stats, want_stats);
-                }
+        for &dim in &[1usize, 3, 8, 33] {
+            let (a, b) = random_inputs(rows, nnz, dim, seed);
+            let (want, want_stats) = row_sum(&a, &b);
+            for &workers in &WORKERS {
+                let (got, got_stats) = engine_product(workers, DataPath::Auto, &a, &b);
+                prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={} dim={}", workers, dim);
+                prop_assert_eq!(got_stats, want_stats);
             }
         }
     }
 
+    /// The paper's kernels keep their plans for Fig. 5's accounting: each
+    /// plan is valid, its sequential replay realizes exactly its static
+    /// statistics, and `spmm_with_stats` returns those statistics beside
+    /// the engine's row-sum product.
     #[test]
-    fn cached_path_matches_uncached_engine(
+    fn kernels_return_the_row_sum_with_their_plans_statistics(
+        rows in 2usize..48,
+        fill in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let nnz = (rows * fill).min(rows * rows);
+        let (a, b) = random_inputs(rows, nnz, 8, seed);
+        let (want, _) = row_sum(&a, &b);
+        for kernel in kernels() {
+            let plan = kernel.plan(&a, 8);
+            plan.validate(&a).unwrap();
+            let (_, replay_stats) = execute_sequential(&plan, &a, &b).unwrap();
+            prop_assert_eq!(replay_stats, plan.write_stats());
+            let (got, stats) = kernel.spmm_with_stats(&a, &b).unwrap();
+            prop_assert_eq!(got.as_slice(), want.as_slice(), "kernel={}", kernel.name());
+            prop_assert_eq!(stats, plan.write_stats(), "kernel={}", kernel.name());
+        }
+    }
+
+    #[test]
+    fn cached_path_equals_the_row_sum(
         rows in 2usize..40,
         seed in any::<u64>(),
     ) {
         let nnz = (rows * 4).min(rows * rows);
         let (a, b) = random_inputs(rows, nnz, 16, seed);
+        let (want, want_stats) = row_sum(&a, &b);
         let kernel = MergePathSpmm::with_threads(9);
-        // One worker: execution is deterministic, so cached and uncached
-        // runs must agree bit-for-bit (multi-worker atomic ordering is
-        // covered with a tolerance by the oracle test above).
-        let engine = ExecEngine::new(1);
-        let plan = kernel.plan(&a, 16);
-        let (want, want_stats) = engine.execute(&plan, &a, &b).unwrap();
-        // Twice through the cache: miss then hit must agree bit-for-bit
-        // with each other and with the uncached path.
-        let (miss, s1) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
-        let (hit, s2) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
-        prop_assert_eq!(miss.max_abs_diff(&want).unwrap(), 0.0);
-        prop_assert_eq!(hit.max_abs_diff(&want).unwrap(), 0.0);
-        prop_assert_eq!(s1, want_stats);
-        prop_assert_eq!(s2, want_stats);
-        prop_assert!(engine.stats().plan_cache_hits >= 1);
+        for &workers in &WORKERS {
+            let engine = ExecEngine::new(workers);
+            // Twice through the cache: miss then hit.
+            let (miss, s1) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
+            let (hit, s2) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
+            prop_assert_eq!(miss.as_slice(), want.as_slice(), "workers={}", workers);
+            prop_assert_eq!(hit.as_slice(), want.as_slice(), "workers={}", workers);
+            prop_assert_eq!(s1, want_stats);
+            prop_assert_eq!(s2, want_stats);
+            prop_assert!(engine.stats().plan_cache_hits >= 1);
+        }
     }
 
-    /// The vectorized data path (gather + streaming panel kernels, packed
-    /// or plain indices) must be bit-identical to the scalar oracle for
-    /// every kernel at a random dimension in the full 1..=67 lane-tail
-    /// matrix (exhaustive dims are covered by the deterministic test
-    /// below; this adds random sparsity patterns on top).
+    /// Every data path equals the row sum at a random dimension in the
+    /// full 1..=67 lane-tail matrix (exhaustive dims are covered by the
+    /// deterministic test below; this adds random sparsity patterns on
+    /// top).
     #[test]
-    fn vector_path_bit_matches_oracle_at_random_dims(
+    fn every_path_equals_the_row_sum_at_random_dims(
         rows in 2usize..48,
         fill in 1usize..6,
         dim in 1usize..=67,
@@ -126,31 +156,39 @@ proptest! {
     ) {
         let nnz = (rows * fill).min(rows * rows);
         let (a, b) = random_inputs(rows, nnz, dim, seed);
-        for kernel in kernels() {
-            let plan = kernel.plan(&a, dim);
-            let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
-            for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
-                let engine = ExecEngine::with_data_path(1, path);
-                let (got, _) = engine.execute(&plan, &a, &b).unwrap();
+        let (want, _) = row_sum(&a, &b);
+        for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
+            for &workers in &WORKERS {
+                let (got, _) = engine_product(workers, path, &a, &b);
                 prop_assert_eq!(
-                    got.max_abs_diff(&want).unwrap(),
-                    0.0,
-                    "kernel={} path={:?} dim={}",
-                    kernel.name(),
+                    got.as_slice(),
+                    want.as_slice(),
+                    "path={:?} workers={} dim={}",
                     path,
-                    dim
-                );
-                let prep = PreparedPlan::for_matrix(plan.clone(), &a);
-                let (packed, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
-                prop_assert_eq!(
-                    packed.max_abs_diff(&want).unwrap(),
-                    0.0,
-                    "packed kernel={} path={:?} dim={}",
-                    kernel.name(),
-                    path,
+                    workers,
                     dim
                 );
             }
+        }
+    }
+
+    /// A plan depends only on the row count: built for one structure and
+    /// run on another matrix with the same row count, it still returns
+    /// that matrix's exact product.
+    #[test]
+    fn a_stale_plan_still_returns_the_exact_product(
+        rows in 2usize..48,
+        fill in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let (old, _) = random_inputs(rows, (rows * fill).min(rows * rows), 1, seed);
+        let (new, b) = random_inputs(rows, (rows * (7 - fill)).min(rows * rows), 9, !seed);
+        let (want, _) = row_sum(&new, &b);
+        for &workers in &WORKERS {
+            let engine = ExecEngine::new(workers).with_fast_math(false);
+            let stale = PreparedPlan::new(&old);
+            let (got, _) = engine.execute_prepared(&stale, &new, &b).unwrap();
+            prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={}", workers);
         }
     }
 }
@@ -160,7 +198,7 @@ proptest! {
 /// that mixes an evil long row, single-nnz rows, and empty rows — the
 /// degree spectrum the adaptive dispatcher splits on.
 #[test]
-fn all_paths_bit_match_oracle_for_dims_1_to_67() {
+fn all_paths_equal_the_row_sum_for_dims_1_to_67() {
     let mut triplets: Vec<(usize, usize, f32)> = Vec::new();
     // Evil row 0: 20 non-zeros (streaming kernel territory).
     for c in 0..20 {
@@ -171,20 +209,39 @@ fn all_paths_bit_match_oracle_for_dims_1_to_67() {
         triplets.push((r, (r * 7) % 30, 1.0 - 0.1 * r as f32));
     }
     let a = CsrMatrix::from_triplets(30, 30, &triplets).unwrap();
-    let kernel = MergePathSpmm::with_threads(11);
     for dim in 1..=67usize {
         let b = DenseMatrix::from_fn(30, dim, |r, c| ((r * 13 + c * 5) % 23) as f32 * 0.125 - 1.0);
-        let plan = kernel.plan(&a, dim);
-        let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
+        let (want, _) = row_sum(&a, &b);
         for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
-            let engine = ExecEngine::with_data_path(1, path);
-            let prep = PreparedPlan::for_matrix(plan.clone(), &a);
-            let (got, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
-            assert_eq!(
-                got.max_abs_diff(&want).unwrap(),
-                0.0,
-                "path={path:?} dim={dim}"
-            );
+            for workers in WORKERS {
+                let (got, _) = engine_product(workers, path, &a, &b);
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "path={path:?} dim={dim} workers={workers}"
+                );
+            }
         }
+    }
+}
+
+/// The served PPI layer's aggregation shape: the Table II PPI graph,
+/// normalized, times a width-121 operand gives identical bytes at engine
+/// workers 1, 2 and 8 and at the resolved count — the rounding of a
+/// served reply no longer depends on how many workers computed it.
+#[test]
+fn ppi_shaped_width_121_spmm_is_identical_at_every_worker_count() {
+    let spec = find_dataset("PPI").expect("PPI is in Table II");
+    let a = gcn_normalize(&spec.synthesize(1));
+    let mut rng = SmallRng::seed_from_u64(121);
+    let b = DenseMatrix::from_fn(a.cols(), 121, |_, _| rng.gen_range(-1.0f32..1.0));
+    let bits = |m: &DenseMatrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (one, _) = engine_product(1, DataPath::Auto, &a, &b);
+    for workers in [2, 8, default_workers()] {
+        let (got, _) = engine_product(workers, DataPath::Auto, &a, &b);
+        assert!(
+            bits(&got) == bits(&one),
+            "workers={workers} differs from one worker"
+        );
     }
 }

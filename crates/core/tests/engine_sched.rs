@@ -1,14 +1,13 @@
-//! Scheduler tests: the static schedule on adversarially skewed graphs,
-//! at narrow and wide dense dimensions. The static scheduler folds
-//! shared rows in a fixed worker order — bit-reproducible run to run at
-//! a given worker count and within the `engine_oracle` tolerance of
-//! [`mpspmm_core::executor::execute_sequential`].
+//! Scheduler tests: the engine's row spans on adversarially skewed
+//! graphs, at narrow and wide dense dimensions. Row 0 holds more than
+//! half of all non-zeros, so at two workers or more it is longer than
+//! any worker's share; it still lands whole in one span, and every run
+//! equals (f32 `==`) the ascending row sum
+//! [`mpspmm_core::executor::execute_sequential`] computes for the serial
+//! plan, at every worker count.
 
 use mpspmm_core::executor::execute_sequential;
-use mpspmm_core::{
-    default_workers, DataPath, ExecEngine, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm,
-    PreparedPlan, RowSplitSpmm, SpmmKernel,
-};
+use mpspmm_core::{default_workers, DataPath, ExecEngine, PreparedPlan, SerialSpmm, SpmmKernel};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -47,106 +46,83 @@ fn skewed_inputs(
     (a, b)
 }
 
-/// The four parallel kernels with small decompositions, so plans mix
-/// regular, atomic, and carry flushes across several worker spans.
-fn kernels() -> Vec<Box<dyn SpmmKernel>> {
-    vec![
-        Box::new(MergePathSpmm::with_threads(13)),
-        Box::new(MergePathSerialFixup::with_threads(12)),
-        Box::new(NnzSplitSpmm::with_ng_size(3)),
-        Box::new(RowSplitSpmm::with_threads(11)),
-    ]
+/// The ascending row sum: the serial plan replayed by the sequential
+/// executor.
+fn row_sum(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
+    execute_sequential(&SerialSpmm.plan(a, b.cols()), a, b)
+        .unwrap()
+        .0
 }
 
-/// Runs `prep` twice on `engine` and checks both runs are bit-equal to
-/// each other and within the `engine_oracle` tolerance of `want`.
-fn assert_reproducible_within_oracle_tolerance(
-    engine: &ExecEngine,
-    prep: &PreparedPlan,
+/// Runs the row spans of `a` twice on `workers` workers and checks both
+/// runs equal `want`.
+fn assert_runs_equal_the_row_sum(
+    workers: usize,
+    path: DataPath,
     a: &CsrMatrix<f32>,
     b: &DenseMatrix<f32>,
     want: &DenseMatrix<f32>,
     label: &str,
 ) {
-    let (first, _) = engine.execute_prepared(prep, a, b).unwrap();
-    let (again, _) = engine.execute_prepared(prep, a, b).unwrap();
-    assert_eq!(first.as_slice(), again.as_slice(), "{label}: run to run");
-    let scale = want.frobenius_norm().max(1.0);
-    assert!(
-        first.max_abs_diff(want).unwrap() <= 1e-4 * scale,
-        "{label}: oracle tolerance"
-    );
+    let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+    let prep = PreparedPlan::new(a);
+    for run in 0..2 {
+        let (got, _) = engine.execute_prepared(&prep, a, b).unwrap();
+        assert_eq!(got.as_slice(), want.as_slice(), "{label}: run {run}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The static schedule on skewed graphs, for every kernel family,
-    /// data path, and worker count, at a random narrow dim and at the
-    /// wide hidden widths 128, 256 and 512: reproducible and within the
-    /// oracle tolerance.
+    /// Row spans on skewed graphs, for every data path and worker count,
+    /// at a random narrow dim and at the wide hidden widths 128, 256 and
+    /// 512: every run equals the row sum.
     #[test]
-    fn static_schedule_is_reproducible_on_skewed_graphs(
+    fn row_spans_equal_the_row_sum_on_skewed_graphs(
         rows in 4usize..40,
         narrow_dim in 1usize..=67,
         seed in any::<u64>(),
     ) {
         for dim in [narrow_dim, 128, 256, 512] {
             let (a, b) = skewed_inputs(rows, rows * 4, dim, seed);
-            for kernel in kernels() {
-                let plan = kernel.plan(&a, dim);
-                let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
-                let prep = PreparedPlan::for_matrix(plan, &a);
-                for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
-                    for &workers in &[2usize, 3, 4, 8] {
-                        let engine = ExecEngine::with_data_path(workers, path);
-                        let label = format!(
-                            "kernel={} path={path:?} workers={workers} dim={dim}",
-                            kernel.name()
-                        );
-                        assert_reproducible_within_oracle_tolerance(&engine, &prep, &a, &b, &want, &label);
-                    }
+            let want = row_sum(&a, &b);
+            for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
+                for &workers in &[1usize, 2, 7, 64] {
+                    let label = format!("path={path:?} workers={workers} dim={dim}");
+                    assert_runs_equal_the_row_sum(workers, path, &a, &b, &want, &label);
                 }
             }
         }
     }
 }
 
-/// A skewed row-split plan at a narrow dim: repeated static runs are
-/// bit-equal to each other.
+/// A skewed graph at 8 workers, whose evil row is four times a worker's
+/// share: repeated runs are bit-equal to each other and to the row sum.
 #[test]
-fn skewed_row_split_plan_is_bit_reproducible_run_to_run() {
+fn skewed_graph_runs_are_bit_reproducible_run_to_run() {
     let (a, b) = skewed_inputs(48, 400, 19, 99);
-    let kernel = RowSplitSpmm::with_threads(24);
-    let plan = SpmmKernel::plan(&kernel, &a, 19);
-    let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
-    let prep = PreparedPlan::for_matrix(plan, &a);
-    assert!(prep.static_span_skew(8) > 1.25, "static spans are skewed");
+    let share = (a.rows() + a.nnz()).div_ceil(8);
+    assert!(a.row_ptr()[1] > share, "row 0 is longer than a share");
+    let want = row_sum(&a, &b);
     let engine = ExecEngine::with_data_path(8, DataPath::Vector);
-    let (first, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+    let prep = PreparedPlan::new(&a);
     for run in 0..5 {
         let (again, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
-        assert_eq!(again.as_slice(), first.as_slice(), "run {run} diverged");
+        assert_eq!(again.as_slice(), want.as_slice(), "run {run} diverged");
     }
-    let scale = want.frobenius_norm().max(1.0);
-    assert!(first.max_abs_diff(&want).unwrap() <= 1e-4 * scale);
 }
 
 /// The engine at the resolved worker count (honouring `MPSPMM_WORKERS`,
-/// which the tier-1 script sweeps over 1/2/8): reproducible and within
-/// the oracle tolerance at a narrow and a wide dim.
+/// which the tier-1 script sweeps over 1/2/8) equals the row sum at a
+/// narrow and a wide dim.
 #[test]
-fn resolved_worker_count_matches_oracle() {
+fn resolved_worker_count_equals_the_row_sum() {
     let workers = default_workers();
     for dim in [23usize, 128] {
         let (a, b) = skewed_inputs(40, 320, dim, 7);
-        for kernel in kernels() {
-            let plan = kernel.plan(&a, dim);
-            let (want, _) = execute_sequential(&plan, &a, &b).unwrap();
-            let prep = PreparedPlan::for_matrix(plan, &a);
-            let engine = ExecEngine::with_data_path(workers, DataPath::Vector);
-            let label = format!("kernel={} workers={workers} dim={dim}", kernel.name());
-            assert_reproducible_within_oracle_tolerance(&engine, &prep, &a, &b, &want, &label);
-        }
+        let want = row_sum(&a, &b);
+        let label = format!("workers={workers} dim={dim}");
+        assert_runs_equal_the_row_sum(workers, DataPath::Vector, &a, &b, &want, &label);
     }
 }

@@ -321,8 +321,8 @@ impl GcnModel {
     }
 
     /// Widest layer output — the representative dense dimension a serving
-    /// layer plans this model's aggregation SpMM at (a [`PreparedPlan`]'s
-    /// row classification is width-independent, so one plan serves every
+    /// layer caches this model's aggregation plan under (a
+    /// [`PreparedPlan`] is width-independent, so one plan serves every
     /// layer and every batch width).
     ///
     /// [`PreparedPlan`]: mpspmm_core::PreparedPlan
@@ -358,12 +358,10 @@ impl GcnModel {
     }
 
     /// Pre-plans every layer's aggregation SpMM into `engine`'s cache:
-    /// one prepared plan per distinct output width, each carrying the
-    /// packed u32 column indices the vectorized data path consumes. After
-    /// warming, even the *first* [`forward_cached`](Self::forward_cached)
-    /// on this graph epoch runs entirely from cached, pre-packed plans —
-    /// the paper's offline setting (Figure 8) with the panel/packing work
-    /// hoisted out of inference too.
+    /// one prepared plan per distinct output width. After warming, even
+    /// the *first* [`forward_cached`](Self::forward_cached) on this graph
+    /// epoch runs entirely from cached plans — the paper's offline
+    /// setting (Figure 8).
     ///
     /// Returns the number of plans inserted or refreshed.
     ///
@@ -437,9 +435,9 @@ impl GcnModel {
     /// dense-column batching of Batched SpMM for GCN serving, valid
     /// because `Â (H_i W)` only ever reads `H_i W`'s own columns.
     ///
-    /// `prep` is the graph's prepared aggregation plan (row
-    /// classification is width-independent, so any plan built for `a_hat`
-    /// works at every batch width; [`GcnModel::max_features`] is the
+    /// `prep` is the graph's prepared aggregation plan (plans are
+    /// width-independent, so any plan built for `a_hat` works at every
+    /// batch width; [`GcnModel::max_features`] is the
     /// conventional planning dimension). Returns one output matrix per
     /// input block, in order.
     ///
@@ -534,9 +532,9 @@ impl GcnModel {
     /// across bands. Callers scatter per-graph outputs back out of the
     /// returned matrix's row bands.
     ///
-    /// `prep` is the packed adjacency's prepared plan, normally the
-    /// row-span plan [`ExecEngine::plan_batch_cached`] builds per window
-    /// straight from the packed row pointers.
+    /// `prep` is the packed adjacency's prepared plan, normally the one
+    /// [`ExecEngine::plan_batch_cached`] builds per window straight from
+    /// the packed row pointers.
     ///
     /// # Errors
     ///

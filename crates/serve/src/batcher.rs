@@ -375,8 +375,8 @@ fn execute_packed(shared: &Shared, batch: Vec<Pending>, degraded: bool) {
         let feats: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
         let mut stacked = shared.engine.lease_zeroed(pack.cols(), cols);
         pack.stack_features_into(&feats, &mut stacked)?;
-        // The batch plan is row spans cut from the packed row pointers
-        // alone; its width and shape-class arguments are unused.
+        // The batch plan is one scan of the packed row pointers; its
+        // width and shape-class arguments are unused.
         let prep = shared.engine.plan_batch_cached(
             &BatchMergeSpmm::new(),
             pack.matrix(),

@@ -12,9 +12,8 @@
 //!
 //! The subsystem has four parts:
 //!
-//! * [`GraphRegistry`] — named graphs with their plans warmed
-//!   (merge-path schedule, row classification, packed indices) and
-//!   optional [`GcnModel`]s, with **versioned hot swap**: replacing or
+//! * [`GraphRegistry`] — named graphs with their prepared plans
+//!   warmed and optional [`GcnModel`]s, with **versioned hot swap**: replacing or
 //!   retiring a graph never drains in-flight requests; they complete
 //!   against the version they were admitted with.
 //! * The **batching scheduler** ([`Server`]'s dispatcher thread) —

@@ -2,9 +2,10 @@
 //!
 //! A serving process owns a set of graphs by name. Each registration
 //! builds a [`ServedGraph`]: the adjacency matrix, a [`PreparedPlan`]
-//! warmed through the engine's plan cache (merge-path scheduling, row
-//! classification, and packed `u32` indices all done *before* the first
-//! request), and optionally a [`GcnModel`] for full-inference requests.
+//! (the structure's row count and write statistics; the engine cuts its
+//! row spans at every run) warmed through the engine's plan cache
+//! *before* the first request, and optionally a [`GcnModel`] for
+//! full-inference requests.
 //!
 //! # Hot swap
 //!
@@ -26,10 +27,10 @@ use mpspmm_core::{ExecEngine, PreparedPlan, SpmmKernel};
 use mpspmm_gcn::GcnModel;
 use mpspmm_sparse::CsrMatrix;
 
-/// Dense dimension a model-less graph's plan is warmed at. The row
-/// classification a [`PreparedPlan`] carries is width-independent, so the
-/// choice only seeds the merge-path cost heuristic; 32 is the middle of
-/// the paper's evaluated dimension range.
+/// Dense dimension a model-less graph's plan is cached under. A
+/// [`PreparedPlan`] is width-independent, so the value seeds no plan; it
+/// only completes the plan-cache key. 32 is the middle of the paper's
+/// evaluated dimension range.
 pub const DEFAULT_PLAN_DIM: usize = 32;
 
 /// One registered graph version: adjacency, warmed plan, optional model.
@@ -119,11 +120,11 @@ impl GraphRegistry {
         &self.engine
     }
 
-    /// Registers (or hot-swaps) `name`: plans and classifies the
-    /// aggregation SpMM, packs indices, and publishes the new version
-    /// atomically. Returns the published [`ServedGraph`].
+    /// Registers (or hot-swaps) `name`: plans the aggregation SpMM and
+    /// publishes the new version atomically. Returns the published
+    /// [`ServedGraph`].
     ///
-    /// The plan is warmed at the model's widest layer (or
+    /// The plan is cached under the model's widest layer (or
     /// [`DEFAULT_PLAN_DIM`] without a model); see the module docs for the
     /// in-flight semantics of a swap.
     ///
@@ -179,7 +180,7 @@ impl GraphRegistry {
     }
 
     /// Builds an **anonymous** served graph for a single ad-hoc request:
-    /// planned and classified like a registration, but never inserted
+    /// planned like a registration, but never inserted
     /// into the routing table and — deliberately — never put through the
     /// engine's LRU plan cache: ad-hoc graphs are one-shot, and minting
     /// a cache key per request would evict the plans of the graphs that
@@ -187,8 +188,7 @@ impl GraphRegistry {
     /// ends up executing the request alone, it runs through this plan.
     pub fn inline_graph(&self, adjacency: CsrMatrix<f32>) -> Arc<ServedGraph> {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
-        let plan = self.kernel.plan(&adjacency, DEFAULT_PLAN_DIM);
-        let prep = Arc::new(PreparedPlan::for_matrix(plan, &adjacency));
+        let prep = Arc::new(PreparedPlan::new(&adjacency));
         Arc::new(ServedGraph {
             name: String::new(),
             version,
@@ -275,7 +275,11 @@ mod tests {
         let g = reg.register("cora", tiny(1.0), None);
         assert_eq!(g.name(), "cora");
         assert_eq!(g.nodes(), 4);
-        assert!(g.prep().has_packed_indices(), "plan warmed at registration");
+        assert_eq!(
+            reg.engine().stats().plan_cache_misses,
+            1,
+            "plan warmed at registration"
+        );
         assert!(Arc::ptr_eq(&reg.get("cora").unwrap(), &g));
         assert_eq!(reg.names(), vec!["cora".to_string()]);
         let retired = reg.retire("cora").unwrap();

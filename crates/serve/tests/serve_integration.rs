@@ -359,6 +359,41 @@ fn wide_hidden_dim_gcn_serves_and_matches_forward() {
     srv.shutdown();
 }
 
+/// A served GCN reply on a power-law graph is the same bytes at engine
+/// workers 1, 2 and 8: every aggregation row has one writer summing in
+/// ascending order, and every GEMM band is computed the same way
+/// whichever worker claims it.
+#[test]
+fn gcn_replies_are_identical_at_every_worker_count() {
+    use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
+    let a = gcn_normalize(
+        &DatasetSpec::custom("serve-powerlaw", GraphClass::PowerLaw, 600, 4_000, 60).synthesize(3),
+    );
+    let x = DenseMatrix::from_fn(600, 16, |r, c| ((r * 13 + c * 5) % 17) as f32 * 0.25 - 2.0);
+    let reply = |workers: usize| -> Vec<u32> {
+        let srv = Server::start(
+            Arc::new(ExecEngine::new(workers)),
+            Box::new(MergePathSpmm::new()),
+            ServeConfig::default(),
+        );
+        srv.register("g", a.clone(), Some(GcnModel::two_layer(16, 64, 8, 42)));
+        let got = srv
+            .submit(req("g", "t", x.clone(), Workload::Gcn))
+            .unwrap()
+            .wait()
+            .unwrap();
+        srv.shutdown();
+        got.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    let one = reply(1);
+    for workers in [2, 8] {
+        assert!(
+            reply(workers) == one,
+            "workers={workers} differs from one worker"
+        );
+    }
+}
+
 #[test]
 fn fused_pipeline_stats_are_threaded_through_serve_stats() {
     let srv = server(ServeConfig::default());

@@ -29,18 +29,21 @@ cargo test --workspace -q
 # to the scalar oracle via the force-scalar feature.
 cargo test -q -p mpspmm-core --test engine_oracle
 cargo test -q -p mpspmm-core --features force-scalar
-# The scheduler suite (the static schedule reproducible run to run and
-# within the oracle tolerance, at narrow and wide dims), the SpGEMM
-# engine, and the block-diagonal mega-batch path (both bit-identical at
-# any worker count): pin the resolved count to a matrix of values and
-# re-run their property tests (debug build, invariant asserts live).
-# batch_oracle sweeps packed-vs-sequential across DataPath x workers,
-# including empty graphs and single-graph windows. gemm_dense pins the
-# engine GEMM, which runs every GCN feature transform, bit-exactly to
-# the zero-skip loop at the served layer-0 shapes. serve_integration's
-# packing server runs at the resolved count, so packed serving is
-# checked against the oracle at every count too.
+# The engine oracle, the concurrent-engine suite and the scheduler suite
+# (row spans equal to the ascending row sum at every worker count, at
+# narrow and wide dims), the SpGEMM engine, and the block-diagonal
+# mega-batch path (all bit-identical at any worker count): pin the
+# resolved count to a matrix of values and re-run their property tests
+# (debug build, invariant asserts live). batch_oracle sweeps
+# packed-vs-sequential across DataPath x workers, including empty graphs
+# and single-graph windows. gemm_dense pins the engine GEMM, which runs
+# every GCN feature transform, bit-exactly to the zero-skip loop at the
+# served layer-0 shapes. serve_integration's packing server runs at the
+# resolved count, so packed serving is checked against the oracle at
+# every count too.
 for w in 1 2 8; do
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_oracle
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_concurrent
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_sched
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test gemm_dense
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test spgemm_oracle
