@@ -12,9 +12,7 @@
 //! where `ns_per_nnz` is the engine's time and `speedup` is the seed
 //! executor on that kernel's plan over the engine.
 //!
-//! The engine is pinned to [`DataPath::Tiled`] — the PR-1 register-tiled
-//! path — so this file stays a stable baseline for `bench_simd`, which
-//! measures the vectorized data path against it.
+//! The engine is `ExecEngine::new(1)`, on its default data path.
 //!
 //! Also demonstrates the plan cache on a 2-layer GCN (10 inferences on a
 //! fixed graph epoch) and prints the observed hit rate.
@@ -22,7 +20,7 @@
 use mpspmm_bench::{banner, full_size_requested, geomean, load, time_ns};
 use mpspmm_core::executor::execute_parallel;
 use mpspmm_core::{
-    default_workers, DataPath, ExecEngine, MergePathSpmm, NnzSplitSpmm, PreparedPlan, RowSplitSpmm,
+    default_workers, ExecEngine, MergePathSpmm, NnzSplitSpmm, PreparedPlan, RowSplitSpmm,
     SpmmKernel,
 };
 use mpspmm_gcn::{ops, GcnModel};
@@ -51,10 +49,7 @@ fn main() {
         Box::new(NnzSplitSpmm::new()),
         Box::new(RowSplitSpmm::default()),
     ];
-    // Pinned to the register-tiled PR-1 data path: this harness is the
-    // stable baseline `bench_simd` measures the vectorized path against,
-    // so regenerating BENCH_engine.json must not absorb the SIMD work.
-    let engine = ExecEngine::with_data_path(1, DataPath::Tiled);
+    let engine = ExecEngine::new(1);
 
     println!(
         "\n{:<16} {:<16} {:>4} {:>12} {:>12} {:>9}",

@@ -1,24 +1,18 @@
-//! SIMD data-path benchmark — vectorized vs register-tiled engine paths.
+//! SIMD data-path benchmark — vectorized vs scalar-oracle engine paths.
 //!
-//! For the same Table II spread as `bench_engine`, times the PR-1
-//! register-tiled path ([`DataPath::Tiled`]) against the vectorized,
+//! For the same Table II spread as `bench_engine`, times the scalar
+//! oracle path ([`DataPath::Scalar`]) against the vectorized,
 //! cache-blocked path ([`DataPath::Vector`]) on one prepared plan,
-//! single-core, at dimensions 16 and 32. Both sides run through
-//! [`ExecEngine::execute_prepared`], so the comparison isolates the inner
-//! data path: wide-lane streaming kernels, panel blocking, fixed-width
-//! row folds, and the degree-adaptive gather/stream dispatcher. The
-//! engine runs the same row spans whatever the kernel, so there is one
-//! record per (dataset, dim), not one per kernel.
-//!
-//! When `BENCH_engine.json` (written by `bench_engine`) is present, the
-//! harness also reports the improvement of the vectorized path over that
-//! stored register-tiled engine time. Writes `BENCH_simd.json` with one
-//! record per (dataset, dim):
-//! `{dataset, dim, ns_per_nnz, vs_tiled, vs_baseline}`.
+//! single-core, at dimensions 16 and 32, alternating the two in every
+//! round. Both sides run through [`ExecEngine::execute_prepared`] on
+//! one-worker engines, so the comparison isolates the inner data path:
+//! wide-lane streaming kernels, panel blocking, fixed-width row folds,
+//! and the degree-adaptive gather/stream dispatcher. The engine runs the
+//! same row spans whatever the kernel, so there is one record per
+//! (dataset, dim), not one per kernel. Writes `BENCH_simd.json` with one
+//! record per (dataset, dim): `{dataset, dim, ns_per_nnz, vs_scalar}`.
 
-use mpspmm_bench::{
-    banner, full_size_requested, geomean, load, parse_bench_records, time_ns, BenchRecord,
-};
+use mpspmm_bench::{banner, full_size_requested, geomean, load, time_ns};
 use mpspmm_core::{DataPath, ExecEngine, MergePathSpmm, PreparedPlan, GATHER_MAX_NNZ};
 use mpspmm_sparse::DenseMatrix;
 
@@ -55,29 +49,19 @@ fn main() {
     let full = full_size_requested();
     banner(
         "BENCH simd",
-        "register-tiled vs vectorized data path, single-core, dims {16, 32}",
+        "scalar oracle vs vectorized data path, single-core, dims {16, 32}",
         full,
     );
 
-    let baseline: Vec<BenchRecord> = std::fs::read_to_string("BENCH_engine.json")
-        .map(|s| parse_bench_records(&s))
-        .unwrap_or_default();
-    if baseline.is_empty() {
-        println!(
-            "note: no BENCH_engine.json found; run bench_engine first for vs-baseline numbers"
-        );
-    }
-
-    let tiled = ExecEngine::with_data_path(1, DataPath::Tiled);
+    let scalar = ExecEngine::with_data_path(1, DataPath::Scalar);
     let vector = ExecEngine::with_data_path(1, DataPath::Vector);
 
     println!(
-        "\n{:<16} {:>4} {:>11} {:>11} {:>9} {:>9}",
-        "Graph", "dim", "tiled/nnz", "simd/nnz", "vs tiled", "vs PR-1"
+        "\n{:<16} {:>4} {:>11} {:>11} {:>10}",
+        "Graph", "dim", "scalar/nnz", "simd/nnz", "vs scalar"
     );
     let mut records = Vec::new();
-    let mut vs_tiled_all = Vec::new();
-    let mut vs_baseline_all = Vec::new();
+    let mut vs_scalar_all = Vec::new();
     for name in DATASETS {
         let spec = find(name);
         let (used, a) = load(spec, full);
@@ -89,56 +73,35 @@ fn main() {
             let b = DenseMatrix::from_fn(a.cols(), dim, |r, c| {
                 ((r * 31 + c * 7) % 17) as f32 * 0.125 - 1.0
             });
-            let (tiled_ns, simd_ns) = time_alternating(
+            let (scalar_ns, simd_ns) = time_alternating(
                 2,
                 7,
                 || {
-                    let _ = tiled.execute_prepared(&prep, &a, &b).unwrap();
+                    let _ = scalar.execute_prepared(&prep, &a, &b).unwrap();
                 },
                 || {
                     let _ = vector.execute_prepared(&prep, &a, &b).unwrap();
                 },
             );
             let ns_per_nnz = simd_ns / a.nnz() as f64;
-            let vs_tiled = tiled_ns / simd_ns;
-            let vs_base = baseline
-                .iter()
-                .find(|r| r.dataset == used.name && r.dim == dim)
-                .map(|r| r.ns_per_nnz / ns_per_nnz);
+            let vs_scalar = scalar_ns / simd_ns;
             println!(
-                "{:<16} {:>4} {:>11.2} {:>11.2} {:>8.2}x {:>9}",
+                "{:<16} {:>4} {:>11.2} {:>11.2} {:>9.2}x",
                 used.name,
                 dim,
-                tiled_ns / a.nnz() as f64,
+                scalar_ns / a.nnz() as f64,
                 ns_per_nnz,
-                vs_tiled,
-                vs_base.map_or_else(|| "-".into(), |v| format!("{v:.2}x")),
+                vs_scalar,
             );
-            vs_tiled_all.push(vs_tiled);
-            if let Some(v) = vs_base {
-                vs_baseline_all.push(v);
-            }
+            vs_scalar_all.push(vs_scalar);
             records.push(format!(
-                "    {{\"dataset\": \"{}\", \"dim\": {}, \"ns_per_nnz\": {:.3}, \"vs_tiled\": {:.3}, \"vs_baseline\": {}}}",
-                used.name,
-                dim,
-                ns_per_nnz,
-                vs_tiled,
-                vs_base.map_or_else(|| "null".into(), |v| format!("{v:.3}")),
+                "    {{\"dataset\": \"{}\", \"dim\": {}, \"ns_per_nnz\": {:.3}, \"vs_scalar\": {:.3}}}",
+                used.name, dim, ns_per_nnz, vs_scalar,
             ));
         }
     }
-    let g_tiled = geomean(&vs_tiled_all);
-    let g_base = geomean(&vs_baseline_all);
-    println!("\ngeomean vs register-tiled path (same prepared plan): {g_tiled:.2}x");
-    if vs_baseline_all.is_empty() {
-        println!("geomean vs PR-1 BENCH_engine.json baseline: n/a (no baseline records matched)");
-    } else {
-        println!(
-            "geomean vs PR-1 BENCH_engine.json baseline ({} records): {g_base:.2}x",
-            vs_baseline_all.len()
-        );
-    }
+    let g_scalar = geomean(&vs_scalar_all);
+    println!("\ngeomean vs scalar oracle path (same prepared plan): {g_scalar:.2}x");
 
     // Dispatcher demography on one power-law graph: how much of the
     // merge-path schedule lands in the gather regime, and how many rows
@@ -162,15 +125,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"baseline\": \"PR-1 tiled scalar data path, same engine\",\n  \"speedup\": {:.3},\n  \"results\": [\n{}\n  ],\n  \"geomean_vs_tiled\": {:.3},\n  \"geomean_vs_baseline\": {},\n  \"gather_bound_fraction_pubmed\": {:.3}\n}}\n",
-        g_tiled,
+        "{{\n  \"baseline\": \"scalar oracle data path, one-worker engine, same prepared plan\",\n  \"speedup\": {:.3},\n  \"results\": [\n{}\n  ],\n  \"geomean_vs_scalar\": {:.3},\n  \"gather_bound_fraction_pubmed\": {:.3}\n}}\n",
+        g_scalar,
         records.join(",\n"),
-        g_tiled,
-        if vs_baseline_all.is_empty() {
-            "null".into()
-        } else {
-            format!("{g_base:.3}")
-        },
+        g_scalar,
         gather_frac
     );
     std::fs::write("BENCH_simd.json", &json).expect("write BENCH_simd.json");

@@ -5,12 +5,11 @@
 //! At GNN hidden widths the dense GEMM `X · W` dominates a layer —
 //! `O(rows · dim²)` flops against the SpMM's `O(nnz · dim)` — so the
 //! wide-dim work in this revision concentrates there: a register-tiled
-//! microkernel whose per-`k` slices are hoisted out of the hot loop, a
-//! `k`-blocked sweep that keeps the `B` slab quarter-L2-resident, and
-//! the opt-in FastMath mode that contracts each multiply-add to an FMA.
-//! The SpMM runs the engine's row spans at every dim.
+//! microkernel whose per-`k` slices are hoisted out of the hot loop, and
+//! a `k`-blocked sweep that keeps the `B` slab quarter-L2-resident. The
+//! SpMM runs the engine's row spans at every dim.
 //!
-//! Three configurations are timed per (graph, dim), stage by stage, at
+//! Two configurations are timed per (graph, dim), stage by stage, at
 //! the resolved worker count (`default_workers()`, which honours
 //! `MPSPMM_WORKERS`), so no parallel number comes from more workers
 //! than the machine has:
@@ -19,22 +18,17 @@
 //!   (reproduced verbatim below from the parent revision, with the same
 //!   `#[target_feature]` dispatch, and guarded bitwise-equal against the
 //!   engine) plus the engine's exact SpMM.
-//! * **wide exact** — `ExecEngine::gemm` (`k`-blocked, reworked
-//!   microkernel) plus the same exact SpMM, FastMath off. The GEMM is
-//!   held **bit-identical** to the baseline GEMM, and the SpMM to the
-//!   ascending row sum (the serial plan's sequential replay), at every
-//!   dim in the matrix. Both configurations share one SpMM stage
-//!   timing: their SpMM is the same code.
-//! * **wide fastmath** — the same with the documented FastMath opt-in
-//!   (`with_fast_math(true)` / `MPSPMM_FASTMATH`). Results are
-//!   tolerance-checked, not bit-checked: FMA contraction is exactly the
-//!   bit-equality carve-out DESIGN.md §2.11 documents.
+//! * **wide** — `ExecEngine::gemm` (`k`-blocked, reworked microkernel)
+//!   plus the same exact SpMM. The GEMM is held **bit-identical** to the
+//!   baseline GEMM, and the SpMM to the ascending row sum (the serial
+//!   plan's sequential replay), at every dim in the matrix. Both
+//!   configurations share one SpMM stage timing: their SpMM is the same
+//!   code.
 //!
 //! The headline `speedup` is the geomean, over both graphs at dims
-//! {128, 256, 512}, of baseline layer time over the wide-path FastMath
-//! layer time; `speedup_exact` is the same ratio with FastMath off (the
-//! default path). Flatness is tracked on the SpMM stage as
-//! ns/(nnz·col) at dim 512 vs dim 16.
+//! {128, 256, 512}, of baseline layer time over the wide-path layer
+//! time. Flatness is tracked on the SpMM stage as ns/(nnz·col) at dim
+//! 512 vs dim 16.
 //!
 //! Writes `BENCH_widedim.json`. Pass `--smoke` for a seconds-fast run
 //! on scaled-down graphs.
@@ -58,8 +52,8 @@ const WIDE_DIMS: [usize; 3] = [128, 256, 512];
 /// zero-seeded accumulators, 16/8/4-lane cascade, per-`k` row addressing
 /// through `DenseMatrix::row` inside the hot loop. Summation order per
 /// output element is ascending `k` — identical to the engine's blocked
-/// sweep — so `old_gemm` is *bitwise equal* to `ExecEngine::gemm` with
-/// FastMath off, which the bench asserts before timing anything.
+/// sweep — so `old_gemm` is *bitwise equal* to `ExecEngine::gemm`, which
+/// the bench asserts before timing anything.
 mod old_kernel {
     use super::{panel_cols, CacheModel, DenseMatrix, GEMM_BAND_ROWS};
 
@@ -264,15 +258,14 @@ fn main() {
     ];
 
     println!(
-        "\n{:<9} {:>4} {:>13} {:>13} {:>13} {:>8} {:>8} {:>12}",
-        "Graph", "dim", "base ns", "exact ns", "fm ns", "exact", "fm", "spmm ns/nc"
+        "\n{:<9} {:>4} {:>13} {:>13} {:>8} {:>12}",
+        "Graph", "dim", "base ns", "wide ns", "speedup", "spmm ns/nc"
     );
     let mut records = Vec::new();
-    let (mut fm_speedups, mut exact_speedups) = (Vec::new(), Vec::new());
+    let mut wide_speedups = Vec::new();
     // SpMM-stage per-column cost at dim 16 and 512 on the power-law
     // graph, for the flatness acceptance check (wide path, exact).
     let (mut pl_spmm_16, mut pl_spmm_512) = (0.0f64, 0.0f64);
-    let fm_available = mpspmm_core::fastmath_supported();
     for (gname, a) in &graphs {
         let nnzf = a.nnz() as f64;
         let plan = SerialSpmm.plan(a, DIMS[DIMS.len() - 1]);
@@ -281,10 +274,9 @@ fn main() {
             let x = random_features(a.rows(), dim, 0.9, 33 + dim as u64);
             let w = random_features(dim, dim, 1.0, 99 + dim as u64);
 
-            // Engines: the baseline's GEMM is the in-bench old kernel;
-            // its SpMM is the exact engine's, timed once for both.
+            // The baseline's GEMM is the in-bench old kernel; its SpMM
+            // is the engine's, timed once for both.
             let wide = ExecEngine::new(workers);
-            let wide_fm = ExecEngine::new(workers).with_fast_math(true);
 
             // --- Correctness guards, before any timing. ---
             // 1. The reproduced pre-revision kernel and the k-blocked
@@ -302,29 +294,18 @@ fn main() {
             let (want, _) = execute_sequential(&plan, a, &xw).unwrap();
             let (got, _) = wide.execute_prepared(&prep, a, &xw).unwrap();
             assert_eq!(got.as_slice(), want.as_slice(), "{gname} dim {dim}");
-            // 3. FastMath differs by rounding only.
-            if fm_available {
-                let xw_fm = wide_fm.gemm(&x, &w).unwrap();
-                let (got_fm, _) = wide_fm.execute_prepared(&prep, a, &xw_fm).unwrap();
-                assert!(
-                    got_fm.approx_eq(&got, 1e-3).unwrap(),
-                    "fastmath layer within tolerance ({gname}, dim {dim})"
-                );
-                wide_fm.recycle(xw_fm);
-                wide_fm.recycle(got_fm);
-            }
             wide.recycle(got);
             wide.recycle(want);
 
             // --- Stage timings, interleaved. ---
-            // The three configurations are measured round-robin within
-            // each round (baseline, exact, fastmath back to back) and
-            // the per-stage minimum is kept across rounds. Sequential
-            // per-mode blocks would let slow thermal drift on a
-            // sustained AVX-512 workload bias whichever mode runs last;
-            // interleaving gives every mode the same clock conditions in
+            // The stages are measured round-robin within each round
+            // (baseline GEMM, wide GEMM, SpMM back to back) and the
+            // per-stage minimum is kept across rounds. Sequential
+            // per-stage blocks would let slow thermal drift on a
+            // sustained AVX-512 workload bias whichever stage runs last;
+            // interleaving gives every stage the same clock conditions in
             // every round.
-            let mut stage_ns = [f64::INFINITY; 5];
+            let mut stage_ns = [f64::INFINITY; 3];
             for round in 0..(warm + iters) {
                 let timed = round >= warm;
                 let mut lap = |slot: usize, f: &mut dyn FnMut()| {
@@ -342,35 +323,17 @@ fn main() {
                     let out = wide.gemm(&x, &w).unwrap();
                     wide.recycle(out);
                 });
-                if fm_available {
-                    lap(2, &mut || {
-                        let out = wide_fm.gemm(&x, &w).unwrap();
-                        wide_fm.recycle(out);
-                    });
-                }
-                lap(3, &mut || {
+                lap(2, &mut || {
                     let (out, _) = wide.execute_prepared(&prep, a, &xw).unwrap();
                     wide.recycle(out);
                 });
-                if fm_available {
-                    lap(4, &mut || {
-                        let (out, _) = wide_fm.execute_prepared(&prep, a, &xw).unwrap();
-                        wide_fm.recycle(out);
-                    });
-                }
             }
-            let [base_gemm_ns, wide_gemm_ns, mut fm_gemm_ns, spmm_ns, mut fm_spmm_ns] = stage_ns;
-            if !fm_available {
-                fm_gemm_ns = wide_gemm_ns;
-                fm_spmm_ns = spmm_ns;
-            }
+            let [base_gemm_ns, wide_gemm_ns, spmm_ns] = stage_ns;
             wide.recycle(xw);
 
             let base_ns = base_gemm_ns + spmm_ns;
-            let exact_ns = wide_gemm_ns + spmm_ns;
-            let fm_ns = fm_gemm_ns + fm_spmm_ns;
-            let exact_speedup = base_ns / exact_ns;
-            let fm_speedup = base_ns / fm_ns;
+            let wide_ns = wide_gemm_ns + spmm_ns;
+            let speedup = base_ns / wide_ns;
             let spmm_per_col = spmm_ns / (nnzf * dim as f64);
             if *gname == "powerlaw" {
                 if dim == 16 {
@@ -381,38 +344,31 @@ fn main() {
                 }
             }
             if WIDE_DIMS.contains(&dim) {
-                exact_speedups.push(exact_speedup);
-                fm_speedups.push(fm_speedup);
+                wide_speedups.push(speedup);
             }
             println!(
-                "{gname:<9} {dim:>4} {base_ns:>13.0} {exact_ns:>13.0} {fm_ns:>13.0} \
-                 {exact_speedup:>7.2}x {fm_speedup:>7.2}x {spmm_per_col:>12.4}"
+                "{gname:<9} {dim:>4} {base_ns:>13.0} {wide_ns:>13.0} {speedup:>7.2}x \
+                 {spmm_per_col:>12.4}"
             );
             records.push(format!(
                 "    {{\"graph\": \"{gname}\", \"dim\": {dim}, \"workers\": {workers}, \
                  \"baseline_gemm_ns\": {base_gemm_ns:.0}, \"wide_gemm_ns\": {wide_gemm_ns:.0}, \
-                 \"spmm_ns\": {spmm_ns:.0}, \
-                 \"fastmath_gemm_ns\": {fm_gemm_ns:.0}, \"fastmath_spmm_ns\": {fm_spmm_ns:.0}, \
-                 \"speedup_exact\": {exact_speedup:.3}, \"speedup_fastmath\": {fm_speedup:.3}, \
+                 \"spmm_ns\": {spmm_ns:.0}, \"speedup\": {speedup:.3}, \
                  \"spmm_ns_per_nnz_col\": {spmm_per_col:.4}}}"
             ));
         }
     }
-    let headline = geomean(&fm_speedups);
-    let headline_exact = geomean(&exact_speedups);
+    let headline = geomean(&wide_speedups);
     let flatness = pl_spmm_512 / pl_spmm_16.max(f64::MIN_POSITIVE);
     println!(
         "\nwide-dim layer speedup @ {workers} workers (geomean, both graphs, dims {{128, 256, \
          512}}):"
     );
-    println!("  fastmath (headline): {headline:.2}x    exact (default path): {headline_exact:.2}x");
+    println!("  {headline:.2}x");
     println!(
         "SpMM-stage flatness, powerlaw: dim-512 ns/(nnz.col) is {flatness:.2}x dim-16's \
          (target: within 2x)"
     );
-    if !fm_available {
-        println!("note: fastmath unavailable on this CPU; fm numbers fell back to exact");
-    }
 
     let json = format!(
         concat!(
@@ -421,25 +377,20 @@ fn main() {
              GEMM kernel (reproduced in-bench, guarded bitwise-equal to the engine) + the \
              engine's exact SpMM, same graphs, plan, and worker count\",\n",
             "  \"speedup\": {:.3},\n",
-            "  \"speedup_mode\": \"fastmath opt-in (documented carve-out; exact default below)\",\n",
-            "  \"speedup_exact\": {:.3},\n",
             "  \"smoke\": {},\n",
             "  \"workers\": {},\n",
             "  \"results\": [\n{}\n  ],\n",
             "  \"acceptance\": {{\n",
-            "    \"widedim_geomean_speedup_fastmath\": {:.3},\n",
-            "    \"widedim_geomean_speedup_exact\": {:.3},\n",
+            "    \"widedim_geomean_speedup\": {:.3},\n",
             "    \"dim512_vs_dim16_spmm_ns_per_nnz_col_ratio\": {:.3}\n",
             "  }}\n",
             "}}\n"
         ),
         headline,
-        headline_exact,
         smoke,
         workers,
         records.join(",\n"),
         headline,
-        headline_exact,
         flatness
     );
     std::fs::write("BENCH_widedim.json", &json).expect("write BENCH_widedim.json");

@@ -72,55 +72,6 @@ pub fn time_ns<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> f64 {
     best
 }
 
-/// One `(dataset, kernel, dim, ns_per_nnz)` record from a harness JSON
-/// file (the shape both `BENCH_engine.json` and `BENCH_simd.json` share).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Dataset name (Table II spelling).
-    pub dataset: String,
-    /// Kernel display name.
-    pub kernel: String,
-    /// Dense feature dimension.
-    pub dim: usize,
-    /// Best-of-N nanoseconds per non-zero.
-    pub ns_per_nnz: f64,
-}
-
-/// Parses the flat `"results"` records out of a harness JSON file.
-///
-/// This is a purpose-built reader for the JSON these harnesses emit (one
-/// object per line inside `"results"`), not a general JSON parser — the
-/// workspace deliberately has no serde dependency. Records missing any of
-/// the four fields are skipped.
-pub fn parse_bench_records(json: &str) -> Vec<BenchRecord> {
-    fn str_field(obj: &str, key: &str) -> Option<String> {
-        let pat = format!("\"{key}\":");
-        let rest = &obj[obj.find(&pat)? + pat.len()..];
-        let open = rest.find('"')?;
-        let rest = &rest[open + 1..];
-        Some(rest[..rest.find('"')?].to_string())
-    }
-    fn num_field(obj: &str, key: &str) -> Option<f64> {
-        let pat = format!("\"{key}\":");
-        let rest = obj[obj.find(&pat)? + pat.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-    json.lines()
-        .filter(|l| l.contains("\"dataset\""))
-        .filter_map(|obj| {
-            Some(BenchRecord {
-                dataset: str_field(obj, "dataset")?,
-                kernel: str_field(obj, "kernel")?,
-                dim: num_field(obj, "dim")? as usize,
-                ns_per_nnz: num_field(obj, "ns_per_nnz")?,
-            })
-        })
-        .collect()
-}
-
 /// Prints the standard harness banner.
 pub fn banner(figure: &str, description: &str, full: bool) {
     println!("==================================================================");
@@ -146,26 +97,6 @@ mod tests {
         assert_eq!(geomean(&[]), 1.0);
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parse_bench_records_reads_harness_json() {
-        let json = concat!(
-            "{\n  \"results\": [\n",
-            "    {\"dataset\": \"Cora\", \"kernel\": \"merge-path\", \"dim\": 16, \"ns_per_nnz\": 12.5, \"speedup\": 2.1},\n",
-            "    {\"dataset\": \"PPI\", \"kernel\": \"GNNAdvisor\", \"dim\": 32, \"ns_per_nnz\": 8.25e1}\n",
-            "  ],\n  \"geomean_speedup\": 2.0\n}\n"
-        );
-        let recs = parse_bench_records(json);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].dataset, "Cora");
-        assert_eq!(recs[0].kernel, "merge-path");
-        assert_eq!(recs[0].dim, 16);
-        assert!((recs[0].ns_per_nnz - 12.5).abs() < 1e-12);
-        assert!((recs[1].ns_per_nnz - 82.5).abs() < 1e-9);
-        // Malformed / irrelevant lines are skipped, not fatal.
-        assert!(parse_bench_records("{\"geomean\": 1.0}").is_empty());
-        assert!(parse_bench_records("    {\"dataset\": \"X\"}").is_empty());
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Vectorized, cache-blocked inner data path for the execution engine.
 //!
-//! PR 1's engine removed the *scheduling* overheads (thread spawn, global
-//! atomics, re-planning); the inner loop it kept is a scalar-accumulator
-//! kernel unrolled by 8/4. This module supplies the data-path side:
+//! The engine schedules rows onto workers; this module supplies the
+//! kernels that fold each row:
 //!
 //! * **Wide-lane streaming kernels** — const-generic register-accumulator
 //!   blocks of 16 and 8 f32 lanes ([`LaneWidth`] picks the widest the CPU
-//!   supports at runtime), each compiled to straight-line FMA-friendly
-//!   code LLVM auto-vectorizes, with an 8/4/scalar tail cascade for
-//!   dimension remainders.
+//!   supports at runtime), each compiled to straight-line code LLVM
+//!   auto-vectorizes, with an 8/4/scalar tail cascade for dimension
+//!   remainders.
 //! * **Feature-dimension panel blocking** — for large `dim` a segment is
 //!   swept in L1-resident column panels ([`crate::tuning::panel_cols`]),
 //!   so the gathered rows of `B` are touched one cache-friendly panel at
@@ -49,32 +48,10 @@
 //! `force-scalar` feature pins [`DataPath::Auto`] to the scalar path,
 //! keeping a known-good oracle build available at all times.
 //!
-//! # FastMath (opt-in FMA contraction)
+//! # Tuning constants
 //!
-//! The exact kernels above keep multiply and add as separate
-//! instructions — the price of bit-equality with the scalar oracle. The
-//! opt-in **FastMath** mode ([`crate::ExecEngine::with_fast_math`] or
-//! `MPSPMM_FASTMATH=1`) permits fused multiply-add contraction in the
-//! streaming SpMM kernel and the GEMM microkernel: the same loops with
-//! `f32::mul_add`, compiled under `#[target_feature]` clones that enable
-//! the `fma` extension (a bare `mul_add` without it lowers to a libm
-//! call). FMA skips the intermediate rounding of the product, so
-//! FastMath results can differ from the oracle by a rounding-level
-//! amount per product — it is **never** selected by default, never used
-//! by the oracles, and the gather microkernel (too short to benefit)
-//! stays exact even under FastMath. See DESIGN.md §2.11 for the
-//! carve-out.
-//!
-//! # Tuning knobs
-//!
-//! One environment variable, read **once per process** at the first
-//! engine construction (never in the segment loop or per engine run):
-//! `MPSPMM_FASTMATH=1` opts the process into FastMath; unset or `0`
-//! keeps it off, and any other value also keeps it off with a one-line
-//! warning (`resolve_fastmath`).
-//! Like `MPSPMM_WORKERS`, changing it after the first engine run has no
-//! effect — a serving process resolves its configuration at startup. The
-//! gather threshold is the constant [`GATHER_MAX_NNZ`] — the same one
+//! The data path reads no environment variable. The gather threshold is
+//! the constant [`GATHER_MAX_NNZ`] — the same one
 //! [`crate::PreparedPlan::dispatch_profile`] counts against, so the
 //! gather/stream counters always describe what ran. The prefetch distance
 //! is a constant too, and the prefetch gate follows from the
@@ -95,10 +72,6 @@ pub enum DataPath {
     Auto,
     /// Scalar per-column accumulation — the correctness oracle.
     Scalar,
-    /// The PR-1 register-tiled kernel (8/4-unrolled, `usize` indices, no
-    /// panel blocking). Kept selectable so benchmarks can regenerate the
-    /// PR-1 baseline on the same binary.
-    Tiled,
     /// Wide-lane streaming kernels with panel blocking and
     /// degree-adaptive gather dispatch.
     Vector,
@@ -106,7 +79,7 @@ pub enum DataPath {
 
 /// Accumulator width of the streaming kernel, selected at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneWidth {
+pub(crate) enum LaneWidth {
     /// 8 f32 accumulators per block (two SSE vectors, one AVX vector).
     W8,
     /// 16 f32 accumulators per block (two AVX vectors, one AVX-512
@@ -117,7 +90,7 @@ pub enum LaneWidth {
 impl LaneWidth {
     /// Picks the widest block the running CPU vectorizes profitably:
     /// 16 lanes with AVX2/AVX-512, 8 otherwise (and on non-x86_64).
-    pub fn detect() -> Self {
+    pub(crate) fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx512f") || is_x86_feature_detected!("avx2") {
@@ -128,7 +101,7 @@ impl LaneWidth {
     }
 
     /// Number of f32 lanes per block.
-    pub fn lanes(self) -> usize {
+    pub(crate) fn lanes(self) -> usize {
         match self {
             LaneWidth::W8 => 8,
             LaneWidth::W16 => 16,
@@ -145,7 +118,7 @@ impl LaneWidth {
 /// 512-bit instructions. Results stay bit-equal across all variants
 /// because every vector lane is an independent output column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WideIsa {
+pub(crate) enum WideIsa {
     /// Baseline codegen (also all non-x86_64 targets).
     Portable,
     /// AVX2 proven by `is_x86_feature_detected!`.
@@ -156,7 +129,7 @@ pub enum WideIsa {
 
 impl WideIsa {
     /// Detects the widest ISA clone the running CPU supports.
-    pub fn detect() -> Self {
+    pub(crate) fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx512f") {
@@ -174,24 +147,18 @@ impl WideIsa {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PathKind {
     Scalar,
-    Tiled,
     Vector,
 }
 
 /// A [`DataPath`] resolved against a dense dimension: the kernel family,
-/// the lane width, the column panel, and whether FMA contraction is
-/// permitted, fixed once per engine run.
+/// the lane width, the ISA clone and the column panel, fixed once per
+/// engine run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedPath {
     pub kind: PathKind,
     pub lanes: LaneWidth,
     pub wide_isa: WideIsa,
     pub panel: usize,
-    /// FMA contraction permitted (FastMath): only ever `true` when the
-    /// engine opted in **and** [`fastmath_supported`] proved the CPU can
-    /// run the fma clones **and** the kernel family is `Vector` (the
-    /// scalar/tiled baselines stay exact unconditionally).
-    pub fastmath: bool,
     /// Gather prefetch on (see the module docs): only for the `Vector`
     /// family, and only when the run's `B` footprint overflows L2
     /// ([`prefetch_pays`]). Hints never change a value.
@@ -200,26 +167,9 @@ pub(crate) struct ResolvedPath {
 
 impl DataPath {
     /// Resolves the path for one execution over a `b_rows × dim` dense
-    /// operand, with FastMath off (the exact default). Production call
-    /// sites all thread the engine's FastMath flag through
-    /// [`DataPath::resolve_fast`]; this shorthand remains for tests and
-    /// any caller that wants the exact path unconditionally.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// operand. Gather prefetch is decided here too, once per run, by
+    /// [`prefetch_pays`].
     pub(crate) fn resolve(self, b_rows: usize, dim: usize) -> ResolvedPath {
-        self.resolve_fast(b_rows, dim, false)
-    }
-
-    /// Resolves the path for one execution over a `b_rows × dim` dense
-    /// operand; `want_fastmath` requests FMA contraction, granted only
-    /// when the resolved kernel family is `Vector` and the CPU supports
-    /// the fma kernel clones. Gather prefetch is decided here too, once
-    /// per run, by [`prefetch_pays`].
-    pub(crate) fn resolve_fast(
-        self,
-        b_rows: usize,
-        dim: usize,
-        want_fastmath: bool,
-    ) -> ResolvedPath {
         let kind = match self {
             DataPath::Auto => {
                 if cfg!(feature = "force-scalar") {
@@ -229,7 +179,6 @@ impl DataPath {
                 }
             }
             DataPath::Scalar => PathKind::Scalar,
-            DataPath::Tiled => PathKind::Tiled,
             DataPath::Vector => PathKind::Vector,
         };
         let lanes = LaneWidth::detect();
@@ -239,7 +188,6 @@ impl DataPath {
             lanes,
             wide_isa: WideIsa::detect(),
             panel: panel_cols(dim, lanes.lanes(), &model),
-            fastmath: want_fastmath && kind == PathKind::Vector && fastmath_supported(),
             prefetch: kind == PathKind::Vector && prefetch_pays(b_rows, dim, &model),
         }
     }
@@ -264,57 +212,6 @@ pub(crate) fn prefetch_pays(b_rows: usize, dim: usize, model: &CacheModel) -> bo
         > model.l2_bytes.saturating_mul(PREFETCH_L2_MULTIPLE)
 }
 
-/// Whether this CPU can run the FastMath kernel clones: on x86-64, a
-/// proven `fma` extension alongside a wide ISA clone (AVX2/AVX-512F —
-/// `fma` does not meaningfully exist without them); elsewhere always, as
-/// `f32::mul_add` is a native instruction (e.g. NEON) on every supported
-/// target. FastMath being *supported* does not make it *selected*: the
-/// engine must still opt in.
-pub fn fastmath_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("fma") && WideIsa::detect() != WideIsa::Portable
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        true
-    }
-}
-
-/// `MPSPMM_FASTMATH` opt-in (`1` only), resolved once per process; an
-/// unrecognized value warns once on stderr.
-pub(crate) fn env_fastmath() -> bool {
-    static FASTMATH: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FASTMATH.get_or_init(|| {
-        let raw = std::env::var("MPSPMM_FASTMATH").ok();
-        let (on, warning) = resolve_fastmath(raw.as_deref());
-        if let Some(msg) = warning {
-            eprintln!("{msg}");
-        }
-        on
-    })
-}
-
-/// Pure resolution of the `MPSPMM_FASTMATH` opt-in: `(on, warning)`.
-///
-/// `None` (variable unset) and `"0"` resolve to off, `"1"` to on.
-/// Anything else — `"false"`, `"off"`, an empty value — also resolves to
-/// off, with a one-line warning, so a misspelled opt-out can never
-/// silently leave the exact arithmetic contract.
-pub(crate) fn resolve_fastmath(raw: Option<&str>) -> (bool, Option<String>) {
-    match raw.map(str::trim) {
-        None | Some("0") => (false, None),
-        Some("1") => (true, None),
-        Some(_) => (
-            false,
-            Some(format!(
-                "mpspmm: ignoring invalid MPSPMM_FASTMATH={:?} (want 0 or 1); FastMath stays off",
-                raw.unwrap_or_default()
-            )),
-        ),
-    }
-}
-
 /// Scalar oracle: one column at a time, additions in non-zero order.
 pub(crate) fn accumulate_segment_scalar(
     seg: &Segment,
@@ -332,42 +229,14 @@ pub(crate) fn accumulate_segment_scalar(
     }
 }
 
-/// The PR-1 register-tiled kernel, re-expressed over the shared wide-lane
-/// blocks: unrolled blocks of 8 and 4 plus a scalar tail, full-width (no
-/// panel loop), `usize` indices. Arithmetic per column is unchanged from
-/// the original kernel — same block cascade, same accumulation order.
-#[inline]
-pub(crate) fn accumulate_segment_tiled(
-    seg: &Segment,
-    a: &CsrMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    dst: &mut [f32],
-) {
-    let cols = a.col_indices();
-    let vals = a.values();
-    let dim = dst.len();
-    let mut d = 0;
-    while d + 8 <= dim {
-        stream_block::<8, false>(seg, cols, vals, b, d, dst, None);
-        d += 8;
-    }
-    if d + 4 <= dim {
-        stream_block::<4, false>(seg, cols, vals, b, d, dst, None);
-        d += 4;
-    }
-    tail_columns::<false>(seg, cols, vals, b, d..dim, dst, None);
-}
-
 /// One `W`-column register-accumulator block: `W` f32 accumulators live
 /// across the whole segment sweep, loads of `B` go through a fixed-size
 /// `[f32; W]` view so the inner loop is bounds-check-free straight-line
 /// code LLVM vectorizes. Columns start at `d` in both `B` and `dst`.
-/// `FAST` switches the accumulate to `mul_add` — only the FastMath
-/// `#[target_feature(…,fma)]` clones instantiate it with `true`. `pf` is
-/// the column window to hint ahead ([`hint_ahead`]) while sweeping, or
-/// `None`.
+/// `pf` is the column window to hint ahead ([`hint_ahead`]) while
+/// sweeping, or `None`.
 #[inline(always)]
-fn stream_block<const W: usize, const FAST: bool>(
+fn stream_block<const W: usize>(
     seg: &Segment,
     cols: &[usize],
     vals: &[f32],
@@ -385,11 +254,7 @@ fn stream_block<const W: usize, const FAST: bool>(
         let row = b.row(cols[k]);
         let blk: &[f32; W] = row[d..d + W].try_into().expect("block inside dense row");
         for (a, &x) in acc.iter_mut().zip(blk) {
-            if FAST {
-                *a = v.mul_add(x, *a);
-            } else {
-                *a += v * x;
-            }
+            *a += v * x;
         }
     }
     dst[d..d + W].copy_from_slice(&acc);
@@ -399,7 +264,7 @@ fn stream_block<const W: usize, const FAST: bool>(
 /// `B`'s rows). `pf` hints as in [`stream_block`], during the first
 /// column's sweep only.
 #[inline(always)]
-fn tail_columns<const FAST: bool>(
+fn tail_columns(
     seg: &Segment,
     cols: &[usize],
     vals: &[f32],
@@ -415,12 +280,7 @@ fn tail_columns<const FAST: bool>(
             if let Some(window) = hint {
                 hint_ahead(cols, k, b, window);
             }
-            let x = b.row(cols[k])[d];
-            if FAST {
-                s = vals[k].mul_add(x, s);
-            } else {
-                s += vals[k] * x;
-            }
+            s += vals[k] * b.row(cols[k])[d];
         }
         dst[d] = s;
     }
@@ -483,14 +343,10 @@ pub(crate) fn gather_segment(
     }
 }
 
-/// The streaming panel sweep shared by the exact kernel and its FastMath
-/// clones: sweeps the destination row in `rp.panel`-column panels;
-/// within a panel, wide-lane blocks at `rp.lanes`, then an 8/4/scalar
-/// cascade for the remainder. `inline(always)` so each
-/// `#[target_feature]` clone absorbs the whole cascade under its own
-/// codegen features.
-#[inline(always)]
-fn stream_segment_body<const FAST: bool>(
+/// Streaming panel kernel for long segments: sweeps the destination row
+/// in `rp.panel`-column panels; within a panel, wide-lane blocks at
+/// `rp.lanes`, then an 8/4/scalar cascade for the remainder.
+pub(crate) fn stream_segment(
     seg: &Segment,
     cols: &[usize],
     vals: &[f32],
@@ -509,52 +365,21 @@ fn stream_segment_body<const FAST: bool>(
         let mut d = p0;
         if rp.lanes == LaneWidth::W16 {
             while d + 16 <= p1 {
-                stream_block::<16, FAST>(seg, cols, vals, b, d, dst, pf.take());
+                stream_block::<16>(seg, cols, vals, b, d, dst, pf.take());
                 d += 16;
             }
         }
         while d + 8 <= p1 {
-            stream_block::<8, FAST>(seg, cols, vals, b, d, dst, pf.take());
+            stream_block::<8>(seg, cols, vals, b, d, dst, pf.take());
             d += 8;
         }
         if d + 4 <= p1 {
-            stream_block::<4, FAST>(seg, cols, vals, b, d, dst, pf.take());
+            stream_block::<4>(seg, cols, vals, b, d, dst, pf.take());
             d += 4;
         }
-        tail_columns::<FAST>(seg, cols, vals, b, d..p1, dst, pf);
+        tail_columns(seg, cols, vals, b, d..p1, dst, pf);
         p0 = p1;
     }
-}
-
-/// Streaming panel kernel for long segments — the exact (bit-equal to
-/// the oracle) instantiation of [`stream_segment_body`].
-pub(crate) fn stream_segment(
-    seg: &Segment,
-    cols: &[usize],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    dst: &mut [f32],
-    rp: &ResolvedPath,
-) {
-    stream_segment_body::<false>(seg, cols, vals, b, dst, rp);
-}
-
-/// FastMath streaming kernel: [`stream_segment_body`] with `mul_add`,
-/// dispatched to the `#[target_feature(…, "fma")]` clone matching the
-/// proven [`WideIsa`]. Only reachable when [`ResolvedPath::fastmath`] is
-/// set, which implies the fma proof on x86-64.
-fn stream_segment_fast(
-    seg: &Segment,
-    cols: &[usize],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    dst: &mut [f32],
-    rp: &ResolvedPath,
-) {
-    #[cfg(target_arch = "x86_64")]
-    wide::stream_fast(seg, cols, vals, b, dst, rp);
-    #[cfg(not(target_arch = "x86_64"))]
-    stream_segment_body::<true>(seg, cols, vals, b, dst, rp);
 }
 
 /// How many non-zeros ahead of the one being accumulated the vectorized
@@ -584,9 +409,8 @@ fn hint_ahead(cols: &[usize], k: usize, b: &DenseMatrix<f32>, (lo, hi): (usize, 
 }
 
 /// The vectorized path's degree-adaptive dispatch: gather microkernel at
-/// or below the threshold (always exact — a ≤ 4-nnz segment has no FMA
-/// win), streaming panel kernel above it (FastMath clone when the
-/// resolved path permits contraction). With [`ResolvedPath::prefetch`]
+/// or below the threshold, streaming panel kernel above it. With
+/// [`ResolvedPath::prefetch`]
 /// set, both kernels hint the `B` row [`PREFETCH_DISTANCE`] non-zeros
 /// ahead of each non-zero they use: the gather kernel sends its few
 /// hints up front, the streaming kernel during its first block's sweep.
@@ -606,8 +430,6 @@ pub(crate) fn vector_segment(
             }
         }
         gather_segment(seg, cols, vals, b, dst);
-    } else if rp.fastmath {
-        stream_segment_fast(seg, cols, vals, b, dst, rp);
     } else {
         stream_segment(seg, cols, vals, b, dst, rp);
     }
@@ -625,7 +447,6 @@ pub(crate) fn accumulate_segment_dispatch(
     let (cols, vals) = (a.col_indices(), a.values());
     match rp.kind {
         PathKind::Scalar => accumulate_segment_scalar(seg, cols, vals, b, dst),
-        PathKind::Tiled => accumulate_segment_tiled(seg, a, b, dst),
         PathKind::Vector => vector_segment(seg, cols, vals, b, dst, rp),
     }
 }
@@ -649,9 +470,7 @@ pub(crate) fn accumulate_segment_dispatch(
 /// loop's order, bit-equal to that loop up to the sign of zeros (this
 /// kernel has **no** per-element `a == 0.0` skip; skipping is worthwhile
 /// only for sparse feature inputs, which the GCN layer-0 path keeps on
-/// the naive loop). Under FastMath ([`ResolvedPath::fastmath`]) the
-/// microkernels contract to `mul_add` and the bit-equality carve-out of
-/// the module docs applies.
+/// the naive loop).
 pub(crate) fn gemm_band(
     a: &DenseMatrix<f32>,
     b: &DenseMatrix<f32>,
@@ -718,7 +537,7 @@ pub(crate) fn gemm_band(
 pub(crate) fn gemm_pack_width(rp: &ResolvedPath) -> Option<usize> {
     match rp.kind {
         PathKind::Scalar => None,
-        _ => Some(if rp.lanes == LaneWidth::W16 { 16 } else { 8 }),
+        PathKind::Vector => Some(rp.lanes.lanes()),
     }
 }
 
@@ -748,9 +567,9 @@ pub(crate) fn pack_b(b: &DenseMatrix<f32>, w: usize, packed: &mut [f32]) {
 
 /// Sweeps the full output width for one register tile of `MR` rows over
 /// the `k`-block `krange`, through the widest kernel clone the CPU
-/// proved it supports (see [`WideIsa`]) — the exact clones all run the
-/// same [`gemm_rows_body`], so the choice affects instruction encoding
-/// only, never results; the FastMath clones run the `mul_add` body.
+/// proved it supports (see [`WideIsa`]) — every clone runs the same
+/// [`gemm_rows_body`], so the choice affects instruction encoding only,
+/// never results.
 #[inline]
 fn gemm_rows<const MR: usize>(
     arows: [&[f32]; MR],
@@ -762,41 +581,27 @@ fn gemm_rows<const MR: usize>(
     crows: &mut [&mut [f32]; MR],
 ) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if rp.wide_isa != WideIsa::Portable {
-        return wide::gemm_rows_wide(arows, b, packed, n, rp, krange, crows);
-    }
-    if rp.fastmath {
-        // Only reachable off x86-64 (resolve_fast requires a wide ISA
-        // there), where `mul_add` is native.
-        gemm_rows_body::<MR, true>(arows, b, packed, n, rp, krange, crows)
-    } else {
-        gemm_rows_body::<MR, false>(arows, b, packed, n, rp, krange, crows)
-    }
+    return wide::gemm_rows_wide(arows, b, packed, n, rp, krange, crows);
+    #[cfg(not(target_arch = "x86_64"))]
+    gemm_rows_body(arows, b, packed, n, rp, krange, crows)
 }
 
-/// The `#[target_feature]` clones of [`gemm_rows_body`] and
-/// [`stream_segment_body`], and the gather-prefetch hint. This is one of
-/// the two modules allowed out of the crate's `deny(unsafe_code)` (with
-/// [`crate::pool`]): calling a
+/// The `#[target_feature]` clones of [`gemm_rows_body`], and the
+/// gather-prefetch hint. This is one of the two modules allowed out of
+/// the crate's `deny(unsafe_code)` (with [`crate::pool`]): calling a
 /// `#[target_feature]` function is `unsafe` because executing it on a
 /// CPU without the feature is undefined behavior — here each call is
 /// gated on the matching `is_x86_feature_detected!` proof captured in
-/// [`ResolvedPath::wide_isa`] (and, for the `fma` clones, the
-/// [`fastmath_supported`] proof behind [`ResolvedPath::fastmath`]) at
-/// path-resolution time.
+/// [`ResolvedPath::wide_isa`] at path-resolution time.
 ///
-/// The exact clones (`avx2` / `avx512f`, **no** fma) run the `FAST =
-/// false` bodies: rustc never contracts a separate multiply and add into
-/// an FMA on its own, so enabling wider encodings cannot perturb the
-/// bit-exact path. The FastMath clones additionally enable `fma` and run
-/// the `FAST = true` bodies, whose `mul_add` lowers to a single FMA
-/// instruction.
+/// The clones enable `avx2` / `avx512f` and **not** `fma`: rustc never
+/// contracts a separate multiply and add into an FMA on its own, so
+/// wider encodings cannot perturb the bit-exact arithmetic.
 #[cfg(target_arch = "x86_64")]
 mod wide {
     #![allow(unsafe_code)]
 
-    use super::{gemm_rows_body, stream_segment_body, DenseMatrix, ResolvedPath, WideIsa};
-    use crate::plan::Segment;
+    use super::{gemm_rows_body, DenseMatrix, ResolvedPath, WideIsa};
 
     /// Emits one `prefetcht0` for every 64-byte cache line that
     /// `window` touches.
@@ -822,8 +627,8 @@ mod wide {
         }
     }
 
-    /// Dispatches one register tile to the AVX-512F or AVX2 clone
-    /// (FastMath variant when the resolved path permits contraction).
+    /// Dispatches one register tile to the AVX-512F or AVX2 clone, or
+    /// runs the portable body.
     #[inline]
     pub(super) fn gemm_rows_wide<const MR: usize>(
         arows: [&[f32]; MR],
@@ -834,27 +639,21 @@ mod wide {
         krange: std::ops::Range<usize>,
         crows: &mut [&mut [f32]; MR],
     ) -> u64 {
-        match (rp.wide_isa, rp.fastmath) {
-            // SAFETY: `wide_isa` is only ever set to a non-`Portable`
-            // variant by `WideIsa::detect` after the corresponding
-            // `is_x86_feature_detected!` check succeeded on this CPU;
-            // `fastmath` additionally carries the `fma` proof from
-            // `fastmath_supported`.
-            (WideIsa::Avx512f, false) => unsafe {
-                gemm_rows_avx512f(arows, b, packed, n, rp, krange, crows)
-            },
-            (WideIsa::Avx512f, true) => unsafe {
-                gemm_rows_avx512fma(arows, b, packed, n, rp, krange, crows)
-            },
-            (WideIsa::Avx2, false) => unsafe {
-                gemm_rows_avx2(arows, b, packed, n, rp, krange, crows)
-            },
-            (WideIsa::Avx2, true) => unsafe {
-                gemm_rows_avx2fma(arows, b, packed, n, rp, krange, crows)
-            },
-            (WideIsa::Portable, _) => {
-                gemm_rows_body::<MR, false>(arows, b, packed, n, rp, krange, crows)
+        match rp.wide_isa {
+            // SAFETY (both arms): `wide_isa` is only ever set to a
+            // non-`Portable` variant by `WideIsa::detect` after the
+            // matching `is_x86_feature_detected!` check succeeded on this
+            // CPU; the dispatch test forces each variant only under that
+            // same check. Debug builds re-check the proof.
+            WideIsa::Avx512f => {
+                debug_assert!(is_x86_feature_detected!("avx512f"));
+                unsafe { gemm_rows_avx512f(arows, b, packed, n, rp, krange, crows) }
             }
+            WideIsa::Avx2 => {
+                debug_assert!(is_x86_feature_detected!("avx2"));
+                unsafe { gemm_rows_avx2(arows, b, packed, n, rp, krange, crows) }
+            }
+            WideIsa::Portable => gemm_rows_body(arows, b, packed, n, rp, krange, crows),
         }
     }
 
@@ -871,7 +670,7 @@ mod wide {
         krange: std::ops::Range<usize>,
         crows: &mut [&mut [f32]; MR],
     ) -> u64 {
-        gemm_rows_body::<MR, false>(arows, b, packed, n, rp, krange, crows)
+        gemm_rows_body(arows, b, packed, n, rp, krange, crows)
     }
 
     /// [`gemm_rows_body`] compiled with 512-bit codegen (a W16 block is
@@ -886,95 +685,16 @@ mod wide {
         krange: std::ops::Range<usize>,
         crows: &mut [&mut [f32]; MR],
     ) -> u64 {
-        gemm_rows_body::<MR, false>(arows, b, packed, n, rp, krange, crows)
-    }
-
-    /// FastMath [`gemm_rows_body`]: 256-bit codegen with FMA contraction.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn gemm_rows_avx2fma<const MR: usize>(
-        arows: [&[f32]; MR],
-        b: &DenseMatrix<f32>,
-        packed: &[f32],
-        n: usize,
-        rp: &ResolvedPath,
-        krange: std::ops::Range<usize>,
-        crows: &mut [&mut [f32]; MR],
-    ) -> u64 {
-        gemm_rows_body::<MR, true>(arows, b, packed, n, rp, krange, crows)
-    }
-
-    /// FastMath [`gemm_rows_body`]: 512-bit codegen with FMA contraction.
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn gemm_rows_avx512fma<const MR: usize>(
-        arows: [&[f32]; MR],
-        b: &DenseMatrix<f32>,
-        packed: &[f32],
-        n: usize,
-        rp: &ResolvedPath,
-        krange: std::ops::Range<usize>,
-        crows: &mut [&mut [f32]; MR],
-    ) -> u64 {
-        gemm_rows_body::<MR, true>(arows, b, packed, n, rp, krange, crows)
-    }
-
-    /// Dispatches one segment to the AVX-512F or AVX2 FastMath stream
-    /// clone matching the proven [`WideIsa`].
-    #[inline]
-    pub(super) fn stream_fast(
-        seg: &Segment,
-        cols: &[usize],
-        vals: &[f32],
-        b: &DenseMatrix<f32>,
-        dst: &mut [f32],
-        rp: &ResolvedPath,
-    ) {
-        match rp.wide_isa {
-            // SAFETY: `fastmath` is only set by `resolve_fast` after
-            // `fastmath_supported` proved `fma` plus a non-Portable wide
-            // ISA via `is_x86_feature_detected!` on this CPU.
-            WideIsa::Avx512f => unsafe { stream_avx512fma(seg, cols, vals, b, dst, rp) },
-            WideIsa::Avx2 => unsafe { stream_avx2fma(seg, cols, vals, b, dst, rp) },
-            // Unreachable under `resolve_fast`'s gating; keep the exact
-            // kernel as the safe fallback (a bare `mul_add` would be a
-            // libm call here).
-            WideIsa::Portable => stream_segment_body::<false>(seg, cols, vals, b, dst, rp),
-        }
-    }
-
-    /// FastMath [`stream_segment_body`]: 256-bit codegen with FMA.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn stream_avx2fma(
-        seg: &Segment,
-        cols: &[usize],
-        vals: &[f32],
-        b: &DenseMatrix<f32>,
-        dst: &mut [f32],
-        rp: &ResolvedPath,
-    ) {
-        stream_segment_body::<true>(seg, cols, vals, b, dst, rp)
-    }
-
-    /// FastMath [`stream_segment_body`]: 512-bit codegen with FMA.
-    #[target_feature(enable = "avx512f,fma")]
-    unsafe fn stream_avx512fma(
-        seg: &Segment,
-        cols: &[usize],
-        vals: &[f32],
-        b: &DenseMatrix<f32>,
-        dst: &mut [f32],
-        rp: &ResolvedPath,
-    ) {
-        stream_segment_body::<true>(seg, cols, vals, b, dst, rp)
+        gemm_rows_body(arows, b, packed, n, rp, krange, crows)
     }
 }
 
 /// The actual panel sweep for one register tile of `MR` rows over the
 /// `k`-block `krange`: panel loop outside, wide-lane cascade inside —
 /// the GEMM analogue of [`stream_segment`]'s panel sweep.
-/// `inline(always)` so each `#[target_feature]` clone in [`wide`]
+/// `inline(always)` so each `#[target_feature]` clone in `wide`
 /// absorbs the whole body (and the microkernels below) under its own
-/// codegen features. `FAST = true` contracts each multiply-add to
-/// `mul_add`; the `false` instantiation is the exact default.
+/// codegen features.
 ///
 /// Every per-`k` slice is hoisted out of the hot loop here: the `A` rows
 /// are restricted to the `k`-block once, and the block's `B` rows become
@@ -996,7 +716,7 @@ mod wide {
 /// still consumes the same products in the same ascending-`k` order, so
 /// packed and unpacked sweeps are bit-identical.
 #[inline(always)]
-fn gemm_rows_body<const MR: usize, const FAST: bool>(
+fn gemm_rows_body<const MR: usize>(
     arows: [&[f32]; MR],
     b: &DenseMatrix<f32>,
     packed: &[f32],
@@ -1017,7 +737,7 @@ fn gemm_rows_body<const MR: usize, const FAST: bool>(
         if rp.lanes == LaneWidth::W16 {
             if packed.is_empty() {
                 while d + 16 <= p1 {
-                    gemm_micro::<MR, 16, FAST>(ablk, bslab, n, d, crows);
+                    gemm_micro::<MR, 16>(ablk, bslab, n, d, crows);
                     d += 16;
                 }
             } else {
@@ -1027,7 +747,7 @@ fn gemm_rows_body<const MR: usize, const FAST: bool>(
                     debug_assert_eq!(d % 16, 0);
                     let base = (d / 16) * k * 16;
                     let pb = &packed[base + krange.start * 16..base + krange.end * 16];
-                    gemm_micro_packed::<MR, 16, FAST>(ablk, pb, d, crows);
+                    gemm_micro_packed::<MR, 16>(ablk, pb, d, crows);
                     d += 16;
                 }
             }
@@ -1036,19 +756,19 @@ fn gemm_rows_body<const MR: usize, const FAST: bool>(
                 debug_assert_eq!(d % 8, 0);
                 let base = (d / 8) * k * 8;
                 let pb = &packed[base + krange.start * 8..base + krange.end * 8];
-                gemm_micro_packed::<MR, 8, FAST>(ablk, pb, d, crows);
+                gemm_micro_packed::<MR, 8>(ablk, pb, d, crows);
                 d += 8;
             }
         }
         while d + 8 <= p1 {
-            gemm_micro::<MR, 8, FAST>(ablk, bslab, n, d, crows);
+            gemm_micro::<MR, 8>(ablk, bslab, n, d, crows);
             d += 8;
         }
         if d + 4 <= p1 {
-            gemm_micro::<MR, 4, FAST>(ablk, bslab, n, d, crows);
+            gemm_micro::<MR, 4>(ablk, bslab, n, d, crows);
             d += 4;
         }
-        gemm_tail::<MR, FAST>(ablk, bslab, n, d..p1, crows);
+        gemm_tail::<MR>(ablk, bslab, n, d..p1, crows);
         p0 = p1;
         panels += 1;
     }
@@ -1062,7 +782,7 @@ fn gemm_rows_body<const MR: usize, const FAST: bool>(
 /// construction — same values, same order, only the load addresses
 /// differ.
 #[inline(always)]
-fn gemm_micro_packed<const MR: usize, const W: usize, const FAST: bool>(
+fn gemm_micro_packed<const MR: usize, const W: usize>(
     ablk: [&[f32]; MR],
     pb: &[f32],
     d: usize,
@@ -1078,11 +798,7 @@ fn gemm_micro_packed<const MR: usize, const W: usize, const FAST: bool>(
         for (accr, ab) in acc.iter_mut().zip(&ablk) {
             let av = ab[kk];
             for (s, &bv) in accr.iter_mut().zip(blk) {
-                if FAST {
-                    *s = av.mul_add(bv, *s);
-                } else {
-                    *s += av * bv;
-                }
+                *s += av * bv;
             }
         }
     }
@@ -1099,11 +815,10 @@ fn gemm_micro_packed<const MR: usize, const W: usize, const FAST: bool>(
 /// `0.0` the old unblocked kernel used, and each later block continues
 /// the exact same addition sequence — `k`-blocking therefore cannot
 /// change a single bit. No zero-skip branch — the dense inner loop stays
-/// straight-line mul/add code (separate instructions when `FAST =
-/// false`, so rounding matches the naive oracle even under the
-/// FMA-capable [`wide`] clones; `FAST = true` fuses them to `mul_add`).
+/// straight-line mul/add code, separate instructions, so rounding matches
+/// the naive oracle under every `wide` clone.
 #[inline(always)]
-fn gemm_micro<const MR: usize, const W: usize, const FAST: bool>(
+fn gemm_micro<const MR: usize, const W: usize>(
     ablk: [&[f32]; MR],
     bslab: &[f32],
     n: usize,
@@ -1121,11 +836,7 @@ fn gemm_micro<const MR: usize, const W: usize, const FAST: bool>(
         for (accr, ab) in acc.iter_mut().zip(&ablk) {
             let av = ab[kk];
             for (s, &bv) in accr.iter_mut().zip(blk) {
-                if FAST {
-                    *s = av.mul_add(bv, *s);
-                } else {
-                    *s += av * bv;
-                }
+                *s += av * bv;
             }
         }
     }
@@ -1137,7 +848,7 @@ fn gemm_micro<const MR: usize, const W: usize, const FAST: bool>(
 /// Scalar remainder columns of a GEMM panel, still `k`-ascending and
 /// seeded from the destination like [`gemm_micro`].
 #[inline(always)]
-fn gemm_tail<const MR: usize, const FAST: bool>(
+fn gemm_tail<const MR: usize>(
     ablk: [&[f32]; MR],
     bslab: &[f32],
     n: usize,
@@ -1148,11 +859,7 @@ fn gemm_tail<const MR: usize, const FAST: bool>(
         for (ab, crow) in ablk.iter().zip(crows.iter_mut()) {
             let mut s = crow[d];
             for (&av, brow) in ab.iter().zip(bslab.chunks_exact(n)) {
-                if FAST {
-                    s = av.mul_add(brow[d], s);
-                } else {
-                    s += av * brow[d];
-                }
+                s += av * brow[d];
             }
             crow[d] = s;
         }
@@ -1164,22 +871,6 @@ mod tests {
     use super::*;
     use crate::plan::Flush;
     use crate::spmm::test_support::{random_dense, random_matrix};
-
-    #[test]
-    fn fastmath_opt_in_accepts_only_one() {
-        assert_eq!(resolve_fastmath(None), (false, None));
-        assert_eq!(resolve_fastmath(Some("0")), (false, None));
-        assert_eq!(resolve_fastmath(Some("1")), (true, None));
-        for bad in ["", "false", "off"] {
-            let (on, warning) = resolve_fastmath(Some(bad));
-            assert!(!on, "input {bad:?} must keep FastMath off");
-            let msg = warning.unwrap_or_else(|| panic!("no warning for {bad:?}"));
-            assert!(
-                msg.contains("MPSPMM_FASTMATH"),
-                "warning names the variable: {msg}"
-            );
-        }
-    }
 
     fn seg(nz_start: usize, nz_end: usize) -> Segment {
         Segment {
@@ -1207,7 +898,6 @@ mod tests {
             lanes,
             wide_isa: WideIsa::detect(),
             panel,
-            fastmath: false,
             prefetch: false,
         }
     }
@@ -1233,8 +923,6 @@ mod tests {
             for s in &segments {
                 let want = scalar_reference(s, &a, &b, dim);
                 let mut got = vec![f32::NAN; dim];
-                accumulate_segment_tiled(s, &a, &b, &mut got);
-                assert_eq!(got, want, "tiled dim={dim} seg={s:?}");
                 for lanes in [LaneWidth::W8, LaneWidth::W16] {
                     for panel in [8usize, 16, 32, 1024] {
                         let rp = resolved(PathKind::Vector, lanes, panel);
@@ -1322,13 +1010,10 @@ mod tests {
             "exactly at the bound"
         );
         assert!(DataPath::Vector.resolve(fits + 1, dim).prefetch);
-        assert!(DataPath::Vector.resolve_fast(fits + 1, dim, true).prefetch);
         assert!(!DataPath::Vector.resolve(1, dim).prefetch);
         assert!(!DataPath::Vector.resolve(0, dim).prefetch);
-        for path in [DataPath::Scalar, DataPath::Tiled] {
-            assert!(!path.resolve(fits + 1, dim).prefetch, "{path:?}");
-            assert!(!path.resolve(1 << 30, 1 << 10).prefetch, "{path:?}");
-        }
+        assert!(!DataPath::Scalar.resolve(fits + 1, dim).prefetch);
+        assert!(!DataPath::Scalar.resolve(1 << 30, 1 << 10).prefetch);
         let auto = DataPath::Auto.resolve(fits + 1, dim);
         assert_eq!(auto.prefetch, auto.kind == PathKind::Vector);
         // Saturating arithmetic: an absurd footprint is "above L2", never
@@ -1338,6 +1023,66 @@ mod tests {
             usize::MAX,
             &CacheModel::default()
         ));
+    }
+
+    /// Every arm of the GEMM ISA dispatch computes the same bits: the
+    /// `Portable` body and each `#[target_feature]` clone this CPU proves
+    /// (the only arms the `unsafe` dispatch may take), on packed and
+    /// unpacked `B`, at both lane widths, over a full `GEMM_MR` tile plus
+    /// a remainder row, with `k` spanning several `k`-blocks. The
+    /// `Portable` result also equals the scalar path's naive loop.
+    #[test]
+    fn gemm_dispatch_arms_bit_match_portable() {
+        let mut isas = vec![WideIsa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                isas.push(WideIsa::Avx2);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                isas.push(WideIsa::Avx512f);
+            }
+        }
+        let (rows, k, kc) = (GEMM_MR + 1, 75, 32);
+        let a = random_dense(rows, k, 31);
+        let model = CacheModel::default();
+        for n in [1usize, 7, 8, 15, 16, 17, 33, 128] {
+            let b = random_dense(k, n, 32);
+            let mut naive = vec![0.0f32; rows * n];
+            gemm_band(
+                &a,
+                &b,
+                &[],
+                0,
+                &DataPath::Scalar.resolve(k, n),
+                kc,
+                &mut naive,
+            );
+            for lanes in [LaneWidth::W8, LaneWidth::W16] {
+                let base = resolved(
+                    PathKind::Vector,
+                    lanes,
+                    panel_cols(n, lanes.lanes(), &model),
+                );
+                let w = gemm_pack_width(&base).expect("vector path packs");
+                let mut packed = vec![0.0f32; (n / w) * k * w];
+                pack_b(&b, w, &mut packed);
+                let run = |wide_isa: WideIsa, packed: &[f32]| {
+                    let rp = ResolvedPath { wide_isa, ..base };
+                    let mut dst = vec![0.0f32; rows * n];
+                    let panels = gemm_band(&a, &b, packed, 0, &rp, kc, &mut dst);
+                    assert!(panels > 0);
+                    dst
+                };
+                let want = run(WideIsa::Portable, &[]);
+                assert_eq!(want, naive, "portable vs naive n={n} lanes={lanes:?}");
+                for &isa in &isas {
+                    for (name, p) in [("unpacked", &[][..]), ("packed", &packed[..])] {
+                        assert_eq!(run(isa, p), want, "{isa:?} {name} n={n} lanes={lanes:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1358,48 +1103,8 @@ mod tests {
     }
 
     #[test]
-    fn resolve_fast_gates_on_kind_and_support() {
-        // Default resolve never enables FastMath.
-        assert!(!DataPath::Vector.resolve(64, 256).fastmath);
-        // Non-vector kinds never enable it even when asked.
-        assert!(!DataPath::Scalar.resolve_fast(64, 256, true).fastmath);
-        assert!(!DataPath::Tiled.resolve_fast(64, 256, true).fastmath);
-        // The vector kind enables it iff the CPU proof holds.
-        let rp = DataPath::Vector.resolve_fast(64, 256, true);
-        assert_eq!(rp.fastmath, fastmath_supported());
-        assert!(!DataPath::Vector.resolve_fast(64, 256, false).fastmath);
-    }
-
-    /// FastMath changes rounding (FMA keeps the infinitely precise
-    /// product), so it is held to a relative tolerance against the scalar
-    /// oracle, never bit-equality.
-    #[test]
-    fn fastmath_stream_stays_within_tolerance() {
-        if !fastmath_supported() {
-            return;
-        }
-        let a = random_matrix(64, 64, 400, 41);
-        let row_end = a.row_ptr()[1];
-        let s = seg(0, row_end);
-        for dim in [48usize, 128, 256] {
-            let b = random_dense(64, dim, 42);
-            let want = scalar_reference(&s, &a, &b, dim);
-            let rp = DataPath::Vector.resolve_fast(64, dim, true);
-            assert!(rp.fastmath);
-            let mut got = vec![0.0f32; dim];
-            vector_segment(&s, a.col_indices(), a.values(), &b, &mut got, &rp);
-            for (d, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                let err = (g - w).abs();
-                let tol = 1e-5 * w.abs().max(1.0);
-                assert!(err <= tol, "dim={dim} col={d}: got {g}, want {w}");
-            }
-        }
-    }
-
-    #[test]
     fn resolve_honors_explicit_paths_and_panel_model() {
         assert_eq!(DataPath::Scalar.resolve(32, 32).kind, PathKind::Scalar);
-        assert_eq!(DataPath::Tiled.resolve(32, 32).kind, PathKind::Tiled);
         assert_eq!(DataPath::Vector.resolve(32, 32).kind, PathKind::Vector);
         let auto = DataPath::Auto.resolve(32, 32).kind;
         if cfg!(feature = "force-scalar") {

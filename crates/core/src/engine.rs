@@ -25,8 +25,8 @@
 //!   dispatch: short rows take a gather microkernel, long rows the
 //!   streaming panel kernel, and the split is recorded in
 //!   [`EngineStats`]. Widths 1, 2, 4 and 8 fold in a fixed-width register
-//!   kernel instead. The PR-1 register-tiled kernel and a scalar oracle
-//!   stay selectable ([`DataPath::Tiled`] / [`DataPath::Scalar`]).
+//!   kernel instead. The scalar oracle stays selectable
+//!   ([`DataPath::Scalar`]).
 //! * **Plan caching** ([`ExecEngine::spmm_cached`]): prepared plans are
 //!   keyed by (kernel name, kernel configuration fingerprint, graph
 //!   epoch, shape, dense dimension) and reused across calls until the
@@ -67,9 +67,7 @@ use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::arena::BufferArena;
 use crate::batch::BatchShapeClass;
-use crate::datapath::{
-    accumulate_segment_dispatch, env_fastmath, DataPath, PathKind, ResolvedPath,
-};
+use crate::datapath::{accumulate_segment_dispatch, DataPath, PathKind, ResolvedPath};
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
 use crate::plan::{Flush, Segment};
@@ -199,10 +197,6 @@ pub struct EngineStats {
     /// `k`-blocking that keeps the `B` panel L2-resident), cumulative
     /// over runs.
     pub kblocks: u64,
-    /// SpMM and GEMM runs that executed with FastMath (FMA contraction)
-    /// enabled — always zero unless the engine opted in via
-    /// [`ExecEngine::with_fast_math`] or `MPSPMM_FASTMATH`.
-    pub fastmath_runs: u64,
     /// Engine runs that fused a non-noop [`Epilogue`] into the SpMM
     /// store stage instead of paying a separate activation pass.
     pub fused_epilogues: u64,
@@ -256,9 +250,6 @@ struct PlanKey {
 pub struct ExecEngine {
     pub(crate) workers: usize,
     pub(crate) data_path: DataPath,
-    /// FastMath opt-in (FMA contraction in the SpMM/GEMM kernels) —
-    /// defaults to the `MPSPMM_FASTMATH` environment opt-in, i.e. off.
-    pub(crate) fast_math: bool,
     plan_capacity: usize,
     cache: Mutex<PlanCache>,
     batch_builds: AtomicU64,
@@ -270,7 +261,6 @@ pub struct ExecEngine {
     stream: AtomicU64,
     pub(crate) gemm_panels: AtomicU64,
     pub(crate) kblocks: AtomicU64,
-    pub(crate) fastmath_runs: AtomicU64,
     fused_epilogues: AtomicU64,
     pub(crate) gemm_ns: AtomicU64,
     /// Accumulator strategy SpGEMM runs pin
@@ -325,7 +315,6 @@ impl ExecEngine {
         Self {
             workers,
             data_path,
-            fast_math: env_fastmath(),
             plan_capacity,
             cache: Mutex::new(PlanCache::default()),
             batch_builds: AtomicU64::new(0),
@@ -337,7 +326,6 @@ impl ExecEngine {
             stream: AtomicU64::new(0),
             gemm_panels: AtomicU64::new(0),
             kblocks: AtomicU64::new(0),
-            fastmath_runs: AtomicU64::new(0),
             fused_epilogues: AtomicU64::new(0),
             gemm_ns: AtomicU64::new(0),
             spgemm_strategy: SpgemmStrategy::default(),
@@ -348,26 +336,6 @@ impl ExecEngine {
             spgemm_symbolic_ns: AtomicU64::new(0),
             spgemm_numeric_ns: AtomicU64::new(0),
         }
-    }
-
-    /// Opts this engine into (or out of) **FastMath**: FMA contraction
-    /// in the streaming SpMM kernel and the GEMM microkernel. FastMath
-    /// results differ from the exact default by a rounding-level amount
-    /// per product (see the `datapath` module docs and DESIGN.md §2.11)
-    /// — the default, and every oracle, stays exact. Without this call
-    /// the flag follows the `MPSPMM_FASTMATH` environment opt-in.
-    #[must_use]
-    pub fn with_fast_math(mut self, fast_math: bool) -> Self {
-        self.fast_math = fast_math;
-        self
-    }
-
-    /// Whether this engine requests FastMath (FMA contraction). The
-    /// request only takes effect on the vectorized data path on CPUs
-    /// whose fma support is proven
-    /// ([`crate::fastmath_supported`]).
-    pub fn fast_math(&self) -> bool {
-        self.fast_math
     }
 
     /// The plan-cache capacity bound this engine evicts at.
@@ -668,7 +636,6 @@ impl ExecEngine {
             arena_misses: self.arena.misses(),
             gemm_panels: self.gemm_panels.load(Ordering::Relaxed),
             kblocks: self.kblocks.load(Ordering::Relaxed),
-            fastmath_runs: self.fastmath_runs.load(Ordering::Relaxed),
             fused_epilogues: self.fused_epilogues.load(Ordering::Relaxed),
             gemm_ns: self.gemm_ns.load(Ordering::Relaxed),
             spgemm: SpgemmStats {
@@ -719,7 +686,6 @@ impl ExecEngine {
         self.stream.store(0, Ordering::Relaxed);
         self.gemm_panels.store(0, Ordering::Relaxed);
         self.kblocks.store(0, Ordering::Relaxed);
-        self.fastmath_runs.store(0, Ordering::Relaxed);
         self.fused_epilogues.store(0, Ordering::Relaxed);
         self.gemm_ns.store(0, Ordering::Relaxed);
         self.spgemm_rows.store(0, Ordering::Relaxed);
@@ -753,10 +719,7 @@ impl ExecEngine {
         }
         let mut out = self.arena.take_zeroed(rows * dim);
         if dim > 0 {
-            let rp = self.data_path.resolve_fast(b.rows(), dim, self.fast_math);
-            if rp.fastmath {
-                self.fastmath_runs.fetch_add(1, Ordering::Relaxed);
-            }
+            let rp = self.data_path.resolve(b.rows(), dim);
             if rp.kind == PathKind::Vector {
                 let (gather, stream) = prep.dispatch;
                 self.gather.fetch_add(gather as u64, Ordering::Relaxed);
@@ -1148,12 +1111,7 @@ mod tests {
         for dim in [1, 3, 8, 16, 17, 32, 33] {
             let b = random_dense(48, dim, 4);
             let (want, _) = row_sum(&a, &b);
-            for path in [
-                DataPath::Auto,
-                DataPath::Scalar,
-                DataPath::Tiled,
-                DataPath::Vector,
-            ] {
+            for path in [DataPath::Auto, DataPath::Scalar, DataPath::Vector] {
                 for workers in WORKERS {
                     let engine = ExecEngine::with_data_path(workers, path);
                     let prep = PreparedPlan::new(&a);
@@ -1183,11 +1141,11 @@ mod tests {
         assert_eq!(stats.gather_segments, 2 * gather as u64);
         assert_eq!(stats.stream_segments, 2 * stream as u64);
 
-        // The tiled path does not go through the dispatcher.
-        let tiled = ExecEngine::with_data_path(1, DataPath::Tiled);
-        tiled.execute_prepared(&prep, &a, &b).unwrap();
-        assert_eq!(tiled.stats().gather_segments, 0);
-        assert_eq!(tiled.stats().stream_segments, 0);
+        // The scalar path does not go through the dispatcher.
+        let scalar = ExecEngine::with_data_path(1, DataPath::Scalar);
+        scalar.execute_prepared(&prep, &a, &b).unwrap();
+        assert_eq!(scalar.stats().gather_segments, 0);
+        assert_eq!(scalar.stats().stream_segments, 0);
         engine.clear_cache();
         assert_eq!(engine.stats().gather_segments, 0);
     }
@@ -1555,34 +1513,5 @@ mod tests {
                 assert_eq!(hinted.as_slice(), want.as_slice(), "dim={dim} w={workers}");
             }
         }
-    }
-
-    #[test]
-    fn fast_math_opt_in_is_gated_and_counted() {
-        let (a, b) = small();
-        let prep = PreparedPlan::new(&a);
-        // Exact default: no FastMath runs counted.
-        let exact = ExecEngine::with_data_path(2, DataPath::Vector).with_fast_math(false);
-        assert!(!exact.fast_math());
-        exact.execute_prepared(&prep, &a, &b).unwrap();
-        assert_eq!(exact.stats().fastmath_runs, 0);
-        // Opted in: counted only where the CPU proof holds, and results
-        // stay within contraction tolerance of the exact run.
-        let fast = ExecEngine::with_data_path(2, DataPath::Vector).with_fast_math(true);
-        assert!(fast.fast_math());
-        let (got, _) = fast.execute_prepared(&prep, &a, &b).unwrap();
-        let (want, _) = exact.execute_prepared(&prep, &a, &b).unwrap();
-        assert!(got.approx_eq(&want, 1e-5).unwrap());
-        if crate::fastmath_supported() {
-            assert!(fast.stats().fastmath_runs > 0, "fma-proven CPU counts");
-            fast.clear_cache();
-            assert_eq!(fast.stats().fastmath_runs, 0, "reset clears counter");
-        } else {
-            assert_eq!(fast.stats().fastmath_runs, 0, "unproven CPU stays exact");
-        }
-        // The scalar path never contracts, opt-in or not.
-        let scalar = ExecEngine::with_data_path(2, DataPath::Scalar).with_fast_math(true);
-        scalar.execute_prepared(&prep, &a, &b).unwrap();
-        assert_eq!(scalar.stats().fastmath_runs, 0);
     }
 }

@@ -24,10 +24,7 @@
 //! output and stored back per block, so each output element still
 //! accumulates in the naive loop's ascending-`k` order and results stay
 //! bit-equal to [`naive ikj`] GEMM up to the sign of zeros — the
-//! property the GCN fused-vs-unfused oracle tests lean on. The one
-//! exception is opt-in [`crate::ExecEngine::with_fast_math`], which
-//! permits FMA contraction inside a block (documented carve-out,
-//! DESIGN.md §2.11).
+//! property the GCN fused-vs-unfused oracle tests lean on.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -69,10 +66,7 @@ impl ExecEngine {
         let start = Instant::now();
         let (m, n) = (a.rows(), b.cols());
         let mut out = self.arena.take_zeroed(m * n);
-        let rp = self.data_path.resolve_fast(b.rows(), n, self.fast_math);
-        if rp.fastmath {
-            self.fastmath_runs.fetch_add(1, Ordering::Relaxed);
-        }
+        let rp = self.data_path.resolve(b.rows(), n);
         let kc = gemm_kc(a.cols(), rp.panel, &CacheModel::default());
         if a.cols() > 0 {
             self.kblocks
@@ -167,7 +161,7 @@ fn gemm_narrow(a: &DenseMatrix<f32>, b: &DenseMatrix<f32>, out: &mut [f32]) {
 /// Per-row `ikj` fold at const width `N == b.cols()`: ascending `k` per
 /// output element, accumulators seeded from the zeroed destination —
 /// exactly the naive loop's summation order, so the result is bitwise
-/// equal to every other (non-FastMath) GEMM path in this module.
+/// equal to every other GEMM path in this module.
 fn gemm_narrow_fixed<const N: usize>(a: &DenseMatrix<f32>, b: &DenseMatrix<f32>, out: &mut [f32]) {
     let k = a.cols();
     for (r, orow) in out.chunks_exact_mut(N).enumerate() {
@@ -249,28 +243,6 @@ mod tests {
             assert!(stats.kblocks >= 1, "k-block counter advanced");
             engine.clear_cache();
             assert_eq!(engine.stats().kblocks, 0, "reset clears counter");
-        }
-    }
-
-    #[test]
-    fn fast_math_gemm_stays_within_contraction_tolerance() {
-        let (m, k, n) = (7, 96, 128);
-        let a = filled(m, k, 5);
-        let b = filled(k, n, 6);
-        let exact = ExecEngine::with_data_path(2, DataPath::Vector)
-            .gemm(&a, &b)
-            .unwrap();
-        let engine = ExecEngine::with_data_path(2, DataPath::Vector).with_fast_math(true);
-        let fast = engine.gemm(&a, &b).unwrap();
-        for (g, w) in fast.as_slice().iter().zip(exact.as_slice()) {
-            let tol = 1e-5 * w.abs().max(1.0);
-            assert!((g - w).abs() <= tol, "fastmath gemm within tolerance");
-        }
-        if crate::fastmath_supported() {
-            assert!(engine.stats().fastmath_runs > 0, "fma-proven CPU counts");
-        } else {
-            assert_eq!(engine.stats().fastmath_runs, 0);
-            assert_eq!(fast.as_slice(), exact.as_slice(), "unproven CPU is exact");
         }
     }
 

@@ -66,7 +66,7 @@ mod stats;
 pub mod tuning;
 
 pub use batch::BatchShapeClass;
-pub use datapath::{fastmath_supported, DataPath, LaneWidth, WideIsa};
+pub use datapath::DataPath;
 pub use engine::{EngineStats, ExecEngine, PreparedPlan, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use epilogue::Epilogue;
 pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};

@@ -89,9 +89,9 @@ proptest! {
                 i
             );
         }
-        for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
+        for path in [DataPath::Scalar, DataPath::Vector] {
             for &workers in &[1usize, 2, 8] {
-                let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+                let engine = ExecEngine::with_data_path(workers, path);
                 let prep = PreparedPlan::new(pack.matrix());
                 let (out, _) = engine
                     .execute_prepared(&prep, pack.matrix(), &stacked)
@@ -178,7 +178,7 @@ fn resolved_worker_count_packed_batch_bit_matches_oracle() {
         .stack_features(&feats.iter().collect::<Vec<_>>())
         .unwrap();
     let prep = PreparedPlan::new(pack.matrix());
-    let engine = ExecEngine::new(workers).with_fast_math(false);
+    let engine = ExecEngine::new(workers);
     let (out, _) = engine
         .execute_prepared(&prep, pack.matrix(), &stacked)
         .unwrap();
@@ -238,14 +238,9 @@ fn row_span_plans_bit_match_per_graph_sequential() {
             let (pack, stacked, wants) = packed(sizes, dim, 40 + p as u64);
             let bias: Vec<f32> = (0..dim).map(|j| j as f32 * 0.5 - 1.25).collect();
             let epi = Epilogue::Bias(bias);
-            for path in [
-                DataPath::Auto,
-                DataPath::Scalar,
-                DataPath::Tiled,
-                DataPath::Vector,
-            ] {
+            for path in [DataPath::Auto, DataPath::Scalar, DataPath::Vector] {
                 for workers in [1usize, 2, 8, default_workers()] {
-                    let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+                    let engine = ExecEngine::with_data_path(workers, path);
                     let prep = engine.plan_batch_cached(
                         &BatchMergeSpmm::new(),
                         pack.matrix(),

@@ -60,7 +60,7 @@ fn engine_product(
     a: &CsrMatrix<f32>,
     b: &DenseMatrix<f32>,
 ) -> (DenseMatrix<f32>, WriteStats) {
-    let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+    let engine = ExecEngine::with_data_path(workers, path);
     let prep = PreparedPlan::new(a);
     engine.execute_prepared(&prep, a, b).unwrap()
 }
@@ -157,7 +157,7 @@ proptest! {
         let nnz = (rows * fill).min(rows * rows);
         let (a, b) = random_inputs(rows, nnz, dim, seed);
         let (want, _) = row_sum(&a, &b);
-        for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
+        for path in [DataPath::Scalar, DataPath::Vector] {
             for &workers in &WORKERS {
                 let (got, _) = engine_product(workers, path, &a, &b);
                 prop_assert_eq!(
@@ -185,7 +185,7 @@ proptest! {
         let (new, b) = random_inputs(rows, (rows * (7 - fill)).min(rows * rows), 9, !seed);
         let (want, _) = row_sum(&new, &b);
         for &workers in &WORKERS {
-            let engine = ExecEngine::new(workers).with_fast_math(false);
+            let engine = ExecEngine::new(workers);
             let stale = PreparedPlan::new(&old);
             let (got, _) = engine.execute_prepared(&stale, &new, &b).unwrap();
             prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={}", workers);
@@ -212,7 +212,7 @@ fn all_paths_equal_the_row_sum_for_dims_1_to_67() {
     for dim in 1..=67usize {
         let b = DenseMatrix::from_fn(30, dim, |r, c| ((r * 13 + c * 5) % 23) as f32 * 0.125 - 1.0);
         let (want, _) = row_sum(&a, &b);
-        for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
+        for path in [DataPath::Scalar, DataPath::Vector] {
             for workers in WORKERS {
                 let (got, _) = engine_product(workers, path, &a, &b);
                 assert_eq!(

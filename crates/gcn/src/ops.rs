@@ -19,9 +19,8 @@ use rand::{Rng, SeedableRng};
 /// accumulator that is never `-0` (the `gemm_dense` tests pin this). A
 /// stored zero in `A` times a non-finite `B` entry gives `NaN`.
 ///
-/// The product follows the global engine's configuration: its worker
-/// count (`MPSPMM_WORKERS`) and its `MPSPMM_FASTMATH` setting, which
-/// opts into FMA contraction and leaves the exact contract above.
+/// The product follows the global engine's worker count
+/// (`MPSPMM_WORKERS`); the output bits do not depend on it.
 ///
 /// Must not be called from inside a job of the engine's worker pool
 /// (debug builds assert this).

@@ -32,12 +32,7 @@ fn worker_counts() -> Vec<usize> {
 
 fn engine_matrix() -> Vec<(DataPath, usize)> {
     let mut m = Vec::new();
-    for path in [
-        DataPath::Scalar,
-        DataPath::Tiled,
-        DataPath::Vector,
-        DataPath::Auto,
-    ] {
+    for path in [DataPath::Scalar, DataPath::Vector, DataPath::Auto] {
         for &w in &worker_counts() {
             m.push((path, w));
         }
@@ -186,7 +181,7 @@ fn fused_layer_matches_unfused_oracle() {
 /// 256-wide hidden dimension, at several worker counts, must stay
 /// **bit-identical** to the unfused composition on the same engine —
 /// every row has one writer, so the fused epilogue lands on exactly the
-/// values the unfused run returns. FastMath stays off.
+/// values the unfused run returns.
 #[test]
 fn wide_hidden_dim_fused_equals_unfused() {
     const OUT_DIM: usize = 256;
@@ -199,7 +194,7 @@ fn wide_hidden_dim_fused_equals_unfused() {
         .collect();
     let layer = GcnLayer::with_bias(w.clone(), bias.clone(), Activation::Relu);
     for workers in worker_counts() {
-        let engine = ExecEngine::new(workers).with_fast_math(false);
+        let engine = ExecEngine::new(workers);
         let fused = layer.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
         let hw = engine.gemm(&x, &w).unwrap();
         let (mut want, _) = engine.spmm_cached(&kernel, &a, &hw, 0).unwrap();
@@ -325,7 +320,7 @@ fn model_paths_match_zero_skip_composition_exactly() {
     let blocks: Vec<DenseMatrix<f32>> = (0..3).map(|i| raw_features(RAW, 95 + i)).collect();
     let kernel = MergePathSpmm::new();
     for &(path, workers) in &engine_matrix() {
-        let engine = ExecEngine::with_data_path(workers, path).with_fast_math(false);
+        let engine = ExecEngine::with_data_path(workers, path);
 
         // forward_cached vs zero-skip GEMM + spmm_cached_fused per layer.
         let got = model

@@ -279,11 +279,11 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,
-    /// The engine's counters (plan-cache hits/misses/evictions,
-    /// gather/stream dispatch, GEMM k-blocks, FastMath runs,
-    /// buffer-arena reuse, SpGEMM rows per accumulator class and phase
-    /// times),
-    /// threaded through for one-stop telemetry.
+    /// The engine's counters (plan-cache hits/misses/evictions and
+    /// resident plans, gather/stream dispatch, GEMM panels, k-blocks and
+    /// wall time, fused epilogues, buffer-arena reuse, SpGEMM rows per
+    /// accumulator class and phase times, batch plans built), threaded
+    /// through for one-stop telemetry.
     pub engine: EngineStats,
     /// Per-tenant breakdown, sorted by tenant name.
     pub tenants: Vec<TenantStats>,

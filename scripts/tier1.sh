@@ -6,8 +6,8 @@
 # Usage: scripts/tier1.sh
 # Also runs the servebench unit tests and a one-second smoke run of each
 # servebench workload, which must report every reply correct.
-# Emits BENCH_engine.json (register-tiled baseline), BENCH_simd.json
-# (vectorized data path vs that baseline), BENCH_serve.json (serving
+# Emits BENCH_engine.json (engine vs the seed executor), BENCH_simd.json
+# (vectorized data path vs the scalar oracle path), BENCH_serve.json (serving
 # layer, smoke shape), BENCH_fused.json (fused GCN pipeline vs unfused,
 # smoke shape), BENCH_widedim.json (wide-feature-dim layer pipeline vs
 # the pre-revision data path, smoke shape), BENCH_spgemm.json (CSR x

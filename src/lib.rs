@@ -41,6 +41,5 @@ pub use mpspmm_sparse as sparse;
 // Fused GCN layer pipeline entry points, re-exported at the facade root:
 // [`ExecEngine`] carries both halves of a layer — the parallel blocked
 // GEMM (`ExecEngine::gemm`) and the SpMM whose store stage applies an
-// [`Epilogue`] to direct rows in place — and [`WideIsa`] reports which
-// runtime-detected wide instruction set the data path dispatched to.
-pub use mpspmm_core::{Epilogue, ExecEngine, WideIsa};
+// [`Epilogue`] to direct rows in place.
+pub use mpspmm_core::{Epilogue, ExecEngine};
