@@ -54,7 +54,7 @@ const HIDDEN: usize = 4;
 const CLASSES: usize = 2;
 /// Burst width, and therefore the packing window's graph budget: the
 /// client submits one burst, waits for every reply, then submits the
-/// next — the batch-synchronous shape of epoch-style inference over a
+/// next — the batch-synchronous shape of a full inference sweep over a
 /// registered population. Each packed window builds its row-span plan
 /// from the packed row pointers; nothing is reused across windows.
 const BURST: usize = 256;
@@ -238,10 +238,8 @@ fn paired_run(
     let tenants: Vec<String> = (0..TENANTS).map(|t| format!("tenant-{t}")).collect();
     let names: Vec<String> = (0..shape.graphs).map(|g| format!("g{g}")).collect();
     // One untimed warm pass per mode: page in the arenas and let each
-    // server reach its steady state (the packed side's plan and pack
-    // caches, the per-request side's thrashing plan cache — which the
-    // warm pass cannot help, by construction of the workload). Timed
-    // passes then measure steady serving, not first-touch costs.
+    // server reach its steady state. Timed passes then measure steady
+    // serving, not first-touch costs.
     sweep(&base_srv, false, graphs, features, &names, &tenants);
     sweep(&packed_srv, true, graphs, features, &names, &tenants);
     let warmed_base = base_srv.stats().completed as usize;

@@ -13,18 +13,13 @@
 //! executor on that kernel's plan over the engine.
 //!
 //! The engine is `ExecEngine::new(1)`, on its default data path.
-//!
-//! Also demonstrates the plan cache on a 2-layer GCN (10 inferences on a
-//! fixed graph epoch) and prints the observed hit rate.
 
 use mpspmm_bench::{banner, full_size_requested, geomean, load, time_ns};
 use mpspmm_core::executor::execute_parallel;
 use mpspmm_core::{
-    default_workers, ExecEngine, MergePathSpmm, NnzSplitSpmm, PreparedPlan, RowSplitSpmm,
-    SpmmKernel,
+    ExecEngine, MergePathSpmm, NnzSplitSpmm, PreparedPlan, RowSplitSpmm, SpmmKernel,
 };
-use mpspmm_gcn::{ops, GcnModel};
-use mpspmm_graphs::{find_dataset, gcn_normalize};
+use mpspmm_graphs::find_dataset;
 use mpspmm_sparse::DenseMatrix;
 
 const DATASETS: [&str; 6] = [
@@ -102,32 +97,11 @@ fn main() {
     let g = geomean(&speedups);
     println!("\ngeomean speedup (engine over seed executor, 1 core): {g:.2}x");
 
-    // Plan-cache demonstration: a 2-layer GCN re-run on a fixed graph
-    // epoch should plan twice (once per layer width) and hit thereafter.
-    let a_hat = gcn_normalize(&load(find_dataset("Cora").unwrap(), full).1);
-    let model = GcnModel::two_layer(32, 16, 7, 3);
-    let x = ops::random_features(a_hat.rows(), 32, 0.4, 5);
-    let cache_engine = ExecEngine::new(default_workers());
-    let kernel = MergePathSpmm::new();
-    for _ in 0..10 {
-        model
-            .forward_cached(&a_hat, &x, &kernel, &cache_engine, 0)
-            .unwrap();
-    }
-    let stats = cache_engine.stats();
-    println!(
-        "plan cache on 2-layer GCN x10: {} hits / {} misses (hit rate {:.0}%)",
-        stats.plan_cache_hits,
-        stats.plan_cache_misses,
-        stats.hit_rate() * 100.0
-    );
-
     let json = format!(
-        "{{\n  \"baseline\": \"seed SpmmExecutor, 1 worker\",\n  \"speedup\": {:.3},\n  \"results\": [\n{}\n  ],\n  \"geomean_speedup\": {:.3},\n  \"gcn_plan_cache_hit_rate\": {:.3}\n}}\n",
+        "{{\n  \"baseline\": \"seed SpmmExecutor, 1 worker\",\n  \"speedup\": {:.3},\n  \"results\": [\n{}\n  ],\n  \"geomean_speedup\": {:.3}\n}}\n",
         g,
         records.join(",\n"),
-        g,
-        stats.hit_rate()
+        g
     );
     std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
     println!("wrote BENCH_engine.json");

@@ -6,7 +6,7 @@
 //! {16, 32, 64} and worker counts {1, 4} two ways:
 //!
 //! * **unfused** — the exact pre-fusion pipeline, replicated inline:
-//!   naive zero-skip GEMM for every layer's combination, plain cached
+//!   naive zero-skip GEMM for every layer's combination, plain engine
 //!   SpMM for the aggregation, then bias and activation as separate
 //!   serial passes over the output;
 //! * **fused** — [`GcnModel::forward_cached`]: every layer's combination,
@@ -14,8 +14,8 @@
 //!   per-element branch), bias + activation fused into the SpMM store
 //!   stage.
 //!
-//! Both sides share one engine per configuration, so the plan cache and
-//! buffer arena are equally warm. Every timed pair is also checked for
+//! Both sides share one engine per configuration, so the buffer arena is
+//! equally warm. Every timed pair is also checked for
 //! numerical agreement before its record is trusted.
 //!
 //! Additionally measures the *fusion overhead* on the SpMM alone — a
@@ -28,7 +28,7 @@
 //! scaled-down graphs.
 
 use mpspmm_bench::{geomean, time_ns, SEED};
-use mpspmm_core::{Epilogue, ExecEngine, MergePathSpmm, SpmmKernel};
+use mpspmm_core::{Epilogue, ExecEngine, MergePathSpmm, PreparedPlan};
 use mpspmm_gcn::ops::{random_features, xavier_init, Activation};
 use mpspmm_gcn::{GcnLayer, GcnModel};
 use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
@@ -100,21 +100,20 @@ fn old_gemm(a: &DenseMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
 }
 
 /// The pre-fusion (PR-4) pipeline, replicated exactly: naive zero-skip
-/// GEMM, plain cached SpMM, then bias and activation as separate serial
+/// GEMM, plain engine SpMM, then bias and activation as separate serial
 /// passes. Scratch still recycles through the engine's arena, as it did
 /// before fusion.
 fn unfused_forward(
     a: &CsrMatrix<f32>,
     x: &DenseMatrix<f32>,
     layers: &[LayerSpec],
-    kernel: &dyn SpmmKernel,
     engine: &ExecEngine,
 ) -> DenseMatrix<f32> {
     let mut h: Option<DenseMatrix<f32>> = None;
     for layer in layers {
         let input = h.as_ref().unwrap_or(x);
         let hw = old_gemm(input, &layer.weight);
-        let (mut out, _) = engine.spmm_cached(kernel, a, &hw, 0).expect("shapes agree");
+        let (mut out, _) = engine.spmm(a, &hw, &Epilogue::None).expect("shapes agree");
         engine.recycle(hw);
         for r in 0..out.rows() {
             for (v, &b) in out.row_mut(r).iter_mut().zip(&layer.bias) {
@@ -198,7 +197,7 @@ fn main() {
                 let engine = ExecEngine::new(workers);
                 // Correctness guard: a record is only trusted if the two
                 // pipelines agree numerically on this configuration.
-                let want = unfused_forward(a, &x, &layers, &kernel, &engine);
+                let want = unfused_forward(a, &x, &layers, &engine);
                 let got = model.forward_cached(a, &x, &kernel, &engine, 0).unwrap();
                 assert!(
                     got.approx_eq(&want, 1e-4).unwrap(),
@@ -207,7 +206,7 @@ fn main() {
                 engine.recycle(want);
                 engine.recycle(got);
                 let unfused_ns = time_ns(warm, iters, || {
-                    let out = unfused_forward(a, &x, &layers, &kernel, &engine);
+                    let out = unfused_forward(a, &x, &layers, &engine);
                     engine.recycle(out);
                 });
                 let fused_ns = time_ns(warm, iters, || {
@@ -277,7 +276,7 @@ fn main() {
     let mut spmm_regression_pct = 0.0;
     for workers in WORKER_COUNTS {
         let engine = ExecEngine::new(workers);
-        let prep = engine.plan_cached(&kernel, a_pl, dim, 0);
+        let prep = PreparedPlan::new(a_pl);
         let plain_ns = time_ns(spmm_warm, spmm_iters, || {
             let (out, _) = engine.execute_prepared(&prep, a_pl, &b).unwrap();
             engine.recycle(out);

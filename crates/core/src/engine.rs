@@ -27,10 +27,12 @@
 //!   [`EngineStats`]. Widths 1, 2, 4 and 8 fold in a fixed-width register
 //!   kernel instead. The scalar oracle stays selectable
 //!   ([`DataPath::Scalar`]).
-//! * **Plan caching** ([`ExecEngine::spmm_cached`]): prepared plans are
-//!   keyed by (kernel name, kernel configuration fingerprint, graph
-//!   epoch, shape, dense dimension) and reused across calls until the
-//!   graph mutates. Hit/miss counters are exposed via [`EngineStats`].
+//! * **Per-call plans** ([`ExecEngine::spmm`]): a [`PreparedPlan`] is
+//!   one O(rows) scan of `row_ptr`, cheaper than hashing a cache key, so
+//!   the engine builds one per call and caches nothing. Callers that run
+//!   one structure many times (the serving registry) keep the plan
+//!   themselves and execute it with
+//!   [`execute_prepared`](ExecEngine::execute_prepared).
 //! * **Buffer arena** ([`crate::arena`]): output and batch-interleave
 //!   buffers are pooled per engine and checked out per execution, so
 //!   steady-state inference allocates nothing. Outputs leave the engine
@@ -45,23 +47,15 @@
 //! out of the vectorized gather microkernel (see the `datapath` module
 //! docs).
 //!
-//! # Staleness
-//!
 //! A [`PreparedPlan`] holds the row count it was built for and that
 //! structure's statistics; spans, values and column indices are always
 //! read from the live matrix. Running a plan on another matrix with the
 //! same row count therefore computes that matrix's exact product, split
 //! by that matrix's own spans; only the statistics the run reports follow
-//! the structure the plan was built for. The cache trusts
-//! the caller's `epoch` for that: bump it on every mutation
-//! ([`GraphStream::generation`] in `mpspmm-graphs` is the intended
-//! source); the key's `(rows, cols, nnz)` is a cheap tripwire.
-//!
-//! [`GraphStream::generation`]: https://docs.rs/mpspmm-graphs
+//! the structure the plan was built for.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
@@ -76,31 +70,6 @@ use crate::spgemm::SpgemmStrategy;
 use crate::spmm::{default_workers, row_aligned_starts, SpmmKernel};
 use crate::stats::{SpgemmStats, WriteStats};
 use crate::tuning::GATHER_MAX_NNZ;
-
-/// Default bound on plans cached per engine. A single GNN inference
-/// workload touches a handful of (kernel, dim) combinations per graph
-/// epoch, but a long-lived *serving* process registers many graphs and
-/// hot-swaps versions, so the bound is generous and eviction is
-/// least-recently-used rather than wholesale; size it explicitly with
-/// [`ExecEngine::with_plan_capacity`] when the default does not fit.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
-
-/// One resident plan plus the LRU stamp the eviction policy orders by.
-#[derive(Debug)]
-struct CacheEntry {
-    prep: Arc<PreparedPlan>,
-    last_used: u64,
-}
-
-/// The engine's bounded plan cache: a map plus a monotonic use counter.
-/// Lookups stamp the entry; inserts past capacity evict the entry with
-/// the oldest stamp (an O(n) scan — capacities are small enough that a
-/// linked LRU list would be pure complexity).
-#[derive(Debug, Default)]
-struct PlanCache {
-    map: HashMap<PlanKey, CacheEntry>,
-    tick: u64,
-}
 
 /// A prepared SpMM plan: the row count and write statistics of one
 /// sparsity structure. The engine cuts its row spans from the live
@@ -163,19 +132,9 @@ impl PreparedPlan {
     }
 }
 
-/// Snapshot of an engine's plan-cache and data-path counters.
+/// Snapshot of an engine's data-path, GEMM and arena counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// [`ExecEngine::spmm_cached`] calls served from the plan cache.
-    pub plan_cache_hits: u64,
-    /// [`ExecEngine::spmm_cached`] calls that had to plan from scratch.
-    pub plan_cache_misses: u64,
-    /// Plans currently resident in the cache.
-    pub cached_plans: usize,
-    /// Plans evicted because the cache reached its capacity bound
-    /// (least-recently-used first), cumulative since the last
-    /// [`ExecEngine::clear_cache`].
-    pub plan_cache_evictions: u64,
     /// Worker parallelism the engine executes with.
     pub workers: usize,
     /// Non-empty rows in the gather regime (at most [`GATHER_MAX_NNZ`]
@@ -220,29 +179,12 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Fraction of cached-SpMM calls served from the cache, in `[0, 1]`
-    /// (0 before any call).
+    /// Always 0: the engine caches no plans. Unused by the library; kept
+    /// for the serving benchmark's `core.plan_cache_hit_rate` metric
+    /// until that benchmark stops reading it.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.plan_cache_hits + self.plan_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_cache_hits as f64 / total as f64
-        }
+        0.0
     }
-}
-
-/// Plan-cache key: which kernel (by name *and* configuration), which
-/// graph snapshot, which operand shape.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    kernel: &'static str,
-    config: u64,
-    epoch: u64,
-    rows: usize,
-    cols: usize,
-    nnz: usize,
-    dim: usize,
 }
 
 /// The fast-path SpMM execution engine. See the module docs for what it
@@ -250,13 +192,8 @@ struct PlanKey {
 pub struct ExecEngine {
     pub(crate) workers: usize,
     pub(crate) data_path: DataPath,
-    plan_capacity: usize,
-    cache: Mutex<PlanCache>,
     batch_builds: AtomicU64,
     pub(crate) arena: BufferArena,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
     gather: AtomicU64,
     stream: AtomicU64,
     pub(crate) gemm_panels: AtomicU64,
@@ -294,34 +231,12 @@ impl ExecEngine {
     ///
     /// Panics if `workers == 0`.
     pub fn with_data_path(workers: usize, data_path: DataPath) -> Self {
-        Self::with_plan_capacity(workers, data_path, DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-
-    /// An engine with an explicit plan-cache capacity bound (LRU
-    /// eviction past the bound). Long-lived serving processes that
-    /// register many graphs size this to their working set; the
-    /// [`DEFAULT_PLAN_CACHE_CAPACITY`] default is generous for everything
-    /// else.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0` or `plan_capacity == 0`.
-    pub fn with_plan_capacity(workers: usize, data_path: DataPath, plan_capacity: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
-        assert!(
-            plan_capacity > 0,
-            "plan cache needs capacity for at least one plan"
-        );
         Self {
             workers,
             data_path,
-            plan_capacity,
-            cache: Mutex::new(PlanCache::default()),
             batch_builds: AtomicU64::new(0),
             arena: BufferArena::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             gather: AtomicU64::new(0),
             stream: AtomicU64::new(0),
             gemm_panels: AtomicU64::new(0),
@@ -336,11 +251,6 @@ impl ExecEngine {
             spgemm_symbolic_ns: AtomicU64::new(0),
             spgemm_numeric_ns: AtomicU64::new(0),
         }
-    }
-
-    /// The plan-cache capacity bound this engine evicts at.
-    pub fn plan_capacity(&self) -> usize {
-        self.plan_capacity
     }
 
     /// The inner data path this engine executes rows through.
@@ -411,121 +321,39 @@ impl ExecEngine {
         Ok(self.run(prep, a, b, epi))
     }
 
-    /// Computes `a · b` through the plan cache, keyed by `kernel`: on a
-    /// hit the span search is skipped entirely.
-    ///
-    /// `epoch` identifies the sparsity snapshot of `a` — bump it on every
-    /// mutation (see the module docs on staleness).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] if
-    /// `a.cols() != b.rows()`.
-    pub fn spmm_cached(
-        &self,
-        kernel: &dyn SpmmKernel,
-        a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
-        epoch: u64,
-    ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        check_shapes(a, b)?;
-        let prep = self.plan_cached(kernel, a, b.cols(), epoch);
-        Ok(self.run(&prep, a, b, &Epilogue::None))
-    }
-
-    /// [`spmm_cached`](Self::spmm_cached) with a fused [`Epilogue`] —
-    /// the cached SpMM half of the fused GCN layer pipeline
-    /// (`GcnLayer::forward_cached` routes through this).
+    /// Computes `a · b` with `epi` fused at the store stage, on a plan
+    /// built for this call ([`PreparedPlan::new`]). Pass
+    /// [`Epilogue::None`] for the plain product.
     ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`] if
     /// `a.cols() != b.rows()` or a bias epilogue's length differs from
     /// `b.cols()`.
-    pub fn spmm_cached_fused(
+    pub fn spmm(
         &self,
-        kernel: &dyn SpmmKernel,
         a: &CsrMatrix<f32>,
         b: &DenseMatrix<f32>,
-        epoch: u64,
         epi: &Epilogue,
     ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        check_shapes(a, b)?;
-        epi.validate(b.cols())?;
-        let prep = self.plan_cached(kernel, a, b.cols(), epoch);
-        Ok(self.run(&prep, a, b, epi))
+        self.execute_prepared_fused(&PreparedPlan::new(a), a, b, epi)
     }
 
-    /// Fetches (or builds and caches) the prepared plan of `a`, keyed by `kernel`, `epoch`, `a`'s
-    /// shape and dense dimension `dim`: the planning half of
-    /// [`spmm_cached`](Self::spmm_cached), exposed so callers that know
-    /// their layer shapes up front (a GCN forward pass, a benchmark loop)
-    /// can warm the cache and then execute through
-    /// [`execute_prepared`](Self::execute_prepared) with zero planning on
-    /// the timed path. The kernel is never asked for a plan: it only keys
-    /// the cache, and the plan is the same for every kernel and width.
+    /// Returns [`PreparedPlan::new`]`(a)`; `kernel`, `dim` and `epoch`
+    /// are unused. Unused by the library; kept for the serving
+    /// benchmark, which still plans through it.
     pub fn plan_cached(
         &self,
-        kernel: &dyn SpmmKernel,
+        _kernel: &dyn SpmmKernel,
         a: &CsrMatrix<f32>,
-        dim: usize,
-        epoch: u64,
+        _dim: usize,
+        _epoch: u64,
     ) -> Arc<PreparedPlan> {
-        let key = PlanKey {
-            kernel: kernel.name(),
-            config: kernel.config_fingerprint(),
-            epoch,
-            rows: a.rows(),
-            cols: a.cols(),
-            nnz: a.nnz(),
-            dim,
-        };
-        {
-            let mut cache = self.cache.lock().unwrap();
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some(entry) = cache.map.get_mut(&key) {
-                entry.last_used = tick;
-                let prep = Arc::clone(&entry.prep);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return prep;
-            }
-        }
-        // Plan outside the lock: a racing miss on the same key merely
-        // builds the plan twice (the second insert wins), which is the
-        // same behavior spmm_cached has always had.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let prep = Arc::new(PreparedPlan::new(a));
-        let mut cache = self.cache.lock().unwrap();
-        while cache.map.len() >= self.plan_capacity {
-            let victim = cache
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    cache.map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
-        cache.tick += 1;
-        let last_used = cache.tick;
-        cache.map.insert(
-            key,
-            CacheEntry {
-                prep: Arc::clone(&prep),
-                last_used,
-            },
-        );
-        prep
+        Arc::new(PreparedPlan::new(a))
     }
 
     /// Builds the prepared plan for a block-diagonal mega-batch `a`, the
-    /// same plan [`plan_cached`](Self::plan_cached) builds, without
-    /// storing it (window compositions rarely repeat); each call counts
+    /// same plan [`PreparedPlan::new`] builds; each call counts
     /// one build in [`EngineStats::batch_plan_misses`]. Each output row
     /// has a single writer summing in ascending order, so the result is
     /// each constituent's sequential oracle at any worker count.
@@ -622,13 +450,9 @@ impl ExecEngine {
         }
     }
 
-    /// Current cache, dispatch, scheduling, and arena counters.
+    /// Current dispatch, GEMM, batch-plan and arena counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            plan_cache_hits: self.hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.misses.load(Ordering::Relaxed),
-            cached_plans: self.cache.lock().unwrap().map.len(),
-            plan_cache_evictions: self.evictions.load(Ordering::Relaxed),
             workers: self.workers,
             gather_segments: self.gather.load(Ordering::Relaxed),
             stream_segments: self.stream.load(Ordering::Relaxed),
@@ -670,18 +494,11 @@ impl ExecEngine {
         DenseMatrix::from_vec(rows, cols, buf).expect("arena buffer sized to rows x cols")
     }
 
-    /// Drops every cached plan and pooled buffer and zeroes the
-    /// hit/miss, dispatch, scheduling, and arena counters.
+    /// Drops every pooled buffer and zeroes the dispatch, GEMM,
+    /// batch-plan and arena counters.
     pub fn clear_cache(&self) {
-        let mut cache = self.cache.lock().unwrap();
-        cache.map.clear();
-        cache.tick = 0;
-        drop(cache);
         self.batch_builds.store(0, Ordering::Relaxed);
         self.arena.clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
         self.gather.store(0, Ordering::Relaxed);
         self.stream.store(0, Ordering::Relaxed);
         self.gemm_panels.store(0, Ordering::Relaxed);
@@ -1151,22 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_cached_warms_the_cache_for_execute_prepared() {
-        let (a, b) = small();
-        let engine = ExecEngine::new(2);
-        let kernel = crate::MergePathSpmm::with_threads(3);
-        let prep = engine.plan_cached(&kernel, &a, b.cols(), 0);
-        assert_eq!(engine.stats().plan_cache_misses, 1);
-        // Same key: served from cache.
-        let again = engine.plan_cached(&kernel, &a, b.cols(), 0);
-        assert_eq!(engine.stats().plan_cache_hits, 1);
-        assert!(Arc::ptr_eq(&prep, &again));
-        // And spmm_cached reuses the same entry.
-        engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
-        assert_eq!(engine.stats().plan_cache_hits, 2);
-    }
-
-    #[test]
     fn zero_dimension_and_empty_matrix() {
         let (a, _) = small();
         let engine = ExecEngine::new(4);
@@ -1196,89 +997,7 @@ mod tests {
         assert!(engine
             .execute_prepared(&PreparedPlan::new(&a), &a, &bad_b)
             .is_err());
-        assert!(engine
-            .spmm_cached(&crate::MergePathSpmm::new(), &a, &bad_b, 0)
-            .is_err());
-    }
-
-    #[test]
-    fn mutated_matrix_misses_cache_via_shape_tripwire() {
-        let (a, b) = small();
-        let engine = ExecEngine::new(2);
-        let kernel = crate::MergePathSpmm::with_threads(3);
-        engine.spmm_cached(&kernel, &a, &b, 7).unwrap();
-        // Same epoch, but the matrix gained a non-zero: the (rows, cols,
-        // nnz) component of the key must force a re-plan.
-        let mutated = CsrMatrix::from_triplets(
-            3,
-            3,
-            &[
-                (0, 0, 1.0),
-                (0, 2, 2.0),
-                (1, 1, 3.0),
-                (2, 0, 4.0),
-                (2, 1, 5.0),
-                (2, 2, 6.0),
-            ],
-        )
-        .unwrap();
-        engine.spmm_cached(&kernel, &mutated, &b, 7).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.plan_cache_misses, 2);
-        assert_eq!(stats.plan_cache_hits, 0);
-    }
-
-    #[test]
-    fn distinct_kernel_configs_get_distinct_cache_entries() {
-        let (a, b) = small();
-        let engine = ExecEngine::new(2);
-        engine
-            .spmm_cached(&crate::MergePathSpmm::with_threads(2), &a, &b, 0)
-            .unwrap();
-        engine
-            .spmm_cached(&crate::MergePathSpmm::with_threads(3), &a, &b, 0)
-            .unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.plan_cache_misses, 2);
-        assert_eq!(stats.cached_plans, 2);
-    }
-
-    #[test]
-    fn plan_cache_evicts_least_recently_used_past_capacity() {
-        let (a, b) = small();
-        let engine = ExecEngine::with_plan_capacity(1, DataPath::Auto, 2);
-        assert_eq!(engine.plan_capacity(), 2);
-        let k2 = crate::MergePathSpmm::with_threads(2);
-        let k3 = crate::MergePathSpmm::with_threads(3);
-        let k4 = crate::MergePathSpmm::with_threads(4);
-        engine.spmm_cached(&k2, &a, &b, 0).unwrap();
-        engine.spmm_cached(&k3, &a, &b, 0).unwrap();
-        assert_eq!(engine.stats().plan_cache_evictions, 0);
-        // Touch k2 so k3 becomes the least recently used entry...
-        engine.spmm_cached(&k2, &a, &b, 0).unwrap();
-        // ...then overflow: k3 must be the victim, k2 must survive.
-        engine.spmm_cached(&k4, &a, &b, 0).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.plan_cache_evictions, 1);
-        assert_eq!(stats.cached_plans, 2);
-        engine.spmm_cached(&k2, &a, &b, 0).unwrap();
-        assert_eq!(
-            engine.stats().plan_cache_hits,
-            2,
-            "k2 survived the eviction"
-        );
-        engine.spmm_cached(&k3, &a, &b, 0).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.plan_cache_misses, 4, "k3 was evicted and re-planned");
-        assert_eq!(stats.plan_cache_evictions, 2);
-        engine.clear_cache();
-        assert_eq!(engine.stats().plan_cache_evictions, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_plan_capacity_panics() {
-        let _ = ExecEngine::with_plan_capacity(1, DataPath::Auto, 0);
+        assert!(engine.spmm(&a, &bad_b, &Epilogue::None).is_err());
     }
 
     #[test]
@@ -1436,15 +1155,12 @@ mod tests {
     fn fused_runs_are_counted_and_validated() {
         let (a, b) = small();
         let engine = ExecEngine::new(1);
-        let kernel = crate::MergePathSpmm::with_threads(3);
-        engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
+        engine.spmm(&a, &b, &Epilogue::None).unwrap();
         assert_eq!(engine.stats().fused_epilogues, 0, "noop runs don't count");
-        engine
-            .spmm_cached_fused(&kernel, &a, &b, 0, &Epilogue::Relu)
-            .unwrap();
+        engine.spmm(&a, &b, &Epilogue::Relu).unwrap();
         assert_eq!(engine.stats().fused_epilogues, 1);
         // Bias width must match the dense dimension.
-        let err = engine.spmm_cached_fused(&kernel, &a, &b, 0, &Epilogue::Bias(vec![0.0; 3]));
+        let err = engine.spmm(&a, &b, &Epilogue::Bias(vec![0.0; 3]));
         assert!(err.is_err(), "bias wider than dim rejected");
         engine.clear_cache();
         assert_eq!(engine.stats().fused_epilogues, 0, "reset clears counter");
@@ -1468,24 +1184,6 @@ mod tests {
             let want = applied(row_sum(&a, block).0, &Epilogue::Relu);
             assert_eq!(got.as_slice(), want.as_slice());
         }
-    }
-
-    #[test]
-    fn cache_hits_and_misses_are_counted() {
-        let (a, b) = small();
-        let engine = ExecEngine::new(2);
-        let kernel = crate::MergePathSpmm::with_threads(3);
-        let (first, _) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
-        let (second, _) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
-        assert_eq!(first.as_slice(), second.as_slice());
-        let stats = engine.stats();
-        assert_eq!(stats.plan_cache_misses, 1);
-        assert_eq!(stats.plan_cache_hits, 1);
-        assert_eq!(stats.cached_plans, 1);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        engine.clear_cache();
-        assert_eq!(engine.stats().cached_plans, 0);
-        assert_eq!(engine.stats().hit_rate(), 0.0);
     }
 
     /// Engine-level check of the gather prefetch: with `B` past the

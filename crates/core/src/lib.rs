@@ -67,7 +67,7 @@ pub mod tuning;
 
 pub use batch::BatchShapeClass;
 pub use datapath::DataPath;
-pub use engine::{EngineStats, ExecEngine, PreparedPlan, DEFAULT_PLAN_CACHE_CAPACITY};
+pub use engine::{EngineStats, ExecEngine, PreparedPlan};
 pub use epilogue::Epilogue;
 pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};
 pub use plan::{

@@ -126,15 +126,6 @@ impl SpmmKernel for MergePathSpmm {
     fn plan(&self, a: &CsrMatrix<f32>, dim: usize) -> KernelPlan {
         plan_from_schedule(&self.schedule(a, dim), a)
     }
-
-    fn config_fingerprint(&self) -> u64 {
-        let (tag, value) = match self.policy {
-            CostPolicy::Auto => (0u64, 0u64),
-            CostPolicy::FixedCost(cost) => (1, cost as u64),
-            CostPolicy::FixedThreads(threads) => (2, threads as u64),
-        };
-        super::mix_config(&[tag, value, self.min_threads as u64])
-    }
 }
 
 /// Lowers a merge-path [`Schedule`] to Algorithm 2's per-thread work.

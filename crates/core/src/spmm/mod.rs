@@ -89,19 +89,6 @@ pub(crate) fn resolve_workers(raw: Option<&str>, available: usize) -> (usize, Op
     }
 }
 
-/// Order-sensitive FNV-1a mix of a kernel's configuration words, used by
-/// [`SpmmKernel::config_fingerprint`] implementations.
-pub(crate) fn mix_config(parts: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &p in parts {
-        for byte in p.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
 /// A sparse-matrix × dense-matrix multiplication strategy.
 ///
 /// `C = A × B` with `A` sparse CSR (`n×n` adjacency) and `B` dense
@@ -113,15 +100,6 @@ pub trait SpmmKernel: Send + Sync {
     /// Decomposes the kernel into logical-thread work for a dense
     /// dimension of `dim` columns.
     fn plan(&self, a: &CsrMatrix<f32>, dim: usize) -> KernelPlan;
-
-    /// Hash of the kernel's tunable configuration, used (together with
-    /// [`SpmmKernel::name`]) to key the engine's plan cache. Two instances
-    /// that can produce different plans for the same matrix must return
-    /// different fingerprints; configuration-free kernels keep the
-    /// default.
-    fn config_fingerprint(&self) -> u64 {
-        0
-    }
 
     /// Computes `A × B` on the default worker pool: the engine's
     /// row-span product, the ascending row sum. The kernel's own plan is
@@ -136,9 +114,8 @@ pub trait SpmmKernel: Send + Sync {
         a: &CsrMatrix<f32>,
         b: &DenseMatrix<f32>,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let prep = crate::engine::PreparedPlan::new(a);
         crate::engine::ExecEngine::global()
-            .execute_prepared(&prep, a, b)
+            .spmm(a, b, &crate::Epilogue::None)
             .map(|(out, _)| out)
     }
 

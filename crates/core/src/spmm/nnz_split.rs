@@ -81,15 +81,6 @@ impl SpmmKernel for NnzSplitSpmm {
     fn plan(&self, a: &CsrMatrix<f32>, _dim: usize) -> KernelPlan {
         NeighborPartitionIndex::build(a, self.ng_size_for(a)).to_plan()
     }
-
-    fn config_fingerprint(&self) -> u64 {
-        // `None` plans from the per-matrix average degree; the cache key's
-        // (rows, nnz) component pins that down, so 0 vs 1+size suffices.
-        match self.ng_size {
-            None => 0,
-            Some(s) => super::mix_config(&[1, s as u64]),
-        }
-    }
 }
 
 /// GNNAdvisor's preprocessed neighbor-partition metadata — the

@@ -147,14 +147,6 @@ impl SpmmKernel for BatchMergeSpmm {
             .collect();
         KernelPlan { threads: plans }
     }
-
-    fn config_fingerprint(&self) -> u64 {
-        let (tag, value) = match self.threads {
-            None => (0u64, 0u64),
-            Some(t) => (1, t as u64),
-        };
-        super::mix_config(&[0xba7c4, tag, value, self.min_threads as u64])
-    }
 }
 
 #[cfg(test)]
@@ -250,14 +242,5 @@ mod tests {
         let plan = BatchMergeSpmm::with_threads(4).plan(&zero_nnz, 8);
         plan.validate(&zero_nnz).unwrap();
         assert_eq!(plan.nnz_total(), 0);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_configs() {
-        let a = BatchMergeSpmm::new().config_fingerprint();
-        let b = BatchMergeSpmm::with_threads(4).config_fingerprint();
-        let c = BatchMergeSpmm::new().min_threads(8).config_fingerprint();
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

@@ -60,10 +60,6 @@ impl SpmmKernel for RowSplitSpmm {
         "row-splitting"
     }
 
-    fn config_fingerprint(&self) -> u64 {
-        crate::spmm::mix_config(&[self.threads as u64])
-    }
-
     fn plan(&self, a: &CsrMatrix<f32>, _dim: usize) -> KernelPlan {
         let rows = a.rows();
         let rp = a.row_ptr();

@@ -89,14 +89,6 @@ impl SpmmKernel for MergePathSerialFixup {
     fn plan(&self, a: &CsrMatrix<f32>, _dim: usize) -> KernelPlan {
         plan_with_serial_fixup(&self.schedule(a), a)
     }
-
-    fn config_fingerprint(&self) -> u64 {
-        super::mix_config(&[
-            self.threads.map_or(0, |t| t as u64 + 1),
-            self.cost as u64,
-            self.min_threads as u64,
-        ])
-    }
 }
 
 /// Lowers a merge-path schedule with carry-based fix-up instead of atomics.

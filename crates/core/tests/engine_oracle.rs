@@ -7,8 +7,8 @@
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    default_workers, DataPath, ExecEngine, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm,
-    PreparedPlan, RowSplitSpmm, SerialSpmm, SpmmKernel, WriteStats,
+    default_workers, DataPath, Epilogue, ExecEngine, MergePathSerialFixup, MergePathSpmm,
+    NnzSplitSpmm, PreparedPlan, RowSplitSpmm, SerialSpmm, SpmmKernel, WriteStats,
 };
 use mpspmm_graphs::{find_dataset, gcn_normalize};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
@@ -122,24 +122,18 @@ proptest! {
     }
 
     #[test]
-    fn cached_path_equals_the_row_sum(
+    fn per_call_plan_equals_the_row_sum(
         rows in 2usize..40,
         seed in any::<u64>(),
     ) {
         let nnz = (rows * 4).min(rows * rows);
         let (a, b) = random_inputs(rows, nnz, 16, seed);
         let (want, want_stats) = row_sum(&a, &b);
-        let kernel = MergePathSpmm::with_threads(9);
         for &workers in &WORKERS {
             let engine = ExecEngine::new(workers);
-            // Twice through the cache: miss then hit.
-            let (miss, s1) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
-            let (hit, s2) = engine.spmm_cached(&kernel, &a, &b, 0).unwrap();
-            prop_assert_eq!(miss.as_slice(), want.as_slice(), "workers={}", workers);
-            prop_assert_eq!(hit.as_slice(), want.as_slice(), "workers={}", workers);
-            prop_assert_eq!(s1, want_stats);
-            prop_assert_eq!(s2, want_stats);
-            prop_assert!(engine.stats().plan_cache_hits >= 1);
+            let (got, stats) = engine.spmm(&a, &b, &Epilogue::None).unwrap();
+            prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={}", workers);
+            prop_assert_eq!(stats, want_stats);
         }
     }
 

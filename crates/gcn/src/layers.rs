@@ -3,7 +3,7 @@
 //! aggregation, and all with *different* dense-dimension profiles, which
 //! is exactly why §III-C studies a range of dimension sizes.
 
-use mpspmm_core::{ExecEngine, SpmmKernel};
+use mpspmm_core::{Epilogue, ExecEngine, SpmmKernel};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::ops::{gemm, Activation};
@@ -62,11 +62,10 @@ impl GinLayer {
         self.finish_mlp(agg)
     }
 
-    /// Forward pass through `engine`'s plan cache (see
-    /// [`crate::GcnLayer::forward_cached`] for the epoch contract). The
-    /// sum aggregation is a dense matrix, so both MLP products run on the
-    /// engine's parallel blocked GEMM and their scratch recycles through
-    /// the buffer arena.
+    /// Forward pass on `engine` ([`ExecEngine::spmm`] plans `op` per
+    /// call). The sum aggregation is a dense matrix, so both MLP products
+    /// run on the engine's parallel blocked GEMM and their scratch
+    /// recycles through the buffer arena.
     ///
     /// # Errors
     ///
@@ -75,11 +74,9 @@ impl GinLayer {
         &self,
         op: &CsrMatrix<f32>,
         h: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
         engine: &ExecEngine,
-        epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let (agg, _) = engine.spmm_cached(kernel, op, h, epoch)?;
+        let (agg, _) = engine.spmm(op, h, &Epilogue::None)?;
         let mut hidden = engine.gemm(&agg, &self.w1)?;
         engine.recycle(agg);
         Activation::Relu.apply(&mut hidden);
@@ -155,11 +152,11 @@ impl SageMeanLayer {
         self.combine(h, neigh)
     }
 
-    /// Forward pass through `engine`'s plan cache (see
-    /// [`crate::GcnLayer::forward_cached`] for the epoch contract). Both
-    /// dense products (`H·W_neigh` and `H·W_self`) run on the engine's
-    /// parallel blocked GEMM; the neighbour product recycles through the
-    /// buffer arena as soon as the aggregation has consumed it.
+    /// Forward pass on `engine` ([`ExecEngine::spmm`] plans `op` per
+    /// call). Both dense products (`H·W_neigh` and `H·W_self`) run on
+    /// the engine's parallel blocked GEMM; the neighbour product recycles
+    /// through the buffer arena as soon as the aggregation has consumed
+    /// it.
     ///
     /// # Errors
     ///
@@ -168,12 +165,10 @@ impl SageMeanLayer {
         &self,
         op: &CsrMatrix<f32>,
         h: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
         engine: &ExecEngine,
-        epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
         let hw_neigh = engine.gemm(h, &self.w_neigh)?;
-        let (neigh, _) = engine.spmm_cached(kernel, op, &hw_neigh, epoch)?;
+        let (neigh, _) = engine.spmm(op, &hw_neigh, &Epilogue::None)?;
         engine.recycle(hw_neigh);
         let mut out = engine.gemm(h, &self.w_self)?;
         if out.rows() != neigh.rows() || out.cols() != neigh.cols() {

@@ -13,16 +13,16 @@ use crate::ops::{gemm, Activation};
 /// sparse aggregation `Â × (HW)` through the supplied [`SpmmKernel`] —
 /// the `A × (X × W)` multiplication order all the paper's accelerators
 /// implement (§II). The optional per-column bias `b` and the activation
-/// form the layer's epilogue; on the cached engine path they are fused
-/// into the aggregation's store stage ([`Epilogue`]) instead of
-/// re-streaming the output.
+/// form the layer's epilogue; on the engine path they are fused into the
+/// aggregation's store stage ([`Epilogue`]) instead of re-streaming the
+/// output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GcnLayer {
     weight: DenseMatrix<f32>,
     bias: Option<Vec<f32>>,
     activation: Activation,
     /// Precomputed fused form of `bias` + `activation`; `None` when the
-    /// activation has no store-stage form (sigmoid) and the cached path
+    /// activation has no store-stage form (sigmoid) and the engine path
     /// must fall back to a separate element-wise pass.
     epilogue: Option<Epilogue>,
 }
@@ -139,22 +139,16 @@ impl GcnLayer {
         Ok(out)
     }
 
-    /// Forward pass through `engine`'s plan cache as one fused pipeline:
-    /// the dense combination `H × W` runs on the engine's parallel
-    /// k-blocked GEMM ([`ExecEngine::gemm`]), and the aggregation applies
-    /// the layer's bias/activation [`Epilogue`] at the SpMM store stage
-    /// instead of re-streaming the output afterwards. The merge-path
-    /// scheduling for `Â` at this layer's output width is computed at
-    /// most once per graph `epoch` and reused on every subsequent call —
-    /// the offline setting of the paper's Figure 8, made automatic.
+    /// Forward pass on `engine` as one fused pipeline: the dense
+    /// combination `H × W` runs on the engine's parallel k-blocked GEMM
+    /// ([`ExecEngine::gemm`]), and the aggregation ([`ExecEngine::spmm`],
+    /// which plans `Â` per call) applies the layer's bias/activation
+    /// [`Epilogue`] at the SpMM store stage instead of re-streaming the
+    /// output afterwards.
     ///
     /// The dense product `H × W` is recycled into the engine's buffer
     /// arena once the aggregation has consumed it, so after warm-up the
     /// per-layer scratch comes from the pool instead of the allocator.
-    ///
-    /// `epoch` must change whenever `a_hat`'s sparsity pattern does
-    /// (`GraphStream::generation` in `mpspmm-graphs` is the intended
-    /// source).
     ///
     /// This serves every layer, the first included: a model's moderately
     /// sparse raw features go through the same engine GEMM as dense
@@ -170,38 +164,28 @@ impl GcnLayer {
         &self,
         a_hat: &CsrMatrix<f32>,
         h: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
         engine: &ExecEngine,
-        epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
         let hw = engine.gemm(h, &self.weight)?;
-        self.aggregate_fused(a_hat, hw, kernel, engine, epoch)
+        self.aggregate_fused(a_hat, hw, engine)
     }
 
-    /// The shared aggregation tail of the cached paths: fused epilogue
+    /// The shared aggregation tail of the engine paths: fused epilogue
     /// when the activation has a store-stage form, separate passes
     /// otherwise; `hw` is recycled into the arena either way.
     fn aggregate_fused(
         &self,
         a_hat: &CsrMatrix<f32>,
         hw: DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
         engine: &ExecEngine,
-        epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        match &self.epilogue {
-            Some(epi) => {
-                let (out, _) = engine.spmm_cached_fused(kernel, a_hat, &hw, epoch, epi)?;
-                engine.recycle(hw);
-                Ok(out)
-            }
-            None => {
-                let (mut out, _) = engine.spmm_cached(kernel, a_hat, &hw, epoch)?;
-                engine.recycle(hw);
-                self.apply_unfused(&mut out);
-                Ok(out)
-            }
+        let epi = self.epilogue.as_ref().unwrap_or(&Epilogue::None);
+        let (mut out, _) = engine.spmm(a_hat, &hw, epi)?;
+        engine.recycle(hw);
+        if self.epilogue.is_none() {
+            self.apply_unfused(&mut out);
         }
+        Ok(out)
     }
 
     /// Mega-batch aggregation: always the plain prepared run plus one
@@ -320,10 +304,8 @@ impl GcnModel {
         self.layers[self.layers.len() - 1].out_features()
     }
 
-    /// Widest layer output — the representative dense dimension a serving
-    /// layer caches this model's aggregation plan under (a
-    /// [`PreparedPlan`] is width-independent, so one plan serves every
-    /// layer and every batch width).
+    /// Widest layer output. A [`PreparedPlan`] is width-independent, so
+    /// one plan serves every layer and every batch width.
     ///
     /// [`PreparedPlan`]: mpspmm_core::PreparedPlan
     pub fn max_features(&self) -> usize {
@@ -357,47 +339,10 @@ impl GcnModel {
         Ok(h)
     }
 
-    /// Pre-plans every layer's aggregation SpMM into `engine`'s cache:
-    /// one prepared plan per distinct output width. After warming, even
-    /// the *first* [`forward_cached`](Self::forward_cached) on this graph
-    /// epoch runs entirely from cached plans — the paper's offline
-    /// setting (Figure 8).
-    ///
-    /// Returns the number of plans inserted or refreshed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when `a_hat` is not
-    /// square (aggregation requires `Â` to map nodes to nodes).
-    pub fn warm_plans(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        kernel: &dyn SpmmKernel,
-        engine: &ExecEngine,
-        epoch: u64,
-    ) -> Result<usize, SparseFormatError> {
-        if a_hat.rows() != a_hat.cols() {
-            return Err(SparseFormatError::ShapeMismatch {
-                left: (a_hat.rows(), a_hat.cols()),
-                right: (a_hat.cols(), a_hat.cols()),
-            });
-        }
-        let mut warmed = 0;
-        let mut widths: Vec<usize> = self.layers.iter().map(GcnLayer::out_features).collect();
-        widths.sort_unstable();
-        widths.dedup();
-        for dim in widths {
-            engine.plan_cached(kernel, a_hat, dim, epoch);
-            warmed += 1;
-        }
-        Ok(warmed)
-    }
-
-    /// Full forward pass through `engine`'s plan cache as a fused
-    /// pipeline (see [`GcnLayer::forward_cached`]): after the first
-    /// inference on a graph epoch, every layer's SpMM skips planning
-    /// entirely; each layer is one engine GEMM plus one SpMM with the
-    /// bias/activation epilogue fused into the store stage.
+    /// Full forward pass on `engine` as a fused pipeline (see
+    /// [`GcnLayer::forward_cached`]): each layer is one engine GEMM plus
+    /// one SpMM with the bias/activation epilogue fused into the store
+    /// stage.
     ///
     /// Layer 0's raw feature matrix and the hidden layers' dense
     /// activations all go through the engine's blocked GEMM.
@@ -407,6 +352,9 @@ impl GcnModel {
     /// activation exists, so a steady-state forward pass allocates no
     /// fresh activation buffers regardless of depth.
     ///
+    /// `kernel` and `epoch` are unused; they stay in the signature for
+    /// the serving benchmark, which still passes them.
+    ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`] when shapes are
@@ -415,13 +363,13 @@ impl GcnModel {
         &self,
         a_hat: &CsrMatrix<f32>,
         x: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
+        _kernel: &dyn SpmmKernel,
         engine: &ExecEngine,
-        epoch: u64,
+        _epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let mut h = self.layers[0].forward_cached(a_hat, x, kernel, engine, epoch)?;
+        let mut h = self.layers[0].forward_cached(a_hat, x, engine)?;
         for layer in &self.layers[1..] {
-            let next = layer.forward_cached(a_hat, &h, kernel, engine, epoch)?;
+            let next = layer.forward_cached(a_hat, &h, engine)?;
             engine.recycle(std::mem::replace(&mut h, next));
         }
         Ok(h)
@@ -495,28 +443,6 @@ impl GcnModel {
         Ok(hs)
     }
 
-    /// [`forward_batched_prepared`](Self::forward_batched_prepared) with
-    /// the plan fetched from (or inserted into) `engine`'s cache at this
-    /// model's [`max_features`](Self::max_features) dimension — the
-    /// convenience entry point for callers that do not hold a graph
-    /// registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when shapes are
-    /// inconsistent.
-    pub fn forward_batched(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        blocks: &[&DenseMatrix<f32>],
-        kernel: &dyn SpmmKernel,
-        engine: &ExecEngine,
-        epoch: u64,
-    ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
-        let prep = engine.plan_cached(kernel, a_hat, self.max_features(), epoch);
-        self.forward_batched_prepared(a_hat, &prep, blocks, engine)
-    }
-
     /// Forward pass over a **block-diagonal mega-batch**: `a_hat` packs
     /// many small graphs on the diagonal (see
     /// [`BlockDiagCsr`](mpspmm_sparse::BlockDiagCsr)) and `stacked`
@@ -584,11 +510,7 @@ impl GcnModel {
     ///
     /// On the [`Squared`](TwoHopPath::Squared) path the engine's
     /// SpGEMM ([`ExecEngine::spgemm`]) materializes `Â² = Â × Â` once
-    /// and each layer aggregates through it with a derived plan epoch
-    /// (`epoch | 1 << 63`): `Â²` can share `Â`'s exact shape *and* nnz
-    /// (a permutation matrix, say), and the plan cache must never hand
-    /// one matrix the other's plan. Callers therefore must keep bit 63
-    /// of their own epochs clear — graph-stream generations do.
+    /// and each layer aggregates through it.
     ///
     /// The two paths are mathematically equal but associate the f32
     /// reductions differently (`Â·(Â·HW)` vs `(Â·Â)·HW`), so their
@@ -603,30 +525,29 @@ impl GcnModel {
         &self,
         a_hat: &CsrMatrix<f32>,
         x: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
         engine: &ExecEngine,
-        epoch: u64,
         path: TwoHopPath,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        match path.resolve(a_hat, self.sum_features()) {
-            TwoHopPath::Squared => {
-                let a2 = engine.spgemm(a_hat, a_hat)?;
-                self.forward_cached(&a2, x, kernel, engine, epoch | 1 << 63)
-            }
-            _ => {
-                let mut h: Option<DenseMatrix<f32>> = None;
-                for layer in &self.layers {
-                    let hw = engine.gemm(h.as_ref().unwrap_or(x), &layer.weight)?;
-                    let (inner, _) = engine.spmm_cached(kernel, a_hat, &hw, epoch)?;
+        let squared = match path.resolve(a_hat, self.sum_features()) {
+            TwoHopPath::Squared => Some(engine.spgemm(a_hat, a_hat)?),
+            _ => None,
+        };
+        let mut h: Option<DenseMatrix<f32>> = None;
+        for layer in &self.layers {
+            let hw = engine.gemm(h.as_ref().unwrap_or(x), &layer.weight)?;
+            let out = match &squared {
+                Some(a2) => layer.aggregate_fused(a2, hw, engine)?,
+                None => {
+                    let (inner, _) = engine.spmm(a_hat, &hw, &Epilogue::None)?;
                     engine.recycle(hw);
-                    let out = layer.aggregate_fused(a_hat, inner, kernel, engine, epoch)?;
-                    if let Some(prev) = h.replace(out) {
-                        engine.recycle(prev);
-                    }
+                    layer.aggregate_fused(a_hat, inner, engine)?
                 }
-                Ok(h.expect("model has at least one layer"))
+            };
+            if let Some(prev) = h.replace(out) {
+                engine.recycle(prev);
             }
         }
+        Ok(h.expect("model has at least one layer"))
     }
 }
 
@@ -741,7 +662,7 @@ pub fn online_inference(
 mod tests {
     use super::*;
     use crate::ops::{random_features, xavier_init};
-    use mpspmm_core::{MergePathSpmm, NnzSplitSpmm, SerialSpmm};
+    use mpspmm_core::{MergePathSpmm, NnzSplitSpmm, PreparedPlan, SerialSpmm};
     use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
 
     fn small_graph() -> CsrMatrix<f32> {
@@ -804,11 +725,10 @@ mod tests {
 
     #[test]
     fn mega_batched_rejects_bad_feature_width() {
-        use mpspmm_core::BatchMergeSpmm;
         let a = small_graph();
         let model = GcnModel::two_layer(8, 12, 3, 1);
         let engine = ExecEngine::new(1);
-        let prep = engine.plan_cached(&BatchMergeSpmm::new(), &a, model.max_features(), 0);
+        let prep = PreparedPlan::new(&a);
         let bad = DenseMatrix::zeros(a.rows(), 5);
         assert!(matches!(
             model.forward_mega_batched(&a, &prep, &bad, &engine),
@@ -875,7 +795,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_forward_matches_plain_forward_and_hits_cache() {
+    fn cached_forward_matches_plain_forward() {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 16, 4, 2);
         let x = random_features(100, 16, 0.4, 3);
@@ -886,12 +806,6 @@ mod tests {
             let out = model.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
             assert!(out.approx_eq(&plain, 1e-4).unwrap());
         }
-        let stats = engine.stats();
-        // One planning miss per distinct layer width (hidden=16, classes=4),
-        // everything after that served from the cache: 18 hits / 20 calls.
-        assert_eq!(stats.plan_cache_misses, 2);
-        assert_eq!(stats.plan_cache_hits, 18);
-        assert!(stats.hit_rate() >= 0.9);
     }
 
     #[test]
@@ -925,50 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_plans_makes_first_inference_all_hits() {
-        let a = small_graph();
-        let model = GcnModel::two_layer(16, 16, 4, 2);
-        let x = random_features(100, 16, 0.4, 3);
-        let kernel = MergePathSpmm::new();
-        let engine = ExecEngine::new(2);
-        // Two distinct layer widths (hidden=16, classes=4) → two plans.
-        let warmed = model.warm_plans(&a, &kernel, &engine, 0).unwrap();
-        assert_eq!(warmed, 2);
-        assert_eq!(engine.stats().plan_cache_misses, 2);
-        let plain = model.forward(&a, &x, &kernel).unwrap();
-        let out = model.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
-        assert!(out.approx_eq(&plain, 1e-4).unwrap());
-        let stats = engine.stats();
-        // The first inference never plans: both layer SpMMs hit.
-        assert_eq!(stats.plan_cache_misses, 2);
-        assert_eq!(stats.plan_cache_hits, 2);
-    }
-
-    #[test]
-    fn warm_plans_rejects_rectangular_adjacency() {
-        let a = CsrMatrix::from_triplets(3, 4, &[(0, 1, 1.0f32)]).unwrap();
-        let model = GcnModel::two_layer(8, 4, 2, 1);
-        let engine = ExecEngine::new(1);
-        assert!(model
-            .warm_plans(&a, &MergePathSpmm::new(), &engine, 0)
-            .is_err());
-    }
-
-    #[test]
-    fn epoch_bump_invalidates_cached_plans() {
-        let a = small_graph();
-        let model = GcnModel::two_layer(16, 16, 4, 2);
-        let x = random_features(100, 16, 0.4, 3);
-        let kernel = MergePathSpmm::new();
-        let engine = ExecEngine::new(2);
-        model.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
-        model.forward_cached(&a, &x, &kernel, &engine, 1).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.plan_cache_misses, 4);
-        assert_eq!(stats.plan_cache_hits, 0);
-    }
-
-    #[test]
     fn two_hop_paths_agree_and_match_explicit_square() {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 12, 5, 8);
@@ -980,10 +850,10 @@ mod tests {
         let a2 = mpspmm_core::spgemm_sequential(&a, &a).unwrap();
         let reference = model.forward(&a2, &x, &kernel).unwrap();
         let squared = model
-            .forward_two_hop(&a, &x, &kernel, &engine, 0, TwoHopPath::Squared)
+            .forward_two_hop(&a, &x, &engine, TwoHopPath::Squared)
             .unwrap();
         let chained = model
-            .forward_two_hop(&a, &x, &kernel, &engine, 0, TwoHopPath::Chained)
+            .forward_two_hop(&a, &x, &engine, TwoHopPath::Chained)
             .unwrap();
         assert!(squared.approx_eq(&reference, 1e-4).unwrap());
         // Different association (Â·(Â·HW) vs (Â·Â)·HW): rounding-level
@@ -1016,26 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn two_hop_squared_epoch_never_collides_with_one_hop_plans() {
-        // Â and Â² plans must coexist: run both against one engine and
-        // check the derived epoch kept their caches separate (4 misses:
-        // 2 widths × {Â, Â²}, zero evictions or cross-hits).
-        let a = small_graph();
-        let model = GcnModel::two_layer(16, 16, 4, 2);
-        let x = random_features(100, 16, 0.4, 3);
-        let kernel = MergePathSpmm::new();
-        let engine = ExecEngine::new(2);
-        let one_hop = model.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
-        model
-            .forward_two_hop(&a, &x, &kernel, &engine, 0, TwoHopPath::Squared)
-            .unwrap();
-        let again = model.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
-        assert!(again.approx_eq(&one_hop, 0.0).unwrap(), "plans not mixed");
-        let stats = engine.stats();
-        assert_eq!(stats.plan_cache_misses, 4);
-    }
-
-    #[test]
     fn feature_width_accessors() {
         let model = GcnModel::two_layer(32, 16, 7, 11);
         assert_eq!(model.in_features(), 32);
@@ -1054,7 +904,7 @@ mod tests {
             .collect();
         let refs: Vec<&_> = blocks.iter().collect();
         let batched = model
-            .forward_batched(&a, &refs, &kernel, &engine, 0)
+            .forward_batched_prepared(&a, &PreparedPlan::new(&a), &refs, &engine)
             .unwrap();
         assert_eq!(batched.len(), 4);
         for (x, out) in blocks.iter().zip(&batched) {
@@ -1063,17 +913,14 @@ mod tests {
             assert_eq!(out.cols(), 5);
             assert!(out.approx_eq(&solo, 1e-3).unwrap());
         }
-        // One plan at max_features serves every layer and batch width.
-        assert_eq!(engine.stats().plan_cache_misses, 1);
     }
 
     #[test]
     fn batched_forward_single_worker_is_exact_vs_prepared_path() {
         let a = small_graph();
         let model = GcnModel::two_layer(8, 8, 3, 4);
-        let kernel = MergePathSpmm::new();
         let engine = ExecEngine::new(1);
-        let prep = engine.plan_cached(&kernel, &a, model.max_features(), 0);
+        let prep = PreparedPlan::new(&a);
         let blocks: Vec<_> = (0..3)
             .map(|i| random_features(100, 8, 0.5, 70 + i))
             .collect();
@@ -1100,12 +947,11 @@ mod tests {
     fn batched_forward_rejects_bad_block_shape() {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 8, 4, 5);
-        let kernel = MergePathSpmm::new();
         let engine = ExecEngine::new(1);
         let good = random_features(100, 16, 0.4, 1);
         let bad = random_features(100, 10, 0.4, 2);
         assert!(model
-            .forward_batched(&a, &[&good, &bad], &kernel, &engine, 0)
+            .forward_batched_prepared(&a, &PreparedPlan::new(&a), &[&good, &bad], &engine)
             .is_err());
     }
 

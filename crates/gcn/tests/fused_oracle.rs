@@ -1,5 +1,5 @@
 //! Fused-pipeline oracle: for every layer type, data path, and worker
-//! count, the fused cached forward pass must agree **bit-**identically
+//! count, the fused engine forward pass must agree **bit-**identically
 //! with an unfused composition of the same engine primitives, whose
 //! aggregation is the ascending row sum at any worker count.
 //!
@@ -10,7 +10,7 @@
 //! are also pinned exactly to the seed zero-skip GEMM loop, inlined here
 //! as an oracle.
 
-use mpspmm_core::{default_workers, DataPath, Epilogue, ExecEngine, MergePathSpmm};
+use mpspmm_core::{default_workers, DataPath, Epilogue, ExecEngine, MergePathSpmm, PreparedPlan};
 use mpspmm_gcn::ops::{gemm, random_features, xavier_init, Activation};
 use mpspmm_gcn::{GcnLayer, GinLayer, SageMeanLayer};
 use mpspmm_graphs::{gcn_normalize, mean_normalize, sum_with_self_loops, DatasetSpec, GraphClass};
@@ -103,14 +103,11 @@ fn fused_layer_matches_unfused_oracle() {
     for case in gcn_cases() {
         for &(path, workers) in &engine_matrix() {
             let engine = ExecEngine::with_data_path(workers, path);
-            let fused = case
-                .layer
-                .forward_cached(&a, &x, &kernel, &engine, 0)
-                .unwrap();
+            let fused = case.layer.forward_cached(&a, &x, &engine).unwrap();
             // Unfused composition on the same engine: engine GEMM, plain
-            // cached SpMM, then bias and activation as separate passes.
+            // SpMM, then bias and activation as separate passes.
             let hw = engine.gemm(&x, &case.weight).unwrap();
-            let (mut want, _) = engine.spmm_cached(&kernel, &a, &hw, 0).unwrap();
+            let (mut want, _) = engine.spmm(&a, &hw, &Epilogue::None).unwrap();
             if let Some(bias) = &case.bias {
                 for r in 0..want.rows() {
                     for (v, &b) in want.row_mut(r).iter_mut().zip(bias) {
@@ -141,10 +138,8 @@ fn fused_layer_matches_unfused_oracle() {
     );
     for &(path, workers) in &engine_matrix() {
         let engine = ExecEngine::with_data_path(workers, path);
-        let fused = gin
-            .forward_cached(&sum_op, &x, &kernel, &engine, 0)
-            .unwrap();
-        let (agg, _) = engine.spmm_cached(&kernel, &sum_op, &x, 0).unwrap();
+        let fused = gin.forward_cached(&sum_op, &x, &engine).unwrap();
+        let (agg, _) = engine.spmm(&sum_op, &x, &Epilogue::None).unwrap();
         let mut hidden = gemm(&agg, &xavier_init(IN_DIM, 20, 40)).unwrap();
         Activation::Relu.apply(&mut hidden);
         let mut want = gemm(&hidden, &xavier_init(20, 6, 41)).unwrap();
@@ -161,11 +156,9 @@ fn fused_layer_matches_unfused_oracle() {
     let sage = SageMeanLayer::new(w_self.clone(), w_neigh.clone(), Activation::Relu);
     for &(path, workers) in &engine_matrix() {
         let engine = ExecEngine::with_data_path(workers, path);
-        let fused = sage
-            .forward_cached(&mean_op, &x, &kernel, &engine, 0)
-            .unwrap();
+        let fused = sage.forward_cached(&mean_op, &x, &engine).unwrap();
         let hwn = gemm(&x, &w_neigh).unwrap();
-        let (neigh, _) = engine.spmm_cached(&kernel, &mean_op, &hwn, 0).unwrap();
+        let (neigh, _) = engine.spmm(&mean_op, &hwn, &Epilogue::None).unwrap();
         let mut want = gemm(&x, &w_self).unwrap();
         for (dst, &src) in want.as_mut_slice().iter_mut().zip(neigh.as_slice()) {
             *dst += src;
@@ -187,7 +180,6 @@ fn wide_hidden_dim_fused_equals_unfused() {
     const OUT_DIM: usize = 256;
     let a = gcn_normalize(&graph());
     let x = random_features(NODES, IN_DIM, 0.4, 34);
-    let kernel = MergePathSpmm::with_threads(13);
     let w = xavier_init(IN_DIM, OUT_DIM, 80);
     let bias: Vec<f32> = (0..OUT_DIM)
         .map(|j| (j % 11) as f32 * 0.125 - 0.5)
@@ -195,9 +187,9 @@ fn wide_hidden_dim_fused_equals_unfused() {
     let layer = GcnLayer::with_bias(w.clone(), bias.clone(), Activation::Relu);
     for workers in worker_counts() {
         let engine = ExecEngine::new(workers);
-        let fused = layer.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
+        let fused = layer.forward_cached(&a, &x, &engine).unwrap();
         let hw = engine.gemm(&x, &w).unwrap();
-        let (mut want, _) = engine.spmm_cached(&kernel, &a, &hw, 0).unwrap();
+        let (mut want, _) = engine.spmm(&a, &hw, &Epilogue::None).unwrap();
         for r in 0..want.rows() {
             for (v, &b) in want.row_mut(r).iter_mut().zip(&bias) {
                 *v += b;
@@ -233,7 +225,7 @@ fn fused_batched_forward_matches_per_request() {
     let kernel = MergePathSpmm::new();
     for workers in worker_counts() {
         let engine = ExecEngine::new(workers);
-        let prep = engine.plan_cached(&kernel, &a, model.max_features(), 0);
+        let prep = PreparedPlan::new(&a);
         let blocks: Vec<DenseMatrix<f32>> = (0..3)
             .map(|i| random_features(NODES, IN_DIM, 0.4, 70 + i))
             .collect();
@@ -322,7 +314,7 @@ fn model_paths_match_zero_skip_composition_exactly() {
     for &(path, workers) in &engine_matrix() {
         let engine = ExecEngine::with_data_path(workers, path);
 
-        // forward_cached vs zero-skip GEMM + spmm_cached_fused per layer.
+        // forward_cached vs zero-skip GEMM + fused engine SpMM per layer.
         let got = model
             .forward_cached(&a, &blocks[0], &kernel, &engine, 0)
             .unwrap();
@@ -330,10 +322,7 @@ fn model_paths_match_zero_skip_composition_exactly() {
         for (layer, w) in model.layers().iter().zip(&weights) {
             let hw = zero_skip_gemm(&want, w);
             let epi = layer.epilogue().expect("relu and identity fuse");
-            want = engine
-                .spmm_cached_fused(&kernel, &a, &hw, 0, epi)
-                .unwrap()
-                .0;
+            want = engine.spmm(&a, &hw, epi).unwrap().0;
         }
         assert_eq!(
             got.as_slice(),
@@ -343,7 +332,7 @@ fn model_paths_match_zero_skip_composition_exactly() {
 
         // forward_batched_prepared vs zero-skip GEMM per block + one
         // execute_prepared_batch_fused per layer with the tiled bias.
-        let prep = engine.plan_cached(&kernel, &a, model.max_features(), 0);
+        let prep = PreparedPlan::new(&a);
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         let got = model
             .forward_batched_prepared(&a, &prep, &refs, &engine)

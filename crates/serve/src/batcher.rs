@@ -357,7 +357,7 @@ fn run_column_batch(shared: &Shared, live: Vec<Pending>, degraded: bool) {
 /// back out of its private row band.
 ///
 /// A window that shrinks to a single survivor skips the packing and runs
-/// the classic path against the graph's own warmed plan — zero-copy, and
+/// the classic path against the graph's own plan — zero-copy, and
 /// exactly what a non-packing server would have done.
 fn execute_packed(shared: &Shared, batch: Vec<Pending>, degraded: bool) {
     let live = shed_expired(shared, batch);

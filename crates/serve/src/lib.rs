@@ -13,7 +13,7 @@
 //! The subsystem has four parts:
 //!
 //! * [`GraphRegistry`] — named graphs with their prepared plans
-//!   warmed and optional [`GcnModel`]s, with **versioned hot swap**: replacing or
+//!   and optional [`GcnModel`]s, with **versioned hot swap**: replacing or
 //!   retiring a graph never drains in-flight requests; they complete
 //!   against the version they were admitted with.
 //! * The **batching scheduler** ([`Server`]'s dispatcher thread) —
@@ -27,8 +27,8 @@
 //!   ([`ServeError::DeadlineExceeded`]), and graceful degradation to
 //!   smaller, zero-linger batches when the queue is deep.
 //! * [`ServeStats`] — per-tenant and global counters, batch-size
-//!   histogram, p50/p95/p99 latency, and the engine's plan-cache /
-//!   dispatch counters in one snapshot.
+//!   histogram, p50/p95/p99 latency, and the engine's dispatch and
+//!   arena counters in one snapshot.
 //!
 //! # Example
 //!
@@ -235,14 +235,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts a server executing on `engine`, planning registered graphs
-    /// through `kernel`.
+    /// Starts a server executing on `engine`. `kernel` is unused; it
+    /// stays in the signature for the serving benchmark, which still
+    /// passes one.
     pub fn start(
         engine: Arc<ExecEngine>,
-        kernel: Box<dyn SpmmKernel>,
+        _kernel: Box<dyn SpmmKernel>,
         config: ServeConfig,
     ) -> Self {
-        let registry = Arc::new(GraphRegistry::new(Arc::clone(&engine), kernel));
+        let registry = Arc::new(GraphRegistry::new());
         let shared = Arc::new(Shared {
             config,
             engine,
@@ -454,9 +455,7 @@ impl Server {
 
     /// Admits a **one-shot inline request**: an ad-hoc graph that was
     /// never registered, carried by the request itself. The graph is
-    /// planned on the caller's thread (outside the engine's LRU plan
-    /// cache — one-shot graphs must not evict long-lived plans) and then
-    /// flows through the same queue, deadline shedding, and — when
+    /// planned on the caller's thread and then flows through the same queue, deadline shedding, and — when
     /// [`ServeConfig::pack_graphs`] is on — the same block-diagonal
     /// packing windows as registered graphs. Inline requests are
     /// [`Workload::Spmm`] only: a GCN forward needs a registered model.

@@ -1,11 +1,10 @@
-//! Named, versioned graphs and their warmed execution state.
+//! Named, versioned graphs and their execution state.
 //!
 //! A serving process owns a set of graphs by name. Each registration
 //! builds a [`ServedGraph`]: the adjacency matrix, a [`PreparedPlan`]
 //! (the structure's row count and write statistics; the engine cuts its
-//! row spans at every run) warmed through the engine's plan cache
-//! *before* the first request, and optionally a [`GcnModel`] for
-//! full-inference requests.
+//! row spans at every run) built *before* the first request, and
+//! optionally a [`GcnModel`] for full-inference requests.
 //!
 //! # Hot swap
 //!
@@ -15,25 +14,24 @@
 //! the old version — nothing is drained, nothing blocks — while requests
 //! admitted after resolve to the new one. The batching scheduler keys
 //! batches on `(name, version)`, so the two versions never mix in one
-//! batch. Retired versions are freed when the last in-flight request
-//! drops its `Arc`; their cached plans age out of the engine's LRU plan
-//! cache (each version gets a fresh epoch, so keys never collide).
+//! batch. A retired version, its plan included, is freed when the last
+//! in-flight request drops its `Arc`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mpspmm_core::{ExecEngine, PreparedPlan, SpmmKernel};
+use mpspmm_core::PreparedPlan;
 use mpspmm_gcn::GcnModel;
 use mpspmm_sparse::CsrMatrix;
 
-/// Dense dimension a model-less graph's plan is cached under. A
-/// [`PreparedPlan`] is width-independent, so the value seeds no plan; it
-/// only completes the plan-cache key. 32 is the middle of the paper's
-/// evaluated dimension range.
+/// A dense dimension in the middle of the paper's evaluated range (32).
+/// Unused by the library, which plans width-independently; kept for the
+/// serving benchmark, which still passes it to
+/// [`ExecEngine::plan_cached`](mpspmm_core::ExecEngine::plan_cached).
 pub const DEFAULT_PLAN_DIM: usize = 32;
 
-/// One registered graph version: adjacency, warmed plan, optional model.
+/// One registered graph version: adjacency, plan, optional model.
 ///
 /// Immutable once built — hot swap replaces the whole `Arc` rather than
 /// mutating in place, so in-flight requests are never torn.
@@ -41,7 +39,6 @@ pub const DEFAULT_PLAN_DIM: usize = 32;
 pub struct ServedGraph {
     name: String,
     version: u64,
-    epoch: u64,
     adjacency: Arc<CsrMatrix<f32>>,
     /// [`CsrMatrix::structure_hash`] of `adjacency`, computed once at
     /// registration: a value-only hot swap (same structure, new weights)
@@ -63,11 +60,6 @@ impl ServedGraph {
         self.version
     }
 
-    /// Plan-cache epoch of this version (unique per version).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Node count — the row count every feature block must match.
     pub fn nodes(&self) -> usize {
         self.adjacency.rows()
@@ -84,7 +76,7 @@ impl ServedGraph {
         self.structure_hash
     }
 
-    /// The warmed, width-independent prepared plan.
+    /// The width-independent prepared plan, built at registration.
     pub fn prep(&self) -> &Arc<PreparedPlan> {
         &self.prep
     }
@@ -97,36 +89,22 @@ impl ServedGraph {
 }
 
 /// Owner of all named graphs a server can route requests to.
+#[derive(Default)]
 pub struct GraphRegistry {
-    engine: Arc<ExecEngine>,
-    kernel: Box<dyn SpmmKernel>,
     graphs: Mutex<HashMap<String, Arc<ServedGraph>>>,
     next_version: AtomicU64,
 }
 
 impl GraphRegistry {
-    /// A registry that warms plans on `engine` through `kernel`.
-    pub fn new(engine: Arc<ExecEngine>, kernel: Box<dyn SpmmKernel>) -> Self {
-        Self {
-            engine,
-            kernel,
-            graphs: Mutex::new(HashMap::new()),
-            next_version: AtomicU64::new(0),
-        }
-    }
-
-    /// The engine this registry warms plans on.
-    pub fn engine(&self) -> &Arc<ExecEngine> {
-        &self.engine
+    /// An empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Registers (or hot-swaps) `name`: plans the aggregation SpMM and
     /// publishes the new version atomically. Returns the published
-    /// [`ServedGraph`].
-    ///
-    /// The plan is cached under the model's widest layer (or
-    /// [`DEFAULT_PLAN_DIM`] without a model); see the module docs for the
-    /// in-flight semantics of a swap.
+    /// [`ServedGraph`]. See the module docs for the in-flight semantics
+    /// of a swap.
     ///
     /// # Panics
     ///
@@ -154,24 +132,7 @@ impl GraphRegistry {
         adjacency: CsrMatrix<f32>,
         model: Option<Arc<GcnModel>>,
     ) -> Arc<ServedGraph> {
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
-        let plan_dim = model
-            .as_deref()
-            .map(GcnModel::max_features)
-            .unwrap_or(DEFAULT_PLAN_DIM)
-            .max(1);
-        let prep = self
-            .engine
-            .plan_cached(self.kernel.as_ref(), &adjacency, plan_dim, version);
-        let graph = Arc::new(ServedGraph {
-            name: name.to_string(),
-            version,
-            epoch: version,
-            structure_hash: adjacency.structure_hash(),
-            adjacency: Arc::new(adjacency),
-            prep,
-            model,
-        });
+        let graph = self.build(name, adjacency, model);
         self.graphs
             .lock()
             .unwrap()
@@ -180,23 +141,29 @@ impl GraphRegistry {
     }
 
     /// Builds an **anonymous** served graph for a single ad-hoc request:
-    /// planned like a registration, but never inserted
-    /// into the routing table and — deliberately — never put through the
-    /// engine's LRU plan cache: ad-hoc graphs are one-shot, and minting
-    /// a cache key per request would evict the plans of the graphs that
-    /// *are* long-lived. The plan still matters: if the packing window
-    /// ends up executing the request alone, it runs through this plan.
+    /// planned like a registration, but never inserted into the routing
+    /// table. If the packing window ends up executing the request alone,
+    /// it runs through this plan.
     pub fn inline_graph(&self, adjacency: CsrMatrix<f32>) -> Arc<ServedGraph> {
+        self.build("", adjacency, None)
+    }
+
+    /// A new version of `name`: the next version number and the plan of
+    /// `adjacency`.
+    fn build(
+        &self,
+        name: &str,
+        adjacency: CsrMatrix<f32>,
+        model: Option<Arc<GcnModel>>,
+    ) -> Arc<ServedGraph> {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
-        let prep = Arc::new(PreparedPlan::new(&adjacency));
         Arc::new(ServedGraph {
-            name: String::new(),
+            name: name.to_string(),
             version,
-            epoch: version,
             structure_hash: adjacency.structure_hash(),
+            prep: Arc::new(PreparedPlan::new(&adjacency)),
             adjacency: Arc::new(adjacency),
-            prep,
-            model: None,
+            model,
         })
     }
 
@@ -255,31 +222,18 @@ impl std::fmt::Debug for GraphRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpspmm_core::MergePathSpmm;
 
     fn tiny(seed: f32) -> CsrMatrix<f32> {
         CsrMatrix::from_triplets(4, 4, &[(0, 1, seed), (1, 0, 0.5), (3, 2, 2.0)]).unwrap()
     }
 
-    fn registry() -> GraphRegistry {
-        GraphRegistry::new(
-            Arc::new(ExecEngine::new(1)),
-            Box::new(MergePathSpmm::with_threads(3)),
-        )
-    }
-
     #[test]
     fn register_get_retire_roundtrip() {
-        let reg = registry();
+        let reg = GraphRegistry::new();
         assert!(reg.is_empty());
         let g = reg.register("cora", tiny(1.0), None);
         assert_eq!(g.name(), "cora");
         assert_eq!(g.nodes(), 4);
-        assert_eq!(
-            reg.engine().stats().plan_cache_misses,
-            1,
-            "plan warmed at registration"
-        );
         assert!(Arc::ptr_eq(&reg.get("cora").unwrap(), &g));
         assert_eq!(reg.names(), vec!["cora".to_string()]);
         let retired = reg.retire("cora").unwrap();
@@ -290,7 +244,7 @@ mod tests {
 
     #[test]
     fn replace_bumps_version_and_keeps_old_version_alive() {
-        let reg = registry();
+        let reg = GraphRegistry::new();
         let v1 = reg.register("g", tiny(1.0), None);
         let v2 = reg.register("g", tiny(9.0), None);
         assert!(v2.version() > v1.version());
@@ -299,12 +253,11 @@ mod tests {
         // The old version's state is untouched for in-flight holders.
         assert_eq!(v1.adjacency().row(0).vals, &[1.0]);
         assert_eq!(v2.adjacency().row(0).vals, &[9.0]);
-        assert_ne!(v1.epoch(), v2.epoch());
     }
 
     #[test]
-    fn model_graphs_plan_at_widest_layer() {
-        let reg = registry();
+    fn model_graphs_keep_their_model() {
+        let reg = GraphRegistry::new();
         let model = GcnModel::two_layer(8, 16, 3, 7);
         let g = reg.register("m", tiny(1.0), Some(model));
         assert!(g.model().is_some());

@@ -279,8 +279,7 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,
-    /// The engine's counters (plan-cache hits/misses/evictions and
-    /// resident plans, gather/stream dispatch, GEMM panels, k-blocks and
+    /// The engine's counters (gather/stream dispatch, GEMM panels, k-blocks and
     /// wall time, fused epilogues, buffer-arena reuse, SpGEMM rows per
     /// accumulator class and phase times, batch plans built), threaded
     /// through for one-stop telemetry.

@@ -321,11 +321,10 @@ fn engine_stats_are_threaded_through_serve_stats() {
         .wait()
         .unwrap();
     let stats = srv.stats();
-    assert_eq!(
-        stats.engine.plan_cache_misses, 1,
-        "registration warmed exactly one plan"
+    assert!(
+        stats.engine.gather_segments + stats.engine.stream_segments > 0,
+        "the served run's dispatch counters reach the serve snapshot"
     );
-    assert!(stats.engine.cached_plans >= 1);
     assert!(stats.latency.samples >= 1);
     assert!(stats.latency.p99_us >= stats.latency.p50_us);
     srv.shutdown();
@@ -670,7 +669,6 @@ fn packed_windows_leave_no_resident_plan_behind() {
     for (i, &n) in sizes.iter().enumerate() {
         srv.register(&format!("g{i}"), small_graph(n, 1.0 + i as f32), None);
     }
-    let registered = srv.stats().engine.cached_plans;
     const WINDOWS: usize = 5;
     for w in 0..WINDOWS {
         let tickets: Vec<_> = sizes
@@ -696,10 +694,23 @@ fn packed_windows_leave_no_resident_plan_behind() {
         stats.engine.batch_plan_misses, WINDOWS as u64,
         "one batch plan built per packed window"
     );
-    assert_eq!(
-        stats.engine.cached_plans, registered,
-        "packed windows add no cached plan"
+    srv.shutdown();
+}
+
+#[test]
+fn hot_swaps_free_the_retired_plan() {
+    let srv = server(ServeConfig::default());
+    let v1 = srv.register("g", graph(1.0), None);
+    let retired = Arc::downgrade(v1.prep());
+    for i in 0..50 {
+        srv.register("g", graph(2.0 + i as f32), None);
+    }
+    drop(v1);
+    assert!(
+        retired.upgrade().is_none(),
+        "nothing keeps a retired version's plan alive"
     );
+    assert_eq!(srv.registry().len(), 1);
     srv.shutdown();
 }
 

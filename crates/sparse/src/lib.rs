@@ -38,7 +38,6 @@ mod csr;
 mod dense;
 mod error;
 pub mod io;
-mod packed;
 pub mod reorder;
 pub mod stats;
 pub mod testing;
@@ -48,7 +47,6 @@ pub use coo::CooMatrix;
 pub use csr::{CsrMatrix, CsrRow, CsrRowIter};
 pub use dense::DenseMatrix;
 pub use error::SparseFormatError;
-pub use packed::{AlignedVec, PackedCsr, CACHE_LINE_BYTES};
 
 /// Index type used for row/column indices throughout the workspace.
 ///
