@@ -18,8 +18,9 @@
 //!   traffic.
 //! * **packed**: packing on, a batch window admits requests for
 //!   different graphs, concatenates them into one block-diagonal CSR,
-//!   runs `forward_mega_batched` — one GEMM + one SpMM per layer for
-//!   the *whole window* — and scatters each tenant's row band back out.
+//!   runs `GcnModel::forward_batched_prepared` over the stacked features
+//!   as one block — one GEMM + one SpMM per layer for the *whole window*
+//!   — and scatters each tenant's row band back out.
 //!
 //! The headline is the goodput ratio in graphs/sec **at fixed p95** —
 //! the median over interleaved passes of the per-pass ratio: the
@@ -328,14 +329,13 @@ fn spot_check(
             .expect("spot check admission")
         })
         .collect();
-    // Per-graph reference: a 1-worker engine with an unsplit-row plan
-    // replays the same flat per-row folds as the packed row bands.
+    // Per-graph reference: a 1-worker engine runs the same flat
+    // per-row folds as the packed row bands.
     let ref_engine = ExecEngine::new(1);
-    let ref_kernel = MergePathSpmm::with_threads(1);
     for (g, ticket) in tickets.into_iter().enumerate() {
         let got = ticket.wait().expect("spot check request");
         let want = model
-            .forward_cached(&graphs[g], &features[g], &ref_kernel, &ref_engine, g as u64)
+            .forward(&graphs[g], &features[g], &ref_engine)
             .expect("oracle forward");
         assert_eq!(
             got.max_abs_diff(&want).expect("same shape"),

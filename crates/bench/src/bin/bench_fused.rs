@@ -9,7 +9,7 @@
 //!   naive zero-skip GEMM for every layer's combination, plain engine
 //!   SpMM for the aggregation, then bias and activation as separate
 //!   serial passes over the output;
-//! * **fused** — [`GcnModel::forward_cached`]: every layer's combination,
+//! * **fused** — [`GcnModel::forward`]: every layer's combination,
 //!   layer 0 included, on [`ExecEngine::gemm`] (register-tiled bands, no
 //!   per-element branch), bias + activation fused into the SpMM store
 //!   stage.
@@ -22,13 +22,13 @@
 //! single-worker `execute_prepared` vs `execute_prepared_fused` with
 //! [`Epilogue::None`] on the same prepared plan (the acceptance bound is
 //! ≤ 2% regression) — and reports the GEMM/SpMM wall-time split of one
-//! fused forward pass from [`EngineStats::gemm_ns`].
+//! fused forward pass from [`EngineStats::gemm_ns`](mpspmm_core::EngineStats::gemm_ns).
 //!
 //! Writes `BENCH_fused.json`. Pass `--smoke` for a seconds-fast run on
 //! scaled-down graphs.
 
 use mpspmm_bench::{geomean, time_ns, SEED};
-use mpspmm_core::{Epilogue, ExecEngine, MergePathSpmm, PreparedPlan};
+use mpspmm_core::{Epilogue, ExecEngine, PreparedPlan};
 use mpspmm_gcn::ops::{random_features, xavier_init, Activation};
 use mpspmm_gcn::{GcnLayer, GcnModel};
 use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
@@ -161,7 +161,6 @@ fn main() {
     );
     println!("==================================================================");
 
-    let kernel = MergePathSpmm::new();
     let graphs = [
         (
             "uniform",
@@ -198,7 +197,7 @@ fn main() {
                 // Correctness guard: a record is only trusted if the two
                 // pipelines agree numerically on this configuration.
                 let want = unfused_forward(a, &x, &layers, &engine);
-                let got = model.forward_cached(a, &x, &kernel, &engine, 0).unwrap();
+                let got = model.forward(a, &x, &engine).unwrap();
                 assert!(
                     got.approx_eq(&want, 1e-4).unwrap(),
                     "fused diverged from unfused ({gname}, dim {dim}, workers {workers})"
@@ -210,7 +209,7 @@ fn main() {
                     engine.recycle(out);
                 });
                 let fused_ns = time_ns(warm, iters, || {
-                    let out = model.forward_cached(a, &x, &kernel, &engine, 0).unwrap();
+                    let out = model.forward(a, &x, &engine).unwrap();
                     engine.recycle(out);
                 });
                 let speedup = unfused_ns / fused_ns;
@@ -303,15 +302,11 @@ fn main() {
     let model = build_model(&layers);
     let x = random_features(a_pl.rows(), 64, 0.4, 33);
     let split_engine = ExecEngine::new(4);
-    let out = model
-        .forward_cached(a_pl, &x, &kernel, &split_engine, 0)
-        .unwrap();
+    let out = model.forward(a_pl, &x, &split_engine).unwrap();
     split_engine.recycle(out);
     let before = split_engine.stats();
     let t0 = std::time::Instant::now();
-    let out = model
-        .forward_cached(a_pl, &x, &kernel, &split_engine, 0)
-        .unwrap();
+    let out = model.forward(a_pl, &x, &split_engine).unwrap();
     let total_ns = t0.elapsed().as_nanos() as f64;
     split_engine.recycle(out);
     let after = split_engine.stats();

@@ -14,11 +14,11 @@
 //!   slices are disjoint by `split_at_mut`, so no row is shared, no store
 //!   is atomic, and nothing is folded or replayed after the join.
 //!   Snapping costs at most one row per boundary (DESIGN.md §2.3.1).
-//! * **Persistent workers** ([`crate::pool`]): spans run on long-lived
+//! * **Persistent workers** (the `pool` module): spans run on long-lived
 //!   pool workers, so repeated SpMM calls (a GNN forward pass is many of
 //!   them) stop paying thread spawn/join. A run with one effective worker
 //!   executes inline on the caller.
-//! * **Vectorized, cache-blocked data path** ([`crate::datapath`]): each
+//! * **Vectorized, cache-blocked data path** (the `datapath` module): each
 //!   row runs through a [`DataPath`]-selected inner kernel — by default
 //!   the wide-lane streaming kernels (16/8 f32 register accumulators,
 //!   runtime lane detection, L1-sized column panels) with degree-adaptive
@@ -33,7 +33,7 @@
 //!   one structure many times (the serving registry) keep the plan
 //!   themselves and execute it with
 //!   [`execute_prepared`](ExecEngine::execute_prepared).
-//! * **Buffer arena** ([`crate::arena`]): output and batch-interleave
+//! * **Buffer arena** (the `arena` module): output and batch-interleave
 //!   buffers are pooled per engine and checked out per execution, so
 //!   steady-state inference allocates nothing. Outputs leave the engine
 //!   as [`DenseMatrix`] values; callers hand them back with

@@ -109,7 +109,7 @@ const PANEL_RESIDENT_ROWS: usize = 8;
 ///
 /// Model: reserve half of L1 for gathered `B` row panels (the other half
 /// absorbs the streamed indices/values and the destination row), assume
-/// [`PANEL_RESIDENT_ROWS`] rows hot at a time, and round the resulting
+/// `PANEL_RESIDENT_ROWS` rows hot at a time, and round the resulting
 /// width down to a multiple of `lanes` so panels never split a wide
 /// block. The result is clamped to cover `dim` in one panel when `dim`
 /// already fits (the common GNN case — hidden widths of 16–128 are far
@@ -138,7 +138,7 @@ const GEMM_KC_MIN: usize = 64;
 /// band, and (under the fused serving pipeline) concurrent SpMM
 /// traffic; on AVX-512 hardware the measured throughput knee at
 /// `n = 512` sits at the quarter-L2 slab, a third faster than the
-/// half-L2 one. Clamped to `[`[`GEMM_KC_MIN`]`, k]` so short reductions
+/// half-L2 one. Clamped to `[GEMM_KC_MIN, k]` so short reductions
 /// run unblocked.
 ///
 /// Blocking `k` does **not** change results: blocks are visited in

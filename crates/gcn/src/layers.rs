@@ -1,12 +1,12 @@
 //! Beyond GCN: the other aggregation-style GNN layers the paper cites as
-//! motivation (§I: GraphSAGE, GIN) — all built on the same pluggable SpMM
+//! motivation (§I: GraphSAGE, GIN) — all built on the same engine SpMM
 //! aggregation, and all with *different* dense-dimension profiles, which
 //! is exactly why §III-C studies a range of dimension sizes.
 
-use mpspmm_core::{Epilogue, ExecEngine, SpmmKernel};
+use mpspmm_core::{Epilogue, ExecEngine};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
-use crate::ops::{gemm, Activation};
+use crate::ops::Activation;
 
 /// A Graph Isomorphism Network layer (Xu et al.):
 /// `H' = MLP((A + (1 + ε)I) · H)` — sum aggregation first (an SpMM at the
@@ -44,33 +44,18 @@ impl GinLayer {
         self.w2.cols()
     }
 
-    /// Forward pass: `MLP(op · H)` with ReLU inside the MLP and this
-    /// layer's activation outside.
+    /// Forward pass on `engine`: `MLP(op · H)` with ReLU inside the MLP
+    /// and this layer's activation outside. Aggregation comes FIRST
+    /// (unlike GCN), so the SpMM ([`ExecEngine::spmm`], which plans `op`
+    /// per call) runs at the input width and GIN exercises different
+    /// Figure 6/7 dimension points. Both MLP products run on the
+    /// engine's parallel blocked GEMM and their scratch recycles through
+    /// the buffer arena.
     ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`] on inconsistent shapes.
     pub fn forward(
-        &self,
-        op: &CsrMatrix<f32>,
-        h: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        // Aggregation FIRST (unlike GCN): the SpMM runs at the input
-        // width, so GIN exercises different Figure 6/7 dimension points.
-        let agg = kernel.spmm(op, h)?;
-        self.finish_mlp(agg)
-    }
-
-    /// Forward pass on `engine` ([`ExecEngine::spmm`] plans `op` per
-    /// call). The sum aggregation is a dense matrix, so both MLP products
-    /// run on the engine's parallel blocked GEMM and their scratch
-    /// recycles through the buffer arena.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] on inconsistent shapes.
-    pub fn forward_cached(
         &self,
         op: &CsrMatrix<f32>,
         h: &DenseMatrix<f32>,
@@ -82,14 +67,6 @@ impl GinLayer {
         Activation::Relu.apply(&mut hidden);
         let mut out = engine.gemm(&hidden, &self.w2)?;
         engine.recycle(hidden);
-        self.activation.apply(&mut out);
-        Ok(out)
-    }
-
-    fn finish_mlp(&self, agg: DenseMatrix<f32>) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let mut hidden = gemm(&agg, &self.w1)?;
-        Activation::Relu.apply(&mut hidden);
-        let mut out = gemm(&hidden, &self.w2)?;
         self.activation.apply(&mut out);
         Ok(out)
     }
@@ -137,31 +114,16 @@ impl SageMeanLayer {
         self.w_self.cols()
     }
 
-    /// Forward pass.
+    /// Forward pass on `engine`: `σ(H·W_self + op·(H·W_neigh))`, with
+    /// [`ExecEngine::spmm`] planning `op` per call. Both dense products
+    /// run on the engine's parallel blocked GEMM; the neighbour product
+    /// recycles through the buffer arena as soon as the aggregation has
+    /// consumed it.
     ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`] on inconsistent shapes.
     pub fn forward(
-        &self,
-        op: &CsrMatrix<f32>,
-        h: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let neigh = kernel.spmm(op, &gemm(h, &self.w_neigh)?)?;
-        self.combine(h, neigh)
-    }
-
-    /// Forward pass on `engine` ([`ExecEngine::spmm`] plans `op` per
-    /// call). Both dense products (`H·W_neigh` and `H·W_self`) run on
-    /// the engine's parallel blocked GEMM; the neighbour product recycles
-    /// through the buffer arena as soon as the aggregation has consumed
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] on inconsistent shapes.
-    pub fn forward_cached(
         &self,
         op: &CsrMatrix<f32>,
         h: &DenseMatrix<f32>,
@@ -184,32 +146,12 @@ impl SageMeanLayer {
         self.activation.apply(&mut out);
         Ok(out)
     }
-
-    fn combine(
-        &self,
-        h: &DenseMatrix<f32>,
-        neigh: DenseMatrix<f32>,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let mut out = gemm(h, &self.w_self)?;
-        if out.rows() != neigh.rows() || out.cols() != neigh.cols() {
-            return Err(SparseFormatError::ShapeMismatch {
-                left: (out.rows(), out.cols()),
-                right: (neigh.rows(), neigh.cols()),
-            });
-        }
-        for (dst, &src) in out.as_mut_slice().iter_mut().zip(neigh.as_slice()) {
-            *dst += src;
-        }
-        self.activation.apply(&mut out);
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{random_features, xavier_init};
-    use mpspmm_core::{MergePathSpmm, SerialSpmm};
+    use crate::ops::{gemm, random_features, xavier_init};
     use mpspmm_graphs::{mean_normalize, sum_with_self_loops, DatasetSpec, GraphClass};
 
     fn graph() -> CsrMatrix<f32> {
@@ -217,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn gin_forward_shapes_and_kernel_agreement() {
+    fn gin_forward_shapes_and_worker_agreement() {
         let a = graph();
         let op = sum_with_self_loops(&a, 0.3);
         let layer = GinLayer::new(
@@ -228,12 +170,10 @@ mod tests {
         assert_eq!(layer.in_features(), 12);
         assert_eq!(layer.out_features(), 6);
         let x = random_features(a.rows(), 12, 0.5, 3);
-        let serial = layer.forward(&op, &x, &SerialSpmm).unwrap();
-        let parallel = layer
-            .forward(&op, &x, &MergePathSpmm::with_threads(16))
-            .unwrap();
-        assert_eq!(serial.cols(), 6);
-        assert!(parallel.approx_eq(&serial, 1e-3).unwrap());
+        let one = layer.forward(&op, &x, &ExecEngine::new(1)).unwrap();
+        let many = layer.forward(&op, &x, &ExecEngine::new(16)).unwrap();
+        assert_eq!(one.cols(), 6);
+        assert_eq!(many, one);
     }
 
     #[test]
@@ -241,11 +181,12 @@ mod tests {
         let a = graph();
         let layer = GinLayer::new(xavier_init(8, 8, 5), xavier_init(8, 4, 6), Activation::Relu);
         let x = random_features(a.rows(), 8, 0.5, 7);
+        let engine = ExecEngine::new(1);
         let small = layer
-            .forward(&sum_with_self_loops(&a, 0.0), &x, &SerialSpmm)
+            .forward(&sum_with_self_loops(&a, 0.0), &x, &engine)
             .unwrap();
         let large = layer
-            .forward(&sum_with_self_loops(&a, 2.0), &x, &SerialSpmm)
+            .forward(&sum_with_self_loops(&a, 2.0), &x, &engine)
             .unwrap();
         assert!(small.max_abs_diff(&large).unwrap() > 1e-4);
     }
@@ -258,14 +199,17 @@ mod tests {
         let w_neigh = xavier_init(10, 5, 9);
         let layer = SageMeanLayer::new(w_self.clone(), w_neigh.clone(), Activation::Identity);
         let x = random_features(a.rows(), 10, 0.5, 10);
-        let got = layer.forward(&op, &x, &SerialSpmm).unwrap();
+        let engine = ExecEngine::new(2);
+        let got = layer.forward(&op, &x, &engine).unwrap();
         // Manual: H W_self + op (H W_neigh).
         let mut want = gemm(&x, &w_self).unwrap();
-        let neigh = SerialSpmm.spmm(&op, &gemm(&x, &w_neigh).unwrap()).unwrap();
+        let (neigh, _) = engine
+            .spmm(&op, &gemm(&x, &w_neigh).unwrap(), &Epilogue::None)
+            .unwrap();
         for (dst, &src) in want.as_mut_slice().iter_mut().zip(neigh.as_slice()) {
             *dst += src;
         }
-        assert!(got.approx_eq(&want, 1e-5).unwrap());
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! A GCN layer computes `σ(Â · X · W)` (§II of the paper). This crate
 //! provides the *combination* phase (dense `X × W` GEMM, activations,
 //! weight init) and composes it with the *aggregation* phase — the
-//! `Â × (XW)` SpMM performed by any [`mpspmm_core::SpmmKernel`] — into
-//! layers and models. It also implements the online/offline inference
-//! scenario of Figure 8.
+//! `Â × (XW)` SpMM on an [`mpspmm_core::ExecEngine`] — into layers and
+//! models. [`GcnModel::forward_batched_prepared`] is the one GCN layer
+//! loop: a single request, a batch of requests on one graph and a packed
+//! block-diagonal window of many graphs all run through it. The crate
+//! also implements the online/offline inference scenario of Figure 8.
 //!
 //! # Example
 //!
 //! ```
-//! use mpspmm_core::MergePathSpmm;
+//! use mpspmm_core::ExecEngine;
 //! use mpspmm_gcn::{ops, GcnModel};
 //! use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
 //!
@@ -19,7 +21,7 @@
 //! let a = gcn_normalize(&spec.synthesize(1));
 //! let model = GcnModel::two_layer(32, 16, 4, 7);
 //! let x = ops::random_features(200, 32, 0.4, 2);
-//! let logits = model.forward(&a, &x, &MergePathSpmm::new())?;
+//! let logits = model.forward(&a, &x, ExecEngine::global())?;
 //! assert_eq!(logits.rows(), 200);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -32,5 +34,5 @@ mod model;
 pub mod ops;
 
 pub use layers::{GinLayer, SageMeanLayer};
-pub use model::{online_inference, GcnLayer, GcnModel, InferenceTiming, TwoHopPath};
+pub use model::{online_inference, GcnLayer, GcnModel, InferenceTiming};
 pub use ops::Activation;

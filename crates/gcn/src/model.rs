@@ -1,21 +1,21 @@
-//! GCN layers and models over pluggable SpMM kernels.
+//! GCN layers and models on the SpMM engine.
 
 use mpspmm_core::{
-    parallel_apply_chunks, spgemm_flops_upper_bound, Epilogue, ExecEngine, Schedule, SpmmKernel,
+    parallel_apply_chunks, Epilogue, ExecEngine, PreparedPlan, Schedule, SpmmKernel,
 };
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
-use crate::ops::{gemm, Activation};
+use crate::ops::Activation;
 
 /// One graph-convolution layer: `H' = σ(Â · H · W + b)`.
 ///
-/// The forward pass computes the dense combination `H × W` first, then the
-/// sparse aggregation `Â × (HW)` through the supplied [`SpmmKernel`] —
-/// the `A × (X × W)` multiplication order all the paper's accelerators
-/// implement (§II). The optional per-column bias `b` and the activation
-/// form the layer's epilogue; on the engine path they are fused into the
-/// aggregation's store stage ([`Epilogue`]) instead of re-streaming the
-/// output.
+/// A layer holds parameters only; [`GcnModel`] runs it. The model
+/// computes the dense combination `H × W` first, then the sparse
+/// aggregation `Â × (HW)` on an [`ExecEngine`] — the `A × (X × W)`
+/// multiplication order all the paper's accelerators implement (§II).
+/// The optional per-column bias `b` and the activation form the layer's
+/// epilogue, fused into the aggregation's store stage ([`Epilogue`])
+/// instead of re-streaming the output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GcnLayer {
     weight: DenseMatrix<f32>,
@@ -102,9 +102,9 @@ impl GcnLayer {
         self.epilogue.as_ref()
     }
 
-    /// The unfused epilogue: bias add then activation, each a separate
-    /// pass over `out`. The fused engine path produces element-identical
-    /// results without these extra passes.
+    /// The unfused epilogue for a layer without a store-stage form
+    /// (sigmoid): bias add then activation, each a separate pass over
+    /// `out`.
     fn apply_unfused(&self, out: &mut DenseMatrix<f32>) {
         if let Some(bias) = &self.bias {
             let cols = out.cols();
@@ -120,117 +120,6 @@ impl GcnLayer {
         }
         self.activation.apply(out);
     }
-
-    /// Forward pass: `σ(Â × (H × W) + b)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when the feature or
-    /// adjacency shapes are inconsistent.
-    pub fn forward(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        h: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let hw = gemm(h, &self.weight)?;
-        let mut out = kernel.spmm(a_hat, &hw)?;
-        self.apply_unfused(&mut out);
-        Ok(out)
-    }
-
-    /// Forward pass on `engine` as one fused pipeline: the dense
-    /// combination `H × W` runs on the engine's parallel k-blocked GEMM
-    /// ([`ExecEngine::gemm`]), and the aggregation ([`ExecEngine::spmm`],
-    /// which plans `Â` per call) applies the layer's bias/activation
-    /// [`Epilogue`] at the SpMM store stage instead of re-streaming the
-    /// output afterwards.
-    ///
-    /// The dense product `H × W` is recycled into the engine's buffer
-    /// arena once the aggregation has consumed it, so after warm-up the
-    /// per-layer scratch comes from the pool instead of the allocator.
-    ///
-    /// This serves every layer, the first included: a model's moderately
-    /// sparse raw features go through the same engine GEMM as dense
-    /// hidden activations. Its result equals a zero-skipping GEMM's bit
-    /// for bit whenever the weights are finite (see [`crate::ops::gemm`]);
-    /// DESIGN.md §2.10 has the measurements that retired the skip.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when the feature or
-    /// adjacency shapes are inconsistent.
-    pub fn forward_cached(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        h: &DenseMatrix<f32>,
-        engine: &ExecEngine,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let hw = engine.gemm(h, &self.weight)?;
-        self.aggregate_fused(a_hat, hw, engine)
-    }
-
-    /// The shared aggregation tail of the engine paths: fused epilogue
-    /// when the activation has a store-stage form, separate passes
-    /// otherwise; `hw` is recycled into the arena either way.
-    fn aggregate_fused(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        hw: DenseMatrix<f32>,
-        engine: &ExecEngine,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let epi = self.epilogue.as_ref().unwrap_or(&Epilogue::None);
-        let (mut out, _) = engine.spmm(a_hat, &hw, epi)?;
-        engine.recycle(hw);
-        if self.epilogue.is_none() {
-            self.apply_unfused(&mut out);
-        }
-        Ok(out)
-    }
-
-    /// Mega-batch aggregation: always the plain prepared run plus one
-    /// flat bias/activation sweep. The fused store-stage epilogue pays a
-    /// per-row dispatch that a tens-of-thousands-row packed batch of
-    /// tiny rows turns into the dominant cost; the unfused composition
-    /// computes the same bits (DESIGN.md §2.10) with one streaming pass.
-    fn aggregate_mega(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        hw: DenseMatrix<f32>,
-        prep: &mpspmm_core::PreparedPlan,
-        engine: &ExecEngine,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let (mut out, _) = engine.execute_prepared(prep, a_hat, &hw)?;
-        engine.recycle(hw);
-        self.apply_unfused(&mut out);
-        Ok(out)
-    }
-
-    /// Unified-engine forward pass with a *sparse* input feature matrix:
-    /// both the combination `X × W` and the aggregation `Â × (XW)` run on
-    /// the same SpMM kernel (§II: "a workload-efficient computation
-    /// paradigm that uses a unified SpMM engine").
-    ///
-    /// The input features `X` are moderately sparse (nodes lack most
-    /// features), so the first multiplication is also a CSR×dense SpMM —
-    /// a rectangular one, which the merge-path decomposition handles
-    /// unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when shapes are
-    /// inconsistent.
-    pub fn forward_sparse_input(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        x: &CsrMatrix<f32>,
-        kernel: &dyn SpmmKernel,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let xw = kernel.spmm(x, &self.weight)?;
-        let mut out = kernel.spmm(a_hat, &xw)?;
-        self.apply_unfused(&mut out);
-        Ok(out)
-    }
 }
 
 /// A multi-layer GCN model.
@@ -238,14 +127,14 @@ impl GcnLayer {
 /// # Example
 ///
 /// ```
-/// use mpspmm_core::MergePathSpmm;
+/// use mpspmm_core::ExecEngine;
 /// use mpspmm_gcn::{GcnModel, ops};
 /// use mpspmm_sparse::CsrMatrix;
 ///
 /// let a = CsrMatrix::from_triplets(4, 4, &[(0, 1, 0.5f32), (1, 0, 0.5)])?;
 /// let model = GcnModel::two_layer(8, 16, 3, 42);
 /// let x = ops::random_features(4, 8, 0.5, 1);
-/// let out = model.forward(&a, &x, &MergePathSpmm::with_threads(4))?;
+/// let out = model.forward(&a, &x, &ExecEngine::new(4))?;
 /// assert_eq!(out.cols(), 3);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -306,8 +195,6 @@ impl GcnModel {
 
     /// Widest layer output. A [`PreparedPlan`] is width-independent, so
     /// one plan serves every layer and every batch width.
-    ///
-    /// [`PreparedPlan`]: mpspmm_core::PreparedPlan
     pub fn max_features(&self) -> usize {
         self.layers
             .iter()
@@ -316,11 +203,20 @@ impl GcnModel {
             .expect("model has at least one layer")
     }
 
-    /// Full forward pass through all layers with one SpMM kernel.
+    /// Full forward pass on `engine`: the one-block case of
+    /// [`forward_batched_prepared`](Self::forward_batched_prepared) on a
+    /// plan built for this call. Each layer is one engine GEMM plus one
+    /// SpMM with the bias/activation epilogue fused into the store stage
+    /// (sigmoid runs as a separate pass), so a 2-layer model is the
+    /// "2 kernel invocations" scenario of the paper's Figure 8.
     ///
-    /// Each layer invokes the kernel once — a 2-layer model is the
-    /// "2 kernel invocations" scenario of the paper's Figure 8 online
-    /// overhead study.
+    /// Layer 0's raw feature matrix and the hidden layers' dense
+    /// activations all go through the engine's blocked GEMM, whose result
+    /// equals a zero-skipping GEMM's bit for bit whenever the weights are
+    /// finite (see [`crate::ops::gemm`]); DESIGN.md §2.10 has the
+    /// measurements that retired the skip. Scratch and inter-layer
+    /// activations recycle through the engine's buffer arena, so a
+    /// steady-state forward pass allocates no fresh engine buffers.
     ///
     /// # Errors
     ///
@@ -330,30 +226,15 @@ impl GcnModel {
         &self,
         a_hat: &CsrMatrix<f32>,
         x: &DenseMatrix<f32>,
-        kernel: &dyn SpmmKernel,
+        engine: &ExecEngine,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let mut h = self.layers[0].forward(a_hat, x, kernel)?;
-        for layer in &self.layers[1..] {
-            h = layer.forward(a_hat, &h, kernel)?;
-        }
-        Ok(h)
+        let prep = PreparedPlan::new(a_hat);
+        let mut outs = self.forward_batched_prepared(a_hat, &prep, &[x], engine)?;
+        Ok(outs.pop().expect("one block in, one output out"))
     }
 
-    /// Full forward pass on `engine` as a fused pipeline (see
-    /// [`GcnLayer::forward_cached`]): each layer is one engine GEMM plus
-    /// one SpMM with the bias/activation epilogue fused into the store
-    /// stage.
-    ///
-    /// Layer 0's raw feature matrix and the hidden layers' dense
-    /// activations all go through the engine's blocked GEMM.
-    ///
-    /// Inter-layer activations ping-pong through the engine's buffer
-    /// arena: each layer's input is recycled as soon as the next
-    /// activation exists, so a steady-state forward pass allocates no
-    /// fresh activation buffers regardless of depth.
-    ///
-    /// `kernel` and `epoch` are unused; they stay in the signature for
-    /// the serving benchmark, which still passes them.
+    /// [`forward`](Self::forward) under its old name. `kernel` and
+    /// `epoch` are unused; the serving benchmark still calls it.
     ///
     /// # Errors
     ///
@@ -367,27 +248,29 @@ impl GcnModel {
         engine: &ExecEngine,
         _epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let mut h = self.layers[0].forward_cached(a_hat, x, engine)?;
-        for layer in &self.layers[1..] {
-            let next = layer.forward_cached(a_hat, &h, engine)?;
-            engine.recycle(std::mem::replace(&mut h, next));
-        }
-        Ok(h)
+        self.forward(a_hat, x, engine)
     }
 
     /// Batched forward pass over several independent feature matrices on
     /// the *same* graph, sharing every aggregation SpMM: per layer, each
     /// request's dense combination `H_i × W` is computed separately, the
     /// products are concatenated column-wise, and **one** engine run
-    /// aggregates `Â × [H_0W | H_1W | …]` for the whole batch — the
-    /// dense-column batching of Batched SpMM for GCN serving, valid
-    /// because `Â (H_i W)` only ever reads `H_i W`'s own columns.
+    /// aggregates `Â × [H_0W | H_1W | …]` for the whole batch with the
+    /// layer's epilogue fused into its store stage — the dense-column
+    /// batching of Batched SpMM for GCN serving, valid because
+    /// `Â (H_i W)` only ever reads `H_i W`'s own columns.
+    ///
+    /// This is the crate's one GCN layer loop. A single request is a
+    /// one-block call ([`forward`](Self::forward)), and so is a
+    /// block-diagonal packed window: `a_hat` packs many small graphs on
+    /// the diagonal ([`BlockDiagCsr`](mpspmm_sparse::BlockDiagCsr)) and
+    /// the one block stacks their features in the same order. Row band
+    /// `i` of the packed product reads only feature band `i`, so each
+    /// graph's output band is its own forward pass, bit for bit.
     ///
     /// `prep` is the graph's prepared aggregation plan (plans are
     /// width-independent, so any plan built for `a_hat` works at every
-    /// batch width; [`GcnModel::max_features`] is the
-    /// conventional planning dimension). Returns one output matrix per
-    /// input block, in order.
+    /// batch width). Returns one output matrix per input block, in order.
     ///
     /// # Errors
     ///
@@ -396,7 +279,7 @@ impl GcnModel {
     pub fn forward_batched_prepared(
         &self,
         a_hat: &CsrMatrix<f32>,
-        prep: &mpspmm_core::PreparedPlan,
+        prep: &PreparedPlan,
         blocks: &[&DenseMatrix<f32>],
         engine: &ExecEngine,
     ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
@@ -442,155 +325,6 @@ impl GcnModel {
         }
         Ok(hs)
     }
-
-    /// Forward pass over a **block-diagonal mega-batch**: `a_hat` packs
-    /// many small graphs on the diagonal (see
-    /// [`BlockDiagCsr`](mpspmm_sparse::BlockDiagCsr)) and `stacked`
-    /// vertically stacks their feature matrices in the same order. Every
-    /// layer is then **one** GEMM over the stacked rows plus **one**
-    /// SpMM over the packed adjacency — the whole batch pays a single
-    /// dispatch per layer, however many graphs it holds.
-    ///
-    /// This is exact, not approximate: block-diagonality means row band
-    /// `i` of `Â_pack × H` reads only `H`'s band `i`, which is
-    /// `Â_i × H_i` — each graph's forward is computed as if it ran
-    /// alone, and the per-column bias/activation epilogue is uniform
-    /// across bands. Callers scatter per-graph outputs back out of the
-    /// returned matrix's row bands.
-    ///
-    /// `prep` is the packed adjacency's prepared plan, normally the one
-    /// [`ExecEngine::plan_batch_cached`] builds per window straight from
-    /// the packed row pointers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when `stacked`'s
-    /// shape is inconsistent with `a_hat` or the model.
-    pub fn forward_mega_batched(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        prep: &mpspmm_core::PreparedPlan,
-        stacked: &DenseMatrix<f32>,
-        engine: &ExecEngine,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        if stacked.cols() != self.in_features() {
-            return Err(SparseFormatError::ShapeMismatch {
-                left: (a_hat.cols(), self.in_features()),
-                right: (stacked.rows(), stacked.cols()),
-            });
-        }
-        // Aggregation deliberately skips the fused epilogue: at
-        // mega-batch row counts the per-row fused bookkeeping costs more
-        // than one flat bias/activation sweep over the finished output,
-        // and `spmm → epilogue` is element-for-element identical to the
-        // fused composition (DESIGN.md §2.10), so bit-identity with the
-        // per-graph oracle is preserved.
-        let first = &self.layers[0];
-        let hw = engine.gemm(stacked, &first.weight)?;
-        let mut h = first.aggregate_mega(a_hat, hw, prep, engine)?;
-        for layer in &self.layers[1..] {
-            let hw = engine.gemm(&h, &layer.weight)?;
-            let next = layer.aggregate_mega(a_hat, hw, prep, engine)?;
-            engine.recycle(std::mem::replace(&mut h, next));
-        }
-        Ok(h)
-    }
-
-    /// Sum of all layers' output widths — the Σd term of the two-hop
-    /// crossover model.
-    fn sum_features(&self) -> usize {
-        self.layers.iter().map(GcnLayer::out_features).sum()
-    }
-
-    /// Forward pass with **two-hop aggregation**: every layer computes
-    /// `σ(Â² · H · W + b)` instead of the usual one-hop `Â · H · W` —
-    /// the propagation rule of 2-hop GCN variants. `path` picks how
-    /// `Â²` is realized (see [`TwoHopPath`]); the default
-    /// [`Auto`](TwoHopPath::Auto) resolves by the flop crossover model.
-    ///
-    /// On the [`Squared`](TwoHopPath::Squared) path the engine's
-    /// SpGEMM ([`ExecEngine::spgemm`]) materializes `Â² = Â × Â` once
-    /// and each layer aggregates through it.
-    ///
-    /// The two paths are mathematically equal but associate the f32
-    /// reductions differently (`Â·(Â·HW)` vs `(Â·Â)·HW`), so their
-    /// outputs agree to rounding, not bit-for-bit — same contract as
-    /// any kernel-vs-kernel comparison in this crate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when shapes are
-    /// inconsistent.
-    pub fn forward_two_hop(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        x: &DenseMatrix<f32>,
-        engine: &ExecEngine,
-        path: TwoHopPath,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let squared = match path.resolve(a_hat, self.sum_features()) {
-            TwoHopPath::Squared => Some(engine.spgemm(a_hat, a_hat)?),
-            _ => None,
-        };
-        let mut h: Option<DenseMatrix<f32>> = None;
-        for layer in &self.layers {
-            let hw = engine.gemm(h.as_ref().unwrap_or(x), &layer.weight)?;
-            let out = match &squared {
-                Some(a2) => layer.aggregate_fused(a2, hw, engine)?,
-                None => {
-                    let (inner, _) = engine.spmm(a_hat, &hw, &Epilogue::None)?;
-                    engine.recycle(hw);
-                    layer.aggregate_fused(a_hat, inner, engine)?
-                }
-            };
-            if let Some(prev) = h.replace(out) {
-                engine.recycle(prev);
-            }
-        }
-        Ok(h.expect("model has at least one layer"))
-    }
-}
-
-/// How [`GcnModel::forward_two_hop`] realizes the two-hop propagation
-/// `Â² · (H W)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TwoHopPath {
-    /// `Â · (Â · (H W))` — two SpMMs per layer, `Â²` never
-    /// materialized. Wins when `Â²` would be much denser than `Â`
-    /// (flops scale with `nnz(Â²)` on the other path).
-    Chained,
-    /// `(Â · Â) · (H W)` — one SpGEMM up front, then a single SpMM per
-    /// layer against the materialized square. Wins when the layer-width
-    /// sum is large enough to amortize the SpGEMM.
-    Squared,
-    /// Flop-model crossover via [`resolve`](Self::resolve).
-    #[default]
-    Auto,
-}
-
-impl TwoHopPath {
-    /// Resolves [`Auto`](Self::Auto) for a model whose layer output
-    /// widths sum to `sum_dims`: chained costs `2 · nnz(Â) · Σd`
-    /// multiply-adds; squared costs the SpGEMM's flop upper bound
-    /// ([`spgemm_flops_upper_bound`]) once plus at most `ub · Σd` for
-    /// the per-layer SpMMs (`ub ≥ nnz(Â²)`, so the model is
-    /// conservative about squaring). Pinned variants return themselves;
-    /// the result is never `Auto`.
-    pub fn resolve(self, a_hat: &CsrMatrix<f32>, sum_dims: usize) -> TwoHopPath {
-        match self {
-            TwoHopPath::Auto => {
-                let chained = 2 * a_hat.nnz() * sum_dims;
-                let ub = spgemm_flops_upper_bound(a_hat, a_hat);
-                let squared = ub + ub * sum_dims;
-                if squared < chained {
-                    TwoHopPath::Squared
-                } else {
-                    TwoHopPath::Chained
-                }
-            }
-            pinned => pinned,
-        }
-    }
 }
 
 /// Online-vs-offline inference driver (Figure 8, §III-D and §V-C).
@@ -623,7 +357,7 @@ impl InferenceTiming {
 }
 
 /// Runs a 2-layer-style online inference: rebuilds the merge-path schedule,
-/// then runs the model, timing both phases.
+/// then runs the model on [`ExecEngine::global`], timing both phases.
 ///
 /// # Errors
 ///
@@ -642,12 +376,12 @@ pub fn online_inference(
     let t0 = std::time::Instant::now();
     let schedule: Schedule = kernel.schedule(a_hat, dim);
     let scheduling = t0.elapsed();
-    // Keep the schedule alive as the kernels would reuse it; the kernel
-    // trait rebuilds internally, so we charge only the measured
-    // scheduling time separately.
+    // Keep the schedule alive as the kernels would reuse it; the engine
+    // plans each aggregation itself, so only the measured scheduling
+    // time is charged separately.
     let _ = &schedule;
     let t1 = std::time::Instant::now();
-    let out = model.forward(a_hat, x, kernel)?;
+    let out = model.forward(a_hat, x, ExecEngine::global())?;
     let execution = t1.elapsed();
     Ok((
         out,
@@ -661,8 +395,8 @@ pub fn online_inference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{random_features, xavier_init};
-    use mpspmm_core::{MergePathSpmm, NnzSplitSpmm, PreparedPlan, SerialSpmm};
+    use crate::ops::{gemm, random_features, xavier_init};
+    use mpspmm_core::{MergePathSpmm, NnzSplitSpmm, SerialSpmm};
     use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
 
     fn small_graph() -> CsrMatrix<f32> {
@@ -671,8 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn mega_batched_forward_matches_per_graph_forward() {
-        use mpspmm_core::{BatchMergeSpmm, BatchShapeClass};
+    fn packed_window_forward_matches_per_graph_forward() {
         use mpspmm_sparse::BlockDiagCsr;
         use std::sync::Arc;
 
@@ -689,51 +422,33 @@ mod tests {
             .enumerate()
             .map(|(i, g)| random_features(g.rows(), 8, 0.6, i as u64))
             .collect();
-
         let pack = BlockDiagCsr::build(&graphs).unwrap();
         let stacked = pack
             .stack_features(&feats.iter().collect::<Vec<_>>())
             .unwrap();
-        let engine = ExecEngine::new(2);
-        let class = BatchShapeClass::from_graphs(
-            graphs
-                .iter()
-                .map(|g| (g.rows(), g.nnz(), g.structure_hash())),
-        );
-        let prep = engine.plan_batch_cached(
-            &BatchMergeSpmm::new(),
-            pack.matrix(),
-            model.max_features(),
-            &class,
-        );
-        let packed_out = model
-            .forward_mega_batched(pack.matrix(), &prep, &stacked, &engine)
-            .unwrap();
-        assert_eq!(packed_out.rows(), pack.rows());
+        let prep = PreparedPlan::new(pack.matrix());
 
-        // Per-graph reference on a 1-worker engine with an unsplit-row
-        // plan: the same flat per-row fold, so bands must match bitwise.
+        // Per-graph reference on a 1-worker engine: every row is one
+        // ascending fold at any worker count, so bands match bitwise.
         let ref_engine = ExecEngine::new(1);
-        for (i, (g, x)) in graphs.iter().zip(&feats).enumerate() {
-            let expect = model
-                .forward_cached(g, x, &MergePathSpmm::with_threads(1), &ref_engine, i as u64)
+        let expect: Vec<DenseMatrix<f32>> = graphs
+            .iter()
+            .zip(&feats)
+            .map(|(g, x)| model.forward(g, x, &ref_engine).unwrap())
+            .collect();
+        for workers in [1, 2, 7, 64] {
+            let engine = ExecEngine::new(workers);
+            let packed_out = model
+                .forward_batched_prepared(pack.matrix(), &prep, &[&stacked], &engine)
+                .unwrap()
+                .pop()
                 .unwrap();
-            let band = pack.scatter_block(&packed_out, i);
-            assert_eq!(band, expect, "graph {i} band differs");
+            assert_eq!(packed_out.rows(), pack.rows());
+            for (i, want) in expect.iter().enumerate() {
+                let band = pack.scatter_block(&packed_out, i);
+                assert_eq!(&band, want, "graph {i} band differs (workers={workers})");
+            }
         }
-    }
-
-    #[test]
-    fn mega_batched_rejects_bad_feature_width() {
-        let a = small_graph();
-        let model = GcnModel::two_layer(8, 12, 3, 1);
-        let engine = ExecEngine::new(1);
-        let prep = PreparedPlan::new(&a);
-        let bad = DenseMatrix::zeros(a.rows(), 5);
-        assert!(matches!(
-            model.forward_mega_batched(&a, &prep, &bad, &engine),
-            Err(SparseFormatError::ShapeMismatch { .. })
-        ));
     }
 
     #[test]
@@ -741,46 +456,43 @@ mod tests {
         let a = small_graph();
         let model = GcnModel::two_layer(32, 16, 7, 11);
         let x = random_features(100, 32, 0.4, 2);
-        let out = model.forward(&a, &x, &SerialSpmm).unwrap();
+        let out = model.forward(&a, &x, &ExecEngine::new(2)).unwrap();
         assert_eq!(out.rows(), 100);
         assert_eq!(out.cols(), 7);
     }
 
     #[test]
     fn kernels_produce_matching_inference_results() {
+        // Each kernel's own segment plan, replayed per layer, agrees with
+        // the engine forward to rounding.
         let a = small_graph();
+        let weights = [xavier_init(16, 8, 5), xavier_init(8, 4, 5 ^ 1)];
         let model = GcnModel::two_layer(16, 8, 4, 5);
         let x = random_features(100, 16, 0.4, 9);
-        let serial = model.forward(&a, &x, &SerialSpmm).unwrap();
-        let mp = model
-            .forward(&a, &x, &MergePathSpmm::with_threads(8))
-            .unwrap();
-        let gnn = model.forward(&a, &x, &NnzSplitSpmm::new()).unwrap();
-        assert!(mp.approx_eq(&serial, 1e-3).unwrap());
-        assert!(gnn.approx_eq(&serial, 1e-3).unwrap());
+        let got = model.forward(&a, &x, &ExecEngine::new(2)).unwrap();
+        let kernels: [&dyn SpmmKernel; 3] = [
+            &SerialSpmm,
+            &MergePathSpmm::with_threads(8),
+            &NnzSplitSpmm::new(),
+        ];
+        for kernel in kernels {
+            let mut h = x.clone();
+            for (w, act) in weights.iter().zip([Activation::Relu, Activation::Identity]) {
+                h = kernel.spmm_sequential(&a, &gemm(&h, w).unwrap()).unwrap().0;
+                act.apply(&mut h);
+            }
+            assert!(got.approx_eq(&h, 1e-3).unwrap(), "{}", kernel.name());
+        }
     }
 
     #[test]
     fn relu_between_layers_bounds_hidden_values() {
         let a = small_graph();
         let model = GcnModel::two_layer(8, 4, 2, 1);
+        let first = GcnModel::new(vec![model.layers()[0].clone()]);
         let x = random_features(100, 8, 0.5, 1);
-        let h1 = model.layers()[0].forward(&a, &x, &SerialSpmm).unwrap();
+        let h1 = first.forward(&a, &x, &ExecEngine::new(1)).unwrap();
         assert!(h1.as_slice().iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn unified_engine_matches_dense_gemm_path() {
-        // Running X×W on the SpMM engine must compute the same layer
-        // output as the dense GEMM path.
-        let a = small_graph();
-        let layer = GcnLayer::new(xavier_init(12, 8, 4), Activation::Relu);
-        let x_dense = random_features(100, 12, 0.4, 6);
-        let x_sparse = crate::ops::random_sparse_features(100, 12, 0.4, 6);
-        let kernel = MergePathSpmm::with_threads(8);
-        let via_gemm = layer.forward(&a, &x_dense, &kernel).unwrap();
-        let via_spmm = layer.forward_sparse_input(&a, &x_sparse, &kernel).unwrap();
-        assert!(via_spmm.approx_eq(&via_gemm, 1e-3).unwrap());
     }
 
     #[test]
@@ -795,31 +507,30 @@ mod tests {
     }
 
     #[test]
-    fn cached_forward_matches_plain_forward() {
+    fn recycled_buffers_do_not_change_the_forward() {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 16, 4, 2);
         let x = random_features(100, 16, 0.4, 3);
-        let kernel = MergePathSpmm::new();
         let engine = ExecEngine::new(2);
-        let plain = model.forward(&a, &x, &kernel).unwrap();
+        let first = model.forward(&a, &x, &engine).unwrap();
         for _ in 0..10 {
-            let out = model.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
-            assert!(out.approx_eq(&plain, 1e-4).unwrap());
+            let out = model.forward(&a, &x, &engine).unwrap();
+            assert_eq!(out, first);
+            engine.recycle(out);
         }
     }
 
     #[test]
-    fn cached_forward_reaches_zero_allocation_steady_state() {
+    fn forward_reaches_zero_allocation_steady_state() {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 16, 4, 2);
         let x = random_features(100, 16, 0.4, 3);
-        let kernel = MergePathSpmm::new();
         let engine = ExecEngine::new(2);
         // Warm up: first passes populate the arena with the activation
         // and H×W scratch shapes this model cycles through.
         let mut outs = Vec::new();
         for _ in 0..2 {
-            outs.push(model.forward_cached(&a, &x, &kernel, &engine, 0).unwrap());
+            outs.push(model.forward(&a, &x, &engine).unwrap());
         }
         for out in outs.drain(..) {
             engine.recycle(out);
@@ -827,7 +538,7 @@ mod tests {
         let warm_misses = engine.stats().arena_misses;
         let warm_reuses = engine.stats().arena_reuses;
         for _ in 0..5 {
-            let out = model.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
+            let out = model.forward(&a, &x, &engine).unwrap();
             engine.recycle(out);
         }
         let stats = engine.stats();
@@ -836,53 +547,6 @@ mod tests {
             "steady-state inference must not allocate fresh engine buffers"
         );
         assert!(stats.arena_reuses > warm_reuses);
-    }
-
-    #[test]
-    fn two_hop_paths_agree_and_match_explicit_square() {
-        let a = small_graph();
-        let model = GcnModel::two_layer(16, 12, 5, 8);
-        let x = random_features(100, 16, 0.4, 3);
-        let kernel = MergePathSpmm::new();
-        let engine = ExecEngine::new(2);
-        // Reference: forward through the oracle square (bit-identical
-        // to the engine's SpGEMM) on the plain kernel path.
-        let a2 = mpspmm_core::spgemm_sequential(&a, &a).unwrap();
-        let reference = model.forward(&a2, &x, &kernel).unwrap();
-        let squared = model
-            .forward_two_hop(&a, &x, &engine, TwoHopPath::Squared)
-            .unwrap();
-        let chained = model
-            .forward_two_hop(&a, &x, &engine, TwoHopPath::Chained)
-            .unwrap();
-        assert!(squared.approx_eq(&reference, 1e-4).unwrap());
-        // Different association (Â·(Â·HW) vs (Â·Â)·HW): rounding-level
-        // agreement only.
-        assert!(chained.approx_eq(&reference, 1e-3).unwrap());
-        assert!(engine.stats().spgemm.rows > 0, "Squared path ran SpGEMM");
-    }
-
-    #[test]
-    fn two_hop_auto_resolves_by_flop_model_and_never_returns_auto() {
-        let a = small_graph();
-        for dims in [1usize, 4096] {
-            let resolved = TwoHopPath::Auto.resolve(&a, dims);
-            assert_ne!(resolved, TwoHopPath::Auto);
-        }
-        // Pinned variants resolve to themselves.
-        assert_eq!(TwoHopPath::Chained.resolve(&a, 16), TwoHopPath::Chained);
-        assert_eq!(TwoHopPath::Squared.resolve(&a, 16), TwoHopPath::Squared);
-        // A huge width sum amortizes the one-off SpGEMM iff the square's
-        // flop bound beats re-streaming Â twice per layer; check the
-        // model picks consistently with its own arithmetic.
-        let ub = mpspmm_core::spgemm_flops_upper_bound(&a, &a);
-        let dims = 4096;
-        let want = if ub + ub * dims < 2 * a.nnz() * dims {
-            TwoHopPath::Squared
-        } else {
-            TwoHopPath::Chained
-        };
-        assert_eq!(TwoHopPath::Auto.resolve(&a, dims), want);
     }
 
     #[test]
@@ -897,7 +561,6 @@ mod tests {
     fn batched_forward_matches_per_request_forward() {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 12, 5, 8);
-        let kernel = MergePathSpmm::new();
         let engine = ExecEngine::new(2);
         let blocks: Vec<_> = (0..4)
             .map(|i| random_features(100, 16, 0.4, 40 + i))
@@ -908,10 +571,10 @@ mod tests {
             .unwrap();
         assert_eq!(batched.len(), 4);
         for (x, out) in blocks.iter().zip(&batched) {
-            let solo = model.forward(&a, x, &kernel).unwrap();
+            let solo = model.forward(&a, x, &engine).unwrap();
             assert_eq!(out.rows(), 100);
             assert_eq!(out.cols(), 5);
-            assert!(out.approx_eq(&solo, 1e-3).unwrap());
+            assert_eq!(out, &solo);
         }
     }
 
@@ -948,11 +611,15 @@ mod tests {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 8, 4, 5);
         let engine = ExecEngine::new(1);
+        let prep = PreparedPlan::new(&a);
         let good = random_features(100, 16, 0.4, 1);
         let bad = random_features(100, 10, 0.4, 2);
-        assert!(model
-            .forward_batched_prepared(&a, &PreparedPlan::new(&a), &[&good, &bad], &engine)
-            .is_err());
+        for blocks in [vec![&good, &bad], vec![&bad]] {
+            assert!(matches!(
+                model.forward_batched_prepared(&a, &prep, &blocks, &engine),
+                Err(SparseFormatError::ShapeMismatch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -969,6 +636,6 @@ mod tests {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 8, 4, 5);
         let bad_x = random_features(100, 10, 0.4, 9);
-        assert!(model.forward(&a, &bad_x, &SerialSpmm).is_err());
+        assert!(model.forward(&a, &bad_x, &ExecEngine::new(1)).is_err());
     }
 }

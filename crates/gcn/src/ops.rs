@@ -9,11 +9,11 @@ use rand::{Rng, SeedableRng};
 /// register-tiled band GEMM ([`mpspmm_core::ExecEngine::gemm`] on
 /// [`ExecEngine::global`]).
 ///
-/// This is the `X × W` combination of a GNN layer outside a caller-held
-/// engine (the seed-oracle `forward` paths, benches and examples); the
-/// cached and served paths call their own engine's `gemm`, so the
-/// codebase has one dense GEMM kernel. Each output element accumulates
-/// in ascending-`k` order, as the naive `ikj` loop does. Whenever `B`
+/// This is the `X × W` combination outside a caller-held engine (test
+/// oracles, benches and examples); the layer forwards call their own
+/// engine's `gemm`, so the codebase has one dense GEMM kernel. Each
+/// output element accumulates in ascending-`k` order, as the naive `ikj`
+/// loop does. Whenever `B`
 /// is finite the result is also bit-identical to that loop with an
 /// `a == 0.0` skip, because a skipped term only adds `±0` to an
 /// accumulator that is never `-0` (the `gemm_dense` tests pin this). A
@@ -52,7 +52,7 @@ impl Activation {
     /// This is the **unfused fallback** — the hot layer paths fuse their
     /// activation into the engine's SpMM store stage
     /// ([`mpspmm_core::Epilogue`]) and never re-stream the output. When
-    /// it does run (seed-oracle `forward`, sigmoid layers, standalone
+    /// it does run (GIN and SAGE layers, sigmoid GCN layers, standalone
     /// use), large matrices are split across the engine's worker pool;
     /// the per-span loops are branch-light and autovectorize.
     pub fn apply(&self, m: &mut DenseMatrix<f32>) {
@@ -146,22 +146,6 @@ pub fn random_features(nodes: usize, features: usize, density: f64, seed: u64) -
             0.0
         }
     })
-}
-
-/// The same feature matrix as [`random_features`], stored as CSR.
-///
-/// The paper's unified-engine accelerators (§II) run the `X × W` phase on
-/// the *same* SpMM hardware as `A × XW`, exploiting X's moderate sparsity;
-/// this constructor feeds that path (see
-/// [`GcnLayer::forward_sparse_input`](crate::GcnLayer::forward_sparse_input)).
-pub fn random_sparse_features(
-    nodes: usize,
-    features: usize,
-    density: f64,
-    seed: u64,
-) -> mpspmm_sparse::CsrMatrix<f32> {
-    let dense = random_features(nodes, features, density, seed);
-    mpspmm_sparse::CsrMatrix::from_dense(&dense)
 }
 
 #[cfg(test)]

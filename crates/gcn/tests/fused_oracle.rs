@@ -3,16 +3,12 @@
 //! with an unfused composition of the same engine primitives, whose
 //! aggregation is the ascending row sum at any worker count.
 //!
-//! Every fused output is additionally checked against the seed
-//! `forward` path (`ops::gemm` + plain kernel SpMM + separate epilogue
-//! passes) to numerical tolerance, pinning the whole pipeline — not just
-//! the fusion delta — to the original semantics. The GCN model paths
-//! are also pinned exactly to the seed zero-skip GEMM loop, inlined here
-//! as an oracle.
+//! The GCN model paths are also pinned exactly to the seed zero-skip
+//! GEMM loop, inlined here as an oracle.
 
-use mpspmm_core::{default_workers, DataPath, Epilogue, ExecEngine, MergePathSpmm, PreparedPlan};
+use mpspmm_core::{default_workers, DataPath, Epilogue, ExecEngine, PreparedPlan};
 use mpspmm_gcn::ops::{gemm, random_features, xavier_init, Activation};
-use mpspmm_gcn::{GcnLayer, GinLayer, SageMeanLayer};
+use mpspmm_gcn::{GcnLayer, GcnModel, GinLayer, SageMeanLayer};
 use mpspmm_graphs::{gcn_normalize, mean_normalize, sum_with_self_loops, DatasetSpec, GraphClass};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 
@@ -97,13 +93,13 @@ fn gcn_cases() -> Vec<GcnCase> {
 fn fused_layer_matches_unfused_oracle() {
     let a = gcn_normalize(&graph());
     let x = random_features(NODES, IN_DIM, 0.4, 33);
-    let kernel = MergePathSpmm::with_threads(13);
 
-    // --- GCN: the fused epilogue path proper. ---
+    // --- GCN: the fused epilogue path proper, as a one-layer model. ---
     for case in gcn_cases() {
+        let model = GcnModel::new(vec![case.layer.clone()]);
         for &(path, workers) in &engine_matrix() {
             let engine = ExecEngine::with_data_path(workers, path);
-            let fused = case.layer.forward_cached(&a, &x, &engine).unwrap();
+            let fused = model.forward(&a, &x, &engine).unwrap();
             // Unfused composition on the same engine: engine GEMM, plain
             // SpMM, then bias and activation as separate passes.
             let hw = engine.gemm(&x, &case.weight).unwrap();
@@ -117,19 +113,11 @@ fn fused_layer_matches_unfused_oracle() {
             }
             case.activation.apply(&mut want);
             assert_matches(&fused, &want, case.label, path, workers);
-            // Seed-path sanity: the whole fused layer stays within
-            // numerical tolerance of the seed pipeline.
-            let seed = case.layer.forward(&a, &x, &kernel).unwrap();
-            assert!(
-                fused.approx_eq(&seed, 1e-4).unwrap(),
-                "{} diverged from seed forward (path={path:?} workers={workers})",
-                case.label,
-            );
         }
     }
 
     // --- GIN: the engine under test's MLP vs the `ops::gemm` MLP over
-    // the same cached aggregation. ---
+    // the same engine aggregation. ---
     let sum_op = sum_with_self_loops(&graph(), 0.3);
     let gin = GinLayer::new(
         xavier_init(IN_DIM, 20, 40),
@@ -138,15 +126,13 @@ fn fused_layer_matches_unfused_oracle() {
     );
     for &(path, workers) in &engine_matrix() {
         let engine = ExecEngine::with_data_path(workers, path);
-        let fused = gin.forward_cached(&sum_op, &x, &engine).unwrap();
+        let fused = gin.forward(&sum_op, &x, &engine).unwrap();
         let (agg, _) = engine.spmm(&sum_op, &x, &Epilogue::None).unwrap();
         let mut hidden = gemm(&agg, &xavier_init(IN_DIM, 20, 40)).unwrap();
         Activation::Relu.apply(&mut hidden);
         let mut want = gemm(&hidden, &xavier_init(20, 6, 41)).unwrap();
         Activation::Relu.apply(&mut want);
         assert_matches(&fused, &want, "gin", path, workers);
-        let seed = gin.forward(&sum_op, &x, &kernel).unwrap();
-        assert!(fused.approx_eq(&seed, 1e-4).unwrap(), "gin seed sanity");
     }
 
     // --- SAGE: both dense products on the engine GEMM. ---
@@ -156,7 +142,7 @@ fn fused_layer_matches_unfused_oracle() {
     let sage = SageMeanLayer::new(w_self.clone(), w_neigh.clone(), Activation::Relu);
     for &(path, workers) in &engine_matrix() {
         let engine = ExecEngine::with_data_path(workers, path);
-        let fused = sage.forward_cached(&mean_op, &x, &engine).unwrap();
+        let fused = sage.forward(&mean_op, &x, &engine).unwrap();
         let hwn = gemm(&x, &w_neigh).unwrap();
         let (neigh, _) = engine.spmm(&mean_op, &hwn, &Epilogue::None).unwrap();
         let mut want = gemm(&x, &w_self).unwrap();
@@ -165,8 +151,6 @@ fn fused_layer_matches_unfused_oracle() {
         }
         Activation::Relu.apply(&mut want);
         assert_matches(&fused, &want, "sage", path, workers);
-        let seed = sage.forward(&mean_op, &x, &kernel).unwrap();
-        assert!(fused.approx_eq(&seed, 1e-4).unwrap(), "sage seed sanity");
     }
 }
 
@@ -184,10 +168,14 @@ fn wide_hidden_dim_fused_equals_unfused() {
     let bias: Vec<f32> = (0..OUT_DIM)
         .map(|j| (j % 11) as f32 * 0.125 - 0.5)
         .collect();
-    let layer = GcnLayer::with_bias(w.clone(), bias.clone(), Activation::Relu);
+    let model = GcnModel::new(vec![GcnLayer::with_bias(
+        w.clone(),
+        bias.clone(),
+        Activation::Relu,
+    )]);
     for workers in worker_counts() {
         let engine = ExecEngine::new(workers);
-        let fused = layer.forward_cached(&a, &x, &engine).unwrap();
+        let fused = model.forward(&a, &x, &engine).unwrap();
         let hw = engine.gemm(&x, &w).unwrap();
         let (mut want, _) = engine.spmm(&a, &hw, &Epilogue::None).unwrap();
         for r in 0..want.rows() {
@@ -210,7 +198,7 @@ fn wide_hidden_dim_fused_equals_unfused() {
 #[test]
 fn fused_batched_forward_matches_per_request() {
     let a = gcn_normalize(&graph());
-    let model = mpspmm_gcn::GcnModel::new(vec![
+    let model = GcnModel::new(vec![
         GcnLayer::with_bias(
             xavier_init(IN_DIM, 10, 60),
             (0..10).map(|j| j as f32 * 0.25 - 1.0).collect(),
@@ -222,7 +210,6 @@ fn fused_batched_forward_matches_per_request() {
             Activation::Identity,
         ),
     ]);
-    let kernel = MergePathSpmm::new();
     for workers in worker_counts() {
         let engine = ExecEngine::new(workers);
         let prep = PreparedPlan::new(&a);
@@ -242,8 +229,6 @@ fn fused_batched_forward_matches_per_request() {
                 0.0,
                 "batched fused (workers={workers}) must be exact vs solo"
             );
-            let plain = model.forward(&a, x, &kernel).unwrap();
-            assert!(out.approx_eq(&plain, 1e-4).unwrap(), "seed sanity");
         }
     }
 }
@@ -280,7 +265,7 @@ fn raw_features(cols: usize, seed: u64) -> DenseMatrix<f32> {
 }
 
 /// Every layer's combination, layer 0 included, runs on the engine
-/// GEMM. The served batch path and the cached path must still return
+/// GEMM. The served batch path and the one-request path must still return
 /// the exact bits of the seed composition: the zero-skip loop for each
 /// combination, then the same engine's fused aggregation. Exact at
 /// every worker count, because both sides run the same aggregation
@@ -295,7 +280,7 @@ fn model_paths_match_zero_skip_composition_exactly() {
         xavier_init(RAW, HIDDEN, 90),
         xavier_init(HIDDEN, CLASSES, 91),
     ];
-    let model = mpspmm_gcn::GcnModel::new(vec![
+    let model = GcnModel::new(vec![
         GcnLayer::with_bias(
             weights[0].clone(),
             (0..HIDDEN)
@@ -310,14 +295,11 @@ fn model_paths_match_zero_skip_composition_exactly() {
         ),
     ]);
     let blocks: Vec<DenseMatrix<f32>> = (0..3).map(|i| raw_features(RAW, 95 + i)).collect();
-    let kernel = MergePathSpmm::new();
     for &(path, workers) in &engine_matrix() {
         let engine = ExecEngine::with_data_path(workers, path);
 
-        // forward_cached vs zero-skip GEMM + fused engine SpMM per layer.
-        let got = model
-            .forward_cached(&a, &blocks[0], &kernel, &engine, 0)
-            .unwrap();
+        // forward vs zero-skip GEMM + fused engine SpMM per layer.
+        let got = model.forward(&a, &blocks[0], &engine).unwrap();
         let mut want = blocks[0].clone();
         for (layer, w) in model.layers().iter().zip(&weights) {
             let hw = zero_skip_gemm(&want, w);
@@ -327,7 +309,7 @@ fn model_paths_match_zero_skip_composition_exactly() {
         assert_eq!(
             got.as_slice(),
             want.as_slice(),
-            "forward_cached (path={path:?} workers={workers})"
+            "forward (path={path:?} workers={workers})"
         );
 
         // forward_batched_prepared vs zero-skip GEMM per block + one

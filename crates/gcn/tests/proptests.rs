@@ -1,11 +1,31 @@
 //! Property-based tests for the GCN substrate.
 
-use mpspmm_core::{MergePathSpmm, SerialSpmm};
+use mpspmm_core::{ExecEngine, MergePathSpmm, SerialSpmm, SpmmKernel};
 use mpspmm_gcn::ops::{gemm, random_features, softmax_rows, xavier_init, Activation};
-use mpspmm_gcn::{GcnModel, GinLayer, SageMeanLayer};
+use mpspmm_gcn::{GcnLayer, GcnModel, GinLayer, SageMeanLayer};
 use mpspmm_graphs::{gcn_normalize, mean_normalize, sum_with_self_loops, DatasetSpec, GraphClass};
-use mpspmm_sparse::DenseMatrix;
+use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
+
+/// Worker counts every forward must agree across, bit for bit.
+const WORKERS: [usize; 4] = [1, 2, 7, 64];
+
+/// Runs `forward` at every count in [`WORKERS`], asserts each result
+/// `==` the 1-worker one, and returns that result.
+fn same_at_every_worker_count(
+    forward: impl Fn(&ExecEngine) -> DenseMatrix<f32>,
+) -> DenseMatrix<f32> {
+    let one = forward(&ExecEngine::new(1));
+    for w in &WORKERS[1..] {
+        assert_eq!(forward(&ExecEngine::new(*w)), one, "workers={w}");
+    }
+    one
+}
+
+/// `op · b` through `kernel`'s own segment plan, replayed sequentially.
+fn replay(kernel: &dyn SpmmKernel, op: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
+    kernel.spmm_sequential(op, b).unwrap().0
+}
 
 fn arb_dense(max_dim: usize) -> impl Strategy<Value = DenseMatrix<f32>> {
     (1..=max_dim, 1..=max_dim, any::<u64>()).prop_map(|(r, c, seed)| {
@@ -84,33 +104,48 @@ proptest! {
         let spec = DatasetSpec::custom("p", GraphClass::PowerLaw, nodes, nnz, max_deg);
         let a = spec.synthesize(seed);
         let x = random_features(nodes, 8, 0.5, seed ^ 1);
-        let serial = SerialSpmm;
-        let parallel = MergePathSpmm::with_threads(9);
+        let kernels: [&dyn SpmmKernel; 2] = [&SerialSpmm, &MergePathSpmm::with_threads(9)];
 
-        let gcn = GcnModel::two_layer(8, 8, 3, seed ^ 2);
+        // Each forward is `==` across worker counts, and within tolerance
+        // of a per-layer reference on every kernel's own plan replay.
+        let gcn_w = [xavier_init(8, 8, seed ^ 2), xavier_init(8, 3, seed ^ 2 ^ 1)];
+        let gcn = GcnModel::new(vec![
+            GcnLayer::new(gcn_w[0].clone(), Activation::Relu),
+            GcnLayer::new(gcn_w[1].clone(), Activation::Identity),
+        ]);
         let a_hat = gcn_normalize(&a);
-        let s = gcn.forward(&a_hat, &x, &serial).unwrap();
-        let p = gcn.forward(&a_hat, &x, &parallel).unwrap();
-        prop_assert!(p.approx_eq(&s, 1e-3).unwrap());
+        let got = same_at_every_worker_count(|e| gcn.forward(&a_hat, &x, e).unwrap());
+        for kernel in kernels {
+            let mut h = replay(kernel, &a_hat, &gemm(&x, &gcn_w[0]).unwrap());
+            Activation::Relu.apply(&mut h);
+            let want = replay(kernel, &a_hat, &gemm(&h, &gcn_w[1]).unwrap());
+            prop_assert!(got.approx_eq(&want, 1e-3).unwrap(), "gcn vs {}", kernel.name());
+        }
 
-        let gin = GinLayer::new(
-            xavier_init(8, 8, seed ^ 3),
-            xavier_init(8, 3, seed ^ 4),
-            Activation::Relu,
-        );
+        let gin_w = [xavier_init(8, 8, seed ^ 3), xavier_init(8, 3, seed ^ 4)];
+        let gin = GinLayer::new(gin_w[0].clone(), gin_w[1].clone(), Activation::Relu);
         let op = sum_with_self_loops(&a, 0.2);
-        let s = gin.forward(&op, &x, &serial).unwrap();
-        let p = gin.forward(&op, &x, &parallel).unwrap();
-        prop_assert!(p.approx_eq(&s, 1e-2).unwrap());
+        let got = same_at_every_worker_count(|e| gin.forward(&op, &x, e).unwrap());
+        for kernel in kernels {
+            let mut hidden = gemm(&replay(kernel, &op, &x), &gin_w[0]).unwrap();
+            Activation::Relu.apply(&mut hidden);
+            let mut want = gemm(&hidden, &gin_w[1]).unwrap();
+            Activation::Relu.apply(&mut want);
+            prop_assert!(got.approx_eq(&want, 1e-2).unwrap(), "gin vs {}", kernel.name());
+        }
 
-        let sage = SageMeanLayer::new(
-            xavier_init(8, 3, seed ^ 5),
-            xavier_init(8, 3, seed ^ 6),
-            Activation::Sigmoid,
-        );
+        let sage_w = [xavier_init(8, 3, seed ^ 5), xavier_init(8, 3, seed ^ 6)];
+        let sage = SageMeanLayer::new(sage_w[0].clone(), sage_w[1].clone(), Activation::Sigmoid);
         let op = mean_normalize(&a);
-        let s = sage.forward(&op, &x, &serial).unwrap();
-        let p = sage.forward(&op, &x, &parallel).unwrap();
-        prop_assert!(p.approx_eq(&s, 1e-3).unwrap());
+        let got = same_at_every_worker_count(|e| sage.forward(&op, &x, e).unwrap());
+        for kernel in kernels {
+            let mut want = gemm(&x, &sage_w[0]).unwrap();
+            let neigh = replay(kernel, &op, &gemm(&x, &sage_w[1]).unwrap());
+            for (dst, &src) in want.as_mut_slice().iter_mut().zip(neigh.as_slice()) {
+                *dst += src;
+            }
+            Activation::Sigmoid.apply(&mut want);
+            prop_assert!(got.approx_eq(&want, 1e-3).unwrap(), "sage vs {}", kernel.name());
+        }
     }
 }

@@ -105,8 +105,8 @@ impl Pending {
     /// Graph-packing compatibility key: unlike [`batch_key`]
     /// (Self::batch_key), *different* graphs may share a packed window —
     /// what must agree is the workload, the feature width (vertical
-    /// stacking), and, for GCN, the model (one mega-batched forward runs
-    /// one weight set; models are compared by `Arc` pointer).
+    /// stacking), and, for GCN, the model (one packed forward runs one
+    /// weight set; models are compared by `Arc` pointer).
     fn pack_key(&self) -> (Workload, usize, usize) {
         let model_ptr = match self.workload {
             Workload::Spmm => 0,
@@ -352,9 +352,9 @@ fn run_column_batch(shared: &Shared, live: Vec<Pending>, degraded: bool) {
 
 /// Sheds, then runs a packed window as **one** block-diagonal execution:
 /// constituent adjacencies concatenate on the diagonal, feature blocks
-/// stack vertically, one prepared-plan run (or one mega-batched GCN
-/// forward) computes everything, and each request's result is scattered
-/// back out of its private row band.
+/// stack vertically, one prepared-plan run (or one GCN forward over the
+/// stacked features as a single block) computes everything, and each
+/// request's result is scattered back out of its private row band.
 ///
 /// A window that shrinks to a single survivor skips the packing and runs
 /// the classic path against the graph's own plan — zero-copy, and
@@ -395,7 +395,10 @@ fn execute_packed(shared: &Shared, batch: Vec<Pending>, degraded: bool) {
                     .graph
                     .model()
                     .expect("Gcn workload admitted only for graphs with a model");
-                model.forward_mega_batched(pack.matrix(), &prep, &stacked, &shared.engine)?
+                model
+                    .forward_batched_prepared(pack.matrix(), &prep, &[&stacked], &shared.engine)?
+                    .pop()
+                    .expect("one block in, one output out")
             }
         };
         shared.engine.recycle(stacked);

@@ -17,7 +17,8 @@ pub enum ServeError {
     /// The request's feature block does not fit the target graph (or its
     /// model's input width).
     BadShape {
-        /// Node count the graph expects the block's rows to match.
+        /// Row count the block must have: the adjacency's column count
+        /// (its node count when square).
         expected_rows: usize,
         /// Required column count, when the workload fixes one (a GCN
         /// model's input width); `None` for raw SpMM, where any width is
@@ -70,7 +71,7 @@ impl std::fmt::Display for ServeError {
                 ),
                 None => write!(
                     f,
-                    "feature block has {} rows, graph has {expected_rows} nodes",
+                    "feature block has {} rows, graph expects {expected_rows}",
                     got.0
                 ),
             },

@@ -419,9 +419,12 @@ impl Server {
             ),
         };
         let got = (req.features.rows(), req.features.cols());
-        if got.0 != graph.nodes() || expected_cols.is_some_and(|c| c != got.1) {
+        // The engine multiplies the features by the adjacency, so their
+        // rows must match its columns (its rows when square).
+        let expected_rows = graph.adjacency().cols();
+        if got.0 != expected_rows || expected_cols.is_some_and(|c| c != got.1) {
             return Err(ServeError::BadShape {
-                expected_rows: graph.nodes(),
+                expected_rows,
                 expected_cols,
                 got,
             });

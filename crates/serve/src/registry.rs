@@ -60,7 +60,9 @@ impl ServedGraph {
         self.version
     }
 
-    /// Node count — the row count every feature block must match.
+    /// Node count: the adjacency's row count, which is also every
+    /// reply's row count. Feature blocks must match the adjacency's
+    /// column count instead, which differs for a rectangular adjacency.
     pub fn nodes(&self) -> usize {
         self.adjacency.rows()
     }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpspmm_core::{default_workers, ExecEngine, MergePathSpmm, SpmmKernel};
+use mpspmm_core::{default_workers, ExecEngine, MergePathSpmm, SerialSpmm, SpmmKernel};
 use mpspmm_gcn::GcnModel;
 use mpspmm_serve::{Request, ServeConfig, ServeError, Server, Workload};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
@@ -73,12 +73,12 @@ fn gcn_requests_match_unbatched_forward() {
     let srv = server(ServeConfig::default());
     let model = GcnModel::two_layer(6, 10, 3, 42);
     srv.register("g", graph(1.0), Some(model));
-    let kernel = MergePathSpmm::with_threads(6);
     let a = graph(1.0);
     let reference = GcnModel::two_layer(6, 10, 3, 42);
+    let engine = ExecEngine::new(1);
     for salt in 0..3 {
         let x = feats(6, salt);
-        let expect = reference.forward(&a, &x, &kernel).unwrap();
+        let expect = reference.forward(&a, &x, &engine).unwrap();
         let got = srv
             .submit(req("g", "t", x, Workload::Gcn))
             .unwrap()
@@ -86,7 +86,7 @@ fn gcn_requests_match_unbatched_forward() {
             .unwrap();
         assert_eq!(got.rows(), NODES);
         assert_eq!(got.cols(), 3);
-        assert!(got.approx_eq(&expect, 1e-5).unwrap(), "salt {salt}");
+        assert_eq!(got, expect, "salt {salt}");
     }
     srv.shutdown();
 }
@@ -279,6 +279,41 @@ fn admission_rejects_bad_requests_with_typed_errors() {
     srv.shutdown();
 }
 
+/// A rectangular adjacency multiplies features whose rows match its
+/// columns: admission checks that count, not the node (row) count.
+#[test]
+fn rectangular_adjacency_admits_by_column_count() {
+    let trips: Vec<(usize, usize, f32)> = (0..6)
+        .flat_map(|r| [(r, r, 1.0 + r as f32), (r, (r * 5 + 3) % 9, 0.5)])
+        .collect();
+    let a = CsrMatrix::from_triplets(6, 9, &trips).unwrap();
+    let srv = server(ServeConfig::default());
+    srv.register("rect", a.clone(), None);
+
+    let block = |rows: usize| DenseMatrix::from_fn(rows, 4, |r, c| (r * 4 + c) as f32 * 0.25 - 2.0);
+    let x = block(9);
+    let got = srv
+        .submit(req("rect", "t", x.clone(), Workload::Spmm))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let (expect, _) = SerialSpmm.spmm_sequential(&a, &x).unwrap();
+    assert_eq!(got, expect);
+
+    let err = srv
+        .submit(req("rect", "t", block(6), Workload::Spmm))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        ServeError::BadShape {
+            expected_rows: 9,
+            expected_cols: None,
+            got: (6, 4)
+        }
+    );
+    srv.shutdown();
+}
+
 #[test]
 fn shutdown_answers_admitted_requests_then_refuses_new_ones() {
     let srv = server(ServeConfig {
@@ -350,9 +385,9 @@ fn wide_hidden_dim_gcn_serves_and_matches_forward() {
         .unwrap();
     let reference = GcnModel::two_layer(6, 256, 3, 42);
     let expect = reference
-        .forward(&graph(1.0), &x, &MergePathSpmm::with_threads(6))
+        .forward(&graph(1.0), &x, &ExecEngine::new(1))
         .unwrap();
-    assert!(got.approx_eq(&expect, 1e-4).unwrap());
+    assert_eq!(got, expect);
     let stats = srv.stats();
     assert!(stats.engine.kblocks > 0, "GEMM k-block counter surfaced");
     srv.shutdown();
@@ -582,17 +617,10 @@ fn packed_gcn_windows_share_one_model_across_graphs() {
         })
         .collect();
     let ref_engine = ExecEngine::new(1);
-    let ref_kernel = MergePathSpmm::with_threads(1);
     for (i, n, ticket) in tickets {
         let a = small_graph(n, 0.5 + i as f32);
         let expect = model
-            .forward_cached(
-                &a,
-                &small_feats(n, 5, i),
-                &ref_kernel,
-                &ref_engine,
-                i as u64,
-            )
+            .forward(&a, &small_feats(n, 5, i), &ref_engine)
             .unwrap();
         let got = ticket.wait().unwrap();
         assert_eq!(got.max_abs_diff(&expect).unwrap(), 0.0, "graph {i}");

@@ -21,6 +21,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo build --release
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc with warnings denied: a doc link to a private, renamed or
+# deleted item fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --keep-going
 cargo test -q
 cargo test --workspace -q
 # Debug build (debug_assertions on): overflow checks and the engine's

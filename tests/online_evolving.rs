@@ -3,7 +3,7 @@
 //! correct results (§III-D).
 
 use merge_path_spmm::core::{
-    MergePathSpmm, NeighborPartitionIndex, NnzSplitSpmm, SerialSpmm, SpmmKernel,
+    ExecEngine, MergePathSpmm, NeighborPartitionIndex, NnzSplitSpmm, SerialSpmm, SpmmKernel,
 };
 use merge_path_spmm::gcn::ops::random_features;
 use merge_path_spmm::gcn::ops::xavier_init;
@@ -49,9 +49,9 @@ fn evolving_graph_invalidates_and_rebuilds() {
 #[test]
 fn gnn_zoo_runs_on_each_snapshot() {
     // GCN, GIN, and GraphSAGE-mean all aggregate through the same SpMM
-    // kernel as the graph evolves.
+    // engine as the graph evolves.
     let mut stream = GraphStream::new(&spec(), 13);
-    let kernel = MergePathSpmm::with_threads(24);
+    let engine = ExecEngine::new(24);
     let gcn_model = GcnModel::two_layer(12, 16, 4, 2);
     let gin = GinLayer::new(
         xavier_init(12, 16, 3),
@@ -68,13 +68,13 @@ fn gnn_zoo_runs_on_each_snapshot() {
     for _ in 0..3 {
         let a = stream.step(20, 20).clone();
         let gcn_out = gcn_model
-            .forward(&gcn_normalize(&a), &x, &kernel)
+            .forward(&gcn_normalize(&a), &x, &engine)
             .expect("gcn forward");
         let gin_out = gin
-            .forward(&sum_with_self_loops(&a, 0.1), &x, &kernel)
+            .forward(&sum_with_self_loops(&a, 0.1), &x, &engine)
             .expect("gin forward");
         let sage_out = sage
-            .forward(&mean_normalize(&a), &x, &kernel)
+            .forward(&mean_normalize(&a), &x, &engine)
             .expect("sage forward");
         assert_eq!(gcn_out.cols(), 4);
         assert_eq!(gin_out.cols(), 4);
