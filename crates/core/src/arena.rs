@@ -8,7 +8,7 @@
 //! allocated (and dropped) all of them; under serving traffic that is
 //! pure allocator churn on buffers whose sizes repeat forever, because
 //! the graph and feature dimensions of a tenant are stationary. The
-//! arena keeps a small pool of retired buffers per kind and hands them
+//! arena keeps one small pool of retired `f32` buffers and hands them
 //! back out by best capacity fit, so the steady state is 100% reuse.
 //!
 //! Alignment: fresh f32 buffers are allocated with capacities rounded up
@@ -42,9 +42,6 @@ const LINE_F32: usize = 16;
 #[derive(Debug, Default)]
 pub(crate) struct BufferArena {
     outputs: Mutex<Vec<Vec<f32>>>,
-    /// `u32` scratch (SpGEMM column/key buffers) pooled separately from
-    /// the f32 outputs so the two kinds never evict each other.
-    indices: Mutex<Vec<Vec<u32>>>,
     reuses: AtomicU64,
     misses: AtomicU64,
 }
@@ -52,11 +49,11 @@ pub(crate) struct BufferArena {
 /// Pops the best (smallest sufficient) capacity fit from `pool`, or the
 /// overall smallest entry (to be dropped by the caller) when nothing
 /// fits and the pool is full.
-fn pop_fit<T>(pool: &mut Vec<T>, capacity: impl Fn(&T) -> usize, need: usize) -> Option<(T, bool)> {
+fn pop_fit(pool: &mut Vec<Vec<f32>>, need: usize) -> Option<(Vec<f32>, bool)> {
     let mut best: Option<(usize, usize)> = None; // (index, capacity)
     let mut smallest: Option<(usize, usize)> = None;
-    for (i, item) in pool.iter().enumerate() {
-        let cap = capacity(item);
+    for (i, buf) in pool.iter().enumerate() {
+        let cap = buf.capacity();
         if cap >= need && best.is_none_or(|(_, c)| cap < c) {
             best = Some((i, cap));
         }
@@ -80,7 +77,7 @@ impl BufferArena {
     /// Checks out a zeroed `Vec<f32>` of exactly `len` elements, reusing
     /// a pooled buffer when one is large enough.
     pub(crate) fn take_zeroed(&self, len: usize) -> Vec<f32> {
-        let popped = pop_fit(&mut self.outputs.lock().unwrap(), Vec::capacity, len);
+        let popped = pop_fit(&mut self.outputs.lock().unwrap(), len);
         match popped {
             Some((mut buf, true)) => {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
@@ -96,65 +93,6 @@ impl BufferArena {
                 buf
             }
         }
-    }
-
-    /// Checks out an **empty** `Vec<f32>` with capacity at least `cap`,
-    /// reusing a pooled buffer when one is large enough. For push-style
-    /// producers (the SpGEMM numeric phase) that would only overwrite a
-    /// zeroed prefix anyway.
-    pub(crate) fn take_cleared(&self, cap: usize) -> Vec<f32> {
-        let popped = pop_fit(&mut self.outputs.lock().unwrap(), Vec::capacity, cap);
-        match popped {
-            Some((mut buf, true)) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                buf
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(cap.next_multiple_of(LINE_F32))
-            }
-        }
-    }
-
-    /// Checks out an **empty** `Vec<u32>` with capacity at least `cap`
-    /// from the index pool.
-    pub(crate) fn take_indices(&self, cap: usize) -> Vec<u32> {
-        let popped = pop_fit(&mut self.indices.lock().unwrap(), Vec::capacity, cap);
-        match popped {
-            Some((mut buf, true)) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                buf
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(cap)
-            }
-        }
-    }
-
-    /// Returns a `u32` scratch buffer to the index pool (dropped if the
-    /// pool is full and every pooled buffer is at least as large).
-    pub(crate) fn put_indices(&self, buf: Vec<u32>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut pool = self.indices.lock().unwrap();
-        if pool.len() >= MAX_POOLED {
-            if let Some((i, _)) = pool
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (i, b.capacity()))
-                .min_by_key(|&(_, c)| c)
-            {
-                if pool[i].capacity() < buf.capacity() {
-                    pool[i] = buf;
-                }
-                return;
-            }
-        }
-        pool.push(buf);
     }
 
     /// Returns an output buffer to the pool (dropped if the pool is full
@@ -194,7 +132,6 @@ impl BufferArena {
     /// Drops all pooled buffers and zeroes the counters.
     pub(crate) fn clear(&self) {
         self.outputs.lock().unwrap().clear();
-        self.indices.lock().unwrap().clear();
         self.reuses.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -242,35 +179,6 @@ mod tests {
         // size must hit.
         let _ = arena.take_zeroed(2 * MAX_POOLED * 16);
         assert_eq!(arena.reuses(), 1);
-    }
-
-    #[test]
-    fn take_cleared_returns_empty_with_capacity() {
-        let arena = BufferArena::default();
-        let mut a = arena.take_cleared(100);
-        assert!(a.is_empty());
-        assert!(a.capacity() >= 100);
-        a.extend_from_slice(&[1.0; 50]);
-        arena.put(a);
-        let b = arena.take_cleared(40);
-        assert!(b.is_empty(), "recycled buffer comes back cleared");
-        assert_eq!(arena.reuses(), 1);
-    }
-
-    #[test]
-    fn index_pool_roundtrip_is_separate_from_outputs() {
-        let arena = BufferArena::default();
-        let mut a = arena.take_indices(64);
-        assert!(a.is_empty());
-        assert!(a.capacity() >= 64);
-        a.push(7);
-        arena.put_indices(a);
-        let b = arena.take_indices(32);
-        assert!(b.is_empty());
-        assert_eq!(arena.reuses(), 1);
-        // The f32 pool stays cold: this request must miss.
-        let _ = arena.take_zeroed(8);
-        assert_eq!(arena.misses(), 2);
     }
 
     #[test]

@@ -66,9 +66,8 @@ use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
 use crate::plan::{Flush, Segment};
 use crate::pool::{ScopedJob, WorkerPool};
-use crate::spgemm::SpgemmStrategy;
 use crate::spmm::{default_workers, row_aligned_starts, SpmmKernel};
-use crate::stats::{SpgemmStats, WriteStats};
+use crate::stats::WriteStats;
 use crate::tuning::GATHER_MAX_NNZ;
 
 /// A prepared SpMM plan: the row count and write statistics of one
@@ -163,11 +162,6 @@ pub struct EngineStats {
     /// — together with the SpMM wall time this is the "where the time
     /// goes" split of a fused GCN layer.
     pub gemm_ns: u64,
-    /// Sparse×sparse counters (see [`SpgemmStats`]): rows executed
-    /// through [`ExecEngine::spgemm`], the per-accumulator row
-    /// distribution, and the symbolic/numeric phase wall split. All
-    /// zero until the first `spgemm` call.
-    pub spgemm: SpgemmStats,
     /// Always 0: [`ExecEngine::plan_batch_cached`] caches nothing, so
     /// no batch plan is ever reused.
     pub batch_plan_hits: u64,
@@ -200,15 +194,6 @@ pub struct ExecEngine {
     pub(crate) kblocks: AtomicU64,
     fused_epilogues: AtomicU64,
     pub(crate) gemm_ns: AtomicU64,
-    /// Accumulator strategy SpGEMM runs pin
-    /// ([`SpgemmStrategy::Adaptive`] = the per-row classifier).
-    pub(crate) spgemm_strategy: SpgemmStrategy,
-    pub(crate) spgemm_rows: AtomicU64,
-    pub(crate) spgemm_dense: AtomicU64,
-    pub(crate) spgemm_hash: AtomicU64,
-    pub(crate) spgemm_merge: AtomicU64,
-    pub(crate) spgemm_symbolic_ns: AtomicU64,
-    pub(crate) spgemm_numeric_ns: AtomicU64,
 }
 
 impl ExecEngine {
@@ -243,13 +228,6 @@ impl ExecEngine {
             kblocks: AtomicU64::new(0),
             fused_epilogues: AtomicU64::new(0),
             gemm_ns: AtomicU64::new(0),
-            spgemm_strategy: SpgemmStrategy::default(),
-            spgemm_rows: AtomicU64::new(0),
-            spgemm_dense: AtomicU64::new(0),
-            spgemm_hash: AtomicU64::new(0),
-            spgemm_merge: AtomicU64::new(0),
-            spgemm_symbolic_ns: AtomicU64::new(0),
-            spgemm_numeric_ns: AtomicU64::new(0),
         }
     }
 
@@ -462,14 +440,6 @@ impl ExecEngine {
             kblocks: self.kblocks.load(Ordering::Relaxed),
             fused_epilogues: self.fused_epilogues.load(Ordering::Relaxed),
             gemm_ns: self.gemm_ns.load(Ordering::Relaxed),
-            spgemm: SpgemmStats {
-                rows: self.spgemm_rows.load(Ordering::Relaxed),
-                accum_dense: self.spgemm_dense.load(Ordering::Relaxed),
-                accum_hash: self.spgemm_hash.load(Ordering::Relaxed),
-                accum_merge: self.spgemm_merge.load(Ordering::Relaxed),
-                symbolic_ns: self.spgemm_symbolic_ns.load(Ordering::Relaxed),
-                numeric_ns: self.spgemm_numeric_ns.load(Ordering::Relaxed),
-            },
             batch_plan_hits: 0,
             batch_plan_misses: self.batch_builds.load(Ordering::Relaxed),
             batch_plan_rebuilds: 0,
@@ -505,12 +475,6 @@ impl ExecEngine {
         self.kblocks.store(0, Ordering::Relaxed);
         self.fused_epilogues.store(0, Ordering::Relaxed);
         self.gemm_ns.store(0, Ordering::Relaxed);
-        self.spgemm_rows.store(0, Ordering::Relaxed);
-        self.spgemm_dense.store(0, Ordering::Relaxed);
-        self.spgemm_hash.store(0, Ordering::Relaxed);
-        self.spgemm_merge.store(0, Ordering::Relaxed);
-        self.spgemm_symbolic_ns.store(0, Ordering::Relaxed);
-        self.spgemm_numeric_ns.store(0, Ordering::Relaxed);
     }
 
     /// Runs `prep` on `a · b`: inline at one worker, otherwise one row

@@ -59,7 +59,6 @@ mod gemm;
 mod merge_path;
 mod plan;
 mod pool;
-pub mod spgemm;
 pub mod spmm;
 pub mod spmv;
 mod stats;
@@ -70,22 +69,15 @@ pub use datapath::DataPath;
 pub use engine::{EngineStats, ExecEngine, PreparedPlan};
 pub use epilogue::Epilogue;
 pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};
-pub use plan::{
-    chunk_threads, static_span_skew, ChunkDesc, Flush, KernelPlan, PlanError, Segment, ThreadPlan,
-};
+pub use plan::{static_span_skew, Flush, KernelPlan, PlanError, Segment, ThreadPlan};
 pub use pool::parallel_apply_chunks;
-pub use spgemm::{
-    classify_row, spgemm_flops_upper_bound, spgemm_sequential, AccumKind, SpgemmStrategy,
-};
 pub use spmm::{
     default_workers, plan_from_schedule, BatchMergeSpmm, CostPolicy, MergePathSerialFixup,
     MergePathSpmm, NeighborPartitionIndex, NnzSplitSpmm, RowSplitSpmm, SerialSpmm, SpmmKernel,
     BATCH_MIN_THREADS,
 };
-pub use stats::{SpgemmStats, WriteStats};
+pub use stats::WriteStats;
 pub use tuning::{
     default_cost_for_dim, gemm_kc, panel_cols, thread_count, CacheModel, SimdMapping,
-    GATHER_MAX_NNZ, GEMM_BAND_ROWS, GEMM_MR, GPU_SIMD_LANES, MIN_THREADS, PAR_APPLY_MIN_LEN,
-    SPGEMM_CHUNKS_PER_WORKER, SPGEMM_DENSE_FILL_DIV, SPGEMM_HASH_MIN_SLOTS, SPGEMM_MERGE_MAX_WAYS,
-    SPGEMM_MERGE_SCAN_MAX_WAYS,
+    GATHER_MAX_NNZ, GEMM_BAND_ROWS, GEMM_MR, MIN_THREADS, PAR_APPLY_MIN_LEN,
 };

@@ -12,7 +12,6 @@
 
 use mpspmm_sparse::CsrMatrix;
 
-use crate::merge_path::merge_path_search;
 use crate::stats::WriteStats;
 
 /// How a segment's accumulated partial result reaches the output row.
@@ -258,88 +257,6 @@ impl KernelPlan {
     }
 }
 
-/// A unit of self-scheduled work: a contiguous block of *logical
-/// threads*, plus the non-zeros (or other cost units) it covers.
-///
-/// The SpGEMM numeric phase ([`crate::ExecEngine::spgemm`], one logical
-/// thread per output row) does not hand out rows individually — a matrix
-/// routinely has millions — nor one fixed span per worker, which a
-/// power-law hub row would serialize. Instead the rows are pre-split into
-/// a few chunks per worker, each balanced by running the *same*
-/// merge-path search that balances SpMM plans, one level up: list A
-/// becomes the per-thread cumulative cost end offsets ("finish a logical
-/// thread"), list B the cost units. Chunk boundaries therefore always
-/// land on logical-thread boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkDesc {
-    /// First logical thread of the chunk (inclusive).
-    pub thread_start: u32,
-    /// One-past-last logical thread of the chunk (exclusive).
-    pub thread_end: u32,
-    /// Non-zeros covered by the chunk's logical threads.
-    pub nnz: usize,
-}
-
-impl ChunkDesc {
-    /// Number of logical threads in the chunk.
-    pub fn threads(&self) -> usize {
-        (self.thread_end - self.thread_start) as usize
-    }
-}
-
-/// Splits `thread_nnz_ends` (per-logical-thread cumulative nnz end
-/// offsets, i.e. `ends[t]` = total non-zeros owned by threads `0..=t`)
-/// into at most `target` contiguous, nnz-balanced [`ChunkDesc`]s.
-///
-/// This is the merge-path decomposition applied to the plan itself (see
-/// [`ChunkDesc`]): balance is on merge items `threads + nnz`, so a run of
-/// empty logical threads still costs something and cannot pile into one
-/// chunk. Chunks never split a logical thread; a single thread heavier
-/// than the budget becomes its own over-budget chunk. Empty chunk ranges
-/// are dropped, so fewer than `target` chunks may be returned. Returns an
-/// empty vector when there are no logical threads.
-pub fn chunk_threads(thread_nnz_ends: &[usize], target: usize) -> Vec<ChunkDesc> {
-    let threads = thread_nnz_ends.len();
-    if threads == 0 {
-        return Vec::new();
-    }
-    let total_nnz = *thread_nnz_ends.last().unwrap();
-    let target = target.clamp(1, threads);
-    let items = threads + total_nnz;
-    let per_chunk = items.div_ceil(target).max(1);
-    let mut chunks = Vec::with_capacity(target);
-    let mut start = 0usize;
-    let mut lo_nnz = 0usize;
-    for k in 1..=target {
-        let diag = (k * per_chunk).min(items);
-        // `row` = number of logical threads fully consumed at `diag`.
-        let end = merge_path_search(diag, thread_nnz_ends, total_nnz)
-            .row
-            .clamp(start, threads);
-        if end > start {
-            let hi_nnz = thread_nnz_ends[end - 1];
-            chunks.push(ChunkDesc {
-                thread_start: start as u32,
-                thread_end: end as u32,
-                nnz: hi_nnz - lo_nnz,
-            });
-            start = end;
-            lo_nnz = hi_nnz;
-        }
-        if start == threads {
-            break;
-        }
-    }
-    if start < threads {
-        chunks.push(ChunkDesc {
-            thread_start: start as u32,
-            thread_end: threads as u32,
-            nnz: total_nnz - lo_nnz,
-        });
-    }
-    chunks
-}
-
 /// Non-zero skew of a **static** per-worker partition of a plan's logical
 /// threads: max span nnz over ideal (mean) span nnz, where the spans are
 /// the `ceil(threads / workers)`-sized contiguous logical-thread blocks
@@ -510,53 +427,6 @@ mod tests {
             vec![seg(0, 1, 2, Flush::Carry), seg(1, 2, 3, Flush::Regular)],
         ]);
         p.validate(&m).unwrap();
-    }
-
-    #[test]
-    fn chunk_threads_tiles_and_balances() {
-        // 8 logical threads, one heavy (thread 2 owns 40 nnz of 54).
-        let nnz = [2usize, 3, 40, 1, 0, 5, 2, 1];
-        let ends: Vec<usize> = nnz
-            .iter()
-            .scan(0usize, |acc, &n| {
-                *acc += n;
-                Some(*acc)
-            })
-            .collect();
-        for target in 1..=8 {
-            let chunks = chunk_threads(&ends, target);
-            assert!(!chunks.is_empty() && chunks.len() <= target);
-            // Chunks tile the logical threads contiguously.
-            assert_eq!(chunks[0].thread_start, 0);
-            assert_eq!(chunks.last().unwrap().thread_end as usize, nnz.len());
-            for w in chunks.windows(2) {
-                assert_eq!(w[0].thread_end, w[1].thread_start);
-            }
-            // Reported nnz matches the covered threads, summing to total.
-            let total: usize = chunks.iter().map(|c| c.nnz).sum();
-            assert_eq!(total, 54);
-            for c in &chunks {
-                let want: usize = nnz[c.thread_start as usize..c.thread_end as usize]
-                    .iter()
-                    .sum();
-                assert_eq!(c.nnz, want);
-            }
-        }
-        // The heavy thread is isolated once the budget is small enough.
-        let chunks = chunk_threads(&ends, 8);
-        assert!(chunks.iter().any(|c| c.threads() == 1 && c.nnz == 40));
-    }
-
-    #[test]
-    fn chunk_threads_handles_degenerate_inputs() {
-        assert!(chunk_threads(&[], 4).is_empty());
-        // All-empty threads still form chunks (merge items = threads).
-        let chunks = chunk_threads(&[0, 0, 0, 0], 2);
-        assert_eq!(chunks.last().unwrap().thread_end, 4);
-        assert_eq!(chunks.iter().map(|c| c.nnz).sum::<usize>(), 0);
-        // target larger than threads clamps to one thread per chunk.
-        let chunks = chunk_threads(&[1, 2], 16);
-        assert_eq!(chunks.len(), 2);
     }
 
     #[test]

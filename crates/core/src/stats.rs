@@ -69,52 +69,6 @@ impl WriteStats {
     }
 }
 
-/// SpGEMM counters of one engine (embedded in
-/// [`EngineStats`](crate::EngineStats)): rows executed through
-/// [`spgemm`](crate::ExecEngine::spgemm), the per-row accumulator
-/// distribution the adaptive classifier (or a forced strategy) chose,
-/// and the wall-time split between the symbolic and numeric phases.
-/// All counters are cumulative since engine construction or the last
-/// [`clear_cache`](crate::ExecEngine::clear_cache).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpgemmStats {
-    /// Output rows produced by `spgemm` runs.
-    pub rows: u64,
-    /// Rows computed with the dense-scratch accumulator (short, wide —
-    /// upper bound a sizeable fraction of `B`'s columns).
-    pub accum_dense: u64,
-    /// Rows computed with the u32-keyed hash accumulator (sparse rows).
-    pub accum_hash: u64,
-    /// Rows computed with the sorted multi-way merge (few `B` rows
-    /// combined).
-    pub accum_merge: u64,
-    /// Wall nanoseconds in the symbolic phase (per-row upper bounds +
-    /// merge-path chunking), serial.
-    pub symbolic_ns: u64,
-    /// Wall nanoseconds in the parallel numeric phase (chunk execution;
-    /// excludes the serial output stitch).
-    pub numeric_ns: u64,
-}
-
-impl SpgemmStats {
-    /// Total rows classified to any accumulator (equals
-    /// [`rows`](Self::rows) — every row is classified exactly once).
-    pub fn classified_rows(&self) -> u64 {
-        self.accum_dense + self.accum_hash + self.accum_merge
-    }
-}
-
-impl AddAssign for SpgemmStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.rows += rhs.rows;
-        self.accum_dense += rhs.accum_dense;
-        self.accum_hash += rhs.accum_hash;
-        self.accum_merge += rhs.accum_merge;
-        self.symbolic_ns += rhs.symbolic_ns;
-        self.numeric_ns += rhs.numeric_ns;
-    }
-}
-
 impl AddAssign for WriteStats {
     fn add_assign(&mut self, rhs: Self) {
         self.atomic_row_updates += rhs.atomic_row_updates;

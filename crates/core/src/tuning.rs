@@ -19,15 +19,6 @@ pub const MIN_THREADS: usize = 1024;
 /// where per-panel loop restarts cost more than the segment's arithmetic.
 pub const GATHER_MAX_NNZ: usize = 4;
 
-/// Self-scheduled chunks carved per worker by the SpGEMM numeric phase.
-///
-/// The output rows are pre-split into `workers × this` flop-balanced
-/// [`ChunkDesc`](crate::ChunkDesc)s (capped at one row per chunk) that
-/// workers claim off a shared cursor: enough granularity that a worker
-/// which drew cheap rows keeps claiming, few enough that the cursor
-/// traffic stays negligible next to a chunk's arithmetic.
-pub const SPGEMM_CHUNKS_PER_WORKER: usize = 6;
-
 /// Register-tile height of the engine's dense GEMM microkernel: this
 /// many `A` rows share every loaded `B` row panel, so each `B` element
 /// feeds `GEMM_MR` fused multiply-adds instead of one. Four rows ×
@@ -46,34 +37,6 @@ pub const GEMM_BAND_ROWS: usize = 32;
 /// element sweep finishes in a few microseconds, under the pool's
 /// dispatch-plus-barrier cost.
 pub const PAR_APPLY_MIN_LEN: usize = 1 << 14;
-
-/// SpGEMM row classification: a row combining at most this many `B`
-/// rows runs the sorted multi-way merge accumulator. Mirroring the
-/// binary-row-merging CPU SpGEMM observation (arXiv 2206.06611), most
-/// rows of a power-law adjacency matrix merge a handful of neighbor
-/// lists; streaming them in column order emits the output row already
-/// sorted with no scratch, no hashing, and no sort — at four ways the
-/// per-entry min scan is still a couple of compares.
-pub const SPGEMM_MERGE_MAX_WAYS: usize = 4;
-
-/// SpGEMM row classification: the dense-scratch accumulator runs when
-/// the row's nnz upper bound times this factor reaches `B`'s column
-/// count (fill ≥ 1/8). At that density most scratch slots are touched
-/// anyway, so direct indexing beats hashing and the touched-column sort
-/// is the same either way; below it the dense reset-on-touch walk and
-/// cold scratch lines stop paying for themselves.
-pub const SPGEMM_DENSE_FILL_DIV: usize = 8;
-
-/// Minimum slot count of the SpGEMM hash accumulator. Tiny rows still
-/// get a table two cache lines wide so the load factor stays under 1/2
-/// and linear probes terminate quickly.
-pub const SPGEMM_HASH_MIN_SLOTS: usize = 16;
-
-/// Ways at or below which the SpGEMM merge accumulator uses the linear
-/// head scan; above it (a forced-merge strategy on a hub row) it
-/// switches to the binary heap, whose `(col, way)` pop order preserves
-/// the same ascending-`k` accumulation order bit for bit.
-pub const SPGEMM_MERGE_SCAN_MAX_WAYS: usize = 8;
 
 /// Tiny CPU cache model the plan uses to size feature-dimension panels.
 ///
@@ -151,9 +114,6 @@ pub fn gemm_kc(k: usize, panel: usize, model: &CacheModel) -> usize {
     let raw = (model.l2_bytes / 4) / bytes_per_k;
     raw.clamp(GEMM_KC_MIN.min(k), k)
 }
-
-/// SIMD lanes per warp on the evaluated GPU (NVidia, 32-lane warps).
-pub const GPU_SIMD_LANES: usize = 32;
 
 /// How logical threads map onto SIMD units for a given dense dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -280,9 +280,8 @@ pub struct ServeStats {
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,
     /// The engine's counters (gather/stream dispatch, GEMM panels, k-blocks and
-    /// wall time, fused epilogues, buffer-arena reuse, SpGEMM rows per
-    /// accumulator class and phase times, batch plans built), threaded
-    /// through for one-stop telemetry.
+    /// wall time, fused epilogues, buffer-arena reuse, batch plans built),
+    /// threaded through for one-stop telemetry.
     pub engine: EngineStats,
     /// Per-tenant breakdown, sorted by tenant name.
     pub tenants: Vec<TenantStats>,

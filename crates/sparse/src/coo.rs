@@ -115,8 +115,7 @@ impl<T> CooMatrix<T> {
 }
 
 impl<T: Copy> From<&crate::CsrMatrix<T>> for CooMatrix<T> {
-    /// Expands a CSR matrix into its triplet view, in row-major order —
-    /// the canonical flat form the sparse-output test helpers diff on.
+    /// Expands a CSR matrix into its triplet view, in row-major order.
     /// Cannot fail: CSR invariants (bounds, sortedness, duplicate
     /// freedom) imply every [`push`](CooMatrix::push) precondition.
     fn from(csr: &crate::CsrMatrix<T>) -> Self {

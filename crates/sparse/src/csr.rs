@@ -65,11 +65,13 @@ impl<T> CsrMatrix<T> {
     /// Creates a CSR matrix from raw arrays **without** release-mode
     /// validation.
     ///
-    /// This is the constructor of hot assembly paths whose invariants
-    /// hold by construction — the SpGEMM engine stitches per-chunk row
-    /// segments that each worker emitted sorted and in-bounds, and
-    /// re-running the O(nnz) checks of [`CsrMatrix::new`] on every
-    /// stitch would double the cost of the (memcpy-bound) phase.
+    /// Crate-private: its one caller is block-diagonal assembly
+    /// ([`BlockDiagCsr::build`](crate::BlockDiagCsr::build)), which
+    /// concatenates already-validated blocks with cumulative row and
+    /// column offsets, so the invariants hold by construction and
+    /// re-running the O(nnz) checks of [`CsrMatrix::new`] on every packed
+    /// window would only repeat them. Code outside this crate cannot build
+    /// an unvalidated CSR.
     ///
     /// Every invariant is still asserted in debug builds, so the tier-1
     /// debug test legs exercise all callers under full validation. This
@@ -77,7 +79,7 @@ impl<T> CsrMatrix<T> {
     /// cannot break memory safety (this crate forbids `unsafe` and all
     /// consumers index through bounds-checked slices) — it produces
     /// wrong results or downstream panics instead.
-    pub fn from_parts_unchecked(
+    pub(crate) fn from_parts_unchecked(
         rows: usize,
         cols: usize,
         row_ptr: Vec<usize>,

@@ -23,13 +23,24 @@ pub struct DenseMatrix<T> {
     data: Vec<T>,
 }
 
+/// `rows * cols`, or [`SparseFormatError::ElementCountOverflow`] when the
+/// product does not fit in `usize`.
+fn element_count(rows: usize, cols: usize) -> Result<usize, SparseFormatError> {
+    rows.checked_mul(cols)
+        .ok_or(SparseFormatError::ElementCountOverflow { rows, cols })
+}
+
 impl<T: Copy + Default> DenseMatrix<T> {
     /// Creates a matrix filled with `T::default()` (zero for numbers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
-            data: vec![T::default(); rows * cols],
+            data: vec![T::default(); element_count(rows, cols).unwrap_or_else(|e| panic!("{e}"))],
         }
     }
 }
@@ -39,12 +50,15 @@ impl<T: Copy> DenseMatrix<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseFormatError::IndexValueLength`] if
+    /// Returns [`SparseFormatError::ElementCountOverflow`] if
+    /// `rows * cols` overflows `usize`, and
+    /// [`SparseFormatError::IndexValueLength`] if
     /// `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Result<Self, SparseFormatError> {
-        if data.len() != rows * cols {
+        let len = element_count(rows, cols)?;
+        if data.len() != len {
             return Err(SparseFormatError::IndexValueLength {
-                indices: rows * cols,
+                indices: len,
                 values: data.len(),
             });
         }
@@ -52,8 +66,13 @@ impl<T: Copy> DenseMatrix<T> {
     }
 
     /// Creates a matrix by evaluating `f(row, col)` for every element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut data =
+            Vec::with_capacity(element_count(rows, cols).unwrap_or_else(|e| panic!("{e}")));
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
@@ -205,6 +224,30 @@ mod tests {
         assert!(DenseMatrix::from_vec(2, 2, vec![1.0f32; 3]).is_err());
         let m = DenseMatrix::from_vec(2, 2, vec![1.0f32, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(m.get(1, 0), 3.0);
+    }
+
+    #[test]
+    fn from_vec_rejects_overflowing_element_count() {
+        // 16 × 2^60 wraps to 0 elements in unchecked release arithmetic.
+        assert_eq!(
+            DenseMatrix::<f32>::from_vec(16, 1 << 60, vec![]),
+            Err(SparseFormatError::ElementCountOverflow {
+                rows: 16,
+                cols: 1 << 60
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn zeros_panics_on_overflowing_element_count() {
+        let _ = DenseMatrix::<f32>::zeros(16, 1 << 60);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn from_fn_panics_on_overflowing_element_count() {
+        let _ = DenseMatrix::from_fn(16, 1 << 60, |_, _| 0.0f32);
     }
 
     #[test]

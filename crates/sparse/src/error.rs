@@ -66,6 +66,13 @@ pub enum SparseFormatError {
         /// Position in the index array where order breaks.
         position: usize,
     },
+    /// A dense shape whose element count `rows * cols` overflows `usize`.
+    ElementCountOverflow {
+        /// Requested number of rows.
+        rows: usize,
+        /// Requested number of columns.
+        cols: usize,
+    },
     /// A batched operation was given zero constituents.
     EmptyBatch,
     /// Two matrices have incompatible shapes for the requested operation.
@@ -121,6 +128,9 @@ impl fmt::Display for SparseFormatError {
                 f,
                 "column indices of row {row} are not strictly increasing at position {position}"
             ),
+            Self::ElementCountOverflow { rows, cols } => {
+                write!(f, "a {rows}x{cols} matrix's element count overflows usize")
+            }
             Self::EmptyBatch => {
                 write!(f, "batched operation requires at least one constituent")
             }

@@ -40,7 +40,6 @@ mod error;
 pub mod io;
 pub mod reorder;
 pub mod stats;
-pub mod testing;
 
 pub use block_diag::BlockDiagCsr;
 pub use coo::CooMatrix;

@@ -10,11 +10,9 @@
 # (vectorized data path vs the scalar oracle path), BENCH_serve.json (serving
 # layer, smoke shape), BENCH_fused.json (fused GCN pipeline vs unfused,
 # smoke shape), BENCH_widedim.json (wide-feature-dim layer pipeline vs
-# the pre-revision data path, smoke shape), BENCH_spgemm.json (CSR x
-# CSR engine vs the sequential oracle, smoke shape), and
-# BENCH_batch.json (block-diagonal mega-batching vs per-request
-# serving, smoke shape) in the repository root, then validates their
-# common schema.
+# the pre-revision data path, smoke shape), and BENCH_batch.json
+# (packed block-diagonal serving vs per-request serving, smoke shape)
+# in the repository root, then validates their common schema.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,8 +32,8 @@ cargo test -q -p mpspmm-core --test engine_oracle
 cargo test -q -p mpspmm-core --features force-scalar
 # The engine oracle, the concurrent-engine suite and the scheduler suite
 # (row spans equal to the ascending row sum at every worker count, at
-# narrow and wide dims), the SpGEMM engine, and the block-diagonal
-# mega-batch path (all bit-identical at any worker count): pin the
+# narrow and wide dims) and the packed block-diagonal batch path (all
+# bit-identical at any worker count): pin the
 # resolved count to a matrix of values and re-run their property tests
 # (debug build, invariant asserts live). batch_oracle sweeps
 # packed-vs-sequential across DataPath x workers, including empty graphs
@@ -49,7 +47,6 @@ for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_concurrent
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_sched
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test gemm_dense
-  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test spgemm_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test batch_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-serve --test serve_integration
 done
@@ -79,7 +76,6 @@ cargo run --release -p mpspmm-bench --bin bench_simd
 cargo run --release -p mpspmm-bench --bin bench_serve -- --smoke
 cargo run --release -p mpspmm-bench --bin bench_fused -- --smoke
 cargo run --release -p mpspmm-bench --bin bench_widedim -- --smoke
-cargo run --release -p mpspmm-bench --bin bench_spgemm -- --smoke
 # Mega-batch bench, smoke shape: exercises the packed serving pipeline
 # end to end (bulk admission, block-diagonal assembly, scatter) and its
 # untimed bit-identity spot check against the sequential oracle.
