@@ -1,11 +1,12 @@
 //! Per-engine buffer arena: pooled output / scratch buffers so
 //! steady-state inference performs no heap allocation.
 //!
-//! Every [`crate::ExecEngine`] execution needs a dense output buffer
-//! (`rows × dim` f32s), the pooled path additionally per-worker
-//! shared-row scratch strips, and the batch path an interleaved
-//! combined buffer plus per-block outputs. Before this arena each run
-//! allocated (and dropped) all of them; under serving traffic that is
+//! Every [`crate::ExecEngine`] execution needs one dense output buffer
+//! (`rows × dim` f32s) per block it computes; a column batch folds each
+//! block straight into its own, so that is all it checks out. Only a
+//! batch of single-column blocks also checks out an interleaved
+//! combined operand and its combined result. Without this arena each
+//! run would allocate (and drop) them; under serving traffic that is
 //! pure allocator churn on buffers whose sizes repeat forever, because
 //! the graph and feature dimensions of a tenant are stationary. The
 //! arena keeps one small pool of retired `f32` buffers and hands them

@@ -33,12 +33,21 @@
 //!   one structure many times (the serving registry) keep the plan
 //!   themselves and execute it with
 //!   [`execute_prepared`](ExecEngine::execute_prepared).
-//! * **Buffer arena** (the `arena` module): output and batch-interleave
-//!   buffers are pooled per engine and checked out per execution, so
-//!   steady-state inference allocates nothing. Outputs leave the engine
-//!   as [`DenseMatrix`] values; callers hand them back with
-//!   [`ExecEngine::recycle`] to close the loop (the GCN forward pass
-//!   ping-pongs its activations this way).
+//! * **Column batches in place**
+//!   ([`execute_prepared_batch`](ExecEngine::execute_prepared_batch)):
+//!   one run takes a list of dense blocks, cuts the row spans once and
+//!   dispatches the pool once; each worker folds its span once per block,
+//!   reading each block where it lies and storing into that block's own
+//!   output. A single block is the one-block case of the same runner.
+//!   Only a batch of single-column blocks is interleaved into one
+//!   combined operand and split back out, since a one-column fold
+//!   gathers one float per cache line (DESIGN.md §2.8).
+//! * **Buffer arena** (the `arena` module): output buffers (and the
+//!   single-column lane's combined operand) are pooled per engine and
+//!   checked out per execution, so steady-state inference allocates
+//!   nothing. Outputs leave the engine as [`DenseMatrix`] values; callers
+//!   hand them back with [`ExecEngine::recycle`] to close the loop (the
+//!   GCN forward pass ping-pongs its activations this way).
 //!
 //! Every output row is the ascending sum of its products, at any worker
 //! count and on every data path: exactly (f32 `==`) what
@@ -137,8 +146,9 @@ pub struct EngineStats {
     /// Worker parallelism the engine executes with.
     pub workers: usize,
     /// Non-empty rows in the gather regime (at most [`GATHER_MAX_NNZ`]
-    /// non-zeros), cumulative over vectorized-path runs. At widths 1,
-    /// 2, 4 and 8 the fixed-width fold runs them instead of the gather
+    /// non-zeros), cumulative over vectorized-path row folds: a column
+    /// batch folds every row once per block. At widths 1, 2, 4 and 8
+    /// the fixed-width fold runs them instead of the gather
     /// microkernel; they count all the same.
     pub gather_segments: u64,
     /// Non-empty rows in the streaming regime, counted like
@@ -266,8 +276,7 @@ impl ExecEngine {
         a: &CsrMatrix<f32>,
         b: &DenseMatrix<f32>,
     ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        check_shapes(a, b)?;
-        Ok(self.run(prep, a, b, &Epilogue::None))
+        self.execute_prepared_fused(prep, a, b, &Epilogue::None)
     }
 
     /// Executes a prepared plan with a fused [`Epilogue`] applied at the
@@ -275,7 +284,8 @@ impl ExecEngine {
     /// register-hot, empty rows included. The result is
     /// element-for-element identical to `execute_prepared` followed by a
     /// separate epilogue pass, without re-streaming the output (see
-    /// DESIGN.md §2.10).
+    /// DESIGN.md §2.10). This is the one-block case of
+    /// [`execute_prepared_batch_fused`](Self::execute_prepared_batch_fused).
     ///
     /// # Errors
     ///
@@ -294,9 +304,9 @@ impl ExecEngine {
         b: &DenseMatrix<f32>,
         epi: &Epilogue,
     ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        check_shapes(a, b)?;
-        epi.validate(b.cols())?;
-        Ok(self.run(prep, a, b, epi))
+        let mut outs = self.execute_prepared_batch_fused(prep, a, &[b], epi)?;
+        let out = outs.pop().expect("one block in, one output out");
+        Ok((out, prep.stats))
     }
 
     /// Computes `a · b` with `epi` fused at the store stage, on a plan
@@ -350,14 +360,16 @@ impl ExecEngine {
     }
 
     /// Executes one prepared plan over several dense column blocks in a
-    /// *single* engine run: the blocks are concatenated column-wise, the
-    /// plan runs once over the combined `sum(cols)`-wide operand, and the
-    /// output is split back into one matrix per input block.
+    /// *single* engine run, returning one output matrix per block, in
+    /// order: the row spans are cut once and the pool is dispatched once
+    /// for the whole batch. Each worker folds its span once per block,
+    /// reading the block where it lies and storing straight into that
+    /// block's output, so the batch costs no gather into a combined
+    /// operand and no scatter out of a combined result.
     ///
     /// This is the batched submission path the serving layer coalesces
-    /// concurrent requests through — every non-zero of `a` is walked once
-    /// per *batch* instead of once per request, which is exactly the
-    /// row-reuse argument batching makes.
+    /// concurrent requests through: one pool dispatch, one span cut and
+    /// one set of output checkouts per *batch* instead of per request.
     ///
     /// # Errors
     ///
@@ -378,17 +390,27 @@ impl ExecEngine {
     }
 
     /// [`execute_prepared_batch`](Self::execute_prepared_batch) with a
-    /// fused [`Epilogue`] applied to the combined output before the
-    /// split. Only column-uniform epilogues ([`Epilogue::None`],
-    /// [`Epilogue::Relu`]) distribute over the per-block outputs; a bias
-    /// epilogue validates against the *combined* width and is rejected
-    /// otherwise — the GCN batched path applies biases per block instead.
+    /// fused [`Epilogue`] applied **per block**: every block's rows get
+    /// `epi` at their store, and a bias epilogue must match *each*
+    /// block's width (a batch of blocks of one layer width shares that
+    /// layer's epilogue unchanged).
+    ///
+    /// Every output row keeps one writer that sums its products in
+    /// ascending `k`, so each block's output equals its own
+    /// [`execute_prepared_fused`](Self::execute_prepared_fused) run under
+    /// f32 `==` at any worker count.
+    ///
+    /// A batch whose blocks are *all* single columns (two or more of
+    /// them) instead interleaves them into one combined operand, runs it
+    /// as one block and splits the result: a one-column block would
+    /// gather one float per cache line and re-walk `a` once per block,
+    /// which costs more than the copies (DESIGN.md §2.8).
     ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`] if any block has
-    /// `rows != a.cols()` or a bias epilogue does not span the combined
-    /// width.
+    /// `rows != a.cols()` or a bias epilogue's length differs from any
+    /// block's width.
     ///
     /// # Panics
     ///
@@ -403,29 +425,12 @@ impl ExecEngine {
     ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
         for b in blocks {
             check_shapes(a, b)?;
+            epi.validate(b.cols())?;
         }
-        match blocks {
-            [] => Ok(Vec::new()),
-            [only] => self
-                .execute_prepared_fused(prep, a, only, epi)
-                .map(|(out, _)| vec![out]),
-            _ => {
-                let total: usize = blocks.iter().map(|b| b.cols()).sum();
-                if total == 0 {
-                    return Ok(blocks
-                        .iter()
-                        .map(|_| DenseMatrix::zeros(a.rows(), 0))
-                        .collect());
-                }
-                epi.validate(total)?;
-                let combined = concat_col_blocks(&self.arena, blocks, a.cols(), total);
-                let (out, _) = self.run(prep, a, &combined, epi);
-                self.arena.put(combined.into_vec());
-                let outs = split_col_blocks(&self.arena, &out, blocks, a.rows(), total);
-                self.arena.put(out.into_vec());
-                Ok(outs)
-            }
+        if blocks.len() > 1 && blocks.iter().all(|b| b.cols() == 1) {
+            return Ok(self.run_unit_cols(prep, a, blocks, epi));
         }
+        Ok(self.run(prep, a, blocks, epi))
     }
 
     /// Current dispatch, GEMM, batch-plan and arena counters.
@@ -477,40 +482,82 @@ impl ExecEngine {
         self.gemm_ns.store(0, Ordering::Relaxed);
     }
 
-    /// Runs `prep` on `a · b`: inline at one worker, otherwise one row
-    /// span per worker on the pool. Shapes are
-    /// already checked; a non-noop `epi` is already validated against
-    /// `b.cols()`.
+    /// Runs `prep` on `a · b` for every block `b`, each into its own
+    /// arena output: inline at one worker, otherwise one row span per
+    /// worker on the pool. Shapes are already checked; a non-noop `epi`
+    /// is already validated against every block's width.
     fn run(
         &self,
         prep: &PreparedPlan,
         a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
+        blocks: &[&DenseMatrix<f32>],
         epi: &Epilogue,
-    ) -> (DenseMatrix<f32>, WriteStats) {
+    ) -> Vec<DenseMatrix<f32>> {
         assert_eq!(
             prep.rows,
             a.rows(),
             "prepared plan built for a different row count"
         );
         let rows = a.rows();
-        let dim = b.cols();
         if !epi.is_noop() {
             self.fused_epilogues.fetch_add(1, Ordering::Relaxed);
         }
-        let mut out = self.arena.take_zeroed(rows * dim);
-        if dim > 0 {
-            let rp = self.data_path.resolve(b.rows(), dim);
+        let mut outs: Vec<Vec<f32>> = blocks
+            .iter()
+            .map(|b| self.arena.take_zeroed(rows * b.cols()))
+            .collect();
+        let mut folds = Vec::with_capacity(blocks.len());
+        for (&b, out) in blocks.iter().zip(&mut outs) {
+            if b.cols() == 0 {
+                continue;
+            }
+            let rp = self.data_path.resolve(b.rows(), b.cols());
             if rp.kind == PathKind::Vector {
                 let (gather, stream) = prep.dispatch;
                 self.gather.fetch_add(gather as u64, Ordering::Relaxed);
                 self.stream.fetch_add(stream as u64, Ordering::Relaxed);
             }
-            run_row_spans(a, b, self.workers, &rp, epi, &mut out);
+            folds.push(BlockFold { b, rp, out });
         }
-        let out = DenseMatrix::from_vec(rows, dim, out)
-            .expect("output buffer has exactly rows*dim elements");
-        (out, prep.stats)
+        run_row_spans(a, folds, self.workers, epi);
+        outs.into_iter()
+            .zip(blocks)
+            .map(|(buf, b)| {
+                DenseMatrix::from_vec(rows, b.cols(), buf)
+                    .expect("output buffer has exactly rows*cols elements")
+            })
+            .collect()
+    }
+
+    /// The all-single-column batch: interleaves the `n` columns into one
+    /// `n`-wide operand, runs it as one block with a width-1 bias tiled
+    /// to `n`, and splits the result back into one column per block.
+    fn run_unit_cols(
+        &self,
+        prep: &PreparedPlan,
+        a: &CsrMatrix<f32>,
+        blocks: &[&DenseMatrix<f32>],
+        epi: &Epilogue,
+    ) -> Vec<DenseMatrix<f32>> {
+        let n = blocks.len();
+        let mut combined = self.lease_zeroed(a.cols(), n);
+        let srcs: Vec<&[f32]> = blocks.iter().map(|b| b.as_slice()).collect();
+        interleave_unit_cols(combined.as_mut_slice(), &srcs, a.cols());
+        let epi = match epi {
+            Epilogue::Bias(b) => Epilogue::Bias(vec![b[0]; n]),
+            Epilogue::BiasRelu(b) => Epilogue::BiasRelu(vec![b[0]; n]),
+            uniform => uniform.clone(),
+        };
+        let mut outs = self.run(prep, a, &[&combined], &epi);
+        let out = outs.pop().expect("one block in, one output out");
+        self.recycle(combined);
+        let rows = a.rows();
+        let mut bufs: Vec<Vec<f32>> = (0..n).map(|_| self.arena.take_zeroed(rows)).collect();
+        deinterleave_unit_cols(out.as_slice(), &mut bufs, rows);
+        self.recycle(out);
+        bufs.into_iter()
+            .map(|buf| DenseMatrix::from_vec(rows, 1, buf).expect("buffer sized to rows x 1"))
+            .collect()
     }
 }
 
@@ -601,101 +648,61 @@ fn deinterleave_unit_cols(src: &[f32], outs: &mut [Vec<f32>], rows: usize) {
     }
 }
 
-/// Column-concatenates `blocks` into one `rows x total` matrix.
-///
-/// The batch path's overhead is exactly this copy plus
-/// [`split_col_blocks`], so both are tuned for the serving layer's
-/// dominant shape — many single-column blocks — with the tiled 8-wide
-/// transpose micro-kernel above; mixed-width batches take a row-major
-/// `copy_from_slice` walk instead.
-fn concat_col_blocks(
-    arena: &BufferArena,
-    blocks: &[&DenseMatrix<f32>],
-    rows: usize,
-    total: usize,
-) -> DenseMatrix<f32> {
-    let buf = arena.take_zeroed(rows * total);
-    let mut combined =
-        DenseMatrix::from_vec(rows, total, buf).expect("arena buffer sized to rows x total");
-    let dst = combined.as_mut_slice();
-    if blocks.iter().all(|b| b.cols() == 1) {
-        let srcs: Vec<&[f32]> = blocks.iter().map(|b| b.as_slice()).collect();
-        interleave_unit_cols(dst, &srcs, rows);
-    } else {
-        let srcs: Vec<(&[f32], usize)> = blocks.iter().map(|b| (b.as_slice(), b.cols())).collect();
-        for (r, drow) in dst.chunks_exact_mut(total).enumerate() {
-            let mut off = 0;
-            for &(src, k) in &srcs {
-                drow[off..off + k].copy_from_slice(&src[r * k..r * k + k]);
-                off += k;
-            }
-        }
-    }
-    combined
+/// One column block of a run: its dense operand, the data path resolved
+/// for its width, and its output rows (the whole output, or one span's
+/// rows of it).
+struct BlockFold<'a> {
+    b: &'a DenseMatrix<f32>,
+    rp: ResolvedPath,
+    out: &'a mut [f32],
 }
 
-/// Inverse of [`concat_col_blocks`]: splits the batched output back into
-/// one matrix per input block, in order.
-fn split_col_blocks(
-    arena: &BufferArena,
-    out: &DenseMatrix<f32>,
-    blocks: &[&DenseMatrix<f32>],
-    rows: usize,
-    total: usize,
-) -> Vec<DenseMatrix<f32>> {
-    let src = out.as_slice();
-    let mut bufs: Vec<Vec<f32>> = blocks
-        .iter()
-        .map(|b| arena.take_zeroed(rows * b.cols()))
-        .collect();
-    if blocks.iter().all(|b| b.cols() == 1) {
-        deinterleave_unit_cols(src, &mut bufs, rows);
-    } else {
-        for (r, srow) in src.chunks_exact(total).enumerate() {
-            let mut off = 0;
-            for (buf, b) in bufs.iter_mut().zip(blocks) {
-                let k = b.cols();
-                buf[r * k..r * k + k].copy_from_slice(&srow[off..off + k]);
-                off += k;
-            }
-        }
-    }
-    bufs.into_iter()
-        .zip(blocks)
-        .map(|(buf, b)| {
-            DenseMatrix::from_vec(rows, b.cols(), buf).expect("buffer sized to rows x cols")
-        })
-        .collect()
-}
-
-/// Cuts the output into one row span per worker with
-/// [`row_aligned_starts`] and folds each span's rows in one ascending
-/// pass (one worker runs inline on the caller). Every row has a single
+/// Cuts the output rows into one span per worker with
+/// [`row_aligned_starts`], once for every block, and folds each span's
+/// rows once per block, block after block, straight into that block's
+/// output (one worker runs inline on the caller). Every row has a single
 /// writer that sums its products in ascending `k`, so the output is the
-/// same at any worker count. Empty spans get no job.
-fn run_row_spans(
-    a: &CsrMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    workers: usize,
-    rp: &ResolvedPath,
-    epi: &Epilogue,
-    out: &mut [f32],
-) {
-    if workers <= 1 {
-        return fold_rows(0, a, b, rp, epi, out);
+/// same at any worker count and for any batch the block rides in. Empty
+/// spans get no job.
+fn run_row_spans(a: &CsrMatrix<f32>, folds: Vec<BlockFold<'_>>, workers: usize, epi: &Epilogue) {
+    if workers <= 1 || folds.is_empty() {
+        for f in folds {
+            fold_rows(0, a, f.b, &f.rp, epi, f.out);
+        }
+        return;
     }
-    let dim = b.cols();
     let starts = row_aligned_starts(a.row_ptr(), workers);
-    let mut jobs: Vec<ScopedJob<'_>> = Vec::with_capacity(workers);
-    let mut rest: &mut [f32] = out;
-    for (w, &lo) in starts.iter().enumerate() {
-        let hi = starts.get(w + 1).copied().unwrap_or(a.rows());
-        let (span, tail) = rest.split_at_mut((hi - lo) * dim);
-        rest = tail;
-        if hi > lo {
-            jobs.push(Box::new(move || fold_rows(lo, a, b, rp, epi, span)));
+    let bounds: Vec<(usize, usize)> = (0..starts.len())
+        .map(|w| (starts[w], starts.get(w + 1).copied().unwrap_or(a.rows())))
+        .collect();
+    let mut spans: Vec<Vec<BlockFold<'_>>> = bounds
+        .iter()
+        .map(|_| Vec::with_capacity(folds.len()))
+        .collect();
+    for f in folds {
+        let mut rest = f.out;
+        for (&(lo, hi), span) in bounds.iter().zip(&mut spans) {
+            let (rows, tail) = rest.split_at_mut((hi - lo) * f.b.cols());
+            rest = tail;
+            span.push(BlockFold {
+                b: f.b,
+                rp: f.rp,
+                out: rows,
+            });
         }
     }
+    let jobs: Vec<ScopedJob<'_>> = bounds
+        .into_iter()
+        .zip(spans)
+        .filter(|&((lo, hi), _)| hi > lo)
+        .map(|((lo, _), span)| -> ScopedJob<'_> {
+            Box::new(move || {
+                for f in span {
+                    fold_rows(lo, a, f.b, &f.rp, epi, f.out);
+                }
+            })
+        })
+        .collect();
     WorkerPool::global().scope_run(jobs);
 }
 
@@ -987,6 +994,39 @@ mod tests {
                 assert_eq!(out.as_slice(), row_sum(&a, block).0.as_slice());
             }
         }
+    }
+
+    /// A batch epilogue applies per block, so a bias is checked against
+    /// every block's width: zero-width blocks included, and with the same
+    /// answer whether the block rides alone or in a batch.
+    #[test]
+    fn batch_epilogue_is_validated_against_every_block() {
+        let (a, b) = small();
+        let engine = ExecEngine::new(2);
+        let prep = PreparedPlan::new(&a);
+        let empty = DenseMatrix::<f32>::zeros(3, 0);
+        let bias = Epilogue::Bias(vec![1.0]);
+        let one = engine.execute_prepared_batch_fused(&prep, &a, &[&empty], &bias);
+        let two = engine.execute_prepared_batch_fused(&prep, &a, &[&empty, &empty], &bias);
+        let mismatch = Err(SparseFormatError::ShapeMismatch {
+            left: (1, 1),
+            right: (1, 0),
+        });
+        assert_eq!(one.map(|_| ()), mismatch);
+        assert_eq!(two.map(|_| ()), mismatch);
+        // A layer-width bias fits a batch of that width, not a mixed one.
+        let wide = Epilogue::BiasRelu(vec![0.5, -0.5]);
+        let outs = engine
+            .execute_prepared_batch_fused(&prep, &a, &[&b, &b], &wide)
+            .unwrap();
+        let (want, _) = engine.execute_prepared_fused(&prep, &a, &b, &wide).unwrap();
+        for out in &outs {
+            assert_eq!(out.as_slice(), want.as_slice());
+        }
+        let narrow = DenseMatrix::from_fn(3, 1, |r, _| r as f32);
+        assert!(engine
+            .execute_prepared_batch_fused(&prep, &a, &[&b, &narrow], &wide)
+            .is_err());
     }
 
     #[test]

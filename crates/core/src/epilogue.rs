@@ -5,16 +5,12 @@
 //! the whole `rows × dim` output through the cache right after the engine
 //! wrote it. The engine instead accepts an [`Epilogue`] and applies it
 //! **as each output row is finalized**, while the row is still
-//! register/L1-hot:
+//! register/L1-hot. Every row has one writer, which stores the row's complete sum and
+//! applies the epilogue right after, empty rows included (a bias still
+//! changes them). In a column batch the epilogue applies per block: each
+//! block's rows get it, and a bias must match each block's width.
 //!
-//! * rows the plan proves are finalized in the parallel phase (`Direct`
-//!   rows that receive no post-join carry) get their epilogue at the
-//!   store, on the worker that produced them;
-//! * every other row — shared rows, carry-receiving rows, and untouched
-//!   rows (which a bias still changes!) — gets its epilogue in the serial
-//!   replay pass **after** all accumulation for the row is complete.
-//!
-//! Either way the epilogue runs exactly once per row, after the row's
+//! The epilogue therefore runs exactly once per row, after the row's
 //! final SpMM value exists — so a fused run is element-for-element the
 //! `spmm → epilogue` composition of the unfused pipeline (see DESIGN.md
 //! §2.10 for the full argument).

@@ -9,6 +9,12 @@
 //! replayed sequentially, is held to the same oracle, and the row-span
 //! plans the engine builds per window
 //! ([`ExecEngine::plan_batch_cached`]) to its bytes and statistics.
+//!
+//! The column-batch oracle pins
+//! [`ExecEngine::execute_prepared_batch_fused`] the same way: every
+//! block of a batch, folded in place into its own output with the batch
+//! epilogue applied per block, equals that block's own sequential row sum
+//! followed by the epilogue, at any worker count.
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
@@ -337,4 +343,114 @@ fn batch_plans_are_built_per_call_and_never_stored() {
     assert_eq!((stats.batch_plan_hits, stats.batch_plan_rebuilds), (0, 0));
     engine.clear_cache();
     assert_eq!(engine.stats().batch_plan_misses, 0);
+}
+
+/// A 40 × 100 graph whose evil row 0 holds 100 of its 130 non-zeros
+/// (more than a worker's share at two workers or more), with empty rows
+/// (every fourth) and single-entry rows.
+fn lopsided() -> CsrMatrix<f32> {
+    let mut triplets: Vec<(usize, usize, f32)> =
+        (0..100).map(|c| (0, c, 0.0625 * c as f32 - 3.0)).collect();
+    for r in (1..40).filter(|r| r % 4 != 0) {
+        triplets.push((r, (r * 7) % 100, 1.0 - 0.05 * r as f32));
+    }
+    CsrMatrix::from_triplets(40, 100, &triplets).unwrap()
+}
+
+/// Column batches by block widths: zero-width blocks, all single
+/// columns (the interleave lane), a mixed batch, and four 16-column
+/// blocks (the `nell-spmm` shape).
+const COLUMN_BATCHES: [&[usize]; 4] = [&[0, 0], &[1; 5], &[1, 4, 3, 16], &[16; 4]];
+
+/// The epilogues a column batch is checked under; a bias spans `width`
+/// columns, the width every block must have for it to apply.
+fn batch_epilogues(width: usize) -> [Epilogue; 4] {
+    let bias: Vec<f32> = (0..width).map(|j| j as f32 * 0.25 - 1.0).collect();
+    [
+        Epilogue::None,
+        Epilogue::Relu,
+        Epilogue::Bias(bias.clone()),
+        Epilogue::BiasRelu(bias),
+    ]
+}
+
+/// The per-block oracle: `x`'s ascending row sum, then `epi` on every
+/// row, empty rows included.
+fn row_sum_then(a: &CsrMatrix<f32>, x: &DenseMatrix<f32>, epi: &Epilogue) -> DenseMatrix<f32> {
+    let mut want = sequential_reference(a, x, x.cols());
+    if x.cols() > 0 {
+        for row in want.as_mut_slice().chunks_mut(x.cols()) {
+            epi.apply_row(row);
+        }
+    }
+    want
+}
+
+/// Every column batch, under every epilogue, on every data path, at
+/// workers {1, 2, 7, 64} and the resolved count: each block's output
+/// equals its own row sum followed by the epilogue, with `==`. A bias
+/// that does not fit every block's width is rejected instead.
+#[test]
+fn column_batches_equal_the_per_block_row_sum() {
+    let a = lopsided();
+    let prep = PreparedPlan::new(&a);
+    for (i, widths) in COLUMN_BATCHES.iter().enumerate() {
+        let blocks: Vec<DenseMatrix<f32>> = widths
+            .iter()
+            .enumerate()
+            .map(|(j, &k)| features(a.cols(), k, (10 * i + j) as u64))
+            .collect();
+        let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
+        let uniform = widths.iter().all(|&k| k == widths[0]);
+        for epi in batch_epilogues(widths[0]) {
+            let fits = uniform || epi.bias().is_none();
+            for workers in [1, 2, 7, 64, default_workers()] {
+                for path in [DataPath::Auto, DataPath::Scalar, DataPath::Vector] {
+                    let engine = ExecEngine::with_data_path(workers, path);
+                    let got = engine.execute_prepared_batch_fused(&prep, &a, &refs, &epi);
+                    let ctx = format!("widths={widths:?} epi={epi:?} w={workers} path={path:?}");
+                    if !fits {
+                        assert!(got.is_err(), "{ctx}: a bias must fit every block");
+                        continue;
+                    }
+                    let got = got.unwrap();
+                    assert_eq!(got.len(), blocks.len(), "{ctx}");
+                    for (j, (out, x)) in got.iter().zip(&blocks).enumerate() {
+                        assert_eq!((out.rows(), out.cols()), (a.rows(), x.cols()), "{ctx}");
+                        let want = row_sum_then(&a, x, &epi);
+                        assert_eq!(out.as_slice(), want.as_slice(), "{ctx} block {j}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Arena checkouts of one batch call, from a cold engine.
+fn checkouts(workers: usize, widths: &[usize]) -> u64 {
+    let a = lopsided();
+    let prep = PreparedPlan::new(&a);
+    let blocks: Vec<DenseMatrix<f32>> = widths.iter().map(|&k| features(100, k, 5)).collect();
+    let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
+    let engine = ExecEngine::new(workers);
+    engine.execute_prepared_batch(&prep, &a, &refs).unwrap();
+    let stats = engine.stats();
+    stats.arena_reuses + stats.arena_misses
+}
+
+/// A batch checks out exactly one buffer per block (its output) and
+/// stages nothing, unless every block is a single column: that lane
+/// checks out two more, the interleaved operand and its result.
+#[test]
+fn column_batches_check_out_only_their_outputs() {
+    for workers in [1, 2, default_workers()] {
+        for widths in [&[1usize, 4, 3, 16][..], &[16; 4], &[2; 3], &[0, 5]] {
+            assert_eq!(
+                checkouts(workers, widths),
+                widths.len() as u64,
+                "widths={widths:?} workers={workers}"
+            );
+        }
+        assert_eq!(checkouts(workers, &[1; 6]), 6 + 2, "workers={workers}");
+    }
 }

@@ -27,16 +27,6 @@ pub struct GcnLayer {
     epilogue: Option<Epilogue>,
 }
 
-/// `bias` repeated `blocks` times — the combined-width epilogue of a
-/// batched aggregation whose blocks all share one layer width.
-fn tile_bias(bias: &[f32], blocks: usize) -> Vec<f32> {
-    let mut tiled = Vec::with_capacity(bias.len() * blocks);
-    for _ in 0..blocks {
-        tiled.extend_from_slice(bias);
-    }
-    tiled
-}
-
 fn build_epilogue(bias: &Option<Vec<f32>>, activation: Activation) -> Option<Epilogue> {
     match (bias, activation) {
         (None, Activation::Identity) => Some(Epilogue::None),
@@ -253,12 +243,12 @@ impl GcnModel {
 
     /// Batched forward pass over several independent feature matrices on
     /// the *same* graph, sharing every aggregation SpMM: per layer, each
-    /// request's dense combination `H_i × W` is computed separately, the
-    /// products are concatenated column-wise, and **one** engine run
-    /// aggregates `Â × [H_0W | H_1W | …]` for the whole batch with the
-    /// layer's epilogue fused into its store stage — the dense-column
-    /// batching of Batched SpMM for GCN serving, valid because
-    /// `Â (H_i W)` only ever reads `H_i W`'s own columns.
+    /// request's dense combination `H_i × W` is computed separately, and
+    /// **one** engine run aggregates `Â × H_iW` for every block of the
+    /// batch, each into its own output, with the layer's epilogue fused
+    /// into its store stage — the dense-column batching of Batched SpMM
+    /// for GCN serving, valid because `Â (H_i W)` only ever reads
+    /// `H_i W`'s own columns.
     ///
     /// This is the crate's one GCN layer loop. A single request is a
     /// one-block call ([`forward`](Self::forward)), and so is a
@@ -295,15 +285,10 @@ impl GcnModel {
             }
             let refs: Vec<&DenseMatrix<f32>> = products.iter().collect();
             // Every block in a model batch has this layer's output width,
-            // so a per-block bias tiles to a combined-width bias and the
-            // whole batch epilogue fuses into the one aggregation run.
-            let batch_epi = layer.epilogue.as_ref().map(|epi| match epi {
-                Epilogue::Bias(b) => Epilogue::Bias(tile_bias(b, blocks.len())),
-                Epilogue::BiasRelu(b) => Epilogue::BiasRelu(tile_bias(b, blocks.len())),
-                uniform => uniform.clone(),
-            });
-            let aggregated = match batch_epi {
-                Some(epi) => engine.execute_prepared_batch_fused(prep, a_hat, &refs, &epi)?,
+            // and the engine applies a batch epilogue per block, so the
+            // layer's epilogue fuses into the one aggregation run as is.
+            let aggregated = match &layer.epilogue {
+                Some(epi) => engine.execute_prepared_batch_fused(prep, a_hat, &refs, epi)?,
                 None => {
                     let mut agg = engine.execute_prepared_batch(prep, a_hat, &refs)?;
                     for out in &mut agg {

@@ -193,8 +193,8 @@ fn wide_hidden_dim_fused_equals_unfused() {
 }
 
 /// The fused batched path must match per-request fused forwards: the
-/// batch merely regroups columns, and the tiled combined-width bias must
-/// land on each block exactly as the per-block bias would.
+/// batch folds each block into its own output, and the layer's bias must
+/// land on each block exactly as it does on a one-request forward.
 #[test]
 fn fused_batched_forward_matches_per_request() {
     let a = gcn_normalize(&graph());
@@ -313,7 +313,8 @@ fn model_paths_match_zero_skip_composition_exactly() {
         );
 
         // forward_batched_prepared vs zero-skip GEMM per block + one
-        // execute_prepared_batch_fused per layer with the tiled bias.
+        // execute_prepared_batch_fused per layer with the layer's own
+        // epilogue, which the engine applies per block.
         let prep = PreparedPlan::new(&a);
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         let got = model
@@ -323,17 +324,10 @@ fn model_paths_match_zero_skip_composition_exactly() {
         for (layer, w) in model.layers().iter().zip(&weights) {
             let products: Vec<DenseMatrix<f32>> =
                 want.iter().map(|h| zero_skip_gemm(h, w)).collect();
-            let tiled: Vec<f32> = (0..blocks.len())
-                .flat_map(|_| layer.bias().expect("biased layer").iter().copied())
-                .collect();
-            let epi = match layer.epilogue().expect("relu and identity fuse") {
-                Epilogue::BiasRelu(_) => Epilogue::BiasRelu(tiled),
-                Epilogue::Bias(_) => Epilogue::Bias(tiled),
-                other => panic!("unexpected epilogue {other:?}"),
-            };
+            let epi = layer.epilogue().expect("relu and identity fuse");
             let prefs: Vec<&DenseMatrix<f32>> = products.iter().collect();
             want = engine
-                .execute_prepared_batch_fused(&prep, &a, &prefs, &epi)
+                .execute_prepared_batch_fused(&prep, &a, &prefs, epi)
                 .unwrap();
         }
         assert_eq!(got.len(), want.len());

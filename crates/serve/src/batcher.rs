@@ -17,8 +17,9 @@
 //! [`ServeConfig::pressure_threshold`](crate::ServeConfig::pressure_threshold),
 //! the batch closes immediately (no linger — latency is already being
 //! paid in the queue) and its column budget halves, trading peak
-//! coalescing for smaller transient buffers and faster turn-around while
-//! overloaded. Such batches are counted as `degraded_batches`.
+//! coalescing for faster turn-around while overloaded: a batch answers
+//! all its requests at once, so a smaller one answers its first requests
+//! sooner. Such batches are counted as `degraded_batches`.
 //!
 //! # Deadlines
 //!
@@ -323,9 +324,9 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>, degraded: bool) {
     run_column_batch(shared, live, degraded);
 }
 
-/// The classic same-graph column batch: one engine run over the
-/// concatenated feature columns of `live` (all sharing one graph
-/// version).
+/// The classic same-graph column batch: one engine run over the feature
+/// blocks of `live` (all sharing one graph version), each folded in
+/// place into its own reply.
 fn run_column_batch(shared: &Shared, live: Vec<Pending>, degraded: bool) {
     let Some(head) = live.first() else { return };
     let graph = Arc::clone(&head.graph);

@@ -27,6 +27,19 @@ pub enum ServeError {
         /// The offending block's `(rows, cols)`.
         got: (usize, usize),
     },
+    /// A [`Workload::Gcn`](crate::Workload::Gcn) request targeted a graph
+    /// whose model has more than one layer on a rectangular adjacency.
+    /// Each layer's output has one row per adjacency row, and the next
+    /// layer's aggregation needs one per adjacency column, so no request
+    /// of any shape can be served there.
+    RectangularGraph {
+        /// The graph's name.
+        graph: String,
+        /// The adjacency's `(rows, cols)`.
+        shape: (usize, usize),
+        /// The model's layer count.
+        layers: usize,
+    },
     /// Admission control: the tenant already has `limit` requests in
     /// flight — backpressure, try again later. The queue stays bounded
     /// instead of growing without limit under overload.
@@ -75,6 +88,16 @@ impl std::fmt::Display for ServeError {
                     got.0
                 ),
             },
+            ServeError::RectangularGraph {
+                graph,
+                shape,
+                layers,
+            } => write!(
+                f,
+                "graph {graph:?} has a {}x{} adjacency; its {layers}-layer model \
+                 needs a square one",
+                shape.0, shape.1
+            ),
             ServeError::QueueFull { tenant, limit } => write!(
                 f,
                 "tenant {tenant:?} already has {limit} requests in flight (bounded queue)"
@@ -104,5 +127,11 @@ mod tests {
         assert!(ServeError::UnknownGraph("g".into())
             .to_string()
             .contains("g"));
+        let e = ServeError::RectangularGraph {
+            graph: "rect".into(),
+            shape: (6, 9),
+            layers: 2,
+        };
+        assert!(e.to_string().contains("rect") && e.to_string().contains("6x9"));
     }
 }

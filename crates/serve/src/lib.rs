@@ -5,10 +5,10 @@
 //! *millions of small SpMMs from concurrent clients* fast. The dominant
 //! lever (Batched SpMM for GCN, ICASSP 2019; GE-SpMM's row-reuse
 //! argument) is coalescing: many narrow per-request multiplies against
-//! the same graph become one wide dense-column batch, so every non-zero
-//! of the adjacency is fetched once per *batch* instead of once per
-//! request, and the wide-lane data path runs at full SIMD width instead
-//! of scalar tails.
+//! the same graph become one dense-column batch, run as one engine call
+//! over the request blocks where they lie: one row-span cut and one pool
+//! dispatch per *batch* instead of per request, each block folded
+//! straight into its own reply.
 //!
 //! The subsystem has four parts:
 //!
@@ -20,7 +20,7 @@
 //!   coalesces concurrent requests keyed by `(graph, version, workload)`
 //!   into dense-column batches bounded by [`ServeConfig::max_batch_cols`]
 //!   and [`ServeConfig::max_linger`], executed as a *single* engine run
-//!   on the PR-1 worker pool.
+//!   on the engine's worker pool.
 //! * **Admission control & backpressure** — bounded per-tenant in-flight
 //!   queues rejecting with the typed
 //!   [`ServeError::QueueFull`], deadline-aware shedding
@@ -286,8 +286,9 @@ impl Server {
     /// # Errors
     ///
     /// [`ServeError::ShuttingDown`], [`ServeError::UnknownGraph`],
-    /// [`ServeError::NoModel`], [`ServeError::BadShape`], or the
-    /// backpressure signal [`ServeError::QueueFull`].
+    /// [`ServeError::NoModel`], [`ServeError::RectangularGraph`],
+    /// [`ServeError::BadShape`], or the backpressure signal
+    /// [`ServeError::QueueFull`].
     pub fn submit(&self, req: Request) -> Result<Ticket, ServeError> {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
@@ -411,12 +412,21 @@ impl Server {
         let graph = graph.ok_or_else(|| ServeError::UnknownGraph(req.graph.clone()))?;
         let expected_cols = match req.workload {
             Workload::Spmm => None,
-            Workload::Gcn => Some(
-                graph
+            Workload::Gcn => {
+                let model = graph
                     .model()
-                    .ok_or_else(|| ServeError::NoModel(req.graph.clone()))?
-                    .in_features(),
-            ),
+                    .ok_or_else(|| ServeError::NoModel(req.graph.clone()))?;
+                let a = graph.adjacency();
+                let layers = model.layers().len();
+                if layers > 1 && a.rows() != a.cols() {
+                    return Err(ServeError::RectangularGraph {
+                        graph: req.graph.clone(),
+                        shape: (a.rows(), a.cols()),
+                        layers,
+                    });
+                }
+                Some(model.in_features())
+            }
         };
         let got = (req.features.rows(), req.features.cols());
         // The engine multiplies the features by the adjacency, so their

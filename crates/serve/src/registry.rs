@@ -108,12 +108,14 @@ impl GraphRegistry {
     /// [`ServedGraph`]. See the module docs for the in-flight semantics
     /// of a swap.
     ///
-    /// # Panics
-    ///
-    /// Panics if a model is supplied whose input width can never be
-    /// served (zero layers is impossible by `GcnModel` construction, so
-    /// this only guards adjacency/model node-count agreement indirectly —
-    /// mismatched feature widths are rejected per request, not here).
+    /// Registration accepts any model. A model with more than one layer
+    /// needs a square adjacency, since each layer's output (one row per
+    /// adjacency row) is the next aggregation's operand (one row per
+    /// adjacency column); on a rectangular one, GCN requests are refused
+    /// at admission with
+    /// [`ServeError::RectangularGraph`](crate::ServeError::RectangularGraph).
+    /// Feature blocks of the wrong shape are likewise rejected per
+    /// request, not here.
     pub fn register(
         &self,
         name: &str,

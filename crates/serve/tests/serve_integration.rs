@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpspmm_core::{default_workers, ExecEngine, MergePathSpmm, SerialSpmm, SpmmKernel};
-use mpspmm_gcn::GcnModel;
+use mpspmm_gcn::{Activation, GcnLayer, GcnModel};
 use mpspmm_serve::{Request, ServeConfig, ServeError, Server, Workload};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 
@@ -311,6 +311,59 @@ fn rectangular_adjacency_admits_by_column_count() {
             got: (6, 4)
         }
     );
+    srv.shutdown();
+}
+
+/// A multi-layer model cannot run on a rectangular adjacency: layer 1's
+/// input has one row per adjacency row, its aggregation needs one per
+/// column. Such GCN requests are refused at admission with an error
+/// naming the graph, on both entry points, and charge no queue slot. Raw
+/// SpMM on the same graph, and a one-layer model on a rectangular
+/// adjacency, are still served.
+#[test]
+fn gcn_on_a_rectangular_adjacency_is_refused_by_name() {
+    let trips: Vec<(usize, usize, f32)> = (0..6)
+        .flat_map(|r| [(r, r, 1.0 + r as f32), (r, (r * 5 + 3) % 9, 0.5)])
+        .collect();
+    let a = CsrMatrix::from_triplets(6, 9, &trips).unwrap();
+    let srv = server(ServeConfig::default());
+    srv.register("rect", a.clone(), Some(GcnModel::two_layer(4, 8, 3, 1)));
+    let x = DenseMatrix::from_fn(9, 4, |r, c| (r * 4 + c) as f32 * 0.25 - 2.0);
+    let refused = ServeError::RectangularGraph {
+        graph: "rect".into(),
+        shape: (6, 9),
+        layers: 2,
+    };
+    let err = srv
+        .submit(req("rect", "t", x.clone(), Workload::Gcn))
+        .unwrap_err();
+    assert_eq!(err, refused);
+    let (outcomes, ticket) = srv.submit_many(vec![req("rect", "t", x.clone(), Workload::Gcn)]);
+    assert_eq!(outcomes, vec![Some(refused)]);
+    assert_eq!(ticket.expected(), 0);
+    assert!(srv.stats().tenants.iter().all(|t| t.in_flight == 0));
+
+    let got = srv
+        .submit(req("rect", "t", x.clone(), Workload::Spmm))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(got, SerialSpmm.spmm_sequential(&a, &x).unwrap().0);
+
+    let one_layer = GcnModel::new(vec![GcnLayer::new(
+        DenseMatrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.125 - 0.5),
+        Activation::Relu,
+    )]);
+    let engine = ExecEngine::new(1);
+    let want = one_layer.forward(&a, &x, &engine).unwrap();
+    srv.register("rect1", a, Some(one_layer));
+    let got = srv
+        .submit(req("rect1", "t", x, Workload::Gcn))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!((got.rows(), got.cols()), (6, 3));
+    assert_eq!(got.as_slice(), want.as_slice());
     srv.shutdown();
 }
 

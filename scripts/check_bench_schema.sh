@@ -1,15 +1,22 @@
 #!/usr/bin/env bash
-# Validates every BENCH_*.json artifact at the repo root:
+# Validates every BENCH_*.json artifact in a directory (by default the
+# repo root, where the committed full-run artifacts live):
 #   1. parses as JSON, and
 #   2. carries the common top-level keys every bench binary must emit:
 #      "baseline" (string: what the speedup is measured against) and
 #      "speedup"  (number: the headline ratio for that bench).
 # Keeping the artifacts on one schema lets downstream tooling (and the
-# README tables) consume them uniformly. Run from anywhere; exits
-# non-zero on the first violation.
+# README tables) consume them uniformly.
+#
+# Usage: scripts/check_bench_schema.sh [DIR]
+# DIR may be relative to the repo root (tier-1 passes the directory its
+# bench runs write into). Run from anywhere; exits non-zero on any
+# violation.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+repo="$(pwd)"
+cd "${1:-.}"
 
 if ! command -v jq >/dev/null 2>&1; then
     echo "check_bench_schema: jq not found; skipping schema validation" >&2
@@ -48,11 +55,11 @@ for f in "${files[@]}"; do
         status=1
         continue
     fi
-    # Committed artifacts must come from full benchmark runs. The
-    # working-tree copy may be a smoke artifact (tier1 regenerates most
-    # benches in smoke shape), so the gate inspects the version at HEAD:
-    # files not (yet) tracked are skipped.
-    if committed=$(git show "HEAD:$f" 2>/dev/null); then
+    # Committed artifacts must come from full benchmark runs. A fresh
+    # copy may be a smoke artifact (tier1 runs most benches in smoke
+    # shape), so the gate inspects the version of the same name at HEAD
+    # in the repo root: files not (yet) tracked are skipped.
+    if committed=$(git -C "$repo" show "HEAD:$f" 2>/dev/null); then
         if jq -e '.smoke == true' <<<"$committed" >/dev/null 2>&1; then
             echo "FAIL $f: committed artifact is a smoke run — commit a full run" >&2
             status=1

@@ -12,9 +12,16 @@
 # smoke shape), BENCH_widedim.json (wide-feature-dim layer pipeline vs
 # the pre-revision data path, smoke shape), and BENCH_batch.json
 # (packed block-diagonal serving vs per-request serving, smoke shape)
-# in the repository root, then validates their common schema.
+# into target/tier1-bench/, then validates their common schema there and
+# on the committed full-run artifacts in the repository root. Ends by
+# checking that the root BENCH_*.json files were left untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+root="$(pwd)"
+
+# Checksums of the committed full-run artifacts: the bench binaries below
+# run in their own directory, so these must come out of tier-1 unchanged.
+root_sums="$(sha256sum BENCH_*.json)"
 
 cargo fmt --all -- --check
 cargo build --release
@@ -71,13 +78,27 @@ for wl in ppi-gcn nell-spmm molecule-pack; do
       ;;
   esac
 done
-cargo run --release -p mpspmm-bench --bin bench_engine
-cargo run --release -p mpspmm-bench --bin bench_simd
-cargo run --release -p mpspmm-bench --bin bench_serve -- --smoke
-cargo run --release -p mpspmm-bench --bin bench_fused -- --smoke
-cargo run --release -p mpspmm-bench --bin bench_widedim -- --smoke
+# Every bench binary writes its BENCH_*.json into its working directory,
+# so each runs from target/tier1-bench/, never from the repository root.
+bench_dir="$root/target/tier1-bench"
+rm -rf "$bench_dir"
+mkdir -p "$bench_dir"
+bench() {
+  (cd "$bench_dir" && cargo run --release --manifest-path "$root/Cargo.toml" \
+    -p mpspmm-bench --bin "$@")
+}
+bench bench_engine
+bench bench_simd
+bench bench_serve -- --smoke
+bench bench_fused -- --smoke
+bench bench_widedim -- --smoke
 # Mega-batch bench, smoke shape: exercises the packed serving pipeline
 # end to end (bulk admission, block-diagonal assembly, scatter) and its
 # untimed bit-identity spot check against the sequential oracle.
-cargo run --release -p mpspmm-bench --bin bench_batch -- --smoke
+bench bench_batch -- --smoke
+scripts/check_bench_schema.sh "$bench_dir"
 scripts/check_bench_schema.sh
+if ! sha256sum --quiet --check <<<"$root_sums"; then
+  echo "tier1: a committed BENCH_*.json in the repository root changed" >&2
+  exit 1
+fi
