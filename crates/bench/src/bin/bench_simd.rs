@@ -10,7 +10,9 @@
 //! and the degree-adaptive gather/stream dispatcher. The engine runs the
 //! same row spans whatever the kernel, so there is one record per
 //! (dataset, dim), not one per kernel. Writes `BENCH_simd.json` with one
-//! record per (dataset, dim): `{dataset, dim, ns_per_nnz, vs_scalar}`.
+//! record per (dataset, dim): `{dataset, dim, ns_per_nnz, vs_scalar}`,
+//! and names the instruction set the vectorized kernels ran compiled for
+//! (`"isa"`: `avx512f`, `avx2` or `baseline`, see [`DataPath::isa`]).
 
 use mpspmm_bench::{banner, full_size_requested, geomean, load, time_ns};
 use mpspmm_core::{DataPath, ExecEngine, MergePathSpmm, PreparedPlan, GATHER_MAX_NNZ};
@@ -55,6 +57,8 @@ fn main() {
 
     let scalar = ExecEngine::with_data_path(1, DataPath::Scalar);
     let vector = ExecEngine::with_data_path(1, DataPath::Vector);
+    let isa = DataPath::Vector.isa();
+    println!("vectorized kernels compiled for: {isa}");
 
     println!(
         "\n{:<16} {:>4} {:>11} {:>11} {:>10}",
@@ -125,7 +129,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"baseline\": \"scalar oracle data path, one-worker engine, same prepared plan\",\n  \"speedup\": {:.3},\n  \"results\": [\n{}\n  ],\n  \"geomean_vs_scalar\": {:.3},\n  \"gather_bound_fraction_pubmed\": {:.3}\n}}\n",
+        "{{\n  \"baseline\": \"scalar oracle data path, one-worker engine, same prepared plan\",\n  \"speedup\": {:.3},\n  \"isa\": \"{isa}\",\n  \"results\": [\n{}\n  ],\n  \"geomean_vs_scalar\": {:.3},\n  \"gather_bound_fraction_pubmed\": {:.3}\n}}\n",
         g_scalar,
         records.join(",\n"),
         g_scalar,

@@ -5,9 +5,18 @@
 //!
 //! * **Wide-lane streaming kernels** — const-generic register-accumulator
 //!   blocks of 16 and 8 f32 lanes ([`LaneWidth`] picks the widest the CPU
-//!   supports at runtime), each compiled to straight-line code LLVM
-//!   auto-vectorizes, with an 8/4/scalar tail cascade for dimension
-//!   remainders.
+//!   supports at runtime), plus 128-, 64- and 32-column blocks (eight,
+//!   four and two `zmm` accumulators) on AVX-512F, each compiled to
+//!   straight-line code LLVM auto-vectorizes. A remainder narrower than a
+//!   block is covered by one more block that ends at the panel's end and
+//!   reaches back over columns already stored: the streaming kernels only
+//!   store, and every column's sum is the same whichever block computes
+//!   it, so the overlap rewrites the same bits and no column runs a
+//!   scalar chain.
+//! * **ISA clones** — the vectorized row fold and the GEMM tile both run
+//!   through one pair of `#[target_feature]` trampolines ([`with_isa`]),
+//!   so the same kernel bodies compile to 512- or 256-bit code when the
+//!   CPU proves AVX-512F or AVX2 at runtime ([`WideIsa`]).
 //! * **Feature-dimension panel blocking** — for large `dim` a segment is
 //!   swept in L1-resident column panels ([`crate::tuning::panel_cols`]),
 //!   so the gathered rows of `B` are touched one cache-friendly panel at
@@ -78,12 +87,16 @@ pub enum DataPath {
 }
 
 /// Accumulator width of the streaming kernel, selected at runtime.
+/// How many registers a block fills depends on the [`WideIsa`] clone the
+/// kernel runs in: the SpMM row fold and the GEMM tile both run in the
+/// widest clone the CPU proves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LaneWidth {
     /// 8 f32 accumulators per block (two SSE vectors, one AVX vector).
     W8,
-    /// 16 f32 accumulators per block (two AVX vectors, one AVX-512
-    /// vector).
+    /// 16 f32 accumulators per block (four SSE vectors in baseline code,
+    /// two AVX vectors in the AVX2 clone, one `zmm` register in the
+    /// AVX-512F clone).
     W16,
 }
 
@@ -109,14 +122,16 @@ impl LaneWidth {
     }
 }
 
-/// Widest x86 vector extension the GEMM microkernel may be *compiled*
-/// for, proven present at runtime. [`LaneWidth`] only sizes accumulator
-/// blocks for the baseline autovectorizer; this goes further and selects
-/// a `#[target_feature]` clone of the same kernel body, so the identical
-/// scalar arithmetic (separate multiply and add, `k` ascending — never
+/// Widest x86 vector extension the vectorized SpMM row fold and the GEMM
+/// tile may be *compiled* for, proven present at runtime. [`LaneWidth`]
+/// only sizes accumulator blocks; this selects a `#[target_feature]`
+/// clone of the same kernel body ([`with_isa`]), so the identical scalar
+/// arithmetic (separate multiply and add, `k` ascending — never
 /// FMA-contracted, which would change rounding) is emitted with 256- or
 /// 512-bit instructions. Results stay bit-equal across all variants
-/// because every vector lane is an independent output column.
+/// because every vector lane is an independent output column. Under
+/// `Avx512f` the streaming SpMM kernel also runs 128-, 64- and 32-column
+/// blocks ahead of the 16-lane one; that too only regroups columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WideIsa {
     /// Baseline codegen (also all non-x86_64 targets).
@@ -166,21 +181,33 @@ pub(crate) struct ResolvedPath {
 }
 
 impl DataPath {
+    /// The kernel family this path runs: `Auto` is the vectorized one
+    /// unless the crate is built with `force-scalar`.
+    fn kind(self) -> PathKind {
+        match self {
+            DataPath::Auto if cfg!(feature = "force-scalar") => PathKind::Scalar,
+            DataPath::Auto | DataPath::Vector => PathKind::Vector,
+            DataPath::Scalar => PathKind::Scalar,
+        }
+    }
+
+    /// The instruction set this path's SpMM and GEMM kernels run compiled
+    /// for on the running CPU: `"avx512f"`, `"avx2"` or `"baseline"` for
+    /// the vectorized path, and always `"baseline"` for the scalar oracle.
+    /// Benches record it next to their timings.
+    pub fn isa(self) -> &'static str {
+        match (self.kind(), WideIsa::detect()) {
+            (PathKind::Vector, WideIsa::Avx512f) => "avx512f",
+            (PathKind::Vector, WideIsa::Avx2) => "avx2",
+            _ => "baseline",
+        }
+    }
+
     /// Resolves the path for one execution over a `b_rows × dim` dense
     /// operand. Gather prefetch is decided here too, once per run, by
     /// [`prefetch_pays`].
     pub(crate) fn resolve(self, b_rows: usize, dim: usize) -> ResolvedPath {
-        let kind = match self {
-            DataPath::Auto => {
-                if cfg!(feature = "force-scalar") {
-                    PathKind::Scalar
-                } else {
-                    PathKind::Vector
-                }
-            }
-            DataPath::Scalar => PathKind::Scalar,
-            DataPath::Vector => PathKind::Vector,
-        };
+        let kind = self.kind();
         let lanes = LaneWidth::detect();
         let model = CacheModel::default();
         ResolvedPath {
@@ -260,30 +287,36 @@ fn stream_block<const W: usize>(
     dst[d..d + W].copy_from_slice(&acc);
 }
 
-/// Scalar remainder columns of a panel (`range` indexes both `dst` and
-/// `B`'s rows). `pf` hints as in [`stream_block`], during the first
-/// column's sweep only.
+/// Runs `W`-column [`stream_block`]s from column `d` while they fit
+/// before `p1`. A remainder wider than half a block (any remainder, at
+/// the narrowest, 4-column block) is then covered by one more block that
+/// ends at `p1` and reaches back over columns already stored — when the
+/// row is at least `W` columns wide. A narrower remainder is left to the
+/// next narrower block, so a remainder costs one sweep by the narrowest
+/// block that covers it. The streaming blocks only store, and a column's
+/// sum does not depend on the block that computes it, so the overlap
+/// rewrites the same bits. Returns the first column not yet stored. The
+/// first block run takes the hint window `pf`.
 #[inline(always)]
-fn tail_columns(
+fn stream_blocks<const W: usize>(
     seg: &Segment,
     cols: &[usize],
     vals: &[f32],
     b: &DenseMatrix<f32>,
-    range: std::ops::Range<usize>,
+    (mut d, p1): (usize, usize),
     dst: &mut [f32],
-    mut pf: Option<(usize, usize)>,
-) {
-    for d in range {
-        let mut s = 0.0f32;
-        let hint = pf.take();
-        for k in seg.nz_start..seg.nz_end {
-            if let Some(window) = hint {
-                hint_ahead(cols, k, b, window);
-            }
-            s += vals[k] * b.row(cols[k])[d];
-        }
-        dst[d] = s;
+    pf: &mut Option<(usize, usize)>,
+) -> usize {
+    while d + W <= p1 {
+        stream_block::<W>(seg, cols, vals, b, d, dst, pf.take());
+        d += W;
     }
+    let cover = if W > 4 { W / 2 } else { 0 };
+    if p1 - d > cover && p1 >= W {
+        stream_block::<W>(seg, cols, vals, b, p1 - W, dst, pf.take());
+        d = p1;
+    }
+    d
 }
 
 /// Gather microkernel for short segments: fuse all (at most
@@ -298,6 +331,7 @@ fn tail_columns(
 /// oracle folds in a leading `0.0` (which can flip a `-0.0` product to
 /// `+0.0`), so results are equal under f32 `==` and may differ only in
 /// the sign of zero.
+#[inline(always)]
 pub(crate) fn gather_segment(
     seg: &Segment,
     cols: &[usize],
@@ -344,8 +378,13 @@ pub(crate) fn gather_segment(
 }
 
 /// Streaming panel kernel for long segments: sweeps the destination row
-/// in `rp.panel`-column panels; within a panel, wide-lane blocks at
-/// `rp.lanes`, then an 8/4/scalar cascade for the remainder.
+/// in `rp.panel`-column panels. Within a panel it runs 128-, 64- and
+/// 32-column blocks under [`WideIsa::Avx512f`] (eight, four and two `zmm`
+/// accumulators: independent add chains), then blocks at `rp.lanes`, 8
+/// and 4, and covers a remainder with one overlapping block ending at the
+/// panel's end ([`stream_blocks`]); only a row narrower than four columns
+/// needs a block of its own width.
+#[inline(always)]
 pub(crate) fn stream_segment(
     seg: &Segment,
     cols: &[usize],
@@ -363,21 +402,22 @@ pub(crate) fn stream_segment(
         // panel window ahead; the later blocks find those lines in cache.
         let mut pf = rp.prefetch.then_some((p0, p1));
         let mut d = p0;
+        if rp.wide_isa == WideIsa::Avx512f {
+            d = stream_blocks::<128>(seg, cols, vals, b, (d, p1), dst, &mut pf);
+            d = stream_blocks::<64>(seg, cols, vals, b, (d, p1), dst, &mut pf);
+            d = stream_blocks::<32>(seg, cols, vals, b, (d, p1), dst, &mut pf);
+        }
         if rp.lanes == LaneWidth::W16 {
-            while d + 16 <= p1 {
-                stream_block::<16>(seg, cols, vals, b, d, dst, pf.take());
-                d += 16;
-            }
+            d = stream_blocks::<16>(seg, cols, vals, b, (d, p1), dst, &mut pf);
         }
-        while d + 8 <= p1 {
-            stream_block::<8>(seg, cols, vals, b, d, dst, pf.take());
-            d += 8;
+        d = stream_blocks::<8>(seg, cols, vals, b, (d, p1), dst, &mut pf);
+        d = stream_blocks::<4>(seg, cols, vals, b, (d, p1), dst, &mut pf);
+        match p1 - d {
+            0 => {}
+            1 => stream_block::<1>(seg, cols, vals, b, d, dst, pf),
+            2 => stream_block::<2>(seg, cols, vals, b, d, dst, pf),
+            _ => stream_block::<3>(seg, cols, vals, b, d, dst, pf),
         }
-        if d + 4 <= p1 {
-            stream_block::<4>(seg, cols, vals, b, d, dst, pf.take());
-            d += 4;
-        }
-        tail_columns(seg, cols, vals, b, d..p1, dst, pf);
         p0 = p1;
     }
 }
@@ -414,7 +454,7 @@ fn hint_ahead(cols: &[usize], k: usize, b: &DenseMatrix<f32>, (lo, hi): (usize, 
 /// set, both kernels hint the `B` row [`PREFETCH_DISTANCE`] non-zeros
 /// ahead of each non-zero they use: the gather kernel sends its few
 /// hints up front, the streaming kernel during its first block's sweep.
-#[inline]
+#[inline(always)]
 pub(crate) fn vector_segment(
     seg: &Segment,
     cols: &[usize],
@@ -436,7 +476,10 @@ pub(crate) fn vector_segment(
 }
 
 /// Accumulates one segment into the full output row `dst`, overwriting
-/// it, through the resolved data path.
+/// it, through the resolved data path. `inline(always)`, like every
+/// vectorized kernel below it, so the ISA clone that runs the row fold
+/// compiles all of it under its own features.
+#[inline(always)]
 pub(crate) fn accumulate_segment_dispatch(
     rp: &ResolvedPath,
     seg: &Segment,
@@ -457,10 +500,12 @@ pub(crate) fn accumulate_segment_dispatch(
 /// of column panels executed (the [`crate::EngineStats::gemm_panels`]
 /// unit; the scalar path counts one panel per band).
 ///
-/// The blocked path register-tiles [`GEMM_MR`] `A` rows against the same
-/// wide-lane cascade as the streaming SpMM kernel (16-lane blocks when
-/// [`LaneWidth::W16`], then 8/4/scalar tails), sweeping the output width
-/// in [`panel_cols`]-sized panels. The reduction is **`k`-blocked** at
+/// The vectorized path reads `B` only through `packed`, the [`pack_b`]
+/// layout at [`gemm_pack_width`]. It register-tiles [`GEMM_MR`] `A` rows
+/// against one lane-width column block at a time, sweeping the output
+/// width in [`panel_cols`]-sized panels; the last block of a width that
+/// is not a lane multiple runs on its zero-padded lanes and stores only
+/// the valid ones. The reduction is **`k`-blocked** at
 /// depth `kc` ([`crate::tuning::gemm_kc`]): the `kc`-deep `B` panel is
 /// reused across every register tile of the band before the next block
 /// streams in, keeping it L2-resident at wide output dims. Blocking does
@@ -508,15 +553,14 @@ pub(crate) fn gemm_band(
             let mut rows = quad.chunks_exact_mut(n);
             let mut crows: [&mut [f32]; GEMM_MR] =
                 std::array::from_fn(|_| rows.next().expect("quad holds GEMM_MR rows"));
-            panels += gemm_rows(arows, b, packed, n, rp, krange.clone(), &mut crows);
+            panels += gemm_rows(arows, packed, (k, n), rp, krange.clone(), &mut crows);
             r += GEMM_MR;
         }
         for crow in quads.into_remainder().chunks_exact_mut(n) {
             panels += gemm_rows(
                 [a.row(row_start + r)],
-                b,
                 packed,
-                n,
+                (k, n),
                 rp,
                 krange.clone(),
                 &mut [crow],
@@ -541,52 +585,75 @@ pub(crate) fn gemm_pack_width(rp: &ResolvedPath) -> Option<usize> {
     }
 }
 
-/// Packs the full-width column blocks of `b` into a lane-blocked layout:
-/// block `jb` (columns `jb*w .. jb*w + w`) occupies the contiguous
-/// region `packed[jb*k*w ..][.. k*w]`, with its `k` rows of `w` floats
-/// back to back. The leading microkernel loop then streams whole cache
-/// lines sequentially instead of striding `n × 4` bytes per `k` step —
-/// at `n = 512` that stride is 2 KiB, which aliases cache sets badly
-/// enough to halve the kernel's throughput. Packing is pure data
-/// movement (each value is copied, never recomputed), so it cannot
-/// change one bit of the result; its one-pass cost is amortized over
-/// every row band of the whole GEMM. Columns past the last full block
-/// (`n % w`) stay unpacked — the narrower cascade tails read `b`
-/// directly.
+/// Packs `b` into a lane-blocked layout: block `jb` (columns
+/// `jb*w .. jb*w + w`) occupies the contiguous region
+/// `packed[jb*k*w ..][.. k*w]`, with its `k` rows of `w` floats back to
+/// back, and `packed` holds `n.div_ceil(w)` blocks. The last block of a
+/// width that is not a multiple of `w` is zero-padded to `w` lanes, so
+/// every column runs in a full-width microkernel; the padded lanes'
+/// sums are never stored. The microkernel streams whole cache lines
+/// sequentially instead of striding `n × 4` bytes per `k` step — at
+/// `n = 512` that stride is 2 KiB, which aliases cache sets badly enough
+/// to halve the kernel's throughput. Packing is pure data movement (each
+/// value is copied, never recomputed), so it cannot change one bit of the
+/// result; its one-pass cost is amortized over every row band of the
+/// whole GEMM.
 pub(crate) fn pack_b(b: &DenseMatrix<f32>, w: usize, packed: &mut [f32]) {
     let (k, n) = (b.rows(), b.cols());
-    let nb = n / w.max(1);
-    debug_assert_eq!(packed.len(), nb * k * w);
+    let w = w.max(1);
+    debug_assert_eq!(packed.len(), n.div_ceil(w) * k * w);
     for (kk, brow) in b.as_slice().chunks_exact(n.max(1)).enumerate() {
-        for jb in 0..nb {
-            let dst = jb * k * w + kk * w;
-            packed[dst..dst + w].copy_from_slice(&brow[jb * w..(jb + 1) * w]);
+        for (jb, src) in brow.chunks(w).enumerate() {
+            let dst = &mut packed[jb * k * w + kk * w..][..w];
+            let (valid, pad) = dst.split_at_mut(src.len());
+            valid.copy_from_slice(src);
+            pad.fill(0.0);
         }
     }
 }
 
 /// Sweeps the full output width for one register tile of `MR` rows over
 /// the `k`-block `krange`, through the widest kernel clone the CPU
-/// proved it supports (see [`WideIsa`]) — every clone runs the same
+/// proved it supports ([`with_isa`]) — every clone runs the same
 /// [`gemm_rows_body`], so the choice affects instruction encoding only,
 /// never results.
 #[inline]
 fn gemm_rows<const MR: usize>(
     arows: [&[f32]; MR],
-    b: &DenseMatrix<f32>,
     packed: &[f32],
-    n: usize,
+    kn: (usize, usize),
     rp: &ResolvedPath,
     krange: std::ops::Range<usize>,
     crows: &mut [&mut [f32]; MR],
 ) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    return wide::gemm_rows_wide(arows, b, packed, n, rp, krange, crows);
-    #[cfg(not(target_arch = "x86_64"))]
-    gemm_rows_body(arows, b, packed, n, rp, krange, crows)
+    with_isa(
+        rp.wide_isa,
+        #[inline(always)]
+        || match rp.lanes {
+            LaneWidth::W16 => gemm_rows_body::<MR, 16>(arows, packed, kn, rp.panel, krange, crows),
+            LaneWidth::W8 => gemm_rows_body::<MR, 8>(arows, packed, kn, rp.panel, krange, crows),
+        },
+    )
 }
 
-/// The `#[target_feature]` clones of [`gemm_rows_body`], and the
+/// Runs `body` compiled for `isa`: the AVX-512F or AVX2
+/// `#[target_feature]` trampoline, or baseline code. Every vectorized
+/// kernel body is `#[inline(always)]`, and so is the closure handed in,
+/// so the trampoline absorbs the whole kernel under its features. The
+/// body's arithmetic is the same in every clone (no FMA is enabled, so
+/// no multiply-add is contracted), so the choice never changes a bit.
+#[inline(always)]
+pub(crate) fn with_isa<R>(isa: WideIsa, body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    return wide::run(isa, body);
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = isa;
+        body()
+    }
+}
+
+/// The two `#[target_feature]` trampolines behind [`with_isa`], and the
 /// gather-prefetch hint. This is one of the two modules allowed out of
 /// the crate's `deny(unsafe_code)` (with [`crate::pool`]): calling a
 /// `#[target_feature]` function is `unsafe` because executing it on a
@@ -601,7 +668,7 @@ fn gemm_rows<const MR: usize>(
 mod wide {
     #![allow(unsafe_code)]
 
-    use super::{gemm_rows_body, DenseMatrix, ResolvedPath, WideIsa};
+    use super::WideIsa;
 
     /// Emits one `prefetcht0` for every 64-byte cache line that
     /// `window` touches.
@@ -627,170 +694,120 @@ mod wide {
         }
     }
 
-    /// Dispatches one register tile to the AVX-512F or AVX2 clone, or
-    /// runs the portable body.
-    #[inline]
-    pub(super) fn gemm_rows_wide<const MR: usize>(
-        arows: [&[f32]; MR],
-        b: &DenseMatrix<f32>,
-        packed: &[f32],
-        n: usize,
-        rp: &ResolvedPath,
-        krange: std::ops::Range<usize>,
-        crows: &mut [&mut [f32]; MR],
-    ) -> u64 {
-        match rp.wide_isa {
-            // SAFETY (both arms): `wide_isa` is only ever set to a
-            // non-`Portable` variant by `WideIsa::detect` after the
-            // matching `is_x86_feature_detected!` check succeeded on this
-            // CPU; the dispatch test forces each variant only under that
-            // same check. Debug builds re-check the proof.
+    /// Runs `body` in the AVX-512F or AVX2 trampoline, or directly.
+    /// `wide_isa` is only ever set to a non-`Portable` variant by
+    /// `WideIsa::detect` after the matching `is_x86_feature_detected!`
+    /// check succeeded on this CPU; the dispatch tests force each variant
+    /// only under that same check. Debug builds re-check the proof.
+    #[inline(always)]
+    pub(super) fn run<R>(isa: WideIsa, body: impl FnOnce() -> R) -> R {
+        match isa {
             WideIsa::Avx512f => {
                 debug_assert!(is_x86_feature_detected!("avx512f"));
-                unsafe { gemm_rows_avx512f(arows, b, packed, n, rp, krange, crows) }
+                // SAFETY: `Avx512f` is only resolved, or forced by a
+                // test, after `is_x86_feature_detected!("avx512f")`
+                // succeeded on this CPU.
+                unsafe { run_avx512f(body) }
             }
             WideIsa::Avx2 => {
                 debug_assert!(is_x86_feature_detected!("avx2"));
-                unsafe { gemm_rows_avx2(arows, b, packed, n, rp, krange, crows) }
+                // SAFETY: `Avx2` is only resolved, or forced by a test,
+                // after `is_x86_feature_detected!("avx2")` succeeded on
+                // this CPU.
+                unsafe { run_avx2(body) }
             }
-            WideIsa::Portable => gemm_rows_body(arows, b, packed, n, rp, krange, crows),
+            WideIsa::Portable => body(),
         }
     }
 
-    /// [`gemm_rows_body`] compiled with 256-bit codegen. No FMA: the
-    /// body's separate multiply and add must stay separate instructions
-    /// for bit-equality with the portable clone.
+    /// `body` compiled with 256-bit codegen. No FMA: the body's separate
+    /// multiply and add must stay separate instructions for bit-equality
+    /// with the baseline code.
     #[target_feature(enable = "avx2")]
-    unsafe fn gemm_rows_avx2<const MR: usize>(
-        arows: [&[f32]; MR],
-        b: &DenseMatrix<f32>,
-        packed: &[f32],
-        n: usize,
-        rp: &ResolvedPath,
-        krange: std::ops::Range<usize>,
-        crows: &mut [&mut [f32]; MR],
-    ) -> u64 {
-        gemm_rows_body(arows, b, packed, n, rp, krange, crows)
+    unsafe fn run_avx2<R>(body: impl FnOnce() -> R) -> R {
+        body()
     }
 
-    /// [`gemm_rows_body`] compiled with 512-bit codegen (a W16 block is
-    /// exactly one `zmm` register).
+    /// `body` compiled with 512-bit codegen (a 16-lane block is exactly
+    /// one `zmm` register).
     #[target_feature(enable = "avx512f")]
-    unsafe fn gemm_rows_avx512f<const MR: usize>(
-        arows: [&[f32]; MR],
-        b: &DenseMatrix<f32>,
-        packed: &[f32],
-        n: usize,
-        rp: &ResolvedPath,
-        krange: std::ops::Range<usize>,
-        crows: &mut [&mut [f32]; MR],
-    ) -> u64 {
-        gemm_rows_body(arows, b, packed, n, rp, krange, crows)
+    unsafe fn run_avx512f<R>(body: impl FnOnce() -> R) -> R {
+        body()
     }
 }
 
-/// The actual panel sweep for one register tile of `MR` rows over the
-/// `k`-block `krange`: panel loop outside, wide-lane cascade inside —
-/// the GEMM analogue of [`stream_segment`]'s panel sweep.
-/// `inline(always)` so each `#[target_feature]` clone in `wide`
-/// absorbs the whole body (and the microkernels below) under its own
-/// codegen features.
+/// The panel sweep for one register tile of `MR` rows over the `k`-block
+/// `krange`, in `W`-lane column blocks of the [`pack_b`] layout: panel
+/// loop outside, one microkernel per block inside. `kn` is `B`'s
+/// `(rows, cols)`.
 ///
 /// Every per-`k` slice is hoisted out of the hot loop here: the `A` rows
-/// are restricted to the `k`-block once, and the block's `B` rows become
-/// one contiguous slab the microkernels index directly — the `k` loop
-/// itself carries no bounds checks or row-address recomputation, which
-/// is what lets the autovectorizer keep the whole accumulator tile in
-/// registers. (A wider 32-column leading block was tried and rejected:
-/// two-register accumulator columns spill and devectorize the loop.)
-/// Neither change touches results: each output element's products are
-/// still added in ascending `k` order in its own accumulator chain.
-///
-/// When `packed` is non-empty it holds `B` re-laid into lane-width
-/// column blocks by [`pack_b`]: the leading full-width loop then streams
-/// one contiguous `W`-float line per `k` step instead of striding `n`
-/// floats per row — at `n = 512` the unpacked stride is 2 KiB, which
-/// aliases cache sets and stalls the sweep. Remainder columns (`n`
-/// modulo the pack width) are not packed and fall through to the
-/// unpacked cascade. Packing is pure data movement: every accumulator
-/// still consumes the same products in the same ascending-`k` order, so
-/// packed and unpacked sweeps are bit-identical.
+/// are restricted to the `k`-block once, and the block's packed `B` rows
+/// are one contiguous slab — the `k` loop itself carries no bounds checks
+/// or row-address recomputation, which is what lets the autovectorizer
+/// keep the whole accumulator tile in registers. (A wider 32-column
+/// block was tried and rejected: two-register accumulator columns spill
+/// and devectorize the loop.) Each output element's products are still
+/// added in ascending `k` order in its own accumulator chain.
 #[inline(always)]
-fn gemm_rows_body<const MR: usize>(
+fn gemm_rows_body<const MR: usize, const W: usize>(
     arows: [&[f32]; MR],
-    b: &DenseMatrix<f32>,
     packed: &[f32],
-    n: usize,
-    rp: &ResolvedPath,
+    (k, n): (usize, usize),
+    panel: usize,
     krange: std::ops::Range<usize>,
     crows: &mut [&mut [f32]; MR],
 ) -> u64 {
-    let panel = rp.panel.max(1);
-    let k = b.rows();
+    let panel = panel.max(1);
     let ablk: [&[f32]; MR] = std::array::from_fn(|i| &arows[i][krange.clone()]);
-    let bslab = &b.as_slice()[krange.start * n..krange.end * n];
     let mut panels = 0u64;
     let mut p0 = 0;
     while p0 < n {
         let p1 = (p0 + panel).min(n);
-        let mut d = p0;
-        if rp.lanes == LaneWidth::W16 {
-            if packed.is_empty() {
-                while d + 16 <= p1 {
-                    gemm_micro::<MR, 16>(ablk, bslab, n, d, crows);
-                    d += 16;
-                }
-            } else {
-                while d + 16 <= p1 {
-                    // Panels are lane-aligned, so `d` sits on a block
-                    // boundary; `d + 16 <= n` keeps `jb` a full block.
-                    debug_assert_eq!(d % 16, 0);
-                    let base = (d / 16) * k * 16;
-                    let pb = &packed[base + krange.start * 16..base + krange.end * 16];
-                    gemm_micro_packed::<MR, 16>(ablk, pb, d, crows);
-                    d += 16;
-                }
-            }
-        } else if !packed.is_empty() {
-            while d + 8 <= p1 {
-                debug_assert_eq!(d % 8, 0);
-                let base = (d / 8) * k * 8;
-                let pb = &packed[base + krange.start * 8..base + krange.end * 8];
-                gemm_micro_packed::<MR, 8>(ablk, pb, d, crows);
-                d += 8;
-            }
+        for d in (p0..p1).step_by(W) {
+            // Panels are lane-aligned, so `d` sits on a block boundary;
+            // only the row's last block can hold fewer than `W` columns.
+            debug_assert_eq!(d % W, 0);
+            let base = (d / W) * k * W;
+            let pb = &packed[base + krange.start * W..base + krange.end * W];
+            gemm_micro_packed::<MR, W>(ablk, pb, d, (p1 - d).min(W), crows);
         }
-        while d + 8 <= p1 {
-            gemm_micro::<MR, 8>(ablk, bslab, n, d, crows);
-            d += 8;
-        }
-        if d + 4 <= p1 {
-            gemm_micro::<MR, 4>(ablk, bslab, n, d, crows);
-            d += 4;
-        }
-        gemm_tail::<MR>(ablk, bslab, n, d..p1, crows);
         p0 = p1;
         panels += 1;
     }
     panels
 }
 
-/// [`gemm_micro`] over a [`pack_b`] column block: identical accumulator
-/// tile and ascending-`k` chains, but each `k` step reads one contiguous
-/// `W`-float line from the packed block instead of a `W`-wide window of
-/// an `n`-wide row. Bit-identical to the unpacked microkernel by
-/// construction — same values, same order, only the load addresses
-/// differ.
+/// `MR × W` register microkernel over one [`pack_b`] column block:
+/// `MR * W` f32 accumulators live across the whole `k`-block sweep, each
+/// `k` step reads one contiguous `W`-float line that feeds all `MR` rows,
+/// and the destination is written once per tile. The accumulators are
+/// **seeded from the destination** (read-modify-write): the engine zeroes
+/// `C` up front, so for the first `k`-block the seed is the literal
+/// `0.0` of the naive loop, and each later block continues the exact
+/// same addition sequence — `k`-blocking therefore cannot change a single
+/// bit. Only the first `valid` columns exist: a partial block seeds its
+/// padded lanes with zero, runs them on the packed zero padding, and
+/// stores only the valid lanes. No zero-skip branch — the inner loop
+/// stays straight-line mul/add code, separate instructions, so rounding
+/// matches the naive oracle under every ISA clone.
 #[inline(always)]
 fn gemm_micro_packed<const MR: usize, const W: usize>(
     ablk: [&[f32]; MR],
     pb: &[f32],
     d: usize,
+    valid: usize,
     crows: &mut [&mut [f32]; MR],
 ) {
     let mut acc = [[0.0f32; W]; MR];
     for (accr, crow) in acc.iter_mut().zip(crows.iter()) {
-        accr.copy_from_slice(&crow[d..d + W]);
+        if valid == W {
+            accr.copy_from_slice(&crow[d..d + W]);
+        } else {
+            let mut seed = [0.0f32; W];
+            seed[..valid].copy_from_slice(&crow[d..d + valid]);
+            *accr = seed;
+        }
     }
     let klen = ablk[0].len();
     for kk in 0..klen {
@@ -803,67 +820,29 @@ fn gemm_micro_packed<const MR: usize, const W: usize>(
         }
     }
     for (accr, crow) in acc.iter().zip(crows.iter_mut()) {
-        crow[d..d + W].copy_from_slice(accr);
+        if valid == W {
+            crow[d..d + W].copy_from_slice(accr);
+        } else {
+            crow[d..d + valid].copy_from_slice(&accr[..valid]);
+        }
     }
 }
 
-/// `MR × W` register microkernel: `MR * W` f32 accumulators live across
-/// the whole `k`-block sweep, each loaded `B` block feeds all `MR` rows,
-/// and the destination is written once per tile. The accumulators are
-/// **seeded from the destination** (read-modify-write): the engine zeroes
-/// `C` up front, so for the first `k`-block the seed is the literal
-/// `0.0` the old unblocked kernel used, and each later block continues
-/// the exact same addition sequence — `k`-blocking therefore cannot
-/// change a single bit. No zero-skip branch — the dense inner loop stays
-/// straight-line mul/add code, separate instructions, so rounding matches
-/// the naive oracle under every `wide` clone.
-#[inline(always)]
-fn gemm_micro<const MR: usize, const W: usize>(
-    ablk: [&[f32]; MR],
-    bslab: &[f32],
-    n: usize,
-    d: usize,
-    crows: &mut [&mut [f32]; MR],
-) {
-    let mut acc = [[0.0f32; W]; MR];
-    for (accr, crow) in acc.iter_mut().zip(crows.iter()) {
-        accr.copy_from_slice(&crow[d..d + W]);
-    }
-    let klen = ablk[0].len();
-    for kk in 0..klen {
-        let brow = &bslab[kk * n..];
-        let blk: &[f32; W] = brow[d..d + W].try_into().expect("block inside dense row");
-        for (accr, ab) in acc.iter_mut().zip(&ablk) {
-            let av = ab[kk];
-            for (s, &bv) in accr.iter_mut().zip(blk) {
-                *s += av * bv;
-            }
+/// `Portable` and every `#[target_feature]` clone this CPU proves: the
+/// only arms the `unsafe` dispatch may take.
+#[cfg(test)]
+pub(crate) fn proven_isas() -> Vec<WideIsa> {
+    let mut isas = vec![WideIsa::Portable];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx2") {
+            isas.push(WideIsa::Avx2);
+        }
+        if is_x86_feature_detected!("avx512f") {
+            isas.push(WideIsa::Avx512f);
         }
     }
-    for (accr, crow) in acc.iter().zip(crows.iter_mut()) {
-        crow[d..d + W].copy_from_slice(accr);
-    }
-}
-
-/// Scalar remainder columns of a GEMM panel, still `k`-ascending and
-/// seeded from the destination like [`gemm_micro`].
-#[inline(always)]
-fn gemm_tail<const MR: usize>(
-    ablk: [&[f32]; MR],
-    bslab: &[f32],
-    n: usize,
-    range: std::ops::Range<usize>,
-    crows: &mut [&mut [f32]; MR],
-) {
-    for d in range {
-        for (ab, crow) in ablk.iter().zip(crows.iter_mut()) {
-            let mut s = crow[d];
-            for (&av, brow) in ab.iter().zip(bslab.chunks_exact(n)) {
-                s += av * brow[d];
-            }
-            crow[d] = s;
-        }
-    }
+    isas
 }
 
 #[cfg(test)]
@@ -902,9 +881,11 @@ mod tests {
         }
     }
 
-    /// Every kernel variant, lane width and panel size must be
-    /// bit-identical to the scalar oracle on all dims 1..=67 — including
-    /// empty segments and single-nnz rows.
+    /// Every kernel variant, ISA clone, lane width and panel size must be
+    /// bit-identical to the scalar oracle on all dims 1..=67 and at the
+    /// wide dims around the 64- and 32-column blocks — including empty
+    /// segments and single-nnz rows. Narrow panels make the remainder
+    /// block reach back across a panel edge.
     #[test]
     fn all_kernels_bit_match_scalar_oracle_dims_1_to_67() {
         let a = random_matrix(64, 64, 300, 21);
@@ -918,20 +899,29 @@ mod tests {
             seg(4, 7),                  // three non-zeros (gather)
             seg(5, 5 + GATHER_MAX_NNZ), // the widest gather segment
         ];
-        for dim in 1..=67usize {
+        let isas = proven_isas();
+        for dim in (1..=67usize).chain([96, 121, 127, 128, 129, 200]) {
             let b = random_dense(64, dim, 22);
             for s in &segments {
                 let want = scalar_reference(s, &a, &b, dim);
                 let mut got = vec![f32::NAN; dim];
-                for lanes in [LaneWidth::W8, LaneWidth::W16] {
-                    for panel in [8usize, 16, 32, 1024] {
-                        let rp = resolved(PathKind::Vector, lanes, panel);
-                        got.fill(f32::NAN);
-                        vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
-                        assert_eq!(
-                            got, want,
-                            "vector dim={dim} lanes={lanes:?} panel={panel} seg={s:?}"
-                        );
+                for &wide_isa in &isas {
+                    for lanes in [LaneWidth::W8, LaneWidth::W16] {
+                        for panel in [8usize, 16, 32, 48, 1024] {
+                            let rp = ResolvedPath {
+                                wide_isa,
+                                ..resolved(PathKind::Vector, lanes, panel)
+                            };
+                            got.fill(f32::NAN);
+                            with_isa(wide_isa, || {
+                                vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp)
+                            });
+                            assert_eq!(
+                                got, want,
+                                "vector {wide_isa:?} dim={dim} lanes={lanes:?} \
+                                 panel={panel} seg={s:?}"
+                            );
+                        }
                     }
                 }
                 if s.len() <= GATHER_MAX_NNZ {
@@ -948,7 +938,7 @@ mod tests {
     }
 
     /// Gather prefetch must never change a value: `vector_segment` with
-    /// the hints on and off, on both lane widths,
+    /// the hints on and off, on both lane widths and in every ISA clone,
     /// equals the scalar oracle exactly. The segments include empty ones
     /// and ones that end at the matrix's last non-zero, where
     /// `k + PREFETCH_DISTANCE` runs past the index array and the hint
@@ -978,17 +968,23 @@ mod tests {
                 accumulate_segment_scalar(s, a.col_indices(), a.values(), &b, &mut want);
                 for lanes in [LaneWidth::W8, LaneWidth::W16] {
                     for panel in [8usize, 1024] {
-                        for prefetch in [false, true] {
+                        for (prefetch, wide_isa) in [false, true]
+                            .into_iter()
+                            .flat_map(|p| proven_isas().into_iter().map(move |i| (p, i)))
+                        {
                             let rp = ResolvedPath {
                                 prefetch,
+                                wide_isa,
                                 ..resolved(PathKind::Vector, lanes, panel)
                             };
                             let ctx = format!(
                                 "dim={dim} lanes={lanes:?} panel={panel} \
-                                 prefetch={prefetch} seg={s:?}"
+                                 prefetch={prefetch} {wide_isa:?} seg={s:?}"
                             );
                             let mut got = vec![f32::NAN; dim];
-                            vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
+                            with_isa(wide_isa, || {
+                                vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp)
+                            });
                             assert_eq!(got, want, "{ctx}");
                         }
                     }
@@ -1025,28 +1021,23 @@ mod tests {
         ));
     }
 
-    /// Every arm of the GEMM ISA dispatch computes the same bits: the
-    /// `Portable` body and each `#[target_feature]` clone this CPU proves
-    /// (the only arms the `unsafe` dispatch may take), on packed and
-    /// unpacked `B`, at both lane widths, over a full `GEMM_MR` tile plus
-    /// a remainder row, with `k` spanning several `k`-blocks. The
-    /// `Portable` result also equals the scalar path's naive loop.
+    /// Every arm of the GEMM ISA dispatch computes the same bits as the
+    /// scalar path's naive loop: the `Portable` body and each
+    /// `#[target_feature]` clone this CPU proves, at both lane widths,
+    /// over a full `GEMM_MR` tile plus a remainder row, with `k` spanning
+    /// three `k`-blocks. The widths cover a lone padded block (1, 2, 7,
+    /// 9, 15), exact blocks (8, 16, 128) and a padded last block after
+    /// full ones (17, 33, 121, 127), whose seeded partial lanes carry
+    /// the sum across `k`-blocks. The packed buffer is poisoned with NaN
+    /// first, so a padded lane left unwritten, or one stored into `C`,
+    /// shows.
     #[test]
     fn gemm_dispatch_arms_bit_match_portable() {
-        let mut isas = vec![WideIsa::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                isas.push(WideIsa::Avx2);
-            }
-            if is_x86_feature_detected!("avx512f") {
-                isas.push(WideIsa::Avx512f);
-            }
-        }
+        let isas = proven_isas();
         let (rows, k, kc) = (GEMM_MR + 1, 75, 32);
         let a = random_dense(rows, k, 31);
         let model = CacheModel::default();
-        for n in [1usize, 7, 8, 15, 16, 17, 33, 128] {
+        for n in [1usize, 2, 7, 8, 9, 15, 16, 17, 33, 121, 127, 128] {
             let b = random_dense(k, n, 32);
             let mut naive = vec![0.0f32; rows * n];
             gemm_band(
@@ -1065,21 +1056,15 @@ mod tests {
                     panel_cols(n, lanes.lanes(), &model),
                 );
                 let w = gemm_pack_width(&base).expect("vector path packs");
-                let mut packed = vec![0.0f32; (n / w) * k * w];
+                let mut packed = vec![f32::NAN; n.div_ceil(w) * k * w];
                 pack_b(&b, w, &mut packed);
-                let run = |wide_isa: WideIsa, packed: &[f32]| {
+                assert!(packed.iter().all(|v| !v.is_nan()), "n={n}: pad zeroed");
+                for &wide_isa in &isas {
                     let rp = ResolvedPath { wide_isa, ..base };
                     let mut dst = vec![0.0f32; rows * n];
-                    let panels = gemm_band(&a, &b, packed, 0, &rp, kc, &mut dst);
+                    let panels = gemm_band(&a, &b, &packed, 0, &rp, kc, &mut dst);
                     assert!(panels > 0);
-                    dst
-                };
-                let want = run(WideIsa::Portable, &[]);
-                assert_eq!(want, naive, "portable vs naive n={n} lanes={lanes:?}");
-                for &isa in &isas {
-                    for (name, p) in [("unpacked", &[][..]), ("packed", &packed[..])] {
-                        assert_eq!(run(isa, p), want, "{isa:?} {name} n={n} lanes={lanes:?}");
-                    }
+                    assert_eq!(dst, naive, "{wide_isa:?} n={n} lanes={lanes:?}");
                 }
             }
         }

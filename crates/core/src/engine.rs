@@ -70,7 +70,7 @@ use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::arena::BufferArena;
 use crate::batch::BatchShapeClass;
-use crate::datapath::{accumulate_segment_dispatch, DataPath, PathKind, ResolvedPath};
+use crate::datapath::{accumulate_segment_dispatch, with_isa, DataPath, PathKind, ResolvedPath};
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
 use crate::plan::{Flush, Segment};
@@ -709,9 +709,9 @@ fn run_row_spans(a: &CsrMatrix<f32>, folds: Vec<BlockFold<'_>>, workers: usize, 
 /// Computes rows `first..first + out.len() / b.cols()` of `a · b` into
 /// the zeroed `out`, each row in one ascending pass, and applies `epi`
 /// to every row right after its store — empty rows included, since a
-/// bias changes them. Widths with a fixed-width microkernel keep the
-/// accumulators in registers with no per-row dispatch; the scalar path
-/// keeps the generic per-row dispatch, as it is the correctness oracle.
+/// bias changes them. The vectorized path runs the whole fold in the
+/// widest ISA clone the CPU proved ([`with_isa`]), dispatched once per
+/// call; the scalar oracle stays on baseline code.
 fn fold_rows(
     first: usize,
     a: &CsrMatrix<f32>,
@@ -721,6 +721,30 @@ fn fold_rows(
     out: &mut [f32],
 ) {
     let epi = (!epi.is_noop()).then_some(epi);
+    match rp.kind {
+        PathKind::Scalar => fold_rows_body(first, a, b, rp, epi, out),
+        PathKind::Vector => with_isa(
+            rp.wide_isa,
+            #[inline(always)]
+            || fold_rows_body(first, a, b, rp, epi, out),
+        ),
+    }
+}
+
+/// The row fold behind [`fold_rows`]. Widths with a fixed-width
+/// microkernel keep the accumulators in registers with no per-row
+/// dispatch; the scalar path keeps the generic per-row dispatch, as it is
+/// the correctness oracle. `inline(always)` so each ISA clone compiles
+/// all of it.
+#[inline(always)]
+fn fold_rows_body(
+    first: usize,
+    a: &CsrMatrix<f32>,
+    b: &DenseMatrix<f32>,
+    rp: &ResolvedPath,
+    epi: Option<&Epilogue>,
+    out: &mut [f32],
+) {
     let row_ptr = a.row_ptr();
     let dim = b.cols();
     if rp.kind != PathKind::Scalar && matches!(dim, 1 | 2 | 4 | 8) {
@@ -749,12 +773,13 @@ fn fold_rows(
     }
 }
 
-/// The fixed-width row fold behind [`fold_rows`]. `D` equals the dense
+/// The fixed-width row fold behind [`fold_rows_body`]. `D` equals the dense
 /// operand's column count, so row `c` of `b` is the flat slice
 /// `[c * D, c * D + D)`; indexing the backing storage directly (and
 /// zipping values with columns) keeps the hot loop to one bounds check
 /// per non-zero. Per output element the fold is the same ascending-`k`
 /// sum every other data path computes.
+#[inline(always)]
 fn fold_rows_width<const D: usize>(
     first: usize,
     row_ptr: &[usize],
@@ -1187,6 +1212,66 @@ mod tests {
         for (block, got) in blocks.iter().zip(fused) {
             let want = applied(row_sum(&a, block).0, &Epilogue::Relu);
             assert_eq!(got.as_slice(), want.as_slice());
+        }
+    }
+
+    /// Every ISA arm of the row fold — `Portable` and each clone this CPU
+    /// proves — equals the scalar oracle fold exactly, with prefetch off
+    /// and on: at every width 1..=67 and at the wide widths where the
+    /// 128-, 64- and 32-column blocks and the overlapping remainder block
+    /// run, on the lopsided graph (an evil streaming row, empty rows,
+    /// single-entry gather rows), under every epilogue and at 1, 2 and 7
+    /// workers. The scalar fold itself equals the row sum with the
+    /// epilogue applied.
+    #[test]
+    fn fold_isa_arms_bit_match_the_scalar_oracle() {
+        let a = lopsided();
+        let isas = crate::datapath::proven_isas();
+        for dim in (1..=67usize).chain([96, 121, 127, 128, 129, 200]) {
+            let b = random_dense(a.cols(), dim, 60);
+            let bias: Vec<f32> = (0..dim).map(|j| j as f32 * 0.125 - 4.0).collect();
+            let epis = [
+                Epilogue::None,
+                Epilogue::Relu,
+                Epilogue::Bias(bias.clone()),
+                Epilogue::BiasRelu(bias),
+            ];
+            let plain = row_sum(&a, &b).0;
+            for epi in &epis {
+                for workers in [1usize, 2, 7] {
+                    let fold = |rp: ResolvedPath| {
+                        let mut out = vec![0.0f32; a.rows() * dim];
+                        let folds = vec![BlockFold {
+                            b: &b,
+                            rp,
+                            out: &mut out,
+                        }];
+                        run_row_spans(&a, folds, workers, epi);
+                        out
+                    };
+                    let want = fold(DataPath::Scalar.resolve(b.rows(), dim));
+                    assert_eq!(
+                        want,
+                        applied(plain.clone(), epi).as_slice(),
+                        "scalar dim={dim}"
+                    );
+                    for &wide_isa in &isas {
+                        for prefetch in [false, true] {
+                            let rp = ResolvedPath {
+                                wide_isa,
+                                prefetch,
+                                ..DataPath::Vector.resolve(b.rows(), dim)
+                            };
+                            assert_eq!(
+                                fold(rp),
+                                want,
+                                "{wide_isa:?} prefetch={prefetch} dim={dim} \
+                                 workers={workers} epi={epi:?}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -71,18 +71,27 @@ impl Epilogue {
     }
 
     /// Applies the epilogue to one finalized output row in place.
-    /// `dst.len()` must equal the validated `dim`.
-    #[inline]
+    /// `dst.len()` must equal the validated `dim`. `inline(always)` so
+    /// the ISA clone that runs the engine's row fold compiles it too.
+    #[inline(always)]
     pub fn apply_row(&self, dst: &mut [f32]) {
         match self {
             Epilogue::None => {}
             Epilogue::Relu => {
                 // Select form — post-SpMM signs are near-random, and a
                 // branched store mispredicts half the time. `-0.0` and
-                // NaN pass through exactly as before.
-                for v in dst {
-                    *v = if *v < 0.0 { 0.0 } else { *v };
+                // NaN pass through exactly as before. Whole register
+                // blocks are selected and stored back unconditionally:
+                // selected in place, the AVX-512 clone turns the select
+                // into a masked store of the negative lanes, which cost
+                // the width-32 ReLU fold about 45% more CPU.
+                let mut blocks = dst.chunks_exact_mut(RELU_BLOCK);
+                for blk in &mut blocks {
+                    let mut r: [f32; RELU_BLOCK] = (&*blk).try_into().expect("a full block");
+                    r.iter_mut().for_each(relu);
+                    blk.copy_from_slice(&r);
                 }
+                blocks.into_remainder().iter_mut().for_each(relu);
             }
             Epilogue::Bias(bias) => {
                 for (v, &b) in dst.iter_mut().zip(bias) {
@@ -97,6 +106,15 @@ impl Epilogue {
             }
         }
     }
+}
+
+/// Floats per register block of the ReLU epilogue: one `zmm` register.
+const RELU_BLOCK: usize = 16;
+
+/// `v = max(0, v)` with the GCN activation's exact comparison.
+#[inline(always)]
+fn relu(v: &mut f32) {
+    *v = if *v < 0.0 { 0.0 } else { *v };
 }
 
 #[cfg(test)]
@@ -118,6 +136,26 @@ mod tests {
         assert_eq!(row, [0.0, -0.0, 0.0, 2.5]);
         // -0.0 is preserved, exactly like Activation::Relu's `< 0.0` test.
         assert!(row[1].is_sign_negative());
+        // Whole register blocks and the remainder after them alike.
+        let specials = [
+            -1.5f32,
+            -0.0,
+            0.0,
+            2.5,
+            f32::NAN,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+        ];
+        for len in [RELU_BLOCK - 1, RELU_BLOCK, 2 * RELU_BLOCK + 3] {
+            let mut row: Vec<f32> = (0..len).map(|i| specials[i % specials.len()]).collect();
+            let want: Vec<u32> = row
+                .iter()
+                .map(|&v| if v < 0.0 { 0.0f32 } else { v }.to_bits())
+                .collect();
+            Epilogue::Relu.apply_row(&mut row);
+            let got: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "len={len}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! triple loop outside the engine. This module puts it on the same
 //! machinery: the output comes from the engine's [`crate::arena`], the
 //! kernel is the register-tiled, cache-panelled band kernel in
-//! [`crate::datapath`] (same runtime wide-lane dispatch as the SpMM
-//! path), and rows are distributed across the same worker pool: bands
+//! `datapath`, run through the same runtime-gated ISA clones as the SpMM
+//! row fold, and rows are distributed across the same worker pool: bands
 //! self-schedule off a shared atomic counter, so a worker that drew cheap
 //! bands (or started late) simply takes more. Every band is computed the
 //! same way whichever worker claims it, so the distribution never changes
@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 
-use crate::datapath::{gemm_band, gemm_pack_width, pack_b, PathKind};
+use crate::datapath::{gemm_band, gemm_pack_width, pack_b};
 use crate::engine::ExecEngine;
 use crate::pool::{ScopedJob, WorkerPool};
 use crate::tuning::{gemm_kc, CacheModel, GEMM_BAND_ROWS};
@@ -72,31 +72,24 @@ impl ExecEngine {
             self.kblocks
                 .fetch_add(a.cols().div_ceil(kc.max(1)) as u64, Ordering::Relaxed);
         }
-        // Pack `B` once into lane-width column blocks (arena-recycled)
-        // so every band's microkernel streams contiguous lines instead
-        // of striding `n` floats per `k` step. Pure data movement —
-        // results stay bitwise identical (see `gemm_rows_body`).
+        // Pack `B` once into lane-width column blocks (arena-recycled),
+        // the last one zero-padded, so every band's microkernel streams
+        // contiguous lines instead of striding `n` floats per `k` step.
+        // Pure data movement — results stay bitwise identical (see
+        // `pack_b`).
         let packed = match gemm_pack_width(&rp) {
-            Some(w) if a.cols() > 0 && n >= w => {
-                let mut buf = self.arena.take_zeroed((n / w) * a.cols() * w);
+            Some(w) => {
+                let mut buf = self.arena.take_zeroed(n.div_ceil(w) * a.cols() * w);
                 pack_b(b, w, &mut buf);
                 buf
             }
-            _ => Vec::new(),
+            None => Vec::new(),
         };
         let pslab: &[f32] = &packed;
         let band_count = m.div_ceil(GEMM_BAND_ROWS.max(1));
         let eff = self.workers.min(band_count).max(1);
         let mut panels = 0u64;
-        // Narrow outputs (GNN hidden/class widths) on one worker skip
-        // the band/panel machinery: at `n <= 4` the per-band setup costs
-        // more than the whole fold, and the register-array loop computes
-        // the exact naive `ikj` order — bitwise identical output.
-        let narrow = (1..=4).contains(&n) && a.cols() <= 32 && rp.kind != PathKind::Scalar;
-        if narrow && eff <= 1 {
-            gemm_narrow(a, b, &mut out);
-            panels += band_count as u64;
-        } else if eff <= 1 {
+        if eff <= 1 {
             for (bi, band) in out.chunks_mut(GEMM_BAND_ROWS * n.max(1)).enumerate() {
                 panels += gemm_band(a, b, pslab, bi * GEMM_BAND_ROWS, &rp, kc, band);
             }
@@ -143,37 +136,6 @@ impl ExecEngine {
         self.gemm_ns
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         DenseMatrix::from_vec(m, n, out)
-    }
-}
-
-/// Width dispatch for the narrow single-worker path: the const width
-/// keeps the per-row accumulators in registers.
-fn gemm_narrow(a: &DenseMatrix<f32>, b: &DenseMatrix<f32>, out: &mut [f32]) {
-    match b.cols() {
-        1 => gemm_narrow_fixed::<1>(a, b, out),
-        2 => gemm_narrow_fixed::<2>(a, b, out),
-        3 => gemm_narrow_fixed::<3>(a, b, out),
-        4 => gemm_narrow_fixed::<4>(a, b, out),
-        n => unreachable!("gemm_narrow called for width {n}"),
-    }
-}
-
-/// Per-row `ikj` fold at const width `N == b.cols()`: ascending `k` per
-/// output element, accumulators seeded from the zeroed destination —
-/// exactly the naive loop's summation order, so the result is bitwise
-/// equal to every other GEMM path in this module.
-fn gemm_narrow_fixed<const N: usize>(a: &DenseMatrix<f32>, b: &DenseMatrix<f32>, out: &mut [f32]) {
-    let k = a.cols();
-    for (r, orow) in out.chunks_exact_mut(N).enumerate() {
-        let arow = a.row(r);
-        let mut acc = [0.0f32; N];
-        for (p, &av) in arow.iter().enumerate().take(k) {
-            let brow = &b.row(p)[..N];
-            for j in 0..N {
-                acc[j] += av * brow[j];
-            }
-        }
-        orow.copy_from_slice(&acc);
     }
 }
 

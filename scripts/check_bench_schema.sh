@@ -4,7 +4,9 @@
 #   1. parses as JSON, and
 #   2. carries the common top-level keys every bench binary must emit:
 #      "baseline" (string: what the speedup is measured against) and
-#      "speedup"  (number: the headline ratio for that bench).
+#      "speedup"  (number: the headline ratio for that bench), and
+#   3. for BENCH_simd.json, "isa" (string: the instruction set the
+#      vectorized kernels ran compiled for).
 # Keeping the artifacts on one schema lets downstream tooling (and the
 # README tables) consume them uniformly.
 #
@@ -52,6 +54,13 @@ for f in "${files[@]}"; do
     fi
     if ! jq -e '(.speedup | type) == "number"' "$f" >/dev/null; then
         echo "FAIL $f: missing top-level numeric key \"speedup\"" >&2
+        status=1
+        continue
+    fi
+    # The SIMD bench names the instruction set its vectorized kernels
+    # ran compiled for.
+    if [ "$f" = BENCH_simd.json ] && ! jq -e '(.isa | type) == "string"' "$f" >/dev/null; then
+        echo "FAIL $f: missing top-level string key \"isa\"" >&2
         status=1
         continue
     fi
