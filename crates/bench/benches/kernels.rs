@@ -1,13 +1,13 @@
 //! Microbenchmarks of the real CPU SpMM kernels (plain timing harness;
 //! the build environment has no criterion, so `harness = false` bench
-//! targets time with `std::time::Instant` directly).
+//! targets print the median of `mpspmm_bench::Measured`).
 //!
 //! These measure this machine's actual execution of each strategy (not
 //! the machine models): plan construction + parallel execution of
 //! `A × XW` at dimension 16 on a mid-sized power-law graph and a
 //! structured graph.
 
-use mpspmm_bench::time_ns;
+use mpspmm_bench::Measured;
 use mpspmm_core::{
     MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm, RowSplitSpmm, SerialSpmm, SpmmKernel,
 };
@@ -40,9 +40,10 @@ fn main() {
         ];
         println!("spmm/{label} ({} nnz, dim 16)", a.nnz());
         for (name, kernel) in &kernels {
-            let ns = time_ns(2, 10, || {
+            let ns = Measured::of(2, 10, || {
                 kernel.spmm(&a, &b).expect("shapes match");
-            });
+            })
+            .median_ns;
             println!(
                 "  {name:<22} {:>12.0} ns/call  {:>8.3} ns/nnz",
                 ns,

@@ -1,8 +1,9 @@
 //! Benchmark of merge-path schedule construction — the "scheduling
-//! overhead" of the online setting (Figure 8), measured on this CPU with
-//! a plain `Instant` timing loop (no criterion in the offline build).
+//! overhead" of the online setting (Figure 8), measured on this CPU as
+//! the median of `mpspmm_bench::Measured` (no criterion in the offline
+//! build).
 
-use mpspmm_bench::time_ns;
+use mpspmm_bench::Measured;
 use mpspmm_core::Schedule;
 use mpspmm_graphs::{DatasetSpec, GraphClass};
 
@@ -11,9 +12,10 @@ fn main() {
     let a = spec.synthesize(7);
     println!("schedule/build ({} merge items)", a.merge_items());
     for threads in [64usize, 1024, 16_384] {
-        let ns = time_ns(3, 20, || {
+        let ns = Measured::of(3, 20, || {
             Schedule::build(&a, threads);
-        });
+        })
+        .median_ns;
         println!(
             "  threads {threads:>6} {:>12.0} ns/build  {:>8.3} ns/item",
             ns,

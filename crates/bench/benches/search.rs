@@ -1,8 +1,8 @@
 //! Benchmark of the constrained 2-D binary search — the inner primitive
-//! of Algorithm 1 (one call per thread boundary). Plain `Instant` timing
-//! loop (no criterion in the offline build).
+//! of Algorithm 1 (one call per thread boundary), timed as the median of
+//! `mpspmm_bench::Measured` (no criterion in the offline build).
 
-use mpspmm_bench::time_ns;
+use mpspmm_bench::Measured;
 use mpspmm_core::merge_path_search;
 use mpspmm_graphs::{DatasetSpec, GraphClass};
 
@@ -15,7 +15,7 @@ fn main() {
         let row_end = &a.row_ptr()[1..];
         let total = a.merge_items();
         let mut sink = 0usize;
-        let ns = time_ns(3, 20, || {
+        let ns = Measured::of(3, 20, || {
             // Sweep 1024 evenly spaced diagonals (one schedule build's
             // worth of searches at the paper's thread floor).
             let mut acc = 0usize;
@@ -24,7 +24,8 @@ fn main() {
                 acc += merge_path_search(diag, row_end, a.nnz()).row;
             }
             sink = sink.wrapping_add(acc);
-        });
+        })
+        .median_ns;
         println!(
             "merge_path_search/{label}: {:>12.0} ns per 1024-search sweep ({:.1} ns/search, checksum {sink})",
             ns,

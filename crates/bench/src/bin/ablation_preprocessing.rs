@@ -16,9 +16,7 @@
 //! whatever the schedule), so the "online" cost of each approach is
 //! visible against the kernel time it fronts.
 
-use std::time::Instant;
-
-use mpspmm_bench::{banner, full_size_requested, load, time_ns, SEED};
+use mpspmm_bench::{banner, full_size_requested, load, Measured, SEED};
 use mpspmm_core::executor::execute_parallel;
 use mpspmm_core::{
     default_cost_for_dim, default_workers, plan_from_schedule, thread_count,
@@ -48,18 +46,27 @@ fn main() {
     for name in SAMPLE {
         let (_, a) = load(find_dataset(name).expect("in Table II"), full);
 
-        let t0 = Instant::now();
-        let index = NeighborPartitionIndex::build(&a, NnzSplitSpmm::new().ng_size_for(&a));
-        let ng_build = t0.elapsed();
+        // Each cost is the median of 7 timed runs after 2 untimed ones.
+        let ms = |m: Measured| m.median_ns / 1e6;
+        let ng_size = NnzSplitSpmm::new().ng_size_for(&a);
+        let ng_build = ms(Measured::of(2, 7, || {
+            NeighborPartitionIndex::build(&a, ng_size);
+        }));
+        let index = NeighborPartitionIndex::build(&a, ng_size);
 
         let threads = thread_count(a.merge_items(), cost, MIN_THREADS);
-        let t1 = Instant::now();
+        let mp_build = ms(Measured::of(2, 7, || {
+            Schedule::build(&a, threads);
+        }));
+        let mp_par = ms(Measured::of(2, 7, || {
+            Schedule::build_parallel(&a, threads, 4);
+        }));
         let schedule = Schedule::build(&a, threads);
-        let mp_build = t1.elapsed();
-        let t2 = Instant::now();
-        let par = Schedule::build_parallel(&a, threads, 4);
-        let mp_par = t2.elapsed();
-        assert_eq!(schedule, par, "parallel build must be bit-identical");
+        assert_eq!(
+            schedule,
+            Schedule::build_parallel(&a, threads, 4),
+            "parallel build must be bit-identical"
+        );
 
         // Schedule footprint: two merge coordinates per thread.
         let mp_bytes = schedule.num_threads() * 4 * std::mem::size_of::<usize>();
@@ -69,15 +76,17 @@ fn main() {
         let b = DenseMatrix::from_fn(a.cols(), dim, |r, c| {
             ((r * 31 + c * 7) % 17) as f32 * 0.125 - 1.0
         });
-        let kernel_us = time_ns(2, 7, || {
+        let kernel_us = Measured::of(2, 7, || {
             let _ = execute_parallel(&plan, &a, &b, workers).unwrap();
-        }) / 1e3;
+        })
+        .median_ns
+            / 1e3;
         println!(
             "{name:<12} {:>9.2}ms {:>10}B | {:>9.2}ms {:>9.2}ms {:>11}B | {:>11.2}",
-            ng_build.as_secs_f64() * 1e3,
+            ng_build,
             index.memory_bytes(),
-            mp_build.as_secs_f64() * 1e3,
-            mp_par.as_secs_f64() * 1e3,
+            mp_build,
+            mp_par,
             mp_bytes,
             kernel_us,
         );

@@ -23,9 +23,7 @@
 //! piles most non-zeros into one span, while the merge-path plan's spans
 //! stay near 1.0.
 
-use std::time::Instant;
-
-use mpspmm_bench::{banner, full_size_requested, load, time_ns, SEED};
+use mpspmm_bench::{banner, full_size_requested, load, Measured, SEED};
 use mpspmm_core::analysis::LoadBalance;
 use mpspmm_core::executor::execute_parallel;
 use mpspmm_core::{
@@ -85,10 +83,12 @@ fn main() {
         let (_, a) = load(find_dataset(name).expect("in Table II"), full);
         let threads = 1024usize;
 
-        let t0 = Instant::now();
-        let perm = degree_sort_permutation(&a);
-        let sorted = permute_rows(&a, &perm);
-        let sort_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let sort_ms = Measured::of(1, 5, || {
+            permute_rows(&a, &degree_sort_permutation(&a));
+        })
+        .median_ns
+            / 1e6;
+        let sorted = permute_rows(&a, &degree_sort_permutation(&a));
 
         let b = DenseMatrix::from_fn(a.cols(), dim, |r, c| {
             ((r * 31 + c * 7) % 17) as f32 * 0.125 - 1.0
@@ -101,9 +101,11 @@ fn main() {
 
         // Measure every scheme's own plan on the seed executor.
         let micros = |plan: &KernelPlan, m: &CsrMatrix<f32>| {
-            time_ns(2, 7, || {
+            Measured::of(2, 7, || {
                 let _ = execute_parallel(plan, m, &b, workers).unwrap();
-            }) / 1e3
+            })
+            .median_ns
+                / 1e3
         };
         let rs = micros(&rs_plan, &a);
         let srs = micros(&srs_plan, &sorted);

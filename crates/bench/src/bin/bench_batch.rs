@@ -22,11 +22,12 @@
 //!   as one block — one GEMM + one SpMM per layer for the *whole window*
 //!   — and scatters each tenant's row band back out.
 //!
-//! The headline is the goodput ratio in graphs/sec **at fixed p95** —
-//! the median over interleaved passes of the per-pass ratio: the
+//! The headline is the goodput ratio **at fixed p95** — the per-request
+//! mode's median wall time per graph over the packed mode's, across
+//! interleaved passes: the
 //! packed run must not buy its throughput with a worse tail, so the
 //! binary asserts `packed p95 <= per-request p95` alongside the >= 5x
-//! goodput floor (full mode; `--smoke` runs the same shape smaller and
+//! goodput floor (full mode; `--smoke` runs a smaller population and
 //! only prints). Before anything is timed, a bit-identity spot check
 //! packs a window and compares every scattered band against the
 //! sequential per-graph oracle — exact equality, not tolerance.
@@ -34,9 +35,9 @@
 //! Writes `BENCH_batch.json`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mpspmm_bench::SEED;
+use mpspmm_bench::{alternate, json_array, speedup, write_artifact, Measured, SEED};
 use mpspmm_core::{default_workers, ExecEngine, MergePathSpmm};
 use mpspmm_gcn::GcnModel;
 use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
@@ -62,24 +63,8 @@ const BURST: usize = 256;
 /// Tenants the burst is spread over (results scatter per tenant).
 const TENANTS: usize = 8;
 
-struct Shape {
-    graphs: usize,
-    passes: usize,
-}
-
-fn shape(smoke: bool) -> Shape {
-    if smoke {
-        Shape {
-            graphs: 512,
-            passes: 1,
-        }
-    } else {
-        Shape {
-            graphs: 2048,
-            passes: 5,
-        }
-    }
-}
+/// Timed passes per mode, after one untimed warm-up pass.
+const PASSES: usize = 7;
 
 /// The Type II population: structured graphs with 50–500 non-zeros and
 /// near-uniform degrees, sized like single molecules.
@@ -120,26 +105,6 @@ fn server(
             .register_shared(&format!("g{i}"), a.clone(), Some(Arc::clone(model)));
     }
     srv
-}
-
-struct RunResult {
-    mode: &'static str,
-    graphs_per_sec: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-    stats: ServeStats,
-}
-
-/// Median of an unsorted sample (mean of the middle two when even).
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
-    let mid = xs.len() / 2;
-    if xs.len().is_multiple_of(2) {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    } else {
-        xs[mid]
-    }
 }
 
 /// Batch-synchronous load: submit one `BURST`-wide burst of requests —
@@ -201,22 +166,20 @@ fn sweep(
     }
 }
 
-/// Runs both modes as a **paired, interleaved** measurement: both
-/// servers stay up for the whole benchmark and each pass times one
-/// per-request sweep immediately followed by one packed sweep over the
-/// same population. The headline speedup is the **median over passes of
-/// the per-pass goodput ratio**.
+/// Runs both modes as an **interleaved** measurement: both servers stay
+/// up for the whole benchmark and each pass times one per-request sweep
+/// next to one packed sweep over the same population. Returns each
+/// mode's wall time per graph and its server statistics.
 ///
 /// Two separate noise sources on a single shared core make the naive
-/// sum-everything measurement unstable, and the pairing kills both:
+/// sum-everything measurement unstable, and the interleaving kills both:
 ///
 /// * **millisecond preemption spikes** hit one pass of one mode — the
 ///   median discards them, symmetrically for both modes;
 /// * **slow-minutes drift** (a sibling process, frequency change) spans
 ///   many seconds — it slows a base pass and the packed pass *next to
-///   it* by the same factor, so their ratio barely moves, whereas two
-///   back-to-back single-mode runs would let the drift land entirely on
-///   one side of the division.
+///   it* by the same factor, whereas two back-to-back single-mode runs
+///   would let the drift land entirely on one side of the division.
 fn paired_run(
     engine: &Arc<ExecEngine>,
     graphs: &[CsrMatrix<f32>],
@@ -224,78 +187,42 @@ fn paired_run(
     model: &Arc<GcnModel>,
     base_cfg: ServeConfig,
     packed_cfg: ServeConfig,
-    shape: &Shape,
-) -> (RunResult, RunResult, f64) {
+) -> ((Measured, Measured), [ServeStats; 2]) {
     // Packed sweeps per timed pass. The packed side is ~6x faster, so a
     // single sweep of it spans a ~6x shorter wall-clock window than the
     // base sweep next to it — a scheduler-noise burst then eats a far
-    // larger *fraction* of the packed sample than of the base sample,
-    // biasing the per-pass ratio downward. Six packed sweeps per pass
-    // give both modes comparable exposure windows (and average each
-    // packed sample over 6x more windows).
+    // larger *fraction* of the packed sample than of the base sample.
+    // Six packed sweeps per pass give both modes comparable exposure
+    // windows (and average each packed sample over 6x more windows).
     const PACKED_REPS: usize = 6;
     let base_srv = server(engine, graphs, model, base_cfg);
     let packed_srv = server(engine, graphs, model, packed_cfg);
     let tenants: Vec<String> = (0..TENANTS).map(|t| format!("tenant-{t}")).collect();
-    let names: Vec<String> = (0..shape.graphs).map(|g| format!("g{g}")).collect();
-    // One untimed warm pass per mode: page in the arenas and let each
-    // server reach its steady state. Timed passes then measure steady
-    // serving, not first-touch costs.
-    sweep(&base_srv, false, graphs, features, &names, &tenants);
-    sweep(&packed_srv, true, graphs, features, &names, &tenants);
-    let warmed_base = base_srv.stats().completed as usize;
-    let warmed_packed = packed_srv.stats().completed as usize;
-    let mut base_gps = Vec::with_capacity(shape.passes);
-    let mut packed_gps = Vec::with_capacity(shape.passes);
-    let mut ratios = Vec::with_capacity(shape.passes);
-    for pass in 0..shape.passes {
-        let t0 = Instant::now();
-        sweep(&base_srv, false, graphs, features, &names, &tenants);
-        let b = shape.graphs as f64 / t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        for _rep in 0..PACKED_REPS {
-            sweep(&packed_srv, true, graphs, features, &names, &tenants);
-        }
-        let p = (PACKED_REPS * shape.graphs) as f64 / t0.elapsed().as_secs_f64();
-        println!(
-            "pass {}: per-request {:>8.0} graphs/s, packed {:>8.0} graphs/s, ratio {:.2}x",
-            pass + 1,
-            b,
-            p,
-            p / b
-        );
-        base_gps.push(b);
-        packed_gps.push(p);
-        ratios.push(p / b);
-    }
-    let total = shape.graphs * shape.passes;
-    let base_stats = base_srv.stats();
-    let packed_stats = packed_srv.stats();
-    assert_eq!(base_stats.completed as usize, warmed_base + total);
-    assert_eq!(
-        packed_stats.completed as usize,
-        warmed_packed + total * PACKED_REPS
+    let names: Vec<String> = (0..graphs.len()).map(|g| format!("g{g}")).collect();
+    // The untimed warm-up pass pages in the arenas and lets each server
+    // reach its steady state, so timed passes measure steady serving,
+    // not first-touch costs.
+    let times = alternate(
+        1,
+        PASSES,
+        || {
+            sweep(&base_srv, false, graphs, features, &names, &tenants);
+            graphs.len()
+        },
+        || {
+            for _rep in 0..PACKED_REPS {
+                sweep(&packed_srv, true, graphs, features, &names, &tenants);
+            }
+            PACKED_REPS * graphs.len()
+        },
     );
+    let stats = [base_srv.stats(), packed_srv.stats()];
+    let total = graphs.len() * (PASSES + 1);
+    assert_eq!(stats[0].completed as usize, total);
+    assert_eq!(stats[1].completed as usize, total * PACKED_REPS);
     base_srv.shutdown();
     packed_srv.shutdown();
-    let speedup = median(ratios);
-    let base = RunResult {
-        mode: "per-request",
-        graphs_per_sec: median(base_gps),
-        p50_us: base_stats.latency.p50_us,
-        p95_us: base_stats.latency.p95_us,
-        p99_us: base_stats.latency.p99_us,
-        stats: base_stats,
-    };
-    let packed = RunResult {
-        mode: "packed",
-        graphs_per_sec: median(packed_gps),
-        p50_us: packed_stats.latency.p50_us,
-        p95_us: packed_stats.latency.p95_us,
-        p99_us: packed_stats.latency.p99_us,
-        stats: packed_stats,
-    };
-    (base, packed, speedup)
+    (times, stats)
 }
 
 /// Bit-identity spot check, untimed: one packed window over a mixed
@@ -350,20 +277,20 @@ fn spot_check(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let shape = shape(smoke);
+    let graph_count = if smoke { 512 } else { 2048 };
     println!("==================================================================");
     println!(
         "BENCH batch: block-diagonal mega-batching vs per-request serving{}",
         if smoke { " (--smoke)" } else { "" }
     );
     println!(
-        "inputs: {} Type II graphs (50-500 nnz, seed {SEED}), shared {}-{}-{} GCN, \
-         {}-graph bursts over {} tenants x {} passes",
-        shape.graphs, IN_FEATURES, HIDDEN, CLASSES, BURST, TENANTS, shape.passes
+        "inputs: {graph_count} Type II graphs (50-500 nnz, seed {SEED}), shared \
+         {IN_FEATURES}-{HIDDEN}-{CLASSES} GCN, {BURST}-graph bursts over {TENANTS} tenants \
+         x {PASSES} passes"
     );
     println!("==================================================================");
 
-    let graphs = population(shape.graphs);
+    let graphs = population(graph_count);
     let features: Vec<Arc<DenseMatrix<f32>>> = graphs
         .iter()
         .enumerate()
@@ -391,89 +318,79 @@ fn main() {
         ..ServeConfig::default()
     };
 
-    let (base, packed, speedup) = paired_run(
+    let (times, [base, packed]) = paired_run(
         &engine,
         &graphs,
         &features,
         &model,
         per_request_cfg,
         packed_cfg,
-        &shape,
     );
+    let (_, ratio, _) = speedup(&[times]);
 
     println!(
         "\n{:<12} {:>12} {:>10} {:>10} {:>10} {:>12} {:>10}",
         "mode", "graphs/s", "p50 us", "p95 us", "p99 us", "graphs/batch", "pack eff"
     );
-    for r in [&base, &packed] {
+    let mut modes = Vec::new();
+    for ((mode, m), s) in ["per-request", "packed"]
+        .iter()
+        .zip([&times.0, &times.1])
+        .zip([&base, &packed])
+    {
+        let gps = 1e9 / m.median_ns;
+        let l = &s.latency;
         println!(
-            "{:<12} {:>12.0} {:>10.0} {:>10.0} {:>10.0} {:>12.2} {:>10.4}",
-            r.mode,
-            r.graphs_per_sec,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us,
-            r.stats.mean_graphs_per_batch,
-            r.stats.pack_efficiency
+            "{mode:<12} {gps:>12.0} {:>10.0} {:>10.0} {:>10.0} {:>12.2} {:>10.4}",
+            l.p50_us, l.p95_us, l.p99_us, s.mean_graphs_per_batch, s.pack_efficiency
         );
+        modes.push(format!(
+            "{{\"mode\": \"{mode}\", \"graphs_per_sec\": {gps:.1}, \"p50_us\": {:.1}, \
+             \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"mean_graphs_per_batch\": {:.2}, \
+             \"packed_batches\": {}, \"pack_efficiency\": {:.6}}}",
+            l.p50_us,
+            l.p95_us,
+            l.p99_us,
+            s.mean_graphs_per_batch,
+            s.packed_batches,
+            s.pack_efficiency
+        ));
     }
     println!(
-        "\nmega-batch speedup (median per-pass goodput ratio at fixed p95): {speedup:.2}x \
-         ({} packed windows, p95 {:.0} us vs {:.0} us per-request)",
-        packed.stats.packed_batches, packed.p95_us, base.p95_us
-    );
-    println!(
-        "batch plans built: {} (one per packed window; nothing is cached)",
-        packed.stats.engine.batch_plan_misses
+        "\n{} packed windows, p95 {:.0} us vs {:.0} us per-request; batch plans built: {} \
+         (one per packed window; nothing is cached)",
+        packed.packed_batches,
+        packed.latency.p95_us,
+        base.latency.p95_us,
+        packed.engine.batch_plan_misses
     );
 
     if !smoke {
+        assert!(packed.packed_batches > 0, "full run never packed a window");
         assert!(
-            packed.stats.packed_batches > 0,
-            "full run never packed a window"
-        );
-        assert!(
-            packed.p95_us <= base.p95_us,
+            packed.latency.p95_us <= base.latency.p95_us,
             "packed p95 {:.0} us exceeds per-request p95 {:.0} us — goodput was \
              bought with a worse tail",
-            packed.p95_us,
-            base.p95_us
+            packed.latency.p95_us,
+            base.latency.p95_us
         );
         assert!(
-            speedup >= 5.0,
-            "mega-batch goodput {speedup:.2}x is below the 5x floor"
+            ratio >= 5.0,
+            "mega-batch goodput {ratio:.2}x is below the 5x floor"
         );
     }
 
-    let mode_json = |r: &RunResult| {
-        format!(
-            "    {{\"mode\": \"{}\", \"graphs_per_sec\": {:.1}, \"p50_us\": {:.1}, \
-             \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"mean_graphs_per_batch\": {:.2}, \
-             \"packed_batches\": {}, \"pack_efficiency\": {:.6}}}",
-            r.mode,
-            r.graphs_per_sec,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us,
-            r.stats.mean_graphs_per_batch,
-            r.stats.packed_batches,
-            r.stats.pack_efficiency
-        )
-    };
-    let json = format!(
-        "{{\n  \"baseline\": \"per-request serving, same engine and graph population\",\n  \
-         \"measurement\": \"median per-pass goodput ratio, modes interleaved pass-by-pass\",\n  \
-         \"speedup\": {:.3},\n  \"smoke\": {},\n  \"graphs\": {},\n  \"passes\": {},\n  \
-         \"in_features\": {},\n  \"burst\": {},\n  \"modes\": [\n{},\n{}\n  ]\n}}\n",
-        speedup,
-        smoke,
-        shape.graphs,
-        shape.passes,
-        IN_FEATURES,
-        BURST,
-        mode_json(&base),
-        mode_json(&packed)
+    write_artifact(
+        "batch",
+        "per-request serving, same engine and graph population",
+        &[times],
+        engine.workers(),
+        &[
+            ("smoke", smoke.to_string()),
+            ("graphs", graph_count.to_string()),
+            ("in_features", IN_FEATURES.to_string()),
+            ("burst", BURST.to_string()),
+            ("modes", json_array(&modes)),
+        ],
     );
-    std::fs::write("BENCH_batch.json", &json).expect("write BENCH_batch.json");
-    println!("wrote BENCH_batch.json");
 }

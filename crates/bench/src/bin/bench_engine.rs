@@ -4,17 +4,17 @@
 //! (`executor::execute_parallel`, which routes every output element
 //! through an atomic cell and spawns threads per call) on the plans of
 //! the merge-path, nnz-split (GNNAdvisor), and row-split kernels against
-//! [`ExecEngine`], single-core, at dimensions 16 and 32. The engine runs
-//! the same row spans whatever the kernel, so it is timed once per
-//! (dataset, dim); only the seed executor runs each kernel's plan.
+//! [`ExecEngine`], single-core, at dimensions 16 and 32, the two sides
+//! alternating round by round. The engine runs the same row spans
+//! whatever the kernel; only the seed executor runs each kernel's plan.
 //! Writes `BENCH_engine.json` with one record per
 //! (dataset, kernel, dim): `{dataset, kernel, dim, ns_per_nnz, speedup}`
-//! where `ns_per_nnz` is the engine's time and `speedup` is the seed
-//! executor on that kernel's plan over the engine.
+//! where `ns_per_nnz` is the engine's median time and `speedup` is the
+//! seed executor's median on that kernel's plan over the engine's.
 //!
 //! The engine is `ExecEngine::new(1)`, on its default data path.
 
-use mpspmm_bench::{banner, full_size_requested, geomean, load, time_ns};
+use mpspmm_bench::{alternate, banner, full_size_requested, json_array, load, write_artifact};
 use mpspmm_core::executor::execute_parallel;
 use mpspmm_core::{
     ExecEngine, MergePathSpmm, NnzSplitSpmm, PreparedPlan, RowSplitSpmm, SpmmKernel,
@@ -51,7 +51,7 @@ fn main() {
         "Graph", "Kernel", "dim", "old ns/nnz", "new ns/nnz", "speedup"
     );
     let mut records = Vec::new();
-    let mut speedups = Vec::new();
+    let mut pairs = Vec::new();
     for name in DATASETS {
         let spec = find_dataset(name).expect("Table II dataset");
         let (used, a) = load(spec, full);
@@ -59,32 +59,38 @@ fn main() {
             let b = DenseMatrix::from_fn(a.cols(), dim, |r, c| {
                 ((r * 31 + c * 7) % 17) as f32 * 0.125 - 1.0
             });
-            // Explicit warmup (untimed) before the min-of-N timed runs:
-            // the first call faults in the output and operand pages. The
-            // engine's timed call includes building its row-span plan.
-            let new_ns = time_ns(2, 7, || {
-                let prep = PreparedPlan::new(&a);
-                let _ = engine.execute_prepared(&prep, &a, &b).unwrap();
-            });
             for kernel in &kernels {
                 let plan = kernel.plan(&a, dim);
-                let old_ns = time_ns(2, 5, || {
-                    let _ = execute_parallel(&plan, &a, &b, 1).unwrap();
-                });
-                let speedup = old_ns / new_ns;
-                let ns_per_nnz = new_ns / a.nnz() as f64;
+                // Two untimed rounds fault in the output and operand
+                // pages. The engine's timed call includes building its
+                // row-span plan.
+                let (old, new) = alternate(
+                    2,
+                    7,
+                    || {
+                        let _ = execute_parallel(&plan, &a, &b, 1).unwrap();
+                        1
+                    },
+                    || {
+                        let prep = PreparedPlan::new(&a);
+                        let _ = engine.execute_prepared(&prep, &a, &b).unwrap();
+                        1
+                    },
+                );
+                let speedup = old.median_ns / new.median_ns;
+                let ns_per_nnz = new.median_ns / a.nnz() as f64;
                 println!(
                     "{:<16} {:<16} {:>4} {:>12.2} {:>12.2} {:>8.2}x",
                     used.name,
                     kernel.name(),
                     dim,
-                    old_ns / a.nnz() as f64,
+                    old.median_ns / a.nnz() as f64,
                     ns_per_nnz,
                     speedup
                 );
-                speedups.push(speedup);
+                pairs.push((old, new));
                 records.push(format!(
-                    "    {{\"dataset\": \"{}\", \"kernel\": \"{}\", \"dim\": {}, \"ns_per_nnz\": {:.3}, \"speedup\": {:.3}}}",
+                    "{{\"dataset\": \"{}\", \"kernel\": \"{}\", \"dim\": {}, \"ns_per_nnz\": {:.3}, \"speedup\": {:.3}}}",
                     used.name,
                     kernel.name(),
                     dim,
@@ -94,15 +100,11 @@ fn main() {
             }
         }
     }
-    let g = geomean(&speedups);
-    println!("\ngeomean speedup (engine over seed executor, 1 core): {g:.2}x");
-
-    let json = format!(
-        "{{\n  \"baseline\": \"seed SpmmExecutor, 1 worker\",\n  \"speedup\": {:.3},\n  \"results\": [\n{}\n  ],\n  \"geomean_speedup\": {:.3}\n}}\n",
-        g,
-        records.join(",\n"),
-        g
+    write_artifact(
+        "engine",
+        "seed SpmmExecutor, 1 worker",
+        &pairs,
+        engine.workers(),
+        &[("results", json_array(&records))],
     );
-    std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
-    println!("wrote BENCH_engine.json");
 }

@@ -3,40 +3,21 @@
 //! For the same Table II spread as `bench_engine`, times the scalar
 //! oracle path ([`DataPath::Scalar`]) against the vectorized,
 //! cache-blocked path ([`DataPath::Vector`]) on one prepared plan,
-//! single-core, at dimensions 16 and 32, alternating the two in every
+//! single-core, at dimensions 16 and 32, alternating the two round by
 //! round. Both sides run through [`ExecEngine::execute_prepared`] on
 //! one-worker engines, so the comparison isolates the inner data path:
 //! wide-lane streaming kernels, panel blocking, fixed-width row folds,
 //! and the degree-adaptive gather/stream dispatcher. The engine runs the
 //! same row spans whatever the kernel, so there is one record per
 //! (dataset, dim), not one per kernel. Writes `BENCH_simd.json` with one
-//! record per (dataset, dim): `{dataset, dim, ns_per_nnz, vs_scalar}`,
-//! and names the instruction set the vectorized kernels ran compiled for
-//! (`"isa"`: `avx512f`, `avx2` or `baseline`, see [`DataPath::isa`]).
+//! record per (dataset, dim): `{dataset, dim, ns_per_nnz, vs_scalar}`
+//! (medians), and names the instruction set the vectorized kernels ran
+//! compiled for (`"isa"`: `avx512f`, `avx2` or `baseline`, see
+//! [`DataPath::isa`]).
 
-use mpspmm_bench::{banner, full_size_requested, geomean, load, time_ns};
+use mpspmm_bench::{alternate, banner, full_size_requested, json_array, load, write_artifact};
 use mpspmm_core::{DataPath, ExecEngine, MergePathSpmm, PreparedPlan, GATHER_MAX_NNZ};
 use mpspmm_sparse::DenseMatrix;
-
-/// Best-of-`iters` wall nanoseconds of `f` and of `g`, timed in
-/// alternation after `warmup` runs of each: a burst of load on a shared
-/// host then slows both sides instead of one, and the min discards it.
-fn time_alternating(
-    warmup: usize,
-    iters: usize,
-    mut f: impl FnMut(),
-    mut g: impl FnMut(),
-) -> (f64, f64) {
-    let (mut best_f, mut best_g) = (f64::INFINITY, f64::INFINITY);
-    for i in 0..warmup + iters.max(1) {
-        let (dt_f, dt_g) = (time_ns(0, 1, &mut f), time_ns(0, 1, &mut g));
-        if i >= warmup {
-            best_f = best_f.min(dt_f);
-            best_g = best_g.min(dt_g);
-        }
-    }
-    (best_f, best_g)
-}
 
 const DATASETS: [&str; 6] = [
     "Cora",
@@ -65,7 +46,7 @@ fn main() {
         "Graph", "dim", "scalar/nnz", "simd/nnz", "vs scalar"
     );
     let mut records = Vec::new();
-    let mut vs_scalar_all = Vec::new();
+    let mut pairs = Vec::new();
     for name in DATASETS {
         let spec = find(name);
         let (used, a) = load(spec, full);
@@ -77,35 +58,35 @@ fn main() {
             let b = DenseMatrix::from_fn(a.cols(), dim, |r, c| {
                 ((r * 31 + c * 7) % 17) as f32 * 0.125 - 1.0
             });
-            let (scalar_ns, simd_ns) = time_alternating(
+            let (scalar_t, simd_t) = alternate(
                 2,
                 7,
                 || {
                     let _ = scalar.execute_prepared(&prep, &a, &b).unwrap();
+                    1
                 },
                 || {
                     let _ = vector.execute_prepared(&prep, &a, &b).unwrap();
+                    1
                 },
             );
-            let ns_per_nnz = simd_ns / a.nnz() as f64;
-            let vs_scalar = scalar_ns / simd_ns;
+            let ns_per_nnz = simd_t.median_ns / a.nnz() as f64;
+            let vs_scalar = scalar_t.median_ns / simd_t.median_ns;
             println!(
                 "{:<16} {:>4} {:>11.2} {:>11.2} {:>9.2}x",
                 used.name,
                 dim,
-                scalar_ns / a.nnz() as f64,
+                scalar_t.median_ns / a.nnz() as f64,
                 ns_per_nnz,
                 vs_scalar,
             );
-            vs_scalar_all.push(vs_scalar);
+            pairs.push((scalar_t, simd_t));
             records.push(format!(
-                "    {{\"dataset\": \"{}\", \"dim\": {}, \"ns_per_nnz\": {:.3}, \"vs_scalar\": {:.3}}}",
+                "{{\"dataset\": \"{}\", \"dim\": {}, \"ns_per_nnz\": {:.3}, \"vs_scalar\": {:.3}}}",
                 used.name, dim, ns_per_nnz, vs_scalar,
             ));
         }
     }
-    let g_scalar = geomean(&vs_scalar_all);
-    println!("\ngeomean vs scalar oracle path (same prepared plan): {g_scalar:.2}x");
 
     // Dispatcher demography on one power-law graph: how much of the
     // merge-path schedule lands in the gather regime, and how many rows
@@ -128,15 +109,17 @@ fn main() {
         stats.stream_segments
     );
 
-    let json = format!(
-        "{{\n  \"baseline\": \"scalar oracle data path, one-worker engine, same prepared plan\",\n  \"speedup\": {:.3},\n  \"isa\": \"{isa}\",\n  \"results\": [\n{}\n  ],\n  \"geomean_vs_scalar\": {:.3},\n  \"gather_bound_fraction_pubmed\": {:.3}\n}}\n",
-        g_scalar,
-        records.join(",\n"),
-        g_scalar,
-        gather_frac
+    write_artifact(
+        "simd",
+        "scalar oracle data path, one-worker engine, same prepared plan",
+        &pairs,
+        vector.workers(),
+        &[
+            ("isa", format!("\"{isa}\"")),
+            ("results", json_array(&records)),
+            ("gather_bound_fraction_pubmed", format!("{gather_frac:.3}")),
+        ],
     );
-    std::fs::write("BENCH_simd.json", &json).expect("write BENCH_simd.json");
-    println!("wrote BENCH_simd.json");
 }
 
 fn find(name: &str) -> &'static mpspmm_graphs::DatasetSpec {

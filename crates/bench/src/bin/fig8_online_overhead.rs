@@ -5,7 +5,7 @@
 //! invoked twice. This harness prints, per graph, the scheduling overhead
 //! as a percentage of the total (schedule + 2 kernel invocations) on the
 //! GPU model, plus the *measured* CPU scheduling time of this
-//! implementation for reference.
+//! implementation (median of 5 builds) for reference.
 //!
 //! The paper observes the scheduling cost is "generally constant time
 //! across different graphs" (~2% geometric mean, up to 10% on the smallest
@@ -13,9 +13,7 @@
 //! kernel of parallel binary searches. We model it as a constant-cost
 //! kernel of [`SCHEDULE_KERNEL_CYCLES`] cycles.
 
-use std::time::Instant;
-
-use mpspmm_bench::{banner, full_size_requested, geomean, load};
+use mpspmm_bench::{banner, full_size_requested, geomean, load, Measured};
 use mpspmm_core::{default_cost_for_dim, thread_count, Schedule, MIN_THREADS};
 use mpspmm_graphs::table_ii;
 use mpspmm_simt::{GpuConfig, GpuKernel};
@@ -55,10 +53,11 @@ fn main() {
         let overhead = sched_micros / (sched_micros + kernel_micros);
         // Reference: actual wall-clock schedule construction on this CPU.
         let threads = thread_count(a.merge_items(), cost, MIN_THREADS);
-        let t0 = Instant::now();
-        let schedule = Schedule::build(&a, threads);
-        let cpu_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(schedule.num_threads(), threads);
+        let cpu_ms = Measured::of(1, 5, || {
+            assert_eq!(Schedule::build(&a, threads).num_threads(), threads);
+        })
+        .median_ns
+            / 1e6;
         overheads.push(overhead);
         rows.push((used.name, threads, kernel_micros, overhead, cpu_ms));
         println!(

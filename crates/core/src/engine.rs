@@ -258,8 +258,11 @@ impl ExecEngine {
         self.workers
     }
 
-    /// Executes a prepared plan. This is what
-    /// [`SpmmKernel::spmm_with_stats`] routes through.
+    /// Executes a prepared plan: [`execute_prepared_fused`](Self::execute_prepared_fused)
+    /// with no epilogue. [`SpmmKernel::spmm`] and
+    /// [`SpmmKernel::spmm_with_stats`] do not come here; they call
+    /// [`ExecEngine::global`]`().`[`spmm`](Self::spmm), which goes straight
+    /// to `execute_prepared_fused`.
     ///
     /// # Errors
     ///

@@ -2,9 +2,14 @@
 # Validates every BENCH_*.json artifact in a directory (by default the
 # repo root, where the committed full-run artifacts live):
 #   1. parses as JSON, and
-#   2. carries the common top-level keys every bench binary must emit:
-#      "baseline" (string: what the speedup is measured against) and
-#      "speedup"  (number: the headline ratio for that bench), and
+#   2. carries the common top-level keys every bench binary emits
+#      (mpspmm_bench::write_artifact):
+#      "baseline" (string: what the speedup is measured against),
+#      "speedup"  (number: the headline ratio, a measured wall-clock median),
+#      "speedup_p10" <= "speedup" <= "speedup_p90" (numbers: its spread),
+#      "runs"     (number >= 5: timed runs behind each side of it),
+#      "workers"  (number: worker count it ran at, <= the host's threads),
+#      "measured" (true: no modelled headline), and
 #   3. for BENCH_simd.json, "isa" (string: the instruction set the
 #      vectorized kernels ran compiled for).
 # Keeping the artifacts on one schema lets downstream tooling (and the
@@ -35,7 +40,7 @@ fi
 status=0
 # Artifacts the tier-1 gate must always produce: their absence is a
 # failure, not a silent pass of the glob above.
-for required in BENCH_widedim.json BENCH_batch.json; do
+for required in BENCH_engine.json BENCH_simd.json BENCH_serve.json BENCH_batch.json; do
     if [ ! -f "$required" ]; then
         echo "FAIL $required: required artifact missing" >&2
         status=1
@@ -57,6 +62,27 @@ for f in "${files[@]}"; do
         status=1
         continue
     fi
+    if ! jq -e '.measured == true' "$f" >/dev/null; then
+        echo "FAIL $f: headline not marked \"measured\": true" >&2
+        status=1
+        continue
+    fi
+    if ! jq -e '(.runs | type) == "number" and .runs >= 5' "$f" >/dev/null; then
+        echo "FAIL $f: \"runs\" must be a number >= 5" >&2
+        status=1
+        continue
+    fi
+    if ! jq -e '(.speedup_p10 | type) == "number" and (.speedup_p90 | type) == "number"
+                and .speedup_p10 <= .speedup and .speedup <= .speedup_p90' "$f" >/dev/null; then
+        echo "FAIL $f: need numeric speedup_p10 <= speedup <= speedup_p90" >&2
+        status=1
+        continue
+    fi
+    if ! jq -e '(.workers | type) == "number"' "$f" >/dev/null; then
+        echo "FAIL $f: missing top-level numeric key \"workers\"" >&2
+        status=1
+        continue
+    fi
     # The SIMD bench names the instruction set its vectorized kernels
     # ran compiled for.
     if [ "$f" = BENCH_simd.json ] && ! jq -e '(.isa | type) == "string"' "$f" >/dev/null; then
@@ -75,8 +101,9 @@ for f in "${files[@]}"; do
             continue
         fi
     fi
-    printf 'ok   %-20s speedup %sx vs %s\n' "$f" \
-        "$(jq -r '.speedup' "$f")" "$(jq -r '.baseline' "$f")"
+    printf 'ok   %-20s speedup %sx (p10-p90 %s-%s, %s runs, %s workers) vs %s\n' "$f" \
+        "$(jq -r '.speedup' "$f")" "$(jq -r '.speedup_p10' "$f")" "$(jq -r '.speedup_p90' "$f")" \
+        "$(jq -r '.runs' "$f")" "$(jq -r '.workers' "$f")" "$(jq -r '.baseline' "$f")"
 done
 
 exit $status

@@ -7,12 +7,11 @@
 # Also runs the servebench unit tests and a one-second smoke run of each
 # servebench workload, which must report every reply correct.
 # Emits BENCH_engine.json (engine vs the seed executor), BENCH_simd.json
-# (vectorized data path vs the scalar oracle path), BENCH_serve.json (serving
-# layer, smoke shape), BENCH_fused.json (fused GCN pipeline vs unfused,
-# smoke shape), BENCH_widedim.json (wide-feature-dim layer pipeline vs
-# the pre-revision data path, smoke shape), and BENCH_batch.json
+# (vectorized data path vs the scalar oracle path), BENCH_serve.json
+# (coalesced vs one-request serving, smoke shape) and BENCH_batch.json
 # (packed block-diagonal serving vs per-request serving, smoke shape)
-# into target/tier1-bench/, then validates their common schema there and
+# into target/tier1-bench/, then validates their common schema (measured
+# headline with its p10/p90 band, run count and worker count) there and
 # on the committed full-run artifacts in the repository root. Ends by
 # checking that the root BENCH_*.json files were left untouched.
 set -euo pipefail
@@ -90,8 +89,6 @@ bench() {
 bench bench_engine
 bench bench_simd
 bench bench_serve -- --smoke
-bench bench_fused -- --smoke
-bench bench_widedim -- --smoke
 # Mega-batch bench, smoke shape: exercises the packed serving pipeline
 # end to end (bulk admission, block-diagonal assembly, scatter) and its
 # untimed bit-identity spot check against the sequential oracle.
