@@ -78,11 +78,25 @@ impl BufferArena {
     /// Checks out a zeroed `Vec<f32>` of exactly `len` elements, reusing
     /// a pooled buffer when one is large enough.
     pub(crate) fn take_zeroed(&self, len: usize) -> Vec<f32> {
+        self.checkout(len, true)
+    }
+
+    /// Checks out a `Vec<f32>` of exactly `len` elements whose values are
+    /// unspecified: a recycled buffer keeps its stale values, and only
+    /// elements past its old length are zeroed. For callers that store
+    /// every element before they read it.
+    pub(crate) fn take(&self, len: usize) -> Vec<f32> {
+        self.checkout(len, false)
+    }
+
+    fn checkout(&self, len: usize, zeroed: bool) -> Vec<f32> {
         let popped = pop_fit(&mut self.outputs.lock().unwrap(), len);
         match popped {
             Some((mut buf, true)) => {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
+                if zeroed {
+                    buf.clear();
+                }
                 buf.resize(len, 0.0);
                 buf
             }
@@ -166,6 +180,19 @@ mod tests {
         arena.put(a);
         let b = arena.take_zeroed(16);
         assert!(b.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn take_reuses_without_zeroing() {
+        let arena = BufferArena::default();
+        arena.put(vec![7.0; 16]);
+        let shorter = arena.take(8);
+        assert_eq!(arena.reuses(), 1);
+        assert_eq!(shorter, [7.0; 8], "stale values are kept");
+        arena.put(shorter);
+        let longer = arena.take(16);
+        assert_eq!(longer[..8], [7.0; 8]);
+        assert_eq!(longer[8..], [0.0; 8], "growth is zero-filled");
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //!   store, and every column's sum is the same whichever block computes
 //!   it, so the overlap rewrites the same bits and no column runs a
 //!   scalar chain.
-//! * **ISA clones** — the vectorized row fold and the GEMM tile both run
-//!   through one pair of `#[target_feature]` trampolines ([`with_isa`]),
-//!   so the same kernel bodies compile to 512- or 256-bit code when the
-//!   CPU proves AVX-512F or AVX2 at runtime ([`WideIsa`]).
+//! * **ISA clones** — the vectorized row fold and the 16-lane GEMM tile
+//!   both run through one pair of `#[target_feature]` trampolines
+//!   ([`with_isa`]), so the same kernel bodies compile to 512- or 256-bit
+//!   code when the CPU proves AVX-512F or AVX2 at runtime ([`WideIsa`]).
+//!   Under AVX-512F a GEMM wider than 16 columns runs an explicit
+//!   4 × 32 `zmm` tile instead ([`gemm_pack_width`]).
 //! * **Feature-dimension panel blocking** — for large `dim` a segment is
 //!   swept in L1-resident column panels ([`crate::tuning::panel_cols`]),
 //!   so the gathered rows of `B` are touched one cache-friendly panel at
@@ -496,26 +498,28 @@ pub(crate) fn accumulate_segment_dispatch(
 
 /// Dense GEMM band kernel for [`crate::ExecEngine::gemm`]: computes the
 /// `dst.len() / b.cols()` output rows starting at `row_start` of
-/// `C = A · B` into the zeroed row-major slice `dst`. Returns the number
-/// of column panels executed (the [`crate::EngineStats::gemm_panels`]
-/// unit; the scalar path counts one panel per band).
+/// `C = A · B` into the row-major slice `dst`. Returns the number of
+/// column panels executed (the [`crate::EngineStats::gemm_panels`] unit;
+/// the scalar path counts one panel per band).
 ///
-/// The vectorized path reads `B` only through `packed`, the [`pack_b`]
-/// layout at [`gemm_pack_width`]. It register-tiles [`GEMM_MR`] `A` rows
-/// against one lane-width column block at a time, sweeping the output
-/// width in [`panel_cols`]-sized panels; the last block of a width that
-/// is not a lane multiple runs on its zero-padded lanes and stores only
-/// the valid ones. The reduction is **`k`-blocked** at
-/// depth `kc` ([`crate::tuning::gemm_kc`]): the `kc`-deep `B` panel is
-/// reused across every register tile of the band before the next block
-/// streams in, keeping it L2-resident at wide output dims. Blocking does
-/// not change results — blocks run in ascending `k` order and each
-/// block's accumulators are seeded from the destination row, so every
-/// output element still sums its products in exactly the naive `ikj`
-/// loop's order, bit-equal to that loop up to the sign of zeros (this
-/// kernel has **no** per-element `a == 0.0` skip; skipping is worthwhile
-/// only for sparse feature inputs, which the GCN layer-0 path keeps on
-/// the naive loop).
+/// The scalar path accumulates into `dst`, which must arrive zeroed. The
+/// vectorized path stores every element of `dst` and reads none before
+/// its first store, so `dst` may hold anything. It reads `B` only through
+/// `packed`, the [`pack_b`] layout at [`gemm_pack_width`]. It
+/// register-tiles [`GEMM_MR`] `A` rows against one packed column block
+/// at a time, sweeping the output width in [`panel_cols`]-sized panels;
+/// the last block of a width that is not a block multiple runs on its
+/// zero-padded lanes and stores only the valid ones. The reduction is
+/// **`k`-blocked** at depth `kc` ([`crate::tuning::gemm_kc`]): the
+/// `kc`-deep `B` panel is reused across every register tile of the band
+/// before the next block streams in, keeping it L2-resident at wide
+/// output dims. Blocking does not change results — blocks run in
+/// ascending `k` order, the first block's accumulators start from the
+/// literal `0.0` and each later block's from the destination row, so
+/// every output element still sums its products in exactly the naive
+/// `ikj` loop's order, bit-equal to that loop (this kernel has **no**
+/// per-element `a == 0.0` skip; skipping is worthwhile only for sparse
+/// feature inputs, which the GCN layer-0 path keeps on the naive loop).
 pub(crate) fn gemm_band(
     a: &DenseMatrix<f32>,
     b: &DenseMatrix<f32>,
@@ -575,12 +579,21 @@ pub(crate) fn gemm_band(
     panels
 }
 
-/// The lane width the GEMM pack buffer is blocked at for this resolved
-/// path, or `None` when the path never enters the wide microkernel (the
-/// scalar path) and packing would be wasted copies.
-pub(crate) fn gemm_pack_width(rp: &ResolvedPath) -> Option<usize> {
+/// Columns of the explicit AVX-512F GEMM tile: two `zmm` accumulators
+/// per row.
+const AVX512_GEMM_COLS: usize = 32;
+
+/// The column-block width the GEMM pack buffer is laid out at for this
+/// resolved path and an `n`-column `B`, or `None` when the path never
+/// enters a register tile (the scalar path) and packing would be wasted
+/// copies. The width picks the tile: [`AVX512_GEMM_COLS`] runs the
+/// explicit AVX-512F tile, which only pays when `B` is wider than one
+/// `zmm` register; any other width runs [`gemm_rows_body`] at the lane
+/// width.
+pub(crate) fn gemm_pack_width(rp: &ResolvedPath, n: usize) -> Option<usize> {
     match rp.kind {
         PathKind::Scalar => None,
+        PathKind::Vector if rp.wide_isa == WideIsa::Avx512f && n > 16 => Some(AVX512_GEMM_COLS),
         PathKind::Vector => Some(rp.lanes.lanes()),
     }
 }
@@ -613,10 +626,11 @@ pub(crate) fn pack_b(b: &DenseMatrix<f32>, w: usize, packed: &mut [f32]) {
 }
 
 /// Sweeps the full output width for one register tile of `MR` rows over
-/// the `k`-block `krange`, through the widest kernel clone the CPU
-/// proved it supports ([`with_isa`]) — every clone runs the same
-/// [`gemm_rows_body`], so the choice affects instruction encoding only,
-/// never results.
+/// the `k`-block `krange`. A 32-column pack runs the explicit AVX-512F
+/// tile; any other runs [`gemm_rows_body`] through the widest kernel
+/// clone the CPU proved it supports ([`with_isa`]). Every tile adds the
+/// same products in the same order, so the choice affects instruction
+/// encoding only, never results.
 #[inline]
 fn gemm_rows<const MR: usize>(
     arows: [&[f32]; MR],
@@ -626,12 +640,41 @@ fn gemm_rows<const MR: usize>(
     krange: std::ops::Range<usize>,
     crows: &mut [&mut [f32]; MR],
 ) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if gemm_pack_width(rp, kn.1) == Some(AVX512_GEMM_COLS) {
+        return wide::gemm_rows_avx512f(rp.wide_isa, arows, packed, kn, rp.panel, krange, crows);
+    }
+    // The tiles are `inline(always)` closures: passing
+    // `gemm_micro_packed` as a fn item instead made the 56,944 × 32 ·
+    // 32 × 2 GEMM 2–3× slower (2 workers, AVX-512 host).
     with_isa(
         rp.wide_isa,
         #[inline(always)]
         || match rp.lanes {
-            LaneWidth::W16 => gemm_rows_body::<MR, 16>(arows, packed, kn, rp.panel, krange, crows),
-            LaneWidth::W8 => gemm_rows_body::<MR, 8>(arows, packed, kn, rp.panel, krange, crows),
+            LaneWidth::W16 => gemm_rows_body::<MR, 16>(
+                arows,
+                packed,
+                kn,
+                rp.panel,
+                krange,
+                crows,
+                #[inline(always)]
+                |ablk, pb, d, valid, crows, first| {
+                    gemm_micro_packed::<MR, 16>(ablk, pb, d, valid, crows, first)
+                },
+            ),
+            LaneWidth::W8 => gemm_rows_body::<MR, 8>(
+                arows,
+                packed,
+                kn,
+                rp.panel,
+                krange,
+                crows,
+                #[inline(always)]
+                |ablk, pb, d, valid, crows, first| {
+                    gemm_micro_packed::<MR, 8>(ablk, pb, d, valid, crows, first)
+                },
+            ),
         },
     )
 }
@@ -653,13 +696,17 @@ pub(crate) fn with_isa<R>(isa: WideIsa, body: impl FnOnce() -> R) -> R {
     }
 }
 
-/// The two `#[target_feature]` trampolines behind [`with_isa`], and the
-/// gather-prefetch hint. This is one of the two modules allowed out of
-/// the crate's `deny(unsafe_code)` (with [`crate::pool`]): calling a
-/// `#[target_feature]` function is `unsafe` because executing it on a
-/// CPU without the feature is undefined behavior — here each call is
-/// gated on the matching `is_x86_feature_detected!` proof captured in
-/// [`ResolvedPath::wide_isa`] at path-resolution time.
+/// The two `#[target_feature]` trampolines behind [`with_isa`], the
+/// explicit AVX-512F GEMM tile, and the gather-prefetch hint. This is
+/// one of the two modules allowed out of the crate's `deny(unsafe_code)`
+/// (with [`crate::pool`]): calling a `#[target_feature]` function is
+/// `unsafe` because executing it on a CPU without the feature is
+/// undefined behavior — here each call is gated on the matching
+/// `is_x86_feature_detected!` proof captured in
+/// [`ResolvedPath::wide_isa`] at path-resolution time. Inside the tile,
+/// arithmetic intrinsics are safe calls; only its one vector load and
+/// one vector store helper are `unsafe`, typed so a whole 16-lane block
+/// is always in bounds.
 ///
 /// The clones enable `avx2` / `avx512f` and **not** `fma`: rustc never
 /// contracts a separate multiply and add into an FMA on its own, so
@@ -667,6 +714,12 @@ pub(crate) fn with_isa<R>(isa: WideIsa, body: impl FnOnce() -> R) -> R {
 #[cfg(target_arch = "x86_64")]
 mod wide {
     #![allow(unsafe_code)]
+
+    use std::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    use std::ops::Range;
 
     use super::WideIsa;
 
@@ -734,21 +787,166 @@ mod wide {
     unsafe fn run_avx512f<R>(body: impl FnOnce() -> R) -> R {
         body()
     }
+
+    /// Sweeps one register tile of `MR` rows over the `k`-block `krange`
+    /// in the 32-column [`super::pack_b`] layout with the explicit
+    /// AVX-512F tile ([`tile_avx512f`]). `isa` is the caller's proof that
+    /// the CPU runs AVX-512F.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `isa` is [`WideIsa::Avx512f`].
+    #[inline]
+    pub(super) fn gemm_rows_avx512f<const MR: usize>(
+        isa: WideIsa,
+        arows: [&[f32]; MR],
+        packed: &[f32],
+        kn: (usize, usize),
+        panel: usize,
+        krange: Range<usize>,
+        crows: &mut [&mut [f32]; MR],
+    ) -> u64 {
+        assert_eq!(
+            isa,
+            WideIsa::Avx512f,
+            "the 32-column GEMM tile needs AVX-512F"
+        );
+        debug_assert!(is_x86_feature_detected!("avx512f"));
+        // SAFETY: `Avx512f` is only resolved, or forced by a test, after
+        // `is_x86_feature_detected!("avx512f")` succeeded on this CPU,
+        // and the assert above rules out every other arm.
+        unsafe { sweep_avx512f::<MR>(arows, packed, kn, panel, krange, crows) }
+    }
+
+    /// [`super::gemm_rows_body`] at 32 columns, compiled for AVX-512F,
+    /// with [`tile_avx512f`] as its tile.
+    #[target_feature(enable = "avx512f")]
+    fn sweep_avx512f<const MR: usize>(
+        arows: [&[f32]; MR],
+        packed: &[f32],
+        kn: (usize, usize),
+        panel: usize,
+        krange: Range<usize>,
+        crows: &mut [&mut [f32]; MR],
+    ) -> u64 {
+        super::gemm_rows_body::<MR, 32>(
+            arows,
+            packed,
+            kn,
+            panel,
+            krange,
+            crows,
+            |ablk, pb, d, valid, crows, first| tile_avx512f::<MR>(ablk, pb, d, valid, crows, first),
+        )
+    }
+
+    /// 32 columns as the two 16-lane halves that two `zmm` registers hold.
+    type Line = [[f32; 16]; 2];
+
+    /// `MR × 32` register tile over one 32-column [`super::pack_b`]
+    /// block: two `zmm` accumulators per row live across the `k`-block,
+    /// each `k` step loads the block's two `B` vectors once and feeds
+    /// them to all `MR` rows. Per element it computes exactly what
+    /// `gemm_micro_packed` does: on the `first` `k`-block the
+    /// accumulators start from `0.0` and the destination is never read;
+    /// later blocks seed from the destination; every step is a separate
+    /// `_mm512_mul_ps` and `_mm512_add_ps` (no FMA), in ascending `k`.
+    /// A partial block (the row's last, fewer than 32 `valid` columns)
+    /// seeds from and stores into a zero-padded stack copy, so every
+    /// vector load and store covers a whole `[f32; 16]`.
+    #[target_feature(enable = "avx512f")]
+    fn tile_avx512f<const MR: usize>(
+        ablk: [&[f32]; MR],
+        pb: &[f32],
+        d: usize,
+        valid: usize,
+        crows: &mut [&mut [f32]; MR],
+        first: bool,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+        if !first {
+            for (accr, crow) in acc.iter_mut().zip(crows.iter()) {
+                let c = &crow[d..d + valid];
+                *accr = match c.as_chunks::<16>() {
+                    ([lo, hi], []) => [load(lo), load(hi)],
+                    _ => {
+                        let mut pad: Line = [[0.0; 16]; 2];
+                        pad.as_flattened_mut()[..valid].copy_from_slice(c);
+                        [load(&pad[0]), load(&pad[1])]
+                    }
+                };
+            }
+        }
+        let (lines, _) = pb.as_chunks::<16>().0.as_chunks::<2>();
+        // With every `A` row as long as the k-block, indexing a row at
+        // `kk` needs no bounds check of its own inside the loop.
+        let klen = lines.len();
+        for a in &ablk {
+            assert_eq!(a.len(), klen, "A rows span the k-block");
+        }
+        for (kk, [lo, hi]) in lines.iter().enumerate() {
+            let (b0, b1) = (load(lo), load(hi));
+            for (accr, a) in acc.iter_mut().zip(&ablk) {
+                let av = _mm512_set1_ps(a[kk]);
+                accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(av, b0));
+                accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(av, b1));
+            }
+        }
+        for (&[lo, hi], crow) in acc.iter().zip(crows.iter_mut()) {
+            let c = &mut crow[d..d + valid];
+            match c.as_chunks_mut::<16>() {
+                ([clo, chi], []) => {
+                    store(clo, lo);
+                    store(chi, hi);
+                }
+                _ => {
+                    let mut pad: Line = [[0.0; 16]; 2];
+                    let [plo, phi] = &mut pad;
+                    store(plo, lo);
+                    store(phi, hi);
+                    c.copy_from_slice(&pad.as_flattened()[..valid]);
+                }
+            }
+        }
+    }
+
+    /// Loads one 16-lane block.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(src: &[f32; 16]) -> __m512 {
+        // SAFETY: `src` is 16 initialized f32s, the 64 bytes the
+        // unaligned load reads; AVX-512F is enabled on this function.
+        unsafe { _mm512_loadu_ps(src.as_ptr()) }
+    }
+
+    /// Stores one 16-lane block.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store(dst: &mut [f32; 16], v: __m512) {
+        // SAFETY: `dst` is 16 exclusively borrowed f32s, the 64 bytes the
+        // unaligned store writes; AVX-512F is enabled on this function.
+        unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), v) }
+    }
 }
 
 /// The panel sweep for one register tile of `MR` rows over the `k`-block
-/// `krange`, in `W`-lane column blocks of the [`pack_b`] layout: panel
-/// loop outside, one microkernel per block inside. `kn` is `B`'s
-/// `(rows, cols)`.
+/// `krange`, in `W`-column blocks of the [`pack_b`] layout: panel loop
+/// outside, one `tile` call per block inside. `kn` is `B`'s
+/// `(rows, cols)`. `tile` gets the block's `A` rows, its packed slab, its
+/// first column, how many of its `W` columns exist, the output rows, and
+/// whether this is the first `k`-block.
 ///
 /// Every per-`k` slice is hoisted out of the hot loop here: the `A` rows
 /// are restricted to the `k`-block once, and the block's packed `B` rows
 /// are one contiguous slab — the `k` loop itself carries no bounds checks
 /// or row-address recomputation, which is what lets the autovectorizer
-/// keep the whole accumulator tile in registers. (A wider 32-column
-/// block was tried and rejected: two-register accumulator columns spill
-/// and devectorize the loop.) Each output element's products are still
-/// added in ascending `k` order in its own accumulator chain.
+/// keep the whole accumulator tile in registers. Each output element's
+/// products are still added in ascending `k` order in its own
+/// accumulator chain. (A 32-column autovectorized block spills: its
+/// two-register accumulator columns devectorize the loop and run 7–9×
+/// slower. The AVX-512F clone therefore runs the 32-column tile written
+/// with explicit `zmm` intrinsics instead, which keeps all eight
+/// accumulators in registers.)
 #[inline(always)]
 fn gemm_rows_body<const MR: usize, const W: usize>(
     arows: [&[f32]; MR],
@@ -757,20 +955,22 @@ fn gemm_rows_body<const MR: usize, const W: usize>(
     panel: usize,
     krange: std::ops::Range<usize>,
     crows: &mut [&mut [f32]; MR],
+    mut tile: impl FnMut([&[f32]; MR], &[f32], usize, usize, &mut [&mut [f32]; MR], bool),
 ) -> u64 {
-    let panel = panel.max(1);
+    // Panels are rounded to whole blocks, so every block starts on a
+    // block boundary; only the row's last block can hold fewer than `W`
+    // columns.
+    let panel = panel.max(1).next_multiple_of(W);
     let ablk: [&[f32]; MR] = std::array::from_fn(|i| &arows[i][krange.clone()]);
+    let first = krange.start == 0;
     let mut panels = 0u64;
     let mut p0 = 0;
     while p0 < n {
         let p1 = (p0 + panel).min(n);
         for d in (p0..p1).step_by(W) {
-            // Panels are lane-aligned, so `d` sits on a block boundary;
-            // only the row's last block can hold fewer than `W` columns.
-            debug_assert_eq!(d % W, 0);
             let base = (d / W) * k * W;
             let pb = &packed[base + krange.start * W..base + krange.end * W];
-            gemm_micro_packed::<MR, W>(ablk, pb, d, (p1 - d).min(W), crows);
+            tile(ablk, pb, d, (p1 - d).min(W), crows, first);
         }
         p0 = p1;
         panels += 1;
@@ -781,16 +981,16 @@ fn gemm_rows_body<const MR: usize, const W: usize>(
 /// `MR × W` register microkernel over one [`pack_b`] column block:
 /// `MR * W` f32 accumulators live across the whole `k`-block sweep, each
 /// `k` step reads one contiguous `W`-float line that feeds all `MR` rows,
-/// and the destination is written once per tile. The accumulators are
-/// **seeded from the destination** (read-modify-write): the engine zeroes
-/// `C` up front, so for the first `k`-block the seed is the literal
-/// `0.0` of the naive loop, and each later block continues the exact
-/// same addition sequence — `k`-blocking therefore cannot change a single
-/// bit. Only the first `valid` columns exist: a partial block seeds its
-/// padded lanes with zero, runs them on the packed zero padding, and
-/// stores only the valid lanes. No zero-skip branch — the inner loop
-/// stays straight-line mul/add code, separate instructions, so rounding
-/// matches the naive oracle under every ISA clone.
+/// and the destination is written once per tile. On the `first` `k`-block
+/// the accumulators start from the literal `0.0` of the naive loop, so
+/// the destination is never read before this tile stores it; each later
+/// block **seeds from the destination** (read-modify-write) and continues
+/// the exact same addition sequence — `k`-blocking therefore cannot
+/// change a single bit. Only the first `valid` columns exist: a partial
+/// block seeds its padded lanes with zero, runs them on the packed zero
+/// padding, and stores only the valid lanes. No zero-skip branch — the
+/// inner loop stays straight-line mul/add code, separate instructions,
+/// so rounding matches the naive oracle under every ISA clone.
 #[inline(always)]
 fn gemm_micro_packed<const MR: usize, const W: usize>(
     ablk: [&[f32]; MR],
@@ -798,15 +998,16 @@ fn gemm_micro_packed<const MR: usize, const W: usize>(
     d: usize,
     valid: usize,
     crows: &mut [&mut [f32]; MR],
+    first: bool,
 ) {
     let mut acc = [[0.0f32; W]; MR];
-    for (accr, crow) in acc.iter_mut().zip(crows.iter()) {
-        if valid == W {
-            accr.copy_from_slice(&crow[d..d + W]);
-        } else {
-            let mut seed = [0.0f32; W];
-            seed[..valid].copy_from_slice(&crow[d..d + valid]);
-            *accr = seed;
+    if !first {
+        for (accr, crow) in acc.iter_mut().zip(crows.iter()) {
+            if valid == W {
+                accr.copy_from_slice(&crow[d..d + W]);
+            } else {
+                accr[..valid].copy_from_slice(&crow[d..d + valid]);
+            }
         }
     }
     let klen = ablk[0].len();
@@ -1025,19 +1226,23 @@ mod tests {
     /// scalar path's naive loop: the `Portable` body and each
     /// `#[target_feature]` clone this CPU proves, at both lane widths,
     /// over a full `GEMM_MR` tile plus a remainder row, with `k` spanning
-    /// three `k`-blocks. The widths cover a lone padded block (1, 2, 7,
-    /// 9, 15), exact blocks (8, 16, 128) and a padded last block after
-    /// full ones (17, 33, 121, 127), whose seeded partial lanes carry
-    /// the sum across `k`-blocks. The packed buffer is poisoned with NaN
-    /// first, so a padded lane left unwritten, or one stored into `C`,
-    /// shows.
+    /// three `k`-blocks. `B` is packed per arm at that arm's width, so
+    /// under AVX-512F every width above 16 runs the explicit 32-column
+    /// tile and its gated call, load and store helpers. The widths cover
+    /// a lone padded block (1, 2, 7, 9, 15, 31), exact blocks (8, 16, 32,
+    /// 64, 128) and a padded last block after full ones (17, 33, 63, 65,
+    /// 121, 127), whose seeded partial lanes carry the sum across
+    /// `k`-blocks. The packed buffer and the output are poisoned with
+    /// NaN first, so a padded lane left unwritten, one stored into `C`,
+    /// or an output element the first `k`-block fails to store, shows.
     #[test]
     fn gemm_dispatch_arms_bit_match_portable() {
         let isas = proven_isas();
         let (rows, k, kc) = (GEMM_MR + 1, 75, 32);
         let a = random_dense(rows, k, 31);
         let model = CacheModel::default();
-        for n in [1usize, 2, 7, 8, 9, 15, 16, 17, 33, 121, 127, 128] {
+        let widths = [1usize, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65];
+        for n in widths.into_iter().chain([121, 127, 128]) {
             let b = random_dense(k, n, 32);
             let mut naive = vec![0.0f32; rows * n];
             gemm_band(
@@ -1050,18 +1255,25 @@ mod tests {
                 &mut naive,
             );
             for lanes in [LaneWidth::W8, LaneWidth::W16] {
-                let base = resolved(
-                    PathKind::Vector,
-                    lanes,
-                    panel_cols(n, lanes.lanes(), &model),
-                );
-                let w = gemm_pack_width(&base).expect("vector path packs");
-                let mut packed = vec![f32::NAN; n.div_ceil(w) * k * w];
-                pack_b(&b, w, &mut packed);
-                assert!(packed.iter().all(|v| !v.is_nan()), "n={n}: pad zeroed");
                 for &wide_isa in &isas {
-                    let rp = ResolvedPath { wide_isa, ..base };
-                    let mut dst = vec![0.0f32; rows * n];
+                    let rp = ResolvedPath {
+                        wide_isa,
+                        ..resolved(
+                            PathKind::Vector,
+                            lanes,
+                            panel_cols(n, lanes.lanes(), &model),
+                        )
+                    };
+                    let w = gemm_pack_width(&rp, n).expect("vector path packs");
+                    let want_w = match wide_isa {
+                        WideIsa::Avx512f if n > 16 => AVX512_GEMM_COLS,
+                        _ => lanes.lanes(),
+                    };
+                    assert_eq!(w, want_w, "{wide_isa:?} n={n} lanes={lanes:?}");
+                    let mut packed = vec![f32::NAN; n.div_ceil(w) * k * w];
+                    pack_b(&b, w, &mut packed);
+                    assert!(packed.iter().all(|v| !v.is_nan()), "n={n}: pad zeroed");
+                    let mut dst = vec![f32::NAN; rows * n];
                     let panels = gemm_band(&a, &b, &packed, 0, &rp, kc, &mut dst);
                     assert!(panels > 0);
                     assert_eq!(dst, naive, "{wide_isa:?} n={n} lanes={lanes:?}");

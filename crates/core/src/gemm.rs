@@ -12,19 +12,24 @@
 //! same way whichever worker claims it, so the distribution never changes
 //! output bits and the engine's scheduling policy does not apply here.
 //!
-//! Distribution is safe code throughout (the only `unsafe` on this path
-//! is the runtime-gated `#[target_feature]` dispatch in
-//! `datapath::wide`): disjoint `&mut` band slices are moved into worker
-//! closures through take-once `Mutex<Option<..>>` slots.
+//! Distribution is safe code throughout: disjoint `&mut` band slices are
+//! moved into worker closures through take-once `Mutex<Option<..>>`
+//! slots. The only `unsafe` on this path lives in `datapath::wide`: the
+//! runtime-gated calls into the `#[target_feature]` clones and the
+//! explicit AVX-512F tile, and that tile's one vector load and one
+//! vector store helper.
 //!
-//! `k` *is* blocked ([`crate::tuning::gemm_kc`]): each band sweeps its
-//! `k` range in ascending L2-sized panels so the `B` panel a microkernel
-//! streams stays cache-resident at dim 128–512. Blocking does **not**
-//! change results: accumulators are seeded from the (zero-initialized)
-//! output and stored back per block, so each output element still
-//! accumulates in the naive loop's ascending-`k` order and results stay
-//! bit-equal to [`naive ikj`] GEMM up to the sign of zeros — the
-//! property the GCN fused-vs-unfused oracle tests lean on.
+//! `k` *is* blocked (`gemm_kc` in [`crate::tuning`]): each band sweeps
+//! its `k` range in ascending L2-sized panels so the `B` panel a
+//! microkernel streams stays cache-resident at dim 128–512. Blocking
+//! does **not** change results: the first block's accumulators start
+//! from `0.0`, each later block's are seeded from the output, and every
+//! block stores back, so each output element still accumulates in the
+//! naive loop's ascending-`k` order and results stay bit-equal to the
+//! naive `ikj` GEMM — the property the GCN fused-vs-unfused oracle
+//! tests lean on. Because the vectorized tiles store every element
+//! before they read any, their output and pack buffers come from the
+//! arena unzeroed: a recycled buffer's stale values never survive.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -65,21 +70,29 @@ impl ExecEngine {
         }
         let start = Instant::now();
         let (m, n) = (a.rows(), b.cols());
-        let mut out = self.arena.take_zeroed(m * n);
         let rp = self.data_path.resolve(b.rows(), n);
+        let width = gemm_pack_width(&rp, n);
+        // The register tiles store every output element, the first
+        // `k`-block from a literal `0.0` seed, so their output needs no
+        // zeroing pass. The scalar path accumulates into `C`, and with
+        // `k == 0` nothing runs: both take a zeroed buffer.
+        let mut out = match width {
+            Some(_) if a.cols() > 0 => self.arena.take(m * n),
+            _ => self.arena.take_zeroed(m * n),
+        };
         let kc = gemm_kc(a.cols(), rp.panel, &CacheModel::default());
         if a.cols() > 0 {
             self.kblocks
                 .fetch_add(a.cols().div_ceil(kc.max(1)) as u64, Ordering::Relaxed);
         }
-        // Pack `B` once into lane-width column blocks (arena-recycled),
-        // the last one zero-padded, so every band's microkernel streams
-        // contiguous lines instead of striding `n` floats per `k` step.
-        // Pure data movement — results stay bitwise identical (see
-        // `pack_b`).
-        let packed = match gemm_pack_width(&rp) {
+        // Pack `B` once into column blocks of the tile's width
+        // (arena-recycled, every element written), the last one
+        // zero-padded, so every band's microkernel streams contiguous
+        // lines instead of striding `n` floats per `k` step. Pure data
+        // movement — results stay bitwise identical (see `pack_b`).
+        let packed = match width {
             Some(w) => {
-                let mut buf = self.arena.take_zeroed(n.div_ceil(w) * a.cols() * w);
+                let mut buf = self.arena.take(n.div_ceil(w) * a.cols() * w);
                 pack_b(b, w, &mut buf);
                 buf
             }
@@ -188,12 +201,48 @@ mod tests {
         }
     }
 
+    /// The engine takes its GEMM output from the arena unzeroed wherever
+    /// the kernel stores every element. Hand it a recycled NaN-filled
+    /// buffer of the output's exact size: any element the kernel fails
+    /// to store (a partial column block, a remainder row, a later band)
+    /// leaks a NaN and breaks `==` with the naive loop. The widths hit
+    /// the 16-lane tile (2, 16) and the AVX-512F 32-column tile with and
+    /// without a padded last block; at `n = 512` and `k = 200` the
+    /// reduction runs in two `k`-blocks, the second seeded from `C`;
+    /// `m = 70` is two full bands plus a 6-row one that ends in a 2-row
+    /// remainder.
+    #[test]
+    fn gemm_overwrites_a_stale_recycled_output() {
+        let m = 70;
+        for path in [DataPath::Scalar, DataPath::Vector, DataPath::Auto] {
+            for workers in [1usize, 2, 7] {
+                for n in [2usize, 16, 32, 121, 127, 128, 512] {
+                    for k in [0usize, 1, 50, 200] {
+                        let a = filled(m, k, 5);
+                        let b = filled(k, n, 6);
+                        let engine = ExecEngine::with_data_path(workers, path);
+                        let stale = vec![f32::NAN; m * n];
+                        engine.recycle(DenseMatrix::from_vec(m, n, stale).unwrap());
+                        let got = engine.gemm(&a, &b).expect("shapes agree");
+                        assert_eq!(engine.stats().arena_reuses, 1, "stale buffer handed out");
+                        assert_eq!(
+                            got.as_slice(),
+                            naive_gemm(&a, &b).as_slice(),
+                            "path={path:?} workers={workers} n={n} k={k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn k_blocked_gemm_stays_bitwise_exact_and_counts_blocks() {
-        // k large enough that gemm_kc splits it into several blocks:
-        // ascending blocks with output-seeded accumulators must preserve
-        // the naive loop's per-element addition order exactly.
-        let (m, k, n) = (9, 200, 256);
+        // k large enough that gemm_kc splits it into two blocks at this
+        // width (a 512-column panel gives 128-deep blocks): ascending
+        // blocks with output-seeded accumulators must preserve the naive
+        // loop's per-element addition order exactly.
+        let (m, k, n) = (9, 200, 512);
         let a = filled(m, k, 3);
         let b = filled(k, n, 4);
         let want = naive_gemm(&a, &b);
@@ -202,7 +251,7 @@ mod tests {
             let got = engine.gemm(&a, &b).expect("shapes agree");
             assert_eq!(got.as_slice(), want.as_slice(), "workers={workers}");
             let stats = engine.stats();
-            assert!(stats.kblocks >= 1, "k-block counter advanced");
+            assert_eq!(stats.kblocks, 2, "k split into two blocks");
             engine.clear_cache();
             assert_eq!(engine.stats().kblocks, 0, "reset clears counter");
         }

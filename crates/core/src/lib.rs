@@ -44,7 +44,8 @@
 // worker pool (`pool.rs`), for one lifetime-erasure transmute with a
 // documented completion-barrier argument; and the wide-ISA kernel
 // clones (`datapath::wide`), whose `#[target_feature]` calls are gated
-// on the matching runtime CPU-feature proof. Everything else stays safe.
+// on the matching runtime CPU-feature proof and whose AVX-512F GEMM tile
+// loads and stores whole `[f32; 16]` blocks. Everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -78,6 +79,5 @@ pub use spmm::{
 };
 pub use stats::WriteStats;
 pub use tuning::{
-    default_cost_for_dim, gemm_kc, panel_cols, thread_count, CacheModel, SimdMapping,
-    GATHER_MAX_NNZ, GEMM_BAND_ROWS, GEMM_MR, MIN_THREADS, PAR_APPLY_MIN_LEN,
+    default_cost_for_dim, thread_count, SimdMapping, GATHER_MAX_NNZ, MIN_THREADS, PAR_APPLY_MIN_LEN,
 };

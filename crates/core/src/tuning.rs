@@ -20,17 +20,21 @@ pub const MIN_THREADS: usize = 1024;
 pub const GATHER_MAX_NNZ: usize = 4;
 
 /// Register-tile height of the engine's dense GEMM microkernel: this
-/// many `A` rows share every loaded `B` row panel, so each `B` element
-/// feeds `GEMM_MR` fused multiply-adds instead of one. Four rows ×
-/// 16 lanes = 64 live f32 accumulators, which fits the 16 (32 with
-/// AVX-512) architectural vector registers with spill-free headroom.
-pub const GEMM_MR: usize = 4;
+/// many `A` rows share every loaded `B` vector, so each load feeds
+/// `GEMM_MR` multiplies instead of one (each a separate multiply and
+/// add — nothing here fuses them). The AVX-512F tile is four rows ×
+/// 32 columns: eight `zmm` accumulators, two per row, which leaves most
+/// of the 32 registers for the two `B` vectors, the broadcast `A` value
+/// and the products. The autovectorized 16-column tile of the other
+/// clones holds four rows × 16 lanes: eight of AVX2's 16 `ymm`
+/// registers.
+pub(crate) const GEMM_MR: usize = 4;
 
 /// Rows per work unit of the engine's parallel GEMM. Bands self-schedule
 /// across pool workers; 32 rows amortize the per-band dispatch while
 /// keeping `workers × several` bands available for balancing on
 /// GNN-sized matrices.
-pub const GEMM_BAND_ROWS: usize = 32;
+pub(crate) const GEMM_BAND_ROWS: usize = 32;
 
 /// Below this many f32 elements an element-wise pass
 /// ([`crate::parallel_apply_chunks`]) runs inline on the caller: a 16 K
@@ -45,11 +49,11 @@ pub const PAR_APPLY_MIN_LEN: usize = 1 << 14;
 /// accumulator row — resident in L1 while leaving headroom for the
 /// streamed index/value arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheModel {
+pub(crate) struct CacheModel {
     /// Per-core L1 data cache capacity in bytes.
-    pub l1_bytes: usize,
+    pub(crate) l1_bytes: usize,
     /// Per-core L2 capacity in bytes (reserved for multi-level blocking).
-    pub l2_bytes: usize,
+    pub(crate) l2_bytes: usize,
 }
 
 impl Default for CacheModel {
@@ -81,7 +85,7 @@ const PANEL_RESIDENT_ROWS: usize = 8;
 /// # Panics
 ///
 /// Panics if `lanes == 0`.
-pub fn panel_cols(dim: usize, lanes: usize, model: &CacheModel) -> usize {
+pub(crate) fn panel_cols(dim: usize, lanes: usize, model: &CacheModel) -> usize {
     assert!(lanes > 0, "lane width must be positive");
     let budget = model.l1_bytes / 2;
     let raw = budget / (PANEL_RESIDENT_ROWS * std::mem::size_of::<f32>());
@@ -105,10 +109,11 @@ const GEMM_KC_MIN: usize = 64;
 /// run unblocked.
 ///
 /// Blocking `k` does **not** change results: blocks are visited in
-/// ascending order and each block's accumulators are seeded from the
-/// destination row, so every output element still sums its products in
-/// exactly the naive loop's order.
-pub fn gemm_kc(k: usize, panel: usize, model: &CacheModel) -> usize {
+/// ascending order, the first block's accumulators start from `0.0` and
+/// each later block's are seeded from the destination row, so every
+/// output element still sums its products in exactly the naive loop's
+/// order.
+pub(crate) fn gemm_kc(k: usize, panel: usize, model: &CacheModel) -> usize {
     let k = k.max(1);
     let bytes_per_k = panel.max(1) * std::mem::size_of::<f32>();
     let raw = (model.l2_bytes / 4) / bytes_per_k;

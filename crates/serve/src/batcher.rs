@@ -290,17 +290,21 @@ fn reply_all(
             debug_assert_eq!(outs.len(), live.len());
             // One completion instant and one latency-ring lock for the
             // whole window — per-reply clock reads and lock round-trips
-            // are measurable at packed window sizes.
+            // are measurable at packed window sizes. The latencies are
+            // recorded before the first reply leaves, so a client that
+            // reads the stats right after its reply arrives sees its own
+            // sample.
             let now = Instant::now();
-            let mut latencies = Vec::with_capacity(live.len());
+            shared.stats.record_latencies(
+                live.iter()
+                    .map(|p| now.saturating_duration_since(p.submitted)),
+            );
             for (p, out) in live.into_iter().zip(outs) {
-                latencies.push(now.saturating_duration_since(p.submitted));
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);
                 p.tenant.completed.fetch_add(1, Ordering::Relaxed);
                 p.tenant.in_flight.fetch_sub(1, Ordering::Relaxed);
                 deliver(p, Ok(out));
             }
-            shared.stats.record_latencies(latencies);
         }
         Err(e) => {
             // Shapes were validated at admission, so this is a bug — but
