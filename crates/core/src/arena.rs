@@ -17,16 +17,29 @@
 //! stable size classes (large ones page-aligned) and reuse preserves the
 //! original placement run over run.
 //!
+//! Zeroing: the SpMM row fold, the GEMM's vectorized tiles and the
+//! single-column interleave store every element of the buffers they
+//! fill, so they check out with `take`, which keeps a recycled buffer's
+//! stale values and runs no zeroing pass. Only callers that accumulate
+//! into their buffer (the scalar GEMM, a `k == 0` GEMM, a leased input)
+//! pay for `take_zeroed`.
+//!
 //! Ownership of outputs *leaves* the engine as [`DenseMatrix`] values
 //! (which demand a plain `Vec<f32>`), so reuse of those is cooperative:
 //! callers that are done with a result hand it back via
-//! [`crate::ExecEngine::recycle`]. The GCN forward pass uses exactly
-//! this to ping-pong two inter-layer activation buffers.
+//! [`crate::ExecEngine::recycle`]. The GCN forward pass recycles each
+//! activation at its last read, a layer's input as soon as its GEMMs
+//! have read it, so the aggregation writes into it; a reply a serving
+//! client drops costs one fresh buffer on the next call.
+//!
+//! A panic while the pool's lock is held poisons it; the next lock
+//! recovers by dropping every pooled buffer and clearing the poison, so
+//! a poisoned arena only loses its reuse.
 //!
 //! [`DenseMatrix`]: mpspmm_sparse::DenseMatrix
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Retired buffers kept per pool; beyond this the smallest is dropped.
 /// Serving batches split into at most a handful of per-tenant blocks, so
@@ -75,6 +88,20 @@ fn pop_fit(pool: &mut Vec<Vec<f32>>, need: usize) -> Option<(Vec<f32>, bool)> {
 }
 
 impl BufferArena {
+    /// Locks the pool. A thread that panicked while holding the lock
+    /// poisons it and may have left the pool mid-update, so a poisoned
+    /// pool is recovered by dropping every pooled buffer and clearing the
+    /// poison: the next checkouts allocate afresh, and no stale buffer or
+    /// half-made pool entry is ever handed out.
+    fn pool(&self) -> MutexGuard<'_, Vec<Vec<f32>>> {
+        self.outputs.lock().unwrap_or_else(|poisoned| {
+            let mut pool = poisoned.into_inner();
+            pool.clear();
+            self.outputs.clear_poison();
+            pool
+        })
+    }
+
     /// Checks out a zeroed `Vec<f32>` of exactly `len` elements, reusing
     /// a pooled buffer when one is large enough.
     pub(crate) fn take_zeroed(&self, len: usize) -> Vec<f32> {
@@ -90,7 +117,7 @@ impl BufferArena {
     }
 
     fn checkout(&self, len: usize, zeroed: bool) -> Vec<f32> {
-        let popped = pop_fit(&mut self.outputs.lock().unwrap(), len);
+        let popped = pop_fit(&mut self.pool(), len);
         match popped {
             Some((mut buf, true)) => {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
@@ -116,7 +143,7 @@ impl BufferArena {
         if buf.capacity() == 0 {
             return;
         }
-        let mut pool = self.outputs.lock().unwrap();
+        let mut pool = self.pool();
         if pool.len() >= MAX_POOLED {
             // Keep the MAX_POOLED largest buffers.
             if let Some((i, _)) = pool
@@ -146,7 +173,7 @@ impl BufferArena {
 
     /// Drops all pooled buffers and zeroes the counters.
     pub(crate) fn clear(&self) {
-        self.outputs.lock().unwrap().clear();
+        self.pool().clear();
         self.reuses.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -207,6 +234,51 @@ mod tests {
         // size must hit.
         let _ = arena.take_zeroed(2 * MAX_POOLED * 16);
         assert_eq!(arena.reuses(), 1);
+    }
+
+    /// Poisons `arena`'s pool lock from a thread that panics while
+    /// holding it.
+    fn poison(arena: &BufferArena) {
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _guard = arena.pool();
+                panic!("panics while holding the pool lock");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(arena.outputs.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_pool_recovers_by_dropping_its_buffers() {
+        let arena = BufferArena::default();
+        arena.put(vec![7.0; 16]);
+        poison(&arena);
+        let fresh = arena.take_zeroed(16);
+        assert!(!arena.outputs.is_poisoned(), "recovery clears the poison");
+        assert_eq!(
+            (arena.reuses(), arena.misses()),
+            (0, 1),
+            "pooled buffer dropped"
+        );
+        assert_eq!(fresh, [0.0; 16]);
+
+        arena.put(vec![7.0; 16]);
+        poison(&arena);
+        assert_eq!(arena.take(8), [0.0; 8], "no stale buffer survives");
+        assert_eq!(arena.misses(), 2);
+
+        poison(&arena);
+        arena.put(vec![7.0; 16]);
+        assert_eq!(arena.take(16), [7.0; 16], "put after recovery pools");
+        arena.put(vec![7.0; 16]);
+        assert_eq!(arena.take_zeroed(16), [0.0; 16], "reuse is still zeroed");
+        assert_eq!(arena.reuses(), 2);
+
+        poison(&arena);
+        arena.clear();
+        assert!(!arena.outputs.is_poisoned());
+        assert_eq!((arena.reuses(), arena.misses()), (0, 0));
     }
 
     #[test]

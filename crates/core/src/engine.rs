@@ -47,7 +47,8 @@
 //!   checked out per execution, so steady-state inference allocates
 //!   nothing. Outputs leave the engine as [`DenseMatrix`] values; callers
 //!   hand them back with [`ExecEngine::recycle`] to close the loop (the
-//!   GCN forward pass ping-pongs its activations this way).
+//!   GCN forward pass recycles each activation at its last read). The
+//!   row fold stores every output element, so outputs come unzeroed.
 //!
 //! Every output row is the ascending sum of its products, at any worker
 //! count and on every data path: exactly (f32 `==`) what
@@ -489,6 +490,11 @@ impl ExecEngine {
     /// arena output: inline at one worker, otherwise one row span per
     /// worker on the pool. Shapes are already checked; a non-noop `epi`
     /// is already validated against every block's width.
+    ///
+    /// The outputs come from the arena unzeroed ([`BufferArena::take`]):
+    /// the row fold stores every element, an empty row's zeros included,
+    /// before its epilogue reads the row, so a recycled buffer's stale
+    /// values never survive and no zeroing pass runs on the caller.
     fn run(
         &self,
         prep: &PreparedPlan,
@@ -507,7 +513,7 @@ impl ExecEngine {
         }
         let mut outs: Vec<Vec<f32>> = blocks
             .iter()
-            .map(|b| self.arena.take_zeroed(rows * b.cols()))
+            .map(|b| self.arena.take(rows * b.cols()))
             .collect();
         let mut folds = Vec::with_capacity(blocks.len());
         for (&b, out) in blocks.iter().zip(&mut outs) {
@@ -542,10 +548,14 @@ impl ExecEngine {
         blocks: &[&DenseMatrix<f32>],
         epi: &Epilogue,
     ) -> Vec<DenseMatrix<f32>> {
+        // The interleave and the split store every element of the buffers
+        // they fill, so those come from the arena unzeroed.
         let n = blocks.len();
-        let mut combined = self.lease_zeroed(a.cols(), n);
+        let mut combined = self.arena.take(a.cols() * n);
         let srcs: Vec<&[f32]> = blocks.iter().map(|b| b.as_slice()).collect();
-        interleave_unit_cols(combined.as_mut_slice(), &srcs, a.cols());
+        interleave_unit_cols(&mut combined, &srcs, a.cols());
+        let combined =
+            DenseMatrix::from_vec(a.cols(), n, combined).expect("buffer sized to cols x n");
         let epi = match epi {
             Epilogue::Bias(b) => Epilogue::Bias(vec![b[0]; n]),
             Epilogue::BiasRelu(b) => Epilogue::BiasRelu(vec![b[0]; n]),
@@ -555,7 +565,7 @@ impl ExecEngine {
         let out = outs.pop().expect("one block in, one output out");
         self.recycle(combined);
         let rows = a.rows();
-        let mut bufs: Vec<Vec<f32>> = (0..n).map(|_| self.arena.take_zeroed(rows)).collect();
+        let mut bufs: Vec<Vec<f32>> = (0..n).map(|_| self.arena.take(rows)).collect();
         deinterleave_unit_cols(out.as_slice(), &mut bufs, rows);
         self.recycle(out);
         bufs.into_iter()
@@ -710,7 +720,8 @@ fn run_row_spans(a: &CsrMatrix<f32>, folds: Vec<BlockFold<'_>>, workers: usize, 
 }
 
 /// Computes rows `first..first + out.len() / b.cols()` of `a · b` into
-/// the zeroed `out`, each row in one ascending pass, and applies `epi`
+/// `out`, each row in one ascending pass that stores every element of the
+/// row (zeros for an empty row), whatever `out` held, and applies `epi`
 /// to every row right after its store — empty rows included, since a
 /// bias changes them. The vectorized path runs the whole fold in the
 /// widest ISA clone the CPU proved ([`with_isa`]), dispatched once per
@@ -767,7 +778,9 @@ fn fold_rows_body(
             nz_end: row_ptr[row + 1],
             flush: Flush::Regular,
         };
-        if !seg.is_empty() {
+        if seg.is_empty() {
+            dst.fill(0.0);
+        } else {
             accumulate_segment_dispatch(rp, &seg, a, b, dst);
         }
         if let Some(epi) = epi {
@@ -1232,15 +1245,8 @@ mod tests {
         let isas = crate::datapath::proven_isas();
         for dim in (1..=67usize).chain([96, 121, 127, 128, 129, 200]) {
             let b = random_dense(a.cols(), dim, 60);
-            let bias: Vec<f32> = (0..dim).map(|j| j as f32 * 0.125 - 4.0).collect();
-            let epis = [
-                Epilogue::None,
-                Epilogue::Relu,
-                Epilogue::Bias(bias.clone()),
-                Epilogue::BiasRelu(bias),
-            ];
             let plain = row_sum(&a, &b).0;
-            for epi in &epis {
+            for epi in &epilogues(dim) {
                 for workers in [1usize, 2, 7] {
                     let fold = |rp: ResolvedPath| {
                         let mut out = vec![0.0f32; a.rows() * dim];
@@ -1270,6 +1276,103 @@ mod tests {
                                 want,
                                 "{wide_isa:?} prefetch={prefetch} dim={dim} \
                                  workers={workers} epi={epi:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The store-stage epilogues at width `dim`: none, ReLU, and a bias
+    /// with and without ReLU.
+    fn epilogues(dim: usize) -> [Epilogue; 4] {
+        let bias: Vec<f32> = (0..dim).map(|j| j as f32 * 0.125 - 4.0).collect();
+        [
+            Epilogue::None,
+            Epilogue::Relu,
+            Epilogue::Bias(bias.clone()),
+            Epilogue::BiasRelu(bias),
+        ]
+    }
+
+    /// Puts a NaN-filled buffer of `len` elements into `engine`'s arena,
+    /// as a recycled result whose stale values must never survive.
+    fn recycle_stale(engine: &ExecEngine, len: usize) {
+        engine.recycle(DenseMatrix::from_vec(len, 1, vec![f32::NAN; len]).unwrap());
+    }
+
+    /// The SpMM takes its outputs from the arena unzeroed, so the row
+    /// fold must store every element. With a NaN-filled buffer of each
+    /// output's size recycled first, a run equals the row sum with its
+    /// epilogue applied: on the lopsided graph (its empty rows store
+    /// zeros), at every fixed-width and streaming width, through every
+    /// data path and every proven ISA arm of the fold, at 1, 2, 7 and 64
+    /// workers, under every epilogue. The unit-column lane takes its
+    /// combined operand, combined result and split columns unzeroed too.
+    #[test]
+    fn spmm_overwrites_stale_recycled_outputs() {
+        let a = lopsided();
+        let prep = PreparedPlan::new(&a);
+        let paths = [DataPath::Auto, DataPath::Scalar, DataPath::Vector];
+        let isas = crate::datapath::proven_isas();
+        for dim in [1usize, 2, 3, 4, 8, 16, 32, 121, 128] {
+            let b = random_dense(a.cols(), dim, 70);
+            let plain = row_sum(&a, &b).0;
+            for epi in &epilogues(dim) {
+                let want = applied(plain.clone(), epi);
+                for workers in WORKERS {
+                    let at = format!("dim={dim} workers={workers} epi={epi:?}");
+                    for path in paths {
+                        let engine = ExecEngine::with_data_path(workers, path);
+                        recycle_stale(&engine, a.rows() * dim);
+                        let got = engine
+                            .execute_prepared_batch_fused(&prep, &a, &[&b], epi)
+                            .unwrap();
+                        assert_eq!(engine.stats().arena_reuses, 1, "stale buffer handed out");
+                        assert_eq!(got[0].as_slice(), want.as_slice(), "{path:?} {at}");
+                    }
+                    for &wide_isa in &isas {
+                        let rp = ResolvedPath {
+                            wide_isa,
+                            ..DataPath::Vector.resolve(b.rows(), dim)
+                        };
+                        let mut out = vec![f32::NAN; a.rows() * dim];
+                        let folds = vec![BlockFold {
+                            b: &b,
+                            rp,
+                            out: &mut out,
+                        }];
+                        run_row_spans(&a, folds, workers, epi);
+                        assert_eq!(out, want.as_slice(), "{wide_isa:?} {at}");
+                    }
+                }
+            }
+        }
+        for n in [3usize, 6] {
+            let blocks: Vec<DenseMatrix<f32>> = (0..n)
+                .map(|i| random_dense(a.cols(), 1, 80 + i as u64))
+                .collect();
+            let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
+            for epi in &epilogues(1) {
+                for workers in WORKERS {
+                    for path in paths {
+                        let engine = ExecEngine::with_data_path(workers, path);
+                        recycle_stale(&engine, a.cols() * n);
+                        recycle_stale(&engine, a.rows() * n);
+                        for _ in 0..n {
+                            recycle_stale(&engine, a.rows());
+                        }
+                        let outs = engine
+                            .execute_prepared_batch_fused(&prep, &a, &refs, epi)
+                            .unwrap();
+                        assert_eq!(engine.stats().arena_misses, 0, "every buffer was stale");
+                        for (block, got) in blocks.iter().zip(&outs) {
+                            let want = applied(row_sum(&a, block).0, epi);
+                            assert_eq!(
+                                got.as_slice(),
+                                want.as_slice(),
+                                "{n} unit columns {path:?} workers={workers} epi={epi:?}"
                             );
                         }
                     }

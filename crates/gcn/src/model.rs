@@ -206,7 +206,8 @@ impl GcnModel {
     /// finite (see [`crate::ops::gemm`]); DESIGN.md §2.10 has the
     /// measurements that retired the skip. Scratch and inter-layer
     /// activations recycle through the engine's buffer arena, so a
-    /// steady-state forward pass allocates no fresh engine buffers.
+    /// steady-state forward pass whose caller recycles its output
+    /// allocates no fresh engine buffers.
     ///
     /// # Errors
     ///
@@ -262,6 +263,17 @@ impl GcnModel {
     /// width-independent, so any plan built for `a_hat` works at every
     /// batch width). Returns one output matrix per input block, in order.
     ///
+    /// Each activation goes back to the engine's arena at its last read:
+    /// a layer's input activations as soon as every block's GEMM has read
+    /// them, before the aggregation checks out its outputs, and the GEMM
+    /// products once the aggregation has read them. A layer therefore
+    /// holds at most two full-size buffers per block, its product and its
+    /// output. A caller that drops the outputs instead of recycling them
+    /// (a serving client) costs one fresh arena buffer per block per call,
+    /// and every output is a buffer sized for the model's widest
+    /// activation, so the allocator refills the space the last call's
+    /// outputs freed (DESIGN.md §2.9).
+    ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`] when `a_hat` or any
@@ -283,6 +295,12 @@ impl GcnModel {
                 let h = if i == 0 { blocks[j] } else { &hs[j] };
                 products.push(engine.gemm(h, &layer.weight)?);
             }
+            // Every GEMM has read the previous layer's activations: hand
+            // them back now, so this layer's aggregation writes into them
+            // instead of checking out a third full-size buffer per block.
+            for old in hs.drain(..) {
+                engine.recycle(old);
+            }
             let refs: Vec<&DenseMatrix<f32>> = products.iter().collect();
             // Every block in a model batch has this layer's output width,
             // and the engine applies a batch epilogue per block, so the
@@ -298,15 +316,12 @@ impl GcnModel {
                 }
             };
             drop(refs);
-            // The per-request products and the previous layer's
-            // activations are dead now: hand both back to the arena so
-            // the next layer (and the next batch) reuse them.
+            // The per-request products are dead now: the next layer's
+            // GEMMs (and the next batch) reuse them.
             for p in products {
                 engine.recycle(p);
             }
-            for old in std::mem::replace(&mut hs, aggregated) {
-                engine.recycle(old);
-            }
+            hs = aggregated;
         }
         Ok(hs)
     }
@@ -532,6 +547,80 @@ mod tests {
             "steady-state inference must not allocate fresh engine buffers"
         );
         assert!(stats.arena_reuses > warm_reuses);
+    }
+
+    /// A model of one layer per width step, ReLU between layers.
+    fn chain(widths: &[usize]) -> GcnModel {
+        let last = widths.len() - 2;
+        GcnModel::new(
+            widths
+                .windows(2)
+                .enumerate()
+                .map(|(i, w)| {
+                    let act = if i == last {
+                        Activation::Identity
+                    } else {
+                        Activation::Relu
+                    };
+                    GcnLayer::new(xavier_init(w[0], w[1], 7 + i as u64), act)
+                })
+                .collect(),
+        )
+    }
+
+    /// The served buffer pattern: a serving client drops its replies
+    /// instead of recycling them. Once warm, every call then checks out
+    /// exactly one fresh arena buffer per block, and every reply is a
+    /// buffer sized for the model's widest activation, call after call, so
+    /// the allocator refills the space the last reply freed. Widening and narrowing layers, 1 to 3 layers
+    /// deep, one block and a 3-block batch.
+    #[test]
+    fn dropped_replies_cost_one_fresh_buffer_per_block_per_call() {
+        let a = small_graph();
+        let prep = PreparedPlan::new(&a);
+        let models: [&[usize]; 6] = [
+            &[16, 8],
+            &[8, 24],
+            &[16, 32, 8],
+            &[24, 8, 16],
+            &[16, 32, 8, 24],
+            &[24, 8, 32, 4],
+        ];
+        for widths in models {
+            let model = chain(widths);
+            for n in [1usize, 3] {
+                let blocks: Vec<_> = (0..n)
+                    .map(|i| random_features(100, widths[0], 0.4, 90 + i as u64))
+                    .collect();
+                let refs: Vec<&_> = blocks.iter().collect();
+                let engine = ExecEngine::new(mpspmm_core::default_workers());
+                let forward = || {
+                    let before = engine.stats().arena_misses;
+                    let outs = model
+                        .forward_batched_prepared(&a, &prep, &refs, &engine)
+                        .unwrap();
+                    let fresh = engine.stats().arena_misses - before;
+                    let caps: Vec<usize> =
+                        outs.into_iter().map(|o| o.into_vec().capacity()).collect();
+                    (fresh, caps)
+                };
+                for _ in 0..3 {
+                    forward();
+                }
+                // Arena capacities round up to whole 64-byte lines.
+                let widest = (100 * model.max_features()).next_multiple_of(16);
+                for call in 0..4 {
+                    let (fresh, caps) = forward();
+                    let at = format!("widths={widths:?} blocks={n} call={call}");
+                    assert_eq!(fresh, n as u64, "{at}: one fresh buffer per block");
+                    assert_eq!(
+                        caps,
+                        vec![widest; n],
+                        "{at}: replies hold the widest activation"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -57,9 +57,12 @@ for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-serve --test serve_integration
 done
 # The fused layer pipeline promises fused == unfused at every worker
-# count; re-run its oracle property suite across the same matrix.
+# count; re-run its oracle property suite across the same matrix, and the
+# GCN unit tests, which pin the served arena buffer pattern (one fresh
+# buffer per block per call once warm) and the recycled forward's bits.
 for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-gcn --test fused_oracle
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-gcn --lib
 done
 # The end-to-end serving benchmark (its own workspace): its unit tests,
 # then a one-second smoke run of every workload. Each run checks every
