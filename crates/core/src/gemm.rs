@@ -12,6 +12,12 @@
 //! same way whichever worker claims it, so the distribution never changes
 //! output bits and the engine's scheduling policy does not apply here.
 //!
+//! A band is sized by its multiply-adds, not its rows
+//! (`gemm_band_rows` in [`crate::tuning`]), so a narrow layer does not
+//! pay one claim per few thousand multiply-adds. A GEMM runs on at most
+//! one worker per band, and a GEMM of one band runs inline without
+//! waking the pool.
+//!
 //! Distribution is safe code throughout: disjoint `&mut` band slices are
 //! moved into worker closures through take-once `Mutex<Option<..>>`
 //! slots. The only `unsafe` on this path lives in `datapath::wide`: the
@@ -32,7 +38,7 @@
 //! arena unzeroed: a recycled buffer's stale values never survive.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use mpspmm_sparse::{DenseMatrix, SparseFormatError};
@@ -40,7 +46,7 @@ use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 use crate::datapath::{gemm_band, gemm_pack_width, pack_b};
 use crate::engine::ExecEngine;
 use crate::pool::{ScopedJob, WorkerPool};
-use crate::tuning::{gemm_kc, CacheModel, GEMM_BAND_ROWS};
+use crate::tuning::{gemm_band_rows, gemm_kc, CacheModel};
 
 /// A take-once slot holding one output band's starting row and `&mut`
 /// slice, claimed by exactly one self-scheduled worker.
@@ -99,12 +105,12 @@ impl ExecEngine {
             None => Vec::new(),
         };
         let pslab: &[f32] = &packed;
-        let band_count = m.div_ceil(GEMM_BAND_ROWS.max(1));
-        let eff = self.workers.min(band_count).max(1);
+        let band_rows = gemm_band_rows(m, a.cols(), n);
+        let eff = self.workers.min(m.div_ceil(band_rows)).max(1);
         let mut panels = 0u64;
         if eff <= 1 {
-            for (bi, band) in out.chunks_mut(GEMM_BAND_ROWS * n.max(1)).enumerate() {
-                panels += gemm_band(a, b, pslab, bi * GEMM_BAND_ROWS, &rp, kc, band);
+            for (bi, band) in out.chunks_mut(band_rows * n.max(1)).enumerate() {
+                panels += gemm_band(a, b, pslab, bi * band_rows, &rp, kc, band);
             }
         } else {
             // Self-scheduled bands: each band's `&mut` slice sits in a
@@ -112,9 +118,9 @@ impl ExecEngine {
             // counter, so each band is executed exactly once and the
             // borrows never alias.
             let slots: Vec<BandSlot<'_>> = out
-                .chunks_mut(GEMM_BAND_ROWS * n.max(1))
+                .chunks_mut(band_rows * n.max(1))
                 .enumerate()
-                .map(|(bi, band)| Mutex::new(Some((bi * GEMM_BAND_ROWS, band))))
+                .map(|(bi, band)| Mutex::new(Some((bi * band_rows, band))))
                 .collect();
             let next = AtomicUsize::new(0);
             let total_panels = AtomicU64::new(0);
@@ -130,9 +136,12 @@ impl ExecEngine {
                             if i >= slots.len() {
                                 break;
                             }
+                            // Nothing under the slot lock can panic
+                            // mid-update, so a poisoned slot still
+                            // holds a whole band or none.
                             let (row_start, band) = slots[i]
                                 .lock()
-                                .unwrap()
+                                .unwrap_or_else(PoisonError::into_inner)
                                 .take()
                                 .expect("band slot claimed exactly once");
                             local += gemm_band(a, b, pslab, row_start, &rp, kc, band);
@@ -156,6 +165,7 @@ impl ExecEngine {
 mod tests {
     use crate::datapath::DataPath;
     use crate::engine::ExecEngine;
+    use crate::tuning::gemm_band_rows;
     use mpspmm_sparse::DenseMatrix;
 
     /// The PR-1 naive loop (minus its zero-skip): the bit-level oracle.
@@ -208,29 +218,39 @@ mod tests {
     /// leaks a NaN and breaks `==` with the naive loop. The widths hit
     /// the 16-lane tile (2, 16) and the AVX-512F 32-column tile with and
     /// without a padded last block; at `n = 512` and `k = 200` the
-    /// reduction runs in two `k`-blocks, the second seeded from `C`;
-    /// `m = 70` is two full bands plus a 6-row one that ends in a 2-row
-    /// remainder.
+    /// reduction runs in two `k`-blocks, the second seeded from `C`.
+    /// `m = 70` ends in a 2-row tile remainder. Bands are sized by
+    /// multiply-adds, so at 70 rows most narrow shapes are one band; at
+    /// each served `(k, n)` shape `m` is also two whole bands plus a
+    /// 5-row partial one (several claims on the pool) and under one band
+    /// (inline).
     #[test]
     fn gemm_overwrites_a_stale_recycled_output() {
-        let m = 70;
+        let mut cases = Vec::new();
+        for n in [2usize, 16, 32, 121, 127, 128, 512] {
+            for k in [0usize, 1, 50, 200] {
+                cases.push((70, k, n));
+            }
+        }
+        for (k, n) in [(1usize, 2usize), (16, 32), (32, 2), (50, 128), (128, 121)] {
+            let band = gemm_band_rows(1 << 30, k, n);
+            cases.extend([(2 * band + 5, k, n), (band - 5, k, n)]);
+        }
         for path in [DataPath::Scalar, DataPath::Vector, DataPath::Auto] {
             for workers in [1usize, 2, 7] {
-                for n in [2usize, 16, 32, 121, 127, 128, 512] {
-                    for k in [0usize, 1, 50, 200] {
-                        let a = filled(m, k, 5);
-                        let b = filled(k, n, 6);
-                        let engine = ExecEngine::with_data_path(workers, path);
-                        let stale = vec![f32::NAN; m * n];
-                        engine.recycle(DenseMatrix::from_vec(m, n, stale).unwrap());
-                        let got = engine.gemm(&a, &b).expect("shapes agree");
-                        assert_eq!(engine.stats().arena_reuses, 1, "stale buffer handed out");
-                        assert_eq!(
-                            got.as_slice(),
-                            naive_gemm(&a, &b).as_slice(),
-                            "path={path:?} workers={workers} n={n} k={k}"
-                        );
-                    }
+                for &(m, k, n) in &cases {
+                    let a = filled(m, k, 5);
+                    let b = filled(k, n, 6);
+                    let engine = ExecEngine::with_data_path(workers, path);
+                    let stale = vec![f32::NAN; m * n];
+                    engine.recycle(DenseMatrix::from_vec(m, n, stale).unwrap());
+                    let got = engine.gemm(&a, &b).expect("shapes agree");
+                    assert_eq!(engine.stats().arena_reuses, 1, "stale buffer handed out");
+                    assert_eq!(
+                        got.as_slice(),
+                        naive_gemm(&a, &b).as_slice(),
+                        "path={path:?} workers={workers} m={m} n={n} k={k}"
+                    );
                 }
             }
         }

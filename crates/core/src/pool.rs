@@ -33,13 +33,20 @@
 //! enters it from caller threads, and debug builds assert this with a
 //! thread-local flag that [`worker_loop`] sets.
 //!
+//! Every lock here guards one queue push or pop, or one counter
+//! decrement, none of which can stop halfway. A lock poisoned by a panic
+//! elsewhere therefore still guards whole state, and every site takes it
+//! as it is (`PoisonError::into_inner`): one poisoning must not kill each
+//! worker at its next job and leave the next batch waiting forever on
+//! its completion counter.
+//!
 #![allow(unsafe_code)]
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// A job after lifetime erasure, parked in the shared queue.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -116,7 +123,11 @@ impl WorkerPool {
             panicked: AtomicBool::new(false),
         });
         {
-            let mut queue = self.shared.queue.lock().unwrap();
+            let mut queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             for job in jobs {
                 // SAFETY: see the module-level safety argument — the
                 // completion barrier below keeps this function from
@@ -130,7 +141,10 @@ impl WorkerPool {
                     if catch_unwind(AssertUnwindSafe(job)).is_err() {
                         completion.panicked.store(true, Ordering::SeqCst);
                     }
-                    let mut remaining = completion.remaining.lock().unwrap();
+                    let mut remaining = completion
+                        .remaining
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
                     *remaining -= 1;
                     if *remaining == 0 {
                         completion.done.notify_all();
@@ -142,9 +156,15 @@ impl WorkerPool {
 
         let local_result = catch_unwind(AssertUnwindSafe(local));
 
-        let mut remaining = completion.remaining.lock().unwrap();
+        let mut remaining = completion
+            .remaining
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         while *remaining > 0 {
-            remaining = completion.done.wait(remaining).unwrap();
+            remaining = completion
+                .done
+                .wait(remaining)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         drop(remaining);
 
@@ -196,12 +216,15 @@ fn worker_loop(shared: &PoolShared) {
     IN_POOL_WORKER.with(|w| w.set(true));
     loop {
         let job = {
-            let mut queue = shared.queue.lock().unwrap();
+            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(job) = queue.pop_front() {
                     break job;
                 }
-                queue = shared.job_ready.wait(queue).unwrap();
+                queue = shared
+                    .job_ready
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         // Jobs contain their own catch_unwind; a stray panic here would
@@ -313,6 +336,46 @@ mod tests {
         ];
         pool.scope_run(jobs);
         panic!("{}", message.into_inner().unwrap());
+    }
+
+    /// A thread that panics while it holds the queue lock poisons it.
+    /// The next batch must still run on every worker and return; it runs
+    /// on its own thread, so a hang fails the test at the timeout
+    /// instead of stalling the suite.
+    #[test]
+    fn poisoned_queue_lock_still_runs_the_next_batch() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let poisoner = Arc::clone(&pool);
+        let poisoned = std::thread::spawn(move || {
+            let _queue = poisoner.shared.queue.lock().unwrap();
+            panic!("poison the pool's queue lock");
+        })
+        .join();
+        assert!(poisoned.is_err());
+        assert!(pool.shared.queue.is_poisoned());
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let batches = std::thread::spawn(move || {
+            for _ in 0..4 {
+                let counter = AtomicUsize::new(0);
+                let jobs: Vec<ScopedJob<'_>> = (0..6)
+                    .map(|_| {
+                        Box::new(|| {
+                            counter.fetch_add(1, Ordering::SeqCst);
+                        }) as ScopedJob<'_>
+                    })
+                    .collect();
+                pool.scope_run(jobs);
+                tx.send(counter.into_inner()).unwrap();
+            }
+        });
+        for round in 0..4 {
+            let ran = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|e| panic!("batch {round} did not finish: {e}"));
+            assert_eq!(ran, 6, "batch {round}");
+        }
+        batches.join().expect("batch thread returns");
     }
 
     #[test]

@@ -30,11 +30,38 @@ pub const GATHER_MAX_NNZ: usize = 4;
 /// registers.
 pub(crate) const GEMM_MR: usize = 4;
 
-/// Rows per work unit of the engine's parallel GEMM. Bands self-schedule
-/// across pool workers; 32 rows amortize the per-band dispatch while
-/// keeping `workers × several` bands available for balancing on
-/// GNN-sized matrices.
+/// Row granule of the engine's parallel GEMM: every band
+/// ([`gemm_band_rows`]) is a whole multiple of this many rows, so band
+/// edges fall on register-tile edges. At `ppi-gcn`'s widths (50 → 128,
+/// 128 → 121) one granule already holds over 200 K multiply-adds and is
+/// the band itself; narrower layers stack granules up to
+/// [`GEMM_BAND_MIN_MACS`].
 pub(crate) const GEMM_BAND_ROWS: usize = 32;
+
+/// Multiply-add floor of one GEMM band, the unit workers claim. A claim
+/// costs an atomic increment and a slot lock, and a worker that wakes
+/// for a tiny product costs more than the product. At 32 rows a
+/// `molecule-pack` 32 → 2 band held 2,048 multiply-adds, and two workers
+/// spent 1.7× the CPU of one for no gain in wall time. This floor stays
+/// at or under 204,800, one 32-row band of `ppi-gcn`'s narrowest layer,
+/// so that workload's bands (and its allocations) stay as they were.
+pub(crate) const GEMM_BAND_MIN_MACS: usize = 1 << 16;
+
+/// Rows per band of an `m × k · k × n` GEMM: the smallest multiple of
+/// [`GEMM_BAND_ROWS`] whose `k × n` multiply-adds per row reach
+/// [`GEMM_BAND_MIN_MACS`], capped at one band over the whole matrix. An
+/// empty product (`k × n == 0`) is one band. The band count, and with it
+/// the number of workers a GEMM occupies, follows its work, not its
+/// rows: a GEMM that fits one band runs inline on the caller.
+pub(crate) fn gemm_band_rows(m: usize, k: usize, n: usize) -> usize {
+    let whole = m.div_ceil(GEMM_BAND_ROWS).max(1) * GEMM_BAND_ROWS;
+    let macs_per_row = k.saturating_mul(n);
+    if macs_per_row == 0 {
+        return whole;
+    }
+    let rows = GEMM_BAND_MIN_MACS.div_ceil(macs_per_row);
+    (rows.div_ceil(GEMM_BAND_ROWS) * GEMM_BAND_ROWS).min(whole)
+}
 
 /// Below this many f32 elements an element-wise pass
 /// ([`crate::parallel_apply_chunks`]) runs inline on the caller: a 16 K
@@ -400,6 +427,37 @@ mod tests {
             l2_bytes: 1024,
         };
         assert_eq!(gemm_kc(512, 512, &tiny), 64);
+    }
+
+    #[test]
+    fn gemm_band_rows_reach_the_mac_floor_in_whole_granules() {
+        for m in [0usize, 1, 31, 32, 33, 70, 1000, 17_650, 56_944] {
+            for k in [0usize, 1, 2, 16, 32, 50, 128, 200, 512] {
+                for n in [0usize, 1, 2, 16, 32, 121, 128, 512] {
+                    let rows = gemm_band_rows(m, k, n);
+                    let ctx = format!("m={m} k={k} n={n} rows={rows}");
+                    assert!(rows >= GEMM_BAND_ROWS, "{ctx}");
+                    assert_eq!(rows % GEMM_BAND_ROWS, 0, "{ctx}");
+                    let whole = rows >= m;
+                    assert!(whole || rows * k * n >= GEMM_BAND_MIN_MACS, "{ctx}");
+                    // The smallest such multiple: one granule fewer
+                    // falls under the floor.
+                    let fewer = rows - GEMM_BAND_ROWS;
+                    assert!(fewer == 0 || fewer * k * n < GEMM_BAND_MIN_MACS, "{ctx}");
+                }
+            }
+        }
+        // `ppi-gcn`'s layers keep one granule per band: 1,780 bands of
+        // 56,944 rows, as before the floor.
+        const { assert!(GEMM_BAND_MIN_MACS <= GEMM_BAND_ROWS * 50 * 128) };
+        assert_eq!(gemm_band_rows(56_944, 50, 128), GEMM_BAND_ROWS);
+        assert_eq!(gemm_band_rows(56_944, 128, 121), GEMM_BAND_ROWS);
+        // `molecule-pack`'s packed windows stack granules.
+        assert_eq!(gemm_band_rows(17_650, 16, 32), 128);
+        assert_eq!(gemm_band_rows(17_650, 32, 2), 1024);
+        // Under one band of work the band is the whole matrix.
+        assert_eq!(gemm_band_rows(70, 32, 2), 96);
+        assert_eq!(gemm_band_rows(70, 0, 2), 96);
     }
 
     #[test]
