@@ -70,17 +70,6 @@ impl LoadBalance {
             cv: if mean > 0.0 { var.sqrt() / mean } else { 0.0 },
         }
     }
-
-    /// Parallel speedup upper bound implied by the imbalance alone
-    /// (`threads / imbalance`): the best any scheduler can do when the
-    /// largest thread is on the critical path.
-    pub fn speedup_bound(&self) -> f64 {
-        if self.max_nnz == 0 {
-            0.0
-        } else {
-            self.total_nnz as f64 / self.max_nnz as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +90,6 @@ mod tests {
         assert_eq!(lb.max_nnz, 4);
         assert!((lb.imbalance - 1.0).abs() < 1e-12);
         assert!(lb.cv < 1e-12);
-        assert!((lb.speedup_bound() - 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -147,6 +135,5 @@ mod tests {
         let a = CsrMatrix::<f32>::zeros(5, 5);
         let lb = LoadBalance::of(&MergePathSpmm::with_threads(4).plan(&a, 16));
         assert_eq!(lb.active_threads, 0);
-        assert_eq!(lb.speedup_bound(), 0.0);
     }
 }

@@ -260,10 +260,7 @@ impl ExecEngine {
     }
 
     /// Executes a prepared plan: [`execute_prepared_fused`](Self::execute_prepared_fused)
-    /// with no epilogue. [`SpmmKernel::spmm`] and
-    /// [`SpmmKernel::spmm_with_stats`] do not come here; they call
-    /// [`ExecEngine::global`]`().`[`spmm`](Self::spmm), which goes straight
-    /// to `execute_prepared_fused`.
+    /// with no epilogue.
     ///
     /// # Errors
     ///

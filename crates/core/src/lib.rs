@@ -24,7 +24,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use mpspmm_core::{MergePathSpmm, SpmmKernel};
+//! use mpspmm_core::{Epilogue, ExecEngine, MergePathSpmm, SpmmKernel};
 //! use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 //!
 //! let a = CsrMatrix::from_triplets(
@@ -34,9 +34,14 @@
 //! )?;
 //! let xw = DenseMatrix::from_fn(4, 16, |r, c| (r * 16 + c) as f32 * 0.01);
 //! let kernel = MergePathSpmm::new();
-//! let (c, stats) = kernel.spmm_with_stats(&a, &xw)?;
+//! // Replay the kernel's own plan on this thread, with its Fig. 5 write
+//! // statistics.
+//! let (c, stats) = kernel.spmm_sequential(&a, &xw)?;
 //! assert_eq!(c.rows(), 4);
 //! assert_eq!(stats.total_nnz(), 4);
+//! // The fast product: the engine's row spans on the worker pool.
+//! let (fast, _) = ExecEngine::global().spmm(&a, &xw, &Epilogue::None)?;
+//! assert!(fast.max_abs_diff(&c)? <= 1e-6);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -51,19 +56,18 @@
 
 pub mod analysis;
 mod arena;
-pub mod batch;
+mod batch;
 mod datapath;
-pub mod engine;
+mod engine;
 mod epilogue;
 pub mod executor;
 mod gemm;
 mod merge_path;
 mod plan;
 mod pool;
-pub mod spmm;
-pub mod spmv;
+mod spmm;
 mod stats;
-pub mod tuning;
+mod tuning;
 
 pub use batch::BatchShapeClass;
 pub use datapath::DataPath;
@@ -73,9 +77,8 @@ pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};
 pub use plan::{static_span_skew, Flush, KernelPlan, PlanError, Segment, ThreadPlan};
 pub use pool::parallel_apply_chunks;
 pub use spmm::{
-    default_workers, plan_from_schedule, BatchMergeSpmm, CostPolicy, MergePathSerialFixup,
-    MergePathSpmm, NeighborPartitionIndex, NnzSplitSpmm, RowSplitSpmm, SerialSpmm, SpmmKernel,
-    BATCH_MIN_THREADS,
+    default_workers, plan_from_schedule, BatchMergeSpmm, MergePathSerialFixup, MergePathSpmm,
+    NeighborPartitionIndex, NnzSplitSpmm, RowSplitSpmm, SerialSpmm, SpmmKernel,
 };
 pub use stats::WriteStats;
 pub use tuning::{

@@ -137,7 +137,7 @@ impl ThreadAssignment {
     /// boundary rows included, rows it only consumes the terminator of
     /// excluded). Exact, not the `end.row - start.row + 1` span estimate:
     /// a boundary landing on a row head contributes nothing to that row.
-    pub fn rows_touched(&self, row_ptr: &[usize]) -> usize {
+    fn rows_touched(&self, row_ptr: &[usize]) -> usize {
         let lo = self.start.nnz;
         let hi = self.end.nnz;
         if lo == hi {
@@ -166,7 +166,6 @@ impl ThreadAssignment {
 /// let a = CsrMatrix::from_triplets(4, 4, &[(0, 1, 1.0f32), (3, 2, 1.0)])?;
 /// let schedule = Schedule::build(&a, 2);
 /// assert_eq!(schedule.num_threads(), 2);
-/// assert_eq!(schedule.total_merge_items(), 6); // 4 rows + 2 nnz
 /// # Ok::<(), mpspmm_sparse::SparseFormatError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -295,11 +294,6 @@ impl Schedule {
     /// The per-thread merge-item budget (`items_per_thrd` in Algorithm 1).
     pub fn items_per_thread(&self) -> usize {
         self.items_per_thread
-    }
-
-    /// Total merge-path length (`rows + nnz`).
-    pub fn total_merge_items(&self) -> usize {
-        self.rows + self.nnz
     }
 
     /// Number of matrix rows this schedule was built for.

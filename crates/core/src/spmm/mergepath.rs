@@ -18,7 +18,7 @@ use super::SpmmKernel;
 
 /// How MergePath-SpMM picks its logical-thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostPolicy {
+pub(crate) enum CostPolicy {
     /// Use the paper's empirically tuned merge-path cost for the dense
     /// dimension (Figure 6 table), with the §III-C minimum-thread floor.
     Auto,
@@ -41,7 +41,7 @@ pub enum CostPolicy {
 /// let a = CsrMatrix::from_triplets(3, 3, &[(0, 1, 2.0f32), (2, 0, 1.0)])?;
 /// let b = DenseMatrix::from_fn(3, 4, |r, c| (r + c) as f32);
 /// let kernel = MergePathSpmm::with_threads(2);
-/// let (c, stats) = kernel.spmm_with_stats(&a, &b)?;
+/// let (c, stats) = kernel.spmm_sequential(&a, &b)?;
 /// assert_eq!(c.get(0, 0), 2.0); // 2 * B[1, 0]
 /// assert_eq!(stats.total_nnz(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -87,19 +87,14 @@ impl MergePathSpmm {
         self
     }
 
-    /// The active cost policy.
-    pub fn policy(&self) -> CostPolicy {
-        self.policy
-    }
-
     /// Builds the merge-path schedule this kernel would use for `a` at
     /// dense dimension `dim`.
     ///
     /// In the paper's **offline** setting the schedule is computed once
     /// and reused across inferences; pair this with
     /// [`plan_from_schedule`] to amortize it. The **online** setting
-    /// (Figure 8) rebuilds it per inference — simply call
-    /// [`SpmmKernel::spmm`] each time.
+    /// (Figure 8) rebuilds it per inference, as
+    /// [`SpmmKernel::spmm_sequential`] does on every call.
     pub fn schedule(&self, a: &CsrMatrix<f32>, dim: usize) -> Schedule {
         let threads = match self.policy {
             CostPolicy::Auto => {
@@ -227,16 +222,16 @@ pub fn plan_from_schedule(schedule: &Schedule, a: &CsrMatrix<f32>) -> KernelPlan
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{check_kernel, check_spmm_is_row_sum, random_matrix};
+    use super::super::test_support::{check_kernel, random_matrix};
     use super::*;
     use crate::plan::Flush;
 
     #[test]
-    fn spmm_equals_the_row_sum() {
+    fn replay_matches_the_oracle_at_every_width() {
         let a = random_matrix(60, 60, 400, 33);
         for dim in [1, 5, 16, 33] {
-            check_spmm_is_row_sum(&MergePathSpmm::with_threads(7), &a, dim);
-            check_spmm_is_row_sum(&MergePathSpmm::with_cost(5), &a, dim);
+            check_kernel(&MergePathSpmm::with_threads(7), &a, dim);
+            check_kernel(&MergePathSpmm::with_cost(5), &a, dim);
         }
     }
 
@@ -305,7 +300,7 @@ mod tests {
         let a = random_matrix(80, 80, 500, 9);
         let kernel = MergePathSpmm::with_threads(8);
         let b = super::super::test_support::random_dense(80, 8, 5);
-        let (_, stats) = kernel.spmm_with_stats(&a, &b).unwrap();
+        let (_, stats) = kernel.spmm_sequential(&a, &b).unwrap();
         assert_eq!(stats.total_nnz(), a.nnz());
         assert!(stats.atomic_row_updates > 0, "8 threads must share rows");
         assert!(stats.regular_row_writes > 0, "most rows are complete");
@@ -328,7 +323,7 @@ mod tests {
         let a = random_matrix(60, 60, 350, 4);
         let kernel = MergePathSpmm::with_threads(12);
         let b = super::super::test_support::random_dense(60, 16, 8);
-        // Online: plan built inside spmm.
+        // Online: plan built inside spmm_sequential.
         let (online, _) = kernel.spmm_sequential(&a, &b).unwrap();
         // Offline: schedule built once, reused.
         let schedule = kernel.schedule(&a, 16);

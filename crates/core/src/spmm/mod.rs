@@ -20,10 +20,10 @@ mod row_split;
 mod serial;
 mod serial_fixup;
 
-pub use mergepath::{plan_from_schedule, CostPolicy, MergePathSpmm};
+pub use mergepath::{plan_from_schedule, MergePathSpmm};
 pub use nnz_split::{NeighborPartitionIndex, NnzSplitSpmm};
 pub(crate) use row_aligned::row_aligned_starts;
-pub use row_aligned::{BatchMergeSpmm, BATCH_MIN_THREADS};
+pub use row_aligned::BatchMergeSpmm;
 pub use row_split::RowSplitSpmm;
 pub use serial::SerialSpmm;
 pub use serial_fixup::MergePathSerialFixup;
@@ -92,7 +92,11 @@ pub(crate) fn resolve_workers(raw: Option<&str>, available: usize) -> (usize, Op
 /// A sparse-matrix × dense-matrix multiplication strategy.
 ///
 /// `C = A × B` with `A` sparse CSR (`n×n` adjacency) and `B` dense
-/// (`n×d`, the `XW` product in a GCN layer).
+/// (`n×d`, the `XW` product in a GCN layer). A kernel is its plan: the
+/// logical-thread decomposition that the executors replay and the
+/// machine-model simulators cost. The fast product is
+/// [`ExecEngine::spmm`](crate::ExecEngine::spmm), which runs no kernel's
+/// plan.
 pub trait SpmmKernel: Send + Sync {
     /// Strategy name as used in the paper's figures.
     fn name(&self) -> &'static str;
@@ -101,42 +105,9 @@ pub trait SpmmKernel: Send + Sync {
     /// dimension of `dim` columns.
     fn plan(&self, a: &CsrMatrix<f32>, dim: usize) -> KernelPlan;
 
-    /// Computes `A × B` on the default worker pool: the engine's
-    /// row-span product, the ascending row sum. The kernel's own plan is
-    /// not built.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] if
-    /// `a.cols() != b.rows()`.
-    fn spmm(
-        &self,
-        a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        crate::engine::ExecEngine::global()
-            .spmm(a, b, &crate::Epilogue::None)
-            .map(|(out, _)| out)
-    }
-
-    /// [`spmm`](Self::spmm) plus this kernel's write statistics
-    /// (Figure 5 accounting), which are a property of its plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] if
-    /// `a.cols() != b.rows()`.
-    fn spmm_with_stats(
-        &self,
-        a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
-    ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        let out = self.spmm(a, b)?;
-        Ok((out, self.plan(a, b.cols()).write_stats()))
-    }
-
     /// Computes `A × B` deterministically on the calling thread, replaying
-    /// the same logical-thread decomposition.
+    /// this kernel's plan, and returns the plan's write statistics
+    /// (Figure 5 accounting) beside the product.
     ///
     /// # Errors
     ///
@@ -231,46 +202,22 @@ pub(crate) mod test_support {
         DenseMatrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
     }
 
-    /// Asserts that `kernel.spmm` and `kernel.spmm_with_stats` give
-    /// exactly the ascending row sum (the serial plan's sequential
-    /// replay), whatever the kernel's own plan splits, and that the
-    /// latter reports the kernel plan's statistics.
-    pub fn check_spmm_is_row_sum(kernel: &dyn SpmmKernel, a: &CsrMatrix<f32>, dim: usize) {
-        let b = random_dense(a.cols(), dim, 123);
-        let plan = SerialSpmm.plan(a, dim);
-        let (oracle, _) = executor::execute_sequential(&plan, a, &b).unwrap();
-        let served = kernel.spmm(a, &b).unwrap();
-        assert_eq!(served.as_slice(), oracle.as_slice(), "{}", kernel.name());
-        let (out, stats) = kernel.spmm_with_stats(a, &b).unwrap();
-        assert_eq!(out.as_slice(), oracle.as_slice(), "{}", kernel.name());
-        assert_eq!(
-            stats,
-            kernel.plan(a, dim).write_stats(),
-            "{}",
-            kernel.name()
-        );
-    }
-
-    /// Exercises one kernel against the dense oracle: plan validity,
-    /// sequential and parallel agreement.
+    /// Exercises one kernel against the dense oracle: its plan is valid,
+    /// and the sequential replay of that plan agrees with the oracle and
+    /// realizes exactly the plan's static write statistics.
     pub fn check_kernel(kernel: &dyn SpmmKernel, a: &CsrMatrix<f32>, dim: usize) {
         let b = random_dense(a.cols(), dim, 99);
         let plan = kernel.plan(a, dim);
         plan.validate(a)
             .unwrap_or_else(|e| panic!("{}: invalid plan: {e}", kernel.name()));
         let reference = dense_reference(a, &b);
-        let (seq, _) = kernel.spmm_sequential(a, &b).unwrap();
+        let (seq, stats) = kernel.spmm_sequential(a, &b).unwrap();
         let scale = reference.frobenius_norm().max(1.0);
         assert!(
             seq.max_abs_diff(&reference).unwrap() <= 1e-4 * scale,
             "{}: sequential result diverges",
             kernel.name()
         );
-        let (par, _) = kernel.spmm_with_stats(a, &b).unwrap();
-        assert!(
-            par.max_abs_diff(&reference).unwrap() <= 1e-4 * scale,
-            "{}: parallel result diverges",
-            kernel.name()
-        );
+        assert_eq!(stats, plan.write_stats(), "{}", kernel.name());
     }
 }

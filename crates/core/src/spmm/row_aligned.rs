@@ -39,7 +39,7 @@ use super::SpmmKernel;
 ///
 /// let a = CsrMatrix::from_triplets(3, 3, &[(0, 1, 2.0f32), (2, 0, 1.0)])?;
 /// let b = DenseMatrix::from_fn(3, 4, |r, c| (r + c) as f32);
-/// let (c, stats) = BatchMergeSpmm::with_threads(2).spmm_with_stats(&a, &b)?;
+/// let (c, stats) = BatchMergeSpmm::with_threads(2).spmm_sequential(&a, &b)?;
 /// assert_eq!(c.get(0, 0), 2.0); // 2 * B[1, 0]
 /// assert_eq!(stats.atomic_row_updates, 0); // rows are never shared
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -55,11 +55,11 @@ pub struct BatchMergeSpmm {
 /// a modest floor (not the paper's 1024 GPU-oriented one) keeps plan
 /// metadata proportional to the batch instead of dominated by empty
 /// threads on small packs.
-pub const BATCH_MIN_THREADS: usize = 64;
+pub(crate) const BATCH_MIN_THREADS: usize = 64;
 
 impl BatchMergeSpmm {
     /// Auto policy: per-dimension merge-path cost with the
-    /// [`BATCH_MIN_THREADS`] floor.
+    /// `BATCH_MIN_THREADS` (64) floor.
     pub fn new() -> Self {
         Self {
             threads: None,
@@ -151,9 +151,7 @@ impl SpmmKernel for BatchMergeSpmm {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{
-        check_kernel, check_spmm_is_row_sum, random_dense, random_matrix,
-    };
+    use super::super::test_support::{check_kernel, random_dense, random_matrix};
     use super::super::SerialSpmm;
     use super::*;
     use crate::executor::execute_sequential;
@@ -192,10 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn spmm_equals_the_row_sum() {
+    fn replay_matches_the_oracle_at_every_width() {
         let a = random_matrix(60, 60, 400, 5);
         for dim in [1, 5, 16, 33] {
-            check_spmm_is_row_sum(&BatchMergeSpmm::with_threads(7), &a, dim);
+            check_kernel(&BatchMergeSpmm::with_threads(7), &a, dim);
         }
     }
 

@@ -16,7 +16,7 @@ use super::SpmmKernel;
 ///
 /// let a = CsrMatrix::from_triplets(2, 2, &[(1, 0, 3.0f32)])?;
 /// let b = DenseMatrix::from_fn(2, 2, |r, c| (r * 2 + c) as f32);
-/// let c = SerialSpmm.spmm(&a, &b)?;
+/// let (c, _) = SerialSpmm.spmm_sequential(&a, &b)?;
 /// assert_eq!(c.get(1, 1), 3.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -62,7 +62,7 @@ mod tests {
     fn empty_matrix_yields_zero_output() {
         let a = CsrMatrix::<f32>::zeros(4, 4);
         let b = random_dense(4, 3, 1);
-        let c = SerialSpmm.spmm(&a, &b).unwrap();
+        let (c, _) = SerialSpmm.spmm_sequential(&a, &b).unwrap();
         assert_eq!(c.frobenius_norm(), 0.0);
     }
 
@@ -71,7 +71,7 @@ mod tests {
         let triplets: Vec<(usize, usize, f32)> = (0..5).map(|i| (i, i, 1.0)).collect();
         let a = CsrMatrix::from_triplets(5, 5, &triplets).unwrap();
         let b = random_dense(5, 4, 2);
-        let c = SerialSpmm.spmm(&a, &b).unwrap();
+        let (c, _) = SerialSpmm.spmm_sequential(&a, &b).unwrap();
         assert!(c.approx_eq(&b, 1e-7).unwrap());
         assert!(c.approx_eq(&dense_reference(&a, &b), 1e-7).unwrap());
     }

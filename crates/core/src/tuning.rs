@@ -188,46 +188,6 @@ impl SimdMapping {
             }
         }
     }
-
-    /// Number of warps needed to run `logical_threads` threads under this
-    /// mapping.
-    pub fn warps_for_threads(&self, logical_threads: usize) -> usize {
-        if self.warps_per_thread > 1 {
-            logical_threads * self.warps_per_thread
-        } else {
-            logical_threads.div_ceil(self.threads_per_warp)
-        }
-    }
-
-    /// Fraction of SIMD lanes doing useful work in each warp, in `(0, 1]`.
-    ///
-    /// When `dim` is not a multiple of `lanes`, the last replica warp
-    /// carries only `dim % lanes` live lanes — but it is *shared*: the
-    /// §III-C3 packing applies to the residual slice exactly as it does to
-    /// whole sub-lane dimensions, so `floor(lanes / tail)` logical
-    /// threads' tails ride in one warp and each thread is charged only its
-    /// `lanes / floor(lanes / tail)` share. Charging every thread a full
-    /// tail warp (the previous accounting) under-reported utilization at
-    /// large dims — e.g. dim 96 on 64-lane units is fully packed (two
-    /// 32-wide tails per warp), not 75%.
-    pub fn lane_utilization(&self) -> f64 {
-        if self.dim >= self.lanes {
-            let used = self.dim as f64;
-            let full = self.dim / self.lanes;
-            let tail = self.dim % self.lanes;
-            // Tail warp shared by floor(lanes / tail) threads; no tail
-            // warp at all when `dim` divides evenly (`tail == 0`).
-            let provisioned = match self.lanes.checked_div(tail) {
-                Some(share) if share > 0 => {
-                    (full * self.lanes) as f64 + self.lanes as f64 / share as f64
-                }
-                _ => (full * self.lanes) as f64,
-            };
-            used / provisioned
-        } else {
-            (self.threads_per_warp * self.dim) as f64 / self.lanes as f64
-        }
-    }
 }
 
 /// The empirically best merge-path cost per dimension size (Figure 6 of
@@ -291,8 +251,6 @@ mod tests {
         let m = SimdMapping::for_dim(32, 32);
         assert_eq!(m.warps_per_thread, 1);
         assert_eq!(m.threads_per_warp, 1);
-        assert_eq!(m.warps_for_threads(100), 100);
-        assert_eq!(m.lane_utilization(), 1.0);
     }
 
     #[test]
@@ -301,43 +259,11 @@ mod tests {
         // using two warps."
         let m = SimdMapping::for_dim(64, 32);
         assert_eq!(m.warps_per_thread, 2);
-        assert_eq!(m.warps_for_threads(10), 20);
         let m = SimdMapping::for_dim(128, 32);
         assert_eq!(m.warps_per_thread, 4);
-        // Non-multiple: 48 dims → 2 warps, but the 16-wide tail packs two
-        // threads per tail warp (§III-C3 on the residual slice), so the
-        // mapping is fully utilized.
+        // Non-multiple: 48 dims → 2 warps.
         let m = SimdMapping::for_dim(48, 32);
         assert_eq!(m.warps_per_thread, 2);
-        assert!((m.lane_utilization() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tail_warp_utilization_at_large_dims() {
-        // Exact multiples at the regression dims stay fully utilized.
-        for (dim, lanes) in [(96, 32), (192, 32), (384, 32), (192, 64), (384, 64)] {
-            let m = SimdMapping::for_dim(dim, lanes);
-            assert_eq!(
-                m.lane_utilization(),
-                1.0,
-                "dim {dim} lanes {lanes} is an exact multiple"
-            );
-        }
-        // dim 96 on 64-lane units: one full warp plus a 32-wide tail that
-        // packs two threads — fully utilized, not the 75% the old
-        // full-tail-warp accounting reported.
-        let m = SimdMapping::for_dim(96, 64);
-        assert_eq!(m.warps_per_thread, 2);
-        assert!((m.lane_utilization() - 1.0).abs() < 1e-12);
-        // A tail that does not divide the lane width still wastes its
-        // packing remainder: dim 44 on 32 lanes has a 12-wide tail shared
-        // by floor(32/12) = 2 threads, 16 lanes charged for 12 used.
-        let m = SimdMapping::for_dim(44, 32);
-        assert!((m.lane_utilization() - 44.0 / 48.0).abs() < 1e-12);
-        // A tail over half the lane width cannot pack and is charged in
-        // full, as before.
-        let m = SimdMapping::for_dim(50, 32);
-        assert!((m.lane_utilization() - 50.0 / 64.0).abs() < 1e-12);
     }
 
     #[test]
@@ -346,12 +272,10 @@ mod tests {
         // single warp."
         let m = SimdMapping::for_dim(16, 32);
         assert_eq!(m.threads_per_warp, 2);
-        assert_eq!(m.warps_for_threads(10), 5);
         // §V: "At the dimension size of 2, each SIMD unit is mapped with 16
         // threads."
         let m = SimdMapping::for_dim(2, 32);
         assert_eq!(m.threads_per_warp, 16);
-        assert_eq!(m.lane_utilization(), 1.0);
     }
 
     #[test]

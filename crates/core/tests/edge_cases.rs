@@ -2,8 +2,8 @@
 //! extreme thread counts, and boundary cost values.
 
 use mpspmm_core::{
-    merge_path_search, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm, RowSplitSpmm, Schedule,
-    SerialSpmm, SpmmKernel,
+    merge_path_search, Epilogue, ExecEngine, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm,
+    RowSplitSpmm, Schedule, SerialSpmm, SpmmKernel,
 };
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 
@@ -94,9 +94,13 @@ fn wide_output_dimension() {
     let b = DenseMatrix::from_fn(3, 257, |r, c| ((r * 257 + c) % 13) as f32);
     let (want, _) = SerialSpmm.spmm_sequential(&a, &b).unwrap();
     for k in kernels() {
-        let (got, _) = k.spmm_with_stats(&a, &b).expect("wide product");
+        let (got, _) = k.spmm_sequential(&a, &b).expect("wide product");
         assert!(got.approx_eq(&want, 1e-5).unwrap(), "{}", k.name());
     }
+    let (got, _) = ExecEngine::global()
+        .spmm(&a, &b, &Epilogue::None)
+        .expect("wide product");
+    assert!(got.approx_eq(&want, 1e-5).unwrap(), "engine");
 }
 
 #[test]

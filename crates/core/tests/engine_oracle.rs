@@ -2,8 +2,9 @@
 //! for every data path, worker count and dense dimension, the engine's
 //! output must equal (f32 `==`) what
 //! [`mpspmm_core::executor::execute_sequential`] computes for the serial
-//! plan, and every kernel's `spmm_with_stats` must return that product
-//! together with its own plan's write statistics.
+//! plan, and every kernel's `spmm_sequential` must replay its own plan to
+//! that product (up to float association) with the plan's write
+//! statistics.
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
@@ -98,11 +99,11 @@ proptest! {
     }
 
     /// The paper's kernels keep their plans for Fig. 5's accounting: each
-    /// plan is valid, its sequential replay realizes exactly its static
-    /// statistics, and `spmm_with_stats` returns those statistics beside
-    /// the engine's row-sum product.
+    /// plan is valid, and `spmm_sequential` replays it to the row sum (up
+    /// to float association) while realizing exactly its static
+    /// statistics.
     #[test]
-    fn kernels_return_the_row_sum_with_their_plans_statistics(
+    fn kernels_replay_their_plans_statistics(
         rows in 2usize..48,
         fill in 1usize..6,
         seed in any::<u64>(),
@@ -113,10 +114,8 @@ proptest! {
         for kernel in kernels() {
             let plan = kernel.plan(&a, 8);
             plan.validate(&a).unwrap();
-            let (_, replay_stats) = execute_sequential(&plan, &a, &b).unwrap();
-            prop_assert_eq!(replay_stats, plan.write_stats());
-            let (got, stats) = kernel.spmm_with_stats(&a, &b).unwrap();
-            prop_assert_eq!(got.as_slice(), want.as_slice(), "kernel={}", kernel.name());
+            let (got, stats) = kernel.spmm_sequential(&a, &b).unwrap();
+            prop_assert!(got.approx_eq(&want, 1e-4).unwrap(), "kernel={}", kernel.name());
             prop_assert_eq!(stats, plan.write_stats(), "kernel={}", kernel.name());
         }
     }

@@ -3,8 +3,8 @@
 //! against the dense oracle and the plan-validity rules.
 
 use mpspmm_core::{
-    merge_path_search, plan_from_schedule, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm,
-    RowSplitSpmm, Schedule, SerialSpmm, SpmmKernel,
+    merge_path_search, plan_from_schedule, Epilogue, ExecEngine, MergePathSerialFixup,
+    MergePathSpmm, NnzSplitSpmm, RowSplitSpmm, Schedule, SerialSpmm, SpmmKernel,
 };
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::collection::btree_set;
@@ -95,7 +95,7 @@ proptest! {
         let (seq, stats) = kernel.spmm_sequential(&m, &b).unwrap();
         prop_assert!(seq.max_abs_diff(&oracle).unwrap() <= 1e-4);
         prop_assert_eq!(stats.total_nnz(), m.nnz());
-        let (par, _) = kernel.spmm_with_stats(&m, &b).unwrap();
+        let (par, _) = ExecEngine::global().spmm(&m, &b, &Epilogue::None).unwrap();
         prop_assert!(par.max_abs_diff(&oracle).unwrap() <= 1e-4);
     }
 
@@ -167,16 +167,5 @@ proptest! {
         let plan1 = plan_from_schedule(&s1, &m);
         let plan2 = plan_from_schedule(&s2, &m);
         prop_assert_eq!(plan1, plan2);
-    }
-
-    #[test]
-    fn spmv_matches_spmm_single_column(m in arb_csr(16, 48), threads in 1usize..16) {
-        let x: Vec<f32> = (0..m.cols()).map(|i| (i as f32 * 0.3).cos()).collect();
-        let y = mpspmm_core::spmv::merge_path_spmv(&m, &x, threads).unwrap();
-        let b = DenseMatrix::from_fn(m.cols(), 1, |r, _| x[r]);
-        let (c, _) = SerialSpmm.spmm_sequential(&m, &b).unwrap();
-        for (r, &yr) in y.iter().enumerate() {
-            prop_assert!((yr - c.get(r, 0)).abs() <= 1e-4);
-        }
     }
 }

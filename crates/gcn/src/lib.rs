@@ -29,10 +29,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod layers;
 mod model;
 pub mod ops;
 
-pub use layers::{GinLayer, SageMeanLayer};
 pub use model::{online_inference, GcnLayer, GcnModel, InferenceTiming};
 pub use ops::Activation;

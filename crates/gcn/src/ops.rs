@@ -52,9 +52,9 @@ impl Activation {
     /// This is the **unfused fallback** — the hot layer paths fuse their
     /// activation into the engine's SpMM store stage
     /// ([`mpspmm_core::Epilogue`]) and never re-stream the output. When
-    /// it does run (GIN and SAGE layers, sigmoid GCN layers, standalone
-    /// use), large matrices are split across the engine's worker pool;
-    /// the per-span loops are branch-light and autovectorize.
+    /// it does run (sigmoid GCN layers, standalone use), large matrices
+    /// are split across the engine's worker pool; the per-span loops are
+    /// branch-light and autovectorize.
     pub fn apply(&self, m: &mut DenseMatrix<f32>) {
         match self {
             Activation::Relu => {

@@ -36,7 +36,7 @@ mod spec;
 mod structured;
 
 pub use evolve::GraphStream;
-pub use normalize::{add_self_loops, gcn_normalize, mean_normalize, sum_with_self_loops};
+pub use normalize::{add_self_loops, gcn_normalize, mean_normalize};
 pub use spec::{find_dataset, table_ii, DatasetSpec, GraphClass, TABLE_II};
 
 pub(crate) use powerlaw::generate_powerlaw;

@@ -94,31 +94,6 @@ pub fn mean_normalize(a: &CsrMatrix<f32>) -> CsrMatrix<f32> {
         .expect("rescaling values preserves CSR invariants")
 }
 
-/// Computes the GIN-style sum aggregation operator `A + (1 + ε)·I`:
-/// neighbour features are summed and the node's own feature is weighted by
-/// `1 + ε` (Xu et al., "How powerful are graph neural networks?", one of
-/// the GNN models whose varying hidden dimensions motivate the paper's
-/// §III-C dimension study).
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn sum_with_self_loops(a: &CsrMatrix<f32>, epsilon: f32) -> CsrMatrix<f32> {
-    let with_loops = add_self_loops(a);
-    let (rows, cols, row_ptr, col_indices, mut values) = with_loops.into_raw_parts();
-    let mut k = 0usize;
-    for r in 0..rows {
-        while k < row_ptr[r + 1] {
-            if col_indices[k] == r {
-                values[k] *= 1.0 + epsilon;
-            }
-            k += 1;
-        }
-    }
-    CsrMatrix::new(rows, cols, row_ptr, col_indices, values)
-        .expect("rescaling values preserves CSR invariants")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,17 +154,6 @@ mod tests {
         }
         // Node 1 has degree 3 with the self loop: every weight is 1/3.
         assert!(m.row(1).vals.iter().all(|&v| (v - 1.0 / 3.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn gin_operator_weights_self_loop() {
-        let m = sum_with_self_loops(&path3(), 0.5);
-        let d = m.to_dense();
-        assert!((d.get(1, 1) - 1.5).abs() < 1e-6, "self weight is 1 + eps");
-        assert!((d.get(1, 0) - 1.0).abs() < 1e-6, "neighbours stay at 1");
-        // eps = 0 degenerates to plain A + I.
-        let plain = sum_with_self_loops(&path3(), 0.0);
-        assert_eq!(plain, add_self_loops(&path3()));
     }
 
     #[test]

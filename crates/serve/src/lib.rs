@@ -102,7 +102,7 @@ pub struct ServeConfig {
     /// (no linger, halved column budget).
     pub pressure_threshold: usize,
     /// Graph-packing mode: within a batch window, admit requests for
-    /// *different* small graphs (and ad-hoc inline graphs), assemble
+    /// *different* small registered graphs, assemble
     /// them into one block-diagonal matrix, and run the whole window as
     /// a single mega-batched execution. Off by default — the classic
     /// same-graph column batching is better when traffic concentrates on
@@ -173,15 +173,6 @@ impl Ticket {
     /// Blocks until the server answers.
     pub fn wait(self) -> Result<DenseMatrix<f32>, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::Disconnected))
-    }
-
-    /// Non-blocking poll; `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<DenseMatrix<f32>, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(res) => Some(res),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::Disconnected)),
-        }
     }
 }
 
@@ -464,73 +455,6 @@ impl Server {
             deadline: req.deadline.map(|d| submitted + d),
             reply,
         })
-    }
-
-    /// Admits a **one-shot inline request**: an ad-hoc graph that was
-    /// never registered, carried by the request itself. The graph is
-    /// planned on the caller's thread and then flows through the same queue, deadline shedding, and — when
-    /// [`ServeConfig::pack_graphs`] is on — the same block-diagonal
-    /// packing windows as registered graphs. Inline requests are
-    /// [`Workload::Spmm`] only: a GCN forward needs a registered model.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ShuttingDown`], [`ServeError::BadShape`] (the
-    /// feature block's rows must match the adjacency's columns), or
-    /// [`ServeError::QueueFull`].
-    pub fn submit_inline(
-        &self,
-        tenant: &str,
-        adjacency: mpspmm_sparse::CsrMatrix<f32>,
-        features: Arc<DenseMatrix<f32>>,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        if features.rows() != adjacency.cols() {
-            return Err(ServeError::BadShape {
-                expected_rows: adjacency.cols(),
-                expected_cols: None,
-                got: (features.rows(), features.cols()),
-            });
-        }
-        let tenant_state = self.shared.stats.tenant(tenant);
-        let limit = self.shared.config.tenant_queue_limit;
-        if tenant_state.in_flight.fetch_add(1, Ordering::AcqRel) >= limit {
-            tenant_state.in_flight.fetch_sub(1, Ordering::AcqRel);
-            tenant_state
-                .rejected_queue_full
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .stats
-                .rejected_queue_full
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::QueueFull {
-                tenant: tenant.to_string(),
-                limit,
-            });
-        }
-        tenant_state.submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let graph = self.registry.inline_graph(adjacency);
-        let submitted = Instant::now();
-        let (tx, rx) = mpsc::channel();
-        let pending = Pending {
-            graph,
-            tenant: tenant_state,
-            workload: Workload::Spmm,
-            features,
-            submitted,
-            deadline: deadline.map(|d| submitted + d),
-            reply: ReplySink::Single(tx),
-        };
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            queue.push_back(pending);
-        }
-        self.shared.ready.notify_all();
-        Ok(Ticket { rx })
     }
 
     /// Convenience: register a graph (optionally with a model) on this

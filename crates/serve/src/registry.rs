@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mpspmm_core::PreparedPlan;
 use mpspmm_gcn::GcnModel;
@@ -136,39 +136,28 @@ impl GraphRegistry {
         adjacency: CsrMatrix<f32>,
         model: Option<Arc<GcnModel>>,
     ) -> Arc<ServedGraph> {
-        let graph = self.build(name, adjacency, model);
-        self.graphs
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), Arc::clone(&graph));
-        graph
-    }
-
-    /// Builds an **anonymous** served graph for a single ad-hoc request:
-    /// planned like a registration, but never inserted into the routing
-    /// table. If the packing window ends up executing the request alone,
-    /// it runs through this plan.
-    pub fn inline_graph(&self, adjacency: CsrMatrix<f32>) -> Arc<ServedGraph> {
-        self.build("", adjacency, None)
-    }
-
-    /// A new version of `name`: the next version number and the plan of
-    /// `adjacency`.
-    fn build(
-        &self,
-        name: &str,
-        adjacency: CsrMatrix<f32>,
-        model: Option<Arc<GcnModel>>,
-    ) -> Arc<ServedGraph> {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
-        Arc::new(ServedGraph {
+        let graph = Arc::new(ServedGraph {
             name: name.to_string(),
             version,
             structure_hash: adjacency.structure_hash(),
             prep: Arc::new(PreparedPlan::new(&adjacency)),
             adjacency: Arc::new(adjacency),
             model,
-        })
+        });
+        self.table().insert(name.to_string(), Arc::clone(&graph));
+        graph
+    }
+
+    /// The routing table. A holder panicking under the lock poisons it,
+    /// which is taken as it is: each holder does one `HashMap` lookup,
+    /// insert, remove or key copy, or reads names from a caller's
+    /// iterator between lookups, so no holder can leave the table half
+    /// changed. Without this, one caller's panic inside
+    /// [`get_many`](Self::get_many) would fail every later admission for
+    /// every tenant.
+    fn table(&self) -> MutexGuard<'_, HashMap<String, Arc<ServedGraph>>> {
+        self.graphs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Removes `name` from the routing table. In-flight requests holding
@@ -176,12 +165,12 @@ impl GraphRegistry {
     /// [`ServeError::UnknownGraph`](crate::ServeError::UnknownGraph).
     /// Returns the retired version, if any.
     pub fn retire(&self, name: &str) -> Option<Arc<ServedGraph>> {
-        self.graphs.lock().unwrap().remove(name)
+        self.table().remove(name)
     }
 
     /// The currently routed version of `name`.
     pub fn get(&self, name: &str) -> Option<Arc<ServedGraph>> {
-        self.graphs.lock().unwrap().get(name).cloned()
+        self.table().get(name).cloned()
     }
 
     /// Resolves a whole burst of names under **one** table lock — the
@@ -194,13 +183,13 @@ impl GraphRegistry {
         &self,
         names: impl IntoIterator<Item = &'a str>,
     ) -> Vec<Option<Arc<ServedGraph>>> {
-        let graphs = self.graphs.lock().unwrap();
+        let graphs = self.table();
         names.into_iter().map(|n| graphs.get(n).cloned()).collect()
     }
 
     /// Number of currently registered graphs.
     pub fn len(&self) -> usize {
-        self.graphs.lock().unwrap().len()
+        self.table().len()
     }
 
     /// Whether no graph is registered.
@@ -210,7 +199,7 @@ impl GraphRegistry {
 
     /// Registered names, unordered.
     pub fn names(&self) -> Vec<String> {
-        self.graphs.lock().unwrap().keys().cloned().collect()
+        self.table().keys().cloned().collect()
     }
 }
 

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpspmm_core::{default_workers, ExecEngine, MergePathSpmm, SerialSpmm, SpmmKernel};
+use mpspmm_core::{default_workers, Epilogue, ExecEngine, MergePathSpmm, SerialSpmm, SpmmKernel};
 use mpspmm_gcn::{Activation, GcnLayer, GcnModel};
 use mpspmm_serve::{Request, ServeConfig, ServeError, Server, Workload};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
@@ -38,6 +38,11 @@ fn server(config: ServeConfig) -> Server {
     )
 }
 
+/// `a · b` straight on the process-wide engine, outside any server.
+fn direct(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
+    ExecEngine::global().spmm(a, b, &Epilogue::None).unwrap().0
+}
+
 fn req(graph: &str, tenant: &str, features: DenseMatrix<f32>, workload: Workload) -> Request {
     Request {
         graph: graph.into(),
@@ -52,11 +57,10 @@ fn req(graph: &str, tenant: &str, features: DenseMatrix<f32>, workload: Workload
 fn spmm_requests_match_direct_kernel_execution() {
     let srv = server(ServeConfig::default());
     srv.register("g", graph(1.0), None);
-    let kernel = MergePathSpmm::with_threads(6);
     let a = graph(1.0);
     for salt in 0..4 {
         let b = feats(5, salt);
-        let expect = kernel.spmm(&a, &b).unwrap();
+        let expect = direct(&a, &b);
         let got = srv
             .submit(req("g", "t", b, Workload::Spmm))
             .unwrap()
@@ -98,7 +102,6 @@ fn concurrent_requests_coalesce_into_batches() {
         ..ServeConfig::default()
     });
     srv.register("g", graph(1.0), None);
-    let kernel = MergePathSpmm::with_threads(6);
     let a = graph(1.0);
     // Submit everything before waiting on anything: the dispatcher's
     // linger window coalesces them.
@@ -109,7 +112,7 @@ fn concurrent_requests_coalesce_into_batches() {
         })
         .collect();
     for (salt, ticket) in tickets {
-        let expect = kernel.spmm(&a, &feats(3, salt)).unwrap();
+        let expect = direct(&a, &feats(3, salt));
         let got = ticket.wait().unwrap();
         assert_eq!(got.max_abs_diff(&expect).unwrap(), 0.0, "salt {salt}");
     }
@@ -203,7 +206,6 @@ fn hot_swap_serves_old_version_to_in_flight_requests() {
         ..ServeConfig::default()
     });
     srv.register("g", graph(1.0), None);
-    let kernel = MergePathSpmm::with_threads(6);
     let b = feats(3, 0);
     let in_flight = srv
         .submit(req("g", "t", b.clone(), Workload::Spmm))
@@ -212,7 +214,7 @@ fn hot_swap_serves_old_version_to_in_flight_requests() {
     let v2 = srv.register("g", graph(9.0), None);
     assert!(v2.version() > 1);
     let got_v1 = in_flight.wait().unwrap();
-    let expect_v1 = kernel.spmm(&graph(1.0), &b).unwrap();
+    let expect_v1 = direct(&graph(1.0), &b);
     assert_eq!(
         got_v1.max_abs_diff(&expect_v1).unwrap(),
         0.0,
@@ -224,12 +226,46 @@ fn hot_swap_serves_old_version_to_in_flight_requests() {
         .unwrap()
         .wait()
         .unwrap();
-    let expect_v2 = kernel.spmm(&graph(9.0), &b).unwrap();
+    let expect_v2 = direct(&graph(9.0), &b);
     assert_eq!(got_v2.max_abs_diff(&expect_v2).unwrap(), 0.0);
     // Retiring stops routing without touching anything in flight.
     srv.registry().retire("g").unwrap();
     let err = srv.submit(req("g", "t", b, Workload::Spmm)).unwrap_err();
     assert_eq!(err, ServeError::UnknownGraph("g".into()));
+    srv.shutdown();
+}
+
+/// A caller's name iterator that panics inside `get_many` runs under the
+/// routing-table lock and poisons it; every later registry path must
+/// still work, for every tenant, and replies must still match the
+/// ascending row sum.
+#[test]
+fn a_panicking_name_iterator_does_not_poison_the_registry() {
+    let srv = server(ServeConfig::default());
+    srv.register("g", graph(1.0), None);
+    let names = ["g"];
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        srv.registry().get_many((0..2).map(|i| names[i]))
+    }));
+    assert!(caught.is_err(), "the out-of-range index panics");
+
+    srv.register("h", graph(9.0), None);
+    assert_eq!(srv.registry().len(), 2);
+    let b = feats(4, 0);
+    for (name, seed) in [("g", 1.0), ("h", 9.0)] {
+        let got = srv
+            .submit(req(name, "other", b.clone(), Workload::Spmm))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let (want, _) = SerialSpmm.spmm_sequential(&graph(seed), &b).unwrap();
+        assert_eq!(got, want, "{name}");
+    }
+    let (outcomes, burst) = srv.submit_many(vec![req("h", "t", b.clone(), Workload::Spmm)]);
+    assert_eq!(outcomes, vec![None]);
+    let got = burst.wait_all().remove(0).unwrap().unwrap();
+    assert_eq!(got, SerialSpmm.spmm_sequential(&graph(9.0), &b).unwrap().0);
+    assert!(srv.registry().retire("g").is_some());
     srv.shutdown();
 }
 
@@ -599,50 +635,6 @@ fn packed_windows_mix_graphs_and_match_sequential_execution() {
         stats.engine.batch_plan_misses >= 1,
         "each packed window builds its plan"
     );
-    srv.shutdown();
-}
-
-#[test]
-fn inline_graphs_pack_with_registered_ones() {
-    let srv = pack_server(200);
-    srv.register("g", small_graph(16, 2.0), None);
-    let t_reg = srv
-        .submit(req("g", "t", small_feats(16, 3, 0), Workload::Spmm))
-        .unwrap();
-    let ad_hoc = small_graph(11, 3.5);
-    let t_inline = srv
-        .submit_inline("t", ad_hoc.clone(), Arc::new(small_feats(11, 3, 1)), None)
-        .unwrap();
-    let reference = MergePathSpmm::with_threads(1);
-    let (expect_reg, _) = reference
-        .spmm_sequential(&small_graph(16, 2.0), &small_feats(16, 3, 0))
-        .unwrap();
-    let (expect_inline, _) = reference
-        .spmm_sequential(&ad_hoc, &small_feats(11, 3, 1))
-        .unwrap();
-    assert_eq!(
-        t_reg.wait().unwrap().max_abs_diff(&expect_reg).unwrap(),
-        0.0
-    );
-    assert_eq!(
-        t_inline
-            .wait()
-            .unwrap()
-            .max_abs_diff(&expect_inline)
-            .unwrap(),
-        0.0
-    );
-    assert_eq!(srv.stats().completed, 2);
-    // Inline admission still validates shapes.
-    let err = srv
-        .submit_inline(
-            "t",
-            small_graph(9, 1.0),
-            Arc::new(small_feats(8, 3, 0)),
-            None,
-        )
-        .unwrap_err();
-    assert!(matches!(err, ServeError::BadShape { .. }));
     srv.shutdown();
 }
 

@@ -141,14 +141,6 @@ impl<T> CsrMatrix<T> {
         &self.values
     }
 
-    /// Mutable access to the stored values (structure stays fixed).
-    ///
-    /// Useful for re-weighting edges (e.g. GCN normalization) without
-    /// rebuilding the sparsity pattern.
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.values
-    }
-
     /// Number of non-zeros in row `row` (its degree for adjacency matrices).
     ///
     /// # Panics

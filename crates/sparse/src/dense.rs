@@ -199,12 +199,6 @@ impl DenseMatrix<f32> {
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
-
-    /// Fills the matrix with zeros (reuses the allocation between kernel
-    /// invocations, as the GPU kernels reuse the output buffer).
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
 }
 
 #[cfg(test)]
@@ -296,13 +290,6 @@ mod tests {
         let a = DenseMatrix::<f32>::zeros(1, 2);
         let b = DenseMatrix::<f32>::zeros(2, 1);
         assert!(a.max_abs_diff(&b).is_err());
-    }
-
-    #[test]
-    fn fill_zero_resets() {
-        let mut m = DenseMatrix::from_vec(1, 2, vec![1.0f32, 2.0]).unwrap();
-        m.fill_zero();
-        assert_eq!(m.as_slice(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -100,46 +100,6 @@ pub fn permute_rows<T: Copy>(a: &CsrMatrix<T>, perm: &Permutation) -> CsrMatrix<
         .expect("row permutation preserves CSR invariants")
 }
 
-/// Applies a symmetric permutation to a square matrix: both rows and
-/// columns are relabelled (`result[i, j] = a[perm[i], perm[j]]`), which is
-/// the graph-isomorphic node relabelling — the product `P·A·Pᵀ`.
-///
-/// # Panics
-///
-/// Panics if `a` is not square or `perm.len() != a.rows()`.
-pub fn permute_symmetric<T: Copy>(a: &CsrMatrix<T>, perm: &Permutation) -> CsrMatrix<T> {
-    assert_eq!(
-        a.rows(),
-        a.cols(),
-        "symmetric permutation needs a square matrix"
-    );
-    assert_eq!(perm.len(), a.rows(), "permutation length must match rows");
-    let inverse = perm.inverse();
-    let mut row_ptr = Vec::with_capacity(a.rows() + 1);
-    let mut col_indices = Vec::with_capacity(a.nnz());
-    let mut values = Vec::with_capacity(a.nnz());
-    row_ptr.push(0usize);
-    let mut scratch: Vec<(usize, T)> = Vec::new();
-    for &old in perm.forward() {
-        let row = a.row(old);
-        scratch.clear();
-        scratch.extend(
-            row.cols
-                .iter()
-                .map(|&c| inverse[c])
-                .zip(row.vals.iter().copied()),
-        );
-        scratch.sort_unstable_by_key(|&(c, _)| c);
-        for &(c, v) in &scratch {
-            col_indices.push(c);
-            values.push(v);
-        }
-        row_ptr.push(col_indices.len());
-    }
-    CsrMatrix::new(a.rows(), a.cols(), row_ptr, col_indices, values)
-        .expect("symmetric permutation preserves CSR invariants")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,23 +155,6 @@ mod tests {
                 assert_eq!(dp.get(new, c), d.get(old, c));
             }
         }
-    }
-
-    #[test]
-    fn symmetric_permutation_is_isomorphic() {
-        let a = sample();
-        let p = degree_sort_permutation(&a);
-        let permuted = permute_symmetric(&a, &p);
-        assert_eq!(permuted.nnz(), a.nnz());
-        let (d, dp) = (a.to_dense(), permuted.to_dense());
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(dp.get(i, j), d.get(p.forward()[i], p.forward()[j]));
-            }
-        }
-        // Applying the identity permutation is a no-op.
-        let id = Permutation::new((0..4).collect()).unwrap();
-        assert_eq!(permute_symmetric(&a, &id), a);
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn gini_of_sorted(sorted: &[usize]) -> f64 {
 }
 
 /// Histogram of row lengths: `histogram[d]` = number of rows of length `d`.
-pub fn degree_histogram<T>(matrix: &CsrMatrix<T>) -> Vec<usize> {
+pub(crate) fn degree_histogram<T>(matrix: &CsrMatrix<T>) -> Vec<usize> {
     let mut hist = Vec::new();
     for r in 0..matrix.rows() {
         let d = matrix.row_nnz(r);

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use merge_path_spmm::core::{MergePathSpmm, NeighborPartitionIndex, SpmmKernel};
+use merge_path_spmm::core::{Epilogue, ExecEngine, MergePathSpmm, NeighborPartitionIndex};
 use merge_path_spmm::gcn::ops::random_features;
 use merge_path_spmm::graphs::{DatasetSpec, GraphClass, GraphStream};
 
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mp_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         let t2 = Instant::now();
-        let (out, _) = kernel.spmm_with_stats(&a, &x)?;
+        let (out, _) = ExecEngine::global().spmm(&a, &x, &Epilogue::None)?;
         let spmm_ms = t2.elapsed().as_secs_f64() * 1e3;
 
         println!(

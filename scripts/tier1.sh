@@ -5,7 +5,8 @@
 #
 # Usage: scripts/tier1.sh
 # Also runs the servebench unit tests and a one-second smoke run of each
-# servebench workload, which must report every reply correct.
+# servebench workload, which must report every reply correct, and then
+# every example under examples/, each of which must exit 0.
 # Emits BENCH_engine.json (engine vs the seed executor), BENCH_simd.json
 # (vectorized data path vs the scalar oracle path), BENCH_serve.json
 # (coalesced vs one-request serving, smoke shape) and BENCH_batch.json
@@ -81,6 +82,11 @@ for wl in ppi-gcn nell-spmm molecule-pack; do
       exit 1
       ;;
   esac
+done
+# Every example under examples/ runs to completion (release build, a
+# fraction of a second each); a non-zero exit fails the gate.
+for ex in examples/*.rs; do
+  cargo run --release --offline --quiet --example "$(basename "$ex" .rs)"
 done
 # Every bench binary writes its BENCH_*.json into its working directory,
 # so each runs from target/tier1-bench/, never from the repository root.

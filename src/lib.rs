@@ -16,13 +16,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use merge_path_spmm::core::{MergePathSpmm, SpmmKernel};
 //! use merge_path_spmm::sparse::{CsrMatrix, DenseMatrix};
+//! use merge_path_spmm::{Epilogue, ExecEngine};
 //!
 //! let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0f32), (1, 0, 2.0)])?;
 //! let xw = DenseMatrix::from_fn(2, 4, |r, c| (r + c) as f32);
-//! let kernel = MergePathSpmm::with_threads(2);
-//! let c = kernel.spmm(&a, &xw)?;
+//! let (c, _) = ExecEngine::global().spmm(&a, &xw, &Epilogue::None)?;
 //! assert_eq!(c.get(1, 3), 6.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -6,11 +6,8 @@ use merge_path_spmm::core::{
     ExecEngine, MergePathSpmm, NeighborPartitionIndex, NnzSplitSpmm, SerialSpmm, SpmmKernel,
 };
 use merge_path_spmm::gcn::ops::random_features;
-use merge_path_spmm::gcn::ops::xavier_init;
-use merge_path_spmm::gcn::{Activation, GcnModel, GinLayer, SageMeanLayer};
-use merge_path_spmm::graphs::{
-    gcn_normalize, mean_normalize, sum_with_self_loops, DatasetSpec, GraphClass, GraphStream,
-};
+use merge_path_spmm::gcn::GcnModel;
+use merge_path_spmm::graphs::{gcn_normalize, DatasetSpec, GraphClass, GraphStream};
 
 fn spec() -> DatasetSpec {
     DatasetSpec::custom("live", GraphClass::PowerLaw, 400, 1_600, 60)
@@ -48,21 +45,10 @@ fn evolving_graph_invalidates_and_rebuilds() {
 
 #[test]
 fn gnn_zoo_runs_on_each_snapshot() {
-    // GCN, GIN, and GraphSAGE-mean all aggregate through the same SpMM
-    // engine as the graph evolves.
+    // The GCN aggregates through the SpMM engine as the graph evolves.
     let mut stream = GraphStream::new(&spec(), 13);
     let engine = ExecEngine::new(24);
     let gcn_model = GcnModel::two_layer(12, 16, 4, 2);
-    let gin = GinLayer::new(
-        xavier_init(12, 16, 3),
-        xavier_init(16, 4, 4),
-        Activation::Relu,
-    );
-    let sage = SageMeanLayer::new(
-        xavier_init(12, 4, 5),
-        xavier_init(12, 4, 6),
-        Activation::Relu,
-    );
     let x = random_features(400, 12, 0.5, 7);
 
     for _ in 0..3 {
@@ -70,19 +56,8 @@ fn gnn_zoo_runs_on_each_snapshot() {
         let gcn_out = gcn_model
             .forward(&gcn_normalize(&a), &x, &engine)
             .expect("gcn forward");
-        let gin_out = gin
-            .forward(&sum_with_self_loops(&a, 0.1), &x, &engine)
-            .expect("gin forward");
-        let sage_out = sage
-            .forward(&mean_normalize(&a), &x, &engine)
-            .expect("sage forward");
         assert_eq!(gcn_out.cols(), 4);
-        assert_eq!(gin_out.cols(), 4);
-        assert_eq!(sage_out.cols(), 4);
-        // All finite.
-        for m in [&gcn_out, &gin_out, &sage_out] {
-            assert!(m.as_slice().iter().all(|v| v.is_finite()));
-        }
+        assert!(gcn_out.as_slice().iter().all(|v| v.is_finite()));
     }
 }
 
@@ -94,7 +69,7 @@ fn gnnadvisor_also_stays_correct_under_churn() {
         let a = stream.step(15, 15).clone();
         let (want, _) = SerialSpmm.spmm_sequential(&a, &x).expect("serial");
         let (got, stats) = NnzSplitSpmm::new()
-            .spmm_with_stats(&a, &x)
+            .spmm_sequential(&a, &x)
             .expect("gnnadvisor");
         assert!(got.approx_eq(&want, 1e-3).expect("same shape"));
         assert_eq!(stats.atomic_nnz, a.nnz(), "GNNAdvisor is all-atomic");
