@@ -1,16 +1,17 @@
 //! SIMD data-path benchmark — vectorized vs scalar-oracle engine paths.
 //!
 //! For the same Table II spread as `bench_engine`, times the scalar
-//! oracle path ([`DataPath::Scalar`]) against the vectorized,
-//! cache-blocked path ([`DataPath::Vector`]) on one prepared plan,
-//! single-core, at dimensions 16 and 32, alternating the two round by
-//! round. Both sides run through [`ExecEngine::execute_prepared`] on
-//! one-worker engines, so the comparison isolates the inner data path:
-//! wide-lane streaming kernels, panel blocking, fixed-width row folds,
-//! and the degree-adaptive gather/stream dispatcher. The engine runs the
-//! same row spans whatever the kernel, so there is one record per
-//! (dataset, dim), not one per kernel. Writes `BENCH_simd.json` with one
-//! record per (dataset, dim): `{dataset, dim, ns_per_nnz, vs_scalar}`
+//! oracle path ([`DataPath::Scalar`]) against the vectorized path
+//! ([`DataPath::Vector`]) on one prepared plan, single-core, at
+//! dimensions 16 and 32, alternating the two round by round. Both sides
+//! run through [`ExecEngine::execute_prepared`] on one-worker engines, so
+//! the comparison isolates the inner data path: one row fold per block
+//! through a column-tile plan of wide-lane register tiles, fixed once per
+//! run (at 16 and 32 columns, a single tile under AVX-512F, so the whole
+//! span folds at that const width). The engine runs the same row spans
+//! whatever the kernel, so there is one record per (dataset, dim), not
+//! one per kernel. Writes `BENCH_simd.json` with one record per
+//! (dataset, dim): `{dataset, dim, ns_per_nnz, vs_scalar}`
 //! (medians), and names the instruction set the vectorized kernels ran
 //! compiled for (`"isa"`: `avx512f`, `avx2` or `baseline`, see
 //! [`DataPath::isa`]).
@@ -88,9 +89,9 @@ fn main() {
         }
     }
 
-    // Dispatcher demography on one power-law graph: how much of the
+    // Row-degree demography on one power-law graph: how much of the
     // merge-path schedule lands in the gather regime, and how many rows
-    // the engine gathers vs streams.
+    // of at most / more than `GATHER_MAX_NNZ` non-zeros the engine folds.
     let (used, a) = load(find("Pubmed"), full);
     let kernel = MergePathSpmm::new();
     let schedule = kernel.schedule(&a, 16);
@@ -101,8 +102,8 @@ fn main() {
     let _ = vector.execute_prepared(&prep, &a, &b).unwrap();
     let stats = vector.stats();
     println!(
-        "\ndispatch on {} (dim 16): {:.0}% of threads gather-bound; \
-         {} gather / {} stream rows this run",
+        "\nrow degrees on {} (dim 16): {:.0}% of threads gather-bound; \
+         {} short / {} long rows this run",
         used.name,
         gather_frac * 100.0,
         stats.gather_segments,

@@ -3,77 +3,52 @@
 //! The engine schedules rows onto workers; this module supplies the
 //! kernels that fold each row:
 //!
-//! * **Wide-lane streaming kernels** — const-generic register-accumulator
-//!   blocks of 16 and 8 f32 lanes ([`LaneWidth`] picks the widest the CPU
-//!   supports at runtime), plus 128-, 64- and 32-column blocks (eight,
-//!   four and two `zmm` accumulators) on AVX-512F, each compiled to
-//!   straight-line code LLVM auto-vectorizes. A remainder narrower than a
-//!   block is covered by one more block that ends at the panel's end and
-//!   reaches back over columns already stored: the streaming kernels only
-//!   store, and every column's sum is the same whichever block computes
-//!   it, so the overlap rewrites the same bits and no column runs a
-//!   scalar chain.
+//! * **One row fold per block** — a block's column-tile plan
+//!   ([`TilePlan`]) is fixed once per (span, block) run from its width and
+//!   the ISA, and every row of the span runs through it with no other
+//!   per-row decision. The plan's tiles are const-generic
+//!   register-accumulator blocks: 128-, 64- and 32-column tiles (eight,
+//!   four and two `zmm` accumulators) on AVX-512F, then tiles at the lane
+//!   width ([`LaneWidth`] picks 16 or 8 at runtime), 8 and 4, each
+//!   compiled to straight-line code LLVM auto-vectorizes. A remainder
+//!   narrower than a tile is covered by one more tile that ends at the
+//!   row's end and reaches back over columns already stored: the tiles
+//!   only store, and every column's sum is the same whichever tile
+//!   computes it, so the overlap rewrites the same bits and no column runs
+//!   a scalar chain. Only a row narrower than four columns takes a tile of
+//!   its own width. A one-tile plan (widths 1–4 and 8, the lane width, and
+//!   32, 64 and 128 under AVX-512F) folds the whole span at that const
+//!   width.
 //! * **ISA clones** — the vectorized row fold and the 16-lane GEMM tile
 //!   both run through one pair of `#[target_feature]` trampolines
 //!   ([`with_isa`]), so the same kernel bodies compile to 512- or 256-bit
 //!   code when the CPU proves AVX-512F or AVX2 at runtime ([`WideIsa`]).
 //!   Under AVX-512F a GEMM wider than 16 columns runs an explicit
 //!   4 × 32 `zmm` tile instead ([`gemm_pack_width`]).
-//! * **Feature-dimension panel blocking** — for large `dim` a segment is
-//!   swept in L1-resident column panels ([`crate::tuning::panel_cols`]),
-//!   so the gathered rows of `B` are touched one cache-friendly panel at
-//!   a time instead of streaming full rows past the accumulators.
-//! * **Degree-adaptive dispatch** — segments with at most
-//!   [`crate::tuning::GATHER_MAX_NNZ`] non-zeros (the short-row regime
-//!   that dominates power-law graphs) skip the column-blocked machinery
-//!   and run a gather microkernel that initializes the destination once
-//!   and axpy-accumulates row by row; long segments take the streaming
-//!   panel kernel. The engine records the split in
-//!   [`crate::EngineStats`].
-//! * **Gather prefetch** — an engine worker walks one contiguous run
-//!   of non-zeros, so the kernel knows which `B` rows it reads next, across
-//!   row boundaries. While it accumulates non-zero `k` it
-//!   hints `B` row `cols[k + PREFETCH_DISTANCE]` over the current panel,
-//!   one 64-byte line at a time (`prefetcht0` on x86-64; no hint
-//!   elsewhere). The hints only pay when `B` misses cache, so
-//!   [`ResolvedPath::prefetch`] turns them on once per run, only when
-//!   `B`'s touched footprint — its rows times the dense width times
-//!   4 bytes — is several times
-//!   [`CacheModel::l2_bytes`] ([`prefetch_pays`]). Hints never change a
-//!   value, so every path stays bit-identical with them on or off.
+//! * **Feature-dimension panel blocking** — the GEMM sweeps its output
+//!   width in L1-resident column panels ([`crate::tuning::panel_cols`]).
 //!
 //! # Why the scalar kernel stays the oracle
 //!
-//! Every kernel here gives each output column its **own** accumulator and
-//! adds that column's products in non-zero order. Lane width, panel
-//! boundaries, and the gather-vs-stream choice only change *which columns
-//! are grouped together*, never the order of additions within a column —
-//! so all paths produce exactly equal values (f32 `==`, zero tolerance)
-//! to [`accumulate_segment_scalar`] (and hence to
-//! [`crate::executor::execute_sequential`]). The streaming kernels fold
-//! in the oracle's leading `0.0` and are bit-identical; the gather
-//! microkernel fuses the products directly, which can differ from the
-//! oracle only in the **sign of a zero** result (`-0.0` vs `+0.0`, a
-//! 0-ulp difference) — the property tests assert exact equality, not a
-//! tolerance, and pass because `-0.0 == 0.0`. Building with the
-//! `force-scalar` feature pins [`DataPath::Auto`] to the scalar path,
-//! keeping a known-good oracle build available at all times.
+//! Every kernel here gives each output column its **own** accumulator,
+//! seeds it from `0.0` and adds that column's products in non-zero order.
+//! Lane width and tile plan only change *which columns are grouped
+//! together*, never the order of additions within a column — so every
+//! path produces the same bits as [`fold_row_scalar`] (and hence as
+//! [`crate::executor::execute_sequential`]), the sign of a zero included.
+//! Building with the `force-scalar` feature pins [`DataPath::Auto`] to the
+//! scalar path, keeping a known-good oracle build available at all times.
 //!
 //! # Tuning constants
 //!
-//! The data path reads no environment variable. The gather threshold is
-//! the constant [`GATHER_MAX_NNZ`] — the same one
-//! [`crate::PreparedPlan::dispatch_profile`] counts against, so the
-//! gather/stream counters always describe what ran. The prefetch distance
-//! is a constant too, and the prefetch gate follows from the
-//! [`CacheModel`]; neither has a switch.
+//! The data path reads no environment variable and has no switch: the
+//! tile plan follows from the block's width and the ISA alone.
 
-use mpspmm_sparse::{CsrMatrix, DenseMatrix};
+use mpspmm_sparse::DenseMatrix;
 
-use crate::plan::Segment;
-use crate::tuning::{panel_cols, CacheModel, GATHER_MAX_NNZ, GEMM_MR};
+use crate::tuning::{panel_cols, CacheModel, GEMM_MR};
 
-/// Which inner data path an [`crate::ExecEngine`] drives its segments
+/// Which inner data path an [`crate::ExecEngine`] drives its rows
 /// through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DataPath {
@@ -83,12 +58,12 @@ pub enum DataPath {
     Auto,
     /// Scalar per-column accumulation — the correctness oracle.
     Scalar,
-    /// Wide-lane streaming kernels with panel blocking and
-    /// degree-adaptive gather dispatch.
+    /// Wide-lane register tiles, one column-tile plan per block.
     Vector,
 }
 
-/// Accumulator width of the streaming kernel, selected at runtime.
+/// Accumulator width of the lane-width SpMM tile and the GEMM tile,
+/// selected at runtime.
 /// How many registers a block fills depends on the [`WideIsa`] clone the
 /// kernel runs in: the SpMM row fold and the GEMM tile both run in the
 /// widest clone the CPU proves.
@@ -132,8 +107,8 @@ impl LaneWidth {
 /// FMA-contracted, which would change rounding) is emitted with 256- or
 /// 512-bit instructions. Results stay bit-equal across all variants
 /// because every vector lane is an independent output column. Under
-/// `Avx512f` the streaming SpMM kernel also runs 128-, 64- and 32-column
-/// blocks ahead of the 16-lane one; that too only regroups columns.
+/// `Avx512f` the SpMM tile plan also runs 128-, 64- and 32-column tiles
+/// ahead of the 16-lane one; that too only regroups columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WideIsa {
     /// Baseline codegen (also all non-x86_64 targets).
@@ -168,18 +143,14 @@ pub(crate) enum PathKind {
 }
 
 /// A [`DataPath`] resolved against a dense dimension: the kernel family,
-/// the lane width, the ISA clone and the column panel, fixed once per
-/// engine run.
+/// the lane width, the ISA clone and the GEMM column panel, fixed once
+/// per engine run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedPath {
     pub kind: PathKind,
     pub lanes: LaneWidth,
     pub wide_isa: WideIsa,
     pub panel: usize,
-    /// Gather prefetch on (see the module docs): only for the `Vector`
-    /// family, and only when the run's `B` footprint overflows L2
-    /// ([`prefetch_pays`]). Hints never change a value.
-    pub prefetch: bool,
 }
 
 impl DataPath {
@@ -205,294 +176,174 @@ impl DataPath {
         }
     }
 
-    /// Resolves the path for one execution over a `b_rows × dim` dense
-    /// operand. Gather prefetch is decided here too, once per run, by
-    /// [`prefetch_pays`].
-    pub(crate) fn resolve(self, b_rows: usize, dim: usize) -> ResolvedPath {
-        let kind = self.kind();
+    /// Resolves the path for one execution over a `dim`-column dense
+    /// operand.
+    pub(crate) fn resolve(self, dim: usize) -> ResolvedPath {
         let lanes = LaneWidth::detect();
-        let model = CacheModel::default();
         ResolvedPath {
-            kind,
+            kind: self.kind(),
             lanes,
             wide_isa: WideIsa::detect(),
-            panel: panel_cols(dim, lanes.lanes(), &model),
-            prefetch: kind == PathKind::Vector && prefetch_pays(b_rows, dim, &model),
+            panel: panel_cols(dim, lanes.lanes(), &CacheModel::default()),
         }
     }
 }
 
-/// How many times the cache model's L2 `B`'s touched footprint must
-/// exceed before the gathers miss often enough for hints to pay. The
-/// model's 1 MiB L2 is a floor; on a core with a larger L2, gathers over
-/// 1–1.3 MiB of `B` still mostly hit, and the hints cost 17–59% there.
-/// DESIGN.md §2.3.1 records the sweep.
-const PREFETCH_L2_MULTIPLE: usize = 4;
-
-/// The gather-prefetch gate: hints pay only when the gathered rows miss
-/// cache, i.e. when `B`'s touched footprint — `b_rows` rows of `dim`
-/// f32 columns — is more than [`PREFETCH_L2_MULTIPLE`]
-/// times L2. Below that most gathers already hit, and the hints are
-/// mostly instruction overhead.
-pub(crate) fn prefetch_pays(b_rows: usize, dim: usize, model: &CacheModel) -> bool {
-    b_rows
-        .saturating_mul(dim)
-        .saturating_mul(std::mem::size_of::<f32>())
-        > model.l2_bytes.saturating_mul(PREFETCH_L2_MULTIPLE)
-}
-
-/// Scalar oracle: one column at a time, additions in non-zero order.
-pub(crate) fn accumulate_segment_scalar(
-    seg: &Segment,
-    cols: &[usize],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    dst: &mut [f32],
-) {
+/// Scalar oracle: one column at a time, each summed from `0.0` over the
+/// row's non-zeros (`cols`, `vals`) in order, stored into `dst`.
+pub(crate) fn fold_row_scalar(cols: &[usize], vals: &[f32], b: &DenseMatrix<f32>, dst: &mut [f32]) {
     for (d, slot) in dst.iter_mut().enumerate() {
         let mut s = 0.0f32;
-        for k in seg.nz_start..seg.nz_end {
-            s += vals[k] * b.row(cols[k])[d];
+        for (&v, &c) in vals.iter().zip(cols) {
+            s += v * b.row(c)[d];
         }
         *slot = s;
     }
 }
 
-/// One `W`-column register-accumulator block: `W` f32 accumulators live
-/// across the whole segment sweep, loads of `B` go through a fixed-size
-/// `[f32; W]` view so the inner loop is bounds-check-free straight-line
-/// code LLVM vectorizes. Columns start at `d` in both `B` and `dst`.
-/// `pf` is the column window to hint ahead ([`hint_ahead`]) while
-/// sweeping, or `None`.
+/// One `W`-column register tile of a row: `W` f32 accumulators, seeded
+/// from `0.0`, sweep the row's non-zeros (`cols`, `vals`) in ascending
+/// `k`, then store into `dst[d..d + W]`. `b` is the dense operand's
+/// row-major storage, `dim` columns wide; loads of it go through a
+/// fixed-size `[f32; W]` view, so the inner loop is straight-line code
+/// LLVM vectorizes.
 #[inline(always)]
-fn stream_block<const W: usize>(
-    seg: &Segment,
+pub(crate) fn tile<const W: usize>(
     cols: &[usize],
     vals: &[f32],
-    b: &DenseMatrix<f32>,
+    b: &[f32],
+    dim: usize,
     d: usize,
     dst: &mut [f32],
-    pf: Option<(usize, usize)>,
 ) {
     let mut acc = [0.0f32; W];
-    for k in seg.nz_start..seg.nz_end {
-        if let Some(window) = pf {
-            hint_ahead(cols, k, b, window);
-        }
-        let v = vals[k];
-        let row = b.row(cols[k]);
-        let blk: &[f32; W] = row[d..d + W].try_into().expect("block inside dense row");
-        for (a, &x) in acc.iter_mut().zip(blk) {
+    for (&v, &c) in vals.iter().zip(cols) {
+        let x: &[f32; W] = b[c * dim + d..][..W]
+            .try_into()
+            .expect("tile inside the row");
+        for (a, &x) in acc.iter_mut().zip(x) {
             *a += v * x;
         }
     }
     dst[d..d + W].copy_from_slice(&acc);
 }
 
-/// Runs `W`-column [`stream_block`]s from column `d` while they fit
-/// before `p1`. A remainder wider than half a block (any remainder, at
-/// the narrowest, 4-column block) is then covered by one more block that
-/// ends at `p1` and reaches back over columns already stored — when the
-/// row is at least `W` columns wide. A narrower remainder is left to the
-/// next narrower block, so a remainder costs one sweep by the narrowest
-/// block that covers it. The streaming blocks only store, and a column's
-/// sum does not depend on the block that computes it, so the overlap
-/// rewrites the same bits. Returns the first column not yet stored. The
-/// first block run takes the hint window `pf`.
-#[inline(always)]
-fn stream_blocks<const W: usize>(
-    seg: &Segment,
-    cols: &[usize],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    (mut d, p1): (usize, usize),
-    dst: &mut [f32],
-    pf: &mut Option<(usize, usize)>,
-) -> usize {
-    while d + W <= p1 {
-        stream_block::<W>(seg, cols, vals, b, d, dst, pf.take());
-        d += W;
-    }
-    let cover = if W > 4 { W / 2 } else { 0 };
-    if p1 - d > cover && p1 >= W {
-        stream_block::<W>(seg, cols, vals, b, p1 - W, dst, pf.take());
-        d = p1;
-    }
-    d
+/// `count` side-by-side tiles of `width` columns from column `start`: one
+/// run of a [`TilePlan`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TileRun {
+    pub width: usize,
+    pub start: usize,
+    pub count: usize,
 }
 
-/// Gather microkernel for short segments: fuse all (at most
-/// [`GATHER_MAX_NNZ`], i.e. four) gathered rows into a single
-/// register-accumulating pass over the destination —
-/// one `dst` write per column, no per-block loop restarts, no staging
-/// array. The column-blocked machinery would cost more than the segment
-/// itself.
-///
-/// Per column the products are summed left-to-right in non-zero order,
-/// the oracle's order; the only representational difference is that the
-/// oracle folds in a leading `0.0` (which can flip a `-0.0` product to
-/// `+0.0`), so results are equal under f32 `==` and may differ only in
-/// the sign of zero.
-#[inline(always)]
-pub(crate) fn gather_segment(
-    seg: &Segment,
-    cols: &[usize],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    dst: &mut [f32],
-) {
-    let k = seg.nz_start;
-    let row = |i: usize| b.row(cols[k + i]);
-    match seg.len() {
-        0 => dst.fill(0.0),
-        1 => {
-            let v0 = vals[k];
-            for (slot, &x0) in dst.iter_mut().zip(row(0)) {
-                *slot = v0 * x0;
-            }
-        }
-        2 => {
-            let (v0, v1) = (vals[k], vals[k + 1]);
-            for ((slot, &x0), &x1) in dst.iter_mut().zip(row(0)).zip(row(1)) {
-                *slot = v0 * x0 + v1 * x1;
-            }
-        }
-        3 => {
-            let (v0, v1, v2) = (vals[k], vals[k + 1], vals[k + 2]);
-            for (((slot, &x0), &x1), &x2) in dst.iter_mut().zip(row(0)).zip(row(1)).zip(row(2)) {
-                *slot = v0 * x0 + v1 * x1 + v2 * x2;
-            }
-        }
-        4 => {
-            let (v0, v1, v2, v3) = (vals[k], vals[k + 1], vals[k + 2], vals[k + 3]);
-            for ((((slot, &x0), &x1), &x2), &x3) in dst
-                .iter_mut()
-                .zip(row(0))
-                .zip(row(1))
-                .zip(row(2))
-                .zip(row(3))
-            {
-                *slot = v0 * x0 + v1 * x1 + v2 * x2 + v3 * x3;
-            }
-        }
-        n => unreachable!("gather segment of {n} > GATHER_MAX_NNZ non-zeros"),
-    }
+/// Runs a [`TilePlan`] holds at most: one per tile width, plus the
+/// overlapping tile that ends the row.
+const MAX_TILE_RUNS: usize = 7;
+
+/// The column tiles that cover a `dim`-wide row, fixed once per block run
+/// from the width and the ISA. Under AVX-512F it starts with 128-, 64-
+/// and 32-column tiles; then come tiles at the lane width, 8 and 4. At
+/// each width, tiles run side by side while they fit; a remainder wider
+/// than half a tile (any remainder, at 4) then takes one more tile that
+/// ends at the row's end, when the row is at least that wide, and the
+/// plan is complete. Only a row narrower than four columns takes a tile
+/// of its own width. Width 121 under AVX-512F is a 64-column tile at 0
+/// and one at 57. The plan lives on the stack: building it allocates
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TilePlan {
+    runs: [TileRun; MAX_TILE_RUNS],
+    len: usize,
 }
 
-/// Streaming panel kernel for long segments: sweeps the destination row
-/// in `rp.panel`-column panels. Within a panel it runs 128-, 64- and
-/// 32-column blocks under [`WideIsa::Avx512f`] (eight, four and two `zmm`
-/// accumulators: independent add chains), then blocks at `rp.lanes`, 8
-/// and 4, and covers a remainder with one overlapping block ending at the
-/// panel's end ([`stream_blocks`]); only a row narrower than four columns
-/// needs a block of its own width.
-#[inline(always)]
-pub(crate) fn stream_segment(
-    seg: &Segment,
-    cols: &[usize],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    dst: &mut [f32],
-    rp: &ResolvedPath,
-) {
-    let dim = dst.len();
-    let panel = rp.panel.max(1);
-    let mut p0 = 0;
-    while p0 < dim {
-        let p1 = (p0 + panel).min(dim);
-        // The panel's first block, whichever width it is, hints the whole
-        // panel window ahead; the later blocks find those lines in cache.
-        let mut pf = rp.prefetch.then_some((p0, p1));
-        let mut d = p0;
-        if rp.wide_isa == WideIsa::Avx512f {
-            d = stream_blocks::<128>(seg, cols, vals, b, (d, p1), dst, &mut pf);
-            d = stream_blocks::<64>(seg, cols, vals, b, (d, p1), dst, &mut pf);
-            d = stream_blocks::<32>(seg, cols, vals, b, (d, p1), dst, &mut pf);
-        }
-        if rp.lanes == LaneWidth::W16 {
-            d = stream_blocks::<16>(seg, cols, vals, b, (d, p1), dst, &mut pf);
-        }
-        d = stream_blocks::<8>(seg, cols, vals, b, (d, p1), dst, &mut pf);
-        d = stream_blocks::<4>(seg, cols, vals, b, (d, p1), dst, &mut pf);
-        match p1 - d {
-            0 => {}
-            1 => stream_block::<1>(seg, cols, vals, b, d, dst, pf),
-            2 => stream_block::<2>(seg, cols, vals, b, d, dst, pf),
-            _ => stream_block::<3>(seg, cols, vals, b, d, dst, pf),
-        }
-        p0 = p1;
-    }
-}
-
-/// How many non-zeros ahead of the one being accumulated the vectorized
-/// kernels hint the gathered `B` row. Far enough that the line arrives
-/// before its use, near enough that it is still in L1 then; DESIGN.md
-/// §2.3.1 records the sweep that chose it.
-const PREFETCH_DISTANCE: usize = 8;
-
-/// Hints `B` row `cols[k + PREFETCH_DISTANCE]` over the source columns
-/// `[lo, hi)`. The index is clipped at the end of the index array, not
-/// at the segment's end, so the hints run ahead into the next rows an
-/// engine worker will walk. A hint never faults and never changes a
-/// value; a row outside `b` (impossible for a checked operand) is not
-/// hinted.
-#[inline(always)]
-fn hint_ahead(cols: &[usize], k: usize, b: &DenseMatrix<f32>, (lo, hi): (usize, usize)) {
-    let Some(&c) = cols.get((k + PREFETCH_DISTANCE).min(cols.len().saturating_sub(1))) else {
-        return;
-    };
-    let start = c * b.cols() + lo;
-    if let Some(window) = b.as_slice().get(start..start + (hi - lo)) {
-        #[cfg(target_arch = "x86_64")]
-        wide::prefetch_lines(window);
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = window;
-    }
-}
-
-/// The vectorized path's degree-adaptive dispatch: gather microkernel at
-/// or below the threshold, streaming panel kernel above it. With
-/// [`ResolvedPath::prefetch`]
-/// set, both kernels hint the `B` row [`PREFETCH_DISTANCE`] non-zeros
-/// ahead of each non-zero they use: the gather kernel sends its few
-/// hints up front, the streaming kernel during its first block's sweep.
-#[inline(always)]
-pub(crate) fn vector_segment(
-    seg: &Segment,
-    cols: &[usize],
-    vals: &[f32],
-    b: &DenseMatrix<f32>,
-    dst: &mut [f32],
-    rp: &ResolvedPath,
-) {
-    if seg.len() <= GATHER_MAX_NNZ {
-        if rp.prefetch {
-            for k in seg.nz_start..seg.nz_end {
-                hint_ahead(cols, k, b, (0, dst.len()));
+impl TilePlan {
+    /// The plan of a `dim`-wide row under `rp`'s lane width and ISA.
+    pub(crate) fn new(dim: usize, rp: &ResolvedPath) -> Self {
+        let mut plan = Self {
+            runs: [TileRun::default(); MAX_TILE_RUNS],
+            len: 0,
+        };
+        let mut push = |run: TileRun| {
+            plan.runs[plan.len] = run;
+            plan.len += 1;
+        };
+        let wide: &[usize] = match rp.wide_isa {
+            WideIsa::Avx512f => &[128, 64, 32],
+            _ => &[],
+        };
+        let lanes: &[usize] = match rp.lanes {
+            LaneWidth::W16 => &[16],
+            LaneWidth::W8 => &[],
+        };
+        let mut d = 0;
+        for &width in wide.iter().chain(lanes).chain(&[8, 4]) {
+            let count = (dim - d) / width;
+            if count > 0 {
+                push(TileRun {
+                    width,
+                    start: d,
+                    count,
+                });
+                d += count * width;
+            }
+            let cover = if width > 4 { width / 2 } else { 0 };
+            if dim - d > cover && dim >= width {
+                push(TileRun {
+                    width,
+                    start: dim - width,
+                    count: 1,
+                });
+                d = dim;
             }
         }
-        gather_segment(seg, cols, vals, b, dst);
-    } else {
-        stream_segment(seg, cols, vals, b, dst, rp);
+        if d < dim {
+            push(TileRun {
+                width: dim - d,
+                start: d,
+                count: 1,
+            });
+        }
+        plan
     }
-}
 
-/// Accumulates one segment into the full output row `dst`, overwriting
-/// it, through the resolved data path. `inline(always)`, like every
-/// vectorized kernel below it, so the ISA clone that runs the row fold
-/// compiles all of it under its own features.
-#[inline(always)]
-pub(crate) fn accumulate_segment_dispatch(
-    rp: &ResolvedPath,
-    seg: &Segment,
-    a: &CsrMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    dst: &mut [f32],
-) {
-    let (cols, vals) = (a.col_indices(), a.values());
-    match rp.kind {
-        PathKind::Scalar => accumulate_segment_scalar(seg, cols, vals, b, dst),
-        PathKind::Vector => vector_segment(seg, cols, vals, b, dst, rp),
+    /// The plan's runs, in column order.
+    pub(crate) fn runs(&self) -> &[TileRun] {
+        &self.runs[..self.len]
+    }
+
+    /// The tile width when one tile covers the whole row.
+    pub(crate) fn single(&self) -> Option<usize> {
+        match self.runs() {
+            [TileRun {
+                width, count: 1, ..
+            }] => Some(*width),
+            _ => None,
+        }
+    }
+
+    /// Stores the sum of one row's non-zeros (`cols`, `vals`) into every
+    /// column of `dst`, tile by tile in plan order. `b` is the dense
+    /// operand's row-major storage, `dst.len()` columns wide.
+    #[inline(always)]
+    pub(crate) fn fold_row(&self, cols: &[usize], vals: &[f32], b: &[f32], dst: &mut [f32]) {
+        let dim = dst.len();
+        for run in self.runs() {
+            for d in (run.start..).step_by(run.width).take(run.count) {
+                match run.width {
+                    128 => tile::<128>(cols, vals, b, dim, d, dst),
+                    64 => tile::<64>(cols, vals, b, dim, d, dst),
+                    32 => tile::<32>(cols, vals, b, dim, d, dst),
+                    16 => tile::<16>(cols, vals, b, dim, d, dst),
+                    8 => tile::<8>(cols, vals, b, dim, d, dst),
+                    4 => tile::<4>(cols, vals, b, dim, d, dst),
+                    3 => tile::<3>(cols, vals, b, dim, d, dst),
+                    2 => tile::<2>(cols, vals, b, dim, d, dst),
+                    1 => tile::<1>(cols, vals, b, dim, d, dst),
+                    w => unreachable!("no {w}-column tile"),
+                }
+            }
+        }
     }
 }
 
@@ -696,8 +547,8 @@ pub(crate) fn with_isa<R>(isa: WideIsa, body: impl FnOnce() -> R) -> R {
     }
 }
 
-/// The two `#[target_feature]` trampolines behind [`with_isa`], the
-/// explicit AVX-512F GEMM tile, and the gather-prefetch hint. This is
+/// The two `#[target_feature]` trampolines behind [`with_isa`] and the
+/// explicit AVX-512F GEMM tile. This is
 /// one of the two modules allowed out of the crate's `deny(unsafe_code)`
 /// (with [`crate::pool`]): calling a `#[target_feature]` function is
 /// `unsafe` because executing it on a CPU without the feature is
@@ -722,30 +573,6 @@ mod wide {
     use std::ops::Range;
 
     use super::WideIsa;
-
-    /// Emits one `prefetcht0` for every 64-byte cache line that
-    /// `window` touches.
-    #[inline(always)]
-    pub(super) fn prefetch_lines(window: &[f32]) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        const LINE: usize = 64;
-        let base = window.as_ptr().cast::<i8>();
-        let start = base as usize;
-        let end = start + std::mem::size_of_val(window);
-        let mut line = start & !(LINE - 1);
-        while line < end {
-            // The first line may begin before the window: hint it at the
-            // window's first byte instead.
-            let at = line.max(start) - start;
-            // SAFETY: `at < size_of_val(window)`, so the pointer stays
-            // inside the live slice `window`. `prefetcht0` is a hint: it
-            // cannot fault, writes nothing, and returns no value to the
-            // program. SSE, which provides it, is part of the x86-64
-            // baseline.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(at)) };
-            line += LINE;
-        }
-    }
 
     /// Runs `body` in the AVX-512F or AVX2 trampoline, or directly.
     /// `wide_isa` is only ever set to a non-`Portable` variant by
@@ -1049,28 +876,7 @@ pub(crate) fn proven_isas() -> Vec<WideIsa> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Flush;
     use crate::spmm::test_support::{random_dense, random_matrix};
-
-    fn seg(nz_start: usize, nz_end: usize) -> Segment {
-        Segment {
-            row: 0,
-            nz_start,
-            nz_end,
-            flush: Flush::Regular,
-        }
-    }
-
-    fn scalar_reference(
-        s: &Segment,
-        a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
-        dim: usize,
-    ) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        accumulate_segment_scalar(s, a.col_indices(), a.values(), b, &mut out);
-        out
-    }
 
     fn resolved(kind: PathKind, lanes: LaneWidth, panel: usize) -> ResolvedPath {
         ResolvedPath {
@@ -1078,148 +884,105 @@ mod tests {
             lanes,
             wide_isa: WideIsa::detect(),
             panel,
-            prefetch: false,
         }
     }
 
-    /// Every kernel variant, ISA clone, lane width and panel size must be
-    /// bit-identical to the scalar oracle on all dims 1..=67 and at the
-    /// wide dims around the 64- and 32-column blocks — including empty
-    /// segments and single-nnz rows. Narrow panels make the remainder
-    /// block reach back across a panel edge.
+    /// The (ISA, lane width) pairs a tile plan is built for: every ISA,
+    /// proven or not (building a plan runs nothing), at both lane widths.
+    fn plan_paths() -> Vec<ResolvedPath> {
+        let isas = [WideIsa::Portable, WideIsa::Avx2, WideIsa::Avx512f];
+        isas.into_iter()
+            .flat_map(|wide_isa| {
+                [LaneWidth::W8, LaneWidth::W16].map(|lanes| ResolvedPath {
+                    wide_isa,
+                    ..resolved(PathKind::Vector, lanes, 16)
+                })
+            })
+            .collect()
+    }
+
+    /// The plan rule at the widths the served workloads and the docs
+    /// name, and, at every width up to 300 under every ISA and lane
+    /// width, plans whose tiles stay inside the row and cover every
+    /// column, widest tiles first.
     #[test]
-    fn all_kernels_bit_match_scalar_oracle_dims_1_to_67() {
-        let a = random_matrix(64, 64, 300, 21);
-        let row_end = a.row_ptr()[1];
-        let segments = [
-            seg(0, row_end), // the evil long row
-            seg(0, 0),       // empty
-            seg(2, 3),       // single non-zero
-            seg(1, row_end - 1),
-            seg(3, 5),                  // two non-zeros (gather)
-            seg(4, 7),                  // three non-zeros (gather)
-            seg(5, 5 + GATHER_MAX_NNZ), // the widest gather segment
+    fn tile_plans_cover_every_column_by_the_width_rule() {
+        let run = |width, start, count| TileRun {
+            width,
+            start,
+            count,
+        };
+        let rp = |wide_isa, lanes| ResolvedPath {
+            wide_isa,
+            ..resolved(PathKind::Vector, lanes, 16)
+        };
+        let avx512 = rp(WideIsa::Avx512f, LaneWidth::W16);
+        let avx2 = rp(WideIsa::Avx2, LaneWidth::W16);
+        let sse = rp(WideIsa::Portable, LaneWidth::W8);
+        let cases = [
+            (121, avx512, vec![run(64, 0, 1), run(64, 57, 1)]),
+            (128, avx512, vec![run(128, 0, 1)]),
+            (32, avx512, vec![run(32, 0, 1)]),
+            (32, avx2, vec![run(16, 0, 2)]),
+            (16, avx2, vec![run(16, 0, 1)]),
+            (16, sse, vec![run(8, 0, 2)]),
+            (200, avx512, vec![run(128, 0, 1), run(128, 72, 1)]),
+            (136, avx512, vec![run(128, 0, 1), run(8, 128, 1)]),
+            (21, avx2, vec![run(16, 0, 1), run(8, 13, 1)]),
+            (5, avx512, vec![run(4, 0, 1), run(4, 1, 1)]),
+            (3, avx512, vec![run(3, 0, 1)]),
+            (1, sse, vec![run(1, 0, 1)]),
         ];
+        for (dim, rp, want) in cases {
+            assert_eq!(TilePlan::new(dim, &rp).runs(), want, "dim={dim} {rp:?}");
+        }
+        for rp in plan_paths() {
+            for dim in 1..=300usize {
+                let plan = TilePlan::new(dim, &rp);
+                let mut covered = vec![false; dim];
+                for r in plan.runs() {
+                    assert!(r.count > 0 && r.start + r.count * r.width <= dim);
+                    covered[r.start..r.start + r.count * r.width].fill(true);
+                }
+                assert!(covered.iter().all(|&c| c), "dim={dim} {rp:?}");
+                assert!(plan.runs().windows(2).all(|w| w[0].width >= w[1].width));
+                if let Some(width) = plan.single() {
+                    assert_eq!(width, dim, "a lone tile spans the row");
+                }
+            }
+        }
+    }
+
+    /// Every tile plan, run in every ISA clone this CPU proves at both
+    /// lane widths, stores exactly the scalar oracle's bits on all widths
+    /// 1..=67 and the wide widths around the 128-, 64- and 32-column
+    /// tiles: for a long row, an empty row, and rows of one to four
+    /// non-zeros. The output starts as NaN, so a column no tile stores
+    /// shows.
+    #[test]
+    fn tile_plans_bit_match_the_scalar_oracle() {
+        let a = random_matrix(64, 64, 300, 21);
+        let (cols, vals) = (a.col_indices(), a.values());
+        let long = a.row_ptr()[1];
+        let rows = [0..long, 0..0, 2..3, 1..long - 1, 3..5, 4..7, 5..9];
         let isas = proven_isas();
         for dim in (1..=67usize).chain([96, 121, 127, 128, 129, 200]) {
             let b = random_dense(64, dim, 22);
-            for s in &segments {
-                let want = scalar_reference(s, &a, &b, dim);
-                let mut got = vec![f32::NAN; dim];
-                for &wide_isa in &isas {
-                    for lanes in [LaneWidth::W8, LaneWidth::W16] {
-                        for panel in [8usize, 16, 32, 48, 1024] {
-                            let rp = ResolvedPath {
-                                wide_isa,
-                                ..resolved(PathKind::Vector, lanes, panel)
-                            };
-                            got.fill(f32::NAN);
-                            with_isa(wide_isa, || {
-                                vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp)
-                            });
-                            assert_eq!(
-                                got, want,
-                                "vector {wide_isa:?} dim={dim} lanes={lanes:?} \
-                                 panel={panel} seg={s:?}"
-                            );
-                        }
-                    }
-                }
-                if s.len() <= GATHER_MAX_NNZ {
-                    got.fill(f32::NAN);
-                    gather_segment(s, a.col_indices(), a.values(), &b, &mut got);
-                    assert_eq!(got, want, "gather dim={dim} seg={s:?}");
-                }
-                got.fill(f32::NAN);
-                let rp = resolved(PathKind::Vector, LaneWidth::W16, 16);
-                stream_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
-                assert_eq!(got, want, "stream dim={dim} seg={s:?}");
-            }
-        }
-    }
-
-    /// Gather prefetch must never change a value: `vector_segment` with
-    /// the hints on and off, on both lane widths and in every ISA clone,
-    /// equals the scalar oracle exactly. The segments include empty ones
-    /// and ones that end at the matrix's last non-zero, where
-    /// `k + PREFETCH_DISTANCE` runs past the index array and the hint
-    /// index is clipped. The narrow panel width hands the hint interior
-    /// panel windows, so this drives the prefetch `unsafe` block at
-    /// every window edge (lane-misaligned starts, single columns,
-    /// windows ending at the row's last column).
-    #[test]
-    fn prefetch_on_and_off_bit_match_scalar_oracle() {
-        let a = random_matrix(64, 64, 300, 23);
-        let nnz = a.nnz();
-        let row_end = a.row_ptr()[1];
-        let segments = [
-            seg(0, row_end),                            // the evil long row
-            seg(0, 0),                                  // empty at the start
-            seg(nnz, nnz),                              // empty at the end
-            seg(nnz - 1, nnz),                          // last non-zero alone
-            seg(nnz - GATHER_MAX_NNZ, nnz),             // widest gather, clipped
-            seg(nnz - PREFETCH_DISTANCE - 3, nnz),      // streaming, clipped
-            seg(nnz - 40, nnz - PREFETCH_DISTANCE / 2), // clip in the last hints
-            seg(5, 5 + GATHER_MAX_NNZ + 1),             // shortest streaming
-        ];
-        for dim in [1usize, 5, 16, 17, 33, 67, 128] {
-            let b = random_dense(64, dim, 24);
-            for s in &segments {
-                let mut want = vec![0.0f32; dim];
-                accumulate_segment_scalar(s, a.col_indices(), a.values(), &b, &mut want);
-                for lanes in [LaneWidth::W8, LaneWidth::W16] {
-                    for panel in [8usize, 1024] {
-                        for (prefetch, wide_isa) in [false, true]
-                            .into_iter()
-                            .flat_map(|p| proven_isas().into_iter().map(move |i| (p, i)))
-                        {
-                            let rp = ResolvedPath {
-                                prefetch,
-                                wide_isa,
-                                ..resolved(PathKind::Vector, lanes, panel)
-                            };
-                            let ctx = format!(
-                                "dim={dim} lanes={lanes:?} panel={panel} \
-                                 prefetch={prefetch} {wide_isa:?} seg={s:?}"
-                            );
-                            let mut got = vec![f32::NAN; dim];
-                            with_isa(wide_isa, || {
-                                vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp)
-                            });
-                            assert_eq!(got, want, "{ctx}");
-                        }
-                    }
+            for nz in &rows {
+                let (c, v) = (&cols[nz.clone()], &vals[nz.clone()]);
+                let mut want = vec![f32::NAN; dim];
+                fold_row_scalar(c, v, &b, &mut want);
+                for rp in plan_paths()
+                    .into_iter()
+                    .filter(|rp| isas.contains(&rp.wide_isa))
+                {
+                    let plan = TilePlan::new(dim, &rp);
+                    let mut got = vec![f32::NAN; dim];
+                    with_isa(rp.wide_isa, || plan.fold_row(c, v, b.as_slice(), &mut got));
+                    assert_eq!(got, want, "dim={dim} row={nz:?} {rp:?}");
                 }
             }
         }
-    }
-
-    /// The prefetch gate: on only for the vectorized family, and only
-    /// when `B`'s footprint (`b_rows × dim × 4` bytes) is more than
-    /// [`PREFETCH_L2_MULTIPLE`] times the cache model's L2.
-    #[test]
-    fn resolve_gates_prefetch_on_the_l2_footprint() {
-        let bound = CacheModel::default().l2_bytes * PREFETCH_L2_MULTIPLE;
-        let dim = 64;
-        let fits = bound / (dim * std::mem::size_of::<f32>());
-        assert!(
-            !DataPath::Vector.resolve(fits, dim).prefetch,
-            "exactly at the bound"
-        );
-        assert!(DataPath::Vector.resolve(fits + 1, dim).prefetch);
-        assert!(!DataPath::Vector.resolve(1, dim).prefetch);
-        assert!(!DataPath::Vector.resolve(0, dim).prefetch);
-        assert!(!DataPath::Scalar.resolve(fits + 1, dim).prefetch);
-        assert!(!DataPath::Scalar.resolve(1 << 30, 1 << 10).prefetch);
-        let auto = DataPath::Auto.resolve(fits + 1, dim);
-        assert_eq!(auto.prefetch, auto.kind == PathKind::Vector);
-        // Saturating arithmetic: an absurd footprint is "above L2", never
-        // a wrapped-around small one.
-        assert!(prefetch_pays(
-            usize::MAX,
-            usize::MAX,
-            &CacheModel::default()
-        ));
     }
 
     /// Every arm of the GEMM ISA dispatch computes the same bits as the
@@ -1245,15 +1008,7 @@ mod tests {
         for n in widths.into_iter().chain([121, 127, 128]) {
             let b = random_dense(k, n, 32);
             let mut naive = vec![0.0f32; rows * n];
-            gemm_band(
-                &a,
-                &b,
-                &[],
-                0,
-                &DataPath::Scalar.resolve(k, n),
-                kc,
-                &mut naive,
-            );
+            gemm_band(&a, &b, &[], 0, &DataPath::Scalar.resolve(n), kc, &mut naive);
             for lanes in [LaneWidth::W8, LaneWidth::W16] {
                 for &wide_isa in &isas {
                     let rp = ResolvedPath {
@@ -1283,33 +1038,16 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_routes_short_segments_to_gather() {
-        // The dispatch itself is value-transparent; this pins the routing
-        // threshold semantics: len <= GATHER_MAX_NNZ gathers.
-        let a = random_matrix(32, 32, 150, 5);
-        let b = random_dense(32, 24, 6);
-        let rp = DataPath::Vector.resolve(32, 24);
-        let short = seg(0, GATHER_MAX_NNZ);
-        let long = seg(0, GATHER_MAX_NNZ + 1);
-        for s in [&short, &long] {
-            let want = scalar_reference(s, &a, &b, 24);
-            let mut got = vec![f32::NAN; 24];
-            vector_segment(s, a.col_indices(), a.values(), &b, &mut got, &rp);
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
     fn resolve_honors_explicit_paths_and_panel_model() {
-        assert_eq!(DataPath::Scalar.resolve(32, 32).kind, PathKind::Scalar);
-        assert_eq!(DataPath::Vector.resolve(32, 32).kind, PathKind::Vector);
-        let auto = DataPath::Auto.resolve(32, 32).kind;
+        assert_eq!(DataPath::Scalar.resolve(32).kind, PathKind::Scalar);
+        assert_eq!(DataPath::Vector.resolve(32).kind, PathKind::Vector);
+        let auto = DataPath::Auto.resolve(32).kind;
         if cfg!(feature = "force-scalar") {
             assert_eq!(auto, PathKind::Scalar);
         } else {
             assert_eq!(auto, PathKind::Vector);
         }
-        let rp = DataPath::Vector.resolve(32, 4096);
+        let rp = DataPath::Vector.resolve(4096);
         assert_eq!(rp.panel % rp.lanes.lanes(), 0);
         assert!(rp.panel <= 4096 + rp.lanes.lanes());
     }

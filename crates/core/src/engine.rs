@@ -18,15 +18,14 @@
 //!   pool workers, so repeated SpMM calls (a GNN forward pass is many of
 //!   them) stop paying thread spawn/join. A run with one effective worker
 //!   executes inline on the caller.
-//! * **Vectorized, cache-blocked data path** (the `datapath` module): each
-//!   row runs through a [`DataPath`]-selected inner kernel — by default
-//!   the wide-lane streaming kernels (16/8 f32 register accumulators,
-//!   runtime lane detection, L1-sized column panels) with degree-adaptive
-//!   dispatch: short rows take a gather microkernel, long rows the
-//!   streaming panel kernel, and the split is recorded in
-//!   [`EngineStats`]. Widths 1, 2, 4 and 8 fold in a fixed-width register
-//!   kernel instead. The scalar oracle stays selectable
-//!   ([`DataPath::Scalar`]).
+//! * **Vectorized data path** (the `datapath` module): each block's rows
+//!   run through a [`DataPath`]-selected inner kernel — by default one
+//!   row fold per block: a column-tile plan of register-accumulator tiles
+//!   (128, 64 and 32 columns under AVX-512F, then the runtime lane width,
+//!   8 and 4), fixed once per (span, block) run from the width and the
+//!   ISA, that every row of the span runs through with no per-row
+//!   decision. A one-tile plan folds the span at that const width. The
+//!   scalar oracle stays selectable ([`DataPath::Scalar`]).
 //! * **Per-call plans** ([`ExecEngine::spmm`]): a [`PreparedPlan`] is
 //!   one O(rows) scan of `row_ptr`, cheaper than hashing a cache key, so
 //!   the engine builds one per call and caches nothing. Callers that run
@@ -53,9 +52,7 @@
 //! Every output row is the ascending sum of its products, at any worker
 //! count and on every data path: exactly (f32 `==`) what
 //! [`crate::executor::execute_sequential`] computes for a row-split or
-//! serial plan. The one representational deviation is the sign of a zero
-//! out of the vectorized gather microkernel (see the `datapath` module
-//! docs).
+//! serial plan, the sign of a zero included.
 //!
 //! A [`PreparedPlan`] holds the row count it was built for and that
 //! structure's statistics; spans, values and column indices are always
@@ -71,10 +68,11 @@ use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::arena::BufferArena;
 use crate::batch::BatchShapeClass;
-use crate::datapath::{accumulate_segment_dispatch, with_isa, DataPath, PathKind, ResolvedPath};
+use crate::datapath::{
+    fold_row_scalar, tile, with_isa, DataPath, PathKind, ResolvedPath, TilePlan,
+};
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
-use crate::plan::{Flush, Segment};
 use crate::pool::{ScopedJob, WorkerPool};
 use crate::spmm::{default_workers, row_aligned_starts, SpmmKernel};
 use crate::stats::WriteStats;
@@ -88,8 +86,8 @@ use crate::tuning::GATHER_MAX_NNZ;
 pub struct PreparedPlan {
     /// Output rows the plan was built for; every run checks it.
     rows: usize,
-    /// The write statistics and gather/stream dispatch split of the
-    /// structure the plan was built for, from one `row_ptr` scan.
+    /// The write statistics and row-degree profile of the structure the
+    /// plan was built for, from one `row_ptr` scan.
     stats: WriteStats,
     dispatch: (usize, usize),
 }
@@ -120,9 +118,9 @@ impl PreparedPlan {
         }
     }
 
-    /// The degree-adaptive dispatch split of this plan's non-empty rows:
-    /// `(gather_bound, stream_bound)` at the [`GATHER_MAX_NNZ`]
-    /// threshold.
+    /// The row-degree profile of this plan's non-empty rows:
+    /// `(gather_bound, stream_bound)`, the rows with at most
+    /// [`GATHER_MAX_NNZ`] non-zeros and the rows with more.
     pub fn dispatch_profile(&self) -> (usize, usize) {
         self.dispatch
     }
@@ -146,14 +144,14 @@ impl PreparedPlan {
 pub struct EngineStats {
     /// Worker parallelism the engine executes with.
     pub workers: usize,
-    /// Non-empty rows in the gather regime (at most [`GATHER_MAX_NNZ`]
-    /// non-zeros), cumulative over vectorized-path row folds: a column
-    /// batch folds every row once per block. At widths 1, 2, 4 and 8
-    /// the fixed-width fold runs them instead of the gather
-    /// microkernel; they count all the same.
+    /// Non-empty rows with at most [`GATHER_MAX_NNZ`] non-zeros,
+    /// cumulative over vectorized-path row folds: a column batch folds
+    /// every row once per block. This is the row-degree profile of what
+    /// ran ([`PreparedPlan::dispatch_profile`]); every row runs the same
+    /// tile plan whatever its degree.
     pub gather_segments: u64,
-    /// Non-empty rows in the streaming regime, counted like
-    /// [`gather_segments`](Self::gather_segments).
+    /// Non-empty rows with more than [`GATHER_MAX_NNZ`] non-zeros,
+    /// counted like [`gather_segments`](Self::gather_segments).
     pub stream_segments: u64,
     /// Buffer checkouts served from the arena pool without allocating.
     pub arena_reuses: u64,
@@ -434,7 +432,7 @@ impl ExecEngine {
         Ok(self.run(prep, a, blocks, epi))
     }
 
-    /// Current dispatch, GEMM, batch-plan and arena counters.
+    /// Current row-degree, GEMM, batch-plan and arena counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             workers: self.workers,
@@ -470,7 +468,7 @@ impl ExecEngine {
         DenseMatrix::from_vec(rows, cols, buf).expect("arena buffer sized to rows x cols")
     }
 
-    /// Drops every pooled buffer and zeroes the dispatch, GEMM,
+    /// Drops every pooled buffer and zeroes the row-degree, GEMM,
     /// batch-plan and arena counters.
     pub fn clear_cache(&self) {
         self.batch_builds.store(0, Ordering::Relaxed);
@@ -517,7 +515,7 @@ impl ExecEngine {
             if b.cols() == 0 {
                 continue;
             }
-            let rp = self.data_path.resolve(b.rows(), b.cols());
+            let rp = self.data_path.resolve(b.cols());
             if rp.kind == PathKind::Vector {
                 let (gather, stream) = prep.dispatch;
                 self.gather.fetch_add(gather as u64, Ordering::Relaxed);
@@ -720,9 +718,10 @@ fn run_row_spans(a: &CsrMatrix<f32>, folds: Vec<BlockFold<'_>>, workers: usize, 
 /// `out`, each row in one ascending pass that stores every element of the
 /// row (zeros for an empty row), whatever `out` held, and applies `epi`
 /// to every row right after its store — empty rows included, since a
-/// bias changes them. The vectorized path runs the whole fold in the
-/// widest ISA clone the CPU proved ([`with_isa`]), dispatched once per
-/// call; the scalar oracle stays on baseline code.
+/// bias changes them. The vectorized path resolves the block's
+/// [`TilePlan`] once and runs the whole fold in the widest ISA clone the
+/// CPU proved ([`with_isa`]), dispatched once per call; the scalar oracle
+/// stays on baseline code.
 fn fold_rows(
     first: usize,
     a: &CsrMatrix<f32>,
@@ -732,92 +731,102 @@ fn fold_rows(
     out: &mut [f32],
 ) {
     let epi = (!epi.is_noop()).then_some(epi);
+    let dim = b.cols();
     match rp.kind {
-        PathKind::Scalar => fold_rows_body(first, a, b, rp, epi, out),
-        PathKind::Vector => with_isa(
-            rp.wide_isa,
+        PathKind::Scalar => fold_rows_with(first, a, dim, epi, out, |cols, vals, dst| {
+            fold_row_scalar(cols, vals, b, dst)
+        }),
+        PathKind::Vector => {
+            let plan = TilePlan::new(dim, rp);
+            with_isa(
+                rp.wide_isa,
+                #[inline(always)]
+                || fold_rows_planned(first, a, (b.as_slice(), dim), &plan, epi, out),
+            )
+        }
+    }
+}
+
+/// The vectorized row fold behind [`fold_rows`] over `b`, the dense
+/// operand's `dim`-column row-major storage: a one-tile plan folds the
+/// span at its const width, so `b`'s row stride is a constant too; any
+/// other plan runs its tiles row by row. `inline(always)` so each ISA
+/// clone compiles all of it.
+#[inline(always)]
+fn fold_rows_planned(
+    first: usize,
+    a: &CsrMatrix<f32>,
+    (b, dim): (&[f32], usize),
+    plan: &TilePlan,
+    epi: Option<&Epilogue>,
+    out: &mut [f32],
+) {
+    match plan.single() {
+        Some(1) => fold_rows_tile::<1>(first, a, b, epi, out),
+        Some(2) => fold_rows_tile::<2>(first, a, b, epi, out),
+        Some(3) => fold_rows_tile::<3>(first, a, b, epi, out),
+        Some(4) => fold_rows_tile::<4>(first, a, b, epi, out),
+        Some(8) => fold_rows_tile::<8>(first, a, b, epi, out),
+        Some(16) => fold_rows_tile::<16>(first, a, b, epi, out),
+        Some(32) => fold_rows_tile::<32>(first, a, b, epi, out),
+        Some(64) => fold_rows_tile::<64>(first, a, b, epi, out),
+        Some(128) => fold_rows_tile::<128>(first, a, b, epi, out),
+        _ => fold_rows_with(
+            first,
+            a,
+            dim,
+            epi,
+            out,
             #[inline(always)]
-            || fold_rows_body(first, a, b, rp, epi, out),
+            |cols, vals, dst| plan.fold_row(cols, vals, b, dst),
         ),
     }
 }
 
-/// The row fold behind [`fold_rows`]. Widths with a fixed-width
-/// microkernel keep the accumulators in registers with no per-row
-/// dispatch; the scalar path keeps the generic per-row dispatch, as it is
-/// the correctness oracle. `inline(always)` so each ISA clone compiles
-/// all of it.
+/// [`fold_rows_planned`] for a plan of one `D`-column tile: `D` is the
+/// dense operand's width.
 #[inline(always)]
-fn fold_rows_body(
+fn fold_rows_tile<const D: usize>(
     first: usize,
     a: &CsrMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    rp: &ResolvedPath,
-    epi: Option<&Epilogue>,
-    out: &mut [f32],
-) {
-    let row_ptr = a.row_ptr();
-    let dim = b.cols();
-    if rp.kind != PathKind::Scalar && matches!(dim, 1 | 2 | 4 | 8) {
-        let (cols, vals, b) = (a.col_indices(), a.values(), b.as_slice());
-        match dim {
-            1 => fold_rows_width::<1>(first, row_ptr, cols, vals, b, epi, out),
-            2 => fold_rows_width::<2>(first, row_ptr, cols, vals, b, epi, out),
-            4 => fold_rows_width::<4>(first, row_ptr, cols, vals, b, epi, out),
-            _ => fold_rows_width::<8>(first, row_ptr, cols, vals, b, epi, out),
-        }
-        return;
-    }
-    for (row, dst) in (first..).zip(out.chunks_exact_mut(dim)) {
-        let seg = Segment {
-            row,
-            nz_start: row_ptr[row],
-            nz_end: row_ptr[row + 1],
-            flush: Flush::Regular,
-        };
-        if seg.is_empty() {
-            dst.fill(0.0);
-        } else {
-            accumulate_segment_dispatch(rp, &seg, a, b, dst);
-        }
-        if let Some(epi) = epi {
-            epi.apply_row(dst);
-        }
-    }
-}
-
-/// The fixed-width row fold behind [`fold_rows_body`]. `D` equals the dense
-/// operand's column count, so row `c` of `b` is the flat slice
-/// `[c * D, c * D + D)`; indexing the backing storage directly (and
-/// zipping values with columns) keeps the hot loop to one bounds check
-/// per non-zero. Per output element the fold is the same ascending-`k`
-/// sum every other data path computes.
-#[inline(always)]
-fn fold_rows_width<const D: usize>(
-    first: usize,
-    row_ptr: &[usize],
-    cols: &[usize],
-    vals: &[f32],
     b: &[f32],
     epi: Option<&Epilogue>,
     out: &mut [f32],
 ) {
-    for (row, dst) in (first..).zip(out.chunks_exact_mut(D)) {
-        let (lo, hi) = (row_ptr[row], row_ptr[row + 1]);
-        let mut acc = [0.0f32; D];
-        for (&v, &c) in vals[lo..hi].iter().zip(&cols[lo..hi]) {
-            let brow = &b[c * D..][..D];
-            for d in 0..D {
-                acc[d] += v * brow[d];
-            }
-        }
-        dst.copy_from_slice(&acc);
+    fold_rows_with(
+        first,
+        a,
+        D,
+        epi,
+        out,
+        #[inline(always)]
+        |cols, vals, dst| tile::<D>(cols, vals, b, D, 0, dst),
+    );
+}
+
+/// Rows `first..first + out.len() / dim` of the product, each folded by
+/// `fold_row` from the row's column indices and values into its
+/// `dim`-wide output row, then given `epi`. The vectorized callers hand in
+/// `inline(always)` closures: a closure left out of line compiles without
+/// the ISA clone's features.
+#[inline(always)]
+fn fold_rows_with(
+    first: usize,
+    a: &CsrMatrix<f32>,
+    dim: usize,
+    epi: Option<&Epilogue>,
+    out: &mut [f32],
+    mut fold_row: impl FnMut(&[usize], &[f32], &mut [f32]),
+) {
+    let (row_ptr, cols, vals) = (a.row_ptr(), a.col_indices(), a.values());
+    for (row, dst) in (first..).zip(out.chunks_exact_mut(dim)) {
+        let nz = row_ptr[row]..row_ptr[row + 1];
+        fold_row(&cols[nz.clone()], &vals[nz], dst);
         if let Some(epi) = epi {
             epi.apply_row(dst);
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -967,7 +976,7 @@ mod tests {
         assert_eq!(stats.gather_segments, 2 * gather as u64);
         assert_eq!(stats.stream_segments, 2 * stream as u64);
 
-        // The scalar path does not go through the dispatcher.
+        // The scalar path counts no row-degree profile.
         let scalar = ExecEngine::with_data_path(1, DataPath::Scalar);
         scalar.execute_prepared(&prep, &a, &b).unwrap();
         assert_eq!(scalar.stats().gather_segments, 0);
@@ -1013,7 +1022,10 @@ mod tests {
     fn batched_execution_matches_per_block_execution() {
         let a = random_matrix(40, 40, 220, 21);
         let prep = PreparedPlan::new(&a);
-        let blocks: Vec<DenseMatrix<f32>> = [1usize, 4, 3, 16]
+        // One run folds one-tile plans (1, 4, 16, 32 under AVX-512F), a
+        // sub-4 tile (3) and overlapping multi-tile plans (121, 200) side
+        // by side.
+        let blocks: Vec<DenseMatrix<f32>> = [1usize, 4, 3, 16, 32, 121, 200]
             .iter()
             .enumerate()
             .map(|(i, &k)| random_dense(40, k, 30 + i as u64))
@@ -1229,12 +1241,11 @@ mod tests {
     }
 
     /// Every ISA arm of the row fold — `Portable` and each clone this CPU
-    /// proves — equals the scalar oracle fold exactly, with prefetch off
-    /// and on: at every width 1..=67 and at the wide widths where the
-    /// 128-, 64- and 32-column blocks and the overlapping remainder block
-    /// run, on the lopsided graph (an evil streaming row, empty rows,
-    /// single-entry gather rows), under every epilogue and at 1, 2 and 7
-    /// workers. The scalar fold itself equals the row sum with the
+    /// proves — equals the scalar oracle fold exactly: at every width
+    /// 1..=67 and at the wide widths where the 128-, 64- and 32-column
+    /// tiles and the overlapping remainder tile run, on the lopsided
+    /// graph (an evil long row, empty rows, single-entry rows), under
+    /// every epilogue and at 1, 2 and 7 workers. The scalar fold itself equals the row sum with the
     /// epilogue applied.
     #[test]
     fn fold_isa_arms_bit_match_the_scalar_oracle() {
@@ -1255,26 +1266,22 @@ mod tests {
                         run_row_spans(&a, folds, workers, epi);
                         out
                     };
-                    let want = fold(DataPath::Scalar.resolve(b.rows(), dim));
+                    let want = fold(DataPath::Scalar.resolve(dim));
                     assert_eq!(
                         want,
                         applied(plain.clone(), epi).as_slice(),
                         "scalar dim={dim}"
                     );
                     for &wide_isa in &isas {
-                        for prefetch in [false, true] {
-                            let rp = ResolvedPath {
-                                wide_isa,
-                                prefetch,
-                                ..DataPath::Vector.resolve(b.rows(), dim)
-                            };
-                            assert_eq!(
-                                fold(rp),
-                                want,
-                                "{wide_isa:?} prefetch={prefetch} dim={dim} \
-                                 workers={workers} epi={epi:?}"
-                            );
-                        }
+                        let rp = ResolvedPath {
+                            wide_isa,
+                            ..DataPath::Vector.resolve(dim)
+                        };
+                        assert_eq!(
+                            fold(rp),
+                            want,
+                            "{wide_isa:?} dim={dim} workers={workers} epi={epi:?}"
+                        );
                     }
                 }
             }
@@ -1303,7 +1310,7 @@ mod tests {
     /// fold must store every element. With a NaN-filled buffer of each
     /// output's size recycled first, a run equals the row sum with its
     /// epilogue applied: on the lopsided graph (its empty rows store
-    /// zeros), at every fixed-width and streaming width, through every
+    /// zeros), at one-tile and multi-tile plan widths, through every
     /// data path and every proven ISA arm of the fold, at 1, 2, 7 and 64
     /// workers, under every epilogue. The unit-column lane takes its
     /// combined operand, combined result and split columns unzeroed too.
@@ -1332,7 +1339,7 @@ mod tests {
                     for &wide_isa in &isas {
                         let rp = ResolvedPath {
                             wide_isa,
-                            ..DataPath::Vector.resolve(b.rows(), dim)
+                            ..DataPath::Vector.resolve(dim)
                         };
                         let mut out = vec![f32::NAN; a.rows() * dim];
                         let folds = vec![BlockFold {
@@ -1374,33 +1381,6 @@ mod tests {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    /// Engine-level check of the gather prefetch: with `B` past the
-    /// prefetch gate the vectorized path hints ahead on the inline and
-    /// pooled walks, and each still equals the scalar path and the row
-    /// sum exactly.
-    #[test]
-    fn prefetching_paths_equal_their_unhinted_references() {
-        let rows = 9000;
-        let a = random_matrix(rows, rows, 20_000, 41);
-        for dim in [128usize, 256] {
-            let b = random_dense(rows, dim, 42);
-            let (want, _) = row_sum(&a, &b);
-            assert!(DataPath::Vector.resolve(rows, dim).prefetch, "dim={dim}");
-            for workers in [1usize, 2, 3] {
-                let prep = PreparedPlan::new(&a);
-                let run = |path| {
-                    ExecEngine::with_data_path(workers, path)
-                        .execute_prepared(&prep, &a, &b)
-                        .unwrap()
-                        .0
-                };
-                let hinted = run(DataPath::Vector);
-                assert_eq!(hinted.as_slice(), run(DataPath::Scalar).as_slice());
-                assert_eq!(hinted.as_slice(), want.as_slice(), "dim={dim} w={workers}");
             }
         }
     }

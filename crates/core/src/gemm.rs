@@ -76,7 +76,7 @@ impl ExecEngine {
         }
         let start = Instant::now();
         let (m, n) = (a.rows(), b.cols());
-        let rp = self.data_path.resolve(b.rows(), n);
+        let rp = self.data_path.resolve(n);
         let width = gemm_pack_width(&rp, n);
         // The register tiles store every output element, the first
         // `k`-block from a literal `0.0` seed, so their output needs no

@@ -313,11 +313,9 @@ impl Schedule {
 
     /// Fraction of work-carrying threads whose average segment length
     /// (non-zeros per touched row) is at or below `gather_max` — i.e. the
-    /// share of logical threads the engine's degree-adaptive dispatcher
-    /// will route to the gather microkernel rather than the streaming
-    /// panel kernel. On the paper's power-law graphs this is high even
-    /// though most *non-zeros* sit in the few evil rows — the asymmetry
-    /// that motivates dispatching per segment instead of per plan.
+    /// share of logical threads that mostly walk short rows. On the
+    /// paper's power-law graphs this is high even though most *non-zeros*
+    /// sit in the few evil rows.
     pub fn gather_bound_fraction(&self, row_ptr: &[usize], gather_max: usize) -> f64 {
         let mut bound = 0usize;
         let mut active = 0usize;

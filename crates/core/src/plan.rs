@@ -165,13 +165,12 @@ impl KernelPlan {
         self.threads.iter().map(ThreadPlan::carries).sum()
     }
 
-    /// Splits the plan's non-empty segments at the degree-adaptive
-    /// dispatch threshold of the engine's vectorized data path:
+    /// Splits the plan's non-empty segments at a degree threshold:
     /// `(gather_bound, stream_bound)` — segments with at most
-    /// `gather_max` non-zeros run the gather microkernel, the rest run
-    /// the streaming panel kernel. Like [`write_stats`](Self::write_stats)
-    /// this is a property of the plan alone, so the engine computes it
-    /// once at preparation time rather than per segment in the hot loop.
+    /// `gather_max` non-zeros, and the rest. Like
+    /// [`write_stats`](Self::write_stats) this is a property of the plan
+    /// alone; the engine reports the same split of its rows
+    /// ([`crate::PreparedPlan::dispatch_profile`]).
     pub fn dispatch_profile(&self, gather_max: usize) -> (usize, usize) {
         let mut gather = 0;
         let mut stream = 0;

@@ -12,11 +12,11 @@
 /// count is set to the threshold value").
 pub const MIN_THREADS: usize = 1024;
 
-/// Degree-adaptive dispatch threshold of the CPU data path: segments with
-/// at most this many non-zeros run the gather microkernel; longer
-/// segments run the streaming panel kernel. Power-law graphs put most
-/// rows (but few non-zeros) below this line, which is exactly the regime
-/// where per-panel loop restarts cost more than the segment's arithmetic.
+/// Row-degree threshold of the engine's row-degree profile
+/// ([`crate::EngineStats::gather_segments`]): rows with at most this many
+/// non-zeros count as short ("gather-bound"), longer rows as long. Every
+/// row runs the same tile plan whatever its degree; power-law graphs put
+/// most rows (but few non-zeros) below this line.
 pub const GATHER_MAX_NNZ: usize = 4;
 
 /// Register-tile height of the engine's dense GEMM microkernel: this

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mpspmm_core::EngineStats;
 
@@ -61,6 +61,17 @@ pub(crate) struct StatsCollector {
     tenants: Mutex<HashMap<String, Arc<TenantState>>>,
 }
 
+/// Takes `mutex`, and takes a poisoned one as it is. Both collector
+/// locks hold state that is whole after every element: a tenant holder
+/// does one lookup or insert, and `record_latencies` writes each sample
+/// and its ring cursor before it asks the caller's iterator for the next.
+/// A panic under either lock therefore leaves nothing half changed, and
+/// without this one caller's panicking latency iterator would fail every
+/// later admission and stats read.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[derive(Debug, Default)]
 struct LatencyRing {
     samples_ns: Vec<u64>,
@@ -70,7 +81,7 @@ struct LatencyRing {
 impl StatsCollector {
     /// The shared counter block for `tenant`, created on first sight.
     pub fn tenant(&self, tenant: &str) -> Arc<TenantState> {
-        let mut tenants = self.tenants.lock().unwrap();
+        let mut tenants = lock(&self.tenants);
         match tenants.get(tenant) {
             Some(t) => Arc::clone(t),
             None => {
@@ -111,7 +122,7 @@ impl StatsCollector {
     /// Records a window's worth of submit→reply latencies under one
     /// ring lock instead of one lock per reply.
     pub fn record_latencies<I: IntoIterator<Item = std::time::Duration>>(&self, latencies: I) {
-        let mut ring = self.latencies.lock().unwrap();
+        let mut ring = lock(&self.latencies);
         for latency in latencies {
             let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
             if ring.samples_ns.len() < LATENCY_WINDOW {
@@ -129,13 +140,10 @@ impl StatsCollector {
     /// collector).
     pub fn snapshot(&self, queue_depth: usize, engine: EngineStats) -> ServeStats {
         let latency = {
-            let ring = self.latencies.lock().unwrap();
+            let ring = lock(&self.latencies);
             LatencySummary::from_samples(&ring.samples_ns)
         };
-        let mut tenants: Vec<TenantStats> = self
-            .tenants
-            .lock()
-            .unwrap()
+        let mut tenants: Vec<TenantStats> = lock(&self.tenants)
             .iter()
             .map(|(name, t)| TenantStats {
                 tenant: name.clone(),
@@ -279,7 +287,7 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,
-    /// The engine's counters (gather/stream dispatch, GEMM panels, k-blocks and
+    /// The engine's counters (row-degree profile, GEMM panels, k-blocks and
     /// wall time, fused epilogues, buffer-arena reuse, batch plans built),
     /// threaded through for one-stop telemetry.
     pub engine: EngineStats,
@@ -306,7 +314,14 @@ pub struct TenantStats {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    use mpspmm_core::{ExecEngine, MergePathSpmm, SerialSpmm, SpmmKernel};
+    use mpspmm_sparse::{CsrMatrix, DenseMatrix};
+
     use super::*;
+    use crate::{Request, ServeConfig, Server, Workload};
 
     #[test]
     fn batch_buckets_are_powers_of_two() {
@@ -360,5 +375,67 @@ mod tests {
         assert_eq!(snap.queue_depth, 5);
         assert_eq!(snap.tenants.len(), 1);
         assert_eq!(snap.tenants[0].submitted, 3);
+    }
+
+    /// A caller's latency iterator that panics inside `record_latencies`
+    /// runs under the latency-ring lock and poisons it, and a panic under
+    /// the tenant lock poisons that one. The stats, admission and replies
+    /// must all still work, and replies still equal the ascending row
+    /// sum.
+    #[test]
+    fn a_panicking_latency_iterator_does_not_poison_the_stats() {
+        let srv = Server::start(
+            Arc::new(ExecEngine::new(1)),
+            Box::new(MergePathSpmm::new()),
+            ServeConfig::default(),
+        );
+        let trips: Vec<(usize, usize, f32)> = (0..40)
+            .flat_map(|r| [(r, (r + 1) % 40, 0.5 + r as f32), (r, (r * 7) % 40, -0.25)])
+            .collect();
+        let a = CsrMatrix::from_triplets(40, 40, &trips).unwrap();
+        srv.register("g", a.clone(), None);
+        let stats = &srv.shared.stats;
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            stats.record_latencies((0..3).map(|i| {
+                assert!(i < 2, "the caller's iterator panics");
+                Duration::from_micros(i)
+            }))
+        }));
+        assert!(caught.is_err());
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let _held = stats.tenants.lock();
+            panic!("a tenant holder panics");
+        }));
+        assert!(caught.is_err());
+        assert!(stats.latencies.is_poisoned() && stats.tenants.is_poisoned());
+
+        assert_eq!(
+            srv.stats().latency.samples,
+            2,
+            "the samples before the panic"
+        );
+        let b = DenseMatrix::from_fn(40, 5, |r, c| ((r * 3 + c) % 7) as f32 - 2.5);
+        for tenant in ["t", "u"] {
+            let got = srv
+                .submit(Request {
+                    graph: "g".into(),
+                    tenant: tenant.into(),
+                    features: Arc::new(b.clone()),
+                    workload: Workload::Spmm,
+                    deadline: None,
+                })
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(
+                got,
+                SerialSpmm.spmm_sequential(&a, &b).unwrap().0,
+                "{tenant}"
+            );
+        }
+        let after = srv.stats();
+        assert_eq!((after.completed, after.latency.samples), (2, 4));
+        assert_eq!(after.tenants.len(), 2);
+        srv.shutdown();
     }
 }

@@ -47,11 +47,14 @@ cargo test -q -p mpspmm-core --features force-scalar
 # and single-graph windows. gemm_dense pins the engine GEMM, which runs
 # every GCN feature transform, bit-exactly to the zero-skip loop at the
 # served layer-0 shapes, and the core `gemm` unit tests run the
-# work-sized band claims on a global pool of every size.
+# work-sized band claims on a global pool of every size. The core
+# `engine` unit tests run the row fold (every tile plan, ISA clone and
+# epilogue against the scalar oracle) on a global pool of every size too.
 # serve_integration's packing server runs at the resolved count, so
 # packed serving is checked against the oracle at every count too.
 for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --lib gemm
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --lib engine
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_concurrent
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_sched
