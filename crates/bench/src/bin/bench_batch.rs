@@ -18,7 +18,7 @@
 //!   traffic.
 //! * **packed**: packing on, a batch window admits requests for
 //!   different graphs, concatenates them into one block-diagonal CSR,
-//!   runs `GcnModel::forward_batched_prepared` over the stacked features
+//!   runs `GcnModel::forward` over the stacked features
 //!   as one block — one GEMM + one SpMM per layer for the *whole window*
 //!   — and scatters each tenant's row band back out.
 //!
@@ -57,8 +57,8 @@ const CLASSES: usize = 2;
 /// Burst width, and therefore the packing window's graph budget: the
 /// client submits one burst, waits for every reply, then submits the
 /// next — the batch-synchronous shape of a full inference sweep over a
-/// registered population. Each packed window builds its row-span plan
-/// from the packed row pointers; nothing is reused across windows.
+/// registered population. Each packed window cuts its row spans from the
+/// packed row pointers; nothing is reused across windows.
 const BURST: usize = 256;
 /// Tenants the burst is spread over (results scatter per tenant).
 const TENANTS: usize = 8;
@@ -262,8 +262,9 @@ fn spot_check(
     for (g, ticket) in tickets.into_iter().enumerate() {
         let got = ticket.wait().expect("spot check request");
         let want = model
-            .forward(&graphs[g], &features[g], &ref_engine)
-            .expect("oracle forward");
+            .forward(&graphs[g], &[&features[g]], &ref_engine)
+            .expect("oracle forward")
+            .remove(0);
         assert_eq!(
             got.max_abs_diff(&want).expect("same shape"),
             0.0,
@@ -357,12 +358,8 @@ fn main() {
         ));
     }
     println!(
-        "\n{} packed windows, p95 {:.0} us vs {:.0} us per-request; batch plans built: {} \
-         (one per packed window; nothing is cached)",
-        packed.packed_batches,
-        packed.latency.p95_us,
-        base.latency.p95_us,
-        packed.engine.batch_plan_misses
+        "\n{} packed windows, p95 {:.0} us vs {:.0} us per-request",
+        packed.packed_batches, packed.latency.p95_us, base.latency.p95_us,
     );
 
     if !smoke {

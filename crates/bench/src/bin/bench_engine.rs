@@ -16,9 +16,7 @@
 
 use mpspmm_bench::{alternate, banner, full_size_requested, json_array, load, write_artifact};
 use mpspmm_core::executor::execute_parallel;
-use mpspmm_core::{
-    ExecEngine, MergePathSpmm, NnzSplitSpmm, PreparedPlan, RowSplitSpmm, SpmmKernel,
-};
+use mpspmm_core::{Epilogue, ExecEngine, MergePathSpmm, NnzSplitSpmm, RowSplitSpmm, SpmmKernel};
 use mpspmm_graphs::find_dataset;
 use mpspmm_sparse::DenseMatrix;
 
@@ -62,8 +60,8 @@ fn main() {
             for kernel in &kernels {
                 let plan = kernel.plan(&a, dim);
                 // Two untimed rounds fault in the output and operand
-                // pages. The engine's timed call includes building its
-                // row-span plan.
+                // pages. The engine's timed call includes cutting its
+                // row spans.
                 let (old, new) = alternate(
                     2,
                     7,
@@ -72,8 +70,7 @@ fn main() {
                         1
                     },
                     || {
-                        let prep = PreparedPlan::new(&a);
-                        let _ = engine.execute_prepared(&prep, &a, &b).unwrap();
+                        let _ = engine.spmm(&a, &[&b], &Epilogue::None).unwrap();
                         1
                     },
                 );

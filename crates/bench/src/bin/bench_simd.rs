@@ -2,9 +2,9 @@
 //!
 //! For the same Table II spread as `bench_engine`, times the scalar
 //! oracle path ([`DataPath::Scalar`]) against the vectorized path
-//! ([`DataPath::Vector`]) on one prepared plan, single-core, at
+//! ([`DataPath::Vector`]) on the same graph, single-core, at
 //! dimensions 16 and 32, alternating the two round by round. Both sides
-//! run through [`ExecEngine::execute_prepared`] on one-worker engines, so
+//! run through [`ExecEngine::spmm`] on one-worker engines, so
 //! the comparison isolates the inner data path: one row fold per block
 //! through a column-tile plan of wide-lane register tiles, fixed once per
 //! run (at 16 and 32 columns, a single tile under AVX-512F, so the whole
@@ -17,7 +17,7 @@
 //! [`DataPath::isa`]).
 
 use mpspmm_bench::{alternate, banner, full_size_requested, json_array, load, write_artifact};
-use mpspmm_core::{DataPath, ExecEngine, MergePathSpmm, PreparedPlan, GATHER_MAX_NNZ};
+use mpspmm_core::{DataPath, Epilogue, ExecEngine, MergePathSpmm, GATHER_MAX_NNZ};
 use mpspmm_sparse::DenseMatrix;
 
 const DATASETS: [&str; 6] = [
@@ -51,10 +51,6 @@ fn main() {
     for name in DATASETS {
         let spec = find(name);
         let (used, a) = load(spec, full);
-        // One preparation, shared by both paths — the GNN setting where
-        // the graph is fixed across inferences and preparation is
-        // amortized away.
-        let prep = PreparedPlan::new(&a);
         for dim in [16usize, 32] {
             let b = DenseMatrix::from_fn(a.cols(), dim, |r, c| {
                 ((r * 31 + c * 7) % 17) as f32 * 0.125 - 1.0
@@ -63,11 +59,11 @@ fn main() {
                 2,
                 7,
                 || {
-                    let _ = scalar.execute_prepared(&prep, &a, &b).unwrap();
+                    let _ = scalar.spmm(&a, &[&b], &Epilogue::None).unwrap();
                     1
                 },
                 || {
-                    let _ = vector.execute_prepared(&prep, &a, &b).unwrap();
+                    let _ = vector.spmm(&a, &[&b], &Epilogue::None).unwrap();
                     1
                 },
             );
@@ -90,29 +86,21 @@ fn main() {
     }
 
     // Row-degree demography on one power-law graph: how much of the
-    // merge-path schedule lands in the gather regime, and how many rows
-    // of at most / more than `GATHER_MAX_NNZ` non-zeros the engine folds.
+    // merge-path schedule lands in the gather regime (threads whose
+    // segments hold at most `GATHER_MAX_NNZ` non-zeros).
     let (used, a) = load(find("Pubmed"), full);
     let kernel = MergePathSpmm::new();
     let schedule = kernel.schedule(&a, 16);
     let gather_frac = schedule.gather_bound_fraction(a.row_ptr(), GATHER_MAX_NNZ);
-    let b = DenseMatrix::from_fn(a.cols(), 16, |r, c| ((r + c) % 7) as f32);
-    vector.clear_cache();
-    let prep = PreparedPlan::new(&a);
-    let _ = vector.execute_prepared(&prep, &a, &b).unwrap();
-    let stats = vector.stats();
     println!(
-        "\nrow degrees on {} (dim 16): {:.0}% of threads gather-bound; \
-         {} short / {} long rows this run",
+        "\nrow degrees on {} (dim 16): {:.0}% of threads gather-bound",
         used.name,
         gather_frac * 100.0,
-        stats.gather_segments,
-        stats.stream_segments
     );
 
     write_artifact(
         "simd",
-        "scalar oracle data path, one-worker engine, same prepared plan",
+        "scalar oracle data path, one-worker engine, same graph",
         &pairs,
         vector.workers(),
         &[

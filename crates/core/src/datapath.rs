@@ -46,7 +46,7 @@
 
 use mpspmm_sparse::DenseMatrix;
 
-use crate::tuning::{panel_cols, CacheModel, GEMM_MR};
+use crate::tuning::GEMM_MR;
 
 /// Which inner data path an [`crate::ExecEngine`] drives its rows
 /// through.
@@ -142,15 +142,13 @@ pub(crate) enum PathKind {
     Vector,
 }
 
-/// A [`DataPath`] resolved against a dense dimension: the kernel family,
-/// the lane width, the ISA clone and the GEMM column panel, fixed once
-/// per engine run.
+/// A [`DataPath`] resolved on the running CPU: the kernel family, the
+/// lane width and the ISA clone, fixed once per engine run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedPath {
     pub kind: PathKind,
     pub lanes: LaneWidth,
     pub wide_isa: WideIsa,
-    pub panel: usize,
 }
 
 impl DataPath {
@@ -176,15 +174,12 @@ impl DataPath {
         }
     }
 
-    /// Resolves the path for one execution over a `dim`-column dense
-    /// operand.
-    pub(crate) fn resolve(self, dim: usize) -> ResolvedPath {
-        let lanes = LaneWidth::detect();
+    /// Resolves the path for one execution on this CPU.
+    pub(crate) fn resolve(self) -> ResolvedPath {
         ResolvedPath {
             kind: self.kind(),
-            lanes,
+            lanes: LaneWidth::detect(),
             wide_isa: WideIsa::detect(),
-            panel: panel_cols(dim, lanes.lanes(), &CacheModel::default()),
         }
     }
 }
@@ -358,7 +353,8 @@ impl TilePlan {
 /// its first store, so `dst` may hold anything. It reads `B` only through
 /// `packed`, the [`pack_b`] layout at [`gemm_pack_width`]. It
 /// register-tiles [`GEMM_MR`] `A` rows against one packed column block
-/// at a time, sweeping the output width in [`panel_cols`]-sized panels;
+/// at a time, sweeping the output width in `panel`-column panels
+/// ([`crate::tuning::panel_cols`]);
 /// the last block of a width that is not a block multiple runs on its
 /// zero-padded lanes and stores only the valid ones. The reduction is
 /// **`k`-blocked** at depth `kc` ([`crate::tuning::gemm_kc`]): the
@@ -377,7 +373,7 @@ pub(crate) fn gemm_band(
     packed: &[f32],
     row_start: usize,
     rp: &ResolvedPath,
-    kc: usize,
+    (panel, kc): (usize, usize),
     dst: &mut [f32],
 ) -> u64 {
     let n = b.cols();
@@ -408,7 +404,7 @@ pub(crate) fn gemm_band(
             let mut rows = quad.chunks_exact_mut(n);
             let mut crows: [&mut [f32]; GEMM_MR] =
                 std::array::from_fn(|_| rows.next().expect("quad holds GEMM_MR rows"));
-            panels += gemm_rows(arows, packed, (k, n), rp, krange.clone(), &mut crows);
+            panels += gemm_rows(arows, packed, (k, n), rp, panel, krange.clone(), &mut crows);
             r += GEMM_MR;
         }
         for crow in quads.into_remainder().chunks_exact_mut(n) {
@@ -417,6 +413,7 @@ pub(crate) fn gemm_band(
                 packed,
                 (k, n),
                 rp,
+                panel,
                 krange.clone(),
                 &mut [crow],
             );
@@ -488,12 +485,13 @@ fn gemm_rows<const MR: usize>(
     packed: &[f32],
     kn: (usize, usize),
     rp: &ResolvedPath,
+    panel: usize,
     krange: std::ops::Range<usize>,
     crows: &mut [&mut [f32]; MR],
 ) -> u64 {
     #[cfg(target_arch = "x86_64")]
     if gemm_pack_width(rp, kn.1) == Some(AVX512_GEMM_COLS) {
-        return wide::gemm_rows_avx512f(rp.wide_isa, arows, packed, kn, rp.panel, krange, crows);
+        return wide::gemm_rows_avx512f(rp.wide_isa, arows, packed, kn, panel, krange, crows);
     }
     // The tiles are `inline(always)` closures: passing
     // `gemm_micro_packed` as a fn item instead made the 56,944 × 32 ·
@@ -506,7 +504,7 @@ fn gemm_rows<const MR: usize>(
                 arows,
                 packed,
                 kn,
-                rp.panel,
+                panel,
                 krange,
                 crows,
                 #[inline(always)]
@@ -518,7 +516,7 @@ fn gemm_rows<const MR: usize>(
                 arows,
                 packed,
                 kn,
-                rp.panel,
+                panel,
                 krange,
                 crows,
                 #[inline(always)]
@@ -877,13 +875,13 @@ pub(crate) fn proven_isas() -> Vec<WideIsa> {
 mod tests {
     use super::*;
     use crate::spmm::test_support::{random_dense, random_matrix};
+    use crate::tuning::{panel_cols, CacheModel};
 
-    fn resolved(kind: PathKind, lanes: LaneWidth, panel: usize) -> ResolvedPath {
+    fn resolved(kind: PathKind, lanes: LaneWidth) -> ResolvedPath {
         ResolvedPath {
             kind,
             lanes,
             wide_isa: WideIsa::detect(),
-            panel,
         }
     }
 
@@ -895,7 +893,7 @@ mod tests {
             .flat_map(|wide_isa| {
                 [LaneWidth::W8, LaneWidth::W16].map(|lanes| ResolvedPath {
                     wide_isa,
-                    ..resolved(PathKind::Vector, lanes, 16)
+                    ..resolved(PathKind::Vector, lanes)
                 })
             })
             .collect()
@@ -914,7 +912,7 @@ mod tests {
         };
         let rp = |wide_isa, lanes| ResolvedPath {
             wide_isa,
-            ..resolved(PathKind::Vector, lanes, 16)
+            ..resolved(PathKind::Vector, lanes)
         };
         let avx512 = rp(WideIsa::Avx512f, LaneWidth::W16);
         let avx2 = rp(WideIsa::Avx2, LaneWidth::W16);
@@ -1008,16 +1006,14 @@ mod tests {
         for n in widths.into_iter().chain([121, 127, 128]) {
             let b = random_dense(k, n, 32);
             let mut naive = vec![0.0f32; rows * n];
-            gemm_band(&a, &b, &[], 0, &DataPath::Scalar.resolve(n), kc, &mut naive);
+            let panel = |lanes: usize| panel_cols(n, lanes, &model);
+            let scalar = DataPath::Scalar.resolve();
+            gemm_band(&a, &b, &[], 0, &scalar, (panel(8), kc), &mut naive);
             for lanes in [LaneWidth::W8, LaneWidth::W16] {
                 for &wide_isa in &isas {
                     let rp = ResolvedPath {
                         wide_isa,
-                        ..resolved(
-                            PathKind::Vector,
-                            lanes,
-                            panel_cols(n, lanes.lanes(), &model),
-                        )
+                        ..resolved(PathKind::Vector, lanes)
                     };
                     let w = gemm_pack_width(&rp, n).expect("vector path packs");
                     let want_w = match wide_isa {
@@ -1029,7 +1025,8 @@ mod tests {
                     pack_b(&b, w, &mut packed);
                     assert!(packed.iter().all(|v| !v.is_nan()), "n={n}: pad zeroed");
                     let mut dst = vec![f32::NAN; rows * n];
-                    let panels = gemm_band(&a, &b, &packed, 0, &rp, kc, &mut dst);
+                    let blocking = (panel(lanes.lanes()), kc);
+                    let panels = gemm_band(&a, &b, &packed, 0, &rp, blocking, &mut dst);
                     assert!(panels > 0);
                     assert_eq!(dst, naive, "{wide_isa:?} n={n} lanes={lanes:?}");
                 }
@@ -1039,17 +1036,18 @@ mod tests {
 
     #[test]
     fn resolve_honors_explicit_paths_and_panel_model() {
-        assert_eq!(DataPath::Scalar.resolve(32).kind, PathKind::Scalar);
-        assert_eq!(DataPath::Vector.resolve(32).kind, PathKind::Vector);
-        let auto = DataPath::Auto.resolve(32).kind;
+        assert_eq!(DataPath::Scalar.resolve().kind, PathKind::Scalar);
+        assert_eq!(DataPath::Vector.resolve().kind, PathKind::Vector);
+        let auto = DataPath::Auto.resolve().kind;
         if cfg!(feature = "force-scalar") {
             assert_eq!(auto, PathKind::Scalar);
         } else {
             assert_eq!(auto, PathKind::Vector);
         }
-        let rp = DataPath::Vector.resolve(4096);
-        assert_eq!(rp.panel % rp.lanes.lanes(), 0);
-        assert!(rp.panel <= 4096 + rp.lanes.lanes());
+        let lanes = DataPath::Vector.resolve().lanes.lanes();
+        let panel = panel_cols(4096, lanes, &CacheModel::default());
+        assert_eq!(panel % lanes, 0);
+        assert!(panel <= 4096 + lanes);
     }
 
     #[test]

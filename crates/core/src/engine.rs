@@ -26,19 +26,15 @@
 //!   ISA, that every row of the span runs through with no per-row
 //!   decision. A one-tile plan folds the span at that const width. The
 //!   scalar oracle stays selectable ([`DataPath::Scalar`]).
-//! * **Per-call plans** ([`ExecEngine::spmm`]): a [`PreparedPlan`] is
-//!   one O(rows) scan of `row_ptr`, cheaper than hashing a cache key, so
-//!   the engine builds one per call and caches nothing. Callers that run
-//!   one structure many times (the serving registry) keep the plan
-//!   themselves and execute it with
-//!   [`execute_prepared`](ExecEngine::execute_prepared).
-//! * **Column batches in place**
-//!   ([`execute_prepared_batch`](ExecEngine::execute_prepared_batch)):
-//!   one run takes a list of dense blocks, cuts the row spans once and
-//!   dispatches the pool once; each worker folds its span once per block,
-//!   reading each block where it lies and storing into that block's own
-//!   output. A single block is the one-block case of the same runner.
-//!   Only a batch of single-column blocks is interleaved into one
+//! * **One entry point, no preprocessing** ([`ExecEngine::spmm`]): a
+//!   call takes the matrix, a list of dense blocks and an epilogue, and
+//!   reads everything it needs from the live matrix, so nothing is built
+//!   ahead of a run and nothing is cached between runs. It cuts the row
+//!   spans once and dispatches the pool once for the whole list; each
+//!   worker folds its span once per block, reading each block where it
+//!   lies and storing into that block's own output. A single block is
+//!   the one-element list.
+//!   Only a list of single-column blocks is interleaved into one
 //!   combined operand and split back out, since a one-column fold
 //!   gathers one float per cache line (DESIGN.md §2.8).
 //! * **Buffer arena** (the `arena` module): output buffers (and the
@@ -53,106 +49,31 @@
 //! count and on every data path: exactly (f32 `==`) what
 //! [`crate::executor::execute_sequential`] computes for a row-split or
 //! serial plan, the sign of a zero included.
-//!
-//! A [`PreparedPlan`] holds the row count it was built for and that
-//! structure's statistics; spans, values and column indices are always
-//! read from the live matrix. Running a plan on another matrix with the
-//! same row count therefore computes that matrix's exact product, split
-//! by that matrix's own spans; only the statistics the run reports follow
-//! the structure the plan was built for.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::arena::BufferArena;
-use crate::batch::BatchShapeClass;
 use crate::datapath::{
     fold_row_scalar, tile, with_isa, DataPath, PathKind, ResolvedPath, TilePlan,
 };
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
 use crate::pool::{ScopedJob, WorkerPool};
-use crate::spmm::{default_workers, row_aligned_starts, SpmmKernel};
-use crate::stats::WriteStats;
-use crate::tuning::GATHER_MAX_NNZ;
+use crate::spmm::{default_workers, row_aligned_starts};
 
-/// A prepared SpMM plan: the row count and write statistics of one
-/// sparsity structure. The engine cuts its row spans from the live
-/// `row_ptr` at run time, one per worker, so a plan depends on neither
-/// the dense width, the worker count nor any kernel's segment plan.
-#[derive(Debug, Clone)]
-pub struct PreparedPlan {
-    /// Output rows the plan was built for; every run checks it.
-    rows: usize,
-    /// The write statistics and row-degree profile of the structure the
-    /// plan was built for, from one `row_ptr` scan.
-    stats: WriteStats,
-    dispatch: (usize, usize),
-}
-
-impl PreparedPlan {
-    /// The plan of `a`, from one O(rows) scan of `a.row_ptr()`. Its
-    /// statistics equal those of any [`BatchMergeSpmm`](crate::BatchMergeSpmm)
-    /// plan of `a`: one regular write per non-empty row.
-    pub fn new(a: &CsrMatrix<f32>) -> Self {
-        let rp = a.row_ptr();
-        let mut stats = WriteStats {
-            regular_nnz: a.nnz(),
-            ..WriteStats::default()
-        };
-        let mut dispatch = (0, 0);
-        for w in rp.windows(2) {
-            match w[1] - w[0] {
-                0 => continue,
-                len if len <= GATHER_MAX_NNZ => dispatch.0 += 1,
-                _ => dispatch.1 += 1,
-            }
-            stats.regular_row_writes += 1;
-        }
-        Self {
-            rows: a.rows(),
-            stats,
-            dispatch,
-        }
-    }
-
-    /// The row-degree profile of this plan's non-empty rows:
-    /// `(gather_bound, stream_bound)`, the rows with at most
-    /// [`GATHER_MAX_NNZ`] non-zeros and the rows with more.
-    pub fn dispatch_profile(&self) -> (usize, usize) {
-        self.dispatch
-    }
-
-    /// The write statistics every execution of this plan reports (a
-    /// property of the structure, not of the operand values).
-    pub fn expected_stats(&self) -> WriteStats {
-        self.stats
-    }
-
-    /// Rows written by more than one worker: always 0, as every row has
-    /// one writer. Kept for callers that report Fig. 5's shared-row
-    /// share.
-    pub fn shared_row_count(&self) -> usize {
-        0
-    }
-}
-
-/// Snapshot of an engine's data-path, GEMM and arena counters.
+/// Snapshot of an engine's GEMM, epilogue and arena counters.
+///
+/// The last five fields are hidden stand-ins that always read 0, read
+/// only by the serving benchmark (see the `compat` module); the `allow`
+/// covers only their definitions and derived impls here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[allow(clippy::disallowed_fields)]
 pub struct EngineStats {
     /// Worker parallelism the engine executes with.
     pub workers: usize,
-    /// Non-empty rows with at most [`GATHER_MAX_NNZ`] non-zeros,
-    /// cumulative over vectorized-path row folds: a column batch folds
-    /// every row once per block. This is the row-degree profile of what
-    /// ran ([`PreparedPlan::dispatch_profile`]); every row runs the same
-    /// tile plan whatever its degree.
-    pub gather_segments: u64,
-    /// Non-empty rows with more than [`GATHER_MAX_NNZ`] non-zeros,
-    /// counted like [`gather_segments`](Self::gather_segments).
-    pub stream_segments: u64,
     /// Buffer checkouts served from the arena pool without allocating.
     pub arena_reuses: u64,
     /// Buffer checkouts that had to allocate a fresh buffer.
@@ -171,23 +92,16 @@ pub struct EngineStats {
     /// — together with the SpMM wall time this is the "where the time
     /// goes" split of a fused GCN layer.
     pub gemm_ns: u64,
-    /// Always 0: [`ExecEngine::plan_batch_cached`] caches nothing, so
-    /// no batch plan is ever reused.
+    #[doc(hidden)]
+    pub gather_segments: u64,
+    #[doc(hidden)]
+    pub stream_segments: u64,
+    #[doc(hidden)]
     pub batch_plan_hits: u64,
-    /// Batch plans built by [`ExecEngine::plan_batch_cached`] — one per
-    /// call.
+    #[doc(hidden)]
     pub batch_plan_misses: u64,
-    /// Always 0, like [`batch_plan_hits`](Self::batch_plan_hits).
+    #[doc(hidden)]
     pub batch_plan_rebuilds: u64,
-}
-
-impl EngineStats {
-    /// Always 0: the engine caches no plans. Unused by the library; kept
-    /// for the serving benchmark's `core.plan_cache_hit_rate` metric
-    /// until that benchmark stops reading it.
-    pub fn hit_rate(&self) -> f64 {
-        0.0
-    }
 }
 
 /// The fast-path SpMM execution engine. See the module docs for what it
@@ -195,10 +109,7 @@ impl EngineStats {
 pub struct ExecEngine {
     pub(crate) workers: usize,
     pub(crate) data_path: DataPath,
-    batch_builds: AtomicU64,
     pub(crate) arena: BufferArena,
-    gather: AtomicU64,
-    stream: AtomicU64,
     pub(crate) gemm_panels: AtomicU64,
     pub(crate) kblocks: AtomicU64,
     fused_epilogues: AtomicU64,
@@ -229,10 +140,7 @@ impl ExecEngine {
         Self {
             workers,
             data_path,
-            batch_builds: AtomicU64::new(0),
             arena: BufferArena::default(),
-            gather: AtomicU64::new(0),
-            stream: AtomicU64::new(0),
             gemm_panels: AtomicU64::new(0),
             kblocks: AtomicU64::new(0),
             fused_epilogues: AtomicU64::new(0),
@@ -257,167 +165,40 @@ impl ExecEngine {
         self.workers
     }
 
-    /// Executes a prepared plan: [`execute_prepared_fused`](Self::execute_prepared_fused)
-    /// with no epilogue.
+    /// Computes `a · b` for every dense block `b` in `blocks` in a
+    /// *single* engine run, with `epi` fused at the store stage, and
+    /// returns one output per block, in order; a single block is
+    /// `&[&b]`. Pass [`Epilogue::None`] for the plain product.
+    ///
+    /// The row spans are cut once from `a`'s row pointers and the pool is
+    /// dispatched once for the whole list. Each worker folds its span once
+    /// per block, reading the block where it lies and storing straight
+    /// into that block's output, so a list costs no gather into a
+    /// combined operand and no scatter out of a combined result. This is
+    /// the batched submission path the serving layer coalesces
+    /// concurrent requests through.
+    ///
+    /// The epilogue applies **per block**: each row gets it right after
+    /// its one store, while register-hot, empty rows included, so every
+    /// output equals the plain product followed by a separate epilogue
+    /// pass (DESIGN.md §2.10), and a bias must match *each* block's width.
+    /// Every output row keeps one writer that sums its products in
+    /// ascending `k`, so each block's output is the same under f32 `==`
+    /// at any worker count and in any list it rides in.
+    ///
+    /// A list whose blocks are *all* single columns (two or more of them)
+    /// instead interleaves them into one combined operand, runs it as one
+    /// block and splits the result: a one-column block would gather one
+    /// float per cache line and re-walk `a` once per block, which costs
+    /// more than the copies (DESIGN.md §2.8).
     ///
     /// # Errors
     ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] if
-    /// `a.cols() != b.rows()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prep` was built for a different row count than
-    /// `a.rows()`.
-    pub fn execute_prepared(
-        &self,
-        prep: &PreparedPlan,
-        a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
-    ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        self.execute_prepared_fused(prep, a, b, &Epilogue::None)
-    }
-
-    /// Executes a prepared plan with a fused [`Epilogue`] applied at the
-    /// store stage: each row gets it right after its one store, while
-    /// register-hot, empty rows included. The result is
-    /// element-for-element identical to `execute_prepared` followed by a
-    /// separate epilogue pass, without re-streaming the output (see
-    /// DESIGN.md §2.10). This is the one-block case of
-    /// [`execute_prepared_batch_fused`](Self::execute_prepared_batch_fused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] if
-    /// `a.cols() != b.rows()` or a bias epilogue's length differs from
-    /// `b.cols()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prep` was built for a different row count than
-    /// `a.rows()`.
-    pub fn execute_prepared_fused(
-        &self,
-        prep: &PreparedPlan,
-        a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
-        epi: &Epilogue,
-    ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        let mut outs = self.execute_prepared_batch_fused(prep, a, &[b], epi)?;
-        let out = outs.pop().expect("one block in, one output out");
-        Ok((out, prep.stats))
-    }
-
-    /// Computes `a · b` with `epi` fused at the store stage, on a plan
-    /// built for this call ([`PreparedPlan::new`]). Pass
-    /// [`Epilogue::None`] for the plain product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] if
-    /// `a.cols() != b.rows()` or a bias epilogue's length differs from
-    /// `b.cols()`.
+    /// Returns [`SparseFormatError::ShapeMismatch`], before any output is
+    /// checked out, if any block has `rows != a.cols()` or a bias
+    /// epilogue's length differs from any block's width.
     pub fn spmm(
         &self,
-        a: &CsrMatrix<f32>,
-        b: &DenseMatrix<f32>,
-        epi: &Epilogue,
-    ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
-        self.execute_prepared_fused(&PreparedPlan::new(a), a, b, epi)
-    }
-
-    /// Returns [`PreparedPlan::new`]`(a)`; `kernel`, `dim` and `epoch`
-    /// are unused. Unused by the library; kept for the serving
-    /// benchmark, which still plans through it.
-    pub fn plan_cached(
-        &self,
-        _kernel: &dyn SpmmKernel,
-        a: &CsrMatrix<f32>,
-        _dim: usize,
-        _epoch: u64,
-    ) -> Arc<PreparedPlan> {
-        Arc::new(PreparedPlan::new(a))
-    }
-
-    /// Builds the prepared plan for a block-diagonal mega-batch `a`, the
-    /// same plan [`PreparedPlan::new`] builds; each call counts
-    /// one build in [`EngineStats::batch_plan_misses`]. Each output row
-    /// has a single writer summing in ascending order, so the result is
-    /// each constituent's sequential oracle at any worker count.
-    ///
-    /// `kernel`, `dim` and `class` are unused; they remain in the
-    /// signature for existing callers.
-    pub fn plan_batch_cached(
-        &self,
-        _kernel: &dyn SpmmKernel,
-        a: &CsrMatrix<f32>,
-        _dim: usize,
-        _class: &BatchShapeClass,
-    ) -> Arc<PreparedPlan> {
-        self.batch_builds.fetch_add(1, Ordering::Relaxed);
-        Arc::new(PreparedPlan::new(a))
-    }
-
-    /// Executes one prepared plan over several dense column blocks in a
-    /// *single* engine run, returning one output matrix per block, in
-    /// order: the row spans are cut once and the pool is dispatched once
-    /// for the whole batch. Each worker folds its span once per block,
-    /// reading the block where it lies and storing straight into that
-    /// block's output, so the batch costs no gather into a combined
-    /// operand and no scatter out of a combined result.
-    ///
-    /// This is the batched submission path the serving layer coalesces
-    /// concurrent requests through: one pool dispatch, one span cut and
-    /// one set of output checkouts per *batch* instead of per request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] if any block has
-    /// `rows != a.cols()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prep` was built for a different row count than
-    /// `a.rows()`.
-    pub fn execute_prepared_batch(
-        &self,
-        prep: &PreparedPlan,
-        a: &CsrMatrix<f32>,
-        blocks: &[&DenseMatrix<f32>],
-    ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
-        self.execute_prepared_batch_fused(prep, a, blocks, &Epilogue::None)
-    }
-
-    /// [`execute_prepared_batch`](Self::execute_prepared_batch) with a
-    /// fused [`Epilogue`] applied **per block**: every block's rows get
-    /// `epi` at their store, and a bias epilogue must match *each*
-    /// block's width (a batch of blocks of one layer width shares that
-    /// layer's epilogue unchanged).
-    ///
-    /// Every output row keeps one writer that sums its products in
-    /// ascending `k`, so each block's output equals its own
-    /// [`execute_prepared_fused`](Self::execute_prepared_fused) run under
-    /// f32 `==` at any worker count.
-    ///
-    /// A batch whose blocks are *all* single columns (two or more of
-    /// them) instead interleaves them into one combined operand, runs it
-    /// as one block and splits the result: a one-column block would
-    /// gather one float per cache line and re-walk `a` once per block,
-    /// which costs more than the copies (DESIGN.md §2.8).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] if any block has
-    /// `rows != a.cols()` or a bias epilogue's length differs from any
-    /// block's width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prep` was built for a different row count than
-    /// `a.rows()`.
-    pub fn execute_prepared_batch_fused(
-        &self,
-        prep: &PreparedPlan,
         a: &CsrMatrix<f32>,
         blocks: &[&DenseMatrix<f32>],
         epi: &Epilogue,
@@ -427,26 +208,22 @@ impl ExecEngine {
             epi.validate(b.cols())?;
         }
         if blocks.len() > 1 && blocks.iter().all(|b| b.cols() == 1) {
-            return Ok(self.run_unit_cols(prep, a, blocks, epi));
+            return Ok(self.run_unit_cols(a, blocks, epi));
         }
-        Ok(self.run(prep, a, blocks, epi))
+        Ok(self.run(a, blocks, epi))
     }
 
-    /// Current row-degree, GEMM, batch-plan and arena counters.
+    /// Current GEMM, epilogue and arena counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             workers: self.workers,
-            gather_segments: self.gather.load(Ordering::Relaxed),
-            stream_segments: self.stream.load(Ordering::Relaxed),
             arena_reuses: self.arena.reuses(),
             arena_misses: self.arena.misses(),
             gemm_panels: self.gemm_panels.load(Ordering::Relaxed),
             kblocks: self.kblocks.load(Ordering::Relaxed),
             fused_epilogues: self.fused_epilogues.load(Ordering::Relaxed),
             gemm_ns: self.gemm_ns.load(Ordering::Relaxed),
-            batch_plan_hits: 0,
-            batch_plan_misses: self.batch_builds.load(Ordering::Relaxed),
-            batch_plan_rebuilds: 0,
+            ..EngineStats::default()
         }
     }
 
@@ -468,23 +245,20 @@ impl ExecEngine {
         DenseMatrix::from_vec(rows, cols, buf).expect("arena buffer sized to rows x cols")
     }
 
-    /// Drops every pooled buffer and zeroes the row-degree, GEMM,
-    /// batch-plan and arena counters.
+    /// Drops every pooled buffer and zeroes the GEMM, epilogue and arena
+    /// counters.
     pub fn clear_cache(&self) {
-        self.batch_builds.store(0, Ordering::Relaxed);
         self.arena.clear();
-        self.gather.store(0, Ordering::Relaxed);
-        self.stream.store(0, Ordering::Relaxed);
         self.gemm_panels.store(0, Ordering::Relaxed);
         self.kblocks.store(0, Ordering::Relaxed);
         self.fused_epilogues.store(0, Ordering::Relaxed);
         self.gemm_ns.store(0, Ordering::Relaxed);
     }
 
-    /// Runs `prep` on `a · b` for every block `b`, each into its own
-    /// arena output: inline at one worker, otherwise one row span per
-    /// worker on the pool. Shapes are already checked; a non-noop `epi`
-    /// is already validated against every block's width.
+    /// Runs `a · b` for every block `b`, each into its own arena output:
+    /// inline at one worker, otherwise one row span per worker on the
+    /// pool. Shapes are already checked; a non-noop `epi` is already
+    /// validated against every block's width.
     ///
     /// The outputs come from the arena unzeroed ([`BufferArena::take`]):
     /// the row fold stores every element, an empty row's zeros included,
@@ -492,16 +266,10 @@ impl ExecEngine {
     /// values never survive and no zeroing pass runs on the caller.
     fn run(
         &self,
-        prep: &PreparedPlan,
         a: &CsrMatrix<f32>,
         blocks: &[&DenseMatrix<f32>],
         epi: &Epilogue,
     ) -> Vec<DenseMatrix<f32>> {
-        assert_eq!(
-            prep.rows,
-            a.rows(),
-            "prepared plan built for a different row count"
-        );
         let rows = a.rows();
         if !epi.is_noop() {
             self.fused_epilogues.fetch_add(1, Ordering::Relaxed);
@@ -510,18 +278,12 @@ impl ExecEngine {
             .iter()
             .map(|b| self.arena.take(rows * b.cols()))
             .collect();
+        let rp = self.data_path.resolve();
         let mut folds = Vec::with_capacity(blocks.len());
         for (&b, out) in blocks.iter().zip(&mut outs) {
-            if b.cols() == 0 {
-                continue;
+            if b.cols() > 0 {
+                folds.push(BlockFold { b, rp, out });
             }
-            let rp = self.data_path.resolve(b.cols());
-            if rp.kind == PathKind::Vector {
-                let (gather, stream) = prep.dispatch;
-                self.gather.fetch_add(gather as u64, Ordering::Relaxed);
-                self.stream.fetch_add(stream as u64, Ordering::Relaxed);
-            }
-            folds.push(BlockFold { b, rp, out });
         }
         run_row_spans(a, folds, self.workers, epi);
         outs.into_iter()
@@ -538,7 +300,6 @@ impl ExecEngine {
     /// to `n`, and splits the result back into one column per block.
     fn run_unit_cols(
         &self,
-        prep: &PreparedPlan,
         a: &CsrMatrix<f32>,
         blocks: &[&DenseMatrix<f32>],
         epi: &Epilogue,
@@ -556,7 +317,7 @@ impl ExecEngine {
             Epilogue::BiasRelu(b) => Epilogue::BiasRelu(vec![b[0]; n]),
             uniform => uniform.clone(),
         };
-        let mut outs = self.run(prep, a, &[&combined], &epi);
+        let mut outs = self.run(a, &[&combined], &epi);
         let out = outs.pop().expect("one block in, one output out");
         self.recycle(combined);
         let rows = a.rows();
@@ -832,7 +593,8 @@ mod tests {
     use super::*;
     use crate::executor::execute_sequential;
     use crate::spmm::test_support::{random_dense, random_matrix};
-    use crate::SerialSpmm;
+    use crate::stats::WriteStats;
+    use crate::{SerialSpmm, SpmmKernel};
 
     /// Worker counts every exactness test sweeps: inline, pooled, more
     /// workers than a small matrix has spans' worth of rows.
@@ -859,6 +621,16 @@ mod tests {
     /// executor, with its write statistics.
     fn row_sum(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> (DenseMatrix<f32>, WriteStats) {
         execute_sequential(&SerialSpmm.plan(a, b.cols()), a, b).unwrap()
+    }
+
+    /// `engine`'s product of `a` and the one block `b` under `epi`.
+    fn product(
+        engine: &ExecEngine,
+        a: &CsrMatrix<f32>,
+        b: &DenseMatrix<f32>,
+        epi: &Epilogue,
+    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
+        Ok(engine.spmm(a, &[b], epi)?.remove(0))
     }
 
     /// A matrix with an evil row holding most non-zeros, empty rows, and
@@ -910,32 +682,15 @@ mod tests {
     }
 
     #[test]
-    fn expected_stats_and_dispatch_match_the_serial_plan() {
-        let a = random_matrix(48, 48, 300, 7);
-        let b = random_dense(48, 16, 8);
-        let plan = SerialSpmm.plan(&a, 16);
-        let (_, stats) = row_sum(&a, &b);
-        let prep = PreparedPlan::new(&a);
-        assert_eq!(prep.expected_stats(), stats);
-        assert_eq!(
-            prep.dispatch_profile(),
-            plan.dispatch_profile(GATHER_MAX_NNZ)
-        );
-        assert_eq!(prep.shared_row_count(), 0);
-    }
-
-    #[test]
     fn engine_equals_the_row_sum_at_any_worker_count() {
         let a = random_matrix(64, 64, 400, 11);
         for dim in [1usize, 2, 3, 8, 19] {
             let b = random_dense(64, dim, 12);
-            let (want, want_stats) = row_sum(&a, &b);
+            let (want, _) = row_sum(&a, &b);
             for workers in WORKERS {
                 let engine = ExecEngine::new(workers);
-                let prep = PreparedPlan::new(&a);
-                let (out, stats) = engine.execute_prepared(&prep, &a, &b).unwrap();
+                let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
                 assert_eq!(out.as_slice(), want.as_slice(), "w={workers} dim={dim}");
-                assert_eq!(stats, want_stats, "w={workers} dim={dim}");
             }
         }
     }
@@ -949,8 +704,7 @@ mod tests {
             for path in [DataPath::Auto, DataPath::Scalar, DataPath::Vector] {
                 for workers in WORKERS {
                     let engine = ExecEngine::with_data_path(workers, path);
-                    let prep = PreparedPlan::new(&a);
-                    let (out, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+                    let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
                     assert_eq!(
                         out.as_slice(),
                         want.as_slice(),
@@ -962,48 +716,18 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_counters_record_gather_stream_split() {
-        let a = random_matrix(48, 48, 300, 7);
-        let b = random_dense(48, 16, 8);
-        let prep = PreparedPlan::new(&a);
-        let (gather, stream) = prep.dispatch_profile();
-        assert!(gather + stream > 0);
-
-        let engine = ExecEngine::with_data_path(1, DataPath::Vector);
-        engine.execute_prepared(&prep, &a, &b).unwrap();
-        engine.execute_prepared(&prep, &a, &b).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.gather_segments, 2 * gather as u64);
-        assert_eq!(stats.stream_segments, 2 * stream as u64);
-
-        // The scalar path counts no row-degree profile.
-        let scalar = ExecEngine::with_data_path(1, DataPath::Scalar);
-        scalar.execute_prepared(&prep, &a, &b).unwrap();
-        assert_eq!(scalar.stats().gather_segments, 0);
-        assert_eq!(scalar.stats().stream_segments, 0);
-        engine.clear_cache();
-        assert_eq!(engine.stats().gather_segments, 0);
-    }
-
-    #[test]
     fn zero_dimension_and_empty_matrix() {
         let (a, _) = small();
         let engine = ExecEngine::new(4);
-        let prep = PreparedPlan::new(&a);
         let b = DenseMatrix::<f32>::zeros(3, 0);
-        let (out, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+        let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
         assert_eq!((out.rows(), out.cols()), (3, 0));
         let empty = CsrMatrix::<f32>::zeros(3, 3);
         let b = DenseMatrix::from_fn(3, 2, |_, _| 1.0);
-        let (out, stats) = engine
-            .execute_prepared(&PreparedPlan::new(&empty), &empty, &b)
-            .unwrap();
+        let out = product(&engine, &empty, &b, &Epilogue::None).unwrap();
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
-        assert_eq!(stats, WriteStats::default());
         let none = CsrMatrix::<f32>::zeros(0, 3);
-        let (out, _) = engine
-            .execute_prepared(&PreparedPlan::new(&none), &none, &b)
-            .unwrap();
+        let out = product(&engine, &none, &b, &Epilogue::None).unwrap();
         assert_eq!(out.rows(), 0);
     }
 
@@ -1012,16 +736,64 @@ mod tests {
         let (a, _) = small();
         let bad_b = DenseMatrix::<f32>::zeros(5, 2);
         let engine = ExecEngine::new(2);
-        assert!(engine
-            .execute_prepared(&PreparedPlan::new(&a), &a, &bad_b)
-            .is_err());
-        assert!(engine.spmm(&a, &bad_b, &Epilogue::None).is_err());
+        assert!(engine.spmm(&a, &[&bad_b], &Epilogue::None).is_err());
+    }
+
+    /// The one entry point checks every block before it checks out a
+    /// buffer: a list with one block of the wrong row count, or one block
+    /// a bias does not fit, anywhere in the list and in either lane (mixed
+    /// widths or all single columns), returns `ShapeMismatch` and leaves
+    /// the arena untouched. An empty list returns no outputs. At
+    /// workers {1, 2, 7, 64} and the resolved count.
+    #[test]
+    fn spmm_rejects_a_bad_block_before_any_checkout() {
+        let a = random_matrix(40, 40, 220, 51);
+        let bad_rows = random_dense(39, 1, 52);
+        let mixed: Vec<DenseMatrix<f32>> = [3usize, 1, 4]
+            .iter()
+            .map(|&k| random_dense(40, k, 53))
+            .collect();
+        let units: Vec<DenseMatrix<f32>> = (0..3).map(|i| random_dense(40, 1, 54 + i)).collect();
+        let unit_bias = Epilogue::Bias(vec![0.5]);
+        for workers in WORKERS.into_iter().chain([default_workers()]) {
+            let engine = ExecEngine::new(workers);
+            let rejected = |refs: &[&DenseMatrix<f32>], epi: &Epilogue| {
+                matches!(
+                    engine.spmm(&a, refs, epi),
+                    Err(SparseFormatError::ShapeMismatch { .. })
+                )
+            };
+            for (lane, blocks) in [("mixed", &mixed), ("unit", &units)] {
+                for at in 0..=blocks.len() {
+                    let mut refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
+                    refs.insert(at, &bad_rows);
+                    let ctx = format!("{lane} lane, bad rows at {at}, workers={workers}");
+                    assert!(rejected(&refs, &Epilogue::None), "{ctx}");
+                    assert!(rejected(&refs, &Epilogue::Relu), "{ctx}");
+                }
+            }
+            // A one-column bias fits the unit blocks, not a wider block
+            // anywhere among them.
+            for at in 0..=units.len() {
+                let mut refs: Vec<&DenseMatrix<f32>> = units.iter().collect();
+                refs.insert(at, &mixed[0]);
+                assert!(
+                    rejected(&refs, &unit_bias),
+                    "bias at {at} workers={workers}"
+                );
+            }
+            let checkouts = |s: EngineStats| s.arena_reuses + s.arena_misses;
+            assert_eq!(checkouts(engine.stats()), 0, "workers={workers}");
+            assert!(engine.spmm(&a, &[], &unit_bias).unwrap().is_empty());
+            assert_eq!(checkouts(engine.stats()), 0, "workers={workers}");
+            let refs: Vec<&DenseMatrix<f32>> = units.iter().collect();
+            assert_eq!(engine.spmm(&a, &refs, &unit_bias).unwrap().len(), 3);
+        }
     }
 
     #[test]
     fn batched_execution_matches_per_block_execution() {
         let a = random_matrix(40, 40, 220, 21);
-        let prep = PreparedPlan::new(&a);
         // One run folds one-tile plans (1, 4, 16, 32 under AVX-512F), a
         // sub-4 tile (3) and overlapping multi-tile plans (121, 200) side
         // by side.
@@ -1033,7 +805,7 @@ mod tests {
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         for workers in WORKERS {
             let engine = ExecEngine::new(workers);
-            let outs = engine.execute_prepared_batch(&prep, &a, &refs).unwrap();
+            let outs = engine.spmm(&a, &refs, &Epilogue::None).unwrap();
             assert_eq!(outs.len(), blocks.len());
             for (block, out) in blocks.iter().zip(&outs) {
                 // Column content is independent of its neighbours in the
@@ -1053,11 +825,10 @@ mod tests {
     fn batch_epilogue_is_validated_against_every_block() {
         let (a, b) = small();
         let engine = ExecEngine::new(2);
-        let prep = PreparedPlan::new(&a);
         let empty = DenseMatrix::<f32>::zeros(3, 0);
         let bias = Epilogue::Bias(vec![1.0]);
-        let one = engine.execute_prepared_batch_fused(&prep, &a, &[&empty], &bias);
-        let two = engine.execute_prepared_batch_fused(&prep, &a, &[&empty, &empty], &bias);
+        let one = engine.spmm(&a, &[&empty], &bias);
+        let two = engine.spmm(&a, &[&empty, &empty], &bias);
         let mismatch = Err(SparseFormatError::ShapeMismatch {
             left: (1, 1),
             right: (1, 0),
@@ -1066,39 +837,28 @@ mod tests {
         assert_eq!(two.map(|_| ()), mismatch);
         // A layer-width bias fits a batch of that width, not a mixed one.
         let wide = Epilogue::BiasRelu(vec![0.5, -0.5]);
-        let outs = engine
-            .execute_prepared_batch_fused(&prep, &a, &[&b, &b], &wide)
-            .unwrap();
-        let (want, _) = engine.execute_prepared_fused(&prep, &a, &b, &wide).unwrap();
+        let outs = engine.spmm(&a, &[&b, &b], &wide).unwrap();
+        let want = product(&engine, &a, &b, &wide).unwrap();
         for out in &outs {
             assert_eq!(out.as_slice(), want.as_slice());
         }
         let narrow = DenseMatrix::from_fn(3, 1, |r, _| r as f32);
-        assert!(engine
-            .execute_prepared_batch_fused(&prep, &a, &[&b, &narrow], &wide)
-            .is_err());
+        assert!(engine.spmm(&a, &[&b, &narrow], &wide).is_err());
     }
 
     #[test]
     fn batched_execution_edge_cases() {
         let (a, b) = small();
         let engine = ExecEngine::new(2);
-        let prep = PreparedPlan::new(&a);
-        assert!(engine
-            .execute_prepared_batch(&prep, &a, &[])
-            .unwrap()
-            .is_empty());
-        let outs = engine.execute_prepared_batch(&prep, &a, &[&b]).unwrap();
+        let none = Epilogue::None;
+        assert!(engine.spmm(&a, &[], &none).unwrap().is_empty());
+        let outs = engine.spmm(&a, &[&b], &none).unwrap();
         assert_eq!(outs.len(), 1);
         let bad = DenseMatrix::<f32>::zeros(5, 2);
-        assert!(engine
-            .execute_prepared_batch(&prep, &a, &[&b, &bad])
-            .is_err());
+        assert!(engine.spmm(&a, &[&b, &bad], &none).is_err());
         // Zero-width blocks ride along without disturbing the batch.
         let empty = DenseMatrix::<f32>::zeros(3, 0);
-        let outs = engine
-            .execute_prepared_batch(&prep, &a, &[&empty, &b])
-            .unwrap();
+        let outs = engine.spmm(&a, &[&empty, &b], &none).unwrap();
         assert_eq!(outs[0].cols(), 0);
         assert_eq!(outs[1].cols(), 2);
     }
@@ -1107,12 +867,11 @@ mod tests {
     fn arena_recycling_eliminates_output_allocations() {
         let (a, b) = small();
         let engine = ExecEngine::new(2);
-        let prep = PreparedPlan::new(&a);
-        let (out, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+        let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
         let misses_after_first = engine.stats().arena_misses;
         assert!(misses_after_first > 0, "first run allocates");
         engine.recycle(out);
-        let (out, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+        let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
         let stats = engine.stats();
         assert!(stats.arena_reuses > 0, "second run reuses the buffer");
         assert_eq!(
@@ -1128,17 +887,16 @@ mod tests {
     #[test]
     fn batch_path_reuses_arena_buffers_when_recycled() {
         let a = random_matrix(40, 40, 220, 21);
-        let prep = PreparedPlan::new(&a);
         let blocks: Vec<DenseMatrix<f32>> =
             (0..3).map(|i| random_dense(40, 1, 30 + i as u64)).collect();
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         let engine = ExecEngine::new(1);
-        let outs = engine.execute_prepared_batch(&prep, &a, &refs).unwrap();
+        let outs = engine.spmm(&a, &refs, &Epilogue::None).unwrap();
         let misses_warm = engine.stats().arena_misses;
         for out in outs {
             engine.recycle(out);
         }
-        let outs = engine.execute_prepared_batch(&prep, &a, &refs).unwrap();
+        let outs = engine.spmm(&a, &refs, &Epilogue::None).unwrap();
         assert_eq!(outs.len(), 3);
         assert_eq!(
             engine.stats().arena_misses,
@@ -1175,10 +933,9 @@ mod tests {
             let (plain, _) = row_sum(&a, &b);
             for workers in WORKERS {
                 let engine = ExecEngine::new(workers);
-                let prep = PreparedPlan::new(&a);
                 for epi in &epis {
                     let want = applied(plain.clone(), epi);
-                    let (got, _) = engine.execute_prepared_fused(&prep, &a, &b, epi).unwrap();
+                    let got = product(&engine, &a, &b, epi).unwrap();
                     assert_eq!(
                         got.as_slice(),
                         want.as_slice(),
@@ -1195,10 +952,7 @@ mod tests {
         let b = DenseMatrix::from_fn(3, 2, |_, _| 1.0);
         for workers in WORKERS {
             let engine = ExecEngine::new(workers);
-            let prep = PreparedPlan::new(&a);
-            let (out, _) = engine
-                .execute_prepared_fused(&prep, &a, &b, &Epilogue::Bias(vec![1.5, -2.5]))
-                .unwrap();
+            let out = product(&engine, &a, &b, &Epilogue::Bias(vec![1.5, -2.5])).unwrap();
             for r in 0..3 {
                 assert_eq!(out.row(r), &[1.5, -2.5], "bias lands on zero row {r}");
             }
@@ -1209,12 +963,12 @@ mod tests {
     fn fused_runs_are_counted_and_validated() {
         let (a, b) = small();
         let engine = ExecEngine::new(1);
-        engine.spmm(&a, &b, &Epilogue::None).unwrap();
+        engine.spmm(&a, &[&b], &Epilogue::None).unwrap();
         assert_eq!(engine.stats().fused_epilogues, 0, "noop runs don't count");
-        engine.spmm(&a, &b, &Epilogue::Relu).unwrap();
+        engine.spmm(&a, &[&b], &Epilogue::Relu).unwrap();
         assert_eq!(engine.stats().fused_epilogues, 1);
         // Bias width must match the dense dimension.
-        let err = engine.spmm(&a, &b, &Epilogue::Bias(vec![0.0; 3]));
+        let err = engine.spmm(&a, &[&b], &Epilogue::Bias(vec![0.0; 3]));
         assert!(err.is_err(), "bias wider than dim rejected");
         engine.clear_cache();
         assert_eq!(engine.stats().fused_epilogues, 0, "reset clears counter");
@@ -1223,7 +977,6 @@ mod tests {
     #[test]
     fn batch_fused_column_uniform_epilogue_matches_per_block_apply() {
         let a = random_matrix(40, 40, 220, 41);
-        let prep = PreparedPlan::new(&a);
         let blocks: Vec<DenseMatrix<f32>> = [3usize, 1, 4]
             .iter()
             .enumerate()
@@ -1231,9 +984,7 @@ mod tests {
             .collect();
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         let engine = ExecEngine::new(2);
-        let fused = engine
-            .execute_prepared_batch_fused(&prep, &a, &refs, &Epilogue::Relu)
-            .unwrap();
+        let fused = engine.spmm(&a, &refs, &Epilogue::Relu).unwrap();
         for (block, got) in blocks.iter().zip(fused) {
             let want = applied(row_sum(&a, block).0, &Epilogue::Relu);
             assert_eq!(got.as_slice(), want.as_slice());
@@ -1266,7 +1017,7 @@ mod tests {
                         run_row_spans(&a, folds, workers, epi);
                         out
                     };
-                    let want = fold(DataPath::Scalar.resolve(dim));
+                    let want = fold(DataPath::Scalar.resolve());
                     assert_eq!(
                         want,
                         applied(plain.clone(), epi).as_slice(),
@@ -1275,7 +1026,7 @@ mod tests {
                     for &wide_isa in &isas {
                         let rp = ResolvedPath {
                             wide_isa,
-                            ..DataPath::Vector.resolve(dim)
+                            ..DataPath::Vector.resolve()
                         };
                         assert_eq!(
                             fold(rp),
@@ -1317,7 +1068,6 @@ mod tests {
     #[test]
     fn spmm_overwrites_stale_recycled_outputs() {
         let a = lopsided();
-        let prep = PreparedPlan::new(&a);
         let paths = [DataPath::Auto, DataPath::Scalar, DataPath::Vector];
         let isas = crate::datapath::proven_isas();
         for dim in [1usize, 2, 3, 4, 8, 16, 32, 121, 128] {
@@ -1330,16 +1080,14 @@ mod tests {
                     for path in paths {
                         let engine = ExecEngine::with_data_path(workers, path);
                         recycle_stale(&engine, a.rows() * dim);
-                        let got = engine
-                            .execute_prepared_batch_fused(&prep, &a, &[&b], epi)
-                            .unwrap();
+                        let got = engine.spmm(&a, &[&b], epi).unwrap();
                         assert_eq!(engine.stats().arena_reuses, 1, "stale buffer handed out");
                         assert_eq!(got[0].as_slice(), want.as_slice(), "{path:?} {at}");
                     }
                     for &wide_isa in &isas {
                         let rp = ResolvedPath {
                             wide_isa,
-                            ..DataPath::Vector.resolve(dim)
+                            ..DataPath::Vector.resolve()
                         };
                         let mut out = vec![f32::NAN; a.rows() * dim];
                         let folds = vec![BlockFold {
@@ -1367,9 +1115,7 @@ mod tests {
                         for _ in 0..n {
                             recycle_stale(&engine, a.rows());
                         }
-                        let outs = engine
-                            .execute_prepared_batch_fused(&prep, &a, &refs, epi)
-                            .unwrap();
+                        let outs = engine.spmm(&a, &refs, epi).unwrap();
                         assert_eq!(engine.stats().arena_misses, 0, "every buffer was stale");
                         for (block, got) in blocks.iter().zip(&outs) {
                             let want = applied(row_sum(&a, block).0, epi);

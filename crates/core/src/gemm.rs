@@ -46,7 +46,7 @@ use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 use crate::datapath::{gemm_band, gemm_pack_width, pack_b};
 use crate::engine::ExecEngine;
 use crate::pool::{ScopedJob, WorkerPool};
-use crate::tuning::{gemm_band_rows, gemm_kc, CacheModel};
+use crate::tuning::{gemm_band_rows, gemm_kc, panel_cols, CacheModel};
 
 /// A take-once slot holding one output band's starting row and `&mut`
 /// slice, claimed by exactly one self-scheduled worker.
@@ -76,7 +76,7 @@ impl ExecEngine {
         }
         let start = Instant::now();
         let (m, n) = (a.rows(), b.cols());
-        let rp = self.data_path.resolve(n);
+        let rp = self.data_path.resolve();
         let width = gemm_pack_width(&rp, n);
         // The register tiles store every output element, the first
         // `k`-block from a literal `0.0` seed, so their output needs no
@@ -86,7 +86,9 @@ impl ExecEngine {
             Some(_) if a.cols() > 0 => self.arena.take(m * n),
             _ => self.arena.take_zeroed(m * n),
         };
-        let kc = gemm_kc(a.cols(), rp.panel, &CacheModel::default());
+        let model = CacheModel::default();
+        let panel = panel_cols(n, rp.lanes.lanes(), &model);
+        let kc = gemm_kc(a.cols(), panel, &model);
         if a.cols() > 0 {
             self.kblocks
                 .fetch_add(a.cols().div_ceil(kc.max(1)) as u64, Ordering::Relaxed);
@@ -110,7 +112,7 @@ impl ExecEngine {
         let mut panels = 0u64;
         if eff <= 1 {
             for (bi, band) in out.chunks_mut(band_rows * n.max(1)).enumerate() {
-                panels += gemm_band(a, b, pslab, bi * band_rows, &rp, kc, band);
+                panels += gemm_band(a, b, pslab, bi * band_rows, &rp, (panel, kc), band);
             }
         } else {
             // Self-scheduled bands: each band's `&mut` slice sits in a
@@ -144,7 +146,7 @@ impl ExecEngine {
                                 .unwrap_or_else(PoisonError::into_inner)
                                 .take()
                                 .expect("band slot claimed exactly once");
-                            local += gemm_band(a, b, pslab, row_start, &rp, kc, band);
+                            local += gemm_band(a, b, pslab, row_start, &rp, (panel, kc), band);
                         }
                         total_panels.fetch_add(local, Ordering::Relaxed);
                     }) as ScopedJob<'_>

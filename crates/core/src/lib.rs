@@ -39,9 +39,10 @@
 //! let (c, stats) = kernel.spmm_sequential(&a, &xw)?;
 //! assert_eq!(c.rows(), 4);
 //! assert_eq!(stats.total_nnz(), 4);
-//! // The fast product: the engine's row spans on the worker pool.
-//! let (fast, _) = ExecEngine::global().spmm(&a, &xw, &Epilogue::None)?;
-//! assert!(fast.max_abs_diff(&c)? <= 1e-6);
+//! // The fast product: the engine's row spans on the worker pool, one
+//! // output per dense block.
+//! let fast = ExecEngine::global().spmm(&a, &[&xw], &Epilogue::None)?;
+//! assert!(fast[0].max_abs_diff(&c)? <= 1e-6);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -56,7 +57,7 @@
 
 pub mod analysis;
 mod arena;
-mod batch;
+mod compat;
 mod datapath;
 mod engine;
 mod epilogue;
@@ -69,9 +70,11 @@ mod spmm;
 mod stats;
 mod tuning;
 
-pub use batch::BatchShapeClass;
+#[doc(hidden)]
+#[allow(clippy::disallowed_types)]
+pub use compat::{BatchShapeClass, PreparedPlan};
 pub use datapath::DataPath;
-pub use engine::{EngineStats, ExecEngine, PreparedPlan};
+pub use engine::{EngineStats, ExecEngine};
 pub use epilogue::Epilogue;
 pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};
 pub use plan::{static_span_skew, Flush, KernelPlan, PlanError, Segment, ThreadPlan};

@@ -169,8 +169,7 @@ impl KernelPlan {
     /// `(gather_bound, stream_bound)` — segments with at most
     /// `gather_max` non-zeros, and the rest. Like
     /// [`write_stats`](Self::write_stats) this is a property of the plan
-    /// alone; the engine reports the same split of its rows
-    /// ([`crate::PreparedPlan::dispatch_profile`]).
+    /// alone.
     pub fn dispatch_profile(&self, gather_max: usize) -> (usize, usize) {
         let mut gather = 0;
         let mut stream = 0;

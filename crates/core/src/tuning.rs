@@ -12,11 +12,14 @@
 /// count is set to the threshold value").
 pub const MIN_THREADS: usize = 1024;
 
-/// Row-degree threshold of the engine's row-degree profile
-/// ([`crate::EngineStats::gather_segments`]): rows with at most this many
-/// non-zeros count as short ("gather-bound"), longer rows as long. Every
-/// row runs the same tile plan whatever its degree; power-law graphs put
-/// most rows (but few non-zeros) below this line.
+/// Row-degree threshold of the reproduction's plan statistics: segments
+/// with at most this many non-zeros count as short ("gather-bound"),
+/// longer ones as long, when passed as the `gather_max` of
+/// [`crate::KernelPlan::dispatch_profile`] or
+/// [`crate::Schedule::gather_bound_fraction`] (`bench_simd` reports the
+/// latter). Power-law graphs put most rows (but few non-zeros) below this
+/// line. The engine reads no row degree: every row runs the same tile
+/// plan.
 pub const GATHER_MAX_NNZ: usize = 4;
 
 /// Register-tile height of the engine's dense GEMM microkernel: this
@@ -69,17 +72,17 @@ pub(crate) fn gemm_band_rows(m: usize, k: usize, n: usize) -> usize {
 /// dispatch-plus-barrier cost.
 pub const PAR_APPLY_MIN_LEN: usize = 1 << 14;
 
-/// Tiny CPU cache model the plan uses to size feature-dimension panels.
+/// Tiny CPU cache model the engine's dense GEMM sizes its blocking from:
+/// the output column panel ([`panel_cols`], from L1) and the `k`-block
+/// depth of the `B` slab under it ([`gemm_kc`], from L2).
 ///
-/// Only order-of-magnitude accuracy matters: the panel must keep a
-/// segment's working set — a few gathered `B` row panels plus the
-/// accumulator row — resident in L1 while leaving headroom for the
-/// streamed index/value arrays.
+/// Only order-of-magnitude accuracy matters: the blocking changes which
+/// products stay cache-resident, never the order they are added in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CacheModel {
     /// Per-core L1 data cache capacity in bytes.
     pub(crate) l1_bytes: usize,
-    /// Per-core L2 capacity in bytes (reserved for multi-level blocking).
+    /// Per-core L2 capacity in bytes (the `k`-block budget).
     pub(crate) l2_bytes: usize,
 }
 
@@ -94,20 +97,22 @@ impl Default for CacheModel {
     }
 }
 
-/// Number of distinct `B` rows the panel model budgets as simultaneously
-/// hot during one segment sweep.
+/// Panel rows the model fits in half of L1 at once, which caps a GEMM
+/// column panel at 512 f32 columns on a 32 KiB L1.
 const PANEL_RESIDENT_ROWS: usize = 8;
 
-/// Column-panel width (in f32 columns) for sweeping a `dim`-wide dense
-/// operand with `lanes`-wide accumulator blocks.
+/// Column-panel width (in f32 columns) of the engine's dense GEMM over a
+/// `dim`-wide output with `lanes`-wide register tiles: the width of the
+/// `B` slab whose depth [`gemm_kc`] sizes for L2, and the unit
+/// [`crate::EngineStats::gemm_panels`] counts. The SpMM has no panels:
+/// its row fold covers a block's whole width with one tile plan.
 ///
-/// Model: reserve half of L1 for gathered `B` row panels (the other half
-/// absorbs the streamed indices/values and the destination row), assume
-/// `PANEL_RESIDENT_ROWS` rows hot at a time, and round the resulting
-/// width down to a multiple of `lanes` so panels never split a wide
-/// block. The result is clamped to cover `dim` in one panel when `dim`
-/// already fits (the common GNN case — hidden widths of 16–128 are far
-/// below the ~512-column panel a 32 KiB L1 yields).
+/// Model: `PANEL_RESIDENT_ROWS` panel rows fill half of L1 (the other
+/// half absorbs the `A` rows and the destination tile), rounded down to
+/// a multiple of `lanes` so a panel never splits a register tile's
+/// column block. The result is clamped to cover `dim` in one panel when
+/// `dim` already fits (the common GNN case — hidden widths of 16–128 are
+/// far below the ~512-column panel a 32 KiB L1 yields).
 ///
 /// # Panics
 ///

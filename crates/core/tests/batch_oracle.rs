@@ -6,20 +6,17 @@
 //! [`execute_sequential`] separately. Row spans never split a row across
 //! workers, so every output row is one flat fold whatever the data path
 //! or worker count. The row-aligned [`BatchMergeSpmm`] plan of a pack,
-//! replayed sequentially, is held to the same oracle, and the row-span
-//! plans the engine builds per window
-//! ([`ExecEngine::plan_batch_cached`]) to its bytes and statistics.
+//! replayed sequentially, is held to the same oracle.
 //!
-//! The column-batch oracle pins
-//! [`ExecEngine::execute_prepared_batch_fused`] the same way: every
-//! block of a batch, folded in place into its own output with the batch
-//! epilogue applied per block, equals that block's own sequential row sum
-//! followed by the epilogue, at any worker count.
+//! The column-batch oracle pins a list of blocks through
+//! [`ExecEngine::spmm`] the same way: every block of a list, folded in
+//! place into its own output with the epilogue applied per block, equals
+//! that block's own sequential row sum followed by the epilogue, at any
+//! worker count.
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    default_workers, BatchMergeSpmm, BatchShapeClass, DataPath, Epilogue, ExecEngine, PreparedPlan,
-    SerialSpmm, SpmmKernel, GATHER_MAX_NNZ,
+    default_workers, BatchMergeSpmm, DataPath, Epilogue, ExecEngine, SerialSpmm, SpmmKernel,
 };
 use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
@@ -45,6 +42,11 @@ fn random_graph(rows: usize, nnz: usize, seed: u64) -> CsrMatrix<f32> {
 fn features(rows: usize, dim: usize, seed: u64) -> DenseMatrix<f32> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xFEA7);
     DenseMatrix::from_fn(rows, dim, |_, _| rng.gen_range(-1.0..1.0))
+}
+
+/// `engine`'s plain product of `a` and the one block `x`.
+fn product(engine: &ExecEngine, a: &CsrMatrix<f32>, x: &DenseMatrix<f32>) -> DenseMatrix<f32> {
+    engine.spmm(a, &[x], &Epilogue::None).unwrap().remove(0)
 }
 
 /// Per-constituent oracle: a one-segment-per-row serial plan replayed by
@@ -98,10 +100,7 @@ proptest! {
         for path in [DataPath::Scalar, DataPath::Vector] {
             for &workers in &[1usize, 2, 8] {
                 let engine = ExecEngine::with_data_path(workers, path);
-                let prep = PreparedPlan::new(pack.matrix());
-                let (out, _) = engine
-                    .execute_prepared(&prep, pack.matrix(), &stacked)
-                    .unwrap();
+                let out = product(&engine, pack.matrix(), &stacked);
                 for (i, want) in wants.iter().enumerate() {
                     let band = pack.scatter_block(&out, i);
                     prop_assert_eq!(
@@ -132,10 +131,7 @@ fn single_graph_and_all_empty_batches_round_trip() {
     let want = sequential_reference(&g, &x, 5);
     for &workers in &[1usize, 2, 8] {
         let engine = ExecEngine::new(workers);
-        let prep = PreparedPlan::new(pack.matrix());
-        let (out, _) = engine
-            .execute_prepared(&prep, pack.matrix(), &stacked)
-            .unwrap();
+        let out = product(&engine, pack.matrix(), &stacked);
         assert_eq!(
             pack.scatter_block(&out, 0).max_abs_diff(&want).unwrap(),
             0.0,
@@ -152,11 +148,8 @@ fn single_graph_and_all_empty_batches_round_trip() {
     let stacked = pack
         .stack_features(&feats.iter().collect::<Vec<_>>())
         .unwrap();
-    let prep = PreparedPlan::new(pack.matrix());
     let engine = ExecEngine::new(2);
-    let (out, _) = engine
-        .execute_prepared(&prep, pack.matrix(), &stacked)
-        .unwrap();
+    let out = product(&engine, pack.matrix(), &stacked);
     assert!(out.as_slice().iter().all(|&v| v == 0.0));
 }
 
@@ -183,11 +176,8 @@ fn resolved_worker_count_packed_batch_bit_matches_oracle() {
     let stacked = pack
         .stack_features(&feats.iter().collect::<Vec<_>>())
         .unwrap();
-    let prep = PreparedPlan::new(pack.matrix());
     let engine = ExecEngine::new(workers);
-    let (out, _) = engine
-        .execute_prepared(&prep, pack.matrix(), &stacked)
-        .unwrap();
+    let out = product(&engine, pack.matrix(), &stacked);
     for (i, (g, x)) in graphs.iter().zip(&feats).enumerate() {
         let want = sequential_reference(g, x, dim);
         assert_eq!(
@@ -232,13 +222,12 @@ const PACKS: [&[(usize, usize)]; 2] = [
     &[(5, 0), (3, 0), (8, 0)],
 ];
 
-/// Row-span plans from `plan_batch_cached` equal per-graph sequential
+/// The engine's row spans over a pack equal per-graph sequential
 /// execution exactly, on every data path at widths with and without a
 /// fixed-width microkernel, at workers {1, 2, 8} and the resolved count;
 /// a fused bias lands on every row, empty rows included.
 #[test]
 fn row_span_plans_bit_match_per_graph_sequential() {
-    let class = BatchShapeClass::from_graphs(std::iter::empty());
     for (p, sizes) in PACKS.iter().enumerate() {
         for dim in [1usize, 2, 3, 4, 8, 16, 32] {
             let (pack, stacked, wants) = packed(sizes, dim, 40 + p as u64);
@@ -247,18 +236,11 @@ fn row_span_plans_bit_match_per_graph_sequential() {
             for path in [DataPath::Auto, DataPath::Scalar, DataPath::Vector] {
                 for workers in [1usize, 2, 8, default_workers()] {
                     let engine = ExecEngine::with_data_path(workers, path);
-                    let prep = engine.plan_batch_cached(
-                        &BatchMergeSpmm::new(),
-                        pack.matrix(),
-                        dim,
-                        &class,
-                    );
-                    let (out, _) = engine
-                        .execute_prepared(&prep, pack.matrix(), &stacked)
-                        .unwrap();
-                    let (biased, _) = engine
-                        .execute_prepared_fused(&prep, pack.matrix(), &stacked, &epi)
-                        .unwrap();
+                    let out = product(&engine, pack.matrix(), &stacked);
+                    let biased = engine
+                        .spmm(pack.matrix(), &[&stacked], &epi)
+                        .unwrap()
+                        .remove(0);
                     for (i, want) in wants.iter().enumerate() {
                         let ctx = format!("pack {p} graph {i} dim {dim} {path:?} w={workers}");
                         assert_eq!(
@@ -277,72 +259,6 @@ fn row_span_plans_bit_match_per_graph_sequential() {
             }
         }
     }
-}
-
-/// A row-span plan gives the bytes of the sequential replay of the
-/// `BatchMergeSpmm` plan of the same pack, whose boundaries come from the
-/// same search, and reports that plan's write statistics and dispatch
-/// split.
-#[test]
-fn row_span_plan_matches_the_batch_merge_plan() {
-    let class = BatchShapeClass::from_graphs(std::iter::empty());
-    for (p, sizes) in PACKS.iter().enumerate() {
-        for dim in [1usize, 3, 8, 16] {
-            let (pack, stacked, _) = packed(sizes, dim, 70 + p as u64);
-            let merge = BatchMergeSpmm::new().plan(pack.matrix(), dim);
-            let (want, want_stats) = execute_sequential(&merge, pack.matrix(), &stacked).unwrap();
-            for workers in [1usize, 2, 8] {
-                let engine = ExecEngine::new(workers);
-                let spans =
-                    engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), dim, &class);
-                assert_eq!(spans.expected_stats(), want_stats);
-                assert_eq!(
-                    spans.dispatch_profile(),
-                    merge.dispatch_profile(GATHER_MAX_NNZ)
-                );
-                assert_eq!(spans.shared_row_count(), 0);
-                let (got, got_stats) = engine
-                    .execute_prepared(&spans, pack.matrix(), &stacked)
-                    .unwrap();
-                assert_eq!(
-                    got.as_slice(),
-                    want.as_slice(),
-                    "pack {p} dim {dim} w={workers}"
-                );
-                assert_eq!(got_stats, want_stats);
-            }
-        }
-    }
-}
-
-/// The run-time row-count check covers row-span plans: executing one
-/// against a matrix with another row count panics.
-#[test]
-#[should_panic(expected = "different row count")]
-fn row_span_plan_rejects_a_matrix_with_another_row_count() {
-    let (pack, stacked, _) = packed(PACKS[0], 4, 90);
-    let engine = ExecEngine::new(2);
-    let class = BatchShapeClass::from_graphs(std::iter::empty());
-    let prep = engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), 4, &class);
-    let taller = CsrMatrix::<f32>::zeros(pack.rows() + 1, pack.cols());
-    let _ = engine.execute_prepared(&prep, &taller, &stacked);
-}
-
-/// `plan_batch_cached` builds a fresh row-span plan per call and stores
-/// nothing.
-#[test]
-fn batch_plans_are_built_per_call_and_never_stored() {
-    let (pack, _, _) = packed(PACKS[0], 8, 95);
-    let engine = ExecEngine::new(3);
-    let class = BatchShapeClass::from_graphs(std::iter::empty());
-    let p1 = engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), 8, &class);
-    let p2 = engine.plan_batch_cached(&BatchMergeSpmm::new(), pack.matrix(), 8, &class);
-    assert!(!Arc::ptr_eq(&p1, &p2), "nothing is cached");
-    let stats = engine.stats();
-    assert_eq!(stats.batch_plan_misses, 2, "one build per call");
-    assert_eq!((stats.batch_plan_hits, stats.batch_plan_rebuilds), (0, 0));
-    engine.clear_cache();
-    assert_eq!(engine.stats().batch_plan_misses, 0);
 }
 
 /// A 40 × 100 graph whose evil row 0 holds 100 of its 130 non-zeros
@@ -393,7 +309,6 @@ fn row_sum_then(a: &CsrMatrix<f32>, x: &DenseMatrix<f32>, epi: &Epilogue) -> Den
 #[test]
 fn column_batches_equal_the_per_block_row_sum() {
     let a = lopsided();
-    let prep = PreparedPlan::new(&a);
     for (i, widths) in COLUMN_BATCHES.iter().enumerate() {
         let blocks: Vec<DenseMatrix<f32>> = widths
             .iter()
@@ -407,7 +322,7 @@ fn column_batches_equal_the_per_block_row_sum() {
             for workers in [1, 2, 7, 64, default_workers()] {
                 for path in [DataPath::Auto, DataPath::Scalar, DataPath::Vector] {
                     let engine = ExecEngine::with_data_path(workers, path);
-                    let got = engine.execute_prepared_batch_fused(&prep, &a, &refs, &epi);
+                    let got = engine.spmm(&a, &refs, &epi);
                     let ctx = format!("widths={widths:?} epi={epi:?} w={workers} path={path:?}");
                     if !fits {
                         assert!(got.is_err(), "{ctx}: a bias must fit every block");
@@ -429,11 +344,10 @@ fn column_batches_equal_the_per_block_row_sum() {
 /// Arena checkouts of one batch call, from a cold engine.
 fn checkouts(workers: usize, widths: &[usize]) -> u64 {
     let a = lopsided();
-    let prep = PreparedPlan::new(&a);
     let blocks: Vec<DenseMatrix<f32>> = widths.iter().map(|&k| features(100, k, 5)).collect();
     let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
     let engine = ExecEngine::new(workers);
-    engine.execute_prepared_batch(&prep, &a, &refs).unwrap();
+    engine.spmm(&a, &refs, &Epilogue::None).unwrap();
     let stats = engine.stats();
     stats.arena_reuses + stats.arena_misses
 }

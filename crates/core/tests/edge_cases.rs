@@ -97,9 +97,10 @@ fn wide_output_dimension() {
         let (got, _) = k.spmm_sequential(&a, &b).expect("wide product");
         assert!(got.approx_eq(&want, 1e-5).unwrap(), "{}", k.name());
     }
-    let (got, _) = ExecEngine::global()
-        .spmm(&a, &b, &Epilogue::None)
-        .expect("wide product");
+    let got = ExecEngine::global()
+        .spmm(&a, &[&b], &Epilogue::None)
+        .expect("wide product")
+        .remove(0);
     assert!(got.approx_eq(&want, 1e-5).unwrap(), "engine");
 }
 

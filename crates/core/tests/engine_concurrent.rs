@@ -1,12 +1,12 @@
 //! Property test for *concurrent* engine use: one shared [`ExecEngine`]
-//! and shared [`PreparedPlan`]s driven from many threads at once — the
+//! and shared graphs driven from many threads at once — the
 //! exact shape the serving layer (`mpspmm-serve`) puts the engine in —
 //! and, separately, one engine per thread, all on the process-wide pool.
 //!
 //! Each thread runs its own request stream against one of several shared
 //! graphs and compares every result to the ascending row sum (the serial
 //! plan's sequential replay) computed up front, with `==`. This pins
-//! down that the worker pool and the prepared-plan execution path are
+//! down that the worker pool and the engine's one SpMM entry point are
 //! safe to share: no cross-talk between interleaved jobs and no torn
 //! outputs.
 
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::thread;
 
 use mpspmm_core::executor::execute_sequential;
-use mpspmm_core::{ExecEngine, PreparedPlan, SerialSpmm, SpmmKernel};
+use mpspmm_core::{Epilogue, ExecEngine, SerialSpmm, SpmmKernel};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -62,8 +62,8 @@ fn random_graph(
 }
 
 /// N threads × M graphs × K requests each, every thread on
-/// `engines[t]` and all of them sharing ONE prepared plan per graph,
-/// whatever their worker counts;
+/// `engines[t]` and all of them sharing each graph, whatever their
+/// worker counts;
 /// every answer is checked against the oracle computed before any thread
 /// started. Returns one message per failing thread.
 fn run_concurrent_requests(
@@ -78,14 +78,13 @@ fn run_concurrent_requests(
 
     let nnz = (rows * fill).min(rows * rows);
 
-    // Build the shared graphs, plans, and per-stream oracles.
+    // Build the shared graphs and per-stream oracles.
     let mut shared = Vec::with_capacity(GRAPHS);
     for g in 0..GRAPHS {
         let dim = [3usize, 8, 17][g % 3];
         let (a, blocks) = random_graph(rows, nnz, dim, threads, seed ^ g as u64);
         let oracles: Vec<DenseMatrix<f32>> = blocks.iter().map(|b| row_sum(&a, b)).collect();
-        let prep = Arc::new(PreparedPlan::new(&a));
-        shared.push(Arc::new((a, prep, blocks, oracles)));
+        shared.push(Arc::new((a, blocks, oracles)));
     }
     let shared = Arc::new(shared);
 
@@ -99,14 +98,15 @@ fn run_concurrent_requests(
                 scope.spawn(move || -> Result<(), String> {
                     for r in 0..REQUESTS_PER_THREAD {
                         // Every thread walks the graphs in a different
-                        // order so distinct plans interleave in the pool.
+                        // order so distinct graphs interleave in the pool.
                         let g = (t + r) % GRAPHS;
-                        let (a, prep, blocks, oracles) = &*shared[g];
+                        let (a, blocks, oracles) = &*shared[g];
                         let b = &blocks[t];
                         let want = &oracles[t];
-                        let (got, _) = engine
-                            .execute_prepared(prep, a, b)
-                            .map_err(|e| format!("thread {t} graph {g}: {e}"))?;
+                        let got = engine
+                            .spmm(a, &[b], &Epilogue::None)
+                            .map_err(|e| format!("thread {t} graph {g}: {e}"))?
+                            .remove(0);
                         if got.as_slice() != want.as_slice() {
                             let diff = got.max_abs_diff(want).unwrap();
                             return Err(format!(

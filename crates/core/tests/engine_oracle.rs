@@ -9,7 +9,7 @@
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
     default_workers, DataPath, Epilogue, ExecEngine, MergePathSerialFixup, MergePathSpmm,
-    NnzSplitSpmm, PreparedPlan, RowSplitSpmm, SerialSpmm, SpmmKernel, WriteStats,
+    NnzSplitSpmm, RowSplitSpmm, SerialSpmm, SpmmKernel, WriteStats,
 };
 use mpspmm_graphs::{find_dataset, gcn_normalize};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
@@ -60,10 +60,9 @@ fn engine_product(
     path: DataPath,
     a: &CsrMatrix<f32>,
     b: &DenseMatrix<f32>,
-) -> (DenseMatrix<f32>, WriteStats) {
+) -> DenseMatrix<f32> {
     let engine = ExecEngine::with_data_path(workers, path);
-    let prep = PreparedPlan::new(a);
-    engine.execute_prepared(&prep, a, b).unwrap()
+    engine.spmm(a, &[b], &Epilogue::None).unwrap().remove(0)
 }
 
 /// The parallel kernels, with small fixed decompositions so their plans
@@ -89,11 +88,10 @@ proptest! {
         let nnz = (rows * fill).min(rows * rows);
         for &dim in &[1usize, 3, 8, 33] {
             let (a, b) = random_inputs(rows, nnz, dim, seed);
-            let (want, want_stats) = row_sum(&a, &b);
+            let (want, _) = row_sum(&a, &b);
             for &workers in &WORKERS {
-                let (got, got_stats) = engine_product(workers, DataPath::Auto, &a, &b);
+                let got = engine_product(workers, DataPath::Auto, &a, &b);
                 prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={} dim={}", workers, dim);
-                prop_assert_eq!(got_stats, want_stats);
             }
         }
     }
@@ -127,12 +125,11 @@ proptest! {
     ) {
         let nnz = (rows * 4).min(rows * rows);
         let (a, b) = random_inputs(rows, nnz, 16, seed);
-        let (want, want_stats) = row_sum(&a, &b);
+        let (want, _) = row_sum(&a, &b);
         for &workers in &WORKERS {
             let engine = ExecEngine::new(workers);
-            let (got, stats) = engine.spmm(&a, &b, &Epilogue::None).unwrap();
+            let got = engine.spmm(&a, &[&b], &Epilogue::None).unwrap().remove(0);
             prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={}", workers);
-            prop_assert_eq!(stats, want_stats);
         }
     }
 
@@ -152,7 +149,7 @@ proptest! {
         let (want, _) = row_sum(&a, &b);
         for path in [DataPath::Scalar, DataPath::Vector] {
             for &workers in &WORKERS {
-                let (got, _) = engine_product(workers, path, &a, &b);
+                let got = engine_product(workers, path, &a, &b);
                 prop_assert_eq!(
                     got.as_slice(),
                     want.as_slice(),
@@ -165,11 +162,11 @@ proptest! {
         }
     }
 
-    /// A plan depends only on the row count: built for one structure and
-    /// run on another matrix with the same row count, it still returns
-    /// that matrix's exact product.
+    /// The engine keeps nothing of a matrix between calls: after a run on
+    /// one structure, a run on another matrix with the same row count
+    /// returns that matrix's exact product.
     #[test]
-    fn a_stale_plan_still_returns_the_exact_product(
+    fn a_second_structure_gets_its_own_exact_product(
         rows in 2usize..48,
         fill in 1usize..6,
         seed in any::<u64>(),
@@ -179,8 +176,9 @@ proptest! {
         let (want, _) = row_sum(&new, &b);
         for &workers in &WORKERS {
             let engine = ExecEngine::new(workers);
-            let stale = PreparedPlan::new(&old);
-            let (got, _) = engine.execute_prepared(&stale, &new, &b).unwrap();
+            let first = DenseMatrix::from_fn(rows, 9, |r, c| (r + c) as f32);
+            engine.spmm(&old, &[&first], &Epilogue::None).unwrap();
+            let got = engine.spmm(&new, &[&b], &Epilogue::None).unwrap().remove(0);
             prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={}", workers);
         }
     }
@@ -207,7 +205,7 @@ fn all_paths_equal_the_row_sum_for_dims_1_to_67() {
         let (want, _) = row_sum(&a, &b);
         for path in [DataPath::Scalar, DataPath::Vector] {
             for workers in WORKERS {
-                let (got, _) = engine_product(workers, path, &a, &b);
+                let got = engine_product(workers, path, &a, &b);
                 assert_eq!(
                     got.as_slice(),
                     want.as_slice(),
@@ -229,9 +227,9 @@ fn ppi_shaped_width_121_spmm_is_identical_at_every_worker_count() {
     let mut rng = SmallRng::seed_from_u64(121);
     let b = DenseMatrix::from_fn(a.cols(), 121, |_, _| rng.gen_range(-1.0f32..1.0));
     let bits = |m: &DenseMatrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let (one, _) = engine_product(1, DataPath::Auto, &a, &b);
+    let one = engine_product(1, DataPath::Auto, &a, &b);
     for workers in [2, 8, default_workers()] {
-        let (got, _) = engine_product(workers, DataPath::Auto, &a, &b);
+        let got = engine_product(workers, DataPath::Auto, &a, &b);
         assert!(
             bits(&got) == bits(&one),
             "workers={workers} differs from one worker"

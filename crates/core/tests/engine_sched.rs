@@ -7,7 +7,7 @@
 //! plan, at every worker count.
 
 use mpspmm_core::executor::execute_sequential;
-use mpspmm_core::{default_workers, DataPath, ExecEngine, PreparedPlan, SerialSpmm, SpmmKernel};
+use mpspmm_core::{default_workers, DataPath, Epilogue, ExecEngine, SerialSpmm, SpmmKernel};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -65,9 +65,8 @@ fn assert_runs_equal_the_row_sum(
     label: &str,
 ) {
     let engine = ExecEngine::with_data_path(workers, path);
-    let prep = PreparedPlan::new(a);
     for run in 0..2 {
-        let (got, _) = engine.execute_prepared(&prep, a, b).unwrap();
+        let got = engine.spmm(a, &[b], &Epilogue::None).unwrap().remove(0);
         assert_eq!(got.as_slice(), want.as_slice(), "{label}: run {run}");
     }
 }
@@ -106,9 +105,8 @@ fn skewed_graph_runs_are_bit_reproducible_run_to_run() {
     assert!(a.row_ptr()[1] > share, "row 0 is longer than a share");
     let want = row_sum(&a, &b);
     let engine = ExecEngine::with_data_path(8, DataPath::Vector);
-    let prep = PreparedPlan::new(&a);
     for run in 0..5 {
-        let (again, _) = engine.execute_prepared(&prep, &a, &b).unwrap();
+        let again = engine.spmm(&a, &[&b], &Epilogue::None).unwrap().remove(0);
         assert_eq!(again.as_slice(), want.as_slice(), "run {run} diverged");
     }
 }

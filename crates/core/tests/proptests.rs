@@ -95,7 +95,7 @@ proptest! {
         let (seq, stats) = kernel.spmm_sequential(&m, &b).unwrap();
         prop_assert!(seq.max_abs_diff(&oracle).unwrap() <= 1e-4);
         prop_assert_eq!(stats.total_nnz(), m.nnz());
-        let (par, _) = ExecEngine::global().spmm(&m, &b, &Epilogue::None).unwrap();
+        let par = ExecEngine::global().spmm(&m, &[&b], &Epilogue::None).unwrap().remove(0);
         prop_assert!(par.max_abs_diff(&oracle).unwrap() <= 1e-4);
     }
 

@@ -5,9 +5,9 @@
 //! provides the *combination* phase (dense `X × W` GEMM, activations,
 //! weight init) and composes it with the *aggregation* phase — the
 //! `Â × (XW)` SpMM on an [`mpspmm_core::ExecEngine`] — into layers and
-//! models. [`GcnModel::forward_batched_prepared`] is the one GCN layer
-//! loop: a single request, a batch of requests on one graph and a packed
-//! block-diagonal window of many graphs all run through it. The crate
+//! models. [`GcnModel::forward`] is the one GCN layer loop: a single
+//! request, a batch of requests on one graph and a packed block-diagonal
+//! window of many graphs all run through it, one output per block. The crate
 //! also implements the online/offline inference scenario of Figure 8.
 //!
 //! # Example
@@ -21,8 +21,8 @@
 //! let a = gcn_normalize(&spec.synthesize(1));
 //! let model = GcnModel::two_layer(32, 16, 4, 7);
 //! let x = ops::random_features(200, 32, 0.4, 2);
-//! let logits = model.forward(&a, &x, ExecEngine::global())?;
-//! assert_eq!(logits.rows(), 200);
+//! let logits = model.forward(&a, &[&x], ExecEngine::global())?;
+//! assert_eq!(logits[0].rows(), 200);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

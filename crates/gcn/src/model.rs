@@ -1,8 +1,6 @@
 //! GCN layers and models on the SpMM engine.
 
-use mpspmm_core::{
-    parallel_apply_chunks, Epilogue, ExecEngine, PreparedPlan, Schedule, SpmmKernel,
-};
+use mpspmm_core::{parallel_apply_chunks, Epilogue, ExecEngine, Schedule};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::ops::Activation;
@@ -124,8 +122,8 @@ impl GcnLayer {
 /// let a = CsrMatrix::from_triplets(4, 4, &[(0, 1, 0.5f32), (1, 0, 0.5)])?;
 /// let model = GcnModel::two_layer(8, 16, 3, 42);
 /// let x = ops::random_features(4, 8, 0.5, 1);
-/// let out = model.forward(&a, &x, &ExecEngine::new(4))?;
-/// assert_eq!(out.cols(), 3);
+/// let out = model.forward(&a, &[&x], &ExecEngine::new(4))?;
+/// assert_eq!(out[0].cols(), 3);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -183,8 +181,8 @@ impl GcnModel {
         self.layers[self.layers.len() - 1].out_features()
     }
 
-    /// Widest layer output. A [`PreparedPlan`] is width-independent, so
-    /// one plan serves every layer and every batch width.
+    /// Widest layer output: the width of the arena buffer every forward
+    /// output is cut from.
     pub fn max_features(&self) -> usize {
         self.layers
             .iter()
@@ -193,95 +191,49 @@ impl GcnModel {
             .expect("model has at least one layer")
     }
 
-    /// Full forward pass on `engine`: the one-block case of
-    /// [`forward_batched_prepared`](Self::forward_batched_prepared) on a
-    /// plan built for this call. Each layer is one engine GEMM plus one
-    /// SpMM with the bias/activation epilogue fused into the store stage
-    /// (sigmoid runs as a separate pass), so a 2-layer model is the
-    /// "2 kernel invocations" scenario of the paper's Figure 8.
+    /// Forward pass on `engine` over several independent feature
+    /// matrices on the *same* graph, returning one output per block, in
+    /// order; a single request is `&[&x]`. Each layer is one engine GEMM
+    /// per block plus **one** SpMM that aggregates `Â × H_iW` for every
+    /// block of the list, each into its own output, with the layer's
+    /// bias/activation epilogue fused into the store stage (sigmoid runs
+    /// as a separate pass) — the dense-column batching of Batched SpMM for
+    /// GCN serving, valid because `Â (H_i W)` only ever reads `H_i W`'s
+    /// own columns. A 2-layer model on one block is the "2 kernel
+    /// invocations" scenario of the paper's Figure 8.
     ///
-    /// Layer 0's raw feature matrix and the hidden layers' dense
-    /// activations all go through the engine's blocked GEMM, whose result
-    /// equals a zero-skipping GEMM's bit for bit whenever the weights are
-    /// finite (see [`crate::ops::gemm`]); DESIGN.md §2.10 has the
-    /// measurements that retired the skip. Scratch and inter-layer
-    /// activations recycle through the engine's buffer arena, so a
-    /// steady-state forward pass whose caller recycles its output
-    /// allocates no fresh engine buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when shapes are
-    /// inconsistent.
-    pub fn forward(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        x: &DenseMatrix<f32>,
-        engine: &ExecEngine,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let prep = PreparedPlan::new(a_hat);
-        let mut outs = self.forward_batched_prepared(a_hat, &prep, &[x], engine)?;
-        Ok(outs.pop().expect("one block in, one output out"))
-    }
-
-    /// [`forward`](Self::forward) under its old name. `kernel` and
-    /// `epoch` are unused; the serving benchmark still calls it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] when shapes are
-    /// inconsistent.
-    pub fn forward_cached(
-        &self,
-        a_hat: &CsrMatrix<f32>,
-        x: &DenseMatrix<f32>,
-        _kernel: &dyn SpmmKernel,
-        engine: &ExecEngine,
-        _epoch: u64,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        self.forward(a_hat, x, engine)
-    }
-
-    /// Batched forward pass over several independent feature matrices on
-    /// the *same* graph, sharing every aggregation SpMM: per layer, each
-    /// request's dense combination `H_i × W` is computed separately, and
-    /// **one** engine run aggregates `Â × H_iW` for every block of the
-    /// batch, each into its own output, with the layer's epilogue fused
-    /// into its store stage — the dense-column batching of Batched SpMM
-    /// for GCN serving, valid because `Â (H_i W)` only ever reads
-    /// `H_i W`'s own columns.
-    ///
-    /// This is the crate's one GCN layer loop. A single request is a
-    /// one-block call ([`forward`](Self::forward)), and so is a
-    /// block-diagonal packed window: `a_hat` packs many small graphs on
+    /// This is the crate's one GCN layer loop. A block-diagonal packed
+    /// window is a one-block call too: `a_hat` packs many small graphs on
     /// the diagonal ([`BlockDiagCsr`](mpspmm_sparse::BlockDiagCsr)) and
     /// the one block stacks their features in the same order. Row band
     /// `i` of the packed product reads only feature band `i`, so each
     /// graph's output band is its own forward pass, bit for bit.
     ///
-    /// `prep` is the graph's prepared aggregation plan (plans are
-    /// width-independent, so any plan built for `a_hat` works at every
-    /// batch width). Returns one output matrix per input block, in order.
+    /// Layer 0's raw feature matrix and the hidden layers' dense
+    /// activations all go through the engine's blocked GEMM, whose result
+    /// equals a zero-skipping GEMM's bit for bit whenever the weights are
+    /// finite (see [`crate::ops::gemm`]); DESIGN.md §2.10 has the
+    /// measurements that retired the skip.
     ///
     /// Each activation goes back to the engine's arena at its last read:
     /// a layer's input activations as soon as every block's GEMM has read
     /// them, before the aggregation checks out its outputs, and the GEMM
     /// products once the aggregation has read them. A layer therefore
     /// holds at most two full-size buffers per block, its product and its
-    /// output. A caller that drops the outputs instead of recycling them
-    /// (a serving client) costs one fresh arena buffer per block per call,
-    /// and every output is a buffer sized for the model's widest
-    /// activation, so the allocator refills the space the last call's
-    /// outputs freed (DESIGN.md §2.9).
+    /// output, and a steady-state forward whose caller recycles its
+    /// outputs allocates no fresh engine buffers. A caller that drops the
+    /// outputs instead (a serving client) costs one fresh arena buffer per
+    /// block per call, and every output is a buffer sized for the model's
+    /// widest activation, so the allocator refills the space the last
+    /// call's outputs freed (DESIGN.md §2.9).
     ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`] when `a_hat` or any
     /// block's shape is inconsistent with the model.
-    pub fn forward_batched_prepared(
+    pub fn forward(
         &self,
         a_hat: &CsrMatrix<f32>,
-        prep: &PreparedPlan,
         blocks: &[&DenseMatrix<f32>],
         engine: &ExecEngine,
     ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
@@ -306,9 +258,9 @@ impl GcnModel {
             // and the engine applies a batch epilogue per block, so the
             // layer's epilogue fuses into the one aggregation run as is.
             let aggregated = match &layer.epilogue {
-                Some(epi) => engine.execute_prepared_batch_fused(prep, a_hat, &refs, epi)?,
+                Some(epi) => engine.spmm(a_hat, &refs, epi)?,
                 None => {
-                    let mut agg = engine.execute_prepared_batch(prep, a_hat, &refs)?;
+                    let mut agg = engine.spmm(a_hat, &refs, &Epilogue::None)?;
                     for out in &mut agg {
                         layer.apply_unfused(out);
                     }
@@ -324,6 +276,34 @@ impl GcnModel {
             hs = aggregated;
         }
         Ok(hs)
+    }
+}
+
+/// Names the serving benchmark (`servebench/`) still calls, kept until it
+/// moves to [`GcnModel::forward`]: one-line bodies, denied to the
+/// workspace by the root `clippy.toml` (ROADMAP item 1a deletes them).
+#[doc(hidden)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
+impl GcnModel {
+    pub fn forward_batched_prepared(
+        &self,
+        a_hat: &CsrMatrix<f32>,
+        _prep: &mpspmm_core::PreparedPlan,
+        blocks: &[&DenseMatrix<f32>],
+        engine: &ExecEngine,
+    ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
+        self.forward(a_hat, blocks, engine)
+    }
+
+    pub fn forward_cached(
+        &self,
+        a_hat: &CsrMatrix<f32>,
+        x: &DenseMatrix<f32>,
+        _kernel: &dyn mpspmm_core::SpmmKernel,
+        engine: &ExecEngine,
+        _epoch: u64,
+    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
+        Ok(self.forward(a_hat, &[x], engine)?.remove(0))
     }
 }
 
@@ -381,10 +361,12 @@ pub fn online_inference(
     // time is charged separately.
     let _ = &schedule;
     let t1 = std::time::Instant::now();
-    let out = model.forward(a_hat, x, ExecEngine::global())?;
+    let out = model.forward(a_hat, &[x], ExecEngine::global())?;
     let execution = t1.elapsed();
     Ok((
-        out,
+        out.into_iter()
+            .next()
+            .expect("one block in, one output out"),
         InferenceTiming {
             scheduling,
             execution,
@@ -396,7 +378,7 @@ pub fn online_inference(
 mod tests {
     use super::*;
     use crate::ops::{gemm, random_features, xavier_init};
-    use mpspmm_core::{MergePathSpmm, NnzSplitSpmm, SerialSpmm};
+    use mpspmm_core::{MergePathSpmm, NnzSplitSpmm, SerialSpmm, SpmmKernel};
     use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
 
     fn small_graph() -> CsrMatrix<f32> {
@@ -426,7 +408,6 @@ mod tests {
         let stacked = pack
             .stack_features(&feats.iter().collect::<Vec<_>>())
             .unwrap();
-        let prep = PreparedPlan::new(pack.matrix());
 
         // Per-graph reference on a 1-worker engine: every row is one
         // ascending fold at any worker count, so bands match bitwise.
@@ -434,12 +415,12 @@ mod tests {
         let expect: Vec<DenseMatrix<f32>> = graphs
             .iter()
             .zip(&feats)
-            .map(|(g, x)| model.forward(g, x, &ref_engine).unwrap())
+            .map(|(g, x)| model.forward(g, &[x], &ref_engine).unwrap().remove(0))
             .collect();
         for workers in [1, 2, 7, 64] {
             let engine = ExecEngine::new(workers);
             let packed_out = model
-                .forward_batched_prepared(pack.matrix(), &prep, &[&stacked], &engine)
+                .forward(pack.matrix(), &[&stacked], &engine)
                 .unwrap()
                 .pop()
                 .unwrap();
@@ -456,7 +437,10 @@ mod tests {
         let a = small_graph();
         let model = GcnModel::two_layer(32, 16, 7, 11);
         let x = random_features(100, 32, 0.4, 2);
-        let out = model.forward(&a, &x, &ExecEngine::new(2)).unwrap();
+        let out = model
+            .forward(&a, &[&x], &ExecEngine::new(2))
+            .unwrap()
+            .remove(0);
         assert_eq!(out.rows(), 100);
         assert_eq!(out.cols(), 7);
     }
@@ -469,7 +453,10 @@ mod tests {
         let weights = [xavier_init(16, 8, 5), xavier_init(8, 4, 5 ^ 1)];
         let model = GcnModel::two_layer(16, 8, 4, 5);
         let x = random_features(100, 16, 0.4, 9);
-        let got = model.forward(&a, &x, &ExecEngine::new(2)).unwrap();
+        let got = model
+            .forward(&a, &[&x], &ExecEngine::new(2))
+            .unwrap()
+            .remove(0);
         let kernels: [&dyn SpmmKernel; 3] = [
             &SerialSpmm,
             &MergePathSpmm::with_threads(8),
@@ -491,7 +478,10 @@ mod tests {
         let model = GcnModel::two_layer(8, 4, 2, 1);
         let first = GcnModel::new(vec![model.layers()[0].clone()]);
         let x = random_features(100, 8, 0.5, 1);
-        let h1 = first.forward(&a, &x, &ExecEngine::new(1)).unwrap();
+        let h1 = first
+            .forward(&a, &[&x], &ExecEngine::new(1))
+            .unwrap()
+            .remove(0);
         assert!(h1.as_slice().iter().all(|&v| v >= 0.0));
     }
 
@@ -512,9 +502,9 @@ mod tests {
         let model = GcnModel::two_layer(16, 16, 4, 2);
         let x = random_features(100, 16, 0.4, 3);
         let engine = ExecEngine::new(2);
-        let first = model.forward(&a, &x, &engine).unwrap();
+        let first = model.forward(&a, &[&x], &engine).unwrap().remove(0);
         for _ in 0..10 {
-            let out = model.forward(&a, &x, &engine).unwrap();
+            let out = model.forward(&a, &[&x], &engine).unwrap().remove(0);
             assert_eq!(out, first);
             engine.recycle(out);
         }
@@ -530,7 +520,7 @@ mod tests {
         // and H×W scratch shapes this model cycles through.
         let mut outs = Vec::new();
         for _ in 0..2 {
-            outs.push(model.forward(&a, &x, &engine).unwrap());
+            outs.push(model.forward(&a, &[&x], &engine).unwrap().remove(0));
         }
         for out in outs.drain(..) {
             engine.recycle(out);
@@ -538,7 +528,7 @@ mod tests {
         let warm_misses = engine.stats().arena_misses;
         let warm_reuses = engine.stats().arena_reuses;
         for _ in 0..5 {
-            let out = model.forward(&a, &x, &engine).unwrap();
+            let out = model.forward(&a, &[&x], &engine).unwrap().remove(0);
             engine.recycle(out);
         }
         let stats = engine.stats();
@@ -577,7 +567,6 @@ mod tests {
     #[test]
     fn dropped_replies_cost_one_fresh_buffer_per_block_per_call() {
         let a = small_graph();
-        let prep = PreparedPlan::new(&a);
         let models: [&[usize]; 6] = [
             &[16, 8],
             &[8, 24],
@@ -596,9 +585,7 @@ mod tests {
                 let engine = ExecEngine::new(mpspmm_core::default_workers());
                 let forward = || {
                     let before = engine.stats().arena_misses;
-                    let outs = model
-                        .forward_batched_prepared(&a, &prep, &refs, &engine)
-                        .unwrap();
+                    let outs = model.forward(&a, &refs, &engine).unwrap();
                     let fresh = engine.stats().arena_misses - before;
                     let caps: Vec<usize> =
                         outs.into_iter().map(|o| o.into_vec().capacity()).collect();
@@ -640,12 +627,10 @@ mod tests {
             .map(|i| random_features(100, 16, 0.4, 40 + i))
             .collect();
         let refs: Vec<&_> = blocks.iter().collect();
-        let batched = model
-            .forward_batched_prepared(&a, &PreparedPlan::new(&a), &refs, &engine)
-            .unwrap();
+        let batched = model.forward(&a, &refs, &engine).unwrap();
         assert_eq!(batched.len(), 4);
         for (x, out) in blocks.iter().zip(&batched) {
-            let solo = model.forward(&a, x, &engine).unwrap();
+            let solo = model.forward(&a, &[x], &engine).unwrap().remove(0);
             assert_eq!(out.rows(), 100);
             assert_eq!(out.cols(), 5);
             assert_eq!(out, &solo);
@@ -653,31 +638,23 @@ mod tests {
     }
 
     #[test]
-    fn batched_forward_single_worker_is_exact_vs_prepared_path() {
+    fn batched_forward_single_worker_is_exact_vs_one_block_calls() {
         let a = small_graph();
         let model = GcnModel::two_layer(8, 8, 3, 4);
         let engine = ExecEngine::new(1);
-        let prep = PreparedPlan::new(&a);
         let blocks: Vec<_> = (0..3)
             .map(|i| random_features(100, 8, 0.5, 70 + i))
             .collect();
         let refs: Vec<&_> = blocks.iter().collect();
-        let batched = model
-            .forward_batched_prepared(&a, &prep, &refs, &engine)
-            .unwrap();
-        // Per-request forward through the same prepared plan: the batch
+        let batched = model.forward(&a, &refs, &engine).unwrap();
+        // Per-request forward on the same engine: the batch
         // merely regroups columns, so single-worker results are
         // bit-identical.
         for (x, out) in blocks.iter().zip(&batched) {
-            let solo = model
-                .forward_batched_prepared(&a, &prep, &[x], &engine)
-                .unwrap();
+            let solo = model.forward(&a, &[x], &engine).unwrap();
             assert_eq!(out.max_abs_diff(&solo[0]).unwrap(), 0.0);
         }
-        assert!(model
-            .forward_batched_prepared(&a, &prep, &[], &engine)
-            .unwrap()
-            .is_empty());
+        assert!(model.forward(&a, &[], &engine).unwrap().is_empty());
     }
 
     #[test]
@@ -685,12 +662,11 @@ mod tests {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 8, 4, 5);
         let engine = ExecEngine::new(1);
-        let prep = PreparedPlan::new(&a);
         let good = random_features(100, 16, 0.4, 1);
         let bad = random_features(100, 10, 0.4, 2);
         for blocks in [vec![&good, &bad], vec![&bad]] {
             assert!(matches!(
-                model.forward_batched_prepared(&a, &prep, &blocks, &engine),
+                model.forward(&a, &blocks, &engine),
                 Err(SparseFormatError::ShapeMismatch { .. })
             ));
         }
@@ -710,6 +686,6 @@ mod tests {
         let a = small_graph();
         let model = GcnModel::two_layer(16, 8, 4, 5);
         let bad_x = random_features(100, 10, 0.4, 9);
-        assert!(model.forward(&a, &bad_x, &ExecEngine::new(1)).is_err());
+        assert!(model.forward(&a, &[&bad_x], &ExecEngine::new(1)).is_err());
     }
 }

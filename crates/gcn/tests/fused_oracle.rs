@@ -6,7 +6,7 @@
 //! The GCN model paths are also pinned exactly to the seed zero-skip
 //! GEMM loop, inlined here as an oracle.
 
-use mpspmm_core::{default_workers, DataPath, Epilogue, ExecEngine, PreparedPlan};
+use mpspmm_core::{default_workers, DataPath, Epilogue, ExecEngine};
 use mpspmm_gcn::ops::{random_features, xavier_init, Activation};
 use mpspmm_gcn::{GcnLayer, GcnModel};
 use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
@@ -99,11 +99,11 @@ fn fused_layer_matches_unfused_oracle() {
         let model = GcnModel::new(vec![case.layer.clone()]);
         for &(path, workers) in &engine_matrix() {
             let engine = ExecEngine::with_data_path(workers, path);
-            let fused = model.forward(&a, &x, &engine).unwrap();
+            let fused = model.forward(&a, &[&x], &engine).unwrap().remove(0);
             // Unfused composition on the same engine: engine GEMM, plain
             // SpMM, then bias and activation as separate passes.
             let hw = engine.gemm(&x, &case.weight).unwrap();
-            let (mut want, _) = engine.spmm(&a, &hw, &Epilogue::None).unwrap();
+            let mut want = engine.spmm(&a, &[&hw], &Epilogue::None).unwrap().remove(0);
             if let Some(bias) = &case.bias {
                 for r in 0..want.rows() {
                     for (v, &b) in want.row_mut(r).iter_mut().zip(bias) {
@@ -138,9 +138,9 @@ fn wide_hidden_dim_fused_equals_unfused() {
     )]);
     for workers in worker_counts() {
         let engine = ExecEngine::new(workers);
-        let fused = model.forward(&a, &x, &engine).unwrap();
+        let fused = model.forward(&a, &[&x], &engine).unwrap().remove(0);
         let hw = engine.gemm(&x, &w).unwrap();
-        let (mut want, _) = engine.spmm(&a, &hw, &Epilogue::None).unwrap();
+        let mut want = engine.spmm(&a, &[&hw], &Epilogue::None).unwrap().remove(0);
         for r in 0..want.rows() {
             for (v, &b) in want.row_mut(r).iter_mut().zip(&bias) {
                 *v += b;
@@ -175,18 +175,13 @@ fn fused_batched_forward_matches_per_request() {
     ]);
     for workers in worker_counts() {
         let engine = ExecEngine::new(workers);
-        let prep = PreparedPlan::new(&a);
         let blocks: Vec<DenseMatrix<f32>> = (0..3)
             .map(|i| random_features(NODES, IN_DIM, 0.4, 70 + i))
             .collect();
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
-        let batched = model
-            .forward_batched_prepared(&a, &prep, &refs, &engine)
-            .unwrap();
+        let batched = model.forward(&a, &refs, &engine).unwrap();
         for (x, out) in blocks.iter().zip(&batched) {
-            let solo = model
-                .forward_batched_prepared(&a, &prep, &[x], &engine)
-                .unwrap();
+            let solo = model.forward(&a, &[x], &engine).unwrap();
             assert_eq!(
                 out.max_abs_diff(&solo[0]).unwrap(),
                 0.0,
@@ -231,8 +226,8 @@ fn raw_features(cols: usize, seed: u64) -> DenseMatrix<f32> {
 /// GEMM. The served batch path and the one-request path must still return
 /// the exact bits of the seed composition: the zero-skip loop for each
 /// combination, then the same engine's fused aggregation. Exact at
-/// every worker count, because both sides run the same aggregation
-/// plan on the same engine.
+/// every worker count, because both sides run the same aggregation on
+/// the same engine.
 #[test]
 fn model_paths_match_zero_skip_composition_exactly() {
     const RAW: usize = 50;
@@ -261,13 +256,14 @@ fn model_paths_match_zero_skip_composition_exactly() {
     for &(path, workers) in &engine_matrix() {
         let engine = ExecEngine::with_data_path(workers, path);
 
-        // forward vs zero-skip GEMM + fused engine SpMM per layer.
-        let got = model.forward(&a, &blocks[0], &engine).unwrap();
+        // One block: forward vs zero-skip GEMM + fused engine SpMM per
+        // layer.
+        let got = model.forward(&a, &[&blocks[0]], &engine).unwrap().remove(0);
         let mut want = blocks[0].clone();
         for (layer, w) in model.layers().iter().zip(&weights) {
             let hw = zero_skip_gemm(&want, w);
             let epi = layer.epilogue().expect("relu and identity fuse");
-            want = engine.spmm(&a, &hw, epi).unwrap().0;
+            want = engine.spmm(&a, &[&hw], epi).unwrap().remove(0);
         }
         assert_eq!(
             got.as_slice(),
@@ -275,30 +271,25 @@ fn model_paths_match_zero_skip_composition_exactly() {
             "forward (path={path:?} workers={workers})"
         );
 
-        // forward_batched_prepared vs zero-skip GEMM per block + one
-        // execute_prepared_batch_fused per layer with the layer's own
-        // epilogue, which the engine applies per block.
-        let prep = PreparedPlan::new(&a);
+        // Three blocks: forward vs zero-skip GEMM per block + one engine
+        // SpMM over every block per layer with the layer's own epilogue,
+        // which the engine applies per block.
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
-        let got = model
-            .forward_batched_prepared(&a, &prep, &refs, &engine)
-            .unwrap();
+        let got = model.forward(&a, &refs, &engine).unwrap();
         let mut want: Vec<DenseMatrix<f32>> = blocks.clone();
         for (layer, w) in model.layers().iter().zip(&weights) {
             let products: Vec<DenseMatrix<f32>> =
                 want.iter().map(|h| zero_skip_gemm(h, w)).collect();
             let epi = layer.epilogue().expect("relu and identity fuse");
             let prefs: Vec<&DenseMatrix<f32>> = products.iter().collect();
-            want = engine
-                .execute_prepared_batch_fused(&prep, &a, &prefs, epi)
-                .unwrap();
+            want = engine.spmm(&a, &prefs, epi).unwrap();
         }
         assert_eq!(got.len(), want.len());
         for (j, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
                 g.as_slice(),
                 w.as_slice(),
-                "forward_batched_prepared block {j} (path={path:?} workers={workers})"
+                "batched forward block {j} (path={path:?} workers={workers})"
             );
         }
     }

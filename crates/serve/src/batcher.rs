@@ -34,7 +34,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mpspmm_core::{BatchMergeSpmm, BatchShapeClass, ExecEngine};
+use mpspmm_core::{Epilogue, ExecEngine};
 use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix};
 
 use crate::error::ServeError;
@@ -338,16 +338,14 @@ fn run_column_batch(shared: &Shared, live: Vec<Pending>, degraded: bool) {
     let blocks: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
     let cols: usize = blocks.iter().map(|b| b.cols()).sum();
     let result = match workload {
-        Workload::Spmm => {
-            shared
-                .engine
-                .execute_prepared_batch(graph.prep(), graph.adjacency(), &blocks)
-        }
+        Workload::Spmm => shared
+            .engine
+            .spmm(graph.adjacency(), &blocks, &Epilogue::None),
         Workload::Gcn => {
             let model = graph
                 .model()
                 .expect("Gcn workload admitted only for graphs with a model");
-            model.forward_batched_prepared(graph.adjacency(), graph.prep(), &blocks, &shared.engine)
+            model.forward(graph.adjacency(), &blocks, &shared.engine)
         }
     };
     drop(blocks);
@@ -357,13 +355,13 @@ fn run_column_batch(shared: &Shared, live: Vec<Pending>, degraded: bool) {
 
 /// Sheds, then runs a packed window as **one** block-diagonal execution:
 /// constituent adjacencies concatenate on the diagonal, feature blocks
-/// stack vertically, one prepared-plan run (or one GCN forward over the
+/// stack vertically, one engine SpMM (or one GCN forward over the
 /// stacked features as a single block) computes everything, and each
 /// request's result is scattered back out of its private row band.
 ///
 /// A window that shrinks to a single survivor skips the packing and runs
-/// the classic path against the graph's own plan — zero-copy, and
-/// exactly what a non-packing server would have done.
+/// the classic path on the graph itself — zero-copy, and exactly what a
+/// non-packing server would have done.
 fn execute_packed(shared: &Shared, batch: Vec<Pending>, degraded: bool) {
     let live = shed_expired(shared, batch);
     if live.len() <= 1 {
@@ -380,32 +378,19 @@ fn execute_packed(shared: &Shared, batch: Vec<Pending>, degraded: bool) {
         let feats: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
         let mut stacked = shared.engine.lease_zeroed(pack.cols(), cols);
         pack.stack_features_into(&feats, &mut stacked)?;
-        // The batch plan is one scan of the packed row pointers; its
-        // width and shape-class arguments are unused.
-        let prep = shared.engine.plan_batch_cached(
-            &BatchMergeSpmm::new(),
-            pack.matrix(),
-            cols,
-            &BatchShapeClass::from_graphs(std::iter::empty()),
-        );
-        let out = match workload {
-            Workload::Spmm => {
-                shared
-                    .engine
-                    .execute_prepared(&prep, pack.matrix(), &stacked)?
-                    .0
-            }
+        let mut outs = match workload {
+            Workload::Spmm => shared
+                .engine
+                .spmm(pack.matrix(), &[&stacked], &Epilogue::None)?,
             Workload::Gcn => {
                 let model = live[0]
                     .graph
                     .model()
                     .expect("Gcn workload admitted only for graphs with a model");
-                model
-                    .forward_batched_prepared(pack.matrix(), &prep, &[&stacked], &shared.engine)?
-                    .pop()
-                    .expect("one block in, one output out")
+                model.forward(pack.matrix(), &[&stacked], &shared.engine)?
             }
         };
+        let out = outs.pop().expect("one block in, one output out");
         shared.engine.recycle(stacked);
         shared
             .stats

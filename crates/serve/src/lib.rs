@@ -12,8 +12,8 @@
 //!
 //! The subsystem has four parts:
 //!
-//! * [`GraphRegistry`] — named graphs with their prepared plans
-//!   and optional [`GcnModel`]s, with **versioned hot swap**: replacing or
+//! * [`GraphRegistry`] — named graphs with their optional
+//!   [`GcnModel`]s, with **versioned hot swap**: replacing or
 //!   retiring a graph never drains in-flight requests; they complete
 //!   against the version they were admitted with.
 //! * The **batching scheduler** ([`Server`]'s dispatcher thread) —
@@ -65,13 +65,15 @@ mod registry;
 mod stats;
 
 pub use error::ServeError;
-pub use registry::{GraphRegistry, ServedGraph, DEFAULT_PLAN_DIM};
+#[doc(hidden)]
+pub use registry::DEFAULT_PLAN_DIM;
+pub use registry::{GraphRegistry, ServedGraph};
 pub use stats::{LatencySummary, ServeStats, TenantStats, BATCH_HIST_BUCKETS};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mpspmm_core::{ExecEngine, SpmmKernel};
@@ -136,8 +138,7 @@ impl Default for ServeConfig {
 /// What a request asks the server to compute over its feature block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
-    /// One aggregation: `Â × features` through the graph's prepared
-    /// plan. Any column width.
+    /// One aggregation: `Â × features` on the engine. Any column width.
     Spmm,
     /// A full GCN forward pass through the graph's registered model;
     /// the block's width must equal the model's input width.
@@ -483,7 +484,20 @@ impl Server {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // The dispatcher reads the flag under the queue lock right before
+        // it waits on `ready`. Setting the flag under that lock puts the
+        // store, and the notify after it, either before the dispatcher's
+        // check or after it waits; a store and notify outside the lock
+        // could fall between the two and leave it waiting forever. The
+        // holder only stores a flag, so a poisoned lock is taken as is.
+        {
+            let _queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.ready.notify_all();
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();

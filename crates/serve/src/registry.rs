@@ -1,10 +1,11 @@
 //! Named, versioned graphs and their execution state.
 //!
 //! A serving process owns a set of graphs by name. Each registration
-//! builds a [`ServedGraph`]: the adjacency matrix, a [`PreparedPlan`]
-//! (the structure's row count and write statistics; the engine cuts its
-//! row spans at every run) built *before* the first request, and
-//! optionally a [`GcnModel`] for full-inference requests.
+//! builds a [`ServedGraph`]: the adjacency matrix, its structure hash and
+//! optionally a [`GcnModel`] for full-inference requests. Nothing is
+//! planned ahead: the engine cuts its row spans from the adjacency at
+//! every run, so a registration or a hot swap costs one hash of the
+//! structure and no plan.
 //!
 //! # Hot swap
 //!
@@ -14,24 +15,18 @@
 //! the old version — nothing is drained, nothing blocks — while requests
 //! admitted after resolve to the new one. The batching scheduler keys
 //! batches on `(name, version)`, so the two versions never mix in one
-//! batch. A retired version, its plan included, is freed when the last
-//! in-flight request drops its `Arc`.
+//! batch. A retired version is freed when the last in-flight request
+//! drops its `Arc`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
-use mpspmm_core::PreparedPlan;
 use mpspmm_gcn::GcnModel;
 use mpspmm_sparse::CsrMatrix;
 
-/// A dense dimension in the middle of the paper's evaluated range (32).
-/// Unused by the library, which plans width-independently; kept for the
-/// serving benchmark, which still passes it to
-/// [`ExecEngine::plan_cached`](mpspmm_core::ExecEngine::plan_cached).
-pub const DEFAULT_PLAN_DIM: usize = 32;
-
-/// One registered graph version: adjacency, plan, optional model.
+/// One registered graph version: adjacency, structure hash, optional
+/// model.
 ///
 /// Immutable once built — hot swap replaces the whole `Arc` rather than
 /// mutating in place, so in-flight requests are never torn.
@@ -44,7 +39,6 @@ pub struct ServedGraph {
     /// registration: a value-only hot swap (same structure, new weights)
     /// keeps it, a structural swap changes it.
     structure_hash: u64,
-    prep: Arc<PreparedPlan>,
     model: Option<Arc<GcnModel>>,
 }
 
@@ -78,11 +72,6 @@ impl ServedGraph {
         self.structure_hash
     }
 
-    /// The width-independent prepared plan, built at registration.
-    pub fn prep(&self) -> &Arc<PreparedPlan> {
-        &self.prep
-    }
-
     /// The model served for [`Workload::Gcn`](crate::Workload::Gcn)
     /// requests, if one was registered.
     pub fn model(&self) -> Option<&Arc<GcnModel>> {
@@ -103,8 +92,8 @@ impl GraphRegistry {
         Self::default()
     }
 
-    /// Registers (or hot-swaps) `name`: plans the aggregation SpMM and
-    /// publishes the new version atomically. Returns the published
+    /// Registers (or hot-swaps) `name`: publishes the new version
+    /// atomically. Returns the published
     /// [`ServedGraph`]. See the module docs for the in-flight semantics
     /// of a swap.
     ///
@@ -141,7 +130,6 @@ impl GraphRegistry {
             name: name.to_string(),
             version,
             structure_hash: adjacency.structure_hash(),
-            prep: Arc::new(PreparedPlan::new(&adjacency)),
             adjacency: Arc::new(adjacency),
             model,
         });
@@ -200,6 +188,21 @@ impl GraphRegistry {
     /// Registered names, unordered.
     pub fn names(&self) -> Vec<String> {
         self.table().keys().cloned().collect()
+    }
+}
+
+/// Names the serving benchmark (`servebench/`) still calls, kept until it
+/// stops planning (ROADMAP item 1a deletes them). The root `clippy.toml`
+/// denies `prep` to the workspace; clippy cannot deny a constant.
+#[doc(hidden)]
+pub const DEFAULT_PLAN_DIM: usize = 32;
+
+#[doc(hidden)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
+impl ServedGraph {
+    pub fn prep(&self) -> &Arc<mpspmm_core::PreparedPlan> {
+        static EMPTY: LazyLock<Arc<mpspmm_core::PreparedPlan>> = LazyLock::new(Arc::default);
+        &EMPTY
     }
 }
 

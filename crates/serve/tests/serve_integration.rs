@@ -40,7 +40,10 @@ fn server(config: ServeConfig) -> Server {
 
 /// `a · b` straight on the process-wide engine, outside any server.
 fn direct(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
-    ExecEngine::global().spmm(a, b, &Epilogue::None).unwrap().0
+    ExecEngine::global()
+        .spmm(a, &[b], &Epilogue::None)
+        .unwrap()
+        .remove(0)
 }
 
 fn req(graph: &str, tenant: &str, features: DenseMatrix<f32>, workload: Workload) -> Request {
@@ -82,7 +85,7 @@ fn gcn_requests_match_unbatched_forward() {
     let engine = ExecEngine::new(1);
     for salt in 0..3 {
         let x = feats(6, salt);
-        let expect = reference.forward(&a, &x, &engine).unwrap();
+        let expect = reference.forward(&a, &[&x], &engine).unwrap().remove(0);
         let got = srv
             .submit(req("g", "t", x, Workload::Gcn))
             .unwrap()
@@ -391,7 +394,7 @@ fn gcn_on_a_rectangular_adjacency_is_refused_by_name() {
         Activation::Relu,
     )]);
     let engine = ExecEngine::new(1);
-    let want = one_layer.forward(&a, &x, &engine).unwrap();
+    let want = one_layer.forward(&a, &[&x], &engine).unwrap().remove(0);
     srv.register("rect1", a, Some(one_layer));
     let got = srv
         .submit(req("rect1", "t", x, Workload::Gcn))
@@ -446,8 +449,8 @@ fn engine_stats_are_threaded_through_serve_stats() {
         .unwrap();
     let stats = srv.stats();
     assert!(
-        stats.engine.gather_segments + stats.engine.stream_segments > 0,
-        "the served run's dispatch counters reach the serve snapshot"
+        stats.engine.arena_reuses + stats.engine.arena_misses > 0,
+        "the served run's arena checkouts reach the serve snapshot"
     );
     assert!(stats.latency.samples >= 1);
     assert!(stats.latency.p99_us >= stats.latency.p50_us);
@@ -474,8 +477,9 @@ fn wide_hidden_dim_gcn_serves_and_matches_forward() {
         .unwrap();
     let reference = GcnModel::two_layer(6, 256, 3, 42);
     let expect = reference
-        .forward(&graph(1.0), &x, &ExecEngine::new(1))
-        .unwrap();
+        .forward(&graph(1.0), &[&x], &ExecEngine::new(1))
+        .unwrap()
+        .remove(0);
     assert_eq!(got, expect);
     let stats = srv.stats();
     assert!(stats.engine.kblocks > 0, "GEMM k-block counter surfaced");
@@ -631,10 +635,6 @@ fn packed_windows_mix_graphs_and_match_sequential_execution() {
         stats.packed_batches,
         "every packed window lands in exactly one histogram bucket"
     );
-    assert!(
-        stats.engine.batch_plan_misses >= 1,
-        "each packed window builds its plan"
-    );
     srv.shutdown();
 }
 
@@ -665,8 +665,9 @@ fn packed_gcn_windows_share_one_model_across_graphs() {
     for (i, n, ticket) in tickets {
         let a = small_graph(n, 0.5 + i as f32);
         let expect = model
-            .forward(&a, &small_feats(n, 5, i), &ref_engine)
-            .unwrap();
+            .forward(&a, &[&small_feats(n, 5, i)], &ref_engine)
+            .unwrap()
+            .remove(0);
         let got = ticket.wait().unwrap();
         assert_eq!(got.max_abs_diff(&expect).unwrap(), 0.0, "graph {i}");
     }
@@ -736,7 +737,7 @@ fn packed_windows_match_the_oracle_across_value_and_structural_swaps() {
 }
 
 #[test]
-fn packed_windows_leave_no_resident_plan_behind() {
+fn packed_windows_are_counted_once_each() {
     let srv = pack_server(200);
     let sizes = [8usize, 12, 17, 24];
     for (i, &n) in sizes.iter().enumerate() {
@@ -763,25 +764,22 @@ fn packed_windows_leave_no_resident_plan_behind() {
     }
     let stats = srv.stats();
     assert_eq!(stats.packed_batches, WINDOWS as u64);
-    assert_eq!(
-        stats.engine.batch_plan_misses, WINDOWS as u64,
-        "one batch plan built per packed window"
-    );
     srv.shutdown();
 }
 
 #[test]
-fn hot_swaps_free_the_retired_plan() {
+fn hot_swaps_free_the_retired_version() {
     let srv = server(ServeConfig::default());
     let v1 = srv.register("g", graph(1.0), None);
-    let retired = Arc::downgrade(v1.prep());
+    let retired = Arc::downgrade(&v1);
+    let adjacency = Arc::downgrade(v1.adjacency());
     for i in 0..50 {
         srv.register("g", graph(2.0 + i as f32), None);
     }
     drop(v1);
     assert!(
-        retired.upgrade().is_none(),
-        "nothing keeps a retired version's plan alive"
+        retired.upgrade().is_none() && adjacency.upgrade().is_none(),
+        "nothing keeps a retired version or its adjacency alive"
     );
     assert_eq!(srv.registry().len(), 1);
     srv.shutdown();

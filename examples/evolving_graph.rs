@@ -41,7 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mp_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         let t2 = Instant::now();
-        let (out, _) = ExecEngine::global().spmm(&a, &x, &Epilogue::None)?;
+        let out = ExecEngine::global()
+            .spmm(&a, &[&x], &Epilogue::None)?
+            .remove(0);
         let spmm_ms = t2.elapsed().as_secs_f64() * 1e3;
 
         println!(

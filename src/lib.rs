@@ -21,8 +21,8 @@
 //!
 //! let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0f32), (1, 0, 2.0)])?;
 //! let xw = DenseMatrix::from_fn(2, 4, |r, c| (r + c) as f32);
-//! let (c, _) = ExecEngine::global().spmm(&a, &xw, &Epilogue::None)?;
-//! assert_eq!(c.get(1, 3), 6.0);
+//! let c = ExecEngine::global().spmm(&a, &[&xw], &Epilogue::None)?;
+//! assert_eq!(c[0].get(1, 3), 6.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -54,8 +54,9 @@ fn gnn_zoo_runs_on_each_snapshot() {
     for _ in 0..3 {
         let a = stream.step(20, 20).clone();
         let gcn_out = gcn_model
-            .forward(&gcn_normalize(&a), &x, &engine)
-            .expect("gcn forward");
+            .forward(&gcn_normalize(&a), &[&x], &engine)
+            .expect("gcn forward")
+            .remove(0);
         assert_eq!(gcn_out.cols(), 4);
         assert!(gcn_out.as_slice().iter().all(|v| v.is_finite()));
     }

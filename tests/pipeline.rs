@@ -52,14 +52,18 @@ fn forward_at_every_worker_count(
             .map(|(w, act)| GcnLayer::new(w.clone(), *act))
             .collect(),
     );
-    let one = model.forward(a, x, &ExecEngine::new(1)).expect("forward");
+    let one = model
+        .forward(a, &[x], &ExecEngine::new(1))
+        .expect("forward");
     for workers in [2, 7, 64] {
         let out = model
-            .forward(a, x, &ExecEngine::new(workers))
+            .forward(a, &[x], &ExecEngine::new(workers))
             .expect("forward");
         assert_eq!(out, one, "workers={workers} differs from one worker");
     }
-    one
+    one.into_iter()
+        .next()
+        .expect("one block in, one output out")
 }
 
 /// The per-layer reference on `kernel`'s own segment plan, replayed
