@@ -52,13 +52,13 @@ pub enum ServeError {
     /// The request's deadline passed before a batch could execute it; the
     /// work was shed instead of computed uselessly late.
     DeadlineExceeded,
-    /// The server is shutting down and no longer admits requests.
-    ShuttingDown,
-    /// The server dropped the reply channel without answering (it was
-    /// shut down while the request was in flight).
+    /// The server dropped the reply channel without answering. Shutting a
+    /// server down answers every admitted request first, so this means
+    /// its dispatcher thread died.
     Disconnected,
-    /// The engine failed executing the batch — indicates a bug, since
-    /// shapes are validated at admission.
+    /// The engine failed executing the batch, or the batch's compute
+    /// panicked — a bug, since shapes are validated at admission. Only
+    /// that batch's requests fail; the server goes on serving.
     Internal(String),
 }
 
@@ -103,7 +103,6 @@ impl std::fmt::Display for ServeError {
                 "tenant {tenant:?} already has {limit} requests in flight (bounded queue)"
             ),
             ServeError::DeadlineExceeded => write!(f, "deadline passed before the batch executed"),
-            ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::Disconnected => write!(f, "server dropped the request without replying"),
             ServeError::Internal(msg) => write!(f, "internal serving error: {msg}"),
         }

@@ -16,11 +16,14 @@
 //!   [`GcnModel`]s, with **versioned hot swap**: replacing or
 //!   retiring a graph never drains in-flight requests; they complete
 //!   against the version they were admitted with.
-//! * The **batching scheduler** ([`Server`]'s dispatcher thread) —
-//!   coalesces concurrent requests keyed by `(graph, version, workload)`
+//! * The **batching scheduler** ([`Server`]'s dispatcher thread) — owns
+//!   the request queue, fed by one channel from the submit calls, and
+//!   coalesces concurrent requests keyed by `(graph version, workload)`
 //!   into dense-column batches bounded by [`ServeConfig::max_batch_cols`]
 //!   and [`ServeConfig::max_linger`], executed as a *single* engine run
-//!   on the engine's worker pool.
+//!   on the engine's worker pool. A panic while one window computes
+//!   answers that window with [`ServeError::Internal`]; the dispatcher
+//!   goes on serving.
 //! * **Admission control & backpressure** — bounded per-tenant in-flight
 //!   queues rejecting with the typed
 //!   [`ServeError::QueueFull`], deadline-aware shedding
@@ -70,10 +73,9 @@ pub use registry::DEFAULT_PLAN_DIM;
 pub use registry::{GraphRegistry, ServedGraph};
 pub use stats::{LatencySummary, ServeStats, TenantStats, BATCH_HIST_BUCKETS};
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpspmm_core::{ExecEngine, SpmmKernel};
@@ -101,7 +103,9 @@ pub struct ServeConfig {
     /// beyond it are rejected with [`ServeError::QueueFull`].
     pub tenant_queue_limit: usize,
     /// Queue depth beyond which the degraded batching policy applies
-    /// (no linger, halved column budget).
+    /// (no linger, halved column or graph budget). The depth is counted
+    /// once a window's first request is taken, as
+    /// [`ServeStats::queue_depth`] counts it.
     pub pressure_threshold: usize,
     /// Graph-packing mode: within a batch window, admit requests for
     /// *different* small registered graphs, assemble
@@ -196,7 +200,7 @@ impl BurstTicket {
     /// Blocks until every admitted request has answered. Slot `i` holds
     /// request `i`'s result, `None` for requests rejected at admission
     /// (their error came back from `submit_many` itself) — or, if the
-    /// server died mid-burst, for replies that never arrived.
+    /// dispatcher died mid-burst, for replies that never arrived.
     pub fn wait_all(self) -> Vec<Option<Result<DenseMatrix<f32>, ServeError>>> {
         let mut out: Vec<Option<Result<DenseMatrix<f32>, ServeError>>> =
             (0..self.total).map(|_| None).collect();
@@ -223,6 +227,9 @@ impl BurstTicket {
 pub struct Server {
     shared: Arc<Shared>,
     registry: Arc<GraphRegistry>,
+    /// The request channel's one sender; `None` only while dropping,
+    /// since taking it is what tells the dispatcher to finish.
+    requests: Option<mpsc::Sender<Vec<Pending>>>,
     dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -239,21 +246,21 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             engine,
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            depth: AtomicUsize::new(0),
             stats: stats::StatsCollector::default(),
         });
+        let (requests, rx) = mpsc::channel();
         let dispatcher = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("mpspmm-serve-dispatch".into())
-                .spawn(move || batcher::dispatcher_loop(&shared))
+                .spawn(move || batcher::dispatcher_loop(&shared, rx))
                 .expect("spawn dispatcher thread")
         };
         Self {
             shared,
             registry,
+            requests: Some(requests),
             dispatcher: Some(dispatcher),
         }
     }
@@ -277,31 +284,22 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::ShuttingDown`], [`ServeError::UnknownGraph`],
-    /// [`ServeError::NoModel`], [`ServeError::RectangularGraph`],
-    /// [`ServeError::BadShape`], or the backpressure signal
-    /// [`ServeError::QueueFull`].
+    /// [`ServeError::UnknownGraph`], [`ServeError::NoModel`],
+    /// [`ServeError::RectangularGraph`], [`ServeError::BadShape`], or the
+    /// backpressure signal [`ServeError::QueueFull`].
     pub fn submit(&self, req: Request) -> Result<Ticket, ServeError> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
         let (tx, rx) = mpsc::channel();
         let pending = self.admit(req, ReplySink::Single(tx))?;
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            queue.push_back(pending);
-        }
-        self.shared.ready.notify_all();
+        self.enqueue(vec![pending]);
         Ok(Ticket { rx })
     }
 
-    /// **Bulk admission**: admits every request in `reqs` with one queue
-    /// lock and one dispatcher wake-up, all replies multiplexed over a
+    /// **Bulk admission**: admits every request in `reqs` and sends them
+    /// to the dispatcher as one message, all replies multiplexed over a
     /// single shared channel. This is the intended front door for
     /// mega-batch clients — a per-request [`submit`](Self::submit) pays
-    /// a channel allocation, a queue lock, and a dispatcher notify per
-    /// request, which at thousands of tiny graphs per second costs more
-    /// than the math.
+    /// a reply channel and a message per request, which at thousands of
+    /// tiny graphs per second costs more than the math.
     ///
     /// Admission checks (graph resolution, shape validation, per-tenant
     /// queue bounds) still run per request; request `i`'s admission
@@ -311,7 +309,6 @@ impl Server {
     /// ones — the two entry points are indistinguishable downstream.
     pub fn submit_many(&self, reqs: Vec<Request>) -> (Vec<Option<ServeError>>, BurstTicket) {
         let total = reqs.len();
-        let shutdown = self.shared.shutdown.load(Ordering::Acquire);
         let (tx, rx) = mpsc::channel();
         let tx = Arc::new(tx);
         let mut outcomes = Vec::with_capacity(total);
@@ -322,23 +319,12 @@ impl Server {
         // all three per request, which at mega-batch rates is real
         // money. Tenant entries are still created lazily, only for
         // requests that pass validation, exactly as in `admit`.
-        let graphs = if shutdown {
-            Vec::new()
-        } else {
-            self.registry
-                .get_many(reqs.iter().map(|r| r.graph.as_str()))
-        };
+        let graphs = self
+            .registry
+            .get_many(reqs.iter().map(|r| r.graph.as_str()));
         let submitted = Instant::now();
         let mut tenant_cache: Vec<(String, Arc<stats::TenantState>)> = Vec::new();
-        for (index, (req, graph)) in reqs
-            .into_iter()
-            .zip(graphs.into_iter().chain(std::iter::repeat(None)))
-            .enumerate()
-        {
-            if shutdown {
-                outcomes.push(Some(ServeError::ShuttingDown));
-                continue;
-            }
+        for (index, (req, graph)) in reqs.into_iter().zip(graphs).enumerate() {
             let sink = ReplySink::Tagged {
                 tx: Arc::clone(&tx),
                 index,
@@ -361,10 +347,7 @@ impl Server {
         }
         let expected = admitted.len();
         if expected > 0 {
-            let mut queue = self.shared.queue.lock().unwrap();
-            queue.extend(admitted);
-            drop(queue);
-            self.shared.ready.notify_all();
+            self.enqueue(admitted);
         }
         (
             outcomes,
@@ -384,6 +367,16 @@ impl Server {
         let graph = self.registry.get(&req.graph);
         let tenant = |name: &str| self.shared.stats.tenant(name);
         self.admit_resolved(req, graph, tenant, Instant::now(), reply)
+    }
+
+    /// Counts `burst` into the queue depth, then sends it to the
+    /// dispatcher. The send fails only if the dispatcher has died; the
+    /// burst's tickets then read [`ServeError::Disconnected`].
+    fn enqueue(&self, burst: Vec<Pending>) {
+        self.shared.depth.fetch_add(burst.len(), Ordering::Relaxed);
+        if let Some(requests) = &self.requests {
+            let _ = requests.send(burst);
+        }
     }
 
     /// Admission with the lock-heavy lookups already done (or deferred
@@ -471,43 +464,27 @@ impl Server {
 
     /// Snapshot of the serving counters, including the engine's.
     pub fn stats(&self) -> ServeStats {
-        let depth = self.shared.queue.lock().unwrap().len();
+        let depth = self.shared.depth.load(Ordering::Relaxed);
         self.shared
             .stats
             .snapshot(depth, self.shared.engine.stats())
     }
 
-    /// Stops admitting requests, answers everything already queued, and
-    /// joins the dispatcher.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        // The dispatcher reads the flag under the queue lock right before
-        // it waits on `ready`. Setting the flag under that lock puts the
-        // store, and the notify after it, either before the dispatcher's
-        // check or after it waits; a store and notify outside the lock
-        // could fall between the two and leave it waiting forever. The
-        // holder only stores a flag, so a poisoned lock is taken as is.
-        {
-            let _queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.shared.shutdown.store(true, Ordering::Release);
-        }
-        self.shared.ready.notify_all();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
+    /// Answers everything already admitted and joins the dispatcher, as
+    /// dropping the server does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop_and_join();
+        // Dropping the one sender disconnects the channel: the dispatcher
+        // answers what was sent, then exits.
+        self.requests = None;
+        if let Some(handle) = self.dispatcher.take() {
+            let _ = handle.join();
+        }
     }
 }
 

@@ -1,11 +1,10 @@
 //! Named, versioned graphs and their execution state.
 //!
 //! A serving process owns a set of graphs by name. Each registration
-//! builds a [`ServedGraph`]: the adjacency matrix, its structure hash and
-//! optionally a [`GcnModel`] for full-inference requests. Nothing is
-//! planned ahead: the engine cuts its row spans from the adjacency at
-//! every run, so a registration or a hot swap costs one hash of the
-//! structure and no plan.
+//! builds a [`ServedGraph`]: the adjacency matrix and optionally a
+//! [`GcnModel`] for full-inference requests. Nothing is derived ahead:
+//! the engine cuts its row spans from the adjacency at every run, so a
+//! registration or a hot swap reads nothing of the structure.
 //!
 //! # Hot swap
 //!
@@ -25,8 +24,7 @@ use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 use mpspmm_gcn::GcnModel;
 use mpspmm_sparse::CsrMatrix;
 
-/// One registered graph version: adjacency, structure hash, optional
-/// model.
+/// One registered graph version: adjacency and optional model.
 ///
 /// Immutable once built — hot swap replaces the whole `Arc` rather than
 /// mutating in place, so in-flight requests are never torn.
@@ -35,10 +33,6 @@ pub struct ServedGraph {
     name: String,
     version: u64,
     adjacency: Arc<CsrMatrix<f32>>,
-    /// [`CsrMatrix::structure_hash`] of `adjacency`, computed once at
-    /// registration: a value-only hot swap (same structure, new weights)
-    /// keeps it, a structural swap changes it.
-    structure_hash: u64,
     model: Option<Arc<GcnModel>>,
 }
 
@@ -64,12 +58,6 @@ impl ServedGraph {
     /// The (normalized) adjacency matrix requests aggregate over.
     pub fn adjacency(&self) -> &Arc<CsrMatrix<f32>> {
         &self.adjacency
-    }
-
-    /// Cached sparsity-structure hash of the adjacency (values
-    /// excluded), for callers that key on a graph's structure.
-    pub fn structure_hash(&self) -> u64 {
-        self.structure_hash
     }
 
     /// The model served for [`Workload::Gcn`](crate::Workload::Gcn)
@@ -129,7 +117,6 @@ impl GraphRegistry {
         let graph = Arc::new(ServedGraph {
             name: name.to_string(),
             version,
-            structure_hash: adjacency.structure_hash(),
             adjacency: Arc::new(adjacency),
             model,
         });
@@ -193,7 +180,8 @@ impl GraphRegistry {
 
 /// Names the serving benchmark (`servebench/`) still calls, kept until it
 /// stops planning (ROADMAP item 1a deletes them). The root `clippy.toml`
-/// denies `prep` to the workspace; clippy cannot deny a constant.
+/// denies `prep` and `structure_hash` to the workspace; clippy cannot deny
+/// a constant.
 #[doc(hidden)]
 pub const DEFAULT_PLAN_DIM: usize = 32;
 
@@ -203,6 +191,10 @@ impl ServedGraph {
     pub fn prep(&self) -> &Arc<mpspmm_core::PreparedPlan> {
         static EMPTY: LazyLock<Arc<mpspmm_core::PreparedPlan>> = LazyLock::new(Arc::default);
         &EMPTY
+    }
+
+    pub fn structure_hash(&self) -> u64 {
+        self.adjacency.structure_hash()
     }
 }
 

@@ -283,7 +283,10 @@ pub struct ServeStats {
     /// per window), in `[0, 1]`. Low values mean windows close on the
     /// graph-count bound or the linger timer, not the nnz budget.
     pub pack_efficiency: f64,
-    /// Requests queued but not yet executing at snapshot time.
+    /// Requests admitted and not yet taken into a window at snapshot
+    /// time: the depth
+    /// [`ServeConfig::pressure_threshold`](crate::ServeConfig::pressure_threshold)
+    /// is compared with.
     pub queue_depth: usize,
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,

@@ -51,7 +51,10 @@ cargo test -q -p mpspmm-core --features force-scalar
 # `engine` unit tests run the row fold (every tile plan, ISA clone and
 # epilogue against the scalar oracle) on a global pool of every size too.
 # serve_integration's packing server runs at the resolved count, so
-# packed serving is checked against the oracle at every count too.
+# packed serving is checked against the oracle at every count too. The
+# serve unit tests run at every count as well: a window that panics is
+# answered with `Internal` and the next one matches the oracle, and a
+# poisoned stats lock still serves.
 for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --lib gemm
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --lib engine
@@ -61,6 +64,7 @@ for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test gemm_dense
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test batch_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-serve --test serve_integration
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-serve --lib
 done
 # The fused layer pipeline promises fused == unfused at every worker
 # count; re-run its oracle property suite across the same matrix, and the
