@@ -21,9 +21,10 @@
 //! * **Vectorized data path** (the `datapath` module): each block's rows
 //!   run through a [`DataPath`]-selected inner kernel — by default one
 //!   row fold per block: a column-tile plan of register-accumulator tiles
-//!   (128, 64 and 32 columns under AVX-512F, then the runtime lane width,
-//!   8 and 4), fixed once per (span, block) run from the width and the
-//!   ISA, that every row of the span runs through with no per-row
+//!   (128, 64 and 32 columns under AVX-512F, then the ISA's lane width —
+//!   16 under AVX2 or AVX-512F, 8 otherwise — then 8 and 4), fixed once
+//!   per (span, block) run from the width and the ISA detected at
+//!   runtime, that every row of the span runs through with no per-row
 //!   decision. A one-tile plan folds the span at that const width. The
 //!   scalar oracle stays selectable ([`DataPath::Scalar`]).
 //! * **One entry point, no preprocessing** ([`ExecEngine::spmm`]): a
@@ -56,9 +57,7 @@ use std::sync::OnceLock;
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::arena::BufferArena;
-use crate::datapath::{
-    fold_row_scalar, tile, with_isa, DataPath, PathKind, ResolvedPath, TilePlan,
-};
+use crate::datapath::{fold_row_scalar, tile, with_isa, DataPath, ResolvedPath, TilePlan};
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
 use crate::pool::{ScopedJob, WorkerPool};
@@ -78,19 +77,12 @@ pub struct EngineStats {
     pub arena_reuses: u64,
     /// Buffer checkouts that had to allocate a fresh buffer.
     pub arena_misses: u64,
-    /// Column panels executed by the engine's parallel dense GEMM
-    /// ([`ExecEngine::gemm`]), cumulative over runs.
-    pub gemm_panels: u64,
-    /// Reduction-depth blocks executed by the engine's dense GEMM (the
-    /// `k`-blocking that keeps the `B` panel L2-resident), cumulative
-    /// over runs.
-    pub kblocks: u64,
     /// Engine runs that fused a non-noop [`Epilogue`] into the SpMM
     /// store stage instead of paying a separate activation pass.
     pub fused_epilogues: u64,
-    /// Wall nanoseconds spent inside the engine's dense GEMM, cumulative
-    /// — together with the SpMM wall time this is the "where the time
-    /// goes" split of a fused GCN layer.
+    /// Wall nanoseconds spent inside the engine's dense GEMM
+    /// ([`ExecEngine::gemm`]), cumulative — together with the SpMM wall
+    /// time this is the "where the time goes" split of a fused GCN layer.
     pub gemm_ns: u64,
     #[doc(hidden)]
     pub gather_segments: u64,
@@ -110,8 +102,6 @@ pub struct ExecEngine {
     pub(crate) workers: usize,
     pub(crate) data_path: DataPath,
     pub(crate) arena: BufferArena,
-    pub(crate) gemm_panels: AtomicU64,
-    pub(crate) kblocks: AtomicU64,
     fused_epilogues: AtomicU64,
     pub(crate) gemm_ns: AtomicU64,
 }
@@ -119,13 +109,13 @@ pub struct ExecEngine {
 impl ExecEngine {
     /// An engine that executes with `workers`-way parallelism
     /// (`workers == 1` runs entirely on the calling thread, atomics-free)
-    /// on the default ([`DataPath::Auto`]) data path.
+    /// on the default ([`DataPath::Vector`]) data path.
     ///
     /// # Panics
     ///
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
-        Self::with_data_path(workers, DataPath::Auto)
+        Self::with_data_path(workers, DataPath::default())
     }
 
     /// An engine pinned to a specific inner [`DataPath`] — used by the
@@ -141,8 +131,6 @@ impl ExecEngine {
             workers,
             data_path,
             arena: BufferArena::default(),
-            gemm_panels: AtomicU64::new(0),
-            kblocks: AtomicU64::new(0),
             fused_epilogues: AtomicU64::new(0),
             gemm_ns: AtomicU64::new(0),
         }
@@ -219,8 +207,6 @@ impl ExecEngine {
             workers: self.workers,
             arena_reuses: self.arena.reuses(),
             arena_misses: self.arena.misses(),
-            gemm_panels: self.gemm_panels.load(Ordering::Relaxed),
-            kblocks: self.kblocks.load(Ordering::Relaxed),
             fused_epilogues: self.fused_epilogues.load(Ordering::Relaxed),
             gemm_ns: self.gemm_ns.load(Ordering::Relaxed),
             ..EngineStats::default()
@@ -249,8 +235,6 @@ impl ExecEngine {
     /// counters.
     pub fn clear_cache(&self) {
         self.arena.clear();
-        self.gemm_panels.store(0, Ordering::Relaxed);
-        self.kblocks.store(0, Ordering::Relaxed);
         self.fused_epilogues.store(0, Ordering::Relaxed);
         self.gemm_ns.store(0, Ordering::Relaxed);
     }
@@ -493,14 +477,14 @@ fn fold_rows(
 ) {
     let epi = (!epi.is_noop()).then_some(epi);
     let dim = b.cols();
-    match rp.kind {
-        PathKind::Scalar => fold_rows_with(first, a, dim, epi, out, |cols, vals, dst| {
+    match *rp {
+        ResolvedPath::Scalar => fold_rows_with(first, a, dim, epi, out, |cols, vals, dst| {
             fold_row_scalar(cols, vals, b, dst)
         }),
-        PathKind::Vector => {
-            let plan = TilePlan::new(dim, rp);
+        ResolvedPath::Vector(isa) => {
+            let plan = TilePlan::new(dim, isa);
             with_isa(
-                rp.wide_isa,
+                isa,
                 #[inline(always)]
                 || fold_rows_planned(first, a, (b.as_slice(), dim), &plan, epi, out),
             )
@@ -701,7 +685,7 @@ mod tests {
         for dim in [1, 3, 8, 16, 17, 32, 33] {
             let b = random_dense(48, dim, 4);
             let (want, _) = row_sum(&a, &b);
-            for path in [DataPath::Auto, DataPath::Scalar, DataPath::Vector] {
+            for path in [DataPath::Scalar, DataPath::Vector] {
                 for workers in WORKERS {
                     let engine = ExecEngine::with_data_path(workers, path);
                     let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
@@ -1023,15 +1007,11 @@ mod tests {
                         applied(plain.clone(), epi).as_slice(),
                         "scalar dim={dim}"
                     );
-                    for &wide_isa in &isas {
-                        let rp = ResolvedPath {
-                            wide_isa,
-                            ..DataPath::Vector.resolve()
-                        };
+                    for &isa in &isas {
                         assert_eq!(
-                            fold(rp),
+                            fold(ResolvedPath::Vector(isa)),
                             want,
-                            "{wide_isa:?} dim={dim} workers={workers} epi={epi:?}"
+                            "{isa:?} dim={dim} workers={workers} epi={epi:?}"
                         );
                     }
                 }
@@ -1068,7 +1048,7 @@ mod tests {
     #[test]
     fn spmm_overwrites_stale_recycled_outputs() {
         let a = lopsided();
-        let paths = [DataPath::Auto, DataPath::Scalar, DataPath::Vector];
+        let paths = [DataPath::Scalar, DataPath::Vector];
         let isas = crate::datapath::proven_isas();
         for dim in [1usize, 2, 3, 4, 8, 16, 32, 121, 128] {
             let b = random_dense(a.cols(), dim, 70);
@@ -1084,19 +1064,15 @@ mod tests {
                         assert_eq!(engine.stats().arena_reuses, 1, "stale buffer handed out");
                         assert_eq!(got[0].as_slice(), want.as_slice(), "{path:?} {at}");
                     }
-                    for &wide_isa in &isas {
-                        let rp = ResolvedPath {
-                            wide_isa,
-                            ..DataPath::Vector.resolve()
-                        };
+                    for &isa in &isas {
                         let mut out = vec![f32::NAN; a.rows() * dim];
                         let folds = vec![BlockFold {
                             b: &b,
-                            rp,
+                            rp: ResolvedPath::Vector(isa),
                             out: &mut out,
                         }];
                         run_row_spans(&a, folds, workers, epi);
-                        assert_eq!(out, want.as_slice(), "{wide_isa:?} {at}");
+                        assert_eq!(out, want.as_slice(), "{isa:?} {at}");
                     }
                 }
             }

@@ -72,86 +72,6 @@ pub(crate) fn gemm_band_rows(m: usize, k: usize, n: usize) -> usize {
 /// dispatch-plus-barrier cost.
 pub const PAR_APPLY_MIN_LEN: usize = 1 << 14;
 
-/// Tiny CPU cache model the engine's dense GEMM sizes its blocking from:
-/// the output column panel ([`panel_cols`], from L1) and the `k`-block
-/// depth of the `B` slab under it ([`gemm_kc`], from L2).
-///
-/// Only order-of-magnitude accuracy matters: the blocking changes which
-/// products stay cache-resident, never the order they are added in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CacheModel {
-    /// Per-core L1 data cache capacity in bytes.
-    pub(crate) l1_bytes: usize,
-    /// Per-core L2 capacity in bytes (the `k`-block budget).
-    pub(crate) l2_bytes: usize,
-}
-
-impl Default for CacheModel {
-    /// Conservative defaults (32 KiB L1d / 1 MiB L2) that fit every
-    /// mainstream x86-64 and AArch64 core of the last decade.
-    fn default() -> Self {
-        Self {
-            l1_bytes: 32 * 1024,
-            l2_bytes: 1024 * 1024,
-        }
-    }
-}
-
-/// Panel rows the model fits in half of L1 at once, which caps a GEMM
-/// column panel at 512 f32 columns on a 32 KiB L1.
-const PANEL_RESIDENT_ROWS: usize = 8;
-
-/// Column-panel width (in f32 columns) of the engine's dense GEMM over a
-/// `dim`-wide output with `lanes`-wide register tiles: the width of the
-/// `B` slab whose depth [`gemm_kc`] sizes for L2, and the unit
-/// [`crate::EngineStats::gemm_panels`] counts. The SpMM has no panels:
-/// its row fold covers a block's whole width with one tile plan.
-///
-/// Model: `PANEL_RESIDENT_ROWS` panel rows fill half of L1 (the other
-/// half absorbs the `A` rows and the destination tile), rounded down to
-/// a multiple of `lanes` so a panel never splits a register tile's
-/// column block. The result is clamped to cover `dim` in one panel when
-/// `dim` already fits (the common GNN case — hidden widths of 16–128 are
-/// far below the ~512-column panel a 32 KiB L1 yields).
-///
-/// # Panics
-///
-/// Panics if `lanes == 0`.
-pub(crate) fn panel_cols(dim: usize, lanes: usize, model: &CacheModel) -> usize {
-    assert!(lanes > 0, "lane width must be positive");
-    let budget = model.l1_bytes / 2;
-    let raw = budget / (PANEL_RESIDENT_ROWS * std::mem::size_of::<f32>());
-    let aligned = (raw / lanes).max(1) * lanes;
-    aligned.min(dim.next_multiple_of(lanes).max(lanes))
-}
-
-/// Smallest useful `k`-block of the engine's blocked GEMM: below this the
-/// per-block accumulator round-trip through the destination row costs
-/// more than the locality buys.
-const GEMM_KC_MIN: usize = 64;
-
-/// `k`-block depth for the engine's GEMM: the deepest block whose `B`
-/// panel (`kc × panel` f32) stays resident in a quarter of L2 while it
-/// is reused across every register tile of a row band. A quarter — not
-/// half — because the slab shares L2 with the `A` band, the destination
-/// band, and (under the fused serving pipeline) concurrent SpMM
-/// traffic; on AVX-512 hardware the measured throughput knee at
-/// `n = 512` sits at the quarter-L2 slab, a third faster than the
-/// half-L2 one. Clamped to `[GEMM_KC_MIN, k]` so short reductions
-/// run unblocked.
-///
-/// Blocking `k` does **not** change results: blocks are visited in
-/// ascending order, the first block's accumulators start from `0.0` and
-/// each later block's are seeded from the destination row, so every
-/// output element still sums its products in exactly the naive loop's
-/// order.
-pub(crate) fn gemm_kc(k: usize, panel: usize, model: &CacheModel) -> usize {
-    let k = k.max(1);
-    let bytes_per_k = panel.max(1) * std::mem::size_of::<f32>();
-    let raw = (model.l2_bytes / 4) / bytes_per_k;
-    raw.clamp(GEMM_KC_MIN.min(k), k)
-}
-
 /// How logical threads map onto SIMD units for a given dense dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimdMapping {
@@ -300,62 +220,6 @@ mod tests {
         assert_eq!(default_cost_for_dim(24), 30);
         assert_eq!(default_cost_for_dim(384), 60);
         assert_eq!(default_cost_for_dim(4096), 60);
-    }
-
-    #[test]
-    fn panel_model_aligns_and_clamps() {
-        let m = CacheModel::default();
-        // 32 KiB L1 → 16 KiB row budget / (8 rows × 4 B) = 512 columns.
-        assert_eq!(panel_cols(4096, 16, &m), 512);
-        assert_eq!(panel_cols(4096, 8, &m), 512);
-        // GNN-sized dims fit in a single panel (rounded up to the lane
-        // width so the wide block never splits).
-        assert_eq!(panel_cols(16, 16, &m), 16);
-        assert_eq!(panel_cols(32, 16, &m), 32);
-        assert_eq!(panel_cols(20, 16, &m), 32);
-        assert_eq!(panel_cols(0, 8, &m), 8);
-        // A tiny L1 still yields at least one lane-aligned panel.
-        let tiny = CacheModel {
-            l1_bytes: 64,
-            l2_bytes: 1024,
-        };
-        assert_eq!(panel_cols(4096, 16, &tiny), 16);
-    }
-
-    #[test]
-    fn panel_model_covers_wide_dims_and_clamps_past_l1() {
-        let m = CacheModel::default();
-        // 256 and 512 still fit one L1 panel (budget is 512 columns).
-        assert_eq!(panel_cols(256, 16, &m), 256);
-        assert_eq!(panel_cols(512, 16, &m), 512);
-        assert_eq!(panel_cols(512, 8, &m), 512);
-        // Past dim = l1_bytes / 4 (8192 f32 for the 32 KiB default) the
-        // panel is pinned at the cache budget, never at dim: the sweep
-        // must tile.
-        let past_l1 = m.l1_bytes / std::mem::size_of::<f32>() + 16;
-        assert!(past_l1 > 8192);
-        assert_eq!(panel_cols(past_l1, 16, &m), 512);
-        assert_eq!(panel_cols(2 * past_l1, 8, &m), 512);
-    }
-
-    #[test]
-    fn gemm_kc_keeps_b_panel_l2_resident() {
-        let m = CacheModel::default();
-        // 256 KiB / (512 cols × 4 B) = 128-deep blocks.
-        assert_eq!(gemm_kc(512, 512, &m), 128);
-        assert_eq!(gemm_kc(1024, 512, &m), 128);
-        // Short reductions run unblocked (kc = k).
-        assert_eq!(gemm_kc(128, 512, &m), 128);
-        assert_eq!(gemm_kc(16, 512, &m), 16);
-        assert_eq!(gemm_kc(0, 512, &m), 1);
-        // Narrow panels allow deeper blocks.
-        assert_eq!(gemm_kc(100_000, 16, &m), 4096);
-        // A tiny L2 clamps to the minimum useful block, not below.
-        let tiny = CacheModel {
-            l1_bytes: 64,
-            l2_bytes: 1024,
-        };
-        assert_eq!(gemm_kc(512, 512, &tiny), 64);
     }
 
     #[test]

@@ -233,7 +233,7 @@ fn row_span_plans_bit_match_per_graph_sequential() {
             let (pack, stacked, wants) = packed(sizes, dim, 40 + p as u64);
             let bias: Vec<f32> = (0..dim).map(|j| j as f32 * 0.5 - 1.25).collect();
             let epi = Epilogue::Bias(bias);
-            for path in [DataPath::Auto, DataPath::Scalar, DataPath::Vector] {
+            for path in [DataPath::Scalar, DataPath::Vector] {
                 for workers in [1usize, 2, 8, default_workers()] {
                     let engine = ExecEngine::with_data_path(workers, path);
                     let out = product(&engine, pack.matrix(), &stacked);
@@ -320,7 +320,7 @@ fn column_batches_equal_the_per_block_row_sum() {
         for epi in batch_epilogues(widths[0]) {
             let fits = uniform || epi.bias().is_none();
             for workers in [1, 2, 7, 64, default_workers()] {
-                for path in [DataPath::Auto, DataPath::Scalar, DataPath::Vector] {
+                for path in [DataPath::Scalar, DataPath::Vector] {
                     let engine = ExecEngine::with_data_path(workers, path);
                     let got = engine.spmm(&a, &refs, &epi);
                     let ctx = format!("widths={widths:?} epi={epi:?} w={workers} path={path:?}");

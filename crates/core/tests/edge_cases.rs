@@ -2,8 +2,8 @@
 //! extreme thread counts, and boundary cost values.
 
 use mpspmm_core::{
-    merge_path_search, Epilogue, ExecEngine, MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm,
-    RowSplitSpmm, Schedule, SerialSpmm, SpmmKernel,
+    default_workers, merge_path_search, DataPath, Epilogue, ExecEngine, MergePathSerialFixup,
+    MergePathSpmm, NnzSplitSpmm, RowSplitSpmm, Schedule, SerialSpmm, SpmmKernel,
 };
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 
@@ -97,11 +97,15 @@ fn wide_output_dimension() {
         let (got, _) = k.spmm_sequential(&a, &b).expect("wide product");
         assert!(got.approx_eq(&want, 1e-5).unwrap(), "{}", k.name());
     }
-    let got = ExecEngine::global()
-        .spmm(&a, &[&b], &Epilogue::None)
-        .expect("wide product")
-        .remove(0);
-    assert!(got.approx_eq(&want, 1e-5).unwrap(), "engine");
+    let scalar = ExecEngine::with_data_path(default_workers(), DataPath::Scalar);
+    for engine in [ExecEngine::global(), &scalar] {
+        let got = engine
+            .spmm(&a, &[&b], &Epilogue::None)
+            .expect("wide product")
+            .remove(0);
+        let path = engine.data_path();
+        assert!(got.approx_eq(&want, 1e-5).unwrap(), "engine {path:?}");
+    }
 }
 
 #[test]

@@ -8,13 +8,14 @@
 //! plan's sequential replay) computed up front, with `==`. This pins
 //! down that the worker pool and the engine's one SpMM entry point are
 //! safe to share: no cross-talk between interleaved jobs and no torn
-//! outputs.
+//! outputs. Both tests run once on each data path: the scalar oracle and
+//! the default vectorized one.
 
 use std::sync::Arc;
 use std::thread;
 
 use mpspmm_core::executor::execute_sequential;
-use mpspmm_core::{Epilogue, ExecEngine, SerialSpmm, SpmmKernel};
+use mpspmm_core::{DataPath, Epilogue, ExecEngine, SerialSpmm, SpmmKernel};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -22,6 +23,9 @@ use rand::{Rng, SeedableRng};
 
 /// Engine worker counts the property tests draw from.
 const WORKERS: [usize; 4] = [1, 2, 7, 64];
+
+/// The data paths both tests sweep.
+const PATHS: [DataPath; 2] = [DataPath::Scalar, DataPath::Vector];
 
 /// The ascending row sum of `a · b`.
 fn row_sum(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
@@ -138,10 +142,12 @@ proptest! {
         workers in 0usize..4,
         seed in any::<u64>(),
     ) {
-        let engine = Arc::new(ExecEngine::new(WORKERS[workers]));
-        let engines = vec![engine; CLIENT_THREADS];
-        let failures = run_concurrent_requests(rows, fill, seed, &engines);
-        prop_assert!(failures.is_empty(), "{}", failures.join("\n"));
+        for path in PATHS {
+            let engine = Arc::new(ExecEngine::with_data_path(WORKERS[workers], path));
+            let engines = vec![engine; CLIENT_THREADS];
+            let failures = run_concurrent_requests(rows, fill, seed, &engines);
+            prop_assert!(failures.is_empty(), "{:?}: {}", path, failures.join("\n"));
+        }
     }
 
     /// Every thread owns its own engine, and all of them submit to the one
@@ -154,10 +160,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Engines of every worker count side by side on the one pool.
-        let engines: Vec<Arc<ExecEngine>> = (0..CLIENT_THREADS)
-            .map(|t| Arc::new(ExecEngine::new(WORKERS[t % WORKERS.len()])))
-            .collect();
-        let failures = run_concurrent_requests(rows, fill, seed, &engines);
-        prop_assert!(failures.is_empty(), "{}", failures.join("\n"));
+        for path in PATHS {
+            let engines: Vec<Arc<ExecEngine>> = (0..CLIENT_THREADS)
+                .map(|t| Arc::new(ExecEngine::with_data_path(WORKERS[t % WORKERS.len()], path)))
+                .collect();
+            let failures = run_concurrent_requests(rows, fill, seed, &engines);
+            prop_assert!(failures.is_empty(), "{:?}: {}", path, failures.join("\n"));
+        }
     }
 }

@@ -89,9 +89,18 @@ proptest! {
         for &dim in &[1usize, 3, 8, 33] {
             let (a, b) = random_inputs(rows, nnz, dim, seed);
             let (want, _) = row_sum(&a, &b);
-            for &workers in &WORKERS {
-                let got = engine_product(workers, DataPath::Auto, &a, &b);
-                prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={} dim={}", workers, dim);
+            for path in [DataPath::Scalar, DataPath::Vector] {
+                for &workers in &WORKERS {
+                    let got = engine_product(workers, path, &a, &b);
+                    prop_assert_eq!(
+                        got.as_slice(),
+                        want.as_slice(),
+                        "path={:?} workers={} dim={}",
+                        path,
+                        workers,
+                        dim
+                    );
+                }
             }
         }
     }
@@ -218,8 +227,9 @@ fn all_paths_equal_the_row_sum_for_dims_1_to_67() {
 
 /// The served PPI layer's aggregation shape: the Table II PPI graph,
 /// normalized, times a width-121 operand gives identical bytes at engine
-/// workers 1, 2 and 8 and at the resolved count — the rounding of a
-/// served reply no longer depends on how many workers computed it.
+/// workers 1, 2 and 8 and at the resolved count, on both data paths — the
+/// rounding of a served reply does not depend on how many workers
+/// computed it.
 #[test]
 fn ppi_shaped_width_121_spmm_is_identical_at_every_worker_count() {
     let spec = find_dataset("PPI").expect("PPI is in Table II");
@@ -227,12 +237,14 @@ fn ppi_shaped_width_121_spmm_is_identical_at_every_worker_count() {
     let mut rng = SmallRng::seed_from_u64(121);
     let b = DenseMatrix::from_fn(a.cols(), 121, |_, _| rng.gen_range(-1.0f32..1.0));
     let bits = |m: &DenseMatrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let one = engine_product(1, DataPath::Auto, &a, &b);
-    for workers in [2, 8, default_workers()] {
-        let got = engine_product(workers, DataPath::Auto, &a, &b);
-        assert!(
-            bits(&got) == bits(&one),
-            "workers={workers} differs from one worker"
-        );
+    for path in [DataPath::Scalar, DataPath::Vector] {
+        let one = engine_product(1, path, &a, &b);
+        for workers in [2, 8, default_workers()] {
+            let got = engine_product(workers, path, &a, &b);
+            assert!(
+                bits(&got) == bits(&one),
+                "{path:?} workers={workers} differs from one worker"
+            );
+        }
     }
 }

@@ -65,7 +65,7 @@ proptest! {
         let a = filled(m, k, seed);
         let b = filled(k, n, seed ^ 0xBEEF);
         let want = naive_gemm_with_skip(&a, &b);
-        for path in [DataPath::Scalar, DataPath::Vector, DataPath::Auto] {
+        for path in [DataPath::Scalar, DataPath::Vector] {
             let engine = ExecEngine::with_data_path(workers, path);
             let got = engine.gemm(&a, &b).unwrap();
             prop_assert_eq!(got.rows(), m);
@@ -122,7 +122,7 @@ fn served_layer0_shapes_match_skip_loop_exactly() {
         assert!(zeros * 3 > m * k, "the fill stores zeros");
         let want = naive_gemm_with_skip(&x, &w);
         for workers in worker_counts() {
-            for path in [DataPath::Scalar, DataPath::Vector, DataPath::Auto] {
+            for path in [DataPath::Scalar, DataPath::Vector] {
                 let engine = ExecEngine::with_data_path(workers, path);
                 let got = engine.gemm(&x, &w).unwrap();
                 assert_eq!(

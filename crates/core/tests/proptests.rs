@@ -3,8 +3,9 @@
 //! against the dense oracle and the plan-validity rules.
 
 use mpspmm_core::{
-    merge_path_search, plan_from_schedule, Epilogue, ExecEngine, MergePathSerialFixup,
-    MergePathSpmm, NnzSplitSpmm, RowSplitSpmm, Schedule, SerialSpmm, SpmmKernel,
+    default_workers, merge_path_search, plan_from_schedule, DataPath, Epilogue, ExecEngine,
+    MergePathSerialFixup, MergePathSpmm, NnzSplitSpmm, RowSplitSpmm, Schedule, SerialSpmm,
+    SpmmKernel,
 };
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 use proptest::collection::btree_set;
@@ -95,8 +96,11 @@ proptest! {
         let (seq, stats) = kernel.spmm_sequential(&m, &b).unwrap();
         prop_assert!(seq.max_abs_diff(&oracle).unwrap() <= 1e-4);
         prop_assert_eq!(stats.total_nnz(), m.nnz());
-        let par = ExecEngine::global().spmm(&m, &[&b], &Epilogue::None).unwrap().remove(0);
-        prop_assert!(par.max_abs_diff(&oracle).unwrap() <= 1e-4);
+        let scalar = ExecEngine::with_data_path(default_workers(), DataPath::Scalar);
+        for engine in [ExecEngine::global(), &scalar] {
+            let par = engine.spmm(&m, &[&b], &Epilogue::None).unwrap().remove(0);
+            prop_assert!(par.max_abs_diff(&oracle).unwrap() <= 1e-4, "{:?}", engine.data_path());
+        }
     }
 
     #[test]

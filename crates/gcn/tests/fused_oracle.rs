@@ -28,7 +28,7 @@ fn worker_counts() -> Vec<usize> {
 
 fn engine_matrix() -> Vec<(DataPath, usize)> {
     let mut m = Vec::new();
-    for path in [DataPath::Scalar, DataPath::Vector, DataPath::Auto] {
+    for path in [DataPath::Scalar, DataPath::Vector] {
         for &w in &worker_counts() {
             m.push((path, w));
         }

@@ -290,8 +290,8 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,
-    /// The engine's counters (GEMM panels, k-blocks and wall time, fused
-    /// epilogues, buffer-arena reuse), threaded through for one-stop
+    /// The engine's counters (GEMM wall time, fused epilogues,
+    /// buffer-arena reuse), threaded through for one-stop
     /// telemetry.
     pub engine: EngineStats,
     /// Per-tenant breakdown, sorted by tenant name.

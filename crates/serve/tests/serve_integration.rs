@@ -507,8 +507,8 @@ fn engine_stats_are_threaded_through_serve_stats() {
 #[test]
 fn wide_hidden_dim_gcn_serves_and_matches_forward() {
     // A 256-wide hidden layer on a multi-worker engine: the answer must
-    // match the plain forward, and the GEMM's k-blocks must be visible
-    // in the snapshot.
+    // match the plain forward, and the GEMM's time and the arena's
+    // checkouts must be visible in the snapshot.
     let srv = Server::start(
         Arc::new(ExecEngine::new(4)),
         Box::new(MergePathSpmm::with_threads(6)),
@@ -529,7 +529,8 @@ fn wide_hidden_dim_gcn_serves_and_matches_forward() {
         .remove(0);
     assert_eq!(got, expect);
     let stats = srv.stats();
-    assert!(stats.engine.kblocks > 0, "GEMM k-block counter surfaced");
+    assert!(stats.engine.gemm_ns > 0, "GEMM time surfaced");
+    assert!(stats.engine.arena_misses > 0, "arena checkouts surfaced");
     srv.shutdown();
 }
 
@@ -579,10 +580,10 @@ fn fused_pipeline_stats_are_threaded_through_serve_stats() {
     let stats = srv.stats();
     // The batched GCN path runs both halves of the fused layer pipeline
     // on the engine; its counters must surface through ServeStats.
-    assert!(
-        stats.engine.gemm_panels > 0,
-        "combination GEMM ran on the engine"
-    );
+    // Each of the two layers checks out its GEMM output, its packed `B`
+    // and its aggregation output.
+    let checkouts = stats.engine.arena_misses + stats.engine.arena_reuses;
+    assert!(checkouts >= 6, "{checkouts} arena checkouts surfaced");
     assert!(stats.engine.gemm_ns > 0, "GEMM time was recorded");
     assert!(
         stats.engine.fused_epilogues > 0,

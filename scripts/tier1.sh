@@ -32,11 +32,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --keep-goin
 cargo test -q
 cargo test --workspace -q
 # Debug build (debug_assertions on): overflow checks and the engine's
-# internal invariant asserts are live while the oracle property tests run —
-# once on the default (vectorized) path and once with the data path pinned
-# to the scalar oracle via the force-scalar feature.
+# internal invariant asserts are live while the oracle property tests run.
+# Each suite sweeps the scalar oracle data path next to the default
+# (vectorized) one.
 cargo test -q -p mpspmm-core --test engine_oracle
-cargo test -q -p mpspmm-core --features force-scalar
 # The engine oracle, the concurrent-engine suite and the scheduler suite
 # (row spans equal to the ascending row sum at every worker count, at
 # narrow and wide dims) and the packed block-diagonal batch path (all
