@@ -127,14 +127,20 @@ impl BufferArena {
                 buf.resize(len, 0.0);
                 buf
             }
-            _ => {
-                // `popped` may hold an evicted too-small buffer; drop it.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let mut buf = Vec::with_capacity(len.next_multiple_of(LINE_F32));
-                buf.resize(len, 0.0);
-                buf
-            }
+            // `popped` may hold an evicted too-small buffer; drop it.
+            _ => self.fresh(len),
         }
+    }
+
+    /// Allocates a zeroed `Vec<f32>` of exactly `len` elements without
+    /// looking at the pool, counted as a miss: for the many small outputs
+    /// of one run (a packed window's per-graph replies), which the
+    /// best-fit pool would otherwise serve from a whole window's buffer.
+    pub(crate) fn fresh(&self, len: usize) -> Vec<f32> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut buf = Vec::with_capacity(len.next_multiple_of(LINE_F32));
+        buf.resize(len, 0.0);
+        buf
     }
 
     /// Returns an output buffer to the pool (dropped if the pool is full

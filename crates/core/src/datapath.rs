@@ -139,12 +139,14 @@ impl DataPath {
 }
 
 /// Scalar oracle: one column at a time, each summed from `0.0` over the
-/// row's non-zeros (`cols`, `vals`) in order, stored into `dst`.
-pub(crate) fn fold_row_scalar(cols: &[usize], vals: &[f32], b: &DenseMatrix<f32>, dst: &mut [f32]) {
+/// row's non-zeros (`cols`, `vals`) in order, stored into `dst`. `b` is
+/// the dense operand's row-major storage, `dst.len()` columns wide.
+pub(crate) fn fold_row_scalar(cols: &[usize], vals: &[f32], b: &[f32], dst: &mut [f32]) {
+    let dim = dst.len();
     for (d, slot) in dst.iter_mut().enumerate() {
         let mut s = 0.0f32;
         for (&v, &c) in vals.iter().zip(cols) {
-            s += v * b.row(c)[d];
+            s += v * b[c * dim + d];
         }
         *slot = s;
     }
@@ -293,9 +295,10 @@ impl TilePlan {
     }
 }
 
-/// Dense GEMM band kernel for [`crate::ExecEngine::gemm`]: computes the
-/// `dst.len() / b.cols()` output rows starting at `row_start` of
-/// `C = A · B` into the row-major slice `dst`.
+/// Dense GEMM band kernel for [`crate::ExecEngine::gemm_stacked`]:
+/// computes `dst.len() / b.cols()` output rows of `C = A · B` into the
+/// row-major slice `dst`, reading their `k`-long `A` rows in order from
+/// `arows`, which may come from different matrices.
 ///
 /// The scalar path accumulates into `dst`, which must arrive zeroed. The
 /// vectorized path stores every element of `dst` and reads none, so
@@ -310,11 +313,11 @@ impl TilePlan {
 /// that loop (this kernel has **no** per-element `a == 0.0` skip;
 /// skipping is worthwhile only for sparse feature inputs, which the GCN
 /// layer-0 path keeps on the naive loop).
-pub(crate) fn gemm_band(
-    a: &DenseMatrix<f32>,
+pub(crate) fn gemm_band<'a>(
+    mut arows: impl Iterator<Item = &'a [f32]>,
+    k: usize,
     b: &DenseMatrix<f32>,
     packed: &[f32],
-    row_start: usize,
     rp: &ResolvedPath,
     dst: &mut [f32],
 ) {
@@ -324,8 +327,8 @@ pub(crate) fn gemm_band(
     }
     let isa = match *rp {
         ResolvedPath::Scalar => {
-            for (r, crow) in dst.chunks_exact_mut(n).enumerate() {
-                for (p, &av) in a.row(row_start + r).iter().enumerate() {
+            for (crow, arow) in dst.chunks_exact_mut(n).zip(arows) {
+                for (p, &av) in arow.iter().enumerate() {
                     for (c, &bv) in crow.iter_mut().zip(b.row(p)) {
                         *c += av * bv;
                     }
@@ -335,20 +338,18 @@ pub(crate) fn gemm_band(
         }
         ResolvedPath::Vector(isa) => isa,
     };
-    let kn = (a.cols(), n);
-    let mut r = 0usize;
+    let kn = (k, n);
+    let mut next_row = || arows.next().expect("one A row per output row");
     let mut quads = dst.chunks_exact_mut(GEMM_MR * n);
     for quad in quads.by_ref() {
-        let arows: [&[f32]; GEMM_MR] = std::array::from_fn(|i| a.row(row_start + r + i));
+        let a: [&[f32]; GEMM_MR] = std::array::from_fn(|_| next_row());
         let mut rows = quad.chunks_exact_mut(n);
         let mut crows: [&mut [f32]; GEMM_MR] =
             std::array::from_fn(|_| rows.next().expect("quad holds GEMM_MR rows"));
-        gemm_rows(arows, packed, kn, isa, &mut crows);
-        r += GEMM_MR;
+        gemm_rows(a, packed, kn, isa, &mut crows);
     }
     for crow in quads.into_remainder().chunks_exact_mut(n) {
-        gemm_rows([a.row(row_start + r)], packed, kn, isa, &mut [crow]);
-        r += 1;
+        gemm_rows([next_row()], packed, kn, isa, &mut [crow]);
     }
 }
 
@@ -792,7 +793,7 @@ mod tests {
             for nz in &rows {
                 let (c, v) = (&cols[nz.clone()], &vals[nz.clone()]);
                 let mut want = vec![f32::NAN; dim];
-                fold_row_scalar(c, v, &b, &mut want);
+                fold_row_scalar(c, v, b.as_slice(), &mut want);
                 for &isa in &isas {
                     let plan = TilePlan::new(dim, isa);
                     let mut got = vec![f32::NAN; dim];
@@ -824,7 +825,8 @@ mod tests {
         for n in widths.into_iter().chain([121, 127, 128]) {
             let b = random_dense(k, n, 32);
             let mut naive = vec![0.0f32; rows * n];
-            gemm_band(&a, &b, &[], 0, &ResolvedPath::Scalar, &mut naive);
+            let arows = || (0..rows).map(|r| a.row(r));
+            gemm_band(arows(), k, &b, &[], &ResolvedPath::Scalar, &mut naive);
             for &isa in &isas {
                 let rp = ResolvedPath::Vector(isa);
                 let w = gemm_pack_width(&rp, n).expect("vector path packs");
@@ -837,7 +839,7 @@ mod tests {
                 pack_b(&b, w, &mut packed);
                 assert!(packed.iter().all(|v| !v.is_nan()), "n={n}: pad zeroed");
                 let mut dst = vec![f32::NAN; rows * n];
-                gemm_band(&a, &b, &packed, 0, &rp, &mut dst);
+                gemm_band(arows(), k, &b, &packed, &rp, &mut dst);
                 assert_eq!(dst, naive, "{isa:?} n={n}");
             }
         }

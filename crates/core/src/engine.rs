@@ -37,7 +37,10 @@
 //!   the one-element list.
 //!   Only a list of single-column blocks is interleaved into one
 //!   combined operand and split back out, since a one-column fold
-//!   gathers one float per cache line (DESIGN.md §2.8).
+//!   gathers one float per cache line (DESIGN.md §2.8). A packed window
+//!   of many small graphs is the one other shape: [`ExecEngine::spmm_packed`]
+//!   runs it through the same row fold, graph by graph, without building
+//!   its block-diagonal matrix (DESIGN.md §2.12).
 //! * **Buffer arena** (the `arena` module): output buffers (and the
 //!   single-column lane's combined operand) are pooled per engine and
 //!   checked out per execution, so steady-state inference allocates
@@ -102,7 +105,7 @@ pub struct ExecEngine {
     pub(crate) workers: usize,
     pub(crate) data_path: DataPath,
     pub(crate) arena: BufferArena,
-    fused_epilogues: AtomicU64,
+    pub(crate) fused_epilogues: AtomicU64,
     pub(crate) gemm_ns: AtomicU64,
 }
 
@@ -222,10 +225,12 @@ impl ExecEngine {
 
     /// Leases a zeroed `rows × cols` dense matrix from the engine's
     /// arena — the hand-out pair of [`recycle`](Self::recycle). Callers
-    /// assembling engine inputs every cycle (the serving layer stacks a
-    /// feature matrix per packed window) reuse hot, already-faulted
+    /// assembling engine inputs every cycle reuse hot, already-faulted
     /// pages instead of paying a fresh allocation's page faults each
-    /// time.
+    /// time. The served path assembles nothing (a packed window runs
+    /// through [`spmm_packed`](Self::spmm_packed)); the serving
+    /// benchmark's replay of the old block-diagonal path still leases its
+    /// stacked features here.
     pub fn lease_zeroed(&self, rows: usize, cols: usize) -> DenseMatrix<f32> {
         let buf = self.arena.take_zeroed(rows * cols);
         DenseMatrix::from_vec(rows, cols, buf).expect("arena buffer sized to rows x cols")
@@ -420,7 +425,13 @@ struct BlockFold<'a> {
 fn run_row_spans(a: &CsrMatrix<f32>, folds: Vec<BlockFold<'_>>, workers: usize, epi: &Epilogue) {
     if workers <= 1 || folds.is_empty() {
         for f in folds {
-            fold_rows(0, a, f.b, &f.rp, epi, f.out);
+            let piece = Piece {
+                a,
+                first: 0,
+                b: f.b.as_slice(),
+                out: f.out,
+            };
+            fold_rows(&mut [piece], f.b.cols(), &f.rp, epi);
         }
         return;
     }
@@ -451,7 +462,13 @@ fn run_row_spans(a: &CsrMatrix<f32>, folds: Vec<BlockFold<'_>>, workers: usize, 
         .map(|((lo, _), span)| -> ScopedJob<'_> {
             Box::new(move || {
                 for f in span {
-                    fold_rows(lo, a, f.b, &f.rp, epi, f.out);
+                    let piece = Piece {
+                        a,
+                        first: lo,
+                        b: f.b.as_slice(),
+                        out: f.out,
+                    };
+                    fold_rows(&mut [piece], f.b.cols(), &f.rp, epi);
                 }
             })
         })
@@ -459,34 +476,44 @@ fn run_row_spans(a: &CsrMatrix<f32>, folds: Vec<BlockFold<'_>>, workers: usize, 
     WorkerPool::global().scope_run(jobs);
 }
 
-/// Computes rows `first..first + out.len() / b.cols()` of `a · b` into
-/// `out`, each row in one ascending pass that stores every element of the
-/// row (zeros for an empty row), whatever `out` held, and applies `epi`
-/// to every row right after its store — empty rows included, since a
-/// bias changes them. The vectorized path resolves the block's
-/// [`TilePlan`] once and runs the whole fold in the widest ISA clone the
-/// CPU proved ([`with_isa`]), dispatched once per call; the scalar oracle
-/// stays on baseline code.
-fn fold_rows(
-    first: usize,
-    a: &CsrMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    rp: &ResolvedPath,
-    epi: &Epilogue,
-    out: &mut [f32],
-) {
+/// Rows `first..first + out.len() / dim` of `a · b`, stored into `out`:
+/// one graph's share of a row span. `b` is the dense operand's row-major
+/// storage, `dim` columns wide, indexed by `a`'s own column indices.
+pub(crate) struct Piece<'a> {
+    pub a: &'a CsrMatrix<f32>,
+    pub first: usize,
+    pub b: &'a [f32],
+    pub out: &'a mut [f32],
+}
+
+/// Computes every piece's rows, each row in one ascending pass that
+/// stores every element of the row (zeros for an empty row), whatever
+/// `out` held, and applies `epi` to every row right after its store —
+/// empty rows included, since a bias changes them. The vectorized path
+/// resolves the `dim`-wide [`TilePlan`] once and runs every piece's fold
+/// in the widest ISA clone the CPU proved ([`with_isa`]), dispatched once
+/// per call; the scalar oracle stays on baseline code.
+pub(crate) fn fold_rows(pieces: &mut [Piece<'_>], dim: usize, rp: &ResolvedPath, epi: &Epilogue) {
     let epi = (!epi.is_noop()).then_some(epi);
-    let dim = b.cols();
     match *rp {
-        ResolvedPath::Scalar => fold_rows_with(first, a, dim, epi, out, |cols, vals, dst| {
-            fold_row_scalar(cols, vals, b, dst)
-        }),
+        ResolvedPath::Scalar => {
+            for p in pieces {
+                let b = p.b;
+                fold_rows_with(p.first, p.a, dim, epi, p.out, |cols, vals, dst| {
+                    fold_row_scalar(cols, vals, b, dst)
+                });
+            }
+        }
         ResolvedPath::Vector(isa) => {
             let plan = TilePlan::new(dim, isa);
             with_isa(
                 isa,
                 #[inline(always)]
-                || fold_rows_planned(first, a, (b.as_slice(), dim), &plan, epi, out),
+                || {
+                    for p in pieces {
+                        fold_rows_planned(p.first, p.a, (p.b, dim), &plan, epi, p.out);
+                    }
+                },
             )
         }
     }

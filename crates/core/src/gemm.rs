@@ -46,15 +46,66 @@ use crate::engine::ExecEngine;
 use crate::pool::{ScopedJob, WorkerPool};
 use crate::tuning::gemm_band_rows;
 
-/// A take-once slot holding one output band's starting row and `&mut`
+/// A take-once slot holding one output band's `A` rows and `&mut`
 /// slice, claimed by exactly one self-scheduled worker.
-type BandSlot<'a> = Mutex<Option<(usize, &'a mut [f32])>>;
+type BandSlot<'a> = Mutex<Option<(StackRows<'a>, &'a mut [f32])>>;
+
+/// The rows of a vertical stack of dense parts, in order from wherever
+/// the cursor stands: `A` as [`ExecEngine::gemm_stacked`] reads it, each
+/// row where its part lies. Empty parts are skipped.
+#[derive(Clone)]
+struct StackRows<'a> {
+    parts: &'a [&'a DenseMatrix<f32>],
+    part: usize,
+    row: usize,
+}
+
+impl<'a> StackRows<'a> {
+    fn new(parts: &'a [&'a DenseMatrix<f32>]) -> Self {
+        Self {
+            parts,
+            part: 0,
+            row: 0,
+        }
+    }
+
+    /// Moves the cursor `n` rows on, a part at a time.
+    fn advance(&mut self, mut n: usize) {
+        while let Some(p) = self.parts.get(self.part) {
+            let left = p.rows() - self.row;
+            if n < left {
+                self.row += n;
+                return;
+            }
+            n -= left;
+            self.part += 1;
+            self.row = 0;
+        }
+    }
+}
+
+impl<'a> Iterator for StackRows<'a> {
+    type Item = &'a [f32];
+
+    fn next(&mut self) -> Option<&'a [f32]> {
+        loop {
+            let p = self.parts.get(self.part)?;
+            if self.row < p.rows() {
+                self.row += 1;
+                return Some(p.row(self.row - 1));
+            }
+            self.part += 1;
+            self.row = 0;
+        }
+    }
+}
 
 impl ExecEngine {
     /// Dense row-major GEMM `A · B` on the engine: arena-backed output,
     /// register-tiled band kernel, row bands self-scheduled across the
     /// worker pool. Adds its wall time to
-    /// [`crate::EngineStats::gemm_ns`].
+    /// [`crate::EngineStats::gemm_ns`]. The one-part
+    /// [`gemm_stacked`](Self::gemm_stacked).
     ///
     /// # Errors
     ///
@@ -65,14 +116,35 @@ impl ExecEngine {
         a: &DenseMatrix<f32>,
         b: &DenseMatrix<f32>,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        if a.cols() != b.rows() {
+        self.gemm_stacked(&[a], b)
+    }
+
+    /// [`gemm`](Self::gemm) with `A` the vertical stack of `parts`, read
+    /// where each part lies: the output holds every part's rows in order,
+    /// and nothing is stacked. A register tile may take its rows from two
+    /// parts. Each output row is the same as that part's own product,
+    /// since every element sums its products in ascending `k` whichever
+    /// rows share its tile. A packed window's first GCN layer reads its
+    /// graphs' feature matrices this way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseFormatError::ShapeMismatch`] naming the first part
+    /// whose `cols()` differs from `b.rows()`.
+    pub fn gemm_stacked(
+        &self,
+        parts: &[&DenseMatrix<f32>],
+        b: &DenseMatrix<f32>,
+    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
+        let k = b.rows();
+        if let Some(a) = parts.iter().find(|a| a.cols() != k) {
             return Err(SparseFormatError::ShapeMismatch {
                 left: (a.rows(), a.cols()),
                 right: (b.rows(), b.cols()),
             });
         }
         let start = Instant::now();
-        let (m, n) = (a.rows(), b.cols());
+        let (m, n) = (parts.iter().map(|a| a.rows()).sum::<usize>(), b.cols());
         let rp = self.data_path.resolve();
         let width = gemm_pack_width(&rp, n);
         // The register tiles store every output element from a literal
@@ -80,7 +152,7 @@ impl ExecEngine {
         // path accumulates into `C`, and with `k == 0` nothing runs: both
         // take a zeroed buffer.
         let mut out = match width {
-            Some(_) if a.cols() > 0 => self.arena.take(m * n),
+            Some(_) if k > 0 => self.arena.take(m * n),
             _ => self.arena.take_zeroed(m * n),
         };
         // Pack `B` once into column blocks of the tile's width
@@ -90,28 +162,32 @@ impl ExecEngine {
         // movement — results stay bitwise identical (see `pack_b`).
         let packed = match width {
             Some(w) => {
-                let mut buf = self.arena.take(n.div_ceil(w) * a.cols() * w);
+                let mut buf = self.arena.take(n.div_ceil(w) * k * w);
                 pack_b(b, w, &mut buf);
                 buf
             }
             None => Vec::new(),
         };
         let pslab: &[f32] = &packed;
-        let band_rows = gemm_band_rows(m, a.cols(), n);
+        let band_rows = gemm_band_rows(m, k, n);
         let eff = self.workers.min(m.div_ceil(band_rows)).max(1);
+        let mut rows = StackRows::new(parts);
         if eff <= 1 {
-            for (bi, band) in out.chunks_mut(band_rows * n.max(1)).enumerate() {
-                gemm_band(a, b, pslab, bi * band_rows, &rp, band);
+            for band in out.chunks_mut(band_rows * n.max(1)) {
+                gemm_band(&mut rows, k, b, pslab, &rp, band);
             }
         } else {
             // Self-scheduled bands: each band's `&mut` slice sits in a
-            // take-once slot; workers claim slot indices off a shared
-            // counter, so each band is executed exactly once and the
-            // borrows never alias.
+            // take-once slot, with a cursor at its first `A` row; workers
+            // claim slot indices off a shared counter, so each band is
+            // executed exactly once and the borrows never alias.
             let slots: Vec<BandSlot<'_>> = out
                 .chunks_mut(band_rows * n.max(1))
-                .enumerate()
-                .map(|(bi, band)| Mutex::new(Some((bi * band_rows, band))))
+                .map(|band| {
+                    let here = rows.clone();
+                    rows.advance(band_rows);
+                    Mutex::new(Some((here, band)))
+                })
                 .collect();
             let next = AtomicUsize::new(0);
             let jobs: Vec<ScopedJob<'_>> = (0..eff)
@@ -126,12 +202,12 @@ impl ExecEngine {
                         // Nothing under the slot lock can panic
                         // mid-update, so a poisoned slot still
                         // holds a whole band or none.
-                        let (row_start, band) = slots[i]
+                        let (arows, band) = slots[i]
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)
                             .take()
                             .expect("band slot claimed exactly once");
-                        gemm_band(a, b, pslab, row_start, &rp, band);
+                        gemm_band(arows, k, b, pslab, &rp, band);
                     }) as ScopedJob<'_>
                 })
                 .collect();
@@ -245,6 +321,62 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `gemm_stacked` over parts equals the naive loop over the matrix
+    /// they stack, with `==`: parts cut at tile and band edges and inside them, empty
+    /// parts (first, between and last), and one part per row, at `m` of
+    /// two whole bands plus a partial one, so pooled band slots start
+    /// inside parts. Both data paths, at workers {1, 2, 7}.
+    #[test]
+    fn stacked_parts_equal_the_matrix_they_stack() {
+        for (k, n) in [(16usize, 32usize), (32, 2), (50, 128)] {
+            let band = gemm_band_rows(1 << 30, k, n);
+            let m = 2 * band + 5;
+            let a = filled(m, k, 7);
+            let b = filled(k, n, 8);
+            let want = naive_gemm(&a, &b);
+            let cut_sets: [Vec<usize>; 4] = [
+                vec![0, 0, 3, 4, 4, band - 1, band + 2, m, m],
+                vec![1, 2, 5, 6, 9, 13, m - 1],
+                (0..=m).step_by(7).collect(),
+                (0..=m).collect(),
+            ];
+            for cuts in cut_sets {
+                let mut edges = vec![0];
+                edges.extend(cuts.iter().copied().filter(|&c| c <= m));
+                edges.push(m);
+                let parts: Vec<DenseMatrix<f32>> = edges
+                    .windows(2)
+                    .map(|w| {
+                        DenseMatrix::from_vec(
+                            w[1] - w[0],
+                            k,
+                            a.as_slice()[w[0] * k..w[1] * k].to_vec(),
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                let refs: Vec<&DenseMatrix<f32>> = parts.iter().collect();
+                assert_eq!(refs.iter().map(|p| p.rows()).sum::<usize>(), m);
+                for path in [DataPath::Scalar, DataPath::Vector] {
+                    for workers in [1usize, 2, 7] {
+                        let engine = ExecEngine::with_data_path(workers, path);
+                        let got = engine.gemm_stacked(&refs, &b).unwrap();
+                        assert_eq!(
+                            got,
+                            want,
+                            "k={k} n={n} {} parts {path:?} workers={workers}",
+                            refs.len()
+                        );
+                    }
+                }
+            }
+            let engine = ExecEngine::new(2);
+            let bad = filled(3, k + 1, 0);
+            assert!(engine.gemm_stacked(&[&a, &bad], &b).is_err());
+            assert_eq!(engine.gemm_stacked(&[], &b).unwrap().rows(), 0);
         }
     }
 

@@ -64,6 +64,7 @@ mod epilogue;
 pub mod executor;
 mod gemm;
 mod merge_path;
+mod packed;
 mod plan;
 mod pool;
 mod spmm;
@@ -77,6 +78,7 @@ pub use datapath::DataPath;
 pub use engine::{EngineStats, ExecEngine};
 pub use epilogue::Epilogue;
 pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};
+pub use packed::{PackedGraphs, PackedOut};
 pub use plan::{static_span_skew, Flush, KernelPlan, PlanError, Segment, ThreadPlan};
 pub use pool::parallel_apply_chunks;
 pub use spmm::{

@@ -8,6 +8,11 @@
 //! or worker count. The row-aligned [`BatchMergeSpmm`] plan of a pack,
 //! replayed sequentially, is held to the same oracle.
 //!
+//! The constituent path pins [`ExecEngine::spmm_packed`] to the same
+//! per-graph oracle without building the pack: every graph of a
+//! [`PackedGraphs`] window, read from its own CSR and its own operand
+//! rows, equals that graph's own `ExecEngine::spmm`, bit for bit.
+//!
 //! The column-batch oracle pins a list of blocks through
 //! [`ExecEngine::spmm`] the same way: every block of a list, folded in
 //! place into its own output with the epilogue applied per block, equals
@@ -16,9 +21,10 @@
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    default_workers, BatchMergeSpmm, DataPath, Epilogue, ExecEngine, SerialSpmm, SpmmKernel,
+    default_workers, BatchMergeSpmm, DataPath, Epilogue, ExecEngine, PackedGraphs, PackedOut,
+    SerialSpmm, SpmmKernel,
 };
-use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix};
+use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix, SparseFormatError};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -366,5 +372,149 @@ fn column_batches_check_out_only_their_outputs() {
             );
         }
         assert_eq!(checkouts(workers, &[1; 6]), 6 + 2, "workers={workers}");
+    }
+}
+
+/// The windows the constituent path is checked on: a mixed window with a
+/// no-edge graph, a zero-row graph and a rectangular lopsided graph; a
+/// one-graph window; and a window where one graph holds most of the
+/// `rows + nnz` items, so span cuts fall inside it.
+fn constituent_windows() -> Vec<Vec<CsrMatrix<f32>>> {
+    vec![
+        vec![
+            random_graph(9, 20, 41),
+            random_graph(6, 0, 42),
+            CsrMatrix::from_triplets(0, 0, &[]).unwrap(),
+            lopsided(),
+            random_graph(17, 51, 43),
+        ],
+        vec![random_graph(12, 30, 44)],
+        vec![
+            random_graph(3, 1, 45),
+            random_graph(80, 2000, 46),
+            random_graph(5, 8, 47),
+        ],
+    ]
+}
+
+/// Every graph's rows of a packed run equal, with `==`, that graph's own
+/// `ExecEngine::spmm` under the same epilogue and its row sum followed
+/// by the epilogue: for every window above, at widths 1 to 33, under
+/// every epilogue, on both data paths, at workers {1, 2, 7, 64} and the
+/// resolved count, with the operand as one block per graph or one
+/// stacked block, and the output per graph or stacked.
+#[test]
+fn constituent_windows_equal_each_graphs_own_spmm() {
+    for (w, graphs) in constituent_windows().iter().enumerate() {
+        let window = PackedGraphs::new(graphs);
+        for dim in [1usize, 4, 16, 33] {
+            let feats: Vec<DenseMatrix<f32>> = graphs
+                .iter()
+                .enumerate()
+                .map(|(i, g)| features(g.cols(), dim, (100 * w + i) as u64))
+                .collect();
+            let per_graph: Vec<&DenseMatrix<f32>> = feats.iter().collect();
+            let all: Vec<f32> = feats.iter().flat_map(|x| x.as_slice()).copied().collect();
+            let stacked = DenseMatrix::from_vec(window.cols(), dim, all).unwrap();
+            for epi in batch_epilogues(dim) {
+                let wants: Vec<DenseMatrix<f32>> = graphs
+                    .iter()
+                    .zip(&feats)
+                    .map(|(g, x)| {
+                        let own = ExecEngine::new(1).spmm(g, &[x], &epi).unwrap().remove(0);
+                        assert_eq!(own, row_sum_then(g, x, &epi));
+                        own
+                    })
+                    .collect();
+                for workers in [1, 2, 7, 64, default_workers()] {
+                    for path in [DataPath::Scalar, DataPath::Vector] {
+                        let engine = ExecEngine::with_data_path(workers, path);
+                        for b in [&per_graph[..], &[&stacked]] {
+                            let ctx = format!(
+                                "window {w} dim={dim} epi={epi:?} w={workers} {path:?} {} blocks",
+                                b.len()
+                            );
+                            let outs = engine
+                                .spmm_packed(&window, b, &epi, PackedOut::PerGraph)
+                                .unwrap();
+                            assert_eq!(outs, wants, "{ctx}");
+                            let out = engine
+                                .spmm_packed(&window, b, &epi, PackedOut::Stacked)
+                                .unwrap()
+                                .remove(0);
+                            assert_eq!((out.rows(), out.cols()), (window.rows(), dim));
+                            let mut rest = out.as_slice();
+                            for (i, want) in wants.iter().enumerate() {
+                                let (got, tail) = rest.split_at(want.as_slice().len());
+                                assert_eq!(got, want.as_slice(), "{ctx} graph {i} stacked");
+                                rest = tail;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A packed run checks nothing out for its operand: a stacked output is
+/// one arena checkout, and per-graph outputs are one fresh buffer per
+/// graph that leaves the pool untouched. A rejected call checks nothing
+/// out: blocks that are neither one per graph nor one stacked block,
+/// per-graph blocks of the wrong rows, and a bias of the wrong width.
+#[test]
+fn constituent_runs_check_out_only_their_outputs() {
+    let graphs = constituent_windows().remove(0);
+    let window = PackedGraphs::new(&graphs);
+    let feats: Vec<DenseMatrix<f32>> = graphs.iter().map(|g| features(g.cols(), 4, 9)).collect();
+    let refs: Vec<&DenseMatrix<f32>> = feats.iter().collect();
+    let none = Epilogue::None;
+    for workers in [1, 2, default_workers()] {
+        let engine = ExecEngine::new(workers);
+        let counts = || {
+            let s = engine.stats();
+            (s.arena_reuses, s.arena_misses)
+        };
+        let rejected = |b: &[&DenseMatrix<f32>], epi: &Epilogue| {
+            let got = engine.spmm_packed(&window, b, epi, PackedOut::PerGraph);
+            matches!(got, Err(SparseFormatError::ShapeMismatch { .. }))
+        };
+        let swapped: Vec<&DenseMatrix<f32>> = refs.iter().rev().copied().collect();
+        let short = features(window.cols() - 1, 4, 9);
+        assert!(rejected(&refs[1..], &none), "workers={workers}");
+        assert!(rejected(&swapped, &none), "workers={workers}");
+        assert!(rejected(&[&short], &none), "workers={workers}");
+        assert!(
+            rejected(&refs, &Epilogue::Bias(vec![0.5; 3])),
+            "workers={workers}"
+        );
+        assert_eq!(
+            counts(),
+            (0, 0),
+            "workers={workers}: rejected before checkout"
+        );
+
+        let out = engine
+            .spmm_packed(&window, &refs, &none, PackedOut::Stacked)
+            .unwrap();
+        assert_eq!(counts(), (0, 1), "workers={workers}: one stacked output");
+        engine.recycle(out.into_iter().next().unwrap());
+        engine
+            .spmm_packed(&window, &refs, &none, PackedOut::PerGraph)
+            .unwrap();
+        let n = graphs.len() as u64;
+        assert_eq!(
+            counts(),
+            (0, 1 + n),
+            "workers={workers}: one fresh buffer per graph"
+        );
+        engine
+            .spmm_packed(&window, &refs, &none, PackedOut::Stacked)
+            .unwrap();
+        assert_eq!(
+            counts(),
+            (1, 1 + n),
+            "workers={workers}: the pooled buffer waited"
+        );
     }
 }

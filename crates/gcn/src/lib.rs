@@ -6,8 +6,9 @@
 //! weight init) and composes it with the *aggregation* phase — the
 //! `Â × (XW)` SpMM on an [`mpspmm_core::ExecEngine`] — into layers and
 //! models. [`GcnModel::forward`] is the one GCN layer loop: a single
-//! request, a batch of requests on one graph and a packed block-diagonal
-//! window of many graphs all run through it, one output per block. The crate
+//! request, a batch of requests on one graph and a packed window of many
+//! graphs ([`Adjacency::Packed`]) all run through it, one output per
+//! block. The crate
 //! also implements the online/offline inference scenario of Figure 8.
 //!
 //! # Example
@@ -32,5 +33,5 @@
 mod model;
 pub mod ops;
 
-pub use model::{online_inference, GcnLayer, GcnModel, InferenceTiming};
+pub use model::{online_inference, Adjacency, GcnLayer, GcnModel, InferenceTiming};
 pub use ops::Activation;

@@ -1,9 +1,34 @@
 //! GCN layers and models on the SpMM engine.
 
-use mpspmm_core::{parallel_apply_chunks, Epilogue, ExecEngine, Schedule};
+use mpspmm_core::{parallel_apply_chunks, Epilogue, ExecEngine, PackedGraphs, PackedOut, Schedule};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::ops::Activation;
+
+/// The graph side of a [`GcnModel::forward`]: one graph whose every block
+/// is a request's features, or a packed window of graphs whose blocks are
+/// the graphs' own features.
+#[derive(Debug, Clone, Copy)]
+pub enum Adjacency<'a> {
+    /// One normalized adjacency `Â`.
+    Graph(&'a CsrMatrix<f32>),
+    /// A packed window: one block per graph, holding that graph's
+    /// feature rows (or one block of every graph's rows stacked in window
+    /// order).
+    Packed(&'a PackedGraphs<'a>),
+}
+
+impl<'a> From<&'a CsrMatrix<f32>> for Adjacency<'a> {
+    fn from(a: &'a CsrMatrix<f32>) -> Self {
+        Adjacency::Graph(a)
+    }
+}
+
+impl<'a> From<&'a PackedGraphs<'a>> for Adjacency<'a> {
+    fn from(p: &'a PackedGraphs<'a>) -> Self {
+        Adjacency::Packed(p)
+    }
+}
 
 /// One graph-convolution layer: `H' = σ(Â · H · W + b)`.
 ///
@@ -191,23 +216,31 @@ impl GcnModel {
             .expect("model has at least one layer")
     }
 
-    /// Forward pass on `engine` over several independent feature
-    /// matrices on the *same* graph, returning one output per block, in
-    /// order; a single request is `&[&x]`. Each layer is one engine GEMM
-    /// per block plus **one** SpMM that aggregates `Â × H_iW` for every
-    /// block of the list, each into its own output, with the layer's
-    /// bias/activation epilogue fused into the store stage (sigmoid runs
-    /// as a separate pass) — the dense-column batching of Batched SpMM for
-    /// GCN serving, valid because `Â (H_i W)` only ever reads `H_i W`'s
-    /// own columns. A 2-layer model on one block is the "2 kernel
-    /// invocations" scenario of the paper's Figure 8.
+    /// Forward pass on `engine`, returning one output per block, in
+    /// order. Each layer is its GEMMs plus **one** SpMM aggregation with
+    /// the layer's bias/activation epilogue fused into the store stage
+    /// (sigmoid runs as a separate pass). A 2-layer model on one block is
+    /// the "2 kernel invocations" scenario of the paper's Figure 8.
     ///
-    /// This is the crate's one GCN layer loop. A block-diagonal packed
-    /// window is a one-block call too: `a_hat` packs many small graphs on
-    /// the diagonal ([`BlockDiagCsr`](mpspmm_sparse::BlockDiagCsr)) and
-    /// the one block stacks their features in the same order. Row band
-    /// `i` of the packed product reads only feature band `i`, so each
-    /// graph's output band is its own forward pass, bit for bit.
+    /// This is the crate's one GCN layer loop, and `a_hat` picks how a
+    /// layer runs its two halves:
+    ///
+    /// * [`Adjacency::Graph`] (or a plain `&CsrMatrix`): several
+    ///   independent feature blocks on the *same* graph, a single request
+    ///   being `&[&x]`. Each layer runs one engine GEMM per block and one
+    ///   [`ExecEngine::spmm`] that aggregates `Â × H_iW` for every block,
+    ///   each into its own output — the dense-column batching of Batched
+    ///   SpMM for GCN serving, valid because `Â (H_i W)` only ever reads
+    ///   `H_i W`'s own columns.
+    /// * [`Adjacency::Packed`]: a window of small graphs, one block per
+    ///   graph. Each layer runs one [`ExecEngine::gemm_stacked`] over the
+    ///   window's rows, read where each graph's block lies, and one
+    ///   [`ExecEngine::spmm_packed`] that folds every graph's rows from its
+    ///   own rows of that product. Hidden activations are one stacked
+    ///   arena matrix; the last layer stores each graph's rows straight
+    ///   into that graph's own output. No block-diagonal matrix is built
+    ///   and nothing is stacked or scattered. Each graph's output is its
+    ///   own forward pass, bit for bit.
     ///
     /// Layer 0's raw feature matrix and the hidden layers' dense
     /// activations all go through the engine's blocked GEMM, whose result
@@ -223,30 +256,41 @@ impl GcnModel {
     /// output, and a steady-state forward whose caller recycles its
     /// outputs allocates no fresh engine buffers. A caller that drops the
     /// outputs instead (a serving client) costs one fresh arena buffer per
-    /// block per call, and every output is a buffer sized for the model's
-    /// widest activation, so the allocator refills the space the last
-    /// call's outputs freed (DESIGN.md §2.9).
+    /// output per call. On one graph, every output is a buffer sized for
+    /// the model's widest activation, so the allocator refills the space
+    /// the last call's outputs freed (DESIGN.md §2.9); a packed window's
+    /// outputs are fresh buffers of each graph's own size.
     ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`] when `a_hat` or any
     /// block's shape is inconsistent with the model.
-    pub fn forward(
+    pub fn forward<'a>(
         &self,
-        a_hat: &CsrMatrix<f32>,
+        a_hat: impl Into<Adjacency<'a>>,
         blocks: &[&DenseMatrix<f32>],
         engine: &ExecEngine,
     ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
+        let a_hat = a_hat.into();
         if blocks.is_empty() {
             return Ok(Vec::new());
         }
         let mut hs: Vec<DenseMatrix<f32>> = Vec::new();
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut products = Vec::with_capacity(blocks.len());
-            for j in 0..blocks.len() {
-                let h = if i == 0 { blocks[j] } else { &hs[j] };
-                products.push(engine.gemm(h, &layer.weight)?);
-            }
+            let products = match a_hat {
+                Adjacency::Graph(_) => {
+                    let mut products = Vec::with_capacity(blocks.len());
+                    for j in 0..blocks.len() {
+                        let h = if i == 0 { blocks[j] } else { &hs[j] };
+                        products.push(engine.gemm(h, &layer.weight)?);
+                    }
+                    products
+                }
+                // Layer 0 reads every graph's features where they lie; a
+                // hidden activation is one stacked matrix.
+                Adjacency::Packed(_) if i == 0 => vec![engine.gemm_stacked(blocks, &layer.weight)?],
+                Adjacency::Packed(_) => vec![engine.gemm(&hs[0], &layer.weight)?],
+            };
             // Every GEMM has read the previous layer's activations: hand
             // them back now, so this layer's aggregation writes into them
             // instead of checking out a third full-size buffer per block.
@@ -257,16 +301,23 @@ impl GcnModel {
             // Every block in a model batch has this layer's output width,
             // and the engine applies a batch epilogue per block, so the
             // layer's epilogue fuses into the one aggregation run as is.
-            let aggregated = match &layer.epilogue {
-                Some(epi) => engine.spmm(a_hat, &refs, epi)?,
-                None => {
-                    let mut agg = engine.spmm(a_hat, &refs, &Epilogue::None)?;
-                    for out in &mut agg {
-                        layer.apply_unfused(out);
-                    }
-                    agg
+            let epi = layer.epilogue.as_ref().unwrap_or(&Epilogue::None);
+            let mut aggregated = match a_hat {
+                Adjacency::Graph(a) => engine.spmm(a, &refs, epi)?,
+                Adjacency::Packed(p) => {
+                    let out = if i + 1 == self.layers.len() {
+                        PackedOut::PerGraph
+                    } else {
+                        PackedOut::Stacked
+                    };
+                    engine.spmm_packed(p, &refs, epi, out)?
                 }
             };
+            if layer.epilogue.is_none() {
+                for out in &mut aggregated {
+                    layer.apply_unfused(out);
+                }
+            }
             drop(refs);
             // The per-request products are dead now: the next layer's
             // GEMMs (and the next batch) reuse them.
@@ -386,48 +437,76 @@ mod tests {
         gcn_normalize(&spec.synthesize(3))
     }
 
+    /// The packed windows every constituent-path test runs: graphs with
+    /// no non-zeros and with no rows among structured ones, a one-graph
+    /// window, and a window where one power-law graph holds most of the
+    /// `rows + nnz` items, so span cuts fall inside it.
+    fn windows() -> Vec<Vec<CsrMatrix<f32>>> {
+        let structured = |i: usize| {
+            let spec = DatasetSpec::custom("m", GraphClass::Structured, 20 + i * 3, 60 + i * 10, 6);
+            gcn_normalize(&spec.synthesize(i as u64))
+        };
+        let big = gcn_normalize(
+            &DatasetSpec::custom("big", GraphClass::PowerLaw, 300, 3000, 120).synthesize(9),
+        );
+        vec![
+            vec![
+                structured(0),
+                CsrMatrix::from_triplets(7, 7, &[]).unwrap(),
+                structured(1),
+                CsrMatrix::from_triplets(0, 0, &[]).unwrap(),
+                structured(2),
+                structured(3),
+            ],
+            vec![structured(4)],
+            vec![structured(5), big, structured(6)],
+        ]
+    }
+
+    /// Every graph's output of a packed forward is `==` to that graph's
+    /// own forward, at workers {1, 2, 7, 64}: with no-bias and bias
+    /// layers under ReLU and identity, and a sigmoid layer that runs
+    /// unfused. The features go in as one block per graph and as one
+    /// block of every graph's rows stacked.
     #[test]
     fn packed_window_forward_matches_per_graph_forward() {
-        use mpspmm_sparse::BlockDiagCsr;
-        use std::sync::Arc;
-
-        let graphs: Vec<Arc<CsrMatrix<f32>>> = (0..4)
-            .map(|i| {
-                let spec =
-                    DatasetSpec::custom("m", GraphClass::Structured, 20 + i * 3, 60 + i * 10, 6);
-                Arc::new(gcn_normalize(&spec.synthesize(i as u64)))
-            })
-            .collect();
-        let model = GcnModel::two_layer(8, 12, 3, 42);
-        let feats: Vec<DenseMatrix<f32>> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| random_features(g.rows(), 8, 0.6, i as u64))
-            .collect();
-        let pack = BlockDiagCsr::build(&graphs).unwrap();
-        let stacked = pack
-            .stack_features(&feats.iter().collect::<Vec<_>>())
-            .unwrap();
-
-        // Per-graph reference on a 1-worker engine: every row is one
-        // ascending fold at any worker count, so bands match bitwise.
+        let bias = |n: usize| (0..n).map(|j| j as f32 * 0.125 - 0.5).collect::<Vec<_>>();
+        let models = [
+            GcnModel::two_layer(8, 12, 3, 42),
+            GcnModel::new(vec![
+                GcnLayer::with_bias(xavier_init(8, 16, 3), bias(16), Activation::Relu),
+                GcnLayer::with_bias(xavier_init(16, 5, 4), bias(5), Activation::Identity),
+            ]),
+            GcnModel::new(vec![
+                GcnLayer::new(xavier_init(8, 6, 5), Activation::Sigmoid),
+                GcnLayer::with_bias(xavier_init(6, 4, 6), bias(4), Activation::Relu),
+            ]),
+        ];
         let ref_engine = ExecEngine::new(1);
-        let expect: Vec<DenseMatrix<f32>> = graphs
-            .iter()
-            .zip(&feats)
-            .map(|(g, x)| model.forward(g, &[x], &ref_engine).unwrap().remove(0))
-            .collect();
-        for workers in [1, 2, 7, 64] {
-            let engine = ExecEngine::new(workers);
-            let packed_out = model
-                .forward(pack.matrix(), &[&stacked], &engine)
-                .unwrap()
-                .pop()
-                .unwrap();
-            assert_eq!(packed_out.rows(), pack.rows());
-            for (i, want) in expect.iter().enumerate() {
-                let band = pack.scatter_block(&packed_out, i);
-                assert_eq!(&band, want, "graph {i} band differs (workers={workers})");
+        for graphs in windows() {
+            let window = PackedGraphs::new(&graphs);
+            let feats: Vec<DenseMatrix<f32>> = graphs
+                .iter()
+                .enumerate()
+                .map(|(i, g)| random_features(g.rows(), 8, 0.6, i as u64))
+                .collect();
+            let per_graph: Vec<&DenseMatrix<f32>> = feats.iter().collect();
+            let all: Vec<f32> = feats.iter().flat_map(|x| x.as_slice()).copied().collect();
+            let stacked = DenseMatrix::from_vec(window.cols(), 8, all).unwrap();
+            for model in &models {
+                let expect: Vec<DenseMatrix<f32>> = graphs
+                    .iter()
+                    .zip(&feats)
+                    .map(|(g, x)| model.forward(g, &[x], &ref_engine).unwrap().remove(0))
+                    .collect();
+                for workers in [1, 2, 7, 64] {
+                    let engine = ExecEngine::new(workers);
+                    for blocks in [&per_graph[..], &[&stacked]] {
+                        let outs = model.forward(&window, blocks, &engine).unwrap();
+                        let at = format!("{} graphs, workers={workers}", graphs.len());
+                        assert_eq!(outs, expect, "{at}, {} blocks", blocks.len());
+                    }
+                }
             }
         }
     }
@@ -605,6 +684,55 @@ mod tests {
                         vec![widest; n],
                         "{at}: replies hold the widest activation"
                     );
+                }
+            }
+        }
+    }
+
+    /// [`dropped_replies_cost_one_fresh_buffer_per_block_per_call`] on a
+    /// packed window: once warm, a call checks out exactly one fresh
+    /// arena buffer per graph, its output, and nothing for a packed
+    /// matrix or a stacked operand; each output is a buffer of that
+    /// graph's own rows at the model's output width.
+    #[test]
+    fn dropped_packed_replies_cost_one_fresh_buffer_per_graph_per_call() {
+        let models: [&[usize]; 4] = [&[16, 8], &[8, 24], &[16, 32, 2], &[24, 8, 32, 4]];
+        for graphs in windows() {
+            let window = PackedGraphs::new(&graphs);
+            for widths in models {
+                let model = chain(widths);
+                let feats: Vec<_> = graphs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, g)| random_features(g.rows(), widths[0], 0.4, 90 + i as u64))
+                    .collect();
+                let refs: Vec<&_> = feats.iter().collect();
+                let engine = ExecEngine::new(mpspmm_core::default_workers());
+                let forward = || {
+                    let before = engine.stats().arena_misses;
+                    let outs = model.forward(&window, &refs, &engine).unwrap();
+                    let fresh = engine.stats().arena_misses - before;
+                    let caps: Vec<usize> =
+                        outs.into_iter().map(|o| o.into_vec().capacity()).collect();
+                    (fresh, caps)
+                };
+                for _ in 0..3 {
+                    forward();
+                }
+                // Arena capacities round up to whole 64-byte lines.
+                let own: Vec<usize> = graphs
+                    .iter()
+                    .map(|g| (g.rows() * model.out_features()).next_multiple_of(16))
+                    .collect();
+                for call in 0..4 {
+                    let (fresh, caps) = forward();
+                    let at = format!("widths={widths:?} graphs={} call={call}", graphs.len());
+                    assert_eq!(
+                        fresh,
+                        graphs.len() as u64,
+                        "{at}: one fresh buffer per graph"
+                    );
+                    assert_eq!(caps, own, "{at}: each reply holds its graph's rows");
                 }
             }
         }

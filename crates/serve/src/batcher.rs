@@ -63,8 +63,9 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpspmm_core::{Epilogue, ExecEngine};
-use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix, SparseFormatError};
+use mpspmm_core::{Epilogue, ExecEngine, PackedGraphs, PackedOut};
+use mpspmm_gcn::Adjacency;
+use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 
 use crate::error::ServeError;
 use crate::registry::ServedGraph;
@@ -109,9 +110,9 @@ impl Pending {
     /// one graph version, which the `Arc` pointer identifies: hot swap
     /// allocates a new `ServedGraph`, and every queued request holds its
     /// own `Arc`. A packed window may mix graphs; what must agree is the
-    /// feature width (vertical stacking) and, for GCN, the model (one
-    /// packed forward runs one weight set; models are compared by `Arc`
-    /// pointer).
+    /// feature width (one operand width for the whole window) and, for
+    /// GCN, the model (one packed forward runs one weight set; models are
+    /// compared by `Arc` pointer).
     fn key(&self, packed: bool) -> (Workload, usize, usize) {
         if !packed {
             return (self.workload, Arc::as_ptr(&self.graph) as usize, 0);
@@ -259,49 +260,36 @@ fn run_window(shared: &Shared, window: Vec<Pending>, degraded: bool) {
 ///
 /// A column window multiplies its one graph by every request's block,
 /// each folded in place into its own output. A packed window runs as
-/// **one** block-diagonal execution: constituent adjacencies concatenate
-/// on the diagonal, feature blocks stack vertically, one engine SpMM (or
-/// one GCN forward over the stacked features as a single block) computes
-/// everything, and each request's result is scattered back out of its
-/// private row band. A packed window that shed down to one request runs
-/// as a column window on the graph itself — zero-copy, and exactly what
-/// a non-packing server would have done.
+/// **one** engine call over its constituents ([`PackedGraphs`]): each
+/// request's graph keeps its own CSR, each request's features are read
+/// where they lie, and each graph's rows are stored straight into that
+/// request's reply, so no block-diagonal matrix is built and nothing is
+/// stacked or scattered. A packed window that shed down to one request
+/// runs as a column window on the graph itself, exactly what a
+/// non-packing server would have done.
 fn execute(shared: &Shared, live: &[Pending]) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
     let engine = &shared.engine;
     let head = &live[0];
-    let run = |a: &CsrMatrix<f32>, blocks: &[&DenseMatrix<f32>]| match head.workload {
-        Workload::Spmm => engine.spmm(a, blocks, &Epilogue::None),
-        Workload::Gcn => head
+    let feats: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
+    let run = |a: Adjacency<'_>| match (head.workload, a) {
+        (Workload::Spmm, Adjacency::Graph(a)) => engine.spmm(a, &feats, &Epilogue::None),
+        (Workload::Spmm, Adjacency::Packed(p)) => {
+            engine.spmm_packed(p, &feats, &Epilogue::None, PackedOut::PerGraph)
+        }
+        (Workload::Gcn, a) => head
             .graph
             .model()
             .expect("Gcn workload admitted only for graphs with a model")
-            .forward(a, blocks, engine),
+            .forward(a, &feats, engine),
     };
-    let feats: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
     let outs = if !shared.config.pack_graphs || live.len() == 1 {
-        run(head.graph.adjacency(), &feats)?
+        run(Adjacency::Graph(head.graph.adjacency()))?
     } else {
-        let constituents: Vec<Arc<CsrMatrix<f32>>> = live
-            .iter()
-            .map(|p| Arc::clone(p.graph.adjacency()))
-            .collect();
-        let pack = BlockDiagCsr::build(&constituents)?;
-        let mut stacked = engine.lease_zeroed(pack.cols(), head.features.cols());
-        pack.stack_features_into(&feats, &mut stacked)?;
-        let out = run(pack.matrix(), &[&stacked])?
-            .pop()
-            .expect("one block in, one output out");
-        engine.recycle(stacked);
+        let window = PackedGraphs::new(live.iter().map(|p| p.graph.adjacency().as_ref()));
+        let outs = run(Adjacency::Packed(&window))?;
         shared
             .stats
-            .record_packed(live.len(), pack.nnz(), shared.config.max_batch_nnz);
-        // Scatter: each request's rows are a private contiguous band of
-        // the packed output (bands are disjoint by construction), copied
-        // into a fresh per-request matrix — no sharing, no races.
-        let outs = (0..live.len())
-            .map(|i| pack.scatter_block(&out, i))
-            .collect();
-        engine.recycle(out);
+            .record_packed(live.len(), window.nnz(), shared.config.max_batch_nnz);
         outs
     };
     #[cfg(test)]

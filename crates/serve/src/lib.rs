@@ -108,12 +108,14 @@ pub struct ServeConfig {
     /// [`ServeStats::queue_depth`] counts it.
     pub pressure_threshold: usize,
     /// Graph-packing mode: within a batch window, admit requests for
-    /// *different* small registered graphs, assemble
-    /// them into one block-diagonal matrix, and run the whole window as
-    /// a single mega-batched execution. Off by default — the classic
-    /// same-graph column batching is better when traffic concentrates on
-    /// few graphs; packing is for the thousands-of-tiny-graphs (Type II
-    /// molecular) profile.
+    /// *different* small registered graphs and run the whole window as
+    /// one engine call over its constituents
+    /// ([`PackedGraphs`](mpspmm_core::PackedGraphs)): each graph keeps
+    /// its own CSR, each request's features are read where they lie, and
+    /// each graph's rows are stored straight into its reply. Off by
+    /// default — the classic same-graph column batching is better when
+    /// traffic concentrates on few graphs; packing is for the
+    /// thousands-of-tiny-graphs (Type II molecular) profile.
     pub pack_graphs: bool,
     /// Constituent-graph budget per packed window: a window closes once
     /// it holds this many graphs. Only read when `pack_graphs` is set.
@@ -297,7 +299,7 @@ impl Server {
     /// **Bulk admission**: admits every request in `reqs` and sends them
     /// to the dispatcher as one message, all replies multiplexed over a
     /// single shared channel. This is the intended front door for
-    /// mega-batch clients — a per-request [`submit`](Self::submit) pays
+    /// packed-window clients — a per-request [`submit`](Self::submit) pays
     /// a reply channel and a message per request, which at thousands of
     /// tiny graphs per second costs more than the math.
     ///
@@ -316,7 +318,7 @@ impl Server {
         // One routing-table lock, one clock read, and (via the small
         // per-burst cache below) one tenant-table lock per *distinct*
         // tenant for the whole burst — per-request `admit` would pay
-        // all three per request, which at mega-batch rates is real
+        // all three per request, which at packed-window rates is real
         // money. Tenant entries are still created lazily, only for
         // requests that pass validation, exactly as in `admit`.
         let graphs = self

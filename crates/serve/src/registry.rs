@@ -103,7 +103,7 @@ impl GraphRegistry {
     }
 
     /// [`register`](Self::register) with an already-shared model `Arc` —
-    /// the registration path for mega-batched serving, where thousands
+    /// the registration path for packed serving, where thousands
     /// of small graphs serve inference through **one** model and the
     /// packing scheduler batches across graphs that share it (models are
     /// compared by pointer, so each graph must hold the *same* `Arc`).

@@ -105,8 +105,8 @@ impl StatsCollector {
         }
     }
 
-    /// Records one executed **packed** (block-diagonal) window of
-    /// `graphs` constituent graphs totalling `nnz` packed non-zeros,
+    /// Records one executed **packed** window of `graphs` constituent
+    /// graphs totalling `nnz` non-zeros,
     /// against a window capacity of `capacity_nnz` — the pair behind the
     /// pack-efficiency ratio.
     pub fn record_packed(&self, graphs: usize, nnz: usize, capacity_nnz: usize) {

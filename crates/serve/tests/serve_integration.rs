@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpspmm_core::{default_workers, Epilogue, ExecEngine, MergePathSpmm, SerialSpmm, SpmmKernel};
+use mpspmm_gcn::ops::xavier_init;
 use mpspmm_gcn::{Activation, GcnLayer, GcnModel};
 use mpspmm_serve::{Request, ServeConfig, ServeError, Server, Workload};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
@@ -781,6 +782,98 @@ fn packed_windows_match_the_oracle_across_value_and_structural_swaps() {
     let outs = run_window(20);
     assert_eq!(outs[1].max_abs_diff(&oracle(&structural, 21)).unwrap(), 0.0);
     assert_eq!(outs[3].max_abs_diff(&oracle(&graph(4.0), 23)).unwrap(), 0.0);
+    srv.shutdown();
+}
+
+/// A graph whose every row holds `per_row` non-zeros: next to the
+/// ring-with-chords graphs it holds most of a window's `rows + nnz`
+/// items, so the engine's span cuts fall inside it.
+fn heavy_graph(nodes: usize, per_row: usize, seed: f32) -> CsrMatrix<f32> {
+    let trips: Vec<(usize, usize, f32)> = (0..nodes)
+        .flat_map(|r| (0..per_row).map(move |j| (r, (r + j * 2) % nodes, seed - j as f32 * 0.0625)))
+        .collect();
+    CsrMatrix::from_triplets(nodes, nodes, &trips).unwrap()
+}
+
+/// The packed windows the constituent-path tests serve: graphs with no
+/// non-zeros and with no rows among ring graphs, one graph alone, and
+/// one heavy graph between two light ones.
+fn packed_windows() -> Vec<Vec<CsrMatrix<f32>>> {
+    vec![
+        vec![
+            small_graph(8, 1.0),
+            CsrMatrix::from_triplets(5, 5, &[]).unwrap(),
+            small_graph(13, 2.0),
+            CsrMatrix::from_triplets(0, 0, &[]).unwrap(),
+            small_graph(21, 3.0),
+        ],
+        vec![small_graph(17, 4.0)],
+        vec![
+            small_graph(6, 5.0),
+            heavy_graph(60, 24, 1.5),
+            small_graph(9, 6.0),
+        ],
+    ]
+}
+
+/// Every reply of a packed window is `==` to its graph's own
+/// `GcnModel::forward` and its own `ExecEngine::spmm`, whatever else
+/// shares the window: windows with empty and zero-row graphs, a
+/// one-graph window, and a window whose span cuts fall inside one heavy
+/// graph, through GCN models with bias + ReLU and bias-only layers and
+/// through plain SpMM. Each burst is one window. `packed_nnz` is the sum
+/// of the packed windows' constituent non-zeros, and `pack_efficiency`
+/// is that sum over the windows' non-zero budget.
+#[test]
+fn packed_windows_equal_each_graphs_own_forward_and_spmm() {
+    let srv = pack_server(200);
+    let bias = |n: usize| (0..n).map(|j| 0.25 - j as f32 * 0.125).collect::<Vec<_>>();
+    let model = Arc::new(GcnModel::new(vec![
+        GcnLayer::with_bias(xavier_init(5, 9, 3), bias(9), Activation::Relu),
+        GcnLayer::with_bias(xavier_init(9, 3, 4), bias(3), Activation::Identity),
+    ]));
+    let ref_engine = ExecEngine::new(1);
+    let (mut packed_windows_run, mut packed_nnz) = (0u64, 0u64);
+    for (w, graphs) in packed_windows().into_iter().enumerate() {
+        let names: Vec<String> = (0..graphs.len()).map(|i| format!("w{w}g{i}")).collect();
+        for (name, g) in names.iter().zip(&graphs) {
+            srv.registry()
+                .register_shared(name, g.clone(), Some(Arc::clone(&model)));
+        }
+        for workload in [Workload::Gcn, Workload::Spmm] {
+            let width = if workload == Workload::Gcn { 5 } else { 4 };
+            let feats: Vec<DenseMatrix<f32>> = graphs
+                .iter()
+                .enumerate()
+                .map(|(i, g)| small_feats(g.cols(), width, 10 * w + i))
+                .collect();
+            let burst = names
+                .iter()
+                .zip(&feats)
+                .map(|(name, x)| req(name, "t", x.clone(), workload))
+                .collect();
+            let (refused, ticket) = srv.submit_many(burst);
+            assert!(refused.iter().all(Option::is_none), "{refused:?}");
+            for (i, reply) in ticket.wait_all().into_iter().enumerate() {
+                let got = reply.expect("admitted").expect("served");
+                let (g, x) = (&graphs[i], &feats[i]);
+                let want = match workload {
+                    Workload::Gcn => model.forward(g, &[x], &ref_engine).unwrap(),
+                    Workload::Spmm => ref_engine.spmm(g, &[x], &Epilogue::None).unwrap(),
+                };
+                assert_eq!(got, want[0], "window {w}, graph {i}, {workload:?}");
+            }
+            if graphs.len() > 1 {
+                packed_windows_run += 1;
+                packed_nnz += graphs.iter().map(|g| g.nnz() as u64).sum::<u64>();
+            }
+        }
+    }
+    let stats = srv.stats();
+    assert_eq!(stats.packed_batches, packed_windows_run);
+    assert_eq!(stats.packed_nnz, packed_nnz);
+    let budget = (packed_windows_run * ServeConfig::default().max_batch_nnz as u64) as f64;
+    assert_eq!(stats.pack_efficiency, packed_nnz as f64 / budget);
     srv.shutdown();
 }
 

@@ -18,6 +18,13 @@
 //!
 //! A single-constituent "batch" is zero-copy: the packed matrix is the
 //! constituent's own `Arc`.
+//!
+//! The serving layer no longer builds this matrix: a packed window runs
+//! over its constituents in place (`mpspmm_core::PackedGraphs`), cutting
+//! its row spans on per-graph prefix sums, so nothing is concatenated,
+//! stacked or scattered. `BlockDiagCsr` stays as the reference the
+//! packed-path tests compare against and for the serving benchmark's
+//! replay.
 
 use std::sync::Arc;
 

@@ -10,8 +10,8 @@
 # Emits BENCH_engine.json (engine vs the seed executor), BENCH_simd.json
 # (vectorized data path vs the scalar oracle path), BENCH_serve.json
 # (coalesced vs one-request serving, smoke shape) and BENCH_batch.json
-# (packed block-diagonal serving vs per-request serving, smoke shape)
-# into target/tier1-bench/, then validates their common schema (measured
+# (packed-window serving vs per-request serving, smoke shape) into
+# target/tier1-bench/, then validates their common schema (measured
 # headline with its p10/p90 band, run count and worker count) there and
 # on the committed full-run artifacts in the repository root. Ends by
 # checking that the root BENCH_*.json files were left untouched.
@@ -29,8 +29,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc with warnings denied: a doc link to a private, renamed or
 # deleted item fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --keep-going
+# The root package's suites, then every other member's: each suite runs
+# once.
 cargo test -q
-cargo test --workspace -q
+cargo test --workspace --exclude merge-path-spmm -q
 # Debug build (debug_assertions on): overflow checks and the engine's
 # internal invariant asserts are live while the oracle property tests run.
 # Each suite sweeps the scalar oracle data path next to the default
@@ -38,8 +40,9 @@ cargo test --workspace -q
 cargo test -q -p mpspmm-core --test engine_oracle
 # The engine oracle, the concurrent-engine suite and the scheduler suite
 # (row spans equal to the ascending row sum at every worker count, at
-# narrow and wide dims) and the packed block-diagonal batch path (all
-# bit-identical at any worker count): pin the
+# narrow and wide dims) and the packed-window path, over a block-diagonal
+# pack and over its constituents (all bit-identical at any worker
+# count): pin the
 # resolved count to a matrix of values and re-run their property tests
 # (debug build, invariant asserts live). batch_oracle sweeps
 # packed-vs-sequential across DataPath x workers, including empty graphs
@@ -106,9 +109,10 @@ bench() {
 bench bench_engine
 bench bench_simd
 bench bench_serve -- --smoke
-# Mega-batch bench, smoke shape: exercises the packed serving pipeline
-# end to end (bulk admission, block-diagonal assembly, scatter) and its
-# untimed bit-identity spot check against the sequential oracle.
+# Packed-window bench, smoke shape: exercises the packed serving pipeline
+# end to end (bulk admission, one engine call over each window's
+# constituents) and its untimed bit-identity spot check against the
+# sequential oracle.
 bench bench_batch -- --smoke
 scripts/check_bench_schema.sh "$bench_dir"
 scripts/check_bench_schema.sh
