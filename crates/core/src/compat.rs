@@ -107,4 +107,12 @@ impl ExecEngine {
     ) -> Arc<PreparedPlan> {
         Arc::new(PreparedPlan)
     }
+
+    /// A zeroed `rows × cols` matrix from the engine's arena: the
+    /// benchmark's replay of the old block-diagonal path stacks its
+    /// features here.
+    pub fn lease_zeroed(&self, rows: usize, cols: usize) -> DenseMatrix<f32> {
+        DenseMatrix::from_vec(rows, cols, self.arena.take_zeroed(rows * cols))
+            .expect("arena buffer sized to rows x cols")
+    }
 }

@@ -13,7 +13,9 @@
 //!   stores the row into a plain `&mut [f32]` slice of the output; the
 //!   slices are disjoint by `split_at_mut`, so no row is shared, no store
 //!   is atomic, and nothing is folded or replayed after the join.
-//!   Snapping costs at most one row per boundary (DESIGN.md §2.3.1).
+//!   Snapping costs at most one row per boundary (DESIGN.md §2.3.1). The
+//!   cut, the span runner and the row fold live in the `packed` module:
+//!   one runner serves both entry points.
 //! * **Persistent workers** (the `pool` module): spans run on long-lived
 //!   pool workers, so repeated SpMM calls (a GNN forward pass is many of
 //!   them) stop paying thread spawn/join. A run with one effective worker
@@ -37,10 +39,11 @@
 //!   the one-element list.
 //!   Only a list of single-column blocks is interleaved into one
 //!   combined operand and split back out, since a one-column fold
-//!   gathers one float per cache line (DESIGN.md §2.8). A packed window
-//!   of many small graphs is the one other shape: [`ExecEngine::spmm_packed`]
-//!   runs it through the same row fold, graph by graph, without building
-//!   its block-diagonal matrix (DESIGN.md §2.12).
+//!   gathers one float per cache line (DESIGN.md §2.8). The list runs as
+//!   the one-graph window of the matrix, one fold per block, through the
+//!   runner that [`ExecEngine::spmm_packed`] runs a packed window of many
+//!   small graphs through, graph by graph, without building its
+//!   block-diagonal matrix (DESIGN.md §2.12).
 //! * **Buffer arena** (the `arena` module): output buffers (and the
 //!   single-column lane's combined operand) are pooled per engine and
 //!   checked out per execution, so steady-state inference allocates
@@ -60,11 +63,11 @@ use std::sync::OnceLock;
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::arena::BufferArena;
-use crate::datapath::{fold_row_scalar, tile, with_isa, DataPath, ResolvedPath, TilePlan};
+use crate::datapath::{DataPath, ResolvedPath};
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
-use crate::pool::{ScopedJob, WorkerPool};
-use crate::spmm::{default_workers, row_aligned_starts};
+use crate::packed::{run_spans, Fold, PackedGraphs};
+use crate::spmm::default_workers;
 
 /// Snapshot of an engine's GEMM, epilogue and arena counters.
 ///
@@ -105,7 +108,7 @@ pub struct ExecEngine {
     pub(crate) workers: usize,
     pub(crate) data_path: DataPath,
     pub(crate) arena: BufferArena,
-    pub(crate) fused_epilogues: AtomicU64,
+    fused_epilogues: AtomicU64,
     pub(crate) gemm_ns: AtomicU64,
 }
 
@@ -223,19 +226,6 @@ impl ExecEngine {
         self.arena.put(m.into_vec());
     }
 
-    /// Leases a zeroed `rows × cols` dense matrix from the engine's
-    /// arena — the hand-out pair of [`recycle`](Self::recycle). Callers
-    /// assembling engine inputs every cycle reuse hot, already-faulted
-    /// pages instead of paying a fresh allocation's page faults each
-    /// time. The served path assembles nothing (a packed window runs
-    /// through [`spmm_packed`](Self::spmm_packed)); the serving
-    /// benchmark's replay of the old block-diagonal path still leases its
-    /// stacked features here.
-    pub fn lease_zeroed(&self, rows: usize, cols: usize) -> DenseMatrix<f32> {
-        let buf = self.arena.take_zeroed(rows * cols);
-        DenseMatrix::from_vec(rows, cols, buf).expect("arena buffer sized to rows x cols")
-    }
-
     /// Drops every pooled buffer and zeroes the GEMM, epilogue and arena
     /// counters.
     pub fn clear_cache(&self) {
@@ -244,10 +234,19 @@ impl ExecEngine {
         self.gemm_ns.store(0, Ordering::Relaxed);
     }
 
-    /// Runs `a · b` for every block `b`, each into its own arena output:
-    /// inline at one worker, otherwise one row span per worker on the
-    /// pool. Shapes are already checked; a non-noop `epi` is already
-    /// validated against every block's width.
+    /// Counts a fused epilogue and resolves the data path: the
+    /// bookkeeping of every SpMM run, a column batch or a packed window.
+    pub(crate) fn start_run(&self, epi: &Epilogue) -> ResolvedPath {
+        if !epi.is_noop() {
+            self.fused_epilogues.fetch_add(1, Ordering::Relaxed);
+        }
+        self.data_path.resolve()
+    }
+
+    /// Runs `a · b` for every block `b`, each into its own arena output,
+    /// as the one-graph window of `a` with one fold per block. Shapes are
+    /// already checked; a non-noop `epi` is already validated against
+    /// every block's width.
     ///
     /// The outputs come from the arena unzeroed ([`BufferArena::take`]):
     /// the row fold stores every element, an empty row's zeros included,
@@ -260,21 +259,22 @@ impl ExecEngine {
         epi: &Epilogue,
     ) -> Vec<DenseMatrix<f32>> {
         let rows = a.rows();
-        if !epi.is_noop() {
-            self.fused_epilogues.fetch_add(1, Ordering::Relaxed);
-        }
+        let rp = self.start_run(epi);
         let mut outs: Vec<Vec<f32>> = blocks
             .iter()
             .map(|b| self.arena.take(rows * b.cols()))
             .collect();
-        let rp = self.data_path.resolve();
-        let mut folds = Vec::with_capacity(blocks.len());
-        for (&b, out) in blocks.iter().zip(&mut outs) {
-            if b.cols() > 0 {
-                folds.push(BlockFold { b, rp, out });
-            }
-        }
-        run_row_spans(a, folds, self.workers, epi);
+        let folds = blocks
+            .iter()
+            .zip(&mut outs)
+            .map(|(b, out)| Fold {
+                dim: b.cols(),
+                rp,
+                operands: vec![b.as_slice()],
+                outs: vec![out],
+            })
+            .collect();
+        run_spans(&PackedGraphs::new([a]), folds, self.workers, epi);
         outs.into_iter()
             .zip(blocks)
             .map(|(buf, b)| {
@@ -406,204 +406,11 @@ fn deinterleave_unit_cols(src: &[f32], outs: &mut [Vec<f32>], rows: usize) {
     }
 }
 
-/// One column block of a run: its dense operand, the data path resolved
-/// for its width, and its output rows (the whole output, or one span's
-/// rows of it).
-struct BlockFold<'a> {
-    b: &'a DenseMatrix<f32>,
-    rp: ResolvedPath,
-    out: &'a mut [f32],
-}
-
-/// Cuts the output rows into one span per worker with
-/// [`row_aligned_starts`], once for every block, and folds each span's
-/// rows once per block, block after block, straight into that block's
-/// output (one worker runs inline on the caller). Every row has a single
-/// writer that sums its products in ascending `k`, so the output is the
-/// same at any worker count and for any batch the block rides in. Empty
-/// spans get no job.
-fn run_row_spans(a: &CsrMatrix<f32>, folds: Vec<BlockFold<'_>>, workers: usize, epi: &Epilogue) {
-    if workers <= 1 || folds.is_empty() {
-        for f in folds {
-            let piece = Piece {
-                a,
-                first: 0,
-                b: f.b.as_slice(),
-                out: f.out,
-            };
-            fold_rows(&mut [piece], f.b.cols(), &f.rp, epi);
-        }
-        return;
-    }
-    let starts = row_aligned_starts(a.row_ptr(), workers);
-    let bounds: Vec<(usize, usize)> = (0..starts.len())
-        .map(|w| (starts[w], starts.get(w + 1).copied().unwrap_or(a.rows())))
-        .collect();
-    let mut spans: Vec<Vec<BlockFold<'_>>> = bounds
-        .iter()
-        .map(|_| Vec::with_capacity(folds.len()))
-        .collect();
-    for f in folds {
-        let mut rest = f.out;
-        for (&(lo, hi), span) in bounds.iter().zip(&mut spans) {
-            let (rows, tail) = rest.split_at_mut((hi - lo) * f.b.cols());
-            rest = tail;
-            span.push(BlockFold {
-                b: f.b,
-                rp: f.rp,
-                out: rows,
-            });
-        }
-    }
-    let jobs: Vec<ScopedJob<'_>> = bounds
-        .into_iter()
-        .zip(spans)
-        .filter(|&((lo, hi), _)| hi > lo)
-        .map(|((lo, _), span)| -> ScopedJob<'_> {
-            Box::new(move || {
-                for f in span {
-                    let piece = Piece {
-                        a,
-                        first: lo,
-                        b: f.b.as_slice(),
-                        out: f.out,
-                    };
-                    fold_rows(&mut [piece], f.b.cols(), &f.rp, epi);
-                }
-            })
-        })
-        .collect();
-    WorkerPool::global().scope_run(jobs);
-}
-
-/// Rows `first..first + out.len() / dim` of `a · b`, stored into `out`:
-/// one graph's share of a row span. `b` is the dense operand's row-major
-/// storage, `dim` columns wide, indexed by `a`'s own column indices.
-pub(crate) struct Piece<'a> {
-    pub a: &'a CsrMatrix<f32>,
-    pub first: usize,
-    pub b: &'a [f32],
-    pub out: &'a mut [f32],
-}
-
-/// Computes every piece's rows, each row in one ascending pass that
-/// stores every element of the row (zeros for an empty row), whatever
-/// `out` held, and applies `epi` to every row right after its store —
-/// empty rows included, since a bias changes them. The vectorized path
-/// resolves the `dim`-wide [`TilePlan`] once and runs every piece's fold
-/// in the widest ISA clone the CPU proved ([`with_isa`]), dispatched once
-/// per call; the scalar oracle stays on baseline code.
-pub(crate) fn fold_rows(pieces: &mut [Piece<'_>], dim: usize, rp: &ResolvedPath, epi: &Epilogue) {
-    let epi = (!epi.is_noop()).then_some(epi);
-    match *rp {
-        ResolvedPath::Scalar => {
-            for p in pieces {
-                let b = p.b;
-                fold_rows_with(p.first, p.a, dim, epi, p.out, |cols, vals, dst| {
-                    fold_row_scalar(cols, vals, b, dst)
-                });
-            }
-        }
-        ResolvedPath::Vector(isa) => {
-            let plan = TilePlan::new(dim, isa);
-            with_isa(
-                isa,
-                #[inline(always)]
-                || {
-                    for p in pieces {
-                        fold_rows_planned(p.first, p.a, (p.b, dim), &plan, epi, p.out);
-                    }
-                },
-            )
-        }
-    }
-}
-
-/// The vectorized row fold behind [`fold_rows`] over `b`, the dense
-/// operand's `dim`-column row-major storage: a one-tile plan folds the
-/// span at its const width, so `b`'s row stride is a constant too; any
-/// other plan runs its tiles row by row. `inline(always)` so each ISA
-/// clone compiles all of it.
-#[inline(always)]
-fn fold_rows_planned(
-    first: usize,
-    a: &CsrMatrix<f32>,
-    (b, dim): (&[f32], usize),
-    plan: &TilePlan,
-    epi: Option<&Epilogue>,
-    out: &mut [f32],
-) {
-    match plan.single() {
-        Some(1) => fold_rows_tile::<1>(first, a, b, epi, out),
-        Some(2) => fold_rows_tile::<2>(first, a, b, epi, out),
-        Some(3) => fold_rows_tile::<3>(first, a, b, epi, out),
-        Some(4) => fold_rows_tile::<4>(first, a, b, epi, out),
-        Some(8) => fold_rows_tile::<8>(first, a, b, epi, out),
-        Some(16) => fold_rows_tile::<16>(first, a, b, epi, out),
-        Some(32) => fold_rows_tile::<32>(first, a, b, epi, out),
-        Some(64) => fold_rows_tile::<64>(first, a, b, epi, out),
-        Some(128) => fold_rows_tile::<128>(first, a, b, epi, out),
-        _ => fold_rows_with(
-            first,
-            a,
-            dim,
-            epi,
-            out,
-            #[inline(always)]
-            |cols, vals, dst| plan.fold_row(cols, vals, b, dst),
-        ),
-    }
-}
-
-/// [`fold_rows_planned`] for a plan of one `D`-column tile: `D` is the
-/// dense operand's width.
-#[inline(always)]
-fn fold_rows_tile<const D: usize>(
-    first: usize,
-    a: &CsrMatrix<f32>,
-    b: &[f32],
-    epi: Option<&Epilogue>,
-    out: &mut [f32],
-) {
-    fold_rows_with(
-        first,
-        a,
-        D,
-        epi,
-        out,
-        #[inline(always)]
-        |cols, vals, dst| tile::<D>(cols, vals, b, D, 0, dst),
-    );
-}
-
-/// Rows `first..first + out.len() / dim` of the product, each folded by
-/// `fold_row` from the row's column indices and values into its
-/// `dim`-wide output row, then given `epi`. The vectorized callers hand in
-/// `inline(always)` closures: a closure left out of line compiles without
-/// the ISA clone's features.
-#[inline(always)]
-fn fold_rows_with(
-    first: usize,
-    a: &CsrMatrix<f32>,
-    dim: usize,
-    epi: Option<&Epilogue>,
-    out: &mut [f32],
-    mut fold_row: impl FnMut(&[usize], &[f32], &mut [f32]),
-) {
-    let (row_ptr, cols, vals) = (a.row_ptr(), a.col_indices(), a.values());
-    for (row, dst) in (first..).zip(out.chunks_exact_mut(dim)) {
-        let nz = row_ptr[row]..row_ptr[row + 1];
-        fold_row(&cols[nz.clone()], &vals[nz], dst);
-        if let Some(epi) = epi {
-            epi.apply_row(dst);
-        }
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::execute_sequential;
-    use crate::spmm::test_support::{random_dense, random_matrix};
+    use crate::spmm::test_support::{lopsided, random_dense, random_matrix};
     use crate::stats::WriteStats;
     use crate::{SerialSpmm, SpmmKernel};
 
@@ -644,23 +451,33 @@ mod tests {
         Ok(engine.spmm(a, &[b], epi)?.remove(0))
     }
 
-    /// A matrix with an evil row holding most non-zeros, empty rows, and
-    /// single-entry rows.
-    fn lopsided() -> CsrMatrix<f32> {
-        let mut triplets: Vec<(usize, usize, f32)> =
-            (0..100).map(|c| (0, c, 0.0625 * c as f32 - 3.0)).collect();
-        for r in (1..40).filter(|r| r % 4 != 0) {
-            triplets.push((r, (r * 7) % 100, 1.0 - 0.05 * r as f32));
-        }
-        CsrMatrix::from_triplets(40, 100, &triplets).unwrap()
+    /// `a · b` under `epi` on path `rp` at `workers`, stored into `out`:
+    /// one fold through the span runner over the one-graph window of `a`.
+    fn fold_into(
+        a: &CsrMatrix<f32>,
+        b: &DenseMatrix<f32>,
+        rp: ResolvedPath,
+        workers: usize,
+        epi: &Epilogue,
+        out: &mut [f32],
+    ) {
+        let fold = Fold {
+            dim: b.cols(),
+            rp,
+            operands: vec![b.as_slice()],
+            outs: vec![out],
+        };
+        run_spans(&PackedGraphs::new([a]), vec![fold], workers, epi);
     }
 
+    /// The cut of the one-graph window every column batch runs as.
     #[test]
     fn spans_cut_at_row_edges_and_keep_long_rows_whole() {
         let a = lopsided();
         let rp = a.row_ptr();
+        let window = PackedGraphs::new([&a]);
         for spans in [1usize, 2, 3, 8, 64] {
-            let starts = row_aligned_starts(rp, spans);
+            let starts = window.row_starts(spans);
             assert_eq!(starts.len(), spans);
             assert_eq!(starts[0], 0);
             assert!(starts.windows(2).all(|w| w[0] <= w[1]));
@@ -1007,8 +824,9 @@ mod tests {
     /// 1..=67 and at the wide widths where the 128-, 64- and 32-column
     /// tiles and the overlapping remainder tile run, on the lopsided
     /// graph (an evil long row, empty rows, single-entry rows), under
-    /// every epilogue and at 1, 2 and 7 workers. The scalar fold itself equals the row sum with the
-    /// epilogue applied.
+    /// every epilogue and at 1, 2, 7 and 64 workers, through the span
+    /// runner over the graph's one-graph window. The scalar fold itself
+    /// equals the row sum with the epilogue applied.
     #[test]
     fn fold_isa_arms_bit_match_the_scalar_oracle() {
         let a = lopsided();
@@ -1017,15 +835,10 @@ mod tests {
             let b = random_dense(a.cols(), dim, 60);
             let plain = row_sum(&a, &b).0;
             for epi in &epilogues(dim) {
-                for workers in [1usize, 2, 7] {
+                for workers in WORKERS {
                     let fold = |rp: ResolvedPath| {
                         let mut out = vec![0.0f32; a.rows() * dim];
-                        let folds = vec![BlockFold {
-                            b: &b,
-                            rp,
-                            out: &mut out,
-                        }];
-                        run_row_spans(&a, folds, workers, epi);
+                        fold_into(&a, &b, rp, workers, epi, &mut out);
                         out
                     };
                     let want = fold(DataPath::Scalar.resolve());
@@ -1093,12 +906,7 @@ mod tests {
                     }
                     for &isa in &isas {
                         let mut out = vec![f32::NAN; a.rows() * dim];
-                        let folds = vec![BlockFold {
-                            b: &b,
-                            rp: ResolvedPath::Vector(isa),
-                            out: &mut out,
-                        }];
-                        run_row_spans(&a, folds, workers, epi);
+                        fold_into(&a, &b, ResolvedPath::Vector(isa), workers, epi, &mut out);
                         assert_eq!(out, want.as_slice(), "{isa:?} {at}");
                     }
                 }

@@ -1,4 +1,5 @@
-//! Packed windows held as their constituents.
+//! Packed windows held as their constituents, and the span runner every
+//! SpMM runs through.
 //!
 //! The paper's Type II workloads are thousands of tiny graphs; a serving
 //! window multiplies hundreds of them at once so one engine run balances
@@ -10,22 +11,28 @@
 //! and the prefix sums of their rows, columns and merge items
 //! (`rows + nnz`), so nothing is concatenated, stacked or scattered.
 //!
-//! [`ExecEngine::spmm_packed`] cuts the window's row spans on those prefix
-//! sums: a search over the per-graph prefix finds the graph a cut falls
-//! in, and a merge-path search of that graph's own row pointers snaps the
-//! cut to a row edge inside it — the cut `row_aligned_starts` would make
-//! on the block-diagonal matrix. Each worker then folds its span graph by
-//! graph, each graph's rows through the engine's row fold with that
-//! graph's own column indices into that graph's rows of the operand. Every
-//! output row is still one ascending fold from `0.0`, so each graph's rows
-//! are bit for bit its own product, at any worker count.
+//! A run cuts the window's row spans on those prefix sums: a search over
+//! the per-graph prefix finds the graph a cut falls in, and a merge-path
+//! search of that graph's own row pointers snaps the cut to a row edge
+//! inside it — the cut `row_aligned_starts` would make on the
+//! block-diagonal matrix. Each worker then folds its span graph by graph,
+//! each graph's rows through the row fold with that graph's own column
+//! indices into that graph's rows of the operand. Every output row is
+//! still one ascending fold from `0.0`, so each graph's rows are bit for
+//! bit its own product, at any worker count.
+//!
+//! The runner takes a list of *folds*, one per operand width.
+//! [`ExecEngine::spmm_packed`] passes one fold over every graph of its
+//! window. A column batch is the one-graph window:
+//! [`ExecEngine::spmm`] passes one fold per block over its one graph, and
+//! the window's cut is then exactly `row_aligned_starts` of that graph.
 
 use std::ops::Range;
 
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
-use crate::datapath::ResolvedPath;
-use crate::engine::{fold_rows, ExecEngine, Piece};
+use crate::datapath::{fold_row_scalar, tile, with_isa, ResolvedPath, TilePlan};
+use crate::engine::ExecEngine;
 use crate::epilogue::Epilogue;
 use crate::merge_path::merge_path_search;
 use crate::pool::{ScopedJob, WorkerPool};
@@ -215,11 +222,13 @@ impl ExecEngine {
     ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
         let (operands, dim) = p.operand_rows(b)?;
         epi.validate(dim)?;
-        if !epi.is_noop() {
-            self.fused_epilogues
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let rp = self.data_path.resolve();
+        let rp = self.start_run(epi);
+        let fold = |outs| Fold {
+            dim,
+            rp,
+            operands,
+            outs,
+        };
         match out {
             PackedOut::Stacked => {
                 let mut buf = self.arena.take(p.rows() * dim);
@@ -229,7 +238,7 @@ impl ExecEngine {
                     rest = tail;
                     head
                 });
-                run_packed_spans(p, &operands, outs.collect(), dim, rp, self.workers, epi);
+                run_spans(p, vec![fold(outs.collect())], self.workers, epi);
                 let m = DenseMatrix::from_vec(p.rows(), dim, buf)
                     .expect("output buffer has exactly rows*dim elements");
                 Ok(vec![m])
@@ -241,7 +250,7 @@ impl ExecEngine {
                     .map(|g| self.arena.fresh(g.rows() * dim))
                     .collect();
                 let outs = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-                run_packed_spans(p, &operands, outs, dim, rp, self.workers, epi);
+                run_spans(p, vec![fold(outs)], self.workers, epi);
                 Ok(bufs
                     .into_iter()
                     .zip(&p.graphs)
@@ -255,74 +264,214 @@ impl ExecEngine {
     }
 }
 
-/// Folds every graph of `p` from its operand rows into its output rows:
-/// inline at one worker, otherwise one row span per worker
-/// ([`PackedGraphs::row_starts`]) on the pool. A graph a cut falls inside
-/// splits its output at that row, so every row still has one writer.
-/// Empty spans get no job.
-fn run_packed_spans(
+/// One operand width of a run: the width, the data path resolved for it,
+/// and each graph's rows of the dense operand and of the output.
+pub(crate) struct Fold<'a> {
+    pub dim: usize,
+    pub rp: ResolvedPath,
+    pub operands: Vec<&'a [f32]>,
+    pub outs: Vec<&'a mut [f32]>,
+}
+
+/// Folds every graph of `p` once per fold, from the fold's operand rows
+/// into its output rows: one row span per worker
+/// ([`PackedGraphs::row_starts`]) on the pool, or the whole window inline
+/// at one worker. A span's job runs [`fold_rows`] once per fold over that
+/// fold's pieces in the span. A graph a cut falls inside splits its
+/// outputs at that row, so every row still has one writer. Folds of
+/// width 0 and empty spans get no work.
+pub(crate) fn run_spans(
     p: &PackedGraphs<'_>,
-    operands: &[&[f32]],
-    outs: Vec<&mut [f32]>,
-    dim: usize,
-    rp: ResolvedPath,
+    mut folds: Vec<Fold<'_>>,
     workers: usize,
     epi: &Epilogue,
 ) {
-    if dim == 0 || p.rows() == 0 {
-        return;
-    }
-    let pieces = p.graphs.iter().zip(operands).zip(outs);
-    if workers <= 1 {
-        let mut all: Vec<Piece<'_>> = pieces
-            .map(|((&a, &b), out)| Piece {
-                a,
-                first: 0,
-                b,
-                out,
-            })
-            .collect();
-        fold_rows(&mut all, dim, &rp, epi);
-        return;
-    }
+    folds.retain(|f| f.dim > 0);
     let starts = p.row_starts(workers);
-    let ends = starts[1..].iter().copied().chain([p.rows()]);
-    let mut spans: Vec<(usize, Vec<Piece<'_>>)> = ends.map(|end| (end, Vec::new())).collect();
-    let mut s = 0;
-    for (((&a, &b), mut out), start) in pieces.zip(&p.starts) {
-        let mut row = start.row;
-        let end = row + a.rows();
-        while row < end {
-            while spans[s].0 <= row {
-                s += 1;
+    let end = |s: usize| starts.get(s + 1).copied().unwrap_or(p.rows());
+    // Span `s`'s pieces of every fold, each list with its fold's width
+    // and path. The jobs borrow the lists, so they are freed here, on the
+    // calling thread: freed on pool workers, they raised `ppi-gcn`'s peak
+    // RSS by one activation buffer in 5 of 20 10 s servebench runs
+    // (2-vCPU host).
+    let mut spans: Vec<Vec<(usize, ResolvedPath, Vec<Piece<'_>>)>> = starts
+        .iter()
+        .map(|_| Vec::with_capacity(folds.len()))
+        .collect();
+    for f in folds {
+        for span in &mut spans {
+            span.push((f.dim, f.rp, Vec::new()));
+        }
+        let mut s = 0;
+        let graphs = p.graphs.iter().zip(f.operands).zip(f.outs);
+        for (((&a, b), mut out), start) in graphs.zip(&p.starts) {
+            let mut row = start.row;
+            let last = row + a.rows();
+            while row < last {
+                while end(s) <= row {
+                    s += 1;
+                }
+                let hi = end(s).min(last);
+                let (head, tail) = std::mem::take(&mut out).split_at_mut((hi - row) * f.dim);
+                out = tail;
+                let (_, _, pieces) = spans[s].last_mut().expect("one list per fold");
+                pieces.push(Piece {
+                    a,
+                    first: row - start.row,
+                    b,
+                    out: head,
+                });
+                row = hi;
             }
-            let hi = spans[s].0.min(end);
-            let (head, tail) = std::mem::take(&mut out).split_at_mut((hi - row) * dim);
-            out = tail;
-            spans[s].1.push(Piece {
-                a,
-                first: row - start.row,
-                b,
-                out: head,
-            });
-            row = hi;
         }
     }
     let jobs: Vec<ScopedJob<'_>> = spans
-        .into_iter()
-        .filter(|(_, span)| !span.is_empty())
-        .map(|(_, mut span)| -> ScopedJob<'_> {
-            Box::new(move || fold_rows(&mut span, dim, &rp, epi))
+        .iter_mut()
+        .filter(|span| span.iter().any(|(_, _, pieces)| !pieces.is_empty()))
+        .map(|span| -> ScopedJob<'_> {
+            Box::new(move || {
+                for (dim, rp, pieces) in span {
+                    fold_rows(pieces, *dim, rp, epi);
+                }
+            })
         })
         .collect();
-    WorkerPool::global().scope_run(jobs);
+    if workers <= 1 {
+        jobs.into_iter().for_each(|job| job());
+    } else {
+        WorkerPool::global().scope_run(jobs);
+    }
+}
+
+/// Rows `first..first + out.len() / dim` of `a · b`, stored into `out`:
+/// one graph's share of a row span. `b` is the dense operand's row-major
+/// storage, `dim` columns wide, indexed by `a`'s own column indices.
+struct Piece<'a> {
+    a: &'a CsrMatrix<f32>,
+    first: usize,
+    b: &'a [f32],
+    out: &'a mut [f32],
+}
+
+/// Computes every piece's rows, each row in one ascending pass that
+/// stores every element of the row (zeros for an empty row), whatever
+/// `out` held, and applies `epi` to every row right after its store —
+/// empty rows included, since a bias changes them. The vectorized path
+/// resolves the `dim`-wide [`TilePlan`] once and runs every piece's fold
+/// in the widest ISA clone the CPU proved ([`with_isa`]), dispatched once
+/// per call; the scalar oracle stays on baseline code.
+fn fold_rows(pieces: &mut [Piece<'_>], dim: usize, rp: &ResolvedPath, epi: &Epilogue) {
+    let epi = (!epi.is_noop()).then_some(epi);
+    match *rp {
+        ResolvedPath::Scalar => {
+            for p in pieces {
+                let b = p.b;
+                fold_rows_with(p.first, p.a, dim, epi, p.out, |cols, vals, dst| {
+                    fold_row_scalar(cols, vals, b, dst)
+                });
+            }
+        }
+        ResolvedPath::Vector(isa) => {
+            let plan = TilePlan::new(dim, isa);
+            with_isa(
+                isa,
+                #[inline(always)]
+                || {
+                    for p in pieces {
+                        fold_rows_planned(p.first, p.a, (p.b, dim), &plan, epi, p.out);
+                    }
+                },
+            )
+        }
+    }
+}
+
+/// The vectorized row fold behind [`fold_rows`] over `b`, the dense
+/// operand's `dim`-column row-major storage: a one-tile plan folds the
+/// span at its const width, so `b`'s row stride is a constant too; any
+/// other plan runs its tiles row by row. `inline(always)` so each ISA
+/// clone compiles all of it.
+#[inline(always)]
+fn fold_rows_planned(
+    first: usize,
+    a: &CsrMatrix<f32>,
+    (b, dim): (&[f32], usize),
+    plan: &TilePlan,
+    epi: Option<&Epilogue>,
+    out: &mut [f32],
+) {
+    match plan.single() {
+        Some(1) => fold_rows_tile::<1>(first, a, b, epi, out),
+        Some(2) => fold_rows_tile::<2>(first, a, b, epi, out),
+        Some(3) => fold_rows_tile::<3>(first, a, b, epi, out),
+        Some(4) => fold_rows_tile::<4>(first, a, b, epi, out),
+        Some(8) => fold_rows_tile::<8>(first, a, b, epi, out),
+        Some(16) => fold_rows_tile::<16>(first, a, b, epi, out),
+        Some(32) => fold_rows_tile::<32>(first, a, b, epi, out),
+        Some(64) => fold_rows_tile::<64>(first, a, b, epi, out),
+        Some(128) => fold_rows_tile::<128>(first, a, b, epi, out),
+        _ => fold_rows_with(
+            first,
+            a,
+            dim,
+            epi,
+            out,
+            #[inline(always)]
+            |cols, vals, dst| plan.fold_row(cols, vals, b, dst),
+        ),
+    }
+}
+
+/// [`fold_rows_planned`] for a plan of one `D`-column tile: `D` is the
+/// dense operand's width.
+#[inline(always)]
+fn fold_rows_tile<const D: usize>(
+    first: usize,
+    a: &CsrMatrix<f32>,
+    b: &[f32],
+    epi: Option<&Epilogue>,
+    out: &mut [f32],
+) {
+    fold_rows_with(
+        first,
+        a,
+        D,
+        epi,
+        out,
+        #[inline(always)]
+        |cols, vals, dst| tile::<D>(cols, vals, b, D, 0, dst),
+    );
+}
+
+/// Rows `first..first + out.len() / dim` of the product, each folded by
+/// `fold_row` from the row's column indices and values into its
+/// `dim`-wide output row, then given `epi`. The vectorized callers hand in
+/// `inline(always)` closures: a closure left out of line compiles without
+/// the ISA clone's features.
+#[inline(always)]
+fn fold_rows_with(
+    first: usize,
+    a: &CsrMatrix<f32>,
+    dim: usize,
+    epi: Option<&Epilogue>,
+    out: &mut [f32],
+    mut fold_row: impl FnMut(&[usize], &[f32], &mut [f32]),
+) {
+    let (row_ptr, cols, vals) = (a.row_ptr(), a.col_indices(), a.values());
+    for (row, dst) in (first..).zip(out.chunks_exact_mut(dim)) {
+        let nz = row_ptr[row]..row_ptr[row + 1];
+        fold_row(&cols[nz.clone()], &vals[nz], dst);
+        if let Some(epi) = epi {
+            epi.apply_row(dst);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spmm::row_aligned_starts;
-    use crate::spmm::test_support::random_matrix;
+    use crate::spmm::test_support::{lopsided, random_matrix};
     use mpspmm_sparse::BlockDiagCsr;
     use std::sync::Arc;
 
@@ -338,7 +487,12 @@ mod tests {
     /// The cuts on the per-graph prefix are the cuts `row_aligned_starts`
     /// makes on the block-diagonal matrix itself: with empty and
     /// zero-row graphs, one graph, and one graph holding most of the
-    /// window's items, at every span count up to 70.
+    /// window's items, at every span count up to 70. A column batch runs
+    /// as a one-graph window, so its cuts are those of
+    /// `row_aligned_starts` on the graph: checked on the engine's
+    /// lopsided graph and on a graph whose middle row is longer than a
+    /// span's share, at every span count up to 200 (more spans than
+    /// either has merge items).
     #[test]
     fn cuts_on_the_prefix_equal_the_block_diagonal_cuts() {
         let shapes: [&[(usize, usize)]; 5] = [
@@ -369,5 +523,21 @@ mod tests {
             }
         }
         assert_eq!(PackedGraphs::new([]).row_starts(3), vec![0, 0, 0]);
+        let mut long_middle: Vec<(usize, usize, f32)> =
+            (0..20).filter(|&r| r != 10).map(|r| (r, r, 1.0)).collect();
+        long_middle.extend((0..60).map(|c| (10, c, 0.5)));
+        let long_middle = CsrMatrix::from_triplets(20, 60, &long_middle).unwrap();
+        for a in [lopsided(), long_middle] {
+            let p = PackedGraphs::new([&a]);
+            for spans in 1..=200 {
+                assert_eq!(
+                    p.row_starts(spans),
+                    row_aligned_starts(a.row_ptr(), spans),
+                    "{} rows, {} nnz, spans={spans}",
+                    a.rows(),
+                    a.nnz()
+                );
+            }
+        }
     }
 }

@@ -22,6 +22,7 @@ mod serial_fixup;
 
 pub use mergepath::{plan_from_schedule, MergePathSpmm};
 pub use nnz_split::{NeighborPartitionIndex, NnzSplitSpmm};
+#[cfg(test)]
 pub(crate) use row_aligned::row_aligned_starts;
 pub use row_aligned::BatchMergeSpmm;
 pub use row_split::RowSplitSpmm;
@@ -194,6 +195,17 @@ pub(crate) mod test_support {
             .map(|(r, c)| (r, c, rng.gen_range(-2.0..2.0)))
             .collect();
         CsrMatrix::from_triplets(rows, cols, &triplets).unwrap()
+    }
+
+    /// A 40 × 100 matrix with an evil row holding most non-zeros (row 0:
+    /// 100 of 130), empty rows, and single-entry rows.
+    pub fn lopsided() -> CsrMatrix<f32> {
+        let mut triplets: Vec<(usize, usize, f32)> =
+            (0..100).map(|c| (0, c, 0.0625 * c as f32 - 3.0)).collect();
+        for r in (1..40).filter(|r| r % 4 != 0) {
+            triplets.push((r, (r * 7) % 100, 1.0 - 0.05 * r as f32));
+        }
+        CsrMatrix::from_triplets(40, 100, &triplets).unwrap()
     }
 
     /// A random dense matrix.

@@ -96,8 +96,10 @@ impl Default for BatchMergeSpmm {
 /// cut snaps to the number of rows fully consumed there. Thread `t` owns
 /// rows `starts[t]..starts[t + 1]` (the last thread runs to the final
 /// row); starts never decrease and `starts[0] == 0`. This is the whole
-/// partition behind both [`BatchMergeSpmm`] plans and the engine's
-/// row-span plans.
+/// partition behind [`BatchMergeSpmm`] plans. The engine cuts its row
+/// spans on a window's per-graph prefix instead (`PackedGraphs`), which
+/// on a one-graph window makes exactly these cuts; the tests hold it to
+/// this function.
 pub(crate) fn row_aligned_starts(row_ptr: &[usize], threads: usize) -> Vec<usize> {
     let rows = row_ptr.len() - 1;
     let nnz = row_ptr[rows];

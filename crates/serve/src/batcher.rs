@@ -30,17 +30,6 @@
 //!   [`ServeConfig::max_batch_nnz`](crate::ServeConfig::max_batch_nnz)
 //!   non-zeros.
 //!
-//! # Backpressure degradation
-//!
-//! When more than
-//! [`ServeConfig::pressure_threshold`](crate::ServeConfig::pressure_threshold)
-//! requests are still queued once a window's first request is taken, the
-//! window closes immediately (no linger — latency is already being paid
-//! in the queue) and its column or graph budget halves, trading peak
-//! coalescing for faster turn-around while overloaded: a window answers
-//! all its requests at once, so a smaller one answers its first requests
-//! sooner. Such windows are counted as `degraded_batches`.
-//!
 //! # Deadlines
 //!
 //! Deadlines are checked when the window is about to execute: expired
@@ -61,7 +50,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mpspmm_core::{Epilogue, ExecEngine, PackedGraphs, PackedOut};
 use mpspmm_gcn::Adjacency;
@@ -151,35 +140,28 @@ pub(crate) fn dispatcher_loop(shared: &Shared, requests: Receiver<Vec<Pending>>)
             }
             continue;
         };
-        let (window, degraded) = collect_window(shared, &requests, &mut queue, first);
-        run_window(shared, window, degraded);
+        let window = collect_window(shared, &requests, &mut queue, first);
+        run_window(shared, window);
     }
 }
 
 /// Grows a window around `first` per the policy above. Returns the
-/// window (arrival order preserved) and whether the degraded policy
-/// applied.
+/// window, arrival order preserved.
 fn collect_window(
     shared: &Shared,
     requests: &Receiver<Vec<Pending>>,
     queue: &mut VecDeque<Pending>,
     first: Pending,
-) -> (Vec<Pending>, bool) {
+) -> Vec<Pending> {
     let config = &shared.config;
     let packed = config.pack_graphs;
-    let depth = shared.depth.fetch_sub(1, Ordering::Relaxed) - 1;
-    let degraded = depth > config.pressure_threshold;
-    let (linger, halved): (Duration, fn(usize) -> usize) = if degraded {
-        (Duration::ZERO, |budget| (budget / 2).max(1))
-    } else {
-        (config.max_linger, |budget| budget)
-    };
+    shared.depth.fetch_sub(1, Ordering::Relaxed);
     // A column window weighs each request by its feature columns; a
     // packed window counts graphs and weighs each by its non-zeros.
     let (max_len, max_weight) = if packed {
-        (halved(config.max_batch_graphs), config.max_batch_nnz)
+        (config.max_batch_graphs, config.max_batch_nnz)
     } else {
-        (usize::MAX, halved(config.max_batch_cols))
+        (usize::MAX, config.max_batch_cols)
     };
     let weight = |p: &Pending| {
         if packed {
@@ -188,7 +170,7 @@ fn collect_window(
             p.features.cols()
         }
     };
-    let close_at = Instant::now() + linger;
+    let close_at = Instant::now() + config.max_linger;
     let key = first.key(packed);
     let mut total = weight(&first);
     let mut window = vec![first];
@@ -219,12 +201,12 @@ fn collect_window(
             Err(_) => break,
         }
     }
-    (window, degraded)
+    window
 }
 
 /// Sheds a window's expired requests, runs the rest as one engine call
 /// under `catch_unwind`, and answers every reply channel.
-fn run_window(shared: &Shared, window: Vec<Pending>, degraded: bool) {
+fn run_window(shared: &Shared, window: Vec<Pending>) {
     let now = Instant::now();
     let mut expired = Vec::new();
     let mut live = Vec::with_capacity(window.len());
@@ -252,7 +234,7 @@ fn run_window(shared: &Shared, window: Vec<Pending>, degraded: bool) {
         }
     };
     let cols = live.iter().map(|p| p.features.cols()).sum();
-    shared.stats.record_batch(live.len(), cols, degraded);
+    shared.stats.record_batch(live.len(), cols);
     reply_all(shared, live, result);
 }
 

@@ -102,11 +102,6 @@ pub struct ServeConfig {
     /// Per-tenant bound on admitted-but-unanswered requests; submissions
     /// beyond it are rejected with [`ServeError::QueueFull`].
     pub tenant_queue_limit: usize,
-    /// Queue depth beyond which the degraded batching policy applies
-    /// (no linger, halved column or graph budget). The depth is counted
-    /// once a window's first request is taken, as
-    /// [`ServeStats::queue_depth`] counts it.
-    pub pressure_threshold: usize,
     /// Graph-packing mode: within a batch window, admit requests for
     /// *different* small registered graphs and run the whole window as
     /// one engine call over its constituents
@@ -133,7 +128,6 @@ impl Default for ServeConfig {
             max_batch_cols: 64,
             max_linger: Duration::from_micros(200),
             tenant_queue_limit: 64,
-            pressure_threshold: 256,
             pack_graphs: false,
             max_batch_graphs: 256,
             max_batch_nnz: 1 << 20,

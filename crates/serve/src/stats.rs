@@ -48,7 +48,6 @@ pub(crate) struct StatsCollector {
     pub rejected_deadline: AtomicU64,
     pub internal_errors: AtomicU64,
     pub batches: AtomicU64,
-    pub degraded_batches: AtomicU64,
     pub batched_requests: AtomicU64,
     pub batched_cols: AtomicU64,
     pub packed_batches: AtomicU64,
@@ -94,15 +93,12 @@ impl StatsCollector {
 
     /// Records one executed batch of `requests` requests / `cols` total
     /// dense columns.
-    pub fn record_batch(&self, requests: usize, cols: usize, degraded: bool) {
+    pub fn record_batch(&self, requests: usize, cols: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests
             .fetch_add(requests as u64, Ordering::Relaxed);
         self.batched_cols.fetch_add(cols as u64, Ordering::Relaxed);
         self.batch_hist[batch_bucket(requests)].fetch_add(1, Ordering::Relaxed);
-        if degraded {
-            self.degraded_batches.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Records one executed **packed** window of `graphs` constituent
@@ -176,7 +172,6 @@ impl StatsCollector {
             rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
             internal_errors: self.internal_errors.load(Ordering::Relaxed),
             batches,
-            degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
             batched_cols: self.batched_cols.load(Ordering::Relaxed),
             mean_batch_requests: if batches == 0 {
                 0.0
@@ -258,9 +253,6 @@ pub struct ServeStats {
     pub internal_errors: u64,
     /// Batches executed.
     pub batches: u64,
-    /// Batches executed under queue pressure with the degraded
-    /// (halved-capacity, zero-linger) policy.
-    pub degraded_batches: u64,
     /// Total dense columns aggregated across all batches.
     pub batched_cols: u64,
     /// Mean requests coalesced per batch.
@@ -268,8 +260,9 @@ pub struct ServeStats {
     /// Batch-size histogram over request counts: buckets
     /// `1, 2, 3-4, 5-8, …, 65+`.
     pub batch_size_hist: [u64; BATCH_HIST_BUCKETS],
-    /// Block-diagonal packed windows executed (graph-packing mode only;
-    /// a subset of `batches`).
+    /// Packed windows executed, each one engine call over its
+    /// constituent graphs (graph-packing mode only; a subset of
+    /// `batches`).
     pub packed_batches: u64,
     /// Mean constituent graphs per packed window.
     pub mean_graphs_per_batch: f64,
@@ -284,9 +277,7 @@ pub struct ServeStats {
     /// graph-count bound or the linger timer, not the nnz budget.
     pub pack_efficiency: f64,
     /// Requests admitted and not yet taken into a window at snapshot
-    /// time: the depth
-    /// [`ServeConfig::pressure_threshold`](crate::ServeConfig::pressure_threshold)
-    /// is compared with.
+    /// time.
     pub queue_depth: usize,
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,
@@ -367,11 +358,10 @@ mod tests {
         let t = c.tenant("a");
         t.submitted.fetch_add(3, Ordering::Relaxed);
         assert!(Arc::ptr_eq(&t, &c.tenant("a")), "tenant state is shared");
-        c.record_batch(4, 16, false);
-        c.record_batch(2, 8, true);
+        c.record_batch(4, 16);
+        c.record_batch(2, 8);
         let snap = c.snapshot(5, EngineStats::default());
         assert_eq!(snap.batches, 2);
-        assert_eq!(snap.degraded_batches, 1);
         assert_eq!(snap.batched_cols, 24);
         assert_eq!(snap.mean_batch_requests, 3.0);
         assert_eq!(snap.batch_size_hist[batch_bucket(4)], 1);

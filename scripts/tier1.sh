@@ -40,18 +40,19 @@ cargo test --workspace --exclude merge-path-spmm -q
 cargo test -q -p mpspmm-core --test engine_oracle
 # The engine oracle, the concurrent-engine suite and the scheduler suite
 # (row spans equal to the ascending row sum at every worker count, at
-# narrow and wide dims) and the packed-window path, over a block-diagonal
-# pack and over its constituents (all bit-identical at any worker
-# count): pin the
-# resolved count to a matrix of values and re-run their property tests
-# (debug build, invariant asserts live). batch_oracle sweeps
+# narrow and wide dims) and the packed-window path (each graph's rows
+# equal to its own product at any worker count; column batches and
+# packed windows run through one span runner): pin the resolved count
+# to a matrix of values and re-run their property tests (debug build,
+# invariant asserts live). batch_oracle sweeps
 # packed-vs-sequential across DataPath x workers, including empty graphs
 # and single-graph windows. gemm_dense pins the engine GEMM, which runs
 # every GCN feature transform, bit-exactly to the zero-skip loop at the
 # served layer-0 shapes, and the core `gemm` unit tests run the
 # work-sized band claims on a global pool of every size. The core
-# `engine` unit tests run the row fold (every tile plan, ISA clone and
-# epilogue against the scalar oracle) on a global pool of every size too.
+# `engine` unit tests drive the span runner and its row fold over
+# one-graph windows (every tile plan, ISA clone and epilogue against the
+# scalar oracle) on a global pool of every size too.
 # serve_integration's packing server runs at the resolved count, so
 # packed serving is checked against the oracle at every count too. The
 # serve unit tests run at every count as well: a window that panics is
