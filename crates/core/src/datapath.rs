@@ -23,12 +23,14 @@
 //!   both run through one pair of `#[target_feature]` trampolines
 //!   ([`with_isa`]), so the same kernel bodies compile to 512- or 256-bit
 //!   code when the CPU proves AVX-512F or AVX2 at runtime ([`WideIsa`]).
-//!   Under AVX-512F a GEMM wider than 16 columns runs an explicit
-//!   4 × 32 `zmm` tile instead ([`gemm_pack_width`]).
-//! * **One GEMM sweep per register tile** — each tile of [`GEMM_MR`]
-//!   output rows sweeps every packed column block of `B` over the full
-//!   reduction depth and stores it once ([`gemm_band`]); there is no
-//!   cache blocking of `k` or of the output width.
+//!   Under AVX-512F a GEMM runs explicit `zmm` tiles instead
+//!   ([`gemm_pack_width`]): 4 × 32 when `B` is wider than 16 columns, and
+//!   a rows-in-lanes tile of 16 rows (one per lane) when it is at most
+//!   [`NARROW_GEMM_COLS`] wide.
+//! * **One GEMM sweep per register tile** — each register tile of output
+//!   rows sweeps every column of `B` over the full reduction depth and
+//!   stores it once ([`gemm_band`]); there is no cache blocking of `k` or
+//!   of the output width.
 //!
 //! # Why the scalar kernel stays the oracle
 //!
@@ -302,19 +304,21 @@ impl TilePlan {
 ///
 /// The scalar path accumulates into `dst`, which must arrive zeroed. The
 /// vectorized path stores every element of `dst` and reads none, so
-/// `dst` may hold anything. It reads `B` only through `packed`, the
-/// [`pack_b`] layout at [`gemm_pack_width`]. Each register tile of
-/// [`GEMM_MR`] `A` rows (then one row at a time for the remainder) sweeps
-/// every packed column block over the full `k` from a literal `0.0` seed
-/// and stores the block once; the last block of a width that is not a
-/// block multiple runs on its zero-padded lanes and stores only the
-/// valid ones. Every output element sums its products in ascending `k`,
-/// exactly the naive `ikj` loop's order, so the result is bit-equal to
-/// that loop (this kernel has **no** per-element `a == 0.0` skip;
-/// skipping is worthwhile only for sparse feature inputs, which the GCN
-/// layer-0 path keeps on the naive loop).
+/// `dst` may hold anything. Under AVX-512F a `B` of at most
+/// [`NARROW_GEMM_COLS`] columns runs the rows-in-lanes tile on `b` as it
+/// lies, 16 rows at a time (fewer in the band's last tile); every other
+/// shape reads `B` only through `packed`, the [`pack_b`] layout at
+/// [`gemm_pack_width`]. There each register tile of [`GEMM_MR`] `A` rows
+/// (then one row at a time for the remainder) sweeps every packed column
+/// block over the full `k` from a literal `0.0` seed and stores the block
+/// once; the last block of a width that is not a block multiple runs on
+/// its zero-padded lanes and stores only the valid ones. Every output
+/// element sums its products in ascending `k`, exactly the naive `ikj`
+/// loop's order, so the result is bit-equal to that loop. No tile skips
+/// a zero `A` element as the seed code's loop did; with a finite `B` the
+/// skip moves no bit (DESIGN.md §2.10).
 pub(crate) fn gemm_band<'a>(
-    mut arows: impl Iterator<Item = &'a [f32]>,
+    arows: impl Iterator<Item = &'a [f32]>,
     k: usize,
     b: &DenseMatrix<f32>,
     packed: &[f32],
@@ -339,6 +343,32 @@ pub(crate) fn gemm_band<'a>(
         ResolvedPath::Vector(isa) => isa,
     };
     let kn = (k, n);
+    // Only the explicit AVX-512F tiles read `B` other than packed at the
+    // lane width.
+    #[cfg(target_arch = "x86_64")]
+    if gemm_pack_width(rp, n) != Some(isa.lanes()) {
+        return wide::gemm_band_avx512f(isa, arows, b.as_slice(), packed, kn, dst);
+    }
+    row_tiles(
+        arows,
+        dst,
+        n,
+        |a, c| gemm_rows(a, packed, kn, isa, c),
+        |a, c| gemm_rows(a, packed, kn, isa, c),
+    );
+}
+
+/// Hands each [`GEMM_MR`]-row tile of `dst` (`n` columns wide) to
+/// `tile`, then each remainder row to `row`, with their `A` rows drawn in
+/// order from `arows`.
+#[inline(always)]
+fn row_tiles<'a>(
+    mut arows: impl Iterator<Item = &'a [f32]>,
+    dst: &mut [f32],
+    n: usize,
+    mut tile: impl FnMut([&'a [f32]; GEMM_MR], &mut [&mut [f32]; GEMM_MR]),
+    mut row: impl FnMut([&'a [f32]; 1], &mut [&mut [f32]; 1]),
+) {
     let mut next_row = || arows.next().expect("one A row per output row");
     let mut quads = dst.chunks_exact_mut(GEMM_MR * n);
     for quad in quads.by_ref() {
@@ -346,10 +376,10 @@ pub(crate) fn gemm_band<'a>(
         let mut rows = quad.chunks_exact_mut(n);
         let mut crows: [&mut [f32]; GEMM_MR] =
             std::array::from_fn(|_| rows.next().expect("quad holds GEMM_MR rows"));
-        gemm_rows(a, packed, kn, isa, &mut crows);
+        tile(a, &mut crows);
     }
     for crow in quads.into_remainder().chunks_exact_mut(n) {
-        gemm_rows([next_row()], packed, kn, isa, &mut [crow]);
+        row([next_row()], &mut [crow]);
     }
 }
 
@@ -357,16 +387,29 @@ pub(crate) fn gemm_band<'a>(
 /// per row.
 const AVX512_GEMM_COLS: usize = 32;
 
+/// Widest `B` the rows-in-lanes AVX-512F GEMM tile takes: one `zmm`
+/// accumulator per output column. Past it the 16-lane zero-padded block
+/// is faster; the crossover sweep is in DESIGN.md §2.11.
+pub(crate) const NARROW_GEMM_COLS: usize = 8;
+
+/// Whether a vectorized GEMM of an `n`-column `B` runs in `isa`'s
+/// rows-in-lanes tile: under AVX-512F, for `n` up to
+/// [`NARROW_GEMM_COLS`].
+pub(crate) fn narrow_gemm(isa: WideIsa, n: usize) -> bool {
+    isa == WideIsa::Avx512f && n <= NARROW_GEMM_COLS
+}
+
 /// The column-block width the GEMM pack buffer is laid out at for this
-/// resolved path and an `n`-column `B`, or `None` when the path never
-/// enters a register tile (the scalar path) and packing would be wasted
-/// copies. The width picks the tile: [`AVX512_GEMM_COLS`] runs the
-/// explicit AVX-512F tile, which only pays when `B` is wider than one
-/// `zmm` register; any other width runs [`gemm_rows_body`] at the lane
-/// width.
+/// resolved path and an `n`-column `B`, or `None` when no tile reads a
+/// pack: the scalar path, and the rows-in-lanes tile ([`narrow_gemm`]),
+/// which reads `B` as it lies. The width picks the tile:
+/// [`AVX512_GEMM_COLS`] runs the explicit AVX-512F tile, which only
+/// pays when `B` is wider than one `zmm` register; any other width runs
+/// [`gemm_rows_body`] at the lane width.
 pub(crate) fn gemm_pack_width(rp: &ResolvedPath, n: usize) -> Option<usize> {
     match *rp {
         ResolvedPath::Scalar => None,
+        ResolvedPath::Vector(isa) if narrow_gemm(isa, n) => None,
         ResolvedPath::Vector(WideIsa::Avx512f) if n > 16 => Some(AVX512_GEMM_COLS),
         ResolvedPath::Vector(isa) => Some(isa.lanes()),
     }
@@ -399,12 +442,9 @@ pub(crate) fn pack_b(b: &DenseMatrix<f32>, w: usize, packed: &mut [f32]) {
     }
 }
 
-/// Sweeps the full output width for one register tile of `MR` rows. Under
-/// AVX-512F a `B` wider than 16 columns runs the explicit 32-column tile;
-/// any other runs [`gemm_rows_body`] at `isa`'s lane width through the
-/// matching kernel clone ([`with_isa`]). Every tile adds the same
-/// products in the same order, so the choice affects instruction encoding
-/// only, never results.
+/// Sweeps the full output width for one register tile of `MR` rows with
+/// [`gemm_rows_body`] at `isa`'s lane width, over the [`pack_b`] layout
+/// at that width, through the matching kernel clone ([`with_isa`]).
 #[inline]
 fn gemm_rows<const MR: usize>(
     arows: [&[f32]; MR],
@@ -413,10 +453,6 @@ fn gemm_rows<const MR: usize>(
     isa: WideIsa,
     crows: &mut [&mut [f32]; MR],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if gemm_pack_width(&ResolvedPath::Vector(isa), kn.1) == Some(AVX512_GEMM_COLS) {
-        return wide::gemm_rows_avx512f(isa, arows, packed, kn, crows);
-    }
     // The body is an `inline(always)` closure so the trampoline compiles
     // all of it under the clone's features.
     with_isa(
@@ -448,16 +484,17 @@ pub(crate) fn with_isa<R>(isa: WideIsa, body: impl FnOnce() -> R) -> R {
 }
 
 /// The two `#[target_feature]` trampolines behind [`with_isa`] and the
-/// explicit AVX-512F GEMM tile. This is
+/// explicit AVX-512F GEMM tiles. This is
 /// one of the two modules allowed out of the crate's `deny(unsafe_code)`
 /// (with [`crate::pool`]): calling a `#[target_feature]` function is
 /// `unsafe` because executing it on a CPU without the feature is
 /// undefined behavior — here each call is gated on the matching
 /// `is_x86_feature_detected!` proof captured in the [`WideIsa`] of
-/// [`ResolvedPath::Vector`] at path-resolution time. Inside the tile,
-/// arithmetic intrinsics are safe calls; only its one vector load and
-/// one vector store helper are `unsafe`, typed so a whole 16-lane block
-/// is always in bounds.
+/// [`ResolvedPath::Vector`] at path-resolution time. Both tiles are
+/// entered through one gated call per band. Inside them, arithmetic and
+/// shuffle intrinsics are safe calls; only the one vector load and one
+/// vector store helper are `unsafe`, typed so a whole 16-lane block is
+/// always in bounds.
 ///
 /// The clones enable `avx2` / `avx512f` and **not** `fma`: rustc never
 /// contracts a separate multiply and add into an FMA on its own, so
@@ -467,8 +504,9 @@ mod wide {
     #![allow(unsafe_code)]
 
     use std::arch::x86_64::{
-        __m512, _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps,
+        __m512, _mm512_add_ps, _mm512_castpd_ps, _mm512_castps_pd, _mm512_loadu_ps, _mm512_mul_ps,
+        _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_storeu_ps,
+        _mm512_unpackhi_pd, _mm512_unpackhi_ps, _mm512_unpacklo_pd, _mm512_unpacklo_ps,
     };
 
     use super::WideIsa;
@@ -514,32 +552,65 @@ mod wide {
         body()
     }
 
-    /// Sweeps one register tile of `MR` rows in the 32-column
-    /// [`super::pack_b`] layout with the explicit AVX-512F tile
-    /// ([`tile_avx512f`]). `isa` is the caller's proof that the CPU runs
-    /// AVX-512F.
+    /// Runs one band's AVX-512F GEMM ([`super::gemm_band`]'s vector
+    /// path when `B` is narrow or wider than 16 columns): the
+    /// rows-in-lanes [`tile_narrow`] over unpacked `b` when
+    /// [`super::narrow_gemm`] holds, else the 4 × 32 [`tile_avx512f`]
+    /// over the 32-column [`super::pack_b`] layout in `packed`. `isa` is
+    /// the caller's proof that the CPU runs AVX-512F.
     ///
     /// # Panics
     ///
     /// Panics unless `isa` is [`WideIsa::Avx512f`].
     #[inline]
-    pub(super) fn gemm_rows_avx512f<const MR: usize>(
+    pub(super) fn gemm_band_avx512f<'a>(
         isa: WideIsa,
-        arows: [&[f32]; MR],
+        arows: impl Iterator<Item = &'a [f32]>,
+        b: &[f32],
         packed: &[f32],
         kn: (usize, usize),
-        crows: &mut [&mut [f32]; MR],
+        dst: &mut [f32],
     ) {
-        assert_eq!(
-            isa,
-            WideIsa::Avx512f,
-            "the 32-column GEMM tile needs AVX-512F"
-        );
+        assert_eq!(isa, WideIsa::Avx512f, "the GEMM tiles here need AVX-512F");
         debug_assert!(is_x86_feature_detected!("avx512f"));
         // SAFETY: `Avx512f` is only resolved, or forced by a test, after
         // `is_x86_feature_detected!("avx512f")` succeeded on this CPU,
         // and the assert above rules out every other arm.
-        unsafe { sweep_avx512f::<MR>(arows, packed, kn, crows) }
+        unsafe { band_avx512f(arows, b, packed, kn, dst) }
+    }
+
+    /// The band loop of [`gemm_band_avx512f`], compiled for AVX-512F.
+    /// Narrow tiles take 16 rows at a time, the band's last tile fewer,
+    /// at the const width `B` has ([`band_narrow`]); the 32-column tile
+    /// takes `GEMM_MR` rows, then one row at a time.
+    #[target_feature(enable = "avx512f")]
+    fn band_avx512f<'a>(
+        arows: impl Iterator<Item = &'a [f32]>,
+        b: &[f32],
+        packed: &[f32],
+        (k, n): (usize, usize),
+        dst: &mut [f32],
+    ) {
+        if super::narrow_gemm(WideIsa::Avx512f, n) {
+            return match n {
+                1 => band_narrow::<1>(arows, b, dst),
+                2 => band_narrow::<2>(arows, b, dst),
+                3 => band_narrow::<3>(arows, b, dst),
+                4 => band_narrow::<4>(arows, b, dst),
+                5 => band_narrow::<5>(arows, b, dst),
+                6 => band_narrow::<6>(arows, b, dst),
+                7 => band_narrow::<7>(arows, b, dst),
+                8 => band_narrow::<8>(arows, b, dst),
+                _ => unreachable!("no {n}-column narrow tile"),
+            };
+        }
+        super::row_tiles(
+            arows,
+            dst,
+            n,
+            |a, c| sweep_avx512f(a, packed, (k, n), c),
+            |a, c| sweep_avx512f(a, packed, (k, n), c),
+        );
     }
 
     /// The [`super::gemm_rows_body`] sweep at 32 columns with
@@ -554,6 +625,147 @@ mod wide {
         for (d, pb) in super::packed_blocks::<32>(packed, k, n) {
             tile_avx512f::<MR>(arows, pb, d, (n - d).min(32), crows);
         }
+    }
+
+    /// Rows of the rows-in-lanes tile, and the depth of one transposed
+    /// block of `A`: one per `zmm` lane.
+    const LANES: usize = 16;
+
+    /// The narrow band loop at `N` columns: 16 rows per
+    /// [`tile_narrow`], fewer in the band's last tile, whose missing
+    /// rows repeat its first row in lanes that are never stored. `b` is
+    /// `B` row-major, `N` wide.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn band_narrow<'a, const N: usize>(
+        mut arows: impl Iterator<Item = &'a [f32]>,
+        b: &[f32],
+        dst: &mut [f32],
+    ) {
+        let (brows, []) = b.as_chunks::<N>() else {
+            unreachable!("B is N wide")
+        };
+        for out in dst.as_chunks_mut::<N>().0.chunks_mut(LANES) {
+            let mut a = [&[][..]; LANES];
+            for slot in a.iter_mut().take(out.len()) {
+                *slot = arows.next().expect("one A row per output row");
+            }
+            for r in out.len()..LANES {
+                a[r] = a[0];
+            }
+            tile_narrow(a, brows, out);
+        }
+    }
+
+    /// Rows-in-lanes register tile for an `N`-column `B` (`brows`, its
+    /// `k` rows): lane `r` of every register is output row `r`. Each
+    /// 16-deep block of the 16 `A` rows is transposed in registers
+    /// ([`transpose`]), so register `kk` holds column `kk` of the block,
+    /// one row per lane. One `zmm` accumulator per output column starts
+    /// from `0.0`, and each `k` step adds a separate `_mm512_mul_ps` of
+    /// that register by the broadcast `B[k][j]`, in ascending `k`
+    /// ([`madd`]): each output element sums exactly the naive `ikj`
+    /// loop's products in its order. A `k` tail loads through a
+    /// zero-padded stack copy but adds only its `k mod 16` real steps,
+    /// so no padded product reaches a sum (a row of `-0.0` products must
+    /// sum to `+0.0`). Only the first `out.len()` lanes are stored.
+    #[target_feature(enable = "avx512f")]
+    fn tile_narrow<const N: usize>(
+        arows: [&[f32]; LANES],
+        brows: &[[f32; N]],
+        out: &mut [[f32; N]],
+    ) {
+        let k = brows.len();
+        for a in arows {
+            assert_eq!(a.len(), k, "A rows span k");
+        }
+        let mut acc = [_mm512_setzero_ps(); N];
+        let (bfull, btail) = brows.as_chunks::<LANES>();
+        for (kb, bk) in bfull.iter().enumerate() {
+            let at = transpose(std::array::from_fn(|r| {
+                load(
+                    arows[r][kb * LANES..][..LANES]
+                        .try_into()
+                        .expect("16 floats"),
+                )
+            }));
+            madd(&mut acc, &at, bk);
+        }
+        if !btail.is_empty() {
+            let full = k - btail.len();
+            let at = transpose(std::array::from_fn(|r| {
+                let mut pad = [0.0f32; LANES];
+                pad[..btail.len()].copy_from_slice(&arows[r][full..]);
+                load(&pad)
+            }));
+            madd(&mut acc, &at, btail);
+        }
+        let mut cols = [[0.0f32; LANES]; N];
+        for (c, v) in cols.iter_mut().zip(acc) {
+            store(c, v);
+        }
+        for (r, row) in out.iter_mut().enumerate().take(LANES) {
+            for (o, c) in row.iter_mut().zip(&cols) {
+                *o = c[r];
+            }
+        }
+    }
+
+    /// Adds one transposed block's products into the accumulators:
+    /// `acc[j] += at[kk] * B[kk][j]` for `kk` ascending over the block's
+    /// rows of `B` (`bk`, at most 16).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn madd<const N: usize>(acc: &mut [__m512; N], at: &[__m512; LANES], bk: &[[f32; N]]) {
+        for (a, brow) in at.iter().zip(bk) {
+            for (s, &bv) in acc.iter_mut().zip(brow) {
+                *s = _mm512_add_ps(*s, _mm512_mul_ps(*a, _mm512_set1_ps(bv)));
+            }
+        }
+    }
+
+    /// Transposes a 16 × 16 block held in 16 registers: lane `r` of
+    /// output `c` is lane `c` of input `r`. Pure data movement: two
+    /// unpack rounds transpose each 4 × 4 sub-block inside the 128-bit
+    /// lanes, then two rounds of 128-bit lane shuffles move the
+    /// sub-blocks.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(v: [__m512; LANES]) -> [__m512; LANES] {
+        // Row pairs interleaved, then pairs of pairs: `u[4g + c]` holds
+        // rows `4g..4g + 4` of column `4l + c` in its 128-bit lane `l`.
+        let t: [__m512; LANES] = std::array::from_fn(|i| {
+            let (x, y) = (v[i & !1], v[i | 1]);
+            match i % 2 {
+                0 => _mm512_unpacklo_ps(x, y),
+                _ => _mm512_unpackhi_ps(x, y),
+            }
+        });
+        let u: [__m512; LANES] = std::array::from_fn(|i| {
+            let g = i & !3;
+            let (x, y) = (
+                _mm512_castps_pd(t[g + (i & 2) / 2]),
+                _mm512_castps_pd(t[g + 2 + (i & 2) / 2]),
+            );
+            _mm512_castpd_ps(match i % 2 {
+                0 => _mm512_unpacklo_pd(x, y),
+                _ => _mm512_unpackhi_pd(x, y),
+            })
+        });
+        // Output `4l + c` gathers lane `l` of `u[c]`, `u[4 + c]`,
+        // `u[8 + c]` and `u[12 + c]`.
+        let mut out = [_mm512_setzero_ps(); LANES];
+        for c in 0..4 {
+            let x0 = _mm512_shuffle_f32x4::<0x88>(u[c], u[4 + c]);
+            let x1 = _mm512_shuffle_f32x4::<0xDD>(u[c], u[4 + c]);
+            let x2 = _mm512_shuffle_f32x4::<0x88>(u[8 + c], u[12 + c]);
+            let x3 = _mm512_shuffle_f32x4::<0xDD>(u[8 + c], u[12 + c]);
+            out[c] = _mm512_shuffle_f32x4::<0x88>(x0, x2);
+            out[4 + c] = _mm512_shuffle_f32x4::<0x88>(x1, x3);
+            out[8 + c] = _mm512_shuffle_f32x4::<0xDD>(x0, x2);
+            out[12 + c] = _mm512_shuffle_f32x4::<0xDD>(x1, x3);
+        }
+        out
     }
 
     /// 32 columns as the two 16-lane halves that two `zmm` registers hold.
@@ -806,42 +1018,82 @@ mod tests {
 
     /// Every arm of the GEMM ISA dispatch computes the same bits as the
     /// scalar path's naive loop: the `Portable` body and each
-    /// `#[target_feature]` clone this CPU proves, over a full `GEMM_MR`
-    /// tile plus a remainder row, 75 deep. `B` is packed per arm at that
-    /// arm's width, so under AVX-512F every width above 16 runs the
-    /// explicit 32-column tile and its gated call, load and store
-    /// helpers. The widths cover a lone padded block (1, 2, 7, 9, 15,
-    /// 31), exact blocks (8, 16, 32, 64, 128) and a padded last block
-    /// after full ones (17, 33, 63, 65, 121, 127). The packed buffer and
-    /// the output are poisoned with NaN first, so a padded lane left
-    /// unwritten, one stored into `C`, or an output element no tile
-    /// stores, shows.
+    /// `#[target_feature]` clone this CPU proves, over two 16-row tiles
+    /// plus a 5-row remainder (nine `GEMM_MR` tiles plus a remainder
+    /// row), at depths 1, 15, 16, 17, 32 and 75, so the rows-in-lanes
+    /// tile runs a lone `k` tail, whole 16-deep blocks, and both. `B` is
+    /// packed per arm at that arm's width, so under AVX-512F every width
+    /// above 16 runs the explicit 32-column tile and its gated call, load
+    /// and store helpers, and every width up to [`NARROW_GEMM_COLS`] the
+    /// rows-in-lanes tile, which reads `B` unpacked. The widths cover
+    /// every narrow width and the first past it (1..=9), a lone padded
+    /// block (15, 31), exact blocks (16, 32, 64, 128) and a padded last
+    /// block after full ones (17, 33, 63, 65, 121, 127). Row 0 of `A` is
+    /// all `-0.0` over a `B` of no negative value, so every product of
+    /// that row is `-0.0` and the naive loop's `+0.0` seed must survive:
+    /// outputs are compared bit for bit. The packed buffer and the output
+    /// are poisoned with NaN first, so a padded lane left unwritten, one
+    /// stored into `C`, or an output element no tile stores, shows.
     #[test]
     fn gemm_dispatch_arms_bit_match_portable() {
         let isas = proven_isas();
-        let (rows, k) = (GEMM_MR + 1, 75);
-        let a = random_dense(rows, k, 31);
-        let widths = [1usize, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65];
-        for n in widths.into_iter().chain([121, 127, 128]) {
-            let b = random_dense(k, n, 32);
-            let mut naive = vec![0.0f32; rows * n];
-            let arows = || (0..rows).map(|r| a.row(r));
-            gemm_band(arows(), k, &b, &[], &ResolvedPath::Scalar, &mut naive);
-            for &isa in &isas {
-                let rp = ResolvedPath::Vector(isa);
-                let w = gemm_pack_width(&rp, n).expect("vector path packs");
-                let want_w = match isa {
-                    WideIsa::Avx512f if n > 16 => AVX512_GEMM_COLS,
-                    _ => isa.lanes(),
-                };
-                assert_eq!(w, want_w, "{isa:?} n={n}");
-                let mut packed = vec![f32::NAN; n.div_ceil(w) * k * w];
-                pack_b(&b, w, &mut packed);
-                assert!(packed.iter().all(|v| !v.is_nan()), "n={n}: pad zeroed");
-                let mut dst = vec![f32::NAN; rows * n];
-                gemm_band(arows(), k, &b, &packed, &rp, &mut dst);
-                assert_eq!(dst, naive, "{isa:?} n={n}");
+        let rows = 37;
+        let widths = (1usize..=9).chain([15, 16, 17, 31, 32, 33, 63, 64, 65, 121, 127, 128]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [1usize, 15, 16, 17, 32, 75] {
+            let mut a = random_dense(rows, k, 31);
+            a.row_mut(0).fill(-0.0);
+            for n in widths.clone() {
+                let b = DenseMatrix::from_fn(k, n, {
+                    let b = random_dense(k, n, 32);
+                    move |r, c| b.get(r, c).abs()
+                });
+                let mut naive = vec![0.0f32; rows * n];
+                let arows = || (0..rows).map(|r| a.row(r));
+                gemm_band(arows(), k, &b, &[], &ResolvedPath::Scalar, &mut naive);
+                assert!(naive[..n].iter().all(|v| v.to_bits() == 0), "k={k} n={n}");
+                for &isa in &isas {
+                    let rp = ResolvedPath::Vector(isa);
+                    let w = gemm_pack_width(&rp, n);
+                    let want_w = match isa {
+                        WideIsa::Avx512f if n <= NARROW_GEMM_COLS => None,
+                        WideIsa::Avx512f if n > 16 => Some(AVX512_GEMM_COLS),
+                        _ => Some(isa.lanes()),
+                    };
+                    assert_eq!(w, want_w, "{isa:?} n={n}");
+                    let mut packed = match w {
+                        Some(w) => vec![f32::NAN; n.div_ceil(w) * k * w],
+                        None => Vec::new(),
+                    };
+                    if let Some(w) = w {
+                        pack_b(&b, w, &mut packed);
+                    }
+                    assert!(packed.iter().all(|v| !v.is_nan()), "n={n}: pad zeroed");
+                    let mut dst = vec![f32::NAN; rows * n];
+                    gemm_band(arows(), k, &b, &packed, &rp, &mut dst);
+                    assert_eq!(bits(&dst), bits(&naive), "{isa:?} k={k} n={n}");
+                }
             }
+        }
+    }
+
+    /// Under AVX-512F the rows-in-lanes tile takes `molecule-pack`'s
+    /// 32 → 2 layer and none of the other served GEMMs, which keep the
+    /// packed 32-column tile; no other clone ever takes it.
+    #[test]
+    fn narrow_tile_routing_is_pinned_at_the_served_shapes() {
+        let avx512 = ResolvedPath::Vector(WideIsa::Avx512f);
+        assert!(
+            narrow_gemm(WideIsa::Avx512f, 2),
+            "molecule-pack layer 1 (32 -> 2)"
+        );
+        assert_eq!(gemm_pack_width(&avx512, 2), None);
+        for (k, n) in [(16usize, 32usize), (50, 128), (128, 121)] {
+            assert!(!narrow_gemm(WideIsa::Avx512f, n), "{k} -> {n}");
+            assert_eq!(gemm_pack_width(&avx512, n), Some(AVX512_GEMM_COLS));
+        }
+        for isa in [WideIsa::Portable, WideIsa::Avx2] {
+            assert!((0..=NARROW_GEMM_COLS).all(|n| !narrow_gemm(isa, n)));
         }
     }
 

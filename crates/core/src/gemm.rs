@@ -22,18 +22,24 @@
 //! moved into worker closures through take-once `Mutex<Option<..>>`
 //! slots. The only `unsafe` on this path lives in `datapath::wide`: the
 //! runtime-gated calls into the `#[target_feature]` clones and the
-//! explicit AVX-512F tile, and that tile's one vector load and one
+//! explicit AVX-512F tiles, and those tiles' one vector load and one
 //! vector store helper.
 //!
 //! Neither `k` nor the output width is cache-blocked: each register tile
-//! sweeps every packed column block of `B` over the full `k` from a
-//! `0.0` seed and stores it once, so each output element accumulates in
-//! the naive loop's ascending-`k` order and results stay bit-equal to the
-//! naive `ikj` GEMM — the property the GCN fused-vs-unfused oracle tests
-//! lean on. Every GEMM the served workloads run fits one sweep in cache
-//! (DESIGN.md §2.11). Because the vectorized tiles store every element
-//! and read none, their output and pack buffers come from the arena
-//! unzeroed: a recycled buffer's stale values never survive.
+//! sweeps every column of `B` over the full `k` from a `0.0` seed and
+//! stores it once, so each output element accumulates in the naive
+//! loop's ascending-`k` order and results stay bit-equal to the naive
+//! `ikj` GEMM — the property the GCN fused-vs-unfused oracle tests lean
+//! on. Most tiles hold columns in lanes and read `B` packed into column
+//! blocks; under AVX-512F a `B` of at most `NARROW_GEMM_COLS` (8)
+//! columns (`molecule-pack`'s 32 → 2 layer) runs a rows-in-lanes tile
+//! instead, which transposes 16 `A` rows in registers, keeps one
+//! register per output column and reads `B` unpacked, so no lane
+//! computes padding. Every GEMM the served
+//! workloads run fits one sweep in cache (DESIGN.md §2.11). Because the
+//! vectorized tiles store every element and read none, their output and
+//! pack buffers come from the arena unzeroed: a recycled buffer's stale
+//! values never survive.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -41,7 +47,7 @@ use std::time::Instant;
 
 use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 
-use crate::datapath::{gemm_band, gemm_pack_width, pack_b};
+use crate::datapath::{gemm_band, gemm_pack_width, pack_b, ResolvedPath};
 use crate::engine::ExecEngine;
 use crate::pool::{ScopedJob, WorkerPool};
 use crate::tuning::gemm_band_rows;
@@ -151,15 +157,16 @@ impl ExecEngine {
         // `0.0` seed, so their output needs no zeroing pass. The scalar
         // path accumulates into `C`, and with `k == 0` nothing runs: both
         // take a zeroed buffer.
-        let mut out = match width {
-            Some(_) if k > 0 => self.arena.take(m * n),
+        let mut out = match rp {
+            ResolvedPath::Vector(_) if k > 0 => self.arena.take(m * n),
             _ => self.arena.take_zeroed(m * n),
         };
         // Pack `B` once into column blocks of the tile's width
         // (arena-recycled, every element written), the last one
         // zero-padded, so every band's microkernel streams contiguous
         // lines instead of striding `n` floats per `k` step. Pure data
-        // movement — results stay bitwise identical (see `pack_b`).
+        // movement — results stay bitwise identical (see `pack_b`). The
+        // rows-in-lanes tile of a narrow `B` reads it as it lies.
         let packed = match width {
             Some(w) => {
                 let mut buf = self.arena.take(n.div_ceil(w) * k * w);
@@ -222,7 +229,7 @@ impl ExecEngine {
 
 #[cfg(test)]
 mod tests {
-    use crate::datapath::DataPath;
+    use crate::datapath::{gemm_pack_width, DataPath};
     use crate::engine::ExecEngine;
     use crate::tuning::gemm_band_rows;
     use mpspmm_sparse::DenseMatrix;
@@ -284,9 +291,11 @@ mod tests {
     /// buffer of the output's exact size: any element the kernel fails
     /// to store (a partial column block, a remainder row, a later band)
     /// leaks a NaN and breaks `==` with the naive loop. The widths hit
-    /// the 16-lane tile (2, 16) and the AVX-512F 32-column tile with and
-    /// without a padded last block, up to 600 columns and 600 deep.
-    /// `m = 70` ends in a 2-row tile remainder. Bands are sized by
+    /// every width of the AVX-512F rows-in-lanes tile and the first past
+    /// it (1..=9), the 16-lane tile (9, 16) and the AVX-512F 32-column
+    /// tile with and without a padded last block, up to 600 columns and
+    /// 600 deep. `m = 70` ends in a 6-row short last 16-row tile and a
+    /// 2-row `GEMM_MR` tile remainder. Bands are sized by
     /// multiply-adds, so at 70 rows most narrow shapes are one band; at
     /// each served `(k, n)` shape `m` is also two whole bands plus a
     /// 5-row partial one (several claims on the pool) and under one band
@@ -294,7 +303,7 @@ mod tests {
     #[test]
     fn gemm_overwrites_a_stale_recycled_output() {
         let mut cases = Vec::new();
-        for n in [2usize, 16, 32, 121, 127, 128, 512, 600] {
+        for n in (1usize..=9).chain([16, 32, 121, 127, 128, 512, 600]) {
             for k in [0usize, 1, 50, 200, 600] {
                 cases.push((70, k, n));
             }
@@ -325,13 +334,23 @@ mod tests {
     }
 
     /// `gemm_stacked` over parts equals the naive loop over the matrix
-    /// they stack, with `==`: parts cut at tile and band edges and inside them, empty
-    /// parts (first, between and last), and one part per row, at `m` of
-    /// two whole bands plus a partial one, so pooled band slots start
-    /// inside parts. Both data paths, at workers {1, 2, 7}.
+    /// they stack, with `==`: parts cut at tile and band edges and inside
+    /// them (inside 16-row rows-in-lanes tiles too, whose rows then come
+    /// from several parts), empty parts (first, between and last), and
+    /// one part per row, at `m` of two whole bands plus a partial one, so
+    /// pooled band slots start inside parts. The narrow widths 1, 2, 3
+    /// and 4 run the rows-in-lanes tile under AVX-512F. Both data paths,
+    /// at workers {1, 2, 7}.
     #[test]
     fn stacked_parts_equal_the_matrix_they_stack() {
-        for (k, n) in [(16usize, 32usize), (32, 2), (50, 128)] {
+        for (k, n) in [
+            (16usize, 32usize),
+            (32, 1),
+            (32, 2),
+            (32, 3),
+            (32, 4),
+            (50, 128),
+        ] {
             let band = gemm_band_rows(1 << 30, k, n);
             let m = 2 * band + 5;
             let a = filled(m, k, 7);
@@ -398,14 +417,17 @@ mod tests {
     }
 
     /// A rejected shape checks nothing out. A GEMM checks out its output
-    /// and, on the vectorized path, its packed `B`; once the output is
-    /// recycled, the next call allocates nothing. The wall time is
-    /// counted, and `clear_cache` resets every counter.
+    /// and, when its tile reads a pack, its packed `B` (not on the scalar
+    /// path, nor in the AVX-512F rows-in-lanes tile this 8-column `B`
+    /// takes); once the output is recycled, the next call allocates
+    /// nothing. The wall time is counted, and `clear_cache` resets every
+    /// counter.
     #[test]
     fn engine_gemm_rejects_shape_mismatch_and_counts_time_and_buffers() {
         let a = filled(4, 3, 0);
         let c = filled(3, 8, 1);
-        for (path, buffers) in [(DataPath::Scalar, 1u64), (DataPath::Vector, 2)] {
+        for path in [DataPath::Scalar, DataPath::Vector] {
+            let buffers = 1 + gemm_pack_width(&path.resolve(), 8).is_some() as u64;
             let engine = ExecEngine::with_data_path(1, path);
             assert!(engine.gemm(&a, &filled(5, 2, 0)).is_err());
             assert_eq!(engine.stats(), ExecEngine::with_data_path(1, path).stats());

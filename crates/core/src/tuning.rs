@@ -22,20 +22,24 @@ pub const MIN_THREADS: usize = 1024;
 /// plan.
 pub const GATHER_MAX_NNZ: usize = 4;
 
-/// Register-tile height of the engine's dense GEMM microkernel: this
-/// many `A` rows share every loaded `B` vector, so each load feeds
-/// `GEMM_MR` multiplies instead of one (each a separate multiply and
-/// add — nothing here fuses them). The AVX-512F tile is four rows ×
-/// 32 columns: eight `zmm` accumulators, two per row, which leaves most
-/// of the 32 registers for the two `B` vectors, the broadcast `A` value
-/// and the products. The autovectorized 16-column tile of the other
-/// clones holds four rows × 16 lanes: eight of AVX2's 16 `ymm`
-/// registers.
+/// Register-tile height of the engine's dense GEMM microkernel when
+/// columns lie in lanes: this many `A` rows share every loaded `B`
+/// vector, so each load feeds `GEMM_MR` multiplies instead of one (each
+/// a separate multiply and add — nothing here fuses them). The AVX-512F
+/// tile for a `B` wider than 16 columns is four rows × 32 columns: eight
+/// `zmm` accumulators, two per row, which leaves most of the 32
+/// registers for the two `B` vectors, the broadcast `A` value and the
+/// products. The autovectorized 16-column tile of the other clones (and
+/// of AVX-512F widths 9 to 16) holds four rows × 16 lanes: eight of
+/// AVX2's 16 `ymm` registers. A narrower `B` under AVX-512F puts rows in
+/// lanes instead, 16 rows per tile, and does not use this height
+/// (`datapath::NARROW_GEMM_COLS`).
 pub(crate) const GEMM_MR: usize = 4;
 
 /// Row granule of the engine's parallel GEMM: every band
 /// ([`gemm_band_rows`]) is a whole multiple of this many rows, so band
-/// edges fall on register-tile edges. At `ppi-gcn`'s widths (50 → 128,
+/// edges fall on register-tile edges, the 16-row rows-in-lanes tile's
+/// included. At `ppi-gcn`'s widths (50 → 128,
 /// 128 → 121) one granule already holds over 200 K multiply-adds and is
 /// the band itself; narrower layers stack granules up to
 /// [`GEMM_BAND_MIN_MACS`].

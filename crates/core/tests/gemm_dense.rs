@@ -7,7 +7,7 @@
 //! terms the skip never adds; `f32` equality treats `-0.0 == 0.0`, so
 //! bit-level agreement is asserted with `==`: by property test across
 //! dims 1..=67, k = 0 and fully empty operands, and by fixed cases at
-//! the layer-0 shapes actually served, at workers {1, 2, 8}.
+//! every GEMM shape actually served, at workers {1, 2, 8}.
 
 use mpspmm_core::{default_workers, DataPath, ExecEngine};
 use mpspmm_sparse::DenseMatrix;
@@ -108,14 +108,17 @@ fn worker_counts() -> Vec<usize> {
     ws
 }
 
-/// Fixed cases at the served layer-0 shapes: `k = 50 → n = 128` (PPI's
-/// input width into its hidden width: many packed lane blocks of `B`,
-/// past the 67-capped property test) and `16 → 32`, both at feature
-/// density 0.5 over ten row bands (the last one partial), on every data
-/// path.
+/// Fixed cases at every served GEMM shape (DESIGN.md §2.11): `k = 50 →
+/// n = 128` and `128 → 121` (PPI's two layers: many packed lane blocks
+/// of `B`, past the 67-capped property test), `16 → 32` and `32 → 2`
+/// (`molecule-pack`'s two layers; the last runs the AVX-512F
+/// rows-in-lanes tile). Each runs 289 rows, not a multiple of the 16-row
+/// narrow tile or of the 32-row band granule, at feature density 0.5, on
+/// every data path.
 #[test]
-fn served_layer0_shapes_match_skip_loop_exactly() {
-    for (m, k, n, seed) in [(300, 50, 128, 1u64), (289, 16, 32, 2)] {
+fn served_gemm_shapes_match_skip_loop_exactly() {
+    for (k, n, seed) in [(50, 128, 1u64), (16, 32, 2), (32, 2, 3), (128, 121, 4)] {
+        let m = 289;
         let x = features(m, k, 0.5, seed);
         let w = filled(k, n, seed ^ 0xBEEF);
         let zeros = x.as_slice().iter().filter(|v| **v == 0.0).count();

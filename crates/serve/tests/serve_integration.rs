@@ -570,10 +570,12 @@ fn fused_pipeline_stats_are_threaded_through_serve_stats() {
     let stats = srv.stats();
     // The batched GCN path runs both halves of the fused layer pipeline
     // on the engine; its counters must surface through ServeStats.
-    // Each of the two layers checks out its GEMM output, its packed `B`
-    // and its aggregation output.
+    // Each of the two layers checks out its GEMM output and its
+    // aggregation output, and layer 0 its packed 10-column `B`; layer
+    // 1's 3-column `B` is packed too, except under AVX-512F, whose
+    // rows-in-lanes tile reads it as it lies.
     let checkouts = stats.engine.arena_misses + stats.engine.arena_reuses;
-    assert!(checkouts >= 6, "{checkouts} arena checkouts surfaced");
+    assert!(checkouts >= 5, "{checkouts} arena checkouts surfaced");
     assert!(stats.engine.gemm_ns > 0, "GEMM time was recorded");
     assert!(
         stats.engine.fused_epilogues > 0,

@@ -47,9 +47,10 @@ cargo test -q -p mpspmm-core --test engine_oracle
 # invariant asserts live). batch_oracle sweeps
 # packed-vs-sequential across DataPath x workers, including empty graphs
 # and single-graph windows. gemm_dense pins the engine GEMM, which runs
-# every GCN feature transform, bit-exactly to the zero-skip loop at the
-# served layer-0 shapes, and the core `gemm` unit tests run the
-# work-sized band claims on a global pool of every size. The core
+# every GCN feature transform, bit-exactly to the zero-skip loop at every
+# served GEMM shape, and the core `gemm` unit tests run the work-sized
+# band claims, the rows-in-lanes tile of narrow outputs included, on a
+# global pool of every size. The core
 # `engine` unit tests drive the span runner and its row fold over
 # one-graph windows (every tile plan, ISA clone and epilogue against the
 # scalar oracle) on a global pool of every size too.
