@@ -70,7 +70,7 @@ fn main() {
                         1
                     },
                     || {
-                        let _ = engine.spmm(&a, &[&b], &Epilogue::None).unwrap();
+                        let _ = engine.spmm(&a, &[&b], &Epilogue::NONE).unwrap();
                         1
                     },
                 );

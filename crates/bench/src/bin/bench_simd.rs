@@ -3,12 +3,14 @@
 //! For the same Table II spread as `bench_engine`, times the scalar
 //! oracle path ([`DataPath::Scalar`]) against the vectorized path
 //! ([`DataPath::Vector`]) on the same graph, single-core, at
-//! dimensions 16 and 32, alternating the two round by round. Both sides
+//! dimensions 16 and 32 and at `ppi-gcn`'s served SpMM widths 121 and
+//! 128, alternating the two round by round. Both sides
 //! run through [`ExecEngine::spmm`] on one-worker engines, so
 //! the comparison isolates the inner data path: one row fold per block
 //! through a column-tile plan of wide-lane register tiles, fixed once per
 //! run (at 16 and 32 columns, a single tile under AVX-512F, so the whole
-//! span folds at that const width). The engine runs the same row spans
+//! span folds at that const width; 121 and 128 run two 64-column tiles
+//! each). The engine runs the same row spans
 //! whatever the kernel, so there is one record per (dataset, dim), not
 //! one per kernel. Writes `BENCH_simd.json` with one record per
 //! (dataset, dim): `{dataset, dim, ns_per_nnz, vs_scalar}`
@@ -17,7 +19,7 @@
 //! [`DataPath::isa`]).
 
 use mpspmm_bench::{alternate, banner, full_size_requested, json_array, load, write_artifact};
-use mpspmm_core::{DataPath, Epilogue, ExecEngine, MergePathSpmm, GATHER_MAX_NNZ};
+use mpspmm_core::{DataPath, Epilogue, ExecEngine};
 use mpspmm_sparse::DenseMatrix;
 
 const DATASETS: [&str; 6] = [
@@ -33,7 +35,7 @@ fn main() {
     let full = full_size_requested();
     banner(
         "BENCH simd",
-        "scalar oracle vs vectorized data path, single-core, dims {16, 32}",
+        "scalar oracle vs vectorized data path, single-core, dims {16, 32, 121, 128}",
         full,
     );
 
@@ -51,7 +53,7 @@ fn main() {
     for name in DATASETS {
         let spec = find(name);
         let (used, a) = load(spec, full);
-        for dim in [16usize, 32] {
+        for dim in [16usize, 32, 121, 128] {
             let b = DenseMatrix::from_fn(a.cols(), dim, |r, c| {
                 ((r * 31 + c * 7) % 17) as f32 * 0.125 - 1.0
             });
@@ -59,11 +61,11 @@ fn main() {
                 2,
                 7,
                 || {
-                    let _ = scalar.spmm(&a, &[&b], &Epilogue::None).unwrap();
+                    let _ = scalar.spmm(&a, &[&b], &Epilogue::NONE).unwrap();
                     1
                 },
                 || {
-                    let _ = vector.spmm(&a, &[&b], &Epilogue::None).unwrap();
+                    let _ = vector.spmm(&a, &[&b], &Epilogue::NONE).unwrap();
                     1
                 },
             );
@@ -85,19 +87,6 @@ fn main() {
         }
     }
 
-    // Row-degree demography on one power-law graph: how much of the
-    // merge-path schedule lands in the gather regime (threads whose
-    // segments hold at most `GATHER_MAX_NNZ` non-zeros).
-    let (used, a) = load(find("Pubmed"), full);
-    let kernel = MergePathSpmm::new();
-    let schedule = kernel.schedule(&a, 16);
-    let gather_frac = schedule.gather_bound_fraction(a.row_ptr(), GATHER_MAX_NNZ);
-    println!(
-        "\nrow degrees on {} (dim 16): {:.0}% of threads gather-bound",
-        used.name,
-        gather_frac * 100.0,
-    );
-
     write_artifact(
         "simd",
         "scalar oracle data path, one-worker engine, same graph",
@@ -106,7 +95,6 @@ fn main() {
         &[
             ("isa", format!("\"{isa}\"")),
             ("results", json_array(&records)),
-            ("gather_bound_fraction_pubmed", format!("{gather_frac:.3}")),
         ],
     );
 }

@@ -17,12 +17,11 @@
 //! stable size classes (large ones page-aligned) and reuse preserves the
 //! original placement run over run.
 //!
-//! Zeroing: the SpMM row fold, the GEMM's vectorized tiles and the
-//! single-column interleave store every element of the buffers they
-//! fill, so they check out with `take`, which keeps a recycled buffer's
-//! stale values and runs no zeroing pass. Only callers that accumulate
-//! into their buffer (the scalar GEMM, a `k == 0` GEMM, a leased input)
-//! pay for `take_zeroed`.
+//! Zeroing: every kernel stores each element of its output once — the
+//! SpMM row fold, both GEMM data paths (the scalar band zero-fills each
+//! row before it adds into it) and the single-column interleave — so
+//! every checkout is `take`, which keeps a recycled buffer's stale values
+//! and runs no zeroing pass.
 //!
 //! Ownership of outputs *leaves* the engine as [`DenseMatrix`] values
 //! (which demand a plain `Vec<f32>`), so reuse of those is cooperative:
@@ -52,7 +51,7 @@ const LINE_F32: usize = 16;
 /// The engine's buffer pool. See the module docs for the design; all
 /// methods are `&self` and internally locked, matching the engine's
 /// share-one-instance concurrency model. Lock hold times are O(pool
-/// size) scans — zeroing happens outside the lock.
+/// size) scans.
 #[derive(Debug, Default)]
 pub(crate) struct BufferArena {
     outputs: Mutex<Vec<Vec<f32>>>,
@@ -102,28 +101,16 @@ impl BufferArena {
         })
     }
 
-    /// Checks out a zeroed `Vec<f32>` of exactly `len` elements, reusing
-    /// a pooled buffer when one is large enough.
-    pub(crate) fn take_zeroed(&self, len: usize) -> Vec<f32> {
-        self.checkout(len, true)
-    }
-
     /// Checks out a `Vec<f32>` of exactly `len` elements whose values are
-    /// unspecified: a recycled buffer keeps its stale values, and only
-    /// elements past its old length are zeroed. For callers that store
-    /// every element before they read it.
+    /// unspecified, reusing a pooled buffer when one is large enough: a
+    /// recycled buffer keeps its stale values, and only elements past its
+    /// old length are zeroed. For callers that store every element before
+    /// they read it.
     pub(crate) fn take(&self, len: usize) -> Vec<f32> {
-        self.checkout(len, false)
-    }
-
-    fn checkout(&self, len: usize, zeroed: bool) -> Vec<f32> {
         let popped = pop_fit(&mut self.pool(), len);
         match popped {
             Some((mut buf, true)) => {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
-                if zeroed {
-                    buf.clear();
-                }
                 buf.resize(len, 0.0);
                 buf
             }
@@ -192,27 +179,16 @@ mod tests {
     #[test]
     fn output_roundtrip_reuses_capacity() {
         let arena = BufferArena::default();
-        let a = arena.take_zeroed(100);
+        let a = arena.take(100);
         assert_eq!(arena.misses(), 1);
         arena.put(a);
-        let b = arena.take_zeroed(80);
+        let b = arena.take(80);
         assert_eq!(arena.reuses(), 1, "smaller request reuses the buffer");
         assert_eq!(b.len(), 80);
-        assert!(b.iter().all(|&v| v == 0.0));
         arena.put(b);
-        let c = arena.take_zeroed(200);
+        let c = arena.take(200);
         assert_eq!(arena.misses(), 2, "larger request allocates fresh");
         assert_eq!(c.len(), 200);
-    }
-
-    #[test]
-    fn take_zeroed_clears_dirty_recycled_buffers() {
-        let arena = BufferArena::default();
-        let mut a = arena.take_zeroed(16);
-        a.iter_mut().for_each(|v| *v = 7.0);
-        arena.put(a);
-        let b = arena.take_zeroed(16);
-        assert!(b.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -238,7 +214,7 @@ mod tests {
         assert_eq!(pooled, MAX_POOLED);
         // The survivors are the largest ones: a request for the largest
         // size must hit.
-        let _ = arena.take_zeroed(2 * MAX_POOLED * 16);
+        let _ = arena.take(2 * MAX_POOLED * 16);
         assert_eq!(arena.reuses(), 1);
     }
 
@@ -260,7 +236,7 @@ mod tests {
         let arena = BufferArena::default();
         arena.put(vec![7.0; 16]);
         poison(&arena);
-        let fresh = arena.take_zeroed(16);
+        let fresh = arena.take(16);
         assert!(!arena.outputs.is_poisoned(), "recovery clears the poison");
         assert_eq!(
             (arena.reuses(), arena.misses()),
@@ -278,7 +254,7 @@ mod tests {
         arena.put(vec![7.0; 16]);
         assert_eq!(arena.take(16), [7.0; 16], "put after recovery pools");
         arena.put(vec![7.0; 16]);
-        assert_eq!(arena.take_zeroed(16), [0.0; 16], "reuse is still zeroed");
+        let _ = arena.take(16);
         assert_eq!(arena.reuses(), 2);
 
         poison(&arena);
@@ -291,11 +267,11 @@ mod tests {
     fn clear_resets_pools_and_counters() {
         let arena = BufferArena::default();
         arena.put(vec![0.0; 64]);
-        let _ = arena.take_zeroed(8);
+        let _ = arena.take(8);
         arena.clear();
         assert_eq!(arena.reuses(), 0);
         assert_eq!(arena.misses(), 0);
-        let _ = arena.take_zeroed(8);
+        let _ = arena.take(8);
         assert_eq!(arena.misses(), 1);
     }
 }

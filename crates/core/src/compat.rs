@@ -60,7 +60,7 @@ impl ExecEngine {
         b: &DenseMatrix<f32>,
     ) -> Result<(DenseMatrix<f32>, WriteStats), SparseFormatError> {
         Ok((
-            self.spmm(a, &[b], &Epilogue::None)?.remove(0),
+            self.spmm(a, &[b], &Epilogue::NONE)?.remove(0),
             WriteStats::default(),
         ))
     }
@@ -72,7 +72,7 @@ impl ExecEngine {
         a: &CsrMatrix<f32>,
         blocks: &[&DenseMatrix<f32>],
     ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
-        self.spmm(a, blocks, &Epilogue::None)
+        self.spmm(a, blocks, &Epilogue::NONE)
     }
 
     /// [`ExecEngine::spmm`].
@@ -112,7 +112,8 @@ impl ExecEngine {
     /// benchmark's replay of the old block-diagonal path stacks its
     /// features here.
     pub fn lease_zeroed(&self, rows: usize, cols: usize) -> DenseMatrix<f32> {
-        DenseMatrix::from_vec(rows, cols, self.arena.take_zeroed(rows * cols))
-            .expect("arena buffer sized to rows x cols")
+        let mut buf = self.arena.take(rows * cols);
+        buf.fill(0.0);
+        DenseMatrix::from_vec(rows, cols, buf).expect("arena buffer sized to rows x cols")
     }
 }

@@ -7,8 +7,8 @@
 //!   ([`TilePlan`]) is fixed once per (span, block) run from its width and
 //!   the ISA, and every row of the span runs through it with no other
 //!   per-row decision. The plan's tiles are const-generic
-//!   register-accumulator blocks: 128-, 64- and 32-column tiles (eight,
-//!   four and two `zmm` accumulators) on AVX-512F, then tiles at the
+//!   register-accumulator blocks: 64- and 32-column tiles (four and two
+//!   `zmm` accumulators) on AVX-512F, then tiles at the
 //!   ISA's lane width ([`WideIsa::lanes`]: 16 with AVX2 or AVX-512F, 8
 //!   otherwise), 8 and 4, each compiled to straight-line code LLVM
 //!   auto-vectorizes. A remainder narrower than a tile is covered by one
@@ -17,8 +17,10 @@
 //!   same whichever tile computes it, so the overlap rewrites the same
 //!   bits and no column runs a scalar chain. Only a row narrower than four
 //!   columns takes a tile of its own width. A one-tile plan (widths 1–4
-//!   and 8, the lane width, and 32, 64 and 128 under AVX-512F) folds the
-//!   whole span at that const width.
+//!   and 8, the lane width, and 32 and 64 under AVX-512F) folds the
+//!   whole span at that const width. There is no 128-column tile: two
+//!   64-column passes ran faster at every measured width (DESIGN.md
+//!   §2.3.1).
 //! * **ISA clones** — the vectorized row fold and the 16-lane GEMM tile
 //!   both run through one pair of `#[target_feature]` trampolines
 //!   ([`with_isa`]), so the same kernel bodies compile to 512- or 256-bit
@@ -72,8 +74,8 @@ pub enum DataPath {
 /// — never FMA-contracted, which would change rounding) is emitted with
 /// 256- or 512-bit instructions. Results stay bit-equal across all
 /// variants because every vector lane is an independent output column.
-/// Under `Avx512f` the SpMM tile plan also runs 128-, 64- and 32-column
-/// tiles ahead of the 16-lane one; that too only regroups columns.
+/// Under `Avx512f` the SpMM tile plan also runs 64- and 32-column tiles
+/// ahead of the 16-lane one; that too only regroups columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WideIsa {
     /// Baseline codegen (also all non-x86_64 targets).
@@ -192,11 +194,11 @@ pub(crate) struct TileRun {
 
 /// Runs a [`TilePlan`] holds at most: one per tile width, plus the
 /// overlapping tile that ends the row.
-const MAX_TILE_RUNS: usize = 7;
+const MAX_TILE_RUNS: usize = 6;
 
 /// The column tiles that cover a `dim`-wide row, fixed once per block run
-/// from the width and the ISA. Under AVX-512F it starts with 128-, 64-
-/// and 32-column tiles; then come tiles at the lane width, 8 and 4. At
+/// from the width and the ISA. Under AVX-512F it starts with 64- and
+/// 32-column tiles; then come tiles at the lane width, 8 and 4. At
 /// each width, tiles run side by side while they fit; a remainder wider
 /// than half a tile (any remainder, at 4) then takes one more tile that
 /// ends at the row's end, when the row is at least that wide, and the
@@ -222,7 +224,7 @@ impl TilePlan {
             plan.len += 1;
         };
         let widths: &[usize] = match isa {
-            WideIsa::Avx512f => &[128, 64, 32, 16, 8, 4],
+            WideIsa::Avx512f => &[64, 32, 16, 8, 4],
             WideIsa::Avx2 => &[16, 8, 4],
             WideIsa::Portable => &[8, 4],
         };
@@ -281,7 +283,6 @@ impl TilePlan {
         for run in self.runs() {
             for d in (run.start..).step_by(run.width).take(run.count) {
                 match run.width {
-                    128 => tile::<128>(cols, vals, b, dim, d, dst),
                     64 => tile::<64>(cols, vals, b, dim, d, dst),
                     32 => tile::<32>(cols, vals, b, dim, d, dst),
                     16 => tile::<16>(cols, vals, b, dim, d, dst),
@@ -302,12 +303,13 @@ impl TilePlan {
 /// row-major slice `dst`, reading their `k`-long `A` rows in order from
 /// `arows`, which may come from different matrices.
 ///
-/// The scalar path accumulates into `dst`, which must arrive zeroed. The
-/// vectorized path stores every element of `dst` and reads none, so
-/// `dst` may hold anything. Under AVX-512F a `B` of at most
-/// [`NARROW_GEMM_COLS`] columns runs the rows-in-lanes tile on `b` as it
-/// lies, 16 rows at a time (fewer in the band's last tile); every other
-/// shape reads `B` only through `packed`, the [`pack_b`] layout at
+/// Every path stores each element of `dst` once, so `dst` may hold
+/// anything: the scalar path zero-fills each output row, then adds into
+/// it in ascending `k`; the vectorized path reads none of `dst`. Under
+/// AVX-512F a `B` of at most [`NARROW_GEMM_COLS`] columns runs the
+/// rows-in-lanes tile on `b` as it lies, 16 rows at a time (fewer in the
+/// band's last tile); every other shape reads `B` only through
+/// `packed`, the [`pack_b`] layout at
 /// [`gemm_pack_width`]. There each register tile of [`GEMM_MR`] `A` rows
 /// (then one row at a time for the remainder) sweeps every packed column
 /// block over the full `k` from a literal `0.0` seed and stores the block
@@ -332,6 +334,7 @@ pub(crate) fn gemm_band<'a>(
     let isa = match *rp {
         ResolvedPath::Scalar => {
             for (crow, arow) in dst.chunks_exact_mut(n).zip(arows) {
+                crow.fill(0.0);
                 for (p, &av) in arow.iter().enumerate() {
                     for (c, &bv) in crow.iter_mut().zip(b.row(p)) {
                         *c += av * bv;
@@ -956,13 +959,13 @@ mod tests {
         let (avx512, avx2, sse) = (WideIsa::Avx512f, WideIsa::Avx2, WideIsa::Portable);
         let cases = [
             (121, avx512, vec![run(64, 0, 1), run(64, 57, 1)]),
-            (128, avx512, vec![run(128, 0, 1)]),
+            (128, avx512, vec![run(64, 0, 2)]),
             (32, avx512, vec![run(32, 0, 1)]),
             (32, avx2, vec![run(16, 0, 2)]),
             (16, avx2, vec![run(16, 0, 1)]),
             (16, sse, vec![run(8, 0, 2)]),
-            (200, avx512, vec![run(128, 0, 1), run(128, 72, 1)]),
-            (136, avx512, vec![run(128, 0, 1), run(8, 128, 1)]),
+            (200, avx512, vec![run(64, 0, 3), run(8, 192, 1)]),
+            (136, avx512, vec![run(64, 0, 2), run(8, 128, 1)]),
             (21, avx2, vec![run(16, 0, 1), run(8, 13, 1)]),
             (5, avx512, vec![run(4, 0, 1), run(4, 1, 1)]),
             (3, avx512, vec![run(3, 0, 1)]),
@@ -990,7 +993,7 @@ mod tests {
 
     /// Every tile plan, run in every ISA clone this CPU proves, stores
     /// exactly the scalar oracle's bits on all widths 1..=67 and the wide
-    /// widths around the 128-, 64- and 32-column tiles: for a long row,
+    /// widths 96 to 200, `ppi-gcn`'s 121 and 128 among them: for a long row,
     /// an empty row, and rows of one to four non-zeros. The output starts
     /// as NaN, so a column no tile stores shows.
     #[test]

@@ -23,7 +23,7 @@
 //! * **Vectorized data path** (the `datapath` module): each block's rows
 //!   run through a [`DataPath`]-selected inner kernel — by default one
 //!   row fold per block: a column-tile plan of register-accumulator tiles
-//!   (128, 64 and 32 columns under AVX-512F, then the ISA's lane width —
+//!   (64 and 32 columns under AVX-512F, then the ISA's lane width —
 //!   16 under AVX2 or AVX-512F, 8 otherwise — then 8 and 4), fixed once
 //!   per (span, block) run from the width and the ISA detected at
 //!   runtime, that every row of the span runs through with no per-row
@@ -162,7 +162,7 @@ impl ExecEngine {
     /// Computes `a · b` for every dense block `b` in `blocks` in a
     /// *single* engine run, with `epi` fused at the store stage, and
     /// returns one output per block, in order; a single block is
-    /// `&[&b]`. Pass [`Epilogue::None`] for the plain product.
+    /// `&[&b]`. Pass [`Epilogue::NONE`] for the plain product.
     ///
     /// The row spans are cut once from `a`'s row pointers and the pool is
     /// dispatched once for the whole list. Each worker folds its span once
@@ -301,10 +301,9 @@ impl ExecEngine {
         interleave_unit_cols(&mut combined, &srcs, a.cols());
         let combined =
             DenseMatrix::from_vec(a.cols(), n, combined).expect("buffer sized to cols x n");
-        let epi = match epi {
-            Epilogue::Bias(b) => Epilogue::Bias(vec![b[0]; n]),
-            Epilogue::BiasRelu(b) => Epilogue::BiasRelu(vec![b[0]; n]),
-            uniform => uniform.clone(),
+        let epi = Epilogue {
+            bias: epi.bias.as_ref().map(|b| vec![b[0]; n]),
+            activation: epi.activation,
         };
         let mut outs = self.run(a, &[&combined], &epi);
         let out = outs.pop().expect("one block in, one output out");
@@ -412,7 +411,20 @@ mod tests {
     use crate::executor::execute_sequential;
     use crate::spmm::test_support::{lopsided, random_dense, random_matrix};
     use crate::stats::WriteStats;
-    use crate::{SerialSpmm, SpmmKernel};
+    use crate::{Activation, SerialSpmm, SpmmKernel};
+
+    const RELU: Epilogue = Epilogue {
+        bias: None,
+        activation: Activation::Relu,
+    };
+
+    /// `bias` added, then `activation`.
+    fn biased(activation: Activation, bias: Vec<f32>) -> Epilogue {
+        Epilogue {
+            bias: Some(bias),
+            activation,
+        }
+    }
 
     /// Worker counts every exactness test sweeps: inline, pooled, more
     /// workers than a small matrix has spans' worth of rows.
@@ -517,7 +529,7 @@ mod tests {
             let (want, _) = row_sum(&a, &b);
             for workers in WORKERS {
                 let engine = ExecEngine::new(workers);
-                let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
+                let out = product(&engine, &a, &b, &Epilogue::NONE).unwrap();
                 assert_eq!(out.as_slice(), want.as_slice(), "w={workers} dim={dim}");
             }
         }
@@ -532,7 +544,7 @@ mod tests {
             for path in [DataPath::Scalar, DataPath::Vector] {
                 for workers in WORKERS {
                     let engine = ExecEngine::with_data_path(workers, path);
-                    let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
+                    let out = product(&engine, &a, &b, &Epilogue::NONE).unwrap();
                     assert_eq!(
                         out.as_slice(),
                         want.as_slice(),
@@ -548,14 +560,14 @@ mod tests {
         let (a, _) = small();
         let engine = ExecEngine::new(4);
         let b = DenseMatrix::<f32>::zeros(3, 0);
-        let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
+        let out = product(&engine, &a, &b, &Epilogue::NONE).unwrap();
         assert_eq!((out.rows(), out.cols()), (3, 0));
         let empty = CsrMatrix::<f32>::zeros(3, 3);
         let b = DenseMatrix::from_fn(3, 2, |_, _| 1.0);
-        let out = product(&engine, &empty, &b, &Epilogue::None).unwrap();
+        let out = product(&engine, &empty, &b, &Epilogue::NONE).unwrap();
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
         let none = CsrMatrix::<f32>::zeros(0, 3);
-        let out = product(&engine, &none, &b, &Epilogue::None).unwrap();
+        let out = product(&engine, &none, &b, &Epilogue::NONE).unwrap();
         assert_eq!(out.rows(), 0);
     }
 
@@ -564,7 +576,7 @@ mod tests {
         let (a, _) = small();
         let bad_b = DenseMatrix::<f32>::zeros(5, 2);
         let engine = ExecEngine::new(2);
-        assert!(engine.spmm(&a, &[&bad_b], &Epilogue::None).is_err());
+        assert!(engine.spmm(&a, &[&bad_b], &Epilogue::NONE).is_err());
     }
 
     /// The one entry point checks every block before it checks out a
@@ -582,7 +594,7 @@ mod tests {
             .map(|&k| random_dense(40, k, 53))
             .collect();
         let units: Vec<DenseMatrix<f32>> = (0..3).map(|i| random_dense(40, 1, 54 + i)).collect();
-        let unit_bias = Epilogue::Bias(vec![0.5]);
+        let unit_bias = biased(Activation::Identity, vec![0.5]);
         for workers in WORKERS.into_iter().chain([default_workers()]) {
             let engine = ExecEngine::new(workers);
             let rejected = |refs: &[&DenseMatrix<f32>], epi: &Epilogue| {
@@ -596,8 +608,8 @@ mod tests {
                     let mut refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
                     refs.insert(at, &bad_rows);
                     let ctx = format!("{lane} lane, bad rows at {at}, workers={workers}");
-                    assert!(rejected(&refs, &Epilogue::None), "{ctx}");
-                    assert!(rejected(&refs, &Epilogue::Relu), "{ctx}");
+                    assert!(rejected(&refs, &Epilogue::NONE), "{ctx}");
+                    assert!(rejected(&refs, &RELU), "{ctx}");
                 }
             }
             // A one-column bias fits the unit blocks, not a wider block
@@ -633,7 +645,7 @@ mod tests {
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         for workers in WORKERS {
             let engine = ExecEngine::new(workers);
-            let outs = engine.spmm(&a, &refs, &Epilogue::None).unwrap();
+            let outs = engine.spmm(&a, &refs, &Epilogue::NONE).unwrap();
             assert_eq!(outs.len(), blocks.len());
             for (block, out) in blocks.iter().zip(&outs) {
                 // Column content is independent of its neighbours in the
@@ -654,7 +666,7 @@ mod tests {
         let (a, b) = small();
         let engine = ExecEngine::new(2);
         let empty = DenseMatrix::<f32>::zeros(3, 0);
-        let bias = Epilogue::Bias(vec![1.0]);
+        let bias = biased(Activation::Identity, vec![1.0]);
         let one = engine.spmm(&a, &[&empty], &bias);
         let two = engine.spmm(&a, &[&empty, &empty], &bias);
         let mismatch = Err(SparseFormatError::ShapeMismatch {
@@ -664,7 +676,7 @@ mod tests {
         assert_eq!(one.map(|_| ()), mismatch);
         assert_eq!(two.map(|_| ()), mismatch);
         // A layer-width bias fits a batch of that width, not a mixed one.
-        let wide = Epilogue::BiasRelu(vec![0.5, -0.5]);
+        let wide = biased(Activation::Relu, vec![0.5, -0.5]);
         let outs = engine.spmm(&a, &[&b, &b], &wide).unwrap();
         let want = product(&engine, &a, &b, &wide).unwrap();
         for out in &outs {
@@ -678,7 +690,7 @@ mod tests {
     fn batched_execution_edge_cases() {
         let (a, b) = small();
         let engine = ExecEngine::new(2);
-        let none = Epilogue::None;
+        let none = Epilogue::NONE;
         assert!(engine.spmm(&a, &[], &none).unwrap().is_empty());
         let outs = engine.spmm(&a, &[&b], &none).unwrap();
         assert_eq!(outs.len(), 1);
@@ -695,11 +707,11 @@ mod tests {
     fn arena_recycling_eliminates_output_allocations() {
         let (a, b) = small();
         let engine = ExecEngine::new(2);
-        let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
+        let out = product(&engine, &a, &b, &Epilogue::NONE).unwrap();
         let misses_after_first = engine.stats().arena_misses;
         assert!(misses_after_first > 0, "first run allocates");
         engine.recycle(out);
-        let out = product(&engine, &a, &b, &Epilogue::None).unwrap();
+        let out = product(&engine, &a, &b, &Epilogue::NONE).unwrap();
         let stats = engine.stats();
         assert!(stats.arena_reuses > 0, "second run reuses the buffer");
         assert_eq!(
@@ -719,12 +731,12 @@ mod tests {
             (0..3).map(|i| random_dense(40, 1, 30 + i as u64)).collect();
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         let engine = ExecEngine::new(1);
-        let outs = engine.spmm(&a, &refs, &Epilogue::None).unwrap();
+        let outs = engine.spmm(&a, &refs, &Epilogue::NONE).unwrap();
         let misses_warm = engine.stats().arena_misses;
         for out in outs {
             engine.recycle(out);
         }
-        let outs = engine.spmm(&a, &refs, &Epilogue::None).unwrap();
+        let outs = engine.spmm(&a, &refs, &Epilogue::NONE).unwrap();
         assert_eq!(outs.len(), 3);
         assert_eq!(
             engine.stats().arena_misses,
@@ -754,9 +766,9 @@ mod tests {
             let b = random_dense(100, dim, 32);
             let bias: Vec<f32> = (0..dim).map(|j| (j as f32) * 0.25 - 2.0).collect();
             let epis = [
-                Epilogue::Relu,
-                Epilogue::Bias(bias.clone()),
-                Epilogue::BiasRelu(bias),
+                RELU,
+                biased(Activation::Identity, bias.clone()),
+                biased(Activation::Relu, bias),
             ];
             let (plain, _) = row_sum(&a, &b);
             for workers in WORKERS {
@@ -780,7 +792,13 @@ mod tests {
         let b = DenseMatrix::from_fn(3, 2, |_, _| 1.0);
         for workers in WORKERS {
             let engine = ExecEngine::new(workers);
-            let out = product(&engine, &a, &b, &Epilogue::Bias(vec![1.5, -2.5])).unwrap();
+            let out = product(
+                &engine,
+                &a,
+                &b,
+                &biased(Activation::Identity, vec![1.5, -2.5]),
+            )
+            .unwrap();
             for r in 0..3 {
                 assert_eq!(out.row(r), &[1.5, -2.5], "bias lands on zero row {r}");
             }
@@ -791,12 +809,12 @@ mod tests {
     fn fused_runs_are_counted_and_validated() {
         let (a, b) = small();
         let engine = ExecEngine::new(1);
-        engine.spmm(&a, &[&b], &Epilogue::None).unwrap();
+        engine.spmm(&a, &[&b], &Epilogue::NONE).unwrap();
         assert_eq!(engine.stats().fused_epilogues, 0, "noop runs don't count");
-        engine.spmm(&a, &[&b], &Epilogue::Relu).unwrap();
+        engine.spmm(&a, &[&b], &RELU).unwrap();
         assert_eq!(engine.stats().fused_epilogues, 1);
         // Bias width must match the dense dimension.
-        let err = engine.spmm(&a, &[&b], &Epilogue::Bias(vec![0.0; 3]));
+        let err = engine.spmm(&a, &[&b], &biased(Activation::Identity, vec![0.0; 3]));
         assert!(err.is_err(), "bias wider than dim rejected");
         engine.clear_cache();
         assert_eq!(engine.stats().fused_epilogues, 0, "reset clears counter");
@@ -812,17 +830,17 @@ mod tests {
             .collect();
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         let engine = ExecEngine::new(2);
-        let fused = engine.spmm(&a, &refs, &Epilogue::Relu).unwrap();
+        let fused = engine.spmm(&a, &refs, &RELU).unwrap();
         for (block, got) in blocks.iter().zip(fused) {
-            let want = applied(row_sum(&a, block).0, &Epilogue::Relu);
+            let want = applied(row_sum(&a, block).0, &RELU);
             assert_eq!(got.as_slice(), want.as_slice());
         }
     }
 
     /// Every ISA arm of the row fold — `Portable` and each clone this CPU
     /// proves — equals the scalar oracle fold exactly: at every width
-    /// 1..=67 and at the wide widths where the 128-, 64- and 32-column
-    /// tiles and the overlapping remainder tile run, on the lopsided
+    /// 1..=67 and at the wide widths where two or more 64-column tiles
+    /// and the overlapping remainder tile run, on the lopsided
     /// graph (an evil long row, empty rows, single-entry rows), under
     /// every epilogue and at 1, 2, 7 and 64 workers, through the span
     /// runner over the graph's one-graph window. The scalar fold itself
@@ -860,14 +878,15 @@ mod tests {
     }
 
     /// The store-stage epilogues at width `dim`: none, ReLU, and a bias
-    /// with and without ReLU.
-    fn epilogues(dim: usize) -> [Epilogue; 4] {
+    /// with no activation, ReLU and sigmoid.
+    fn epilogues(dim: usize) -> [Epilogue; 5] {
         let bias: Vec<f32> = (0..dim).map(|j| j as f32 * 0.125 - 4.0).collect();
         [
-            Epilogue::None,
-            Epilogue::Relu,
-            Epilogue::Bias(bias.clone()),
-            Epilogue::BiasRelu(bias),
+            Epilogue::NONE,
+            RELU,
+            biased(Activation::Identity, bias.clone()),
+            biased(Activation::Relu, bias.clone()),
+            biased(Activation::Sigmoid, bias),
         ]
     }
 

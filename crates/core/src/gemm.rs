@@ -10,7 +10,7 @@
 //! shared atomic counter, so a worker that drew cheap bands (or started
 //! late) simply takes more. Every band is computed the
 //! same way whichever worker claims it, so the distribution never changes
-//! output bits and the engine's scheduling policy does not apply here.
+//! output bits.
 //!
 //! A band is sized by its multiply-adds, not its rows
 //! (`gemm_band_rows` in [`crate::tuning`]), so a narrow layer does not
@@ -36,10 +36,11 @@
 //! instead, which transposes 16 `A` rows in registers, keeps one
 //! register per output column and reads `B` unpacked, so no lane
 //! computes padding. Every GEMM the served
-//! workloads run fits one sweep in cache (DESIGN.md §2.11). Because the
-//! vectorized tiles store every element and read none, their output and
-//! pack buffers come from the arena unzeroed: a recycled buffer's stale
-//! values never survive.
+//! workloads run fits one sweep in cache (DESIGN.md §2.11). Because
+//! every band stores each output element once and reads none before
+//! storing it (the scalar band zero-fills a row, then adds into it), the
+//! output and pack buffers come from the arena unzeroed: a recycled
+//! buffer's stale values never survive.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -47,7 +48,7 @@ use std::time::Instant;
 
 use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 
-use crate::datapath::{gemm_band, gemm_pack_width, pack_b, ResolvedPath};
+use crate::datapath::{gemm_band, gemm_pack_width, pack_b};
 use crate::engine::ExecEngine;
 use crate::pool::{ScopedJob, WorkerPool};
 use crate::tuning::gemm_band_rows;
@@ -153,14 +154,11 @@ impl ExecEngine {
         let (m, n) = (parts.iter().map(|a| a.rows()).sum::<usize>(), b.cols());
         let rp = self.data_path.resolve();
         let width = gemm_pack_width(&rp, n);
-        // The register tiles store every output element from a literal
-        // `0.0` seed, so their output needs no zeroing pass. The scalar
-        // path accumulates into `C`, and with `k == 0` nothing runs: both
-        // take a zeroed buffer.
-        let mut out = match rp {
-            ResolvedPath::Vector(_) if k > 0 => self.arena.take(m * n),
-            _ => self.arena.take_zeroed(m * n),
-        };
+        // Every band stores each output element once (the register tiles
+        // from a literal `0.0` seed, `k == 0` included; the scalar band
+        // zero-fills each row before adding into it), so the output needs
+        // no zeroing pass.
+        let mut out = self.arena.take(m * n);
         // Pack `B` once into column blocks of the tile's width
         // (arena-recycled, every element written), the last one
         // zero-padded, so every band's microkernel streams contiguous
@@ -286,15 +284,16 @@ mod tests {
         }
     }
 
-    /// The engine takes its GEMM output from the arena unzeroed wherever
-    /// the kernel stores every element. Hand it a recycled NaN-filled
+    /// The engine takes every GEMM output from the arena unzeroed, on
+    /// both data paths and at `k == 0`. Hand it a recycled NaN-filled
     /// buffer of the output's exact size: any element the kernel fails
-    /// to store (a partial column block, a remainder row, a later band)
-    /// leaks a NaN and breaks `==` with the naive loop. The widths hit
-    /// every width of the AVX-512F rows-in-lanes tile and the first past
-    /// it (1..=9), the 16-lane tile (9, 16) and the AVX-512F 32-column
-    /// tile with and without a padded last block, up to 600 columns and
-    /// 600 deep. `m = 70` ends in a 6-row short last 16-row tile and a
+    /// to store (a partial column block, a remainder row, a later band,
+    /// a scalar row it adds into without zeroing, a `k == 0` product's
+    /// zero seeds) leaks a NaN and breaks `==` with the naive loop. The
+    /// widths hit every width of the AVX-512F rows-in-lanes tile and the
+    /// first past it (1..=9), the 16-lane tile (9, 16) and the AVX-512F
+    /// 32-column tile with and without a padded last block, up to 600
+    /// columns and 600 deep. `m = 70` ends in a 6-row short last 16-row tile and a
     /// 2-row `GEMM_MR` tile remainder. Bands are sized by
     /// multiply-adds, so at 70 rows most narrow shapes are one band; at
     /// each served `(k, n)` shape `m` is also two whole bands plus a

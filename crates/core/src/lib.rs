@@ -41,7 +41,7 @@
 //! assert_eq!(stats.total_nnz(), 4);
 //! // The fast product: the engine's row spans on the worker pool, one
 //! // output per dense block.
-//! let fast = ExecEngine::global().spmm(&a, &[&xw], &Epilogue::None)?;
+//! let fast = ExecEngine::global().spmm(&a, &[&xw], &Epilogue::NONE)?;
 //! assert!(fast[0].max_abs_diff(&c)? <= 1e-6);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -76,16 +76,13 @@ mod tuning;
 pub use compat::{BatchShapeClass, PreparedPlan};
 pub use datapath::DataPath;
 pub use engine::{EngineStats, ExecEngine};
-pub use epilogue::Epilogue;
+pub use epilogue::{Activation, Epilogue};
 pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};
 pub use packed::{PackedGraphs, PackedOut};
 pub use plan::{static_span_skew, Flush, KernelPlan, PlanError, Segment, ThreadPlan};
-pub use pool::parallel_apply_chunks;
 pub use spmm::{
     default_workers, plan_from_schedule, BatchMergeSpmm, MergePathSerialFixup, MergePathSpmm,
     NeighborPartitionIndex, NnzSplitSpmm, RowSplitSpmm, SerialSpmm, SpmmKernel,
 };
 pub use stats::WriteStats;
-pub use tuning::{
-    default_cost_for_dim, thread_count, SimdMapping, GATHER_MAX_NNZ, MIN_THREADS, PAR_APPLY_MIN_LEN,
-};
+pub use tuning::{default_cost_for_dim, thread_count, SimdMapping, MIN_THREADS};

@@ -132,22 +132,6 @@ impl ThreadAssignment {
     pub fn is_empty(&self) -> bool {
         self.merge_items() == 0
     }
-
-    /// Number of rows this thread actually gathers non-zeros from (partial
-    /// boundary rows included, rows it only consumes the terminator of
-    /// excluded). Exact, not the `end.row - start.row + 1` span estimate:
-    /// a boundary landing on a row head contributes nothing to that row.
-    fn rows_touched(&self, row_ptr: &[usize]) -> usize {
-        let lo = self.start.nnz;
-        let hi = self.end.nnz;
-        if lo == hi {
-            return 0;
-        }
-        let last_row = self.end.row.min(row_ptr.len().saturating_sub(2));
-        (self.start.row..=last_row)
-            .filter(|&r| row_ptr[r].max(lo) < row_ptr[r + 1].min(hi))
-            .count()
-    }
 }
 
 /// A complete merge-path schedule: the per-thread partition of a matrix.
@@ -309,32 +293,6 @@ impl Schedule {
     /// Per-thread assignments in thread order.
     pub fn assignments(&self) -> &[ThreadAssignment] {
         &self.assignments
-    }
-
-    /// Fraction of work-carrying threads whose average segment length
-    /// (non-zeros per touched row) is at or below `gather_max` — i.e. the
-    /// share of logical threads that mostly walk short rows. On the
-    /// paper's power-law graphs this is high even though most *non-zeros*
-    /// sit in the few evil rows.
-    pub fn gather_bound_fraction(&self, row_ptr: &[usize], gather_max: usize) -> f64 {
-        let mut bound = 0usize;
-        let mut active = 0usize;
-        for a in &self.assignments {
-            let nnz = a.nnz();
-            if nnz == 0 {
-                continue;
-            }
-            active += 1;
-            let rows = a.rows_touched(row_ptr).max(1);
-            if nnz.div_ceil(rows) <= gather_max {
-                bound += 1;
-            }
-        }
-        if active == 0 {
-            0.0
-        } else {
-            bound as f64 / active as f64
-        }
     }
 
     /// Whether this schedule matches the shape of `matrix` (same row and
@@ -532,50 +490,6 @@ mod tests {
         let a0 = s.assignments()[0];
         assert!(!a0.start_is_partial(rp), "thread 0 starts at the row head");
         assert!(a0.end_is_partial(rp));
-    }
-
-    #[test]
-    fn rows_touched_is_exact_at_boundaries() {
-        let m = figure3_matrix();
-        let rp = m.row_ptr();
-        let s = Schedule::build(&m, 4);
-        // Thread 2 ends exactly on row 3's head (nnz 11 = RP[3]): it
-        // gathers from rows 0, 1, 2 only, even though end.row is 3.
-        let t2 = s.assignments()[1];
-        assert_eq!(t2.end, MergeCoord { row: 3, nnz: 11 });
-        assert_eq!(t2.rows_touched(rp), 3);
-        // Across any schedule, per-thread touched rows sum to at least the
-        // number of non-empty rows (partial rows are counted per thread).
-        let nonempty = rp.windows(2).filter(|w| w[1] > w[0]).count();
-        for threads in 1..=8 {
-            let s = Schedule::build(&m, threads);
-            let total: usize = s.assignments().iter().map(|a| a.rows_touched(rp)).sum();
-            assert!(total >= nonempty, "{threads} threads: {total} < {nonempty}");
-            for a in s.assignments() {
-                if a.nnz() == 0 {
-                    assert_eq!(a.rows_touched(rp), 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_bound_fraction_tracks_degree_regime() {
-        // All-short rows: every thread is gather-bound at threshold 4.
-        let short =
-            CsrMatrix::from_triplets(8, 8, &(0..8).map(|r| (r, r, 1.0f32)).collect::<Vec<_>>())
-                .unwrap();
-        let s = Schedule::build(&short, 4);
-        assert_eq!(s.gather_bound_fraction(short.row_ptr(), 4), 1.0);
-        // One dense evil row split across threads: nobody is gather-bound.
-        let triplets: Vec<(usize, usize, f32)> = (0..32).map(|c| (0, c, 1.0)).collect();
-        let evil = CsrMatrix::from_triplets(1, 32, &triplets).unwrap();
-        let s = Schedule::build(&evil, 4);
-        assert_eq!(s.gather_bound_fraction(evil.row_ptr(), 4), 0.0);
-        // Empty matrix: no active threads, fraction is defined as 0.
-        let empty = CsrMatrix::<f32>::zeros(4, 4);
-        let s = Schedule::build(&empty, 2);
-        assert_eq!(s.gather_bound_fraction(empty.row_ptr(), 4), 0.0);
     }
 
     #[test]

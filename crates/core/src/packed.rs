@@ -33,7 +33,7 @@ use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::datapath::{fold_row_scalar, tile, with_isa, ResolvedPath, TilePlan};
 use crate::engine::ExecEngine;
-use crate::epilogue::Epilogue;
+use crate::epilogue::{apply_parts, Activation, Epilogue};
 use crate::merge_path::merge_path_search;
 use crate::pool::{ScopedJob, WorkerPool};
 
@@ -63,8 +63,8 @@ struct Start {
 /// let x0 = DenseMatrix::from_fn(2, 4, |r, c| (r + c) as f32);
 /// let x1 = DenseMatrix::from_fn(3, 4, |r, c| (r * c) as f32);
 /// let engine = ExecEngine::new(2);
-/// let outs = engine.spmm_packed(&window, &[&x0, &x1], &Epilogue::None, PackedOut::PerGraph)?;
-/// assert_eq!(outs[1], engine.spmm(&g1, &[&x1], &Epilogue::None)?[0]);
+/// let outs = engine.spmm_packed(&window, &[&x0, &x1], &Epilogue::NONE, PackedOut::PerGraph)?;
+/// assert_eq!(outs[1], engine.spmm(&g1, &[&x1], &Epilogue::NONE)?[0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -356,12 +356,49 @@ struct Piece<'a> {
 /// Computes every piece's rows, each row in one ascending pass that
 /// stores every element of the row (zeros for an empty row), whatever
 /// `out` held, and applies `epi` to every row right after its store —
-/// empty rows included, since a bias changes them. The vectorized path
+/// empty rows included, since a bias changes them.
+///
+/// Each activation runs its own instance of the fold, with the
+/// activation a constant in it, so only sigmoid's instance holds the
+/// `expf` call: a call anywhere in the row loop, even on a branch no row
+/// takes, slowed the other folds by 2–5% (DESIGN.md §2.10).
+fn fold_rows(pieces: &mut [Piece<'_>], dim: usize, rp: &ResolvedPath, epi: &Epilogue) {
+    let bias = epi.bias.as_deref();
+    match epi.activation {
+        Activation::Identity => fold_rows_by(
+            pieces,
+            dim,
+            rp,
+            #[inline(always)]
+            move |row: &mut [f32]| apply_parts(bias, Activation::Identity, row),
+        ),
+        Activation::Relu => fold_rows_by(
+            pieces,
+            dim,
+            rp,
+            #[inline(always)]
+            move |row: &mut [f32]| apply_parts(bias, Activation::Relu, row),
+        ),
+        Activation::Sigmoid => fold_rows_by(
+            pieces,
+            dim,
+            rp,
+            #[inline(always)]
+            move |row: &mut [f32]| apply_parts(bias, Activation::Sigmoid, row),
+        ),
+    }
+}
+
+/// [`fold_rows`] with `epi` applied to each row. The vectorized path
 /// resolves the `dim`-wide [`TilePlan`] once and runs every piece's fold
 /// in the widest ISA clone the CPU proved ([`with_isa`]), dispatched once
 /// per call; the scalar oracle stays on baseline code.
-fn fold_rows(pieces: &mut [Piece<'_>], dim: usize, rp: &ResolvedPath, epi: &Epilogue) {
-    let epi = (!epi.is_noop()).then_some(epi);
+fn fold_rows_by(
+    pieces: &mut [Piece<'_>],
+    dim: usize,
+    rp: &ResolvedPath,
+    epi: impl Fn(&mut [f32]) + Copy,
+) {
     match *rp {
         ResolvedPath::Scalar => {
             for p in pieces {
@@ -397,7 +434,7 @@ fn fold_rows_planned(
     a: &CsrMatrix<f32>,
     (b, dim): (&[f32], usize),
     plan: &TilePlan,
-    epi: Option<&Epilogue>,
+    epi: impl Fn(&mut [f32]) + Copy,
     out: &mut [f32],
 ) {
     match plan.single() {
@@ -409,7 +446,6 @@ fn fold_rows_planned(
         Some(16) => fold_rows_tile::<16>(first, a, b, epi, out),
         Some(32) => fold_rows_tile::<32>(first, a, b, epi, out),
         Some(64) => fold_rows_tile::<64>(first, a, b, epi, out),
-        Some(128) => fold_rows_tile::<128>(first, a, b, epi, out),
         _ => fold_rows_with(
             first,
             a,
@@ -429,7 +465,7 @@ fn fold_rows_tile<const D: usize>(
     first: usize,
     a: &CsrMatrix<f32>,
     b: &[f32],
-    epi: Option<&Epilogue>,
+    epi: impl Fn(&mut [f32]) + Copy,
     out: &mut [f32],
 ) {
     fold_rows_with(
@@ -453,7 +489,7 @@ fn fold_rows_with(
     first: usize,
     a: &CsrMatrix<f32>,
     dim: usize,
-    epi: Option<&Epilogue>,
+    epi: impl Fn(&mut [f32]) + Copy,
     out: &mut [f32],
     mut fold_row: impl FnMut(&[usize], &[f32], &mut [f32]),
 ) {
@@ -461,9 +497,7 @@ fn fold_rows_with(
     for (row, dst) in (first..).zip(out.chunks_exact_mut(dim)) {
         let nz = row_ptr[row]..row_ptr[row + 1];
         fold_row(&cols[nz.clone()], &vals[nz], dst);
-        if let Some(epi) = epi {
-            epi.apply_row(dst);
-        }
+        epi(dst);
     }
 }
 

@@ -165,24 +165,6 @@ impl KernelPlan {
         self.threads.iter().map(ThreadPlan::carries).sum()
     }
 
-    /// Splits the plan's non-empty segments at a degree threshold:
-    /// `(gather_bound, stream_bound)` — segments with at most
-    /// `gather_max` non-zeros, and the rest. Like
-    /// [`write_stats`](Self::write_stats) this is a property of the plan
-    /// alone.
-    pub fn dispatch_profile(&self, gather_max: usize) -> (usize, usize) {
-        let mut gather = 0;
-        let mut stream = 0;
-        for (_, seg) in self.iter_segments() {
-            if seg.len() <= gather_max {
-                gather += 1;
-            } else {
-                stream += 1;
-            }
-        }
-        (gather, stream)
-    }
-
     /// Aggregate write statistics implied by the plan (what the kernel
     /// *will* do; the executors recompute the same numbers while running).
     pub fn write_stats(&self) -> WriteStats {
@@ -387,18 +369,6 @@ mod tests {
         let stats = p.write_stats();
         assert_eq!(stats.atomic_row_updates, 2);
         assert_eq!(stats.atomic_nnz, 2);
-    }
-
-    #[test]
-    fn dispatch_profile_splits_at_threshold() {
-        let p = plan(vec![
-            vec![seg(0, 0, 2, Flush::Regular), seg(1, 2, 2, Flush::Atomic)],
-            vec![seg(1, 2, 3, Flush::Regular)],
-        ]);
-        // Empty segments are ignored; lengths are 2 and 1.
-        assert_eq!(p.dispatch_profile(0), (0, 2));
-        assert_eq!(p.dispatch_profile(1), (1, 1));
-        assert_eq!(p.dispatch_profile(2), (2, 0));
     }
 
     #[test]

@@ -174,44 +174,6 @@ impl WorkerPool {
     }
 }
 
-/// Applies `f` to disjoint spans of `data` in parallel on the global
-/// pool. Spans are aligned to `granule` elements (the last span takes the
-/// remainder), and `f` receives each span's starting offset into `data`
-/// alongside the span itself — so callers whose transform depends on the
-/// position (e.g. a per-column bias on a row-major matrix with
-/// `granule = cols`) stay correct under any split.
-///
-/// Small inputs (and single-worker processes) run inline on the caller:
-/// the crossover is [`crate::tuning::PAR_APPLY_MIN_LEN`] elements, below
-/// which the pool's wake/barrier cost exceeds the element-wise work.
-pub fn parallel_apply_chunks<F>(data: &mut [f32], granule: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let granule = granule.max(1);
-    let workers = crate::spmm::default_workers();
-    let granules = data.len().div_ceil(granule);
-    if workers <= 1 || data.len() < crate::tuning::PAR_APPLY_MIN_LEN || granules <= 1 {
-        f(0, data);
-        return;
-    }
-    let eff = workers.min(granules);
-    let per_worker = granules.div_ceil(eff);
-    let mut rest: &mut [f32] = data;
-    let mut offset = 0usize;
-    let mut jobs: Vec<ScopedJob<'_>> = Vec::with_capacity(eff);
-    let f = &f;
-    while !rest.is_empty() {
-        let take = (per_worker * granule).min(rest.len());
-        let (span, tail) = std::mem::take(&mut rest).split_at_mut(take);
-        rest = tail;
-        let start = offset;
-        offset += take;
-        jobs.push(Box::new(move || f(start, span)));
-    }
-    WorkerPool::global().scope_run(jobs);
-}
-
 fn worker_loop(shared: &PoolShared) {
     IN_POOL_WORKER.with(|w| w.set(true));
     loop {
@@ -382,35 +344,6 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let pool = WorkerPool::new(1);
         pool.scope_run(Vec::new());
-    }
-
-    #[test]
-    fn parallel_apply_chunks_covers_every_element_with_offsets() {
-        // Large enough to cross PAR_APPLY_MIN_LEN, odd granule so the
-        // final span is a remainder.
-        let len = crate::tuning::PAR_APPLY_MIN_LEN + 37;
-        let mut data = vec![0.0f32; len];
-        parallel_apply_chunks(&mut data, 53, |start, span| {
-            for (i, v) in span.iter_mut().enumerate() {
-                *v = (start + i) as f32;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as f32, "element {i}");
-        }
-    }
-
-    #[test]
-    fn parallel_apply_chunks_inline_small_and_empty() {
-        let mut small = vec![1.0f32; 8];
-        parallel_apply_chunks(&mut small, 4, |_, span| {
-            for v in span {
-                *v += 1.0;
-            }
-        });
-        assert!(small.iter().all(|&v| v == 2.0));
-        let mut empty: Vec<f32> = Vec::new();
-        parallel_apply_chunks(&mut empty, 16, |_, _| {});
     }
 
     #[test]

@@ -12,16 +12,6 @@
 /// count is set to the threshold value").
 pub const MIN_THREADS: usize = 1024;
 
-/// Row-degree threshold of the reproduction's plan statistics: segments
-/// with at most this many non-zeros count as short ("gather-bound"),
-/// longer ones as long, when passed as the `gather_max` of
-/// [`crate::KernelPlan::dispatch_profile`] or
-/// [`crate::Schedule::gather_bound_fraction`] (`bench_simd` reports the
-/// latter). Power-law graphs put most rows (but few non-zeros) below this
-/// line. The engine reads no row degree: every row runs the same tile
-/// plan.
-pub const GATHER_MAX_NNZ: usize = 4;
-
 /// Register-tile height of the engine's dense GEMM microkernel when
 /// columns lie in lanes: this many `A` rows share every loaded `B`
 /// vector, so each load feeds `GEMM_MR` multiplies instead of one (each
@@ -69,12 +59,6 @@ pub(crate) fn gemm_band_rows(m: usize, k: usize, n: usize) -> usize {
     let rows = GEMM_BAND_MIN_MACS.div_ceil(macs_per_row);
     (rows.div_ceil(GEMM_BAND_ROWS) * GEMM_BAND_ROWS).min(whole)
 }
-
-/// Below this many f32 elements an element-wise pass
-/// ([`crate::parallel_apply_chunks`]) runs inline on the caller: a 16 K
-/// element sweep finishes in a few microseconds, under the pool's
-/// dispatch-plus-barrier cost.
-pub const PAR_APPLY_MIN_LEN: usize = 1 << 14;
 
 /// How logical threads map onto SIMD units for a given dense dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -21,8 +21,8 @@
 
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
-    default_workers, BatchMergeSpmm, DataPath, Epilogue, ExecEngine, PackedGraphs, PackedOut,
-    SerialSpmm, SpmmKernel,
+    default_workers, Activation, BatchMergeSpmm, DataPath, Epilogue, ExecEngine, PackedGraphs,
+    PackedOut, SerialSpmm, SpmmKernel,
 };
 use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix, SparseFormatError};
 use proptest::prelude::*;
@@ -50,9 +50,22 @@ fn features(rows: usize, dim: usize, seed: u64) -> DenseMatrix<f32> {
     DenseMatrix::from_fn(rows, dim, |_, _| rng.gen_range(-1.0..1.0))
 }
 
+const RELU: Epilogue = Epilogue {
+    bias: None,
+    activation: Activation::Relu,
+};
+
+/// `bias` added, then `activation`.
+fn biased(activation: Activation, bias: Vec<f32>) -> Epilogue {
+    Epilogue {
+        bias: Some(bias),
+        activation,
+    }
+}
+
 /// `engine`'s plain product of `a` and the one block `x`.
 fn product(engine: &ExecEngine, a: &CsrMatrix<f32>, x: &DenseMatrix<f32>) -> DenseMatrix<f32> {
-    engine.spmm(a, &[x], &Epilogue::None).unwrap().remove(0)
+    engine.spmm(a, &[x], &Epilogue::NONE).unwrap().remove(0)
 }
 
 /// Per-constituent oracle: a one-segment-per-row serial plan replayed by
@@ -238,7 +251,7 @@ fn row_span_plans_bit_match_per_graph_sequential() {
         for dim in [1usize, 2, 3, 4, 8, 16, 32] {
             let (pack, stacked, wants) = packed(sizes, dim, 40 + p as u64);
             let bias: Vec<f32> = (0..dim).map(|j| j as f32 * 0.5 - 1.25).collect();
-            let epi = Epilogue::Bias(bias);
+            let epi = biased(Activation::Identity, bias);
             for path in [DataPath::Scalar, DataPath::Vector] {
                 for workers in [1usize, 2, 8, default_workers()] {
                     let engine = ExecEngine::with_data_path(workers, path);
@@ -289,10 +302,10 @@ const COLUMN_BATCHES: [&[usize]; 4] = [&[0, 0], &[1; 5], &[1, 4, 3, 16], &[16; 4
 fn batch_epilogues(width: usize) -> [Epilogue; 4] {
     let bias: Vec<f32> = (0..width).map(|j| j as f32 * 0.25 - 1.0).collect();
     [
-        Epilogue::None,
-        Epilogue::Relu,
-        Epilogue::Bias(bias.clone()),
-        Epilogue::BiasRelu(bias),
+        Epilogue::NONE,
+        RELU,
+        biased(Activation::Identity, bias.clone()),
+        biased(Activation::Relu, bias),
     ]
 }
 
@@ -324,7 +337,7 @@ fn column_batches_equal_the_per_block_row_sum() {
         let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
         let uniform = widths.iter().all(|&k| k == widths[0]);
         for epi in batch_epilogues(widths[0]) {
-            let fits = uniform || epi.bias().is_none();
+            let fits = uniform || epi.bias.is_none();
             for workers in [1, 2, 7, 64, default_workers()] {
                 for path in [DataPath::Scalar, DataPath::Vector] {
                     let engine = ExecEngine::with_data_path(workers, path);
@@ -353,7 +366,7 @@ fn checkouts(workers: usize, widths: &[usize]) -> u64 {
     let blocks: Vec<DenseMatrix<f32>> = widths.iter().map(|&k| features(100, k, 5)).collect();
     let refs: Vec<&DenseMatrix<f32>> = blocks.iter().collect();
     let engine = ExecEngine::new(workers);
-    engine.spmm(&a, &refs, &Epilogue::None).unwrap();
+    engine.spmm(&a, &refs, &Epilogue::NONE).unwrap();
     let stats = engine.stats();
     stats.arena_reuses + stats.arena_misses
 }
@@ -468,7 +481,7 @@ fn constituent_runs_check_out_only_their_outputs() {
     let window = PackedGraphs::new(&graphs);
     let feats: Vec<DenseMatrix<f32>> = graphs.iter().map(|g| features(g.cols(), 4, 9)).collect();
     let refs: Vec<&DenseMatrix<f32>> = feats.iter().collect();
-    let none = Epilogue::None;
+    let none = Epilogue::NONE;
     for workers in [1, 2, default_workers()] {
         let engine = ExecEngine::new(workers);
         let counts = || {
@@ -485,7 +498,7 @@ fn constituent_runs_check_out_only_their_outputs() {
         assert!(rejected(&swapped, &none), "workers={workers}");
         assert!(rejected(&[&short], &none), "workers={workers}");
         assert!(
-            rejected(&refs, &Epilogue::Bias(vec![0.5; 3])),
+            rejected(&refs, &biased(Activation::Identity, vec![0.5; 3])),
             "workers={workers}"
         );
         assert_eq!(

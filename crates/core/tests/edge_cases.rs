@@ -100,7 +100,7 @@ fn wide_output_dimension() {
     let scalar = ExecEngine::with_data_path(default_workers(), DataPath::Scalar);
     for engine in [ExecEngine::global(), &scalar] {
         let got = engine
-            .spmm(&a, &[&b], &Epilogue::None)
+            .spmm(&a, &[&b], &Epilogue::NONE)
             .expect("wide product")
             .remove(0);
         let path = engine.data_path();

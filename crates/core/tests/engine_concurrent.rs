@@ -108,7 +108,7 @@ fn run_concurrent_requests(
                         let b = &blocks[t];
                         let want = &oracles[t];
                         let got = engine
-                            .spmm(a, &[b], &Epilogue::None)
+                            .spmm(a, &[b], &Epilogue::NONE)
                             .map_err(|e| format!("thread {t} graph {g}: {e}"))?
                             .remove(0);
                         if got.as_slice() != want.as_slice() {

@@ -62,7 +62,7 @@ fn engine_product(
     b: &DenseMatrix<f32>,
 ) -> DenseMatrix<f32> {
     let engine = ExecEngine::with_data_path(workers, path);
-    engine.spmm(a, &[b], &Epilogue::None).unwrap().remove(0)
+    engine.spmm(a, &[b], &Epilogue::NONE).unwrap().remove(0)
 }
 
 /// The parallel kernels, with small fixed decompositions so their plans
@@ -137,7 +137,7 @@ proptest! {
         let (want, _) = row_sum(&a, &b);
         for &workers in &WORKERS {
             let engine = ExecEngine::new(workers);
-            let got = engine.spmm(&a, &[&b], &Epilogue::None).unwrap().remove(0);
+            let got = engine.spmm(&a, &[&b], &Epilogue::NONE).unwrap().remove(0);
             prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={}", workers);
         }
     }
@@ -186,8 +186,8 @@ proptest! {
         for &workers in &WORKERS {
             let engine = ExecEngine::new(workers);
             let first = DenseMatrix::from_fn(rows, 9, |r, c| (r + c) as f32);
-            engine.spmm(&old, &[&first], &Epilogue::None).unwrap();
-            let got = engine.spmm(&new, &[&b], &Epilogue::None).unwrap().remove(0);
+            engine.spmm(&old, &[&first], &Epilogue::NONE).unwrap();
+            let got = engine.spmm(&new, &[&b], &Epilogue::NONE).unwrap().remove(0);
             prop_assert_eq!(got.as_slice(), want.as_slice(), "workers={}", workers);
         }
     }

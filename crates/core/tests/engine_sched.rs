@@ -66,7 +66,7 @@ fn assert_runs_equal_the_row_sum(
 ) {
     let engine = ExecEngine::with_data_path(workers, path);
     for run in 0..2 {
-        let got = engine.spmm(a, &[b], &Epilogue::None).unwrap().remove(0);
+        let got = engine.spmm(a, &[b], &Epilogue::NONE).unwrap().remove(0);
         assert_eq!(got.as_slice(), want.as_slice(), "{label}: run {run}");
     }
 }
@@ -106,7 +106,7 @@ fn skewed_graph_runs_are_bit_reproducible_run_to_run() {
     let want = row_sum(&a, &b);
     let engine = ExecEngine::with_data_path(8, DataPath::Vector);
     for run in 0..5 {
-        let again = engine.spmm(&a, &[&b], &Epilogue::None).unwrap().remove(0);
+        let again = engine.spmm(&a, &[&b], &Epilogue::NONE).unwrap().remove(0);
         assert_eq!(again.as_slice(), want.as_slice(), "run {run} diverged");
     }
 }

@@ -98,7 +98,7 @@ proptest! {
         prop_assert_eq!(stats.total_nnz(), m.nnz());
         let scalar = ExecEngine::with_data_path(default_workers(), DataPath::Scalar);
         for engine in [ExecEngine::global(), &scalar] {
-            let par = engine.spmm(&m, &[&b], &Epilogue::None).unwrap().remove(0);
+            let par = engine.spmm(&m, &[&b], &Epilogue::NONE).unwrap().remove(0);
             prop_assert!(par.max_abs_diff(&oracle).unwrap() <= 1e-4, "{:?}", engine.data_path());
         }
     }

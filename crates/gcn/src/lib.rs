@@ -2,8 +2,8 @@
 //! reproduction.
 //!
 //! A GCN layer computes `σ(Â · X · W)` (§II of the paper). This crate
-//! provides the *combination* phase (dense `X × W` GEMM, activations,
-//! weight init) and composes it with the *aggregation* phase — the
+//! provides the *combination* phase (dense `X × W` GEMM, weight init)
+//! and composes it with the *aggregation* phase — the
 //! `Â × (XW)` SpMM on an [`mpspmm_core::ExecEngine`] — into layers and
 //! models. [`GcnModel::forward`] is the one GCN layer loop: a single
 //! request, a batch of requests on one graph and a packed window of many

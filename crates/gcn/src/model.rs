@@ -1,6 +1,6 @@
 //! GCN layers and models on the SpMM engine.
 
-use mpspmm_core::{parallel_apply_chunks, Epilogue, ExecEngine, PackedGraphs, PackedOut, Schedule};
+use mpspmm_core::{Epilogue, ExecEngine, PackedGraphs, PackedOut, Schedule};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::ops::Activation;
@@ -36,40 +36,25 @@ impl<'a> From<&'a PackedGraphs<'a>> for Adjacency<'a> {
 /// computes the dense combination `H × W` first, then the sparse
 /// aggregation `Â × (HW)` on an [`ExecEngine`] — the `A × (X × W)`
 /// multiplication order all the paper's accelerators implement (§II).
-/// The optional per-column bias `b` and the activation form the layer's
-/// epilogue, fused into the aggregation's store stage ([`Epilogue`])
-/// instead of re-streaming the output.
+/// The optional per-column bias `b` and the activation `σ` form the
+/// layer's [`Epilogue`], which the engine applies at the aggregation's
+/// store stage instead of re-streaming the output; every activation
+/// fuses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GcnLayer {
     weight: DenseMatrix<f32>,
-    bias: Option<Vec<f32>>,
-    activation: Activation,
-    /// Precomputed fused form of `bias` + `activation`; `None` when the
-    /// activation has no store-stage form (sigmoid) and the engine path
-    /// must fall back to a separate element-wise pass.
-    epilogue: Option<Epilogue>,
-}
-
-fn build_epilogue(bias: &Option<Vec<f32>>, activation: Activation) -> Option<Epilogue> {
-    match (bias, activation) {
-        (None, Activation::Identity) => Some(Epilogue::None),
-        (None, Activation::Relu) => Some(Epilogue::Relu),
-        (Some(b), Activation::Identity) => Some(Epilogue::Bias(b.clone())),
-        (Some(b), Activation::Relu) => Some(Epilogue::BiasRelu(b.clone())),
-        (_, Activation::Sigmoid) => None,
-    }
+    epilogue: Epilogue,
 }
 
 impl GcnLayer {
     /// Creates a layer from a trained/initialized weight matrix.
     pub fn new(weight: DenseMatrix<f32>, activation: Activation) -> Self {
-        let bias = None;
-        let epilogue = build_epilogue(&bias, activation);
         Self {
             weight,
-            bias,
-            activation,
-            epilogue,
+            epilogue: Epilogue {
+                bias: None,
+                activation,
+            },
         }
     }
 
@@ -84,13 +69,12 @@ impl GcnLayer {
             weight.cols(),
             "bias width must match output features"
         );
-        let bias = Some(bias);
-        let epilogue = build_epilogue(&bias, activation);
         Self {
             weight,
-            bias,
-            activation,
-            epilogue,
+            epilogue: Epilogue {
+                bias: Some(bias),
+                activation,
+            },
         }
     }
 
@@ -106,32 +90,15 @@ impl GcnLayer {
 
     /// The layer's per-column bias, if any.
     pub fn bias(&self) -> Option<&[f32]> {
-        self.bias.as_deref()
+        self.epilogue.bias.as_deref()
     }
 
-    /// The store-stage form of this layer's bias + activation, when one
-    /// exists (sigmoid has none and always runs unfused).
+    /// The store-stage form of this layer's bias + activation. Always
+    /// `Some`, since every activation fuses: the `Option` stays only
+    /// because the serving benchmark (`servebench/`) calls `.expect` on
+    /// it.
     pub fn epilogue(&self) -> Option<&Epilogue> {
-        self.epilogue.as_ref()
-    }
-
-    /// The unfused epilogue for a layer without a store-stage form
-    /// (sigmoid): bias add then activation, each a separate pass over
-    /// `out`.
-    fn apply_unfused(&self, out: &mut DenseMatrix<f32>) {
-        if let Some(bias) = &self.bias {
-            let cols = out.cols();
-            if cols > 0 {
-                parallel_apply_chunks(out.as_mut_slice(), cols, |_, span| {
-                    for row in span.chunks_mut(cols) {
-                        for (v, &b) in row.iter_mut().zip(bias) {
-                            *v += b;
-                        }
-                    }
-                });
-            }
-        }
-        self.activation.apply(out);
+        Some(&self.epilogue)
     }
 }
 
@@ -218,8 +185,8 @@ impl GcnModel {
 
     /// Forward pass on `engine`, returning one output per block, in
     /// order. Each layer is its GEMMs plus **one** SpMM aggregation with
-    /// the layer's bias/activation epilogue fused into the store stage
-    /// (sigmoid runs as a separate pass). A 2-layer model on one block is
+    /// the layer's bias/activation epilogue fused into the store stage.
+    /// A 2-layer model on one block is
     /// the "2 kernel invocations" scenario of the paper's Figure 8.
     ///
     /// This is the crate's one GCN layer loop, and `a_hat` picks how a
@@ -243,7 +210,7 @@ impl GcnModel {
     ///   own forward pass, bit for bit.
     ///
     /// Layer 0's raw feature matrix and the hidden layers' dense
-    /// activations all go through the engine's blocked GEMM, whose result
+    /// activations all go through the engine's GEMM, whose result
     /// equals a zero-skipping GEMM's bit for bit whenever the weights are
     /// finite (see [`crate::ops::gemm`]); DESIGN.md §2.10 has the
     /// measurements that retired the skip.
@@ -301,8 +268,8 @@ impl GcnModel {
             // Every block in a model batch has this layer's output width,
             // and the engine applies a batch epilogue per block, so the
             // layer's epilogue fuses into the one aggregation run as is.
-            let epi = layer.epilogue.as_ref().unwrap_or(&Epilogue::None);
-            let mut aggregated = match a_hat {
+            let epi = &layer.epilogue;
+            let aggregated = match a_hat {
                 Adjacency::Graph(a) => engine.spmm(a, &refs, epi)?,
                 Adjacency::Packed(p) => {
                     let out = if i + 1 == self.layers.len() {
@@ -313,11 +280,6 @@ impl GcnModel {
                     engine.spmm_packed(p, &refs, epi, out)?
                 }
             };
-            if layer.epilogue.is_none() {
-                for out in &mut aggregated {
-                    layer.apply_unfused(out);
-                }
-            }
             drop(refs);
             // The per-request products are dead now: the next layer's
             // GEMMs (and the next batch) reuse them.
@@ -465,9 +427,9 @@ mod tests {
 
     /// Every graph's output of a packed forward is `==` to that graph's
     /// own forward, at workers {1, 2, 7, 64}: with no-bias and bias
-    /// layers under ReLU and identity, and a sigmoid layer that runs
-    /// unfused. The features go in as one block per graph and as one
-    /// block of every graph's rows stacked.
+    /// layers under ReLU and identity, and a sigmoid layer. The features
+    /// go in as one block per graph and as one block of every graph's
+    /// rows stacked.
     #[test]
     fn packed_window_forward_matches_per_graph_forward() {
         let bias = |n: usize| (0..n).map(|j| j as f32 * 0.125 - 0.5).collect::<Vec<_>>();

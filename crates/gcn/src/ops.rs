@@ -1,6 +1,7 @@
 //! Dense linear-algebra operations for the GCN combination phase.
 
-use mpspmm_core::{parallel_apply_chunks, ExecEngine};
+pub use mpspmm_core::Activation;
+use mpspmm_core::ExecEngine;
 use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,55 +36,8 @@ pub fn gemm(
     ExecEngine::global().gemm(a, b)
 }
 
-/// Nonlinear activation functions used between GCN layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// Rectified linear unit, `max(0, x)`.
-    Relu,
-    /// Logistic sigmoid, `1 / (1 + e^-x)`.
-    Sigmoid,
-    /// No activation (final layer before softmax/loss).
-    Identity,
-}
-
-impl Activation {
-    /// Applies the activation element-wise in place.
-    ///
-    /// This is the **unfused fallback** — the hot layer paths fuse their
-    /// activation into the engine's SpMM store stage
-    /// ([`mpspmm_core::Epilogue`]) and never re-stream the output. When
-    /// it does run (sigmoid GCN layers, standalone use), large matrices
-    /// are split across the engine's worker pool; the per-span loops are
-    /// branch-light and autovectorize.
-    pub fn apply(&self, m: &mut DenseMatrix<f32>) {
-        match self {
-            Activation::Relu => {
-                parallel_apply_chunks(m.as_mut_slice(), 1, |_, span| {
-                    // Select form, not a branched store: the sign pattern
-                    // of post-SpMM activations is close to random, and a
-                    // data-dependent branch here mispredicts half the
-                    // time. Semantics are unchanged (`-0.0` and NaN pass
-                    // through), so fused/unfused bit-identity holds.
-                    for v in span {
-                        *v = if *v < 0.0 { 0.0 } else { *v };
-                    }
-                });
-            }
-            Activation::Sigmoid => {
-                parallel_apply_chunks(m.as_mut_slice(), 1, |_, span| {
-                    for v in span {
-                        *v = 1.0 / (1.0 + (-*v).exp());
-                    }
-                });
-            }
-            Activation::Identity => {}
-        }
-    }
-}
-
 /// Row-wise softmax (numerically stabilized), producing per-node class
-/// probabilities from the final layer's logits. Rows are independent, so
-/// large matrices are processed row-parallel on the engine's worker pool.
+/// probabilities from the final layer's logits, one row after another.
 ///
 /// Degenerate rows are handled deterministically:
 ///
@@ -96,31 +50,29 @@ impl Activation {
 ///   left untouched, as before — there is no stable finite shift.
 pub fn softmax_rows(m: &mut DenseMatrix<f32>) {
     let cols = m.cols();
-    if cols == 0 || m.rows() == 0 {
+    if cols == 0 {
         return;
     }
-    parallel_apply_chunks(m.as_mut_slice(), cols, |_, span| {
-        for row in span.chunks_mut(cols) {
-            if row.iter().any(|v| v.is_nan()) {
-                row.fill(0.0);
-                continue;
-            }
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            if !max.is_finite() {
-                continue;
-            }
-            let mut sum = 0.0;
+    for row in m.as_mut_slice().chunks_mut(cols) {
+        if row.iter().any(|v| v.is_nan()) {
+            row.fill(0.0);
+            continue;
+        }
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        if !max.is_finite() {
+            continue;
+        }
+        let mut sum = 0.0;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        if sum > 0.0 {
             for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            if sum > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
+                *v /= sum;
             }
         }
-    });
+    }
 }
 
 /// Glorot/Xavier-style uniform weight initialization, seeded and
@@ -232,31 +184,6 @@ mod tests {
         softmax_rows(&mut empty);
         let mut zero_wide = DenseMatrix::<f32>::zeros(4, 0);
         softmax_rows(&mut zero_wide);
-    }
-
-    #[test]
-    fn activation_apply_parallel_matches_scalar_reference() {
-        // Big enough to cross the pool's inline threshold.
-        let n = mpspmm_core::PAR_APPLY_MIN_LEN + 13;
-        let vals: Vec<f32> = (0..n).map(|i| ((i % 23) as f32) - 11.0).collect();
-        for act in [Activation::Relu, Activation::Sigmoid] {
-            let mut m = DenseMatrix::from_vec(1, n, vals.clone()).unwrap();
-            act.apply(&mut m);
-            for (i, (&got, &x)) in m.as_slice().iter().zip(&vals).enumerate() {
-                let want = match act {
-                    Activation::Relu => {
-                        if x < 0.0 {
-                            0.0
-                        } else {
-                            x
-                        }
-                    }
-                    Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-                    Activation::Identity => x,
-                };
-                assert_eq!(got, want, "{act:?} element {i}");
-            }
-        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn gcn_cases() -> Vec<GcnCase> {
             activation: Activation::Identity,
         },
         GcnCase {
-            label: "gcn-bias-sigmoid-unfused-fallback",
+            label: "gcn-bias-sigmoid",
             layer: GcnLayer::with_bias(w.clone(), bias.clone(), Activation::Sigmoid),
             weight: w,
             bias: Some(bias),
@@ -103,7 +103,7 @@ fn fused_layer_matches_unfused_oracle() {
             // Unfused composition on the same engine: engine GEMM, plain
             // SpMM, then bias and activation as separate passes.
             let hw = engine.gemm(&x, &case.weight).unwrap();
-            let mut want = engine.spmm(&a, &[&hw], &Epilogue::None).unwrap().remove(0);
+            let mut want = engine.spmm(&a, &[&hw], &Epilogue::NONE).unwrap().remove(0);
             if let Some(bias) = &case.bias {
                 for r in 0..want.rows() {
                     for (v, &b) in want.row_mut(r).iter_mut().zip(bias) {
@@ -114,6 +114,28 @@ fn fused_layer_matches_unfused_oracle() {
             case.activation.apply(&mut want);
             assert_matches(&fused, &want, case.label, path, workers);
         }
+    }
+}
+
+/// Every activation fuses: a forward counts one fused epilogue per layer
+/// whose epilogue is not a noop, a sigmoid layer's included, and none
+/// for the bias-less identity layer.
+#[test]
+fn sigmoid_forward_counts_a_fused_epilogue() {
+    let a = gcn_normalize(&graph());
+    let x = random_features(NODES, IN_DIM, 0.4, 35);
+    let model = GcnModel::new(vec![
+        GcnLayer::new(xavier_init(IN_DIM, 8, 22), Activation::Sigmoid),
+        GcnLayer::new(xavier_init(8, 4, 23), Activation::Identity),
+    ]);
+    for &(path, workers) in &engine_matrix() {
+        let engine = ExecEngine::with_data_path(workers, path);
+        model.forward(&a, &[&x], &engine).unwrap();
+        assert_eq!(
+            engine.stats().fused_epilogues,
+            1,
+            "path={path:?} workers={workers}"
+        );
     }
 }
 
@@ -140,7 +162,7 @@ fn wide_hidden_dim_fused_equals_unfused() {
         let engine = ExecEngine::new(workers);
         let fused = model.forward(&a, &[&x], &engine).unwrap().remove(0);
         let hw = engine.gemm(&x, &w).unwrap();
-        let mut want = engine.spmm(&a, &[&hw], &Epilogue::None).unwrap().remove(0);
+        let mut want = engine.spmm(&a, &[&hw], &Epilogue::NONE).unwrap().remove(0);
         for r in 0..want.rows() {
             for (v, &b) in want.row_mut(r).iter_mut().zip(&bias) {
                 *v += b;

@@ -254,9 +254,9 @@ fn execute(shared: &Shared, live: &[Pending]) -> Result<Vec<DenseMatrix<f32>>, S
     let head = &live[0];
     let feats: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
     let run = |a: Adjacency<'_>| match (head.workload, a) {
-        (Workload::Spmm, Adjacency::Graph(a)) => engine.spmm(a, &feats, &Epilogue::None),
+        (Workload::Spmm, Adjacency::Graph(a)) => engine.spmm(a, &feats, &Epilogue::NONE),
         (Workload::Spmm, Adjacency::Packed(p)) => {
-            engine.spmm_packed(p, &feats, &Epilogue::None, PackedOut::PerGraph)
+            engine.spmm_packed(p, &feats, &Epilogue::NONE, PackedOut::PerGraph)
         }
         (Workload::Gcn, a) => head
             .graph

@@ -42,7 +42,7 @@ fn server(config: ServeConfig) -> Server {
 /// `a · b` straight on the process-wide engine, outside any server.
 fn direct(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> DenseMatrix<f32> {
     ExecEngine::global()
-        .spmm(a, &[b], &Epilogue::None)
+        .spmm(a, &[b], &Epilogue::NONE)
         .unwrap()
         .remove(0)
 }
@@ -850,7 +850,7 @@ fn packed_windows_equal_each_graphs_own_forward_and_spmm() {
                 let (g, x) = (&graphs[i], &feats[i]);
                 let want = match workload {
                     Workload::Gcn => model.forward(g, &[x], &ref_engine).unwrap(),
-                    Workload::Spmm => ref_engine.spmm(g, &[x], &Epilogue::None).unwrap(),
+                    Workload::Spmm => ref_engine.spmm(g, &[x], &Epilogue::NONE).unwrap(),
                 };
                 assert_eq!(got, want[0], "window {w}, graph {i}, {workload:?}");
             }

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let t2 = Instant::now();
         let out = ExecEngine::global()
-            .spmm(&a, &[&x], &Epilogue::None)?
+            .spmm(&a, &[&x], &Epilogue::NONE)?
             .remove(0);
         let spmm_ms = t2.elapsed().as_secs_f64() * 1e3;
 

@@ -21,7 +21,7 @@
 //!
 //! let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0f32), (1, 0, 2.0)])?;
 //! let xw = DenseMatrix::from_fn(2, 4, |r, c| (r + c) as f32);
-//! let c = ExecEngine::global().spmm(&a, &[&xw], &Epilogue::None)?;
+//! let c = ExecEngine::global().spmm(&a, &[&xw], &Epilogue::NONE)?;
 //! assert_eq!(c[0].get(1, 3), 6.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -38,7 +38,7 @@ pub use mpspmm_simt as simt;
 pub use mpspmm_sparse as sparse;
 
 // Fused GCN layer pipeline entry points, re-exported at the facade root:
-// [`ExecEngine`] carries both halves of a layer — the parallel blocked
-// GEMM (`ExecEngine::gemm`) and the SpMM whose store stage applies an
-// [`Epilogue`] to direct rows in place.
+// [`ExecEngine`] carries both halves of a layer — the parallel
+// register-tiled GEMM (`ExecEngine::gemm`) and the SpMM whose store stage
+// applies an [`Epilogue`] (bias, then activation) to each row in place.
 pub use mpspmm_core::{Epilogue, ExecEngine};
