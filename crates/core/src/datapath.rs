@@ -298,7 +298,8 @@ impl TilePlan {
     }
 }
 
-/// Dense GEMM band kernel for [`crate::ExecEngine::gemm_stacked`]:
+/// Dense GEMM band kernel for [`crate::ExecEngine::gemm`] and the packed
+/// forward's group GEMMs ([`crate::ExecEngine::forward`]):
 /// computes `dst.len() / b.cols()` output rows of `C = A · B` into the
 /// row-major slice `dst`, reading their `k`-long `A` rows in order from
 /// `arows`, which may come from different matrices.
@@ -507,9 +508,10 @@ mod wide {
     #![allow(unsafe_code)]
 
     use std::arch::x86_64::{
-        __m512, _mm512_add_ps, _mm512_castpd_ps, _mm512_castps_pd, _mm512_loadu_ps, _mm512_mul_ps,
-        _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_storeu_ps,
-        _mm512_unpackhi_pd, _mm512_unpackhi_ps, _mm512_unpacklo_pd, _mm512_unpacklo_ps,
+        __m512, _mm512_add_ps, _mm512_castpd_ps, _mm512_castps_pd, _mm512_loadu_ps,
+        _mm512_mask_permutexvar_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setr_epi32,
+        _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_storeu_ps, _mm512_unpackhi_pd,
+        _mm512_unpackhi_ps, _mm512_unpacklo_pd, _mm512_unpacklo_ps,
     };
 
     use super::WideIsa;
@@ -668,10 +670,15 @@ mod wide {
     /// from `0.0`, and each `k` step adds a separate `_mm512_mul_ps` of
     /// that register by the broadcast `B[k][j]`, in ascending `k`
     /// ([`madd`]): each output element sums exactly the naive `ikj`
-    /// loop's products in its order. A `k` tail loads through a
-    /// zero-padded stack copy but adds only its `k mod 16` real steps,
-    /// so no padded product reaches a sum (a row of `-0.0` products must
-    /// sum to `+0.0`). Only the first `out.len()` lanes are stored.
+    /// loop's products in its order. A `k` tail of a row at least 16 deep
+    /// loads the row's last 16 elements, and only the registers of its
+    /// `k mod 16` real steps are added; a shallower row loads through a
+    /// zero-padded stack copy and adds its real steps only, so no padded
+    /// product reaches a sum (a row of `-0.0` products must sum to
+    /// `+0.0`). A whole 16-row tile is interleaved into its `16 × N`
+    /// row-major output in registers ([`interleave`]) and stored in `N`
+    /// vector stores; only a band's last, shorter tile stores its lanes
+    /// one element at a time.
     #[target_feature(enable = "avx512f")]
     fn tile_narrow<const N: usize>(
         arows: [&[f32]; LANES],
@@ -694,14 +701,28 @@ mod wide {
             }));
             madd(&mut acc, &at, bk);
         }
-        if !btail.is_empty() {
-            let full = k - btail.len();
+        let tail = btail.len();
+        if tail > 0 && k >= LANES {
+            let at = transpose(std::array::from_fn(|r| {
+                load(arows[r][k - LANES..].try_into().expect("16 floats"))
+            }));
+            madd(&mut acc, &at[LANES - tail..], btail);
+        } else if tail > 0 {
             let at = transpose(std::array::from_fn(|r| {
                 let mut pad = [0.0f32; LANES];
-                pad[..btail.len()].copy_from_slice(&arows[r][full..]);
+                pad[..tail].copy_from_slice(arows[r]);
                 load(&pad)
             }));
             madd(&mut acc, &at, btail);
+        }
+        if out.len() == LANES {
+            let (lines, []) = out.as_flattened_mut().as_chunks_mut::<LANES>() else {
+                unreachable!("16 rows of N columns are N lines")
+            };
+            for (v, line) in lines.iter_mut().enumerate() {
+                store(line, interleave(&acc, v));
+            }
+            return;
         }
         let mut cols = [[0.0f32; LANES]; N];
         for (c, v) in cols.iter_mut().zip(acc) {
@@ -714,12 +735,50 @@ mod wide {
         }
     }
 
-    /// Adds one transposed block's products into the accumulators:
-    /// `acc[j] += at[kk] * B[kk][j]` for `kk` ascending over the block's
-    /// rows of `B` (`bk`, at most 16).
+    /// Line `v` of the `16 × N` row-major output whose column `j` is
+    /// `acc[j]`, row `r` in lane `r`: lane `i` of the line is element
+    /// `16v + i`, row `(16v + i) / N` of column `(16v + i) mod N`. One
+    /// masked lane permute per column moves that column's lanes in. Pure
+    /// data movement; the indices and masks fold to constants.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    fn madd<const N: usize>(acc: &mut [__m512; N], at: &[__m512; LANES], bk: &[[f32; N]]) {
+    fn interleave<const N: usize>(acc: &[__m512; N], v: usize) -> __m512 {
+        let at = |i: usize| LANES * v + i;
+        let row = |i: usize| (at(i) / N) as i32;
+        let idx = _mm512_setr_epi32(
+            row(0),
+            row(1),
+            row(2),
+            row(3),
+            row(4),
+            row(5),
+            row(6),
+            row(7),
+            row(8),
+            row(9),
+            row(10),
+            row(11),
+            row(12),
+            row(13),
+            row(14),
+            row(15),
+        );
+        let mut line = _mm512_setzero_ps();
+        for (j, &col) in acc.iter().enumerate() {
+            let mask = (0..LANES)
+                .filter(|&i| at(i) % N == j)
+                .fold(0u16, |m, i| m | 1 << i);
+            line = _mm512_mask_permutexvar_ps(line, mask, idx, col);
+        }
+        line
+    }
+
+    /// Adds one transposed block's products into the accumulators:
+    /// `acc[j] += at[kk] * B[kk][j]` for `kk` ascending over the block's
+    /// rows of `B` (`bk`, at most 16, as many as `at` holds).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn madd<const N: usize>(acc: &mut [__m512; N], at: &[__m512], bk: &[[f32; N]]) {
         for (a, brow) in at.iter().zip(bk) {
             for (s, &bv) in acc.iter_mut().zip(brow) {
                 *s = _mm512_add_ps(*s, _mm512_mul_ps(*a, _mm512_set1_ps(bv)));

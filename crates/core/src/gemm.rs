@@ -18,6 +18,11 @@
 //! one worker per band, and a GEMM of one band runs inline without
 //! waking the pool.
 //!
+//! A packed window's GCN forward does not call [`ExecEngine::gemm`]: its
+//! span jobs run the same band kernel over each group of graphs, with
+//! the weight packed once per window by `pack_weight` (see
+//! [`ExecEngine::forward`]).
+//!
 //! Distribution is safe code throughout: disjoint `&mut` band slices are
 //! moved into worker closures through take-once `Mutex<Option<..>>`
 //! slots. The only `unsafe` on this path lives in `datapath::wide`: the
@@ -48,71 +53,20 @@ use std::time::Instant;
 
 use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 
-use crate::datapath::{gemm_band, gemm_pack_width, pack_b};
+use crate::datapath::{gemm_band, gemm_pack_width, pack_b, ResolvedPath};
 use crate::engine::ExecEngine;
 use crate::pool::{ScopedJob, WorkerPool};
 use crate::tuning::gemm_band_rows;
 
-/// A take-once slot holding one output band's `A` rows and `&mut`
+/// A take-once slot holding one output band's first `A` row and `&mut`
 /// slice, claimed by exactly one self-scheduled worker.
-type BandSlot<'a> = Mutex<Option<(StackRows<'a>, &'a mut [f32])>>;
-
-/// The rows of a vertical stack of dense parts, in order from wherever
-/// the cursor stands: `A` as [`ExecEngine::gemm_stacked`] reads it, each
-/// row where its part lies. Empty parts are skipped.
-#[derive(Clone)]
-struct StackRows<'a> {
-    parts: &'a [&'a DenseMatrix<f32>],
-    part: usize,
-    row: usize,
-}
-
-impl<'a> StackRows<'a> {
-    fn new(parts: &'a [&'a DenseMatrix<f32>]) -> Self {
-        Self {
-            parts,
-            part: 0,
-            row: 0,
-        }
-    }
-
-    /// Moves the cursor `n` rows on, a part at a time.
-    fn advance(&mut self, mut n: usize) {
-        while let Some(p) = self.parts.get(self.part) {
-            let left = p.rows() - self.row;
-            if n < left {
-                self.row += n;
-                return;
-            }
-            n -= left;
-            self.part += 1;
-            self.row = 0;
-        }
-    }
-}
-
-impl<'a> Iterator for StackRows<'a> {
-    type Item = &'a [f32];
-
-    fn next(&mut self) -> Option<&'a [f32]> {
-        loop {
-            let p = self.parts.get(self.part)?;
-            if self.row < p.rows() {
-                self.row += 1;
-                return Some(p.row(self.row - 1));
-            }
-            self.part += 1;
-            self.row = 0;
-        }
-    }
-}
+type BandSlot<'a> = Mutex<Option<(usize, &'a mut [f32])>>;
 
 impl ExecEngine {
     /// Dense row-major GEMM `A · B` on the engine: arena-backed output,
     /// register-tiled band kernel, row bands self-scheduled across the
     /// worker pool. Adds its wall time to
-    /// [`crate::EngineStats::gemm_ns`]. The one-part
-    /// [`gemm_stacked`](Self::gemm_stacked).
+    /// [`crate::EngineStats::gemm_ns`].
     ///
     /// # Errors
     ///
@@ -123,76 +77,37 @@ impl ExecEngine {
         a: &DenseMatrix<f32>,
         b: &DenseMatrix<f32>,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        self.gemm_stacked(&[a], b)
-    }
-
-    /// [`gemm`](Self::gemm) with `A` the vertical stack of `parts`, read
-    /// where each part lies: the output holds every part's rows in order,
-    /// and nothing is stacked. A register tile may take its rows from two
-    /// parts. Each output row is the same as that part's own product,
-    /// since every element sums its products in ascending `k` whichever
-    /// rows share its tile. A packed window's first GCN layer reads its
-    /// graphs' feature matrices this way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`] naming the first part
-    /// whose `cols()` differs from `b.rows()`.
-    pub fn gemm_stacked(
-        &self,
-        parts: &[&DenseMatrix<f32>],
-        b: &DenseMatrix<f32>,
-    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
         let k = b.rows();
-        if let Some(a) = parts.iter().find(|a| a.cols() != k) {
+        if a.cols() != k {
             return Err(SparseFormatError::ShapeMismatch {
                 left: (a.rows(), a.cols()),
                 right: (b.rows(), b.cols()),
             });
         }
         let start = Instant::now();
-        let (m, n) = (parts.iter().map(|a| a.rows()).sum::<usize>(), b.cols());
+        let (m, n) = (a.rows(), b.cols());
         let rp = self.data_path.resolve();
-        let width = gemm_pack_width(&rp, n);
         // Every band stores each output element once (the register tiles
         // from a literal `0.0` seed, `k == 0` included; the scalar band
         // zero-fills each row before adding into it), so the output needs
         // no zeroing pass.
         let mut out = self.arena.take(m * n);
-        // Pack `B` once into column blocks of the tile's width
-        // (arena-recycled, every element written), the last one
-        // zero-padded, so every band's microkernel streams contiguous
-        // lines instead of striding `n` floats per `k` step. Pure data
-        // movement — results stay bitwise identical (see `pack_b`). The
-        // rows-in-lanes tile of a narrow `B` reads it as it lies.
-        let packed = match width {
-            Some(w) => {
-                let mut buf = self.arena.take(n.div_ceil(w) * k * w);
-                pack_b(b, w, &mut buf);
-                buf
-            }
-            None => Vec::new(),
-        };
+        let packed = self.pack_weight(b, &rp);
         let pslab: &[f32] = &packed;
         let band_rows = gemm_band_rows(m, k, n);
         let eff = self.workers.min(m.div_ceil(band_rows)).max(1);
-        let mut rows = StackRows::new(parts);
+        let rows = |first: usize| (first..m).map(|r| a.row(r));
         if eff <= 1 {
-            for band in out.chunks_mut(band_rows * n.max(1)) {
-                gemm_band(&mut rows, k, b, pslab, &rp, band);
-            }
+            gemm_band(rows(0), k, b, pslab, &rp, &mut out);
         } else {
             // Self-scheduled bands: each band's `&mut` slice sits in a
-            // take-once slot, with a cursor at its first `A` row; workers
-            // claim slot indices off a shared counter, so each band is
-            // executed exactly once and the borrows never alias.
+            // take-once slot with its first `A` row; workers claim slot
+            // indices off a shared counter, so each band is executed
+            // exactly once and the borrows never alias.
             let slots: Vec<BandSlot<'_>> = out
                 .chunks_mut(band_rows * n.max(1))
-                .map(|band| {
-                    let here = rows.clone();
-                    rows.advance(band_rows);
-                    Mutex::new(Some((here, band)))
-                })
+                .enumerate()
+                .map(|(i, band)| Mutex::new(Some((i * band_rows, band))))
                 .collect();
             let next = AtomicUsize::new(0);
             let jobs: Vec<ScopedJob<'_>> = (0..eff)
@@ -207,12 +122,12 @@ impl ExecEngine {
                         // Nothing under the slot lock can panic
                         // mid-update, so a poisoned slot still
                         // holds a whole band or none.
-                        let (arows, band) = slots[i]
+                        let (first, band) = slots[i]
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)
                             .take()
                             .expect("band slot claimed exactly once");
-                        gemm_band(arows, k, b, pslab, &rp, band);
+                        gemm_band(rows(first), k, b, pslab, &rp, band);
                     }) as ScopedJob<'_>
                 })
                 .collect();
@@ -222,6 +137,26 @@ impl ExecEngine {
         self.gemm_ns
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         DenseMatrix::from_vec(m, n, out)
+    }
+
+    /// `b` packed into column blocks of the tile's width
+    /// ([`gemm_pack_width`]), arena-recycled with every element written,
+    /// the last block zero-padded, so every band's microkernel streams
+    /// contiguous lines instead of striding `n` floats per `k` step. Pure
+    /// data movement: results stay bitwise identical (see `pack_b`).
+    /// Empty when no tile reads a pack (the scalar path, and the
+    /// rows-in-lanes tile of a narrow `B`, which reads `B` as it lies).
+    /// The caller hands it back with `self.arena.put`.
+    pub(crate) fn pack_weight(&self, b: &DenseMatrix<f32>, rp: &ResolvedPath) -> Vec<f32> {
+        let (k, n) = (b.rows(), b.cols());
+        match gemm_pack_width(rp, n) {
+            Some(w) => {
+                let mut buf = self.arena.take(n.div_ceil(w) * k * w);
+                pack_b(b, w, &mut buf);
+                buf
+            }
+            None => Vec::new(),
+        }
     }
 }
 
@@ -329,72 +264,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// `gemm_stacked` over parts equals the naive loop over the matrix
-    /// they stack, with `==`: parts cut at tile and band edges and inside
-    /// them (inside 16-row rows-in-lanes tiles too, whose rows then come
-    /// from several parts), empty parts (first, between and last), and
-    /// one part per row, at `m` of two whole bands plus a partial one, so
-    /// pooled band slots start inside parts. The narrow widths 1, 2, 3
-    /// and 4 run the rows-in-lanes tile under AVX-512F. Both data paths,
-    /// at workers {1, 2, 7}.
-    #[test]
-    fn stacked_parts_equal_the_matrix_they_stack() {
-        for (k, n) in [
-            (16usize, 32usize),
-            (32, 1),
-            (32, 2),
-            (32, 3),
-            (32, 4),
-            (50, 128),
-        ] {
-            let band = gemm_band_rows(1 << 30, k, n);
-            let m = 2 * band + 5;
-            let a = filled(m, k, 7);
-            let b = filled(k, n, 8);
-            let want = naive_gemm(&a, &b);
-            let cut_sets: [Vec<usize>; 4] = [
-                vec![0, 0, 3, 4, 4, band - 1, band + 2, m, m],
-                vec![1, 2, 5, 6, 9, 13, m - 1],
-                (0..=m).step_by(7).collect(),
-                (0..=m).collect(),
-            ];
-            for cuts in cut_sets {
-                let mut edges = vec![0];
-                edges.extend(cuts.iter().copied().filter(|&c| c <= m));
-                edges.push(m);
-                let parts: Vec<DenseMatrix<f32>> = edges
-                    .windows(2)
-                    .map(|w| {
-                        DenseMatrix::from_vec(
-                            w[1] - w[0],
-                            k,
-                            a.as_slice()[w[0] * k..w[1] * k].to_vec(),
-                        )
-                        .unwrap()
-                    })
-                    .collect();
-                let refs: Vec<&DenseMatrix<f32>> = parts.iter().collect();
-                assert_eq!(refs.iter().map(|p| p.rows()).sum::<usize>(), m);
-                for path in [DataPath::Scalar, DataPath::Vector] {
-                    for workers in [1usize, 2, 7] {
-                        let engine = ExecEngine::with_data_path(workers, path);
-                        let got = engine.gemm_stacked(&refs, &b).unwrap();
-                        assert_eq!(
-                            got,
-                            want,
-                            "k={k} n={n} {} parts {path:?} workers={workers}",
-                            refs.len()
-                        );
-                    }
-                }
-            }
-            let engine = ExecEngine::new(2);
-            let bad = filled(3, k + 1, 0);
-            assert!(engine.gemm_stacked(&[&a, &bad], &b).is_err());
-            assert_eq!(engine.gemm_stacked(&[], &b).unwrap().rows(), 0);
         }
     }
 

@@ -62,6 +62,7 @@ mod datapath;
 mod engine;
 mod epilogue;
 pub mod executor;
+mod forward;
 mod gemm;
 mod merge_path;
 mod packed;
@@ -77,8 +78,9 @@ pub use compat::{BatchShapeClass, PreparedPlan};
 pub use datapath::DataPath;
 pub use engine::{EngineStats, ExecEngine};
 pub use epilogue::{Activation, Epilogue};
+pub use forward::{Adjacency, Layer};
 pub use merge_path::{merge_path_search, MergeCoord, Schedule, ThreadAssignment};
-pub use packed::{PackedGraphs, PackedOut};
+pub use packed::PackedGraphs;
 pub use plan::{static_span_skew, Flush, KernelPlan, PlanError, Segment, ThreadPlan};
 pub use spmm::{
     default_workers, plan_from_schedule, BatchMergeSpmm, MergePathSerialFixup, MergePathSpmm,

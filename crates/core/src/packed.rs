@@ -51,10 +51,14 @@ struct Start {
 /// graph's, in a matrix that is never built. Building one costs one pass
 /// over the graph list.
 ///
+/// [`ExecEngine::spmm_packed`] aggregates a window in one engine run;
+/// [`ExecEngine::forward`] runs a GCN over it in **one** pool dispatch,
+/// each worker taking every layer over its own graphs.
+///
 /// # Example
 ///
 /// ```
-/// use mpspmm_core::{Epilogue, ExecEngine, PackedGraphs, PackedOut};
+/// use mpspmm_core::{Activation, Epilogue, ExecEngine, Layer, PackedGraphs};
 /// use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 ///
 /// let g0 = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0f32), (1, 0, 2.0)])?;
@@ -63,8 +67,16 @@ struct Start {
 /// let x0 = DenseMatrix::from_fn(2, 4, |r, c| (r + c) as f32);
 /// let x1 = DenseMatrix::from_fn(3, 4, |r, c| (r * c) as f32);
 /// let engine = ExecEngine::new(2);
-/// let outs = engine.spmm_packed(&window, &[&x0, &x1], &Epilogue::NONE, PackedOut::PerGraph)?;
+/// // Aggregation only: one output per graph.
+/// let outs = engine.spmm_packed(&window, &[&x0, &x1], &Epilogue::NONE)?;
 /// assert_eq!(outs[1], engine.spmm(&g1, &[&x1], &Epilogue::NONE)?[0]);
+/// // A GCN forward: each reply is its graph's own forward, bit for bit.
+/// let layers = [
+///     Layer::new(DenseMatrix::from_fn(4, 8, |r, c| (r + 2 * c) as f32 * 0.1), Activation::Relu),
+///     Layer::new(DenseMatrix::from_fn(8, 2, |r, c| (r * c) as f32 * 0.1), Activation::Identity),
+/// ];
+/// let replies = engine.forward(&window, &[&x0, &x1], &layers)?;
+/// assert_eq!(replies[0], engine.forward(&g0, &[&x0], &layers)?[0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -72,17 +84,6 @@ pub struct PackedGraphs<'a> {
     graphs: Vec<&'a CsrMatrix<f32>>,
     /// `starts[i]` for every graph, then the window's totals.
     starts: Vec<Start>,
-}
-
-/// How [`ExecEngine::spmm_packed`] returns a window's output rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackedOut {
-    /// One matrix of every graph's rows in window order, from the arena:
-    /// an activation the next layer reads where it lies.
-    Stacked,
-    /// One matrix per graph, each a fresh buffer: the replies of a served
-    /// window, which leave the engine.
-    PerGraph,
 }
 
 impl<'a> PackedGraphs<'a> {
@@ -127,6 +128,52 @@ impl<'a> PackedGraphs<'a> {
         *self.starts.last().expect("starts end with the totals")
     }
 
+    /// The window's graphs, in order.
+    pub(crate) fn graphs(&self) -> &[&'a CsrMatrix<f32>] {
+        &self.graphs
+    }
+
+    /// The window's merge items: `rows + nnz` over every graph.
+    pub(crate) fn items(&self) -> usize {
+        self.totals().item
+    }
+
+    /// First graph of each of `spans` spans of whole graphs: the
+    /// window's merge items are cut into equal shares, and each cut snaps
+    /// to the graph start nearest it. Starts never decrease, and
+    /// `starts[0] == 0`; a span may hold no graph.
+    pub(crate) fn graph_starts(&self, spans: usize) -> Vec<usize> {
+        let total = self.items();
+        let share = total.div_ceil(spans.max(1)).max(1);
+        let mut starts = Vec::with_capacity(spans.max(1));
+        starts.push(0);
+        for k in 1..spans {
+            let diag = (k * share).min(total);
+            // The first graph starting at or after the cut, or the one
+            // before it when that start is nearer.
+            let after = self.starts[..self.graphs.len()].partition_point(|s| s.item < diag);
+            let before = after.saturating_sub(1);
+            let g = if diag - self.starts[before].item < self.starts[after].item - diag {
+                before
+            } else {
+                after
+            };
+            starts.push(g.max(starts[k - 1]));
+        }
+        starts
+    }
+
+    /// Each graph's output buffer of `dim` columns as a matrix.
+    pub(crate) fn replies(&self, bufs: Vec<Vec<f32>>, dim: usize) -> Vec<DenseMatrix<f32>> {
+        bufs.into_iter()
+            .zip(&self.graphs)
+            .map(|(buf, g)| {
+                DenseMatrix::from_vec(g.rows(), dim, buf)
+                    .expect("output buffer has exactly rows*dim elements")
+            })
+            .collect()
+    }
+
     /// First window row of each of `spans` row spans. The window's
     /// `rows + nnz` merge items are cut into equal shares, and each cut
     /// snaps to the rows fully consumed there: a search of the per-graph
@@ -159,7 +206,7 @@ impl<'a> PackedGraphs<'a> {
     /// matrix of [`cols()`](Self::cols) rows, the graphs' rows stacked in
     /// window order, or one matrix per graph of that graph's `cols()`
     /// rows. Returns the slices and the operand's width.
-    fn operand_rows<'b>(
+    pub(crate) fn operand_rows<'b>(
         &self,
         b: &[&'b DenseMatrix<f32>],
     ) -> Result<(Vec<&'b [f32]>, usize), SparseFormatError> {
@@ -193,13 +240,14 @@ impl ExecEngine {
     /// Computes `graph_i · b_i` for every graph of the packed window `p`
     /// in **one** engine run, with `epi` fused at the store stage, without
     /// building the window's block-diagonal matrix, stacking its operand
-    /// or scattering its output.
+    /// or scattering its output. Returns one fresh matrix per graph: the
+    /// replies of a served aggregation-only window, which leave the
+    /// engine. A GCN window runs [`ExecEngine::forward`] instead.
     ///
     /// `b` is the dense operand: one matrix per graph, holding that
     /// graph's `cols()` rows, or one matrix of the graphs' rows stacked
     /// in window order ([`PackedGraphs::cols`] rows). Each graph's rows
-    /// are read where they lie. `out` picks the result: one stacked matrix
-    /// of the window's rows from the arena, or one fresh matrix per graph.
+    /// are read where they lie.
     ///
     /// The row spans are cut once on the window's per-graph `rows + nnz`
     /// prefix (see [`PackedGraphs`]) and the pool is dispatched once. Every
@@ -218,49 +266,23 @@ impl ExecEngine {
         p: &PackedGraphs<'_>,
         b: &[&DenseMatrix<f32>],
         epi: &Epilogue,
-        out: PackedOut,
     ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
         let (operands, dim) = p.operand_rows(b)?;
         epi.validate(dim)?;
         let rp = self.start_run(epi);
-        let fold = |outs| Fold {
+        let mut bufs: Vec<Vec<f32>> = p
+            .graphs
+            .iter()
+            .map(|g| self.arena.fresh(g.rows() * dim))
+            .collect();
+        let fold = Fold {
             dim,
             rp,
             operands,
-            outs,
+            outs: bufs.iter_mut().map(Vec::as_mut_slice).collect(),
         };
-        match out {
-            PackedOut::Stacked => {
-                let mut buf = self.arena.take(p.rows() * dim);
-                let mut rest = buf.as_mut_slice();
-                let outs = p.graphs.iter().map(|g| {
-                    let (head, tail) = std::mem::take(&mut rest).split_at_mut(g.rows() * dim);
-                    rest = tail;
-                    head
-                });
-                run_spans(p, vec![fold(outs.collect())], self.workers, epi);
-                let m = DenseMatrix::from_vec(p.rows(), dim, buf)
-                    .expect("output buffer has exactly rows*dim elements");
-                Ok(vec![m])
-            }
-            PackedOut::PerGraph => {
-                let mut bufs: Vec<Vec<f32>> = p
-                    .graphs
-                    .iter()
-                    .map(|g| self.arena.fresh(g.rows() * dim))
-                    .collect();
-                let outs = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-                run_spans(p, vec![fold(outs)], self.workers, epi);
-                Ok(bufs
-                    .into_iter()
-                    .zip(&p.graphs)
-                    .map(|(buf, g)| {
-                        DenseMatrix::from_vec(g.rows(), dim, buf)
-                            .expect("output buffer has exactly rows*dim elements")
-                    })
-                    .collect())
-            }
-        }
+        run_spans(p, vec![fold], self.workers, epi);
+        Ok(p.replies(bufs, dim))
     }
 }
 
@@ -346,11 +368,11 @@ pub(crate) fn run_spans(
 /// Rows `first..first + out.len() / dim` of `a · b`, stored into `out`:
 /// one graph's share of a row span. `b` is the dense operand's row-major
 /// storage, `dim` columns wide, indexed by `a`'s own column indices.
-struct Piece<'a> {
-    a: &'a CsrMatrix<f32>,
-    first: usize,
-    b: &'a [f32],
-    out: &'a mut [f32],
+pub(crate) struct Piece<'a> {
+    pub a: &'a CsrMatrix<f32>,
+    pub first: usize,
+    pub b: &'a [f32],
+    pub out: &'a mut [f32],
 }
 
 /// Computes every piece's rows, each row in one ascending pass that
@@ -362,7 +384,7 @@ struct Piece<'a> {
 /// activation a constant in it, so only sigmoid's instance holds the
 /// `expf` call: a call anywhere in the row loop, even on a branch no row
 /// takes, slowed the other folds by 2–5% (DESIGN.md §2.10).
-fn fold_rows(pieces: &mut [Piece<'_>], dim: usize, rp: &ResolvedPath, epi: &Epilogue) {
+pub(crate) fn fold_rows(pieces: &mut [Piece<'_>], dim: usize, rp: &ResolvedPath, epi: &Epilogue) {
     let bias = epi.bias.as_deref();
     match epi.activation {
         Activation::Identity => fold_rows_by(
@@ -571,6 +593,43 @@ mod tests {
                     a.rows(),
                     a.nnz()
                 );
+            }
+        }
+    }
+
+    /// The packed forward's cut snaps each equal-share cut of the merge
+    /// items to the nearest graph start: on windows with empty and
+    /// zero-row graphs, one graph, and one graph holding most of the
+    /// items, at every span count up to 70. Starts never decrease and
+    /// begin at graph 0.
+    #[test]
+    fn graph_cuts_snap_to_the_nearest_graph_start() {
+        let shapes: [&[(usize, usize)]; 4] = [
+            &[(5, 12), (0, 0), (7, 0), (9, 30), (0, 0), (3, 4)],
+            &[(11, 40)],
+            &[(2, 3), (60, 900), (4, 6)],
+            &[(1, 1), (1, 0), (2, 2), (1, 1), (3, 5), (1, 0)],
+        ];
+        for shape in shapes {
+            let graphs = window(shape);
+            let p = PackedGraphs::new(&graphs);
+            let total = p.items();
+            let edges: Vec<usize> = p.starts.iter().map(|s| s.item).collect();
+            for spans in 1..=70 {
+                let starts = p.graph_starts(spans);
+                assert_eq!(starts.len(), spans);
+                assert_eq!(starts[0], 0);
+                assert!(starts.windows(2).all(|w| w[0] <= w[1]));
+                let share = total.div_ceil(spans).max(1);
+                for (k, &g) in starts.iter().enumerate().skip(1) {
+                    let diag = (k * share).min(total);
+                    let best = edges.iter().map(|&e| e.abs_diff(diag)).min().unwrap();
+                    assert_eq!(
+                        edges[g].abs_diff(diag),
+                        best,
+                        "{shape:?} spans={spans} k={k}"
+                    );
+                }
             }
         }
     }

@@ -57,6 +57,13 @@ thread_local! {
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`WorkerPool::scope_run`] calls made from this thread, so a unit
+    /// test can count the dispatches one engine call makes.
+    pub(crate) static SCOPE_RUNS: Cell<usize> = const { Cell::new(0) };
+}
+
 /// A borrowed job as submitted by the engine.
 pub(crate) type ScopedJob<'scope> = Box<dyn FnOnce() + Send + 'scope>;
 
@@ -116,6 +123,8 @@ impl WorkerPool {
             !IN_POOL_WORKER.with(Cell::get),
             "WorkerPool::scope_run entered from a pool worker"
         );
+        #[cfg(test)]
+        SCOPE_RUNS.with(|n| n.set(n.get() + 1));
         let Some(local) = jobs.pop() else { return };
         let completion = Arc::new(Completion {
             remaining: Mutex::new(jobs.len()),

@@ -22,7 +22,7 @@
 use mpspmm_core::executor::execute_sequential;
 use mpspmm_core::{
     default_workers, Activation, BatchMergeSpmm, DataPath, Epilogue, ExecEngine, PackedGraphs,
-    PackedOut, SerialSpmm, SpmmKernel,
+    SerialSpmm, SpmmKernel,
 };
 use mpspmm_sparse::{BlockDiagCsr, CsrMatrix, DenseMatrix, SparseFormatError};
 use proptest::prelude::*;
@@ -415,7 +415,7 @@ fn constituent_windows() -> Vec<Vec<CsrMatrix<f32>>> {
 /// by the epilogue: for every window above, at widths 1 to 33, under
 /// every epilogue, on both data paths, at workers {1, 2, 7, 64} and the
 /// resolved count, with the operand as one block per graph or one
-/// stacked block, and the output per graph or stacked.
+/// stacked block.
 #[test]
 fn constituent_windows_equal_each_graphs_own_spmm() {
     for (w, graphs) in constituent_windows().iter().enumerate() {
@@ -447,21 +447,8 @@ fn constituent_windows_equal_each_graphs_own_spmm() {
                                 "window {w} dim={dim} epi={epi:?} w={workers} {path:?} {} blocks",
                                 b.len()
                             );
-                            let outs = engine
-                                .spmm_packed(&window, b, &epi, PackedOut::PerGraph)
-                                .unwrap();
+                            let outs = engine.spmm_packed(&window, b, &epi).unwrap();
                             assert_eq!(outs, wants, "{ctx}");
-                            let out = engine
-                                .spmm_packed(&window, b, &epi, PackedOut::Stacked)
-                                .unwrap()
-                                .remove(0);
-                            assert_eq!((out.rows(), out.cols()), (window.rows(), dim));
-                            let mut rest = out.as_slice();
-                            for (i, want) in wants.iter().enumerate() {
-                                let (got, tail) = rest.split_at(want.as_slice().len());
-                                assert_eq!(got, want.as_slice(), "{ctx} graph {i} stacked");
-                                rest = tail;
-                            }
                         }
                     }
                 }
@@ -470,9 +457,9 @@ fn constituent_windows_equal_each_graphs_own_spmm() {
     }
 }
 
-/// A packed run checks nothing out for its operand: a stacked output is
-/// one arena checkout, and per-graph outputs are one fresh buffer per
-/// graph that leaves the pool untouched. A rejected call checks nothing
+/// A packed run checks nothing out for its operand: its outputs are one
+/// fresh buffer per graph that leaves the pool untouched, call after
+/// call. A rejected call checks nothing
 /// out: blocks that are neither one per graph nor one stacked block,
 /// per-graph blocks of the wrong rows, and a bias of the wrong width.
 #[test]
@@ -489,7 +476,7 @@ fn constituent_runs_check_out_only_their_outputs() {
             (s.arena_reuses, s.arena_misses)
         };
         let rejected = |b: &[&DenseMatrix<f32>], epi: &Epilogue| {
-            let got = engine.spmm_packed(&window, b, epi, PackedOut::PerGraph);
+            let got = engine.spmm_packed(&window, b, epi);
             matches!(got, Err(SparseFormatError::ShapeMismatch { .. }))
         };
         let swapped: Vec<&DenseMatrix<f32>> = refs.iter().rev().copied().collect();
@@ -507,27 +494,15 @@ fn constituent_runs_check_out_only_their_outputs() {
             "workers={workers}: rejected before checkout"
         );
 
-        let out = engine
-            .spmm_packed(&window, &refs, &none, PackedOut::Stacked)
-            .unwrap();
-        assert_eq!(counts(), (0, 1), "workers={workers}: one stacked output");
-        engine.recycle(out.into_iter().next().unwrap());
-        engine
-            .spmm_packed(&window, &refs, &none, PackedOut::PerGraph)
-            .unwrap();
         let n = graphs.len() as u64;
-        assert_eq!(
-            counts(),
-            (0, 1 + n),
-            "workers={workers}: one fresh buffer per graph"
-        );
-        engine
-            .spmm_packed(&window, &refs, &none, PackedOut::Stacked)
-            .unwrap();
-        assert_eq!(
-            counts(),
-            (1, 1 + n),
-            "workers={workers}: the pooled buffer waited"
-        );
+        for call in 1..=2 {
+            let outs = engine.spmm_packed(&window, &refs, &none).unwrap();
+            assert_eq!(
+                counts(),
+                (0, call * n),
+                "workers={workers}: one fresh buffer per graph"
+            );
+            engine.recycle(outs.into_iter().next().unwrap());
+        }
     }
 }

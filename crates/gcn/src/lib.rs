@@ -5,10 +5,12 @@
 //! provides the *combination* phase (dense `X × W` GEMM, weight init)
 //! and composes it with the *aggregation* phase — the
 //! `Â × (XW)` SpMM on an [`mpspmm_core::ExecEngine`] — into layers and
-//! models. [`GcnModel::forward`] is the one GCN layer loop: a single
-//! request, a batch of requests on one graph and a packed window of many
-//! graphs ([`Adjacency::Packed`]) all run through it, one output per
-//! block. The crate
+//! models. [`GcnModel::forward`] runs the engine's one GCN layer loop,
+//! [`mpspmm_core::ExecEngine::forward`]: a single request, a batch of
+//! requests on one graph and a packed window of many graphs
+//! ([`Adjacency::Packed`], one pool dispatch per window) all run through
+//! it, one output per block. [`GcnLayer`] and [`Adjacency`] are the
+//! engine's own types, re-exported. The crate
 //! also implements the online/offline inference scenario of Figure 8.
 //!
 //! # Example

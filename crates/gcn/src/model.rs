@@ -1,106 +1,15 @@
 //! GCN layers and models on the SpMM engine.
 
-use mpspmm_core::{Epilogue, ExecEngine, PackedGraphs, PackedOut, Schedule};
+use mpspmm_core::{ExecEngine, Schedule};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 
 use crate::ops::Activation;
 
-/// The graph side of a [`GcnModel::forward`]: one graph whose every block
-/// is a request's features, or a packed window of graphs whose blocks are
-/// the graphs' own features.
-#[derive(Debug, Clone, Copy)]
-pub enum Adjacency<'a> {
-    /// One normalized adjacency `Â`.
-    Graph(&'a CsrMatrix<f32>),
-    /// A packed window: one block per graph, holding that graph's
-    /// feature rows (or one block of every graph's rows stacked in window
-    /// order).
-    Packed(&'a PackedGraphs<'a>),
-}
+pub use mpspmm_core::Adjacency;
 
-impl<'a> From<&'a CsrMatrix<f32>> for Adjacency<'a> {
-    fn from(a: &'a CsrMatrix<f32>) -> Self {
-        Adjacency::Graph(a)
-    }
-}
-
-impl<'a> From<&'a PackedGraphs<'a>> for Adjacency<'a> {
-    fn from(p: &'a PackedGraphs<'a>) -> Self {
-        Adjacency::Packed(p)
-    }
-}
-
-/// One graph-convolution layer: `H' = σ(Â · H · W + b)`.
-///
-/// A layer holds parameters only; [`GcnModel`] runs it. The model
-/// computes the dense combination `H × W` first, then the sparse
-/// aggregation `Â × (HW)` on an [`ExecEngine`] — the `A × (X × W)`
-/// multiplication order all the paper's accelerators implement (§II).
-/// The optional per-column bias `b` and the activation `σ` form the
-/// layer's [`Epilogue`], which the engine applies at the aggregation's
-/// store stage instead of re-streaming the output; every activation
-/// fuses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GcnLayer {
-    weight: DenseMatrix<f32>,
-    epilogue: Epilogue,
-}
-
-impl GcnLayer {
-    /// Creates a layer from a trained/initialized weight matrix.
-    pub fn new(weight: DenseMatrix<f32>, activation: Activation) -> Self {
-        Self {
-            weight,
-            epilogue: Epilogue {
-                bias: None,
-                activation,
-            },
-        }
-    }
-
-    /// Creates a layer with a per-output-column bias: `σ(Â·H·W + b)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != weight.cols()`.
-    pub fn with_bias(weight: DenseMatrix<f32>, bias: Vec<f32>, activation: Activation) -> Self {
-        assert_eq!(
-            bias.len(),
-            weight.cols(),
-            "bias width must match output features"
-        );
-        Self {
-            weight,
-            epilogue: Epilogue {
-                bias: Some(bias),
-                activation,
-            },
-        }
-    }
-
-    /// The layer's input feature width.
-    pub fn in_features(&self) -> usize {
-        self.weight.rows()
-    }
-
-    /// The layer's output feature width (the SpMM dense dimension).
-    pub fn out_features(&self) -> usize {
-        self.weight.cols()
-    }
-
-    /// The layer's per-column bias, if any.
-    pub fn bias(&self) -> Option<&[f32]> {
-        self.epilogue.bias.as_deref()
-    }
-
-    /// The store-stage form of this layer's bias + activation. Always
-    /// `Some`, since every activation fuses: the `Option` stays only
-    /// because the serving benchmark (`servebench/`) calls `.expect` on
-    /// it.
-    pub fn epilogue(&self) -> Option<&Epilogue> {
-        Some(&self.epilogue)
-    }
-}
+/// One graph-convolution layer: the engine's [`mpspmm_core::Layer`],
+/// under the name this crate has always given it.
+pub use mpspmm_core::Layer as GcnLayer;
 
 /// A multi-layer GCN model.
 ///
@@ -184,49 +93,19 @@ impl GcnModel {
     }
 
     /// Forward pass on `engine`, returning one output per block, in
-    /// order. Each layer is its GEMMs plus **one** SpMM aggregation with
-    /// the layer's bias/activation epilogue fused into the store stage.
-    /// A 2-layer model on one block is
-    /// the "2 kernel invocations" scenario of the paper's Figure 8.
-    ///
-    /// This is the crate's one GCN layer loop, and `a_hat` picks how a
-    /// layer runs its two halves:
-    ///
-    /// * [`Adjacency::Graph`] (or a plain `&CsrMatrix`): several
-    ///   independent feature blocks on the *same* graph, a single request
-    ///   being `&[&x]`. Each layer runs one engine GEMM per block and one
-    ///   [`ExecEngine::spmm`] that aggregates `Â × H_iW` for every block,
-    ///   each into its own output — the dense-column batching of Batched
-    ///   SpMM for GCN serving, valid because `Â (H_i W)` only ever reads
-    ///   `H_i W`'s own columns.
-    /// * [`Adjacency::Packed`]: a window of small graphs, one block per
-    ///   graph. Each layer runs one [`ExecEngine::gemm_stacked`] over the
-    ///   window's rows, read where each graph's block lies, and one
-    ///   [`ExecEngine::spmm_packed`] that folds every graph's rows from its
-    ///   own rows of that product. Hidden activations are one stacked
-    ///   arena matrix; the last layer stores each graph's rows straight
-    ///   into that graph's own output. No block-diagonal matrix is built
-    ///   and nothing is stacked or scattered. Each graph's output is its
-    ///   own forward pass, bit for bit.
+    /// order: [`ExecEngine::forward`] over the model's layers. `a_hat` is
+    /// one graph ([`Adjacency::Graph`], or a plain `&CsrMatrix`) whose
+    /// every block is a request's features, or a packed window of small
+    /// graphs ([`Adjacency::Packed`]) with one block per graph, which
+    /// runs as one pool dispatch with each worker taking every layer over
+    /// its own graphs. Each graph's or block's output is its own
+    /// one-graph, one-block forward, bit for bit.
     ///
     /// Layer 0's raw feature matrix and the hidden layers' dense
     /// activations all go through the engine's GEMM, whose result
     /// equals a zero-skipping GEMM's bit for bit whenever the weights are
     /// finite (see [`crate::ops::gemm`]); DESIGN.md §2.10 has the
     /// measurements that retired the skip.
-    ///
-    /// Each activation goes back to the engine's arena at its last read:
-    /// a layer's input activations as soon as every block's GEMM has read
-    /// them, before the aggregation checks out its outputs, and the GEMM
-    /// products once the aggregation has read them. A layer therefore
-    /// holds at most two full-size buffers per block, its product and its
-    /// output, and a steady-state forward whose caller recycles its
-    /// outputs allocates no fresh engine buffers. A caller that drops the
-    /// outputs instead (a serving client) costs one fresh arena buffer per
-    /// output per call. On one graph, every output is a buffer sized for
-    /// the model's widest activation, so the allocator refills the space
-    /// the last call's outputs freed (DESIGN.md §2.9); a packed window's
-    /// outputs are fresh buffers of each graph's own size.
     ///
     /// # Errors
     ///
@@ -238,57 +117,7 @@ impl GcnModel {
         blocks: &[&DenseMatrix<f32>],
         engine: &ExecEngine,
     ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
-        let a_hat = a_hat.into();
-        if blocks.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut hs: Vec<DenseMatrix<f32>> = Vec::new();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let products = match a_hat {
-                Adjacency::Graph(_) => {
-                    let mut products = Vec::with_capacity(blocks.len());
-                    for j in 0..blocks.len() {
-                        let h = if i == 0 { blocks[j] } else { &hs[j] };
-                        products.push(engine.gemm(h, &layer.weight)?);
-                    }
-                    products
-                }
-                // Layer 0 reads every graph's features where they lie; a
-                // hidden activation is one stacked matrix.
-                Adjacency::Packed(_) if i == 0 => vec![engine.gemm_stacked(blocks, &layer.weight)?],
-                Adjacency::Packed(_) => vec![engine.gemm(&hs[0], &layer.weight)?],
-            };
-            // Every GEMM has read the previous layer's activations: hand
-            // them back now, so this layer's aggregation writes into them
-            // instead of checking out a third full-size buffer per block.
-            for old in hs.drain(..) {
-                engine.recycle(old);
-            }
-            let refs: Vec<&DenseMatrix<f32>> = products.iter().collect();
-            // Every block in a model batch has this layer's output width,
-            // and the engine applies a batch epilogue per block, so the
-            // layer's epilogue fuses into the one aggregation run as is.
-            let epi = &layer.epilogue;
-            let aggregated = match a_hat {
-                Adjacency::Graph(a) => engine.spmm(a, &refs, epi)?,
-                Adjacency::Packed(p) => {
-                    let out = if i + 1 == self.layers.len() {
-                        PackedOut::PerGraph
-                    } else {
-                        PackedOut::Stacked
-                    };
-                    engine.spmm_packed(p, &refs, epi, out)?
-                }
-            };
-            drop(refs);
-            // The per-request products are dead now: the next layer's
-            // GEMMs (and the next batch) reuse them.
-            for p in products {
-                engine.recycle(p);
-            }
-            hs = aggregated;
-        }
-        Ok(hs)
+        engine.forward(a_hat, blocks, &self.layers)
     }
 }
 
@@ -391,7 +220,7 @@ pub fn online_inference(
 mod tests {
     use super::*;
     use crate::ops::{gemm, random_features, xavier_init};
-    use mpspmm_core::{MergePathSpmm, NnzSplitSpmm, SerialSpmm, SpmmKernel};
+    use mpspmm_core::{MergePathSpmm, NnzSplitSpmm, PackedGraphs, SerialSpmm, SpmmKernel};
     use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
 
     fn small_graph() -> CsrMatrix<f32> {

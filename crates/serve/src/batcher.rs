@@ -52,8 +52,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpspmm_core::{Epilogue, ExecEngine, PackedGraphs, PackedOut};
-use mpspmm_gcn::Adjacency;
+use mpspmm_core::{Adjacency, Epilogue, ExecEngine, PackedGraphs};
 use mpspmm_sparse::{DenseMatrix, SparseFormatError};
 
 use crate::error::ServeError;
@@ -255,9 +254,7 @@ fn execute(shared: &Shared, live: &[Pending]) -> Result<Vec<DenseMatrix<f32>>, S
     let feats: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
     let run = |a: Adjacency<'_>| match (head.workload, a) {
         (Workload::Spmm, Adjacency::Graph(a)) => engine.spmm(a, &feats, &Epilogue::NONE),
-        (Workload::Spmm, Adjacency::Packed(p)) => {
-            engine.spmm_packed(p, &feats, &Epilogue::NONE, PackedOut::PerGraph)
-        }
+        (Workload::Spmm, Adjacency::Packed(p)) => engine.spmm_packed(p, &feats, &Epilogue::NONE),
         (Workload::Gcn, a) => head
             .graph
             .model()
