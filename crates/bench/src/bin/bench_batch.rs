@@ -14,13 +14,14 @@
 //!
 //! * **per-request**: packing off, every request runs its own GCN
 //!   forward — two GEMMs and two aggregation SpMMs *per tiny graph*,
-//!   each an engine run with plan lookup, pool dispatch, and arena
-//!   traffic.
+//!   each an engine run with its own pool dispatch and arena traffic.
 //! * **packed**: packing on, a batch window admits requests for
-//!   different graphs, concatenates them into one block-diagonal CSR,
-//!   runs `GcnModel::forward` over the stacked features
-//!   as one block — one GEMM + one SpMM per layer for the *whole window*
-//!   — and scatters each tenant's row band back out.
+//!   different graphs and runs them as **one** `ExecEngine::forward`
+//!   over a `PackedGraphs` window of their graphs: the window is cut
+//!   once at graph starts and the pool is dispatched once, each worker
+//!   running every layer over its own whole graphs and storing each
+//!   graph's last layer straight into that request's reply. No
+//!   block-diagonal matrix is built and nothing is stacked or scattered.
 //!
 //! The headline is the goodput ratio **at fixed p95** — the per-request
 //! mode's median wall time per graph over the packed mode's, across
@@ -29,7 +30,7 @@
 //! binary asserts `packed p95 <= per-request p95` alongside the >= 5x
 //! goodput floor (full mode; `--smoke` runs a smaller population and
 //! only prints). Before anything is timed, a bit-identity spot check
-//! packs a window and compares every scattered band against the
+//! serves one packed window and compares every reply against the
 //! sequential per-graph oracle — exact equality, not tolerance.
 //!
 //! Writes `BENCH_batch.json`.
@@ -57,10 +58,10 @@ const CLASSES: usize = 2;
 /// Burst width, and therefore the packing window's graph budget: the
 /// client submits one burst, waits for every reply, then submits the
 /// next — the batch-synchronous shape of a full inference sweep over a
-/// registered population. Each packed window cuts its row spans from the
-/// packed row pointers; nothing is reused across windows.
+/// registered population. Each packed window cuts its spans at graph
+/// starts from its graphs' sizes; nothing is reused across windows.
 const BURST: usize = 256;
-/// Tenants the burst is spread over (results scatter per tenant).
+/// Tenants the burst is spread over (each window mixes tenants).
 const TENANTS: usize = 8;
 
 /// Timed passes per mode, after one untimed warm-up pass.
@@ -225,9 +226,9 @@ fn paired_run(
     (times, stats)
 }
 
-/// Bit-identity spot check, untimed: one packed window over a mixed
-/// population slice must scatter back the exact bits of the sequential
-/// per-graph oracle.
+/// Bit-identity spot check, untimed: every reply of one packed window
+/// over a mixed population slice must hold the exact bits of the
+/// sequential per-graph oracle.
 fn spot_check(
     engine: &Arc<ExecEngine>,
     graphs: &[CsrMatrix<f32>],
@@ -257,7 +258,7 @@ fn spot_check(
         })
         .collect();
     // Per-graph reference: a 1-worker engine runs the same flat
-    // per-row folds as the packed row bands.
+    // per-row folds as the packed window's graphs.
     let ref_engine = ExecEngine::new(1);
     for (g, ticket) in tickets.into_iter().enumerate() {
         let got = ticket.wait().expect("spot check request");

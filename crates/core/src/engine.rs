@@ -6,16 +6,16 @@
 //! passes to initialize and convert that atomic buffer. [`ExecEngine`]
 //! removes all of that overhead:
 //!
-//! * **Row spans**: every run cuts the output rows into one contiguous
-//!   span per worker by the merge-path search on the `rows + nnz`
-//!   diagonal, each cut snapped to a row edge. Every row has
+//! * **Row spans**: every run cuts its input once into one contiguous
+//!   span per worker on the `rows + nnz` merge items. One graph is cut
+//!   by the merge-path search, each cut snapped to a row edge
+//!   (`row_aligned_starts`, the one row cut); a packed window of small
+//!   graphs is cut at graph starts (the `packed` module). Every row has
 //!   one writer, which folds its non-zeros in one ascending pass and
 //!   stores the row into a plain `&mut [f32]` slice of the output; the
 //!   slices are disjoint by `split_at_mut`, so no row is shared, no store
 //!   is atomic, and nothing is folded or replayed after the join.
-//!   Snapping costs at most one row per boundary (DESIGN.md §2.3.1). The
-//!   cut, the span runner and the row fold live in the `packed` module:
-//!   one runner serves both entry points.
+//!   Snapping costs at most one row per boundary (DESIGN.md §2.3.1).
 //! * **Persistent workers** (the `pool` module): spans run on long-lived
 //!   pool workers, so repeated SpMM calls (a GNN forward pass is many of
 //!   them) stop paying thread spawn/join. A run with one effective worker
@@ -30,20 +30,14 @@
 //!   decision. A one-tile plan folds the span at that const width. The
 //!   scalar oracle stays selectable ([`DataPath::Scalar`]).
 //! * **One entry point, no preprocessing** ([`ExecEngine::spmm`]): a
-//!   call takes the matrix, a list of dense blocks and an epilogue, and
-//!   reads everything it needs from the live matrix, so nothing is built
-//!   ahead of a run and nothing is cached between runs. It cuts the row
-//!   spans once and dispatches the pool once for the whole list; each
-//!   worker folds its span once per block, reading each block where it
-//!   lies and storing into that block's own output. A single block is
-//!   the one-element list.
-//!   Only a list of single-column blocks is interleaved into one
-//!   combined operand and split back out, since a one-column fold
-//!   gathers one float per cache line (DESIGN.md §2.8). The list runs as
-//!   the one-graph window of the matrix, one fold per block, through the
-//!   runner that [`ExecEngine::spmm_packed`] runs a packed window of many
-//!   small graphs through, graph by graph, without building its
-//!   block-diagonal matrix (DESIGN.md §2.12).
+//!   call takes one matrix or a packed window ([`Adjacency`]), a list of
+//!   dense blocks and an epilogue, and reads everything it needs from the
+//!   live matrices, so nothing is built ahead of a run and nothing is
+//!   cached between runs. It cuts the spans once and dispatches the pool
+//!   once for the whole list, and each block is read where it lies and
+//!   stored into its own output. Only a list of single-column blocks is
+//!   interleaved into one combined operand and split back out, since a
+//!   one-column fold gathers one float per cache line (DESIGN.md §2.8).
 //! * **Buffer arena** (the `arena` module): output buffers (and the
 //!   single-column lane's combined operand) are pooled per engine and
 //!   checked out per execution, so steady-state inference allocates
@@ -66,7 +60,10 @@ use crate::arena::BufferArena;
 use crate::datapath::{DataPath, ResolvedPath};
 use crate::epilogue::Epilogue;
 use crate::executor::check_shapes;
-use crate::packed::{run_spans, Fold, PackedGraphs};
+use crate::forward::Adjacency;
+use crate::merge_path::merge_path_search;
+use crate::packed::{fold_rows, Piece};
+use crate::pool::{ScopedJob, WorkerPool};
 use crate::spmm::default_workers;
 
 /// Snapshot of an engine's GEMM, epilogue and arena counters.
@@ -86,9 +83,9 @@ pub struct EngineStats {
     /// Engine runs that fused a non-noop [`Epilogue`] into the SpMM
     /// store stage instead of paying a separate activation pass.
     pub fused_epilogues: u64,
-    /// Wall nanoseconds spent inside the engine's dense GEMM
-    /// ([`ExecEngine::gemm`]), cumulative — together with the SpMM wall
-    /// time this is the "where the time goes" split of a fused GCN layer.
+    /// Wall nanoseconds spent inside [`ExecEngine::gemm`] calls,
+    /// cumulative. A packed forward's GEMMs run inside its span jobs and
+    /// are not counted.
     pub gemm_ns: u64,
     #[doc(hidden)]
     pub gather_segments: u64,
@@ -161,42 +158,50 @@ impl ExecEngine {
 
     /// Computes `a · b` for every dense block `b` in `blocks` in a
     /// *single* engine run, with `epi` fused at the store stage, and
-    /// returns one output per block, in order; a single block is
-    /// `&[&b]`. Pass [`Epilogue::NONE`] for the plain product.
+    /// returns one output per block, in order. Pass [`Epilogue::NONE`]
+    /// for the plain product. `a` picks what the blocks are:
     ///
-    /// The row spans are cut once from `a`'s row pointers and the pool is
-    /// dispatched once for the whole list. Each worker folds its span once
-    /// per block, reading the block where it lies and storing straight
-    /// into that block's output, so a list costs no gather into a
-    /// combined operand and no scatter out of a combined result. This is
-    /// the batched submission path the serving layer coalesces
-    /// concurrent requests through.
+    /// * [`Adjacency::Graph`] (or a plain `&CsrMatrix`): independent
+    ///   blocks on one graph, a single block being `&[&b]`, the batched
+    ///   submission path the serving layer coalesces requests through.
+    ///   The row spans are cut once from `a`'s row pointers, and each
+    ///   worker folds its span once per block straight into that block's
+    ///   output. A list whose blocks are *all* single columns (two or
+    ///   more) is interleaved into one combined operand, run as one block
+    ///   and split back, which costs less than re-walking `a` once per
+    ///   one-column block (DESIGN.md §2.8).
+    /// * [`Adjacency::Packed`]: a window of small graphs, one block per
+    ///   graph holding that graph's `cols()` rows. The window is cut at
+    ///   graph starts into spans of whole graphs, each folding its graphs
+    ///   straight into their replies: one fresh matrix per graph, since
+    ///   replies leave the engine (see [`PackedGraphs`]).
     ///
-    /// The epilogue applies **per block**: each row gets it right after
-    /// its one store, while register-hot, empty rows included, so every
-    /// output equals the plain product followed by a separate epilogue
-    /// pass (DESIGN.md §2.10), and a bias must match *each* block's width.
-    /// Every output row keeps one writer that sums its products in
-    /// ascending `k`, so each block's output is the same under f32 `==`
-    /// at any worker count and in any list it rides in.
-    ///
-    /// A list whose blocks are *all* single columns (two or more of them)
-    /// instead interleaves them into one combined operand, runs it as one
-    /// block and splits the result: a one-column block would gather one
-    /// float per cache line and re-walk `a` once per block, which costs
-    /// more than the copies (DESIGN.md §2.8).
+    /// The pool is dispatched once per call. The epilogue applies **per
+    /// block**, right after each row's one store, empty rows included, so
+    /// every output equals the plain product followed by a separate
+    /// epilogue pass (DESIGN.md §2.10), and a bias must match *each*
+    /// block's width. Every output row keeps one writer that sums its
+    /// products in ascending `k`, so each block's output is the same
+    /// under f32 `==` at any worker count and in any list or window.
     ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::ShapeMismatch`], before any output is
-    /// checked out, if any block has `rows != a.cols()` or a bias
+    /// checked out, if any block's rows differ from its graph's columns,
+    /// a window's blocks are not one per graph of one width, or a bias
     /// epilogue's length differs from any block's width.
-    pub fn spmm(
+    ///
+    /// [`PackedGraphs`]: crate::PackedGraphs
+    pub fn spmm<'a>(
         &self,
-        a: &CsrMatrix<f32>,
+        a: impl Into<Adjacency<'a>>,
         blocks: &[&DenseMatrix<f32>],
         epi: &Epilogue,
     ) -> Result<Vec<DenseMatrix<f32>>, SparseFormatError> {
+        let a = match a.into() {
+            Adjacency::Graph(a) => a,
+            Adjacency::Packed(p) => return self.spmm_window(p, blocks, epi),
+        };
         for b in blocks {
             check_shapes(a, b)?;
             epi.validate(b.cols())?;
@@ -244,9 +249,8 @@ impl ExecEngine {
     }
 
     /// Runs `a · b` for every block `b`, each into its own arena output,
-    /// as the one-graph window of `a` with one fold per block. Shapes are
-    /// already checked; a non-noop `epi` is already validated against
-    /// every block's width.
+    /// one fold per block. Shapes are already checked; a non-noop `epi`
+    /// is already validated against every block's width.
     ///
     /// The outputs come from the arena unzeroed ([`BufferArena::take`]):
     /// the row fold stores every element, an empty row's zeros included,
@@ -264,17 +268,8 @@ impl ExecEngine {
             .iter()
             .map(|b| self.arena.take(rows * b.cols()))
             .collect();
-        let folds = blocks
-            .iter()
-            .zip(&mut outs)
-            .map(|(b, out)| Fold {
-                dim: b.cols(),
-                rp,
-                operands: vec![b.as_slice()],
-                outs: vec![out],
-            })
-            .collect();
-        run_spans(&PackedGraphs::new([a]), folds, self.workers, epi);
+        let slices = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        run_spans(a, blocks, slices, rp, self.workers, epi);
         outs.into_iter()
             .zip(blocks)
             .map(|(buf, b)| {
@@ -324,6 +319,87 @@ impl std::fmt::Debug for ExecEngine {
             .field("workers", &self.workers)
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+/// First row of each of `spans` row spans of the CSR matrix with row
+/// pointers `row_ptr`: the `rows + nnz` merge items are cut into equal
+/// diagonals, each snapped by the merge-path search to the rows fully
+/// consumed there. Starts never decrease and `starts[0] == 0`. The one
+/// row cut: column batches and `BatchMergeSpmm` plans both use it.
+pub(crate) fn row_aligned_starts(row_ptr: &[usize], spans: usize) -> Vec<usize> {
+    let rows = row_ptr.len() - 1;
+    let nnz = row_ptr[rows];
+    let spans = spans.max(1);
+    let share = (rows + nnz).div_ceil(spans).max(1);
+    let mut starts = Vec::with_capacity(spans);
+    starts.push(0);
+    for k in 1..spans {
+        let diag = (k * share).min(rows + nnz);
+        let prev = starts[k - 1];
+        starts.push(
+            merge_path_search(diag, &row_ptr[1..], nnz)
+                .row
+                .clamp(prev, rows),
+        );
+    }
+    starts
+}
+
+/// Folds `a` once per block, from the block into its output: one row
+/// span per worker ([`row_aligned_starts`]) on the pool, or the whole
+/// matrix inline at one worker. A span's job runs [`fold_rows`] once per
+/// block over the span's rows. Blocks of width 0 and empty spans get no
+/// work.
+pub(crate) fn run_spans(
+    a: &CsrMatrix<f32>,
+    blocks: &[&DenseMatrix<f32>],
+    outs: Vec<&mut [f32]>,
+    rp: ResolvedPath,
+    workers: usize,
+    epi: &Epilogue,
+) {
+    let starts = row_aligned_starts(a.row_ptr(), workers);
+    let end = |s: usize| starts.get(s + 1).copied().unwrap_or(a.rows());
+    // Span `s`'s piece of every block, each with its width. The jobs
+    // borrow the lists, so they are freed here, on the calling thread:
+    // freed on pool workers, they raised `ppi-gcn`'s peak RSS by one
+    // activation buffer in 5 of 20 10 s servebench runs (2-vCPU host).
+    let mut spans: Vec<Vec<(usize, Piece<'_>)>> = starts
+        .iter()
+        .map(|_| Vec::with_capacity(blocks.len()))
+        .collect();
+    for (b, mut out) in blocks.iter().zip(outs).filter(|(b, _)| b.cols() > 0) {
+        for (s, span) in spans.iter_mut().enumerate() {
+            let (first, hi) = (starts[s], end(s));
+            let (head, tail) = std::mem::take(&mut out).split_at_mut((hi - first) * b.cols());
+            out = tail;
+            if hi > first {
+                let piece = Piece {
+                    a,
+                    first,
+                    b: b.as_slice(),
+                    out: head,
+                };
+                span.push((b.cols(), piece));
+            }
+        }
+    }
+    let jobs: Vec<ScopedJob<'_>> = spans
+        .iter_mut()
+        .filter(|span| !span.is_empty())
+        .map(|span| -> ScopedJob<'_> {
+            Box::new(move || {
+                for (dim, piece) in span {
+                    fold_rows(std::slice::from_mut(piece), *dim, &rp, epi);
+                }
+            })
+        })
+        .collect();
+    if workers <= 1 {
+        jobs.into_iter().for_each(|job| job());
+    } else {
+        WorkerPool::global().scope_run(jobs);
     }
 }
 
@@ -464,7 +540,7 @@ mod tests {
     }
 
     /// `a · b` under `epi` on path `rp` at `workers`, stored into `out`:
-    /// one fold through the span runner over the one-graph window of `a`.
+    /// one block through the column-batch span runner.
     fn fold_into(
         a: &CsrMatrix<f32>,
         b: &DenseMatrix<f32>,
@@ -473,50 +549,48 @@ mod tests {
         epi: &Epilogue,
         out: &mut [f32],
     ) {
-        let fold = Fold {
-            dim: b.cols(),
-            rp,
-            operands: vec![b.as_slice()],
-            outs: vec![out],
-        };
-        run_spans(&PackedGraphs::new([a]), vec![fold], workers, epi);
+        run_spans(a, &[b], vec![out], rp, workers, epi);
     }
 
-    /// The cut of the one-graph window every column batch runs as.
+    /// The row cut every column batch runs on, on the lopsided graph
+    /// (its row 0 holds 101 of the 170 merge items) and on a graph whose
+    /// middle row is longer than a span's share: at every span count
+    /// from one to more spans than either graph has merge items, the
+    /// long row lands in exactly one span, and a span exceeds its share
+    /// by at most the row it snapped around.
     #[test]
     fn spans_cut_at_row_edges_and_keep_long_rows_whole() {
-        let a = lopsided();
-        let rp = a.row_ptr();
-        let window = PackedGraphs::new([&a]);
-        for spans in [1usize, 2, 3, 8, 64] {
-            let starts = window.row_starts(spans);
-            assert_eq!(starts.len(), spans);
-            assert_eq!(starts[0], 0);
-            assert!(starts.windows(2).all(|w| w[0] <= w[1]));
-            assert!(starts.iter().all(|&s| s <= a.rows()));
-            let span = |s: usize| {
-                let hi = starts.get(s + 1).copied().unwrap_or(a.rows());
-                (starts[s], hi)
-            };
-            // Row 0 (101 of the 170 merge items) is longer than a share
-            // at two spans or more, yet exactly one span holds all of it.
-            let share = (a.rows() + a.nnz()).div_ceil(spans);
-            if spans > 1 {
-                assert!(rp[1] + 1 > share, "row 0 is longer than a share");
-            }
-            let owners = (0..spans)
-                .filter(|&s| (span(s).0..span(s).1).contains(&0))
-                .count();
-            assert_eq!(owners, 1, "spans={spans}: row 0 lands in one span");
-            // A span exceeds its share by at most the row it snapped
-            // around: the longest row's merge items.
-            for s in 0..spans {
-                let (lo, hi) = span(s);
-                let items = (hi - lo) + (rp[hi] - rp[lo]);
-                assert!(
-                    items <= share + 101,
-                    "spans={spans} span {s}: {items} items"
-                );
+        let mut long_middle: Vec<(usize, usize, f32)> =
+            (0..20).filter(|&r| r != 10).map(|r| (r, r, 1.0)).collect();
+        long_middle.extend((0..60).map(|c| (10, c, 0.5)));
+        let long_middle = CsrMatrix::from_triplets(20, 60, &long_middle).unwrap();
+        for (a, long) in [(lopsided(), 0usize), (long_middle, 10)] {
+            let rp = a.row_ptr();
+            let long_items = rp[long + 1] - rp[long] + 1;
+            for spans in [1usize, 2, 3, 8, 64, 200] {
+                let at = format!("{} rows, spans={spans}", a.rows());
+                let starts = row_aligned_starts(rp, spans);
+                assert_eq!(starts.len(), spans);
+                assert_eq!(starts[0], 0);
+                assert!(starts.windows(2).all(|w| w[0] <= w[1]));
+                assert!(starts.iter().all(|&s| s <= a.rows()));
+                let span = |s: usize| {
+                    let hi = starts.get(s + 1).copied().unwrap_or(a.rows());
+                    (starts[s], hi)
+                };
+                let share = (a.rows() + a.nnz()).div_ceil(spans);
+                if spans > 1 {
+                    assert!(long_items > share, "{at}: the long row exceeds a share");
+                }
+                let owners = (0..spans)
+                    .filter(|&s| (span(s).0..span(s).1).contains(&long))
+                    .count();
+                assert_eq!(owners, 1, "{at}: the long row lands in one span");
+                for s in 0..spans {
+                    let (lo, hi) = span(s);
+                    let items = (hi - lo) + (rp[hi] - rp[lo]);
+                    assert!(items <= share + long_items, "{at} span {s}: {items} items");
+                }
             }
         }
     }

@@ -21,7 +21,6 @@ use crate::datapath::{gemm_band, ResolvedPath};
 use crate::engine::ExecEngine;
 use crate::epilogue::{Activation, Epilogue};
 use crate::packed::{fold_rows, PackedGraphs, Piece};
-use crate::pool::{ScopedJob, WorkerPool};
 
 /// Rows a span's job runs through every layer at a time: it fills a
 /// group of consecutive graphs up to this many rows (a longer graph is a
@@ -30,14 +29,6 @@ use crate::pool::{ScopedJob, WorkerPool};
 /// by a sweep over 128 to 2,048 rows on `molecule-pack`-shaped windows
 /// (DESIGN.md §2.12).
 const GROUP_ROWS: usize = 256;
-
-/// Merge items (`rows + nnz`) a packed forward gives each worker at
-/// least: a window of fewer than twice this many runs inline, since
-/// waking a pool worker costs more wall time than the half of the work
-/// it would take. At `molecule-pack`'s widths (16 → 32 → 2) a merge item
-/// takes about 7 ns of forward at one worker, and a dispatch about
-/// 13–17 µs of wall time on a 2-vCPU AVX-512F host (DESIGN.md §2.12).
-const FORWARD_MIN_ITEMS: usize = 2048;
 
 /// One graph-convolution layer: `H' = σ(Â · H · W + b)`.
 ///
@@ -110,16 +101,15 @@ impl Layer {
     }
 }
 
-/// The graph side of an [`ExecEngine::forward`]: one graph whose every
-/// block is a request's features, or a packed window of graphs whose
-/// blocks are the graphs' own features.
+/// The graph side of an [`ExecEngine::spmm`] or [`ExecEngine::forward`]:
+/// one graph whose every block is a request's features, or a packed
+/// window of graphs whose blocks are the graphs' own features.
 #[derive(Debug, Clone, Copy)]
 pub enum Adjacency<'a> {
     /// One normalized adjacency `Â`.
     Graph(&'a CsrMatrix<f32>),
     /// A packed window: one block per graph, holding that graph's
-    /// feature rows (or one block of every graph's rows stacked in window
-    /// order).
+    /// feature rows.
     Packed(&'a PackedGraphs<'a>),
 }
 
@@ -284,50 +274,20 @@ impl ExecEngine {
             .iter()
             .map(|g| self.arena.fresh(g.rows() * out_dim))
             .collect();
-        let spans = (p.items() / FORWARD_MIN_ITEMS).clamp(1, self.workers);
-        let starts = p.graph_starts(spans);
-        let graphs = p.graphs();
-        let bounds: Vec<Range<usize>> = starts
-            .iter()
-            .enumerate()
-            .map(|(s, &lo)| lo..starts.get(s + 1).copied().unwrap_or(graphs.len()))
-            .filter(|r| !r.is_empty())
-            .collect();
+        let ctx = SpanCtx {
+            layers,
+            packs: &packs,
+            rp,
+        };
         // One scratch buffer per span, a product and an activation of its
         // largest group at the widest layer.
-        let mut scratch: Vec<Vec<f32>> = bounds
-            .iter()
-            .map(|r| {
-                self.arena
-                    .take(2 * widest_group(&graphs[r.clone()]) * width)
-            })
-            .collect();
-        {
-            let ctx = SpanCtx {
-                layers,
-                packs: &packs,
-                rp,
-            };
-            // The spans cover the window in order, so each takes the next
-            // graphs' features and replies.
-            let mut features = &features[..];
-            let mut rest = &mut replies[..];
-            let mut jobs: Vec<ScopedJob<'_>> = Vec::with_capacity(bounds.len());
-            for (r, buf) in bounds.iter().zip(&mut scratch) {
-                let (x, tail) = features.split_at(r.len());
-                features = tail;
-                let (out, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-                rest = tail;
-                let g = &graphs[r.clone()];
-                let ctx = &ctx;
-                jobs.push(Box::new(move || ctx.run(g, x, out, buf)));
-            }
-            if jobs.len() <= 1 {
-                jobs.into_iter().for_each(|job| job());
-            } else {
-                WorkerPool::global().scope_run(jobs);
-            }
-        }
+        let scratch = p.run_graph_spans(
+            self.workers,
+            &features,
+            &mut replies,
+            |graphs| self.arena.take(2 * widest_group(graphs) * width),
+            |graphs, features, replies, buf| ctx.run(graphs, features, replies, buf),
+        );
         for buf in scratch.into_iter().chain(packs) {
             self.arena.put(buf);
         }
@@ -461,6 +421,7 @@ impl SpanCtx<'_> {
 mod tests {
     use super::*;
     use crate::datapath::DataPath;
+    use crate::packed::PACKED_MIN_ITEMS;
     use crate::pool::SCOPE_RUNS;
     use crate::spmm::test_support::{random_dense, random_matrix};
 
@@ -520,8 +481,7 @@ mod tests {
     /// {1, 2, 7, 64}, on both data paths, for 1-, 2- and 3-layer models
     /// with and without bias under every activation, and output widths
     /// that run the rows-in-lanes tile (1, 2, 8), the 9–16 body (12, 16)
-    /// and the packed sweep (17, 32, 40). The features go in as one block
-    /// per graph and, for one model, as one stacked block.
+    /// and the packed sweep (17, 32, 40).
     #[test]
     fn packed_forward_equals_each_graphs_own_forward() {
         use Activation::{Identity, Relu, Sigmoid};
@@ -542,15 +502,7 @@ mod tests {
                     .enumerate()
                     .map(|(i, g)| random_dense(g.cols(), k, (100 * w + i) as u64))
                     .collect();
-                let per_graph: Vec<&DenseMatrix<f32>> = feats.iter().collect();
-                let all: Vec<f32> = feats.iter().flat_map(|x| x.as_slice()).copied().collect();
-                let stacked = DenseMatrix::from_vec(window.cols(), k, all).unwrap();
-                let one_block = [&stacked];
-                let block_sets: Vec<&[&DenseMatrix<f32>]> = if m == 2 {
-                    vec![&per_graph, &one_block]
-                } else {
-                    vec![&per_graph]
-                };
+                let blocks: Vec<&DenseMatrix<f32>> = feats.iter().collect();
                 for path in [DataPath::Scalar, DataPath::Vector] {
                     let one = ExecEngine::with_data_path(1, path);
                     let want: Vec<DenseMatrix<f32>> = graphs
@@ -560,57 +512,68 @@ mod tests {
                         .collect();
                     for workers in [1, 2, 7, 64] {
                         let engine = ExecEngine::with_data_path(workers, path);
-                        for blocks in &block_sets {
-                            let got = engine.forward(&window, blocks, model).unwrap();
-                            let at = format!(
-                                "window {w} model {m} {path:?} workers={workers} {} blocks",
-                                blocks.len()
-                            );
-                            assert_eq!(got, want, "{at}");
-                        }
+                        let got = engine.forward(&window, &blocks, model).unwrap();
+                        let at = format!("window {w} model {m} {path:?} workers={workers}");
+                        assert_eq!(got, want, "{at}");
                     }
                 }
             }
         }
     }
 
-    /// `engine.forward` over `window` and the number of pool dispatches
-    /// it made from this thread.
-    fn dispatches(engine: &ExecEngine, window: &PackedGraphs<'_>, model: &[Layer]) -> usize {
-        let feats: Vec<DenseMatrix<f32>> = window
-            .graphs()
-            .iter()
-            .map(|g| random_dense(g.cols(), model[0].in_features(), 3))
-            .collect();
-        let blocks: Vec<&DenseMatrix<f32>> = feats.iter().collect();
+    /// The number of pool dispatches `run` makes from this thread.
+    fn dispatches(run: impl FnOnce()) -> usize {
         let before = SCOPE_RUNS.with(|n| n.get());
-        engine.forward(window, &blocks, model).unwrap();
+        run();
         SCOPE_RUNS.with(|n| n.get()) - before
     }
 
+    /// Features of width `k` for every graph of `window`.
+    fn features(window: &PackedGraphs<'_>, k: usize) -> Vec<DenseMatrix<f32>> {
+        let graphs = window.graphs();
+        graphs
+            .iter()
+            .map(|g| random_dense(g.cols(), k, 3))
+            .collect()
+    }
+
     /// A packed forward at two workers makes exactly one pool dispatch,
-    /// whatever its depth; a window under the inline minimum makes none,
-    /// and neither does a one-worker engine.
+    /// whatever its depth, and so does a packed aggregation; a window
+    /// under the inline minimum makes none, and neither does a one-worker
+    /// engine.
     #[test]
     fn a_packed_forward_dispatches_the_pool_once() {
         let graphs = windows();
         let model = layers(&[16, 32, 2], &[Activation::Relu, Activation::Identity], 9);
         let deep = layers(&[5, 12, 8, 17], &[Activation::Relu], 10);
         let (long, tiny) = (PackedGraphs::new(&graphs[2]), PackedGraphs::new(&graphs[3]));
-        assert!(long.items() >= 2 * FORWARD_MIN_ITEMS);
-        assert!(tiny.items() < 2 * FORWARD_MIN_ITEMS);
-        let two = ExecEngine::new(2);
-        assert_eq!(dispatches(&two, &long, &model), 1);
-        assert_eq!(dispatches(&two, &long, &deep), 1);
-        assert_eq!(dispatches(&two, &tiny, &model), 0);
-        assert_eq!(dispatches(&ExecEngine::new(1), &long, &model), 0);
+        assert!(long.items() >= 2 * PACKED_MIN_ITEMS);
+        assert!(tiny.items() < 2 * PACKED_MIN_ITEMS);
+        let (one, two) = (ExecEngine::new(1), ExecEngine::new(2));
+        let forward = |engine: &ExecEngine, window: &PackedGraphs<'_>, model: &[Layer]| {
+            let x = features(window, model[0].in_features());
+            let blocks: Vec<&DenseMatrix<f32>> = x.iter().collect();
+            dispatches(|| drop(engine.forward(window, &blocks, model).unwrap()))
+        };
+        assert_eq!(forward(&two, &long, &model), 1);
+        assert_eq!(forward(&two, &long, &deep), 1);
+        assert_eq!(forward(&two, &tiny, &model), 0);
+        assert_eq!(forward(&one, &long, &model), 0);
+        let spmm = |engine: &ExecEngine, window: &PackedGraphs<'_>| {
+            let x = features(window, 16);
+            let blocks: Vec<&DenseMatrix<f32>> = x.iter().collect();
+            dispatches(|| drop(engine.spmm(window, &blocks, &Epilogue::NONE).unwrap()))
+        };
+        assert_eq!(spmm(&two, &long), 1);
+        assert_eq!(spmm(&two, &tiny), 0);
+        assert_eq!(spmm(&one, &long), 0);
     }
 
     /// A packed forward rejects, before it checks anything out, features
-    /// of the wrong width, a bias of the wrong width, layers whose widths
-    /// do not chain, and a non-square graph under more than one layer; a
-    /// non-square graph runs one layer. An empty block list returns no
-    /// outputs.
+    /// of the wrong width, one block of every graph's rows stacked, a
+    /// bias of the wrong width, layers whose widths do not chain, and a
+    /// non-square graph under more than one layer; a non-square graph
+    /// runs one layer. An empty block list returns no outputs.
     #[test]
     fn packed_forward_checks_shapes_before_any_checkout() {
         let graphs = [graph(6, 12, 1), graph(4, 5, 2)];
@@ -636,6 +599,11 @@ mod tests {
             )
         };
         assert!(rejected(&wide));
+        let stacked = random_dense(window.cols(), 3, 4);
+        assert!(matches!(
+            engine.forward(&window, &[&stacked], &two),
+            Err(SparseFormatError::ShapeMismatch { .. })
+        ));
         assert!(rejected(&bad_bias));
         assert!(rejected(&unchained));
         let rect = [random_matrix(3, 5, 6, 7)];

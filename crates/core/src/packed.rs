@@ -1,5 +1,5 @@
-//! Packed windows held as their constituents, and the span runner every
-//! SpMM runs through.
+//! Packed windows held as their constituents, the graph-span runner every
+//! packed window runs through, and the row fold every SpMM runs.
 //!
 //! The paper's Type II workloads are thousands of tiny graphs; a serving
 //! window multiplies hundreds of them at once so one engine run balances
@@ -11,21 +11,19 @@
 //! and the prefix sums of their rows, columns and merge items
 //! (`rows + nnz`), so nothing is concatenated, stacked or scattered.
 //!
-//! A run cuts the window's row spans on those prefix sums: a search over
-//! the per-graph prefix finds the graph a cut falls in, and a merge-path
-//! search of that graph's own row pointers snaps the cut to a row edge
-//! inside it — the cut `row_aligned_starts` would make on the
-//! block-diagonal matrix. Each worker then folds its span graph by graph,
-//! each graph's rows through the row fold with that graph's own column
-//! indices into that graph's rows of the operand. Every output row is
-//! still one ascending fold from `0.0`, so each graph's rows are bit for
-//! bit its own product, at any worker count.
+//! A packed window is cut once, at graph starts: the merge items are cut
+//! into one equal share per worker and each cut snaps to the nearest graph
+//! start, so every span holds whole graphs. The pool is dispatched once,
+//! and a window too small to pay for a dispatch runs inline. An
+//! aggregation-only window ([`ExecEngine::spmm`] on a window) folds each
+//! span's graphs straight into their replies; a GCN window
+//! ([`ExecEngine::forward`]) runs every layer over each span's graphs.
+//! Every output row is still one ascending fold from `0.0`, so each
+//! graph's rows are bit for bit its own product, at any worker count.
 //!
-//! The runner takes a list of *folds*, one per operand width.
-//! [`ExecEngine::spmm_packed`] passes one fold over every graph of its
-//! window. A column batch is the one-graph window:
-//! [`ExecEngine::spmm`] passes one fold per block over its one graph, and
-//! the window's cut is then exactly `row_aligned_starts` of that graph.
+//! A column batch over one graph is cut inside the graph instead, at row
+//! edges (the engine's `row_aligned_starts`), and runs through the
+//! engine's one-graph runner; both run the row fold of this module.
 
 use std::ops::Range;
 
@@ -34,8 +32,18 @@ use mpspmm_sparse::{CsrMatrix, DenseMatrix, SparseFormatError};
 use crate::datapath::{fold_row_scalar, tile, with_isa, ResolvedPath, TilePlan};
 use crate::engine::ExecEngine;
 use crate::epilogue::{apply_parts, Activation, Epilogue};
-use crate::merge_path::merge_path_search;
 use crate::pool::{ScopedJob, WorkerPool};
+
+/// Merge items (`rows + nnz`) a packed window gives each worker at least:
+/// a window of fewer than twice this many runs inline, since waking a pool
+/// worker costs more wall time than the half of the work it would take.
+/// Calibrated on the GCN forward: at `molecule-pack`'s widths
+/// (16 → 32 → 2) a merge item takes about 7 ns of forward at one worker,
+/// and a dispatch about 13–17 µs of wall time on a 2-vCPU AVX-512F host
+/// (DESIGN.md §2.12). An aggregation-only window uses it as is: it does
+/// less work per merge item than a forward, so the rule errs toward
+/// splitting it.
+pub(crate) const PACKED_MIN_ITEMS: usize = 2048;
 
 /// Where one constituent starts in its window: its first row, first
 /// column and first merge item (`rows + nnz`) in the block-diagonal view.
@@ -51,9 +59,9 @@ struct Start {
 /// graph's, in a matrix that is never built. Building one costs one pass
 /// over the graph list.
 ///
-/// [`ExecEngine::spmm_packed`] aggregates a window in one engine run;
-/// [`ExecEngine::forward`] runs a GCN over it in **one** pool dispatch,
-/// each worker taking every layer over its own graphs.
+/// [`ExecEngine::spmm`] aggregates a window and [`ExecEngine::forward`]
+/// runs a GCN over it, each in **one** pool dispatch: each worker takes
+/// its own whole graphs.
 ///
 /// # Example
 ///
@@ -67,8 +75,8 @@ struct Start {
 /// let x0 = DenseMatrix::from_fn(2, 4, |r, c| (r + c) as f32);
 /// let x1 = DenseMatrix::from_fn(3, 4, |r, c| (r * c) as f32);
 /// let engine = ExecEngine::new(2);
-/// // Aggregation only: one output per graph.
-/// let outs = engine.spmm_packed(&window, &[&x0, &x1], &Epilogue::NONE)?;
+/// // Aggregation only: one output per graph, each its graph's own product.
+/// let outs = engine.spmm(&window, &[&x0, &x1], &Epilogue::NONE)?;
 /// assert_eq!(outs[1], engine.spmm(&g1, &[&x1], &Epilogue::NONE)?[0]);
 /// // A GCN forward: each reply is its graph's own forward, bit for bit.
 /// let layers = [
@@ -108,8 +116,7 @@ impl<'a> PackedGraphs<'a> {
         self.totals().row
     }
 
-    /// The window's columns: every graph's columns, the rows of a stacked
-    /// dense operand.
+    /// The window's columns: every graph's columns.
     pub fn cols(&self) -> usize {
         self.totals().col
     }
@@ -117,11 +124,6 @@ impl<'a> PackedGraphs<'a> {
     /// The window's non-zeros: every graph's non-zeros.
     pub fn nnz(&self) -> usize {
         self.totals().item - self.rows()
-    }
-
-    /// Columns of graph `i` in the window: its rows of a stacked operand.
-    fn block_cols(&self, i: usize) -> Range<usize> {
-        self.starts[i].col..self.starts[i + 1].col
     }
 
     fn totals(&self) -> Start {
@@ -174,54 +176,14 @@ impl<'a> PackedGraphs<'a> {
             .collect()
     }
 
-    /// First window row of each of `spans` row spans. The window's
-    /// `rows + nnz` merge items are cut into equal shares, and each cut
-    /// snaps to the rows fully consumed there: a search of the per-graph
-    /// item prefix finds the graph the cut falls in, and a merge-path
-    /// search of that graph's row pointers finds the row edge. Starts
-    /// never decrease and `starts[0] == 0`.
-    pub(crate) fn row_starts(&self, spans: usize) -> Vec<usize> {
-        let (rows, total) = (self.rows(), self.totals().item);
-        let share = total.div_ceil(spans.max(1)).max(1);
-        let mut starts = Vec::with_capacity(spans.max(1));
-        starts.push(0);
-        for k in 1..spans {
-            let diag = (k * share).min(total);
-            // The last graph starting at or before the cut: empty graphs
-            // start where their successor does, and own no item.
-            let g = self.starts.partition_point(|s| s.item <= diag) - 1;
-            let row = match self.graphs.get(g) {
-                Some(a) => {
-                    let local = diag - self.starts[g].item;
-                    self.starts[g].row + merge_path_search(local, &a.row_ptr()[1..], a.nnz()).row
-                }
-                None => rows,
-            };
-            starts.push(row.clamp(starts[k - 1], rows));
-        }
-        starts
-    }
-
-    /// Each graph's rows of the dense operand `b`: `b` is either one
-    /// matrix of [`cols()`](Self::cols) rows, the graphs' rows stacked in
-    /// window order, or one matrix per graph of that graph's `cols()`
-    /// rows. Returns the slices and the operand's width.
+    /// Each graph's rows of the dense operand `b`, one matrix per graph
+    /// of that graph's `cols()` rows, all of one width. Returns the
+    /// slices and the width.
     pub(crate) fn operand_rows<'b>(
         &self,
         b: &[&'b DenseMatrix<f32>],
     ) -> Result<(Vec<&'b [f32]>, usize), SparseFormatError> {
         let dim = b.first().map_or(0, |m| m.cols());
-        if let [stacked] = b {
-            if stacked.rows() == self.cols() {
-                let rows = (0..self.graphs.len())
-                    .map(|i| {
-                        let c = self.block_cols(i);
-                        &stacked.as_slice()[c.start * dim..c.end * dim]
-                    })
-                    .collect();
-                return Ok((rows, dim));
-            }
-        }
         let fits = b.len() == self.graphs.len()
             && b.iter()
                 .zip(&self.graphs)
@@ -234,34 +196,63 @@ impl<'a> PackedGraphs<'a> {
         }
         Ok((b.iter().map(|m| m.as_slice()).collect(), dim))
     }
+
+    /// Cuts the window into spans of whole graphs ([`Self::graph_starts`]),
+    /// one per worker but none under [`PACKED_MIN_ITEMS`] merge items, and
+    /// runs `job` once per non-empty span over its graphs, their operand
+    /// rows and their replies, with the span's own state from `state`.
+    /// The states are made on the calling thread before the dispatch and
+    /// returned after it, in span order. More than one span is one pool
+    /// dispatch; one span runs inline.
+    pub(crate) fn run_graph_spans<S: Send>(
+        &self,
+        workers: usize,
+        mut operands: &[&[f32]],
+        mut replies: &mut [Vec<f32>],
+        mut state: impl FnMut(&[&'a CsrMatrix<f32>]) -> S,
+        job: impl Fn(&[&'a CsrMatrix<f32>], &[&[f32]], &mut [Vec<f32>], &mut S) + Sync,
+    ) -> Vec<S> {
+        let spans = (self.items() / PACKED_MIN_ITEMS).clamp(1, workers);
+        let starts = self.graph_starts(spans);
+        let graphs = self.graphs();
+        let bounds: Vec<Range<usize>> = starts
+            .iter()
+            .enumerate()
+            .map(|(s, &lo)| lo..starts.get(s + 1).copied().unwrap_or(graphs.len()))
+            .filter(|r| !r.is_empty())
+            .collect();
+        let mut states: Vec<S> = bounds.iter().map(|r| state(&graphs[r.clone()])).collect();
+        // The spans cover the window in order, so each takes the next
+        // graphs' operands and replies.
+        let job = &job;
+        let jobs: Vec<ScopedJob<'_>> = bounds
+            .iter()
+            .zip(&mut states)
+            .map(|(r, state)| -> ScopedJob<'_> {
+                let (x, tail) = operands.split_at(r.len());
+                operands = tail;
+                let (out, tail) = std::mem::take(&mut replies).split_at_mut(r.len());
+                replies = tail;
+                let g = &graphs[r.clone()];
+                Box::new(move || job(g, x, out, state))
+            })
+            .collect();
+        if jobs.len() <= 1 {
+            jobs.into_iter().for_each(|job| job());
+        } else {
+            WorkerPool::global().scope_run(jobs);
+        }
+        states
+    }
 }
 
 impl ExecEngine {
-    /// Computes `graph_i · b_i` for every graph of the packed window `p`
-    /// in **one** engine run, with `epi` fused at the store stage, without
-    /// building the window's block-diagonal matrix, stacking its operand
-    /// or scattering its output. Returns one fresh matrix per graph: the
-    /// replies of a served aggregation-only window, which leave the
-    /// engine. A GCN window runs [`ExecEngine::forward`] instead.
-    ///
-    /// `b` is the dense operand: one matrix per graph, holding that
-    /// graph's `cols()` rows, or one matrix of the graphs' rows stacked
-    /// in window order ([`PackedGraphs::cols`] rows). Each graph's rows
-    /// are read where they lie.
-    ///
-    /// The row spans are cut once on the window's per-graph `rows + nnz`
-    /// prefix (see [`PackedGraphs`]) and the pool is dispatched once. Every
-    /// output row has one writer that sums its products in ascending `k`
-    /// and then applies `epi`, so each graph's rows equal, under f32 `==`,
-    /// that graph's own [`spmm`](Self::spmm) with the same epilogue, at
-    /// any worker count and in any window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseFormatError::ShapeMismatch`], before any output is
-    /// checked out, if `b` is neither layout or a bias epilogue's length
-    /// differs from the operand's width.
-    pub fn spmm_packed(
+    /// The packed half of [`ExecEngine::spmm`]: `graph_i · b_i` for every
+    /// graph of `p`, with `epi` fused at the store stage, each span of
+    /// whole graphs folding its graphs straight into their replies. The
+    /// replies are fresh buffers, one per graph, since they leave the
+    /// engine.
+    pub(crate) fn spmm_window(
         &self,
         p: &PackedGraphs<'_>,
         b: &[&DenseMatrix<f32>],
@@ -270,98 +261,34 @@ impl ExecEngine {
         let (operands, dim) = p.operand_rows(b)?;
         epi.validate(dim)?;
         let rp = self.start_run(epi);
-        let mut bufs: Vec<Vec<f32>> = p
+        let mut replies: Vec<Vec<f32>> = p
             .graphs
             .iter()
             .map(|g| self.arena.fresh(g.rows() * dim))
             .collect();
-        let fold = Fold {
-            dim,
-            rp,
-            operands,
-            outs: bufs.iter_mut().map(Vec::as_mut_slice).collect(),
-        };
-        run_spans(p, vec![fold], self.workers, epi);
-        Ok(p.replies(bufs, dim))
-    }
-}
-
-/// One operand width of a run: the width, the data path resolved for it,
-/// and each graph's rows of the dense operand and of the output.
-pub(crate) struct Fold<'a> {
-    pub dim: usize,
-    pub rp: ResolvedPath,
-    pub operands: Vec<&'a [f32]>,
-    pub outs: Vec<&'a mut [f32]>,
-}
-
-/// Folds every graph of `p` once per fold, from the fold's operand rows
-/// into its output rows: one row span per worker
-/// ([`PackedGraphs::row_starts`]) on the pool, or the whole window inline
-/// at one worker. A span's job runs [`fold_rows`] once per fold over that
-/// fold's pieces in the span. A graph a cut falls inside splits its
-/// outputs at that row, so every row still has one writer. Folds of
-/// width 0 and empty spans get no work.
-pub(crate) fn run_spans(
-    p: &PackedGraphs<'_>,
-    mut folds: Vec<Fold<'_>>,
-    workers: usize,
-    epi: &Epilogue,
-) {
-    folds.retain(|f| f.dim > 0);
-    let starts = p.row_starts(workers);
-    let end = |s: usize| starts.get(s + 1).copied().unwrap_or(p.rows());
-    // Span `s`'s pieces of every fold, each list with its fold's width
-    // and path. The jobs borrow the lists, so they are freed here, on the
-    // calling thread: freed on pool workers, they raised `ppi-gcn`'s peak
-    // RSS by one activation buffer in 5 of 20 10 s servebench runs
-    // (2-vCPU host).
-    let mut spans: Vec<Vec<(usize, ResolvedPath, Vec<Piece<'_>>)>> = starts
-        .iter()
-        .map(|_| Vec::with_capacity(folds.len()))
-        .collect();
-    for f in folds {
-        for span in &mut spans {
-            span.push((f.dim, f.rp, Vec::new()));
+        if dim > 0 {
+            p.run_graph_spans(
+                self.workers,
+                &operands,
+                &mut replies,
+                |_| (),
+                |graphs, operands, replies, _| {
+                    let mut pieces: Vec<Piece<'_>> = graphs
+                        .iter()
+                        .zip(operands)
+                        .zip(replies)
+                        .map(|((&a, &b), out)| Piece {
+                            a,
+                            first: 0,
+                            b,
+                            out,
+                        })
+                        .collect();
+                    fold_rows(&mut pieces, dim, &rp, epi);
+                },
+            );
         }
-        let mut s = 0;
-        let graphs = p.graphs.iter().zip(f.operands).zip(f.outs);
-        for (((&a, b), mut out), start) in graphs.zip(&p.starts) {
-            let mut row = start.row;
-            let last = row + a.rows();
-            while row < last {
-                while end(s) <= row {
-                    s += 1;
-                }
-                let hi = end(s).min(last);
-                let (head, tail) = std::mem::take(&mut out).split_at_mut((hi - row) * f.dim);
-                out = tail;
-                let (_, _, pieces) = spans[s].last_mut().expect("one list per fold");
-                pieces.push(Piece {
-                    a,
-                    first: row - start.row,
-                    b,
-                    out: head,
-                });
-                row = hi;
-            }
-        }
-    }
-    let jobs: Vec<ScopedJob<'_>> = spans
-        .iter_mut()
-        .filter(|span| span.iter().any(|(_, _, pieces)| !pieces.is_empty()))
-        .map(|span| -> ScopedJob<'_> {
-            Box::new(move || {
-                for (dim, rp, pieces) in span {
-                    fold_rows(pieces, *dim, rp, epi);
-                }
-            })
-        })
-        .collect();
-    if workers <= 1 {
-        jobs.into_iter().for_each(|job| job());
-    } else {
-        WorkerPool::global().scope_run(jobs);
+        Ok(p.replies(replies, dim))
     }
 }
 
@@ -526,10 +453,7 @@ fn fold_rows_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmm::row_aligned_starts;
-    use crate::spmm::test_support::{lopsided, random_matrix};
-    use mpspmm_sparse::BlockDiagCsr;
-    use std::sync::Arc;
+    use crate::spmm::test_support::random_matrix;
 
     /// A window of `(rows, nnz)` graphs; `(0, 0)` is a graph of no rows.
     fn window(shapes: &[(usize, usize)]) -> Vec<CsrMatrix<f32>> {
@@ -540,64 +464,7 @@ mod tests {
             .collect()
     }
 
-    /// The cuts on the per-graph prefix are the cuts `row_aligned_starts`
-    /// makes on the block-diagonal matrix itself: with empty and
-    /// zero-row graphs, one graph, and one graph holding most of the
-    /// window's items, at every span count up to 70. A column batch runs
-    /// as a one-graph window, so its cuts are those of
-    /// `row_aligned_starts` on the graph: checked on the engine's
-    /// lopsided graph and on a graph whose middle row is longer than a
-    /// span's share, at every span count up to 200 (more spans than
-    /// either has merge items).
-    #[test]
-    fn cuts_on_the_prefix_equal_the_block_diagonal_cuts() {
-        let shapes: [&[(usize, usize)]; 5] = [
-            &[(5, 12), (0, 0), (7, 0), (9, 30), (0, 0), (3, 4)],
-            &[(11, 40)],
-            &[(2, 3), (60, 900), (4, 6)],
-            &[(0, 0), (0, 0)],
-            &[(1, 1), (1, 0), (2, 2), (1, 1), (3, 5), (1, 0)],
-        ];
-        for shape in shapes {
-            let graphs = window(shape);
-            let p = PackedGraphs::new(&graphs);
-            let arcs: Vec<Arc<CsrMatrix<f32>>> = graphs.iter().cloned().map(Arc::new).collect();
-            let pack = BlockDiagCsr::build(&arcs).unwrap();
-            assert_eq!(
-                (p.rows(), p.cols(), p.nnz()),
-                (pack.rows(), pack.cols(), pack.nnz())
-            );
-            for i in 0..graphs.len() {
-                assert_eq!(p.block_cols(i), pack.block_cols(i));
-            }
-            for spans in 1..=70 {
-                assert_eq!(
-                    p.row_starts(spans),
-                    row_aligned_starts(pack.matrix().row_ptr(), spans),
-                    "{shape:?} spans={spans}"
-                );
-            }
-        }
-        assert_eq!(PackedGraphs::new([]).row_starts(3), vec![0, 0, 0]);
-        let mut long_middle: Vec<(usize, usize, f32)> =
-            (0..20).filter(|&r| r != 10).map(|r| (r, r, 1.0)).collect();
-        long_middle.extend((0..60).map(|c| (10, c, 0.5)));
-        let long_middle = CsrMatrix::from_triplets(20, 60, &long_middle).unwrap();
-        for a in [lopsided(), long_middle] {
-            let p = PackedGraphs::new([&a]);
-            for spans in 1..=200 {
-                assert_eq!(
-                    p.row_starts(spans),
-                    row_aligned_starts(a.row_ptr(), spans),
-                    "{} rows, {} nnz, spans={spans}",
-                    a.rows(),
-                    a.nnz()
-                );
-            }
-        }
-    }
-
-    /// The packed forward's cut snaps each equal-share cut of the merge
+    /// A packed window's cut snaps each equal-share cut of the merge
     /// items to the nearest graph start: on windows with empty and
     /// zero-row graphs, one graph, and one graph holding most of the
     /// items, at every span count up to 70. Starts never decrease and

@@ -22,8 +22,6 @@ mod serial_fixup;
 
 pub use mergepath::{plan_from_schedule, MergePathSpmm};
 pub use nnz_split::{NeighborPartitionIndex, NnzSplitSpmm};
-#[cfg(test)]
-pub(crate) use row_aligned::row_aligned_starts;
 pub use row_aligned::BatchMergeSpmm;
 pub use row_split::RowSplitSpmm;
 pub use serial::SerialSpmm;

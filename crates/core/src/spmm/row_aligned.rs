@@ -3,7 +3,10 @@
 //! [`BatchMergeSpmm`] runs the same 2-D merge-path search as
 //! [`MergePathSpmm`](super::MergePathSpmm) over the concatenated
 //! `rows + nnz` of a packed batch, but **snaps every thread boundary to a
-//! row edge**: no row is ever split across threads. Each non-empty row
+//! row edge**: no row is ever split across threads. The partition is the
+//! engine's own row cut (`row_aligned_starts`), the one that cuts every
+//! column batch's row spans, so a plan's threads are the spans the engine
+//! would run at that many workers. Each non-empty row
 //! becomes exactly one [`Flush::Regular`] segment, so the plan has zero
 //! shared rows, zero atomic flushes, and zero carries.
 //!
@@ -15,14 +18,14 @@
 //! non-zeros in one flat ascending pass, which is the same float
 //! fold [`execute_sequential`](crate::executor::execute_sequential)
 //! performs. Packed execution is therefore **bit-identical** to running
-//! each constituent sequentially, under every scheduler policy, data
-//! path, and worker count. Load balance stays global: boundaries are
+//! each constituent sequentially, on every data path and at every
+//! worker count. Load balance stays global: boundaries are
 //! placed on the concatenated merge path, so a thread may span the tail
 //! of one graph and the head of the next.
 
 use mpspmm_sparse::CsrMatrix;
 
-use crate::merge_path::merge_path_search;
+use crate::engine::row_aligned_starts;
 use crate::plan::{Flush, KernelPlan, Segment, ThreadPlan};
 use crate::tuning::{default_cost_for_dim, thread_count};
 
@@ -88,35 +91,6 @@ impl Default for BatchMergeSpmm {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// First row of each of `threads` logical threads in a row-aligned
-/// merge-path partition of the CSR matrix with row pointers `row_ptr`:
-/// the `rows + nnz` merge items are cut into equal diagonals, and each
-/// cut snaps to the number of rows fully consumed there. Thread `t` owns
-/// rows `starts[t]..starts[t + 1]` (the last thread runs to the final
-/// row); starts never decrease and `starts[0] == 0`. This is the whole
-/// partition behind [`BatchMergeSpmm`] plans. The engine cuts its row
-/// spans on a window's per-graph prefix instead (`PackedGraphs`), which
-/// on a one-graph window makes exactly these cuts; the tests hold it to
-/// this function.
-pub(crate) fn row_aligned_starts(row_ptr: &[usize], threads: usize) -> Vec<usize> {
-    let rows = row_ptr.len() - 1;
-    let nnz = row_ptr[rows];
-    let threads = threads.max(1);
-    let per_thread = (rows + nnz).div_ceil(threads).max(1);
-    let mut starts = Vec::with_capacity(threads);
-    starts.push(0);
-    for k in 1..threads {
-        let diag = (k * per_thread).min(rows + nnz);
-        let prev = starts[k - 1];
-        starts.push(
-            merge_path_search(diag, &row_ptr[1..], nnz)
-                .row
-                .clamp(prev, rows),
-        );
-    }
-    starts
 }
 
 impl SpmmKernel for BatchMergeSpmm {

@@ -8,10 +8,10 @@
 //! or worker count. The row-aligned [`BatchMergeSpmm`] plan of a pack,
 //! replayed sequentially, is held to the same oracle.
 //!
-//! The constituent path pins [`ExecEngine::spmm_packed`] to the same
-//! per-graph oracle without building the pack: every graph of a
-//! [`PackedGraphs`] window, read from its own CSR and its own operand
-//! rows, equals that graph's own `ExecEngine::spmm`, bit for bit.
+//! The constituent path pins [`ExecEngine::spmm`] on a [`PackedGraphs`]
+//! window to the same per-graph oracle without building the pack: every
+//! graph of the window, read from its own CSR and its own operand rows,
+//! equals that graph's own one-graph `ExecEngine::spmm`, bit for bit.
 //!
 //! The column-batch oracle pins a list of blocks through
 //! [`ExecEngine::spmm`] the same way: every block of a list, folded in
@@ -257,7 +257,7 @@ fn row_span_plans_bit_match_per_graph_sequential() {
                     let engine = ExecEngine::with_data_path(workers, path);
                     let out = product(&engine, pack.matrix(), &stacked);
                     let biased = engine
-                        .spmm(pack.matrix(), &[&stacked], &epi)
+                        .spmm(pack.matrix().as_ref(), &[&stacked], &epi)
                         .unwrap()
                         .remove(0);
                     for (i, want) in wants.iter().enumerate() {
@@ -390,8 +390,10 @@ fn column_batches_check_out_only_their_outputs() {
 
 /// The windows the constituent path is checked on: a mixed window with a
 /// no-edge graph, a zero-row graph and a rectangular lopsided graph; a
-/// one-graph window; and a window where one graph holds most of the
-/// `rows + nnz` items, so span cuts fall inside it.
+/// one-graph window; a window where one graph holds most of the
+/// `rows + nnz` items, which one span holds whole; and a window of 40
+/// graphs over twice the inline minimum's merge items, which the graph
+/// cut splits into several spans at workers 2, 7 and 64.
 fn constituent_windows() -> Vec<Vec<CsrMatrix<f32>>> {
     vec![
         vec![
@@ -407,6 +409,9 @@ fn constituent_windows() -> Vec<Vec<CsrMatrix<f32>>> {
             random_graph(80, 2000, 46),
             random_graph(5, 8, 47),
         ],
+        (0..40)
+            .map(|i| random_graph(20 + i % 17, 60 + 11 * i, 48 + i as u64))
+            .collect(),
     ]
 }
 
@@ -414,11 +419,17 @@ fn constituent_windows() -> Vec<Vec<CsrMatrix<f32>>> {
 /// `ExecEngine::spmm` under the same epilogue and its row sum followed
 /// by the epilogue: for every window above, at widths 1 to 33, under
 /// every epilogue, on both data paths, at workers {1, 2, 7, 64} and the
-/// resolved count, with the operand as one block per graph or one
-/// stacked block.
+/// resolved count.
 #[test]
 fn constituent_windows_equal_each_graphs_own_spmm() {
-    for (w, graphs) in constituent_windows().iter().enumerate() {
+    let windows = constituent_windows();
+    let last = PackedGraphs::new(&windows[3]);
+    // Twice the engine's inline minimum of 2,048 merge items per span.
+    assert!(
+        last.rows() + last.nnz() >= 2 * 2048,
+        "the last window splits"
+    );
+    for (w, graphs) in windows.iter().enumerate() {
         let window = PackedGraphs::new(graphs);
         for dim in [1usize, 4, 16, 33] {
             let feats: Vec<DenseMatrix<f32>> = graphs
@@ -426,9 +437,7 @@ fn constituent_windows_equal_each_graphs_own_spmm() {
                 .enumerate()
                 .map(|(i, g)| features(g.cols(), dim, (100 * w + i) as u64))
                 .collect();
-            let per_graph: Vec<&DenseMatrix<f32>> = feats.iter().collect();
-            let all: Vec<f32> = feats.iter().flat_map(|x| x.as_slice()).copied().collect();
-            let stacked = DenseMatrix::from_vec(window.cols(), dim, all).unwrap();
+            let blocks: Vec<&DenseMatrix<f32>> = feats.iter().collect();
             for epi in batch_epilogues(dim) {
                 let wants: Vec<DenseMatrix<f32>> = graphs
                     .iter()
@@ -442,14 +451,9 @@ fn constituent_windows_equal_each_graphs_own_spmm() {
                 for workers in [1, 2, 7, 64, default_workers()] {
                     for path in [DataPath::Scalar, DataPath::Vector] {
                         let engine = ExecEngine::with_data_path(workers, path);
-                        for b in [&per_graph[..], &[&stacked]] {
-                            let ctx = format!(
-                                "window {w} dim={dim} epi={epi:?} w={workers} {path:?} {} blocks",
-                                b.len()
-                            );
-                            let outs = engine.spmm_packed(&window, b, &epi).unwrap();
-                            assert_eq!(outs, wants, "{ctx}");
-                        }
+                        let outs = engine.spmm(&window, &blocks, &epi).unwrap();
+                        let ctx = format!("window {w} dim={dim} epi={epi:?} w={workers} {path:?}");
+                        assert_eq!(outs, wants, "{ctx}");
                     }
                 }
             }
@@ -460,8 +464,9 @@ fn constituent_windows_equal_each_graphs_own_spmm() {
 /// A packed run checks nothing out for its operand: its outputs are one
 /// fresh buffer per graph that leaves the pool untouched, call after
 /// call. A rejected call checks nothing
-/// out: blocks that are neither one per graph nor one stacked block,
-/// per-graph blocks of the wrong rows, and a bias of the wrong width.
+/// out: too few blocks, per-graph blocks of the wrong rows, one block of
+/// every graph's rows stacked (full height or one row short), and a bias
+/// of the wrong width.
 #[test]
 fn constituent_runs_check_out_only_their_outputs() {
     let graphs = constituent_windows().remove(0);
@@ -476,13 +481,15 @@ fn constituent_runs_check_out_only_their_outputs() {
             (s.arena_reuses, s.arena_misses)
         };
         let rejected = |b: &[&DenseMatrix<f32>], epi: &Epilogue| {
-            let got = engine.spmm_packed(&window, b, epi);
+            let got = engine.spmm(&window, b, epi);
             matches!(got, Err(SparseFormatError::ShapeMismatch { .. }))
         };
         let swapped: Vec<&DenseMatrix<f32>> = refs.iter().rev().copied().collect();
+        let stacked = features(window.cols(), 4, 9);
         let short = features(window.cols() - 1, 4, 9);
         assert!(rejected(&refs[1..], &none), "workers={workers}");
         assert!(rejected(&swapped, &none), "workers={workers}");
+        assert!(rejected(&[&stacked], &none), "workers={workers}");
         assert!(rejected(&[&short], &none), "workers={workers}");
         assert!(
             rejected(&refs, &biased(Activation::Identity, vec![0.5; 3])),
@@ -496,7 +503,7 @@ fn constituent_runs_check_out_only_their_outputs() {
 
         let n = graphs.len() as u64;
         for call in 1..=2 {
-            let outs = engine.spmm_packed(&window, &refs, &none).unwrap();
+            let outs = engine.spmm(&window, &refs, &none).unwrap();
             assert_eq!(
                 counts(),
                 (0, call * n),

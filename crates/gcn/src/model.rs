@@ -256,9 +256,7 @@ mod tests {
 
     /// Every graph's output of a packed forward is `==` to that graph's
     /// own forward, at workers {1, 2, 7, 64}: with no-bias and bias
-    /// layers under ReLU and identity, and a sigmoid layer. The features
-    /// go in as one block per graph and as one block of every graph's
-    /// rows stacked.
+    /// layers under ReLU and identity, and a sigmoid layer.
     #[test]
     fn packed_window_forward_matches_per_graph_forward() {
         let bias = |n: usize| (0..n).map(|j| j as f32 * 0.125 - 0.5).collect::<Vec<_>>();
@@ -281,9 +279,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, g)| random_features(g.rows(), 8, 0.6, i as u64))
                 .collect();
-            let per_graph: Vec<&DenseMatrix<f32>> = feats.iter().collect();
-            let all: Vec<f32> = feats.iter().flat_map(|x| x.as_slice()).copied().collect();
-            let stacked = DenseMatrix::from_vec(window.cols(), 8, all).unwrap();
+            let blocks: Vec<&DenseMatrix<f32>> = feats.iter().collect();
             for model in &models {
                 let expect: Vec<DenseMatrix<f32>> = graphs
                     .iter()
@@ -292,11 +288,9 @@ mod tests {
                     .collect();
                 for workers in [1, 2, 7, 64] {
                     let engine = ExecEngine::new(workers);
-                    for blocks in [&per_graph[..], &[&stacked]] {
-                        let outs = model.forward(&window, blocks, &engine).unwrap();
-                        let at = format!("{} graphs, workers={workers}", graphs.len());
-                        assert_eq!(outs, expect, "{at}, {} blocks", blocks.len());
-                    }
+                    let outs = model.forward(&window, &blocks, &engine).unwrap();
+                    let at = format!("{} graphs, workers={workers}", graphs.len());
+                    assert_eq!(outs, expect, "{at}");
                 }
             }
         }

@@ -252,10 +252,9 @@ fn execute(shared: &Shared, live: &[Pending]) -> Result<Vec<DenseMatrix<f32>>, S
     let engine = &shared.engine;
     let head = &live[0];
     let feats: Vec<&DenseMatrix<f32>> = live.iter().map(|p| p.features.as_ref()).collect();
-    let run = |a: Adjacency<'_>| match (head.workload, a) {
-        (Workload::Spmm, Adjacency::Graph(a)) => engine.spmm(a, &feats, &Epilogue::NONE),
-        (Workload::Spmm, Adjacency::Packed(p)) => engine.spmm_packed(p, &feats, &Epilogue::NONE),
-        (Workload::Gcn, a) => head
+    let run = |a: Adjacency<'_>| match head.workload {
+        Workload::Spmm => engine.spmm(a, &feats, &Epilogue::NONE),
+        Workload::Gcn => head
             .graph
             .model()
             .expect("Gcn workload admitted only for graphs with a model")

@@ -41,19 +41,23 @@ cargo test -q -p mpspmm-core --test engine_oracle
 # The engine oracle, the concurrent-engine suite and the scheduler suite
 # (row spans equal to the ascending row sum at every worker count, at
 # narrow and wide dims) and the packed-window path (each graph's rows
-# equal to its own product at any worker count; column batches and
-# packed windows run through one span runner): pin the resolved count
+# equal to its own product at any worker count): pin the resolved count
 # to a matrix of values and re-run their property tests (debug build,
-# invariant asserts live). batch_oracle sweeps
-# packed-vs-sequential across DataPath x workers, including empty graphs
-# and single-graph windows. gemm_dense pins the engine GEMM, which runs
-# every GCN feature transform, bit-exactly to the zero-skip loop at every
-# served GEMM shape, and the core `gemm` unit tests run the work-sized
-# band claims, the rows-in-lanes tile of narrow outputs included, on a
-# global pool of every size. The core
-# `engine` unit tests drive the span runner and its row fold over
-# one-graph windows (every tile plan, ISA clone and epilogue against the
-# scalar oracle) on a global pool of every size too.
+# invariant asserts live). A column batch over one graph is cut at row
+# edges and runs through the one-graph span runner; every packed window,
+# aggregation-only or GCN, is cut at graph starts and runs through the
+# graph-span runner. batch_oracle sweeps
+# packed-vs-sequential across DataPath x workers, including empty graphs,
+# single-graph windows and a window the graph cut splits. gemm_dense pins
+# the engine GEMM, which runs every GCN feature transform, bit-exactly to
+# the zero-skip loop at every served GEMM shape, and the core `gemm` unit
+# tests run the work-sized band claims, the rows-in-lanes tile of narrow
+# outputs included, on a global pool of every size. The core `engine`
+# unit tests drive the one-graph runner and its row fold (every tile
+# plan, ISA clone and epilogue against the scalar oracle), and the core
+# `forward` and `packed` unit tests drive the graph-span runner (the
+# packed forward's oracle, its one dispatch, the graph cut), on a global
+# pool of every size too.
 # serve_integration's packing server runs at the resolved count, so
 # packed serving is checked against the oracle at every count too. The
 # serve unit tests run at every count as well: a window that panics is
@@ -62,6 +66,8 @@ cargo test -q -p mpspmm-core --test engine_oracle
 for w in 1 2 8; do
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --lib gemm
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --lib engine
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --lib forward
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --lib packed
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_concurrent
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_sched
